@@ -189,6 +189,21 @@ impl<T: Element> AmrDataset<T> {
     pub fn finest_density(&self) -> f64 {
         self.levels[0].density()
     }
+
+    /// The same dataset stored at element type `U`: every value goes
+    /// through `f64` (widening is exact, narrowing rounds to nearest),
+    /// masks and name are kept.
+    pub fn cast<U: Element>(&self) -> AmrDataset<U> {
+        let levels = self
+            .levels
+            .iter()
+            .map(|l| {
+                let data = l.data().iter().map(|&v| U::from_f64(v.to_f64())).collect();
+                AmrLevel::new(l.dim(), data, l.mask().clone())
+            })
+            .collect();
+        AmrDataset::new(self.name.clone(), levels)
+    }
 }
 
 #[cfg(test)]
@@ -271,6 +286,34 @@ mod tests {
         let ds = AmrDataset::new("uni", vec![AmrLevel::dense(4, vec![1.0; 64])]);
         assert!(ds.validate().is_ok());
         assert_eq!(ds.upsample_rate(0), 1);
+    }
+
+    #[test]
+    fn cast_keeps_masks_rounds_to_nearest_and_widens_exactly() {
+        let mut ds = half_refined(8);
+        // 0.1 is not representable at f32; 2^24 + 1 sits between two f32s.
+        ds.levels[0].set_value(7, 0, 0, 0.1);
+        ds.levels[0].set_value(7, 1, 0, 16_777_217.0);
+        let narrow: AmrDataset<f32> = ds.cast();
+        assert_eq!(narrow.name(), ds.name());
+        for (a, b) in ds.levels().iter().zip(narrow.levels()) {
+            assert_eq!(a.mask(), b.mask());
+            assert_eq!(a.dim(), b.dim());
+        }
+        assert_eq!(narrow.levels()[0].value(7, 0, 0), 0.1f32);
+        assert_eq!(narrow.levels()[0].value(7, 1, 0), 16_777_216.0f32);
+        let wide: AmrDataset = narrow.cast();
+        for (a, b) in narrow.levels().iter().zip(wide.levels()) {
+            assert_eq!(a.mask(), b.mask());
+            for (x, y) in a.data().iter().zip(b.data()) {
+                assert_eq!(*x as f64, *y);
+            }
+        }
+        // Narrowing what was widened is the identity.
+        let back: AmrDataset<f32> = wide.cast();
+        for (a, b) in narrow.levels().iter().zip(back.levels()) {
+            assert_eq!(a.data(), b.data());
+        }
     }
 
     #[test]

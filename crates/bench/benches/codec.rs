@@ -8,13 +8,13 @@
 //! the numbers and catch ratio/throughput regressions per backend.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use tac_bench::experiments::codec_comparison::{bench_config, measure_matrix, measure_matrix_f32};
+use tac_bench::experiments::codec_comparison::{bench_config, measure_matrix};
 use tac_bench::obs_support;
-use tac_bench::support::{measure, measure_f32, narrow_dataset_f32};
+use tac_bench::support::measure;
 use tac_bench::{default_scale, load_dataset};
 use tac_core::{
-    codec_for, compress_dataset, compress_dataset_f32, decompress_dataset_f32,
-    decompress_dataset_par, CodecConfig, CodecId, Method, Parallelism,
+    codec_for, compress_dataset_t, decompress_dataset_par_t, CodecConfig, CodecElement, CodecId,
+    Method, Parallelism,
 };
 use tac_obs::export::StageReport;
 use tac_obs::Snapshot;
@@ -34,7 +34,7 @@ fn bench_dataset_by_codec(c: &mut Criterion) {
     for codec in CodecId::all() {
         let cfg = bench_config(unit, codec);
         group.bench_function(codec.label(), |b| {
-            b.iter(|| compress_dataset(black_box(&ds), &cfg, Method::Tac).unwrap())
+            b.iter(|| compress_dataset_t(black_box(&ds), &cfg, Method::Tac).unwrap())
         });
     }
     group.finish();
@@ -43,9 +43,9 @@ fn bench_dataset_by_codec(c: &mut Criterion) {
     group.sample_size(10).throughput(Throughput::Bytes(bytes));
     for codec in CodecId::all() {
         let cfg = bench_config(unit, codec);
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         group.bench_function(codec.label(), |b| {
-            b.iter(|| decompress_dataset_par(black_box(&cd), Parallelism::Serial).unwrap())
+            b.iter(|| decompress_dataset_par_t::<f64>(black_box(&cd), Parallelism::Serial).unwrap())
         });
     }
     group.finish();
@@ -55,7 +55,7 @@ fn bench_dataset_by_codec(c: &mut Criterion) {
 /// single-precision pipeline and the dtype-tagged v4 wire.
 fn bench_dataset_by_codec_f32(c: &mut Criterion) {
     let (ds, unit) = setup();
-    let ds32 = narrow_dataset_f32(&ds);
+    let ds32 = ds.cast::<f32>();
     let bytes = (ds.total_present() * 4) as u64;
 
     let mut group = c.benchmark_group("codec_compress_f32");
@@ -63,7 +63,7 @@ fn bench_dataset_by_codec_f32(c: &mut Criterion) {
     for codec in CodecId::all() {
         let cfg = bench_config(unit, codec);
         group.bench_function(codec.label(), |b| {
-            b.iter(|| compress_dataset_f32(black_box(&ds32), &cfg, Method::Tac).unwrap())
+            b.iter(|| compress_dataset_t(black_box(&ds32), &cfg, Method::Tac).unwrap())
         });
     }
     group.finish();
@@ -72,9 +72,9 @@ fn bench_dataset_by_codec_f32(c: &mut Criterion) {
     group.sample_size(10).throughput(Throughput::Bytes(bytes));
     for codec in CodecId::all() {
         let cfg = bench_config(unit, codec);
-        let cd = compress_dataset_f32(&ds32, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds32, &cfg, Method::Tac).unwrap();
         group.bench_function(codec.label(), |b| {
-            b.iter(|| decompress_dataset_f32(black_box(&cd)).unwrap())
+            b.iter(|| decompress_dataset_par_t::<f32>(black_box(&cd), Parallelism::Serial).unwrap())
         });
     }
     group.finish();
@@ -108,9 +108,9 @@ fn bench_raw_streams(c: &mut Criterion) {
 }
 
 /// One instrumented compress+decompress rep per matrix cell, in the
-/// exact row order `measure_matrix` + `measure_matrix_f32` emit: one
-/// `stages` JSON object per row, plus the merged snapshot for the
-/// whole-run `TRACE_codec.json`. `None` unless `--obs` is live.
+/// exact row order the two `measure_matrix` sweeps emit: one `stages`
+/// JSON object per row, plus the merged snapshot for the whole-run
+/// `TRACE_codec.json`. `None` unless `--obs` is live.
 fn obs_stage_objects(ds: &tac_amr::AmrDataset, unit: usize) -> Option<(Vec<String>, Snapshot)> {
     if !obs_support::obs_active() {
         return None;
@@ -118,29 +118,32 @@ fn obs_stage_objects(ds: &tac_amr::AmrDataset, unit: usize) -> Option<(Vec<Strin
     // Drain whatever the criterion warm-up recorded: each cell's report
     // must cover exactly its own rep.
     let _ = obs_support::obs_take();
-    let ds32 = narrow_dataset_f32(ds);
     let mut objs = Vec::new();
     let mut merged = Snapshot::new();
-    for dtype in ["f64", "f32"] {
-        for method in [
-            Method::Tac,
-            Method::Baseline1D,
-            Method::ZMesh,
-            Method::Baseline3D,
-        ] {
-            for codec in CodecId::all() {
-                let cfg = bench_config(unit, codec);
-                match dtype {
-                    "f64" => drop(measure(ds, &cfg, method, 1e-3)),
-                    _ => drop(measure_f32(&ds32, &cfg, method, 1e-3)),
-                }
-                let snap = obs_support::obs_take().unwrap_or_default();
-                objs.push(StageReport::from_snapshot(&snap).stages_json());
-                merged.merge(snap);
-            }
+    obs_sweep(ds, unit, &mut objs, &mut merged);
+    obs_sweep(&ds.cast::<f32>(), unit, &mut objs, &mut merged);
+    Some((objs, merged))
+}
+
+fn obs_sweep<T: CodecElement>(
+    ds: &tac_amr::AmrDataset<T>,
+    unit: usize,
+    objs: &mut Vec<String>,
+    merged: &mut Snapshot,
+) {
+    for method in [
+        Method::Tac,
+        Method::Baseline1D,
+        Method::ZMesh,
+        Method::Baseline3D,
+    ] {
+        for codec in CodecId::all() {
+            measure(ds, &bench_config(unit, codec), method, 1e-3);
+            let snap = obs_support::obs_take().unwrap_or_default();
+            objs.push(StageReport::from_snapshot(&snap).stages_json());
+            merged.merge(snap);
         }
     }
-    Some((objs, merged))
 }
 
 /// Per-codec raw-stream rows for the quick JSON: one dense coarse
@@ -197,7 +200,7 @@ fn emit_quick_json() {
     }
     let (ds, unit) = setup();
     let mut rows = measure_matrix(&ds, unit, 2);
-    rows.extend(measure_matrix_f32(&ds, unit, 2));
+    rows.extend(measure_matrix(&ds.cast::<f32>(), unit, 2));
     let stages = obs_stage_objects(&ds, unit);
     let cells: Vec<String> = rows
         .iter()

@@ -13,7 +13,7 @@ use tac_bench::experiments::par_speedup::{bench_config, measure_sweep, THREAD_SW
 use tac_bench::obs_support;
 use tac_bench::{default_scale, load_dataset};
 use tac_core::{
-    compress_dataset, decompress_dataset_par, decompress_region, CompressedDataset, Method,
+    compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CompressedDataset, Method,
     TacConfig,
 };
 
@@ -37,18 +37,18 @@ fn bench_parallel_compress(c: &mut Criterion) {
             ..base_cfg.clone()
         };
         group.bench_function(format!("threads/{threads}"), |b| {
-            b.iter(|| compress_dataset(black_box(&ds), &cfg, Method::Tac).unwrap())
+            b.iter(|| compress_dataset_t(black_box(&ds), &cfg, Method::Tac).unwrap())
         });
     }
     group.finish();
 
-    let cd = compress_dataset(&ds, &base_cfg, Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &base_cfg, Method::Tac).unwrap();
     let mut group = c.benchmark_group("par_decompress");
     group.sample_size(10).throughput(Throughput::Bytes(bytes));
     for &threads in THREAD_SWEEP {
         let par = tac_core::Parallelism::Threads(threads);
         group.bench_function(format!("threads/{threads}"), |b| {
-            b.iter(|| decompress_dataset_par(black_box(&cd), par).unwrap())
+            b.iter(|| decompress_dataset_par_t::<f64>(black_box(&cd), par).unwrap())
         });
     }
     group.finish();
@@ -56,7 +56,9 @@ fn bench_parallel_compress(c: &mut Criterion) {
 
 fn bench_roi_decode(c: &mut Criterion) {
     let (ds, cfg) = fig14_scale_setup();
-    let container = compress_dataset(&ds, &cfg, Method::Tac).unwrap().to_bytes();
+    let container = compress_dataset_t(&ds, &cfg, Method::Tac)
+        .unwrap()
+        .to_bytes();
     let half = ds.finest_dim() / 2;
     let roi = Aabb::new((0, 0, 0), (half, half, half));
 
@@ -65,11 +67,11 @@ fn bench_roi_decode(c: &mut Criterion) {
     group.bench_function("full", |b| {
         b.iter(|| {
             let cd = CompressedDataset::from_bytes(black_box(&container)).unwrap();
-            decompress_dataset_par(&cd, tac_core::Parallelism::Serial).unwrap()
+            decompress_dataset_par_t::<f64>(&cd, tac_core::Parallelism::Serial).unwrap()
         })
     });
     group.bench_function("corner_eighth", |b| {
-        b.iter(|| decompress_region(black_box(&container), roi).unwrap())
+        b.iter(|| decompress_region_t::<f64>(black_box(&container), roi).unwrap())
     });
     group.finish();
 }
@@ -111,8 +113,8 @@ fn emit_quick_json() {
             parallelism: tac_core::Parallelism::Threads(max_threads),
             ..cfg
         };
-        let cd = compress_dataset(&ds, &cfg_wide, Method::Tac).unwrap();
-        decompress_dataset_par(&cd, cfg_wide.parallelism).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg_wide, Method::Tac).unwrap();
+        decompress_dataset_par_t::<f64>(&cd, cfg_wide.parallelism).unwrap();
         if let Some(snap) = obs_support::obs_take() {
             eprintln!("{}", obs_support::write_trace_and_report("par", &snap));
         }

@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tac_amr::BlockGrid;
 use tac_core::{
-    compress_level, pad_ghost_shell, plan_akdtree, plan_nast, plan_opst, Strategy, TacConfig,
+    compress_level_t, pad_ghost_shell, plan_akdtree, plan_nast, plan_opst, Strategy, TacConfig,
 };
 use tac_nyx::{entry, FieldKind};
 
@@ -46,7 +46,7 @@ fn bench_planners(c: &mut Criterion) {
     group.sample_size(10);
     for strategy in [Strategy::OpST, Strategy::AkdTree, Strategy::Gsp] {
         group.bench_function(format!("{strategy:?}/fine"), |b| {
-            b.iter(|| compress_level(black_box(fine), strategy, 1e7, &cfg).unwrap())
+            b.iter(|| compress_level_t(black_box(fine), strategy, 1e7, &cfg).unwrap())
         });
     }
     group.finish();

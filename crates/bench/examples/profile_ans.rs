@@ -7,7 +7,10 @@
 use std::time::Instant;
 use tac_bench::support::{default_unit, load_dataset};
 use tac_bench::{default_scale, experiments::codec_comparison::bench_config};
-use tac_core::{codec_for, compress_dataset, decompress_dataset, CodecId, Method, MethodBody};
+use tac_core::{
+    codec_for, compress_dataset_t, decompress_dataset_par_t, CodecId, Method, MethodBody,
+    Parallelism,
+};
 
 fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -33,12 +36,12 @@ fn main() {
 
     for codec in CodecId::all() {
         let cfg = bench_config(unit, codec);
-        let cd = compress_dataset(&ds, &cfg, Method::Baseline1D).expect("compress");
+        let cd = compress_dataset_t(&ds, &cfg, Method::Baseline1D).expect("compress");
         let wall = best_secs(9, || {
-            decompress_dataset(&cd).expect("decompress");
+            decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).expect("decompress");
         });
         // Codec-only: decode each level's stream, no mask scatter.
-        let backend = codec_for(codec);
+        let backend = codec_for::<f64>(codec);
         let streams: Vec<&[u8]> = match &cd.body {
             MethodBody::Baseline1D(levels) => levels
                 .iter()

@@ -3,13 +3,14 @@
 //! (the paper fixes 16^3 on 512^3 grids; this shows the trade-off).
 
 use tac_bench::{default_scale, load_dataset};
-use tac_core::{compress_level, decompress_level, resolve_level_eb, Strategy, TacConfig};
+use tac_core::{compress_level_t, decompress_level_t, resolve_level_eb_for, Strategy, TacConfig};
 use tac_sz::ErrorBound;
 
 fn main() {
     let ds = load_dataset("Run1_Z10", default_scale(), 10);
     let fine = &ds.levels()[0];
-    let eb = resolve_level_eb(ErrorBound::Rel(1e-4), 1.0, fine.value_range()).unwrap();
+    let eb =
+        resolve_level_eb_for(ds.dtype(), ErrorBound::Rel(1e-4), 1.0, fine.value_range()).unwrap();
     println!(
         "Ablation: unit block size, Run1_Z10 fine level ({}^3, {:.0}% dense)",
         fine.dim(),
@@ -29,9 +30,9 @@ fn main() {
                 ..Default::default()
             };
             let t0 = std::time::Instant::now();
-            let cl = compress_level(fine, strategy, eb, &cfg).unwrap();
+            let cl = compress_level_t(fine, strategy, eb, &cfg).unwrap();
             let secs = t0.elapsed().as_secs_f64();
-            let rec = decompress_level(&cl, fine.mask()).unwrap();
+            let rec = decompress_level_t::<f64>(&cl, fine.mask()).unwrap();
             let mut sum_sq = 0.0;
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for i in fine.mask().iter_ones() {

@@ -47,9 +47,8 @@ const RATIO_FLOOR: f64 = 0.90;
 
 /// Minimum best-fixed / Auto serialized-bytes quotient per scenario
 /// (equal error bound, so byte dominance is ratio dominance). The
-/// selection's tie-break discounts are bounded at ~3%, well inside
-/// this floor; the testkit scenarios sit in the exhaustive regime, so
-/// the margin is structural, not statistical.
+/// testkit scenarios sit in the exhaustive regime, where selection
+/// scores exact bytes, so the margin is structural, not statistical.
 const AUTO_FLOOR: f64 = 0.95;
 
 fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -139,7 +138,7 @@ fn main() {
         let sds = spec.build(7);
         let cfg = spec.config();
         let sel = select_auto(&sds, &cfg).expect("selection");
-        let auto_bytes = tac_core::compress_dataset(&sds, &cfg, Method::Auto)
+        let auto_bytes = tac_core::compress_dataset_t(&sds, &cfg, Method::Auto)
             .expect("auto compress")
             .to_bytes()
             .len();
@@ -150,7 +149,7 @@ fn main() {
                     codec,
                     ..cfg.clone()
                 };
-                let Ok(cd) = tac_core::compress_dataset(&sds, &fixed_cfg, method) else {
+                let Ok(cd) = tac_core::compress_dataset_t(&sds, &fixed_cfg, method) else {
                     continue; // pairs the fixed pipeline rejects cannot be "best"
                 };
                 let bytes = cd.to_bytes().len();

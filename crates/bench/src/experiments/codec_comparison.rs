@@ -18,11 +18,8 @@
 //! dominate). The point of the table is that the answer is per-level —
 //! which is exactly what the pluggable backend layer makes actionable.
 
-use crate::support::{
-    default_scale, default_unit, load_dataset, measure, measure_f32, narrow_dataset_f32,
-    quick_mode, Measured,
-};
-use tac_core::{compress_dataset, CodecId, Method, MethodBody, TacConfig};
+use crate::support::{default_scale, default_unit, load_dataset, measure, quick_mode, Measured};
+use tac_core::{compress_dataset_t, CodecElement, CodecId, Method, MethodBody, TacConfig};
 use tac_sz::ErrorBound;
 
 /// One method x codec measurement row.
@@ -58,30 +55,15 @@ pub fn bench_config(unit: usize, codec: CodecId) -> TacConfig {
     }
 }
 
-/// Measures every method under every registered codec on `ds`.
-pub fn measure_matrix(ds: &tac_amr::AmrDataset, unit: usize, reps: usize) -> Vec<CodecRow> {
-    matrix_rows(ds.total_present() * 8, "f64", unit, reps, |cfg, method| {
-        measure(ds, cfg, method, 1e-3)
-    })
-}
-
-/// [`measure_matrix`] with the dataset narrowed to `f32` storage: the
-/// same sweep through the monomorphized single-precision pipeline and
-/// the v4 wire, original bytes counted at 4 B/value.
-pub fn measure_matrix_f32(ds: &tac_amr::AmrDataset, unit: usize, reps: usize) -> Vec<CodecRow> {
-    let ds32 = narrow_dataset_f32(ds);
-    matrix_rows(ds.total_present() * 4, "f32", unit, reps, |cfg, method| {
-        measure_f32(&ds32, cfg, method, 1e-3)
-    })
-}
-
-fn matrix_rows(
-    original_bytes: usize,
-    dtype: &'static str,
+/// Measures every method under every registered codec on `ds`, at the
+/// dataset's own element type (`f32` data runs the single-precision
+/// pipeline and the v4 wire; original bytes count at the element width).
+pub fn measure_matrix<T: CodecElement>(
+    ds: &tac_amr::AmrDataset<T>,
     unit: usize,
     reps: usize,
-    mut run: impl FnMut(&TacConfig, Method) -> Measured,
 ) -> Vec<CodecRow> {
+    let original_bytes = ds.total_present() * T::WIRE_BYTES;
     let mut rows = Vec::new();
     for method in [
         Method::Tac,
@@ -93,7 +75,7 @@ fn matrix_rows(
             let cfg = bench_config(unit, codec);
             let mut best: Option<Measured> = None;
             for _ in 0..reps.max(1) {
-                let m = run(&cfg, method);
+                let m = measure(ds, &cfg, method, 1e-3);
                 let better = best.as_ref().map_or(true, |b| {
                     m.compress_s + m.decompress_s < b.compress_s + b.decompress_s
                 });
@@ -105,7 +87,7 @@ fn matrix_rows(
             rows.push(CodecRow {
                 method: method.label(),
                 codec: codec.label(),
-                dtype,
+                dtype: T::DTYPE.label(),
                 ratio: m.ratio,
                 compress_mb_s: m.compress_mb_s(original_bytes),
                 decompress_mb_s: m.decompress_mb_s(original_bytes),
@@ -158,7 +140,7 @@ pub fn report() -> String {
     ));
     for codec in CodecId::all() {
         let cfg = bench_config(unit, codec);
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).expect("compress");
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).expect("compress");
         if let MethodBody::Tac(levels) = &cd.body {
             for (l, cl) in levels.iter().enumerate() {
                 let present = ds.levels()[l].num_present();
@@ -203,7 +185,7 @@ mod tests {
     fn f32_matrix_sweeps_the_same_space() {
         crate::support::set_bench_overrides(32, true);
         let ds = load_dataset("Run1_Z10", 32, 3);
-        let rows = measure_matrix_f32(&ds, 2, 1);
+        let rows = measure_matrix(&ds.cast::<f32>(), 2, 1);
         assert_eq!(rows.len(), 4 * CodecId::all().len());
         for r in &rows {
             assert_eq!(r.dtype, "f32");

@@ -5,7 +5,7 @@
 
 use crate::experiments::measure_level;
 use crate::support::{default_scale, load_dataset};
-use tac_core::{resolve_level_eb, Strategy};
+use tac_core::{resolve_level_eb_for, Strategy};
 use tac_sz::ErrorBound;
 
 /// Runs the experiment and renders the paper-style comparison.
@@ -14,7 +14,7 @@ pub fn report() -> String {
     let unit = crate::support::default_unit(scale);
     let ds = load_dataset("Run1_Z10", scale, 10);
     let fine = &ds.levels()[0];
-    let abs_eb = resolve_level_eb(ErrorBound::Rel(4.8e-4), 1.0, fine.value_range())
+    let abs_eb = resolve_level_eb_for(ds.dtype(), ErrorBound::Rel(4.8e-4), 1.0, fine.value_range())
         .expect("bound resolution");
 
     let mut out = String::new();

@@ -7,7 +7,7 @@
 
 use crate::experiments::measure_level;
 use crate::support::{default_scale, default_unit, load_dataset};
-use tac_core::{resolve_level_eb, Strategy};
+use tac_core::{resolve_level_eb_for, Strategy};
 use tac_sz::ErrorBound;
 
 /// The six density cases: (label, dataset, level index). Densities match
@@ -47,7 +47,8 @@ pub fn report() -> String {
         ));
         for &eb in ebs {
             let abs_eb =
-                resolve_level_eb(ErrorBound::Rel(eb), 1.0, level.value_range()).expect("eb");
+                resolve_level_eb_for(ds.dtype(), ErrorBound::Rel(eb), 1.0, level.value_range())
+                    .expect("eb");
             let gsp = measure_level(level, Strategy::Gsp, abs_eb, unit);
             let opst = measure_level(level, Strategy::OpST, abs_eb, unit);
             let akd = measure_level(level, Strategy::AkdTree, abs_eb, unit);

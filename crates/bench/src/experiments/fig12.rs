@@ -5,7 +5,7 @@
 
 use crate::experiments::measure_level;
 use crate::support::{default_scale, default_unit, load_dataset};
-use tac_core::{resolve_level_eb, Strategy};
+use tac_core::{resolve_level_eb_for, Strategy};
 use tac_sz::ErrorBound;
 
 /// Runs the comparison.
@@ -17,8 +17,13 @@ pub fn report() -> String {
     let unit = (default_unit(scale) / 2).max(2);
     let ds = load_dataset("Run1_Z10", scale, 10);
     let coarse = &ds.levels()[1];
-    let abs_eb = resolve_level_eb(ErrorBound::Rel(6.7e-3), 1.0, coarse.value_range())
-        .expect("bound resolution");
+    let abs_eb = resolve_level_eb_for(
+        ds.dtype(),
+        ErrorBound::Rel(6.7e-3),
+        1.0,
+        coarse.value_range(),
+    )
+    .expect("bound resolution");
 
     let mut out = String::new();
     out.push_str("Figure 12: ZF vs GSP, Nyx baryon density, z10 coarse level\n");

@@ -10,7 +10,7 @@
 use crate::support::{calibrate_to_cr, default_scale, default_unit, load_dataset};
 use tac_amr::to_uniform;
 use tac_analysis::{power_spectrum, relative_error};
-use tac_core::{compress_dataset, decompress_dataset, Method, TacConfig};
+use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_sz::ErrorBound;
 
 /// Matched compression ratio all methods are calibrated to.
@@ -47,8 +47,8 @@ pub fn report() -> String {
             level_eb_scale: scales,
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, method).expect("compress");
-        let recon = decompress_dataset(&cd).expect("decompress");
+        let cd = compress_dataset_t(&ds, &cfg, method).expect("compress");
+        let recon = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).expect("decompress");
         let ps = power_spectrum(&to_uniform(&recon), n);
         let errs = relative_error(&reference, &ps);
         let max_low_k = errs

@@ -16,7 +16,7 @@ pub mod table2;
 pub mod table3;
 
 use tac_amr::AmrLevel;
-use tac_core::{compress_level, decompress_level, Strategy, TacConfig};
+use tac_core::{compress_level_t, decompress_level_t, Strategy, TacConfig};
 
 /// Per-level measurement used by the per-strategy figures (7, 11, 12):
 /// compression ratio and PSNR over present cells at a given absolute
@@ -32,9 +32,9 @@ pub(crate) fn measure_level(
         ..Default::default()
     };
     let t0 = std::time::Instant::now();
-    let cl = compress_level(level, strategy, abs_eb, &cfg).expect("level compression");
+    let cl = compress_level_t(level, strategy, abs_eb, &cfg).expect("level compression");
     let compress_s = t0.elapsed().as_secs_f64();
-    let recon = decompress_level(&cl, level.mask()).expect("level decompression");
+    let recon = decompress_level_t::<f64>(&cl, level.mask()).expect("level decompression");
 
     let present = level.num_present();
     let bytes = cl.total_bytes();

@@ -19,7 +19,7 @@
 use crate::support::{default_scale, default_unit, load_dataset, quick_mode};
 use tac_amr::Aabb;
 use tac_core::{
-    compress_dataset, decompress_dataset_par, decompress_region, CompressedDataset, Method,
+    compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CompressedDataset, Method,
     Parallelism, TacConfig,
 };
 use tac_sz::ErrorBound;
@@ -71,10 +71,10 @@ pub fn measure_sweep(
         let mut bytes = Vec::new();
         for _ in 0..reps.max(1) {
             let t0 = std::time::Instant::now();
-            let cd = compress_dataset(ds, &cfg, Method::Tac).expect("compress");
+            let cd = compress_dataset_t(ds, &cfg, Method::Tac).expect("compress");
             best_c = best_c.min(t0.elapsed().as_secs_f64());
             let t1 = std::time::Instant::now();
-            decompress_dataset_par(&cd, cfg.parallelism).expect("decompress");
+            decompress_dataset_par_t::<f64>(&cd, cfg.parallelism).expect("decompress");
             best_d = best_d.min(t1.elapsed().as_secs_f64());
             bytes = cd.to_bytes();
         }
@@ -130,18 +130,18 @@ pub fn report() -> String {
 
     // ROI decode: a 1/8-volume corner against the full decode.
     let cfg = bench_config(unit, ds.finest_dim(), 1);
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).expect("compress");
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).expect("compress");
     let bytes = cd.to_bytes();
     let half = ds.finest_dim() / 2;
     let roi = Aabb::new((0, 0, 0), (half, half, half));
 
     let t0 = std::time::Instant::now();
     let parsed = CompressedDataset::from_bytes(&bytes).expect("parse");
-    decompress_dataset_par(&parsed, cfg.parallelism).expect("full decode");
+    decompress_dataset_par_t::<f64>(&parsed, cfg.parallelism).expect("full decode");
     let full_s = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
-    let (_, stats) = decompress_region(&bytes, roi).expect("roi decode");
+    let (_, stats) = decompress_region_t::<f64>(&bytes, roi).expect("roi decode");
     let roi_s = t1.elapsed().as_secs_f64();
 
     out.push_str("\nROI decode (v2 chunk table), 1/8-volume corner:\n");

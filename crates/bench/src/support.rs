@@ -2,11 +2,10 @@
 //! benchmark scale, CR-matched calibration, spectrum error, timing.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use tac_amr::{to_uniform, AmrDataset, AmrLevel};
+use tac_amr::{to_uniform, AmrDataset};
 use tac_analysis::{amr_distortion, power_spectrum, relative_error};
 use tac_core::{
-    compress_dataset, compress_dataset_f32, decompress_dataset, decompress_dataset_f32, Method,
-    TacConfig,
+    compress_dataset_t, decompress_dataset_par_t, CodecElement, Method, Parallelism, TacConfig,
 };
 use tac_nyx::FieldKind;
 use tac_sz::ErrorBound;
@@ -99,92 +98,25 @@ impl Measured {
     }
 }
 
-/// Compresses + decompresses once and measures everything.
-pub fn measure(ds: &AmrDataset, cfg: &TacConfig, method: Method, eb_label: f64) -> Measured {
-    let t0 = std::time::Instant::now();
-    let cd = compress_dataset(ds, cfg, method).expect("compression failed");
-    let compress_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let out = decompress_dataset(&cd).expect("decompression failed");
-    let decompress_s = t1.elapsed().as_secs_f64();
-    let stats = cd.stats();
-    let d = amr_distortion(ds, &out);
-    Measured {
-        eb: eb_label,
-        ratio: stats.ratio(),
-        bit_rate: stats.bit_rate(),
-        psnr: d.psnr,
-        compress_s,
-        decompress_s,
-    }
-}
-
-/// Narrows a catalog dataset to `f32` storage (IEEE round-to-nearest
-/// per value) for the single-precision legs of the benchmarks.
-pub fn narrow_dataset_f32(ds: &AmrDataset) -> AmrDataset<f32> {
-    let levels = ds
-        .levels()
-        .iter()
-        .map(|l| {
-            let dim = l.dim();
-            let mut out = AmrLevel::<f32>::empty(dim);
-            for z in 0..dim {
-                for y in 0..dim {
-                    for x in 0..dim {
-                        if l.present(x, y, z) {
-                            out.set_value(x, y, z, l.value(x, y, z) as f32);
-                        }
-                    }
-                }
-            }
-            out
-        })
-        .collect();
-    AmrDataset::new(ds.name(), levels)
-}
-
-/// Widens an `f32` dataset back to `f64` (exact) so the distortion
-/// analysis — which runs in `f64` — can compare against it.
-pub fn widen_dataset_f64(ds: &AmrDataset<f32>) -> AmrDataset {
-    let levels = ds
-        .levels()
-        .iter()
-        .map(|l| {
-            let dim = l.dim();
-            let mut out = AmrLevel::empty(dim);
-            for z in 0..dim {
-                for y in 0..dim {
-                    for x in 0..dim {
-                        if l.present(x, y, z) {
-                            out.set_value(x, y, z, l.value(x, y, z) as f64);
-                        }
-                    }
-                }
-            }
-            out
-        })
-        .collect();
-    AmrDataset::new(ds.name(), levels)
-}
-
-/// [`measure`] at `f32` storage: same protocol through the
-/// monomorphized single-precision pipeline. The ratio accounts original
-/// bytes at 4 B/value (via the container's dtype-aware stats), and PSNR
-/// is computed against the narrowed original.
-pub fn measure_f32(
-    ds: &AmrDataset<f32>,
+/// Compresses + decompresses once and measures everything, at the
+/// dataset's own element type. The ratio accounts original bytes at the
+/// element width (via the container's dtype-aware stats); PSNR runs in
+/// `f64` against the original as stored.
+pub fn measure<T: CodecElement>(
+    ds: &AmrDataset<T>,
     cfg: &TacConfig,
     method: Method,
     eb_label: f64,
 ) -> Measured {
     let t0 = std::time::Instant::now();
-    let cd = compress_dataset_f32(ds, cfg, method).expect("compression failed");
+    let cd = compress_dataset_t(ds, cfg, method).expect("compression failed");
     let compress_s = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
-    let out = decompress_dataset_f32(&cd).expect("decompression failed");
+    let out =
+        decompress_dataset_par_t::<T>(&cd, Parallelism::Serial).expect("decompression failed");
     let decompress_s = t1.elapsed().as_secs_f64();
     let stats = cd.stats();
-    let d = amr_distortion(&widen_dataset_f64(ds), &widen_dataset_f64(&out));
+    let d = amr_distortion(&ds.cast(), &out.cast());
     Measured {
         eb: eb_label,
         ratio: stats.ratio(),

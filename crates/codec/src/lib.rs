@@ -8,9 +8,10 @@
 //! compressor, and the follow-up TAC+ swaps prediction backends per level
 //! to improve ratio further. This crate makes that pluggability concrete:
 //!
-//! * [`ScalarCodec`] — the trait every backend implements: error-bounded
+//! * [`ScalarCodec`] — the trait every backend implements, generic over
+//!   the [`Element`] type: error-bounded
 //!   [`compress`](ScalarCodec::compress) /
-//!   [`decompress`](ScalarCodec::decompress) of an `f64` array of known
+//!   [`decompress`](ScalarCodec::decompress) of a flat array of known
 //!   [`Dims`], plus [`compress_with_recon`](ScalarCodec::compress_with_recon)
 //!   for distortion metrics without a decode pass and
 //!   [`looks_like`](ScalarCodec::looks_like) stream sniffing;
@@ -48,7 +49,8 @@
 //!    (tags are append-only: existing numbers are frozen by shipped
 //!    containers; never reuse or renumber them). Extend
 //!    [`CodecId::from_tag`], [`CodecId::label`], and [`CodecId::all`].
-//! 2. Implement [`ScalarCodec`] for a unit struct. The stream your
+//! 2. Implement [`ScalarCodec<T>`](ScalarCodec) for a unit struct, once,
+//!    for every `T: Element`. The stream your
 //!    `compress` emits must start with the magic number returned by
 //!    [`magic`](ScalarCodec::magic), unique among backends and no
 //!    prefix of another backend's magic, so [`sniff_codec`] (which
@@ -138,21 +140,6 @@ impl CodecId {
     pub fn all() -> [CodecId; 3] {
         [CodecId::Sz, CodecId::PcoLite, CodecId::PcoAns]
     }
-
-    /// Relative decode-throughput class of the backend, normalized to
-    /// the SZ substrate (1.0). The values come from the repeatable
-    /// raw-dense-stream measurements behind `BENCH_codec.json` (PcoLite
-    /// ~2.4x, PcoAns ~5.4x SZ decode speed) and are deliberately coarse:
-    /// the adaptive selector (`Method::Auto` in `tac-core`) uses them
-    /// only as a small tie-break weight between candidates whose
-    /// estimated sizes are close, never as a substitute for measuring.
-    pub fn throughput_class(self) -> f64 {
-        match self {
-            CodecId::Sz => 1.0,
-            CodecId::PcoLite => 2.4,
-            CodecId::PcoAns => 5.4,
-        }
-    }
 }
 
 impl Default for CodecId {
@@ -210,57 +197,39 @@ impl CodecConfig {
     }
 }
 
-/// An error-bounded lossy compressor for flat `f64` arrays of known
+/// An error-bounded lossy compressor for flat arrays of `T` of known
 /// shape — the backend interface TAC's per-level pipeline dispatches
-/// through.
+/// through. Every backend implements it once, for all `T: Element`.
 ///
 /// Implementations must be deterministic (identical input and
 /// configuration produce identical bytes — the parallel engine's
 /// byte-identity guarantee depends on it) and must uphold the bound
 /// contract: finite values reconstruct within `cfg.abs_eb`, non-finite
 /// values bit-exactly.
-pub trait ScalarCodec: Send + Sync {
+pub trait ScalarCodec<T: Element>: Send + Sync {
     /// The backend's stable wire identity.
     fn id(&self) -> CodecId;
 
-    /// Compresses `data` of shape `dims` under `cfg`.
-    fn compress(&self, data: &[f64], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError>;
+    /// Compresses `data` of shape `dims` under `cfg`. Verbatim/exception
+    /// values are stored at `T`'s native width and the stream records
+    /// the element type.
+    fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError>;
 
     /// Like [`ScalarCodec::compress`], additionally returning the exact
     /// reconstruction the decompressor will produce, so distortion
     /// metrics need no decode pass.
     fn compress_with_recon(
         &self,
-        data: &[f64],
+        data: &[T],
         dims: Dims,
         cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f64>), CodecError>;
+    ) -> Result<(Vec<u8>, Vec<T>), CodecError>;
 
     /// Decompresses a stream produced by this backend, returning the
     /// values and their shape. Foreign or corrupt bytes must error, as
-    /// must `f32` streams ([`CodecError::WrongDtype`]).
-    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<f64>, Dims), CodecError>;
-
-    /// [`ScalarCodec::compress`] for `f32` elements: verbatim/exception
-    /// values are stored at 4 bytes and the stream's dtype flag is set.
-    fn compress_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<Vec<u8>, CodecError>;
-
-    /// [`ScalarCodec::compress_with_recon`] for `f32` elements.
-    fn compress_with_recon_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f32>), CodecError>;
-
-    /// [`ScalarCodec::decompress`] for `f32` streams. Rejects `f64`
-    /// streams with [`CodecError::WrongDtype`].
-    fn decompress_f32(&self, bytes: &[u8]) -> Result<(Vec<f32>, Dims), CodecError>;
+    /// must streams of another element type
+    /// ([`CodecError::WrongDtype`]).
+    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError>;
 
     /// The backend's stream magic number — the byte prefix every stream
     /// it emits starts with. Must be unique among registered backends
@@ -274,94 +243,47 @@ pub trait ScalarCodec: Send + Sync {
     fn looks_like(&self, bytes: &[u8]) -> bool;
 }
 
-/// Element types the codec layer can move through a [`ScalarCodec`]:
-/// the bridge between `tac-dtype`'s sealed [`Element`] vocabulary and the
-/// width-specific trait entry points.
+/// The element-first spelling of the [`ScalarCodec`] calls, implemented
+/// for every [`Element`].
 ///
 /// Generic pipeline code writes `fn f<T: CodecElement>(...)` and calls
-/// `T::codec_compress(codec, ...)`; monomorphization resolves the width
-/// **once per stream**, so decode hot loops carry no per-value dtype
-/// branches and no extra trait objects.
+/// `T::codec_compress(codec, ...)`; the element type is fixed **once per
+/// stream** by the `dyn ScalarCodec<T>` it dispatches through, so decode
+/// hot loops carry no per-value dtype branches.
 pub trait CodecElement: Element {
-    /// Routes to the width-matching [`ScalarCodec`] compress entry point.
+    /// [`ScalarCodec::compress`] on `codec`.
     fn codec_compress(
-        codec: &dyn ScalarCodec,
+        codec: &dyn ScalarCodec<Self>,
         data: &[Self],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<Vec<u8>, CodecError>;
-
-    /// Routes to the width-matching compress-with-recon entry point.
-    fn codec_compress_with_recon(
-        codec: &dyn ScalarCodec,
-        data: &[Self],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<Self>), CodecError>;
-
-    /// Routes to the width-matching decompress entry point.
-    fn codec_decompress(
-        codec: &dyn ScalarCodec,
-        bytes: &[u8],
-    ) -> Result<(Vec<Self>, Dims), CodecError>;
-}
-
-impl CodecElement for f64 {
-    fn codec_compress(
-        codec: &dyn ScalarCodec,
-        data: &[f64],
         dims: Dims,
         cfg: &CodecConfig,
     ) -> Result<Vec<u8>, CodecError> {
         codec.compress(data, dims, cfg)
     }
 
+    /// [`ScalarCodec::compress_with_recon`] on `codec`.
     fn codec_compress_with_recon(
-        codec: &dyn ScalarCodec,
-        data: &[f64],
+        codec: &dyn ScalarCodec<Self>,
+        data: &[Self],
         dims: Dims,
         cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f64>), CodecError> {
+    ) -> Result<(Vec<u8>, Vec<Self>), CodecError> {
         codec.compress_with_recon(data, dims, cfg)
     }
 
+    /// [`ScalarCodec::decompress`] on `codec`.
     fn codec_decompress(
-        codec: &dyn ScalarCodec,
+        codec: &dyn ScalarCodec<Self>,
         bytes: &[u8],
-    ) -> Result<(Vec<f64>, Dims), CodecError> {
+    ) -> Result<(Vec<Self>, Dims), CodecError> {
         codec.decompress(bytes)
     }
 }
 
-impl CodecElement for f32 {
-    fn codec_compress(
-        codec: &dyn ScalarCodec,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<Vec<u8>, CodecError> {
-        codec.compress_f32(data, dims, cfg)
-    }
-
-    fn codec_compress_with_recon(
-        codec: &dyn ScalarCodec,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f32>), CodecError> {
-        codec.compress_with_recon_f32(data, dims, cfg)
-    }
-
-    fn codec_decompress(
-        codec: &dyn ScalarCodec,
-        bytes: &[u8],
-    ) -> Result<(Vec<f32>, Dims), CodecError> {
-        codec.decompress_f32(bytes)
-    }
-}
+impl<T: Element> CodecElement for T {}
 
 /// The registered backend for a codec id.
-pub fn codec_for(id: CodecId) -> &'static dyn ScalarCodec {
+pub fn codec_for<T: Element>(id: CodecId) -> &'static dyn ScalarCodec<T> {
     match id {
         CodecId::Sz => &SzCodec,
         CodecId::PcoLite => &PcoLite,
@@ -372,7 +294,7 @@ pub fn codec_for(id: CodecId) -> &'static dyn ScalarCodec {
 /// Every registered backend, in wire-tag order (derived from
 /// [`CodecId::all`], so a new backend only has to be added there and in
 /// [`codec_for`]).
-pub fn registered() -> [&'static dyn ScalarCodec; 3] {
+pub fn registered<T: Element>() -> [&'static dyn ScalarCodec<T>; 3] {
     CodecId::all().map(codec_for)
 }
 
@@ -384,7 +306,8 @@ pub fn registered() -> [&'static dyn ScalarCodec; 3] {
 /// typed [`CodecError::UnknownStream`] carrying the offending prefix —
 /// not a silent first-match fallback.
 pub fn sniff_codec(bytes: &[u8]) -> Result<CodecId, CodecError> {
-    let mut backends = registered();
+    // Magics do not depend on the element type; any `T` serves.
+    let mut backends = registered::<f64>();
     backends.sort_by(|a, b| {
         b.magic()
             .len()
@@ -437,23 +360,10 @@ mod tests {
         assert_eq!(CodecId::PcoAns.tag(), 2, "PcoAns wire tag is frozen at 2");
         for id in CodecId::all() {
             assert_eq!(CodecId::from_tag(id.tag()).unwrap(), id);
-            assert_eq!(codec_for(id).id(), id);
+            assert_eq!(codec_for::<f64>(id).id(), id);
         }
         assert!(CodecId::from_tag(99).is_err());
         assert_eq!(CodecId::default(), CodecId::Sz);
-    }
-
-    #[test]
-    fn throughput_classes_are_normalized_to_sz() {
-        assert_eq!(CodecId::Sz.throughput_class(), 1.0);
-        for id in CodecId::all() {
-            let class = id.throughput_class();
-            assert!(class >= 1.0 && class.is_finite(), "{id}: {class}");
-        }
-        // The batch-decode backends really are faster than the SZ
-        // substrate, and the tabled-ANS kernels are the fastest.
-        assert!(CodecId::PcoLite.throughput_class() > CodecId::Sz.throughput_class());
-        assert!(CodecId::PcoAns.throughput_class() > CodecId::PcoLite.throughput_class());
     }
 
     #[test]
@@ -482,16 +392,18 @@ mod tests {
         let data = smooth(256);
         let cfg = CodecConfig::abs(1e-4);
         for id in CodecId::all() {
-            let bytes = codec_for(id).compress(&data, Dims::D1(256), &cfg).unwrap();
+            let codec = codec_for::<f64>(id);
+            let bytes = codec.compress(&data, Dims::D1(256), &cfg).unwrap();
             assert_eq!(sniff_codec(&bytes), Ok(id));
             assert!(looks_like_stream(&bytes));
-            assert!(bytes.starts_with(codec_for(id).magic()), "{id}");
+            assert!(bytes.starts_with(codec.magic()), "{id}");
             // Every *other* backend must refuse the stream outright.
             for other in CodecId::all() {
                 if other != id {
-                    assert!(!codec_for(other).looks_like(&bytes));
+                    let other_codec = codec_for::<f64>(other);
+                    assert!(!other_codec.looks_like(&bytes));
                     assert!(
-                        codec_for(other).decompress(&bytes).is_err(),
+                        other_codec.decompress(&bytes).is_err(),
                         "{other} decoded a {id} stream"
                     );
                 }
@@ -512,7 +424,7 @@ mod tests {
     fn magics_are_unique_and_prefix_free() {
         // The longest-first probe order in sniff_codec is only sound if
         // no registered magic is a prefix of another's.
-        let backends = registered();
+        let backends = registered::<f64>();
         for a in &backends {
             assert!(!a.magic().is_empty(), "{} has an empty magic", a.id());
             for b in &backends {
@@ -535,10 +447,10 @@ mod tests {
             let codec = codec_for(id);
             let cfg = CodecConfig::abs(1e-3);
             let (bytes, recon) = codec
-                .compress_with_recon_f32(&data, Dims::D2(50, 20), &cfg)
+                .compress_with_recon(&data, Dims::D2(50, 20), &cfg)
                 .unwrap();
             assert_eq!(stream_dtype(&bytes), Some(TacDtype::F32), "{id}");
-            let (out, dims) = codec.decompress_f32(&bytes).unwrap();
+            let (out, dims) = codec.decompress(&bytes).unwrap();
             assert_eq!(dims, Dims::D2(50, 20), "{id}");
             for (i, (&a, &b)) in data.iter().zip(&out).enumerate() {
                 assert!(
@@ -558,20 +470,17 @@ mod tests {
         let data32: Vec<f32> = data64.iter().map(|&v| v as f32).collect();
         let cfg = CodecConfig::abs(1e-3);
         for id in CodecId::all() {
-            let codec = codec_for(id);
-            let b64 = codec.compress(&data64, Dims::D1(64), &cfg).unwrap();
-            let b32 = codec.compress_f32(&data32, Dims::D1(64), &cfg).unwrap();
+            let (codec64, codec32) = (codec_for::<f64>(id), codec_for::<f32>(id));
+            let b64 = codec64.compress(&data64, Dims::D1(64), &cfg).unwrap();
+            let b32 = codec32.compress(&data32, Dims::D1(64), &cfg).unwrap();
             assert_eq!(stream_dtype(&b64), Some(TacDtype::F64), "{id}");
             assert!(
-                matches!(
-                    codec.decompress_f32(&b64),
-                    Err(CodecError::WrongDtype { .. })
-                ),
-                "{id} decoded an f64 stream through the f32 entry point"
+                matches!(codec32.decompress(&b64), Err(CodecError::WrongDtype { .. })),
+                "{id} decoded an f64 stream as f32"
             );
             assert!(
-                matches!(codec.decompress(&b32), Err(CodecError::WrongDtype { .. })),
-                "{id} decoded an f32 stream through the f64 entry point"
+                matches!(codec64.decompress(&b32), Err(CodecError::WrongDtype { .. })),
+                "{id} decoded an f32 stream as f64"
             );
         }
         assert_eq!(stream_dtype(b"not a stream"), None);
@@ -579,8 +488,8 @@ mod tests {
 
     #[test]
     fn codec_element_dispatch_matches_direct_calls() {
-        // The monomorphized CodecElement routes must hit the exact same
-        // entry points as direct calls — byte-for-byte.
+        // The element-first CodecElement spelling must produce the same
+        // bytes as the direct trait calls.
         let data64 = smooth(256);
         let data32: Vec<f32> = data64.iter().map(|&v| v as f32).collect();
         let cfg = CodecConfig::abs(1e-4);
@@ -592,8 +501,9 @@ mod tests {
             let (out, _) = f64::codec_decompress(codec, &via_t).unwrap();
             assert_eq!(out.len(), data64.len());
 
+            let codec = codec_for(id);
             let via_t = f32::codec_compress(codec, &data32, Dims::D1(256), &cfg).unwrap();
-            let direct = codec.compress_f32(&data32, Dims::D1(256), &cfg).unwrap();
+            let direct = codec.compress(&data32, Dims::D1(256), &cfg).unwrap();
             assert_eq!(via_t, direct, "{id} f32");
             let (out, _) = f32::codec_decompress(codec, &via_t).unwrap();
             assert_eq!(out.len(), data32.len());

@@ -508,47 +508,25 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     Ok((recon, dims))
 }
 
-impl ScalarCodec for PcoLite {
+impl<T: Element> ScalarCodec<T> for PcoLite {
     fn id(&self) -> CodecId {
         CodecId::PcoLite
     }
 
-    fn compress(&self, data: &[f64], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
+    fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
         compress_impl(data, dims, cfg).map(|(bytes, _)| bytes)
     }
 
     fn compress_with_recon(
         &self,
-        data: &[f64],
+        data: &[T],
         dims: Dims,
         cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f64>), CodecError> {
+    ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
         compress_impl(data, dims, cfg)
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<f64>, Dims), CodecError> {
-        decompress_impl(bytes)
-    }
-
-    fn compress_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<Vec<u8>, CodecError> {
-        compress_impl(data, dims, cfg).map(|(bytes, _)| bytes)
-    }
-
-    fn compress_with_recon_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f32>), CodecError> {
-        compress_impl(data, dims, cfg)
-    }
-
-    fn decompress_f32(&self, bytes: &[u8]) -> Result<(Vec<f32>, Dims), CodecError> {
+    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
         decompress_impl(bytes)
     }
 
@@ -566,11 +544,12 @@ impl ScalarCodec for PcoLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CodecElement;
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
         let cfg = CodecConfig::abs(eb);
         let (bytes, recon) = PcoLite.compress_with_recon(data, dims, &cfg).unwrap();
-        let (out, out_dims) = PcoLite.decompress(&bytes).unwrap();
+        let (out, out_dims) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
         assert_eq!(out_dims, dims);
         for (a, b) in recon.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits(), "recon promise broken");
@@ -596,7 +575,7 @@ mod tests {
             .collect();
         let cfg = CodecConfig::abs(1e-3);
         let bytes = PcoLite.compress(&data, Dims::D3(n, n, n), &cfg).unwrap();
-        let (out, _) = PcoLite.decompress(&bytes).unwrap();
+        let (out, _) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
         check_bound(&data, &out, 1e-3);
         assert!(
             bytes.len() < data.len() * 8 / 4,
@@ -610,7 +589,7 @@ mod tests {
         let data = vec![42.5f64; 4096];
         let cfg = CodecConfig::abs(1e-6);
         let bytes = PcoLite.compress(&data, Dims::D1(4096), &cfg).unwrap();
-        let (out, _) = PcoLite.decompress(&bytes).unwrap();
+        let (out, _) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
         check_bound(&data, &out, 1e-6);
         assert!(
             bytes.len() < 200,
@@ -669,7 +648,7 @@ mod tests {
         }
         let cfg = CodecConfig::abs(1e-3);
         let bytes = PcoLite.compress(&data, Dims::D1(3000), &cfg).unwrap();
-        let (out, _) = PcoLite.decompress(&bytes).unwrap();
+        let (out, _) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
         check_bound(&data, &out, 1e-3);
         assert!(
             bytes.len() < 3000,
@@ -687,18 +666,21 @@ mod tests {
         let mut mutated = bytes.clone();
         for i in (0..mutated.len()).step_by(3) {
             mutated[i] ^= 0xFF;
-            let _ = PcoLite.decompress(&mutated);
+            let _ = f64::codec_decompress(&PcoLite, &mutated);
             mutated[i] ^= 0xFF;
         }
         // Truncations must error.
         for cut in 0..bytes.len().min(64) {
-            assert!(PcoLite.decompress(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                f64::codec_decompress(&PcoLite, &bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
-        assert!(PcoLite.decompress(&bytes[..bytes.len() - 1]).is_err());
+        assert!(f64::codec_decompress(&PcoLite, &bytes[..bytes.len() - 1]).is_err());
         // Trailing garbage must error.
         let mut extra = bytes.clone();
         extra.push(0);
-        assert!(PcoLite.decompress(&extra).is_err());
+        assert!(f64::codec_decompress(&PcoLite, &extra).is_err());
     }
 
     #[test]
@@ -714,7 +696,7 @@ mod tests {
         bytes.extend((1u64 << 40).to_le_bytes()); // dim
         bytes.extend(1e-3f64.to_le_bytes()); // abs_eb
         bytes.extend(0u64.to_le_bytes()); // body: zero exceptions, no pages
-        let err = PcoLite.decompress(&bytes).unwrap_err();
+        let err = f64::codec_decompress(&PcoLite, &bytes).unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
     }
 
@@ -722,10 +704,10 @@ mod tests {
     fn foreign_magic_is_wrong_codec() {
         let sz = tac_sz::compress(&[1.0; 8], Dims::D1(8), &tac_sz::SzConfig::abs(1.0)).unwrap();
         assert!(matches!(
-            PcoLite.decompress(&sz),
+            f64::codec_decompress(&PcoLite, &sz),
             Err(CodecError::WrongCodec { .. })
         ));
-        assert!(!PcoLite.looks_like(&sz));
+        assert!(!ScalarCodec::<f64>::looks_like(&PcoLite, &sz));
     }
 
     #[test]
@@ -739,14 +721,14 @@ mod tests {
             ..CodecConfig::abs(1e-3)
         };
         let b64 = PcoLite.compress(&data64, Dims::D1(600), &cfg).unwrap();
-        let b32 = PcoLite.compress_f32(&data32, Dims::D1(600), &cfg).unwrap();
+        let b32 = PcoLite.compress(&data32, Dims::D1(600), &cfg).unwrap();
         assert!(
             b32.len() + 600 * 4 <= b64.len(),
             "f32 {} vs f64 {}",
             b32.len(),
             b64.len()
         );
-        let (out, _) = PcoLite.decompress_f32(&b32).unwrap();
+        let (out, _) = f32::codec_decompress(&PcoLite, &b32).unwrap();
         assert!(out.iter().all(|v| v.is_nan()));
     }
 
@@ -760,9 +742,9 @@ mod tests {
             .collect();
         let cfg = CodecConfig::abs(6.0);
         let (bytes, recon) = PcoLite
-            .compress_with_recon_f32(&data, Dims::D1(2048), &cfg)
+            .compress_with_recon(&data, Dims::D1(2048), &cfg)
             .unwrap();
-        let (out, _) = PcoLite.decompress_f32(&bytes).unwrap();
+        let (out, _) = f32::codec_decompress(&PcoLite, &bytes).unwrap();
         for (i, (&a, &b)) in data.iter().zip(&out).enumerate() {
             assert!((a as f64 - b as f64).abs() <= 6.0, "point {i}: {a} vs {b}");
             assert_eq!(recon[i].to_bits(), b.to_bits());
@@ -773,16 +755,19 @@ mod tests {
     fn f32_corrupt_streams_error_never_panic() {
         let data: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);
-        let bytes = PcoLite.compress_f32(&data, Dims::D1(1000), &cfg).unwrap();
+        let bytes = PcoLite.compress(&data, Dims::D1(1000), &cfg).unwrap();
         let mut mutated = bytes.clone();
         for i in (0..mutated.len()).step_by(3) {
             mutated[i] ^= 0xFF;
-            let _ = PcoLite.decompress_f32(&mutated);
-            let _ = PcoLite.decompress(&mutated);
+            let _ = f32::codec_decompress(&PcoLite, &mutated);
+            let _ = f64::codec_decompress(&PcoLite, &mutated);
             mutated[i] ^= 0xFF;
         }
         for cut in 0..bytes.len().min(64) {
-            assert!(PcoLite.decompress_f32(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                f32::codec_decompress(&PcoLite, &bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
     }
 

@@ -508,47 +508,25 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     Ok((recon, dims))
 }
 
-impl ScalarCodec for PcoAns {
+impl<T: Element> ScalarCodec<T> for PcoAns {
     fn id(&self) -> CodecId {
         CodecId::PcoAns
     }
 
-    fn compress(&self, data: &[f64], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
+    fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
         compress_impl(data, dims, cfg).map(|(bytes, _)| bytes)
     }
 
     fn compress_with_recon(
         &self,
-        data: &[f64],
+        data: &[T],
         dims: Dims,
         cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f64>), CodecError> {
+    ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
         compress_impl(data, dims, cfg)
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<f64>, Dims), CodecError> {
-        decompress_impl(bytes)
-    }
-
-    fn compress_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<Vec<u8>, CodecError> {
-        compress_impl(data, dims, cfg).map(|(bytes, _)| bytes)
-    }
-
-    fn compress_with_recon_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f32>), CodecError> {
-        compress_impl(data, dims, cfg)
-    }
-
-    fn decompress_f32(&self, bytes: &[u8]) -> Result<(Vec<f32>, Dims), CodecError> {
+    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
         decompress_impl(bytes)
     }
 
@@ -566,11 +544,12 @@ impl ScalarCodec for PcoAns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CodecElement;
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
         let cfg = CodecConfig::abs(eb);
         let (bytes, recon) = PcoAns.compress_with_recon(data, dims, &cfg).unwrap();
-        let (out, out_dims) = PcoAns.decompress(&bytes).unwrap();
+        let (out, out_dims) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         assert_eq!(out_dims, dims);
         for (a, b) in recon.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits(), "recon promise broken");
@@ -596,7 +575,7 @@ mod tests {
             .collect();
         let cfg = CodecConfig::abs(1e-3);
         let bytes = PcoAns.compress(&data, Dims::D3(n, n, n), &cfg).unwrap();
-        let (out, _) = PcoAns.decompress(&bytes).unwrap();
+        let (out, _) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         check_bound(&data, &out, 1e-3);
         assert!(
             bytes.len() < data.len() * 8 / 4,
@@ -610,7 +589,7 @@ mod tests {
         let data = vec![42.5f64; 8192];
         let cfg = CodecConfig::abs(1e-6);
         let bytes = PcoAns.compress(&data, Dims::D1(8192), &cfg).unwrap();
-        let (out, _) = PcoAns.decompress(&bytes).unwrap();
+        let (out, _) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         check_bound(&data, &out, 1e-6);
         assert!(
             bytes.len() < 200,
@@ -678,7 +657,7 @@ mod tests {
         }
         let cfg = CodecConfig::abs(1e-3);
         let bytes = PcoAns.compress(&data, Dims::D1(6000), &cfg).unwrap();
-        let (out, _) = PcoAns.decompress(&bytes).unwrap();
+        let (out, _) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         check_bound(&data, &out, 1e-3);
         assert!(
             bytes.len() < 6000,
@@ -695,16 +674,19 @@ mod tests {
         let mut mutated = bytes.clone();
         for i in 0..mutated.len() {
             mutated[i] ^= 0xFF;
-            let _ = PcoAns.decompress(&mutated);
+            let _ = f64::codec_decompress(&PcoAns, &mutated);
             mutated[i] ^= 0xFF;
         }
         for cut in 0..bytes.len().min(64) {
-            assert!(PcoAns.decompress(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                f64::codec_decompress(&PcoAns, &bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
-        assert!(PcoAns.decompress(&bytes[..bytes.len() - 1]).is_err());
+        assert!(f64::codec_decompress(&PcoAns, &bytes[..bytes.len() - 1]).is_err());
         let mut extra = bytes.clone();
         extra.push(0);
-        assert!(PcoAns.decompress(&extra).is_err());
+        assert!(f64::codec_decompress(&PcoAns, &extra).is_err());
     }
 
     #[test]
@@ -718,7 +700,7 @@ mod tests {
         let mut mutated = bytes.clone();
         for i in (0..mutated.len()).step_by(7) {
             mutated[i] ^= 0x10;
-            if let Ok((out, dims)) = PcoAns.decompress(&mutated) {
+            if let Ok((out, dims)) = f64::codec_decompress(&PcoAns, &mutated) {
                 assert_eq!(out.len(), dims.len());
             }
             mutated[i] ^= 0x10;
@@ -735,7 +717,7 @@ mod tests {
         bytes.extend((1u64 << 40).to_le_bytes()); // dim
         bytes.extend(1e-3f64.to_le_bytes()); // abs_eb
         bytes.extend(0u64.to_le_bytes()); // body: zero exceptions
-        let err = PcoAns.decompress(&bytes).unwrap_err();
+        let err = f64::codec_decompress(&PcoAns, &bytes).unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
     }
 
@@ -747,7 +729,7 @@ mod tests {
             .unwrap();
         bytes[5] |= 0b0000_0100;
         assert!(matches!(
-            PcoAns.decompress(&bytes),
+            f64::codec_decompress(&PcoAns, &bytes),
             Err(CodecError::Corrupt(_))
         ));
     }
@@ -756,10 +738,10 @@ mod tests {
     fn foreign_magic_is_wrong_codec() {
         let sz = tac_sz::compress(&[1.0; 8], Dims::D1(8), &tac_sz::SzConfig::abs(1.0)).unwrap();
         assert!(matches!(
-            PcoAns.decompress(&sz),
+            f64::codec_decompress(&PcoAns, &sz),
             Err(CodecError::WrongCodec { .. })
         ));
-        assert!(!PcoAns.looks_like(&sz));
+        assert!(!ScalarCodec::<f64>::looks_like(&PcoAns, &sz));
     }
 
     #[test]
@@ -769,9 +751,9 @@ mod tests {
             .collect();
         let cfg = CodecConfig::abs(1e-3);
         let (bytes, recon) = PcoAns
-            .compress_with_recon_f32(&data, Dims::D1(5000), &cfg)
+            .compress_with_recon(&data, Dims::D1(5000), &cfg)
             .unwrap();
-        let (out, dims) = PcoAns.decompress_f32(&bytes).unwrap();
+        let (out, dims) = f32::codec_decompress(&PcoAns, &bytes).unwrap();
         assert_eq!(dims, Dims::D1(5000));
         for (i, (&a, &b)) in data.iter().zip(&out).enumerate() {
             assert!(
@@ -784,7 +766,7 @@ mod tests {
         }
         // Wrong-width entry points reject.
         assert!(matches!(
-            PcoAns.decompress(&bytes),
+            f64::codec_decompress(&PcoAns, &bytes),
             Err(CodecError::WrongDtype { .. })
         ));
     }
@@ -793,16 +775,19 @@ mod tests {
     fn f32_corrupt_streams_error_never_panic() {
         let data: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);
-        let bytes = PcoAns.compress_f32(&data, Dims::D1(1000), &cfg).unwrap();
+        let bytes = PcoAns.compress(&data, Dims::D1(1000), &cfg).unwrap();
         let mut mutated = bytes.clone();
         for i in (0..mutated.len()).step_by(3) {
             mutated[i] ^= 0xFF;
-            let _ = PcoAns.decompress_f32(&mutated);
-            let _ = PcoAns.decompress(&mutated);
+            let _ = f32::codec_decompress(&PcoAns, &mutated);
+            let _ = f64::codec_decompress(&PcoAns, &mutated);
             mutated[i] ^= 0xFF;
         }
         for cut in 0..bytes.len().min(64) {
-            assert!(PcoAns.decompress_f32(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                f32::codec_decompress(&PcoAns, &bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! The SZ backend: a thin [`ScalarCodec`] wrapper around `tac-sz`.
 
-use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
+use crate::{CodecConfig, CodecError, CodecId, Element, ScalarCodec};
 use tac_sz::{Dims, ErrorBound, SzConfig};
 
 /// The SZ-style predict–quantize–encode compressor, wrapped as a
@@ -34,48 +34,21 @@ impl SzCodec {
     }
 }
 
-impl ScalarCodec for SzCodec {
+impl<T: Element> ScalarCodec<T> for SzCodec {
     fn id(&self) -> CodecId {
         CodecId::Sz
     }
 
-    fn compress(&self, data: &[f64], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
-        Ok(tac_sz::compress(data, dims, &Self::sz_config(cfg)?)?)
+    fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
+        Ok(tac_sz::compress_t(data, dims, &Self::sz_config(cfg)?)?)
     }
 
     fn compress_with_recon(
         &self,
-        data: &[f64],
+        data: &[T],
         dims: Dims,
         cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f64>), CodecError> {
-        Ok(tac_sz::compress_with_recon(
-            data,
-            dims,
-            &Self::sz_config(cfg)?,
-        )?)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<f64>, Dims), CodecError> {
-        Self::check_dtype(bytes, tac_dtype::TacDtype::F64)?;
-        Ok(tac_sz::decompress(bytes)?)
-    }
-
-    fn compress_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<Vec<u8>, CodecError> {
-        Ok(tac_sz::compress_t(data, dims, &Self::sz_config(cfg)?)?)
-    }
-
-    fn compress_with_recon_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<f32>), CodecError> {
+    ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
         Ok(tac_sz::compress_with_recon_t(
             data,
             dims,
@@ -83,8 +56,8 @@ impl ScalarCodec for SzCodec {
         )?)
     }
 
-    fn decompress_f32(&self, bytes: &[u8]) -> Result<(Vec<f32>, Dims), CodecError> {
-        Self::check_dtype(bytes, tac_dtype::TacDtype::F32)?;
+    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
+        Self::check_dtype(bytes, T::DTYPE)?;
         Ok(tac_sz::decompress_t(bytes)?)
     }
 
@@ -118,8 +91,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(via_trait, direct, "the wrapper must not change the bytes");
-        assert!(SzCodec.looks_like(&via_trait));
-        let (out, dims) = SzCodec.decompress(&via_trait).unwrap();
+        assert!(ScalarCodec::<f64>::looks_like(&SzCodec, &via_trait));
+        let (out, dims): (Vec<f64>, _) = SzCodec.decompress(&via_trait).unwrap();
         assert_eq!(dims, Dims::D3(8, 8, 8));
         assert_eq!(out.len(), data.len());
     }

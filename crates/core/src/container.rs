@@ -18,7 +18,7 @@
 //!   a **chunk table** mapping each chunk to its level, byte range, and
 //!   cell-coordinate bounding box, and a trailing table offset so file
 //!   readers can seek straight to the table. See
-//!   [`crate::roi::decompress_region`] for the selective decoder.
+//!   [`crate::roi::decompress_region_t`] for the selective decoder.
 //! * **v3** — v2 plus a scalar-codec byte ([`CodecId`]) per level in
 //!   the method metadata *and* per chunk-table row, so chunks are
 //!   self-describing whichever backend wrote them.
@@ -571,6 +571,13 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
     if num_levels == 0 || num_levels > 16 {
         return Err(TacError::Corrupt(format!(
             "{num_levels} levels is implausible"
+        )));
+    }
+    // Level l has side `finest_dim >> l`: more levels than the finest
+    // grid can halve into would decode as zero-sized grids.
+    if finest_dim >> (num_levels - 1) == 0 {
+        return Err(TacError::Corrupt(format!(
+            "{num_levels} levels do not fit a finest dim of {finest_dim}"
         )));
     }
     let mut masks = Vec::with_capacity(num_levels);

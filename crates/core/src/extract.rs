@@ -6,8 +6,7 @@
 //! shape regions merged into one rank-4 SZ stream, per the paper), runs
 //! one job ([`compress_group`]), and reverses the process
 //! ([`decode_group`] / [`paste_group`]). The parallel engine flattens
-//! `GroupPlan`s across levels into its task list; serial callers just
-//! run them in order.
+//! `GroupPlan`s across levels into its task list.
 
 use crate::error::TacError;
 use crate::stream::BlockGroup;
@@ -180,24 +179,19 @@ pub(crate) fn paste_group<T: Element>(
     Ok(())
 }
 
-/// Decompresses groups back into a dense `dim^3` grid (cells outside every
-/// region are zero).
-pub(crate) fn decompress_groups<T: CodecElement>(
-    groups: &[BlockGroup],
-    dim: usize,
-    codec: CodecId,
-) -> Result<Vec<T>, TacError> {
-    let mut out = vec![T::ZERO; dim * dim * dim];
-    for g in groups {
-        let values = decode_group::<T>(g, codec)?;
-        paste_group(&mut out, dim, g, &values)?;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes and pastes every group into a dense `dim^3` grid (cells
+    /// outside every region stay zero).
+    fn decode_all(groups: &[BlockGroup], dim: usize, codec: CodecId) -> Result<Vec<f64>, TacError> {
+        let mut out = vec![0.0; dim * dim * dim];
+        for g in groups {
+            paste_group(&mut out, dim, g, &decode_group(g, codec)?)?;
+        }
+        Ok(out)
+    }
 
     fn compress_all(
         data: &[f64],
@@ -236,7 +230,7 @@ mod tests {
         for codec in CodecId::all() {
             let groups = compress_all(&data, dim, &regions, codec, &CodecConfig::abs(1e-3), None);
             assert_eq!(groups.len(), 2, "two shapes -> two groups");
-            let out = decompress_groups::<f64>(&groups, dim, codec).unwrap();
+            let out = decode_all(&groups, dim, codec).unwrap();
             for r in &regions {
                 for z in 0..r.shape.2 {
                     for y in 0..r.shape.1 {
@@ -320,7 +314,7 @@ mod tests {
         assert_eq!(groups[0].aabb(), Aabb::new((0, 0, 0), (8, 8, 4)));
         assert_eq!(groups[1].aabb(), Aabb::new((0, 0, 4), (8, 8, 8)));
         // Roundtrip still exact.
-        let out = decompress_groups::<f64>(&groups, dim, CodecId::Sz).unwrap();
+        let out = decode_all(&groups, dim, CodecId::Sz).unwrap();
         assert!(out.iter().all(|&v| (v - 1.0).abs() <= 1e-6));
     }
 
@@ -359,7 +353,7 @@ mod tests {
             None,
         );
         groups[0].origins[0] = (6, 0, 0); // 6 + 4 > 8
-        assert!(decompress_groups::<f64>(&groups, dim, CodecId::Sz).is_err());
+        assert!(decode_all(&groups, dim, CodecId::Sz).is_err());
     }
 
     #[test]
@@ -379,6 +373,6 @@ mod tests {
             None,
         );
         groups[0].shape = (2, 2, 2);
-        assert!(decompress_groups::<f64>(&groups, dim, CodecId::Sz).is_err());
+        assert!(decode_all(&groups, dim, CodecId::Sz).is_err());
     }
 }

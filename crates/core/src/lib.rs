@@ -35,16 +35,24 @@
 //! with the winner, recorded in the method/codec tags the container
 //! already carries. Decode needs no new wire format.
 //!
+//! The whole surface is generic over the element type ([`Element`]:
+//! `f32` / `f64`). Seven entry points: [`compress_dataset_t`],
+//! [`decompress_dataset_par_t`], [`decompress_dataset_any`] (decodes at
+//! whatever type the container declares), [`decompress_region_t`],
+//! [`compress_level_t`], [`decompress_level_t`] and
+//! [`resolve_level_eb_for`]. Compression infers the type from its
+//! input; decodes name it (`::<f64>`).
+//!
 //! ```
 //! use tac_amr::{AmrDataset, AmrLevel};
-//! use tac_core::{compress_dataset, decompress_dataset, Method, TacConfig};
+//! use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 //! use tac_sz::ErrorBound;
 //!
 //! let fine = AmrLevel::dense(8, (0..512).map(|i| i as f64).collect());
 //! let ds = AmrDataset::new("demo", vec![fine]);
 //! let cfg = TacConfig::with_error_bound(ErrorBound::Abs(0.5));
-//! let compressed = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-//! let restored = decompress_dataset(&compressed).unwrap();
+//! let compressed = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+//! let restored = decompress_dataset_par_t::<f64>(&compressed, Parallelism::Serial).unwrap();
 //! for (a, b) in ds.finest().data().iter().zip(restored.finest().data()) {
 //!     assert!((a - b).abs() <= 0.5);
 //! }
@@ -81,12 +89,10 @@ pub use gsp::pad_ghost_shell;
 pub use nast::plan_nast;
 pub use opst::{plan_opst, plan_opst_from_occupancy, OpstPlan};
 pub use pipeline::{
-    compress_dataset, compress_dataset_f32, compress_dataset_t, compress_level, compress_level_t,
-    decompress_dataset, decompress_dataset_any, decompress_dataset_f32, decompress_dataset_par,
-    decompress_dataset_par_t, decompress_dataset_t, decompress_level, decompress_level_t,
-    resolve_level_eb, resolve_level_eb_for, select_method, AnyDataset,
+    compress_dataset_t, compress_level_t, decompress_dataset_any, decompress_dataset_par_t,
+    decompress_level_t, resolve_level_eb_for, select_method, AnyDataset,
 };
-pub use roi::{decompress_region, decompress_region_f32, decompress_region_t, RoiStats};
+pub use roi::{decompress_region_t, RoiStats};
 pub use select::{select_auto, AutoSelection, CandidateEstimate};
 pub use stream::{BlockGroup, CompressedLevel, LevelPayload};
 pub use zmesh::{gather, scatter, zmesh_order, ZmeshEntry};

@@ -1,27 +1,29 @@
 //! Dataset-level compression pipelines: TAC and the three baselines.
 //!
-//! The per-level entry points ([`compress_level`] / [`decompress_level`])
-//! are public because the paper's per-strategy experiments (Figs. 7,
-//! 11-13) operate on single levels; the dataset entry points
-//! ([`compress_dataset`] / [`decompress_dataset`]) implement the full
-//! methods compared in Figs. 14-15 and Tables 2-3.
+//! The per-level entry points ([`compress_level_t`] /
+//! [`decompress_level_t`]) are public because the paper's per-strategy
+//! experiments (Figs. 7, 11-13) operate on single levels; the dataset
+//! entry points ([`compress_dataset_t`] / [`decompress_dataset_par_t`])
+//! implement the full methods compared in Figs. 14-15 and Tables 2-3.
+//! Every entry point is generic over the element type and monomorphized
+//! once per width: the hot quantize/predict loops carry no per-value
+//! dtype branches.
 
 use crate::config::{Strategy, TacConfig};
 use crate::container::{Baseline1DLevel, CompressedDataset, Method, MethodBody};
 use crate::density::choose_strategy;
-use crate::engine;
+use crate::engine::{self, LevelPlan};
 use crate::error::TacError;
-use crate::extract::decompress_groups;
-use crate::stream::{CompressedLevel, LevelPayload};
+use crate::stream::CompressedLevel;
 use crate::zmesh::{gather, scatter, zmesh_order};
 use tac_amr::{to_uniform, AmrDataset, AmrLevel, BitMask};
-use tac_codec::{codec_for, CodecElement, CodecError, Dims, ErrorBound};
+use tac_codec::{codec_for, CodecElement, CodecError, CodecId, Dims, ErrorBound};
 use tac_dtype::{dispatch_dtype, Element, TacDtype};
 use tac_par::Parallelism;
 
-/// Resolves the configured error bound for one level: applies the
-/// per-level multiplier, then converts relative bounds against the given
-/// value range.
+/// Resolves the configured error bound for one level of `dtype` data:
+/// applies the per-level multiplier, then converts relative bounds
+/// against the given value range.
 ///
 /// # Non-finite policy
 /// Every codec backend stores NaN/±Inf inputs **verbatim** (bit-exact on
@@ -37,7 +39,14 @@ use tac_par::Parallelism;
 /// zero would yield a degenerate error bound, so this is an
 /// [`TacError::InvalidDataset`] instead. Absolute bounds ignore the
 /// range and accept `None`.
-pub fn resolve_level_eb(
+///
+/// A bound that is positive in `f64` working precision but rounds to
+/// zero at `dtype` (e.g. a relative bound over a tiny dynamic range,
+/// resolved for `f32`) would make the quantizer step degenerate — every
+/// value would quantize to the same bin and the bound silently could not
+/// hold. Such bounds are a [`TacError::DegenerateBound`].
+pub fn resolve_level_eb_for(
+    dtype: TacDtype,
     eb: ErrorBound,
     scale: f64,
     range: Option<(f64, f64)>,
@@ -66,22 +75,7 @@ pub fn resolve_level_eb(
              value range ({min}, {max})"
         )));
     }
-    Ok(scaled.resolve(min, max)?)
-}
-
-/// [`resolve_level_eb`] with a narrowing check for the target element
-/// type: a bound that is positive in `f64` working precision but rounds
-/// to zero at `dtype` (e.g. a relative bound over a tiny dynamic range,
-/// resolved for `f32`) would make the quantizer step degenerate — every
-/// value would quantize to the same bin and the bound silently could not
-/// hold. Such bounds are a [`TacError::DegenerateBound`] instead.
-pub fn resolve_level_eb_for(
-    dtype: TacDtype,
-    eb: ErrorBound,
-    scale: f64,
-    range: Option<(f64, f64)>,
-) -> Result<f64, TacError> {
-    let abs_eb = resolve_level_eb(eb, scale, range)?;
+    let abs_eb = scaled.resolve(min, max)?;
     let degenerate = dispatch_dtype!(dtype, T => {
         abs_eb > 0.0 && T::from_f64(abs_eb).to_f64() == 0.0
     });
@@ -101,18 +95,9 @@ const EMPTY_LEVEL_EB: f64 = 0.0;
 /// Compresses a single AMR level with an explicit strategy and resolved
 /// absolute error bound. Runs on the block-sharded engine: the level's
 /// region groups compress concurrently under `cfg.parallelism`, and the
-/// output is byte-identical for every worker count.
-pub fn compress_level(
-    level: &AmrLevel,
-    strategy: Strategy,
-    abs_eb: f64,
-    cfg: &TacConfig,
-) -> Result<CompressedLevel, TacError> {
-    compress_level_t(level, strategy, abs_eb, cfg)
-}
-
-/// Element-generic [`compress_level`]. The element type is recorded in
-/// the returned level, so it round-trips through every wire format.
+/// output is byte-identical for every worker count. The element type is
+/// recorded in the returned level, so it round-trips through every wire
+/// format.
 pub fn compress_level_t<T: CodecElement>(
     level: &AmrLevel<T>,
     strategy: Strategy,
@@ -127,54 +112,16 @@ pub fn compress_level_t<T: CodecElement>(
 }
 
 /// Decompresses a level payload and applies the occupancy mask: absent
-/// cells are zeroed (discarding GSP padding and region zeros alike).
-pub fn decompress_level(cl: &CompressedLevel, mask: &BitMask) -> Result<AmrLevel, TacError> {
-    decompress_level_t::<f64>(cl, mask)
-}
-
-/// Element-generic [`decompress_level`]. A payload whose recorded
-/// element type disagrees with `T` is rejected up front with
-/// [`CodecError::WrongDtype`] instead of being misinterpreted.
+/// cells are zeroed (discarding GSP padding and region zeros alike). A
+/// payload whose recorded element type disagrees with `T` is rejected up
+/// front with [`CodecError::WrongDtype`] instead of being misinterpreted.
 pub fn decompress_level_t<T: CodecElement>(
     cl: &CompressedLevel,
     mask: &BitMask,
 ) -> Result<AmrLevel<T>, TacError> {
-    if cl.dtype != T::DTYPE {
-        return Err(TacError::Codec(CodecError::WrongDtype {
-            stream: cl.dtype.label(),
-            requested: T::DTYPE.label(),
-        }));
-    }
-    let dim = cl.dim;
-    let n = dim
-        .checked_mul(dim)
-        .and_then(|s| s.checked_mul(dim))
-        .ok_or_else(|| TacError::Corrupt(format!("level dim {dim} overflows dim^3")))?;
-    if mask.len() != n {
-        return Err(TacError::Corrupt(format!(
-            "mask has {} bits for a {dim}^3 level",
-            mask.len()
-        )));
-    }
-    let mut data = match &cl.payload {
-        LevelPayload::Empty => vec![T::ZERO; n],
-        LevelPayload::Whole(stream) => {
-            let (values, dims) = T::codec_decompress(codec_for(cl.codec), stream)?;
-            if dims != Dims::D3(dim, dim, dim) {
-                return Err(TacError::Corrupt(format!(
-                    "whole-grid stream dims {dims:?} for a {dim}^3 level"
-                )));
-            }
-            values
-        }
-        LevelPayload::Groups(groups) => decompress_groups::<T>(groups, dim, cl.codec)?,
-    };
-    for (i, v) in data.iter_mut().enumerate() {
-        if !mask.get(i) {
-            *v = T::ZERO;
-        }
-    }
-    Ok(AmrLevel::new(dim, data, mask.clone()))
+    let mut levels =
+        engine::decompress_tac_levels(std::slice::from_ref(cl), std::slice::from_ref(mask), 1)?;
+    Ok(levels.pop().expect("one decoded level"))
 }
 
 /// Implements the paper's Sec. 4.4 top-level selector: TAC when the
@@ -187,28 +134,71 @@ pub fn select_method<T: Element>(ds: &AmrDataset<T>, cfg: &TacConfig) -> Method 
     }
 }
 
-/// Compresses a dataset with the given method.
-pub fn compress_dataset(
-    ds: &AmrDataset,
+/// Plans every level of a TAC run serially (cheap partition planning):
+/// strategy by density, per-level bound, region extraction / padding.
+/// `level_codecs[l]`, where present, replaces `cfg.codec` for level `l`
+/// (`Method::Auto`'s per-level winners; empty for fixed TAC).
+fn plan_tac_levels<T: CodecElement>(
+    ds: &AmrDataset<T>,
     cfg: &TacConfig,
-    method: Method,
-) -> Result<CompressedDataset, TacError> {
-    compress_dataset_t(ds, cfg, method)
+    level_codecs: &[CodecId],
+) -> Result<Vec<LevelPlan<T>>, TacError> {
+    let _plan = tac_obs::span(tac_obs::Stage::Plan);
+    let mut plans = Vec::with_capacity(ds.num_levels());
+    for (l, level) in ds.levels().iter().enumerate() {
+        let strategy = choose_strategy(level, cfg);
+        // An empty level compresses nothing, so no bound needs to
+        // resolve (a relative bound could not: there is no range).
+        let abs_eb = if strategy == Strategy::Empty {
+            EMPTY_LEVEL_EB
+        } else {
+            resolve_level_eb_for(
+                T::DTYPE,
+                cfg.error_bound,
+                cfg.level_scale(l),
+                level.value_range(),
+            )?
+        };
+        let mut plan = engine::plan_level(level, strategy, abs_eb, cfg)?;
+        if let Some(&codec) = level_codecs.get(l) {
+            plan.codec = codec;
+        }
+        plans.push(plan);
+    }
+    Ok(plans)
 }
 
-/// [`compress_dataset`] for `f32` data. The container records the
-/// element type and serializes as a v4 stream.
-pub fn compress_dataset_f32(
-    ds: &AmrDataset<f32>,
+/// Encodes the one stream of a monolithic method (zMesh, 3D baseline):
+/// resolves the bound against the stream's own value range and
+/// compresses it with `cfg.codec`. Returns the resolved bound and the
+/// stream.
+fn encode_single_stream<T: CodecElement>(
+    values: &[T],
+    dims: Dims,
     cfg: &TacConfig,
-    method: Method,
-) -> Result<CompressedDataset, TacError> {
-    compress_dataset_t(ds, cfg, method)
+) -> Result<(f64, Vec<u8>), TacError> {
+    let (min, max) = values
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v.to_f64()), hi.max(v.to_f64()))
+        });
+    let abs_eb = resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some((min, max)))?;
+    let stream = {
+        let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
+        T::codec_compress(
+            codec_for(cfg.codec),
+            values,
+            dims,
+            &cfg.codec_config(abs_eb),
+        )?
+    };
+    tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
+    tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
+    Ok((abs_eb, stream))
 }
 
-/// Element-generic compression pipeline behind [`compress_dataset`].
-/// Monomorphized once per element type: the hot quantize/predict loops
-/// carry no per-value dtype branches.
+/// Compresses a dataset with the given method. The container records
+/// the element type; `f32` data serializes as a v4 stream.
 pub fn compress_dataset_t<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
@@ -217,36 +207,17 @@ pub fn compress_dataset_t<T: CodecElement>(
     cfg.validate()?;
     let _compress = tac_obs::span(tac_obs::Stage::Compress).arg("levels", ds.num_levels());
     let masks: Vec<BitMask> = ds.levels().iter().map(|l| l.mask().clone()).collect();
+    let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
     let workers = cfg.parallelism.workers();
+    // Plans every level, then runs all per-level / per-region
+    // compression tasks on the work-stealing scheduler in one flattened
+    // batch.
+    let tac_body = |level_codecs: &[CodecId]| -> Result<MethodBody, TacError> {
+        let plans = plan_tac_levels(ds, cfg, level_codecs)?;
+        engine::compress_plans(&plans, &level_data, cfg, workers).map(MethodBody::Tac)
+    };
     let body = match method {
-        Method::Tac => {
-            // Plan every level serially (cheap partition planning), then
-            // run all per-level / per-region compression tasks on the
-            // work-stealing scheduler in one flattened batch.
-            let mut plans = Vec::with_capacity(ds.num_levels());
-            {
-                let _plan = tac_obs::span(tac_obs::Stage::Plan);
-                for (l, level) in ds.levels().iter().enumerate() {
-                    let strategy = choose_strategy(level, cfg);
-                    // An empty level compresses nothing, so no bound needs
-                    // to resolve (a relative bound could not: there is no
-                    // range).
-                    let abs_eb = if strategy == Strategy::Empty {
-                        EMPTY_LEVEL_EB
-                    } else {
-                        resolve_level_eb_for(
-                            T::DTYPE,
-                            cfg.error_bound,
-                            cfg.level_scale(l),
-                            level.value_range(),
-                        )?
-                    };
-                    plans.push(engine::plan_level(level, strategy, abs_eb, cfg)?);
-                }
-            }
-            let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
-            MethodBody::Tac(engine::compress_plans(&plans, &level_data, cfg, workers)?)
-        }
+        Method::Tac => tac_body(&[])?,
         Method::Baseline1D => {
             // One 1D compression task per non-empty level. Tasks borrow
             // their level and gather present values inside the closure,
@@ -296,30 +267,13 @@ pub fn compress_dataset_t<T: CodecElement>(
         Method::ZMesh => {
             let mask_refs: Vec<&BitMask> = masks.iter().collect();
             let order = zmesh_order(&mask_refs, ds.finest_dim());
-            let data_refs: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
-            let values = gather(&order, &data_refs);
+            let values = gather(&order, &level_data);
             if values.is_empty() {
                 return Err(TacError::InvalidDataset(
                     "dataset has no present cells".into(),
                 ));
             }
-            let (min, max) = values
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v.to_f64()), hi.max(v.to_f64()))
-                });
-            let abs_eb = resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some((min, max)))?;
-            let stream = {
-                let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
-                T::codec_compress(
-                    codec_for(cfg.codec),
-                    &values,
-                    Dims::D1(values.len()),
-                    &cfg.codec_config(abs_eb),
-                )?
-            };
-            tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
-            tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
+            let (abs_eb, stream) = encode_single_stream(&values, Dims::D1(values.len()), cfg)?;
             MethodBody::ZMesh {
                 abs_eb,
                 codec: cfg.codec,
@@ -334,32 +288,7 @@ pub fn compress_dataset_t<T: CodecElement>(
             // byte-identical across worker counts like every fixed path.
             let selection = crate::select::select_auto(ds, cfg)?;
             if selection.method == Method::Tac {
-                // Re-plan the levels and overwrite each plan's codec
-                // with the selected per-level winner before execution.
-                let mut plans = Vec::with_capacity(ds.num_levels());
-                {
-                    let _plan = tac_obs::span(tac_obs::Stage::Plan);
-                    for (l, level) in ds.levels().iter().enumerate() {
-                        let strategy = choose_strategy(level, cfg);
-                        let abs_eb = if strategy == Strategy::Empty {
-                            EMPTY_LEVEL_EB
-                        } else {
-                            resolve_level_eb_for(
-                                T::DTYPE,
-                                cfg.error_bound,
-                                cfg.level_scale(l),
-                                level.value_range(),
-                            )?
-                        };
-                        let mut plan = engine::plan_level(level, strategy, abs_eb, cfg)?;
-                        if let Some(&codec) = selection.level_codecs.get(l) {
-                            plan.codec = codec;
-                        }
-                        plans.push(plan);
-                    }
-                }
-                let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
-                MethodBody::Tac(engine::compress_plans(&plans, &level_data, cfg, workers)?)
+                tac_body(&selection.level_codecs)?
             } else {
                 // A single-codec winner: rerun the fixed pipeline with
                 // the selected codec. The recursion terminates because
@@ -372,25 +301,8 @@ pub fn compress_dataset_t<T: CodecElement>(
             }
         }
         Method::Baseline3D => {
-            let uniform = to_uniform(ds);
             let n = ds.finest_dim();
-            let (min, max) = uniform
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v.to_f64()), hi.max(v.to_f64()))
-                });
-            let abs_eb = resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some((min, max)))?;
-            let stream = {
-                let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
-                T::codec_compress(
-                    codec_for(cfg.codec),
-                    &uniform,
-                    Dims::D3(n, n, n),
-                    &cfg.codec_config(abs_eb),
-                )?
-            };
-            tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
-            tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
+            let (abs_eb, stream) = encode_single_stream(&to_uniform(ds), Dims::D3(n, n, n), cfg)?;
             MethodBody::Baseline3D {
                 abs_eb,
                 codec: cfg.codec,
@@ -405,33 +317,6 @@ pub fn compress_dataset_t<T: CodecElement>(
         masks,
         body,
     })
-}
-
-/// Decompresses a container back into an AMR dataset (serial engine).
-pub fn decompress_dataset(cd: &CompressedDataset) -> Result<AmrDataset, TacError> {
-    decompress_dataset_par(cd, Parallelism::Serial)
-}
-
-/// Decompresses a container on the block-sharded engine: every level's
-/// streams and region groups decode as independent work-stealing tasks.
-/// The reconstruction is identical for every worker count.
-pub fn decompress_dataset_par(
-    cd: &CompressedDataset,
-    parallelism: Parallelism,
-) -> Result<AmrDataset, TacError> {
-    decompress_dataset_par_t::<f64>(cd, parallelism)
-}
-
-/// [`decompress_dataset`] for `f32` containers (serial engine).
-pub fn decompress_dataset_f32(cd: &CompressedDataset) -> Result<AmrDataset<f32>, TacError> {
-    decompress_dataset_par_t::<f32>(cd, Parallelism::Serial)
-}
-
-/// Element-generic [`decompress_dataset`] (serial engine).
-pub fn decompress_dataset_t<T: CodecElement>(
-    cd: &CompressedDataset,
-) -> Result<AmrDataset<T>, TacError> {
-    decompress_dataset_par_t::<T>(cd, Parallelism::Serial)
 }
 
 /// A decompressed dataset of whichever element type the container
@@ -467,14 +352,17 @@ impl AnyDataset {
 /// dtype it declares (serial engine).
 pub fn decompress_dataset_any(cd: &CompressedDataset) -> Result<AnyDataset, TacError> {
     match cd.dtype {
-        TacDtype::F64 => decompress_dataset_t::<f64>(cd).map(AnyDataset::F64),
-        TacDtype::F32 => decompress_dataset_t::<f32>(cd).map(AnyDataset::F32),
+        TacDtype::F64 => decompress_dataset_par_t(cd, Parallelism::Serial).map(AnyDataset::F64),
+        TacDtype::F32 => decompress_dataset_par_t(cd, Parallelism::Serial).map(AnyDataset::F32),
     }
 }
 
-/// Element-generic [`decompress_dataset_par`]. A container whose
-/// declared element type disagrees with `T` is rejected up front with
-/// [`CodecError::WrongDtype`].
+/// Decompresses a container back into an AMR dataset on the
+/// block-sharded engine: every level's streams and region groups decode
+/// as independent work-stealing tasks ([`Parallelism::Serial`] runs them
+/// inline). The reconstruction is identical for every worker count. A
+/// container whose declared element type disagrees with `T` is rejected
+/// up front with [`CodecError::WrongDtype`].
 pub fn decompress_dataset_par_t<T: CodecElement>(
     cd: &CompressedDataset,
     parallelism: Parallelism,
@@ -617,6 +505,7 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::LevelPayload;
 
     /// Builds a two-level dataset with a blobby fine region (~30% fine
     /// density) and smooth values.
@@ -689,20 +578,65 @@ mod tests {
             Strategy::Gsp,
         ] {
             for level in ds.levels() {
-                let cl = compress_level(level, strategy, eb, &cfg).unwrap();
-                let out = decompress_level(&cl, level.mask()).unwrap();
+                let cl = compress_level_t(level, strategy, eb, &cfg).unwrap();
+                let out = decompress_level_t::<f64>(&cl, level.mask()).unwrap();
                 check_level_bound(level, &out, eb);
             }
         }
     }
 
     #[test]
+    fn level_decode_equals_dataset_decode_for_every_strategy_and_codec() {
+        let ds = blobby_dataset(16);
+        let masks: Vec<BitMask> = ds.levels().iter().map(|l| l.mask().clone()).collect();
+        for codec in CodecId::all() {
+            let cfg = TacConfig {
+                unit: 4,
+                codec,
+                ..Default::default()
+            };
+            for strategy in [
+                Strategy::ZeroFill,
+                Strategy::NaST,
+                Strategy::OpST,
+                Strategy::AkdTree,
+                Strategy::Gsp,
+            ] {
+                let levels: Vec<CompressedLevel> = ds
+                    .levels()
+                    .iter()
+                    .map(|level| compress_level_t(level, strategy, 1e-3, &cfg).unwrap())
+                    .collect();
+                let cd = CompressedDataset {
+                    name: ds.name().to_string(),
+                    finest_dim: ds.finest_dim(),
+                    dtype: TacDtype::F64,
+                    masks: masks.clone(),
+                    body: MethodBody::Tac(levels.clone()),
+                };
+                let whole = decompress_dataset_par_t::<f64>(&cd, Parallelism::Threads(2)).unwrap();
+                for (l, (cl, mask)) in levels.iter().zip(&masks).enumerate() {
+                    let single = decompress_level_t::<f64>(cl, mask).unwrap();
+                    let bits = |lvl: &AmrLevel| -> Vec<u64> {
+                        lvl.data().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&single),
+                        bits(&whole.levels()[l]),
+                        "{strategy:?}/{codec} level {l}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_level_roundtrips() {
-        let level = AmrLevel::empty(8);
+        let level = AmrLevel::<f64>::empty(8);
         let cfg = TacConfig::default();
-        let cl = compress_level(&level, Strategy::Empty, 1.0, &cfg).unwrap();
+        let cl = compress_level_t(&level, Strategy::Empty, 1.0, &cfg).unwrap();
         assert_eq!(cl.payload, LevelPayload::Empty);
-        let out = decompress_level(&cl, level.mask()).unwrap();
+        let out = decompress_level_t::<f64>(&cl, level.mask()).unwrap();
         assert_eq!(out.num_present(), 0);
     }
 
@@ -723,12 +657,13 @@ mod tests {
                 Method::ZMesh,
                 Method::Baseline3D,
             ] {
-                let cd = compress_dataset(&ds, &cfg, method).unwrap();
+                let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
                 assert_eq!(cd.method(), method);
                 for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
                     let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
                     assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
-                    let out = decompress_dataset(&parsed).unwrap();
+                    let out =
+                        decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
                     assert_eq!(out.num_levels(), ds.num_levels());
                     for (a, b) in ds.levels().iter().zip(out.levels()) {
                         check_level_bound(a, b, 1e-3);
@@ -742,11 +677,12 @@ mod tests {
     fn rel_bound_cannot_resolve_without_a_range() {
         // The historic bug: Rel + range None silently resolved against
         // (0.0, 0.0) and produced a degenerate bound. It must error now.
-        let err = resolve_level_eb(ErrorBound::Rel(1e-3), 1.0, None).unwrap_err();
+        let err =
+            resolve_level_eb_for(TacDtype::F64, ErrorBound::Rel(1e-3), 1.0, None).unwrap_err();
         assert!(matches!(err, TacError::InvalidDataset(_)), "{err}");
         // Absolute bounds never read the range.
         assert_eq!(
-            resolve_level_eb(ErrorBound::Abs(0.5), 2.0, None).unwrap(),
+            resolve_level_eb_for(TacDtype::F64, ErrorBound::Abs(0.5), 2.0, None).unwrap(),
             1.0
         );
     }
@@ -763,14 +699,14 @@ mod tests {
             error_bound: ErrorBound::Rel(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         if let MethodBody::Tac(levels) = &cd.body {
             assert_eq!(levels[1].strategy, Strategy::Empty);
             assert_eq!(levels[1].abs_eb, EMPTY_LEVEL_EB);
         } else {
             panic!("expected TAC body");
         }
-        let out = decompress_dataset(&cd).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         assert_eq!(out.levels()[1].num_present(), 0);
     }
 
@@ -782,7 +718,7 @@ mod tests {
             error_bound: ErrorBound::Abs(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         let strategies = cd.strategies().unwrap();
         // Fine level ~25% dense -> OpST; coarse level ~75% -> GSP.
         assert_eq!(
@@ -808,7 +744,7 @@ mod tests {
             level_eb_scale: vec![3.0, 1.0],
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         if let MethodBody::Tac(levels) = &cd.body {
             assert!((levels[0].abs_eb - 3e-3).abs() < 1e-12);
             assert!((levels[1].abs_eb - 1e-3).abs() < 1e-12);
@@ -816,7 +752,7 @@ mod tests {
             panic!("expected TAC body");
         }
         // Bounds hold per level.
-        let out = decompress_dataset(&cd).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         check_level_bound(&ds.levels()[0], &out.levels()[0], 3e-3);
         check_level_bound(&ds.levels()[1], &out.levels()[1], 1e-3);
     }
@@ -842,7 +778,7 @@ mod tests {
             error_bound: ErrorBound::Rel(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         if let MethodBody::Tac(levels) = &cd.body {
             for (cl, lvl) in levels.iter().zip(ds.levels()) {
                 let (min, max) = lvl.value_range().unwrap();
@@ -863,8 +799,8 @@ mod tests {
             ..Default::default()
         };
         let eb = 1e-3;
-        let nast = compress_level(fine, Strategy::NaST, eb, &cfg).unwrap();
-        let opst = compress_level(fine, Strategy::OpST, eb, &cfg).unwrap();
+        let nast = compress_level_t(fine, Strategy::NaST, eb, &cfg).unwrap();
+        let opst = compress_level_t(fine, Strategy::OpST, eb, &cfg).unwrap();
         assert!(
             opst.total_bytes() <= nast.total_bytes(),
             "OpST {} vs NaST {}",
@@ -879,24 +815,9 @@ mod tests {
         assert!(count(&opst) < count(&nast));
     }
 
-    /// [`blobby_dataset`] narrowed to `f32` (all its values are exactly
-    /// representable well within `f32` precision at the bounds we test).
-    fn blobby_dataset_f32(fine_dim: usize) -> AmrDataset<f32> {
-        let ds = blobby_dataset(fine_dim);
-        let levels = ds
-            .levels()
-            .iter()
-            .map(|l| {
-                let data: Vec<f32> = l.data().iter().map(|&v| v as f32).collect();
-                AmrLevel::new(l.dim(), data, l.mask().clone())
-            })
-            .collect();
-        AmrDataset::new("blobby32", levels)
-    }
-
     #[test]
     fn f32_dataset_roundtrip_all_methods_and_codecs() {
-        let ds = blobby_dataset_f32(16);
+        let ds = blobby_dataset(16).cast::<f32>();
         let eb = 1e-3f32;
         for codec in tac_codec::CodecId::all() {
             let cfg = TacConfig {
@@ -912,12 +833,13 @@ mod tests {
                 Method::ZMesh,
                 Method::Baseline3D,
             ] {
-                let cd = compress_dataset_f32(&ds, &cfg, method).unwrap();
+                let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
                 assert_eq!(cd.dtype, TacDtype::F32);
                 for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
                     let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
                     assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
-                    let out = decompress_dataset_f32(&parsed).unwrap();
+                    let out =
+                        decompress_dataset_par_t::<f32>(&parsed, Parallelism::Serial).unwrap();
                     assert_eq!(out.num_levels(), ds.num_levels());
                     for (a, b) in ds.levels().iter().zip(out.levels()) {
                         for i in a.mask().iter_ones() {
@@ -936,7 +858,7 @@ mod tests {
                     // Decoding at the wrong width must be refused, not
                     // misinterpreted.
                     assert!(matches!(
-                        decompress_dataset(&parsed),
+                        decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial),
                         Err(TacError::Codec(CodecError::WrongDtype { .. }))
                     ));
                     // The sniffing path picks the declared element type.
@@ -956,9 +878,9 @@ mod tests {
             error_bound: ErrorBound::Abs(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         assert!(matches!(
-            decompress_dataset_f32(&cd),
+            decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial),
             Err(TacError::Codec(CodecError::WrongDtype { .. }))
         ));
         assert_eq!(decompress_dataset_any(&cd).unwrap().dtype(), TacDtype::F64);
@@ -994,12 +916,12 @@ mod tests {
             parallelism: Parallelism::Threads(2),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Auto).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Auto).unwrap();
         assert_ne!(cd.method(), Method::Auto, "Auto never hits the wire");
         for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
             let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
             assert_eq!(parsed, cd);
-            let out = decompress_dataset(&parsed).unwrap();
+            let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
             for (a, b) in ds.levels().iter().zip(out.levels()) {
                 check_level_bound(a, b, 1e-3);
             }
@@ -1012,24 +934,24 @@ mod tests {
                 parallelism: Parallelism::Threads(workers),
                 ..cfg.clone()
             };
-            let cd_w = compress_dataset(&ds, &cfg_w, Method::Auto).unwrap();
+            let cd_w = compress_dataset_t(&ds, &cfg_w, Method::Auto).unwrap();
             assert_eq!(cd_w.to_bytes(), reference, "{workers} workers");
         }
     }
 
     #[test]
     fn f32_auto_roundtrips_through_the_v4_wire() {
-        let ds = blobby_dataset_f32(16);
+        let ds = blobby_dataset(16).cast::<f32>();
         let cfg = TacConfig {
             unit: 4,
             error_bound: ErrorBound::Abs(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset_f32(&ds, &cfg, Method::Auto).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Auto).unwrap();
         assert_eq!(cd.dtype, TacDtype::F32);
         assert_ne!(cd.method(), Method::Auto);
         let parsed = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
-        let out = decompress_dataset_f32(&parsed).unwrap();
+        let out = decompress_dataset_par_t::<f32>(&parsed, Parallelism::Serial).unwrap();
         for (a, b) in ds.levels().iter().zip(out.levels()) {
             for i in a.mask().iter_ones() {
                 let (x, y) = (a.data()[i], b.data()[i]);
@@ -1042,10 +964,10 @@ mod tests {
     fn auto_on_an_empty_dataset_stores_nothing() {
         // Degenerate input: every level empty. zMesh cannot compress it;
         // the selection must fall back to a method that can.
-        let ds = AmrDataset::new("void", vec![AmrLevel::empty(8), AmrLevel::empty(4)]);
+        let ds: AmrDataset = AmrDataset::new("void", vec![AmrLevel::empty(8), AmrLevel::empty(4)]);
         let cfg = TacConfig::default();
-        let cd = compress_dataset(&ds, &cfg, Method::Auto).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Auto).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         assert!(out.levels().iter().all(|l| l.num_present() == 0));
     }
 
@@ -1060,11 +982,11 @@ mod tests {
             error_bound: ErrorBound::Rel(1e-16),
             ..Default::default()
         };
-        let err = compress_dataset_f32(&ds, &cfg, Method::Tac).unwrap_err();
+        let err = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap_err();
         assert!(matches!(err, TacError::DegenerateBound { .. }), "{err}");
         // The identical f64 dataset compresses fine.
         let data64: Vec<f64> = (0..512).map(|i| (i as f64) * 1e-33).collect();
         let ds64 = AmrDataset::new("tiny-range", vec![AmrLevel::dense(8, data64)]);
-        compress_dataset(&ds64, &cfg, Method::Tac).unwrap();
+        compress_dataset_t(&ds64, &cfg, Method::Tac).unwrap();
     }
 }

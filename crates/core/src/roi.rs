@@ -15,12 +15,13 @@
 
 use crate::container::{parse_v2, CompressedDataset, MethodBody, V2Layout, V2Meta};
 use crate::error::TacError;
-use crate::pipeline::decompress_dataset_t;
+use crate::pipeline::decompress_dataset_par_t;
 use crate::stream::{CompressedLevel, LevelPayload};
 use tac_amr::{Aabb, AmrDataset};
 use tac_codec::{CodecElement, CodecError};
+use tac_par::Parallelism;
 
-/// Byte accounting of one [`decompress_region`] call. "Read" counts the
+/// Byte accounting of one [`decompress_region_t`] call. "Read" counts the
 /// payload chunks actually sliced and decoded; the header, masks, and
 /// chunk table are always read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,28 +47,6 @@ impl RoiStats {
     }
 }
 
-/// Decodes the part of a **v2** container intersecting `roi` (given in
-/// finest-level cell coordinates, half-open).
-///
-/// Returns full-size levels in which every cell covered by a decoded
-/// chunk carries its reconstructed value and every skipped cell is zero
-/// — so within `roi`, the result matches a full decode exactly, and the
-/// reported [`RoiStats`] show how much payload the request avoided.
-///
-/// v1 containers have no chunk table and are rejected; re-serialize
-/// with [`CompressedDataset::to_bytes`] to upgrade.
-pub fn decompress_region(bytes: &[u8], roi: Aabb) -> Result<(AmrDataset, RoiStats), TacError> {
-    decompress_region_t::<f64>(bytes, roi)
-}
-
-/// [`decompress_region`] for `f32` containers.
-pub fn decompress_region_f32(
-    bytes: &[u8],
-    roi: Aabb,
-) -> Result<(AmrDataset<f32>, RoiStats), TacError> {
-    decompress_region_t::<f32>(bytes, roi)
-}
-
 /// Mirrors a finished [`RoiStats`] into the observability counters, so
 /// profiled runs report chunk selectivity without touching the API.
 fn record_roi_stats(stats: &RoiStats) {
@@ -85,9 +64,19 @@ fn record_roi_stats(stats: &RoiStats) {
     );
 }
 
-/// Element-generic ROI decoder behind [`decompress_region`]. A container
-/// whose element type disagrees with `T` is rejected up front, before
-/// any chunk is sliced or decoded.
+/// Decodes the part of a **v2** container intersecting `roi` (given in
+/// finest-level cell coordinates, half-open).
+///
+/// Returns full-size levels in which every cell covered by a decoded
+/// chunk carries its reconstructed value and every skipped cell is zero
+/// — so within `roi`, the result matches a full decode exactly, and the
+/// reported [`RoiStats`] show how much payload the request avoided.
+///
+/// v1 containers have no chunk table and are rejected; re-serialize
+/// with [`CompressedDataset::to_bytes`] to upgrade.
+///
+/// A container whose element type disagrees with `T` is rejected up
+/// front, before any chunk is sliced or decoded.
 pub fn decompress_region_t<T: CodecElement>(
     bytes: &[u8],
     roi: Aabb,
@@ -165,7 +154,7 @@ pub fn decompress_region_t<T: CodecElement>(
             record_roi_stats(&stats);
             return layout
                 .assemble()
-                .and_then(|cd| decompress_dataset_t::<T>(&cd))
+                .and_then(|cd| decompress_dataset_par_t(&cd, Parallelism::Serial))
                 .map(|ds| (ds, stats));
         }
     };
@@ -187,7 +176,7 @@ pub fn decompress_region_t<T: CodecElement>(
         body,
     };
     record_roi_stats(&stats);
-    Ok((decompress_dataset_t::<T>(&cd)?, stats))
+    Ok((decompress_dataset_par_t(&cd, Parallelism::Serial)?, stats))
 }
 
 #[cfg(test)]
@@ -195,7 +184,7 @@ mod tests {
     use super::*;
     use crate::config::TacConfig;
     use crate::container::Method;
-    use crate::pipeline::{compress_dataset, decompress_dataset};
+    use crate::pipeline::{compress_dataset_t, decompress_dataset_par_t};
     use tac_amr::{AmrDataset, AmrLevel};
     use tac_sz::ErrorBound;
 
@@ -242,12 +231,16 @@ mod tests {
             roi_tile: Some(8),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         let bytes = cd.to_bytes();
-        let full = decompress_dataset(&CompressedDataset::from_bytes(&bytes).unwrap()).unwrap();
+        let full = decompress_dataset_par_t::<f64>(
+            &CompressedDataset::from_bytes(&bytes).unwrap(),
+            Parallelism::Serial,
+        )
+        .unwrap();
 
         let roi = Aabb::new((0, 0, 0), (8, 8, 8)); // 1/8 of the fine volume
-        let (partial, stats) = decompress_region(&bytes, roi).unwrap();
+        let (partial, stats) = decompress_region_t::<f64>(&bytes, roi).unwrap();
         assert_eq!(partial.num_levels(), full.num_levels());
         for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
             let factor = 1 << l;
@@ -279,10 +272,11 @@ mod tests {
             roi_tile: Some(8),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         let bytes = cd.to_bytes();
         // An empty ROI intersects nothing.
-        let (out, stats) = decompress_region(&bytes, Aabb::new((5, 5, 5), (5, 5, 5))).unwrap();
+        let (out, stats) =
+            decompress_region_t::<f64>(&bytes, Aabb::new((5, 5, 5), (5, 5, 5))).unwrap();
         assert_eq!(stats.payload_bytes_read, 0);
         for level in out.levels() {
             assert!(level.data().iter().all(|&v| v == 0.0));
@@ -298,9 +292,10 @@ mod tests {
             ..Default::default()
         };
         for method in [Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
-            let cd = compress_dataset(&ds, &cfg, method).unwrap();
+            let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
             let bytes = cd.to_bytes();
-            let (out, stats) = decompress_region(&bytes, Aabb::new((0, 0, 0), (4, 4, 4))).unwrap();
+            let (out, stats) =
+                decompress_region_t::<f64>(&bytes, Aabb::new((0, 0, 0), (4, 4, 4))).unwrap();
             assert_eq!(stats.payload_bytes_read, stats.payload_bytes_total);
             assert_eq!(out.num_levels(), ds.num_levels());
         }
@@ -314,7 +309,7 @@ mod tests {
             error_bound: ErrorBound::Abs(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         let bytes = cd.to_bytes();
         // Drop the last chunk-table entry, keeping the footer
         // consistent: the table now disagrees with the per-level
@@ -331,34 +326,26 @@ mod tests {
         tampered.extend(&bytes[table_pos + prefix..table_pos + prefix + row * (count - 1)]);
         tampered.extend((table_pos as u64).to_le_bytes());
         assert!(CompressedDataset::from_bytes(&tampered).is_err());
-        assert!(decompress_region(&tampered, Aabb::whole(16)).is_err());
+        assert!(decompress_region_t::<f64>(&tampered, Aabb::whole(16)).is_err());
     }
 
     #[test]
     fn f32_roi_decode_matches_full_decode_and_f64_decode_refuses() {
-        let ds = corners_dataset(16);
-        let levels = ds
-            .levels()
-            .iter()
-            .map(|l| {
-                let data: Vec<f32> = l.data().iter().map(|&v| v as f32).collect();
-                AmrLevel::new(l.dim(), data, l.mask().clone())
-            })
-            .collect();
-        let ds32 = AmrDataset::new("corners32", levels);
+        let ds32 = corners_dataset(16).cast::<f32>();
         let cfg = TacConfig {
             unit: 4,
             error_bound: ErrorBound::Abs(1e-3),
             roi_tile: Some(8),
             ..Default::default()
         };
-        let cd = crate::pipeline::compress_dataset_f32(&ds32, &cfg, Method::Tac).unwrap();
+        let cd = crate::pipeline::compress_dataset_t(&ds32, &cfg, Method::Tac).unwrap();
         let bytes = cd.to_bytes();
         let roi = Aabb::new((0, 0, 0), (8, 8, 8));
-        let (partial, stats) = decompress_region_f32(&bytes, roi).unwrap();
+        let (partial, stats) = decompress_region_t::<f32>(&bytes, roi).unwrap();
         assert!(stats.chunks_read < stats.chunks_total);
-        let full = crate::pipeline::decompress_dataset_f32(
+        let full = crate::pipeline::decompress_dataset_par_t::<f32>(
             &CompressedDataset::from_bytes(&bytes).unwrap(),
+            Parallelism::Serial,
         )
         .unwrap();
         for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
@@ -372,7 +359,7 @@ mod tests {
             }
         }
         // Decoding an f32 container at f64 width is refused up front.
-        assert!(decompress_region(&bytes, roi).is_err());
+        assert!(decompress_region_t::<f64>(&bytes, roi).is_err());
     }
 
     #[test]
@@ -383,8 +370,8 @@ mod tests {
             error_bound: ErrorBound::Abs(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-        let err = decompress_region(&cd.to_bytes_v1(), Aabb::whole(16)).unwrap_err();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+        let err = decompress_region_t::<f64>(&cd.to_bytes_v1(), Aabb::whole(16)).unwrap_err();
         assert!(err.to_string().contains("v2"), "{err}");
     }
 }

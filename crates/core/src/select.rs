@@ -17,14 +17,11 @@
 //!   [`AutoParams::sample_budget`](crate::AutoParams) values per
 //!   candidate, and payload sizes are extrapolated from the trials.
 //!
-//! Candidates are scored by estimated payload bytes, nudged by two
-//! small tie-breaks — the codec's measured decode-throughput class
-//! ([`CodecId::throughput_class`]) and the observed error headroom of
-//! the trial reconstruction — each worth at most a few percent, well
-//! inside the dominance tolerance the test suite pins. The pass is
-//! serial and deterministic: identical input and configuration always
-//! select the same candidate, so `Method::Auto` output is byte-identical
-//! for every worker count, like every fixed path.
+//! Candidates are scored by estimated bytes and nothing else; ties go
+//! to the earlier-considered candidate. The pass is serial and
+//! deterministic: identical input and configuration always select the
+//! same candidate, so `Method::Auto` output is byte-identical for every
+//! worker count, like every fixed path.
 //!
 //! The winner is recorded in the per-level method/codec tags the v3/v4
 //! container already carries; **decode needs no new wire format** and
@@ -38,16 +35,6 @@ use crate::stream::CompressedLevel;
 use crate::zmesh::{gather, zmesh_order_window};
 use tac_amr::{AmrDataset, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecId, Dims};
-
-/// Weight of the decode-throughput tie-break: the fastest-decoding
-/// codec's score is discounted by at most this fraction, so throughput
-/// only decides between candidates whose sizes are within ~2%.
-const THROUGHPUT_TIEBREAK: f64 = 0.02;
-
-/// Weight of the error-headroom tie-break (sampled regime only, where
-/// trial reconstructions are on hand): a candidate reconstructing well
-/// inside the bound is discounted by at most this fraction.
-const HEADROOM_TIEBREAK: f64 = 0.01;
 
 /// Smallest per-level sample window of the sampled regime: below this,
 /// per-stream header overhead dominates and extrapolation is noise.
@@ -64,8 +51,8 @@ pub struct CandidateEstimate {
     pub estimated_bytes: usize,
     /// Whether the estimate came from a full trial compression.
     pub exact: bool,
-    /// The candidate's score (estimated bytes after the throughput and
-    /// headroom tie-break discounts); smaller wins.
+    /// The candidate's score — its estimated bytes, unrounded; smaller
+    /// wins.
     pub score: f64,
 }
 
@@ -93,20 +80,6 @@ struct Choice {
     method: Method,
     codec: CodecId,
     level_codecs: Vec<CodecId>,
-}
-
-/// Scores a candidate: estimated bytes, discounted by the codec's
-/// decode-throughput class and the observed error headroom. Both
-/// discounts are bounded by their tie-break weights, so a candidate can
-/// only out-score another that is genuinely close in size.
-fn score(est: f64, codec: CodecId, headroom: f64) -> f64 {
-    let max_class = CodecId::all()
-        .iter()
-        .map(|c| c.throughput_class())
-        .fold(1.0, f64::max);
-    let span = (max_class - 1.0).max(f64::MIN_POSITIVE);
-    let tp = (codec.throughput_class() - 1.0) / span;
-    est * (1.0 - THROUGHPUT_TIEBREAK * tp) * (1.0 - HEADROOM_TIEBREAK * headroom.clamp(0.0, 1.0))
 }
 
 /// Keeps `candidate` when it strictly out-scores the current winner, so
@@ -180,7 +153,7 @@ fn select_exhaustive<T: CodecElement>(
                 codec,
                 estimated_bytes: est,
                 exact: true,
-                score: score(est as f64, codec, 0.0),
+                score: est as f64,
             });
             if method == Method::Tac {
                 tac_runs.push((codec, cd));
@@ -202,15 +175,15 @@ fn select_exhaustive<T: CodecElement>(
         let mut level_codecs = Vec::with_capacity(levels_total);
         let mut mixed_levels = Vec::with_capacity(levels_total);
         for l in 0..levels_total {
-            let mut lvl_best: Option<(f64, CodecId, &CompressedLevel)> = None;
+            let mut lvl_best: Option<(usize, CodecId, &CompressedLevel)> = None;
             for (codec, cd) in &tac_runs {
                 let MethodBody::Tac(levels) = &cd.body else {
                     continue;
                 };
                 let Some(cl) = levels.get(l) else { continue };
-                let s = score(cl.total_bytes() as f64, *codec, 0.0);
-                if lvl_best.map_or(true, |(bs, ..)| s < bs) {
-                    lvl_best = Some((s, *codec, cl));
+                let bytes = cl.total_bytes();
+                if lvl_best.map_or(true, |(best, ..)| bytes < best) {
+                    lvl_best = Some((bytes, *codec, cl));
                 }
             }
             let Some((_, codec, cl)) = lvl_best else {
@@ -231,7 +204,7 @@ fn select_exhaustive<T: CodecElement>(
         consider(
             &mut winner,
             Choice {
-                score: score(est as f64, codec, 0.0),
+                score: est as f64,
                 method: Method::Tac,
                 codec,
                 level_codecs,
@@ -278,24 +251,17 @@ struct LevelSample<T> {
     present: usize,
 }
 
-/// A trial encode of one window: raw stream size and the worst absolute
-/// reconstruction error observed.
+/// A trial encode of one window: the stream's size in bytes.
 fn trial<T: CodecElement>(
     codec: CodecId,
     window: &[T],
     abs_eb: f64,
     cfg: &TacConfig,
-) -> Option<(usize, f64)> {
+) -> Option<usize> {
     let cc = cfg.codec_config(abs_eb);
-    let (stream, recon) =
-        T::codec_compress_with_recon(codec_for(codec), window, Dims::D1(window.len()), &cc).ok()?;
+    let stream = T::codec_compress(codec_for(codec), window, Dims::D1(window.len()), &cc).ok()?;
     tac_obs::add_bytes(tac_obs::Counter::SelectSampledValues, window.len());
-    let worst = window
-        .iter()
-        .zip(&recon)
-        .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
-        .fold(0.0, f64::max);
-    Some((stream.len(), worst))
+    Some(stream.len())
 }
 
 /// Sampled regime: extrapolate every candidate's payload from bounded
@@ -365,100 +331,81 @@ fn select_sampled<T: CodecElement>(
     // TAC is considered first, so it wins the resulting ties, matching
     // the paper's default preference for level-wise 3D compression.
     if !samples.is_empty() {
-        // One trial per (level, codec); every estimate below derives
-        // from this single pass.
-        let mut level_trials: Vec<Vec<Option<(f64, f64)>>> = Vec::with_capacity(samples.len());
-        for s in &samples {
-            let mut row = Vec::new();
-            for codec in CodecId::all() {
-                row.push(trial(codec, &s.window, s.abs_eb, cfg).map(|(raw, worst)| {
-                    let scale_factor = (s.present as f64) / (s.window.len() as f64);
-                    (
-                        (raw as f64) * scale_factor,
-                        worst / s.abs_eb.max(f64::MIN_POSITIVE),
-                    )
-                }));
-            }
-            level_trials.push(row);
-        }
-        let mut per_codec_totals: Vec<(CodecId, f64, f64)> = Vec::new(); // (codec, est, worst err ratio)
-        for (ci, codec) in CodecId::all().into_iter().enumerate() {
-            let mut total_est = 0.0;
-            let mut worst_ratio = 0.0f64;
-            let mut ok = true;
-            for row in &level_trials {
-                match row.get(ci).copied().flatten() {
-                    Some((est, ratio)) => {
-                        total_est += est;
-                        worst_ratio = worst_ratio.max(ratio);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                per_codec_totals.push((codec, total_est, worst_ratio));
-            }
-        }
+        // One trial per (level, codec), extrapolated to the level's
+        // population; every estimate below derives from this single pass.
+        let level_trials: Vec<Vec<Option<f64>>> = samples
+            .iter()
+            .map(|s| {
+                let scale_factor = (s.present as f64) / (s.window.len() as f64);
+                CodecId::all()
+                    .into_iter()
+                    .map(|codec| {
+                        trial(codec, &s.window, s.abs_eb, cfg)
+                            .map(|raw| (raw as f64) * scale_factor)
+                    })
+                    .collect()
+            })
+            .collect();
         let mut level_codecs: Vec<CodecId> = vec![CodecId::default(); ds.num_levels()];
-        let mut mixed_score = 0.0;
         let mut mixed_est = 0.0;
         let mut mixed_ok = true;
         for (s, row) in samples.iter().zip(&level_trials) {
-            let mut lvl_best: Option<(f64, CodecId, f64)> = None;
-            for (ci, codec) in CodecId::all().into_iter().enumerate() {
-                let Some((est, ratio)) = row.get(ci).copied().flatten() else {
-                    continue;
-                };
-                let sc = score(est, codec, 1.0 - ratio);
-                if lvl_best.map_or(true, |(bs, ..)| sc < bs) {
-                    lvl_best = Some((sc, codec, est));
+            let mut lvl_best: Option<(f64, CodecId)> = None;
+            for (codec, est) in CodecId::all().into_iter().zip(row) {
+                let Some(est) = *est else { continue };
+                if lvl_best.map_or(true, |(best, _)| est < best) {
+                    lvl_best = Some((est, codec));
                 }
             }
             match lvl_best {
-                Some((sc, codec, est)) => {
+                Some((est, codec)) => {
                     if let Some(slot) = level_codecs.get_mut(s.level) {
                         *slot = codec;
                     }
-                    mixed_score += sc;
                     mixed_est += est;
                 }
                 None => mixed_ok = false,
             }
         }
         if mixed_ok {
+            let codec = representative_codec(ds, &level_codecs, cfg);
             candidates.push(CandidateEstimate {
                 method: Method::Tac,
-                codec: representative_codec(ds, &level_codecs, cfg),
+                codec,
                 estimated_bytes: mixed_est as usize,
                 exact: false,
-                score: mixed_score,
+                score: mixed_est,
             });
             consider(
                 &mut winner,
                 Choice {
-                    score: mixed_score,
+                    score: mixed_est,
                     method: Method::Tac,
-                    codec: representative_codec(ds, &level_codecs, cfg),
+                    codec,
                     level_codecs,
                 },
             );
         }
-        for (codec, est, worst_ratio) in per_codec_totals {
-            let sc = score(est, codec, 1.0 - worst_ratio);
+        for (ci, codec) in CodecId::all().into_iter().enumerate() {
+            // A codec that failed on any level is not a 1D candidate.
+            let Some(est) = level_trials
+                .iter()
+                .map(|row| row.get(ci).copied().flatten())
+                .sum::<Option<f64>>()
+            else {
+                continue;
+            };
             candidates.push(CandidateEstimate {
                 method: Method::Baseline1D,
                 codec,
                 estimated_bytes: est as usize,
                 exact: false,
-                score: sc,
+                score: est,
             });
             consider(
                 &mut winner,
                 Choice {
-                    score: sc,
+                    score: est,
                     method: Method::Baseline1D,
                     codec,
                     level_codecs: Vec::new(),
@@ -497,27 +444,25 @@ fn select_sampled<T: CodecElement>(
                 let fd = ds.finest_dim();
                 let uniform_cells = (fd * fd) * fd;
                 for codec in CodecId::all() {
-                    let Some((raw, worst)) = trial(codec, &zwindow, abs_eb, cfg) else {
+                    let Some(raw) = trial(codec, &zwindow, abs_eb, cfg) else {
                         continue;
                     };
                     let bpv = (raw as f64) / (zwindow.len() as f64);
-                    let headroom = 1.0 - (worst / abs_eb.max(f64::MIN_POSITIVE));
                     for (method, est) in [
                         (Method::ZMesh, bpv * (present_total as f64)),
                         (Method::Baseline3D, bpv * (uniform_cells as f64)),
                     ] {
-                        let sc = score(est, codec, headroom);
                         candidates.push(CandidateEstimate {
                             method,
                             codec,
                             estimated_bytes: est as usize,
                             exact: false,
-                            score: sc,
+                            score: est,
                         });
                         consider(
                             &mut winner,
                             Choice {
-                                score: sc,
+                                score: est,
                                 method,
                                 codec,
                                 level_codecs: Vec::new(),
@@ -617,8 +562,15 @@ mod tests {
         assert_ne!(sel.method, Method::Auto);
         assert_eq!(sel.candidates.len(), 12, "4 methods x 3 codecs");
         assert!(sel.candidates.iter().all(|c| c.exact));
-        // The winner's score is minimal over every fixed candidate
-        // (modulo the bounded tie-break discounts).
+        // Bytes are the whole score.
+        for c in &sel.candidates {
+            assert_eq!(
+                c.score, c.estimated_bytes as f64,
+                "{:?}/{}",
+                c.method, c.codec
+            );
+        }
+        // The winner's score is minimal over every fixed candidate.
         let best_fixed = sel
             .candidates
             .iter()
@@ -691,17 +643,5 @@ mod tests {
         let again = select_auto(&ds, &small).unwrap();
         assert_eq!(sel.method, again.method);
         assert_eq!(sel.level_codecs, again.level_codecs);
-    }
-
-    #[test]
-    fn throughput_tiebreak_is_bounded() {
-        // A candidate may only win on throughput when sizes are within
-        // the tie-break weights (~3% combined) — far inside the 5%
-        // dominance tolerance.
-        for codec in CodecId::all() {
-            let s = score(1000.0, codec, 1.0);
-            assert!(s >= 1000.0 * (1.0 - THROUGHPUT_TIEBREAK - HEADROOM_TIEBREAK));
-            assert!(s <= 1000.0);
-        }
     }
 }

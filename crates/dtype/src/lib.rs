@@ -308,7 +308,7 @@ mod tests {
         // rather than wrapping.
         assert_eq!(<f32 as Element>::from_f64(1e300), f32::INFINITY);
         // Sub-subnormal magnitudes underflow to zero — the degenerate-step
-        // case resolve_level_eb must reject.
+        // case resolve_level_eb_for must reject.
         assert_eq!(<f32 as Element>::from_f64(1e-46), 0.0f32);
         // Negative zero survives the round trip bit-exactly.
         let nz = <f32 as Element>::from_f64(-0.0);

@@ -23,11 +23,10 @@
 //! a machine-readable [`ConformanceReport`] (`CONFORMANCE.json` in CI).
 
 use crate::scenario::{scenarios, ScenarioSpec};
-use tac_amr::{Aabb, AmrDataset, AmrLevel};
+use tac_amr::{Aabb, AmrDataset};
 use tac_core::{
-    compress_dataset_t, decompress_dataset_par_t, decompress_dataset_t, decompress_region_t,
-    CodecElement, CodecId, CompressedDataset, Element, Method, MethodBody, Parallelism, TacConfig,
-    TacDtype,
+    compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecElement, CodecId,
+    CompressedDataset, Element, Method, MethodBody, Parallelism, TacConfig, TacDtype,
 };
 use tac_obs::meta::RunMeta;
 
@@ -265,7 +264,9 @@ pub fn run_scenarios(specs: &[ScenarioSpec], seed: u64) -> ConformanceReport {
     let mut cells = Vec::new();
     for spec in specs {
         let ds = spec.build(seed);
-        let ds32 = (spec.dtype == TacDtype::F32).then(|| narrow_to_f32(&ds));
+        // `F32` scenarios generate only exactly-f32-representable values,
+        // so narrowing loses nothing.
+        let ds32 = (spec.dtype == TacDtype::F32).then(|| ds.cast::<f32>());
         for method in Method::fixed() {
             for codec in CodecId::all() {
                 cells.extend(match &ds32 {
@@ -289,30 +290,6 @@ pub fn run_scenarios(specs: &[ScenarioSpec], seed: u64) -> ConformanceReport {
         meta: RunMeta::capture(seed, workers),
         cells,
     }
-}
-
-/// Narrows an `f64` scenario dataset to `f32` storage. `F32` scenarios
-/// generate only exactly-f32-representable values, so nothing is lost.
-pub(crate) fn narrow_to_f32(ds: &AmrDataset) -> AmrDataset<f32> {
-    let levels = ds
-        .levels()
-        .iter()
-        .map(|l| {
-            let dim = l.dim();
-            let mut out = AmrLevel::<f32>::empty(dim);
-            for z in 0..dim {
-                for y in 0..dim {
-                    for x in 0..dim {
-                        if l.present(x, y, z) {
-                            out.set_value(x, y, z, l.value(x, y, z) as f32);
-                        }
-                    }
-                }
-            }
-            out
-        })
-        .collect();
-    AmrDataset::new(ds.name(), levels)
 }
 
 /// Per-level resolved absolute bounds recorded in a container
@@ -475,7 +452,7 @@ fn run_cell<T: CodecElement>(
     }
 
     // Serial full decode, then parallel decode identity.
-    let full = match decompress_dataset_t::<T>(&reference) {
+    let full = match decompress_dataset_par_t::<T>(&reference, Parallelism::Serial) {
         Ok(out) => out,
         Err(e) => return fail_all(format!("decompress failed: {e}"), t_shared),
     };
@@ -505,10 +482,10 @@ fn run_cell<T: CodecElement>(
         let decoded = match format {
             ContainerFormat::Memory => Ok(full.clone()),
             ContainerFormat::V1 => CompressedDataset::from_bytes(&ref_v1)
-                .and_then(|cd| decompress_dataset_t::<T>(&cd))
+                .and_then(|cd| decompress_dataset_par_t::<T>(&cd, Parallelism::Serial))
                 .map_err(|e| format!("v1 roundtrip failed: {e}")),
             ContainerFormat::Chunked => CompressedDataset::from_bytes(&ref_chunked)
-                .and_then(|cd| decompress_dataset_t::<T>(&cd))
+                .and_then(|cd| decompress_dataset_par_t::<T>(&cd, Parallelism::Serial))
                 .map_err(|e| format!("chunked roundtrip failed: {e}")),
         };
         c.container_bytes = match format {
@@ -575,7 +552,7 @@ fn roi_agrees<T: CodecElement>(bytes: &[u8], full: &AmrDataset<T>, finest_dim: u
 mod tests {
     use super::*;
     use crate::scenario::scenario;
-    use tac_core::{compress_dataset, decompress_dataset};
+    use tac_core::{compress_dataset_t, decompress_dataset_par_t};
 
     #[test]
     fn single_scenario_matrix_passes_and_reports() {
@@ -632,8 +609,8 @@ mod tests {
         let spec = scenario("dense-uniform").unwrap();
         let ds = spec.build(1);
         let cfg = spec.config();
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-        let recon = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+        let recon = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         let bounds = resolved_level_bounds(&cd);
         let (ratio, _) = check_bounds(&ds, &recon, &bounds).unwrap();
         assert!(ratio <= 1.0 + 1e-9);
@@ -647,7 +624,10 @@ mod tests {
         // A finite input reconstructed as NaN must be flagged too —
         // `|x - NaN| > 0.0` is false, so a ratio check alone would
         // silently pass the worst violation possible.
-        let mut nan_levels = decompress_dataset(&cd).unwrap().levels().to_vec();
+        let mut nan_levels = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial)
+            .unwrap()
+            .levels()
+            .to_vec();
         let j = nan_levels[0].mask().iter_ones().next().unwrap();
         nan_levels[0].data_mut()[j] = f64::NAN;
         let poisoned = tac_amr::AmrDataset::new("poisoned", nan_levels);

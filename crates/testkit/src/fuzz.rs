@@ -7,8 +7,8 @@
 //! mutations (bit flips, field overwrites with boundary integers,
 //! truncations, splices between corpus items, targeted header/footer
 //! corruption), and probes the full decode surface:
-//! [`CompressedDataset::from_bytes`], `decompress_dataset`,
-//! `decompress_region`, and re-serialization of anything accepted.
+//! [`CompressedDataset::from_bytes`], `decompress_dataset_par_t`,
+//! `decompress_region_t`, and re-serialization of anything accepted.
 //!
 //! The contract under test: **corrupt bytes may be rejected with an
 //! error or may decode to some container, but must never panic, demand
@@ -21,8 +21,8 @@ use crate::scenario::scenario;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tac_amr::Aabb;
 use tac_core::{
-    compress_dataset, decompress_dataset_any, decompress_region, decompress_region_f32, AnyDataset,
-    CodecId, CompressedDataset, Element, Method, TacConfig, CHUNK_ROW_BYTES_V4,
+    compress_dataset_t, decompress_dataset_any, decompress_region_t, AnyDataset, CodecId,
+    CompressedDataset, Element, Method, TacConfig, CHUNK_ROW_BYTES_V4,
 };
 
 /// Fuzz-run parameters.
@@ -117,19 +117,19 @@ pub fn corpus() -> Vec<Vec<u8>> {
                 codec,
                 ..spec.config()
             };
-            let cd = compress_dataset(&ds, &cfg, Method::Tac).expect("corpus compress");
+            let cd = compress_dataset_t(&ds, &cfg, Method::Tac).expect("corpus compress");
             out.push(cd.to_bytes()); // v2 for SZ, v3 for pco-lite
             out.push(cd.to_bytes_v1());
         }
         let cfg = spec.config();
         for method in [Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
-            let cd = compress_dataset(&ds, &cfg, method).expect("corpus compress");
+            let cd = compress_dataset_t(&ds, &cfg, method).expect("corpus compress");
             out.push(cd.to_bytes());
         }
         // Adaptive selection: the winner is a normal fixed-method
         // container on the wire, but mixed per-level codec tags only
         // arise through this path, so mutations should start from one.
-        let cd = compress_dataset(&ds, &cfg, Method::Auto).expect("corpus compress");
+        let cd = compress_dataset_t(&ds, &cfg, Method::Auto).expect("corpus compress");
         out.push(cd.to_bytes());
         out.push(cd.to_bytes_v1());
     }
@@ -138,7 +138,7 @@ pub fn corpus() -> Vec<Vec<u8>> {
     // dtype-validation paths too.
     for name in ["tiny-extremes-f32", "checkerboard-f32"] {
         let spec = scenario(name).expect("registered scenario");
-        let ds = crate::conformance::narrow_to_f32(&spec.build(1));
+        let ds = spec.build(1).cast::<f32>();
         for codec in CodecId::all() {
             let cfg = TacConfig {
                 codec,
@@ -163,8 +163,8 @@ pub fn probe_container(bytes: &[u8]) -> ProbeResult {
     probe_with(|| {
         // Region decode must fail or succeed cleanly whatever the bytes
         // — through both monomorphizations.
-        let _ = decompress_region(bytes, Aabb::new((0, 0, 0), (2, 2, 2)));
-        let _ = decompress_region_f32(bytes, Aabb::new((0, 0, 0), (2, 2, 2)));
+        let _ = decompress_region_t::<f64>(bytes, Aabb::new((0, 0, 0), (2, 2, 2)));
+        let _ = decompress_region_t::<f32>(bytes, Aabb::new((0, 0, 0), (2, 2, 2)));
         match CompressedDataset::from_bytes(bytes) {
             Err(_) => Err(()),
             // Decode at whatever element type the container declares.
@@ -359,7 +359,7 @@ fn mutate(bytes: &mut Vec<u8>, donor: &[u8], rng: &mut TestRng) -> String {
 /// / seed-state region, provided the container holds one. The stream is
 /// located by its registered magic, so this needs no private constants.
 fn pco_ans_region_pos(bytes: &[u8], rng: &mut TestRng) -> Option<usize> {
-    let magic = tac_core::codec_for(CodecId::PcoAns).magic();
+    let magic = tac_core::codec_for::<f64>(CodecId::PcoAns).magic();
     let starts: Vec<usize> = bytes
         .windows(magic.len())
         .enumerate()

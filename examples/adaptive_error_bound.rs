@@ -10,7 +10,7 @@
 
 use tac_amr::to_uniform;
 use tac_analysis::{power_spectrum, relative_error};
-use tac_core::{compress_dataset, decompress_dataset, Method, TacConfig};
+use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
 
@@ -42,8 +42,8 @@ fn main() {
             level_eb_scale: scales,
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).expect("compress");
-        let out = decompress_dataset(&cd).expect("decompress");
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).expect("compress");
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).expect("decompress");
         let d = tac_analysis::amr_distortion(&ds, &out);
         let ps = power_spectrum(&to_uniform(&out), n);
         let max_err = relative_error(&reference, &ps)

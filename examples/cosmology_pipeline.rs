@@ -12,7 +12,7 @@ use tac_amr::to_uniform;
 use tac_analysis::{
     compare_catalogs, find_halos, power_spectrum, relative_error, HaloFinderConfig,
 };
-use tac_core::{compress_dataset, decompress_dataset, Method, TacConfig};
+use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
 
@@ -29,8 +29,8 @@ fn main() {
     let mut baryon = None;
     for kind in FieldKind::all() {
         let ds = catalog_entry.generate(kind, 8, 1234);
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).expect("compress");
-        let out = decompress_dataset(&cd).expect("decompress");
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).expect("compress");
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).expect("decompress");
         let d = tac_analysis::amr_distortion(&ds, &out);
         let stats = cd.stats();
         println!(

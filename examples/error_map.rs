@@ -9,7 +9,7 @@
 //! ```
 
 use std::io::Write;
-use tac_core::{compress_level, decompress_level, resolve_level_eb, Strategy, TacConfig};
+use tac_core::{compress_level_t, decompress_level_t, resolve_level_eb_for, Strategy, TacConfig};
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
 
@@ -24,14 +24,21 @@ fn main() {
 
     // Fig. 7: the sparse fine level (23%), NaST vs OpST.
     let fine = &ds.levels()[0];
-    let eb_fine = resolve_level_eb(ErrorBound::Rel(4.8e-4), 1.0, fine.value_range()).unwrap();
+    let eb_fine =
+        resolve_level_eb_for(ds.dtype(), ErrorBound::Rel(4.8e-4), 1.0, fine.value_range()).unwrap();
     for strategy in [Strategy::NaST, Strategy::OpST] {
         render(fine, strategy, eb_fine, &cfg, out_dir);
     }
 
     // Fig. 12: the dense coarse level (77%), ZF vs GSP.
     let coarse = &ds.levels()[1];
-    let eb_coarse = resolve_level_eb(ErrorBound::Rel(6.7e-3), 1.0, coarse.value_range()).unwrap();
+    let eb_coarse = resolve_level_eb_for(
+        ds.dtype(),
+        ErrorBound::Rel(6.7e-3),
+        1.0,
+        coarse.value_range(),
+    )
+    .unwrap();
     for strategy in [Strategy::ZeroFill, Strategy::Gsp] {
         render(coarse, strategy, eb_coarse, &cfg, out_dir);
     }
@@ -48,8 +55,8 @@ fn render(
     cfg: &TacConfig,
     out_dir: &std::path::Path,
 ) {
-    let cl = compress_level(level, strategy, abs_eb, cfg).expect("compress level");
-    let recon = decompress_level(&cl, level.mask()).expect("decompress level");
+    let cl = compress_level_t(level, strategy, abs_eb, cfg).expect("compress level");
+    let recon = decompress_level_t::<f64>(&cl, level.mask()).expect("decompress level");
     let dim = level.dim();
 
     // CR counts the present cells; PSNR over present cells.

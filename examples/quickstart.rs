@@ -6,7 +6,7 @@
 //! ```
 
 use tac_analysis::amr_distortion;
-use tac_core::{compress_dataset, decompress_dataset, Method, TacConfig};
+use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
 
@@ -33,7 +33,7 @@ fn main() {
     // 2. Compress with TAC: value-range-relative error bound of 1e-4,
     //    strategies picked per level by the density filter.
     let cfg = TacConfig::with_error_bound(ErrorBound::Rel(1e-4));
-    let compressed = compress_dataset(&dataset, &cfg, Method::Tac).expect("compression");
+    let compressed = compress_dataset_t(&dataset, &cfg, Method::Tac).expect("compression");
 
     let stats = compressed.stats();
     println!("\n--- TAC compression ---");
@@ -47,7 +47,8 @@ fn main() {
     let parsed = tac_core::CompressedDataset::from_bytes(&bytes).expect("parse container");
 
     // 4. Decompress and measure distortion over the present cells.
-    let restored = decompress_dataset(&parsed).expect("decompression");
+    let restored =
+        decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).expect("decompression");
     let d = amr_distortion(&dataset, &restored);
     println!("\n--- reconstruction quality ---");
     println!("PSNR         : {:.2} dB", d.psnr);

@@ -6,7 +6,7 @@ use tac_amr::to_uniform;
 use tac_analysis::{
     amr_distortion, compare_catalogs, find_halos, power_spectrum, relative_error, HaloFinderConfig,
 };
-use tac_core::{compress_dataset, decompress_dataset, Method, TacConfig};
+use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
 
@@ -28,8 +28,8 @@ fn power_spectrum_error_shrinks_with_error_bound() {
             error_bound: ErrorBound::Rel(eb),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         let ps = power_spectrum(&to_uniform(&out), n);
         // The paper's criterion inspects k below a cutoff (k < 10).
         let max_err = relative_error(&reference, &ps)
@@ -68,8 +68,8 @@ fn halo_finder_survives_compression() {
         error_bound: ErrorBound::Rel(1e-4),
         ..Default::default()
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-    let out = decompress_dataset(&cd).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     let decompressed = find_halos(&to_uniform(&out), n, &hf);
     let cmp = compare_catalogs(&original, &decompressed);
     assert!(
@@ -95,10 +95,16 @@ fn adaptive_eb_trades_level_fidelity() {
         level_eb_scale: vec![1.5, 0.5], // fine looser, coarse tighter
         ..Default::default()
     };
-    let uni =
-        decompress_dataset(&compress_dataset(&ds, &uniform_cfg, Method::Tac).unwrap()).unwrap();
-    let ada =
-        decompress_dataset(&compress_dataset(&ds, &adaptive_cfg, Method::Tac).unwrap()).unwrap();
+    let uni = decompress_dataset_par_t::<f64>(
+        &compress_dataset_t(&ds, &uniform_cfg, Method::Tac).unwrap(),
+        Parallelism::Serial,
+    )
+    .unwrap();
+    let ada = decompress_dataset_par_t::<f64>(
+        &compress_dataset_t(&ds, &adaptive_cfg, Method::Tac).unwrap(),
+        Parallelism::Serial,
+    )
+    .unwrap();
     let coarse_err = |recon: &tac_amr::AmrDataset| {
         let a = &ds.levels()[1];
         let b = &recon.levels()[1];
@@ -132,8 +138,8 @@ fn psnr_orders_methods_consistently() {
         Method::ZMesh,
         Method::Baseline3D,
     ] {
-        let cd = compress_dataset(&ds, &cfg, method).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         let d = amr_distortion(&ds, &out);
         assert!(
             d.psnr > 40.0 && d.psnr.is_finite(),
@@ -155,7 +161,11 @@ fn spectrum_of_reconstruction_matches_reference_bin_by_bin() {
         error_bound: ErrorBound::Rel(1e-5),
         ..Default::default()
     };
-    let out = decompress_dataset(&compress_dataset(&ds, &cfg, Method::Tac).unwrap()).unwrap();
+    let out = decompress_dataset_par_t::<f64>(
+        &compress_dataset_t(&ds, &cfg, Method::Tac).unwrap(),
+        Parallelism::Serial,
+    )
+    .unwrap();
     let ps = power_spectrum(&to_uniform(&out), n);
     for ((e, &k), &p) in relative_error(&reference, &ps)
         .iter()

@@ -9,14 +9,13 @@
 //! selection-overhead budget in the sampled regime.
 
 use tac_core::{
-    compress_dataset, decompress_dataset, select_auto, AutoParams, CodecId, CompressedDataset,
-    Method, Parallelism, TacConfig,
+    compress_dataset_t, decompress_dataset_par_t, select_auto, AutoParams, CodecId,
+    CompressedDataset, Method, Parallelism, TacConfig,
 };
 use tac_testkit::scenarios;
 
 /// Auto must reach at least this fraction of the best fixed pair's
-/// compression ratio on every scenario (the selection's tie-break
-/// discounts are bounded well inside this).
+/// compression ratio on every scenario.
 const DOMINANCE_TOLERANCE: f64 = 0.95;
 
 /// Selection may cost at most this fraction of the total Auto compress
@@ -28,7 +27,7 @@ fn auto_dominates_every_fixed_pair_on_every_scenario() {
     for spec in scenarios() {
         let ds = spec.build(7);
         let cfg = spec.config();
-        let auto_cd = compress_dataset(&ds, &cfg, Method::Auto)
+        let auto_cd = compress_dataset_t(&ds, &cfg, Method::Auto)
             .unwrap_or_else(|e| panic!("{}: Auto failed: {e}", spec.name));
         let auto_bytes = auto_cd.to_bytes().len();
 
@@ -41,7 +40,7 @@ fn auto_dominates_every_fixed_pair_on_every_scenario() {
                     codec,
                     ..cfg.clone()
                 };
-                let Ok(cd) = compress_dataset(&ds, &fixed_cfg, method) else {
+                let Ok(cd) = compress_dataset_t(&ds, &fixed_cfg, method) else {
                     continue;
                 };
                 let bytes = cd.to_bytes().len();
@@ -76,11 +75,11 @@ fn auto_is_deterministic_under_identical_seeds() {
     for name in ["nyx-grf", "shock-front", "spike-field"] {
         let spec = tac_testkit::scenario(name).unwrap();
         let cfg = spec.config();
-        let reference = compress_dataset(&spec.build(21), &cfg, Method::Auto)
+        let reference = compress_dataset_t(&spec.build(21), &cfg, Method::Auto)
             .unwrap()
             .to_bytes();
         // Identical seed, fresh dataset build: byte-identical output.
-        let again = compress_dataset(&spec.build(21), &cfg, Method::Auto)
+        let again = compress_dataset_t(&spec.build(21), &cfg, Method::Auto)
             .unwrap()
             .to_bytes();
         assert_eq!(reference, again, "{name}: same-seed rerun differs");
@@ -90,15 +89,15 @@ fn auto_is_deterministic_under_identical_seeds() {
                 parallelism: Parallelism::Threads(workers),
                 ..cfg.clone()
             };
-            let bytes = compress_dataset(&spec.build(21), &cfg_w, Method::Auto)
+            let bytes = compress_dataset_t(&spec.build(21), &cfg_w, Method::Auto)
                 .unwrap()
                 .to_bytes();
             assert_eq!(reference, bytes, "{name}: {workers} workers differ");
         }
         // A different seed is allowed to differ (and practically does),
         // but must still produce a decodable container.
-        let other = compress_dataset(&spec.build(22), &cfg, Method::Auto).unwrap();
-        decompress_dataset(&other).unwrap();
+        let other = compress_dataset_t(&spec.build(22), &cfg, Method::Auto).unwrap();
+        decompress_dataset_par_t::<f64>(&other, Parallelism::Serial).unwrap();
     }
 }
 
@@ -108,11 +107,15 @@ fn degenerate_inputs_fall_back_cleanly() {
 
     // All levels empty: zMesh cannot compress this; Auto must route
     // around it and still store (and restore) the empty structure.
-    let void = AmrDataset::new("void", vec![AmrLevel::empty(8), AmrLevel::empty(4)]);
+    let void: AmrDataset = AmrDataset::new("void", vec![AmrLevel::empty(8), AmrLevel::empty(4)]);
     let cfg = TacConfig::with_error_bound(tac_sz::ErrorBound::Abs(1e-3));
-    let cd = compress_dataset(&void, &cfg, Method::Auto).unwrap();
+    let cd = compress_dataset_t(&void, &cfg, Method::Auto).unwrap();
     assert_ne!(cd.method(), Method::Auto);
-    let out = decompress_dataset(&CompressedDataset::from_bytes(&cd.to_bytes()).unwrap()).unwrap();
+    let out = decompress_dataset_par_t::<f64>(
+        &CompressedDataset::from_bytes(&cd.to_bytes()).unwrap(),
+        Parallelism::Serial,
+    )
+    .unwrap();
     assert!(out.levels().iter().all(|l| l.num_present() == 0));
 
     // A single-chunk dataset (one tiny dense level, no ROI tiling): the
@@ -121,8 +124,8 @@ fn degenerate_inputs_fall_back_cleanly() {
         "tiny",
         vec![AmrLevel::dense(4, (0..64).map(|i| i as f64).collect())],
     );
-    let cd = compress_dataset(&tiny, &cfg, Method::Auto).unwrap();
-    let out = decompress_dataset(&cd).unwrap();
+    let cd = compress_dataset_t(&tiny, &cfg, Method::Auto).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     for (a, b) in tiny.levels()[0].data().iter().zip(out.levels()[0].data()) {
         assert!((a - b).abs() <= 1e-3 * (1.0 + 1e-9));
     }
@@ -131,8 +134,8 @@ fn degenerate_inputs_fall_back_cleanly() {
     let mut lone = AmrLevel::empty(4);
     lone.set_value(1, 2, 3, 42.0);
     let one = AmrDataset::new("one", vec![lone]);
-    let cd = compress_dataset(&one, &cfg, Method::Auto).unwrap();
-    let out = decompress_dataset(&cd).unwrap();
+    let cd = compress_dataset_t(&one, &cfg, Method::Auto).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     assert!((out.levels()[0].value(1, 2, 3) - 42.0).abs() <= 1e-3 * (1.0 + 1e-9));
 }
 
@@ -179,7 +182,7 @@ fn selection_overhead_is_bounded_in_the_sampled_regime() {
     let t_total = best_of(
         3,
         Box::new(move || {
-            compress_dataset(ds_ref, cfg_ref, Method::Auto).unwrap();
+            compress_dataset_t(ds_ref, cfg_ref, Method::Auto).unwrap();
         }),
     );
     println!(
@@ -223,6 +226,6 @@ fn sampling_budget_is_tunable_and_validated() {
     };
     let sel = select_auto(&ds, &cfg).unwrap();
     assert!(!sel.exhaustive);
-    let cd = compress_dataset(&ds, &cfg, Method::Auto).unwrap();
-    tac_core::decompress_dataset(&cd).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Auto).unwrap();
+    tac_core::decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
 }

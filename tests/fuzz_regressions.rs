@@ -175,7 +175,7 @@ fn container_level_dim_is_bounded() {
 /// mask cross-check.
 #[test]
 fn in_memory_level_dim_overflow_is_an_error() {
-    use tac_core::{decompress_level, CompressedLevel, LevelPayload, Strategy};
+    use tac_core::{decompress_level_t, CompressedLevel, LevelPayload, Strategy};
     let cl = CompressedLevel {
         strategy: Strategy::Empty,
         dim: usize::MAX,
@@ -185,7 +185,7 @@ fn in_memory_level_dim_overflow_is_an_error() {
         payload: LevelPayload::Empty,
     };
     let mask = tac_amr::BitMask::zeros(8);
-    assert!(decompress_level(&cl, &mask).is_err());
+    assert!(decompress_level_t::<f64>(&cl, &mask).is_err());
 }
 
 /// Builds a valid single-page pco-ans stream plus the offsets of its
@@ -215,7 +215,9 @@ fn pco_ans_weight_table_sum_must_match_the_table_size() {
     let (mut bytes, bin_table_at, _) = pco_ans_page_fixture();
     // Nudge the first bin's weight (lo u8, hi u8, then the u16).
     bytes[bin_table_at + 3] ^= 0x01;
-    assert!(codec_for(CodecId::PcoAns).decompress(&bytes).is_err());
+    assert!(codec_for::<f64>(CodecId::PcoAns)
+        .decompress(&bytes)
+        .is_err());
 }
 
 /// ANS seed states below the normalized interval are unreachable from
@@ -228,7 +230,9 @@ fn pco_ans_seed_state_below_interval_is_rejected() {
     for b in &mut bytes[states_at..states_at + 4] {
         *b = 0;
     }
-    assert!(codec_for(CodecId::PcoAns).decompress(&bytes).is_err());
+    assert!(codec_for::<f64>(CodecId::PcoAns)
+        .decompress(&bytes)
+        .is_err());
 }
 
 /// The renorm word stream is `u16` words: an odd byte count can only
@@ -240,7 +244,9 @@ fn pco_ans_odd_word_byte_count_is_rejected() {
     let (mut bytes, _, states_at) = pco_ans_page_fixture();
     let wb_at = states_at + 16;
     bytes[wb_at..wb_at + 4].copy_from_slice(&1u32.to_le_bytes());
-    assert!(codec_for(CodecId::PcoAns).decompress(&bytes).is_err());
+    assert!(codec_for::<f64>(CodecId::PcoAns)
+        .decompress(&bytes)
+        .is_err());
 }
 
 /// A word byte count of `u32::MAX` must surface as a clean truncation
@@ -251,7 +257,9 @@ fn pco_ans_word_count_is_bounded_by_the_stream() {
     let (mut bytes, _, states_at) = pco_ans_page_fixture();
     let wb_at = states_at + 16;
     bytes[wb_at..wb_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(codec_for(CodecId::PcoAns).decompress(&bytes).is_err());
+    assert!(codec_for::<f64>(CodecId::PcoAns)
+        .decompress(&bytes)
+        .is_err());
 }
 
 /// Bin class runs must be strictly increasing; an overlapping run would
@@ -272,7 +280,31 @@ fn pco_ans_bin_runs_must_be_strictly_increasing() {
         bytes[bin_table_at + 2] = 0;
         bytes[bin_table_at + 1] = 64;
     }
-    assert!(codec_for(CodecId::PcoAns).decompress(&bytes).is_err());
+    assert!(codec_for::<f64>(CodecId::PcoAns)
+        .decompress(&bytes)
+        .is_err());
+}
+
+/// A container may not declare more levels than its finest grid can
+/// halve into: 4 levels on a 2^3 grid used to parse and decode as `Ok`
+/// with level sides `[2, 1, 0, 0]` — a silently wrong grid — through
+/// the full decode and the ROI decode alike.
+#[test]
+fn level_count_beyond_the_finest_grid_is_rejected() {
+    use tac_amr::{Aabb, BitMask};
+    use tac_core::{decompress_region_t, CompressedDataset, MethodBody, TacDtype};
+    let cd = CompressedDataset {
+        name: "zero-sized".into(),
+        finest_dim: 2,
+        dtype: TacDtype::F64,
+        masks: [8, 1, 0, 0].map(BitMask::zeros).to_vec(),
+        body: MethodBody::Baseline1D(vec![None; 4]),
+    };
+    for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
+        let err = CompressedDataset::from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("4 levels"), "{err}");
+    }
+    assert!(decompress_region_t::<f64>(&cd.to_bytes(), Aabb::whole(2)).is_err());
 }
 
 /// The CI smoke: the bounded seeded campaign must observe zero panics

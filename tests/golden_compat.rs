@@ -18,8 +18,8 @@
 use std::path::PathBuf;
 use tac_amr::{AmrDataset, AmrLevel};
 use tac_core::{
-    compress_dataset, compress_dataset_f32, decompress_dataset, decompress_dataset_f32, CodecId,
-    CompressedDataset, Method, MethodBody, TacConfig, TacDtype,
+    compress_dataset_t, decompress_dataset_par_t, CodecId, CompressedDataset, Method, MethodBody,
+    Parallelism, TacConfig, TacDtype,
 };
 use tac_sz::ErrorBound;
 
@@ -72,26 +72,8 @@ fn fixture_dataset() -> AmrDataset {
 /// The fixture dataset narrowed to `f32` — same geometry, each present
 /// value rounded to single precision. Pins the v4 (dtype-tagged) wire.
 fn fixture_dataset_f32() -> AmrDataset<f32> {
-    let ds = fixture_dataset();
-    let levels = ds
-        .levels()
-        .iter()
-        .map(|l| {
-            let dim = l.dim();
-            let mut out = AmrLevel::<f32>::empty(dim);
-            for z in 0..dim {
-                for y in 0..dim {
-                    for x in 0..dim {
-                        if l.present(x, y, z) {
-                            out.set_value(x, y, z, l.value(x, y, z) as f32);
-                        }
-                    }
-                }
-            }
-            out
-        })
-        .collect();
-    let ds = AmrDataset::new("golden-f32", levels);
+    let narrow = fixture_dataset().cast::<f32>();
+    let ds = AmrDataset::new("golden-f32", narrow.levels().to_vec());
     ds.validate().unwrap();
     ds
 }
@@ -180,8 +162,8 @@ fn decode_expected(bytes: &[u8]) -> Vec<(usize, Vec<f64>)> {
 /// v3 — the per-level/per-chunk codec-tagged format this fixture pins.
 fn fixture_mixed_dataset() -> CompressedDataset {
     let ds = fixture_dataset();
-    let sz = compress_dataset(&ds, &fixture_config(), Method::Tac).unwrap();
-    let pco = compress_dataset(
+    let sz = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
+    let pco = compress_dataset_t(
         &ds,
         &TacConfig {
             codec: CodecId::PcoLite,
@@ -204,8 +186,8 @@ fn fixture_mixed_dataset() -> CompressedDataset {
 /// renorm words, offset stream — inside both container generations.
 fn fixture_ans_dataset() -> CompressedDataset {
     let ds = fixture_dataset();
-    let sz = compress_dataset(&ds, &fixture_config(), Method::Tac).unwrap();
-    let ans = compress_dataset(
+    let sz = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
+    let ans = compress_dataset_t(
         &ds,
         &TacConfig {
             codec: CodecId::PcoAns,
@@ -226,8 +208,8 @@ fn fixture_ans_dataset() -> CompressedDataset {
 /// promotes to the dtype-tagged v4 container.
 fn fixture_ans_dataset_f32() -> CompressedDataset {
     let ds = fixture_dataset_f32();
-    let sz = compress_dataset_f32(&ds, &fixture_config(), Method::Tac).unwrap();
-    let ans = compress_dataset_f32(
+    let sz = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
+    let ans = compress_dataset_t(
         &ds,
         &TacConfig {
             codec: CodecId::PcoAns,
@@ -266,7 +248,7 @@ fn check_golden_stem(stem: &str, method: Method, version: &str) {
     let cd = CompressedDataset::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("{stem}_{version} no longer parses: {e}"));
     assert_eq!(cd.method(), method);
-    let out = decompress_dataset(&cd).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
         assert_eq!(level.dim(), *dim, "level {l} dim");
@@ -323,7 +305,7 @@ fn check_golden_f32(stem: &str, version: &str) {
     let cd = CompressedDataset::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("{stem}_{version} no longer parses: {e}"));
     assert_eq!(cd.dtype, TacDtype::F32);
-    let out = decompress_dataset_f32(&cd).unwrap();
+    let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
         assert_eq!(level.dim(), *dim, "level {l} dim");
@@ -362,7 +344,10 @@ fn golden_f32_v4_fixture_is_dtype_tagged() {
     assert_eq!(bytes[6], TacDtype::F32.tag(), "fixture is not tagged f32");
     let cd = CompressedDataset::from_bytes(&bytes).unwrap();
     assert_eq!(cd.to_bytes(), bytes);
-    assert!(decompress_dataset(&cd).is_err(), "f64 decode must refuse");
+    assert!(
+        decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
+        "f64 decode must refuse"
+    );
 }
 
 /// The v3 fixture really is a v3, mixed-codec container: version byte 3
@@ -432,9 +417,12 @@ fn golden_ans_v4_decodes_bit_exactly() {
     assert!(codecs.contains(&CodecId::PcoAns), "{codecs:?}");
     assert!(codecs.contains(&CodecId::Sz), "{codecs:?}");
     assert_eq!(cd.to_bytes(), bytes);
-    assert!(decompress_dataset(&cd).is_err(), "f64 decode must refuse");
+    assert!(
+        decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
+        "f64 decode must refuse"
+    );
 
-    let out = decompress_dataset_f32(&cd).unwrap();
+    let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
         assert_eq!(level.dim(), *dim, "level {l} dim");
@@ -465,7 +453,7 @@ fn golden_auto_v1_decodes_bit_exactly() {
         .unwrap_or_else(|e| panic!("golden_auto_v1 no longer parses: {e}"));
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
     assert_eq!(cd.to_bytes_v1(), bytes);
-    let out = decompress_dataset(&cd).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
         assert_eq!(level.dim(), *dim, "level {l} dim");
@@ -478,7 +466,7 @@ fn golden_auto_v1_decodes_bit_exactly() {
         }
     }
     // The selection itself is deterministic across revisions.
-    let again = compress_dataset(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
+    let again = compress_dataset_t(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
         again.to_bytes_v1(),
         bytes,
@@ -503,8 +491,11 @@ fn golden_auto_v4_decodes_bit_exactly() {
         .unwrap_or_else(|e| panic!("golden_auto_v4 no longer parses: {e}"));
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
     assert_eq!(cd.to_bytes(), bytes);
-    assert!(decompress_dataset(&cd).is_err(), "f64 decode must refuse");
-    let out = decompress_dataset_f32(&cd).unwrap();
+    assert!(
+        decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
+        "f64 decode must refuse"
+    );
+    let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
         assert_eq!(level.dim(), *dim, "level {l} dim");
@@ -517,7 +508,7 @@ fn golden_auto_v4_decodes_bit_exactly() {
         }
     }
     let again =
-        compress_dataset_f32(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
+        compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
         again.to_bytes(),
         bytes,
@@ -538,10 +529,10 @@ fn regenerate_golden_fixtures() {
     std::fs::create_dir_all(&dir).unwrap();
     for method in [Method::Tac, Method::Baseline1D] {
         let stem = method_stem(method);
-        let cd = compress_dataset(&ds, &cfg, method).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
         std::fs::write(dir.join(format!("{stem}_v1.tacd")), cd.to_bytes_v1()).unwrap();
         std::fs::write(dir.join(format!("{stem}_v2.tacd")), cd.to_bytes()).unwrap();
-        let recon = decompress_dataset(&cd).unwrap();
+        let recon = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         std::fs::write(
             dir.join(format!("{stem}_expected.bin")),
             encode_expected(&recon),
@@ -564,7 +555,7 @@ fn regenerate_golden_v3_fixtures() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("golden_mix_v3.tacd"), &bytes).unwrap();
     std::fs::write(dir.join("golden_mix_v1.tacd"), mixed.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset(&mixed).unwrap();
+    let recon = decompress_dataset_par_t::<f64>(&mixed, Parallelism::Serial).unwrap();
     std::fs::write(dir.join("golden_mix_expected.bin"), encode_expected(&recon)).unwrap();
     println!("wrote golden_mix fixtures to {}", dir.display());
 }
@@ -582,14 +573,14 @@ fn regenerate_golden_ans_fixtures() {
 
     let mixed = fixture_ans_dataset();
     std::fs::write(dir.join("golden_ans_v1.tacd"), mixed.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset(&mixed).unwrap();
+    let recon = decompress_dataset_par_t::<f64>(&mixed, Parallelism::Serial).unwrap();
     std::fs::write(dir.join("golden_ans_expected.bin"), encode_expected(&recon)).unwrap();
 
     let mixed32 = fixture_ans_dataset_f32();
     let bytes = mixed32.to_bytes();
     assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
     std::fs::write(dir.join("golden_ans_v4.tacd"), &bytes).unwrap();
-    let recon32 = decompress_dataset_f32(&mixed32).unwrap();
+    let recon32 = decompress_dataset_par_t::<f32>(&mixed32, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_ans_f32_expected.bin"),
         encode_expected_f32(&recon32),
@@ -609,21 +600,20 @@ fn regenerate_golden_auto_fixtures() {
     let dir = data_dir();
     std::fs::create_dir_all(&dir).unwrap();
 
-    let cd = compress_dataset(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
+    let cd = compress_dataset_t(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
     std::fs::write(dir.join("golden_auto_v1.tacd"), cd.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset(&cd).unwrap();
+    let recon = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_auto_expected.bin"),
         encode_expected(&recon),
     )
     .unwrap();
 
-    let cd32 =
-        compress_dataset_f32(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
+    let cd32 = compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
     let bytes = cd32.to_bytes();
     assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
     std::fs::write(dir.join("golden_auto_v4.tacd"), &bytes).unwrap();
-    let recon32 = decompress_dataset_f32(&cd32).unwrap();
+    let recon32 = decompress_dataset_par_t::<f32>(&cd32, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_auto_f32_expected.bin"),
         encode_expected_f32(&recon32),
@@ -639,14 +629,14 @@ fn regenerate_golden_auto_fixtures() {
 #[ignore = "regenerates the v4 golden fixtures; run only to intentionally re-baseline"]
 fn regenerate_golden_v4_fixtures() {
     let ds = fixture_dataset_f32();
-    let cd = compress_dataset_f32(&ds, &fixture_config(), Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
     let bytes = cd.to_bytes();
     assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
     let dir = data_dir();
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("golden_f32_v4.tacd"), &bytes).unwrap();
     std::fs::write(dir.join("golden_f32_v1.tacd"), cd.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset_f32(&cd).unwrap();
+    let recon = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_f32_expected.bin"),
         encode_expected_f32(&recon),

@@ -1,6 +1,6 @@
 //! Regression tests for the non-finite input policy.
 //!
-//! The defined policy (documented on `resolve_level_eb` and the codec
+//! The defined policy (documented on `resolve_level_eb_for` and the codec
 //! trait):
 //!
 //! * **Absolute bounds accept non-finite data.** Every codec backend
@@ -15,7 +15,8 @@
 
 use tac_amr::{AmrDataset, AmrLevel};
 use tac_core::{
-    compress_dataset, decompress_dataset, CodecId, CompressedDataset, Method, TacConfig, TacError,
+    compress_dataset_t, decompress_dataset_par_t, CodecId, CompressedDataset, Method, Parallelism,
+    TacConfig, TacError,
 };
 use tac_sz::ErrorBound;
 
@@ -52,10 +53,13 @@ fn nonfinite_values_roundtrip_bit_exactly_under_abs_bounds() {
             Method::ZMesh,
             Method::Baseline3D,
         ] {
-            let cd = compress_dataset(&ds, &abs_cfg(codec), method).unwrap();
+            let cd = compress_dataset_t(&ds, &abs_cfg(codec), method).unwrap();
             for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-                let out =
-                    decompress_dataset(&CompressedDataset::from_bytes(&bytes).unwrap()).unwrap();
+                let out = decompress_dataset_par_t::<f64>(
+                    &CompressedDataset::from_bytes(&bytes).unwrap(),
+                    Parallelism::Serial,
+                )
+                .unwrap();
                 let (a, b) = (ds.finest().data(), out.finest().data());
                 for (i, (x, y)) in a.iter().zip(b).enumerate() {
                     if x.is_finite() {
@@ -83,8 +87,8 @@ fn nonfinite_values_roundtrip_bit_exactly_under_abs_bounds() {
 fn negative_zero_reconstructs_within_bound() {
     let ds = spiked_dataset();
     for codec in CodecId::all() {
-        let cd = compress_dataset(&ds, &abs_cfg(codec), Method::Tac).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &abs_cfg(codec), Method::Tac).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         let v = out.finest().data()[300];
         // -0.0 is finite: the bound applies, the sign bit may not
         // survive quantization (0.0 == -0.0 numerically).
@@ -106,7 +110,7 @@ fn rel_bound_over_an_infinite_range_is_a_typed_nonfinite_error() {
         Method::ZMesh,
         Method::Baseline3D,
     ] {
-        let err = compress_dataset(&ds, &cfg, method).unwrap_err();
+        let err = compress_dataset_t(&ds, &cfg, method).unwrap_err();
         assert!(
             matches!(err, TacError::NonFinite(_)),
             "{method:?}: expected NonFinite, got {err}"
@@ -126,7 +130,7 @@ fn rel_bound_over_an_all_nan_level_is_a_typed_nonfinite_error() {
         error_bound: ErrorBound::Rel(1e-3),
         ..Default::default()
     };
-    let err = compress_dataset(&ds, &cfg, Method::Tac).unwrap_err();
+    let err = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap_err();
     assert!(matches!(err, TacError::NonFinite(_)), "{err}");
 }
 
@@ -146,9 +150,9 @@ fn rel_bound_with_finite_extremes_but_overflowing_span_still_compresses() {
         error_bound: ErrorBound::Rel(1e-3),
         ..Default::default()
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac)
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac)
         .expect("finite data must compress under a Rel bound");
-    let out = decompress_dataset(&cd).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     for (i, (a, b)) in ds
         .finest()
         .data()
@@ -174,8 +178,8 @@ fn rel_bound_with_finite_range_tolerates_sprinkled_nan() {
         error_bound: ErrorBound::Rel(1e-3),
         ..Default::default()
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-    let out = decompress_dataset(&cd).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     assert!(out.finest().data()[7].is_nan());
     let range = (n * n * n - 1) as f64 * 0.1;
     for (i, (a, b)) in ds

@@ -11,8 +11,8 @@
 
 use tac_bench::load_dataset;
 use tac_core::{
-    compress_dataset, decompress_dataset_par, CompressedDataset, LevelPayload, Method, MethodBody,
-    Parallelism, TacConfig,
+    compress_dataset_t, decompress_dataset_par_t, CompressedDataset, LevelPayload, Method,
+    MethodBody, Parallelism, TacConfig,
 };
 use tac_obs::{Counter, Snapshot};
 
@@ -93,8 +93,8 @@ fn merged_counters_are_invariant_across_worker_counts() {
                 ..base_cfg.clone()
             };
             let _ = session.take();
-            let cd = compress_dataset(&ds, &cfg, method).unwrap();
-            decompress_dataset_par(&cd, cfg.parallelism).unwrap();
+            let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+            decompress_dataset_par_t::<f64>(&cd, cfg.parallelism).unwrap();
             let snap = session.take();
             let counters = counters_of_interest(&snap);
 

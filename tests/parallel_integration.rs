@@ -6,8 +6,8 @@
 
 use tac_amr::{Aabb, AmrDataset};
 use tac_core::{
-    compress_dataset, decompress_dataset, decompress_dataset_par, decompress_region, CodecId,
-    CompressedDataset, Method, MethodBody, Parallelism, TacConfig,
+    compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecId, CompressedDataset,
+    Method, MethodBody, Parallelism, TacConfig,
 };
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
@@ -47,11 +47,11 @@ fn parallel_output_is_byte_identical_for_all_methods_and_codecs() {
             Method::ZMesh,
             Method::Baseline3D,
         ] {
-            let reference = compress_dataset(&ds, &cfg_codec(1, codec), method)
+            let reference = compress_dataset_t(&ds, &cfg_codec(1, codec), method)
                 .unwrap()
                 .to_bytes();
             for threads in [2, 4, 8] {
-                let bytes = compress_dataset(&ds, &cfg_codec(threads, codec), method)
+                let bytes = compress_dataset_t(&ds, &cfg_codec(threads, codec), method)
                     .unwrap()
                     .to_bytes();
                 assert_eq!(
@@ -87,11 +87,11 @@ fn method_codec_matrix_respects_error_bound() {
             Method::Baseline3D,
         ] {
             let per_level = matches!(method, Method::Tac | Method::Baseline1D);
-            let cd = compress_dataset(&ds, &cfg, method).unwrap();
+            let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
             for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
                 let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
                 assert_eq!(parsed, cd, "{method:?}/{codec}");
-                let out = decompress_dataset(&parsed).unwrap();
+                let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
                 for (l, (a, b)) in ds.levels().iter().zip(out.levels()).enumerate() {
                     let Some((min, max)) = a.value_range() else {
                         continue;
@@ -117,7 +117,7 @@ fn codec_tag_mismatch_is_rejected() {
     let ds = small_z10();
     // Compress with SZ, then lie about the codec in the in-memory
     // container: serialization writes PcoLite tags over SZ streams.
-    let mut cd = compress_dataset(&ds, &cfg_with(1), Method::Tac).unwrap();
+    let mut cd = compress_dataset_t(&ds, &cfg_with(1), Method::Tac).unwrap();
     if let MethodBody::Tac(levels) = &mut cd.body {
         for l in levels.iter_mut() {
             l.codec = CodecId::PcoLite;
@@ -125,7 +125,7 @@ fn codec_tag_mismatch_is_rejected() {
     }
     for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
         let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-        let err = decompress_dataset(&parsed).unwrap_err();
+        let err = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap_err();
         assert!(
             err.to_string().contains("pco-lite"),
             "expected a wrong-codec error, got: {err}"
@@ -139,7 +139,7 @@ fn codec_tag_mismatch_is_rejected() {
 #[test]
 fn tampered_chunk_codec_byte_is_rejected_at_parse() {
     let ds = small_z10();
-    let cd = compress_dataset(&ds, &cfg_codec(1, CodecId::PcoLite), Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg_codec(1, CodecId::PcoLite), Method::Tac).unwrap();
     let bytes = cd.to_bytes();
     assert_eq!(bytes[4], 3, "PcoLite containers serialize as v3");
     // v3 chunk rows: level u8 + offset u64 + len u64, then the codec
@@ -151,7 +151,7 @@ fn tampered_chunk_codec_byte_is_rejected_at_parse() {
     assert_eq!(tampered[codec_at], CodecId::PcoLite.tag());
     tampered[codec_at] = CodecId::Sz.tag();
     assert!(CompressedDataset::from_bytes(&tampered).is_err());
-    assert!(decompress_region(&tampered, Aabb::whole(ds.finest_dim())).is_err());
+    assert!(decompress_region_t::<f64>(&tampered, Aabb::whole(ds.finest_dim())).is_err());
     // An unknown codec tag is rejected too.
     tampered[codec_at] = 250;
     assert!(CompressedDataset::from_bytes(&tampered).is_err());
@@ -165,12 +165,12 @@ fn roi_decode_works_for_pco_lite_containers() {
         roi_tile: Some(ds.finest_dim() / 2),
         ..cfg_codec(2, CodecId::PcoLite)
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
     let bytes = cd.to_bytes();
-    let full = decompress_dataset(&cd).unwrap();
+    let full = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     let half = ds.finest_dim() / 2;
     let roi = Aabb::new((0, 0, 0), (half, half, half));
-    let (partial, stats) = decompress_region(&bytes, roi).unwrap();
+    let (partial, stats) = decompress_region_t::<f64>(&bytes, roi).unwrap();
     assert!(stats.payload_bytes_read < stats.payload_bytes_total);
     for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
         let roi_level = roi.coarsen(1 << l);
@@ -193,11 +193,11 @@ fn tiled_parallel_output_is_byte_identical() {
         roi_tile: Some(16),
         ..cfg_with(threads)
     };
-    let reference = compress_dataset(&ds, &tiled(1), Method::Tac)
+    let reference = compress_dataset_t(&ds, &tiled(1), Method::Tac)
         .unwrap()
         .to_bytes();
     for threads in [2, 4, 8] {
-        let bytes = compress_dataset(&ds, &tiled(threads), Method::Tac)
+        let bytes = compress_dataset_t(&ds, &tiled(threads), Method::Tac)
             .unwrap()
             .to_bytes();
         assert_eq!(
@@ -218,10 +218,10 @@ fn parallel_decompression_matches_serial() {
         Method::ZMesh,
         Method::Baseline3D,
     ] {
-        let cd = compress_dataset(&ds, &cfg_with(4), method).unwrap();
-        let serial = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg_with(4), method).unwrap();
+        let serial = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         for threads in [2, 4, 8] {
-            let par = decompress_dataset_par(&cd, Parallelism::Threads(threads)).unwrap();
+            let par = decompress_dataset_par_t::<f64>(&cd, Parallelism::Threads(threads)).unwrap();
             assert_eq!(par.num_levels(), serial.num_levels());
             for (a, b) in serial.levels().iter().zip(par.levels()) {
                 assert_eq!(a.mask(), b.mask(), "{method:?} mask at {threads} threads");
@@ -237,13 +237,13 @@ fn parallel_decompression_matches_serial() {
 fn v2_container_roundtrips_with_bound() {
     let ds = small_z10();
     let cfg = cfg_with(4);
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
     let bytes = cd.to_bytes();
     let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
     assert_eq!(parsed, cd);
     // Serialization is deterministic (the seekable layout included).
     assert_eq!(parsed.to_bytes(), bytes);
-    let out = decompress_dataset(&parsed).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
     for (l, (a, b)) in ds.levels().iter().zip(out.levels()).enumerate() {
         let (min, max) = a.value_range().unwrap();
         let eb = 1e-3 * (max - min);
@@ -266,13 +266,13 @@ fn roi_decode_reads_strictly_fewer_bytes() {
         roi_tile: Some(ds.finest_dim() / 2),
         ..cfg_with(2)
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
     let bytes = cd.to_bytes();
-    let full = decompress_dataset(&cd).unwrap();
+    let full = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
 
     let half = ds.finest_dim() / 2;
     let roi = Aabb::new((0, 0, 0), (half, half, half)); // 1/8 volume
-    let (partial, stats) = decompress_region(&bytes, roi).unwrap();
+    let (partial, stats) = decompress_region_t::<f64>(&bytes, roi).unwrap();
 
     assert!(
         stats.payload_bytes_read < stats.payload_bytes_total,
@@ -301,12 +301,12 @@ fn roi_decode_reads_strictly_fewer_bytes() {
 #[test]
 fn v1_and_v2_decode_identically() {
     let ds = small_z10();
-    let cd = compress_dataset(&ds, &cfg_with(1), Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg_with(1), Method::Tac).unwrap();
     let via_v1 = CompressedDataset::from_bytes(&cd.to_bytes_v1()).unwrap();
     let via_v2 = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
     assert_eq!(via_v1, via_v2);
-    let a = decompress_dataset(&via_v1).unwrap();
-    let b = decompress_dataset(&via_v2).unwrap();
+    let a = decompress_dataset_par_t::<f64>(&via_v1, Parallelism::Serial).unwrap();
+    let b = decompress_dataset_par_t::<f64>(&via_v2, Parallelism::Serial).unwrap();
     for (x, y) in a.levels().iter().zip(b.levels()) {
         assert_eq!(x.data(), y.data());
     }
@@ -322,8 +322,8 @@ fn auto_parallelism_smoke() {
         parallelism: Parallelism::Auto,
         ..Default::default()
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-    let serial = compress_dataset(
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+    let serial = compress_dataset_t(
         &ds,
         &TacConfig {
             parallelism: Parallelism::Serial,

@@ -2,8 +2,8 @@
 //! Sec. 4.4 adaptive method switch, exercised on catalog-shaped data.
 
 use tac_core::{
-    choose_strategy, compress_dataset, decompress_dataset, select_method, Method, Strategy,
-    TacConfig,
+    choose_strategy, compress_dataset_t, decompress_dataset_par_t, select_method, Method,
+    Parallelism, Strategy, TacConfig,
 };
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
@@ -25,7 +25,7 @@ fn z10_routes_fine_to_opst_and_coarse_to_gsp() {
     let c = cfg(4);
     assert_eq!(choose_strategy(&ds.levels()[0], &c), Strategy::OpST);
     assert_eq!(choose_strategy(&ds.levels()[1], &c), Strategy::Gsp);
-    let cd = compress_dataset(&ds, &c, Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &c, Method::Tac).unwrap();
     assert_eq!(
         cd.strategies().unwrap(),
         vec![Strategy::OpST, Strategy::Gsp]
@@ -86,7 +86,7 @@ fn deep_hierarchy_strategies_follow_densities() {
         .unwrap()
         .generate(FieldKind::BaryonDensity, 16, 1);
     let c = cfg(2);
-    let cd = compress_dataset(&ds, &c, Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &c, Method::Tac).unwrap();
     let strategies = cd.strategies().unwrap();
     assert_eq!(strategies.len(), 4);
     for (l, s) in strategies.iter().enumerate().take(3) {
@@ -106,8 +106,8 @@ fn tac_beats_3d_baseline_on_very_sparse_finest() {
         .unwrap()
         .generate(FieldKind::BaryonDensity, 8, 2); // fine 32^3, 0.2% dense
     let c = cfg(4);
-    let tac = compress_dataset(&ds, &c, Method::Tac).unwrap();
-    let b3d = compress_dataset(&ds, &c, Method::Baseline3D).unwrap();
+    let tac = compress_dataset_t(&ds, &c, Method::Tac).unwrap();
+    let b3d = compress_dataset_t(&ds, &c, Method::Baseline3D).unwrap();
     assert!(
         tac.payload_bytes() < b3d.payload_bytes(),
         "TAC {} bytes vs 3D {} bytes",
@@ -128,7 +128,7 @@ fn compressed_sizes_scale_with_error_bound() {
             error_bound: ErrorBound::Rel(eb),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &c, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &c, Method::Tac).unwrap();
         sizes.push(cd.payload_bytes());
     }
     for w in sizes.windows(2) {
@@ -147,9 +147,9 @@ fn empty_levels_cost_nothing() {
     let coarse = AmrLevel::dense(4, (0..64).map(|i| i as f64).collect());
     let ds = AmrDataset::new("hollow", vec![fine, coarse]);
     ds.validate().unwrap();
-    let cd = compress_dataset(&ds, &cfg(4), Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg(4), Method::Tac).unwrap();
     assert_eq!(cd.strategies().unwrap()[0], Strategy::Empty);
-    let out = decompress_dataset(&cd).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     assert_eq!(out.levels()[0].num_present(), 0);
     assert_eq!(out.levels()[1].num_present(), 64);
 }
@@ -172,8 +172,8 @@ fn forced_strategies_all_roundtrip_on_catalog_data() {
             forced_strategy: Some(strategy),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &c, Method::Tac).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &c, Method::Tac).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         for (a, b) in ds.levels().iter().zip(out.levels()) {
             assert_eq!(a.mask(), b.mask(), "{strategy:?}");
         }

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use tac_amr::{AmrDataset, AmrLevel};
 use tac_core::{
-    compress_dataset, decompress_dataset, plan_opst_from_occupancy, zmesh_order, Method, Strategy,
-    TacConfig,
+    compress_dataset_t, decompress_dataset_par_t, plan_opst_from_occupancy, zmesh_order, Method,
+    Parallelism, Strategy, TacConfig,
 };
 use tac_sz::{compress, decompress, Dims, ErrorBound, SzConfig};
 
@@ -115,8 +115,8 @@ proptest! {
             ..Default::default()
         };
         for method in [Method::Tac, Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
-            let cd = compress_dataset(&ds, &cfg, method).unwrap();
-            let out = decompress_dataset(&cd).unwrap();
+            let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+            let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
             for (a, b) in ds.levels().iter().zip(out.levels()) {
                 prop_assert_eq!(a.mask(), b.mask());
                 for i in a.mask().iter_ones() {
@@ -165,8 +165,8 @@ proptest! {
             forced_strategy: Some(strategy),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         for (a, b) in ds.levels().iter().zip(out.levels()) {
             for i in a.mask().iter_ones() {
                 prop_assert!((a.data()[i] - b.data()[i]).abs() <= 0.25 * (1.0 + 1e-9));
@@ -186,7 +186,7 @@ proptest! {
             error_bound: ErrorBound::Abs(1.0),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         let bytes = cd.to_bytes();
         let parsed = tac_core::CompressedDataset::from_bytes(&bytes).unwrap();
         prop_assert_eq!(parsed, cd);
@@ -208,11 +208,11 @@ proptest! {
             ..Default::default()
         };
         for method in [Method::Tac, Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
-            let cd = compress_dataset(&ds, &cfg, method).unwrap();
+            let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
             for bytes in [cd.to_bytes_v1(), cd.to_bytes()] {
                 let parsed = tac_core::CompressedDataset::from_bytes(&bytes).unwrap();
                 prop_assert_eq!(&parsed, &cd);
-                let out = decompress_dataset(&parsed).unwrap();
+                let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
                 for (a, b) in ds.levels().iter().zip(out.levels()) {
                     prop_assert_eq!(a.mask(), b.mask());
                     for i in a.mask().iter_ones() {
@@ -242,9 +242,9 @@ proptest! {
             error_bound: ErrorBound::Abs(0.5),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Auto).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Auto).unwrap();
         prop_assert!(cd.method() != Method::Auto, "Auto never serializes");
-        let out = decompress_dataset(&cd).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         for (a, b) in ds.levels().iter().zip(out.levels()) {
             prop_assert_eq!(a.mask(), b.mask());
             for i in a.mask().iter_ones() {
@@ -279,15 +279,15 @@ proptest! {
             roi_tile: if tiled { Some(4) } else { None },
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         let bytes = cd.to_bytes();
-        let full = decompress_dataset(&cd).unwrap();
+        let full = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
 
         // One of the eight 4^3 octants of the 8^3 fine grid.
         let h = ds.finest_dim() / 2;
         let lo = ((corner & 1) * h, ((corner >> 1) & 1) * h, ((corner >> 2) & 1) * h);
         let roi = tac_amr::Aabb::new(lo, (lo.0 + h, lo.1 + h, lo.2 + h));
-        let (partial, stats) = tac_core::decompress_region(&bytes, roi).unwrap();
+        let (partial, stats) = tac_core::decompress_region_t::<f64>(&bytes, roi).unwrap();
 
         prop_assert!(stats.payload_bytes_read <= stats.payload_bytes_total);
         prop_assert_eq!(partial.num_levels(), full.num_levels());

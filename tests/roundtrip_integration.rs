@@ -3,7 +3,9 @@
 //! and structural integrity end to end.
 
 use tac_amr::AmrDataset;
-use tac_core::{compress_dataset, decompress_dataset, CompressedDataset, Method, TacConfig};
+use tac_core::{
+    compress_dataset_t, decompress_dataset_par_t, CompressedDataset, Method, Parallelism, TacConfig,
+};
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
 
@@ -55,8 +57,8 @@ fn all_methods_roundtrip_z10() {
         Method::ZMesh,
         Method::Baseline3D,
     ] {
-        let cd = compress_dataset(&ds, &cfg, method).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         // Every method resolves Rel(1e-4) against a range no larger than
         // the uniform/global range, so 1e-4 * global range is the loosest
         // possible absolute bound.
@@ -76,15 +78,15 @@ fn container_bytes_roundtrip_through_disk_format() {
         error_bound: ErrorBound::Abs(1e6),
         ..Default::default()
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
     let bytes = cd.to_bytes();
     let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
     assert_eq!(parsed, cd);
-    let out = decompress_dataset(&parsed).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
     assert_eq!(out.num_levels(), ds.num_levels());
     // Byte-level determinism: compressing the same input twice gives the
     // same container.
-    let cd2 = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
+    let cd2 = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
     assert_eq!(cd2.to_bytes(), bytes);
 }
 
@@ -99,8 +101,8 @@ fn deep_hierarchy_t4_roundtrips() {
         ..Default::default()
     };
     for method in [Method::Tac, Method::Baseline1D, Method::Baseline3D] {
-        let cd = compress_dataset(&ds, &cfg, method).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         assert_bounds(&ds, &out, &[1e7]);
     }
 }
@@ -114,8 +116,8 @@ fn per_level_bounds_hold_with_adaptive_eb() {
         level_eb_scale: vec![3.0, 1.0], // paper's power-spectrum tuning
         ..Default::default()
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-    let out = decompress_dataset(&cd).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     assert_bounds(&ds, &out, &[3e6, 1e6]);
     let strategies = cd.strategies().unwrap();
     assert_eq!(strategies.len(), 2);
@@ -133,8 +135,8 @@ fn all_seven_catalog_entries_compress_with_tac() {
             error_bound: ErrorBound::Rel(1e-3),
             ..Default::default()
         };
-        let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-        let out = decompress_dataset(&cd).unwrap();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
         assert_eq!(out.num_levels(), ds.num_levels(), "{}", e.name);
         for (a, b) in ds.levels().iter().zip(out.levels()) {
             assert_eq!(a.mask(), b.mask(), "{}", e.name);
@@ -152,8 +154,8 @@ fn velocity_fields_with_negative_values_roundtrip() {
         error_bound: ErrorBound::Rel(1e-4),
         ..Default::default()
     };
-    let cd = compress_dataset(&ds, &cfg, Method::Tac).unwrap();
-    let out = decompress_dataset(&cd).unwrap();
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     let mut lo = f64::INFINITY;
     for l in ds.levels() {
         if let Some((a, _)) = l.value_range() {
