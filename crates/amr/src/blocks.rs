@@ -19,7 +19,11 @@ pub struct BlockGrid {
 }
 
 impl BlockGrid {
-    /// Scans `level`, counting present cells per unit block.
+    /// Counts present cells per unit block from the level's mask words:
+    /// a grid row (`dim` consecutive bits) with no present cell costs
+    /// one ranged popcount, any other row one popcount per block it
+    /// crosses — the scan is proportional to the occupied rows, not to
+    /// `dim^3` cells.
     ///
     /// # Panics
     /// Panics if `unit` does not divide the level dimension.
@@ -31,16 +35,16 @@ impl BlockGrid {
         );
         let nb = dim / unit;
         let mut counts = vec![0u32; nb * nb * nb];
-        // Walk cells once; derive the owning block from the coordinates.
+        let mask = level.mask();
         for z in 0..dim {
-            let bz = z / unit;
             for y in 0..dim {
-                let by = y / unit;
-                let row_block = nb * (by + nb * bz);
-                for x in 0..dim {
-                    if level.present(x, y, z) {
-                        counts[x / unit + row_block] += 1;
-                    }
+                let row = dim * (y + dim * z);
+                if mask.count_ones_in(row, dim) == 0 {
+                    continue;
+                }
+                let row_block = nb * (y / unit + nb * (z / unit));
+                for (bx, count) in counts[row_block..row_block + nb].iter_mut().enumerate() {
+                    *count += mask.count_ones_in(row + bx * unit, unit) as u32;
                 }
             }
         }
@@ -199,6 +203,63 @@ pub fn paste_region<T: Copy>(
 mod tests {
     use super::*;
     use crate::level::AmrLevel;
+    use crate::mask::BitMask;
+    use proptest::prelude::*;
+
+    /// The per-cell scan `BlockGrid::build` replaced, kept as the
+    /// reference the word-wise build is held to.
+    fn counts_by_cell_scan(level: &AmrLevel, unit: usize) -> Vec<u32> {
+        let dim = level.dim();
+        let nb = dim / unit;
+        let mut counts = vec![0u32; nb * nb * nb];
+        for z in 0..dim {
+            for y in 0..dim {
+                for x in 0..dim {
+                    if level.present(x, y, z) {
+                        counts[x / unit + nb * (y / unit + nb * (z / unit))] += 1;
+                    }
+                }
+            }
+        }
+        counts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Rows of 4, 12 and 20 cells straddle word boundaries at odd
+        /// offsets; 32 and 64 sit on them. `keep` thins the mask down to
+        /// a few occupied rows so the empty-row skip is taken too.
+        #[test]
+        fn build_matches_the_per_cell_scan(seed in 0u64..u64::MAX, keep in 1u64..6) {
+            for dim in [4usize, 12, 20, 32, 64] {
+                let n = dim * dim * dim;
+                let mut state = seed | 1;
+                let mut mask = BitMask::zeros(n);
+                for row in 0..dim * dim {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if state % 5 >= keep {
+                        continue;
+                    }
+                    for x in 0..dim {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        mask.set(row * dim + x, state >> 62 != 0);
+                    }
+                }
+                let level = AmrLevel::new(dim, vec![0.0; n], mask);
+                for unit in (1..=dim).filter(|u| dim % u == 0) {
+                    let grid = BlockGrid::build(&level, unit);
+                    prop_assert_eq!(
+                        &grid.counts,
+                        &counts_by_cell_scan(&level, unit),
+                        "dim {} unit {}", dim, unit
+                    );
+                }
+            }
+        }
+    }
 
     fn checkerboard_level(dim: usize, unit: usize) -> AmrLevel {
         // Alternate unit blocks present/absent in a 3D checkerboard.

@@ -10,6 +10,12 @@ use tac_dtype::{Element, TacDtype};
 /// its mask bit is set; absent cells hold zero in `data` and their values
 /// live at some other level.
 ///
+/// A level returned by a decoder keeps that contract to the bit: every
+/// absent cell, and every cell of a chunk a region-of-interest read left
+/// out, holds `+0.0` bits (never `-0.0` or a stale payload value). The
+/// decoders write only the cells their payload covers, so the rest of
+/// `data` is zero-initialised memory that was never touched.
+///
 /// The element type `T` is `f64` by default (the historical stack-wide
 /// width) or `f32`; every kernel downstream is monomorphized over it.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,6 +6,17 @@
 //! works with.
 
 use crate::aabb::Aabb;
+use tac_dtype::Element;
+
+/// A word with its low `n` bits set (`n <= 64`).
+#[inline]
+fn low_ones(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
 
 /// A fixed-length bit mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +63,7 @@ impl BitMask {
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
+        self.piece(i, 1).1 == 1
     }
 
     /// Sets bit `i` to `value`.
@@ -62,12 +73,13 @@ impl BitMask {
     #[inline]
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        let w = &mut self.words[i / 64];
         let bit = 1u64 << (i % 64);
-        if value {
-            *w |= bit;
-        } else {
-            *w &= !bit;
+        if let Some(w) = self.words.get_mut(i / 64) {
+            if value {
+                *w |= bit;
+            } else {
+                *w &= !bit;
+            }
         }
     }
 
@@ -130,36 +142,108 @@ impl BitMask {
         any.then(|| Aabb::new(lo, (hi.0 + 1, hi.1 + 1, hi.2 + 1)))
     }
 
-    /// First and last set-bit offsets within the bit range
-    /// `[start, start + len)`, relative to `start`; `None` when the
-    /// range is all zero. Word-wise: masks the partial words at both
-    /// ends and uses trailing/leading-zero counts.
-    fn range_of_ones(&self, start: usize, len: usize) -> Option<(usize, usize)> {
-        debug_assert!(start + len <= self.len);
-        if len == 0 {
-            return None;
+    /// Up to `max` mask bits starting at bit `at`, cut at the next word
+    /// boundary: how many bits were taken (`>= 1` when `max > 0`) and
+    /// the bits themselves, right-aligned with everything above them
+    /// zero. The three ranged kernels below walk a range piece by piece
+    /// through this one place, so the partial-word masking at both ends
+    /// exists once. Bits beyond the mask read as absent.
+    #[inline]
+    fn piece(&self, at: usize, max: usize) -> (usize, u64) {
+        let shift = at % 64;
+        let taken = (64 - shift).min(max);
+        let word = self.words.get(at / 64).copied().unwrap_or(0);
+        (taken, (word >> shift) & low_ones(taken))
+    }
+
+    /// Whether `[start, start + len)` lies inside the mask.
+    #[inline]
+    fn contains_range(&self, start: usize, len: usize) -> bool {
+        start.checked_add(len).is_some_and(|end| end <= self.len)
+    }
+
+    /// Number of set bits in the bit range `[start, start + len)`.
+    /// Word-wise: one popcount per 64 cells, so a `dim`-cell grid row
+    /// costs `dim / 64` word operations instead of `dim` bit reads.
+    ///
+    /// # Panics
+    /// Panics if the range does not lie inside the mask.
+    pub fn count_ones_in(&self, start: usize, len: usize) -> usize {
+        assert!(
+            self.contains_range(start, len),
+            "bit range {start}+{len} out of range {}",
+            self.len
+        );
+        let mut ones = 0usize;
+        let mut done = 0usize;
+        while done < len {
+            let (taken, bits) = self.piece(start + done, len - done);
+            ones += bits.count_ones() as usize;
+            done += taken;
         }
-        let (w0, w1) = (start / 64, (start + len - 1) / 64);
-        let mut first: Option<usize> = None;
-        let mut last: Option<usize> = None;
-        for wi in w0..=w1 {
-            let mut word = self.words[wi];
-            if wi == w0 {
-                word &= u64::MAX << (start % 64);
-            }
-            if wi == w1 {
-                let tail = (start + len - 1) % 64;
-                if tail < 63 {
-                    word &= (1u64 << (tail + 1)) - 1;
+        ones
+    }
+
+    /// Stores `T::ZERO` (`+0.0` bits) over every cell of `cells` whose
+    /// mask bit is clear, where `cells[i]` is the cell of bit
+    /// `start + i`; present cells are not touched. Word-wise: an
+    /// all-present word is skipped without reading its 64 cells, an
+    /// all-absent word is one `fill`, and a mixed word is filled one run
+    /// of absent cells at a time.
+    ///
+    /// # Panics
+    /// Panics if `[start, start + cells.len())` does not lie inside the
+    /// mask.
+    pub fn zero_absent<T: Element>(&self, start: usize, cells: &mut [T]) {
+        assert!(
+            self.contains_range(start, cells.len()),
+            "bit range {start}+{} out of range {}",
+            cells.len(),
+            self.len
+        );
+        let mut at = start;
+        let mut rest = cells;
+        while !rest.is_empty() {
+            let (taken, present) = self.piece(at, rest.len());
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(taken);
+            let all = low_ones(taken);
+            let mut absent = !present & all;
+            if absent == all {
+                chunk.fill(T::ZERO);
+            } else {
+                while absent != 0 {
+                    let lo = absent.trailing_zeros();
+                    // `absent != all` here, so `lo` and `run` are at most
+                    // 63 and the shifts stay in range.
+                    let run = (absent >> lo).trailing_ones();
+                    if let Some(gap) = chunk.get_mut(lo as usize..(lo + run) as usize) {
+                        gap.fill(T::ZERO);
+                    }
+                    absent &= !(low_ones(run as usize) << lo);
                 }
             }
-            if word != 0 {
-                let base = wi * 64;
-                first.get_or_insert(base + word.trailing_zeros() as usize - start);
-                last = Some(base + 63 - word.leading_zeros() as usize - start);
-            }
+            at += taken;
+            rest = tail;
         }
-        Some((first?, last.expect("last set with first")))
+    }
+
+    /// First and last set-bit offsets within the bit range
+    /// `[start, start + len)`, relative to `start`; `None` when the
+    /// range is all zero.
+    fn range_of_ones(&self, start: usize, len: usize) -> Option<(usize, usize)> {
+        debug_assert!(self.contains_range(start, len));
+        let mut first: Option<usize> = None;
+        let mut last: Option<usize> = None;
+        let mut done = 0usize;
+        while done < len {
+            let (taken, bits) = self.piece(start + done, len - done);
+            if bits != 0 {
+                first.get_or_insert(done + bits.trailing_zeros() as usize);
+                last = Some(done + 63 - bits.leading_zeros() as usize);
+            }
+            done += taken;
+        }
+        first.zip(last)
     }
 
     /// Zeroes any bits beyond `len` in the last word (keeps `count_ones`
@@ -175,6 +259,7 @@ impl BitMask {
 
     /// Serializes as `len: u64 LE` followed by the packed words.
     pub fn to_bytes(&self) -> Vec<u8> {
+        // tac-lint: allow(arith) -- size accounting over a word buffer already held in RAM.
         let mut out = Vec::with_capacity(8 + self.words.len() * 8);
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
         for w in &self.words {
@@ -186,19 +271,16 @@ impl BitMask {
     /// Parses a mask written by [`BitMask::to_bytes`]; `None` on malformed
     /// input (wrong length, or set bits beyond `len`).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 {
+        let len = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?) as usize;
+        let body = bytes.get(8..)?;
+        if body.len() != len.div_ceil(64).checked_mul(8)? {
             return None;
         }
-        let len = u64::from_le_bytes(bytes[0..8].try_into().ok()?) as usize;
-        let n_words = len.div_ceil(64);
-        if bytes.len() != 8 + n_words * 8 {
-            return None;
-        }
-        let mut words = Vec::with_capacity(n_words);
-        for i in 0..n_words {
-            let off = 8 + i * 8;
-            words.push(u64::from_le_bytes(bytes[off..off + 8].try_into().ok()?));
-        }
+        let words = body
+            .chunks_exact(8)
+            .map(|w| w.try_into().map(u64::from_le_bytes))
+            .collect::<Result<Vec<u64>, _>>()
+            .ok()?;
         let mut mask = BitMask { words, len };
         // Reject streams with garbage beyond the tail rather than silently
         // miscounting.
@@ -218,6 +300,93 @@ impl BitMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A mask whose words are a seeded mix of all-zero, all-one and
+    /// random words, so the ranged kernels meet every word class.
+    fn mixed_mask(len: usize, seed: u64) -> BitMask {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut m = BitMask::zeros(len);
+        for w in m.words.iter_mut() {
+            *w = match next() % 4 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => next() & next() & next(),
+                _ => next(),
+            };
+        }
+        m.clear_tail();
+        m
+    }
+
+    /// Checks both ranged kernels on `[start, start + len)` against a
+    /// bit-by-bit reference, for one element type. The cells start as
+    /// values whose bits differ from `+0.0` (including `-0.0` and NaN).
+    fn check_ranged_kernels<T: Element>(m: &BitMask, start: usize, len: usize, fill: [T; 3]) {
+        let count = (start..start + len).filter(|&i| m.get(i)).count();
+        assert_eq!(m.count_ones_in(start, len), count, "count {start}+{len}");
+        let before: Vec<T> = (0..len).map(|i| fill[i % 3]).collect();
+        let mut cells = before.clone();
+        m.zero_absent(start, &mut cells);
+        for (i, (after, before)) in cells.iter().zip(&before).enumerate() {
+            let expect = if m.get(start + i) { *before } else { T::ZERO };
+            assert_eq!(
+                after.to_bits_u64(),
+                expect.to_bits_u64(),
+                "cell {i} of {start}+{len}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Ranges drawn past the end are clipped, so they end exactly on
+        /// the partial tail word; `a >= n` gives the empty range.
+        #[test]
+        fn ranged_kernels_match_a_per_bit_reference(
+            seed in 0u64..u64::MAX,
+            n in 0usize..520,
+            a in 0usize..520,
+            b in 0usize..520,
+        ) {
+            let m = mixed_mask(n, seed);
+            let start = a.min(n);
+            let len = b.min(n - start);
+            check_ranged_kernels(&m, start, len, [-0.0f64, f64::NAN, 7.5]);
+            check_ranged_kernels(&m, start, len, [-0.0f32, f32::NAN, 7.5]);
+        }
+    }
+
+    #[test]
+    fn ranged_kernels_cover_every_range_class() {
+        // 200 bits: three full words and an 8-bit tail word.
+        let m = mixed_mask(200, 3);
+        for (start, len) in [
+            (0, 0),    // empty
+            (200, 0),  // empty at the very end
+            (5, 20),   // inside one word
+            (60, 10),  // straddling two words
+            (3, 190),  // straddling every word, ending in the tail word
+            (64, 128), // whole words only
+            (128, 72), // ending exactly on the partial tail
+            (0, 200),  // everything
+        ] {
+            check_ranged_kernels(&m, start, len, [-0.0f64, f64::NAN, 7.5]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ranged_count_rejects_a_range_past_the_end() {
+        BitMask::zeros(70).count_ones_in(64, 7);
+    }
 
     #[test]
     fn zeros_and_ones() {

@@ -15,7 +15,10 @@
 //!    region group, dispatched through the configured
 //!    [`tac_codec::ScalarCodec`] backend.
 //! 3. **Assemble** (serial, cheap): collect results back into per-level
-//!    payloads in plan order.
+//!    payloads in plan order. On the decode side this is where decoded
+//!    regions are pasted into their level grid and masked; it touches
+//!    only the cells a payload covers, so it scales with the occupied
+//!    volume rather than with `dim^3`.
 //!
 //! Because tasks are planned before execution and results are keyed by
 //! task index, the assembled output is **byte-identical for every
@@ -25,7 +28,9 @@
 use crate::akdtree::plan_akdtree;
 use crate::config::{Strategy, TacConfig};
 use crate::error::TacError;
-use crate::extract::{compress_group, decode_group, paste_group, plan_groups, GroupPlan};
+use crate::extract::{
+    block_cells, compress_group, decode_group, paste_group, plan_groups, GroupPlan,
+};
 use crate::gsp::pad_ghost_shell;
 use crate::nast::plan_nast;
 use crate::opst::plan_opst;
@@ -276,6 +281,9 @@ struct DecompressTask<'a> {
     level: usize,
     dim: usize,
     codec: CodecId,
+    /// Cells the task decodes (the scheduler's cost estimate), computed
+    /// with checked arithmetic while the task list is built.
+    cells: u64,
     kind: DecompressKind<'a>,
 }
 
@@ -284,28 +292,28 @@ enum DecompressKind<'a> {
     Group(&'a BlockGroup),
 }
 
-impl DecompressTask<'_> {
-    fn cost(&self) -> u64 {
-        match &self.kind {
-            DecompressKind::Whole(_) => (self.dim * self.dim * self.dim) as u64,
-            DecompressKind::Group(g) => {
-                (g.shape.0 * g.shape.1 * g.shape.2 * g.origins.len()) as u64
-            }
-        }
-    }
-}
-
 /// Decompresses TAC per-level payloads on `workers` threads: every
 /// whole-grid stream and every region group decodes as an independent
 /// task; pasting and mask application stay serial.
+///
+/// Contract of the returned levels: a present cell carries its decoded
+/// value, and every other cell — absent under the mask, or covered by
+/// no payload at all (an `Empty` level, a chunk an ROI read left out) —
+/// holds `+0.0` bits. Assembly writes only what a payload covers: the
+/// rows of each pasted region and the grid of a whole-level stream, so
+/// its cost follows the occupied volume and the pages of a level grid
+/// that no chunk touches are never written (they stay untouched
+/// zero-initialised memory).
 pub(crate) fn decompress_tac_levels<T: CodecElement>(
     compressed: &[CompressedLevel],
     masks: &[BitMask],
     workers: usize,
 ) -> Result<Vec<AmrLevel<T>>, TacError> {
-    // Validate masks up front (decode tasks do not see them). The
-    // checked product guards in-memory callers handing over a crafted
-    // dim (wire readers bound it already).
+    // Validate everything the decode tasks and the paste trust, up
+    // front: masks (tasks do not see them) and every group's declared
+    // geometry. The checked products guard in-memory callers handing
+    // over a crafted dim and wire groups declaring crafted extents.
+    let mut tasks: Vec<DecompressTask<'_>> = Vec::new();
     for (l, (cl, mask)) in compressed.iter().zip(masks).enumerate() {
         if cl.dtype != T::DTYPE {
             return Err(TacError::Codec(CodecError::WrongDtype {
@@ -327,25 +335,28 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
                 cl.dim
             )));
         }
-    }
-    let mut tasks: Vec<DecompressTask<'_>> = Vec::new();
-    for (l, cl) in compressed.iter().enumerate() {
+        let task = |cells: usize, kind| DecompressTask {
+            level: l,
+            dim: cl.dim,
+            codec: cl.codec,
+            cells: cells as u64,
+            kind,
+        };
         match &cl.payload {
             LevelPayload::Empty => {}
-            LevelPayload::Whole(stream) => tasks.push(DecompressTask {
-                level: l,
-                dim: cl.dim,
-                codec: cl.codec,
-                kind: DecompressKind::Whole(stream),
-            }),
+            LevelPayload::Whole(stream) => tasks.push(task(n, DecompressKind::Whole(stream))),
             LevelPayload::Groups(groups) => {
                 for g in groups {
-                    tasks.push(DecompressTask {
-                        level: l,
-                        dim: cl.dim,
-                        codec: cl.codec,
-                        kind: DecompressKind::Group(g),
-                    });
+                    let cells = block_cells(g, cl.dim)?
+                        .checked_mul(g.origins.len())
+                        .ok_or_else(|| {
+                            TacError::Corrupt(format!(
+                                "level {l}: group of {} sub-blocks of shape {:?} overflows",
+                                g.origins.len(),
+                                g.shape
+                            ))
+                        })?;
+                    tasks.push(task(cells, DecompressKind::Group(g)));
                 }
             }
         }
@@ -355,7 +366,7 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
     let results = tac_par::execute(
         workers,
         &tasks,
-        DecompressTask::cost,
+        |t| t.cells,
         |t| -> Result<Vec<T>, TacError> {
             let _decode = tac_obs::span(tac_obs::Stage::Decode)
                 .arg("dim", t.dim)
@@ -385,37 +396,58 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
     );
     drop(exec_span);
 
-    // Assemble: paste decoded buffers level by level, then mask.
+    // Assemble: a whole-level stream's buffer becomes the grid as it
+    // is; group levels paste into a zero-initialised grid. Either way
+    // the mask is applied to exactly the cells the payload wrote.
     let _assemble = tac_obs::span(tac_obs::Stage::Assemble);
     let mut grids: Vec<Vec<T>> = compressed
         .iter()
-        .map(|cl| vec![T::ZERO; cl.dim * cl.dim * cl.dim])
+        .zip(masks)
+        .map(|(cl, mask)| match cl.payload {
+            LevelPayload::Whole(_) => Vec::new(),
+            LevelPayload::Empty | LevelPayload::Groups(_) => vec![T::ZERO; mask.len()],
+        })
         .collect();
     for (task, result) in tasks.iter().zip(results) {
-        let values = result?;
+        let mut values = result?;
+        let (grid, mask) = (&mut grids[task.level], &masks[task.level]);
+        let _paste = tac_obs::span(tac_obs::Stage::Paste)
+            .arg("level", task.level)
+            .arg("cells", values.len());
         match &task.kind {
-            DecompressKind::Whole(_) => grids[task.level] = values,
-            DecompressKind::Group(g) => paste_group(&mut grids[task.level], task.dim, g, &values)?,
+            DecompressKind::Whole(_) => {
+                if values.len() != mask.len() {
+                    return Err(TacError::Corrupt(format!(
+                        "level {}: whole-grid stream decoded {} values for {} cells",
+                        task.level,
+                        values.len(),
+                        mask.len()
+                    )));
+                }
+                mask.zero_absent(0, &mut values);
+                tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, values.len());
+                *grid = values;
+            }
+            DecompressKind::Group(g) => {
+                paste_group(grid, task.dim, g, &values, mask)?;
+                // Every region cell is pasted once and visited once more
+                // by the masking.
+                tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * values.len());
+            }
         }
     }
     Ok(compressed
         .iter()
         .zip(grids)
         .zip(masks)
-        .map(|((cl, mut data), mask)| {
-            for (i, v) in data.iter_mut().enumerate() {
-                if !mask.get(i) {
-                    *v = T::ZERO;
-                }
-            }
-            AmrLevel::new(cl.dim, data, mask.clone())
-        })
+        .map(|((cl, data), mask)| AmrLevel::new(cl.dim, data, mask.clone()))
         .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tac_amr::paste_region;
 
     #[test]
     fn unit_for_clamps_but_rejects_zero() {
@@ -423,5 +455,195 @@ mod tests {
         assert_eq!(unit_for(2, 8).unwrap(), 2);
         assert!(unit_for(0, 8).is_err());
         assert!(unit_for(16, 0).is_err());
+    }
+
+    /// The assembly `decompress_tac_levels` used to run, kept as the
+    /// reference the occupancy-proportional one is held to: decode every
+    /// stream, paste every region, then visit every cell of the `dim^3`
+    /// grid and zero the absent ones.
+    fn reference_assembly<T: CodecElement>(cl: &CompressedLevel, mask: &BitMask) -> Vec<u64> {
+        let dim = cl.dim;
+        let mut data = vec![T::ZERO; dim * dim * dim];
+        match &cl.payload {
+            LevelPayload::Empty => {}
+            LevelPayload::Whole(stream) => {
+                data = T::codec_decompress(codec_for(cl.codec), stream).unwrap().0;
+            }
+            LevelPayload::Groups(groups) => {
+                for g in groups {
+                    let values = decode_group::<T>(g, cl.codec).unwrap();
+                    let block = g.shape.0 * g.shape.1 * g.shape.2;
+                    for (&(x, y, z), block) in g.origins.iter().zip(values.chunks(block)) {
+                        let origin = (x as usize, y as usize, z as usize);
+                        paste_region(&mut data, dim, origin, g.shape, block);
+                    }
+                }
+            }
+        }
+        for (i, v) in data.iter_mut().enumerate() {
+            if !mask.get(i) {
+                *v = T::ZERO;
+            }
+        }
+        data.iter().map(|v| v.to_bits_u64()).collect()
+    }
+
+    fn assembled_bits<T: CodecElement>(cl: &CompressedLevel, mask: &BitMask) -> Vec<u64> {
+        let levels =
+            decompress_tac_levels::<T>(std::slice::from_ref(cl), std::slice::from_ref(mask), 1)
+                .unwrap();
+        levels[0].data().iter().map(|v| v.to_bits_u64()).collect()
+    }
+
+    /// A 16^3 level whose unit blocks (unit 4) are partially filled: a
+    /// ball that cuts through blocks plus a few lone cells, with NaN and
+    /// `-0.0` among the present values.
+    fn ragged_level<T: Element>() -> AmrLevel<T> {
+        let dim = 16usize;
+        let mut level = AmrLevel::<T>::empty(dim);
+        for z in 0..dim {
+            for y in 0..dim {
+                for x in 0..dim {
+                    let r2 = (x as i64 - 6).pow(2) + (y as i64 - 7).pow(2) + (z as i64 - 5).pow(2);
+                    if r2 <= 22 || (x * 7 + y * 3 + z) % 61 == 0 {
+                        let v = ((x + 2 * y) as f64 * 0.3).sin() + z as f64 * 0.1;
+                        level.set_value(x, y, z, T::from_f64(v));
+                    }
+                }
+            }
+        }
+        level.set_value(6, 7, 5, T::from_f64(f64::NAN));
+        level.set_value(6, 7, 6, T::from_f64(-0.0));
+        level
+    }
+
+    fn every_strategy_and_codec_matches_the_reference<T: CodecElement>() {
+        let level = ragged_level::<T>();
+        for codec in CodecId::all() {
+            let cfg = TacConfig {
+                unit: 4,
+                codec,
+                ..Default::default()
+            };
+            for strategy in [
+                Strategy::ZeroFill,
+                Strategy::Gsp,
+                Strategy::NaST,
+                Strategy::OpST,
+                Strategy::AkdTree,
+            ] {
+                let plans = vec![plan_level(&level, strategy, 1e-3, &cfg).unwrap()];
+                let cl = compress_plans(&plans, &[level.data()], &cfg, 1)
+                    .unwrap()
+                    .pop()
+                    .unwrap();
+                assert_eq!(
+                    assembled_bits::<T>(&cl, level.mask()),
+                    reference_assembly::<T>(&cl, level.mask()),
+                    "{strategy:?}/{codec}/{}",
+                    T::DTYPE.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn assembly_equals_the_per_cell_reference_for_every_strategy_codec_and_width() {
+        every_strategy_and_codec_matches_the_reference::<f64>();
+        every_strategy_and_codec_matches_the_reference::<f32>();
+    }
+
+    /// Containers no encoder writes but the decoder must still assemble
+    /// exactly like the reference: two groups that overlap (the later
+    /// paste wins, then the mask), a group lying entirely over absent
+    /// cells, and a present cell no group covers (it stays `+0.0`).
+    #[test]
+    fn hand_built_groups_assemble_like_the_reference() {
+        let dim = 8usize;
+        let data: Vec<f64> = (0..dim * dim * dim)
+            .map(|i| if i % 11 == 0 { -0.0 } else { 1.0 + i as f64 })
+            .collect();
+        let mut mask = BitMask::zeros(data.len());
+        for z in 0..4 {
+            for y in 0..5 {
+                for x in 0..7 {
+                    // A checkerboard with a solid core: mixed mask words.
+                    if (x + y + z) % 2 == 0 || (x < 3 && y < 3) {
+                        mask.set(x + dim * (y + dim * z), true);
+                    }
+                }
+            }
+        }
+        mask.set(dim * dim * dim - 1, true); // present, covered by no group
+        let cfg = CodecConfig::abs(1e-3);
+        for codec in CodecId::all() {
+            let group = |shape, origins: &[(usize, usize, usize)]| {
+                let plan = GroupPlan {
+                    shape,
+                    origins: origins.to_vec(),
+                };
+                compress_group(&data, dim, &plan, codec, &cfg).unwrap()
+            };
+            let cl = CompressedLevel {
+                strategy: Strategy::OpST,
+                dim,
+                abs_eb: 1e-3,
+                codec,
+                dtype: f64::DTYPE,
+                payload: LevelPayload::Groups(vec![
+                    group((4, 4, 4), &[(0, 0, 0), (2, 1, 0)]), // overlap within a group
+                    group((5, 3, 2), &[(1, 2, 1)]),            // overlaps the first group
+                    group((2, 2, 2), &[(4, 6, 6)]),            // absent cells only
+                ]),
+            };
+            let got = assembled_bits::<f64>(&cl, &mask);
+            assert_eq!(got, reference_assembly::<f64>(&cl, &mask), "{codec}");
+            assert_eq!(
+                got[dim * dim * dim - 1],
+                0,
+                "uncovered present cell is +0.0"
+            );
+            let absent_group_cell = 4 + dim * (6 + dim * 6);
+            assert_eq!(
+                got[absent_group_cell], 0,
+                "absent cell under a group is +0.0"
+            );
+        }
+    }
+
+    /// A group declaring extents that do not fit its level is rejected
+    /// before any task is scheduled — at one worker and at several (the
+    /// scheduler's cost estimate used to multiply the raw extents).
+    #[test]
+    fn group_shapes_are_validated_before_scheduling() {
+        let huge = u32::MAX as usize;
+        for shape in [(huge, huge, huge), (0, 4, 4), (4, 9, 4)] {
+            let cl = CompressedLevel {
+                strategy: Strategy::OpST,
+                dim: 8,
+                abs_eb: 1e-3,
+                codec: CodecId::Sz,
+                dtype: f64::DTYPE,
+                // Two tasks, so two workers really do ask for costs.
+                payload: LevelPayload::Groups(vec![
+                    BlockGroup {
+                        shape,
+                        origins: vec![(0, 0, 0)],
+                        stream: Vec::new(),
+                    };
+                    2
+                ]),
+            };
+            let mask = BitMask::zeros(512);
+            for workers in [1, 2] {
+                let err = decompress_tac_levels::<f64>(
+                    std::slice::from_ref(&cl),
+                    std::slice::from_ref(&mask),
+                    workers,
+                )
+                .unwrap_err();
+                assert!(matches!(err, TacError::Corrupt(_)), "{shape:?}: {err}");
+            }
+        }
     }
 }

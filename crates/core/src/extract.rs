@@ -10,7 +10,7 @@
 
 use crate::error::TacError;
 use crate::stream::BlockGroup;
-use tac_amr::{copy_region, paste_region, Aabb};
+use tac_amr::{copy_region, Aabb, BitMask};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecId, Dims};
 use tac_dtype::Element;
 
@@ -145,15 +145,47 @@ pub(crate) fn decode_group<T: CodecElement>(
     Ok(values)
 }
 
-/// Pastes a decoded group back into a dense `dim^3` grid.
+/// Cells per sub-block (`w * h * d`) of a group whose declared extents
+/// fit its level: each must lie in `1..=dim`. The extents are raw
+/// 32-bit wire fields, so this is where a crafted shape is rejected —
+/// before any product of them feeds a cost estimate or a slice length.
+pub(crate) fn block_cells(g: &BlockGroup, dim: usize) -> Result<usize, TacError> {
+    let (w, h, d) = g.shape;
+    [w, h, d]
+        .into_iter()
+        .try_fold(1usize, |cells, extent| {
+            if (1..=dim).contains(&extent) {
+                cells.checked_mul(extent)
+            } else {
+                None
+            }
+        })
+        .ok_or_else(|| {
+            TacError::Corrupt(format!(
+                "group shape {:?} does not fit a {dim}^3 level",
+                g.shape
+            ))
+        })
+}
+
+/// Pastes a decoded group into a dense `dim^3` grid and applies the
+/// occupancy mask to what it pasted: row by row, the region's values
+/// are copied in and the absent cells of that row are reset to `+0.0`.
+/// Cells outside every region are never written. Each sub-block's
+/// origin and shape are bounds-checked before its first row is touched.
 pub(crate) fn paste_group<T: Element>(
     out: &mut [T],
     dim: usize,
     g: &BlockGroup,
     values: &[T],
+    mask: &BitMask,
 ) -> Result<(), TacError> {
     let (w, h, d) = g.shape;
-    let block = w * h * d;
+    // `block_cells` guarantees a non-zero block, so the chunking below
+    // cannot panic. `decode_group` validated the stream's declared dims,
+    // but the values really come from a decoded payload: a sub-block
+    // without data is an error, not an index.
+    let mut blocks = values.chunks_exact(block_cells(g, dim)?);
     for (i, &(x, y, z)) in g.origins.iter().enumerate() {
         let (x, y, z) = (x as usize, y as usize, z as usize);
         if x + w > dim || y + h > dim || z + d > dim {
@@ -162,19 +194,23 @@ pub(crate) fn paste_group<T: Element>(
                 g.shape
             )));
         }
-        // `decode_group` validated the stream's declared dims, but the
-        // values really come from a decoded payload: slice defensively.
-        let slice = i
-            .checked_mul(block)
-            .and_then(|start| {
-                start
-                    .checked_add(block)
-                    .and_then(|end| values.get(start..end))
-            })
-            .ok_or_else(|| {
-                TacError::Corrupt(format!("group stream holds no data for sub-block {i}"))
-            })?;
-        paste_region(out, dim, (x, y, z), (w, h, d), slice);
+        let slice = blocks.next().ok_or_else(|| {
+            TacError::Corrupt(format!("group stream holds no data for sub-block {i}"))
+        })?;
+        let mut rows = slice.chunks_exact(w);
+        for zz in z..z + d {
+            for yy in y..y + h {
+                let row = x + dim * (yy + dim * zz);
+                let (Some(dst), Some(src)) = (out.get_mut(row..row + w), rows.next()) else {
+                    return Err(TacError::Corrupt(format!(
+                        "grid holds {} cells for a {dim}^3 level",
+                        out.len()
+                    )));
+                };
+                dst.copy_from_slice(src);
+                mask.zero_absent(row, dst);
+            }
+        }
     }
     Ok(())
 }
@@ -183,12 +219,13 @@ pub(crate) fn paste_group<T: Element>(
 mod tests {
     use super::*;
 
-    /// Decodes and pastes every group into a dense `dim^3` grid (cells
-    /// outside every region stay zero).
+    /// Decodes and pastes every group into a dense, fully present
+    /// `dim^3` grid (cells outside every region stay zero).
     fn decode_all(groups: &[BlockGroup], dim: usize, codec: CodecId) -> Result<Vec<f64>, TacError> {
         let mut out = vec![0.0; dim * dim * dim];
+        let mask = BitMask::ones(out.len());
         for g in groups {
-            paste_group(&mut out, dim, g, &decode_group(g, codec)?)?;
+            paste_group(&mut out, dim, g, &decode_group(g, codec)?, &mask)?;
         }
         Ok(out)
     }
@@ -245,6 +282,47 @@ mod tests {
             // Uncovered cell (15, 0, 0) stays zero.
             assert_eq!(out[15], 0.0);
         }
+    }
+
+    #[test]
+    fn paste_masks_the_pasted_rows_and_writes_nothing_else() {
+        let dim = 8;
+        let g = BlockGroup {
+            shape: (5, 2, 2),
+            origins: vec![(2, 3, 1), (3, 0, 6)],
+            stream: Vec::new(),
+        };
+        // Decoded payload with sign and NaN-payload bits to preserve.
+        let odd_nan = f64::from_bits(0x7FF8_0000_0000_BEEF);
+        let values: Vec<f64> = (0..40)
+            .map(|i| match i % 4 {
+                0 => -0.0,
+                1 => odd_nan,
+                _ => i as f64,
+            })
+            .collect();
+        let mut mask = BitMask::zeros(dim * dim * dim);
+        for i in (0..mask.len()).filter(|i| i % 3 != 0) {
+            mask.set(i, true);
+        }
+        // A sentinel everywhere shows which cells the paste wrote.
+        let mut out = vec![9.0f64; dim * dim * dim];
+        paste_group(&mut out, dim, &g, &values, &mask).unwrap();
+        let mut src = values.iter();
+        let mut expect = vec![9.0f64; dim * dim * dim];
+        for &(x, y, z) in &g.origins {
+            for zz in z as usize..z as usize + 2 {
+                for yy in y as usize..y as usize + 2 {
+                    for xx in x as usize..x as usize + 5 {
+                        let i = xx + dim * (yy + dim * zz);
+                        let v = *src.next().unwrap();
+                        expect[i] = if mask.get(i) { v } else { 0.0 };
+                    }
+                }
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&out), bits(&expect));
     }
 
     #[test]

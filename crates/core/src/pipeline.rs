@@ -112,7 +112,8 @@ pub fn compress_level_t<T: CodecElement>(
 }
 
 /// Decompresses a level payload and applies the occupancy mask: absent
-/// cells are zeroed (discarding GSP padding and region zeros alike). A
+/// cells hold `+0.0` bits (discarding GSP padding and region zeros
+/// alike), and only the cells the payload covers are ever written. A
 /// payload whose recorded element type disagrees with `T` is rejected up
 /// front with [`CodecError::WrongDtype`] instead of being misinterpreted.
 pub fn decompress_level_t<T: CodecElement>(

@@ -72,6 +72,13 @@ fn record_roi_stats(stats: &RoiStats) {
 /// — so within `roi`, the result matches a full decode exactly, and the
 /// reported [`RoiStats`] show how much payload the request avoided.
 ///
+/// Skipped and absent cells hold `+0.0` bits. A skipped chunk costs
+/// nothing beyond its chunk-table row: the level grids are
+/// zero-initialised and only the regions of the chunks actually read
+/// are written (pasted, then masked), so pages of a level grid that no
+/// read chunk touches are never written and the call costs what its
+/// chunks cost, not what the bounding grids cost.
+///
 /// v1 containers have no chunk table and are rejected; re-serialize
 /// with [`CompressedDataset::to_bytes`] to upgrade.
 ///

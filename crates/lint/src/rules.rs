@@ -30,6 +30,7 @@ use crate::lexer::{lex, Token, TokenKind};
 /// R1: no panic-capable constructs. These modules parse or act on
 /// attacker-controlled bytes; a panic is a denial of service.
 pub const DECODE_PATH_MODULES: &[&str] = &[
+    "crates/amr/src/mask.rs",
     "crates/core/src/container.rs",
     "crates/core/src/stream.rs",
     "crates/core/src/roi.rs",
@@ -52,6 +53,7 @@ pub const DECODE_PATH_MODULES: &[&str] = &[
 /// R2: lengths and offsets in these modules come off the wire; bare
 /// `+`/`*` can overflow and `as` truncation can alias distinct values.
 pub const WIRE_ARITH_MODULES: &[&str] = &[
+    "crates/amr/src/mask.rs",
     "crates/core/src/container.rs",
     "crates/core/src/stream.rs",
     "crates/core/src/select.rs",

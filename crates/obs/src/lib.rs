@@ -54,6 +54,10 @@ pub enum Stage {
     Execute,
     /// Engine result assembly into the container.
     Assemble,
+    /// Decode-side assembly of one task's values into its level grid:
+    /// pasting a region group (or adopting a whole-level buffer) and
+    /// masking what was written. Nested inside [`Stage::Assemble`].
+    Paste,
     /// One codec encode task (a level, group, or baseline stream).
     Encode,
     /// One codec decode task.
@@ -83,6 +87,7 @@ impl Stage {
         Stage::Select,
         Stage::Execute,
         Stage::Assemble,
+        Stage::Paste,
         Stage::Encode,
         Stage::Decode,
         Stage::Quantize,
@@ -103,6 +108,7 @@ impl Stage {
             Stage::Select => "select",
             Stage::Execute => "execute",
             Stage::Assemble => "assemble",
+            Stage::Paste => "paste",
             Stage::Encode => "encode",
             Stage::Decode => "decode",
             Stage::Quantize => "quantize",
@@ -168,6 +174,11 @@ pub enum Counter {
     SelectSampledValues,
     /// Estimated payload bytes of the winning selection candidate.
     SelectWinnerBytes,
+    /// Level-grid cells touched by decode-side assembly: cells pasted
+    /// from region groups plus cells visited by mask application. Stays
+    /// proportional to the decoded regions, not to `dim^3`, on sparse
+    /// levels.
+    AssembleCellsWritten,
 }
 
 impl Counter {
@@ -199,6 +210,7 @@ impl Counter {
         Counter::SelectCandidates,
         Counter::SelectSampledValues,
         Counter::SelectWinnerBytes,
+        Counter::AssembleCellsWritten,
     ];
 
     /// Index into a shard's counter array.
@@ -233,6 +245,7 @@ impl Counter {
             Counter::SelectCandidates => "select_candidates",
             Counter::SelectSampledValues => "select_sampled_values",
             Counter::SelectWinnerBytes => "select_winner_bytes",
+            Counter::AssembleCellsWritten => "assemble_cells_written",
         }
     }
 }

@@ -307,6 +307,54 @@ fn level_count_beyond_the_finest_grid_is_rejected() {
     assert!(decompress_region_t::<f64>(&cd.to_bytes(), Aabb::whole(2)).is_err());
 }
 
+/// A region-group chunk declares its three sub-block extents as raw
+/// `u32`s. Extents of `0xFFFF_FFFF` each used to reach the scheduler's
+/// cost estimate unchecked: `w * h * d * count` overflowed and panicked
+/// in overflow-checked builds as soon as two or more workers shared two
+/// or more tasks (the serial path never asks for a cost). Every group's geometry must
+/// be validated against its level before any task is scheduled.
+#[test]
+fn group_extents_beyond_the_level_are_rejected_at_every_worker_count() {
+    use tac_amr::{Aabb, BitMask};
+    use tac_core::{
+        decompress_dataset_par_t, decompress_region_t, BlockGroup, CodecId, CompressedDataset,
+        CompressedLevel, LevelPayload, MethodBody, Parallelism, Strategy, TacDtype,
+    };
+    let cd = CompressedDataset {
+        name: "hostile-shape".into(),
+        finest_dim: 8,
+        dtype: TacDtype::F64,
+        masks: vec![BitMask::ones(512)],
+        body: MethodBody::Tac(vec![CompressedLevel {
+            strategy: Strategy::OpST,
+            dim: 8,
+            abs_eb: 1e-3,
+            codec: CodecId::Sz,
+            dtype: TacDtype::F64,
+            payload: LevelPayload::Groups(vec![
+                BlockGroup {
+                    shape: (u32::MAX as usize, u32::MAX as usize, u32::MAX as usize),
+                    origins: vec![(0, 0, 0)],
+                    stream: vec![0; 16],
+                };
+                2
+            ]),
+        }]),
+    };
+    for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
+        // The container grammar itself is intact: the shape is only
+        // wrong for the level it claims to belong to.
+        let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            assert!(
+                decompress_dataset_par_t::<f64>(&parsed, parallelism).is_err(),
+                "{parallelism:?}"
+            );
+        }
+    }
+    assert!(decompress_region_t::<f64>(&cd.to_bytes(), Aabb::whole(8)).is_err());
+}
+
 /// The CI smoke: the bounded seeded campaign must observe zero panics
 /// and zero incoherent decodes (every corruption surfaces as `Err` or
 /// as a coherent re-decodable container).

@@ -9,6 +9,7 @@
 //! recorder session is process-global — concurrent test threads would
 //! bleed counts into each other's snapshots.
 
+use tac_amr::{AmrDataset, AmrLevel};
 use tac_bench::load_dataset;
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, CompressedDataset, LevelPayload, Method,
@@ -73,6 +74,7 @@ fn counters_of_interest(snap: &Snapshot) -> Vec<(Counter, u64)> {
         Counter::SzQuantHits,
         Counter::SzQuantMisses,
         Counter::PcoPages,
+        Counter::AssembleCellsWritten,
     ]
     .into_iter()
     .map(|c| (c, snap.counter(c)))
@@ -139,7 +141,61 @@ fn merged_counters_are_invariant_across_worker_counts() {
         );
     }
 
+    assembly_work_follows_the_occupied_volume(session);
+
     // Leave the session clean for any later obs-enabled test binaries
     // sharing the process (none today, but take() is cheap insurance).
     let _ = session.take();
+}
+
+/// Decode-side assembly must cost what the decoded regions cost, not
+/// what the bounding grid costs: on a 64^3 level at under 1% occupancy
+/// the cells it touches (pasted + visited by masking) are at most twice
+/// the region cells and a small fraction of `dim^3`. A count, not a
+/// timing, so the gate holds on any host; called from the one `#[test]`
+/// above because the recorder session is process-global.
+fn assembly_work_follows_the_occupied_volume(session: &tac_obs::ObsSession) {
+    let dim = 64usize;
+    let mut level = AmrLevel::<f64>::empty(dim);
+    for z in 20..30 {
+        for y in 33..43 {
+            for x in 5..15 {
+                // A ragged blob: unit blocks end up partially filled.
+                if (x + y + z) % 7 != 0 {
+                    level.set_value(x, y, z, (x as f64 * 0.2).sin() + z as f64 * 0.05);
+                }
+            }
+        }
+    }
+    assert!(level.density() < 0.01);
+    let ds = AmrDataset::new("sparse64", vec![level]);
+    let cd = compress_dataset_t(&ds, &TacConfig::default(), Method::Tac).unwrap();
+    let MethodBody::Tac(levels) = &cd.body else {
+        panic!("Method::Tac wrote a non-TAC body");
+    };
+    let LevelPayload::Groups(groups) = &levels[0].payload else {
+        panic!("a <1% level should compress as region groups");
+    };
+    let region_cells: u64 = groups
+        .iter()
+        .map(|g| (g.shape.0 * g.shape.1 * g.shape.2 * g.origins.len()) as u64)
+        .sum();
+
+    let mut per_worker_count = Vec::new();
+    for workers in WORKER_COUNTS {
+        let _ = session.take();
+        decompress_dataset_par_t::<f64>(&cd, Parallelism::Threads(workers)).unwrap();
+        per_worker_count.push(session.take().counter(Counter::AssembleCellsWritten));
+    }
+    let written = per_worker_count[0];
+    assert!(per_worker_count.iter().all(|&c| c == written));
+    assert!(written > 0, "assembly recorded nothing");
+    assert!(
+        written <= 2 * region_cells,
+        "assembly touched {written} cells for {region_cells} region cells"
+    );
+    assert!(
+        written * 20 < (dim * dim * dim) as u64,
+        "assembly touched {written} cells of a {dim}^3 grid at <1% occupancy"
+    );
 }

@@ -2,10 +2,10 @@
 //! fields must round-trip within bounds for every method and strategy.
 
 use proptest::prelude::*;
-use tac_amr::{AmrDataset, AmrLevel};
+use tac_amr::{Aabb, AmrDataset, AmrLevel};
 use tac_core::{
-    compress_dataset_t, decompress_dataset_par_t, plan_opst_from_occupancy, zmesh_order, Method,
-    Parallelism, Strategy, TacConfig,
+    compress_dataset_t, decompress_dataset_par_t, plan_opst_from_occupancy, zmesh_order,
+    LevelPayload, Method, MethodBody, Parallelism, Strategy, TacConfig,
 };
 use tac_sz::{compress, decompress, Dims, ErrorBound, SzConfig};
 
@@ -261,15 +261,19 @@ proptest! {
     }
 
     /// v2 region-of-interest decoding is a restriction of the full
-    /// decode: inside a random ROI every cell matches the full
-    /// reconstruction, and the decoder never reads more payload than
-    /// the full decode.
+    /// decode for *any* box — empty, a single cell, odd corners that
+    /// straddle coarse cells, partly or wholly outside the domain:
+    /// inside the box every cell matches the full reconstruction bit
+    /// for bit, every cell of every chunk the read skipped holds `+0.0`
+    /// bits, and the decoder never reads more payload than a full
+    /// decode.
     #[test]
     fn roi_decode_is_subset_of_full_decode(
         refine in prop::collection::vec(any::<bool>(), 64),
         seed in 0u64..200,
-        corner in 0usize..8,
+        corners in prop::collection::vec(0usize..12, 6),
         tiled in any::<bool>(),
+        sparse in any::<bool>(),
     ) {
         let ds = dataset_from_refinement(4, &refine, seed);
         prop_assume!(ds.total_present() > 0);
@@ -277,29 +281,74 @@ proptest! {
             unit: 2,
             error_bound: ErrorBound::Abs(0.5),
             roi_tile: if tiled { Some(4) } else { None },
+            // Region groups on every level, or the density filter's own
+            // pick (whole-grid streams on the denser levels).
+            forced_strategy: sparse.then_some(Strategy::OpST),
             ..Default::default()
         };
         let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
         let bytes = cd.to_bytes();
         let full = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
 
-        // One of the eight 4^3 octants of the 8^3 fine grid.
-        let h = ds.finest_dim() / 2;
-        let lo = ((corner & 1) * h, ((corner >> 1) & 1) * h, ((corner >> 2) & 1) * h);
-        let roi = tac_amr::Aabb::new(lo, (lo.0 + h, lo.1 + h, lo.2 + h));
+        // Two random corners on a 12^3 lattice around the 8^3 fine grid;
+        // equal coordinates give an empty box.
+        let span = |a: usize, b: usize| (a.min(b), a.max(b));
+        let (x, y, z) = (
+            span(corners[0], corners[1]),
+            span(corners[2], corners[3]),
+            span(corners[4], corners[5]),
+        );
+        let roi = Aabb::new((x.0, y.0, z.0), (x.1, y.1, z.1));
         let (partial, stats) = tac_core::decompress_region_t::<f64>(&bytes, roi).unwrap();
 
         prop_assert!(stats.payload_bytes_read <= stats.payload_bytes_total);
         prop_assert_eq!(partial.num_levels(), full.num_levels());
+        let MethodBody::Tac(compressed) = &cd.body else {
+            panic!("Method::Tac wrote a non-TAC body");
+        };
         for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
+            let dim = p.dim();
             let roi_level = roi.coarsen(1 << l);
-            for z in roi_level.min.2..roi_level.max.2 {
-                for y in roi_level.min.1..roi_level.max.1 {
-                    for x in roi_level.min.0..roi_level.max.0 {
+            for z in roi_level.min.2..roi_level.max.2.min(dim) {
+                for y in roi_level.min.1..roi_level.max.1.min(dim) {
+                    for x in roi_level.min.0..roi_level.max.0.min(dim) {
                         prop_assert!(
-                            p.value(x, y, z) == f.value(x, y, z),
+                            p.value(x, y, z).to_bits() == f.value(x, y, z).to_bits(),
                             "level {} cell ({},{},{}) diverges inside ROI", l, x, y, z
                         );
+                    }
+                }
+            }
+            // What the read skipped, by the chunk table's own boxes: a
+            // group whose box misses the ROI leaves its regions alone; a
+            // whole-grid stream (boxed by its mask's bounding box)
+            // leaves the whole level alone.
+            let skipped: Vec<Aabb> = match &compressed[l].payload {
+                LevelPayload::Empty => vec![],
+                LevelPayload::Whole(_) => {
+                    let bbox = p.mask().bounding_box(dim).unwrap();
+                    if bbox.intersects(&roi_level) { vec![] } else { vec![Aabb::whole(dim)] }
+                }
+                LevelPayload::Groups(groups) => groups
+                    .iter()
+                    .filter(|g| !g.aabb().intersects(&roi_level))
+                    .flat_map(|g| {
+                        g.origins.iter().map(|&(x, y, z)| {
+                            Aabb::of_region((x as usize, y as usize, z as usize), g.shape)
+                        })
+                    })
+                    .collect(),
+            };
+            for region in skipped {
+                for z in region.min.2..region.max.2 {
+                    for y in region.min.1..region.max.1 {
+                        for x in region.min.0..region.max.0 {
+                            prop_assert!(
+                                p.value(x, y, z).to_bits() == 0,
+                                "level {} cell ({},{},{}) of a skipped chunk is not +0.0",
+                                l, x, y, z
+                            );
+                        }
                     }
                 }
             }
