@@ -140,22 +140,85 @@ impl<T: Element> AmrLevel<T> {
     /// Values of present cells, in flat-index order (the "1D baseline"
     /// representation of this level).
     pub fn present_values(&self) -> Vec<T> {
-        self.mask.iter_ones().map(|i| self.data[i]).collect()
+        let mut values = Vec::with_capacity(self.num_present());
+        for (start, len) in self.mask.runs() {
+            values.extend_from_slice(&self.data[start..start + len]);
+        }
+        values
     }
 
     /// Min/max over present cells in `f64` working precision; `None` if
     /// the level is empty. (Widening is exact for both element types, so
     /// relative error bounds resolve against the true range.)
+    /// NaNs are skipped unless every present value is NaN, which gives
+    /// `(NaN, NaN)`.
     pub fn value_range(&self) -> Option<(f64, f64)> {
-        let mut it = self.mask.iter_ones().map(|i| self.data[i].to_f64());
-        let first = it.next()?;
-        let mut min = first;
-        let mut max = first;
-        for v in it {
-            min = min.min(v);
-            max = max.max(v);
+        let mut range = MinMax::new();
+        for (start, len) in self.mask.runs() {
+            range.extend(&self.data[start..start + len]);
         }
-        Some((min, max))
+        range.finish()
+    }
+}
+
+/// `(min, max)` of `values` in `f64` working precision; `None` for an
+/// empty slice. NaNs are skipped unless every value is NaN, which gives
+/// `(NaN, NaN)` — the same fold [`AmrLevel::value_range`] runs over a
+/// level's present cells.
+pub fn min_max<T: Element>(values: &[T]) -> Option<(f64, f64)> {
+    let mut range = MinMax::new();
+    range.extend(values);
+    range.finish()
+}
+
+/// A running `(min, max)` over slices of values. A single `f64::min`
+/// chain is bound by the latency of one `min` per value; this folds
+/// [`MinMax::LANES`] independent accumulators over each slice, so the
+/// chain is an eighth as long and the loop vectorizes. `f64::min`/`max`
+/// drop a NaN operand, which is why the lanes can start at NaN and why
+/// NaN values never reach the result unless nothing else does.
+struct MinMax {
+    lo: [f64; Self::LANES],
+    hi: [f64; Self::LANES],
+    any: bool,
+}
+
+impl MinMax {
+    const LANES: usize = 8;
+
+    fn new() -> Self {
+        MinMax {
+            lo: [f64::NAN; Self::LANES],
+            hi: [f64::NAN; Self::LANES],
+            any: false,
+        }
+    }
+
+    fn extend<T: Element>(&mut self, values: &[T]) {
+        self.any |= !values.is_empty();
+        let mut chunks = values.chunks_exact(Self::LANES);
+        for chunk in &mut chunks {
+            self.fold(chunk);
+        }
+        self.fold(chunks.remainder());
+    }
+
+    /// Folds up to [`MinMax::LANES`] values, one per lane.
+    #[inline]
+    fn fold<T: Element>(&mut self, values: &[T]) {
+        for ((lo, hi), v) in self.lo.iter_mut().zip(&mut self.hi).zip(values) {
+            *lo = lo.min(v.to_f64());
+            *hi = hi.max(v.to_f64());
+        }
+    }
+
+    fn finish(self) -> Option<(f64, f64)> {
+        self.any.then(|| {
+            (
+                self.lo.into_iter().fold(f64::NAN, f64::min),
+                self.hi.into_iter().fold(f64::NAN, f64::max),
+            )
+        })
     }
 }
 
@@ -200,6 +263,67 @@ mod tests {
         lvl.set_value(0, 0, 0, -3.0);
         lvl.set_value(1, 1, 1, 12.0);
         assert_eq!(lvl.value_range(), Some((-3.0, 12.0)));
+    }
+
+    /// A 7^3 level (343 cells: five full mask words and a tail) whose
+    /// present cells come in runs of every length, some crossing word
+    /// boundaries and one ending at the last cell.
+    fn ragged_level(value: impl Fn(usize) -> f64) -> AmrLevel {
+        let dim = 7;
+        let mut lvl = AmrLevel::empty(dim);
+        for i in 0..dim * dim * dim {
+            if i % 13 < 9 || (120..135).contains(&i) || i >= 330 {
+                lvl.set_value(i % dim, i / dim % dim, i / dim / dim, value(i));
+            }
+        }
+        lvl
+    }
+
+    #[test]
+    fn present_values_by_runs_match_the_per_bit_walk() {
+        let lvl = ragged_level(|i| match i % 4 {
+            0 => f64::from_bits(0x7FF8_0000_0000_0000 | i as u64),
+            1 => -0.0,
+            _ => i as f64 - 100.5,
+        });
+        let per_bit: Vec<u64> = lvl
+            .mask()
+            .iter_ones()
+            .map(|i| lvl.data()[i].to_bits())
+            .collect();
+        let by_runs: Vec<u64> = lvl.present_values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(by_runs, per_bit);
+        assert!(AmrLevel::<f64>::empty(3).present_values().is_empty());
+    }
+
+    #[test]
+    fn value_range_matches_the_serial_fold_and_skips_nans() {
+        let serial = |lvl: &AmrLevel| {
+            let mut it = lvl.mask().iter_ones().map(|i| lvl.data()[i]);
+            let first = it.next()?;
+            Some(it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))))
+        };
+        // Finite values, extremes in the middle of runs and at the tail.
+        let lvl = ragged_level(|i| ((i * 7919) % 1013) as f64 - 500.0);
+        assert_eq!(lvl.value_range(), serial(&lvl));
+        // Sprinkled NaNs (including the first present cell) are skipped.
+        let lvl = ragged_level(|i| if i % 3 == 0 { f64::NAN } else { i as f64 });
+        assert_eq!(lvl.value_range(), serial(&lvl));
+        assert_eq!(lvl.value_range(), Some((1.0, 341.0)));
+        // Infinities are values, not holes.
+        let lvl = ragged_level(|i| if i == 40 { f64::NEG_INFINITY } else { 1.0 });
+        assert_eq!(lvl.value_range(), Some((f64::NEG_INFINITY, 1.0)));
+        // Every present value NaN: the range itself is NaN.
+        let lvl = ragged_level(|_| f64::NAN);
+        let (lo, hi) = lvl.value_range().unwrap();
+        assert!(lo.is_nan() && hi.is_nan());
+        // The slice fold is the same fold.
+        let values: Vec<f32> = (0..37).map(|i| (i as f32 - 20.0) * 0.5).collect();
+        assert_eq!(min_max(&values), Some((-10.0, 8.0)));
+        assert_eq!(min_max(&values[..3]), Some((-10.0, -9.0)));
+        assert_eq!(min_max::<f64>(&[]), None);
+        let (lo, hi) = min_max(&[f32::NAN; 9]).unwrap();
+        assert!(lo.is_nan() && hi.is_nan());
     }
 
     #[test]

@@ -40,8 +40,8 @@ mod upsample;
 pub use aabb::Aabb;
 pub use blocks::{copy_region, paste_region, BlockGrid};
 pub use dataset::{AmrDataset, AmrValidationError};
-pub use level::AmrLevel;
-pub use mask::BitMask;
+pub use level::{min_max, AmrLevel};
+pub use mask::{BitMask, Runs};
 pub use morton::{morton2_decode, morton2_encode, morton3_decode, morton3_encode};
 pub use upsample::{
     from_uniform, from_uniform_averaged, level_to_uniform, redundant_points, to_uniform,

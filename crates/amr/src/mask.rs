@@ -113,6 +113,26 @@ impl BitMask {
         })
     }
 
+    /// Maximal runs of set bits as `(start, len)`, in increasing order:
+    /// consecutive runs are separated by at least one clear bit, and the
+    /// runs concatenated are exactly [`BitMask::iter_ones`]. Word-wise —
+    /// an all-zero or all-one word costs one step, not 64 — so a caller
+    /// moves one slice per run instead of one value per bit.
+    pub fn runs(&self) -> Runs<'_> {
+        self.runs_in(0, self.len)
+    }
+
+    /// [`BitMask::runs`] over the bit range `[start, start + len)`: runs
+    /// are clipped to the range, and bits beyond the mask read as
+    /// absent, so any range is accepted.
+    pub fn runs_in(&self, start: usize, len: usize) -> Runs<'_> {
+        Runs {
+            mask: self,
+            at: start,
+            end: start.saturating_add(len).min(self.len),
+        }
+    }
+
     /// Tight bounding box of the set bits, interpreting the mask as a
     /// `dim^3` grid (x fastest), or `None` when no bit is set. This is
     /// the box the chunked container records for whole-level payloads so
@@ -297,6 +317,58 @@ impl BitMask {
     }
 }
 
+/// Iterator over maximal runs of set bits; see [`BitMask::runs`].
+#[derive(Debug, Clone)]
+pub struct Runs<'a> {
+    mask: &'a BitMask,
+    at: usize,
+    end: usize,
+}
+
+impl Iterator for Runs<'_> {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        while self.at < self.end {
+            let (taken, bits) = self.mask.piece(self.at, self.end - self.at);
+            if bits == 0 {
+                // A piece of clear bits: skip it whole, and with it every
+                // all-clear word that follows (one compare each — what
+                // keeps a sparse mask as cheap here as in `iter_ones`).
+                self.at += taken;
+                let clear = self
+                    .mask
+                    .words
+                    .get(self.at / 64..)
+                    .map_or(0, |rest| rest.iter().take_while(|&&word| word == 0).count());
+                self.at = self.at.saturating_add(clear.saturating_mul(64));
+                continue;
+            }
+            let lo = bits.trailing_zeros() as usize;
+            let start = self.at + lo;
+            // `bits` is zero above `taken`, so the run stops inside the
+            // piece or exactly at its end.
+            let mut at = start + (bits >> lo).trailing_ones() as usize;
+            if at == self.at + taken {
+                // It reaches the end of the piece: extend it across word
+                // boundaries while pieces stay all-ones.
+                while at < self.end {
+                    let (taken, bits) = self.mask.piece(at, self.end - at);
+                    let ones = bits.trailing_ones() as usize;
+                    at += ones;
+                    if ones < taken {
+                        break;
+                    }
+                }
+            }
+            self.at = at;
+            return Some((start, at - start));
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,8 +416,40 @@ mod tests {
         }
     }
 
+    /// Checks `runs_in(start, len)` against a bit-by-bit reference: the
+    /// runs concatenated are the set bits of the range in order, and
+    /// every run is non-empty, inside the range and maximal there.
+    fn check_runs(m: &BitMask, start: usize, len: usize) {
+        let end = start.saturating_add(len).min(m.len());
+        let runs: Vec<(usize, usize)> = m.runs_in(start, len).collect();
+        let covered: Vec<usize> = runs.iter().flat_map(|&(s, l)| s..s + l).collect();
+        let expect: Vec<usize> = m.iter_ones().filter(|&i| start <= i && i < end).collect();
+        assert_eq!(covered, expect, "runs of {start}+{len}");
+        for &(s, l) in &runs {
+            assert!(l >= 1 && s >= start && s + l <= end, "run {s}+{l}");
+            assert!(s == start || !m.get(s - 1), "run {s}+{l} extends left");
+            assert!(s + l == end || !m.get(s + l), "run {s}+{l} extends right");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Lengths are mostly not a multiple of 64, so the last run can
+        /// end on the partial tail word; ranges may reach past the end.
+        #[test]
+        fn runs_match_a_per_bit_reference(
+            seed in 0u64..u64::MAX,
+            n in 0usize..520,
+            a in 0usize..560,
+            b in 0usize..560,
+        ) {
+            let m = mixed_mask(n, seed);
+            check_runs(&m, 0, n);
+            check_runs(&m, a, b);
+            let whole: Vec<(usize, usize)> = m.runs().collect();
+            prop_assert_eq!(whole, m.runs_in(0, n).collect::<Vec<_>>());
+        }
 
         /// Ranges drawn past the end are clipped, so they end exactly on
         /// the partial tail word; `a >= n` gives the empty range.
@@ -380,6 +484,39 @@ mod tests {
         ] {
             check_ranged_kernels(&m, start, len, [-0.0f64, f64::NAN, 7.5]);
         }
+    }
+
+    #[test]
+    fn runs_cover_every_range_class() {
+        // 200 bits: three full words and an 8-bit tail word.
+        let m = mixed_mask(200, 3);
+        for (start, len) in [
+            (0, 0),          // empty
+            (200, 0),        // empty at the very end
+            (5, 20),         // inside one word
+            (60, 10),        // straddling two words
+            (3, 190),        // straddling every word, ending in the tail word
+            (64, 128),       // whole words only
+            (128, 72),       // ending exactly on the partial tail
+            (0, 200),        // everything
+            (190, 64),       // reaching past the end: clipped
+            (500, 3),        // wholly past the end: nothing
+            (7, usize::MAX), // a length that would overflow `start + len`
+        ] {
+            check_runs(&m, start, len);
+        }
+        // One run across three word boundaries, ending at the tail.
+        let ones = BitMask::ones(200);
+        assert_eq!(ones.runs().collect::<Vec<_>>(), vec![(0, 200)]);
+        assert_eq!(ones.runs_in(63, 66).collect::<Vec<_>>(), vec![(63, 66)]);
+        assert_eq!(BitMask::zeros(200).runs().count(), 0);
+        assert_eq!(BitMask::zeros(0).runs().count(), 0);
+        // A clear bit splits runs; the word boundaries at 64 and 128 do not.
+        let mut m = BitMask::zeros(192);
+        for i in (0..64).chain(65..128).chain(128..192) {
+            m.set(i, true);
+        }
+        assert_eq!(m.runs().collect::<Vec<_>>(), vec![(0, 64), (65, 127)]);
     }
 
     #[test]

@@ -292,6 +292,23 @@ enum DecompressKind<'a> {
     Group(&'a BlockGroup),
 }
 
+/// The cell count `dim^3` of level `l`, provided its mask has exactly
+/// one bit per cell. The checked products guard in-memory callers
+/// handing over a crafted dim.
+pub(crate) fn check_level_mask(l: usize, dim: usize, mask: &BitMask) -> Result<usize, TacError> {
+    let n = dim
+        .checked_mul(dim)
+        .and_then(|s| s.checked_mul(dim))
+        .ok_or_else(|| TacError::Corrupt(format!("level {l}: dim {dim} overflows dim^3")))?;
+    if mask.len() != n {
+        return Err(TacError::Corrupt(format!(
+            "level {l}: mask has {} bits for a {dim}^3 level",
+            mask.len()
+        )));
+    }
+    Ok(n)
+}
+
 /// Decompresses TAC per-level payloads on `workers` threads: every
 /// whole-grid stream and every region group decodes as an independent
 /// task; pasting and mask application stay serial.
@@ -321,20 +338,7 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
                 requested: T::DTYPE.label(),
             }));
         }
-        let n = cl
-            .dim
-            .checked_mul(cl.dim)
-            .and_then(|s| s.checked_mul(cl.dim))
-            .ok_or_else(|| {
-                TacError::Corrupt(format!("level {l}: dim {} overflows dim^3", cl.dim))
-            })?;
-        if mask.len() != n {
-            return Err(TacError::Corrupt(format!(
-                "level {l}: mask has {} bits for a {}^3 level",
-                mask.len(),
-                cl.dim
-            )));
-        }
+        let n = check_level_mask(l, cl.dim, mask)?;
         let task = |cells: usize, kind| DecompressTask {
             level: l,
             dim: cl.dim,

@@ -15,8 +15,8 @@ use crate::density::choose_strategy;
 use crate::engine::{self, LevelPlan};
 use crate::error::TacError;
 use crate::stream::CompressedLevel;
-use crate::zmesh::{gather, scatter, zmesh_order};
-use tac_amr::{to_uniform, AmrDataset, AmrLevel, BitMask};
+use crate::zmesh::{gather_walk, level_dim, scatter_walk};
+use tac_amr::{min_max, to_uniform, AmrDataset, AmrLevel, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecError, CodecId, Dims, ErrorBound};
 use tac_dtype::{dispatch_dtype, Element, TacDtype};
 use tac_par::Parallelism;
@@ -178,12 +178,10 @@ fn encode_single_stream<T: CodecElement>(
     dims: Dims,
     cfg: &TacConfig,
 ) -> Result<(f64, Vec<u8>), TacError> {
-    let (min, max) = values
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(v.to_f64()), hi.max(v.to_f64()))
-        });
-    let abs_eb = resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some((min, max)))?;
+    let abs_eb = {
+        let _plan = tac_obs::span(tac_obs::Stage::Plan);
+        resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, min_max(values))?
+    };
     let stream = {
         let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
         T::codec_compress(
@@ -224,19 +222,24 @@ pub fn compress_dataset_t<T: CodecElement>(
             // their level and gather present values inside the closure,
             // so at most `workers` gathered copies are alive at once.
             let mut jobs: Vec<Option<(f64, &AmrLevel<T>)>> = Vec::with_capacity(ds.num_levels());
-            for (l, level) in ds.levels().iter().enumerate() {
-                if level.num_present() == 0 {
-                    jobs.push(None);
-                    continue;
+            {
+                let _plan = tac_obs::span(tac_obs::Stage::Plan);
+                for (l, level) in ds.levels().iter().enumerate() {
+                    if level.num_present() == 0 {
+                        jobs.push(None);
+                        continue;
+                    }
+                    let abs_eb = resolve_level_eb_for(
+                        T::DTYPE,
+                        cfg.error_bound,
+                        cfg.level_scale(l),
+                        level.value_range(),
+                    )?;
+                    jobs.push(Some((abs_eb, level)));
                 }
-                let abs_eb = resolve_level_eb_for(
-                    T::DTYPE,
-                    cfg.error_bound,
-                    cfg.level_scale(l),
-                    level.value_range(),
-                )?;
-                jobs.push(Some((abs_eb, level)));
             }
+            // Worker-side task spans are accounted under `execute`.
+            let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", jobs.len());
             let levels = tac_par::execute(
                 workers,
                 &jobs,
@@ -245,9 +248,13 @@ pub fn compress_dataset_t<T: CodecElement>(
                     match j {
                         None => Ok(None),
                         Some((abs_eb, level)) => {
+                            let values = {
+                                let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
+                                level.present_values()
+                            };
+                            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
                             let _encode =
                                 tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
-                            let values = level.present_values();
                             let stream = T::codec_compress(
                                 codec_for(cfg.codec),
                                 &values,
@@ -267,8 +274,11 @@ pub fn compress_dataset_t<T: CodecElement>(
         }
         Method::ZMesh => {
             let mask_refs: Vec<&BitMask> = masks.iter().collect();
-            let order = zmesh_order(&mask_refs, ds.finest_dim());
-            let values = gather(&order, &level_data);
+            let values = {
+                let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
+                gather_walk(&mask_refs, ds.finest_dim(), &level_data, usize::MAX)
+            };
+            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
             if values.is_empty() {
                 return Err(TacError::InvalidDataset(
                     "dataset has no present cells".into(),
@@ -303,7 +313,12 @@ pub fn compress_dataset_t<T: CodecElement>(
         }
         Method::Baseline3D => {
             let n = ds.finest_dim();
-            let (abs_eb, stream) = encode_single_stream(&to_uniform(ds), Dims::D3(n, n, n), cfg)?;
+            let uniform = {
+                let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
+                to_uniform(ds)
+            };
+            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, uniform.len());
+            let (abs_eb, stream) = encode_single_stream(&uniform, Dims::D3(n, n, n), cfg)?;
             MethodBody::Baseline3D {
                 abs_eb,
                 codec: cfg.codec,
@@ -358,6 +373,29 @@ pub fn decompress_dataset_any(cd: &CompressedDataset) -> Result<AnyDataset, TacE
     }
 }
 
+/// Checks the geometry every decode arm trusts when it sizes buffers and
+/// walks masks by `finest_dim >> l`: at least one level, no level
+/// shifted down to zero cells, and one mask bit per cell of each level.
+/// `from_bytes` guarantees all of it; a hand-built container (every
+/// field is public) does not.
+fn check_geometry(cd: &CompressedDataset) -> Result<(), TacError> {
+    if cd.masks.is_empty() {
+        return Err(TacError::Corrupt("container has no levels".into()));
+    }
+    for (l, mask) in cd.masks.iter().enumerate() {
+        let dim = level_dim(cd.finest_dim, l);
+        if dim == 0 {
+            return Err(TacError::Corrupt(format!(
+                "{} levels do not fit a finest dim of {}",
+                cd.masks.len(),
+                cd.finest_dim
+            )));
+        }
+        engine::check_level_mask(l, dim, mask)?;
+    }
+    Ok(())
+}
+
 /// Decompresses a container back into an AMR dataset on the
 /// block-sharded engine: every level's streams and region groups decode
 /// as independent work-stealing tasks ([`Parallelism::Serial`] runs them
@@ -375,6 +413,7 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
         }));
     }
     let _decompress = tac_obs::span(tac_obs::Stage::Decompress).arg("levels", cd.masks.len());
+    check_geometry(cd)?;
     let workers = parallelism.workers();
     let finest_dim = cd.finest_dim;
     let levels: Vec<AmrLevel<T>> = match &cd.body {
@@ -399,6 +438,7 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
                 .enumerate()
                 .map(|(l, (entry, mask))| (l, entry, mask))
                 .collect();
+            let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", jobs.len());
             tac_par::execute(
                 workers,
                 &jobs,
@@ -408,28 +448,34 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
                 },
                 |&(l, entry, mask)| -> Result<AmrLevel<T>, TacError> {
                     let dim = finest_dim >> l;
-                    let mut data = vec![T::ZERO; dim * dim * dim];
-                    if let Some((_, codec, stream)) = entry {
+                    let Some((_, codec, stream)) = entry else {
+                        if mask.count_ones() != 0 {
+                            return Err(TacError::Corrupt(format!(
+                                "level {l} marked empty but mask has {} cells",
+                                mask.count_ones()
+                            )));
+                        }
+                        return Ok(AmrLevel::empty(dim));
+                    };
+                    let (values, dims) = {
                         let _decode =
                             tac_obs::span(tac_obs::Stage::Decode).arg("codec", codec.tag());
                         tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
                         tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, stream.len());
-                        let (values, dims) = T::codec_decompress(codec_for(*codec), stream)?;
-                        if dims != Dims::D1(mask.count_ones()) {
-                            return Err(TacError::Corrupt(format!(
-                                "level {l}: stream holds {dims:?}, mask has {} cells",
-                                mask.count_ones()
-                            )));
-                        }
-                        for (slot, v) in mask.iter_ones().zip(values) {
-                            data[slot] = v;
-                        }
-                    } else if mask.count_ones() != 0 {
+                        T::codec_decompress(codec_for(*codec), stream)?
+                    };
+                    if dims != Dims::D1(mask.count_ones()) {
                         return Err(TacError::Corrupt(format!(
-                            "level {l} marked empty but mask has {} cells",
+                            "level {l}: stream holds {dims:?}, mask has {} cells",
                             mask.count_ones()
                         )));
                     }
+                    // One level's flat-index order is the zMesh walk of
+                    // that level alone: one slice copy per mask run.
+                    let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
+                    tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
+                    let mut data = vec![T::ZERO; mask.len()];
+                    scatter_walk(&[mask], dim, &values, std::slice::from_mut(&mut data))?;
                     Ok(AmrLevel::new(dim, data, mask.clone()))
                 },
             )
@@ -437,30 +483,25 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
             .collect::<Result<Vec<_>, _>>()?
         }
         MethodBody::ZMesh { stream, codec, .. } => {
-            let mask_refs: Vec<&BitMask> = cd.masks.iter().collect();
-            let order = zmesh_order(&mask_refs, finest_dim);
             tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
             tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, stream.len());
             let (values, dims) = {
                 let _decode = tac_obs::span(tac_obs::Stage::Decode).arg("codec", codec.tag());
                 T::codec_decompress(codec_for(*codec), stream)?
             };
-            if dims != Dims::D1(order.len()) {
+            if dims != Dims::D1(values.len()) {
                 return Err(TacError::Corrupt(format!(
-                    "zMesh stream holds {dims:?}, traversal has {} cells",
-                    order.len()
+                    "zMesh stream holds {dims:?} for {} values",
+                    values.len()
                 )));
             }
-            let mut bufs: Vec<Vec<T>> = cd
-                .masks
-                .iter()
-                .enumerate()
-                .map(|(l, _)| {
-                    let dim = finest_dim >> l;
-                    vec![T::ZERO; dim * dim * dim]
-                })
-                .collect();
-            scatter(&order, &values, &mut bufs);
+            // The stream must hold exactly one value per traversal cell;
+            // the scatter itself finds out, walking the masks once.
+            let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
+            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
+            let mask_refs: Vec<&BitMask> = cd.masks.iter().collect();
+            let mut bufs: Vec<Vec<T>> = cd.masks.iter().map(|m| vec![T::ZERO; m.len()]).collect();
+            scatter_walk(&mask_refs, finest_dim, &values, &mut bufs)?;
             bufs.into_iter()
                 .zip(&cd.masks)
                 .enumerate()
@@ -480,20 +521,24 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
                     "3D baseline stream dims {dims:?} for finest dim {n}"
                 )));
             }
+            let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
             cd.masks
                 .iter()
                 .enumerate()
                 .map(|(l, mask)| {
                     let dim = n >> l;
                     let scale = 1usize << l;
-                    let mut data = vec![T::ZERO; dim * dim * dim];
-                    for idx in mask.iter_ones() {
-                        let x = idx % dim;
-                        let y = (idx / dim) % dim;
-                        let z = idx / (dim * dim);
-                        // Sample the first covered fine position (exact
-                        // inverse of piecewise-constant up-sampling).
-                        data[idx] = uniform[x * scale + n * (y * scale + n * (z * scale))];
+                    let mut data = vec![T::ZERO; mask.len()];
+                    tac_obs::add_bytes(tac_obs::Counter::ReorderValues, mask.count_ones());
+                    for (start, len) in mask.runs() {
+                        for (idx, cell) in (start..).zip(&mut data[start..start + len]) {
+                            let x = idx % dim;
+                            let y = (idx / dim) % dim;
+                            let z = idx / (dim * dim);
+                            // Sample the first covered fine position (exact
+                            // inverse of piecewise-constant up-sampling).
+                            *cell = uniform[x * scale + n * (y * scale + n * (z * scale))];
+                        }
                     }
                     AmrLevel::new(dim, data, mask.clone())
                 })
@@ -670,6 +715,103 @@ mod tests {
                         check_level_bound(a, b, 1e-3);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn zmesh_stream_one_value_short_or_long_is_corrupt() {
+        // The decoder holds the stream to the traversal length: a stream
+        // of any other length is an error, never a panic or a partly
+        // filled `Ok`.
+        let ds = blobby_dataset(16);
+        let cfg = TacConfig {
+            unit: 4,
+            error_bound: ErrorBound::Abs(1e-3),
+            ..Default::default()
+        };
+        let cd = compress_dataset_t(&ds, &cfg, Method::ZMesh).unwrap();
+        let n = ds.total_present();
+        let values: Vec<f64> = (0..n + 1).map(|i| (i as f64 * 0.01).sin()).collect();
+        for len in [n - 1, n + 1] {
+            let stream = f64::codec_compress(
+                codec_for(cfg.codec),
+                &values[..len],
+                Dims::D1(len),
+                &cfg.codec_config(1e-3),
+            )
+            .unwrap();
+            let bad = CompressedDataset {
+                body: MethodBody::ZMesh {
+                    abs_eb: 1e-3,
+                    codec: cfg.codec,
+                    stream,
+                },
+                ..cd.clone()
+            };
+            for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+                let err = decompress_dataset_par_t::<f64>(&bad, parallelism).unwrap_err();
+                assert!(matches!(err, TacError::Corrupt(_)), "{len} values: {err}");
+            }
+        }
+        decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+    }
+
+    #[test]
+    fn baseline_1d_scatters_by_runs_like_the_per_bit_zip() {
+        // A ragged mask: runs of every length, some crossing 64-bit
+        // words, one ending at the very last cell.
+        let dim = 6;
+        let mut level = AmrLevel::<f64>::empty(dim);
+        for i in 0..dim * dim * dim {
+            if i % 11 < 7 || (60..70).contains(&i) || i >= 200 {
+                let bits = 0x7FF8_0000_0000_0000 | i as u64; // NaN payloads
+                let v = if i % 5 == 0 {
+                    f64::from_bits(bits)
+                } else {
+                    -(i as f64)
+                };
+                level.set_value(i % dim, i / dim % dim, i / dim / dim, v);
+            }
+        }
+        level.clear_cell(0, 0, 0);
+        let values = level.present_values();
+        let per_bit: Vec<u64> = level
+            .mask()
+            .iter_ones()
+            .map(|i| level.data()[i].to_bits())
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&values), per_bit);
+
+        let mut expect = vec![0.0f64; level.num_cells()];
+        for (slot, &v) in level.mask().iter_ones().zip(&values) {
+            expect[slot] = v;
+        }
+        let mut data = vec![0.0f64; level.num_cells()];
+        scatter_walk(
+            &[level.mask()],
+            dim,
+            &values,
+            std::slice::from_mut(&mut data),
+        )
+        .unwrap();
+        assert_eq!(bits(&data), bits(&expect));
+        assert_eq!(bits(&data), bits(level.data()));
+
+        // And through the 1D arm itself, losslessly enough to compare.
+        let ds = AmrDataset::new("ragged", vec![level.clone()]);
+        let cfg = TacConfig {
+            error_bound: ErrorBound::Abs(1e-9),
+            ..Default::default()
+        };
+        let cd = compress_dataset_t(&ds, &cfg, Method::Baseline1D).unwrap();
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+        for (i, (a, b)) in level.data().iter().zip(out.levels()[0].data()).enumerate() {
+            if a.is_nan() {
+                assert_eq!(a.to_bits(), b.to_bits(), "cell {i}");
+            } else {
+                assert!((a - b).abs() <= 1e-9, "cell {i}: {a} vs {b}");
             }
         }
     }

@@ -32,7 +32,7 @@ use crate::container::{CompressedDataset, Method, MethodBody};
 use crate::error::TacError;
 use crate::pipeline::{compress_dataset_t, resolve_level_eb_for};
 use crate::stream::CompressedLevel;
-use crate::zmesh::{gather, zmesh_order_window};
+use crate::zmesh::gather_walk;
 use tac_amr::{AmrDataset, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecId, Dims};
 
@@ -251,6 +251,20 @@ struct LevelSample<T> {
     present: usize,
 }
 
+/// The first `take` values of a level stack's traversal, gathered
+/// straight out of the level buffers.
+fn sample_window<T: CodecElement>(
+    masks: &[&BitMask],
+    finest_dim: usize,
+    level_data: &[&[T]],
+    take: usize,
+) -> Vec<T> {
+    let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
+    let window = gather_walk(masks, finest_dim, level_data, take);
+    tac_obs::add_bytes(tac_obs::Counter::ReorderValues, window.len());
+    window
+}
+
 /// A trial encode of one window: the stream's size in bytes.
 fn trial<T: CodecElement>(
     codec: CodecId,
@@ -308,13 +322,9 @@ fn select_sampled<T: CodecElement>(
         };
         let share = ((budget as f64) * (present as f64) / (present_total as f64)).ceil() as usize;
         let take = share.max(MIN_WINDOW).min(present);
-        let data = level.data();
-        let window: Vec<T> = level
-            .mask()
-            .iter_ones()
-            .take(take)
-            .filter_map(|i| data.get(i).copied())
-            .collect();
+        // One level's flat-index order is the zMesh walk of that level
+        // alone, so the same windowed gather serves both prefixes.
+        let window = sample_window(&[level.mask()], level.dim(), &[level.data()], take);
         samples.push(LevelSample {
             level: l,
             abs_eb,
@@ -433,8 +443,7 @@ fn select_sampled<T: CodecElement>(
             let mask_refs: Vec<&BitMask> = ds.levels().iter().map(|l| l.mask()).collect();
             let data_refs: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
             let take = budget.max(MIN_WINDOW);
-            let order = zmesh_order_window(&mask_refs, ds.finest_dim(), 0, take);
-            let zwindow: Vec<T> = gather(&order, &data_refs);
+            let zwindow = sample_window(&mask_refs, ds.finest_dim(), &data_refs, take);
             if !zwindow.is_empty() {
                 // One trial per codec serves both single-stream
                 // candidates: zMesh scales bytes to the present values,

@@ -4,116 +4,267 @@
 //! zMesh places points that map to the same or adjacent geometric
 //! coordinates next to each other in one 1D stream across all AMR levels.
 //! For tree-based data the natural generalization is a depth-first octree
-//! walk: visit every coarsest-level position; where a cell is present,
-//! emit it; where it was refined, descend into its 2x2x2 children. This
-//! interleaves the levels by geometry exactly as zMesh interleaves
-//! patch-based data.
+//! walk, which interleaves the levels by geometry exactly as zMesh
+//! interleaves patch-based data.
+//!
+//! # The order contract
+//!
+//! Levels are fine to coarse; level `l` has side `finest_dim >> l`.
+//! The traversal visits the coarsest level in row-major order (`x`
+//! fastest). A present cell is emitted; a cell that is absent at its
+//! level is replaced *in place* by its 2x2x2 children at the next finer
+//! level, in `dz, dy, dx`-major order (`dx` fastest), each child treated
+//! the same way. A finest-level position that no level covers is
+//! skipped. On valid tree-based AMR this enumerates every present cell
+//! exactly once; on invalid masks (holes, a cell present at two levels)
+//! it is still well defined, and compress and decode walk it alike.
+//!
+//! There is one implementation, [`walk`]: it streams the traversal as
+//! `(level, start, len)` pieces of flat indices — whole mask runs on the
+//! coarsest level, sibling pairs below it — and the pipeline gathers and
+//! scatters straight between the level buffers and the codec stream
+//! through [`gather_walk`] / [`scatter_walk`], never materialising a
+//! per-value order. [`zmesh_order`] is the analysis/test view of the
+//! same walker (one `(level, index)` entry per value), with [`gather`]
+//! and [`scatter`] as its explicit-order companions.
 //!
 //! The paper's finding — that this *hurts* tree-based data because level
 //! transitions inject value jumps the per-level 1D baseline never sees —
 //! is reproduced by the `fig16_reorder_demo` harness.
 
-use tac_amr::BitMask;
+use crate::error::TacError;
+use std::ops::ControlFlow::{self, Break, Continue};
+use std::ops::Range;
+use tac_amr::{BitMask, Runs};
 use tac_dtype::Element;
 
 /// One entry of the traversal: `(level, flat index within that level)`.
 pub type ZmeshEntry = (usize, usize);
 
+/// Side of level `l`, zero once `l` shifts the finest side away.
+pub(crate) fn level_dim(finest_dim: usize, l: usize) -> usize {
+    u32::try_from(l)
+        .ok()
+        .and_then(|shift| finest_dim.checked_shr(shift))
+        .unwrap_or(0)
+}
+
+/// Streams the zMesh traversal of a level stack described by its
+/// occupancy masks (fine to coarse) as `(level, start, len)` pieces:
+/// `len` consecutive flat indices of `level`, all present, in traversal
+/// order. `emit` may stop the walk early with `Break`. Never panics:
+/// mask bits beyond a mask's length read as absent.
+pub(crate) fn walk<B>(
+    masks: &[&BitMask],
+    finest_dim: usize,
+    mut emit: impl FnMut(usize, usize, usize) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let Some((mask, finer)) = masks.split_last() else {
+        return Continue(());
+    };
+    let coarsest = finer.len();
+    let cdim = level_dim(finest_dim, coarsest);
+    let cells = cdim.saturating_mul(cdim).saturating_mul(cdim);
+    // Each run of present cells is one piece; the absent cells between
+    // runs descend.
+    let mut at = 0;
+    for (start, len) in mask.runs_in(0, cells) {
+        descend(masks, finest_dim, coarsest, at..start, &mut emit)?;
+        emit(coarsest, start, len)?;
+        at = start + len;
+    }
+    descend(masks, finest_dim, coarsest, at..cells, &mut emit)
+}
+
+/// Answers "is bit `i` set?" for non-decreasing `i` inside one bit range
+/// of a mask, holding one run at a time — so a stretch of present (or
+/// absent) cells costs two comparisons per query, not a mask read.
+struct Cursor<'a> {
+    runs: Runs<'a>,
+    /// The run `[start, end)` that ends beyond the last query.
+    start: usize,
+    end: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(mask: &'a BitMask, start: usize, len: usize) -> Self {
+        Cursor {
+            runs: mask.runs_in(start, len),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    #[inline]
+    fn present(&mut self, i: usize) -> bool {
+        while self.end <= i {
+            // Past the last run nothing is present.
+            let (start, len) = self.runs.next().unwrap_or((usize::MAX, 0));
+            (self.start, self.end) = (start, start.saturating_add(len));
+        }
+        self.start <= i
+    }
+}
+
+/// The cells `gap` of level `l` are absent there: each is replaced in
+/// place by its eight children, `dz, dy`-major, one `dx` sibling pair
+/// (two adjacent flat indices of the finer level) at a time. A present
+/// child is emitted, an absent one descends in turn.
+fn descend<B, F: FnMut(usize, usize, usize) -> ControlFlow<B>>(
+    masks: &[&BitMask],
+    finest_dim: usize,
+    l: usize,
+    gap: Range<usize>,
+    emit: &mut F,
+) -> ControlFlow<B> {
+    let Some((finer, mask)) = l.checked_sub(1).and_then(|f| Some((f, masks.get(f)?))) else {
+        return Continue(());
+    };
+    let (dim, fdim) = (level_dim(finest_dim, l), level_dim(finest_dim, finer));
+    if dim == 0 {
+        return Continue(());
+    }
+    let mut at = gap.start;
+    while at < gap.end {
+        // The part of the gap inside one `x` row of level `l`: its
+        // children lie in four rows of the finer level, each read
+        // through its own cursor.
+        let (x, y, z) = (at % dim, at / dim % dim, at / dim / dim);
+        let cells = (dim - x).min(gap.end - at);
+        let rows = [(0, 0), (1, 0), (0, 1), (1, 1)]
+            .map(|(cy, cz)| fdim * (2 * y + cy + fdim * (2 * z + cz)));
+        let mut cursors = rows.map(|row| Cursor::new(mask, row + 2 * x, 2 * cells));
+        for cx in x..x + cells {
+            for (row, cursor) in rows.iter().zip(&mut cursors) {
+                let pair = row + 2 * cx;
+                match (cursor.present(pair), cursor.present(pair + 1)) {
+                    (true, true) => emit(finer, pair, 2)?,
+                    (true, false) => {
+                        emit(finer, pair, 1)?;
+                        descend(masks, finest_dim, finer, pair + 1..pair + 2, emit)?;
+                    }
+                    (false, true) => {
+                        descend(masks, finest_dim, finer, pair..pair + 1, emit)?;
+                        emit(finer, pair + 1, 1)?;
+                    }
+                    (false, false) => descend(masks, finest_dim, finer, pair..pair + 2, emit)?,
+                }
+            }
+        }
+        at += cells;
+    }
+    Continue(())
+}
+
 /// Computes the zMesh traversal order for a level stack described by its
-/// occupancy masks (fine to coarse; level `l` has side `finest_dim >> l`).
+/// occupancy masks (fine to coarse; level `l` has side `finest_dim >> l`),
+/// one entry per value — the analysis/test view of the walker the
+/// pipeline streams; see the module docs for the order contract.
 ///
 /// Positions covered by no level (invalid datasets) are skipped silently;
 /// for valid tree-based AMR the result enumerates every present cell
 /// exactly once.
 pub fn zmesh_order(masks: &[&BitMask], finest_dim: usize) -> Vec<ZmeshEntry> {
-    let levels = masks.len();
-    assert!(levels >= 1, "need at least one level");
-    let coarsest = levels - 1;
-    let cdim = finest_dim >> coarsest;
-    let mut out = Vec::new();
-    for z in 0..cdim {
-        for y in 0..cdim {
-            for x in 0..cdim {
-                visit(masks, finest_dim, coarsest, x, y, z, &mut out);
-            }
-        }
-    }
+    let mut out = Vec::with_capacity(masks.iter().map(|m| m.count_ones()).sum());
+    let _ = walk(masks, finest_dim, |l, start, len| {
+        out.extend((start..start + len).map(|idx| (l, idx)));
+        Continue::<(), ()>(())
+    });
     out
 }
 
-/// A bounded window of the zMesh traversal: walks the same order as
-/// [`zmesh_order`], but starts at the coarse-grid cell with flat
-/// row-major index `skip_coarse` and stops once `max_entries` entries
-/// are collected. The `Method::Auto` selection pass uses this to
-/// trial-encode a contiguous slice of the stream without materializing
-/// (or walking) the full traversal.
-pub fn zmesh_order_window(
+/// Copies one piece of the traversal. Below the coarsest level nearly
+/// every piece is a sibling pair; matching that as a fixed-size pattern
+/// keeps a `memcpy` call per pair off the hot path.
+#[inline]
+fn copy_piece<T: Copy>(dst: &mut [T], src: &[T]) {
+    match (dst, src) {
+        ([d0, d1], &[s0, s1]) => (*d0, *d1) = (s0, s1),
+        (dst, src) => dst.copy_from_slice(src),
+    }
+}
+
+/// Gathers the first `limit` values of the traversal (all of them for
+/// `usize::MAX`) straight out of the level buffers, one slice copy per
+/// piece. `Method::Auto`'s selection pass takes a bounded prefix this
+/// way; the walk stops as soon as the window is full.
+pub(crate) fn gather_walk<T: Element>(
     masks: &[&BitMask],
     finest_dim: usize,
-    skip_coarse: usize,
-    max_entries: usize,
-) -> Vec<ZmeshEntry> {
-    let levels = masks.len();
-    assert!(levels >= 1, "need at least one level");
-    let coarsest = levels - 1;
-    let cdim = finest_dim >> coarsest;
-    let mut out = Vec::new();
-    for c in skip_coarse..cdim * cdim * cdim {
-        if out.len() >= max_entries {
-            break;
+    level_data: &[&[T]],
+    limit: usize,
+) -> Vec<T> {
+    // No cell is visited twice, so the traversal is at most as long as
+    // the masks' population (shorter only on invalid hierarchies).
+    let present: usize = masks.iter().map(|m| m.count_ones()).sum();
+    let mut out = vec![T::ZERO; present.min(limit)];
+    let mut filled = 0;
+    let _ = walk(masks, finest_dim, |l, start, len| {
+        let len = len.min(out.len() - filled);
+        let src = level_data.get(l).and_then(|d| d.get(start..start + len));
+        if let (Some(src), Some(dst)) = (src, out.get_mut(filled..filled + len)) {
+            copy_piece(dst, src);
+            filled += len;
         }
-        let x = c % cdim;
-        let y = (c / cdim) % cdim;
-        let z = c / (cdim * cdim);
-        visit(masks, finest_dim, coarsest, x, y, z, &mut out);
-    }
-    // The last visited subtree may overshoot the cap.
-    out.truncate(max_entries);
+        if filled < out.len() {
+            Continue(())
+        } else {
+            Break(())
+        }
+    });
+    out.truncate(filled);
     out
 }
 
-fn visit(
+/// Scatters a decoded stream back into per-level dense buffers along
+/// the traversal, one slice copy per piece.
+///
+/// # Errors
+/// The stream must hold exactly one value per traversal cell: values
+/// running short or left over (or a buffer too small for its mask) is
+/// [`TacError::Corrupt`].
+pub(crate) fn scatter_walk<T: Element>(
     masks: &[&BitMask],
     finest_dim: usize,
-    l: usize,
-    x: usize,
-    y: usize,
-    z: usize,
-    out: &mut Vec<ZmeshEntry>,
-) {
-    let dim = finest_dim >> l;
-    let idx = x + dim * (y + dim * z);
-    if masks[l].get(idx) {
-        out.push((l, idx));
-        return;
-    }
-    if l == 0 {
-        return;
-    }
-    for dz in 0..2 {
-        for dy in 0..2 {
-            for dx in 0..2 {
-                visit(
-                    masks,
-                    finest_dim,
-                    l - 1,
-                    2 * x + dx,
-                    2 * y + dy,
-                    2 * z + dz,
-                    out,
-                );
+    values: &[T],
+    level_data: &mut [Vec<T>],
+) -> Result<(), TacError> {
+    let mut rest = values;
+    let ran_short = walk(masks, finest_dim, |l, start, len| {
+        let dst = level_data
+            .get_mut(l)
+            .and_then(|d| d.get_mut(start..start + len));
+        let (Some(dst), Some(src), Some(tail)) = (dst, rest.get(..len), rest.get(len..)) else {
+            return Break(());
+        };
+        copy_piece(dst, src);
+        rest = tail;
+        Continue(())
+    })
+    .is_break();
+    if ran_short || !rest.is_empty() {
+        return Err(TacError::Corrupt(format!(
+            "zMesh stream holds {} values, the traversal has {}",
+            values.len(),
+            if ran_short {
+                "more cells"
+            } else {
+                "fewer cells"
             }
-        }
+        )));
     }
+    Ok(())
 }
 
 /// Gathers level data values into a 1D array following `order`.
+// tac-lint: allow(panic) -- analysis/test view, off the decode path: an order that does not belong to these buffers is a caller bug.
 pub fn gather<T: Element>(order: &[ZmeshEntry], level_data: &[&[T]]) -> Vec<T> {
     order.iter().map(|&(l, idx)| level_data[l][idx]).collect()
 }
 
 /// Scatters a 1D array back into per-level dense buffers following
 /// `order`.
+// tac-lint: allow(panic) -- analysis/test view, off the decode path: an order that does not belong to these buffers is a caller bug.
 pub fn scatter<T: Element>(order: &[ZmeshEntry], values: &[T], level_data: &mut [Vec<T>]) {
     assert_eq!(order.len(), values.len(), "order/value length mismatch");
     for (&(l, idx), &v) in order.iter().zip(values) {
@@ -191,6 +342,199 @@ mod tests {
             for i in lvl.mask().iter_ones() {
                 assert_eq!(buf[i], lvl.data()[i]);
             }
+        }
+    }
+
+    /// The recursive per-cell walk the streaming walker replaced, kept
+    /// as the reference it is tested against.
+    fn visit(
+        masks: &[&BitMask],
+        finest_dim: usize,
+        l: usize,
+        at: [usize; 3],
+        out: &mut Vec<ZmeshEntry>,
+    ) {
+        let [x, y, z] = at;
+        let dim = finest_dim >> l;
+        let idx = x + dim * (y + dim * z);
+        if masks[l].get(idx) {
+            out.push((l, idx));
+            return;
+        }
+        if l == 0 {
+            return;
+        }
+        for dz in 0..2 {
+            for dy in 0..2 {
+                for dx in 0..2 {
+                    let child = [2 * x + dx, 2 * y + dy, 2 * z + dz];
+                    visit(masks, finest_dim, l - 1, child, out);
+                }
+            }
+        }
+    }
+
+    fn reference_order(masks: &[&BitMask], finest_dim: usize) -> Vec<ZmeshEntry> {
+        let coarsest = masks.len() - 1;
+        let cdim = finest_dim >> coarsest;
+        let mut out = Vec::new();
+        for z in 0..cdim {
+            for y in 0..cdim {
+                for x in 0..cdim {
+                    visit(masks, finest_dim, coarsest, [x, y, z], &mut out);
+                }
+            }
+        }
+        out
+    }
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// Marks the subtree under cell `at` of level `l`: the cell is
+    /// present, or (above level 0, one time in three) refined into its
+    /// eight children.
+    fn fill(masks: &mut [BitMask], finest_dim: usize, l: usize, at: [usize; 3], rng: &mut Rng) {
+        let [x, y, z] = at;
+        let dim = finest_dim >> l;
+        if l == 0 || rng.next() % 3 != 0 {
+            masks[l].set(x + dim * (y + dim * z), true);
+            return;
+        }
+        for child in 0..8 {
+            let at = [
+                2 * x + (child & 1),
+                2 * y + (child >> 1 & 1),
+                2 * z + (child >> 2),
+            ];
+            fill(masks, finest_dim, l - 1, at, rng);
+        }
+    }
+
+    /// A seeded 1-4-level hierarchy on a 1^3..3^3 coarsest grid (so
+    /// level sides are rarely a power of two and masks rarely a multiple
+    /// of 64 bits). Odd seeds are valid tree-based AMR; even seeds then
+    /// get one bit in eight flipped per level, leaving holes and cells
+    /// present at two levels.
+    fn random_hierarchy(seed: u64) -> (Vec<BitMask>, usize) {
+        let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+        let levels = 1 + (rng.next() % 4) as usize;
+        let cdim = 1 + (rng.next() % 3) as usize;
+        let finest_dim = cdim << (levels - 1);
+        let mut masks: Vec<BitMask> = (0..levels)
+            .map(|l| BitMask::zeros((finest_dim >> l).pow(3)))
+            .collect();
+        for c in 0..cdim.pow(3) {
+            let at = [c % cdim, c / cdim % cdim, c / cdim / cdim];
+            fill(&mut masks, finest_dim, levels - 1, at, &mut rng);
+        }
+        if seed % 2 == 0 {
+            for mask in &mut masks {
+                for i in 0..mask.len() {
+                    if rng.next() % 8 == 0 {
+                        mask.set(i, !mask.get(i));
+                    }
+                }
+            }
+        }
+        (masks, finest_dim)
+    }
+
+    /// Level buffers of bit patterns that only a bit-exact copy
+    /// preserves: NaN payloads, `-0.0` and arbitrary bits, in absent
+    /// cells too.
+    fn random_buffers<T: Element>(masks: &[BitMask], salt: u64) -> Vec<Vec<T>> {
+        let mut rng = Rng(salt | 1);
+        let nan = T::from_f64(f64::NAN).to_bits_u64();
+        masks
+            .iter()
+            .map(|m| {
+                (0..m.len())
+                    .map(|_| match rng.next() % 4 {
+                        0 => T::from_bits_u64(nan | (rng.next() % 1024)),
+                        1 => T::from_f64(-0.0),
+                        _ => T::from_bits_u64(rng.next()),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn bits<T: Element>(values: &[T]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits_u64()).collect()
+    }
+
+    #[test]
+    fn walker_matches_the_recursive_reference_on_valid_and_invalid_hierarchies() {
+        for seed in 0..400 {
+            let (masks, finest_dim) = random_hierarchy(seed);
+            let refs: Vec<&BitMask> = masks.iter().collect();
+            let order = zmesh_order(&refs, finest_dim);
+            assert_eq!(order, reference_order(&refs, finest_dim), "seed {seed}");
+            let _ = walk(&refs, finest_dim, |_, _, len| {
+                assert!(len >= 1, "seed {seed}: empty piece");
+                Continue::<(), ()>(())
+            });
+        }
+        assert!(zmesh_order(&[], 8).is_empty());
+    }
+
+    fn check_streamed_gather_and_scatter<T: Element>(seed: u64) {
+        let (masks, finest_dim) = random_hierarchy(seed);
+        let refs: Vec<&BitMask> = masks.iter().collect();
+        let order = zmesh_order(&refs, finest_dim);
+        let data: Vec<Vec<T>> = random_buffers(&masks, seed ^ 0xA5A5);
+        let slices: Vec<&[T]> = data.iter().map(|d| d.as_slice()).collect();
+
+        let stream = gather(&order, &slices);
+        let streamed = gather_walk(&refs, finest_dim, &slices, usize::MAX);
+        assert_eq!(bits(&streamed), bits(&stream), "seed {seed}: gather");
+
+        // The windowed prefix is `order[..n]`, also for `n` past the end.
+        let mut rng = Rng(seed | 1);
+        for _ in 0..4 {
+            let n = (rng.next() % (order.len() as u64 + 3)) as usize;
+            let window = gather_walk(&refs, finest_dim, &slices, n);
+            let expect = gather(&order[..n.min(order.len())], &slices);
+            assert_eq!(bits(&window), bits(&expect), "seed {seed}: window {n}");
+        }
+
+        // Scatter into buffers of other arbitrary bits: the cells on the
+        // traversal take the stream's bits, every other cell keeps its own.
+        let before: Vec<Vec<T>> = random_buffers(&masks, seed ^ 0x5A5A);
+        let mut expect = before.clone();
+        scatter(&order, &stream, &mut expect);
+        let mut streamed = before.clone();
+        scatter_walk(&refs, finest_dim, &stream, &mut streamed).unwrap();
+        for (l, (a, b)) in streamed.iter().zip(&expect).enumerate() {
+            assert_eq!(bits(a), bits(b), "seed {seed}: scatter level {l}");
+        }
+
+        // One value short and one value long are both corrupt.
+        let mut long = stream.clone();
+        long.push(T::ZERO);
+        for wrong in [&stream[..stream.len().saturating_sub(1)], &long[..]] {
+            if wrong.len() == stream.len() {
+                continue; // an empty traversal has no shorter stream
+            }
+            let err = scatter_walk(&refs, finest_dim, wrong, &mut before.clone()).unwrap_err();
+            assert!(matches!(err, TacError::Corrupt(_)), "seed {seed}: {err}");
+        }
+    }
+
+    #[test]
+    fn streamed_gather_and_scatter_match_the_explicit_order_bit_for_bit() {
+        for seed in 0..200 {
+            check_streamed_gather_and_scatter::<f64>(seed);
+            check_streamed_gather_and_scatter::<f32>(seed);
         }
     }
 

@@ -36,6 +36,7 @@ pub const DECODE_PATH_MODULES: &[&str] = &[
     "crates/core/src/roi.rs",
     "crates/core/src/extract.rs",
     "crates/core/src/select.rs",
+    "crates/core/src/zmesh.rs",
     "crates/sz/src/wire.rs",
     "crates/sz/src/compress.rs",
     "crates/sz/src/huffman.rs",

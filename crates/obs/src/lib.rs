@@ -45,7 +45,8 @@ pub enum Stage {
     Compress,
     /// Whole-dataset decompression entry point.
     Decompress,
-    /// Engine planning (task construction).
+    /// Planning: strategy choice, error-bound resolution (the value-range
+    /// scan) and engine task construction.
     Plan,
     /// `Method::Auto` selection pass (candidate trial encodes and
     /// rate estimates).
@@ -58,6 +59,11 @@ pub enum Stage {
     /// pasting a region group (or adopting a whole-level buffer) and
     /// masking what was written. Nested inside [`Stage::Assemble`].
     Paste,
+    /// Moving values between level buffers and a codec stream's order
+    /// in the 1D, zMesh and 3D paths: the gather on compress (and of a
+    /// `Method::Auto` sample window), buffer allocation plus scatter on
+    /// decode.
+    Reorder,
     /// One codec encode task (a level, group, or baseline stream).
     Encode,
     /// One codec decode task.
@@ -88,6 +94,7 @@ impl Stage {
         Stage::Execute,
         Stage::Assemble,
         Stage::Paste,
+        Stage::Reorder,
         Stage::Encode,
         Stage::Decode,
         Stage::Quantize,
@@ -109,6 +116,7 @@ impl Stage {
             Stage::Execute => "execute",
             Stage::Assemble => "assemble",
             Stage::Paste => "paste",
+            Stage::Reorder => "reorder",
             Stage::Encode => "encode",
             Stage::Decode => "decode",
             Stage::Quantize => "quantize",
@@ -179,6 +187,9 @@ pub enum Counter {
     /// proportional to the decoded regions, not to `dim^3`, on sparse
     /// levels.
     AssembleCellsWritten,
+    /// Values moved by [`Stage::Reorder`] spans: one per value gathered
+    /// into, or scattered out of, a 1D / zMesh / 3D codec stream.
+    ReorderValues,
 }
 
 impl Counter {
@@ -211,6 +222,7 @@ impl Counter {
         Counter::SelectSampledValues,
         Counter::SelectWinnerBytes,
         Counter::AssembleCellsWritten,
+        Counter::ReorderValues,
     ];
 
     /// Index into a shard's counter array.
@@ -246,6 +258,7 @@ impl Counter {
             Counter::SelectSampledValues => "select_sampled_values",
             Counter::SelectWinnerBytes => "select_winner_bytes",
             Counter::AssembleCellsWritten => "assemble_cells_written",
+            Counter::ReorderValues => "reorder_values",
         }
     }
 }

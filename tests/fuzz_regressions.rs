@@ -355,6 +355,65 @@ fn group_extents_beyond_the_level_are_rejected_at_every_worker_count() {
     assert!(decompress_region_t::<f64>(&cd.to_bytes(), Aabb::whole(8)).is_err());
 }
 
+/// Every field of `CompressedDataset` is public, so a caller can hand
+/// the decoder masks that disagree with `finest_dim >> l`. The TAC and
+/// 1D arms answered `Corrupt`; the zMesh arm panicked in its traversal
+/// ("bit index 64 out of range 64", "need at least one level") and the
+/// 3D arm in `AmrLevel::new` / `AmrDataset::new` or on an index out of
+/// bounds. The geometry is validated once, up front, for every method.
+#[test]
+fn in_memory_masks_that_disagree_with_the_grid_are_rejected_by_every_method() {
+    use tac_amr::{AmrDataset, AmrLevel, BitMask};
+    use tac_core::{
+        compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig, TacError,
+    };
+    // 8^3 over 4^3 with coarse cell (0,0,0) refined.
+    let mut fine = AmrLevel::empty(8);
+    let mut coarse = AmrLevel::empty(4);
+    for i in 0..64usize {
+        let (x, y, z) = (i % 4, i / 4 % 4, i / 16);
+        if i == 0 {
+            for c in 0..8 {
+                fine.set_value(c & 1, c >> 1 & 1, c >> 2, 1.0 + c as f64 * 0.25);
+            }
+        } else {
+            coarse.set_value(x, y, z, (i as f64 * 0.1).sin());
+        }
+    }
+    let ds = AmrDataset::new("two-level", vec![fine, coarse]);
+    ds.validate().unwrap();
+    let cfg = TacConfig {
+        unit: 4,
+        ..TacConfig::default()
+    };
+    type Tamper = fn(&mut Vec<BitMask>);
+    let tampers: [(&str, Tamper); 4] = [
+        ("short mask", |m| m[0] = BitMask::ones(64)),
+        ("long mask", |m| m[0] = BitMask::ones(1000)),
+        ("long coarse mask", |m| m[1] = BitMask::ones(512)),
+        ("no masks", |m| m.clear()),
+    ];
+    for method in Method::fixed() {
+        let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+        for (what, tamper) in tampers {
+            let mut bad = cd.clone();
+            tamper(&mut bad.masks);
+            for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+                let err = decompress_dataset_par_t::<f64>(&bad, parallelism).unwrap_err();
+                assert!(
+                    matches!(err, TacError::Corrupt(_)),
+                    "{method:?}, {what}, {parallelism:?}: {err}"
+                );
+            }
+        }
+        // More levels than the finest grid can halve into.
+        let mut bad = cd.clone();
+        bad.masks
+            .extend([BitMask::zeros(8), BitMask::zeros(1), BitMask::zeros(0)]);
+        assert!(decompress_dataset_par_t::<f64>(&bad, Parallelism::Serial).is_err());
+    }
+}
+
 /// The CI smoke: the bounded seeded campaign must observe zero panics
 /// and zero incoherent decodes (every corruption surfaces as `Err` or
 /// as a coherent re-decodable container).

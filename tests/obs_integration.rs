@@ -15,7 +15,8 @@ use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, CompressedDataset, LevelPayload, Method,
     MethodBody, Parallelism, TacConfig,
 };
-use tac_obs::{Counter, Snapshot};
+use tac_obs::export::StageReport;
+use tac_obs::{Counter, Snapshot, Stage};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const METHODS: [Method; 4] = [
@@ -75,6 +76,7 @@ fn counters_of_interest(snap: &Snapshot) -> Vec<(Counter, u64)> {
         Counter::SzQuantMisses,
         Counter::PcoPages,
         Counter::AssembleCellsWritten,
+        Counter::ReorderValues,
     ]
     .into_iter()
     .map(|c| (c, snap.counter(c)))
@@ -96,9 +98,23 @@ fn merged_counters_are_invariant_across_worker_counts() {
             };
             let _ = session.take();
             let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+            let mut snap = session.take();
+            let gathered = snap.counter(Counter::ReorderValues);
             decompress_dataset_par_t::<f64>(&cd, cfg.parallelism).unwrap();
-            let snap = session.take();
+            snap.merge(session.take());
             let counters = counters_of_interest(&snap);
+
+            // The single-stream and per-level 1D paths move every present
+            // value exactly once per direction.
+            if matches!(method, Method::ZMesh | Method::Baseline1D) {
+                let present = ds.total_present() as u64;
+                assert_eq!(gathered, present, "{method:?}: values gathered");
+                assert_eq!(
+                    snap.counter(Counter::ReorderValues),
+                    2 * present,
+                    "{method:?} at {workers} workers: values gathered + scattered"
+                );
+            }
 
             // Byte counters match the container's codec payloads exactly,
             // at every worker count.
@@ -142,6 +158,7 @@ fn merged_counters_are_invariant_across_worker_counts() {
     }
 
     assembly_work_follows_the_occupied_volume(session);
+    zmesh_round_trip_time_is_attributed(session);
 
     // Leave the session clean for any later obs-enabled test binaries
     // sharing the process (none today, but take() is cheap insurance).
@@ -197,5 +214,48 @@ fn assembly_work_follows_the_occupied_volume(session: &tac_obs::ObsSession) {
     assert!(
         written * 20 < (dim * dim * dim) as u64,
         "assembly touched {written} cells of a {dim}^3 grid at <1% occupancy"
+    );
+}
+
+/// Where a zMesh round-trip's time goes must have a name: the self-time
+/// the `compress` and `decompress` spans keep for themselves (whatever
+/// no nested stage covers) stays below 15% of the wall. Before the
+/// reorder was a stage — and before it stopped materialising a
+/// 16 B/value order — that was 43% and 71% on the benchmark's `z5_auto`
+/// input. Shares of one run, best of three, on a 128^3 input where a
+/// pass takes tens of milliseconds, so scheduler noise does not decide
+/// it; called from the one `#[test]` above because the recorder session
+/// is process-global.
+fn zmesh_round_trip_time_is_attributed(session: &tac_obs::ObsSession) {
+    let ds = load_dataset("Run1_Z5", 4, 14);
+    let cfg = TacConfig::default();
+    let unattributed = |snap: &Snapshot, stage: Stage| {
+        let report = StageReport::from_snapshot(snap);
+        let row = report.rows.iter().find(|r| r.stage == stage);
+        let row = row.unwrap_or_else(|| panic!("no {} span recorded", stage.name()));
+        assert!(
+            report.rows.iter().any(|r| r.stage == Stage::Reorder),
+            "no reorder span under {}",
+            stage.name()
+        );
+        report.fraction(row)
+    };
+    let (mut compress, mut decompress) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let _ = session.take();
+        let cd = compress_dataset_t(&ds, &cfg, Method::ZMesh).unwrap();
+        compress = compress.min(unattributed(&session.take(), Stage::Compress));
+        decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+        decompress = decompress.min(unattributed(&session.take(), Stage::Decompress));
+    }
+    assert!(
+        compress < 0.15,
+        "{:.1}% of a zMesh compress is unattributed self-time",
+        100.0 * compress
+    );
+    assert!(
+        decompress < 0.15,
+        "{:.1}% of a zMesh decompress is unattributed self-time",
+        100.0 * decompress
     );
 }
