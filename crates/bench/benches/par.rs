@@ -84,7 +84,7 @@ fn emit_quick_json() {
         return;
     }
     let (ds, cfg) = fig14_scale_setup();
-    let (rows, identical) = measure_sweep(&ds, cfg.unit, 2);
+    let (rows, identical) = measure_sweep(&ds, &cfg, Method::Tac, 2);
     let threads: Vec<String> = rows.iter().map(|r| r.threads.to_string()).collect();
     let tp: Vec<String> = rows
         .iter()

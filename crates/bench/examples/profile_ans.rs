@@ -40,13 +40,14 @@ fn main() {
         let wall = best_secs(9, || {
             decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).expect("decompress");
         });
-        // Codec-only: decode each level's stream, no mask scatter.
+        // Codec-only: decode each segment's stream, no mask scatter.
         let backend = codec_for::<f64>(codec);
         let streams: Vec<&[u8]> = match &cd.body {
             MethodBody::Baseline1D(levels) => levels
                 .iter()
                 .flatten()
-                .map(|(_, _, s)| s.as_slice())
+                .flat_map(|(_, _, segments)| segments)
+                .map(|s| s.stream.as_slice())
                 .collect(),
             _ => unreachable!(),
         };

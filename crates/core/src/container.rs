@@ -33,11 +33,52 @@
 //! the element type is not `f64`. v1 and v2 bytes produced before the
 //! codec layer existed parse unchanged and default to [`CodecId::Sz`]
 //! and [`TacDtype::F64`].
+//!
+//! # What a chunk-table row's box means
+//!
+//! Readers seek by the boxes, so the parser holds every row to the box
+//! the writer derives from data the parser can see itself (the row's
+//! level grid, the masks, the chunk's own header) and refuses any other:
+//!
+//! * **TAC, whole-level stream** — the tight bounding box of the level's
+//!   mask, in level coordinates.
+//! * **TAC, region group** — the union of the group's sub-blocks, read
+//!   back from the origin list at the head of the chunk.
+//! * **3D baseline** — its one row spans the finest grid.
+//! * **zMesh and 1D** — a body is one *or more* [`Segment`]s, one row
+//!   each, and the row's z-extent **is the segment's address**: the row
+//!   spans the whole x-y extent of its grid and the z-planes its segment
+//!   codes (see [`crate::segment`]). zMesh rows name level 0 and sit on
+//!   the finest grid, cut on multiples of `2^(levels - 1)` (one plane of
+//!   the coarsest level); 1D rows sit on their own level's grid. The rows
+//!   of a traversal tile the z-axis in order from plane 0 to the end of
+//!   the grid — a gap, an overlap, a cut off the plane grid or a missing
+//!   row is [`TacError::Corrupt`]. A 1D level coded as a single segment
+//!   keeps the mask's tight box instead, like a TAC whole-level stream.
+//!
+//! Segmented bodies need no version byte. A body of one segment is
+//! written as exactly the bytes it has always been (zMesh: one level-0
+//! whole-domain row; 1D: the level's tight box), so every earlier
+//! container parses as the one-segment case; and a reader from before
+//! segments meets an N-row body with a clean chunk-count error
+//! ("expected exactly one chunk"), never a misdecode. Where the cuts
+//! fall is the writer's business (a fixed value budget,
+//! `segment::SEGMENT_BUDGET`): readers take every cut from the table
+//! and depend on no constant.
+//!
+//! v1 carries segments too, for [`CompressedDataset::to_bytes_v1`] to
+//! stay total: a zMesh body appends the plane cuts and further streams
+//! after the one blob old readers expect, a 1D level uses level tag 3.
+//! One-segment bodies write, and old v1 bytes parse as, what v1 always
+//! held.
 
 use crate::config::Strategy;
 use crate::error::TacError;
-use crate::stream::{CompressedLevel, LevelPayload, Reader, Writer};
+use crate::segment::{planes_of_rows, Segment};
+use crate::stream::{BlockGroup, CompressedLevel, LevelPayload, Reader, Writer};
+use crate::zmesh::{level_dim, refinement};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use tac_amr::{Aabb, BitMask};
 use tac_codec::{sniff_codec, CodecId};
 use tac_dtype::TacDtype;
@@ -149,8 +190,9 @@ impl Method {
 }
 
 /// One non-empty level of the 1D baseline: resolved absolute bound, the
-/// scalar codec of the stream, and the rank-1 stream itself.
-pub type Baseline1DLevel = (f64, CodecId, Vec<u8>);
+/// scalar codec of its streams, and the level's flat traversal as one
+/// or more [`Segment`]s tiling its z-planes.
+pub type Baseline1DLevel = (f64, CodecId, Vec<Segment>);
 
 /// Method-specific compressed payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,14 +201,15 @@ pub enum MethodBody {
     Tac(Vec<CompressedLevel>),
     /// Per level: `None` for empty levels, else a [`Baseline1DLevel`].
     Baseline1D(Vec<Option<Baseline1DLevel>>),
-    /// One stream over the zMesh-ordered concatenation of all levels.
+    /// The zMesh-ordered concatenation of all levels, as one or more
+    /// [`Segment`]s tiling the z-planes of the coarsest level.
     ZMesh {
-        /// Resolved absolute error bound.
+        /// Resolved absolute error bound, shared by every segment.
         abs_eb: f64,
-        /// Scalar codec of the stream.
+        /// Scalar codec of every segment's stream.
         codec: CodecId,
-        /// Rank-1 stream.
-        stream: Vec<u8>,
+        /// The traversal's segments, in plane order.
+        segments: Vec<Segment>,
     },
     /// One rank-3 stream over the merged uniform grid.
     Baseline3D {
@@ -202,6 +245,76 @@ impl MethodBody {
             }
         }
     }
+}
+
+/// Serialized v1 size of a segment list: every stream behind its `u64`
+/// length prefix, plus — past one segment — the `u32` count and one
+/// `u32` plane cut per segment (see [`write_segments_v1`]).
+// tac-lint: allow(arith) -- size accounting over in-memory streams already held in RAM; the sums cannot exceed what was allocated.
+fn segments_bytes_v1(segments: &[Segment]) -> usize {
+    let framing = match segments.len() {
+        0 | 1 => 0,
+        n => 4 + 4 * n,
+    };
+    framing + segments.iter().map(|s| 8 + s.stream.len()).sum::<usize>()
+}
+
+/// Writes a segment list into a v1 body. One segment is its stream
+/// blob alone — the bytes v1 has always held. More append, after the
+/// first blob, the segment count, the first segment's plane cut, and
+/// each further segment as cut + blob.
+// tac-lint: allow(arith) -- writer-side width reduction: plane cuts are cell coordinates bounded by MAX_FINEST_DIM (2^13) and there is at most one segment per plane.
+fn write_segments_v1(w: &mut Writer, segments: &[Segment]) {
+    let Some((first, rest)) = segments.split_first() else {
+        return w.put_blob(&[]);
+    };
+    w.put_blob(&first.stream);
+    if rest.is_empty() {
+        return;
+    }
+    w.put_u32(segments.len() as u32);
+    w.put_u32(first.plane_end as u32);
+    for s in rest {
+        w.put_u32(s.plane_end as u32);
+        w.put_blob(&s.stream);
+    }
+}
+
+/// Reads what [`write_segments_v1`] wrote, from just after the first
+/// blob (`first`). `planes` is the plane count of the stack, which a
+/// lone blob (every pre-segment v1 body) covers whole; `multi` says
+/// whether the count and cuts follow.
+fn read_segments_v1(
+    r: &mut Reader<'_>,
+    first: Vec<u8>,
+    planes: usize,
+    multi: bool,
+) -> Result<Vec<Segment>, TacError> {
+    if !multi {
+        return Ok(vec![Segment {
+            plane_end: planes,
+            stream: first,
+        }]);
+    }
+    let count = r.get_u32()? as usize;
+    // Every further segment is at least a cut and a length prefix.
+    if count < 2 || count - 2 > r.remaining() / 12 {
+        return Err(TacError::Corrupt(format!(
+            "{count} segments is implausible"
+        )));
+    }
+    let mut segments = Vec::with_capacity(count);
+    segments.push(Segment {
+        plane_end: r.get_u32()? as usize,
+        stream: first,
+    });
+    for _ in 1..count {
+        segments.push(Segment {
+            plane_end: r.get_u32()? as usize,
+            stream: r.get_blob()?.to_vec(),
+        });
+    }
+    Ok(segments)
 }
 
 /// A compressed AMR dataset: structure metadata plus method payload.
@@ -245,7 +358,9 @@ impl CompressedDataset {
     }
 
     /// Bytes of the compressed field payload — the size the paper's
-    /// compression ratios count.
+    /// compression ratios count: exactly what the method body occupies
+    /// in [`CompressedDataset::to_bytes_v1`], per-segment length
+    /// prefixes and plane cuts included.
     // tac-lint: allow(arith) -- size accounting over in-memory streams already held in RAM; the sums cannot exceed what was allocated.
     pub fn payload_bytes(&self) -> usize {
         match &self.body {
@@ -253,14 +368,14 @@ impl CompressedDataset {
             MethodBody::Baseline1D(levels) => levels
                 .iter()
                 .map(|l| {
-                    l.as_ref().map_or(1, |(_, codec, s)| {
-                        9 + usize::from(*codec != CodecId::Sz) + 8 + s.len()
+                    l.as_ref().map_or(1, |(_, codec, segments)| {
+                        let tagged = *codec != CodecId::Sz || segments.len() > 1;
+                        9 + usize::from(tagged) + segments_bytes_v1(segments)
                     })
                 })
                 .sum(),
-            MethodBody::ZMesh { stream, .. } | MethodBody::Baseline3D { stream, .. } => {
-                8 + 8 + stream.len()
-            }
+            MethodBody::ZMesh { segments, .. } => 8 + segments_bytes_v1(segments),
+            MethodBody::Baseline3D { stream, .. } => 8 + 8 + stream.len(),
         }
     }
 
@@ -299,6 +414,10 @@ impl CompressedDataset {
     /// still fit: TAC level payloads carry an explicit codec tag, the 1D
     /// baseline uses an extended level tag, and the single-stream
     /// baselines are recovered by magic-number sniffing on read.
+    /// Multi-segment bodies fit too — zMesh appends its cuts and further
+    /// segments after the blob old readers stop at, a 1D level switches
+    /// to level tag 3 — while one-segment bodies write the bytes v1 has
+    /// always held.
     // tac-lint: allow(arith) -- writer-side width reduction: the engine caps levels at 16, so `masks.len() as u8` cannot truncate.
     pub fn to_bytes_v1(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -321,24 +440,31 @@ impl CompressedDataset {
                 for l in levels {
                     match l {
                         None => w.put_u8(0),
-                        // Tag 1 is the legacy (implicitly SZ) encoding;
-                        // tag 2 appends the codec byte.
-                        Some((eb, CodecId::Sz, stream)) => {
-                            w.put_u8(1);
+                        Some((eb, codec, segments)) => {
+                            // Tag 1 is the legacy (implicitly SZ)
+                            // encoding; tag 2 appends the codec byte;
+                            // tag 3 is tag 2 with the plane cuts and
+                            // further segments after the first blob.
+                            match (codec, segments.len() > 1) {
+                                (CodecId::Sz, false) => w.put_u8(1),
+                                (_, multi) => {
+                                    w.put_u8(if multi { 3 } else { 2 });
+                                    w.put_u8(codec.tag());
+                                }
+                            }
                             w.put_f64(*eb);
-                            w.put_blob(stream);
-                        }
-                        Some((eb, codec, stream)) => {
-                            w.put_u8(2);
-                            w.put_u8(codec.tag());
-                            w.put_f64(*eb);
-                            w.put_blob(stream);
+                            write_segments_v1(&mut w, segments);
                         }
                     }
                 }
             }
-            MethodBody::ZMesh { abs_eb, stream, .. }
-            | MethodBody::Baseline3D { abs_eb, stream, .. } => {
+            MethodBody::ZMesh {
+                abs_eb, segments, ..
+            } => {
+                w.put_f64(*abs_eb);
+                write_segments_v1(&mut w, segments);
+            }
+            MethodBody::Baseline3D { abs_eb, stream, .. } => {
                 w.put_f64(*abs_eb);
                 w.put_blob(stream);
             }
@@ -440,17 +566,13 @@ impl CompressedDataset {
         match &self.body {
             MethodBody::Tac(levels) => {
                 for (l, cl) in levels.iter().enumerate() {
-                    let level_bbox = self
-                        .masks
-                        .get(l)
-                        .and_then(|m| m.bounding_box(cl.dim))
-                        .unwrap_or_else(|| Aabb::whole(cl.dim));
                     match &cl.payload {
                         LevelPayload::Empty => {}
                         LevelPayload::Whole(stream) => {
                             let before = payload.len();
                             payload.put_bytes(stream);
-                            push(&mut entries, &payload, l, before, cl.codec, level_bbox);
+                            let bbox = tight_box(self.masks.get(l), cl.dim);
+                            push(&mut entries, &payload, l, before, cl.codec, bbox);
                         }
                         LevelPayload::Groups(groups) => {
                             for g in groups {
@@ -464,21 +586,37 @@ impl CompressedDataset {
             }
             MethodBody::Baseline1D(levels) => {
                 for (l, entry) in levels.iter().enumerate() {
-                    if let Some((_, codec, stream)) = entry {
-                        let dim = self.finest_dim >> l;
-                        let bbox = self
-                            .masks
-                            .get(l)
-                            .and_then(|m| m.bounding_box(dim))
-                            .unwrap_or_else(|| Aabb::whole(dim));
+                    let Some((_, codec, segments)) = entry else {
+                        continue;
+                    };
+                    let dim = level_dim(self.finest_dim, l);
+                    for (s, slab) in segments.iter().zip(slab_boxes(segments, dim, 1)) {
+                        // A lone segment keeps the level's tight box;
+                        // otherwise the row's z-extent is its address.
+                        let bbox = match segments.len() {
+                            1 => tight_box(self.masks.get(l), dim),
+                            _ => slab,
+                        };
                         let before = payload.len();
-                        payload.put_bytes(stream);
+                        payload.put_bytes(&s.stream);
                         push(&mut entries, &payload, l, before, *codec, bbox);
                     }
                 }
             }
-            MethodBody::ZMesh { codec, stream, .. }
-            | MethodBody::Baseline3D { codec, stream, .. } => {
+            MethodBody::ZMesh {
+                codec, segments, ..
+            } => {
+                // Rows sit on the finest grid, where a plane of the
+                // coarsest level is `scale` planes thick.
+                let scale = zmesh_row_scale(self.masks.len());
+                let boxes = slab_boxes(segments, self.finest_dim, scale);
+                for (s, bbox) in segments.iter().zip(boxes) {
+                    let before = payload.len();
+                    payload.put_bytes(&s.stream);
+                    push(&mut entries, &payload, 0, before, *codec, bbox);
+                }
+            }
+            MethodBody::Baseline3D { codec, stream, .. } => {
                 let before = payload.len();
                 payload.put_bytes(stream);
                 push(
@@ -629,17 +767,24 @@ fn parse_v1_body(r: &mut Reader<'_>, prelude: Prelude) -> Result<CompressedDatas
         }
         Method::Baseline1D => {
             let mut levels = Vec::with_capacity(num_levels);
-            for _ in 0..num_levels {
-                levels.push(match r.get_u8()? {
-                    0 => None,
-                    // Legacy tag: implicitly the SZ codec.
-                    1 => Some((r.get_f64()?, CodecId::Sz, r.get_blob()?.to_vec())),
-                    2 => {
-                        let codec = CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?;
-                        Some((r.get_f64()?, codec, r.get_blob()?.to_vec()))
+            for l in 0..num_levels {
+                let planes = level_dim(finest_dim, l);
+                let tag = r.get_u8()?;
+                let codec = match tag {
+                    0 => {
+                        levels.push(None);
+                        continue;
                     }
+                    // Legacy tag: implicitly the SZ codec.
+                    1 => CodecId::Sz,
+                    // Tag 3 is the multi-segment form of tag 2.
+                    2 | 3 => CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?,
                     t => return Err(TacError::Corrupt(format!("unknown 1D level tag {t}"))),
-                });
+                };
+                let abs_eb = r.get_f64()?;
+                let first = r.get_blob()?.to_vec();
+                let segments = read_segments_v1(r, first, planes, tag == 3)?;
+                levels.push(Some((abs_eb, codec, segments)));
             }
             MethodBody::Baseline1D(levels)
         }
@@ -648,11 +793,20 @@ fn parse_v1_body(r: &mut Reader<'_>, prelude: Prelude) -> Result<CompressedDatas
         // pre-codec container sniffs as SZ).
         Method::ZMesh => {
             let abs_eb = r.get_f64()?;
-            let stream = r.get_blob()?.to_vec();
+            // Anything after the first blob is the multi-segment framing
+            // (bodies written before it end right there).
+            let first = r.get_blob()?.to_vec();
+            let planes = level_dim(finest_dim, num_levels.saturating_sub(1));
+            let multi = r.remaining() != 0;
+            let segments = read_segments_v1(r, first, planes, multi)?;
+            let codec = segments
+                .first()
+                .and_then(|s| sniff_codec(&s.stream).ok())
+                .unwrap_or_default();
             MethodBody::ZMesh {
                 abs_eb,
-                codec: sniff_codec(&stream).unwrap_or_default(),
-                stream,
+                codec,
+                segments,
             }
         }
         Method::Baseline3D => {
@@ -694,9 +848,14 @@ fn parse_v1_body(r: &mut Reader<'_>, prelude: Prelude) -> Result<CompressedDatas
         MethodBody::Baseline1D(levels) => levels
             .iter()
             .flatten()
-            .find_map(|(_, _, s)| tac_codec::stream_dtype(s))
+            .flat_map(|(_, _, segments)| segments)
+            .find_map(|s| tac_codec::stream_dtype(&s.stream))
             .unwrap_or_default(),
-        MethodBody::ZMesh { stream, .. } | MethodBody::Baseline3D { stream, .. } => {
+        MethodBody::ZMesh { segments, .. } => segments
+            .iter()
+            .find_map(|s| tac_codec::stream_dtype(&s.stream))
+            .unwrap_or_default(),
+        MethodBody::Baseline3D { stream, .. } => {
             tac_codec::stream_dtype(stream).unwrap_or_default()
         }
     };
@@ -998,31 +1157,74 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
         payload,
         entries,
     };
-    // Enforce the table/metadata chunk-count invariants once here, so
-    // every consumer (full assemble, ROI decode) agrees on what a valid
+    // Enforce the table/metadata invariants once here, so every
+    // consumer (full assemble, ROI decode) agrees on what a valid
     // container is by construction.
-    layout.validate_chunk_counts()?;
+    layout.validate_chunk_table()?;
     Ok(layout)
 }
 
+/// The box a whole-level row records: the tight bounding box of the
+/// level's present cells (the whole grid when there are none).
+fn tight_box(mask: Option<&BitMask>, dim: usize) -> Aabb {
+    mask.and_then(|m| m.bounding_box(dim))
+        .unwrap_or_else(|| Aabb::whole(dim))
+}
+
+/// The boxes a traversal's segments record on the `dim`^3 grid their
+/// rows sit on, `scale` of its planes to a plane of the traversal's
+/// coarsest level: each spans the whole x-y extent and its segment's
+/// planes, and the last runs to the end of the grid.
+fn slab_boxes(segments: &[Segment], dim: usize, scale: usize) -> impl Iterator<Item = Aabb> + '_ {
+    let mut from = 0;
+    segments.iter().enumerate().map(move |(i, s)| {
+        let last = i + 1 == segments.len();
+        let to = if last {
+            dim
+        } else {
+            s.plane_end.saturating_mul(scale)
+        };
+        Aabb::new((0, 0, std::mem::replace(&mut from, to)), (dim, dim, to))
+    })
+}
+
+/// Finest-grid planes per plane of the coarsest level: the unit a zMesh
+/// row's z-extent is cut in.
+fn zmesh_row_scale(num_levels: usize) -> usize {
+    refinement(num_levels.saturating_sub(1)).unwrap_or(usize::MAX)
+}
+
 impl V2Layout<'_> {
-    /// Checks that the chunk table lists exactly the chunks the method
-    /// metadata promises per level, each tagged with the level's codec.
-    /// A codec disagreement between the table and the metadata means the
-    /// container was tampered with — better to refuse than to hand the
-    /// chunk to the wrong backend.
-    fn validate_chunk_counts(&self) -> Result<(), TacError> {
-        // Every chunk must agree with the container's element type; a
-        // mismatch would hand f32 bytes to an f64 monomorphization.
+    /// Checks the chunk table against the method metadata and the masks:
+    /// each level lists exactly the chunks its metadata promises, tagged
+    /// with its codec and the container's element type, and every row's
+    /// box is the one the writer derives from data this check can see —
+    /// inside its level's grid; the mask's tight box for a whole-level
+    /// stream; the group header's own box for a region group (the stream
+    /// behind the header is not read); the z-tiling rule for zMesh and
+    /// 1D segments. Readers seek by these boxes, so a box that disagrees
+    /// would make a region read silently skip live data; and a codec or
+    /// dtype disagreement means the container was tampered with — better
+    /// to refuse than to hand the chunk to the wrong backend.
+    fn validate_chunk_table(&self) -> Result<(), TacError> {
         for e in &self.entries {
+            // A mismatch would hand f32 bytes to an f64 monomorphization.
             if e.dtype != self.dtype {
                 return Err(TacError::Corrupt(format!(
                     "chunk tagged {} but the container header says {}",
                     e.dtype, self.dtype
                 )));
             }
+            let dim = level_dim(self.finest_dim, usize::from(e.level));
+            if e.bbox.max.0 > dim || e.bbox.max.1 > dim || e.bbox.max.2 > dim {
+                return Err(TacError::Corrupt(format!(
+                    "chunk box {:?} leaves the {dim}^3 grid of level {}",
+                    e.bbox, e.level
+                )));
+            }
         }
-        let check = |level: usize, want: usize, codec: CodecId| -> Result<(), TacError> {
+        // The rows of `level`, which must all carry `codec`: how many.
+        let rows = |level: usize, codec: CodecId| -> Result<usize, TacError> {
             let mut have = 0usize;
             for e in self.level_entries(level) {
                 have += 1;
@@ -1033,6 +1235,9 @@ impl V2Layout<'_> {
                     )));
                 }
             }
+            Ok(have)
+        };
+        let count = |level: usize, want: usize, have: usize| -> Result<(), TacError> {
             if have != want {
                 return Err(TacError::Corrupt(format!(
                     "level {level}: expected {want} chunks, table lists {have}"
@@ -1040,38 +1245,87 @@ impl V2Layout<'_> {
             }
             Ok(())
         };
+        let same_box = |e: &ChunkEntry, want: Aabb| -> Result<(), TacError> {
+            if e.bbox != want {
+                return Err(TacError::Corrupt(format!(
+                    "level {}: chunk box {:?} but its data spans {want:?}",
+                    e.level, e.bbox
+                )));
+            }
+            Ok(())
+        };
         match &self.meta {
             V2Meta::Tac(metas) => {
                 for (l, meta) in metas.iter().enumerate() {
-                    check(l, meta.expected_chunks(), meta.codec)?;
+                    count(l, meta.expected_chunks(), rows(l, meta.codec)?)?;
+                    for e in self.level_entries(l) {
+                        let want = match meta.kind {
+                            1 => tight_box(self.masks.get(l), level_dim(self.finest_dim, l)),
+                            _ => BlockGroup::read_header(&mut Reader::new(self.chunk_bytes(e)))?
+                                .aabb(),
+                        };
+                        same_box(e, want)?;
+                    }
                 }
             }
             V2Meta::Baseline1D(ebs) => {
                 for (l, eb) in ebs.iter().enumerate() {
-                    let codec = eb.map(|(_, c)| c).unwrap_or_default();
-                    check(l, usize::from(eb.is_some()), codec)?;
-                }
-            }
-            V2Meta::ZMesh(_, codec) | V2Meta::Baseline3D(_, codec) => match self.entries.as_slice()
-            {
-                [single] => {
-                    if single.codec != *codec {
-                        return Err(TacError::Corrupt(format!(
-                            "chunk tagged {} but metadata says {codec}",
-                            single.codec
-                        )));
+                    match eb {
+                        None => count(l, 0, rows(l, CodecId::default())?)?,
+                        Some((_, codec)) => {
+                            rows(l, *codec)?;
+                            self.level_planes(l)?;
+                        }
                     }
                 }
-                rest => {
-                    return Err(TacError::Corrupt(format!(
-                        "expected exactly one chunk, table lists {}",
-                        rest.len()
-                    )));
+            }
+            V2Meta::ZMesh(_, codec) => {
+                rows(0, *codec)?;
+                self.zmesh_planes()?;
+            }
+            V2Meta::Baseline3D(_, codec) => {
+                count(0, 1, rows(0, *codec)?)?;
+                count(0, 1, self.entries.len())?;
+                for e in &self.entries {
+                    same_box(e, Aabb::whole(self.finest_dim))?;
                 }
-            },
+            }
         }
         Ok(())
     }
+
+    /// The plane ranges the rows of a zMesh table address, one per row:
+    /// every row belongs to level 0 and the rows obey the tiling rule of
+    /// [`planes_of_rows`] on the finest grid.
+    pub fn zmesh_planes(&self) -> Result<Vec<Range<usize>>, TacError> {
+        if self.entries.iter().any(|e| e.level != 0) {
+            return Err(TacError::Corrupt(
+                "a zMesh segment row names a level other than 0".into(),
+            ));
+        }
+        let boxes: Vec<Aabb> = self.entries.iter().map(|e| e.bbox).collect();
+        planes_of_rows(&boxes, self.finest_dim, zmesh_row_scale(self.masks.len()))
+    }
+
+    /// The plane ranges the rows of a present 1D level address, one per
+    /// row. A lone row covers every plane and records the level's tight
+    /// box (what one-stream levels have always recorded); several obey
+    /// the tiling rule of [`planes_of_rows`] on the level's own grid.
+    pub fn level_planes(&self, l: usize) -> Result<Vec<Range<usize>>, TacError> {
+        let dim = level_dim(self.finest_dim, l);
+        let boxes: Vec<Aabb> = self.level_entries(l).map(|e| e.bbox).collect();
+        if let [lone] = boxes.as_slice() {
+            let want = tight_box(self.masks.get(l), dim);
+            if *lone != want {
+                return Err(TacError::Corrupt(format!(
+                    "level {l}: chunk box {lone:?} but its data spans {want:?}"
+                )));
+            }
+            return Ok(std::iter::once(0..dim).collect());
+        }
+        planes_of_rows(&boxes, dim, 1)
+    }
+
     /// Chunk-table rows belonging to `level`, in payload order.
     pub fn level_entries(&self, level: usize) -> impl Iterator<Item = &ChunkEntry> {
         self.entries
@@ -1089,14 +1343,19 @@ impl V2Layout<'_> {
             .unwrap_or_default()
     }
 
-    /// The bytes of the sole chunk of a single-stream (zMesh / 3D)
-    /// container. Chunk-count validation already guarantees exactly one
-    /// entry exists.
-    fn single_chunk_bytes(&self) -> Result<&[u8], TacError> {
-        self.entries
-            .first()
-            .map(|e| self.chunk_bytes(e))
-            .ok_or_else(|| TacError::Corrupt("single-stream container has no chunk".into()))
+    /// The in-memory segments of the given rows and the plane ranges
+    /// they address.
+    fn segments<'e>(
+        &self,
+        rows: impl Iterator<Item = &'e ChunkEntry>,
+        planes: Vec<Range<usize>>,
+    ) -> Vec<Segment> {
+        rows.zip(planes)
+            .map(|(e, planes)| Segment {
+                plane_end: planes.end,
+                stream: self.chunk_bytes(e).to_vec(),
+            })
+            .collect()
     }
 
     /// Decodes every chunk, reassembling the full in-memory container
@@ -1143,10 +1402,8 @@ impl V2Layout<'_> {
                     levels.push(match eb {
                         None => None,
                         Some((eb, codec)) => {
-                            let chunk = self.level_entries(l).next().ok_or_else(|| {
-                                TacError::Corrupt(format!("level {l}: chunk missing"))
-                            })?;
-                            Some((*eb, *codec, self.chunk_bytes(chunk).to_vec()))
+                            let planes = self.level_planes(l)?;
+                            Some((*eb, *codec, self.segments(self.level_entries(l), planes)))
                         }
                     });
                 }
@@ -1155,12 +1412,16 @@ impl V2Layout<'_> {
             V2Meta::ZMesh(abs_eb, codec) => MethodBody::ZMesh {
                 abs_eb: *abs_eb,
                 codec: *codec,
-                stream: self.single_chunk_bytes()?.to_vec(),
+                segments: self.segments(self.entries.iter(), self.zmesh_planes()?),
             },
             V2Meta::Baseline3D(abs_eb, codec) => MethodBody::Baseline3D {
                 abs_eb: *abs_eb,
                 codec: *codec,
-                stream: self.single_chunk_bytes()?.to_vec(),
+                stream: self
+                    .entries
+                    .first()
+                    .map(|e| self.chunk_bytes(e).to_vec())
+                    .ok_or_else(|| TacError::Corrupt("3D container has no chunk".into()))?,
             },
         };
         Ok(CompressedDataset {
@@ -1187,8 +1448,51 @@ impl V2Layout<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Rewrites the chunk table of a chunked container: `edit` gets the
+    /// rows as byte vectors (drop, reorder or patch them — see
+    /// [`set_row_box`]); count prefix and footer are re-emitted to match.
+    pub(crate) fn edit_table(bytes: &[u8], edit: impl FnOnce(&mut Vec<Vec<u8>>)) -> Vec<u8> {
+        let row = chunk_entry_bytes(bytes[4]);
+        let footer_at = bytes.len() - TABLE_FOOTER_BYTES;
+        let table_pos = u64::from_le_bytes(bytes[footer_at..].try_into().unwrap()) as usize;
+        let rows_at = table_pos + CHUNK_COUNT_PREFIX_BYTES;
+        let mut rows: Vec<Vec<u8>> = bytes[rows_at..footer_at]
+            .chunks_exact(row)
+            .map(<[u8]>::to_vec)
+            .collect();
+        edit(&mut rows);
+        let mut out = bytes[..table_pos].to_vec();
+        out.extend((rows.len() as u32).to_le_bytes());
+        out.extend(rows.concat());
+        out.extend((table_pos as u64).to_le_bytes());
+        out
+    }
+
+    /// Overwrites the box of one serialized chunk-table row (its last
+    /// six `u32`s in every version).
+    pub(crate) fn set_row_box(row: &mut [u8], bbox: Aabb) {
+        let at = row.len() - 24;
+        let (min, max) = (bbox.min, bbox.max);
+        for (i, v) in [min.0, min.1, min.2, max.0, max.1, max.2]
+            .into_iter()
+            .enumerate()
+        {
+            row[at + 4 * i..at + 4 * i + 4].copy_from_slice(&(v as u32).to_le_bytes());
+        }
+    }
+
+    /// The box of one serialized chunk-table row.
+    pub(crate) fn row_box(row: &[u8]) -> Aabb {
+        let at = row.len() - 24;
+        let v: Vec<usize> = row[at..]
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize)
+            .collect();
+        Aabb::new((v[0], v[1], v[2]), (v[3], v[4], v[5]))
+    }
 
     fn sample_masks() -> Vec<BitMask> {
         let mut fine = BitMask::zeros(64); // 4^3
@@ -1237,6 +1541,22 @@ mod tests {
 
     fn sample_tac() -> CompressedDataset {
         sample_tac_with(CodecId::Sz)
+    }
+
+    /// A one-segment list over `planes` planes.
+    fn lone(planes: usize, stream: Vec<u8>) -> Vec<Segment> {
+        cut(&[planes], stream)
+    }
+
+    /// Segments ending at the given planes, each holding `stream`.
+    fn cut(plane_ends: &[usize], stream: Vec<u8>) -> Vec<Segment> {
+        plane_ends
+            .iter()
+            .map(|&plane_end| Segment {
+                plane_end,
+                stream: stream.clone(),
+            })
+            .collect()
     }
 
     #[test]
@@ -1296,11 +1616,20 @@ mod tests {
     fn container_roundtrip_baselines_both_versions() {
         for codec in CodecId::all() {
             for body in [
-                MethodBody::Baseline1D(vec![Some((1e-3, codec, vec![7, 8])), None]),
+                MethodBody::Baseline1D(vec![Some((1e-3, codec, lone(4, vec![7, 8]))), None]),
+                MethodBody::Baseline1D(vec![
+                    Some((1e-3, codec, cut(&[1, 3, 4], vec![7, 8]))),
+                    Some((2e-3, codec, cut(&[1, 2], vec![9]))),
+                ]),
                 MethodBody::ZMesh {
                     abs_eb: 0.5,
                     codec,
-                    stream: vec![1; 20],
+                    segments: lone(2, vec![1; 20]),
+                },
+                MethodBody::ZMesh {
+                    abs_eb: 0.5,
+                    codec,
+                    segments: cut(&[1, 2], vec![1; 20]),
                 },
                 MethodBody::Baseline3D {
                     abs_eb: 0.25,
@@ -1334,6 +1663,71 @@ mod tests {
     }
 
     #[test]
+    fn payload_bytes_count_what_the_v1_writer_emits() {
+        // Header and masks are the same for every body below, so the v1
+        // length less the payload is one constant — for one segment (the
+        // historical numbers) and for several alike.
+        let bodies = [
+            sample_tac().body,
+            sample_tac_with(CodecId::PcoLite).body,
+            MethodBody::Baseline1D(vec![Some((1e-3, CodecId::Sz, lone(4, vec![7, 8]))), None]),
+            MethodBody::Baseline1D(vec![
+                Some((1e-3, CodecId::Sz, cut(&[1, 3, 4], vec![7, 8]))),
+                Some((2e-3, CodecId::PcoAns, lone(2, vec![9]))),
+            ]),
+            MethodBody::Baseline1D(vec![
+                None,
+                Some((1.0, CodecId::PcoAns, cut(&[1, 2], vec![]))),
+            ]),
+            MethodBody::ZMesh {
+                abs_eb: 0.5,
+                codec: CodecId::Sz,
+                segments: lone(2, vec![1; 20]),
+            },
+            MethodBody::ZMesh {
+                abs_eb: 0.5,
+                codec: CodecId::Sz,
+                segments: cut(&[1, 2], vec![1; 20]),
+            },
+            MethodBody::Baseline3D {
+                abs_eb: 0.25,
+                codec: CodecId::Sz,
+                stream: vec![2; 10],
+            },
+        ];
+        let overheads: Vec<usize> = bodies
+            .into_iter()
+            .map(|body| {
+                let cd = CompressedDataset {
+                    name: "Run1_Z10".into(),
+                    finest_dim: 4,
+                    dtype: TacDtype::F64,
+                    masks: sample_masks(),
+                    body,
+                };
+                cd.to_bytes_v1().len() - cd.payload_bytes()
+            })
+            .collect();
+        assert!(
+            overheads.iter().all(|&o| o == overheads[0]),
+            "{overheads:?}"
+        );
+        // The one-segment numbers are the ones the accounting always gave.
+        let zmesh = CompressedDataset {
+            name: "s".into(),
+            finest_dim: 4,
+            dtype: TacDtype::F64,
+            masks: sample_masks(),
+            body: MethodBody::ZMesh {
+                abs_eb: 1.0,
+                codec: CodecId::Sz,
+                segments: lone(2, vec![0; 33]),
+            },
+        };
+        assert_eq!(zmesh.payload_bytes(), 8 + 8 + 33);
+    }
+
+    #[test]
     fn v1_single_stream_baselines_sniff_their_codec() {
         // A real PcoLite stream round-trips through v1 because the codec
         // is recovered from the stream's own magic number.
@@ -1352,7 +1746,7 @@ mod tests {
             body: MethodBody::ZMesh {
                 abs_eb: 0.5,
                 codec: CodecId::PcoLite,
-                stream,
+                segments: lone(2, stream),
             },
         };
         let back = CompressedDataset::from_bytes(&cd.to_bytes_v1()).unwrap();
@@ -1389,7 +1783,7 @@ mod tests {
             body: MethodBody::ZMesh {
                 abs_eb: 1.0,
                 codec: CodecId::Sz,
-                stream: vec![0; 33],
+                segments: lone(2, vec![0; 33]),
             },
         };
         assert_eq!(cd.total_present(), 33);

@@ -72,6 +72,7 @@ mod nast;
 mod opst;
 mod pipeline;
 mod roi;
+mod segment;
 mod select;
 mod stream;
 mod zmesh;
@@ -93,6 +94,7 @@ pub use pipeline::{
     decompress_level_t, resolve_level_eb_for, select_method, AnyDataset,
 };
 pub use roi::{decompress_region_t, RoiStats};
+pub use segment::Segment;
 pub use select::{select_auto, AutoSelection, CandidateEstimate};
 pub use stream::{BlockGroup, CompressedLevel, LevelPayload};
 pub use zmesh::{gather, scatter, zmesh_order, ZmeshEntry};

@@ -10,12 +10,13 @@
 //! dtype branches.
 
 use crate::config::{Strategy, TacConfig};
-use crate::container::{Baseline1DLevel, CompressedDataset, Method, MethodBody};
+use crate::container::{CompressedDataset, Method, MethodBody};
 use crate::density::choose_strategy;
 use crate::engine::{self, LevelPlan};
 use crate::error::TacError;
+use crate::segment::{self, StackSegments, SEGMENT_BUDGET};
 use crate::stream::CompressedLevel;
-use crate::zmesh::{gather_walk, level_dim, scatter_walk};
+use crate::zmesh::level_dim;
 use tac_amr::{min_max, to_uniform, AmrDataset, AmrLevel, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecError, CodecId, Dims, ErrorBound};
 use tac_dtype::{dispatch_dtype, Element, TacDtype};
@@ -108,7 +109,9 @@ pub fn compress_level_t<T: CodecElement>(
     let plans = vec![engine::plan_level(level, strategy, abs_eb, cfg)?];
     let mut levels =
         engine::compress_plans(&plans, &[level.data()], cfg, cfg.parallelism.workers())?;
-    Ok(levels.pop().expect("one planned level"))
+    levels
+        .pop()
+        .ok_or_else(|| TacError::Corrupt("the engine returned no level".into()))
 }
 
 /// Decompresses a level payload and applies the occupancy mask: absent
@@ -122,7 +125,9 @@ pub fn decompress_level_t<T: CodecElement>(
 ) -> Result<AmrLevel<T>, TacError> {
     let mut levels =
         engine::decompress_tac_levels(std::slice::from_ref(cl), std::slice::from_ref(mask), 1)?;
-    Ok(levels.pop().expect("one decoded level"))
+    levels
+        .pop()
+        .ok_or_else(|| TacError::Corrupt("the engine returned no level".into()))
 }
 
 /// Implements the paper's Sec. 4.4 top-level selector: TAC when the
@@ -169,33 +174,6 @@ fn plan_tac_levels<T: CodecElement>(
     Ok(plans)
 }
 
-/// Encodes the one stream of a monolithic method (zMesh, 3D baseline):
-/// resolves the bound against the stream's own value range and
-/// compresses it with `cfg.codec`. Returns the resolved bound and the
-/// stream.
-fn encode_single_stream<T: CodecElement>(
-    values: &[T],
-    dims: Dims,
-    cfg: &TacConfig,
-) -> Result<(f64, Vec<u8>), TacError> {
-    let abs_eb = {
-        let _plan = tac_obs::span(tac_obs::Stage::Plan);
-        resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, min_max(values))?
-    };
-    let stream = {
-        let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
-        T::codec_compress(
-            codec_for(cfg.codec),
-            values,
-            dims,
-            &cfg.codec_config(abs_eb),
-        )?
-    };
-    tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
-    tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
-    Ok((abs_eb, stream))
-}
-
 /// Compresses a dataset with the given method. The container records
 /// the element type; `f32` data serializes as a v4 stream.
 pub fn compress_dataset_t<T: CodecElement>(
@@ -217,80 +195,8 @@ pub fn compress_dataset_t<T: CodecElement>(
     };
     let body = match method {
         Method::Tac => tac_body(&[])?,
-        Method::Baseline1D => {
-            // One 1D compression task per non-empty level. Tasks borrow
-            // their level and gather present values inside the closure,
-            // so at most `workers` gathered copies are alive at once.
-            let mut jobs: Vec<Option<(f64, &AmrLevel<T>)>> = Vec::with_capacity(ds.num_levels());
-            {
-                let _plan = tac_obs::span(tac_obs::Stage::Plan);
-                for (l, level) in ds.levels().iter().enumerate() {
-                    if level.num_present() == 0 {
-                        jobs.push(None);
-                        continue;
-                    }
-                    let abs_eb = resolve_level_eb_for(
-                        T::DTYPE,
-                        cfg.error_bound,
-                        cfg.level_scale(l),
-                        level.value_range(),
-                    )?;
-                    jobs.push(Some((abs_eb, level)));
-                }
-            }
-            // Worker-side task spans are accounted under `execute`.
-            let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", jobs.len());
-            let levels = tac_par::execute(
-                workers,
-                &jobs,
-                |j| j.as_ref().map_or(0, |(_, lvl)| lvl.num_present() as u64),
-                |j| -> Result<Option<Baseline1DLevel>, TacError> {
-                    match j {
-                        None => Ok(None),
-                        Some((abs_eb, level)) => {
-                            let values = {
-                                let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-                                level.present_values()
-                            };
-                            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
-                            let _encode =
-                                tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
-                            let stream = T::codec_compress(
-                                codec_for(cfg.codec),
-                                &values,
-                                Dims::D1(values.len()),
-                                &cfg.codec_config(*abs_eb),
-                            )?;
-                            tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
-                            tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
-                            Ok(Some((*abs_eb, cfg.codec, stream)))
-                        }
-                    }
-                },
-            )
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-            MethodBody::Baseline1D(levels)
-        }
-        Method::ZMesh => {
-            let mask_refs: Vec<&BitMask> = masks.iter().collect();
-            let values = {
-                let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-                gather_walk(&mask_refs, ds.finest_dim(), &level_data, usize::MAX)
-            };
-            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
-            if values.is_empty() {
-                return Err(TacError::InvalidDataset(
-                    "dataset has no present cells".into(),
-                ));
-            }
-            let (abs_eb, stream) = encode_single_stream(&values, Dims::D1(values.len()), cfg)?;
-            MethodBody::ZMesh {
-                abs_eb,
-                codec: cfg.codec,
-                stream,
-            }
-        }
+        Method::Baseline1D => segment::compress_1d(ds, cfg, SEGMENT_BUDGET)?,
+        Method::ZMesh => segment::compress_zmesh(ds, cfg, SEGMENT_BUDGET)?,
         Method::Auto => {
             // TAC+-style adaptive selection: score every fixed
             // `(method, codec)` candidate (and, for TAC, every per-level
@@ -318,7 +224,21 @@ pub fn compress_dataset_t<T: CodecElement>(
                 to_uniform(ds)
             };
             tac_obs::add_bytes(tac_obs::Counter::ReorderValues, uniform.len());
-            let (abs_eb, stream) = encode_single_stream(&uniform, Dims::D3(n, n, n), cfg)?;
+            let abs_eb = {
+                let _plan = tac_obs::span(tac_obs::Stage::Plan);
+                resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, min_max(&uniform))?
+            };
+            let stream = {
+                let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
+                T::codec_compress(
+                    codec_for(cfg.codec),
+                    &uniform,
+                    Dims::D3(n, n, n),
+                    &cfg.codec_config(abs_eb),
+                )?
+            };
+            tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
+            tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
             MethodBody::Baseline3D {
                 abs_eb,
                 codec: cfg.codec,
@@ -397,11 +317,12 @@ fn check_geometry(cd: &CompressedDataset) -> Result<(), TacError> {
 }
 
 /// Decompresses a container back into an AMR dataset on the
-/// block-sharded engine: every level's streams and region groups decode
-/// as independent work-stealing tasks ([`Parallelism::Serial`] runs them
-/// inline). The reconstruction is identical for every worker count. A
-/// container whose declared element type disagrees with `T` is rejected
-/// up front with [`CodecError::WrongDtype`].
+/// block-sharded engine: every level's streams and region groups — and
+/// every segment of a zMesh or 1D body — decode as independent
+/// work-stealing tasks ([`Parallelism::Serial`] runs them inline). The
+/// reconstruction is identical for every worker count. A container whose
+/// declared element type disagrees with `T` is rejected up front with
+/// [`CodecError::WrongDtype`].
 pub fn decompress_dataset_par_t<T: CodecElement>(
     cd: &CompressedDataset,
     parallelism: Parallelism,
@@ -427,86 +348,18 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
             }
             engine::decompress_tac_levels(compressed, &cd.masks, workers)?
         }
-        MethodBody::Baseline1D(streams) => {
-            if streams.len() != cd.masks.len() {
+        MethodBody::Baseline1D(levels) => {
+            if levels.len() != cd.masks.len() {
                 return Err(TacError::Corrupt("level count mismatch".into()));
             }
-            type Job<'a> = (usize, &'a Option<Baseline1DLevel>, &'a BitMask);
-            let jobs: Vec<Job<'_>> = streams
-                .iter()
-                .zip(&cd.masks)
-                .enumerate()
-                .map(|(l, (entry, mask))| (l, entry, mask))
-                .collect();
-            let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", jobs.len());
-            tac_par::execute(
-                workers,
-                &jobs,
-                |(l, _, _)| {
-                    let dim = finest_dim >> l;
-                    (dim * dim * dim) as u64
-                },
-                |&(l, entry, mask)| -> Result<AmrLevel<T>, TacError> {
-                    let dim = finest_dim >> l;
-                    let Some((_, codec, stream)) = entry else {
-                        if mask.count_ones() != 0 {
-                            return Err(TacError::Corrupt(format!(
-                                "level {l} marked empty but mask has {} cells",
-                                mask.count_ones()
-                            )));
-                        }
-                        return Ok(AmrLevel::empty(dim));
-                    };
-                    let (values, dims) = {
-                        let _decode =
-                            tac_obs::span(tac_obs::Stage::Decode).arg("codec", codec.tag());
-                        tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
-                        tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, stream.len());
-                        T::codec_decompress(codec_for(*codec), stream)?
-                    };
-                    if dims != Dims::D1(mask.count_ones()) {
-                        return Err(TacError::Corrupt(format!(
-                            "level {l}: stream holds {dims:?}, mask has {} cells",
-                            mask.count_ones()
-                        )));
-                    }
-                    // One level's flat-index order is the zMesh walk of
-                    // that level alone: one slice copy per mask run.
-                    let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-                    tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
-                    let mut data = vec![T::ZERO; mask.len()];
-                    scatter_walk(&[mask], dim, &values, std::slice::from_mut(&mut data))?;
-                    Ok(AmrLevel::new(dim, data, mask.clone()))
-                },
-            )
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
+            let stacks = StackSegments::of_1d(finest_dim, levels)?;
+            segment::decompress_stacks(&cd.masks, finest_dim, &stacks, workers)?
         }
-        MethodBody::ZMesh { stream, codec, .. } => {
-            tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
-            tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, stream.len());
-            let (values, dims) = {
-                let _decode = tac_obs::span(tac_obs::Stage::Decode).arg("codec", codec.tag());
-                T::codec_decompress(codec_for(*codec), stream)?
-            };
-            if dims != Dims::D1(values.len()) {
-                return Err(TacError::Corrupt(format!(
-                    "zMesh stream holds {dims:?} for {} values",
-                    values.len()
-                )));
-            }
-            // The stream must hold exactly one value per traversal cell;
-            // the scatter itself finds out, walking the masks once.
-            let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
-            let mask_refs: Vec<&BitMask> = cd.masks.iter().collect();
-            let mut bufs: Vec<Vec<T>> = cd.masks.iter().map(|m| vec![T::ZERO; m.len()]).collect();
-            scatter_walk(&mask_refs, finest_dim, &values, &mut bufs)?;
-            bufs.into_iter()
-                .zip(&cd.masks)
-                .enumerate()
-                .map(|(l, (data, mask))| AmrLevel::new(finest_dim >> l, data, mask.clone()))
-                .collect()
+        MethodBody::ZMesh {
+            codec, segments, ..
+        } => {
+            let stacks = StackSegments::of_zmesh(cd.masks.len(), finest_dim, *codec, segments)?;
+            segment::decompress_stacks(&cd.masks, finest_dim, &stacks, workers)?
         }
         MethodBody::Baseline3D { stream, codec, .. } => {
             let n = finest_dim;
@@ -525,24 +378,34 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
             cd.masks
                 .iter()
                 .enumerate()
-                .map(|(l, mask)| {
+                .map(|(l, mask)| -> Result<AmrLevel<T>, TacError> {
                     let dim = n >> l;
                     let scale = 1usize << l;
+                    let outside = || {
+                        TacError::Corrupt(format!(
+                            "level {l}: a present cell lies outside the {n}^3 grid"
+                        ))
+                    };
                     let mut data = vec![T::ZERO; mask.len()];
                     tac_obs::add_bytes(tac_obs::Counter::ReorderValues, mask.count_ones());
                     for (start, len) in mask.runs() {
-                        for (idx, cell) in (start..).zip(&mut data[start..start + len]) {
+                        let cells = data
+                            .get_mut(start..)
+                            .and_then(|d| d.get_mut(..len))
+                            .ok_or_else(outside)?;
+                        for (idx, cell) in (start..).zip(cells) {
                             let x = idx % dim;
                             let y = (idx / dim) % dim;
                             let z = idx / (dim * dim);
                             // Sample the first covered fine position (exact
                             // inverse of piecewise-constant up-sampling).
-                            *cell = uniform[x * scale + n * (y * scale + n * (z * scale))];
+                            let fine = x * scale + n * (y * scale + n * (z * scale));
+                            *cell = *uniform.get(fine).ok_or_else(outside)?;
                         }
                     }
-                    AmrLevel::new(dim, data, mask.clone())
+                    Ok(AmrLevel::new(dim, data, mask.clone()))
                 })
-                .collect()
+                .collect::<Result<Vec<_>, _>>()?
         }
     };
     Ok(AmrDataset::new(cd.name.clone(), levels))
@@ -551,7 +414,9 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::Segment;
     use crate::stream::LevelPayload;
+    use crate::zmesh::{scatter_walk, ALL_PLANES};
 
     /// Builds a two-level dataset with a blobby fine region (~30% fine
     /// density) and smooth values.
@@ -745,7 +610,10 @@ mod tests {
                 body: MethodBody::ZMesh {
                     abs_eb: 1e-3,
                     codec: cfg.codec,
-                    stream,
+                    segments: vec![Segment {
+                        plane_end: 8,
+                        stream,
+                    }],
                 },
                 ..cd.clone()
             };
@@ -792,8 +660,9 @@ mod tests {
         scatter_walk(
             &[level.mask()],
             dim,
+            ALL_PLANES,
             &values,
-            std::slice::from_mut(&mut data),
+            &mut [data.as_mut_slice()],
         )
         .unwrap();
         assert_eq!(bits(&data), bits(&expect));

@@ -7,16 +7,21 @@
 //! chunks whose boxes intersect the request, skipping the rest of the
 //! payload entirely.
 //!
-//! Selectivity comes from TAC's own structure: each level chunk is
-//! either one region group (OpST / AKDTree / NaST) or one whole-grid
-//! stream (ZeroFill / GSP) whose box is the mask's bounding box. The
-//! monolithic baselines (zMesh, 3D) have a single full-domain chunk and
-//! degrade gracefully to a full decode.
+//! Selectivity comes from each method's own structure. A TAC level
+//! chunk is either one region group (OpST / AKDTree / NaST) or one
+//! whole-grid stream (ZeroFill / GSP) whose box is the mask's bounding
+//! box. A zMesh or 1D chunk is one segment of the traversal — a slab of
+//! whole z-planes, see [`crate::segment`] — so a request reads the slabs
+//! it meets and skips the rest. Only the 3D baseline is one full-domain
+//! chunk and degrades gracefully to a full decode.
 
-use crate::container::{parse_v2, CompressedDataset, MethodBody, V2Layout, V2Meta};
+use crate::container::{parse_v2, ChunkEntry, CompressedDataset, MethodBody, V2Layout, V2Meta};
 use crate::error::TacError;
 use crate::pipeline::decompress_dataset_par_t;
+use crate::segment::{decompress_stacks, SegmentRef, StackSegments};
 use crate::stream::{CompressedLevel, LevelPayload};
+use crate::zmesh::refinement;
+use std::ops::Range;
 use tac_amr::{Aabb, AmrDataset};
 use tac_codec::{CodecElement, CodecError};
 use tac_par::Parallelism;
@@ -64,6 +69,19 @@ fn record_roi_stats(stats: &RoiStats) {
     );
 }
 
+/// Decodes the read segments of a zMesh / 1D container, each into its
+/// own slab of the level grids.
+fn decode_stacks<T: CodecElement>(
+    layout: &V2Layout<'_>,
+    stacks: &[StackSegments<'_>],
+    stats: RoiStats,
+) -> Result<(AmrDataset<T>, RoiStats), TacError> {
+    record_roi_stats(&stats);
+    let _decompress = tac_obs::span(tac_obs::Stage::Decompress).arg("levels", layout.masks.len());
+    let levels = decompress_stacks(&layout.masks, layout.finest_dim, stacks, 1)?;
+    Ok((AmrDataset::new(layout.name.clone(), levels), stats))
+}
+
 /// Decodes the part of a **v2** container intersecting `roi` (given in
 /// finest-level cell coordinates, half-open).
 ///
@@ -73,11 +91,15 @@ fn record_roi_stats(stats: &RoiStats) {
 /// reported [`RoiStats`] show how much payload the request avoided.
 ///
 /// Skipped and absent cells hold `+0.0` bits. A skipped chunk costs
-/// nothing beyond its chunk-table row: the level grids are
+/// nothing beyond its chunk-table row (and, for a region group, the
+/// origin list the table check reads): the level grids are
 /// zero-initialised and only the regions of the chunks actually read
-/// are written (pasted, then masked), so pages of a level grid that no
-/// read chunk touches are never written and the call costs what its
-/// chunks cost, not what the bounding grids cost.
+/// are written — TAC regions pasted then masked, zMesh / 1D segments
+/// scattered into their slabs — so pages of a level grid that no read
+/// chunk touches are never written, a skipped chunk's stream bytes are
+/// never copied, and the call costs what its chunks cost, not what the
+/// bounding grids cost. The 3D baseline alone is a single chunk and
+/// always decodes in full.
 ///
 /// v1 containers have no chunk table and are rejected; re-serialize
 /// with [`CompressedDataset::to_bytes`] to upgrade.
@@ -89,7 +111,11 @@ pub fn decompress_region_t<T: CodecElement>(
     roi: Aabb,
 ) -> Result<(AmrDataset<T>, RoiStats), TacError> {
     let _roi_span = tac_obs::span(tac_obs::Stage::RoiDecode);
-    let layout = parse_v2(bytes)?;
+    // Parsing and checking the table is this call's planning.
+    let layout = {
+        let _plan = tac_obs::span(tac_obs::Stage::Plan);
+        parse_v2(bytes)?
+    };
     if layout.dtype != T::DTYPE {
         return Err(TacError::Codec(CodecError::WrongDtype {
             stream: layout.dtype.label(),
@@ -102,27 +128,44 @@ pub fn decompress_region_t<T: CodecElement>(
         payload_bytes_total: layout.entries.iter().map(|e| e.len).sum(),
         payload_bytes_read: 0,
     };
+    // A chunk is read when its box meets the request on its own level's
+    // grid: the ROI is expressed on the finest grid, level l is 2^l
+    // times coarser.
+    let mut wanted = |e: &ChunkEntry| {
+        let factor = refinement(usize::from(e.level)).unwrap_or(usize::MAX);
+        let read = e.bbox.intersects(&roi.coarsen(factor));
+        if read {
+            stats.chunks_read += 1;
+            stats.payload_bytes_read += e.len;
+        }
+        read
+    };
+    // The rows of one zMesh / 1D traversal the request meets, as
+    // segments whose streams are sliced straight out of the payload.
+    let mut read = |rows: &mut dyn Iterator<Item = &ChunkEntry>, planes: Vec<Range<usize>>| {
+        rows.zip(planes)
+            .filter(|(e, _)| wanted(e))
+            .map(|(e, planes)| SegmentRef {
+                planes,
+                stream: layout.chunk_bytes(e),
+            })
+            .collect::<Vec<_>>()
+    };
 
-    // Chunk counts are validated against the method metadata by
-    // `parse_v2` itself, so this decoder and the full parse agree on
+    // The table was validated against the method metadata and the masks
+    // by `parse_v2` itself, so this decoder and the full parse agree on
     // what a valid container is by construction.
     let body = match &layout.meta {
         V2Meta::Tac(metas) => {
             let mut levels = Vec::with_capacity(metas.len());
             for (l, meta) in metas.iter().enumerate() {
-                // The ROI is expressed on the finest grid; level l is
-                // 2^l times coarser.
-                let factor = (layout.finest_dim / meta.dim.max(1)).max(1);
-                let roi_level = roi.coarsen(factor);
                 let payload = match meta.kind {
                     0 => LevelPayload::Empty,
                     1 => {
                         let entry = layout.level_entries(l).next().ok_or_else(|| {
                             TacError::Corrupt(format!("level {l}: whole chunk missing"))
                         })?;
-                        if entry.bbox.intersects(&roi_level) {
-                            stats.chunks_read += 1;
-                            stats.payload_bytes_read += entry.len;
+                        if wanted(entry) {
                             LevelPayload::Whole(layout.chunk_bytes(entry).to_vec())
                         } else {
                             // Nothing of this level is wanted: decode as
@@ -133,9 +176,7 @@ pub fn decompress_region_t<T: CodecElement>(
                     _ => {
                         let mut groups = Vec::new();
                         for entry in layout.level_entries(l) {
-                            if entry.bbox.intersects(&roi_level) {
-                                stats.chunks_read += 1;
-                                stats.payload_bytes_read += entry.len;
+                            if wanted(entry) {
                                 groups.push(layout.parse_group(entry)?);
                             }
                         }
@@ -153,9 +194,30 @@ pub fn decompress_region_t<T: CodecElement>(
             }
             MethodBody::Tac(levels)
         }
-        // The monolithic baselines cannot decode partially: every chunk
-        // is read and the stats reflect it.
-        _ => {
+        V2Meta::ZMesh(_, codec) => {
+            let stacks = [StackSegments {
+                levels: 0..layout.masks.len(),
+                codec: *codec,
+                segments: read(&mut layout.entries.iter(), layout.zmesh_planes()?),
+            }];
+            return decode_stacks(&layout, &stacks, stats);
+        }
+        V2Meta::Baseline1D(ebs) => {
+            let mut stacks = Vec::with_capacity(ebs.len());
+            for (l, eb) in ebs.iter().enumerate() {
+                if let Some((_, codec)) = eb {
+                    stacks.push(StackSegments {
+                        levels: l..l + 1,
+                        codec: *codec,
+                        segments: read(&mut layout.level_entries(l), layout.level_planes(l)?),
+                    });
+                }
+            }
+            return decode_stacks(&layout, &stacks, stats);
+        }
+        // The 3D baseline cannot decode partially: its one chunk is
+        // read and the stats reflect it.
+        V2Meta::Baseline3D(..) => {
             stats.chunks_read = stats.chunks_total;
             stats.payload_bytes_read = stats.payload_bytes_total;
             record_roi_stats(&stats);
@@ -298,13 +360,64 @@ mod tests {
             error_bound: ErrorBound::Abs(1e-3),
             ..Default::default()
         };
-        for method in [Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
-            let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
-            let bytes = cd.to_bytes();
-            let (out, stats) =
-                decompress_region_t::<f64>(&bytes, Aabb::new((0, 0, 0), (4, 4, 4))).unwrap();
-            assert_eq!(stats.payload_bytes_read, stats.payload_bytes_total);
-            assert_eq!(out.num_levels(), ds.num_levels());
+        let cd = compress_dataset_t(&ds, &cfg, Method::Baseline3D).unwrap();
+        let bytes = cd.to_bytes();
+        let (out, stats) =
+            decompress_region_t::<f64>(&bytes, Aabb::new((0, 0, 0), (4, 4, 4))).unwrap();
+        assert_eq!(stats.payload_bytes_read, stats.payload_bytes_total);
+        assert_eq!(out.num_levels(), ds.num_levels());
+    }
+
+    #[test]
+    fn segmented_baselines_read_only_the_slabs_a_request_meets() {
+        // 128^3 over 64^3, ~320 K values: several segments per traversal.
+        let ds = corners_dataset(128);
+        let cfg = TacConfig {
+            error_bound: ErrorBound::Abs(1e-3),
+            ..Default::default()
+        };
+        let roi = Aabb::new((0, 0, 0), (32, 32, 32)); // 1/64 of the volume
+        for method in [Method::ZMesh, Method::Baseline1D] {
+            let bytes = compress_dataset_t(&ds, &cfg, method).unwrap().to_bytes();
+            let full = decompress_dataset_par_t::<f64>(
+                &CompressedDataset::from_bytes(&bytes).unwrap(),
+                Parallelism::Serial,
+            )
+            .unwrap();
+            let (partial, stats) = decompress_region_t::<f64>(&bytes, roi).unwrap();
+            // A count gate that needs no clock. (The 1D fine level is
+            // one 64 Ki-value segment spanning both corners, read whole.)
+            assert!(stats.chunks_total >= 4, "{method:?}: {stats:?}");
+            assert!(
+                stats.chunks_read < stats.chunks_total,
+                "{method:?}: {stats:?}"
+            );
+            let floor = if method == Method::ZMesh { 0.5 } else { 0.25 };
+            assert!(stats.skipped_fraction() > floor, "{method:?}: {stats:?}");
+            for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
+                let inside = roi.coarsen(1 << l);
+                let dim = p.dim();
+                for (i, (a, b)) in p.data().iter().zip(f.data()).enumerate() {
+                    if inside.contains(i % dim, i / dim % dim, i / dim / dim) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{method:?} cell {l}/{i}");
+                    } else {
+                        // Whatever else was read agrees too; the rest is
+                        // untouched zero.
+                        assert!(a.to_bits() == b.to_bits() || a.to_bits() == 0);
+                    }
+                }
+                // The far half of a multi-segment level lies in skipped
+                // slabs.
+                if method == Method::ZMesh || l == 1 {
+                    assert!(p.data()[dim * dim * dim / 2..]
+                        .iter()
+                        .all(|v| v.to_bits() == 0));
+                }
+            }
+            // A request that meets nothing reads nothing.
+            let (_, stats) =
+                decompress_region_t::<f64>(&bytes, Aabb::new((5, 5, 200), (9, 9, 300))).unwrap();
+            assert_eq!((stats.chunks_read, stats.payload_bytes_read), (0, 0));
         }
     }
 

@@ -31,8 +31,9 @@ use crate::config::TacConfig;
 use crate::container::{CompressedDataset, Method, MethodBody};
 use crate::error::TacError;
 use crate::pipeline::{compress_dataset_t, resolve_level_eb_for};
+use crate::segment::union_range;
 use crate::stream::CompressedLevel;
-use crate::zmesh::gather_walk;
+use crate::zmesh::{gather_walk, ALL_PLANES};
 use tac_amr::{AmrDataset, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecId, Dims};
 
@@ -260,7 +261,7 @@ fn sample_window<T: CodecElement>(
     take: usize,
 ) -> Vec<T> {
     let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-    let window = gather_walk(masks, finest_dim, level_data, take);
+    let window = gather_walk(masks, finest_dim, ALL_PLANES, level_data, take);
     tac_obs::add_bytes(tac_obs::Counter::ReorderValues, window.len());
     window
 }
@@ -426,14 +427,7 @@ fn select_sampled<T: CodecElement>(
 
     // Global value range for the single-stream candidates, combined
     // from the per-level scans above.
-    let global_range =
-        level_ranges
-            .iter()
-            .flatten()
-            .fold(None, |acc: Option<(f64, f64)>, &(lo, hi)| match acc {
-                None => Some((lo, hi)),
-                Some((alo, ahi)) => Some((alo.min(lo), ahi.max(hi))),
-            });
+    let global_range = union_range(level_ranges.iter().copied());
 
     if let Some(range) = global_range {
         if let Ok(abs_eb) = resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, Some(range)) {

@@ -41,6 +41,15 @@ impl BlockGroup {
     }
 
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, TacError> {
+        let mut group = Self::read_header(r)?;
+        group.stream = r.get_blob()?.to_vec();
+        Ok(group)
+    }
+
+    /// Reads shape and origins — all [`BlockGroup::aabb`] needs — and
+    /// leaves the stream behind them unread (the returned group's
+    /// `stream` is empty).
+    pub(crate) fn read_header(r: &mut Reader<'_>) -> Result<Self, TacError> {
         let shape = (
             r.get_u32()? as usize,
             r.get_u32()? as usize,
@@ -59,11 +68,10 @@ impl BlockGroup {
         for _ in 0..count {
             origins.push((r.get_u32()?, r.get_u32()?, r.get_u32()?));
         }
-        let stream = r.get_blob()?.to_vec();
         Ok(BlockGroup {
             shape,
             origins,
-            stream,
+            stream: Vec::new(),
         })
     }
 

@@ -28,6 +28,19 @@
 //! same walker (one `(level, index)` entry per value), with [`gather`]
 //! and [`scatter`] as its explicit-order companions.
 //!
+//! # Plane ranges
+//!
+//! The walk takes a range of **z-planes of the coarsest level** and
+//! visits only the coarsest cells of those planes, in the same order.
+//! Because children sit inside their parent, the planes `[z0, z1)` are a
+//! union of whole octree subtrees: with `s = 2^(levels - 1 - l)` the
+//! scale of level `l` to the coarsest and `d` its side, the walk touches
+//! exactly the flat range `[z0·s·d², z1·s·d²)` of level `l` ([`slab`])
+//! and nothing else, and the traversal of all planes is the
+//! concatenation of the traversals of any split of them. That is what
+//! lets `crate::segment` cut one traversal into independently coded
+//! segments whose decodes write disjoint slices of every level buffer.
+//!
 //! The paper's finding — that this *hurts* tree-based data because level
 //! transitions inject value jumps the per-level 1D baseline never sees —
 //! is reproduced by the `fig16_reorder_demo` harness.
@@ -49,31 +62,64 @@ pub(crate) fn level_dim(finest_dim: usize, l: usize) -> usize {
         .unwrap_or(0)
 }
 
-/// Streams the zMesh traversal of a level stack described by its
-/// occupancy masks (fine to coarse) as `(level, start, len)` pieces:
-/// `len` consecutive flat indices of `level`, all present, in traversal
-/// order. `emit` may stop the walk early with `Break`. Never panics:
-/// mask bits beyond a mask's length read as absent.
+/// `2^steps`: the cells of a level, along one axis, per cell of the
+/// level `steps` coarser. `None` when that overflows.
+pub(crate) fn refinement(steps: usize) -> Option<usize> {
+    1usize.checked_shl(u32::try_from(steps).ok()?)
+}
+
+/// Every plane of the coarsest level, whatever its side ([`walk`] clips).
+pub(crate) const ALL_PLANES: Range<usize> = 0..usize::MAX;
+
+/// The flat index range of level `l` that the z-planes `planes` of the
+/// coarsest of `levels` levels cover: `[z0·s·d², z1·s·d²)` with `s` the
+/// scale of level `l` to the coarsest and `d` its side, planes clipped to
+/// the grid. `None` when `l` is not one of the levels or the products
+/// overflow (the sides come off the wire).
+pub(crate) fn slab(
+    finest_dim: usize,
+    levels: usize,
+    l: usize,
+    planes: &Range<usize>,
+) -> Option<Range<usize>> {
+    let coarsest = levels.checked_sub(1)?;
+    let scale = refinement(coarsest.checked_sub(l)?)?;
+    let cdim = level_dim(finest_dim, coarsest);
+    let dim = level_dim(finest_dim, l);
+    let thick = scale.checked_mul(dim)?.checked_mul(dim)?;
+    let from = planes.start.min(cdim).checked_mul(thick)?;
+    let to = planes.end.min(cdim).checked_mul(thick)?;
+    Some(from..to.max(from))
+}
+
+/// Streams the zMesh traversal of the z-planes `planes` of the coarsest
+/// level of a level stack described by its occupancy masks (fine to
+/// coarse) as `(level, start, len)` pieces: `len` consecutive flat
+/// indices of `level`, all present, in traversal order. `emit` may stop
+/// the walk early with `Break`. Never panics: planes beyond the grid are
+/// clipped and mask bits beyond a mask's length read as absent.
 pub(crate) fn walk<B>(
     masks: &[&BitMask],
     finest_dim: usize,
+    planes: Range<usize>,
     mut emit: impl FnMut(usize, usize, usize) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     let Some((mask, finer)) = masks.split_last() else {
         return Continue(());
     };
     let coarsest = finer.len();
-    let cdim = level_dim(finest_dim, coarsest);
-    let cells = cdim.saturating_mul(cdim).saturating_mul(cdim);
+    let Some(cells) = slab(finest_dim, masks.len(), coarsest, &planes) else {
+        return Continue(());
+    };
     // Each run of present cells is one piece; the absent cells between
     // runs descend.
-    let mut at = 0;
-    for (start, len) in mask.runs_in(0, cells) {
+    let mut at = cells.start;
+    for (start, len) in mask.runs_in(cells.start, cells.len()) {
         descend(masks, finest_dim, coarsest, at..start, &mut emit)?;
         emit(coarsest, start, len)?;
-        at = start + len;
+        at = start.saturating_add(len);
     }
-    descend(masks, finest_dim, coarsest, at..cells, &mut emit)
+    descend(masks, finest_dim, coarsest, at..cells.end, &mut emit)
 }
 
 /// Answers "is bit `i` set?" for non-decreasing `i` inside one bit range
@@ -166,8 +212,8 @@ fn descend<B, F: FnMut(usize, usize, usize) -> ControlFlow<B>>(
 /// exactly once.
 pub fn zmesh_order(masks: &[&BitMask], finest_dim: usize) -> Vec<ZmeshEntry> {
     let mut out = Vec::with_capacity(masks.iter().map(|m| m.count_ones()).sum());
-    let _ = walk(masks, finest_dim, |l, start, len| {
-        out.extend((start..start + len).map(|idx| (l, idx)));
+    let _ = walk(masks, finest_dim, ALL_PLANES, |l, start, len| {
+        out.extend((start..).take(len).map(|idx| (l, idx)));
         Continue::<(), ()>(())
     });
     out
@@ -184,25 +230,45 @@ fn copy_piece<T: Copy>(dst: &mut [T], src: &[T]) {
     }
 }
 
-/// Gathers the first `limit` values of the traversal (all of them for
-/// `usize::MAX`) straight out of the level buffers, one slice copy per
-/// piece. `Method::Auto`'s selection pass takes a bounded prefix this
-/// way; the walk stops as soon as the window is full.
+/// Present cells in the slabs of `planes`, summed over the levels: an
+/// upper bound on the traversal length there, exact on valid tree-based
+/// AMR (shorter only where a cell hides under a present ancestor) and
+/// zero exactly when the traversal is empty.
+pub(crate) fn population(masks: &[&BitMask], finest_dim: usize, planes: &Range<usize>) -> usize {
+    masks
+        .iter()
+        .enumerate()
+        .filter_map(|(l, mask)| {
+            let cells = slab(finest_dim, masks.len(), l, planes)?;
+            // Clipped to the mask, so the ranged popcount cannot panic.
+            let to = cells.end.min(mask.len());
+            let from = cells.start.min(to);
+            Some(mask.count_ones_in(from, to - from))
+        })
+        .sum()
+}
+
+/// Gathers the first `limit` values of the traversal of `planes` (all of
+/// them for `usize::MAX`) straight out of the level buffers, one slice
+/// copy per piece. `Method::Auto`'s selection pass takes a bounded prefix
+/// this way; the walk stops as soon as the window is full.
 pub(crate) fn gather_walk<T: Element>(
     masks: &[&BitMask],
     finest_dim: usize,
+    planes: Range<usize>,
     level_data: &[&[T]],
     limit: usize,
 ) -> Vec<T> {
     // No cell is visited twice, so the traversal is at most as long as
-    // the masks' population (shorter only on invalid hierarchies).
-    let present: usize = masks.iter().map(|m| m.count_ones()).sum();
+    // the slabs' population.
+    let present = population(masks, finest_dim, &planes);
     let mut out = vec![T::ZERO; present.min(limit)];
     let mut filled = 0;
-    let _ = walk(masks, finest_dim, |l, start, len| {
+    let _ = walk(masks, finest_dim, planes, |l, start, len| {
         let len = len.min(out.len() - filled);
-        let src = level_data.get(l).and_then(|d| d.get(start..start + len));
-        if let (Some(src), Some(dst)) = (src, out.get_mut(filled..filled + len)) {
+        let src = level_data.get(l).and_then(|d| d.get(start..)?.get(..len));
+        let dst = out.get_mut(filled..).and_then(|o| o.get_mut(..len));
+        if let (Some(src), Some(dst)) = (src, dst) {
             copy_piece(dst, src);
             filled += len;
         }
@@ -216,24 +282,33 @@ pub(crate) fn gather_walk<T: Element>(
     out
 }
 
-/// Scatters a decoded stream back into per-level dense buffers along
-/// the traversal, one slice copy per piece.
+/// Scatters a decoded stream back along the traversal of `planes`, one
+/// slice copy per piece. `slabs[l]` is the part of level `l`'s dense
+/// buffer those planes cover ([`slab`]) and nothing outside it is
+/// reachable, so concurrent scatters of disjoint plane ranges need no
+/// synchronisation.
 ///
 /// # Errors
-/// The stream must hold exactly one value per traversal cell: values
-/// running short or left over (or a buffer too small for its mask) is
-/// [`TacError::Corrupt`].
+/// The stream must hold exactly one value per traversal cell of the
+/// planes: values running short or left over (or a slab too small for
+/// its mask) is [`TacError::Corrupt`].
 pub(crate) fn scatter_walk<T: Element>(
     masks: &[&BitMask],
     finest_dim: usize,
+    planes: Range<usize>,
     values: &[T],
-    level_data: &mut [Vec<T>],
+    slabs: &mut [&mut [T]],
 ) -> Result<(), TacError> {
+    let bases: Vec<usize> = (0..masks.len())
+        .map(|l| slab(finest_dim, masks.len(), l, &planes).map_or(0, |cells| cells.start))
+        .collect();
     let mut rest = values;
-    let ran_short = walk(masks, finest_dim, |l, start, len| {
-        let dst = level_data
-            .get_mut(l)
-            .and_then(|d| d.get_mut(start..start + len));
+    let ran_short = walk(masks, finest_dim, planes, |l, start, len| {
+        let dst = bases
+            .get(l)
+            .and_then(|base| start.checked_sub(*base))
+            .zip(slabs.get_mut(l))
+            .and_then(|(at, cells)| cells.get_mut(at..at.checked_add(len)?));
         let (Some(dst), Some(src), Some(tail)) = (dst, rest.get(..len), rest.get(len..)) else {
             return Break(());
         };
@@ -244,7 +319,7 @@ pub(crate) fn scatter_walk<T: Element>(
     .is_break();
     if ran_short || !rest.is_empty() {
         return Err(TacError::Corrupt(format!(
-            "zMesh stream holds {} values, the traversal has {}",
+            "stream holds {} values, the traversal of its planes has {}",
             values.len(),
             if ran_short {
                 "more cells"
@@ -273,7 +348,7 @@ pub fn scatter<T: Element>(order: &[ZmeshEntry], values: &[T], level_data: &mut 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tac_amr::{AmrDataset, AmrLevel};
 
@@ -388,10 +463,10 @@ mod tests {
         out
     }
 
-    struct Rng(u64);
+    pub(crate) struct Rng(pub u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 ^= self.0 << 13;
             self.0 ^= self.0 >> 7;
             self.0 ^= self.0 << 17;
@@ -424,7 +499,7 @@ mod tests {
     /// of 64 bits). Odd seeds are valid tree-based AMR; even seeds then
     /// get one bit in eight flipped per level, leaving holes and cells
     /// present at two levels.
-    fn random_hierarchy(seed: u64) -> (Vec<BitMask>, usize) {
+    pub(crate) fn random_hierarchy(seed: u64) -> (Vec<BitMask>, usize) {
         let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
         let levels = 1 + (rng.next() % 4) as usize;
         let cdim = 1 + (rng.next() % 3) as usize;
@@ -479,12 +554,64 @@ mod tests {
             let refs: Vec<&BitMask> = masks.iter().collect();
             let order = zmesh_order(&refs, finest_dim);
             assert_eq!(order, reference_order(&refs, finest_dim), "seed {seed}");
-            let _ = walk(&refs, finest_dim, |_, _, len| {
+            let _ = walk(&refs, finest_dim, ALL_PLANES, |_, _, len| {
                 assert!(len >= 1, "seed {seed}: empty piece");
                 Continue::<(), ()>(())
             });
         }
         assert!(zmesh_order(&[], 8).is_empty());
+    }
+
+    /// The whole-buffer slab view `scatter_walk` takes for `ALL_PLANES`.
+    fn whole<T>(bufs: &mut [Vec<T>]) -> Vec<&mut [T]> {
+        bufs.iter_mut().map(|b| b.as_mut_slice()).collect()
+    }
+
+    #[test]
+    fn plane_ranged_walks_concatenate_to_the_whole_walk_inside_their_slabs() {
+        for seed in 0..400 {
+            let (masks, finest_dim) = random_hierarchy(seed);
+            let refs: Vec<&BitMask> = masks.iter().collect();
+            let order = zmesh_order(&refs, finest_dim);
+            let cdim = finest_dim >> (masks.len() - 1);
+            let mut rng = Rng(seed | 1);
+            // A random split of the planes, some pieces empty.
+            let mut cuts = vec![0, cdim];
+            for _ in 0..rng.next() % 3 {
+                cuts.push((rng.next() % (cdim as u64 + 1)) as usize);
+            }
+            cuts.sort_unstable();
+            let mut joined = Vec::new();
+            for pair in cuts.windows(2) {
+                let planes = pair[0]..pair[1];
+                let at = joined.len();
+                let _ = walk(&refs, finest_dim, planes.clone(), |l, start, len| {
+                    let cells = slab(finest_dim, masks.len(), l, &planes).unwrap();
+                    assert!(
+                        cells.start <= start && start + len <= cells.end,
+                        "seed {seed}: piece {l}/{start}+{len} outside slab {cells:?}"
+                    );
+                    joined.extend((start..start + len).map(|idx| (l, idx)));
+                    Continue::<(), ()>(())
+                });
+                // The ranged popcount bounds the piece from above, is
+                // exact on valid hierarchies, and is zero with it.
+                let held = joined.len() - at;
+                let bound = population(&refs, finest_dim, &planes);
+                assert!(held <= bound, "seed {seed}: {held} > {bound}");
+                assert_eq!(held == 0, bound == 0, "seed {seed}");
+                if seed % 2 == 1 {
+                    assert_eq!(held, bound, "seed {seed}: valid hierarchy");
+                }
+            }
+            assert_eq!(joined, order, "seed {seed}: cuts {cuts:?}");
+        }
+        // Planes beyond the grid, and a level that is not there, are
+        // clipped rather than trusted.
+        assert_eq!(slab(8, 2, 0, &(3..9)), Some(3 * 2 * 64..4 * 2 * 64));
+        assert_eq!(slab(8, 2, 1, &(5..7)), Some(64..64));
+        assert_eq!(slab(8, 2, 2, &(0..1)), None);
+        assert_eq!(slab(8, 0, 0, &(0..1)), None);
     }
 
     fn check_streamed_gather_and_scatter<T: Element>(seed: u64) {
@@ -495,14 +622,14 @@ mod tests {
         let slices: Vec<&[T]> = data.iter().map(|d| d.as_slice()).collect();
 
         let stream = gather(&order, &slices);
-        let streamed = gather_walk(&refs, finest_dim, &slices, usize::MAX);
+        let streamed = gather_walk(&refs, finest_dim, ALL_PLANES, &slices, usize::MAX);
         assert_eq!(bits(&streamed), bits(&stream), "seed {seed}: gather");
 
         // The windowed prefix is `order[..n]`, also for `n` past the end.
         let mut rng = Rng(seed | 1);
         for _ in 0..4 {
             let n = (rng.next() % (order.len() as u64 + 3)) as usize;
-            let window = gather_walk(&refs, finest_dim, &slices, n);
+            let window = gather_walk(&refs, finest_dim, ALL_PLANES, &slices, n);
             let expect = gather(&order[..n.min(order.len())], &slices);
             assert_eq!(bits(&window), bits(&expect), "seed {seed}: window {n}");
         }
@@ -513,7 +640,14 @@ mod tests {
         let mut expect = before.clone();
         scatter(&order, &stream, &mut expect);
         let mut streamed = before.clone();
-        scatter_walk(&refs, finest_dim, &stream, &mut streamed).unwrap();
+        scatter_walk(
+            &refs,
+            finest_dim,
+            ALL_PLANES,
+            &stream,
+            &mut whole(&mut streamed),
+        )
+        .unwrap();
         for (l, (a, b)) in streamed.iter().zip(&expect).enumerate() {
             assert_eq!(bits(a), bits(b), "seed {seed}: scatter level {l}");
         }
@@ -525,7 +659,14 @@ mod tests {
             if wrong.len() == stream.len() {
                 continue; // an empty traversal has no shorter stream
             }
-            let err = scatter_walk(&refs, finest_dim, wrong, &mut before.clone()).unwrap_err();
+            let err = scatter_walk(
+                &refs,
+                finest_dim,
+                ALL_PLANES,
+                wrong,
+                &mut whole(&mut before.clone()),
+            )
+            .unwrap_err();
             assert!(matches!(err, TacError::Corrupt(_)), "seed {seed}: {err}");
         }
     }

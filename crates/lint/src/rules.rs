@@ -37,6 +37,8 @@ pub const DECODE_PATH_MODULES: &[&str] = &[
     "crates/core/src/extract.rs",
     "crates/core/src/select.rs",
     "crates/core/src/zmesh.rs",
+    "crates/core/src/segment.rs",
+    "crates/core/src/pipeline.rs",
     "crates/sz/src/wire.rs",
     "crates/sz/src/compress.rs",
     "crates/sz/src/huffman.rs",
@@ -58,6 +60,9 @@ pub const WIRE_ARITH_MODULES: &[&str] = &[
     "crates/core/src/container.rs",
     "crates/core/src/stream.rs",
     "crates/core/src/select.rs",
+    "crates/core/src/roi.rs",
+    "crates/core/src/zmesh.rs",
+    "crates/core/src/segment.rs",
     "crates/sz/src/wire.rs",
     "crates/sz/src/container.rs",
     "crates/sz/src/compress.rs",

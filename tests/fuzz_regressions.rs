@@ -341,17 +341,21 @@ fn group_extents_beyond_the_level_are_rejected_at_every_worker_count() {
             ]),
         }]),
     };
-    for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-        // The container grammar itself is intact: the shape is only
-        // wrong for the level it claims to belong to.
-        let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+    // The v1 grammar is intact — the shape is only wrong for the level
+    // it claims to belong to — so the decode itself must refuse it, in
+    // memory and re-parsed alike.
+    let parsed = CompressedDataset::from_bytes(&cd.to_bytes_v1()).unwrap();
+    for hostile in [&cd, &parsed] {
         for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
             assert!(
-                decompress_dataset_par_t::<f64>(&parsed, parallelism).is_err(),
+                decompress_dataset_par_t::<f64>(hostile, parallelism).is_err(),
                 "{parallelism:?}"
             );
         }
     }
+    // The chunked form records the group's box in its table row, and the
+    // shared parse refuses a box that leaves the level's grid.
+    assert!(CompressedDataset::from_bytes(&cd.to_bytes()).is_err());
     assert!(decompress_region_t::<f64>(&cd.to_bytes(), Aabb::whole(8)).is_err());
 }
 
@@ -412,6 +416,79 @@ fn in_memory_masks_that_disagree_with_the_grid_are_rejected_by_every_method() {
             .extend([BitMask::zeros(8), BitMask::zeros(1), BitMask::zeros(0)]);
         assert!(decompress_dataset_par_t::<f64>(&bad, Parallelism::Serial).is_err());
     }
+}
+
+/// Region reads seek by the chunk table's boxes, and the parser used
+/// to reject only *empty* ones: with every row of a TAC container
+/// rewritten to another non-empty box (`[7,8)^3` on a 16^3 dataset with
+/// data in two corners), `from_bytes` and the full decode accepted the
+/// container while `decompress_region_t` over `[0,4)^3` returned `Ok`
+/// having read 0 of 3 chunks — `+0.0` where the full decode holds
+/// values. Every row's box is now checked against what the writer
+/// derives (the mask's tight box, the group header's own box), so both
+/// decoders refuse it; f64 on the v2 and v3 rows, f32 on v4.
+#[test]
+fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
+    use tac_amr::{Aabb, AmrDataset, AmrLevel};
+    use tac_core::{
+        compress_dataset_t, decompress_region_t, CodecElement, CodecId, CompressedDataset, Method,
+        TacConfig, TacError, CHUNK_COUNT_PREFIX_BYTES, CHUNK_ROW_BYTES_V2, CHUNK_ROW_BYTES_V3,
+        CHUNK_ROW_BYTES_V4, TABLE_FOOTER_BYTES,
+    };
+    // Fine cells in two far-apart corner blobs, the rest coarse.
+    let mut fine = AmrLevel::empty(16);
+    let mut coarse = AmrLevel::empty(8);
+    for i in 0..512usize {
+        let (x, y, z) = (i % 8, i / 8 % 8, i / 64);
+        if [x, y, z].iter().all(|&c| c < 2) || [x, y, z].iter().all(|&c| c >= 6) {
+            for c in 0..8 {
+                let at = (2 * x + (c & 1), 2 * y + (c >> 1 & 1), 2 * z + (c >> 2));
+                fine.set_value(at.0, at.1, at.2, (at.0 + at.1 + at.2) as f64 * 0.1 + 1.0);
+            }
+        } else {
+            coarse.set_value(x, y, z, (x + y + z) as f64 * 0.2 + 3.0);
+        }
+    }
+    let ds = AmrDataset::new("corners", vec![fine, coarse]);
+    ds.validate().unwrap();
+
+    fn check<T: CodecElement>(ds: &AmrDataset<T>, codec: CodecId, version: u8, row: usize) {
+        let cfg = TacConfig {
+            unit: 4,
+            codec,
+            roi_tile: Some(8),
+            ..TacConfig::with_error_bound(tac_sz::ErrorBound::Abs(1e-3))
+        };
+        let bytes = compress_dataset_t(ds, &cfg, Method::Tac)
+            .unwrap()
+            .to_bytes();
+        assert_eq!(bytes[4], version);
+        let roi = Aabb::new((0, 0, 0), (4, 4, 4));
+        let (honest, stats) = decompress_region_t::<T>(&bytes, roi).unwrap();
+        assert!(stats.chunks_read > 0 && honest.finest().value(1, 1, 1) != T::ZERO);
+
+        // Every row's box (its last six u32s) becomes [7,8)^3.
+        let mut tampered = bytes.clone();
+        let footer_at = bytes.len() - TABLE_FOOTER_BYTES;
+        let table_pos = u64::from_le_bytes(bytes[footer_at..].try_into().unwrap()) as usize;
+        let rows = &mut tampered[table_pos + CHUNK_COUNT_PREFIX_BYTES..footer_at];
+        assert!(rows.len() >= 3 * row && rows.len() % row == 0);
+        for r in rows.chunks_exact_mut(row) {
+            for (field, v) in r[row - 24..].chunks_exact_mut(4).zip([7u32, 7, 7, 8, 8, 8]) {
+                field.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        let err = CompressedDataset::from_bytes(&tampered).unwrap_err();
+        assert!(
+            matches!(err, TacError::Corrupt(_)),
+            "v{version} parse: {err}"
+        );
+        let err = decompress_region_t::<T>(&tampered, roi).unwrap_err();
+        assert!(matches!(err, TacError::Corrupt(_)), "v{version} ROI: {err}");
+    }
+    check(&ds, CodecId::Sz, 2, CHUNK_ROW_BYTES_V2);
+    check(&ds, CodecId::PcoLite, 3, CHUNK_ROW_BYTES_V3);
+    check(&ds.cast::<f32>(), CodecId::PcoAns, 4, CHUNK_ROW_BYTES_V4);
 }
 
 /// The CI smoke: the bounded seeded campaign must observe zero panics

@@ -9,11 +9,11 @@
 //! recorder session is process-global — concurrent test threads would
 //! bleed counts into each other's snapshots.
 
-use tac_amr::{AmrDataset, AmrLevel};
+use tac_amr::{Aabb, AmrDataset, AmrLevel};
 use tac_bench::load_dataset;
 use tac_core::{
-    compress_dataset_t, decompress_dataset_par_t, CompressedDataset, LevelPayload, Method,
-    MethodBody, Parallelism, TacConfig,
+    codec_for, compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecElement,
+    CodecId, CompressedDataset, LevelPayload, Method, MethodBody, Parallelism, Segment, TacConfig,
 };
 use tac_obs::export::StageReport;
 use tac_obs::{Counter, Snapshot, Stage};
@@ -42,9 +42,11 @@ fn container_stream_bytes(cd: &CompressedDataset) -> u64 {
         MethodBody::Baseline1D(levels) => levels
             .iter()
             .flatten()
-            .map(|(_, _, stream)| stream.len())
+            .flat_map(|(_, _, segments)| segments)
+            .map(|s| s.stream.len())
             .sum(),
-        MethodBody::ZMesh { stream, .. } | MethodBody::Baseline3D { stream, .. } => stream.len(),
+        MethodBody::ZMesh { segments, .. } => segments.iter().map(|s| s.stream.len()).sum(),
+        MethodBody::Baseline3D { stream, .. } => stream.len(),
     };
     total as u64
 }
@@ -60,8 +62,13 @@ fn container_chunks(cd: &CompressedDataset) -> u64 {
                 LevelPayload::Groups(groups) => groups.len(),
             })
             .sum(),
-        MethodBody::Baseline1D(levels) => levels.iter().flatten().count(),
-        MethodBody::ZMesh { .. } | MethodBody::Baseline3D { .. } => 1,
+        MethodBody::Baseline1D(levels) => levels
+            .iter()
+            .flatten()
+            .map(|(_, _, segments)| segments.len())
+            .sum(),
+        MethodBody::ZMesh { segments, .. } => segments.len(),
+        MethodBody::Baseline3D { .. } => 1,
     };
     total as u64
 }
@@ -158,7 +165,7 @@ fn merged_counters_are_invariant_across_worker_counts() {
     }
 
     assembly_work_follows_the_occupied_volume(session);
-    zmesh_round_trip_time_is_attributed(session);
+    segmented_round_trips_are_attributed_and_counted(session);
 
     // Leave the session clean for any later obs-enabled test binaries
     // sharing the process (none today, but take() is cheap insurance).
@@ -217,18 +224,60 @@ fn assembly_work_follows_the_occupied_volume(session: &tac_obs::ObsSession) {
     );
 }
 
-/// Where a zMesh round-trip's time goes must have a name: the self-time
-/// the `compress` and `decompress` spans keep for themselves (whatever
-/// no nested stage covers) stays below 15% of the wall. Before the
-/// reorder was a stage — and before it stopped materialising a
-/// 16 B/value order — that was 43% and 71% on the benchmark's `z5_auto`
-/// input. Shares of one run, best of three, on a 128^3 input where a
-/// pass takes tens of milliseconds, so scheduler noise does not decide
-/// it; called from the one `#[test]` above because the recorder session
-/// is process-global.
-fn zmesh_round_trip_time_is_attributed(session: &tac_obs::ObsSession) {
+/// Values held by the segments of a zMesh / 1D body whose rows a region
+/// read of `roi` meets. Rows span the whole x-y extent, so z alone
+/// decides, on the grid of the traversal's coarsest level.
+fn values_of_met_segments(cd: &CompressedDataset, roi: Aabb) -> u64 {
+    // Per traversal: its coarsest level, its codec and its segments.
+    let stacks: Vec<(usize, CodecId, &[Segment])> = match &cd.body {
+        MethodBody::ZMesh {
+            codec, segments, ..
+        } => vec![(cd.masks.len() - 1, *codec, segments)],
+        MethodBody::Baseline1D(levels) => levels
+            .iter()
+            .enumerate()
+            .filter_map(|(l, level)| {
+                let (_, codec, segments) = level.as_ref()?;
+                Some((l, *codec, segments.as_slice()))
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    let mut values = 0;
+    for (coarsest, codec, segments) in stacks {
+        // (A lone 1D segment would record the level's tight box instead.)
+        assert!(segments.len() > 1, "level {coarsest} is one segment");
+        let want = roi.coarsen(1 << coarsest);
+        let mut from = 0;
+        for s in segments {
+            let planes = std::mem::replace(&mut from, s.plane_end)..s.plane_end;
+            if planes.start < want.max.2 && want.min.2 < planes.end {
+                let (decoded, _) = f64::codec_decompress(codec_for(codec), &s.stream).unwrap();
+                values += decoded.len() as u64;
+            }
+        }
+    }
+    values
+}
+
+/// Where a single-stream round-trip's time goes must have a name: the
+/// self-time the `compress`, `decompress` and `roi_decode` spans keep
+/// for themselves (whatever no nested stage covers) stays below 15% of
+/// the wall, for zMesh and the 1D baseline alike. Before the reorder
+/// was a stage — and before it stopped materialising a 16 B/value order
+/// — that was 43% and 71% on the benchmark's `z5_auto` input. Shares of
+/// one run, best of three, on a 128^3 input where a pass takes tens of
+/// milliseconds, so scheduler noise does not decide it.
+///
+/// The same input is cut into many segments, so the counts are checked
+/// on it too: one chunk per segment, every present value reordered once
+/// per direction, and a region read reorders exactly the values of the
+/// segments it read. Called from the one `#[test]` above because the
+/// recorder session is process-global.
+fn segmented_round_trips_are_attributed_and_counted(session: &tac_obs::ObsSession) {
     let ds = load_dataset("Run1_Z5", 4, 14);
     let cfg = TacConfig::default();
+    let present = ds.total_present() as u64;
     let unattributed = |snap: &Snapshot, stage: Stage| {
         let report = StageReport::from_snapshot(snap);
         let row = report.rows.iter().find(|r| r.stage == stage);
@@ -240,22 +289,54 @@ fn zmesh_round_trip_time_is_attributed(session: &tac_obs::ObsSession) {
         );
         report.fraction(row)
     };
-    let (mut compress, mut decompress) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        let _ = session.take();
-        let cd = compress_dataset_t(&ds, &cfg, Method::ZMesh).unwrap();
-        compress = compress.min(unattributed(&session.take(), Stage::Compress));
-        decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
-        decompress = decompress.min(unattributed(&session.take(), Stage::Decompress));
+    // 1/64 of the volume, off the plane cuts.
+    let roi = Aabb::new((3, 5, 7), (35, 37, 39));
+    for method in [Method::ZMesh, Method::Baseline1D] {
+        let mut shares = [f64::INFINITY; 3];
+        for _ in 0..3 {
+            let _ = session.take();
+            let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+            let snap = session.take();
+            let segments = container_chunks(&cd);
+            assert!(segments > 8, "{method:?}: {segments} segments");
+            assert_eq!(snap.counter(Counter::ChunksEncoded), segments, "{method:?}");
+            assert_eq!(snap.counter(Counter::ReorderValues), present, "{method:?}");
+            shares[0] = shares[0].min(unattributed(&snap, Stage::Compress));
+
+            decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+            let snap = session.take();
+            assert_eq!(snap.counter(Counter::ChunksDecoded), segments, "{method:?}");
+            assert_eq!(snap.counter(Counter::ReorderValues), present, "{method:?}");
+            shares[1] = shares[1].min(unattributed(&snap, Stage::Decompress));
+
+            let bytes = cd.to_bytes();
+            let _ = session.take();
+            let (_, stats) = decompress_region_t::<f64>(&bytes, roi).unwrap();
+            let snap = session.take();
+            assert_eq!(
+                snap.counter(Counter::RoiChunksTotal),
+                segments,
+                "{method:?}"
+            );
+            assert_eq!(stats.chunks_total as u64, segments, "{method:?}");
+            let read = snap.counter(Counter::RoiChunksRead);
+            assert_eq!(read, stats.chunks_read as u64, "{method:?}");
+            assert!(0 < read && read < segments, "{method:?}: read {read}");
+            assert_eq!(snap.counter(Counter::ChunksDecoded), read, "{method:?}");
+            let reordered = snap.counter(Counter::ReorderValues);
+            assert_eq!(reordered, values_of_met_segments(&cd, roi), "{method:?}");
+            assert!(reordered < present / 2, "{method:?}: {reordered}");
+            shares[2] = shares[2].min(unattributed(&snap, Stage::RoiDecode));
+        }
+        for (share, what) in shares
+            .into_iter()
+            .zip(["compress", "decompress", "region read"])
+        {
+            assert!(
+                share < 0.15,
+                "{:.1}% of a {method:?} {what} is unattributed self-time",
+                100.0 * share
+            );
+        }
     }
-    assert!(
-        compress < 0.15,
-        "{:.1}% of a zMesh compress is unattributed self-time",
-        100.0 * compress
-    );
-    assert!(
-        decompress < 0.15,
-        "{:.1}% of a zMesh decompress is unattributed self-time",
-        100.0 * decompress
-    );
 }

@@ -42,6 +42,127 @@ fn dataset_from_refinement(coarse_dim: usize, refine: &[bool], seed: u64) -> Amr
     AmrDataset::new("prop", vec![fine, coarse])
 }
 
+/// One multi-segment single-stream container over the shared 64^3 /
+/// 32^3 dataset, with its full decode and its chunk-table rows as
+/// `(level, box on that level's grid)` — the boxes the writer derives
+/// from the segments' plane cuts.
+struct Segmented {
+    method: Method,
+    bytes: Vec<u8>,
+    full: AmrDataset,
+    rows: Vec<(usize, Aabb)>,
+}
+
+/// zMesh and 1D containers big enough (~233 K values) to be cut into
+/// several segments, built once.
+fn segmented() -> &'static [Segmented] {
+    static BUILT: std::sync::OnceLock<Vec<Segmented>> = std::sync::OnceLock::new();
+    BUILT.get_or_init(|| {
+        let refine: Vec<bool> = (0..32usize.pow(3))
+            .map(|i| (i % 32 + 2 * (i / 32 % 32) + 3 * (i / 1024)) % 8 != 0)
+            .collect();
+        let ds = dataset_from_refinement(32, &refine, 7);
+        let cfg = TacConfig::with_error_bound(ErrorBound::Abs(0.5));
+        [Method::ZMesh, Method::Baseline1D]
+            .into_iter()
+            .map(|method| {
+                let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+                let slabs = |dim: usize, scale: usize, segments: &[tac_core::Segment]| {
+                    let mut from = 0;
+                    segments
+                        .iter()
+                        .enumerate()
+                        .map(|(i, s)| {
+                            let last = i + 1 == segments.len();
+                            let to = if last { dim } else { s.plane_end * scale };
+                            let slab = Aabb::new((0, 0, from), (dim, dim, to));
+                            from = to;
+                            slab
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let rows: Vec<(usize, Aabb)> = match &cd.body {
+                    MethodBody::ZMesh { segments, .. } => {
+                        slabs(64, 2, segments).into_iter().map(|b| (0, b)).collect()
+                    }
+                    MethodBody::Baseline1D(levels) => levels
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(l, level)| {
+                            let (_, _, segments) = level.as_ref().unwrap();
+                            let boxes = match segments.len() {
+                                // A lone segment keeps the level's tight box.
+                                1 => vec![cd.masks[l].bounding_box(64 >> l).unwrap()],
+                                _ => slabs(64 >> l, 1, segments),
+                            };
+                            boxes.into_iter().map(move |b| (l, b))
+                        })
+                        .collect(),
+                    _ => panic!("{method:?} wrote another method's body"),
+                };
+                assert!(rows.len() >= 4, "{method:?}: {} rows", rows.len());
+                Segmented {
+                    method,
+                    bytes: cd.to_bytes(),
+                    full: decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap(),
+                    rows,
+                }
+            })
+            .collect()
+    })
+}
+
+/// `decompress_region_t` over a multi-segment container is a restriction
+/// of the full decode: bit-equal inside the box, `+0.0` bits in every
+/// slab whose row the box misses, and reads exactly the rows it meets.
+fn check_segmented_roi(c: &Segmented, roi: Aabb) -> Result<(), TestCaseError> {
+    let (partial, stats) = tac_core::decompress_region_t::<f64>(&c.bytes, roi).unwrap();
+    let met = |&(level, bbox): &(usize, Aabb)| bbox.intersects(&roi.coarsen(1 << level));
+    prop_assert_eq!(stats.chunks_total, c.rows.len());
+    prop_assert_eq!(stats.chunks_read, c.rows.iter().filter(|r| met(r)).count());
+    prop_assert!(stats.payload_bytes_read <= stats.payload_bytes_total);
+    for (l, (p, f)) in partial.levels().iter().zip(c.full.levels()).enumerate() {
+        let dim = p.dim();
+        let inside = roi.coarsen(1 << l);
+        // A zMesh row (level 0) covers its slab of every level; a 1D
+        // row covers its own level only.
+        let skipped: Vec<Aabb> = c
+            .rows
+            .iter()
+            .filter(|r| !met(r) && (r.0 == l || c.method == Method::ZMesh))
+            .map(|&(level, bbox)| bbox.coarsen(1 << (l - level)))
+            .collect();
+        for (i, (a, b)) in p.data().iter().zip(f.data()).enumerate() {
+            let (x, y, z) = (i % dim, i / dim % dim, i / dim / dim);
+            if inside.contains(x, y, z) {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "{:?} {:?}: level {} cell ({},{},{}) diverges inside ROI",
+                    c.method,
+                    roi,
+                    l,
+                    x,
+                    y,
+                    z
+                );
+            }
+            if skipped.iter().any(|slab| slab.contains(x, y, z)) {
+                prop_assert!(
+                    a.to_bits() == 0,
+                    "{:?} {:?}: level {} cell ({},{},{}) of a skipped slab is not +0.0",
+                    c.method,
+                    roi,
+                    l,
+                    x,
+                    y,
+                    z
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -352,6 +473,20 @@ proptest! {
                     }
                 }
             }
+        }
+
+        // The same contract over multi-segment zMesh and 1D containers,
+        // on a 72^3 lattice around their 64^3 grid: the drawn box (odd
+        // corners straddle coarse cells and plane cuts; equal ones are
+        // empty), the single cell at its corner, and the box pushed out
+        // of the domain.
+        let wide = |c: usize| 6 * c + c % 2;
+        let min = (wide(x.0), wide(y.0), wide(z.0));
+        let max = (wide(x.1), wide(y.1), wide(z.1));
+        for c in segmented() {
+            check_segmented_roi(c, Aabb::new(min, max))?;
+            check_segmented_roi(c, Aabb::new(min, (min.0 + 1, min.1 + 1, min.2 + 1)))?;
+            check_segmented_roi(c, Aabb::new((min.0, min.1, min.2 + 64), (max.0, max.1, max.2 + 64)))?;
         }
     }
 }
