@@ -158,21 +158,34 @@ impl BlockGrid {
 pub fn copy_region<T: Copy>(
     data: &[T],
     dim: usize,
+    origin: (usize, usize, usize),
+    shape: (usize, usize, usize),
+) -> Vec<T> {
+    let mut out = Vec::new();
+    copy_region_into(&mut out, data, dim, origin, shape);
+    out
+}
+
+/// [`copy_region`] appending to `out`, so a caller batching several
+/// regions gathers their rows straight into the batch.
+pub fn copy_region_into<T: Copy>(
+    out: &mut Vec<T>,
+    data: &[T],
+    dim: usize,
     (x0, y0, z0): (usize, usize, usize),
     (w, h, d): (usize, usize, usize),
-) -> Vec<T> {
+) {
     assert!(
         x0 + w <= dim && y0 + h <= dim && z0 + d <= dim,
         "region out of bounds"
     );
-    let mut out = Vec::with_capacity(w * h * d);
+    out.reserve(w * h * d);
     for z in z0..z0 + d {
         for y in y0..y0 + h {
             let row = x0 + dim * (y + dim * z);
             out.extend_from_slice(&data[row..row + w]);
         }
     }
-    out
 }
 
 /// Writes a contiguous buffer produced by [`copy_region`] back at the same
@@ -348,6 +361,14 @@ mod tests {
         }
         // Outside the region stays zero.
         assert_eq!(out[0], 0.0);
+
+        // The appending form adds the same cells behind what is there.
+        let mut batch = vec![-1.0];
+        copy_region_into(&mut batch, &data, dim, (1, 2, 3), (4, 3, 2));
+        copy_region_into(&mut batch, &data, dim, (0, 0, 0), (1, 1, 1));
+        assert_eq!(batch[0], -1.0);
+        assert_eq!(batch[1..25], region[..]);
+        assert_eq!(batch[25..], [data[0]]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod morton;
 mod upsample;
 
 pub use aabb::Aabb;
-pub use blocks::{copy_region, paste_region, BlockGrid};
+pub use blocks::{copy_region, copy_region_into, paste_region, BlockGrid};
 pub use dataset::{AmrDataset, AmrValidationError};
 pub use level::{min_max, AmrLevel};
 pub use mask::{BitMask, Runs};

@@ -78,6 +78,8 @@ mod error;
 mod pco;
 mod pco_ans;
 mod sz;
+#[cfg(test)]
+mod testdata;
 
 pub use error::CodecError;
 pub use pco::PcoLite;

@@ -71,70 +71,206 @@ pub(crate) fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
-/// Quantizes one value, or `None` when it must be stored raw. Returns
-/// the code and the `T`-narrowed reconstruction the decoder will
-/// materialize; the bound check runs on that narrowed value, so `T`'s
-/// rounding can never silently break the bound.
-#[inline]
-pub(crate) fn quantize<T: Element>(value: T, two_eb: f64, abs_eb: f64) -> Option<(i64, T)> {
-    let v = value.to_f64();
-    if !v.is_finite() {
-        return None;
+/// The largest `f64` below one half.
+const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+
+/// `t.round() as i64` — round half away from zero — without the libm
+/// call `f64::round` is on baseline x86-64. This is LLVM's own expansion
+/// of `round` for targets without a rounding instruction: adding the
+/// largest value below one half (with `t`'s sign) and truncating lands
+/// on the same integer for every `t`, ties included — unlike adding one
+/// half, which carries `0.49999999999999994` up to 1. NaN gives 0 and
+/// out-of-range values saturate, like the cast they replace.
+#[inline(always)]
+pub(crate) fn round_half_away(t: f64) -> i64 {
+    (t + BELOW_HALF.copysign(t)) as i64
+}
+
+/// The quantize → delta → zigzag front end both pcodec-style backends
+/// share (through [`encode_stream`]), run one page at a time so no
+/// whole-stream intermediate exists:
+/// each finite value maps to the code `q = round(v / 2eb)`; the code's
+/// difference to the previous quantized value is zigzag-folded into a
+/// *latent*. A value whose `T`-narrowed reconstruction `q * 2eb` misses
+/// the bound — non-finite, beyond the `i64` lattice, or lost to `T`'s
+/// rounding — becomes a raw **exception**: latent 0, the delta chain
+/// passes over it.
+struct Quantizer<T> {
+    two_eb: f64,
+    abs_eb: f64,
+    /// The last quantized (non-exception) code.
+    prev: i64,
+    /// Values quantized so far: the stream index of the next page.
+    seen: u64,
+    /// `(stream index, raw value)` of every exception so far, in order.
+    exceptions: Vec<(u64, T)>,
+}
+
+impl<T: Element> Quantizer<T> {
+    fn new(abs_eb: f64) -> Self {
+        Quantizer {
+            two_eb: 2.0 * abs_eb,
+            abs_eb,
+            prev: 0,
+            seen: 0,
+            exceptions: Vec::new(),
+        }
     }
-    let t = v / two_eb;
-    // Stay clear of the i64 edge (and of `as` saturation): beyond 2^62
-    // the f64 lattice is coarser than 1 anyway, so round-tripping
-    // through the integer grid could not stay within bound.
-    if !t.is_finite() || t.abs() >= (1i64 << 62) as f64 {
-        return None;
+
+    /// Quantizes the next page: `z` receives the latents and `classes`
+    /// their bit lengths (both exactly `data.len()` long). With `RECON`,
+    /// `recon` receives what the decoder will materialize — the narrowed
+    /// reconstruction, or the raw value of an exception.
+    ///
+    /// The loop is select-based: an exception costs the same as a hit
+    /// apart from its (rare) push, and the only loop-carried dependency
+    /// is the one-cycle `prev` select. `v / 2eb` stays a division — a
+    /// reciprocal multiply rounds differently and would change codes.
+    // tac-lint: allow(arith) -- encoder-only: `bit_len` is at most 64, so the class fits its byte; `seen + i` counts in-memory values.
+    fn page<const RECON: bool>(
+        &mut self,
+        data: &[T],
+        z: &mut [u64],
+        classes: &mut [u8],
+        recon: &mut [T],
+    ) {
+        debug_assert!(z.len() == data.len() && classes.len() == data.len());
+        // Stay clear of the i64 edge: beyond 2^62 the f64 lattice is
+        // coarser than 1 anyway, so a round trip through the integer grid
+        // could not stay within bound. The comparison is false for a NaN
+        // or infinite quotient, which is what every non-finite value
+        // yields (`2eb` is positive).
+        let limit = (1i64 << 62) as f64;
+        let (two_eb, abs_eb) = (self.two_eb, self.abs_eb);
+        let mut prev = self.prev;
+        let mut recon = recon.iter_mut();
+        for (i, ((&value, z), class)) in data.iter().zip(z).zip(classes).enumerate() {
+            let v = value.to_f64();
+            let t = v / two_eb;
+            let q = round_half_away(t);
+            // The bound check runs on the narrowed value, so `T`'s
+            // rounding can never silently break the bound.
+            let narrowed = T::from_f64(q as f64 * two_eb);
+            let hit = (t.abs() < limit) & ((v - narrowed.to_f64()).abs() <= abs_eb);
+            let latent = if hit { zigzag(q.wrapping_sub(prev)) } else { 0 };
+            prev = if hit { q } else { prev };
+            *z = latent;
+            *class = bit_len(latent) as u8;
+            if RECON {
+                if let Some(slot) = recon.next() {
+                    *slot = if hit { narrowed } else { value };
+                }
+            }
+            if !hit {
+                self.exceptions.push((self.seen + i as u64, value));
+            }
+        }
+        self.prev = prev;
+        self.seen += data.len() as u64;
     }
-    let q = t.round() as i64;
-    let recon = T::from_f64(q as f64 * two_eb);
-    if (v - recon.to_f64()).abs() <= abs_eb {
-        Some((q, recon))
-    } else {
-        None
+
+    /// Ends the stream: writes the exception table where the decoder
+    /// expects it, *ahead* of the pages. `body` holds an 8-byte
+    /// placeholder for the exception count at `at`, then the pages
+    /// coded so far; exceptions are rare, so the common case patches
+    /// nothing and moves nothing.
+    // tac-lint: allow(panic, arith) -- encoder-only: `at` is where this stream's own writer put the placeholder, so `at + 8` is inside `body`.
+    fn finish(self, body: &mut Vec<u8>, at: usize) {
+        tac_obs::add_bytes(tac_obs::Counter::PcoExceptions, self.exceptions.len());
+        if self.exceptions.is_empty() {
+            return;
+        }
+        let mut table = Vec::with_capacity(self.exceptions.len() * exception_bytes::<T>());
+        for &(idx, v) in &self.exceptions {
+            table.extend(idx.to_le_bytes());
+            v.append_le(&mut table);
+        }
+        body[at..at + 8].copy_from_slice(&(self.exceptions.len() as u64).to_le_bytes());
+        body.splice(at + 8..at + 8, table);
     }
 }
 
-/// LSB-first bit packer. Shared with `PcoAns`, whose offset streams use
-/// the identical LSB-first layout.
-pub(crate) struct BitPacker {
-    buf: Vec<u8>,
-    acc: u128,
+/// Codes `data` onto `out` (which holds the stream header) a page of
+/// `page` values at a time: the exception table's slot, then each page
+/// quantized into latents and classes and handed to `encode_page` —
+/// the one thing the two backends do differently. Returns the decoder's
+/// exact output when `RECON` (empty otherwise). The scratch holds one
+/// page, or the whole stream when that is shorter: TAC feeds these
+/// codecs thousands of streams of a few dozen values, which must not
+/// each pay for a full page of it.
+pub(crate) fn encode_stream<T: Element, const RECON: bool>(
+    data: &[T],
+    abs_eb: f64,
+    page: usize,
+    out: &mut Vec<u8>,
+    mut encode_page: impl FnMut(&[u64], &[u8], &mut Vec<u8>),
+) -> Vec<T> {
+    let n = data.len();
+    // The exception table goes here, ahead of the pages, once the last
+    // page has told how many there are.
+    let exceptions_at = out.len();
+    out.extend(0u64.to_le_bytes());
+    let mut recon = vec![T::ZERO; if RECON { n } else { 0 }];
+    let mut recon_pages = recon.chunks_mut(page);
+    let mut quantizer = Quantizer::new(abs_eb);
+    let mut z = vec![0u64; n.min(page)];
+    let mut classes = vec![0u8; n.min(page)];
+    for values in data.chunks(page) {
+        let (z, _) = z.split_at_mut(values.len());
+        let (classes, _) = classes.split_at_mut(values.len());
+        {
+            let _quantize = tac_obs::span(tac_obs::Stage::Quantize);
+            let recon_page = recon_pages.next().unwrap_or_default();
+            quantizer.page::<RECON>(values, z, classes, recon_page);
+        }
+        let _pack = tac_obs::span(tac_obs::Stage::Pack);
+        encode_page(z, classes, out);
+    }
+    quantizer.finish(out, exceptions_at);
+    recon
+}
+
+/// LSB-first bit packer appending to a byte vector, shared by both
+/// backends (PcoLite's fixed-width pages, PcoAns's offset streams). Bits
+/// gather in a 64-bit accumulator that is flushed eight bytes at a time.
+pub(crate) struct BitSink<'a> {
+    out: &'a mut Vec<u8>,
+    acc: u64,
+    /// Bits held in `acc`, always below 64.
     nbits: u32,
 }
 
-impl BitPacker {
-    pub(crate) fn with_capacity(bytes: usize) -> Self {
-        BitPacker {
-            buf: Vec::with_capacity(bytes),
+impl<'a> BitSink<'a> {
+    pub(crate) fn new(out: &'a mut Vec<u8>) -> Self {
+        BitSink {
+            out,
             acc: 0,
             nbits: 0,
         }
     }
 
-    #[inline]
-    // tac-lint: allow(arith) -- encoder-side bit packing: width <= 64 fits u32, and the `as u8` casts truncate the accumulator intentionally.
-    pub(crate) fn push(&mut self, v: u64, width: usize) {
-        if width == 0 {
-            return;
-        }
-        self.acc |= (v as u128) << self.nbits;
-        self.nbits += width as u32;
-        while self.nbits >= 8 {
-            self.buf.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+    /// Appends the low `width` (at most 64) bits of `v`, which must have
+    /// no bit set above them.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, v: u64, width: u32) {
+        self.acc |= v << self.nbits;
+        let filled = self.nbits + width;
+        if filled >= 64 {
+            self.out.extend_from_slice(&self.acc.to_le_bytes());
+            // What did not fit: nothing when the accumulator was empty
+            // (the value was a whole word; a shift by 64 is not one).
+            self.acc = v.checked_shr(64 - self.nbits).unwrap_or(0);
+            self.nbits = filled - 64;
+        } else {
+            self.nbits = filled;
         }
     }
 
-    // tac-lint: allow(arith) -- the `as u8` cast truncates the accumulator intentionally.
-    pub(crate) fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.buf.push(self.acc as u8);
-        }
-        self.buf
+    /// Flushes the last partial word, zero-padded to a whole byte.
+    pub(crate) fn finish(self) {
+        let bytes = self.acc.to_le_bytes();
+        let tail = bytes.get(..self.nbits.div_ceil(8) as usize);
+        self.out.extend_from_slice(tail.unwrap_or(&bytes));
     }
 }
 
@@ -210,12 +346,13 @@ fn choose_width(counts: &[usize; 65], len: usize) -> (usize, usize) {
     best
 }
 
-/// Encodes one page of zigzag values into `out`.
-// tac-lint: allow(panic, arith) -- encoder-only: bit_len(v) <= 64 indexes the fixed [_; 65] array, and width/outlier-count/position all fit their wire types by the PAGE = 1024 bound.
-fn encode_page(z: &[u64], out: &mut Vec<u8>) {
+/// Encodes one page of latents (`classes` holding their bit lengths)
+/// into `out`.
+// tac-lint: allow(panic, arith) -- encoder-only: a class is at most 64 and indexes the fixed [_; 65] array, and width/outlier-count/position all fit their wire types by the PAGE = 1024 bound.
+fn encode_page(z: &[u64], classes: &[u8], out: &mut Vec<u8>) {
     let mut counts = [0usize; 65];
-    for &v in z {
-        counts[bit_len(v)] += 1;
+    for &c in classes {
+        counts[usize::from(c)] += 1;
     }
     let (width, n_outliers) = choose_width(&counts, z.len());
     tac_obs::hist(tac_obs::HistKind::PcoPageBits, width);
@@ -223,27 +360,56 @@ fn encode_page(z: &[u64], out: &mut Vec<u8>) {
     tac_obs::add_bytes(tac_obs::Counter::PcoOutliers, n_outliers);
     out.push(width as u8);
     out.extend((n_outliers as u16).to_le_bytes());
-    for (pos, &v) in z.iter().enumerate() {
-        if bit_len(v) > width {
+    let fits = |c: u8| usize::from(c) <= width;
+    for (pos, (&v, &c)) in z.iter().zip(classes).enumerate() {
+        if !fits(c) {
             out.extend((pos as u16).to_le_bytes());
             out.extend(v.to_le_bytes());
         }
     }
-    let mut packer = BitPacker::with_capacity(packed_bytes(z.len(), width));
-    for &v in z {
-        packer.push(if bit_len(v) > width { 0 } else { v }, width);
+    let mut sink = BitSink::new(out);
+    for (&v, &c) in z.iter().zip(classes) {
+        sink.push(if fits(c) { v } else { 0 }, width as u32);
     }
-    out.extend(packer.finish());
+    sink.finish();
 }
 
 fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
 }
 
-/// Element-generic encoder body shared by the `f64` and `f32` trait
-/// entry points. The `f64` instantiation is byte-identical to the
-/// historical format (the dtype flag stays clear).
-fn compress_impl<T: Element>(
+/// The header both pcodec-style backends open a stream with: magic,
+/// version, flags, rank, one `u64` per axis, the absolute bound.
+pub(crate) fn stream_header(
+    magic: &[u8; 4],
+    version: u8,
+    flags: u8,
+    dims: Dims,
+    abs_eb: f64,
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_bytes(magic);
+    w.put_u8(version);
+    w.put_u8(flags);
+    w.put_u8(dims.rank());
+    let axes = match dims {
+        Dims::D1(a) => [a, 0, 0, 0],
+        Dims::D2(a, b) => [a, b, 0, 0],
+        Dims::D3(a, b, c) => [a, b, c, 0],
+        Dims::D4(a, b, c, d) => [a, b, c, d],
+    };
+    for &axis in axes.iter().take(usize::from(dims.rank())) {
+        w.put_u64(axis as u64);
+    }
+    w.put_f64(abs_eb);
+    w.into_bytes()
+}
+
+/// Element-generic encoder body. The `f64` instantiation is
+/// byte-identical to the historical format (the dtype flag stays clear).
+/// `RECON` selects whether the decoder's exact output is materialized
+/// alongside the stream (empty otherwise).
+fn compress_impl<T: Element, const RECON: bool>(
     data: &[T],
     dims: Dims,
     cfg: &CodecConfig,
@@ -251,49 +417,12 @@ fn compress_impl<T: Element>(
     dims.validate(data.len())?;
     cfg.validate()?;
     let abs_eb = cfg.abs_eb;
-    let two_eb = 2.0 * abs_eb;
-
-    // Quantize; exceptions keep the running q (delta 0) so the delta
-    // stream stays smooth across them.
-    let n = data.len();
-    let mut recon = Vec::with_capacity(n);
-    let mut z = Vec::with_capacity(n);
-    let mut exceptions: Vec<(u64, T)> = Vec::new();
-    let mut prev = 0i64;
-    {
-        let _quantize = tac_obs::span(tac_obs::Stage::Quantize);
-        for (i, &v) in data.iter().enumerate() {
-            match quantize(v, two_eb, abs_eb) {
-                Some((q, r)) => {
-                    recon.push(r);
-                    z.push(zigzag(q.wrapping_sub(prev)));
-                    prev = q;
-                }
-                None => {
-                    recon.push(v);
-                    z.push(zigzag(0));
-                    exceptions.push((i as u64, v));
-                }
-            }
-        }
-    }
-    tac_obs::add_bytes(tac_obs::Counter::PcoExceptions, exceptions.len());
 
     // Body: exception table, then the pages back to back.
+    let n = data.len();
     // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths; a wrong guess only costs a reallocation.
-    let mut body =
-        Vec::with_capacity(8 + exceptions.len() * exception_bytes::<T>() + n * 2 / PAGE.max(1) + n);
-    body.extend((exceptions.len() as u64).to_le_bytes());
-    for &(idx, v) in &exceptions {
-        body.extend(idx.to_le_bytes());
-        v.append_le(&mut body);
-    }
-    {
-        let _pack = tac_obs::span(tac_obs::Stage::Pack);
-        for page in z.chunks(PAGE) {
-            encode_page(page, &mut body);
-        }
-    }
+    let mut body = Vec::with_capacity(8 + n * 2 / PAGE.max(1) + n);
+    let recon = encode_stream::<T, RECON>(data, abs_eb, PAGE, &mut body, encode_page);
 
     let mut flags = 0u8;
     if T::DTYPE == TacDtype::F32 {
@@ -314,31 +443,7 @@ fn compress_impl<T: Element>(
         body
     };
 
-    let mut w = ByteWriter::new();
-    w.put_bytes(&MAGIC);
-    w.put_u8(VERSION);
-    w.put_u8(flags);
-    w.put_u8(dims.rank());
-    match dims {
-        Dims::D1(a) => w.put_u64(a as u64),
-        Dims::D2(a, b) => {
-            w.put_u64(a as u64);
-            w.put_u64(b as u64);
-        }
-        Dims::D3(a, b, c) => {
-            w.put_u64(a as u64);
-            w.put_u64(b as u64);
-            w.put_u64(c as u64);
-        }
-        Dims::D4(a, b, c, d) => {
-            w.put_u64(a as u64);
-            w.put_u64(b as u64);
-            w.put_u64(c as u64);
-            w.put_u64(d as u64);
-        }
-    }
-    w.put_f64(abs_eb);
-    let mut out = w.into_bytes();
+    let mut out = stream_header(&MAGIC, VERSION, flags, dims, abs_eb);
     out.extend_from_slice(&body);
     Ok((out, recon))
 }
@@ -514,7 +619,7 @@ impl<T: Element> ScalarCodec<T> for PcoLite {
     }
 
     fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
-        compress_impl(data, dims, cfg).map(|(bytes, _)| bytes)
+        compress_impl::<T, false>(data, dims, cfg).map(|(bytes, _)| bytes)
     }
 
     fn compress_with_recon(
@@ -523,7 +628,7 @@ impl<T: Element> ScalarCodec<T> for PcoLite {
         dims: Dims,
         cfg: &CodecConfig,
     ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
-        compress_impl(data, dims, cfg)
+        compress_impl::<T, true>(data, dims, cfg)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
@@ -541,9 +646,104 @@ impl<T: Element> ScalarCodec<T> for PcoLite {
     }
 }
 
+/// The front end and bit packer both backends shipped before the page
+/// kernel, kept as the reference their differential tests hold
+/// [`Quantizer`] and [`BitSink`] to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{zigzag, Element};
+
+    /// Quantizes one value, or `None` when it must be stored raw. Returns
+    /// the code and the `T`-narrowed reconstruction the decoder will
+    /// materialize.
+    pub(crate) fn quantize<T: Element>(value: T, two_eb: f64, abs_eb: f64) -> Option<(i64, T)> {
+        let v = value.to_f64();
+        if !v.is_finite() {
+            return None;
+        }
+        let t = v / two_eb;
+        if !t.is_finite() || t.abs() >= (1i64 << 62) as f64 {
+            return None;
+        }
+        let q = t.round() as i64;
+        let recon = T::from_f64(q as f64 * two_eb);
+        if (v - recon.to_f64()).abs() <= abs_eb {
+            Some((q, recon))
+        } else {
+            None
+        }
+    }
+
+    /// The whole-stream front end: latents, the promised reconstruction
+    /// and the exceptions of `data`.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn front_end<T: Element>(
+        data: &[T],
+        abs_eb: f64,
+    ) -> (Vec<u64>, Vec<T>, Vec<(u64, T)>) {
+        let two_eb = 2.0 * abs_eb;
+        let (mut z, mut recon, mut exceptions) = (Vec::new(), Vec::new(), Vec::new());
+        let mut prev = 0i64;
+        for (i, &v) in data.iter().enumerate() {
+            match quantize(v, two_eb, abs_eb) {
+                Some((q, r)) => {
+                    recon.push(r);
+                    z.push(zigzag(q.wrapping_sub(prev)));
+                    prev = q;
+                }
+                None => {
+                    recon.push(v);
+                    z.push(zigzag(0));
+                    exceptions.push((i as u64, v));
+                }
+            }
+        }
+        (z, recon, exceptions)
+    }
+
+    /// LSB-first bit packer over a `u128` accumulator drained a byte at
+    /// a time.
+    pub(crate) struct BitPacker {
+        buf: Vec<u8>,
+        acc: u128,
+        nbits: u32,
+    }
+
+    impl BitPacker {
+        pub(crate) fn with_capacity(bytes: usize) -> Self {
+            BitPacker {
+                buf: Vec::with_capacity(bytes),
+                acc: 0,
+                nbits: 0,
+            }
+        }
+
+        pub(crate) fn push(&mut self, v: u64, width: usize) {
+            if width == 0 {
+                return;
+            }
+            self.acc |= (v as u128) << self.nbits;
+            self.nbits += width as u32;
+            while self.nbits >= 8 {
+                self.buf.push(self.acc as u8);
+                self.acc >>= 8;
+                self.nbits -= 8;
+            }
+        }
+
+        pub(crate) fn finish(mut self) -> Vec<u8> {
+            if self.nbits > 0 {
+                self.buf.push(self.acc as u8);
+            }
+            self.buf
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata::{draw, splitmix64, Family};
     use crate::CodecElement;
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
@@ -788,5 +988,138 @@ mod tests {
         let (w, n_out) = choose_width(&counts, 1003);
         assert_eq!(n_out, 3);
         assert!((4..8).contains(&w), "chose width {w}");
+    }
+
+    #[test]
+    fn branch_free_round_matches_f64_round() {
+        let two52 = (1u64 << 52) as f64;
+        let mut cases = vec![
+            0.0,
+            0.5,
+            0.499_999_999_999_999_94,
+            0.500_000_000_000_000_1,
+            1.5,
+            2.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0,
+            ((1u64 << 62) - 1024) as f64,
+        ];
+        // A seeded sweep: every binade the quantizer can see, with the
+        // fraction forced onto and next to the tie.
+        let mut state = 0x0A0Du64;
+        for _ in 0..200_000 {
+            let r = splitmix64(&mut state);
+            let exp = (r % 64) as i32 - 2;
+            let mantissa = 1.0 + (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            let t = mantissa * 2f64.powi(exp);
+            cases.push(t);
+            let tie = t.trunc() + 0.5;
+            cases.extend([
+                tie,
+                f64::from_bits(tie.to_bits() - 1),
+                f64::from_bits(tie.to_bits() + 1),
+            ]);
+        }
+        for t in cases {
+            for t in [t, -t] {
+                assert_eq!(
+                    round_half_away(t),
+                    t.round() as i64,
+                    "t = {t:e} ({:#x})",
+                    t.to_bits()
+                );
+            }
+        }
+        // What the range check masks out still matches the cast.
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300] {
+            assert_eq!(round_half_away(t), t.round() as i64, "t = {t}");
+        }
+    }
+
+    /// One page through PcoLite's encoder as it shipped before the page
+    /// front end.
+    fn reference_encode_page(z: &[u64], out: &mut Vec<u8>) {
+        let mut counts = [0usize; 65];
+        for &v in z {
+            counts[bit_len(v)] += 1;
+        }
+        let (width, n_outliers) = choose_width(&counts, z.len());
+        out.push(width as u8);
+        out.extend((n_outliers as u16).to_le_bytes());
+        for (pos, &v) in z.iter().enumerate() {
+            if bit_len(v) > width {
+                out.extend((pos as u16).to_le_bytes());
+                out.extend(v.to_le_bytes());
+            }
+        }
+        let mut packer = reference::BitPacker::with_capacity(packed_bytes(z.len(), width));
+        for &v in z {
+            packer.push(if bit_len(v) > width { 0 } else { v }, width);
+        }
+        out.extend(packer.finish());
+    }
+
+    /// The body (before the LZSS stage) the previous encoder built, with
+    /// the reconstruction it promised.
+    fn reference_body<T: Element>(data: &[T], abs_eb: f64) -> (Vec<u8>, Vec<T>) {
+        let (z, recon, exceptions) = reference::front_end(data, abs_eb);
+        let mut body = Vec::new();
+        body.extend((exceptions.len() as u64).to_le_bytes());
+        for &(idx, v) in &exceptions {
+            body.extend(idx.to_le_bytes());
+            v.append_le(&mut body);
+        }
+        for page in z.chunks(PAGE) {
+            reference_encode_page(page, &mut body);
+        }
+        (body, recon)
+    }
+
+    fn assert_matches_reference<T: CodecElement>(data: &[T], eb: f64, what: &str) {
+        // Without the LZSS stage the stream is the header plus the body.
+        let cfg = CodecConfig {
+            lossless: false,
+            ..CodecConfig::abs(eb)
+        };
+        let dims = Dims::D1(data.len());
+        let (body, want_recon) = reference_body(data, eb);
+        let flags = if T::DTYPE == TacDtype::F32 {
+            FLAG_F32
+        } else {
+            0
+        };
+        let mut want = stream_header(&MAGIC, VERSION, flags, dims, eb);
+        want.extend_from_slice(&body);
+        let got = PcoLite.compress(data, dims, &cfg).unwrap();
+        assert!(got == want, "{what}: stream differs from the reference");
+        let (got, recon) = PcoLite.compress_with_recon(data, dims, &cfg).unwrap();
+        assert!(got == want, "{what}: stream differs when recon is kept");
+        let (decoded, _) = T::codec_decompress(&PcoLite, &got).unwrap();
+        assert_eq!(recon.len(), data.len(), "{what}");
+        for ((a, b), c) in recon.iter().zip(&want_recon).zip(&decoded) {
+            assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "{what}: recon");
+            assert_eq!(
+                a.to_bits_u64(),
+                c.to_bits_u64(),
+                "{what}: recon promise broken"
+            );
+        }
+    }
+
+    #[test]
+    fn page_front_end_emits_the_reference_encoders_bytes() {
+        let mut state = 0x11E7u64;
+        for family in Family::ALL {
+            for n in [1, 7, PAGE - 1, PAGE, PAGE + 1, 4 * PAGE, 9 * PAGE + 333] {
+                let what = format!("{family:?} x {n}");
+                let (data, eb) = draw::<f64>(family, n, &mut state);
+                assert_matches_reference(&data, eb, &format!("f64 {what}"));
+                let (data, eb) = draw::<f32>(family, n, &mut state);
+                assert_matches_reference(&data, eb, &format!("f32 {what}"));
+            }
+        }
     }
 }

@@ -21,17 +21,26 @@
 //!    place. No per-value branching; exceptions are patched after all
 //!    pages.
 //!
+//! The encoder streams the same way, one page at a time through fixed
+//! per-call scratch: the shared front end quantizes a page into latents
+//! and their bit-length classes; the histogram, the bin plan and two
+//! class-indexed tables come from the class bytes; the rANS pass runs
+//! back to front over the class bytes (division-free, see
+//! [`crate::ans`]); the offsets are packed straight into the output
+//! behind the words. Nothing but the output is sized by the stream, so
+//! the cost per value is flat in stream length.
+//!
 //! There is deliberately **no trailing LZSS stage** — on PcoLite the
 //! `pack` + `lossless` stages dominate decode wall time, and the
 //! entropy coding the LZSS pass recovered now happens in the rANS
 //! stage at a fraction of the cost.
 
-use crate::ans::{self, AnsDecoder, AnsTable, DecodeTable, LANES, RANS_L};
+use crate::ans::{self, AnsDecoder, DecodeTable, EncSym, LANES, RANS_L, SYMBOL_SLOTS};
 use crate::bins::{self, CLASSES};
-use crate::pco::{bit_len, exception_bytes, quantize, unzigzag, zigzag, BitPacker};
+use crate::pco::{encode_stream, exception_bytes, stream_header, unzigzag, BitSink};
 use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
 use tac_dtype::{Element, TacDtype};
-use tac_sz::wire::{ByteReader, ByteWriter};
+use tac_sz::wire::ByteReader;
 use tac_sz::Dims;
 
 /// Stream magic number ("TAC Pco-ANS v1").
@@ -64,42 +73,100 @@ fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
 }
 
-/// Encodes one page of zigzag latents into `out`.
-// tac-lint: allow(panic, arith) -- encoder-only: bins and tokens index fixed 65-entry in-memory tables, counts are bounded by PAGE = 4096, and every size fits its wire type by construction.
-fn encode_page(z: &[u64], out: &mut Vec<u8>) {
-    let table_span = tac_obs::span(tac_obs::Stage::AnsTable);
-    let mut hist = [0u32; CLASSES];
-    for &v in z {
-        hist[bit_len(v)] += 1;
+/// Where a class's latents go within their bin: the bin's lower bound
+/// and offset width, one hop from the class byte.
+#[derive(Clone, Copy, Default)]
+struct OffsetSpec {
+    lower: u64,
+    width: u32,
+}
+
+/// Per-call encoder scratch, reused page after page: the rANS word
+/// buffer and the two class-indexed tables ([`SYMBOL_SLOTS`] entries,
+/// indexed by the masked class byte without a bounds check). A page
+/// rewrites only the table entries of the classes it holds and reads no
+/// others.
+struct EncodeScratch {
+    words: Vec<u8>,
+    syms: [EncSym; SYMBOL_SLOTS],
+    offsets: [OffsetSpec; SYMBOL_SLOTS],
+}
+
+impl EncodeScratch {
+    /// Scratch for pages of up to `page` values ([`ans::encode`] wants
+    /// two bytes of word buffer per symbol plus two).
+    fn new(page: usize) -> EncodeScratch {
+        EncodeScratch {
+            words: vec![0; 2 * page + 2],
+            syms: [EncSym::default(); SYMBOL_SLOTS],
+            offsets: [OffsetSpec::default(); SYMBOL_SLOTS],
+        }
     }
-    let plan = bins::plan_bins(&hist, z.len() as u32);
+}
+
+/// Class histogram of one page. Smooth pages repeat one class for long
+/// stretches, and a single counter array would serialize on the
+/// store-to-load round trip of that one counter; four interleaved
+/// arrays keep consecutive increments independent.
+// tac-lint: allow(panic, arith) -- encoder-only: the lanes are indexed by a class byte masked to their width; counts are bounded by PAGE.
+fn class_histogram(classes: &[u8]) -> [u32; CLASSES] {
+    let mut lanes = [[0u32; SYMBOL_SLOTS]; 4];
+    let slot = |c: u8| usize::from(c) % SYMBOL_SLOTS;
+    let mut quads = classes.chunks_exact(4);
+    for quad in &mut quads {
+        if let [a, b, c, d] = *quad {
+            lanes[0][slot(a)] += 1;
+            lanes[1][slot(b)] += 1;
+            lanes[2][slot(c)] += 1;
+            lanes[3][slot(d)] += 1;
+        }
+    }
+    for &c in quads.remainder() {
+        lanes[0][slot(c)] += 1;
+    }
+    let mut hist = [0u32; CLASSES];
+    for (class, total) in hist.iter_mut().enumerate() {
+        *total = lanes.iter().map(|lane| lane[class]).sum();
+    }
+    hist
+}
+
+/// Encodes one page of latents (`classes` holding their bit lengths)
+/// into `out`: bin plan and tables from the class histogram, the rANS
+/// pass over the class bytes, then the offsets packed straight behind
+/// the words.
+// tac-lint: allow(panic, arith) -- encoder-only: a page is at most PAGE = 4096 values, which the scratch was sized for; classes are at most 64 and index the SYMBOL_SLOTS-entry tables; every count and size fits its wire type by that page bound.
+fn encode_page(scratch: &mut EncodeScratch, z: &[u64], classes: &[u8], out: &mut Vec<u8>) {
+    let EncodeScratch {
+        words,
+        syms,
+        offsets,
+    } = scratch;
+
+    let table_span = tac_obs::span(tac_obs::Stage::AnsTable);
+    let plan = bins::plan_bins(&class_histogram(classes), z.len() as u32);
     let counts: Vec<u32> = plan.iter().map(|b| b.count).collect();
     let weights = ans::normalize_weights(&counts);
-    let table =
-        AnsTable::from_weights(&weights).expect("normalized weights always form a valid table");
-    let map = bins::class_to_bin(&plan);
+    let mut cum = 0u32;
+    let mut offset_bits = 0usize;
+    for (b, &weight) in plan.iter().zip(&weights) {
+        let sym = EncSym::new(weight, cum);
+        let spec = OffsetSpec {
+            lower: bins::class_lower(b.lo),
+            width: bins::run_offset_bits(b.lo, b.hi),
+        };
+        let run = usize::from(b.lo)..=usize::from(b.hi);
+        syms[run.clone()].fill(sym);
+        offsets[run].fill(spec);
+        cum += u32::from(weight);
+        offset_bits += b.count as usize * spec.width as usize;
+    }
     drop(table_span);
     tac_obs::hist(tac_obs::HistKind::AnsPageBins, plan.len());
     tac_obs::add(tac_obs::Counter::AnsPages, 1);
 
-    let lowers: Vec<u64> = plan.iter().map(|b| bins::class_lower(b.lo)).collect();
-    let widths: Vec<u32> = plan
-        .iter()
-        .map(|b| bins::run_offset_bits(b.lo, b.hi))
-        .collect();
-    let mut tokens = Vec::with_capacity(z.len());
-    let mut total_bits = 0usize;
-    for &v in z {
-        let t = map[bit_len(v)];
-        tokens.push(t);
-        total_bits += widths[t as usize] as usize;
-    }
-    let (words, seeds) = ans::encode(&table, &tokens);
-    let mut packer = BitPacker::with_capacity(total_bits.div_ceil(8));
-    for (&v, &t) in z.iter().zip(&tokens) {
-        packer.push(v - lowers[t as usize], widths[t as usize] as usize);
-    }
-    let offsets = packer.finish();
+    let (seeds, words_at) = ans::encode(syms, classes, words);
+    let words = &words[words_at..];
 
     out.push(plan.len() as u8);
     for (b, &w) in plan.iter().zip(&weights) {
@@ -111,92 +178,49 @@ fn encode_page(z: &[u64], out: &mut Vec<u8>) {
         out.extend(x.to_le_bytes());
     }
     out.extend((words.len() as u32).to_le_bytes());
-    out.extend_from_slice(&words);
-    out.extend((offsets.len() as u32).to_le_bytes());
-    out.extend_from_slice(&offsets);
+    out.extend_from_slice(words);
+    // The plan's counts fix the offset stream's length before a bit of
+    // it is packed, so it goes straight into the output.
+    let offset_bytes = offset_bits.div_ceil(8);
+    out.extend((offset_bytes as u32).to_le_bytes());
+    out.reserve(offset_bytes + 8);
+    let packed_from = out.len();
+    let mut sink = BitSink::new(out);
+    for (&v, &c) in z.iter().zip(classes) {
+        let spec = offsets[usize::from(c) % SYMBOL_SLOTS];
+        sink.push(v - spec.lower, spec.width);
+    }
+    sink.finish();
+    debug_assert_eq!(out.len() - packed_from, offset_bytes);
 }
 
-/// Element-generic encoder body shared by the `f64` and `f32` trait
-/// entry points (the quantize → delta → zigzag front end is shared
-/// with PcoLite verbatim).
-fn compress_impl<T: Element>(
+/// Element-generic encoder body: one pass over `data`, a page at a
+/// time through [`encode_stream`] (the front end is PcoLite's, shared
+/// verbatim), so the cost per value does not depend on the stream's
+/// length and nothing the size of the stream is held besides the
+/// output. `RECON` selects whether the decoder's exact output is
+/// materialized alongside (empty otherwise).
+fn compress_impl<T: Element, const RECON: bool>(
     data: &[T],
     dims: Dims,
     cfg: &CodecConfig,
 ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
     dims.validate(data.len())?;
     cfg.validate()?;
-    let abs_eb = cfg.abs_eb;
-    let two_eb = 2.0 * abs_eb;
-
     let n = data.len();
-    let mut recon = Vec::with_capacity(n);
-    let mut z = Vec::with_capacity(n);
-    let mut exceptions: Vec<(u64, T)> = Vec::new();
-    let mut prev = 0i64;
-    {
-        let _quantize = tac_obs::span(tac_obs::Stage::Quantize);
-        for (i, &v) in data.iter().enumerate() {
-            match quantize(v, two_eb, abs_eb) {
-                Some((q, r)) => {
-                    recon.push(r);
-                    z.push(zigzag(q.wrapping_sub(prev)));
-                    prev = q;
-                }
-                None => {
-                    recon.push(v);
-                    z.push(zigzag(0));
-                    exceptions.push((i as u64, v));
-                }
-            }
-        }
-    }
-    tac_obs::add_bytes(tac_obs::Counter::PcoExceptions, exceptions.len());
 
-    // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths; a wrong guess only costs a reallocation.
-    let mut body = Vec::with_capacity(8 + exceptions.len() * exception_bytes::<T>() + n);
-    body.extend((exceptions.len() as u64).to_le_bytes());
-    for &(idx, v) in &exceptions {
-        body.extend(idx.to_le_bytes());
-        v.append_le(&mut body);
-    }
-    {
-        let _pack = tac_obs::span(tac_obs::Stage::Pack);
-        for page in z.chunks(PAGE) {
-            encode_page(page, &mut body);
-        }
-    }
-
-    let mut flags = 0u8;
-    if T::DTYPE == TacDtype::F32 {
-        flags |= FLAG_F32;
-    }
-    let mut w = ByteWriter::new();
-    w.put_bytes(&MAGIC);
-    w.put_u8(VERSION);
-    w.put_u8(flags);
-    w.put_u8(dims.rank());
-    match dims {
-        Dims::D1(a) => w.put_u64(a as u64),
-        Dims::D2(a, b) => {
-            w.put_u64(a as u64);
-            w.put_u64(b as u64);
-        }
-        Dims::D3(a, b, c) => {
-            w.put_u64(a as u64);
-            w.put_u64(b as u64);
-            w.put_u64(c as u64);
-        }
-        Dims::D4(a, b, c, d) => {
-            w.put_u64(a as u64);
-            w.put_u64(b as u64);
-            w.put_u64(c as u64);
-            w.put_u64(d as u64);
-        }
-    }
-    w.put_f64(abs_eb);
-    let mut out = w.into_bytes();
-    out.extend_from_slice(&body);
+    let flags = if T::DTYPE == TacDtype::F32 {
+        FLAG_F32
+    } else {
+        0
+    };
+    let mut out = stream_header(&MAGIC, VERSION, flags, dims, cfg.abs_eb);
+    // tac-lint: allow(arith) -- writer-side capacity estimate over an in-memory length; a wrong guess only costs a reallocation.
+    out.reserve(8 + n);
+    let mut scratch = EncodeScratch::new(n.min(PAGE));
+    let recon = encode_stream::<T, RECON>(data, cfg.abs_eb, PAGE, &mut out, |z, classes, out| {
+        encode_page(&mut scratch, z, classes, out)
+    });
     Ok((out, recon))
 }
 
@@ -514,7 +538,7 @@ impl<T: Element> ScalarCodec<T> for PcoAns {
     }
 
     fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
-        compress_impl(data, dims, cfg).map(|(bytes, _)| bytes)
+        compress_impl::<T, false>(data, dims, cfg).map(|(bytes, _)| bytes)
     }
 
     fn compress_with_recon(
@@ -523,7 +547,7 @@ impl<T: Element> ScalarCodec<T> for PcoAns {
         dims: Dims,
         cfg: &CodecConfig,
     ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
-        compress_impl(data, dims, cfg)
+        compress_impl::<T, true>(data, dims, cfg)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
@@ -544,6 +568,10 @@ impl<T: Element> ScalarCodec<T> for PcoAns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ans::reference::AnsTable;
+    use crate::pco::bit_len;
+    use crate::pco::reference::{front_end, BitPacker};
+    use crate::testdata::{draw, splitmix64, Family};
     use crate::CodecElement;
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
@@ -816,6 +844,229 @@ mod tests {
             let got = read_bits(&bytes, bitpos, w as u32, offset_mask(w as u32));
             assert_eq!(got, v, "width {w} at bit {bitpos}");
             bitpos += w;
+        }
+    }
+
+    #[test]
+    fn bit_sink_matches_the_reference_packer_and_read_bits_decodes_it() {
+        let mut state = 0xB175u64;
+        for round in 0..200 {
+            let items: Vec<(u64, u32)> = (0..1 + splitmix64(&mut state) % 300)
+                .map(|_| {
+                    // Every width, biased towards the ones that spill the
+                    // 64-bit accumulator.
+                    let width = match splitmix64(&mut state) % 4 {
+                        0 => 57 + splitmix64(&mut state) % 8,
+                        _ => splitmix64(&mut state) % 65,
+                    } as u32;
+                    (splitmix64(&mut state) & offset_mask(width), width)
+                })
+                .collect();
+            let mut packer = BitPacker::with_capacity(0);
+            let mut bytes = vec![0xA5u8; round % 3]; // the sink appends
+            let mut sink = BitSink::new(&mut bytes);
+            for &(v, w) in &items {
+                packer.push(v, w as usize);
+                sink.push(v, w);
+            }
+            sink.finish();
+            let packed = &bytes[round % 3..];
+            assert_eq!(packed, packer.finish(), "round {round}");
+            let mut bitpos = 0usize;
+            for &(v, w) in &items {
+                assert_eq!(read_bits(packed, bitpos, w, offset_mask(w)), v);
+                bitpos += w as usize;
+            }
+            assert_eq!(bitpos.div_ceil(8), packed.len());
+        }
+    }
+
+    /// One page through the encoder as it shipped before the page
+    /// kernel: bin indices as tokens, the dividing rANS coder, the
+    /// byte-at-a-time packer.
+    fn reference_encode_page(z: &[u64], out: &mut Vec<u8>) {
+        let mut hist = [0u32; CLASSES];
+        for &v in z {
+            hist[bit_len(v)] += 1;
+        }
+        let plan = bins::plan_bins(&hist, z.len() as u32);
+        let counts: Vec<u32> = plan.iter().map(|b| b.count).collect();
+        let weights = ans::normalize_weights(&counts);
+        let table = AnsTable::from_weights(&weights).unwrap();
+        let map = bins::class_to_bin(&plan);
+        let lowers: Vec<u64> = plan.iter().map(|b| bins::class_lower(b.lo)).collect();
+        let widths: Vec<u32> = plan
+            .iter()
+            .map(|b| bins::run_offset_bits(b.lo, b.hi))
+            .collect();
+        let tokens: Vec<u8> = z.iter().map(|&v| map[bit_len(v)]).collect();
+        let (words, seeds) = ans::reference::encode(&table, &tokens);
+        let mut packer = BitPacker::with_capacity(0);
+        for (&v, &t) in z.iter().zip(&tokens) {
+            packer.push(v - lowers[t as usize], widths[t as usize] as usize);
+        }
+        let offsets = packer.finish();
+
+        out.push(plan.len() as u8);
+        for (b, &w) in plan.iter().zip(&weights) {
+            out.push(b.lo);
+            out.push(b.hi);
+            out.extend(w.to_le_bytes());
+        }
+        for x in seeds {
+            out.extend(x.to_le_bytes());
+        }
+        out.extend((words.len() as u32).to_le_bytes());
+        out.extend_from_slice(&words);
+        out.extend((offsets.len() as u32).to_le_bytes());
+        out.extend_from_slice(&offsets);
+    }
+
+    /// The whole stream the previous encoder wrote, with the
+    /// reconstruction it promised.
+    fn reference_compress<T: Element>(data: &[T], dims: Dims, abs_eb: f64) -> (Vec<u8>, Vec<T>) {
+        let (z, recon, exceptions) = front_end(data, abs_eb);
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.push(VERSION);
+        out.push(if T::DTYPE == TacDtype::F32 {
+            FLAG_F32
+        } else {
+            0
+        });
+        out.push(dims.rank());
+        let axes = match dims {
+            Dims::D1(a) => vec![a],
+            Dims::D2(a, b) => vec![a, b],
+            Dims::D3(a, b, c) => vec![a, b, c],
+            Dims::D4(a, b, c, d) => vec![a, b, c, d],
+        };
+        for a in axes {
+            out.extend((a as u64).to_le_bytes());
+        }
+        out.extend(abs_eb.to_le_bytes());
+        out.extend((exceptions.len() as u64).to_le_bytes());
+        for &(idx, v) in &exceptions {
+            out.extend(idx.to_le_bytes());
+            v.append_le(&mut out);
+        }
+        for page in z.chunks(PAGE) {
+            reference_encode_page(page, &mut out);
+        }
+        (out, recon)
+    }
+
+    /// Holds the page kernel to the reference encoder's bytes on one
+    /// stream, and `compress_with_recon` to its promise.
+    fn assert_matches_reference<T: CodecElement>(data: &[T], dims: Dims, eb: f64, what: &str) {
+        let cfg = CodecConfig::abs(eb);
+        let (want, want_recon) = reference_compress(data, dims, eb);
+        let got = PcoAns.compress(data, dims, &cfg).unwrap();
+        assert!(got == want, "{what}: stream differs from the reference");
+        let (got, recon) = PcoAns.compress_with_recon(data, dims, &cfg).unwrap();
+        assert!(got == want, "{what}: stream differs when recon is kept");
+        let (decoded, _) = T::codec_decompress(&PcoAns, &got).unwrap();
+        assert_eq!(recon.len(), data.len(), "{what}");
+        for ((a, b), c) in recon.iter().zip(&want_recon).zip(&decoded) {
+            assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "{what}: recon");
+            assert_eq!(
+                a.to_bits_u64(),
+                c.to_bits_u64(),
+                "{what}: recon promise broken"
+            );
+        }
+    }
+
+    #[test]
+    fn page_kernel_emits_the_reference_encoders_bytes() {
+        let lengths: Vec<usize> = (1..=9)
+            .chain([PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 777])
+            .collect();
+        let mut state = 0x7AC17u64;
+        let mut streams = 0usize;
+        let mut ranks = [0usize; 4];
+        for seed in 0..3 {
+            for family in Family::ALL {
+                for &n in &lengths {
+                    // Rank is metadata only; rotate it through the cases.
+                    let rank = streams / 2 % 4;
+                    let dims = match rank {
+                        0 => Dims::D1(n),
+                        1 => Dims::D2(n, 1),
+                        2 => Dims::D3(1, n, 1),
+                        _ => Dims::D4(1, 1, n, 1),
+                    };
+                    ranks[rank] += 1;
+                    let what = format!("{family:?} x {n} seed {seed}");
+                    let (d64, eb) = draw::<f64>(family, n, &mut state);
+                    assert_matches_reference(&d64, dims, eb, &format!("f64 {what}"));
+                    let (d32, eb) = draw::<f32>(family, n, &mut state);
+                    assert_matches_reference(&d32, dims, eb, &format!("f32 {what}"));
+                    streams += 2;
+                }
+            }
+        }
+        assert!(streams >= 500, "only {streams} streams");
+        assert!(ranks.iter().all(|&r| r > 0), "ranks {ranks:?}");
+    }
+
+    #[test]
+    fn differential_families_reach_the_regimes_they_name() {
+        // The differential test is only as good as its inputs: check the
+        // ones whose regime is not obvious from the generator.
+        let mut state = 9u64;
+        let n = 3 * PAGE + 777;
+        let page_plans = |z: &[u64]| -> Vec<Vec<bins::BinPlan>> {
+            z.chunks(PAGE)
+                .map(|page| bins::plan_bins(&class_histogram_of(page), page.len() as u32))
+                .collect()
+        };
+        fn class_histogram_of(z: &[u64]) -> [u32; CLASSES] {
+            let classes: Vec<u8> = z.iter().map(|&v| bit_len(v) as u8).collect();
+            class_histogram(&classes)
+        }
+
+        let (noise, eb) = draw::<f64>(Family::WideNoise, n, &mut state);
+        let (z, _, exceptions) = front_end(&noise, eb);
+        assert!(exceptions.is_empty());
+        let widths: Vec<u32> = page_plans(&z)
+            .iter()
+            .flatten()
+            .map(|b| bins::run_offset_bits(b.lo, b.hi))
+            .collect();
+        assert!(
+            widths.iter().all(|&w| (57..=64).contains(&w)),
+            "offset widths {widths:?}"
+        );
+
+        let (constant, eb) = draw::<f32>(Family::Constant, n, &mut state);
+        let (z, _, _) = front_end(&constant, eb);
+        let plans = page_plans(&z);
+        assert_eq!(plans[1].len(), 1, "a constant page is one bin");
+        assert_eq!(ans::normalize_weights(&[plans[1][0].count]), [2048]);
+
+        let (ties, eb) = draw::<f64>(Family::Ties, n, &mut state);
+        let tie_count = ties
+            .iter()
+            .filter(|&&v| (v / (2.0 * eb)).fract().abs() == 0.5)
+            .count();
+        assert!(tie_count > n / 2, "{tie_count} exact ties");
+        assert!(ties.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+
+        let (tight, eb) = draw::<f32>(Family::AllExceptions, n, &mut state);
+        assert_eq!(front_end(&tight, eb).2.len(), n);
+
+        for family in [Family::ExceptionsAtPageEdges, Family::ExceptionRuns] {
+            let (data, eb) = draw::<f64>(family, n, &mut state);
+            let hit: Vec<u64> = front_end(&data, eb).2.iter().map(|&(i, _)| i).collect();
+            assert!(hit.len() >= 8, "{family:?}: {} exceptions", hit.len());
+            if matches!(family, Family::ExceptionsAtPageEdges) {
+                for edge in [0, PAGE - 1, PAGE, 2 * PAGE - 1, n - 1] {
+                    assert!(hit.contains(&(edge as u64)), "no exception at {edge}");
+                }
+            } else {
+                assert!(hit.windows(2).any(|w| w[1] == w[0] + 1), "no run");
+            }
         }
     }
 }

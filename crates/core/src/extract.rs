@@ -10,7 +10,7 @@
 
 use crate::error::TacError;
 use crate::stream::BlockGroup;
-use tac_amr::{copy_region, Aabb, BitMask};
+use tac_amr::{copy_region_into, Aabb, BitMask};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecId, Dims};
 use tac_dtype::Element;
 
@@ -109,7 +109,7 @@ pub(crate) fn compress_group<T: CodecElement>(
     let mut batch = Vec::with_capacity(plan.num_cells());
     let mut origins = Vec::with_capacity(plan.origins.len());
     for &origin in &plan.origins {
-        batch.extend_from_slice(&copy_region(data, dim, origin, plan.shape));
+        copy_region_into(&mut batch, data, dim, origin, plan.shape);
         origins.push((origin.0 as u32, origin.1 as u32, origin.2 as u32));
     }
     let stream = T::codec_compress(
