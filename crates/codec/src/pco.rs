@@ -36,8 +36,9 @@ const VERSION: u8 = 1;
 const FLAG_LOSSLESS: u8 = 0b0000_0001;
 /// Flag bit: elements are `f32` (unset: `f64`, so every pre-dtype stream
 /// decodes unchanged). Kept at the same bit as `tac-sz`'s dtype flag so
-/// registry-level sniffing reads one byte for either backend.
-const FLAG_F32: u8 = 0b0000_0010;
+/// registry-level sniffing reads one byte for either backend. `PcoAns`
+/// streams use the same bit.
+pub(crate) const FLAG_F32: u8 = 0b0000_0010;
 /// Values per page. Each page picks its own bit width, so the page size
 /// trades adaptivity against per-page header overhead.
 const PAGE: usize = 1024;
@@ -448,25 +449,47 @@ fn compress_impl<T: Element, const RECON: bool>(
     Ok((out, recon))
 }
 
-/// Element-generic decoder body: the stream's dtype flag must match `T`.
-fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
+/// What [`read_stream_head`] found at the front of a stream.
+pub(crate) struct StreamHead<'a> {
+    pub flags: u8,
+    pub dims: Dims,
+    pub abs_eb: f64,
+    /// Everything after the header.
+    pub body: &'a [u8],
+}
+
+/// Decode twin of [`stream_header`], shared by both pcodec-style
+/// backends: checks the magic, the version, the flag byte (any bit
+/// outside `known_flags` is corrupt — a backend that tolerates unknown
+/// bits passes `u8::MAX`), the dtype flag against `T`, the rank, the
+/// dimensions and the bound. `label` names the backend in errors.
+pub(crate) fn read_stream_head<'a, T: Element>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    version: u8,
+    label: &'static str,
+    known_flags: u8,
+) -> Result<StreamHead<'a>, CodecError> {
     let mut r = ByteReader::new(bytes);
-    let magic = r
+    let found = r
         .get_bytes(4)
         .map_err(|_| corrupt("stream shorter than header"))?;
-    if magic != MAGIC {
+    if found != magic {
         return Err(CodecError::WrongCodec {
-            expected: "pco-lite",
-            found: format!("magic {magic:02x?}"),
+            expected: label,
+            found: format!("magic {found:02x?}"),
         });
     }
-    let version = r.get_u8().map_err(|_| corrupt("header truncated"))?;
-    if version != VERSION {
+    let found = r.get_u8().map_err(|_| corrupt("header truncated"))?;
+    if found != version {
         return Err(corrupt(format!(
-            "pco-lite version {version} (expected {VERSION})"
+            "{label} version {found} (expected {version})"
         )));
     }
     let flags = r.get_u8().map_err(|_| corrupt("header truncated"))?;
+    if flags & !known_flags != 0 {
+        return Err(corrupt(format!("unknown flag bits {flags:#04x}")));
+    }
     let stream_dtype = if flags & FLAG_F32 != 0 {
         TacDtype::F32
     } else {
@@ -506,35 +529,31 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     if abs_eb <= 0.0 || !abs_eb.is_finite() {
         return Err(corrupt(format!("invalid stored eb {abs_eb}")));
     }
-    let two_eb = 2.0 * abs_eb;
-    let n = dims.len();
+    Ok(StreamHead {
+        flags,
+        dims,
+        abs_eb,
+        body: r.rest(),
+    })
+}
 
-    let raw_body = r.rest();
-    let body_owned;
-    let body: &[u8] = if flags & FLAG_LOSSLESS != 0 {
-        body_owned = {
-            let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
-            lossless::decompress(raw_body)?
-        };
-        &body_owned
-    } else {
-        raw_body
-    };
-    let mut b = ByteReader::new(body);
-
-    // Bound the up-front `recon` allocation by what the body can
-    // actually hold: even a stream of all-zero-width pages needs a
-    // 3-byte header per page plus the 8-byte exception count, so a
-    // crafted header cannot demand terabytes from a tiny body.
-    let min_body = 8usize.saturating_add(n.div_ceil(PAGE).saturating_mul(3));
-    if min_body > body.len() {
+/// Opens a body of `n` declared points. `min_body` is the least a body
+/// of that many points can occupy on the backend's wire: checked first,
+/// so a crafted header cannot demand terabytes of reconstruction from a
+/// tiny body. Then reads the exception table both backends start with —
+/// a `u64` count and `(index u64, value)` entries in strictly increasing
+/// index order, all below `n`.
+pub(crate) fn read_exceptions<T: Element>(
+    b: &mut ByteReader<'_>,
+    n: usize,
+    min_body: usize,
+) -> Result<Vec<(usize, T)>, CodecError> {
+    if min_body > b.remaining() {
         return Err(corrupt(format!(
             "{n} declared points need at least {min_body} body bytes, found {}",
-            body.len()
+            b.remaining()
         )));
     }
-
-    // Exception table.
     let n_exc = b.get_u64().map_err(|_| corrupt("body truncated"))? as usize;
     if n_exc > n || n_exc.saturating_mul(exception_bytes::<T>()) > b.remaining() {
         return Err(corrupt(format!("{n_exc} exceptions for {n} points")));
@@ -553,6 +572,52 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
         last_idx = Some(idx);
         exceptions.push((idx, v));
     }
+    Ok(exceptions)
+}
+
+/// Closes a decode: the pages must have consumed the body exactly, and
+/// each exception overwrites its slot of the reconstruction.
+pub(crate) fn patch_exceptions<T: Element>(
+    b: &ByteReader<'_>,
+    recon: &mut [T],
+    exceptions: Vec<(usize, T)>,
+) -> Result<(), CodecError> {
+    if b.remaining() != 0 {
+        return Err(corrupt(format!("{} trailing bytes", b.remaining())));
+    }
+    for (idx, v) in exceptions {
+        let slot = recon
+            .get_mut(idx)
+            .ok_or_else(|| corrupt(format!("exception index {idx} out of range")))?;
+        *slot = v;
+    }
+    Ok(())
+}
+
+/// Element-generic decoder body: the stream's dtype flag must match `T`.
+fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
+    // Unknown flag bits have always been ignored on this wire.
+    let head = read_stream_head::<T>(bytes, &MAGIC, VERSION, "pco-lite", u8::MAX)?;
+    let dims = head.dims;
+    let two_eb = 2.0 * head.abs_eb;
+    let n = dims.len();
+
+    let body_owned;
+    let body: &[u8] = if head.flags & FLAG_LOSSLESS != 0 {
+        body_owned = {
+            let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
+            lossless::decompress(head.body)?
+        };
+        &body_owned
+    } else {
+        head.body
+    };
+    let mut b = ByteReader::new(body);
+
+    // Even a stream of all-zero-width pages needs a 3-byte header per
+    // page plus the 8-byte exception count.
+    let min_body = 8usize.saturating_add(n.div_ceil(PAGE).saturating_mul(3));
+    let exceptions = read_exceptions::<T>(&mut b, n, min_body)?;
 
     // Pages.
     let pack_span = tac_obs::span(tac_obs::Stage::Pack);
@@ -601,15 +666,7 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
         done += page_len;
     }
     drop(pack_span);
-    if b.remaining() != 0 {
-        return Err(corrupt(format!("{} trailing bytes", b.remaining())));
-    }
-    for (idx, v) in exceptions {
-        let slot = recon
-            .get_mut(idx)
-            .ok_or_else(|| corrupt(format!("exception index {idx} out of range")))?;
-        *slot = v;
-    }
+    patch_exceptions(&b, &mut recon, exceptions)?;
     Ok((recon, dims))
 }
 

@@ -37,7 +37,10 @@
 
 use crate::ans::{self, AnsDecoder, DecodeTable, EncSym, LANES, RANS_L, SYMBOL_SLOTS};
 use crate::bins::{self, CLASSES};
-use crate::pco::{encode_stream, exception_bytes, stream_header, unzigzag, BitSink};
+use crate::pco::{
+    encode_stream, patch_exceptions, read_exceptions, read_stream_head, stream_header, unzigzag,
+    BitSink, FLAG_F32,
+};
 use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
 use tac_dtype::{Element, TacDtype};
 use tac_sz::wire::ByteReader;
@@ -47,9 +50,6 @@ use tac_sz::Dims;
 pub(crate) const MAGIC: [u8; 4] = *b"TPA1";
 /// Current format version.
 pub(crate) const VERSION: u8 = 1;
-/// Flag bit: elements are `f32` (unset: `f64`). Same bit position as
-/// every other backend so registry-level dtype sniffing reads one byte.
-const FLAG_F32: u8 = 0b0000_0010;
 /// Values per page. Each page carries its own bin table, ANS payload
 /// and offset stream; larger than PcoLite's page because the header is
 /// bigger and the bins adapt within the page anyway.
@@ -412,103 +412,19 @@ fn decode_page<T: Element>(
 /// Element-generic decoder body: the stream's dtype flag must match
 /// `T`.
 fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let magic = r
-        .get_bytes(4)
-        .map_err(|_| corrupt("stream shorter than header"))?;
-    if magic != MAGIC {
-        return Err(CodecError::WrongCodec {
-            expected: "pco-ans",
-            found: format!("magic {magic:02x?}"),
-        });
-    }
-    let version = r.get_u8().map_err(|_| corrupt("header truncated"))?;
-    if version != VERSION {
-        return Err(corrupt(format!(
-            "pco-ans version {version} (expected {VERSION})"
-        )));
-    }
-    let flags = r.get_u8().map_err(|_| corrupt("header truncated"))?;
-    if flags & !FLAG_F32 != 0 {
-        return Err(corrupt(format!("unknown flag bits {flags:#04x}")));
-    }
-    let stream_dtype = if flags & FLAG_F32 != 0 {
-        TacDtype::F32
-    } else {
-        TacDtype::F64
-    };
-    if stream_dtype != T::DTYPE {
-        return Err(CodecError::WrongDtype {
-            stream: stream_dtype.label(),
-            requested: T::DTYPE.label(),
-        });
-    }
-    let rank = r.get_u8().map_err(|_| corrupt("header truncated"))?;
-    if !(1..=4).contains(&rank) {
-        return Err(corrupt(format!("invalid rank {rank}")));
-    }
-    let mut dim = || -> Result<usize, CodecError> {
-        r.get_u64()
-            .map(|v| v as usize)
-            .map_err(|_| corrupt("header truncated"))
-    };
-    let dims = match rank {
-        1 => Dims::D1(dim()?),
-        2 => Dims::D2(dim()?, dim()?),
-        3 => Dims::D3(dim()?, dim()?, dim()?),
-        _ => Dims::D4(dim()?, dim()?, dim()?, dim()?),
-    };
-    if dims.is_empty() {
-        return Err(corrupt("zero-sized dimensions"));
-    }
-    if dims.len() > (1usize << 40) {
-        return Err(corrupt(format!(
-            "declared element count {} is implausible",
-            dims.len()
-        )));
-    }
-    let abs_eb = r.get_f64().map_err(|_| corrupt("header truncated"))?;
-    if abs_eb <= 0.0 || !abs_eb.is_finite() {
-        return Err(corrupt(format!("invalid stored eb {abs_eb}")));
-    }
-    let two_eb = 2.0 * abs_eb;
+    let head = read_stream_head::<T>(bytes, &MAGIC, VERSION, "pco-ans", FLAG_F32)?;
+    let dims = head.dims;
+    let two_eb = 2.0 * head.abs_eb;
     let n = dims.len();
-    let body = r.rest();
-    let mut b = ByteReader::new(body);
+    let mut b = ByteReader::new(head.body);
 
-    // Bound the up-front `recon` allocation by what the body can hold:
-    // every page needs its fixed header plus at least one bin entry, so
-    // a crafted header cannot demand terabytes from a tiny body.
+    // Every page needs its fixed header plus at least one bin entry,
+    // after the 8-byte exception count.
     let min_body = 8usize.saturating_add(
         n.div_ceil(PAGE)
             .saturating_mul(PAGE_FIXED_BYTES.saturating_add(BIN_BYTES)),
     );
-    if min_body > body.len() {
-        return Err(corrupt(format!(
-            "{n} declared points need at least {min_body} body bytes, found {}",
-            body.len()
-        )));
-    }
-
-    // Exception table (identical layout to PcoLite).
-    let n_exc = b.get_u64().map_err(|_| corrupt("body truncated"))? as usize;
-    if n_exc > n || n_exc.saturating_mul(exception_bytes::<T>()) > b.remaining() {
-        return Err(corrupt(format!("{n_exc} exceptions for {n} points")));
-    }
-    let mut exceptions = Vec::with_capacity(n_exc);
-    let mut last_idx: Option<usize> = None;
-    for _ in 0..n_exc {
-        let idx = b.get_u64().map_err(|_| corrupt("exception truncated"))? as usize;
-        let chunk = b
-            .get_bytes(T::WIRE_BYTES)
-            .map_err(|_| corrupt("exception truncated"))?;
-        let v = T::read_le(chunk).ok_or_else(|| corrupt("exception truncated"))?;
-        if idx >= n || last_idx.is_some_and(|p| idx <= p) {
-            return Err(corrupt(format!("exception index {idx} out of order")));
-        }
-        last_idx = Some(idx);
-        exceptions.push((idx, v));
-    }
+    let exceptions = read_exceptions::<T>(&mut b, n, min_body)?;
 
     // Pages, through the batch kernel: values land directly in their
     // final slots, so the hot loop carries no capacity bookkeeping.
@@ -520,15 +436,7 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
         decode_page(&mut b, &mut scratch, &mut prev, two_eb, chunk)?;
     }
     drop(pack_span);
-    if b.remaining() != 0 {
-        return Err(corrupt(format!("{} trailing bytes", b.remaining())));
-    }
-    for (idx, v) in exceptions {
-        let slot = recon
-            .get_mut(idx)
-            .ok_or_else(|| corrupt(format!("exception index {idx} out of range")))?;
-        *slot = v;
-    }
+    patch_exceptions(&b, &mut recon, exceptions)?;
     Ok((recon, dims))
 }
 

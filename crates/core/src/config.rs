@@ -130,7 +130,7 @@ pub struct TacConfig {
     /// Spatial tile side (in cells, per level) bounding how far apart
     /// regions may sit and still share one SZ batch. `None` merges by
     /// shape alone (maximum batching); `Some(t)` keeps chunks local so
-    /// the v2 container's region-of-interest decode can skip more of
+    /// the container's region-of-interest decode can skip more of
     /// the payload.
     pub roi_tile: Option<usize>,
     /// Tuning of the `Method::Auto` adaptive selection pass (ignored by
@@ -204,7 +204,7 @@ impl TacConfig {
         self
     }
 
-    /// Sets the ROI chunk tile (spatially-local grouping for the v2
+    /// Sets the ROI chunk tile (spatially-local grouping for the
     /// container's region-of-interest decode).
     pub fn with_roi_tile(mut self, tile: usize) -> Self {
         self.roi_tile = Some(tile);

@@ -6,33 +6,37 @@
 //! because every method shares it, mirroring how AMReX stores box lists
 //! outside the field data), and the method-specific payload.
 //!
-//! Three wire formats coexist behind the version byte:
+//! # One writer, four readers
+//!
+//! [`CompressedDataset::to_bytes`] is the only serializer and **v4** the
+//! only version it writes: a fixed header (method, element type, name,
+//! masks, method metadata with one scalar-codec byte per level), the
+//! payload as a flat run of independent chunks (one per whole-level
+//! stream, region group or traversal segment), a **chunk table** mapping
+//! each chunk to its level, byte range, codec, element type and
+//! cell-coordinate bounding box, and a trailing table offset so file
+//! readers can seek straight to the table. See
+//! [`crate::roi::decompress_region_t`] for the selective decoder.
+//!
+//! [`CompressedDataset::from_bytes`] still reads every version that was
+//! ever written, to the same in-memory container:
 //!
 //! * **v1** — the original monolithic layout: payload streams inline,
-//!   decodable only front to back. Still written by
-//!   [`CompressedDataset::to_bytes_v1`] and always readable.
-//! * **v2** — the chunked, seekable layout built for region-of-interest
-//!   decoding (the AMRIC-style in-situ scenario): a fixed header
-//!   (method metadata + masks), the payload as a flat run of
-//!   independent chunks (one per whole-level stream or region group),
-//!   a **chunk table** mapping each chunk to its level, byte range, and
-//!   cell-coordinate bounding box, and a trailing table offset so file
-//!   readers can seek straight to the table. See
-//!   [`crate::roi::decompress_region_t`] for the selective decoder.
+//!   decodable only front to back. The scalar codec and element type are
+//!   recovered from self-describing level tags and stream magics.
+//! * **v2** — the chunked layout without codec or dtype bytes: every
+//!   stream is SZ over `f64`.
 //! * **v3** — v2 plus a scalar-codec byte ([`CodecId`]) per level in
-//!   the method metadata *and* per chunk-table row, so chunks are
-//!   self-describing whichever backend wrote them.
+//!   the method metadata *and* per chunk-table row; `f64` implied.
 //! * **v4** — v3 plus one element-type byte ([`TacDtype`]) in the
-//!   header and per chunk-table row. Written only for non-`f64`
-//!   datasets; an absent dtype byte always means `f64`, so every v1/v2/
-//!   v3 container (and every golden fixture) decodes bit-exactly.
+//!   header and per chunk-table row.
 //!
-//! [`CompressedDataset::to_bytes`] writes v2 when every stream uses the
-//! default SZ codec — bit-compatible with pre-codec readers — promotes
-//! to v3 as soon as any other backend is involved, and to v4 as soon as
-//! the element type is not `f64`. v1 and v2 bytes produced before the
-//! codec layer existed parse unchanged and default to [`CodecId::Sz`]
-//! and [`TacDtype::F64`].
+//! Nothing in the workspace writes v1–v3 any more. Their readers are
+//! held by the frozen containers under `tests/data/` (`golden_*` and
+//! `legacy_*`, written by the last revisions that had the writers; see
+//! `tests/golden_compat.rs`), which must keep parsing to the same
+//! [`CompressedDataset`] and decoding bit-exactly. Re-serializing a
+//! parsed legacy container upgrades it to v4.
 //!
 //! # What a chunk-table row's box means
 //!
@@ -56,21 +60,15 @@
 //!   row is [`TacError::Corrupt`]. A 1D level coded as a single segment
 //!   keeps the mask's tight box instead, like a TAC whole-level stream.
 //!
-//! Segmented bodies need no version byte. A body of one segment is
-//! written as exactly the bytes it has always been (zMesh: one level-0
-//! whole-domain row; 1D: the level's tight box), so every earlier
-//! container parses as the one-segment case; and a reader from before
-//! segments meets an N-row body with a clean chunk-count error
-//! ("expected exactly one chunk"), never a misdecode. Where the cuts
-//! fall is the writer's business (a fixed value budget,
-//! `segment::SEGMENT_BUDGET`): readers take every cut from the table
-//! and depend on no constant.
-//!
-//! v1 carries segments too, for [`CompressedDataset::to_bytes_v1`] to
-//! stay total: a zMesh body appends the plane cuts and further streams
-//! after the one blob old readers expect, a 1D level uses level tag 3.
-//! One-segment bodies write, and old v1 bytes parse as, what v1 always
-//! held.
+//! Segmented bodies need no version byte. A body of one segment records
+//! exactly the row it always has (zMesh: one level-0 whole-domain row;
+//! 1D: the level's tight box), so every earlier container parses as the
+//! one-segment case; and a reader from before segments meets an N-row
+//! body with a clean chunk-count error ("expected exactly one chunk"),
+//! never a misdecode. Where the cuts fall is the writer's business (a
+//! fixed value budget, `segment::SEGMENT_BUDGET`): readers take every
+//! cut from the table and depend on no constant. (v1 bodies carry
+//! segments too; see [`read_segments_v1`].)
 
 use crate::config::Strategy;
 use crate::error::TacError;
@@ -93,22 +91,20 @@ const VERSION_V2: u8 = 2;
 /// Chunked format with per-level and per-chunk codec tags.
 const VERSION_V3: u8 = 3;
 /// Chunked format with a dataset dtype byte and per-chunk dtype tags.
-pub(crate) const VERSION_V4: u8 = 4;
+const VERSION_V4: u8 = 4;
 /// Serialized chunk-table row size in a v2 container: level `u8` +
-/// offset `u64` + len `u64` + bbox `6 x u32`. The writer
-/// ([`ChunkEntry::write`]), the reader ([`ChunkEntry::read`]), the
-/// table-allocation bound in [`parse_v2`], and the ROI decoder's
-/// tamper tests all share this value.
-pub const CHUNK_ROW_BYTES_V2: usize = 41;
+/// offset `u64` + len `u64` + bbox `6 x u32`. Read-only: nothing writes
+/// v2 rows any more.
+const CHUNK_ROW_BYTES_V2: usize = 41;
 /// Serialized chunk-table row size in a v3 container: the v2 row plus
-/// one codec byte.
-pub const CHUNK_ROW_BYTES_V3: usize = 42;
-/// Serialized chunk-table row size in a v4 container: the v3 row plus
-/// one element-type ([`TacDtype`]) byte.
+/// one codec byte. Read-only, like v2.
+const CHUNK_ROW_BYTES_V3: usize = 42;
+/// Serialized chunk-table row size in a v4 container — the one the
+/// writer emits: the v3 row plus one element-type ([`TacDtype`]) byte.
 pub const CHUNK_ROW_BYTES_V4: usize = 43;
 /// Size of the chunk table's `u32` row-count prefix.
 pub const CHUNK_COUNT_PREFIX_BYTES: usize = 4;
-/// Size of the trailing `u64` table-offset footer a v2/v3 container
+/// Size of the trailing `u64` table-offset footer a chunked container
 /// ends with; seekable readers locate the chunk table through it.
 pub const TABLE_FOOTER_BYTES: usize = 8;
 /// Largest finest-grid side a container may declare (2^13 = 8192, i.e.
@@ -231,27 +227,13 @@ impl MethodBody {
             MethodBody::Baseline3D { .. } => Method::Baseline3D,
         }
     }
-
-    /// Whether every stream in the payload uses the default SZ codec —
-    /// the condition under which the chunked writer stays on v2 bytes.
-    fn codecs_all_default(&self) -> bool {
-        match self {
-            MethodBody::Tac(levels) => levels.iter().all(|l| l.codec == CodecId::Sz),
-            MethodBody::Baseline1D(levels) => levels
-                .iter()
-                .all(|l| l.as_ref().map_or(true, |(_, c, _)| *c == CodecId::Sz)),
-            MethodBody::ZMesh { codec, .. } | MethodBody::Baseline3D { codec, .. } => {
-                *codec == CodecId::Sz
-            }
-        }
-    }
 }
 
-/// Serialized v1 size of a segment list: every stream behind its `u64`
-/// length prefix, plus — past one segment — the `u32` count and one
-/// `u32` plane cut per segment (see [`write_segments_v1`]).
+/// Accounted size of a segment list: every stream behind a `u64`
+/// length prefix, plus — past one segment — a `u32` count and one `u32`
+/// plane cut per segment (the framing [`read_segments_v1`] reads).
 // tac-lint: allow(arith) -- size accounting over in-memory streams already held in RAM; the sums cannot exceed what was allocated.
-fn segments_bytes_v1(segments: &[Segment]) -> usize {
+fn segments_bytes(segments: &[Segment]) -> usize {
     let framing = match segments.len() {
         0 | 1 => 0,
         n => 4 + 4 * n,
@@ -259,31 +241,12 @@ fn segments_bytes_v1(segments: &[Segment]) -> usize {
     framing + segments.iter().map(|s| 8 + s.stream.len()).sum::<usize>()
 }
 
-/// Writes a segment list into a v1 body. One segment is its stream
-/// blob alone — the bytes v1 has always held. More append, after the
-/// first blob, the segment count, the first segment's plane cut, and
-/// each further segment as cut + blob.
-// tac-lint: allow(arith) -- writer-side width reduction: plane cuts are cell coordinates bounded by MAX_FINEST_DIM (2^13) and there is at most one segment per plane.
-fn write_segments_v1(w: &mut Writer, segments: &[Segment]) {
-    let Some((first, rest)) = segments.split_first() else {
-        return w.put_blob(&[]);
-    };
-    w.put_blob(&first.stream);
-    if rest.is_empty() {
-        return;
-    }
-    w.put_u32(segments.len() as u32);
-    w.put_u32(first.plane_end as u32);
-    for s in rest {
-        w.put_u32(s.plane_end as u32);
-        w.put_blob(&s.stream);
-    }
-}
-
-/// Reads what [`write_segments_v1`] wrote, from just after the first
-/// blob (`first`). `planes` is the plane count of the stack, which a
-/// lone blob (every pre-segment v1 body) covers whole; `multi` says
-/// whether the count and cuts follow.
+/// Reads the segment list of a v1 body from just after its first blob
+/// (`first`): one segment is that blob alone; more follow it as the
+/// segment count, the first segment's plane cut, and each further
+/// segment as cut + blob. `planes` is the plane count of the stack,
+/// which a lone blob (every pre-segment v1 body) covers whole; `multi`
+/// says whether the count and cuts follow.
 fn read_segments_v1(
     r: &mut Reader<'_>,
     first: Vec<u8>,
@@ -358,9 +321,13 @@ impl CompressedDataset {
     }
 
     /// Bytes of the compressed field payload — the size the paper's
-    /// compression ratios count: exactly what the method body occupies
-    /// in [`CompressedDataset::to_bytes_v1`], per-segment length
-    /// prefixes and plane cuts included.
+    /// compression ratios count. A size formula, independent of the wire
+    /// version: per TAC level [`CompressedLevel::total_bytes`]; per 1D
+    /// level a tag byte, then (when present) the `f64` bound, a codec
+    /// byte unless it is one SZ segment, and the segments; for zMesh and
+    /// 3D the `f64` bound and the stream(s) — every stream behind a `u64`
+    /// length prefix, plane cuts included past one segment. Masks, names
+    /// and the chunk table are not payload.
     // tac-lint: allow(arith) -- size accounting over in-memory streams already held in RAM; the sums cannot exceed what was allocated.
     pub fn payload_bytes(&self) -> usize {
         match &self.body {
@@ -370,11 +337,11 @@ impl CompressedDataset {
                 .map(|l| {
                     l.as_ref().map_or(1, |(_, codec, segments)| {
                         let tagged = *codec != CodecId::Sz || segments.len() > 1;
-                        9 + usize::from(tagged) + segments_bytes_v1(segments)
+                        9 + usize::from(tagged) + segments_bytes(segments)
                     })
                 })
                 .sum(),
-            MethodBody::ZMesh { segments, .. } => 8 + segments_bytes_v1(segments),
+            MethodBody::ZMesh { segments, .. } => 8 + segments_bytes(segments),
             MethodBody::Baseline3D { stream, .. } => 8 + 8 + stream.len(),
         }
     }
@@ -396,105 +363,16 @@ impl CompressedDataset {
         CompressionStats::new_for(self.total_present(), self.payload_bytes(), self.dtype)
     }
 
-    /// Serializes the container in the current chunked format: v2 bytes
-    /// (bit-compatible with pre-codec readers) when every stream uses
-    /// the default SZ codec over `f64`, v3 (codec-tagged) for other
-    /// codecs, v4 (dtype-tagged) for other element types.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        if self.dtype != TacDtype::F64 {
-            self.to_bytes_chunked(VERSION_V4)
-        } else if self.body.codecs_all_default() {
-            self.to_bytes_chunked(VERSION_V2)
-        } else {
-            self.to_bytes_chunked(VERSION_V3)
-        }
-    }
-
-    /// Serializes the legacy monolithic v1 container. Non-default codecs
-    /// still fit: TAC level payloads carry an explicit codec tag, the 1D
-    /// baseline uses an extended level tag, and the single-stream
-    /// baselines are recovered by magic-number sniffing on read.
-    /// Multi-segment bodies fit too — zMesh appends its cuts and further
-    /// segments after the blob old readers stop at, a 1D level switches
-    /// to level tag 3 — while one-segment bodies write the bytes v1 has
-    /// always held.
-    // tac-lint: allow(arith) -- writer-side width reduction: the engine caps levels at 16, so `masks.len() as u8` cannot truncate.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_bytes(MAGIC);
-        w.put_u8(VERSION_V1);
-        w.put_u8(self.method().tag());
-        w.put_str(&self.name);
-        w.put_u64(self.finest_dim as u64);
-        w.put_u8(self.masks.len() as u8);
-        for m in &self.masks {
-            w.put_blob(&tac_sz::lossless::compress(&m.to_bytes()));
-        }
-        match &self.body {
-            MethodBody::Tac(levels) => {
-                for l in levels {
-                    l.write(&mut w);
-                }
-            }
-            MethodBody::Baseline1D(levels) => {
-                for l in levels {
-                    match l {
-                        None => w.put_u8(0),
-                        Some((eb, codec, segments)) => {
-                            // Tag 1 is the legacy (implicitly SZ)
-                            // encoding; tag 2 appends the codec byte;
-                            // tag 3 is tag 2 with the plane cuts and
-                            // further segments after the first blob.
-                            match (codec, segments.len() > 1) {
-                                (CodecId::Sz, false) => w.put_u8(1),
-                                (_, multi) => {
-                                    w.put_u8(if multi { 3 } else { 2 });
-                                    w.put_u8(codec.tag());
-                                }
-                            }
-                            w.put_f64(*eb);
-                            write_segments_v1(&mut w, segments);
-                        }
-                    }
-                }
-            }
-            MethodBody::ZMesh {
-                abs_eb, segments, ..
-            } => {
-                w.put_f64(*abs_eb);
-                write_segments_v1(&mut w, segments);
-            }
-            MethodBody::Baseline3D { abs_eb, stream, .. } => {
-                w.put_f64(*abs_eb);
-                w.put_blob(stream);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Serializes the chunked (v2/v3/v4) container. v3 additionally
-    /// writes a codec byte per level in the method metadata and per
-    /// chunk-table row; v4 adds a dataset dtype byte after the method
-    /// tag and one per chunk-table row; v2 is byte-for-byte the
-    /// pre-codec format.
+    /// Serializes the container as v4, the chunked codec- and
+    /// dtype-tagged layout — the only version written, whatever the body
+    /// holds.
     // tac-lint: allow(arith) -- writer-side width reduction: level, mask, and group counts come from validated in-memory datasets (<= 16 levels, group counts bounded by the grid volume).
-    fn to_bytes_chunked(&self, version: u8) -> Vec<u8> {
-        let tagged = version >= VERSION_V3;
-        debug_assert!(
-            tagged || self.body.codecs_all_default(),
-            "v2 cannot represent non-default codecs"
-        );
-        debug_assert!(
-            version >= VERSION_V4 || self.dtype == TacDtype::F64,
-            "pre-v4 layouts cannot represent non-f64 elements"
-        );
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_bytes(MAGIC);
-        w.put_u8(version);
+        w.put_u8(VERSION_V4);
         w.put_u8(self.method().tag());
-        if version >= VERSION_V4 {
-            w.put_u8(self.dtype.tag());
-        }
+        w.put_u8(self.dtype.tag());
         w.put_str(&self.name);
         w.put_u64(self.finest_dim as u64);
         w.put_u8(self.masks.len() as u8);
@@ -517,9 +395,7 @@ impl CompressedDataset {
                             w.put_u32(groups.len() as u32);
                         }
                     }
-                    if tagged {
-                        w.put_u8(l.codec.tag());
-                    }
+                    w.put_u8(l.codec.tag());
                 }
             }
             MethodBody::Baseline1D(levels) => {
@@ -529,9 +405,7 @@ impl CompressedDataset {
                         Some((eb, codec, _)) => {
                             w.put_u8(1);
                             w.put_f64(*eb);
-                            if tagged {
-                                w.put_u8(codec.tag());
-                            }
+                            w.put_u8(codec.tag());
                         }
                     }
                 }
@@ -539,25 +413,24 @@ impl CompressedDataset {
             MethodBody::ZMesh { abs_eb, codec, .. }
             | MethodBody::Baseline3D { abs_eb, codec, .. } => {
                 w.put_f64(*abs_eb);
-                if tagged {
-                    w.put_u8(codec.tag());
-                }
+                w.put_u8(codec.tag());
             }
         }
 
-        // Payload chunks + their table entries.
-        let mut payload = Writer::new();
+        // Payload: a `u64` length (patched in below, once known), then
+        // the chunks back to back, each noted as a table entry with its
+        // offset relative to the payload start.
+        let len_at = w.len();
+        w.put_u64(0);
+        let payload_at = w.len();
         let mut entries: Vec<ChunkEntry> = Vec::new();
-        let push = |entries: &mut Vec<ChunkEntry>,
-                    payload: &Writer,
-                    level: usize,
-                    len_before: usize,
-                    codec: CodecId,
-                    bbox: Aabb| {
+        let mut chunk = |w: &mut Writer, level: usize, codec, bbox, put: &dyn Fn(&mut Writer)| {
+            let at = w.len();
+            put(w);
             entries.push(ChunkEntry {
                 level: level as u8,
-                offset: len_before,
-                len: payload.len() - len_before,
+                offset: at - payload_at,
+                len: w.len() - at,
                 codec,
                 dtype: self.dtype,
                 bbox,
@@ -569,16 +442,12 @@ impl CompressedDataset {
                     match &cl.payload {
                         LevelPayload::Empty => {}
                         LevelPayload::Whole(stream) => {
-                            let before = payload.len();
-                            payload.put_bytes(stream);
                             let bbox = tight_box(self.masks.get(l), cl.dim);
-                            push(&mut entries, &payload, l, before, cl.codec, bbox);
+                            chunk(&mut w, l, cl.codec, bbox, &|w| w.put_bytes(stream));
                         }
                         LevelPayload::Groups(groups) => {
                             for g in groups {
-                                let before = payload.len();
-                                g.write(&mut payload);
-                                push(&mut entries, &payload, l, before, cl.codec, g.aabb());
+                                chunk(&mut w, l, cl.codec, g.aabb(), &|w| g.write(w));
                             }
                         }
                     }
@@ -597,9 +466,7 @@ impl CompressedDataset {
                             1 => tight_box(self.masks.get(l), dim),
                             _ => slab,
                         };
-                        let before = payload.len();
-                        payload.put_bytes(&s.stream);
-                        push(&mut entries, &payload, l, before, *codec, bbox);
+                        chunk(&mut w, l, *codec, bbox, &|w| w.put_bytes(&s.stream));
                     }
                 }
             }
@@ -611,25 +478,14 @@ impl CompressedDataset {
                 let scale = zmesh_row_scale(self.masks.len());
                 let boxes = slab_boxes(segments, self.finest_dim, scale);
                 for (s, bbox) in segments.iter().zip(boxes) {
-                    let before = payload.len();
-                    payload.put_bytes(&s.stream);
-                    push(&mut entries, &payload, 0, before, *codec, bbox);
+                    chunk(&mut w, 0, *codec, bbox, &|w| w.put_bytes(&s.stream));
                 }
             }
             MethodBody::Baseline3D { codec, stream, .. } => {
-                let before = payload.len();
-                payload.put_bytes(stream);
-                push(
-                    &mut entries,
-                    &payload,
-                    0,
-                    before,
-                    *codec,
-                    Aabb::whole(self.finest_dim),
-                );
+                let bbox = Aabb::whole(self.finest_dim);
+                chunk(&mut w, 0, *codec, bbox, &|w| w.put_bytes(stream));
             }
         }
-        w.put_blob(&payload.into_bytes());
 
         // Chunk table, then its offset as the footer (a file reader can
         // seek to the last 8 bytes, then to the table, then to exactly
@@ -637,14 +493,21 @@ impl CompressedDataset {
         let table_pos = w.len();
         w.put_u32(entries.len() as u32);
         for e in &entries {
-            e.write(&mut w, version);
+            e.write(&mut w);
         }
         w.put_u64(table_pos as u64);
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        let payload_len = (table_pos - payload_at) as u64;
+        // The slot is the placeholder written above.
+        if let Some(slot) = bytes.get_mut(len_at..payload_at) {
+            slot.copy_from_slice(&payload_len.to_le_bytes());
+        }
+        bytes
     }
 
-    /// Parses a container written by [`CompressedDataset::to_bytes`]
-    /// (chunked) or [`CompressedDataset::to_bytes_v1`].
+    /// Parses a container of any version (v1–v4): whatever
+    /// [`CompressedDataset::to_bytes`] writes now or any earlier writer
+    /// ever wrote.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TacError> {
         let mut r = Reader::new(bytes);
         let prelude = parse_prelude(&mut r)?;
@@ -894,17 +757,14 @@ pub(crate) fn chunk_entry_bytes(version: u8) -> usize {
 }
 
 impl ChunkEntry {
+    /// Writes the row in its v4 form (`CHUNK_ROW_BYTES_V4` bytes).
     // tac-lint: allow(arith) -- writer-side width reduction: bbox coordinates are cell indices bounded by MAX_FINEST_DIM (2^13), far below u32::MAX.
-    fn write(&self, w: &mut Writer, version: u8) {
+    fn write(&self, w: &mut Writer) {
         w.put_u8(self.level);
         w.put_u64(self.offset as u64);
         w.put_u64(self.len as u64);
-        if version >= VERSION_V3 {
-            w.put_u8(self.codec.tag());
-        }
-        if version >= VERSION_V4 {
-            w.put_u8(self.dtype.tag());
-        }
+        w.put_u8(self.codec.tag());
+        w.put_u8(self.dtype.tag());
         let (x0, y0, z0) = self.bbox.min;
         let (x1, y1, z1) = self.bbox.max;
         for v in [x0, y0, z0, x1, y1, z1] {
@@ -955,7 +815,7 @@ impl ChunkEntry {
     }
 }
 
-/// Per-level metadata of a chunked (v2/v3) TAC payload.
+/// Per-level metadata of a chunked (v2–v4) TAC payload.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TacLevelMeta {
     pub strategy: Strategy,
@@ -981,7 +841,7 @@ impl TacLevelMeta {
     }
 }
 
-/// Method metadata of a parsed chunked (v2/v3) container.
+/// Method metadata of a parsed chunked (v2–v4) container.
 #[derive(Debug, Clone)]
 pub(crate) enum V2Meta {
     Tac(Vec<TacLevelMeta>),
@@ -1358,44 +1218,60 @@ impl V2Layout<'_> {
             .collect()
     }
 
+    /// Builds the TAC levels from the rows `wanted` accepts — the one
+    /// builder behind the full parse (which wants every row) and the
+    /// region decoder (which wants the rows its request meets). A
+    /// whole-level stream that is not wanted leaves its level `Empty`
+    /// (zeros everywhere); an unwanted group is left out.
+    pub fn tac_levels(
+        &self,
+        metas: &[TacLevelMeta],
+        mut wanted: impl FnMut(&ChunkEntry) -> bool,
+    ) -> Result<Vec<CompressedLevel>, TacError> {
+        let mut levels = Vec::with_capacity(metas.len());
+        for (l, meta) in metas.iter().enumerate() {
+            let payload = match meta.kind {
+                0 => LevelPayload::Empty,
+                1 => {
+                    let whole = self.level_entries(l).next().ok_or_else(|| {
+                        TacError::Corrupt(format!("level {l}: whole chunk missing"))
+                    })?;
+                    if wanted(whole) {
+                        LevelPayload::Whole(self.chunk_bytes(whole).to_vec())
+                    } else {
+                        LevelPayload::Empty
+                    }
+                }
+                _ => {
+                    let mut groups = Vec::new();
+                    for entry in self.level_entries(l) {
+                        if wanted(entry) {
+                            groups.push(self.parse_group(entry)?);
+                        }
+                    }
+                    LevelPayload::Groups(groups)
+                }
+            };
+            levels.push(CompressedLevel {
+                strategy: meta.strategy,
+                dim: meta.dim,
+                abs_eb: meta.abs_eb,
+                codec: meta.codec,
+                dtype: self.dtype,
+                payload,
+            });
+        }
+        Ok(levels)
+    }
+
     /// Decodes every chunk, reassembling the full in-memory container
-    /// (the v2 equivalent of the v1 front-to-back parse). Chunk counts
-    /// were already validated against the metadata at parse time.
+    /// (the chunked equivalent of the v1 front-to-back parse). Chunk
+    /// counts were already validated against the metadata at parse time.
     /// Consumes the layout so the name and masks move instead of
     /// cloning.
     pub fn assemble(self) -> Result<CompressedDataset, TacError> {
         let body = match &self.meta {
-            V2Meta::Tac(metas) => {
-                let mut levels = Vec::with_capacity(metas.len());
-                for (l, meta) in metas.iter().enumerate() {
-                    let chunks: Vec<&ChunkEntry> = self.level_entries(l).collect();
-                    let payload = match meta.kind {
-                        0 => LevelPayload::Empty,
-                        1 => {
-                            let whole = chunks.first().ok_or_else(|| {
-                                TacError::Corrupt(format!("level {l}: whole chunk missing"))
-                            })?;
-                            LevelPayload::Whole(self.chunk_bytes(whole).to_vec())
-                        }
-                        _ => {
-                            let mut groups = Vec::with_capacity(chunks.len());
-                            for c in &chunks {
-                                groups.push(self.parse_group(c)?);
-                            }
-                            LevelPayload::Groups(groups)
-                        }
-                    };
-                    levels.push(CompressedLevel {
-                        strategy: meta.strategy,
-                        dim: meta.dim,
-                        abs_eb: meta.abs_eb,
-                        codec: meta.codec,
-                        dtype: self.dtype,
-                        payload,
-                    });
-                }
-                MethodBody::Tac(levels)
-            }
+            V2Meta::Tac(metas) => MethodBody::Tac(self.tac_levels(metas, |_| true)?),
             V2Meta::Baseline1D(ebs) => {
                 let mut levels = Vec::with_capacity(ebs.len());
                 for (l, eb) in ebs.iter().enumerate() {
@@ -1434,9 +1310,9 @@ impl V2Layout<'_> {
     }
 
     /// Parses a group chunk body (must consume the chunk exactly).
-    pub fn parse_group(&self, e: &ChunkEntry) -> Result<crate::stream::BlockGroup, TacError> {
+    fn parse_group(&self, e: &ChunkEntry) -> Result<BlockGroup, TacError> {
         let mut r = Reader::new(self.chunk_bytes(e));
-        let g = crate::stream::BlockGroup::read(&mut r)?;
+        let g = BlockGroup::read(&mut r)?;
         if r.remaining() != 0 {
             return Err(TacError::Corrupt(format!(
                 "{} trailing bytes in group chunk",
@@ -1559,6 +1435,16 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// A frozen v1 container under `tests/data/` (see
+    /// `tests/golden_compat.rs`): nothing writes v1 any more, so the v1
+    /// reader is exercised on what its last writer left behind.
+    macro_rules! frozen_v1 {
+        ($case:literal) => {
+            include_bytes!(concat!("../../../tests/data/legacy_", $case, "_v1.tacd")).as_slice()
+        };
+    }
+    pub(crate) use frozen_v1;
+
     #[test]
     fn auto_method_never_hits_the_wire() {
         // The sentinel tag is rejected on read, so no container —
@@ -1574,38 +1460,40 @@ pub(crate) mod tests {
 
     #[test]
     fn container_roundtrip_tac_both_versions() {
+        // Written today (v4), and a TAC container as the v1 writer left it.
         let cd = sample_tac();
-        for bytes in [cd.to_bytes_v1(), cd.to_bytes()] {
-            let back = CompressedDataset::from_bytes(&bytes).unwrap();
-            assert_eq!(back, cd);
+        let v1 = CompressedDataset::from_bytes(frozen_v1!("tac_sz")).unwrap();
+        for (back, want) in [
+            (CompressedDataset::from_bytes(&cd.to_bytes()).unwrap(), &cd),
+            (CompressedDataset::from_bytes(&v1.to_bytes()).unwrap(), &v1),
+        ] {
+            assert_eq!(&back, want);
             assert_eq!(back.method(), Method::Tac);
-            assert_eq!(
-                back.strategies().unwrap(),
-                vec![Strategy::OpST, Strategy::Gsp]
-            );
+            assert_eq!(back.strategies().unwrap().len(), back.num_levels());
         }
-        // Default-codec serialization stays on v2 bytes.
-        assert_eq!(cd.to_bytes()[4], VERSION_V2);
-        assert_eq!(cd.to_bytes_v1()[4], VERSION_V1);
+        assert_eq!(
+            cd.strategies().unwrap(),
+            vec![Strategy::OpST, Strategy::Gsp]
+        );
     }
 
     #[test]
-    fn tagged_codec_promotes_to_v3_and_roundtrips() {
-        let cd = sample_tac_with(CodecId::PcoLite);
-        let chunked = cd.to_bytes();
-        assert_eq!(chunked[4], VERSION_V3, "non-default codec must tag");
-        let v1 = cd.to_bytes_v1();
-        assert_eq!(v1[4], VERSION_V1);
-        for bytes in [v1, chunked] {
-            let back = CompressedDataset::from_bytes(&bytes).unwrap();
-            assert_eq!(back, cd);
+    fn every_codec_and_dtype_serializes_as_v4_and_roundtrips() {
+        for codec in CodecId::all() {
+            for dtype in [TacDtype::F64, TacDtype::F32] {
+                let cd = sample_tac_typed(codec, dtype);
+                let bytes = cd.to_bytes();
+                assert_eq!(bytes[4], VERSION_V4, "{codec}/{dtype}");
+                // The dtype byte sits right after the method tag.
+                assert_eq!(bytes[6], dtype.tag());
+                assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
+            }
         }
-        // A mixed container (any non-default level) also promotes.
+        // Levels may mix codecs.
         let mut mixed = sample_tac();
         if let MethodBody::Tac(levels) = &mut mixed.body {
             levels[1].codec = CodecId::PcoLite;
         }
-        assert_eq!(mixed.to_bytes()[4], VERSION_V3);
         assert_eq!(
             CompressedDataset::from_bytes(&mixed.to_bytes()).unwrap(),
             mixed
@@ -1644,74 +1532,52 @@ pub(crate) mod tests {
                     masks: sample_masks(),
                     body,
                 };
-                // The single-stream baselines recover their codec from
-                // the stream magic in v1, and `[1; 20]` / `[2; 10]` sniff
-                // as nothing (=> Sz); skip those mismatched combinations.
-                let v1_sniffs =
-                    codec == CodecId::Sz || matches!(cd.body, MethodBody::Baseline1D(_));
-                let mut variants = vec![cd.to_bytes()];
-                if v1_sniffs {
-                    variants.push(cd.to_bytes_v1());
-                }
-                for bytes in variants {
-                    let back = CompressedDataset::from_bytes(&bytes).unwrap();
-                    assert_eq!(back, cd);
-                    assert!(back.strategies().is_none());
-                }
+                let back = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
+                assert_eq!(back, cd);
+                assert!(back.strategies().is_none());
             }
+        }
+        // And the baselines as the v1 writer left them, multi-segment
+        // bodies included: they parse, and survive the upgrade to v4.
+        for v1 in [
+            frozen_v1!("b1d_sz"),
+            frozen_v1!("b1d_ans"),
+            frozen_v1!("b1d_seg"),
+            frozen_v1!("zmesh_sz"),
+            frozen_v1!("zmesh_seg"),
+            frozen_v1!("b3d_sz"),
+        ] {
+            let cd = CompressedDataset::from_bytes(v1).unwrap();
+            assert!(cd.strategies().is_none());
+            assert_eq!(CompressedDataset::from_bytes(&cd.to_bytes()).unwrap(), cd);
         }
     }
 
     #[test]
     fn payload_bytes_count_what_the_v1_writer_emits() {
-        // Header and masks are the same for every body below, so the v1
-        // length less the payload is one constant — for one segment (the
-        // historical numbers) and for several alike.
-        let bodies = [
-            sample_tac().body,
-            sample_tac_with(CodecId::PcoLite).body,
-            MethodBody::Baseline1D(vec![Some((1e-3, CodecId::Sz, lone(4, vec![7, 8]))), None]),
-            MethodBody::Baseline1D(vec![
-                Some((1e-3, CodecId::Sz, cut(&[1, 3, 4], vec![7, 8]))),
-                Some((2e-3, CodecId::PcoAns, lone(2, vec![9]))),
-            ]),
-            MethodBody::Baseline1D(vec![
-                None,
-                Some((1.0, CodecId::PcoAns, cut(&[1, 2], vec![]))),
-            ]),
-            MethodBody::ZMesh {
-                abs_eb: 0.5,
-                codec: CodecId::Sz,
-                segments: lone(2, vec![1; 20]),
-            },
-            MethodBody::ZMesh {
-                abs_eb: 0.5,
-                codec: CodecId::Sz,
-                segments: cut(&[1, 2], vec![1; 20]),
-            },
-            MethodBody::Baseline3D {
-                abs_eb: 0.25,
-                codec: CodecId::Sz,
-                stream: vec![2; 10],
-            },
-        ];
-        let overheads: Vec<usize> = bodies
-            .into_iter()
-            .map(|body| {
-                let cd = CompressedDataset {
-                    name: "Run1_Z10".into(),
-                    finest_dim: 4,
-                    dtype: TacDtype::F64,
-                    masks: sample_masks(),
-                    body,
-                };
-                cd.to_bytes_v1().len() - cd.payload_bytes()
-            })
-            .collect();
-        assert!(
-            overheads.iter().all(|&o| o == overheads[0]),
-            "{overheads:?}"
-        );
+        // `payload_bytes()` is a size formula now, but not an arbitrary
+        // one: it is the size of the container's v1 body. Held here to
+        // the files the v1 writer left behind — each file less its
+        // header and masks (what the prelude parse consumes), for every
+        // level tag, 1D level tag and segment framing.
+        for v1 in [
+            frozen_v1!("tac_sz"),
+            frozen_v1!("tac_ans"),
+            frozen_v1!("tac_f32"),
+            frozen_v1!("b1d_sz"),
+            frozen_v1!("b1d_ans"),
+            frozen_v1!("b1d_seg"),
+            frozen_v1!("zmesh_sz"),
+            frozen_v1!("zmesh_ans"),
+            frozen_v1!("zmesh_seg"),
+            frozen_v1!("b3d_sz"),
+            frozen_v1!("b3d_ans"),
+        ] {
+            let mut r = Reader::new(v1);
+            parse_prelude(&mut r).unwrap();
+            let cd = CompressedDataset::from_bytes(v1).unwrap();
+            assert_eq!(cd.payload_bytes(), r.remaining(), "{:?}", cd.method());
+        }
         // The one-segment numbers are the ones the accounting always gave.
         let zmesh = CompressedDataset {
             name: "s".into(),
@@ -1729,28 +1595,21 @@ pub(crate) mod tests {
 
     #[test]
     fn v1_single_stream_baselines_sniff_their_codec() {
-        // A real PcoLite stream round-trips through v1 because the codec
-        // is recovered from the stream's own magic number.
-        let stream = tac_codec::codec_for(CodecId::PcoLite)
-            .compress(
-                &[1.0; 33],
-                tac_codec::Dims::D1(33),
-                &tac_codec::CodecConfig::abs(0.5),
-            )
-            .unwrap();
-        let cd = CompressedDataset {
-            name: "sniffed".into(),
-            finest_dim: 4,
-            dtype: TacDtype::F64,
-            masks: sample_masks(),
-            body: MethodBody::ZMesh {
-                abs_eb: 0.5,
-                codec: CodecId::PcoLite,
-                segments: lone(2, stream),
-            },
-        };
-        let back = CompressedDataset::from_bytes(&cd.to_bytes_v1()).unwrap();
-        assert_eq!(back, cd);
+        // v1 zMesh and 3D bodies carry no codec byte: the codec is
+        // recovered from the stream's own magic number.
+        for (v1, want) in [
+            (frozen_v1!("zmesh_sz"), CodecId::Sz),
+            (frozen_v1!("zmesh_ans"), CodecId::PcoAns),
+            (frozen_v1!("b3d_sz"), CodecId::Sz),
+            (frozen_v1!("b3d_ans"), CodecId::PcoAns),
+        ] {
+            match CompressedDataset::from_bytes(v1).unwrap().body {
+                MethodBody::ZMesh { codec, .. } | MethodBody::Baseline3D { codec, .. } => {
+                    assert_eq!(codec, want)
+                }
+                body => panic!("not a single-stream baseline: {body:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1770,7 +1629,7 @@ pub(crate) mod tests {
         assert_eq!(coarse.bbox, Aabb::new((0, 0, 0), (1, 1, 1)));
         assert_eq!(layout.chunk_bytes(coarse), &[1, 2, 3]);
         // v1 bytes have no chunk table.
-        assert!(parse_v2(&cd.to_bytes_v1()).is_err());
+        assert!(parse_v2(frozen_v1!("tac_sz")).is_err());
     }
 
     #[test]
@@ -1806,7 +1665,7 @@ pub(crate) mod tests {
                 stream: vec![3; 5],
             },
         };
-        for bytes in [cd.to_bytes_v1(), cd.to_bytes()] {
+        for bytes in [frozen_v1!("b3d_sz").to_vec(), cd.to_bytes()] {
             assert!(CompressedDataset::from_bytes(&bytes[..bytes.len() - 1]).is_err());
             assert!(CompressedDataset::from_bytes(&bytes[1..]).is_err());
             let mut extra = bytes.clone();
@@ -1820,23 +1679,21 @@ pub(crate) mod tests {
 
     #[test]
     fn corrupt_chunk_bbox_is_rejected_not_skipped() {
-        let cd = sample_tac();
-        let mut bytes = cd.to_bytes();
-        // Locate the first table entry via the footer; its bbox starts
-        // count-prefix + 17 (level/offset/len) bytes into the table.
-        // Write min.x > max.x: accepting this as an "empty" box would
-        // make ROI decoding silently drop the chunk's data.
-        let footer = &bytes[bytes.len() - TABLE_FOOTER_BYTES..];
-        let table_pos = u64::from_le_bytes(footer.try_into().unwrap()) as usize;
-        let bbox_at = table_pos + CHUNK_COUNT_PREFIX_BYTES + 17;
-        bytes[bbox_at..bbox_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(CompressedDataset::from_bytes(&bytes).is_err());
+        // Write min.x > max.x into the first row: accepting this as an
+        // "empty" box would make ROI decoding silently drop the chunk's
+        // data.
+        let bytes = edit_table(&sample_tac().to_bytes(), |rows| {
+            let at = rows[0].len() - 24;
+            rows[0][at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let err = CompressedDataset::from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("is empty"), "{err}");
     }
 
     #[test]
     fn truncated_v2_is_rejected_at_every_cut() {
-        let cd = sample_tac();
-        let bytes = cd.to_bytes();
+        let bytes = include_bytes!("../../../tests/data/legacy_tac_sz_v2.tacd");
+        assert_eq!(bytes[4], VERSION_V2);
         for cut in 5..bytes.len() {
             assert!(
                 CompressedDataset::from_bytes(&bytes[..cut]).is_err(),
@@ -1847,18 +1704,14 @@ pub(crate) mod tests {
 
     #[test]
     fn f32_dataset_promotes_to_v4_and_roundtrips() {
-        for codec in CodecId::all() {
-            let cd = sample_tac_typed(codec, TacDtype::F32);
-            let bytes = cd.to_bytes();
-            assert_eq!(bytes[4], VERSION_V4, "non-f64 must promote to v4");
-            // The dtype byte sits right after the method tag.
-            assert_eq!(bytes[6], TacDtype::F32.tag());
-            assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
-            // v1 recovers the dtype from the self-describing level tags.
-            let v1 = cd.to_bytes_v1();
-            assert_eq!(v1[4], VERSION_V1);
-            assert_eq!(CompressedDataset::from_bytes(&v1).unwrap(), cd);
-        }
+        // The v1 writer's f32 container — element type recovered from
+        // the self-describing level tags — upgrades to a v4 one with the
+        // dtype in the header and in every row.
+        let cd = CompressedDataset::from_bytes(frozen_v1!("tac_f32")).unwrap();
+        assert_eq!(cd.dtype, TacDtype::F32);
+        let bytes = cd.to_bytes();
+        assert_eq!((bytes[4], bytes[6]), (VERSION_V4, TacDtype::F32.tag()));
+        assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
     }
 
     #[test]
@@ -1900,11 +1753,13 @@ pub(crate) mod tests {
 
     #[test]
     fn v1_mixed_level_dtypes_are_rejected() {
-        let mut cd = sample_tac_typed(CodecId::Sz, TacDtype::F32);
-        if let MethodBody::Tac(levels) = &mut cd.body {
-            levels[1].dtype = TacDtype::F64;
-        }
-        assert!(CompressedDataset::from_bytes(&cd.to_bytes_v1()).is_err());
+        // The file ends on its empty coarsest level, whose tag is the
+        // last byte: the f64 empty tag (0) among f32 levels is refused.
+        let mut v1 = frozen_v1!("tac_f32").to_vec();
+        assert_eq!(v1.pop(), Some(5), "not an f32 empty-level tag");
+        v1.push(0);
+        let err = CompressedDataset::from_bytes(&v1).unwrap_err();
+        assert!(err.to_string().contains("disagree"), "{err}");
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl GroupPlan {
 /// bytes assembled from it — is deterministic). With `tile = Some(t)`,
 /// the grouping key additionally buckets region origins into `t`-cell
 /// tiles: jobs then stay spatially local, which bounds chunk extents in
-/// the v2 container and makes region-of-interest decoding selective, at
+/// the container and makes region-of-interest decoding selective, at
 /// the cost of slightly smaller SZ batches.
 pub(crate) fn plan_groups(regions: &[Region], tile: Option<usize>) -> Vec<GroupPlan> {
     type Key = ((usize, usize, usize), (usize, usize, usize));

@@ -81,7 +81,7 @@ pub use akdtree::{plan_akdtree, AkdPlan};
 pub use config::{AutoParams, Strategy, TacConfig};
 pub use container::{
     Baseline1DLevel, CompressedDataset, Method, MethodBody, CHUNK_COUNT_PREFIX_BYTES,
-    CHUNK_ROW_BYTES_V2, CHUNK_ROW_BYTES_V3, CHUNK_ROW_BYTES_V4, TABLE_FOOTER_BYTES,
+    CHUNK_ROW_BYTES_V4, TABLE_FOOTER_BYTES,
 };
 pub use density::choose_strategy;
 pub use error::TacError;

@@ -570,15 +570,13 @@ mod tests {
             ] {
                 let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
                 assert_eq!(cd.method(), method);
-                for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-                    let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-                    assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
-                    let out =
-                        decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
-                    assert_eq!(out.num_levels(), ds.num_levels());
-                    for (a, b) in ds.levels().iter().zip(out.levels()) {
-                        check_level_bound(a, b, 1e-3);
-                    }
+                let bytes = cd.to_bytes();
+                let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+                assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
+                let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
+                assert_eq!(out.num_levels(), ds.num_levels());
+                for (a, b) in ds.levels().iter().zip(out.levels()) {
+                    check_level_bound(a, b, 1e-3);
                 }
             }
         }
@@ -847,37 +845,35 @@ mod tests {
             ] {
                 let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
                 assert_eq!(cd.dtype, TacDtype::F32);
-                for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-                    let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-                    assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
-                    let out =
-                        decompress_dataset_par_t::<f32>(&parsed, Parallelism::Serial).unwrap();
-                    assert_eq!(out.num_levels(), ds.num_levels());
-                    for (a, b) in ds.levels().iter().zip(out.levels()) {
-                        for i in a.mask().iter_ones() {
-                            let (x, y) = (a.data()[i], b.data()[i]);
-                            assert!(
-                                (x - y).abs() <= eb * (1.0 + 1e-5),
-                                "{method:?}/{codec} cell {i}: {x} vs {y}"
-                            );
-                        }
-                        for i in 0..a.num_cells() {
-                            if !a.mask().get(i) {
-                                assert_eq!(b.data()[i], 0.0);
-                            }
+                let bytes = cd.to_bytes();
+                let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+                assert_eq!(parsed, cd, "{method:?}/{codec} reparse");
+                let out = decompress_dataset_par_t::<f32>(&parsed, Parallelism::Serial).unwrap();
+                assert_eq!(out.num_levels(), ds.num_levels());
+                for (a, b) in ds.levels().iter().zip(out.levels()) {
+                    for i in a.mask().iter_ones() {
+                        let (x, y) = (a.data()[i], b.data()[i]);
+                        assert!(
+                            (x - y).abs() <= eb * (1.0 + 1e-5),
+                            "{method:?}/{codec} cell {i}: {x} vs {y}"
+                        );
+                    }
+                    for i in 0..a.num_cells() {
+                        if !a.mask().get(i) {
+                            assert_eq!(b.data()[i], 0.0);
                         }
                     }
-                    // Decoding at the wrong width must be refused, not
-                    // misinterpreted.
-                    assert!(matches!(
-                        decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial),
-                        Err(TacError::Codec(CodecError::WrongDtype { .. }))
-                    ));
-                    // The sniffing path picks the declared element type.
-                    let any = decompress_dataset_any(&parsed).unwrap();
-                    assert_eq!(any.dtype(), TacDtype::F32);
-                    assert_eq!(any.num_levels(), ds.num_levels());
                 }
+                // Decoding at the wrong width must be refused, not
+                // misinterpreted.
+                assert!(matches!(
+                    decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial),
+                    Err(TacError::Codec(CodecError::WrongDtype { .. }))
+                ));
+                // The sniffing path picks the declared element type.
+                let any = decompress_dataset_any(&parsed).unwrap();
+                assert_eq!(any.dtype(), TacDtype::F32);
+                assert_eq!(any.num_levels(), ds.num_levels());
             }
         }
     }
@@ -930,13 +926,12 @@ mod tests {
         };
         let cd = compress_dataset_t(&ds, &cfg, Method::Auto).unwrap();
         assert_ne!(cd.method(), Method::Auto, "Auto never hits the wire");
-        for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-            let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-            assert_eq!(parsed, cd);
-            let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
-            for (a, b) in ds.levels().iter().zip(out.levels()) {
-                check_level_bound(a, b, 1e-3);
-            }
+        let bytes = cd.to_bytes();
+        let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+        assert_eq!(parsed, cd);
+        let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
+        for (a, b) in ds.levels().iter().zip(out.levels()) {
+            check_level_bound(a, b, 1e-3);
         }
         // Selection is deterministic and serial: Auto output is
         // byte-identical for every worker count.

@@ -1,8 +1,8 @@
-//! Region-of-interest decompression over the chunked (v2) container.
+//! Region-of-interest decompression over the chunked (v2–v4) container.
 //!
 //! In-situ AMR workflows (AMRIC, SC'23) rarely need a whole snapshot
 //! back: a halo finder inspects a subvolume, a visualisation pans
-//! through a slab. The v2 chunk table records a bounding box per chunk,
+//! through a slab. The chunk table records a bounding box per chunk,
 //! so a decoder can seek to — and spend decode time on — only the
 //! chunks whose boxes intersect the request, skipping the rest of the
 //! payload entirely.
@@ -19,7 +19,6 @@ use crate::container::{parse_v2, ChunkEntry, CompressedDataset, MethodBody, V2La
 use crate::error::TacError;
 use crate::pipeline::decompress_dataset_par_t;
 use crate::segment::{decompress_stacks, SegmentRef, StackSegments};
-use crate::stream::{CompressedLevel, LevelPayload};
 use crate::zmesh::refinement;
 use std::ops::Range;
 use tac_amr::{Aabb, AmrDataset};
@@ -82,8 +81,8 @@ fn decode_stacks<T: CodecElement>(
     Ok((AmrDataset::new(layout.name.clone(), levels), stats))
 }
 
-/// Decodes the part of a **v2** container intersecting `roi` (given in
-/// finest-level cell coordinates, half-open).
+/// Decodes the part of a chunked (v2–v4) container intersecting `roi`
+/// (given in finest-level cell coordinates, half-open).
 ///
 /// Returns full-size levels in which every cell covered by a decoded
 /// chunk carries its reconstructed value and every skipped cell is zero
@@ -153,47 +152,11 @@ pub fn decompress_region_t<T: CodecElement>(
     };
 
     // The table was validated against the method metadata and the masks
-    // by `parse_v2` itself, so this decoder and the full parse agree on
-    // what a valid container is by construction.
+    // by `parse_v2` itself, and the TAC levels come from the builder the
+    // full parse uses, so this decoder and the full parse agree on what
+    // a valid container is by construction.
     let body = match &layout.meta {
-        V2Meta::Tac(metas) => {
-            let mut levels = Vec::with_capacity(metas.len());
-            for (l, meta) in metas.iter().enumerate() {
-                let payload = match meta.kind {
-                    0 => LevelPayload::Empty,
-                    1 => {
-                        let entry = layout.level_entries(l).next().ok_or_else(|| {
-                            TacError::Corrupt(format!("level {l}: whole chunk missing"))
-                        })?;
-                        if wanted(entry) {
-                            LevelPayload::Whole(layout.chunk_bytes(entry).to_vec())
-                        } else {
-                            // Nothing of this level is wanted: decode as
-                            // if empty (zeros everywhere).
-                            LevelPayload::Empty
-                        }
-                    }
-                    _ => {
-                        let mut groups = Vec::new();
-                        for entry in layout.level_entries(l) {
-                            if wanted(entry) {
-                                groups.push(layout.parse_group(entry)?);
-                            }
-                        }
-                        LevelPayload::Groups(groups)
-                    }
-                };
-                levels.push(CompressedLevel {
-                    strategy: meta.strategy,
-                    dim: meta.dim,
-                    abs_eb: meta.abs_eb,
-                    codec: meta.codec,
-                    dtype: layout.dtype,
-                    payload,
-                });
-            }
-            MethodBody::Tac(levels)
-        }
+        V2Meta::Tac(metas) => MethodBody::Tac(layout.tac_levels(metas, &mut wanted)?),
         V2Meta::ZMesh(_, codec) => {
             let stacks = [StackSegments {
                 levels: 0..layout.masks.len(),
@@ -252,6 +215,7 @@ pub fn decompress_region_t<T: CodecElement>(
 mod tests {
     use super::*;
     use crate::config::TacConfig;
+    use crate::container::tests::{edit_table, frozen_v1};
     use crate::container::Method;
     use crate::pipeline::{compress_dataset_t, decompress_dataset_par_t};
     use tac_amr::{AmrDataset, AmrLevel};
@@ -434,19 +398,14 @@ mod tests {
         // Drop the last chunk-table entry, keeping the footer
         // consistent: the table now disagrees with the per-level
         // metadata, and both decoders must say so.
-        let row = crate::container::CHUNK_ROW_BYTES_V2;
-        let prefix = crate::container::CHUNK_COUNT_PREFIX_BYTES;
-        let footer = &bytes[bytes.len() - crate::container::TABLE_FOOTER_BYTES..];
-        let table_pos = u64::from_le_bytes(footer.try_into().unwrap()) as usize;
-        let count =
-            u32::from_le_bytes(bytes[table_pos..table_pos + prefix].try_into().unwrap()) as usize;
-        assert!(count > 1);
-        let mut tampered = bytes[..table_pos].to_vec();
-        tampered.extend(((count - 1) as u32).to_le_bytes());
-        tampered.extend(&bytes[table_pos + prefix..table_pos + prefix + row * (count - 1)]);
-        tampered.extend((table_pos as u64).to_le_bytes());
-        assert!(CompressedDataset::from_bytes(&tampered).is_err());
-        assert!(decompress_region_t::<f64>(&tampered, Aabb::whole(16)).is_err());
+        let tampered = edit_table(&bytes, |rows| {
+            assert!(rows.len() > 1);
+            rows.pop();
+        });
+        let err = CompressedDataset::from_bytes(&tampered).unwrap_err();
+        assert!(err.to_string().contains("chunks, table lists"), "{err}");
+        let err = decompress_region_t::<f64>(&tampered, Aabb::whole(16)).unwrap_err();
+        assert!(err.to_string().contains("chunks, table lists"), "{err}");
     }
 
     #[test]
@@ -484,14 +443,11 @@ mod tests {
 
     #[test]
     fn v1_containers_are_rejected_for_roi() {
-        let ds = corners_dataset(16);
-        let cfg = TacConfig {
-            unit: 4,
-            error_bound: ErrorBound::Abs(1e-3),
-            ..Default::default()
-        };
-        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
-        let err = decompress_region_t::<f64>(&cd.to_bytes_v1(), Aabb::whole(16)).unwrap_err();
+        let v1 = frozen_v1!("tac_sz");
+        let err = decompress_region_t::<f64>(v1, Aabb::whole(16)).unwrap_err();
         assert!(err.to_string().contains("v2"), "{err}");
+        // Re-serializing is the upgrade.
+        let upgraded = CompressedDataset::from_bytes(v1).unwrap().to_bytes();
+        decompress_region_t::<f64>(&upgraded, Aabb::whole(16)).unwrap();
     }
 }

@@ -658,10 +658,8 @@ mod tests {
                         // planes join a neighbour.
                         assert_eq!(segment_counts(&cd), live_planes, "{what}");
                     }
-                    for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-                        let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-                        assert_eq!(parsed, cd, "{what}: reparse");
-                    }
+                    let parsed = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
+                    assert_eq!(parsed, cd, "{what}: reparse");
                     for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
                         let out = decompress_dataset_par_t::<T>(&cd, parallelism).unwrap();
                         if codec == CodecId::Sz {

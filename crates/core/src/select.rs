@@ -23,7 +23,7 @@
 //! same candidate, so `Method::Auto` output is byte-identical for every
 //! worker count, like every fixed path.
 //!
-//! The winner is recorded in the per-level method/codec tags the v3/v4
+//! The winner is recorded in the per-level method/codec tags the
 //! container already carries; **decode needs no new wire format** and
 //! [`Method::Auto`] itself never serializes.
 

@@ -83,7 +83,7 @@ impl BlockGroup {
     }
 
     /// Cell-coordinate bounding box of the group: the union over its
-    /// batched sub-blocks. Recorded in the v2 chunk table so ROI
+    /// batched sub-blocks. Recorded in the chunk table so ROI
     /// decoding can skip the group wholesale.
     pub fn aabb(&self) -> tac_amr::Aabb {
         self.origins
@@ -131,15 +131,11 @@ pub struct CompressedLevel {
     pub payload: LevelPayload,
 }
 
-// Payload wire tags. 0/1/2 are the legacy (pre-codec) encodings and
-// imply the SZ codec; 3/4 are followed by a codec byte. The writer emits
-// legacy tags for SZ payloads, so default-codec containers stay
-// bit-compatible with pre-codec readers (and the golden fixtures).
-// 5/6/7 are the f32 encodings: nothing before the dtype layer ever
-// wrote them, so an absent f32 tag always means f64 and every legacy
-// container parses unchanged. f32 payloads are post-legacy by
-// construction, so their non-empty tags always carry the codec byte
-// (no untagged-SZ special case to preserve).
+// Level payload tags of the v1 (monolithic) body — read-only, since
+// nothing writes v1 any more. 0/1/2 are the pre-codec encodings and
+// imply the SZ codec; 3/4 are followed by a codec byte. 5/6/7 are the
+// f32 encodings, whose non-empty forms always carry the codec byte;
+// every other tag means f64.
 const TAG_EMPTY: u8 = 0;
 const TAG_WHOLE_SZ: u8 = 1;
 const TAG_GROUPS_SZ: u8 = 2;
@@ -150,57 +146,6 @@ const TAG_WHOLE_F32: u8 = 6;
 const TAG_GROUPS_F32: u8 = 7;
 
 impl CompressedLevel {
-    // tac-lint: allow(arith) -- writer-side width reduction: group counts come from the in-memory plan and are bounded by the grid volume.
-    pub(crate) fn write(&self, w: &mut Writer) {
-        w.put_u8(self.strategy.tag());
-        w.put_u64(self.dim as u64);
-        w.put_f64(self.abs_eb);
-        if self.dtype == TacDtype::F32 {
-            match &self.payload {
-                LevelPayload::Empty => w.put_u8(TAG_EMPTY_F32),
-                LevelPayload::Whole(stream) => {
-                    w.put_u8(TAG_WHOLE_F32);
-                    w.put_u8(self.codec.tag());
-                    w.put_blob(stream);
-                }
-                LevelPayload::Groups(groups) => {
-                    w.put_u8(TAG_GROUPS_F32);
-                    w.put_u8(self.codec.tag());
-                    w.put_u32(groups.len() as u32);
-                    for g in groups {
-                        g.write(w);
-                    }
-                }
-            }
-            return;
-        }
-        let legacy = self.codec == CodecId::Sz;
-        match &self.payload {
-            LevelPayload::Empty => w.put_u8(TAG_EMPTY),
-            LevelPayload::Whole(stream) => {
-                if legacy {
-                    w.put_u8(TAG_WHOLE_SZ);
-                } else {
-                    w.put_u8(TAG_WHOLE_TAGGED);
-                    w.put_u8(self.codec.tag());
-                }
-                w.put_blob(stream);
-            }
-            LevelPayload::Groups(groups) => {
-                if legacy {
-                    w.put_u8(TAG_GROUPS_SZ);
-                } else {
-                    w.put_u8(TAG_GROUPS_TAGGED);
-                    w.put_u8(self.codec.tag());
-                }
-                w.put_u32(groups.len() as u32);
-                for g in groups {
-                    g.write(w);
-                }
-            }
-        }
-    }
-
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, TacError> {
         let strategy = Strategy::from_tag(r.get_u8()?)?;
         let dim = r.get_u64()? as usize;
@@ -252,7 +197,12 @@ impl CompressedLevel {
         })
     }
 
-    /// Serialized size in bytes.
+    /// Accounted size in bytes — the level's share of
+    /// [`crate::CompressedDataset::payload_bytes`]. A size formula,
+    /// independent of the wire version: strategy, dim, bound and tag
+    /// (18 bytes), a codec byte unless the level is empty or SZ over
+    /// `f64`, then the stream behind a `u64` length or the group list
+    /// behind a `u32` count.
     // tac-lint: allow(arith) -- size accounting over buffers already held in RAM.
     pub fn total_bytes(&self) -> usize {
         let codec_byte = match &self.payload {
@@ -289,132 +239,17 @@ mod tests {
     }
 
     #[test]
-    fn level_roundtrip_all_payloads_and_codecs() {
-        for codec in CodecId::all() {
-            for payload in [
-                // Empty payloads hold no streams: the engine pins their
-                // codec to the default, and the wire does not tag them.
-                LevelPayload::Whole(vec![9, 9, 9]),
-                LevelPayload::Groups(vec![BlockGroup {
-                    shape: (8, 8, 8),
-                    origins: vec![(8, 0, 0)],
-                    stream: vec![5; 10],
-                }]),
-            ] {
-                let lvl = CompressedLevel {
-                    strategy: Strategy::OpST,
-                    dim: 64,
-                    abs_eb: 1e-3,
-                    codec,
-                    dtype: TacDtype::F64,
-                    payload,
-                };
-                let mut w = Writer::new();
-                lvl.write(&mut w);
-                let bytes = w.into_bytes();
-                assert_eq!(bytes.len(), lvl.total_bytes());
-                let mut r = Reader::new(&bytes);
-                assert_eq!(CompressedLevel::read(&mut r).unwrap(), lvl);
-            }
-        }
-        // Empty payloads roundtrip with the canonical default codec.
-        let empty = CompressedLevel {
-            strategy: Strategy::Empty,
-            dim: 8,
-            abs_eb: 0.0,
-            codec: CodecId::default(),
-            dtype: TacDtype::F64,
-            payload: LevelPayload::Empty,
-        };
-        let mut w = Writer::new();
-        empty.write(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), empty.total_bytes());
-        let mut r = Reader::new(&bytes);
-        assert_eq!(CompressedLevel::read(&mut r).unwrap(), empty);
-    }
-
-    #[test]
-    fn sz_levels_use_the_legacy_untagged_encoding() {
-        // Byte 17 is the payload tag (strategy u8 + dim u64 + eb f64).
-        let lvl = |codec| CompressedLevel {
-            strategy: Strategy::Gsp,
-            dim: 8,
-            abs_eb: 1e-3,
-            codec,
-            dtype: TacDtype::F64,
-            payload: LevelPayload::Whole(vec![1, 2, 3]),
-        };
-        let bytes_of = |l: &CompressedLevel| {
-            let mut w = Writer::new();
-            l.write(&mut w);
-            w.into_bytes()
-        };
-        let sz = bytes_of(&lvl(CodecId::Sz));
-        assert_eq!(sz[17], 1, "SZ payloads keep the pre-codec tag");
-        let pco = bytes_of(&lvl(CodecId::PcoLite));
-        assert_eq!(pco[17], 3, "tagged payloads use the extended tag");
-        assert_eq!(pco[18], CodecId::PcoLite.tag());
-        assert_eq!(pco.len(), sz.len() + 1);
-    }
-
-    #[test]
-    fn f32_levels_use_their_own_tags_and_roundtrip() {
-        for codec in CodecId::all() {
-            for (payload, want_tag) in [
-                (LevelPayload::Empty, TAG_EMPTY_F32),
-                (LevelPayload::Whole(vec![9, 9]), TAG_WHOLE_F32),
-                (
-                    LevelPayload::Groups(vec![BlockGroup {
-                        shape: (4, 4, 4),
-                        origins: vec![(0, 0, 0)],
-                        stream: vec![7; 6],
-                    }]),
-                    TAG_GROUPS_F32,
-                ),
-            ] {
-                let lvl = CompressedLevel {
-                    strategy: Strategy::OpST,
-                    dim: 16,
-                    abs_eb: 1e-2,
-                    // Empty payloads pin the canonical default codec.
-                    codec: if payload == LevelPayload::Empty {
-                        CodecId::default()
-                    } else {
-                        codec
-                    },
-                    dtype: TacDtype::F32,
-                    payload,
-                };
-                let mut w = Writer::new();
-                lvl.write(&mut w);
-                let bytes = w.into_bytes();
-                assert_eq!(bytes.len(), lvl.total_bytes());
-                // Byte 17 is the payload tag (strategy u8 + dim u64 + eb f64).
-                assert_eq!(bytes[17], want_tag);
-                if want_tag != TAG_EMPTY_F32 {
-                    assert_eq!(bytes[18], lvl.codec.tag(), "f32 always tags its codec");
-                }
-                let mut r = Reader::new(&bytes);
-                assert_eq!(CompressedLevel::read(&mut r).unwrap(), lvl);
-            }
-        }
-    }
-
-    #[test]
     fn unknown_codec_byte_is_rejected() {
-        let lvl = CompressedLevel {
-            strategy: Strategy::OpST,
-            dim: 8,
-            abs_eb: 1e-3,
-            codec: CodecId::PcoLite,
-            dtype: TacDtype::F64,
-            payload: LevelPayload::Whole(vec![1, 2, 3]),
-        };
+        // A v1 level: strategy, dim, bound, then a tagged whole-grid
+        // payload whose codec byte names no backend.
         let mut w = Writer::new();
-        lvl.write(&mut w);
-        let mut bytes = w.into_bytes();
-        bytes[18] = 200; // codec byte
+        w.put_u8(Strategy::OpST.tag());
+        w.put_u64(8);
+        w.put_f64(1e-3);
+        w.put_u8(TAG_WHOLE_TAGGED);
+        w.put_u8(200);
+        w.put_blob(&[1, 2, 3]);
+        let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         let err = CompressedLevel::read(&mut r).unwrap_err();
         assert!(matches!(err, TacError::Codec(_)), "{err}");

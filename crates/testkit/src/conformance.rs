@@ -7,10 +7,11 @@
 //!   one adaptive-selection sweep per scenario ([`Method::Auto`], codec
 //!   label `auto`), which must honor every contract on whatever
 //!   concrete method and per-level codecs it selects;
-//! * **codec**: every registered scalar backend (SZ, pco-lite);
-//! * **container format**: the in-memory container, the legacy v1
-//!   monolith, and the chunked v2/v3 layout (`to_bytes` promotes to v3
-//!   automatically when a non-default codec is involved);
+//! * **codec**: every registered scalar backend (SZ, pco-lite,
+//!   pco-ans);
+//! * **container format**: the in-memory container and the v4 wire
+//!   (`to_bytes`, the one serializer; the v1–v3 readers are held by the
+//!   frozen corpus in `tests/golden_compat.rs`, not by this matrix);
 //! * **workers**: 1, 2, 4, and 8 threads for both compression and
 //!   decompression —
 //!
@@ -42,29 +43,21 @@ const BOUND_SLACK: f64 = 1e-9;
 pub enum ContainerFormat {
     /// No serialization: the in-memory container straight to decode.
     Memory,
-    /// The legacy monolithic v1 wire format (`to_bytes_v1`).
-    V1,
-    /// The chunked wire format (`to_bytes`): v2 bytes for all-SZ
-    /// containers, v3 when any stream uses another codec.
-    Chunked,
+    /// The v4 wire format (`to_bytes` then `from_bytes`).
+    Wire,
 }
 
 impl ContainerFormat {
     /// All legs, in sweep order.
-    pub fn all() -> [ContainerFormat; 3] {
-        [
-            ContainerFormat::Memory,
-            ContainerFormat::V1,
-            ContainerFormat::Chunked,
-        ]
+    pub fn all() -> [ContainerFormat; 2] {
+        [ContainerFormat::Memory, ContainerFormat::Wire]
     }
 
     /// Stable label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             ContainerFormat::Memory => "memory",
-            ContainerFormat::V1 => "v1",
-            ContainerFormat::Chunked => "v2/v3",
+            ContainerFormat::Wire => "v4",
         }
     }
 }
@@ -76,13 +69,13 @@ pub struct ConformanceCell {
     pub scenario: String,
     /// Method label (`TAC`, `1D`, `zMesh`, `3D`).
     pub method: String,
-    /// Codec label (`sz`, `pco-lite`).
+    /// Codec label (`sz`, `pco-lite`, `pco-ans`, or `auto`).
     pub codec: String,
-    /// Container format label (`memory`, `v1`, `v2/v3`).
+    /// Container format label (`memory`, `v4`).
     pub format: String,
-    /// Serialized container bytes (chunked leg; 0 for the memory leg).
+    /// Serialized container bytes (wire leg; 0 for the memory leg).
     pub container_bytes: usize,
-    /// Whether both serializations were byte-identical across all
+    /// Whether the serialization was byte-identical across all
     /// [`WORKER_COUNTS`].
     pub workers_identical: bool,
     /// Whether parallel decompression matched serial at every count.
@@ -92,12 +85,12 @@ pub struct ConformanceCell {
     pub max_err_ratio: f64,
     /// Whether every non-finite input reconstructed bit-exactly.
     pub nonfinite_exact: bool,
-    /// ROI-vs-full agreement (chunked leg only; `None` elsewhere).
+    /// ROI-vs-full agreement (wire leg only; `None` elsewhere).
     pub roi_agrees: Option<bool>,
     /// First failure description, if any step errored outright.
     pub error: Option<String>,
-    /// Wall time the cell cost (its format-specific work plus a third of
-    /// the compress/decode phase the three format legs share).
+    /// Wall time the cell cost (its format-specific work plus half of
+    /// the compress/decode phase the two format legs share).
     pub wall_ms: f64,
 }
 
@@ -259,7 +252,7 @@ pub fn run_conformance(seed: u64) -> ConformanceReport {
 /// Runs the matrix over an explicit scenario subset. Every contract is
 /// checked at the scenario's declared element type: `F32` scenarios
 /// sweep the same method x codec x format x worker space through the
-/// monomorphized `f32` kernel stack and the v4 wire.
+/// monomorphized `f32` kernel stack.
 pub fn run_scenarios(specs: &[ScenarioSpec], seed: u64) -> ConformanceReport {
     let mut cells = Vec::new();
     for spec in specs {
@@ -409,12 +402,12 @@ fn run_cell<T: CodecElement>(
         c.error = Some(msg);
         c
     };
-    // The compress/decode phase below is shared by all three format
-    // legs; its cost is split evenly across them so cell times still sum
-    // to the matrix wall time.
+    // The compress/decode phase below is shared by both format legs;
+    // its cost is split evenly across them so cell times still sum to
+    // the matrix wall time.
     let t_shared = std::time::Instant::now();
     let fail_all = |msg: String, t0: std::time::Instant| -> Vec<ConformanceCell> {
-        let per_cell = t0.elapsed().as_secs_f64() * 1e3 / 3.0;
+        let per_cell = t0.elapsed().as_secs_f64() * 1e3 / 2.0;
         ContainerFormat::all()
             .into_iter()
             .map(|f| {
@@ -433,20 +426,17 @@ fn run_cell<T: CodecElement>(
         }
     };
 
-    // Compress at every worker count; the two serializations must be
+    // Compress at every worker count; the serialization must be
     // byte-identical across all of them.
     let reference = match compress_dataset_t(ds, &cfg_for(WORKER_COUNTS[0]), method) {
         Ok(cd) => cd,
         Err(e) => return fail_all(format!("compress failed: {e}"), t_shared),
     };
-    let ref_chunked = reference.to_bytes();
-    let ref_v1 = reference.to_bytes_v1();
+    let ref_bytes = reference.to_bytes();
     let mut workers_identical = true;
     for &w in &WORKER_COUNTS[1..] {
         match compress_dataset_t(ds, &cfg_for(w), method) {
-            Ok(cd) => {
-                workers_identical &= cd.to_bytes() == ref_chunked && cd.to_bytes_v1() == ref_v1;
-            }
+            Ok(cd) => workers_identical &= cd.to_bytes() == ref_bytes,
             Err(e) => return fail_all(format!("compress at {w} workers failed: {e}"), t_shared),
         }
     }
@@ -471,8 +461,8 @@ fn run_cell<T: CodecElement>(
     }
 
     let bounds = resolved_level_bounds(&reference);
-    let shared_ms = t_shared.elapsed().as_secs_f64() * 1e3 / 3.0;
-    let mut cells = Vec::with_capacity(3);
+    let shared_ms = t_shared.elapsed().as_secs_f64() * 1e3 / 2.0;
+    let mut cells = Vec::with_capacity(2);
     for format in ContainerFormat::all() {
         let t_format = std::time::Instant::now();
         let mut c = cell(format);
@@ -481,17 +471,12 @@ fn run_cell<T: CodecElement>(
         c.error = par_error.clone();
         let decoded = match format {
             ContainerFormat::Memory => Ok(full.clone()),
-            ContainerFormat::V1 => CompressedDataset::from_bytes(&ref_v1)
-                .and_then(|cd| decompress_dataset_par_t::<T>(&cd, Parallelism::Serial))
-                .map_err(|e| format!("v1 roundtrip failed: {e}")),
-            ContainerFormat::Chunked => CompressedDataset::from_bytes(&ref_chunked)
-                .and_then(|cd| decompress_dataset_par_t::<T>(&cd, Parallelism::Serial))
-                .map_err(|e| format!("chunked roundtrip failed: {e}")),
-        };
-        c.container_bytes = match format {
-            ContainerFormat::Memory => 0,
-            ContainerFormat::V1 => ref_v1.len(),
-            ContainerFormat::Chunked => ref_chunked.len(),
+            ContainerFormat::Wire => {
+                c.container_bytes = ref_bytes.len();
+                CompressedDataset::from_bytes(&ref_bytes)
+                    .and_then(|cd| decompress_dataset_par_t::<T>(&cd, Parallelism::Serial))
+                    .map_err(|e| format!("wire roundtrip failed: {e}"))
+            }
         };
         match decoded {
             Err(e) => c.error = Some(e),
@@ -503,8 +488,8 @@ fn run_cell<T: CodecElement>(
                 }
             },
         }
-        if format == ContainerFormat::Chunked && c.error.is_none() {
-            c.roi_agrees = Some(roi_agrees(&ref_chunked, &full, spec.finest_dim));
+        if format == ContainerFormat::Wire && c.error.is_none() {
+            c.roi_agrees = Some(roi_agrees(&ref_bytes, &full, spec.finest_dim));
         }
         c.wall_ms = shared_ms + t_format.elapsed().as_secs_f64() * 1e3;
         cells.push(c);
@@ -558,15 +543,15 @@ mod tests {
     fn single_scenario_matrix_passes_and_reports() {
         let spec = scenario("tiny-extremes").unwrap();
         let report = run_scenarios(&[spec], 3);
-        // 4 fixed methods x 3 codecs x 3 formats, plus the Auto sweep's
-        // 3 format legs.
-        assert_eq!(report.cells.len(), 39);
+        // 4 fixed methods x 3 codecs x 2 formats, plus the Auto sweep's
+        // 2 format legs.
+        assert_eq!(report.cells.len(), 26);
         assert!(report.all_pass(), "{}", report.summary());
         let json = report.to_json();
         assert!(json.contains("\"failed\": 0"), "{json}");
         assert!(json.contains("tiny-extremes"));
         assert!(json.contains("\"codec\": \"auto\""), "{json}");
-        assert!(report.summary().contains("39/39"));
+        assert!(report.summary().contains("26/26"));
     }
 
     #[test]
@@ -587,9 +572,9 @@ mod tests {
         assert_eq!(spec.dtype, TacDtype::F32);
         let report = run_scenarios(&[spec], 5);
         // Same sweep breadth as an f64 scenario: 4 fixed methods x 3
-        // codecs x 3 formats plus the Auto sweep, every leg through the
+        // codecs x 2 formats plus the Auto sweep, every leg through the
         // monomorphized f32 stack.
-        assert_eq!(report.cells.len(), 39);
+        assert_eq!(report.cells.len(), 26);
         assert!(report.all_pass(), "{}", report.summary());
     }
 
@@ -646,7 +631,7 @@ mod tests {
                 scenario: "synthetic".into(),
                 method: "TAC".into(),
                 codec: "sz".into(),
-                format: "v1".into(),
+                format: "v4".into(),
                 container_bytes: 0,
                 workers_identical: false,
                 decode_par_identical: false,

@@ -1,8 +1,9 @@
 //! Structure-aware mutational fuzzing of the container wire formats.
 //!
 //! The corpus is a set of **valid** containers (several scenarios x
-//! methods x codecs x wire versions), so mutations start from deep
-//! inside the accepting grammar instead of dying at the magic check.
+//! methods x codecs, freshly written as v4, plus the frozen v1–v3 files
+//! of `tests/data/`), so mutations start from deep inside the accepting
+//! grammar of every reader instead of dying at the magic check.
 //! Each iteration picks a corpus item, applies a seeded stack of
 //! mutations (bit flips, field overwrites with boundary integers,
 //! truncations, splices between corpus items, targeted header/footer
@@ -104,9 +105,48 @@ impl FuzzOutcome {
     }
 }
 
+/// Every frozen v1–v3 container under `tests/data/`. Nothing can write
+/// these versions any more, so the committed files are how mutation
+/// still reaches each legacy reader branch (all eight v1 level tags, 1D
+/// level tags 0–3, v1 segment framing and codec sniffing, the untagged
+/// v2 and codec-tagged v3 metadata and rows).
+const LEGACY: [&[u8]; 30] = [
+    include_bytes!("../../../tests/data/golden_tac_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_tac_v2.tacd"),
+    include_bytes!("../../../tests/data/golden_b1d_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_b1d_v2.tacd"),
+    include_bytes!("../../../tests/data/golden_mix_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_mix_v3.tacd"),
+    include_bytes!("../../../tests/data/golden_ans_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_auto_v1.tacd"),
+    include_bytes!("../../../tests/data/golden_f32_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_sz_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_sz_v2.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_ans_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_ans_v3.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_sz_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_sz_v2.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_ans_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_ans_v3.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_sz_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_sz_v2.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_ans_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_ans_v3.tacd"),
+    include_bytes!("../../../tests/data/legacy_b3d_sz_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_b3d_sz_v2.tacd"),
+    include_bytes!("../../../tests/data/legacy_b3d_ans_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_b3d_ans_v3.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_f32_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_seg_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_seg_v2.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_seg_v1.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_seg_v2.tacd"),
+];
+
 /// Builds the corpus of valid containers the mutations start from:
-/// three small scenarios, all four methods, every registered codec
-/// where it adds a wire difference, and both container versions.
+/// three small scenarios under all four methods and every registered
+/// codec where it adds a wire difference, as today's writer serializes
+/// them (v4), then the [`LEGACY`] files for v1–v3.
 pub fn corpus() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for name in ["tiny-extremes", "degenerate-corner", "spike-field"] {
@@ -118,8 +158,7 @@ pub fn corpus() -> Vec<Vec<u8>> {
                 ..spec.config()
             };
             let cd = compress_dataset_t(&ds, &cfg, Method::Tac).expect("corpus compress");
-            out.push(cd.to_bytes()); // v2 for SZ, v3 for pco-lite
-            out.push(cd.to_bytes_v1());
+            out.push(cd.to_bytes());
         }
         let cfg = spec.config();
         for method in [Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
@@ -131,10 +170,8 @@ pub fn corpus() -> Vec<Vec<u8>> {
         // arise through this path, so mutations should start from one.
         let cd = compress_dataset_t(&ds, &cfg, Method::Auto).expect("corpus compress");
         out.push(cd.to_bytes());
-        out.push(cd.to_bytes_v1());
     }
-    // f32 containers: the v4 wire (header dtype tag + per-row tags) and
-    // its monolithic v1 sibling join the corpus, so mutations reach the
+    // f32 containers join the corpus, so mutations reach the
     // dtype-validation paths too.
     for name in ["tiny-extremes-f32", "checkerboard-f32"] {
         let spec = scenario(name).expect("registered scenario");
@@ -145,14 +182,14 @@ pub fn corpus() -> Vec<Vec<u8>> {
                 ..spec.config()
             };
             let cd = tac_core::compress_dataset_t(&ds, &cfg, Method::Tac).expect("corpus compress");
-            out.push(cd.to_bytes()); // v4
-            out.push(cd.to_bytes_v1());
+            out.push(cd.to_bytes());
         }
-        // An adaptively-selected f32 container joins the v4 corpus too.
+        // An adaptively-selected f32 container joins the corpus too.
         let cd = tac_core::compress_dataset_t(&ds, &spec.config(), Method::Auto)
             .expect("corpus compress");
         out.push(cd.to_bytes());
     }
+    out.extend(LEGACY.iter().map(|bytes| bytes.to_vec()));
     out
 }
 
@@ -203,7 +240,6 @@ fn check_coherence<T: Element>(
     // Accepted containers must re-serialize without panicking (the
     // writer trusts parsed state).
     let _ = cd.to_bytes();
-    let _ = cd.to_bytes_v1();
     Ok(None)
 }
 

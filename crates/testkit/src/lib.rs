@@ -16,13 +16,14 @@
 //!   through [`dataset_from_assignment`].
 //! * **Conformance matrix** ([`run_conformance`],
 //!   [`ConformanceReport`]) — sweeps every scenario through
-//!   {TAC, 1D, zMesh, 3D} x {sz, pco-lite} x {memory, v1, v2/v3} x
+//!   {TAC, 1D, zMesh, 3D} x {sz, pco-lite, pco-ans} x {memory, v4} x
 //!   {1, 2, 4, 8} workers, asserting the resolved error bound
 //!   pointwise, byte-identity across worker counts, bit-exact
 //!   non-finite round-trips, and ROI⊆full-decode agreement; emits the
 //!   machine-readable `CONFORMANCE.json` CI artifact.
 //! * **Container fuzzer** ([`fuzz_containers`], [`probe_container`]) —
-//!   structure-aware mutation of valid v1/v2/v3 containers (bit flips,
+//!   structure-aware mutation of valid containers — freshly written v4
+//!   ones and the frozen v1–v3 files of `tests/data/` — (bit flips,
 //!   boundary-integer field overwrites, truncation, splicing) asserting
 //!   decode never panics, never over-allocates, and never accepts an
 //!   incoherent container. Findings get pinned as named tests in

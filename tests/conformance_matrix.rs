@@ -1,6 +1,6 @@
 //! The full error-bound conformance matrix as a test: every registered
 //! scenario x {TAC, 1D, zMesh, 3D} x {sz, pco-lite, pco-ans} x {memory,
-//! v1, v2/v3} x {1, 2, 4, 8} workers — plus one adaptive-selection
+//! v4} x {1, 2, 4, 8} workers — plus one adaptive-selection
 //! (`Method::Auto`, codec label `auto`) sweep per scenario across the
 //! same formats and worker counts.
 //!
@@ -15,10 +15,11 @@ use tac_testkit::{run_conformance, scenarios, WORKER_COUNTS};
 #[test]
 fn full_matrix_passes_for_every_scenario() {
     let report = run_conformance(7);
-    // scenarios x (4 fixed methods x 3 codecs + 1 Auto sweep) x 3
-    // formats.
-    let expected = scenarios().len() * (4 * 3 + 1) * 3;
+    // scenarios x (4 fixed methods x 3 codecs + 1 Auto sweep) x 2
+    // formats: 169 x 2 cells today.
+    let expected = scenarios().len() * (4 * 3 + 1) * 2;
     assert_eq!(report.cells.len(), expected);
+    assert_eq!(expected, 169 * 2);
     assert!(report.all_pass(), "{}", report.summary());
 
     // The sweep really covered the advertised axes.
@@ -29,13 +30,13 @@ fn full_matrix_passes_for_every_scenario() {
     for codec in ["sz", "pco-lite", "pco-ans", "auto"] {
         assert!(report.cells.iter().any(|c| c.codec == codec), "{codec}");
     }
-    // Every Auto cell is an `auto`-codec cell and vice versa, 3 format
+    // Every Auto cell is an `auto`-codec cell and vice versa, 2 format
     // legs per scenario.
     let auto_cells = report.cells.iter().filter(|c| c.method == "Auto");
-    assert_eq!(auto_cells.clone().count(), scenarios().len() * 3);
+    assert_eq!(auto_cells.clone().count(), scenarios().len() * 2);
     assert!(auto_cells.clone().all(|c| c.codec == "auto"));
-    // Every chunked cell ran the ROI-agreement leg.
-    for c in report.cells.iter().filter(|c| c.format == "v2/v3") {
+    // Every wire cell ran the ROI-agreement leg.
+    for c in report.cells.iter().filter(|c| c.format == "v4") {
         assert_eq!(
             c.roi_agrees,
             Some(true),

@@ -300,7 +300,10 @@ fn level_count_beyond_the_finest_grid_is_rejected() {
         masks: [8, 1, 0, 0].map(BitMask::zeros).to_vec(),
         body: MethodBody::Baseline1D(vec![None; 4]),
     };
-    for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
+    // Its v1 form as the last v1 writer serialized it, and today's v4.
+    let v1 = include_bytes!("data/hostile_v1_level_count.bin").to_vec();
+    assert_eq!(v1[4], 1);
+    for bytes in [cd.to_bytes(), v1] {
         let err = CompressedDataset::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("4 levels"), "{err}");
     }
@@ -343,8 +346,11 @@ fn group_extents_beyond_the_level_are_rejected_at_every_worker_count() {
     };
     // The v1 grammar is intact — the shape is only wrong for the level
     // it claims to belong to — so the decode itself must refuse it, in
-    // memory and re-parsed alike.
-    let parsed = CompressedDataset::from_bytes(&cd.to_bytes_v1()).unwrap();
+    // memory and re-parsed alike (from the bytes the last v1 writer
+    // serialized this container to).
+    let parsed =
+        CompressedDataset::from_bytes(include_bytes!("data/hostile_v1_group_extents.bin")).unwrap();
+    assert_eq!(parsed, cd);
     for hostile in [&cd, &parsed] {
         for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
             assert!(
@@ -426,14 +432,13 @@ fn in_memory_masks_that_disagree_with_the_grid_are_rejected_by_every_method() {
 /// having read 0 of 3 chunks — `+0.0` where the full decode holds
 /// values. Every row's box is now checked against what the writer
 /// derives (the mask's tight box, the group header's own box), so both
-/// decoders refuse it; f64 on the v2 and v3 rows, f32 on v4.
+/// decoders refuse it, at either element type and under every codec.
 #[test]
 fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
     use tac_amr::{Aabb, AmrDataset, AmrLevel};
     use tac_core::{
         compress_dataset_t, decompress_region_t, CodecElement, CodecId, CompressedDataset, Method,
-        TacConfig, TacError, CHUNK_COUNT_PREFIX_BYTES, CHUNK_ROW_BYTES_V2, CHUNK_ROW_BYTES_V3,
-        CHUNK_ROW_BYTES_V4, TABLE_FOOTER_BYTES,
+        TacConfig, CHUNK_COUNT_PREFIX_BYTES, CHUNK_ROW_BYTES_V4, TABLE_FOOTER_BYTES,
     };
     // Fine cells in two far-apart corner blobs, the rest coarse.
     let mut fine = AmrLevel::empty(16);
@@ -452,7 +457,7 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
     let ds = AmrDataset::new("corners", vec![fine, coarse]);
     ds.validate().unwrap();
 
-    fn check<T: CodecElement>(ds: &AmrDataset<T>, codec: CodecId, version: u8, row: usize) {
+    fn check<T: CodecElement>(ds: &AmrDataset<T>, codec: CodecId) {
         let cfg = TacConfig {
             unit: 4,
             codec,
@@ -462,12 +467,14 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
         let bytes = compress_dataset_t(ds, &cfg, Method::Tac)
             .unwrap()
             .to_bytes();
-        assert_eq!(bytes[4], version);
         let roi = Aabb::new((0, 0, 0), (4, 4, 4));
         let (honest, stats) = decompress_region_t::<T>(&bytes, roi).unwrap();
         assert!(stats.chunks_read > 0 && honest.finest().value(1, 1, 1) != T::ZERO);
 
-        // Every row's box (its last six u32s) becomes [7,8)^3.
+        // Every row's box (its last six u32s) becomes [7,8)^3. Rows are
+        // v4 rows: the version byte says so.
+        assert_eq!(bytes[4], 4);
+        let row = CHUNK_ROW_BYTES_V4;
         let mut tampered = bytes.clone();
         let footer_at = bytes.len() - TABLE_FOOTER_BYTES;
         let table_pos = u64::from_le_bytes(bytes[footer_at..].try_into().unwrap()) as usize;
@@ -480,15 +487,18 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
         }
         let err = CompressedDataset::from_bytes(&tampered).unwrap_err();
         assert!(
-            matches!(err, TacError::Corrupt(_)),
-            "v{version} parse: {err}"
+            err.to_string().contains("but its data spans"),
+            "{codec} parse: {err}"
         );
         let err = decompress_region_t::<T>(&tampered, roi).unwrap_err();
-        assert!(matches!(err, TacError::Corrupt(_)), "v{version} ROI: {err}");
+        assert!(
+            err.to_string().contains("but its data spans"),
+            "{codec} ROI: {err}"
+        );
     }
-    check(&ds, CodecId::Sz, 2, CHUNK_ROW_BYTES_V2);
-    check(&ds, CodecId::PcoLite, 3, CHUNK_ROW_BYTES_V3);
-    check(&ds.cast::<f32>(), CodecId::PcoAns, 4, CHUNK_ROW_BYTES_V4);
+    check(&ds, CodecId::Sz);
+    check(&ds, CodecId::PcoLite);
+    check(&ds.cast::<f32>(), CodecId::PcoAns);
 }
 
 /// The CI smoke: the bounded seeded campaign must observe zero panics

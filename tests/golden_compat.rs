@@ -1,25 +1,27 @@
 //! Golden-container backward compatibility.
 //!
-//! The byte fixtures under `tests/data/` were produced by the code base
-//! *before* the pluggable-codec refactor (PR 3): v1 (monolithic) and v2
-//! (chunked) containers for the TAC method and the 1D baseline, plus the
-//! bit-exact reconstruction each one decoded to at the time. Every later
+//! The byte fixtures under `tests/data/` are frozen: each was produced
+//! by the code base of the PR that introduced its wire feature (v1 and
+//! v2 before the pluggable-codec refactor, `golden_mix_v3` right after
+//! the codec-tagged format landed, and so on), together with the
+//! bit-exact reconstruction it decoded to at the time. Every later
 //! revision must keep parsing those bytes and reproducing exactly those
-//! values — the fixtures pin the wire format, the SZ codec, and the
-//! legacy default-codec paths all at once.
+//! values — the fixtures pin the wire formats, the codecs, and the
+//! legacy reader paths all at once.
 //!
-//! The `golden_mix_v3` fixture pins the v3 (codec-tagged) format the
-//! same way: a TAC container whose fine level is pco-lite-compressed
-//! while the rest stays on SZ, serialized right after the format landed.
+//! Only v4 can still be written. The v1–v3 files (`golden_*` and
+//! `legacy_*`, see [`CORPUS`]) are what holds the v1–v3 readers, and
+//! nothing can regenerate them; the `_v4` files pin the one writer
+//! (`cd.to_bytes() == bytes`).
 //!
-//! Regenerating (only when intentionally breaking compatibility):
+//! Regenerating the v4 files (only when intentionally re-baselining):
 //! `cargo test -p tac-bench --test golden_compat -- --ignored --nocapture`
 
 use std::path::PathBuf;
-use tac_amr::{AmrDataset, AmrLevel};
+use tac_amr::{Aabb, AmrDataset, AmrLevel};
 use tac_core::{
-    compress_dataset_t, decompress_dataset_par_t, CodecId, CompressedDataset, Method, MethodBody,
-    Parallelism, TacConfig, TacDtype,
+    compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecElement, CodecId,
+    CompressedDataset, Method, MethodBody, Parallelism, TacConfig, TacDtype,
 };
 use tac_sz::ErrorBound;
 
@@ -90,22 +92,9 @@ fn fixture_config() -> TacConfig {
     }
 }
 
-/// Serializes per-level reconstructions: u32 level count, then per level
-/// a u64 dim followed by dim^3 f64 bit patterns, all little-endian.
-fn encode_expected(ds: &AmrDataset) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend((ds.num_levels() as u32).to_le_bytes());
-    for level in ds.levels() {
-        out.extend((level.dim() as u64).to_le_bytes());
-        for &v in level.data() {
-            out.extend(v.to_bits().to_le_bytes());
-        }
-    }
-    out
-}
-
-/// f32 flavour of [`encode_expected`]: u32 level count, then per level a
-/// u64 dim followed by dim^3 f32 bit patterns, all little-endian.
+/// Serializes per-level f32 reconstructions: u32 level count, then per
+/// level a u64 dim followed by dim^3 f32 bit patterns, all little-endian
+/// (the f64 `_expected.bin` files are the same with u64 patterns).
 fn encode_expected_f32(ds: &AmrDataset<f32>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend((ds.num_levels() as u32).to_le_bytes());
@@ -156,56 +145,11 @@ fn decode_expected(bytes: &[u8]) -> Vec<(usize, Vec<f64>)> {
         .collect()
 }
 
-/// The mixed-codec fixture container: the TAC compression of the fixture
-/// dataset with the fine level's streams produced by pco-lite and the
-/// coarser levels by SZ. `to_bytes()` must promote such a container to
-/// v3 — the per-level/per-chunk codec-tagged format this fixture pins.
-fn fixture_mixed_dataset() -> CompressedDataset {
-    let ds = fixture_dataset();
-    let sz = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
-    let pco = compress_dataset_t(
-        &ds,
-        &TacConfig {
-            codec: CodecId::PcoLite,
-            ..fixture_config()
-        },
-        Method::Tac,
-    )
-    .unwrap();
-    let mut mixed = sz;
-    let (MethodBody::Tac(levels), MethodBody::Tac(pco_levels)) = (&mut mixed.body, pco.body) else {
-        unreachable!("TAC compression produced a non-TAC body");
-    };
-    levels[0] = pco_levels.into_iter().next().unwrap();
-    mixed
-}
-
-/// The PcoAns mixed-codec fixture container: the fine level's streams
-/// produced by pco-ans (the tabled-ANS backend) and the coarser levels
-/// by SZ. Pins the `TPA1` stream wire — bin tables, lane seed states,
-/// renorm words, offset stream — inside both container generations.
-fn fixture_ans_dataset() -> CompressedDataset {
-    let ds = fixture_dataset();
-    let sz = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
-    let ans = compress_dataset_t(
-        &ds,
-        &TacConfig {
-            codec: CodecId::PcoAns,
-            ..fixture_config()
-        },
-        Method::Tac,
-    )
-    .unwrap();
-    let mut mixed = sz;
-    let (MethodBody::Tac(levels), MethodBody::Tac(ans_levels)) = (&mut mixed.body, ans.body) else {
-        unreachable!("TAC compression produced a non-TAC body");
-    };
-    levels[0] = ans_levels.into_iter().next().unwrap();
-    mixed
-}
-
-/// The f32 flavour of [`fixture_ans_dataset`], whose chunked encoding
-/// promotes to the dtype-tagged v4 container.
+/// The f32 pco-ans mixed-codec fixture container: the TAC compression
+/// of the f32 fixture dataset with the fine level's streams produced by
+/// pco-ans (the tabled-ANS backend) and the coarser levels by SZ. Pins
+/// the `TPA1` stream wire — bin tables, lane seed states, renorm words,
+/// offset stream — inside the dtype-tagged v4 container.
 fn fixture_ans_dataset_f32() -> CompressedDataset {
     let ds = fixture_dataset_f32();
     let sz = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
@@ -281,6 +225,18 @@ fn golden_baseline1d_v1_decodes_bit_exactly() {
 #[test]
 fn golden_baseline1d_v2_decodes_bit_exactly() {
     check_golden(Method::Baseline1D, "v2");
+}
+
+/// The f64 goldens as today's writer serializes them: the same
+/// reconstruction, and `to_bytes()` pinned byte for byte.
+#[test]
+fn golden_f64_v4_fixtures_decode_bit_exactly_and_pin_the_writer() {
+    for method in [Method::Tac, Method::Baseline1D] {
+        check_golden(method, "v4");
+        let bytes = corpus_file(method_stem(method), 4);
+        let cd = CompressedDataset::from_bytes(&bytes).unwrap();
+        assert_eq!(cd.to_bytes(), bytes, "{method:?}");
+    }
 }
 
 #[test]
@@ -364,9 +320,6 @@ fn golden_mix_v3_fixture_is_mixed_codec() {
     let codecs: Vec<CodecId> = levels.iter().map(|l| l.codec).collect();
     assert!(codecs.contains(&CodecId::PcoLite), "{codecs:?}");
     assert!(codecs.contains(&CodecId::Sz), "{codecs:?}");
-    // Re-serializing the parsed container reproduces the fixture bytes:
-    // the writer, not just the reader, is pinned.
-    assert_eq!(cd.to_bytes(), bytes);
 }
 
 #[test]
@@ -377,7 +330,7 @@ fn golden_ans_v1_decodes_bit_exactly() {
 }
 
 /// The v1 ANS fixture really is mixed-codec: both pco-ans and SZ appear
-/// across the parsed levels, and the writer reproduces the bytes.
+/// across the parsed levels.
 #[test]
 fn golden_ans_v1_fixture_is_mixed_codec() {
     let bytes = std::fs::read(data_dir().join("golden_ans_v1.tacd")).unwrap();
@@ -390,7 +343,6 @@ fn golden_ans_v1_fixture_is_mixed_codec() {
     let codecs: Vec<CodecId> = levels.iter().map(|l| l.codec).collect();
     assert!(codecs.contains(&CodecId::PcoAns), "{codecs:?}");
     assert!(codecs.contains(&CodecId::Sz), "{codecs:?}");
-    assert_eq!(cd.to_bytes_v1(), bytes);
 }
 
 /// The v4 ANS fixture: a dtype-tagged (f32) chunked container whose
@@ -441,7 +393,7 @@ fn golden_ans_v4_decodes_bit_exactly() {
 /// `Method::Auto` picked when the fixture was baselined, pinned as
 /// ordinary container bytes. Decoding needs no knowledge of the
 /// selection — and re-running today's selection must reproduce the
-/// pinned bytes, so the determinism contract is itself under pin.
+/// pinned container, so the determinism contract is itself under pin.
 #[test]
 fn golden_auto_v1_decodes_bit_exactly() {
     let dir = data_dir();
@@ -452,7 +404,6 @@ fn golden_auto_v1_decodes_bit_exactly() {
     let cd = CompressedDataset::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("golden_auto_v1 no longer parses: {e}"));
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
-    assert_eq!(cd.to_bytes_v1(), bytes);
     let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
     assert_eq!(out.num_levels(), expected.len());
     for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
@@ -468,14 +419,13 @@ fn golden_auto_v1_decodes_bit_exactly() {
     // The selection itself is deterministic across revisions.
     let again = compress_dataset_t(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
-        again.to_bytes_v1(),
-        bytes,
+        again, cd,
         "today's selection no longer reproduces the pinned container"
     );
 }
 
-/// The f32 flavour: the adaptively-selected container promotes to the
-/// dtype-tagged v4 wire like any fixed-method f32 container.
+/// The f32 flavour of the adaptively-selected container, on the v4 wire
+/// like everything written today.
 #[test]
 fn golden_auto_v4_decodes_bit_exactly() {
     let dir = data_dir();
@@ -516,131 +466,291 @@ fn golden_auto_v4_decodes_bit_exactly() {
     );
 }
 
-/// Writes the fixtures from whatever code base is currently checked out.
-/// Deliberately `#[ignore]`d: running it against a revision with a
-/// different wire format would erase the evidence the tests above exist
-/// to preserve.
-#[test]
-#[ignore = "regenerates the golden fixtures; run only to intentionally re-baseline"]
-fn regenerate_golden_fixtures() {
-    let ds = fixture_dataset();
-    let cfg = fixture_config();
-    let dir = data_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    for method in [Method::Tac, Method::Baseline1D] {
-        let stem = method_stem(method);
-        let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
-        std::fs::write(dir.join(format!("{stem}_v1.tacd")), cd.to_bytes_v1()).unwrap();
-        std::fs::write(dir.join(format!("{stem}_v2.tacd")), cd.to_bytes()).unwrap();
-        let recon = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
-        std::fs::write(
-            dir.join(format!("{stem}_expected.bin")),
-            encode_expected(&recon),
-        )
-        .unwrap();
-        println!("wrote {stem} fixtures to {}", dir.display());
+/// A dataset's values as bit patterns, one `Vec` per level.
+fn dataset_bits<T: CodecElement>(ds: &AmrDataset<T>) -> Vec<Vec<u64>> {
+    let level_bits = |l: &AmrLevel<T>| l.data().iter().map(|v| v.to_bits_u64()).collect();
+    ds.levels().iter().map(level_bits).collect()
+}
+
+/// Full decode at the container's element type, as [`dataset_bits`].
+fn decode_bits(cd: &CompressedDataset, parallelism: Parallelism) -> Vec<Vec<u64>> {
+    match cd.dtype {
+        TacDtype::F32 => dataset_bits(&decompress_dataset_par_t::<f32>(cd, parallelism).unwrap()),
+        TacDtype::F64 => dataset_bits(&decompress_dataset_par_t::<f64>(cd, parallelism).unwrap()),
     }
 }
 
-/// Writes only the mixed-codec v3 fixtures. Separate from
-/// [`regenerate_golden_fixtures`] so re-baselining the v3 format never
-/// silently rewrites the pre-refactor v1/v2 bytes (and vice versa).
-#[test]
-#[ignore = "regenerates the v3 golden fixtures; run only to intentionally re-baseline"]
-fn regenerate_golden_v3_fixtures() {
-    let mixed = fixture_mixed_dataset();
-    let bytes = mixed.to_bytes();
-    assert_eq!(bytes[4], 3, "mixed container did not promote to v3");
-    let dir = data_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("golden_mix_v3.tacd"), &bytes).unwrap();
-    std::fs::write(dir.join("golden_mix_v1.tacd"), mixed.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset_par_t::<f64>(&mixed, Parallelism::Serial).unwrap();
-    std::fs::write(dir.join("golden_mix_expected.bin"), encode_expected(&recon)).unwrap();
-    println!("wrote golden_mix fixtures to {}", dir.display());
+/// Region decode of `bytes` at `dtype`, as [`dataset_bits`].
+fn region_bits(dtype: TacDtype, bytes: &[u8], roi: Aabb) -> Vec<Vec<u64>> {
+    match dtype {
+        TacDtype::F32 => dataset_bits(&decompress_region_t::<f32>(bytes, roi).unwrap().0),
+        TacDtype::F64 => dataset_bits(&decompress_region_t::<f64>(bytes, roi).unwrap().0),
+    }
 }
 
-/// Writes only the PcoAns mixed-codec fixtures (`golden_ans_v1` — f64,
-/// monolithic — and `golden_ans_v4` — f32, dtype-tagged chunked), each
-/// with its bit-exact expected reconstruction. Separate from the other
-/// regenerators so re-baselining the ANS wire never silently rewrites
-/// the pre-ANS fixtures (and vice versa).
+/// The frozen corpus: per row, the files `<stem>_v<N>.tacd` that hold
+/// **one** container, and its accounting as the last revision with a
+/// v1–v3 writer computed it (`payload_bytes()`, `structure_bytes()`,
+/// `total_bytes()` per TAC level).
+///
+/// `golden_*` v1–v3 files date from the PRs that introduced each wire
+/// feature. `legacy_*` v1–v3 files were written by the last v1 writer
+/// and the last version-picking `to_bytes()` before both were deleted,
+/// one per reader branch the goldens do not reach: testkit's
+/// `deep-column` at seed 1 (its coarsest level is empty) under every
+/// method with SZ (v1 + v2) and pco-ans (v1 + v3), its f32 cast under
+/// TAC (v1), and a multi-segment zMesh and 1D body (`_seg`: v1's
+/// trailing-cuts framing and 1D level tag 3, and v2). **Never
+/// regenerate a v1–v3 file**: no code can write one any more, and they
+/// are the only thing holding those readers. Every `_v4` file is its
+/// row's container as today's writer serializes it.
+type CorpusRow = (&'static str, &'static [u8], usize, usize, &'static [usize]);
+const CORPUS: &[CorpusRow] = &[
+    ("golden_tac", &[1, 2, 4], 2525, 104, &[2110, 397, 18]),
+    ("golden_b1d", &[1, 2, 4], 754, 104, &[]),
+    ("golden_mix", &[1, 3], 2218, 104, &[1803, 397, 18]),
+    ("golden_ans", &[1], 2639, 104, &[2224, 397, 18]),
+    ("golden_ans", &[4], 2640, 104, &[2224, 398, 18]),
+    ("golden_auto", &[1], 398, 104, &[]),
+    ("golden_auto", &[4], 398, 104, &[]),
+    ("golden_f32", &[1, 4], 2527, 104, &[2111, 398, 18]),
+    (
+        "legacy_tac_sz",
+        &[1, 2, 4],
+        1206,
+        101,
+        &[556, 285, 217, 130, 18],
+    ),
+    (
+        "legacy_tac_ans",
+        &[1, 3, 4],
+        995,
+        101,
+        &[459, 226, 179, 113, 18],
+    ),
+    ("legacy_b1d_sz", &[1, 2, 4], 445, 101, &[]),
+    ("legacy_b1d_ans", &[1, 3, 4], 448, 101, &[]),
+    ("legacy_zmesh_sz", &[1, 2, 4], 251, 101, &[]),
+    ("legacy_zmesh_ans", &[1, 3, 4], 201, 101, &[]),
+    ("legacy_b3d_sz", &[1, 2, 4], 486, 101, &[]),
+    ("legacy_b3d_ans", &[1, 3, 4], 1235, 101, &[]),
+    (
+        "legacy_tac_f32",
+        &[1, 4],
+        1210,
+        101,
+        &[557, 286, 218, 131, 18],
+    ),
+    ("legacy_zmesh_seg", &[1, 2, 4], 591, 42, &[]),
+    ("legacy_b1d_seg", &[1, 2, 4], 745, 42, &[]),
+];
+
+fn corpus_file(stem: &str, version: u8) -> Vec<u8> {
+    let name = format!("{stem}_v{version}.tacd");
+    let bytes = std::fs::read(data_dir().join(&name))
+        .unwrap_or_else(|e| panic!("missing fixture {name}: {e}"));
+    assert_eq!(bytes[4], version, "{name} is not a v{version} container");
+    bytes
+}
+
+/// Every frozen container keeps parsing; all versions of a row parse to
+/// the same `CompressedDataset`, account to the recorded byte counts and
+/// decode bit-identically at 1 and 2 workers; and re-serializing any of
+/// them **upgrades** it: version byte 4, equal to the committed `_v4`
+/// sibling, re-parsing to the same container — after which a region
+/// read, which v1 itself cannot serve, agrees with the full decode.
 #[test]
-#[ignore = "regenerates the pco-ans golden fixtures; run only to intentionally re-baseline"]
+fn frozen_corpus_parses_decodes_and_upgrades_identically() {
+    let mut files = 0;
+    for &(stem, versions, payload_bytes, structure_bytes, level_bytes) in CORPUS {
+        let first = corpus_file(stem, versions[0]);
+        let cd = CompressedDataset::from_bytes(&first)
+            .unwrap_or_else(|e| panic!("{stem}_v{} no longer parses: {e}", versions[0]));
+        assert_eq!(cd.payload_bytes(), payload_bytes, "{stem}");
+        assert_eq!(cd.structure_bytes(), structure_bytes, "{stem}");
+        let levels = match &cd.body {
+            MethodBody::Tac(levels) => levels.iter().map(|l| l.total_bytes()).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(levels, level_bytes, "{stem}");
+
+        let decoded = decode_bits(&cd, Parallelism::Serial);
+        let upgraded = cd.to_bytes();
+        assert_eq!(upgraded[4], 4, "{stem}");
+        for &version in versions {
+            let what = format!("{stem}_v{version}");
+            let bytes = corpus_file(stem, version);
+            let parsed = CompressedDataset::from_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("{what} no longer parses: {e}"));
+            assert_eq!(parsed, cd, "{what}");
+            for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+                assert_eq!(decode_bits(&parsed, parallelism), decoded, "{what}");
+            }
+            assert_eq!(parsed.to_bytes(), upgraded, "{what}: upgrade");
+            if version == 4 {
+                assert_eq!(bytes, upgraded, "{what} is not what the writer emits");
+            }
+            files += 1;
+        }
+        assert_eq!(
+            CompressedDataset::from_bytes(&upgraded).unwrap(),
+            cd,
+            "{stem}"
+        );
+
+        // v1 has no chunk table; its upgrade does.
+        if versions.contains(&1) {
+            let dim = cd.finest_dim;
+            for roi in [
+                Aabb::new((0, 0, 0), (dim / 2, dim / 2, dim / 2)),
+                Aabb::new((dim / 4, dim / 4, 1), (dim / 4 + dim / 2, dim, dim - 1)),
+            ] {
+                let partial = region_bits(cd.dtype, &upgraded, roi);
+                for (l, (p, f)) in partial.iter().zip(&decoded).enumerate() {
+                    let (inside, d) = (roi.coarsen(1 << l), dim >> l);
+                    for (i, (a, b)) in p.iter().zip(f).enumerate() {
+                        if inside.contains(i % d, i / d % d, i / d / d) {
+                            assert_eq!(a, b, "{stem}: level {l} cell {i} in {roi:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The table names every container on disk.
+    let on_disk = std::fs::read_dir(data_dir())
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .path()
+                .extension()
+                .is_some_and(|x| x == "tacd")
+        })
+        .count();
+    assert_eq!(files, on_disk, "a .tacd fixture is missing from CORPUS");
+}
+
+/// The `legacy_*` deep-column files hold real reconstructions, not just
+/// self-consistent ones: every version of every method and codec decodes
+/// to within the resolved bound of the scenario that was compressed.
+#[test]
+fn legacy_deep_column_files_decode_within_the_bound() {
+    let spec = tac_testkit::scenario("deep-column").unwrap();
+    let ds = spec.build(1);
+    for &(stem, versions, ..) in CORPUS {
+        if !stem.starts_with("legacy_") || stem.ends_with("_seg") {
+            continue;
+        }
+        for &version in versions {
+            let cd = CompressedDataset::from_bytes(&corpus_file(stem, version)).unwrap();
+            let bounds: Vec<f64> = match &cd.body {
+                MethodBody::Tac(levels) => levels.iter().map(|l| l.abs_eb).collect(),
+                MethodBody::Baseline1D(levels) => levels
+                    .iter()
+                    .map(|l| l.as_ref().map_or(0.0, |(eb, _, _)| *eb))
+                    .collect(),
+                MethodBody::ZMesh { abs_eb, .. } | MethodBody::Baseline3D { abs_eb, .. } => {
+                    vec![*abs_eb; cd.num_levels()]
+                }
+            };
+            let decoded = decode_bits(&cd, Parallelism::Serial);
+            for (l, level) in ds.levels().iter().enumerate() {
+                assert_eq!(&cd.masks[l], level.mask(), "{stem}_v{version}: level {l}");
+                for i in level.mask().iter_ones() {
+                    // f32 files coded the f32 cast of the scenario.
+                    let (want, got) = match cd.dtype {
+                        TacDtype::F32 => (
+                            f64::from(level.data()[i] as f32),
+                            f64::from(f32::from_bits(decoded[l][i] as u32)),
+                        ),
+                        TacDtype::F64 => (level.data()[i], f64::from_bits(decoded[l][i])),
+                    };
+                    let err = (want - got).abs();
+                    assert!(
+                        err <= bounds[l] * (1.0 + 1e-9),
+                        "{stem}_v{version}: level {l} cell {i} off by {err}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// One writer, one version: whatever the method, codec and element
+/// type, `to_bytes()` emits v4 and the bytes parse back to the same
+/// container.
+#[test]
+fn every_method_codec_and_dtype_serializes_as_v4() {
+    fn check<T: CodecElement>(ds: &AmrDataset<T>) {
+        for method in Method::fixed() {
+            for codec in CodecId::all() {
+                let cfg = TacConfig {
+                    codec,
+                    ..fixture_config()
+                };
+                let cd = compress_dataset_t(ds, &cfg, method).unwrap();
+                let bytes = cd.to_bytes();
+                assert_eq!(bytes[4], 4, "{method:?}/{codec}/{}", T::DTYPE);
+                assert_eq!(bytes[6], T::DTYPE.tag(), "{method:?}/{codec}");
+                let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+                assert_eq!(parsed, cd, "{method:?}/{codec}/{}", T::DTYPE);
+            }
+        }
+    }
+    check(&fixture_dataset());
+    check(&fixture_dataset_f32());
+}
+
+/// Rewrites every `_v4` file that has a frozen sibling in [`CORPUS`] as
+/// the upgrade of that sibling: parse the legacy bytes, serialize with
+/// today's writer. Deliberately `#[ignore]`d: the committed files are
+/// the evidence that the writer has not moved.
+#[test]
+#[ignore = "rewrites the v4 siblings of the frozen corpus; run only to intentionally re-baseline"]
+fn regenerate_upgraded_v4_fixtures() {
+    for &(stem, versions, ..) in CORPUS {
+        if let [legacy, .., 4] = *versions {
+            let cd = CompressedDataset::from_bytes(&corpus_file(stem, legacy)).unwrap();
+            std::fs::write(data_dir().join(format!("{stem}_v4.tacd")), cd.to_bytes()).unwrap();
+            println!("wrote {stem}_v4.tacd from {stem}_v{legacy}.tacd");
+        }
+    }
+}
+
+/// Writes only the f32 pco-ans mixed-codec fixture (`golden_ans_v4`) with
+/// its bit-exact expected reconstruction. Separate from the other
+/// regenerators so re-baselining the ANS wire never silently rewrites
+/// the other fixtures (and vice versa).
+#[test]
+#[ignore = "regenerates the pco-ans v4 golden fixture; run only to intentionally re-baseline"]
 fn regenerate_golden_ans_fixtures() {
     let dir = data_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let mixed = fixture_ans_dataset();
-    std::fs::write(dir.join("golden_ans_v1.tacd"), mixed.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset_par_t::<f64>(&mixed, Parallelism::Serial).unwrap();
-    std::fs::write(dir.join("golden_ans_expected.bin"), encode_expected(&recon)).unwrap();
-
     let mixed32 = fixture_ans_dataset_f32();
-    let bytes = mixed32.to_bytes();
-    assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
-    std::fs::write(dir.join("golden_ans_v4.tacd"), &bytes).unwrap();
+    std::fs::write(dir.join("golden_ans_v4.tacd"), mixed32.to_bytes()).unwrap();
     let recon32 = decompress_dataset_par_t::<f32>(&mixed32, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_ans_f32_expected.bin"),
         encode_expected_f32(&recon32),
     )
     .unwrap();
-    println!("wrote golden_ans fixtures to {}", dir.display());
+    println!("wrote golden_ans_v4 fixtures to {}", dir.display());
 }
 
-/// Writes only the adaptive-selection fixtures (`golden_auto_v1` — f64,
-/// monolithic — and `golden_auto_v4` — f32, dtype-tagged chunked), each
-/// with its bit-exact expected reconstruction. Separate from the other
-/// regenerators so re-baselining the selection pass never silently
-/// rewrites the fixed-method fixtures (and vice versa).
+/// Writes only the f32 adaptive-selection fixture (`golden_auto_v4`)
+/// with its bit-exact expected reconstruction. Separate for the same
+/// reason as the ANS regenerator.
 #[test]
-#[ignore = "regenerates the auto-selection golden fixtures; run only to intentionally re-baseline"]
+#[ignore = "regenerates the auto-selection v4 golden fixture; run only to intentionally re-baseline"]
 fn regenerate_golden_auto_fixtures() {
     let dir = data_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let cd = compress_dataset_t(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
-    std::fs::write(dir.join("golden_auto_v1.tacd"), cd.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
-    std::fs::write(
-        dir.join("golden_auto_expected.bin"),
-        encode_expected(&recon),
-    )
-    .unwrap();
-
     let cd32 = compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
-    let bytes = cd32.to_bytes();
-    assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
-    std::fs::write(dir.join("golden_auto_v4.tacd"), &bytes).unwrap();
+    std::fs::write(dir.join("golden_auto_v4.tacd"), cd32.to_bytes()).unwrap();
     let recon32 = decompress_dataset_par_t::<f32>(&cd32, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_auto_f32_expected.bin"),
         encode_expected_f32(&recon32),
     )
     .unwrap();
-    println!("wrote golden_auto fixtures to {}", dir.display());
-}
-
-/// Writes only the f32/v4 fixtures. Separate for the same reason as the
-/// v3 regenerator: re-baselining the dtype-tagged format must never
-/// silently rewrite the older fixtures.
-#[test]
-#[ignore = "regenerates the v4 golden fixtures; run only to intentionally re-baseline"]
-fn regenerate_golden_v4_fixtures() {
-    let ds = fixture_dataset_f32();
-    let cd = compress_dataset_t(&ds, &fixture_config(), Method::Tac).unwrap();
-    let bytes = cd.to_bytes();
-    assert_eq!(bytes[4], 4, "f32 container did not promote to v4");
-    let dir = data_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("golden_f32_v4.tacd"), &bytes).unwrap();
-    std::fs::write(dir.join("golden_f32_v1.tacd"), cd.to_bytes_v1()).unwrap();
-    let recon = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
-    std::fs::write(
-        dir.join("golden_f32_expected.bin"),
-        encode_expected_f32(&recon),
-    )
-    .unwrap();
-    println!("wrote golden_f32 fixtures to {}", dir.display());
+    println!("wrote golden_auto_v4 fixtures to {}", dir.display());
 }

@@ -1,5 +1,5 @@
 //! Cross-crate integration for the block-sharded parallel engine and
-//! the chunked (v2/v3) container: determinism across worker counts for
+//! the chunked container: determinism across worker counts for
 //! every method x codec combination, parallel decompression
 //! consistency, byte-counted region-of-interest decoding, and
 //! codec-tag corruption handling.
@@ -112,8 +112,8 @@ fn multi_segment_containers_are_identical_at_every_worker_count() {
     }
 }
 
-/// Both codecs honour the error bound end to end, for every method,
-/// through both container serializations.
+/// Every codec honours the error bound end to end, for every method,
+/// through the serialized container.
 #[test]
 fn method_codec_matrix_respects_error_bound() {
     let ds = small_z10();
@@ -137,22 +137,21 @@ fn method_codec_matrix_respects_error_bound() {
         ] {
             let per_level = matches!(method, Method::Tac | Method::Baseline1D);
             let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
-            for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-                let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-                assert_eq!(parsed, cd, "{method:?}/{codec}");
-                let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
-                for (l, (a, b)) in ds.levels().iter().zip(out.levels()).enumerate() {
-                    let Some((min, max)) = a.value_range() else {
-                        continue;
-                    };
-                    let range = if per_level { max - min } else { gmax - gmin };
-                    let eb = 1e-3 * range;
-                    for i in a.mask().iter_ones() {
-                        assert!(
-                            (a.data()[i] - b.data()[i]).abs() <= eb * (1.0 + 1e-9),
-                            "{method:?}/{codec} level {l} cell {i}"
-                        );
-                    }
+            let bytes = cd.to_bytes();
+            let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+            assert_eq!(parsed, cd, "{method:?}/{codec}");
+            let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
+            for (l, (a, b)) in ds.levels().iter().zip(out.levels()).enumerate() {
+                let Some((min, max)) = a.value_range() else {
+                    continue;
+                };
+                let range = if per_level { max - min } else { gmax - gmin };
+                let eb = 1e-3 * range;
+                for i in a.mask().iter_ones() {
+                    assert!(
+                        (a.data()[i] - b.data()[i]).abs() <= eb * (1.0 + 1e-9),
+                        "{method:?}/{codec} level {l} cell {i}"
+                    );
                 }
             }
         }
@@ -172,26 +171,25 @@ fn codec_tag_mismatch_is_rejected() {
             l.codec = CodecId::PcoLite;
         }
     }
-    for bytes in [cd.to_bytes(), cd.to_bytes_v1()] {
-        let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
-        let err = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap_err();
-        assert!(
-            err.to_string().contains("pco-lite"),
-            "expected a wrong-codec error, got: {err}"
-        );
-    }
+    let bytes = cd.to_bytes();
+    let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
+    let err = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap_err();
+    assert!(
+        err.to_string().contains("pco-lite"),
+        "expected a wrong-codec error, got: {err}"
+    );
 }
 
-/// Flipping a single chunk-table codec byte in a v3 container must be
-/// caught at parse time (the table would otherwise route the chunk to
-/// the wrong backend).
+/// Flipping a single chunk-table codec byte must be caught at parse
+/// time (the table would otherwise route the chunk to the wrong
+/// backend).
 #[test]
 fn tampered_chunk_codec_byte_is_rejected_at_parse() {
     let ds = small_z10();
     let cd = compress_dataset_t(&ds, &cfg_codec(1, CodecId::PcoLite), Method::Tac).unwrap();
     let bytes = cd.to_bytes();
-    assert_eq!(bytes[4], 3, "PcoLite containers serialize as v3");
-    // v3 chunk rows: level u8 + offset u64 + len u64, then the codec
+    assert_eq!(bytes[4], 4, "containers serialize as v4");
+    // Chunk rows: level u8 + offset u64 + len u64, then the codec
     // byte at offset 17 within the row; rows start 4 bytes after the
     // table position recorded in the footer.
     let table_pos = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap()) as usize;
@@ -206,7 +204,7 @@ fn tampered_chunk_codec_byte_is_rejected_at_parse() {
     assert!(CompressedDataset::from_bytes(&tampered).is_err());
 }
 
-/// ROI decoding works identically over codec-tagged (v3) containers.
+/// ROI decoding works identically whichever codec the rows are tagged with.
 #[test]
 fn roi_decode_works_for_pco_lite_containers() {
     let ds = small_z10();
@@ -346,18 +344,20 @@ fn roi_decode_reads_strictly_fewer_bytes() {
     }
 }
 
-/// Legacy v1 bytes stay readable and decode to the same dataset as v2.
+/// Legacy v1 bytes stay readable and decode to the same dataset as the
+/// v2 bytes of the same container, whatever the worker count (the files
+/// are the frozen goldens: nothing writes either version any more).
 #[test]
 fn v1_and_v2_decode_identically() {
-    let ds = small_z10();
-    let cd = compress_dataset_t(&ds, &cfg_with(1), Method::Tac).unwrap();
-    let via_v1 = CompressedDataset::from_bytes(&cd.to_bytes_v1()).unwrap();
-    let via_v2 = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
+    let via_v1 = CompressedDataset::from_bytes(include_bytes!("data/golden_tac_v1.tacd")).unwrap();
+    let via_v2 = CompressedDataset::from_bytes(include_bytes!("data/golden_tac_v2.tacd")).unwrap();
     assert_eq!(via_v1, via_v2);
     let a = decompress_dataset_par_t::<f64>(&via_v1, Parallelism::Serial).unwrap();
-    let b = decompress_dataset_par_t::<f64>(&via_v2, Parallelism::Serial).unwrap();
-    for (x, y) in a.levels().iter().zip(b.levels()) {
-        assert_eq!(x.data(), y.data());
+    for threads in [1, 2, 4, 8] {
+        let b = decompress_dataset_par_t::<f64>(&via_v2, Parallelism::Threads(threads)).unwrap();
+        for (x, y) in a.levels().iter().zip(b.levels()) {
+            assert_eq!(x.data(), y.data());
+        }
     }
 }
 

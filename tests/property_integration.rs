@@ -313,11 +313,10 @@ proptest! {
         prop_assert_eq!(parsed, cd);
     }
 
-    /// Random structures serialize through BOTH container versions and
-    /// decode back within the bound with exact mask equality, for every
-    /// method.
+    /// Random structures serialize and decode back within the bound with
+    /// exact mask equality, for every method.
     #[test]
-    fn both_container_versions_roundtrip_random_structure(
+    fn every_method_roundtrips_random_structure(
         refine in prop::collection::vec(any::<bool>(), 64),
         seed in 0u64..200,
     ) {
@@ -330,18 +329,17 @@ proptest! {
         };
         for method in [Method::Tac, Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
             let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
-            for bytes in [cd.to_bytes_v1(), cd.to_bytes()] {
-                let parsed = tac_core::CompressedDataset::from_bytes(&bytes).unwrap();
-                prop_assert_eq!(&parsed, &cd);
-                let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
-                for (a, b) in ds.levels().iter().zip(out.levels()) {
-                    prop_assert_eq!(a.mask(), b.mask());
-                    for i in a.mask().iter_ones() {
-                        prop_assert!(
-                            (a.data()[i] - b.data()[i]).abs() <= 0.5 * (1.0 + 1e-9),
-                            "method {:?} cell {}", method, i
-                        );
-                    }
+            let bytes = cd.to_bytes();
+            let parsed = tac_core::CompressedDataset::from_bytes(&bytes).unwrap();
+            prop_assert_eq!(&parsed, &cd);
+            let out = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
+            for (a, b) in ds.levels().iter().zip(out.levels()) {
+                prop_assert_eq!(a.mask(), b.mask());
+                for i in a.mask().iter_ones() {
+                    prop_assert!(
+                        (a.data()[i] - b.data()[i]).abs() <= 0.5 * (1.0 + 1e-9),
+                        "method {:?} cell {}", method, i
+                    );
                 }
             }
         }
@@ -350,7 +348,7 @@ proptest! {
     /// `Method::Auto` selects some concrete winner; the resulting
     /// container round-trips within the bound, parses back equal, and
     /// re-serialization is byte-stable: `to_bytes -> parse -> to_bytes`
-    /// is the identity on bytes (for both wire versions).
+    /// is the identity on bytes.
     #[test]
     fn auto_containers_roundtrip_and_reserialize_byte_stably(
         refine in prop::collection::vec(any::<bool>(), 64),
@@ -375,10 +373,7 @@ proptest! {
         let latest = cd.to_bytes();
         let parsed = tac_core::CompressedDataset::from_bytes(&latest).unwrap();
         prop_assert_eq!(&parsed, &cd);
-        prop_assert_eq!(parsed.to_bytes(), latest.clone());
-        let v1 = cd.to_bytes_v1();
-        let p1 = tac_core::CompressedDataset::from_bytes(&v1).unwrap();
-        prop_assert_eq!(p1.to_bytes_v1(), v1.clone());
+        prop_assert_eq!(parsed.to_bytes(), latest);
     }
 
     /// v2 region-of-interest decoding is a restriction of the full
