@@ -1118,6 +1118,15 @@ impl V2Layout<'_> {
             V2Meta::Tac(metas) => {
                 for (l, meta) in metas.iter().enumerate() {
                     count(l, meta.expected_chunks(), rows(l, meta.codec)?)?;
+                    // No payload means no cells (zMesh and 1D refuse the
+                    // same in `segment::decompress_stacks`).
+                    let mask = self.masks.get(l).filter(|_| meta.kind == 0);
+                    let cells = mask.map_or(0, BitMask::count_ones);
+                    if cells != 0 {
+                        return Err(TacError::Corrupt(format!(
+                            "level {l} marked empty but mask has {cells} cells"
+                        )));
+                    }
                     for e in self.level_entries(l) {
                         let want = match meta.kind {
                             1 => tight_box(self.masks.get(l), level_dim(self.finest_dim, l)),
@@ -1688,6 +1697,39 @@ pub(crate) mod tests {
         });
         let err = CompressedDataset::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("is empty"), "{err}");
+    }
+
+    /// Wire kind 0 (no payload) over a mask with cells used to parse and
+    /// decode to a silently all-zero level.
+    #[test]
+    fn a_level_marked_empty_over_present_cells_is_rejected() {
+        let honest = sample_tac().to_bytes();
+        // Level 1's metadata ends bound, kind, codec.
+        let bound = 2e-3f64.to_le_bytes();
+        let kind_at = honest.windows(8).position(|w| w == bound).unwrap() + 8;
+        assert_eq!(honest[kind_at], 1);
+        // Kind 0 lists no chunk, so the level's row goes too.
+        let mut bytes = edit_table(&honest, |rows| rows.retain(|r| r[0] != 1));
+        bytes[kind_at] = 0;
+        let parse = CompressedDataset::from_bytes(&bytes).unwrap_err();
+        let region = crate::roi::decompress_region_t::<f64>(&bytes, Aabb::whole(4)).unwrap_err();
+        for err in [parse, region] {
+            let why = err.to_string();
+            assert!(
+                why.contains("level 1 marked empty but mask has 1 cells"),
+                "{why}"
+            );
+        }
+        // Over an empty mask the same level is what the writer emits.
+        let mut empty = sample_tac();
+        empty.masks[1] = BitMask::zeros(8);
+        if let MethodBody::Tac(levels) = &mut empty.body {
+            levels[1].payload = LevelPayload::Empty;
+        }
+        assert_eq!(
+            CompressedDataset::from_bytes(&empty.to_bytes()).unwrap(),
+            empty
+        );
     }
 
     #[test]

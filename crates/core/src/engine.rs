@@ -14,11 +14,15 @@
 //!    compression (or decompression) of one whole-grid buffer or one
 //!    region group, dispatched through the configured
 //!    [`tac_codec::ScalarCodec`] backend.
-//! 3. **Assemble** (serial, cheap): collect results back into per-level
-//!    payloads in plan order. On the decode side this is where decoded
-//!    regions are pasted into their level grid and masked; it touches
-//!    only the cells a payload covers, so it scales with the occupied
-//!    volume rather than with `dim^3`.
+//! 3. **Assemble** (serial, cheap): collect the compressed streams back
+//!    into per-level payloads in plan order. The decode side has no such
+//!    tail: pasting is where a fresh level grid is first touched, page
+//!    fault by page fault — most of a serial decode — so every decode
+//!    task also pastes and masks what it decoded, straight into its
+//!    level's grid under the lock of the z-plane a row lies on, touching
+//!    only the cells its payload covers. Tasks run in no fixed order, so
+//!    two regions over one cell have no defined winner and are an error:
+//!    claim bits beside the cells catch it at any worker count.
 //!
 //! Because tasks are planned before execution and results are keyed by
 //! task index, the assembled output is **byte-identical for every
@@ -29,12 +33,14 @@ use crate::akdtree::plan_akdtree;
 use crate::config::{Strategy, TacConfig};
 use crate::error::TacError;
 use crate::extract::{
-    block_cells, compress_group, decode_group, paste_group, plan_groups, GroupPlan,
+    block_cells, claim_words, compress_group, decode_group, paste_group, plan_groups, planes_of,
+    GroupPlan, Plane,
 };
 use crate::gsp::pad_ghost_shell;
 use crate::nast::plan_nast;
 use crate::opst::plan_opst;
 use crate::stream::{BlockGroup, CompressedLevel, LevelPayload};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tac_amr::{AmrLevel, BitMask, BlockGrid};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecError, CodecId, Dims};
 use tac_dtype::Element;
@@ -310,8 +316,11 @@ pub(crate) fn check_level_mask(l: usize, dim: usize, mask: &BitMask) -> Result<u
 }
 
 /// Decompresses TAC per-level payloads on `workers` threads: every
-/// whole-grid stream and every region group decodes as an independent
-/// task; pasting and mask application stay serial.
+/// whole-grid stream and every region group is an independent task that
+/// decodes and assembles it (see the module doc). Results are read in
+/// task order, so the first failing task by index decides the error at
+/// every worker count; overlapping regions are `Corrupt` after that, so
+/// neither answer depends on which region pasted first.
 ///
 /// Contract of the returned levels: a present cell carries its decoded
 /// value, and every other cell — absent under the mask, or covered by
@@ -366,6 +375,26 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
         }
     }
 
+    // Per level, the grid and the claim bits beside it (one per cell).
+    // A whole-level stream's buffer becomes the grid as it is; group
+    // levels paste into zero-initialised memory cut into locked
+    // z-planes. Zero pages cost nothing until a task writes them.
+    let mut bufs: Vec<(Vec<T>, Vec<u64>)> = (compressed.iter().zip(masks))
+        .map(|(cl, mask)| match cl.payload {
+            LevelPayload::Whole(_) => (Vec::new(), Vec::new()),
+            LevelPayload::Empty => (vec![T::ZERO; mask.len()], Vec::new()),
+            LevelPayload::Groups(_) => (
+                vec![T::ZERO; mask.len()],
+                vec![0; cl.dim * claim_words(cl.dim)],
+            ),
+        })
+        .collect();
+    let planes: Vec<Vec<Plane<'_, T>>> = (compressed.iter().zip(&mut bufs))
+        .map(|(cl, (grid, claims))| planes_of(grid, claims, cl.dim))
+        .collect();
+    // The lowest level on which a region met a cell already claimed.
+    let overlap = AtomicUsize::new(usize::MAX);
+
     let exec_span = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
     let results = tac_par::execute(
         workers,
@@ -383,68 +412,62 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
                 tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
                 tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, bytes);
             }
+            let mask = &masks[t.level];
+            let paste_span = |cells: usize| {
+                (tac_obs::span(tac_obs::Stage::Paste).arg("level", t.level)).arg("cells", cells)
+            };
             match &t.kind {
                 DecompressKind::Whole(stream) => {
-                    let (values, dims) = T::codec_decompress(codec_for(t.codec), stream)?;
-                    if dims != Dims::D3(t.dim, t.dim, t.dim) {
+                    let (mut values, dims) = T::codec_decompress(codec_for(t.codec), stream)?;
+                    if dims != Dims::D3(t.dim, t.dim, t.dim) || values.len() != mask.len() {
                         return Err(TacError::Corrupt(format!(
-                            "whole-grid stream dims {dims:?} for a {}^3 level",
-                            t.dim
+                            "level {}: whole-grid stream holds {} values, dims {dims:?}",
+                            t.level,
+                            values.len()
                         )));
                     }
+                    let _paste = paste_span(values.len());
+                    mask.zero_absent(0, &mut values);
+                    tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, values.len());
                     Ok(values)
                 }
-                DecompressKind::Group(g) => decode_group::<T>(g, t.codec),
+                DecompressKind::Group(g) => {
+                    let values = decode_group::<T>(g, t.codec)?;
+                    let _paste = paste_span(values.len());
+                    if !paste_group(&planes[t.level], t.dim, g, &values, mask)? {
+                        overlap.fetch_min(t.level, Ordering::Relaxed);
+                    }
+                    // Every region cell is pasted once and visited once more
+                    // by the masking.
+                    tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * values.len());
+                    Ok(Vec::new())
+                }
             }
         },
     );
     drop(exec_span);
 
-    // Assemble: a whole-level stream's buffer becomes the grid as it
-    // is; group levels paste into a zero-initialised grid. Either way
-    // the mask is applied to exactly the cells the payload wrote.
+    // Hand-over: group tasks wrote their level's grid in place; a
+    // whole-level task's masked buffer is the grid.
     let _assemble = tac_obs::span(tac_obs::Stage::Assemble);
-    let mut grids: Vec<Vec<T>> = compressed
-        .iter()
-        .zip(masks)
-        .map(|(cl, mask)| match cl.payload {
-            LevelPayload::Whole(_) => Vec::new(),
-            LevelPayload::Empty | LevelPayload::Groups(_) => vec![T::ZERO; mask.len()],
-        })
-        .collect();
-    for (task, result) in tasks.iter().zip(results) {
-        let mut values = result?;
-        let (grid, mask) = (&mut grids[task.level], &masks[task.level]);
-        let _paste = tac_obs::span(tac_obs::Stage::Paste)
-            .arg("level", task.level)
-            .arg("cells", values.len());
-        match &task.kind {
-            DecompressKind::Whole(_) => {
-                if values.len() != mask.len() {
-                    return Err(TacError::Corrupt(format!(
-                        "level {}: whole-grid stream decoded {} values for {} cells",
-                        task.level,
-                        values.len(),
-                        mask.len()
-                    )));
-                }
-                mask.zero_absent(0, &mut values);
-                tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, values.len());
-                *grid = values;
-            }
-            DecompressKind::Group(g) => {
-                paste_group(grid, task.dim, g, &values, mask)?;
-                // Every region cell is pasted once and visited once more
-                // by the masking.
-                tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * values.len());
-            }
+    drop(planes);
+    let buffers = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let l = overlap.into_inner();
+    if l != usize::MAX {
+        return Err(TacError::Corrupt(format!(
+            "level {l}: a region overlaps another region"
+        )));
+    }
+    for (task, values) in tasks.iter().zip(buffers) {
+        if let DecompressKind::Whole(_) = task.kind {
+            bufs[task.level].0 = values;
         }
     }
     Ok(compressed
         .iter()
-        .zip(grids)
+        .zip(bufs)
         .zip(masks)
-        .map(|((cl, data), mask)| AmrLevel::new(cl.dim, data, mask.clone()))
+        .map(|((cl, (data, _)), mask)| AmrLevel::new(cl.dim, data, mask.clone()))
         .collect())
 }
 
@@ -461,10 +484,9 @@ mod tests {
         assert!(unit_for(16, 0).is_err());
     }
 
-    /// The assembly `decompress_tac_levels` used to run, kept as the
-    /// reference the occupancy-proportional one is held to: decode every
-    /// stream, paste every region, then visit every cell of the `dim^3`
-    /// grid and zero the absent ones.
+    /// A serial, per-cell assembly, the reference the in-task one is
+    /// held to: decode every stream, paste every region, then visit
+    /// every cell of the `dim^3` grid and zero the absent ones.
     fn reference_assembly<T: CodecElement>(cl: &CompressedLevel, mask: &BitMask) -> Vec<u64> {
         let dim = cl.dim;
         let mut data = vec![T::ZERO; dim * dim * dim];
@@ -557,10 +579,12 @@ mod tests {
         every_strategy_and_codec_matches_the_reference::<f32>();
     }
 
-    /// Containers no encoder writes but the decoder must still assemble
-    /// exactly like the reference: two groups that overlap (the later
-    /// paste wins, then the mask), a group lying entirely over absent
-    /// cells, and a present cell no group covers (it stays `+0.0`).
+    /// Containers no encoder writes. Two regions over one cell — within
+    /// one group or across two — are refused as corrupt at every worker
+    /// count (tasks paste concurrently, so "the later wins" has no
+    /// meaning); a group lying entirely over absent cells and a present
+    /// cell no group covers (it stays `+0.0`) still assemble exactly like
+    /// the reference.
     #[test]
     fn hand_built_groups_assemble_like_the_reference() {
         let dim = 8usize;
@@ -588,18 +612,49 @@ mod tests {
                 };
                 compress_group(&data, dim, &plan, codec, &cfg).unwrap()
             };
-            let cl = CompressedLevel {
+            let level = |groups| CompressedLevel {
                 strategy: Strategy::OpST,
                 dim,
                 abs_eb: 1e-3,
                 codec,
                 dtype: f64::DTYPE,
-                payload: LevelPayload::Groups(vec![
-                    group((4, 4, 4), &[(0, 0, 0), (2, 1, 0)]), // overlap within a group
-                    group((5, 3, 2), &[(1, 2, 1)]),            // overlaps the first group
-                    group((2, 2, 2), &[(4, 6, 6)]),            // absent cells only
-                ]),
+                payload: LevelPayload::Groups(groups),
             };
+            let absent_only = || group((2, 2, 2), &[(4, 6, 6)]);
+            for (what, overlapping) in [
+                (
+                    "within a group",
+                    vec![group((4, 4, 4), &[(0, 0, 0), (2, 1, 0)]), absent_only()],
+                ),
+                (
+                    "across groups",
+                    vec![
+                        group((4, 4, 4), &[(0, 0, 0)]),
+                        absent_only(),
+                        group((5, 3, 2), &[(1, 2, 1)]),
+                    ],
+                ),
+            ] {
+                let cl = level(overlapping);
+                for workers in [1, 2, 4] {
+                    let err = decompress_tac_levels::<f64>(
+                        std::slice::from_ref(&cl),
+                        std::slice::from_ref(&mask),
+                        workers,
+                    )
+                    .unwrap_err();
+                    assert!(
+                        matches!(&err, TacError::Corrupt(why) if why.contains("overlaps")),
+                        "{codec}, {what}, {workers} workers: {err}"
+                    );
+                }
+            }
+
+            let cl = level(vec![
+                group((4, 4, 4), &[(0, 0, 0)]),
+                group((3, 3, 2), &[(4, 1, 1)]),
+                absent_only(),
+            ]);
             let got = assembled_bits::<f64>(&cl, &mask);
             assert_eq!(got, reference_assembly::<f64>(&cl, &mask), "{codec}");
             assert_eq!(

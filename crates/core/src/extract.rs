@@ -10,6 +10,7 @@
 
 use crate::error::TacError;
 use crate::stream::BlockGroup;
+use std::sync::{Mutex, PoisonError};
 use tac_amr::{copy_region_into, Aabb, BitMask};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecId, Dims};
 use tac_dtype::Element;
@@ -168,24 +169,71 @@ pub(crate) fn block_cells(g: &BlockGroup, dim: usize) -> Result<usize, TacError>
         })
 }
 
-/// Pastes a decoded group into a dense `dim^3` grid and applies the
-/// occupancy mask to what it pasted: row by row, the region's values
-/// are copied in and the absent cells of that row are reset to `+0.0`.
+/// One z-plane of a group level's grid behind the lock its writers
+/// take: the plane's `dim * dim` cells and, beside them, one claim bit
+/// per cell ([`claim_words`] words), set by the region that writes it.
+pub(crate) type Plane<'a, T> = Mutex<(&'a mut [T], &'a mut [u64])>;
+
+/// Claim words per plane of a `dim^3` level.
+pub(crate) fn claim_words(dim: usize) -> usize {
+    (dim * dim).div_ceil(64)
+}
+
+/// Cuts a level's grid and the claim words beside it into z-planes.
+pub(crate) fn planes_of<'a, T>(
+    grid: &'a mut [T],
+    claims: &'a mut [u64],
+    dim: usize,
+) -> Vec<Plane<'a, T>> {
+    // (`chunks_mut` refuses a zero size; a 0^3 level has no cells.)
+    grid.chunks_mut((dim * dim).max(1))
+        .zip(claims.chunks_mut(claim_words(dim).max(1)))
+        .map(Mutex::new)
+        .collect()
+}
+
+/// Sets the claim bits `[start, start + len)` and reports whether every
+/// one of them was clear before (bits past the buffer count as taken).
+fn claim(bits: &mut [u64], start: usize, len: usize) -> bool {
+    let (mut at, end) = (start, start + len);
+    let mut fresh = true;
+    while at < end {
+        // 1..=64 bits of one word, so neither shift leaves its range.
+        let take = (64 - at % 64).min(end - at);
+        let run = (u64::MAX >> (64 - take)) << (at % 64);
+        let Some(word) = bits.get_mut(at / 64) else {
+            return false;
+        };
+        fresh &= *word & run == 0;
+        *word |= run;
+        at += take;
+    }
+    fresh
+}
+
+/// Pastes a decoded group into its level's z-planes and applies the
+/// occupancy mask to what it pasted: row by row, under the lock of the
+/// plane the row lies on, the region's values are copied in, the absent
+/// cells of that row are reset to `+0.0` and the row's cells claimed.
 /// Cells outside every region are never written. Each sub-block's
 /// origin and shape are bounds-checked before its first row is touched.
+/// Returns whether every pasted cell was unclaimed: concurrent tasks
+/// cannot agree on which region's value a cell claimed twice keeps, so
+/// the caller rejects such a level.
 pub(crate) fn paste_group<T: Element>(
-    out: &mut [T],
+    planes: &[Plane<'_, T>],
     dim: usize,
     g: &BlockGroup,
     values: &[T],
     mask: &BitMask,
-) -> Result<(), TacError> {
+) -> Result<bool, TacError> {
     let (w, h, d) = g.shape;
     // `block_cells` guarantees a non-zero block, so the chunking below
     // cannot panic. `decode_group` validated the stream's declared dims,
     // but the values really come from a decoded payload: a sub-block
     // without data is an error, not an index.
     let mut blocks = values.chunks_exact(block_cells(g, dim)?);
+    let mut fresh = true;
     for (i, &(x, y, z)) in g.origins.iter().enumerate() {
         let (x, y, z) = (x as usize, y as usize, z as usize);
         if x + w > dim || y + h > dim || z + d > dim {
@@ -199,20 +247,22 @@ pub(crate) fn paste_group<T: Element>(
         })?;
         let mut rows = slice.chunks_exact(w);
         for zz in z..z + d {
+            let short = || TacError::Corrupt(format!("grid is short of a {dim}^3 level"));
+            let mut plane =
+                (planes.get(zz).ok_or_else(short)?.lock()).unwrap_or_else(PoisonError::into_inner);
+            let (cells, claimed) = &mut *plane;
             for yy in y..y + h {
-                let row = x + dim * (yy + dim * zz);
-                let (Some(dst), Some(src)) = (out.get_mut(row..row + w), rows.next()) else {
-                    return Err(TacError::Corrupt(format!(
-                        "grid holds {} cells for a {dim}^3 level",
-                        out.len()
-                    )));
+                let row = x + dim * yy;
+                let (Some(dst), Some(src)) = (cells.get_mut(row..row + w), rows.next()) else {
+                    return Err(short());
                 };
                 dst.copy_from_slice(src);
-                mask.zero_absent(row, dst);
+                mask.zero_absent(row + dim * dim * zz, dst);
+                fresh &= claim(claimed, row, w);
             }
         }
     }
-    Ok(())
+    Ok(fresh)
 }
 
 #[cfg(test)]
@@ -223,9 +273,12 @@ mod tests {
     /// `dim^3` grid (cells outside every region stay zero).
     fn decode_all(groups: &[BlockGroup], dim: usize, codec: CodecId) -> Result<Vec<f64>, TacError> {
         let mut out = vec![0.0; dim * dim * dim];
+        let mut claims = vec![0; dim * claim_words(dim)];
         let mask = BitMask::ones(out.len());
         for g in groups {
-            paste_group(&mut out, dim, g, &decode_group(g, codec)?, &mask)?;
+            let values = decode_group(g, codec)?;
+            let planes = planes_of(&mut out, &mut claims, dim);
+            assert!(paste_group(&planes, dim, g, &values, &mask)?);
         }
         Ok(out)
     }
@@ -307,7 +360,10 @@ mod tests {
         }
         // A sentinel everywhere shows which cells the paste wrote.
         let mut out = vec![9.0f64; dim * dim * dim];
-        paste_group(&mut out, dim, &g, &values, &mask).unwrap();
+        let mut claims = vec![0; dim * claim_words(dim)];
+        let planes = planes_of(&mut out, &mut claims, dim);
+        assert!(paste_group(&planes, dim, &g, &values, &mask).unwrap());
+        drop(planes);
         let mut src = values.iter();
         let mut expect = vec![9.0f64; dim * dim * dim];
         for &(x, y, z) in &g.origins {
@@ -323,6 +379,36 @@ mod tests {
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(&out), bits(&expect));
+        // The claim bits are exactly the pasted cells (an 8^3 plane is
+        // one claim word), so a region sharing one cell overlaps.
+        for (i, v) in expect.iter().enumerate() {
+            assert_eq!(claims[i / 64] >> (i % 64) & 1 == 1, *v != 9.0, "cell {i}");
+        }
+        let corner = BlockGroup {
+            shape: (1, 1, 1),
+            origins: vec![(6, 4, 2)],
+            stream: Vec::new(),
+        };
+        let planes = planes_of(&mut out, &mut claims, dim);
+        assert!(!paste_group(&planes, dim, &corner, &[1.0], &mask).unwrap());
+    }
+
+    /// Claims over a plane whose rows straddle word boundaries (a 10^2
+    /// plane is 100 bits in two words).
+    #[test]
+    fn claims_are_per_cell_across_word_boundaries() {
+        let mut words = vec![0u64; claim_words(10)];
+        assert_eq!(words.len(), 2);
+        assert!(claim(&mut words, 60, 10)); // bits 60..70
+        assert_eq!(words, [0xF << 60, 0x3F]);
+        assert!(claim(&mut words, 0, 60));
+        assert!(claim(&mut words, 70, 30));
+        assert_eq!(words, [u64::MAX, (1 << 36) - 1]);
+        assert!(!claim(&mut words, 69, 1));
+        let mut words = vec![0u64; 2];
+        assert!(claim(&mut words, 0, 128) && !claim(&mut words, 127, 1));
+        // Past the buffer: refused, not indexed.
+        assert!(!claim(&mut words, 120, 16));
     }
 
     #[test]

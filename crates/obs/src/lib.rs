@@ -53,11 +53,14 @@ pub enum Stage {
     Select,
     /// Engine task execution (the parallel region).
     Execute,
-    /// Engine result assembly into the container.
+    /// Engine result hand-over after the tasks: collecting compressed
+    /// streams into per-level payloads, or checking the decode tasks'
+    /// results and returning the level grids they filled.
     Assemble,
     /// Decode-side assembly of one task's values into its level grid:
-    /// pasting a region group (or adopting a whole-level buffer) and
-    /// masking what was written. Nested inside [`Stage::Assemble`].
+    /// pasting a region group (or handing over a whole-level buffer) and
+    /// masking what was written. Nested inside the task's
+    /// [`Stage::Decode`] span, on the worker that decoded the values.
     Paste,
     /// Moving values between level buffers and a codec stream's order
     /// in the 1D, zMesh and 3D paths: the gather on compress (and of a

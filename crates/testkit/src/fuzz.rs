@@ -3,7 +3,9 @@
 //! The corpus is a set of **valid** containers (several scenarios x
 //! methods x codecs, freshly written as v4, plus the frozen v1–v3 files
 //! of `tests/data/`), so mutations start from deep inside the accepting
-//! grammar of every reader instead of dying at the magic check.
+//! grammar of every reader instead of dying at the magic check — and,
+//! last, one hostile seed ([`overlapping_groups`]) that only the decode
+//! itself can refuse.
 //! Each iteration picks a corpus item, applies a seeded stack of
 //! mutations (bit flips, field overwrites with boundary integers,
 //! truncations, splices between corpus items, targeted header/footer
@@ -23,7 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use tac_amr::Aabb;
 use tac_core::{
     compress_dataset_t, decompress_dataset_any, decompress_region_t, AnyDataset, CodecId,
-    CompressedDataset, Element, Method, TacConfig, CHUNK_ROW_BYTES_V4,
+    CompressedDataset, Element, LevelPayload, Method, MethodBody, TacConfig, CHUNK_ROW_BYTES_V4,
 };
 
 /// Fuzz-run parameters.
@@ -143,10 +145,32 @@ const LEGACY: [&[u8]; 30] = [
     include_bytes!("../../../tests/data/legacy_b1d_seg_v2.tacd"),
 ];
 
-/// Builds the corpus of valid containers the mutations start from:
-/// three small scenarios under all four methods and every registered
-/// codec where it adds a wire difference, as today's writer serializes
-/// them (v4), then the [`LEGACY`] files for v1–v3.
+/// `golden_tac_v4.tacd` with one sub-block origin rewritten onto its
+/// group's first, as the writer serializes that (the group's header and
+/// its chunk-table box agree): grammar, table and streams are all
+/// intact, two regions of the fine level cover the same cells, and only
+/// the decode can tell — it must refuse, at every worker count.
+pub fn overlapping_groups() -> Vec<u8> {
+    let golden = include_bytes!("../../../tests/data/golden_tac_v4.tacd");
+    let mut cd = CompressedDataset::from_bytes(golden).expect("golden container parses");
+    let MethodBody::Tac(levels) = &mut cd.body else {
+        panic!("golden_tac_v4 is a TAC container");
+    };
+    let moved = levels.iter_mut().find_map(|l| match &mut l.payload {
+        LevelPayload::Groups(groups) => groups.iter_mut().find(|g| g.origins.len() > 1),
+        _ => None,
+    });
+    let group = moved.expect("golden_tac_v4 holds a group of several sub-blocks");
+    let last = group.origins.len() - 1;
+    group.origins[last] = group.origins[0];
+    cd.to_bytes()
+}
+
+/// Builds the corpus the mutations start from: three small scenarios
+/// under all four methods and every registered codec where it adds a
+/// wire difference, as today's writer serializes them (v4), then the
+/// [`LEGACY`] files for v1–v3 — all valid — and, last, the hostile
+/// [`overlapping_groups`] seed.
 pub fn corpus() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for name in ["tiny-extremes", "degenerate-corner", "spike-field"] {
@@ -190,6 +214,7 @@ pub fn corpus() -> Vec<Vec<u8>> {
         out.push(cd.to_bytes());
     }
     out.extend(LEGACY.iter().map(|bytes| bytes.to_vec()));
+    out.push(overlapping_groups());
     out
 }
 
@@ -482,13 +507,19 @@ mod tests {
 
     #[test]
     fn corpus_items_all_probe_as_valid() {
-        for (i, bytes) in corpus().iter().enumerate() {
+        let corpus = corpus();
+        let (hostile, valid) = corpus.split_last().unwrap();
+        for (i, bytes) in valid.iter().enumerate() {
             assert_eq!(
                 probe_container(bytes),
                 ProbeResult::Decoded,
                 "corpus item {i}"
             );
         }
+        // The hostile seed parses (nothing on the wire is wrong), so the
+        // rejection is the decode's.
+        assert!(CompressedDataset::from_bytes(hostile).is_ok());
+        assert_eq!(probe_container(hostile), ProbeResult::Rejected);
     }
 
     #[test]

@@ -501,6 +501,66 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
     check(&ds.cast::<f32>(), CodecId::PcoAns);
 }
 
+/// Decode tasks paste their regions concurrently, so two regions over
+/// one cell cannot mean "the later paste wins" any more. No encoder
+/// writes such a level, and nothing on the wire is wrong with one —
+/// `golden_tac_v4.tacd` with one sub-block origin rewritten onto its
+/// group's first, header and chunk-table box agreeing — so the parse
+/// accepts it and the decode must refuse it: the same `Corrupt` naming
+/// the overlap at every worker count and from a region read that meets
+/// the pair; never a panic, never `Ok` with whichever value won a race.
+#[test]
+fn overlapping_regions_are_rejected_at_every_worker_count() {
+    use tac_amr::Aabb;
+    use tac_core::{
+        decompress_dataset_par_t, decompress_region_t, CompressedDataset, LevelPayload, MethodBody,
+        Parallelism, TacError,
+    };
+    let golden = include_bytes!("data/golden_tac_v4.tacd");
+    let bytes = tac_testkit::overlapping_groups();
+    assert_eq!(bytes.len(), golden.len());
+    assert!(bytes != golden);
+    let cd = CompressedDataset::from_bytes(&bytes).unwrap();
+
+    let overlap = |err: TacError| {
+        assert!(
+            matches!(&err, TacError::Corrupt(why) if why.contains("overlaps another region")),
+            "{err}"
+        );
+        err.to_string()
+    };
+    let serial = overlap(decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap_err());
+    for workers in [2, 8] {
+        let parallelism = Parallelism::Threads(workers);
+        let err = decompress_dataset_par_t::<f64>(&cd, parallelism).unwrap_err();
+        assert_eq!(overlap(err), serial, "{workers} workers");
+    }
+
+    // The doubled sub-block, as a request on the finest grid.
+    let MethodBody::Tac(levels) = &cd.body else {
+        panic!("not a TAC body");
+    };
+    let (l, g) = (levels.iter().enumerate())
+        .find_map(|(l, cl)| match &cl.payload {
+            LevelPayload::Groups(groups) => Some((l, groups.iter().find(|g| g.origins.len() > 1)?)),
+            _ => None,
+        })
+        .unwrap();
+    assert_eq!(g.origins.first(), g.origins.last());
+    let (x, y, z) = g.origins[0];
+    let at = Aabb::of_region((x as usize, y as usize, z as usize), g.shape);
+    let scale = 1usize << l;
+    let roi = Aabb::new(
+        (at.min.0 * scale, at.min.1 * scale, at.min.2 * scale),
+        (at.max.0 * scale, at.max.1 * scale, at.max.2 * scale),
+    );
+    assert_eq!(
+        overlap(decompress_region_t::<f64>(&bytes, roi).unwrap_err()),
+        serial
+    );
+    assert_eq!(probe_container(&bytes), ProbeResult::Rejected);
+}
+
 /// The CI smoke: the bounded seeded campaign must observe zero panics
 /// and zero incoherent decodes (every corruption surfaces as `Err` or
 /// as a coherent re-decodable container).

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use tac_amr::{Aabb, AmrDataset, AmrLevel};
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecElement, CodecId,
-    CompressedDataset, Method, MethodBody, Parallelism, TacConfig, TacDtype,
+    CompressedDataset, LevelPayload, Method, MethodBody, Parallelism, TacConfig, TacDtype,
 };
 use tac_sz::ErrorBound;
 
@@ -573,6 +573,12 @@ fn frozen_corpus_parses_decodes_and_upgrades_identically() {
             _ => Vec::new(),
         };
         assert_eq!(levels, level_bytes, "{stem}");
+        // `deep-column`'s coarsest level is genuinely empty: wire kind 0
+        // over an empty mask stays legal (over present cells it is not).
+        if let (true, MethodBody::Tac(levels)) = (stem.starts_with("legacy_tac"), &cd.body) {
+            let coarsest = levels.last().map(|l| &l.payload);
+            assert_eq!(coarsest, Some(&LevelPayload::Empty), "{stem}");
+        }
 
         let decoded = decode_bits(&cd, Parallelism::Serial);
         let upgraded = cd.to_bytes();

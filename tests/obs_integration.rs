@@ -263,7 +263,8 @@ fn values_of_met_segments(cd: &CompressedDataset, roi: Aabb) -> u64 {
 /// Where a single-stream round-trip's time goes must have a name: the
 /// self-time the `compress`, `decompress` and `roi_decode` spans keep
 /// for themselves (whatever no nested stage covers) stays below 15% of
-/// the wall, for zMesh and the 1D baseline alike. Before the reorder
+/// the wall, for zMesh and the 1D baseline alike — and for a serial TAC
+/// decode, whose tasks assemble what they decode. Before the reorder
 /// was a stage — and before it stopped materialising a 16 B/value order
 /// — that was 43% and 71% on the benchmark's `z5_auto` input. Shares of
 /// one run, best of three, on a 128^3 input where a pass takes tens of
@@ -278,17 +279,22 @@ fn segmented_round_trips_are_attributed_and_counted(session: &tac_obs::ObsSessio
     let ds = load_dataset("Run1_Z5", 4, 14);
     let cfg = TacConfig::default();
     let present = ds.total_present() as u64;
-    let unattributed = |snap: &Snapshot, stage: Stage| {
+    // The self-time share of `stage`, which must have `inner` spans
+    // nested somewhere below it.
+    let unattributed_under = |snap: &Snapshot, stage: Stage, inner: Stage| {
         let report = StageReport::from_snapshot(snap);
         let row = report.rows.iter().find(|r| r.stage == stage);
         let row = row.unwrap_or_else(|| panic!("no {} span recorded", stage.name()));
         assert!(
-            report.rows.iter().any(|r| r.stage == Stage::Reorder),
-            "no reorder span under {}",
+            report.rows.iter().any(|r| r.stage == inner),
+            "no {} span under {}",
+            inner.name(),
             stage.name()
         );
         report.fraction(row)
     };
+    let unattributed =
+        |snap: &Snapshot, stage: Stage| unattributed_under(snap, stage, Stage::Reorder);
     // 1/64 of the volume, off the plane cuts.
     let roi = Aabb::new((3, 5, 7), (35, 37, 39));
     for method in [Method::ZMesh, Method::Baseline1D] {
@@ -339,4 +345,28 @@ fn segmented_round_trips_are_attributed_and_counted(session: &tac_obs::ObsSessio
             );
         }
     }
+
+    // The TAC row: a serial decode of the benchmark's flagship input at
+    // 128^3. Every task's decode span now covers its paste too, so what
+    // `decompress` keeps for itself is the geometry check, the zero-grid
+    // allocation and the hand-over.
+    let ds = load_dataset("Run1_Z10", 4, 14);
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+    let mut share = f64::INFINITY;
+    for _ in 0..3 {
+        let _ = session.take();
+        decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+        let snap = session.take();
+        assert_eq!(
+            snap.counter(Counter::ChunksDecoded),
+            container_chunks(&cd),
+            "Tac"
+        );
+        share = share.min(unattributed_under(&snap, Stage::Decompress, Stage::Paste));
+    }
+    assert!(
+        share < 0.15,
+        "{:.1}% of a Tac decompress is unattributed self-time",
+        100.0 * share
+    );
 }
