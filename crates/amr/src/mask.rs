@@ -18,6 +18,19 @@ fn low_ones(n: usize) -> u64 {
     }
 }
 
+/// Every one of the low 32 bits of `x` doubled in place: bit `i` lands
+/// on bits `2i` and `2i + 1`.
+#[inline]
+fn double_bits(x: u64) -> u64 {
+    let mut x = x & 0xFFFF_FFFF;
+    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
+    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
+    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+    x = (x | (x << 1)) & 0x5555_5555_5555_5555;
+    x | (x << 1)
+}
+
 /// A fixed-length bit mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMask {
@@ -247,6 +260,74 @@ impl BitMask {
         }
     }
 
+    /// ORs `bits` into the mask from bit `at` upwards, across the word
+    /// boundary when they straddle one; bits landing beyond the last
+    /// word are dropped.
+    #[inline]
+    fn or_bits(&mut self, at: usize, bits: u64) {
+        let shift = at % 64;
+        if let Some(w) = self.words.get_mut(at / 64) {
+            *w |= bits << shift;
+        }
+        if shift != 0 {
+            if let Some(w) = self.words.get_mut(at / 64 + 1) {
+                *w |= bits >> (64 - shift);
+            }
+        }
+    }
+
+    /// The mask 2x-upsampled in 3D: reading `self` as a `dim^3` grid (x
+    /// fastest), the `(2 dim)^3` grid whose cell `(x, y, z)` holds cell
+    /// `(x/2, y/2, z/2)` of `self` — the cells one level finer that each
+    /// cell of a refinement tree covers. Word-wise: a row is walked 32
+    /// bits at a time, each piece doubled to 64 and ORed into the four
+    /// fine rows below it, whatever the rows' alignment.
+    ///
+    /// # Panics
+    /// Panics if `len != dim^3`.
+    pub fn upsample2(&self, dim: usize) -> BitMask {
+        assert_eq!(self.len, dim * dim * dim, "mask is not a {dim}^3 grid");
+        let fine = 2 * dim;
+        let mut out = BitMask::zeros(fine * fine * fine);
+        for z in 0..dim {
+            for y in 0..dim {
+                let row = dim * (y + dim * z);
+                let mut x = 0;
+                while x < dim {
+                    let (taken, bits) = self.piece(row + x, (dim - x).min(32));
+                    if bits != 0 {
+                        let wide = double_bits(bits);
+                        for (fy, fz) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                            out.or_bits(fine * (2 * y + fy + fine * (2 * z + fz)) + 2 * x, wide);
+                        }
+                    }
+                    x += taken;
+                }
+            }
+        }
+        out
+    }
+
+    /// Sets every bit that is set in `other`.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn union_with(&mut self, other: &BitMask) {
+        assert_eq!(self.len, other.len, "masks differ in length");
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// The mask with every bit flipped (bits beyond `len` stay clear).
+    pub fn complement(mut self) -> BitMask {
+        for w in &mut self.words {
+            *w = !*w;
+        }
+        self.clear_tail();
+        self
+    }
+
     /// First and last set-bit offsets within the bit range
     /// `[start, start + len)`, relative to `start`; `None` when the
     /// range is all zero.
@@ -429,6 +510,71 @@ mod tests {
             assert!(l >= 1 && s >= start && s + l <= end, "run {s}+{l}");
             assert!(s == start || !m.get(s - 1), "run {s}+{l} extends left");
             assert!(s + l == end || !m.get(s + l), "run {s}+{l} extends right");
+        }
+    }
+
+    /// Grid sides for the tree kernels: rows shorter than a word (1–32),
+    /// rows straddling words at every offset (3, 12, 24), whole-word
+    /// rows (64) and rows ending in a tail piece (96).
+    const TREE_DIMS: [usize; 11] = [1, 2, 3, 4, 8, 12, 16, 24, 32, 64, 96];
+
+    /// Checks `upsample2`, `union_with` and `complement` on `dim^3` masks
+    /// against a bit-by-bit reference, tail words included.
+    fn check_tree_kernels(dim: usize, seed: u64) {
+        let tail_is_clean = |m: &BitMask| {
+            let ones: usize = m.words.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(ones, m.iter_ones().filter(|&i| i < m.len()).count());
+            assert_eq!(m.words.len(), m.len().div_ceil(64));
+        };
+        let coarse = mixed_mask(dim * dim * dim, seed);
+        let fine = 2 * dim;
+        let up = coarse.upsample2(dim);
+        assert_eq!(up.len(), fine * fine * fine);
+        tail_is_clean(&up);
+        for z in 0..fine {
+            for y in 0..fine {
+                for x in 0..fine {
+                    let parent = coarse.get(x / 2 + dim * (y / 2 + dim * (z / 2)));
+                    assert_eq!(up.get(x + fine * (y + fine * z)), parent, "({x}, {y}, {z})");
+                }
+            }
+        }
+        let other = mixed_mask(coarse.len(), seed ^ 0xA5A5);
+        let mut both = coarse.clone();
+        both.union_with(&other);
+        let flipped = coarse.clone().complement();
+        tail_is_clean(&both);
+        tail_is_clean(&flipped);
+        for i in 0..coarse.len() {
+            assert_eq!(both.get(i), coarse.get(i) || other.get(i), "union bit {i}");
+            assert_eq!(flipped.get(i), !coarse.get(i), "complement bit {i}");
+        }
+    }
+
+    #[test]
+    fn tree_kernels_match_a_per_bit_reference_at_every_dim() {
+        for dim in TREE_DIMS {
+            check_tree_kernels(dim, dim as u64);
+        }
+        // All-clear and all-set inputs, on a straddling and a tail row.
+        for dim in [3, 96] {
+            let n = dim * dim * dim;
+            assert_eq!(BitMask::zeros(n).upsample2(dim), BitMask::zeros(8 * n));
+            assert_eq!(BitMask::ones(n).upsample2(dim), BitMask::ones(8 * n));
+            assert_eq!(BitMask::ones(n).complement(), BitMask::zeros(n));
+            assert_eq!(BitMask::zeros(n).complement(), BitMask::ones(n));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn tree_kernels_match_a_per_bit_reference(
+            seed in 0u64..u64::MAX,
+            pick in 0usize..TREE_DIMS.len(),
+        ) {
+            check_tree_kernels(TREE_DIMS[pick], seed);
         }
     }
 

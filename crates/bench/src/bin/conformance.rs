@@ -1,6 +1,6 @@
 //! The conformance runner: sweeps the full error-bound matrix (every
 //! registered scenario x {TAC, 1D, zMesh, 3D} x {sz, pco-lite, pco-ans}
-//! x {memory, v4} x {1, 2, 4, 8} workers), writes the
+//! x {memory, v5} x {1, 2, 4, 8} workers), writes the
 //! machine-readable `CONFORMANCE.json` artifact, then runs the bounded
 //! container-fuzz smoke. Exits non-zero if any matrix cell fails or the
 //! fuzzer observes a panic/incoherent decode.

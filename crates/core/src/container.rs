@@ -2,21 +2,44 @@
 //!
 //! The container records the compression *method* (TAC or one of the
 //! paper's three baselines), the per-level occupancy masks (the AMR grid
-//! structure — LZSS-packed, and accounted separately from the payload
-//! because every method shares it, mirroring how AMReX stores box lists
-//! outside the field data), and the method-specific payload.
+//! structure — LZSS-packed unless implied, and accounted separately from
+//! the payload because every method shares it, mirroring how AMReX
+//! stores box lists outside the field data), and the method-specific
+//! payload.
 //!
-//! # One writer, four readers
+//! # One writer, five readers
 //!
-//! [`CompressedDataset::to_bytes`] is the only serializer and **v4** the
-//! only version it writes: a fixed header (method, element type, name,
-//! masks, method metadata with one scalar-codec byte per level), the
-//! payload as a flat run of independent chunks (one per whole-level
-//! stream, region group or traversal segment), a **chunk table** mapping
+//! [`CompressedDataset::to_bytes`] is the only serializer and **v5** the
+//! only version it writes:
+//!
+//! ```text
+//! "TACD" | 5 | method u8 | dtype u8 | name blob | finest_dim u64 | L u8
+//! mask_mode u8 | [mask blob, level 0] | mask blob, level 1 | … | level L-1
+//! method metadata | payload blob | chunk table | table offset u64
+//! ```
+//!
+//! The method metadata carries one scalar-codec byte per level; the
+//! payload is a flat run of independent chunks (one per whole-level
+//! stream, region group or traversal segment); the **chunk table** maps
 //! each chunk to its level, byte range, codec, element type and
-//! cell-coordinate bounding box, and a trailing table offset so file
-//! readers can seek straight to the table. See
-//! [`crate::roi::decompress_region_t`] for the selective decoder.
+//! cell-coordinate bounding box, and the trailing table offset lets file
+//! readers seek straight to it. See [`crate::roi::decompress_region_t`]
+//! for the selective decoder.
+//!
+//! **The mask section** is one `mask_mode` byte, then one LZSS blob per
+//! stored mask, fine to coarse. In tree-based AMR — the paper's setting —
+//! the levels partition the domain, so the finest mask, always the
+//! largest, is exactly the cells no coarser level covers. Mode **1**
+//! omits its blob, and the reader rebuilds it before anything else sees
+//! the prelude as `m_0 = !up2(m_1 | up2(m_2 | … up2(m_{L-1})))` (`up2` =
+//! [`BitMask::upsample2`]; all ones when `L = 1`). Mode **0** stores
+//! every mask, as v1–v4 do. The writer picks by exact equality, not by
+//! trusting its input: mode 1 iff the mask derived from `masks[1..]`
+//! equals `masks[0]` bit for bit and `finest_dim` halves exactly `L - 1`
+//! times. Hierarchies that are no tree — overlapping levels, an uncovered
+//! cell, two dense levels, an odd side — get mode 0, so every in-memory
+//! container still round-trips. Parsed masks, the chunk table, every
+//! payload byte and every decoder are the same in both modes.
 //!
 //! [`CompressedDataset::from_bytes`] still reads every version that was
 //! ever written, to the same in-memory container:
@@ -30,13 +53,14 @@
 //!   the method metadata *and* per chunk-table row; `f64` implied.
 //! * **v4** — v3 plus one element-type byte ([`TacDtype`]) in the
 //!   header and per chunk-table row.
+//! * **v5** — v4 plus the `mask_mode` byte; rows stay v4 rows.
 //!
-//! Nothing in the workspace writes v1–v3 any more. Their readers are
+//! Nothing in the workspace writes v1–v4 any more. Their readers are
 //! held by the frozen containers under `tests/data/` (`golden_*` and
 //! `legacy_*`, written by the last revisions that had the writers; see
 //! `tests/golden_compat.rs`), which must keep parsing to the same
 //! [`CompressedDataset`] and decoding bit-exactly. Re-serializing a
-//! parsed legacy container upgrades it to v4.
+//! parsed legacy container upgrades it to v5.
 //!
 //! # What a chunk-table row's box means
 //!
@@ -92,6 +116,18 @@ const VERSION_V2: u8 = 2;
 const VERSION_V3: u8 = 3;
 /// Chunked format with a dataset dtype byte and per-chunk dtype tags.
 const VERSION_V4: u8 = 4;
+/// v4 plus a mask-mode byte: the finest mask may be implied by the
+/// coarser ones instead of stored. The version the writer emits.
+const VERSION_V5: u8 = 5;
+/// Mask mode: every level's mask is stored.
+const MASKS_STORED: u8 = 0;
+/// Mask mode: level 0's mask is omitted; see [`implied_finest_mask`].
+const MASKS_FINEST_IMPLIED: u8 = 1;
+/// Most bytes an implied mask may take per byte of container left after
+/// the mode byte: what a stored mask can reach through LZSS (258x) times
+/// the 8x of one refinement step, so omitting the blob buys a crafted
+/// header no allocation a stored blob could not already demand.
+const IMPLIED_MASK_BYTES_PER_BYTE: usize = 1 << 11;
 /// Serialized chunk-table row size in a v2 container: level `u8` +
 /// offset `u64` + len `u64` + bbox `6 x u32`. Read-only: nothing writes
 /// v2 rows any more.
@@ -99,8 +135,9 @@ const CHUNK_ROW_BYTES_V2: usize = 41;
 /// Serialized chunk-table row size in a v3 container: the v2 row plus
 /// one codec byte. Read-only, like v2.
 const CHUNK_ROW_BYTES_V3: usize = 42;
-/// Serialized chunk-table row size in a v4 container — the one the
-/// writer emits: the v3 row plus one element-type ([`TacDtype`]) byte.
+/// Serialized chunk-table row size in a v4 or v5 container — the one
+/// the writer emits: the v3 row plus one element-type ([`TacDtype`])
+/// byte.
 pub const CHUNK_ROW_BYTES_V4: usize = 43;
 /// Size of the chunk table's `u32` row-count prefix.
 pub const CHUNK_COUNT_PREFIX_BYTES: usize = 4;
@@ -346,13 +383,35 @@ impl CompressedDataset {
         }
     }
 
-    /// Bytes of the packed grid-structure masks (shared by all methods;
-    /// excluded from compression-ratio accounting, like AMReX box lists).
+    /// Bytes of the grid-structure section as [`Self::to_bytes`] writes
+    /// it: the mask-mode byte plus every stored mask, LZSS-packed behind
+    /// its length prefix (shared by all methods; excluded from
+    /// compression-ratio accounting, like AMReX box lists).
     pub fn structure_bytes(&self) -> usize {
-        self.masks
-            .iter()
-            .map(|m| tac_sz::lossless::compress(&m.to_bytes()).len())
-            .sum()
+        let mut w = Writer::new();
+        self.write_masks(&mut w);
+        w.len()
+    }
+
+    /// Writes the mask section: the mode byte, then the LZSS-packed mask
+    /// of every level — but for the finest when the coarser ones imply
+    /// it. The mode is decided by exact equality, whatever built the
+    /// masks: a hierarchy that is not a refinement tree (overlapping
+    /// levels, an uncovered cell, a side that does not halve) stores
+    /// every mask.
+    fn write_masks(&self, w: &mut Writer) {
+        let _pack = tac_obs::span(tac_obs::Stage::Lossless);
+        let implied = self.masks.split_first().is_some_and(|(finest, coarser)| {
+            implied_finest_mask(coarser, self.finest_dim).as_ref() == Some(finest)
+        });
+        w.put_u8(if implied {
+            MASKS_FINEST_IMPLIED
+        } else {
+            MASKS_STORED
+        });
+        for m in self.masks.iter().skip(usize::from(implied)) {
+            w.put_blob(&tac_sz::lossless::compress(&m.to_bytes()));
+        }
     }
 
     /// Compression accounting over the AMR representation (present cells
@@ -363,22 +422,23 @@ impl CompressedDataset {
         CompressionStats::new_for(self.total_present(), self.payload_bytes(), self.dtype)
     }
 
-    /// Serializes the container as v4, the chunked codec- and
-    /// dtype-tagged layout — the only version written, whatever the body
-    /// holds.
+    /// Serializes the container as v5, the chunked codec- and
+    /// dtype-tagged layout with a mask-mode byte — the only version
+    /// written, whatever the body holds.
     // tac-lint: allow(arith) -- writer-side width reduction: level, mask, and group counts come from validated in-memory datasets (<= 16 levels, group counts bounded by the grid volume).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let _serialize = tac_obs::span(tac_obs::Stage::Serialize);
         let mut w = Writer::new();
         w.put_bytes(MAGIC);
-        w.put_u8(VERSION_V4);
+        w.put_u8(VERSION_V5);
         w.put_u8(self.method().tag());
         w.put_u8(self.dtype.tag());
         w.put_str(&self.name);
         w.put_u64(self.finest_dim as u64);
         w.put_u8(self.masks.len() as u8);
-        for m in &self.masks {
-            w.put_blob(&tac_sz::lossless::compress(&m.to_bytes()));
-        }
+        let masks_at = w.len();
+        self.write_masks(&mut w);
+        tac_obs::add_bytes(tac_obs::Counter::StructureBytesOut, w.len() - masks_at);
 
         // Method metadata (everything except the streams themselves).
         match &self.body {
@@ -505,23 +565,56 @@ impl CompressedDataset {
         bytes
     }
 
-    /// Parses a container of any version (v1–v4): whatever
+    /// Parses a container of any version (v1–v5): whatever
     /// [`CompressedDataset::to_bytes`] writes now or any earlier writer
     /// ever wrote.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TacError> {
+        let _parse = tac_obs::span(tac_obs::Stage::Parse);
         let mut r = Reader::new(bytes);
         let prelude = parse_prelude(&mut r)?;
         match prelude.version {
             VERSION_V1 => parse_v1_body(&mut r, prelude),
-            VERSION_V2 | VERSION_V3 | VERSION_V4 => {
-                let layout = parse_chunked_tail(&mut r, prelude)?;
-                layout.assemble()
-            }
+            VERSION_V2..=VERSION_V5 => parse_chunked_tail(&mut r, prelude)?.assemble(),
             v => Err(TacError::Corrupt(format!(
                 "unsupported container version {v}"
             ))),
         }
     }
+}
+
+/// The finest mask a refinement tree implies: its levels partition the
+/// domain, so level 0 holds exactly the cells no coarser level does —
+/// `!up2(m_1 | up2(m_2 | … up2(m_{L-1})))` with `up2` the 2x upsample
+/// of [`BitMask::upsample2`], and all ones for a single level. `coarser`
+/// holds the masks of levels `1..L`. `None` when `finest_dim` does not
+/// halve exactly once per coarser level or a mask is not its level's
+/// grid: no tree is implied there.
+fn implied_finest_mask(coarser: &[BitMask], finest_dim: usize) -> Option<BitMask> {
+    let scale = refinement(coarser.len())?;
+    if finest_dim == 0 || finest_dim > MAX_FINEST_DIM || finest_dim % scale != 0 {
+        return None;
+    }
+    // Coarsest first: the cells that a level or one coarser than it
+    // holds, on that level's grid. `coarser[i]` is level `i + 1`.
+    let mut covered: Option<BitMask> = None;
+    for (i, mask) in coarser.iter().enumerate().rev() {
+        let dim = level_dim(finest_dim, i.checked_add(1)?);
+        if mask.len() != dim.checked_pow(3)? {
+            return None;
+        }
+        covered = Some(match covered {
+            None => mask.clone(),
+            Some(below) => {
+                let mut held = below.upsample2(dim / 2);
+                held.union_with(mask);
+                held
+            }
+        });
+    }
+    Some(match covered {
+        None => BitMask::ones(finest_dim.checked_pow(3)?),
+        Some(below) => below.upsample2(finest_dim / 2).complement(),
+    })
 }
 
 /// Parsed shared front matter of every container version.
@@ -538,14 +631,16 @@ pub(crate) struct Prelude {
 }
 
 /// Shared front matter of every container version: magic, version byte,
-/// method, dtype byte (v4), name, finest dim, packed masks.
+/// method, dtype byte (v4+), name, finest dim, level count, mask mode
+/// (v5) and the packed masks — with an implied finest mask rebuilt here,
+/// so nothing behind the prelude can tell the two modes apart.
 fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
     let magic = r.get_bytes(4)?;
     if magic != MAGIC {
         return Err(TacError::Corrupt(format!("bad magic {magic:02x?}")));
     }
     let version = r.get_u8()?;
-    if !(VERSION_V1..=VERSION_V4).contains(&version) {
+    if !(VERSION_V1..=VERSION_V5).contains(&version) {
         return Err(TacError::Corrupt(format!(
             "unsupported container version {version}"
         )));
@@ -581,8 +676,24 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
             "{num_levels} levels do not fit a finest dim of {finest_dim}"
         )));
     }
+    let implied = match (version >= VERSION_V5).then(|| r.get_u8()).transpose()? {
+        None | Some(MASKS_STORED) => false,
+        Some(MASKS_FINEST_IMPLIED) => true,
+        Some(mode) => return Err(TacError::Corrupt(format!("unknown mask mode {mode}"))),
+    };
+    if implied {
+        // `finest_dim^3` cannot overflow below `MAX_FINEST_DIM`.
+        let budget = r.remaining().saturating_mul(IMPLIED_MASK_BYTES_PER_BYTE);
+        if finest_dim.pow(3) / 8 > budget {
+            return Err(TacError::Corrupt(format!(
+                "an implied {finest_dim}^3 mask is implausible over {} bytes",
+                r.remaining()
+            )));
+        }
+    }
+    let _unpack = tac_obs::span(tac_obs::Stage::Lossless);
     let mut masks = Vec::with_capacity(num_levels);
-    for l in 0..num_levels {
+    for l in usize::from(implied)..num_levels {
         let packed = r.get_blob()?;
         let raw = tac_sz::lossless::decompress(packed)?;
         let mask = BitMask::from_bytes(&raw)
@@ -596,6 +707,14 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
             )));
         }
         masks.push(mask);
+    }
+    if implied {
+        let finest = implied_finest_mask(&masks, finest_dim).ok_or_else(|| {
+            TacError::Corrupt(format!(
+                "no finest mask is implied: dim {finest_dim} does not halve into {num_levels} levels"
+            ))
+        })?;
+        masks.insert(0, finest);
     }
     Ok(Prelude {
         version,
@@ -815,7 +934,7 @@ impl ChunkEntry {
     }
 }
 
-/// Per-level metadata of a chunked (v2–v4) TAC payload.
+/// Per-level metadata of a chunked (v2–v5) TAC payload.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TacLevelMeta {
     pub strategy: Strategy,
@@ -841,7 +960,7 @@ impl TacLevelMeta {
     }
 }
 
-/// Method metadata of a parsed chunked (v2–v4) container.
+/// Method metadata of a parsed chunked (v2–v5) container.
 #[derive(Debug, Clone)]
 pub(crate) enum V2Meta {
     Tac(Vec<TacLevelMeta>),
@@ -864,9 +983,10 @@ pub(crate) struct V2Layout<'a> {
     pub entries: Vec<ChunkEntry>,
 }
 
-/// Parses a chunked (v2/v3/v4) container down to its layout without
+/// Parses a chunked (v2–v5) container down to its layout without
 /// decoding any chunk.
 pub(crate) fn parse_v2(bytes: &[u8]) -> Result<V2Layout<'_>, TacError> {
+    let _parse = tac_obs::span(tac_obs::Stage::Parse);
     let mut r = Reader::new(bytes);
     let prelude = parse_prelude(&mut r)?;
     if prelude.version == VERSION_V1 {
@@ -1469,7 +1589,7 @@ pub(crate) mod tests {
 
     #[test]
     fn container_roundtrip_tac_both_versions() {
-        // Written today (v4), and a TAC container as the v1 writer left it.
+        // Written today (v5), and a TAC container as the v1 writer left it.
         let cd = sample_tac();
         let v1 = CompressedDataset::from_bytes(frozen_v1!("tac_sz")).unwrap();
         for (back, want) in [
@@ -1487,12 +1607,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn every_codec_and_dtype_serializes_as_v4_and_roundtrips() {
+    fn every_codec_and_dtype_serializes_as_v5_and_roundtrips() {
         for codec in CodecId::all() {
             for dtype in [TacDtype::F64, TacDtype::F32] {
                 let cd = sample_tac_typed(codec, dtype);
                 let bytes = cd.to_bytes();
-                assert_eq!(bytes[4], VERSION_V4, "{codec}/{dtype}");
+                assert_eq!(bytes[4], VERSION_V5, "{codec}/{dtype}");
                 // The dtype byte sits right after the method tag.
                 assert_eq!(bytes[6], dtype.tag());
                 assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
@@ -1547,7 +1667,7 @@ pub(crate) mod tests {
             }
         }
         // And the baselines as the v1 writer left them, multi-segment
-        // bodies included: they parse, and survive the upgrade to v4.
+        // bodies included: they parse, and survive the upgrade to v5.
         for v1 in [
             frozen_v1!("b1d_sz"),
             frozen_v1!("b1d_ans"),
@@ -1703,7 +1823,14 @@ pub(crate) mod tests {
     /// decode to a silently all-zero level.
     #[test]
     fn a_level_marked_empty_over_present_cells_is_rejected() {
-        let honest = sample_tac().to_bytes();
+        // Over stored masks and over an implied finest one alike.
+        for cd in [sample_tac(), tree_tac()] {
+            marked_empty_over_present_cells_is_rejected(cd);
+        }
+    }
+
+    fn marked_empty_over_present_cells_is_rejected(cd: CompressedDataset) {
+        let honest = cd.to_bytes();
         // Level 1's metadata ends bound, kind, codec.
         let bound = 2e-3f64.to_le_bytes();
         let kind_at = honest.windows(8).position(|w| w == bound).unwrap() + 8;
@@ -1711,17 +1838,9 @@ pub(crate) mod tests {
         // Kind 0 lists no chunk, so the level's row goes too.
         let mut bytes = edit_table(&honest, |rows| rows.retain(|r| r[0] != 1));
         bytes[kind_at] = 0;
-        let parse = CompressedDataset::from_bytes(&bytes).unwrap_err();
-        let region = crate::roi::decompress_region_t::<f64>(&bytes, Aabb::whole(4)).unwrap_err();
-        for err in [parse, region] {
-            let why = err.to_string();
-            assert!(
-                why.contains("level 1 marked empty but mask has 1 cells"),
-                "{why}"
-            );
-        }
+        both_refuse(&bytes, "level 1 marked empty but mask has 1 cells");
         // Over an empty mask the same level is what the writer emits.
-        let mut empty = sample_tac();
+        let mut empty = cd;
         empty.masks[1] = BitMask::zeros(8);
         if let MethodBody::Tac(levels) = &mut empty.body {
             levels[1].payload = LevelPayload::Empty;
@@ -1745,14 +1864,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn f32_dataset_promotes_to_v4_and_roundtrips() {
+    fn f32_dataset_promotes_to_v5_and_roundtrips() {
         // The v1 writer's f32 container — element type recovered from
-        // the self-describing level tags — upgrades to a v4 one with the
+        // the self-describing level tags — upgrades to a v5 one with the
         // dtype in the header and in every row.
         let cd = CompressedDataset::from_bytes(frozen_v1!("tac_f32")).unwrap();
         assert_eq!(cd.dtype, TacDtype::F32);
         let bytes = cd.to_bytes();
-        assert_eq!((bytes[4], bytes[6]), (VERSION_V4, TacDtype::F32.tag()));
+        assert_eq!((bytes[4], bytes[6]), (VERSION_V5, TacDtype::F32.tag()));
         assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
     }
 
@@ -1806,12 +1925,218 @@ pub(crate) mod tests {
 
     #[test]
     fn truncated_v4_is_rejected_at_every_cut() {
-        let bytes = sample_tac_typed(CodecId::PcoLite, TacDtype::F32).to_bytes();
+        let bytes = include_bytes!("../../../tests/data/legacy_tac_f32_v4.tacd");
+        assert_eq!(bytes[4], VERSION_V4);
         for cut in 5..bytes.len() {
             assert!(
                 CompressedDataset::from_bytes(&bytes[..cut]).is_err(),
                 "cut {cut} accepted"
             );
         }
+    }
+
+    #[test]
+    fn truncated_v5_is_rejected_at_every_cut() {
+        // Every mask stored, and the finest implied.
+        for cd in [
+            sample_tac_typed(CodecId::PcoLite, TacDtype::F32),
+            tree_tac(),
+        ] {
+            let bytes = cd.to_bytes();
+            for cut in 5..bytes.len() {
+                assert!(
+                    CompressedDataset::from_bytes(&bytes[..cut]).is_err(),
+                    "cut {cut} accepted"
+                );
+            }
+        }
+    }
+
+    /// Masks of a refinement tree over a `finest_dim`^3 domain: every
+    /// finest cell is held by exactly one level, picked per ancestor
+    /// cell by a seeded hash, so the levels partition the domain.
+    fn tree_masks(finest_dim: usize, levels: usize, seed: u64) -> Vec<BitMask> {
+        let leaf = |l: usize, i: usize| {
+            let h = (seed ^ (l * 0x9E37 + i) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h >> 61) < 3
+        };
+        let mut masks: Vec<BitMask> = (0..levels)
+            .map(|l| BitMask::zeros((finest_dim >> l).pow(3)))
+            .collect();
+        for z in 0..finest_dim {
+            for y in 0..finest_dim {
+                for x in 0..finest_dim {
+                    let at = |l: usize| {
+                        let d = finest_dim >> l;
+                        (x >> l) + d * ((y >> l) + d * (z >> l))
+                    };
+                    let l = (1..levels).rev().find(|&l| leaf(l, at(l))).unwrap_or(0);
+                    masks[l].set(at(l), true);
+                }
+            }
+        }
+        masks
+    }
+
+    /// A zMesh container over the given masks: a body the parser holds
+    /// to nothing but the level count.
+    fn over_masks(finest_dim: usize, masks: Vec<BitMask>) -> CompressedDataset {
+        CompressedDataset {
+            name: "m".into(),
+            finest_dim,
+            dtype: TacDtype::F64,
+            body: MethodBody::ZMesh {
+                abs_eb: 0.5,
+                codec: CodecId::Sz,
+                segments: lone(finest_dim >> (masks.len() - 1), vec![1; 9]),
+            },
+            masks,
+        }
+    }
+
+    /// [`sample_tac`] over a two-level tree: the coarse cell at the
+    /// origin, and every fine cell outside it.
+    fn tree_tac() -> CompressedDataset {
+        let mut cd = sample_tac();
+        cd.masks[0] = cd.masks[1].upsample2(2).complement();
+        cd
+    }
+
+    /// Where the mask-mode byte of a v5 container sits: after magic,
+    /// version, method, dtype, the name blob, the finest dim and the
+    /// level count.
+    fn mode_at(cd: &CompressedDataset) -> usize {
+        7 + 8 + cd.name.len() + 8 + 1
+    }
+
+    /// Serializes `cd`, checks the mode the writer chose and that
+    /// `structure_bytes()` is the mask section's size on the wire, and
+    /// round-trips it through both parsers.
+    fn roundtrip_in_mode(cd: &CompressedDataset, mode: u8) -> Vec<u8> {
+        let bytes = cd.to_bytes();
+        let at = mode_at(cd);
+        assert_eq!((bytes[4], bytes[at]), (VERSION_V5, mode));
+        // The section ends where the method metadata starts: skip the
+        // blobs the mode announces.
+        let mut r = Reader::new(&bytes[at + 1..]);
+        for _ in usize::from(mode)..cd.masks.len() {
+            r.get_blob().unwrap();
+        }
+        assert_eq!(cd.structure_bytes(), 1 + r.position());
+        assert_eq!(&CompressedDataset::from_bytes(&bytes).unwrap(), cd);
+        assert_eq!(parse_v2(&bytes).unwrap().masks, cd.masks);
+        bytes
+    }
+
+    #[test]
+    fn a_refinement_tree_implies_its_finest_mask() {
+        for (finest_dim, levels) in [(4, 2), (8, 2), (16, 4), (24, 4), (12, 3)] {
+            for seed in 0..4 {
+                let cd = over_masks(finest_dim, tree_masks(finest_dim, levels, seed));
+                // The levels partition the domain.
+                let covered = |(l, m): (usize, &BitMask)| m.count_ones() << (3 * l);
+                let cells: usize = cd.masks.iter().enumerate().map(covered).sum();
+                assert_eq!(cells, finest_dim.pow(3));
+                let implied = roundtrip_in_mode(&cd, MASKS_FINEST_IMPLIED);
+                // One cell off the tree: every mask stored, a blob more.
+                let mut stored = cd.clone();
+                stored.masks[0].set(0, !cd.masks[0].get(0));
+                assert!(implied.len() < roundtrip_in_mode(&stored, MASKS_STORED).len());
+            }
+        }
+        roundtrip_in_mode(&tree_tac(), MASKS_FINEST_IMPLIED);
+        // A dense single level is the one-level tree.
+        roundtrip_in_mode(
+            &over_masks(4, vec![BitMask::ones(64)]),
+            MASKS_FINEST_IMPLIED,
+        );
+    }
+
+    #[test]
+    fn hierarchies_that_are_no_tree_store_every_mask() {
+        let tree = tree_masks(8, 2, 1);
+        let mut hole = tree.clone();
+        let cell = hole[0].iter_ones().next().unwrap();
+        hole[0].set(cell, false);
+        let mut overlap = tree.clone();
+        let cell = (0..512).find(|&i| !tree[0].get(i)).unwrap();
+        overlap[0].set(cell, true);
+        for (finest_dim, masks) in [
+            // Two dense levels, an uncovered cell, a cell held twice.
+            (8, vec![BitMask::ones(512), BitMask::ones(64)]),
+            (8, hole),
+            (8, overlap),
+            // A side that does not halve: level 1 is 2^3 under 5^3.
+            (5, vec![BitMask::ones(125), BitMask::zeros(8)]),
+            // A sparse single level, and the hand-built sample.
+            (4, vec![sample_masks().remove(0)]),
+            (4, sample_masks()),
+        ] {
+            roundtrip_in_mode(&over_masks(finest_dim, masks), MASKS_STORED);
+        }
+        // Masks that are not their level's grid keep serializing (the
+        // reader refuses them, as it always has).
+        let odd = over_masks(4, vec![BitMask::ones(64), BitMask::zeros(7)]);
+        assert_eq!(odd.to_bytes()[mode_at(&odd)], MASKS_STORED);
+        assert!(CompressedDataset::from_bytes(&odd.to_bytes()).is_err());
+    }
+
+    /// `from_bytes` and the region read both refuse `bytes`, for a
+    /// reason naming `needle`.
+    fn both_refuse(bytes: &[u8], needle: &str) {
+        let parse = CompressedDataset::from_bytes(bytes).unwrap_err();
+        let region = crate::roi::decompress_region_t::<f64>(bytes, Aabb::whole(4)).unwrap_err();
+        for err in [parse, region] {
+            let why = err.to_string();
+            assert!(why.contains(needle), "{why}");
+        }
+    }
+
+    #[test]
+    fn hostile_mask_modes_are_rejected() {
+        let cd = tree_tac();
+        let honest = cd.to_bytes();
+        let at = mode_at(&cd);
+        assert_eq!(honest[at], MASKS_FINEST_IMPLIED);
+        for mode in [2u8, 255] {
+            let mut bytes = honest.clone();
+            bytes[at] = mode;
+            both_refuse(&bytes, &format!("unknown mask mode {mode}"));
+        }
+        // Claiming every mask is stored shifts each blob by a level.
+        let mut bytes = honest.clone();
+        bytes[at] = MASKS_STORED;
+        both_refuse(&bytes, "mask");
+        // The coarser blob cut short, inside its bytes and its prefix.
+        both_refuse(&honest[..at + 1 + 8 + 3], "");
+        both_refuse(&honest[..at + 1 + 5], "");
+        // A finest dim that does not halve: drop the finest blob of a
+        // stored 5^3-over-2^3 container and claim it implied.
+        let odd = over_masks(5, vec![BitMask::ones(125), BitMask::zeros(8)]);
+        let mut bytes = odd.to_bytes();
+        let at = mode_at(&odd);
+        let blob = 8 + u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+        bytes.drain(at + 1..at + 1 + blob);
+        bytes[at] = MASKS_FINEST_IMPLIED;
+        both_refuse(&bytes, "no finest mask is implied");
+        // An implied mask far beyond what the bytes could describe.
+        let dense = over_masks(4, vec![BitMask::ones(64)]);
+        let mut huge = dense.to_bytes();
+        let dim_at = mode_at(&dense) - 9;
+        huge[dim_at..dim_at + 8].copy_from_slice(&(MAX_FINEST_DIM as u64).to_le_bytes());
+        both_refuse(&huge, "implausible");
+    }
+
+    #[test]
+    fn a_body_that_disagrees_with_the_implied_mask_is_rejected() {
+        let honest = tree_tac().to_bytes();
+        // A group origin outside the grid, header and row box agreeing.
+        let origin: Vec<u8> = [2u32, 2, 2].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let origin_at = honest.windows(12).position(|w| w == origin).unwrap();
+        let mut bytes = edit_table(&honest, |rows| {
+            set_row_box(&mut rows[0], Aabb::new((0, 0, 0), (202, 4, 4)));
+        });
+        bytes[origin_at] = 200;
+        both_refuse(&bytes, "leaves the 4^3 grid");
     }
 }

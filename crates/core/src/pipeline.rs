@@ -175,7 +175,7 @@ fn plan_tac_levels<T: CodecElement>(
 }
 
 /// Compresses a dataset with the given method. The container records
-/// the element type; `f32` data serializes as a v4 stream.
+/// the element type; `f32` data serializes with its dtype tag.
 pub fn compress_dataset_t<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,

@@ -1,4 +1,4 @@
-//! Region-of-interest decompression over the chunked (v2–v4) container.
+//! Region-of-interest decompression over the chunked (v2–v5) container.
 //!
 //! In-situ AMR workflows (AMRIC, SC'23) rarely need a whole snapshot
 //! back: a halo finder inspects a subvolume, a visualisation pans
@@ -81,7 +81,7 @@ fn decode_stacks<T: CodecElement>(
     Ok((AmrDataset::new(layout.name.clone(), levels), stats))
 }
 
-/// Decodes the part of a chunked (v2–v4) container intersecting `roi`
+/// Decodes the part of a chunked (v2–v5) container intersecting `roi`
 /// (given in finest-level cell coordinates, half-open).
 ///
 /// Returns full-size levels in which every cell covered by a decoded

@@ -16,8 +16,9 @@
 //!   constants with pairwise-distinct values, including the f32 level
 //!   tags (`TAG_EMPTY_F32`/`TAG_WHOLE_F32`/`TAG_GROUPS_F32`);
 //! * every golden fixture under `tests/data/*.tacd` agrees with the
-//!   declared constants: magic, version byte, for v4 a known dtype tag
-//!   byte, and — for chunked containers — the exact file geometry
+//!   declared constants: magic, version byte, for v4 and v5 a known
+//!   dtype tag byte, and — for chunked containers — the exact file
+//!   geometry (v5 keeps the v4 row)
 //!   `table_pos + count_prefix + rows * row_size + footer == file length`
 //!   recomputed from the footer offset, the row count, and the declared
 //!   row size. The writer, the reader, and the on-disk bytes must all
@@ -111,8 +112,8 @@ pub fn wire_checks(root: &Path, analyses: &[FileAnalysis]) -> Vec<Violation> {
         }
     }
 
-    // Versions: the core container declares its three version bytes; the
-    // single-version formats declare VERSION.
+    // Versions: the core container declares each of its version bytes
+    // once; the single-version formats declare VERSION.
     let mut versions: Vec<u64> = Vec::new();
     if let Some(fa) = find(analyses, CORE_CONTAINER) {
         for (name, want) in [
@@ -120,6 +121,7 @@ pub fn wire_checks(root: &Path, analyses: &[FileAnalysis]) -> Vec<Violation> {
             ("VERSION_V2", 2),
             ("VERSION_V3", 3),
             ("VERSION_V4", 4),
+            ("VERSION_V5", 5),
         ] {
             match get_const(fa, name).and_then(|c| c.int) {
                 Some(got) if got == want => versions.push(got),
@@ -440,25 +442,28 @@ fn check_fixtures(
             continue; // v1 has no chunk table to check.
         }
         if version >= 4 {
-            // v4 headers carry the element-type tag right after the
+            // v4+ headers carry the element-type tag right after the
             // method byte; only the two known tags are valid.
             match bytes.get(6) {
                 Some(&tag) if tag <= 1 => {}
                 Some(&tag) => {
                     bad(format!(
-                        "v4 fixture dtype tag byte {tag} is not a known element type \
+                        "v{version} fixture dtype tag byte {tag} is not a known element type \
                          (0 = f64, 1 = f32)"
                     ));
                     continue;
                 }
                 None => {
-                    bad("v4 fixture too small to hold a dtype tag byte".into());
+                    bad(format!(
+                        "v{version} fixture too small to hold a dtype tag byte"
+                    ));
                     continue;
                 }
             }
         }
         let row = match (version, row_v2, row_v3, row_v4) {
-            (2, Some(r), _, _) | (3, _, Some(r), _) | (4, _, _, Some(r)) => r,
+            // v5 changed the prelude, not the table: its rows are v4's.
+            (2, Some(r), _, _) | (3, _, Some(r), _) | (4 | 5, _, _, Some(r)) => r,
             _ => continue, // missing consts already reported
         };
         let len = bytes.len() as u64;

@@ -314,6 +314,7 @@ const VERSION_V1: u8 = 1;
 const VERSION_V2: u8 = 2;
 const VERSION_V3: u8 = 3;
 const VERSION_V4: u8 = 4;
+const VERSION_V5: u8 = 5;
 pub const CHUNK_ROW_BYTES_V2: usize = 41;
 pub const CHUNK_ROW_BYTES_V3: usize = 42;
 pub const CHUNK_ROW_BYTES_V4: usize = 43;
@@ -391,6 +392,7 @@ fn conformant_constants_and_fixtures_pass_wirecheck() {
             ("a.tacd", fixture_bytes(2, 3, 41)),
             ("b.tacd", fixture_bytes(3, 1, 42)),
             ("c.tacd", fixture_bytes(4, 2, 43)),
+            ("d.tacd", fixture_bytes(5, 2, 43)),
         ],
     );
     let v = wire_checks(&root, &analyses_of(&good_sources()));
@@ -483,6 +485,32 @@ fn v4_geometry_mismatch_is_reported() {
     // v4 fixture written with v3-size rows: the dtype byte is missing
     // from every row, so the length check must fire.
     let root = temp_root("wc_geom4", &[("bad.tacd", fixture_bytes(4, 3, 42))]);
+    let v = wire_checks(&root, &analyses_of(&good_sources()));
+    assert!(
+        v.iter().any(|x| x.message.contains("geometry mismatch")),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn v5_fixture_needs_its_version_byte_declared() {
+    // Without `VERSION_V5` the constant is missed and a v5 fixture's
+    // version byte is none of the declared ones; with it, v5 files are
+    // held to the v4 row size.
+    let mut sources = good_sources();
+    sources[0].1 = sources[0].1.replace("const VERSION_V5: u8 = 5;\n", "");
+    let root = temp_root("wc_v5", &[("a.tacd", fixture_bytes(5, 1, 43))]);
+    let v = wire_checks(&root, &analyses_of(&sources));
+    assert!(
+        v.iter().any(|x| x.message.contains("`VERSION_V5`")),
+        "{v:?}"
+    );
+    assert!(
+        v.iter()
+            .any(|x| x.message.contains("version byte 5 is not one of")),
+        "{v:?}"
+    );
+    let root = temp_root("wc_geom5", &[("bad.tacd", fixture_bytes(5, 3, 42))]);
     let v = wire_checks(&root, &analyses_of(&good_sources()));
     assert!(
         v.iter().any(|x| x.message.contains("geometry mismatch")),

@@ -83,6 +83,14 @@ pub enum Stage {
     Lossless,
     /// ROI region decode.
     RoiDecode,
+    /// Container serialization (`to_bytes`): header, mask section (its
+    /// LZSS packs nested as [`Stage::Lossless`]), payload copy, chunk
+    /// table.
+    Serialize,
+    /// Container parse (`from_bytes`, and the prelude-and-table parse a
+    /// region read plans from): mask unpack nested as
+    /// [`Stage::Lossless`], chunk-table validation.
+    Parse,
     /// Lifetime of one executor worker thread.
     Worker,
 }
@@ -106,6 +114,8 @@ impl Stage {
         Stage::Entropy,
         Stage::Lossless,
         Stage::RoiDecode,
+        Stage::Serialize,
+        Stage::Parse,
         Stage::Worker,
     ];
 
@@ -128,6 +138,8 @@ impl Stage {
             Stage::Entropy => "entropy",
             Stage::Lossless => "lossless",
             Stage::RoiDecode => "roi_decode",
+            Stage::Serialize => "serialize",
+            Stage::Parse => "parse",
             Stage::Worker => "worker",
         }
     }
@@ -143,6 +155,9 @@ pub enum Counter {
     ChunksDecoded,
     /// Compressed payload bytes produced by codec encodes.
     PayloadBytesOut,
+    /// Bytes of the mask section written by container serialization
+    /// (mode byte plus every stored mask behind its length prefix).
+    StructureBytesOut,
     /// Compressed payload bytes consumed by codec decodes.
     PayloadBytesIn,
     /// Chunks considered by an ROI decode.
@@ -204,6 +219,7 @@ impl Counter {
         Counter::ChunksEncoded,
         Counter::ChunksDecoded,
         Counter::PayloadBytesOut,
+        Counter::StructureBytesOut,
         Counter::PayloadBytesIn,
         Counter::RoiChunksTotal,
         Counter::RoiChunksRead,
@@ -240,6 +256,7 @@ impl Counter {
             Counter::ChunksEncoded => "chunks_encoded",
             Counter::ChunksDecoded => "chunks_decoded",
             Counter::PayloadBytesOut => "payload_bytes_out",
+            Counter::StructureBytesOut => "structure_bytes_out",
             Counter::PayloadBytesIn => "payload_bytes_in",
             Counter::RoiChunksTotal => "roi_chunks_total",
             Counter::RoiChunksRead => "roi_chunks_read",

@@ -9,7 +9,7 @@
 //!   concrete method and per-level codecs it selects;
 //! * **codec**: every registered scalar backend (SZ, pco-lite,
 //!   pco-ans);
-//! * **container format**: the in-memory container and the v4 wire
+//! * **container format**: the in-memory container and the v5 wire
 //!   (`to_bytes`, the one serializer; the v1–v3 readers are held by the
 //!   frozen corpus in `tests/golden_compat.rs`, not by this matrix);
 //! * **workers**: 1, 2, 4, and 8 threads for both compression and
@@ -43,7 +43,7 @@ const BOUND_SLACK: f64 = 1e-9;
 pub enum ContainerFormat {
     /// No serialization: the in-memory container straight to decode.
     Memory,
-    /// The v4 wire format (`to_bytes` then `from_bytes`).
+    /// The v5 wire format (`to_bytes` then `from_bytes`).
     Wire,
 }
 
@@ -57,7 +57,7 @@ impl ContainerFormat {
     pub fn label(self) -> &'static str {
         match self {
             ContainerFormat::Memory => "memory",
-            ContainerFormat::Wire => "v4",
+            ContainerFormat::Wire => "v5",
         }
     }
 }
@@ -71,7 +71,7 @@ pub struct ConformanceCell {
     pub method: String,
     /// Codec label (`sz`, `pco-lite`, `pco-ans`, or `auto`).
     pub codec: String,
-    /// Container format label (`memory`, `v4`).
+    /// Container format label (`memory`, `v5`).
     pub format: String,
     /// Serialized container bytes (wire leg; 0 for the memory leg).
     pub container_bytes: usize,
@@ -631,7 +631,7 @@ mod tests {
                 scenario: "synthetic".into(),
                 method: "TAC".into(),
                 codec: "sz".into(),
-                format: "v4".into(),
+                format: "v5".into(),
                 container_bytes: 0,
                 workers_identical: false,
                 decode_par_identical: false,

@@ -1,9 +1,10 @@
 //! Structure-aware mutational fuzzing of the container wire formats.
 //!
 //! The corpus is a set of **valid** containers (several scenarios x
-//! methods x codecs, freshly written as v4, plus the frozen v1–v3 files
-//! of `tests/data/`), so mutations start from deep inside the accepting
-//! grammar of every reader instead of dying at the magic check — and,
+//! methods x codecs, freshly written as v5, plus the frozen v1–v4 files
+//! of `tests/data/` and their v5 siblings), so mutations start from deep
+//! inside the accepting grammar of every reader instead of dying at the
+//! magic check — and,
 //! last, one hostile seed ([`overlapping_groups`]) that only the decode
 //! itself can refuse.
 //! Each iteration picks a corpus item, applies a seeded stack of
@@ -107,12 +108,13 @@ impl FuzzOutcome {
     }
 }
 
-/// Every frozen v1–v3 container under `tests/data/`. Nothing can write
+/// Every frozen v1–v4 container under `tests/data/`. Nothing can write
 /// these versions any more, so the committed files are how mutation
 /// still reaches each legacy reader branch (all eight v1 level tags, 1D
 /// level tags 0–3, v1 segment framing and codec sniffing, the untagged
-/// v2 and codec-tagged v3 metadata and rows).
-const LEGACY: [&[u8]; 30] = [
+/// v2 and codec-tagged v3 metadata and rows, the v4 prelude without a
+/// mask-mode byte).
+const LEGACY: [&[u8]; 46] = [
     include_bytes!("../../../tests/data/golden_tac_v1.tacd"),
     include_bytes!("../../../tests/data/golden_tac_v2.tacd"),
     include_bytes!("../../../tests/data/golden_b1d_v1.tacd"),
@@ -143,24 +145,61 @@ const LEGACY: [&[u8]; 30] = [
     include_bytes!("../../../tests/data/legacy_zmesh_seg_v2.tacd"),
     include_bytes!("../../../tests/data/legacy_b1d_seg_v1.tacd"),
     include_bytes!("../../../tests/data/legacy_b1d_seg_v2.tacd"),
+    include_bytes!("../../../tests/data/golden_ans_v4.tacd"),
+    include_bytes!("../../../tests/data/golden_auto_v4.tacd"),
+    include_bytes!("../../../tests/data/golden_b1d_v4.tacd"),
+    include_bytes!("../../../tests/data/golden_f32_v4.tacd"),
+    include_bytes!("../../../tests/data/golden_tac_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_ans_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_seg_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_sz_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_b3d_ans_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_b3d_sz_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_ans_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_f32_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_sz_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_ans_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_seg_v4.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_sz_v4.tacd"),
 ];
 
-/// `golden_tac_v4.tacd` with one sub-block origin rewritten onto its
+/// The v5 siblings of the frozen files — what today's writer makes of
+/// them, implied finest masks included.
+const GOLDEN_V5: [&[u8]; 16] = [
+    include_bytes!("../../../tests/data/golden_ans_v5.tacd"),
+    include_bytes!("../../../tests/data/golden_auto_v5.tacd"),
+    include_bytes!("../../../tests/data/golden_b1d_v5.tacd"),
+    include_bytes!("../../../tests/data/golden_f32_v5.tacd"),
+    include_bytes!("../../../tests/data/golden_tac_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_ans_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_seg_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_b1d_sz_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_b3d_ans_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_b3d_sz_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_ans_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_f32_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_tac_sz_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_ans_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_seg_v5.tacd"),
+    include_bytes!("../../../tests/data/legacy_zmesh_sz_v5.tacd"),
+];
+
+/// `golden_tac_v5.tacd` with one sub-block origin rewritten onto its
 /// group's first, as the writer serializes that (the group's header and
 /// its chunk-table box agree): grammar, table and streams are all
 /// intact, two regions of the fine level cover the same cells, and only
 /// the decode can tell — it must refuse, at every worker count.
 pub fn overlapping_groups() -> Vec<u8> {
-    let golden = include_bytes!("../../../tests/data/golden_tac_v4.tacd");
+    let golden = include_bytes!("../../../tests/data/golden_tac_v5.tacd");
     let mut cd = CompressedDataset::from_bytes(golden).expect("golden container parses");
     let MethodBody::Tac(levels) = &mut cd.body else {
-        panic!("golden_tac_v4 is a TAC container");
+        panic!("golden_tac_v5 is a TAC container");
     };
     let moved = levels.iter_mut().find_map(|l| match &mut l.payload {
         LevelPayload::Groups(groups) => groups.iter_mut().find(|g| g.origins.len() > 1),
         _ => None,
     });
-    let group = moved.expect("golden_tac_v4 holds a group of several sub-blocks");
+    let group = moved.expect("golden_tac_v5 holds a group of several sub-blocks");
     let last = group.origins.len() - 1;
     group.origins[last] = group.origins[0];
     cd.to_bytes()
@@ -168,9 +207,9 @@ pub fn overlapping_groups() -> Vec<u8> {
 
 /// Builds the corpus the mutations start from: three small scenarios
 /// under all four methods and every registered codec where it adds a
-/// wire difference, as today's writer serializes them (v4), then the
-/// [`LEGACY`] files for v1–v3 — all valid — and, last, the hostile
-/// [`overlapping_groups`] seed.
+/// wire difference, as today's writer serializes them (v5), then the
+/// [`LEGACY`] files for v1–v4 and their [`GOLDEN_V5`] siblings — all
+/// valid — and, last, the hostile [`overlapping_groups`] seed.
 pub fn corpus() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for name in ["tiny-extremes", "degenerate-corner", "spike-field"] {
@@ -213,7 +252,7 @@ pub fn corpus() -> Vec<Vec<u8>> {
             .expect("corpus compress");
         out.push(cd.to_bytes());
     }
-    out.extend(LEGACY.iter().map(|bytes| bytes.to_vec()));
+    out.extend(LEGACY.iter().chain(&GOLDEN_V5).map(|bytes| bytes.to_vec()));
     out.push(overlapping_groups());
     out
 }
@@ -308,7 +347,7 @@ fn mutate(bytes: &mut Vec<u8>, donor: &[u8], rng: &mut TestRng) -> String {
         return "seed byte into empty input".into();
     }
     let len = bytes.len();
-    match rng.below(12) {
+    match rng.below(13) {
         0 => {
             let i = rng.below(len);
             let bit = rng.below(8);
@@ -375,8 +414,8 @@ fn mutate(bytes: &mut Vec<u8>, donor: &[u8], rng: &mut TestRng) -> String {
             format!("tail corrupt byte {i}")
         }
         9 => {
-            // Targeted dtype corruption: the v4 header tag lives at byte
-            // 6, and each v4 chunk row carries its own tag. Half the
+            // Targeted dtype corruption: the v4+ header tag lives at byte
+            // 6, and each v4+ chunk row carries its own tag. Half the
             // time hit the header; otherwise hunt a per-row tag.
             if len > 6 && rng.chance(0.5) {
                 let v = [0u8, 1, 2, 9, 0xFF][rng.below(5)];
@@ -404,6 +443,20 @@ fn mutate(bytes: &mut Vec<u8>, donor: &[u8], rng: &mut TestRng) -> String {
                 let i = rng.below(len);
                 bytes[i] ^= 2;
                 format!("flip bit 1 of byte {i}")
+            }
+        }
+        11 => {
+            // Targeted mask-mode corruption: claim the finest mask is
+            // stored when it is implied (and the reverse), or a mode
+            // that does not exist.
+            if let Some(pos) = mask_mode_pos(bytes) {
+                let v = [0u8, 1, 2, 0xFF][rng.below(4)];
+                bytes[pos] = v;
+                format!("mask mode byte = {v:#x}")
+            } else {
+                let i = rng.below(len);
+                bytes[i] ^= 4;
+                format!("flip bit 2 of byte {i}")
             }
         }
         _ => {
@@ -439,13 +492,27 @@ fn pco_ans_region_pos(bytes: &[u8], rng: &mut TestRng) -> Option<usize> {
     (lo < hi).then(|| lo + rng.below(hi - lo))
 }
 
+/// Locates the mask-mode byte, provided the bytes still look like a v5
+/// header: it follows the fixed head, the name blob, the finest dim and
+/// the level count.
+pub fn mask_mode_pos(bytes: &[u8]) -> Option<usize> {
+    if bytes.get(4) != Some(&5) {
+        return None;
+    }
+    let name_len: [u8; 8] = bytes.get(7..15)?.try_into().ok()?;
+    let pos = usize::try_from(u64::from_le_bytes(name_len))
+        .ok()?
+        .checked_add(15 + 8 + 1)?;
+    (pos < bytes.len()).then_some(pos)
+}
+
 /// Locates the dtype byte of a random chunk row, provided the bytes
-/// still look like an intact v4 chunked container (version byte 4,
+/// still look like an intact v4 or v5 chunked container (version byte,
 /// in-bounds footer offset and row count).
 fn v4_row_dtype_pos(bytes: &[u8], rng: &mut TestRng) -> Option<usize> {
     // Row layout: level u8, offset u64, len u64, codec u8, dtype u8, …
     const ROW_DTYPE_OFFSET: usize = 18;
-    if bytes.len() < 13 || bytes.get(4) != Some(&4) {
+    if bytes.len() < 13 || !matches!(bytes.get(4), Some(4 | 5)) {
         return None;
     }
     let footer: [u8; 8] = bytes[bytes.len() - 8..].try_into().ok()?;

@@ -49,8 +49,8 @@ pub use conformance::{
     WORKER_COUNTS,
 };
 pub use fuzz::{
-    corpus, fuzz_containers, overlapping_groups, probe_container, FuzzCase, FuzzConfig,
-    FuzzOutcome, ProbeResult,
+    corpus, fuzz_containers, mask_mode_pos, overlapping_groups, probe_container, FuzzCase,
+    FuzzConfig, FuzzOutcome, ProbeResult,
 };
 pub use rng::TestRng;
 pub use scenario::{dataset_from_assignment, scenario, scenarios, ScenarioSpec};

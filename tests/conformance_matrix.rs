@@ -1,6 +1,6 @@
 //! The full error-bound conformance matrix as a test: every registered
 //! scenario x {TAC, 1D, zMesh, 3D} x {sz, pco-lite, pco-ans} x {memory,
-//! v4} x {1, 2, 4, 8} workers — plus one adaptive-selection
+//! v5} x {1, 2, 4, 8} workers — plus one adaptive-selection
 //! (`Method::Auto`, codec label `auto`) sweep per scenario across the
 //! same formats and worker counts.
 //!
@@ -36,7 +36,7 @@ fn full_matrix_passes_for_every_scenario() {
     assert_eq!(auto_cells.clone().count(), scenarios().len() * 2);
     assert!(auto_cells.clone().all(|c| c.codec == "auto"));
     // Every wire cell ran the ROI-agreement leg.
-    for c in report.cells.iter().filter(|c| c.format == "v4") {
+    for c in report.cells.iter().filter(|c| c.format == "v5") {
         assert_eq!(
             c.roi_agrees,
             Some(true),

@@ -300,7 +300,7 @@ fn level_count_beyond_the_finest_grid_is_rejected() {
         masks: [8, 1, 0, 0].map(BitMask::zeros).to_vec(),
         body: MethodBody::Baseline1D(vec![None; 4]),
     };
-    // Its v1 form as the last v1 writer serialized it, and today's v4.
+    // Its v1 form as the last v1 writer serialized it, and today's v5.
     let v1 = include_bytes!("data/hostile_v1_level_count.bin").to_vec();
     assert_eq!(v1[4], 1);
     for bytes in [cd.to_bytes(), v1] {
@@ -472,8 +472,8 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
         assert!(stats.chunks_read > 0 && honest.finest().value(1, 1, 1) != T::ZERO);
 
         // Every row's box (its last six u32s) becomes [7,8)^3. Rows are
-        // v4 rows: the version byte says so.
-        assert_eq!(bytes[4], 4);
+        // v4 rows, which v5 keeps: the version byte says so.
+        assert_eq!(bytes[4], 5);
         let row = CHUNK_ROW_BYTES_V4;
         let mut tampered = bytes.clone();
         let footer_at = bytes.len() - TABLE_FOOTER_BYTES;
@@ -504,7 +504,7 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
 /// Decode tasks paste their regions concurrently, so two regions over
 /// one cell cannot mean "the later paste wins" any more. No encoder
 /// writes such a level, and nothing on the wire is wrong with one —
-/// `golden_tac_v4.tacd` with one sub-block origin rewritten onto its
+/// `golden_tac_v5.tacd` with one sub-block origin rewritten onto its
 /// group's first, header and chunk-table box agreeing — so the parse
 /// accepts it and the decode must refuse it: the same `Corrupt` naming
 /// the overlap at every worker count and from a region read that meets
@@ -516,7 +516,7 @@ fn overlapping_regions_are_rejected_at_every_worker_count() {
         decompress_dataset_par_t, decompress_region_t, CompressedDataset, LevelPayload, MethodBody,
         Parallelism, TacError,
     };
-    let golden = include_bytes!("data/golden_tac_v4.tacd");
+    let golden = include_bytes!("data/golden_tac_v5.tacd");
     let bytes = tac_testkit::overlapping_groups();
     assert_eq!(bytes.len(), golden.len());
     assert!(bytes != golden);
@@ -559,6 +559,129 @@ fn overlapping_regions_are_rejected_at_every_worker_count() {
         serial
     );
     assert_eq!(probe_container(&bytes), ProbeResult::Rejected);
+}
+
+/// Where the mask-mode byte of a v5 container sits.
+fn mask_mode_at(bytes: &[u8]) -> usize {
+    tac_testkit::mask_mode_pos(bytes).expect("a v5 header")
+}
+
+/// `bytes` (finest mask implied) rewritten with every mask stored: the
+/// mode byte cleared, `finest`'s LZSS blob spliced in behind it and the
+/// table-offset footer moved along — what the writer emits for the same
+/// container when its hierarchy is no tree.
+fn with_stored_masks(bytes: &[u8], finest: &tac_amr::BitMask) -> Vec<u8> {
+    let at = mask_mode_at(bytes);
+    assert_eq!(bytes[at], 1);
+    let blob = tac_sz::lossless::compress(&finest.to_bytes());
+    let mut out = Bytes(bytes[..at].to_vec())
+        .u8(0)
+        .blob(&blob)
+        .raw(&bytes[at + 1..])
+        .0;
+    let footer_at = out.len() - 8;
+    let table_pos = u64::from_le_bytes(out[footer_at..].try_into().unwrap());
+    out[footer_at..].copy_from_slice(&(table_pos + 8 + blob.len() as u64).to_le_bytes());
+    out
+}
+
+/// A refinement tree's finest mask is implied, not stored — and nothing
+/// but the container's length can tell: every method over a deep and a
+/// two-level tree writes mode 1, identically at 1, 2, 4 and 8 workers,
+/// and parses, decodes and region-reads bit-identically to the same
+/// container with every mask stored; the stored form is longer by
+/// exactly the finest blob and its length prefix.
+#[test]
+fn an_implied_finest_mask_decodes_like_a_stored_one() {
+    use tac_amr::Aabb;
+    use tac_core::{
+        compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CompressedDataset,
+        Method, Parallelism, TacConfig,
+    };
+    for name in ["deep-column", "nyx-grf"] {
+        let spec = tac_testkit::scenario(name).unwrap();
+        let ds = spec.build(3);
+        ds.validate().unwrap();
+        for method in Method::fixed() {
+            let cd = compress_dataset_t(&ds, &spec.config(), method).unwrap();
+            let implied = cd.to_bytes();
+            assert_eq!(implied[mask_mode_at(&implied)], 1, "{name}/{method:?}");
+            for workers in [2, 4, 8] {
+                let cfg = TacConfig {
+                    parallelism: Parallelism::Threads(workers),
+                    ..spec.config()
+                };
+                let again = compress_dataset_t(&ds, &cfg, method).unwrap().to_bytes();
+                assert_eq!(again, implied, "{name}/{method:?} at {workers} workers");
+            }
+            let stored = with_stored_masks(&implied, &cd.masks[0]);
+            let blob = tac_sz::lossless::compress(&cd.masks[0].to_bytes()).len();
+            assert_eq!(stored.len(), implied.len() + 8 + blob);
+
+            let parsed = CompressedDataset::from_bytes(&implied).unwrap();
+            assert_eq!(parsed, cd, "{name}/{method:?}");
+            assert_eq!(CompressedDataset::from_bytes(&stored).unwrap(), cd);
+            // The stored form is accepted, but never written for a tree.
+            assert_eq!(parsed.to_bytes(), implied);
+
+            let full = decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial).unwrap();
+            let dim = ds.finest_dim();
+            for roi in [
+                Aabb::whole(dim),
+                Aabb::new((1, 0, dim / 4), (dim / 2, dim / 2 + 1, dim / 2)),
+            ] {
+                let (a, a_stats) = decompress_region_t::<f64>(&implied, roi).unwrap();
+                let (b, b_stats) = decompress_region_t::<f64>(&stored, roi).unwrap();
+                assert_eq!(a_stats, b_stats, "{name}/{method:?}");
+                for (l, ((a, b), f)) in a
+                    .levels()
+                    .iter()
+                    .zip(b.levels())
+                    .zip(full.levels())
+                    .enumerate()
+                {
+                    assert_eq!(a.mask(), f.mask(), "{name}/{method:?} level {l}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(a.data()),
+                        bits(b.data()),
+                        "{name}/{method:?} level {l}"
+                    );
+                    if roi == Aabb::whole(dim) {
+                        assert_eq!(
+                            bits(a.data()),
+                            bits(f.data()),
+                            "{name}/{method:?} level {l}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Hand-built hierarchies that are no tree — levels that overlap or
+/// leave cells uncovered, which the compressors accept — keep every
+/// mask stored and round-trip.
+#[test]
+fn hierarchies_that_are_no_tree_keep_their_masks_stored() {
+    use tac_amr::{AmrDataset, AmrLevel};
+    use tac_core::{compress_dataset_t, CompressedDataset, Method, TacConfig};
+    let mut fine = AmrLevel::<f64>::empty(8);
+    let mut coarse = AmrLevel::<f64>::empty(4);
+    for i in 0..4 {
+        fine.set_value(i, 2 * i % 8, 7 - i, 1.0 + i as f64);
+        coarse.set_value(i, i, 3 - i, 2.0 + i as f64);
+    }
+    let ds = AmrDataset::new("no-tree", vec![fine, coarse]);
+    assert!(ds.validate().is_err());
+    for method in Method::fixed() {
+        let cd = compress_dataset_t(&ds, &TacConfig::default(), method).unwrap();
+        let bytes = cd.to_bytes();
+        assert_eq!(bytes[mask_mode_at(&bytes)], 0, "{method:?}");
+        assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
+        assert_eq!(probe_container(&bytes), ProbeResult::Decoded, "{method:?}");
+    }
 }
 
 /// The CI smoke: the bounded seeded campaign must observe zero panics

@@ -9,12 +9,12 @@
 //! values — the fixtures pin the wire formats, the codecs, and the
 //! legacy reader paths all at once.
 //!
-//! Only v4 can still be written. The v1–v3 files (`golden_*` and
-//! `legacy_*`, see [`CORPUS`]) are what holds the v1–v3 readers, and
-//! nothing can regenerate them; the `_v4` files pin the one writer
+//! Only v5 can still be written. The v1–v4 files (`golden_*` and
+//! `legacy_*`, see [`CORPUS`]) are what holds the v1–v4 readers, and
+//! nothing can regenerate them; the `_v5` files pin the one writer
 //! (`cd.to_bytes() == bytes`).
 //!
-//! Regenerating the v4 files (only when intentionally re-baselining):
+//! Regenerating the v5 files (only when intentionally re-baselining):
 //! `cargo test -p tac-bench --test golden_compat -- --ignored --nocapture`
 
 use std::path::PathBuf;
@@ -227,13 +227,15 @@ fn golden_baseline1d_v2_decodes_bit_exactly() {
     check_golden(Method::Baseline1D, "v2");
 }
 
-/// The f64 goldens as today's writer serializes them: the same
-/// reconstruction, and `to_bytes()` pinned byte for byte.
+/// The f64 goldens as the v4 writer left them and as today's writer
+/// serializes them: the same reconstruction, and `to_bytes()` pinned
+/// byte for byte to the v5 file.
 #[test]
-fn golden_f64_v4_fixtures_decode_bit_exactly_and_pin_the_writer() {
+fn golden_f64_v4_v5_fixtures_decode_bit_exactly_and_v5_pins_the_writer() {
     for method in [Method::Tac, Method::Baseline1D] {
         check_golden(method, "v4");
-        let bytes = corpus_file(method_stem(method), 4);
+        check_golden(method, "v5");
+        let bytes = corpus_file(method_stem(method), 5);
         let cd = CompressedDataset::from_bytes(&bytes).unwrap();
         assert_eq!(cd.to_bytes(), bytes, "{method:?}");
     }
@@ -282,6 +284,11 @@ fn golden_f32_v4_decodes_bit_exactly() {
 }
 
 #[test]
+fn golden_f32_v5_decodes_bit_exactly() {
+    check_golden_f32("golden_f32", "v5");
+}
+
+#[test]
 fn golden_f32_v1_decodes_bit_exactly() {
     // The f32 container also has a v1 (monolithic) encoding: the level
     // payload tags are self-describing, so even the headerless format
@@ -290,8 +297,9 @@ fn golden_f32_v1_decodes_bit_exactly() {
 }
 
 /// The v4 fixture really is a v4, f32-tagged container: version byte 4
-/// and the f32 dtype tag on the wire, writer pinned via re-serialization,
-/// and the f64 decode path must refuse it rather than misread it.
+/// and the f32 dtype tag on the wire, re-serializing it gives its v5
+/// sibling, and the f64 decode path must refuse it rather than misread
+/// it.
 #[test]
 fn golden_f32_v4_fixture_is_dtype_tagged() {
     let bytes = std::fs::read(data_dir().join("golden_f32_v4.tacd")).unwrap();
@@ -299,7 +307,7 @@ fn golden_f32_v4_fixture_is_dtype_tagged() {
     assert_eq!(bytes[4], 4, "fixture is not a v4 container");
     assert_eq!(bytes[6], TacDtype::F32.tag(), "fixture is not tagged f32");
     let cd = CompressedDataset::from_bytes(&bytes).unwrap();
-    assert_eq!(cd.to_bytes(), bytes);
+    assert_eq!(cd.to_bytes(), corpus_file("golden_f32", 5));
     assert!(
         decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
         "f64 decode must refuse"
@@ -347,8 +355,8 @@ fn golden_ans_v1_fixture_is_mixed_codec() {
 
 /// The v4 ANS fixture: a dtype-tagged (f32) chunked container whose
 /// fine level is pco-ans. Bit-exact decode against the pinned
-/// reconstruction, mixed codecs on the wire, writer reproduces the
-/// bytes, and the f64 decode path refuses the stream.
+/// reconstruction, mixed codecs on the wire, the writer reproduces its
+/// v5 sibling, and the f64 decode path refuses the stream.
 #[test]
 fn golden_ans_v4_decodes_bit_exactly() {
     let dir = data_dir();
@@ -368,7 +376,7 @@ fn golden_ans_v4_decodes_bit_exactly() {
     let codecs: Vec<CodecId> = levels.iter().map(|l| l.codec).collect();
     assert!(codecs.contains(&CodecId::PcoAns), "{codecs:?}");
     assert!(codecs.contains(&CodecId::Sz), "{codecs:?}");
-    assert_eq!(cd.to_bytes(), bytes);
+    assert_eq!(cd.to_bytes(), corpus_file("golden_ans", 5));
     assert!(
         decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
         "f64 decode must refuse"
@@ -424,8 +432,8 @@ fn golden_auto_v1_decodes_bit_exactly() {
     );
 }
 
-/// The f32 flavour of the adaptively-selected container, on the v4 wire
-/// like everything written today.
+/// The f32 flavour of the adaptively-selected container, as the v4
+/// writer left it; today's selection writes its v5 sibling.
 #[test]
 fn golden_auto_v4_decodes_bit_exactly() {
     let dir = data_dir();
@@ -440,7 +448,6 @@ fn golden_auto_v4_decodes_bit_exactly() {
     let cd = CompressedDataset::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("golden_auto_v4 no longer parses: {e}"));
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
-    assert_eq!(cd.to_bytes(), bytes);
     assert!(
         decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
         "f64 decode must refuse"
@@ -460,8 +467,8 @@ fn golden_auto_v4_decodes_bit_exactly() {
     let again =
         compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
-        again.to_bytes(),
-        bytes,
+        (&again, again.to_bytes()),
+        (&cd, corpus_file("golden_auto", 5)),
         "today's selection no longer reproduces the pinned container"
     );
 }
@@ -489,9 +496,11 @@ fn region_bits(dtype: TacDtype, bytes: &[u8], roi: Aabb) -> Vec<Vec<u64>> {
 }
 
 /// The frozen corpus: per row, the files `<stem>_v<N>.tacd` that hold
-/// **one** container, and its accounting as the last revision with a
-/// v1–v3 writer computed it (`payload_bytes()`, `structure_bytes()`,
-/// `total_bytes()` per TAC level).
+/// **one** container, and its accounting: `payload_bytes()` and
+/// `total_bytes()` per TAC level as the last revision with a v1–v3
+/// writer computed them, `structure_bytes()` as the mask section of the
+/// v5 file (mode byte, length prefixes, the finest blob gone where the
+/// coarser masks imply it).
 ///
 /// `golden_*` v1–v3 files date from the PRs that introduced each wire
 /// feature. `legacy_*` v1–v3 files were written by the last v1 writer
@@ -500,49 +509,50 @@ fn region_bits(dtype: TacDtype, bytes: &[u8], roi: Aabb) -> Vec<Vec<u64>> {
 /// `deep-column` at seed 1 (its coarsest level is empty) under every
 /// method with SZ (v1 + v2) and pco-ans (v1 + v3), its f32 cast under
 /// TAC (v1), and a multi-segment zMesh and 1D body (`_seg`: v1's
-/// trailing-cuts framing and 1D level tag 3, and v2). **Never
-/// regenerate a v1–v3 file**: no code can write one any more, and they
-/// are the only thing holding those readers. Every `_v4` file is its
+/// trailing-cuts framing and 1D level tag 3, and v2). `_v4` files are
+/// each row's container as the last v4 writer serialized it. **Never
+/// regenerate a v1–v4 file**: no code can write one any more, and they
+/// are the only thing holding those readers. Every `_v5` file is its
 /// row's container as today's writer serializes it.
 type CorpusRow = (&'static str, &'static [u8], usize, usize, &'static [usize]);
 const CORPUS: &[CorpusRow] = &[
-    ("golden_tac", &[1, 2, 4], 2525, 104, &[2110, 397, 18]),
-    ("golden_b1d", &[1, 2, 4], 754, 104, &[]),
-    ("golden_mix", &[1, 3], 2218, 104, &[1803, 397, 18]),
-    ("golden_ans", &[1], 2639, 104, &[2224, 397, 18]),
-    ("golden_ans", &[4], 2640, 104, &[2224, 398, 18]),
-    ("golden_auto", &[1], 398, 104, &[]),
-    ("golden_auto", &[4], 398, 104, &[]),
-    ("golden_f32", &[1, 4], 2527, 104, &[2111, 398, 18]),
+    ("golden_tac", &[1, 2, 4, 5], 2525, 73, &[2110, 397, 18]),
+    ("golden_b1d", &[1, 2, 4, 5], 754, 73, &[]),
+    ("golden_mix", &[1, 3], 2218, 73, &[1803, 397, 18]),
+    ("golden_ans", &[1], 2639, 73, &[2224, 397, 18]),
+    ("golden_ans", &[4, 5], 2640, 73, &[2224, 398, 18]),
+    ("golden_auto", &[1], 398, 73, &[]),
+    ("golden_auto", &[4, 5], 398, 73, &[]),
+    ("golden_f32", &[1, 4, 5], 2527, 73, &[2111, 398, 18]),
     (
         "legacy_tac_sz",
-        &[1, 2, 4],
+        &[1, 2, 4, 5],
         1206,
-        101,
+        103,
         &[556, 285, 217, 130, 18],
     ),
     (
         "legacy_tac_ans",
-        &[1, 3, 4],
+        &[1, 3, 4, 5],
         995,
-        101,
+        103,
         &[459, 226, 179, 113, 18],
     ),
-    ("legacy_b1d_sz", &[1, 2, 4], 445, 101, &[]),
-    ("legacy_b1d_ans", &[1, 3, 4], 448, 101, &[]),
-    ("legacy_zmesh_sz", &[1, 2, 4], 251, 101, &[]),
-    ("legacy_zmesh_ans", &[1, 3, 4], 201, 101, &[]),
-    ("legacy_b3d_sz", &[1, 2, 4], 486, 101, &[]),
-    ("legacy_b3d_ans", &[1, 3, 4], 1235, 101, &[]),
+    ("legacy_b1d_sz", &[1, 2, 4, 5], 445, 103, &[]),
+    ("legacy_b1d_ans", &[1, 3, 4, 5], 448, 103, &[]),
+    ("legacy_zmesh_sz", &[1, 2, 4, 5], 251, 103, &[]),
+    ("legacy_zmesh_ans", &[1, 3, 4, 5], 201, 103, &[]),
+    ("legacy_b3d_sz", &[1, 2, 4, 5], 486, 103, &[]),
+    ("legacy_b3d_ans", &[1, 3, 4, 5], 1235, 103, &[]),
     (
         "legacy_tac_f32",
-        &[1, 4],
+        &[1, 4, 5],
         1210,
-        101,
+        103,
         &[557, 286, 218, 131, 18],
     ),
-    ("legacy_zmesh_seg", &[1, 2, 4], 591, 42, &[]),
-    ("legacy_b1d_seg", &[1, 2, 4], 745, 42, &[]),
+    ("legacy_zmesh_seg", &[1, 2, 4, 5], 591, 28, &[]),
+    ("legacy_b1d_seg", &[1, 2, 4, 5], 745, 28, &[]),
 ];
 
 fn corpus_file(stem: &str, version: u8) -> Vec<u8> {
@@ -556,7 +566,7 @@ fn corpus_file(stem: &str, version: u8) -> Vec<u8> {
 /// Every frozen container keeps parsing; all versions of a row parse to
 /// the same `CompressedDataset`, account to the recorded byte counts and
 /// decode bit-identically at 1 and 2 workers; and re-serializing any of
-/// them **upgrades** it: version byte 4, equal to the committed `_v4`
+/// them **upgrades** it: version byte 5, equal to the committed `_v5`
 /// sibling, re-parsing to the same container — after which a region
 /// read, which v1 itself cannot serve, agrees with the full decode.
 #[test]
@@ -582,7 +592,7 @@ fn frozen_corpus_parses_decodes_and_upgrades_identically() {
 
         let decoded = decode_bits(&cd, Parallelism::Serial);
         let upgraded = cd.to_bytes();
-        assert_eq!(upgraded[4], 4, "{stem}");
+        assert_eq!(upgraded[4], 5, "{stem}");
         for &version in versions {
             let what = format!("{stem}_v{version}");
             let bytes = corpus_file(stem, version);
@@ -593,7 +603,7 @@ fn frozen_corpus_parses_decodes_and_upgrades_identically() {
                 assert_eq!(decode_bits(&parsed, parallelism), decoded, "{what}");
             }
             assert_eq!(parsed.to_bytes(), upgraded, "{what}: upgrade");
-            if version == 4 {
+            if version == 5 {
                 assert_eq!(bytes, upgraded, "{what} is not what the writer emits");
             }
             files += 1;
@@ -684,10 +694,10 @@ fn legacy_deep_column_files_decode_within_the_bound() {
 }
 
 /// One writer, one version: whatever the method, codec and element
-/// type, `to_bytes()` emits v4 and the bytes parse back to the same
+/// type, `to_bytes()` emits v5 and the bytes parse back to the same
 /// container.
 #[test]
-fn every_method_codec_and_dtype_serializes_as_v4() {
+fn every_method_codec_and_dtype_serializes_as_v5() {
     fn check<T: CodecElement>(ds: &AmrDataset<T>) {
         for method in Method::fixed() {
             for codec in CodecId::all() {
@@ -697,7 +707,7 @@ fn every_method_codec_and_dtype_serializes_as_v4() {
                 };
                 let cd = compress_dataset_t(ds, &cfg, method).unwrap();
                 let bytes = cd.to_bytes();
-                assert_eq!(bytes[4], 4, "{method:?}/{codec}/{}", T::DTYPE);
+                assert_eq!(bytes[4], 5, "{method:?}/{codec}/{}", T::DTYPE);
                 assert_eq!(bytes[6], T::DTYPE.tag(), "{method:?}/{codec}");
                 let parsed = CompressedDataset::from_bytes(&bytes).unwrap();
                 assert_eq!(parsed, cd, "{method:?}/{codec}/{}", T::DTYPE);
@@ -708,55 +718,55 @@ fn every_method_codec_and_dtype_serializes_as_v4() {
     check(&fixture_dataset_f32());
 }
 
-/// Rewrites every `_v4` file that has a frozen sibling in [`CORPUS`] as
-/// the upgrade of that sibling: parse the legacy bytes, serialize with
-/// today's writer. Deliberately `#[ignore]`d: the committed files are
-/// the evidence that the writer has not moved.
+/// Rewrites every `_v5` file in [`CORPUS`] as the upgrade of its frozen
+/// sibling: parse the legacy bytes, serialize with today's writer.
+/// Deliberately `#[ignore]`d: the committed files are the evidence that
+/// the writer has not moved.
 #[test]
-#[ignore = "rewrites the v4 siblings of the frozen corpus; run only to intentionally re-baseline"]
-fn regenerate_upgraded_v4_fixtures() {
+#[ignore = "rewrites the v5 siblings of the frozen corpus; run only to intentionally re-baseline"]
+fn regenerate_upgraded_v5_fixtures() {
     for &(stem, versions, ..) in CORPUS {
-        if let [legacy, .., 4] = *versions {
+        if let [legacy, .., 5] = *versions {
             let cd = CompressedDataset::from_bytes(&corpus_file(stem, legacy)).unwrap();
-            std::fs::write(data_dir().join(format!("{stem}_v4.tacd")), cd.to_bytes()).unwrap();
-            println!("wrote {stem}_v4.tacd from {stem}_v{legacy}.tacd");
+            std::fs::write(data_dir().join(format!("{stem}_v5.tacd")), cd.to_bytes()).unwrap();
+            println!("wrote {stem}_v5.tacd from {stem}_v{legacy}.tacd");
         }
     }
 }
 
-/// Writes only the f32 pco-ans mixed-codec fixture (`golden_ans_v4`) with
+/// Writes only the f32 pco-ans mixed-codec fixture (`golden_ans_v5`) with
 /// its bit-exact expected reconstruction. Separate from the other
 /// regenerators so re-baselining the ANS wire never silently rewrites
 /// the other fixtures (and vice versa).
 #[test]
-#[ignore = "regenerates the pco-ans v4 golden fixture; run only to intentionally re-baseline"]
+#[ignore = "regenerates the pco-ans v5 golden fixture; run only to intentionally re-baseline"]
 fn regenerate_golden_ans_fixtures() {
     let dir = data_dir();
     let mixed32 = fixture_ans_dataset_f32();
-    std::fs::write(dir.join("golden_ans_v4.tacd"), mixed32.to_bytes()).unwrap();
+    std::fs::write(dir.join("golden_ans_v5.tacd"), mixed32.to_bytes()).unwrap();
     let recon32 = decompress_dataset_par_t::<f32>(&mixed32, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_ans_f32_expected.bin"),
         encode_expected_f32(&recon32),
     )
     .unwrap();
-    println!("wrote golden_ans_v4 fixtures to {}", dir.display());
+    println!("wrote golden_ans_v5 fixtures to {}", dir.display());
 }
 
-/// Writes only the f32 adaptive-selection fixture (`golden_auto_v4`)
+/// Writes only the f32 adaptive-selection fixture (`golden_auto_v5`)
 /// with its bit-exact expected reconstruction. Separate for the same
 /// reason as the ANS regenerator.
 #[test]
-#[ignore = "regenerates the auto-selection v4 golden fixture; run only to intentionally re-baseline"]
+#[ignore = "regenerates the auto-selection v5 golden fixture; run only to intentionally re-baseline"]
 fn regenerate_golden_auto_fixtures() {
     let dir = data_dir();
     let cd32 = compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
-    std::fs::write(dir.join("golden_auto_v4.tacd"), cd32.to_bytes()).unwrap();
+    std::fs::write(dir.join("golden_auto_v5.tacd"), cd32.to_bytes()).unwrap();
     let recon32 = decompress_dataset_par_t::<f32>(&cd32, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_auto_f32_expected.bin"),
         encode_expected_f32(&recon32),
     )
     .unwrap();
-    println!("wrote golden_auto_v4 fixtures to {}", dir.display());
+    println!("wrote golden_auto_v5 fixtures to {}", dir.display());
 }

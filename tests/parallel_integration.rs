@@ -188,7 +188,7 @@ fn tampered_chunk_codec_byte_is_rejected_at_parse() {
     let ds = small_z10();
     let cd = compress_dataset_t(&ds, &cfg_codec(1, CodecId::PcoLite), Method::Tac).unwrap();
     let bytes = cd.to_bytes();
-    assert_eq!(bytes[4], 4, "containers serialize as v4");
+    assert_eq!(bytes[4], 5, "containers serialize as v5");
     // Chunk rows: level u8 + offset u64 + len u64, then the codec
     // byte at offset 17 within the row; rows start 4 bytes after the
     // table position recorded in the footer.
