@@ -19,11 +19,12 @@ pub struct BlockGrid {
 }
 
 impl BlockGrid {
-    /// Counts present cells per unit block from the level's mask words:
-    /// a grid row (`dim` consecutive bits) with no present cell costs
-    /// one ranged popcount, any other row one popcount per block it
-    /// crosses — the scan is proportional to the occupied rows, not to
-    /// `dim^3` cells.
+    /// Counts present cells per unit block from the level's mask words,
+    /// one grid row (`dim` consecutive bits) at a time into the row of
+    /// blocks it crosses ([`crate::BitMask::add_unit_counts`]): at the common
+    /// unit 8 on word-aligned rows a mask word yields eight block counts
+    /// at once and an all-clear word costs one compare, so the scan is
+    /// ~`dim^3 / 64` word steps, not `dim^3` cells.
     ///
     /// # Panics
     /// Panics if `unit` does not divide the level dimension.
@@ -38,14 +39,9 @@ impl BlockGrid {
         let mask = level.mask();
         for z in 0..dim {
             for y in 0..dim {
-                let row = dim * (y + dim * z);
-                if mask.count_ones_in(row, dim) == 0 {
-                    continue;
-                }
                 let row_block = nb * (y / unit + nb * (z / unit));
-                for (bx, count) in counts[row_block..row_block + nb].iter_mut().enumerate() {
-                    *count += mask.count_ones_in(row + bx * unit, unit) as u32;
-                }
+                let blocks = &mut counts[row_block..row_block + nb];
+                mask.add_unit_counts(dim * (y + dim * z), unit, blocks);
             }
         }
         BlockGrid { unit, nb, counts }
@@ -237,6 +233,27 @@ mod tests {
         counts
     }
 
+    /// A `dim^3` mask whose rows are a seeded mix of empty, full and
+    /// random ones; `keep` in 1..=5 thins the occupied rows out.
+    fn seeded_mask(dim: usize, seed: u64, keep: u64) -> BitMask {
+        let mut state = seed | 1;
+        let mut mask = BitMask::zeros(dim * dim * dim);
+        for row in 0..dim * dim {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let class = state % 5;
+            if class >= keep {
+                continue;
+            }
+            for x in 0..dim {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                mask.set(row * dim + x, class == 0 || state >> 62 != 0);
+            }
+        }
+        mask
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -246,23 +263,34 @@ mod tests {
         #[test]
         fn build_matches_the_per_cell_scan(seed in 0u64..u64::MAX, keep in 1u64..6) {
             for dim in [4usize, 12, 20, 32, 64] {
-                let n = dim * dim * dim;
-                let mut state = seed | 1;
-                let mut mask = BitMask::zeros(n);
-                for row in 0..dim * dim {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    if state % 5 >= keep {
-                        continue;
-                    }
-                    for x in 0..dim {
-                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        mask.set(row * dim + x, state >> 62 != 0);
-                    }
-                }
-                let level = AmrLevel::new(dim, vec![0.0; n], mask);
+                let level = AmrLevel::new(dim, vec![0.0; dim * dim * dim], seeded_mask(dim, seed, keep));
                 for unit in (1..=dim).filter(|u| dim % u == 0) {
+                    let grid = BlockGrid::build(&level, unit);
+                    prop_assert_eq!(
+                        &grid.counts,
+                        &counts_by_cell_scan(&level, unit),
+                        "dim {} unit {}", dim, unit
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The word-wise build at the units a level is cut in (1/2/3/4/8)
+        /// on odd sides and sides that are no multiple of 64: rows of 72
+        /// cells start on a word only every 8th row and rows of 96 every
+        /// 2nd, so the SWAR and the ranged path meet in one grid.
+        #[test]
+        fn word_wise_build_matches_the_per_cell_scan_at_every_unit(
+            seed in 0u64..u64::MAX,
+            keep in 1u64..6,
+        ) {
+            for dim in [3usize, 9, 15, 24, 40, 72, 96] {
+                let level = AmrLevel::new(dim, vec![0.0; dim * dim * dim], seeded_mask(dim, seed, keep));
+                for unit in [1usize, 2, 3, 4, 8].into_iter().filter(|u| dim % u == 0) {
                     let grid = BlockGrid::build(&level, unit);
                     prop_assert_eq!(
                         &grid.counts,

@@ -18,6 +18,15 @@ fn low_ones(n: usize) -> u64 {
     }
 }
 
+/// The popcount of each byte of `w`, in that byte (SWAR: three
+/// add-and-mask steps for all eight bytes at once).
+#[inline]
+fn byte_counts(w: u64) -> u64 {
+    let x = w - ((w >> 1) & 0x5555_5555_5555_5555);
+    let x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
+    (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F
+}
+
 /// Every one of the low 32 bits of `x` doubled in place: bit `i` lands
 /// on bits `2i` and `2i + 1`.
 #[inline]
@@ -215,6 +224,54 @@ impl BitMask {
             done += taken;
         }
         ones
+    }
+
+    /// Adds the set bits of each `unit`-bit piece of the range
+    /// `[start, start + counts.len() · unit)` to its slot: piece `k`
+    /// (bits `start + k·unit ..`) to `counts[k]` — one grid row's
+    /// per-block occupancy. With `unit == 8` on a word-aligned range a
+    /// word yields its eight byte counts at once (SWAR) and an all-clear
+    /// word costs one compare; any other unit or offset takes one ranged
+    /// popcount per piece, after one for the whole range.
+    ///
+    /// # Panics
+    /// Panics if `unit` is zero or the range does not lie inside the
+    /// mask.
+    pub fn add_unit_counts(&self, start: usize, unit: usize, counts: &mut [u32]) {
+        assert!(unit > 0, "unit must be positive");
+        let len = counts.len().saturating_mul(unit);
+        assert!(
+            self.contains_range(start, len),
+            "bit range {start}+{len} out of range {}",
+            self.len
+        );
+        if unit == 8 && start % 64 == 0 {
+            let add = |slots: &mut [u32], word: u64| {
+                if word != 0 {
+                    for (slot, ones) in slots.iter_mut().zip(byte_counts(word).to_le_bytes()) {
+                        *slot += u32::from(ones);
+                    }
+                }
+            };
+            let mut words = self.words.get(start / 64..).unwrap_or_default().iter();
+            let mut whole = counts.chunks_exact_mut(8);
+            for (slots, &word) in (&mut whole).zip(&mut words) {
+                add(slots, word);
+            }
+            // The range's tail: its bits past the range are never added.
+            let tail = whole.into_remainder();
+            if let Some(&word) = words.next().filter(|_| !tail.is_empty()) {
+                add(tail, word);
+            }
+            return;
+        }
+        if self.count_ones_in(start, len) == 0 {
+            return;
+        }
+        for (k, slot) in counts.iter_mut().enumerate() {
+            let ones = self.count_ones_in(start + k * unit, unit);
+            *slot += u32::try_from(ones).unwrap_or(u32::MAX);
+        }
     }
 
     /// Stores `T::ZERO` (`+0.0` bits) over every cell of `cells` whose
@@ -663,6 +720,36 @@ mod tests {
             m.set(i, true);
         }
         assert_eq!(m.runs().collect::<Vec<_>>(), vec![(0, 64), (65, 127)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Per-unit counts against one ranged popcount per piece, at
+        /// word-aligned and unaligned starts, for the SWAR unit and
+        /// others, with ranges ending inside, on and past a word.
+        #[test]
+        fn unit_counts_match_ranged_popcounts(
+            seed in 0u64..u64::MAX,
+            start in 0usize..200,
+            pieces in 0usize..24,
+            unit in 1usize..10,
+            aligned in any::<bool>(),
+        ) {
+            let start = if aligned { start / 64 * 64 } else { start };
+            let m = mixed_mask(start + pieces * unit + 70, seed);
+            let mut counts: Vec<u32> = (0..pieces as u32).collect();
+            m.add_unit_counts(start, unit, &mut counts);
+            for (k, &c) in counts.iter().enumerate() {
+                prop_assert_eq!(c as usize, k + m.count_ones_in(start + k * unit, unit));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn unit_counts_reject_a_range_past_the_end() {
+        BitMask::zeros(70).add_unit_counts(64, 8, &mut [0]);
     }
 
     #[test]

@@ -131,7 +131,10 @@ pub struct TacConfig {
     /// regions may sit and still share one SZ batch. `None` merges by
     /// shape alone (maximum batching); `Some(t)` keeps chunks local so
     /// the container's region-of-interest decode can skip more of
-    /// the payload.
+    /// the payload. Dense levels (ZeroFill / GSP) are cut at the tile
+    /// too: a level larger than `t` is stored as z-slabs of `t` whole
+    /// planes (the last one shorter), one chunk each, in the value order
+    /// of the one whole-grid stream a level of side `<= t` keeps.
     pub roi_tile: Option<usize>,
     /// Tuning of the `Method::Auto` adaptive selection pass (ignored by
     /// the fixed methods).

@@ -20,7 +20,8 @@
 //!
 //! The method metadata carries one scalar-codec byte per level; the
 //! payload is a flat run of independent chunks (one per whole-level
-//! stream, region group or traversal segment); the **chunk table** maps
+//! stream, region group — a dense level's `roi_tile` z-slab is one — or
+//! traversal segment); the **chunk table** maps
 //! each chunk to its level, byte range, codec, element type and
 //! cell-coordinate bounding box, and the trailing table offset lets file
 //! readers seek straight to it. See [`crate::roi::decompress_region_t`]
@@ -942,7 +943,8 @@ pub(crate) struct TacLevelMeta {
     pub abs_eb: f64,
     /// Scalar codec of the level's streams (v2: always SZ).
     pub codec: CodecId,
-    /// 0 = empty, 1 = whole-grid stream, 2 = region groups.
+    /// 0 = empty, 1 = whole-grid stream, 2 = region groups (for any
+    /// strategy: a dense level cut into slabs is kind 2 too).
     pub kind: u8,
     /// Number of group chunks (kind 2 only).
     pub group_count: usize,

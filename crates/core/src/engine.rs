@@ -39,9 +39,10 @@ use crate::extract::{
 use crate::gsp::pad_ghost_shell;
 use crate::nast::plan_nast;
 use crate::opst::plan_opst;
+use crate::roi::box_rows;
 use crate::stream::{BlockGroup, CompressedLevel, LevelPayload};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tac_amr::{AmrLevel, BitMask, BlockGrid};
+use tac_amr::{Aabb, AmrLevel, BitMask, BlockGrid};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecError, CodecId, Dims};
 use tac_dtype::Element;
 
@@ -61,13 +62,23 @@ pub(crate) fn unit_for(dim: usize, unit: usize) -> Result<usize, TacError> {
     Ok(effective)
 }
 
-/// Where a whole-grid compression task reads its input.
+/// Where a level's compression tasks read their input.
 #[derive(Debug)]
-pub(crate) enum WholeSource<T: Element> {
-    /// The level's own flat array (ZeroFill).
+pub(crate) enum Source<T: Element> {
+    /// The level's own flat array (ZeroFill and the sparse strategies).
     Level,
     /// An owned pre-processed buffer (GSP's padded grid).
     Owned(Vec<T>),
+}
+
+impl<T: Element> Source<T> {
+    /// The buffer the tasks read, given the level's own flat array.
+    fn resolve<'a>(&'a self, level: &'a [T]) -> &'a [T] {
+        match self {
+            Source::Level => level,
+            Source::Owned(buf) => buf,
+        }
+    }
 }
 
 /// The planned work for one level.
@@ -76,9 +87,25 @@ pub(crate) enum LevelWork<T: Element> {
     /// Nothing to compress.
     Empty,
     /// One whole-grid rank-3 stream.
-    Whole(WholeSource<T>),
-    /// Extracted region groups, each an independent task.
-    Groups(Vec<GroupPlan>),
+    Whole(Source<T>),
+    /// Region groups cut from the source, each an independent task.
+    Groups(Source<T>, Vec<GroupPlan>),
+}
+
+/// A dense level's work. Under `roi_tile = Some(t)` with `t < dim`, one
+/// group per z-slab — shape `(dim, dim, min(t, dim - z))` at origin
+/// `(0, 0, z)` — so a region read decodes only the slabs its box meets;
+/// otherwise one whole-grid stream, the bytes dense levels have always
+/// had.
+fn dense_work<T: Element>(source: Source<T>, dim: usize, tile: Option<usize>) -> LevelWork<T> {
+    let Some(tile) = tile.filter(|&t| 0 < t && t < dim) else {
+        return LevelWork::Whole(source);
+    };
+    let slab = |z: usize| GroupPlan {
+        shape: (dim, dim, tile.min(dim - z)),
+        origins: vec![(0, 0, z)],
+    };
+    LevelWork::Groups(source, (0..dim).step_by(tile).map(slab).collect())
 }
 
 /// A fully planned level, ready for the execute phase.
@@ -105,28 +132,28 @@ pub(crate) fn plan_level<T: Element>(
     let dim = level.dim();
     let work = match strategy {
         Strategy::Empty => LevelWork::Empty,
-        Strategy::ZeroFill => LevelWork::Whole(WholeSource::Level),
+        Strategy::ZeroFill => dense_work(Source::Level, dim, cfg.roi_tile),
         Strategy::Gsp => {
             let grid = BlockGrid::build(level, unit_for(dim, cfg.unit)?);
             let (padded, _) = pad_ghost_shell(level, &grid);
-            LevelWork::Whole(WholeSource::Owned(padded))
+            dense_work(Source::Owned(padded), dim, cfg.roi_tile)
         }
         Strategy::NaST => {
             let grid = BlockGrid::build(level, unit_for(dim, cfg.unit)?);
             let regions = plan_nast(&grid);
-            LevelWork::Groups(plan_groups(&regions, cfg.roi_tile))
+            LevelWork::Groups(Source::Level, plan_groups(&regions, cfg.roi_tile))
         }
         Strategy::OpST => {
             let unit = unit_for(dim, cfg.unit)?;
             let grid = BlockGrid::build(level, unit);
             let regions = plan_opst(&grid).regions(unit);
-            LevelWork::Groups(plan_groups(&regions, cfg.roi_tile))
+            LevelWork::Groups(Source::Level, plan_groups(&regions, cfg.roi_tile))
         }
         Strategy::AkdTree => {
             let unit = unit_for(dim, cfg.unit)?;
             let grid = BlockGrid::build(level, unit);
             let regions = plan_akdtree(&grid).regions(unit);
-            LevelWork::Groups(plan_groups(&regions, cfg.roi_tile))
+            LevelWork::Groups(Source::Level, plan_groups(&regions, cfg.roi_tile))
         }
     };
     Ok(LevelPlan {
@@ -148,7 +175,8 @@ struct CompressTask<'a, T: Element> {
 
 enum CompressKind<'a, T: Element> {
     Whole(&'a [T]),
-    /// A region group plus the flat array of its owning level.
+    /// A region group plus the buffer it is cut from (the level's flat
+    /// array, or GSP's padded grid).
     Group(&'a GroupPlan, &'a [T]),
 }
 
@@ -188,18 +216,15 @@ pub(crate) fn compress_plans<T: CodecElement>(
                 dim: plan.dim,
                 codec: plan.codec,
                 codec_cfg,
-                kind: CompressKind::Whole(match source {
-                    WholeSource::Level => data,
-                    WholeSource::Owned(buf) => buf,
-                }),
+                kind: CompressKind::Whole(source.resolve(data)),
             }),
-            LevelWork::Groups(groups) => {
+            LevelWork::Groups(source, groups) => {
                 for g in groups {
                     tasks.push(CompressTask {
                         dim: plan.dim,
                         codec: plan.codec,
                         codec_cfg,
-                        kind: CompressKind::Group(g, data),
+                        kind: CompressKind::Group(g, source.resolve(data)),
                     });
                 }
             }
@@ -253,7 +278,7 @@ pub(crate) fn compress_plans<T: CodecElement>(
                 TaskOut::Stream(stream) => LevelPayload::Whole(stream),
                 TaskOut::Group(_) => unreachable!("whole task produced a group"),
             },
-            LevelWork::Groups(groups) => {
+            LevelWork::Groups(_, groups) => {
                 let mut collected = Vec::with_capacity(groups.len());
                 for _ in groups {
                     match next.next().expect("missing group result")? {
@@ -290,6 +315,9 @@ struct DecompressTask<'a> {
     /// Cells the task decodes (the scheduler's cost estimate), computed
     /// with checked arithmetic while the task list is built.
     cells: u64,
+    /// The box of a region read on this level, unless it is the whole
+    /// grid: the only cells the task writes.
+    clip: Option<Aabb>,
     kind: DecompressKind<'a>,
 }
 
@@ -330,10 +358,18 @@ pub(crate) fn check_level_mask(l: usize, dim: usize, mask: &BitMask) -> Result<u
 /// its cost follows the occupied volume and the pages of a level grid
 /// that no chunk touches are never written (they stay untouched
 /// zero-initialised memory).
+///
+/// `clip` — a region read's box on each level's grid, see
+/// [`crate::roi::level_boxes`] — narrows that to the cells inside the
+/// box: every other cell holds `+0.0` bits, whatever chunk covers it,
+/// and a task writes only the in-box part of what it decoded. Regions
+/// still claim every cell they cover, so an overlap is `Corrupt` even
+/// where it lies outside the box. Full decodes pass `None`.
 pub(crate) fn decompress_tac_levels<T: CodecElement>(
     compressed: &[CompressedLevel],
     masks: &[BitMask],
     workers: usize,
+    clip: Option<&[Aabb]>,
 ) -> Result<Vec<AmrLevel<T>>, TacError> {
     // Validate everything the decode tasks and the paste trust, up
     // front: masks (tasks do not see them) and every group's declared
@@ -348,11 +384,14 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
             }));
         }
         let n = check_level_mask(l, cl.dim, mask)?;
+        let clip =
+            (clip.and_then(|boxes| boxes.get(l)).copied()).filter(|b| *b != Aabb::whole(cl.dim));
         let task = |cells: usize, kind| DecompressTask {
             level: l,
             dim: cl.dim,
             codec: cl.codec,
             cells: cells as u64,
+            clip,
             kind,
         };
         match &cl.payload {
@@ -426,20 +465,38 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
                             values.len()
                         )));
                     }
-                    let _paste = paste_span(values.len());
-                    mask.zero_absent(0, &mut values);
-                    tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, values.len());
-                    Ok(values)
+                    let Some(clip) = t.clip else {
+                        let _paste = paste_span(values.len());
+                        mask.zero_absent(0, &mut values);
+                        tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, values.len());
+                        return Ok(values);
+                    };
+                    // A region read: the box's rows move into a fresh grid
+                    // and are masked there.
+                    let _paste = paste_span(clip.volume());
+                    let mut grid = vec![T::ZERO; values.len()];
+                    for row in box_rows(clip, t.dim) {
+                        if let (Some(dst), Some(src)) =
+                            (grid.get_mut(row.clone()), values.get(row.clone()))
+                        {
+                            dst.copy_from_slice(src);
+                            mask.zero_absent(row.start, dst);
+                        }
+                    }
+                    tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * clip.volume());
+                    Ok(grid)
                 }
                 DecompressKind::Group(g) => {
                     let values = decode_group::<T>(g, t.codec)?;
                     let _paste = paste_span(values.len());
-                    if !paste_group(&planes[t.level], t.dim, g, &values, mask)? {
+                    let (fresh, copied) =
+                        paste_group(&planes[t.level], t.dim, g, &values, mask, t.clip.as_ref())?;
+                    if !fresh {
                         overlap.fetch_min(t.level, Ordering::Relaxed);
                     }
-                    // Every region cell is pasted once and visited once more
-                    // by the masking.
-                    tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * values.len());
+                    // Every copied cell is pasted once and visited once
+                    // more by the masking.
+                    tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * copied);
                     Ok(Vec::new())
                 }
             }
@@ -514,11 +571,48 @@ mod tests {
         data.iter().map(|v| v.to_bits_u64()).collect()
     }
 
-    fn assembled_bits<T: CodecElement>(cl: &CompressedLevel, mask: &BitMask) -> Vec<u64> {
-        let levels =
-            decompress_tac_levels::<T>(std::slice::from_ref(cl), std::slice::from_ref(mask), 1)
-                .unwrap();
+    /// The reference restricted to a region read's box: `+0.0` outside.
+    fn clipped_reference<T: CodecElement>(
+        cl: &CompressedLevel,
+        mask: &BitMask,
+        clip: &Aabb,
+    ) -> Vec<u64> {
+        let dim = cl.dim;
+        let mut bits = reference_assembly::<T>(cl, mask);
+        for (i, b) in bits.iter_mut().enumerate() {
+            if !clip.contains(i % dim, i / dim % dim, i / dim / dim) {
+                *b = 0;
+            }
+        }
+        bits
+    }
+
+    fn assembled_bits<T: CodecElement>(
+        cl: &CompressedLevel,
+        mask: &BitMask,
+        clip: Option<&Aabb>,
+    ) -> Vec<u64> {
+        let levels = decompress_tac_levels::<T>(
+            std::slice::from_ref(cl),
+            std::slice::from_ref(mask),
+            1,
+            clip.map(std::slice::from_ref),
+        )
+        .unwrap();
         levels[0].data().iter().map(|v| v.to_bits_u64()).collect()
+    }
+
+    /// Region-read boxes on a 16^3 grid: one cutting through the ball
+    /// and the unit blocks at odd offsets, a single cell, one that
+    /// misses every present cell, the empty box and the whole grid.
+    fn clips() -> [Aabb; 5] {
+        [
+            Aabb::new((3, 5, 2), (11, 9, 7)),
+            Aabb::new((6, 7, 5), (7, 8, 6)),
+            Aabb::new((13, 0, 12), (16, 2, 16)),
+            Aabb::new((0, 0, 0), (0, 0, 0)),
+            Aabb::whole(16),
+        ]
     }
 
     /// A 16^3 level whose unit blocks (unit 4) are partially filled: a
@@ -558,25 +652,97 @@ mod tests {
                 Strategy::OpST,
                 Strategy::AkdTree,
             ] {
-                let plans = vec![plan_level(&level, strategy, 1e-3, &cfg).unwrap()];
-                let cl = compress_plans(&plans, &[level.data()], &cfg, 1)
-                    .unwrap()
-                    .pop()
-                    .unwrap();
+                let cl = compress_level(&level, strategy, &cfg);
+                let what = format!("{strategy:?}/{codec}/{}", T::DTYPE.label());
                 assert_eq!(
-                    assembled_bits::<T>(&cl, level.mask()),
+                    assembled_bits::<T>(&cl, level.mask(), None),
                     reference_assembly::<T>(&cl, level.mask()),
-                    "{strategy:?}/{codec}/{}",
-                    T::DTYPE.label()
+                    "{what}"
                 );
+                for clip in clips() {
+                    assert_eq!(
+                        assembled_bits::<T>(&cl, level.mask(), Some(&clip)),
+                        clipped_reference::<T>(&cl, level.mask(), &clip),
+                        "{what} in {clip:?}"
+                    );
+                }
             }
         }
+    }
+
+    fn compress_level<T: CodecElement>(
+        level: &AmrLevel<T>,
+        strategy: Strategy,
+        cfg: &TacConfig,
+    ) -> CompressedLevel {
+        let plans = vec![plan_level(level, strategy, 1e-3, cfg).unwrap()];
+        compress_plans(&plans, &[level.data()], cfg, 1)
+            .unwrap()
+            .pop()
+            .unwrap()
     }
 
     #[test]
     fn assembly_equals_the_per_cell_reference_for_every_strategy_codec_and_width() {
         every_strategy_and_codec_matches_the_reference::<f64>();
         every_strategy_and_codec_matches_the_reference::<f32>();
+    }
+
+    fn slab_tiled_levels_match_the_reference<T: CodecElement>() {
+        let level = ragged_level::<T>();
+        let dim = level.dim();
+        for codec in CodecId::all() {
+            let cfg = |roi_tile| TacConfig {
+                unit: 4,
+                codec,
+                roi_tile,
+                ..Default::default()
+            };
+            for strategy in [Strategy::ZeroFill, Strategy::Gsp] {
+                let what = format!("{strategy:?}/{codec}/{}", T::DTYPE.label());
+                let whole = compress_level(&level, strategy, &cfg(None));
+                assert!(matches!(whole.payload, LevelPayload::Whole(_)), "{what}");
+                // A tile the level fits in changes nothing.
+                assert_eq!(compress_level(&level, strategy, &cfg(Some(dim))), whole);
+                for tile in [4, 5] {
+                    let cl = compress_level(&level, strategy, &cfg(Some(tile)));
+                    let LevelPayload::Groups(slabs) = &cl.payload else {
+                        panic!("{what}: tile {tile} left the level whole");
+                    };
+                    let cuts: Vec<usize> = (0..dim).step_by(tile).collect();
+                    assert_eq!(slabs.len(), cuts.len(), "{what}");
+                    for (g, z) in slabs.iter().zip(cuts) {
+                        assert_eq!(g.origins, [(0, 0, z as u32)], "{what}");
+                        assert_eq!(g.shape, (dim, dim, tile.min(dim - z)), "{what}");
+                    }
+                    let bits = assembled_bits::<T>(&cl, level.mask(), None);
+                    assert_eq!(bits, reference_assembly::<T>(&cl, level.mask()), "{what}");
+                    if codec != CodecId::Sz {
+                        // The pco codecs quantise on an absolute lattice and
+                        // a slab keeps the level's value order: cutting the
+                        // stream moves no bit.
+                        let uncut = assembled_bits::<T>(&whole, level.mask(), None);
+                        assert_eq!(bits, uncut, "{what}: tile {tile}");
+                    }
+                    for clip in clips() {
+                        assert_eq!(
+                            assembled_bits::<T>(&cl, level.mask(), Some(&clip)),
+                            clipped_reference::<T>(&cl, level.mask(), &clip),
+                            "{what}: tile {tile} in {clip:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Dense levels under a tile smaller than the level are cut into
+    /// z-slabs — one group of whole planes each, the last one short —
+    /// and assemble like the per-cell reference, clipped or not.
+    #[test]
+    fn slab_tiled_dense_levels_assemble_like_the_reference_for_every_codec_and_width() {
+        slab_tiled_levels_match_the_reference::<f64>();
+        slab_tiled_levels_match_the_reference::<f32>();
     }
 
     /// Containers no encoder writes. Two regions over one cell — within
@@ -636,16 +802,20 @@ mod tests {
                 ),
             ] {
                 let cl = level(overlapping);
-                for workers in [1, 2, 4] {
+                // A region read whose box misses the doubled cells still
+                // sees them: the regions it decodes claim every cell.
+                let away = [Aabb::new((5, 0, 0), (8, 1, 1))];
+                for (workers, clip) in [(1, None), (2, None), (4, None), (1, Some(&away[..]))] {
                     let err = decompress_tac_levels::<f64>(
                         std::slice::from_ref(&cl),
                         std::slice::from_ref(&mask),
                         workers,
+                        clip,
                     )
                     .unwrap_err();
                     assert!(
                         matches!(&err, TacError::Corrupt(why) if why.contains("overlaps")),
-                        "{codec}, {what}, {workers} workers: {err}"
+                        "{codec}, {what}, {workers} workers, {clip:?}: {err}"
                     );
                 }
             }
@@ -655,8 +825,14 @@ mod tests {
                 group((3, 3, 2), &[(4, 1, 1)]),
                 absent_only(),
             ]);
-            let got = assembled_bits::<f64>(&cl, &mask);
+            let got = assembled_bits::<f64>(&cl, &mask, None);
             assert_eq!(got, reference_assembly::<f64>(&cl, &mask), "{codec}");
+            let clip = Aabb::new((1, 2, 1), (6, 8, 3));
+            assert_eq!(
+                assembled_bits::<f64>(&cl, &mask, Some(&clip)),
+                clipped_reference::<f64>(&cl, &mask, &clip),
+                "{codec}"
+            );
             assert_eq!(
                 got[dim * dim * dim - 1],
                 0,
@@ -699,6 +875,7 @@ mod tests {
                     std::slice::from_ref(&cl),
                     std::slice::from_ref(&mask),
                     workers,
+                    None,
                 )
                 .unwrap_err();
                 assert!(matches!(err, TacError::Corrupt(_)), "{shape:?}: {err}");

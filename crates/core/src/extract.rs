@@ -96,9 +96,11 @@ pub(crate) fn plan_groups(regions: &[Region], tile: Option<usize>) -> Vec<GroupP
 }
 
 /// Runs one planned job: gathers the batched region data out of the
-/// level's flat array and compresses it as one rank-4 stream through the
-/// given scalar codec. Generic over the element type; the width resolves
-/// once per stream through [`CodecElement`].
+/// level's flat array (or GSP's padded grid) and compresses it as one
+/// rank-4 stream through the given scalar codec. A lone region of whole
+/// z-planes — a dense level's slab — is one contiguous range of `data`
+/// and is encoded in place, not copied. Generic over the element type;
+/// the width resolves once per stream through [`CodecElement`].
 pub(crate) fn compress_group<T: CodecElement>(
     data: &[T],
     dim: usize,
@@ -107,18 +109,32 @@ pub(crate) fn compress_group<T: CodecElement>(
     cfg: &CodecConfig,
 ) -> Result<BlockGroup, TacError> {
     let (w, h, d) = plan.shape;
-    let mut batch = Vec::with_capacity(plan.num_cells());
-    let mut origins = Vec::with_capacity(plan.origins.len());
-    for &origin in &plan.origins {
-        copy_region_into(&mut batch, data, dim, origin, plan.shape);
-        origins.push((origin.0 as u32, origin.1 as u32, origin.2 as u32));
-    }
+    let plane = dim * dim;
+    let slab = match plan.origins.as_slice() {
+        &[(0, 0, z)] if (w, h) == (dim, dim) => data.get(plane * z..plane * (z + d)),
+        _ => None,
+    };
+    let gathered;
+    let batch = match slab {
+        Some(values) => values,
+        None => {
+            let mut batch = Vec::with_capacity(plan.num_cells());
+            for &origin in &plan.origins {
+                copy_region_into(&mut batch, data, dim, origin, plan.shape);
+            }
+            gathered = batch;
+            gathered.as_slice()
+        }
+    };
     let stream = T::codec_compress(
         codec_for(codec),
-        &batch,
+        batch,
         Dims::D4(w, h, d, plan.origins.len()),
         cfg,
     )?;
+    let origins = (plan.origins.iter())
+        .map(|&(x, y, z)| (x as u32, y as u32, z as u32))
+        .collect();
     Ok(BlockGroup {
         shape: plan.shape,
         origins,
@@ -215,18 +231,23 @@ fn claim(bits: &mut [u64], start: usize, len: usize) -> bool {
 /// occupancy mask to what it pasted: row by row, under the lock of the
 /// plane the row lies on, the region's values are copied in, the absent
 /// cells of that row are reset to `+0.0` and the row's cells claimed.
-/// Cells outside every region are never written. Each sub-block's
-/// origin and shape are bounds-checked before its first row is touched.
-/// Returns whether every pasted cell was unclaimed: concurrent tasks
+/// Cells outside every region are never written. With a `clip` box — a
+/// region read — only the part of each row inside the box is copied and
+/// masked, while the whole row is still claimed, so an overlap is found
+/// wherever it lies. Each sub-block's origin and shape are bounds-checked
+/// before its first row is touched.
+///
+/// Returns whether every pasted cell was unclaimed — concurrent tasks
 /// cannot agree on which region's value a cell claimed twice keeps, so
-/// the caller rejects such a level.
+/// the caller rejects such a level — and how many cells were copied.
 pub(crate) fn paste_group<T: Element>(
     planes: &[Plane<'_, T>],
     dim: usize,
     g: &BlockGroup,
     values: &[T],
     mask: &BitMask,
-) -> Result<bool, TacError> {
+    clip: Option<&Aabb>,
+) -> Result<(bool, usize), TacError> {
     let (w, h, d) = g.shape;
     // `block_cells` guarantees a non-zero block, so the chunking below
     // cannot panic. `decode_group` validated the stream's declared dims,
@@ -234,6 +255,7 @@ pub(crate) fn paste_group<T: Element>(
     // without data is an error, not an index.
     let mut blocks = values.chunks_exact(block_cells(g, dim)?);
     let mut fresh = true;
+    let mut copied = 0;
     for (i, &(x, y, z)) in g.origins.iter().enumerate() {
         let (x, y, z) = (x as usize, y as usize, z as usize);
         if x + w > dim || y + h > dim || z + d > dim {
@@ -245,6 +267,17 @@ pub(crate) fn paste_group<T: Element>(
         let slice = blocks.next().ok_or_else(|| {
             TacError::Corrupt(format!("group stream holds no data for sub-block {i}"))
         })?;
+        // The in-box part of every row of the block: `[from, to)` of the
+        // row's `w` cells, on the rows the box holds.
+        let (from, to) = clip.map_or((0, w), |b| {
+            (b.min.0.clamp(x, x + w) - x, b.max.0.clamp(x, x + w) - x)
+        });
+        let inside = |yy: usize, zz: usize| {
+            from < to
+                && clip.map_or(true, |b| {
+                    (b.min.1..b.max.1).contains(&yy) && (b.min.2..b.max.2).contains(&zz)
+                })
+        };
         let mut rows = slice.chunks_exact(w);
         for zz in z..z + d {
             let short = || TacError::Corrupt(format!("grid is short of a {dim}^3 level"));
@@ -253,16 +286,22 @@ pub(crate) fn paste_group<T: Element>(
             let (cells, claimed) = &mut *plane;
             for yy in y..y + h {
                 let row = x + dim * yy;
-                let (Some(dst), Some(src)) = (cells.get_mut(row..row + w), rows.next()) else {
-                    return Err(short());
-                };
-                dst.copy_from_slice(src);
-                mask.zero_absent(row + dim * dim * zz, dst);
+                let src = rows.next().ok_or_else(short)?;
+                if inside(yy, zz) {
+                    let (Some(dst), Some(src)) =
+                        (cells.get_mut(row + from..row + to), src.get(from..to))
+                    else {
+                        return Err(short());
+                    };
+                    dst.copy_from_slice(src);
+                    mask.zero_absent(row + from + dim * dim * zz, dst);
+                    copied += to - from;
+                }
                 fresh &= claim(claimed, row, w);
             }
         }
     }
-    Ok(fresh)
+    Ok((fresh, copied))
 }
 
 #[cfg(test)]
@@ -278,7 +317,7 @@ mod tests {
         for g in groups {
             let values = decode_group(g, codec)?;
             let planes = planes_of(&mut out, &mut claims, dim);
-            assert!(paste_group(&planes, dim, g, &values, &mask)?);
+            assert!(paste_group(&planes, dim, g, &values, &mask, None)?.0);
         }
         Ok(out)
     }
@@ -358,39 +397,58 @@ mod tests {
         for i in (0..mask.len()).filter(|i| i % 3 != 0) {
             mask.set(i, true);
         }
-        // A sentinel everywhere shows which cells the paste wrote.
-        let mut out = vec![9.0f64; dim * dim * dim];
-        let mut claims = vec![0; dim * claim_words(dim)];
-        let planes = planes_of(&mut out, &mut claims, dim);
-        assert!(paste_group(&planes, dim, &g, &values, &mask).unwrap());
-        drop(planes);
-        let mut src = values.iter();
-        let mut expect = vec![9.0f64; dim * dim * dim];
-        for &(x, y, z) in &g.origins {
-            for zz in z as usize..z as usize + 2 {
-                for yy in y as usize..y as usize + 2 {
-                    for xx in x as usize..x as usize + 5 {
-                        let i = xx + dim * (yy + dim * zz);
-                        let v = *src.next().unwrap();
-                        expect[i] = if mask.get(i) { v } else { 0.0 };
-                    }
-                }
-            }
-        }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&out), bits(&expect));
-        // The claim bits are exactly the pasted cells (an 8^3 plane is
-        // one claim word), so a region sharing one cell overlaps.
-        for (i, v) in expect.iter().enumerate() {
-            assert_eq!(claims[i / 64] >> (i % 64) & 1 == 1, *v != 9.0, "cell {i}");
-        }
         let corner = BlockGroup {
             shape: (1, 1, 1),
             origins: vec![(6, 4, 2)],
             stream: Vec::new(),
         };
-        let planes = planes_of(&mut out, &mut claims, dim);
-        assert!(!paste_group(&planes, dim, &corner, &[1.0], &mask).unwrap());
+        // Unclipped, a box that cuts both sub-blocks, and one that misses
+        // them: only the boxed cells are written, every region cell is
+        // claimed all the same.
+        for clip in [
+            None,
+            Some(Aabb::new((3, 1, 1), (6, 4, 7))),
+            Some(Aabb::new((0, 0, 3), (8, 8, 6))),
+        ] {
+            // A sentinel everywhere shows which cells the paste wrote.
+            let mut out = vec![9.0f64; dim * dim * dim];
+            let mut claims = vec![0; dim * claim_words(dim)];
+            let planes = planes_of(&mut out, &mut claims, dim);
+            let (fresh, copied) =
+                paste_group(&planes, dim, &g, &values, &mask, clip.as_ref()).unwrap();
+            assert!(fresh);
+            drop(planes);
+            let mut src = values.iter();
+            let mut expect = vec![9.0f64; dim * dim * dim];
+            let mut claimed = vec![false; dim * dim * dim];
+            for &(x, y, z) in &g.origins {
+                for zz in z as usize..z as usize + 2 {
+                    for yy in y as usize..y as usize + 2 {
+                        for xx in x as usize..x as usize + 5 {
+                            let i = xx + dim * (yy + dim * zz);
+                            let v = *src.next().unwrap();
+                            claimed[i] = true;
+                            if clip.map_or(true, |b| b.contains(xx, yy, zz)) {
+                                expect[i] = if mask.get(i) { v } else { 0.0 };
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(bits(&out), bits(&expect), "{clip:?}");
+            assert_eq!(copied, expect.iter().filter(|&&v| v != 9.0).count());
+            // The claim bits are exactly the region cells (an 8^3 plane
+            // is one claim word), so a region sharing one cell overlaps.
+            for (i, &c) in claimed.iter().enumerate() {
+                assert_eq!(claims[i / 64] >> (i % 64) & 1 == 1, c, "cell {i}");
+            }
+            let planes = planes_of(&mut out, &mut claims, dim);
+            let clip = Some(Aabb::new((0, 0, 0), (1, 1, 1)));
+            let (fresh, copied) =
+                paste_group(&planes, dim, &corner, &[1.0], &mask, clip.as_ref()).unwrap();
+            assert!(!fresh && copied == 0);
+        }
     }
 
     /// Claims over a plane whose rows straddle word boundaries (a 10^2

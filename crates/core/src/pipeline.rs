@@ -14,10 +14,11 @@ use crate::container::{CompressedDataset, Method, MethodBody};
 use crate::density::choose_strategy;
 use crate::engine::{self, LevelPlan};
 use crate::error::TacError;
+use crate::roi::box_rows;
 use crate::segment::{self, StackSegments, SEGMENT_BUDGET};
 use crate::stream::CompressedLevel;
 use crate::zmesh::level_dim;
-use tac_amr::{min_max, to_uniform, AmrDataset, AmrLevel, BitMask};
+use tac_amr::{min_max, to_uniform, Aabb, AmrDataset, AmrLevel, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecError, CodecId, Dims, ErrorBound};
 use tac_dtype::{dispatch_dtype, Element, TacDtype};
 use tac_par::Parallelism;
@@ -123,8 +124,12 @@ pub fn decompress_level_t<T: CodecElement>(
     cl: &CompressedLevel,
     mask: &BitMask,
 ) -> Result<AmrLevel<T>, TacError> {
-    let mut levels =
-        engine::decompress_tac_levels(std::slice::from_ref(cl), std::slice::from_ref(mask), 1)?;
+    let mut levels = engine::decompress_tac_levels(
+        std::slice::from_ref(cl),
+        std::slice::from_ref(mask),
+        1,
+        None,
+    )?;
     levels
         .pop()
         .ok_or_else(|| TacError::Corrupt("the engine returned no level".into()))
@@ -140,6 +145,18 @@ pub fn select_method<T: Element>(ds: &AmrDataset<T>, cfg: &TacConfig) -> Method 
     }
 }
 
+/// Each level's value range over its present cells (`None` for an empty
+/// level) — one scan per write, shared by everything that resolves a
+/// bound: the TAC and 1D per-level bounds, zMesh's union range and every
+/// candidate `Method::Auto` scores.
+pub(crate) type LevelRanges = [Option<(f64, f64)>];
+
+/// Scans [`LevelRanges`] once.
+pub(crate) fn level_ranges<T: Element>(ds: &AmrDataset<T>) -> Vec<Option<(f64, f64)>> {
+    let _plan = tac_obs::span(tac_obs::Stage::Plan);
+    ds.levels().iter().map(|l| l.value_range()).collect()
+}
+
 /// Plans every level of a TAC run serially (cheap partition planning):
 /// strategy by density, per-level bound, region extraction / padding.
 /// `level_codecs[l]`, where present, replaces `cfg.codec` for level `l`
@@ -147,6 +164,7 @@ pub fn select_method<T: Element>(ds: &AmrDataset<T>, cfg: &TacConfig) -> Method 
 fn plan_tac_levels<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
+    ranges: &LevelRanges,
     level_codecs: &[CodecId],
 ) -> Result<Vec<LevelPlan<T>>, TacError> {
     let _plan = tac_obs::span(tac_obs::Stage::Plan);
@@ -162,7 +180,7 @@ fn plan_tac_levels<T: CodecElement>(
                 T::DTYPE,
                 cfg.error_bound,
                 cfg.level_scale(l),
-                level.value_range(),
+                ranges.get(l).copied().flatten(),
             )?
         };
         let mut plan = engine::plan_level(level, strategy, abs_eb, cfg)?;
@@ -181,8 +199,29 @@ pub fn compress_dataset_t<T: CodecElement>(
     cfg: &TacConfig,
     method: Method,
 ) -> Result<CompressedDataset, TacError> {
+    compress_with(ds, cfg, method, None)
+}
+
+/// [`compress_dataset_t`] reusing the level ranges a caller already
+/// scanned (`None`: scan them here, unless the 3D baseline, which
+/// resolves against its uniform grid, is all that runs).
+pub(crate) fn compress_with<T: CodecElement>(
+    ds: &AmrDataset<T>,
+    cfg: &TacConfig,
+    method: Method,
+    ranges: Option<&LevelRanges>,
+) -> Result<CompressedDataset, TacError> {
     cfg.validate()?;
     let _compress = tac_obs::span(tac_obs::Stage::Compress).arg("levels", ds.num_levels());
+    let scanned;
+    let ranges = match ranges {
+        Some(ranges) => ranges,
+        None if method == Method::Baseline3D => &[],
+        None => {
+            scanned = level_ranges(ds);
+            &scanned
+        }
+    };
     let masks: Vec<BitMask> = ds.levels().iter().map(|l| l.mask().clone()).collect();
     let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
     let workers = cfg.parallelism.workers();
@@ -190,31 +229,32 @@ pub fn compress_dataset_t<T: CodecElement>(
     // compression tasks on the work-stealing scheduler in one flattened
     // batch.
     let tac_body = |level_codecs: &[CodecId]| -> Result<MethodBody, TacError> {
-        let plans = plan_tac_levels(ds, cfg, level_codecs)?;
+        let plans = plan_tac_levels(ds, cfg, ranges, level_codecs)?;
         engine::compress_plans(&plans, &level_data, cfg, workers).map(MethodBody::Tac)
     };
     let body = match method {
         Method::Tac => tac_body(&[])?,
-        Method::Baseline1D => segment::compress_1d(ds, cfg, SEGMENT_BUDGET)?,
-        Method::ZMesh => segment::compress_zmesh(ds, cfg, SEGMENT_BUDGET)?,
+        Method::Baseline1D => segment::compress_1d(ds, cfg, ranges, SEGMENT_BUDGET)?,
+        Method::ZMesh => segment::compress_zmesh(ds, cfg, ranges, SEGMENT_BUDGET)?,
         Method::Auto => {
             // TAC+-style adaptive selection: score every fixed
             // `(method, codec)` candidate (and, for TAC, every per-level
             // codec) and compress with the winner. The selection pass is
             // serial and deterministic, so Auto output stays
             // byte-identical across worker counts like every fixed path.
-            let selection = crate::select::select_auto(ds, cfg)?;
+            let selection = crate::select::select_ranged(ds, cfg, ranges)?;
             if selection.method == Method::Tac {
                 tac_body(&selection.level_codecs)?
             } else {
                 // A single-codec winner: rerun the fixed pipeline with
-                // the selected codec. The recursion terminates because
-                // the selection never returns `Method::Auto`.
+                // the selected codec and the ranges already scanned. The
+                // recursion terminates because the selection never
+                // returns `Method::Auto`.
                 let winner_cfg = TacConfig {
                     codec: selection.codec,
                     ..cfg.clone()
                 };
-                return compress_dataset_t(ds, &winner_cfg, selection.method);
+                return compress_with(ds, &winner_cfg, selection.method, Some(ranges));
             }
         }
         Method::Baseline3D => {
@@ -327,6 +367,19 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
     cd: &CompressedDataset,
     parallelism: Parallelism,
 ) -> Result<AmrDataset<T>, TacError> {
+    decompress_dataset_in(cd, parallelism.workers(), None)
+}
+
+/// [`decompress_dataset_par_t`] on `workers` threads, writing only the
+/// cells inside `clip` — a region read's box on each level's grid
+/// ([`crate::roi::level_boxes`]) — when one is given: every other cell
+/// holds `+0.0` bits, whatever the body decoded there. `None` is the
+/// full decode.
+pub(crate) fn decompress_dataset_in<T: CodecElement>(
+    cd: &CompressedDataset,
+    workers: usize,
+    clip: Option<&[Aabb]>,
+) -> Result<AmrDataset<T>, TacError> {
     if cd.dtype != T::DTYPE {
         return Err(TacError::Codec(CodecError::WrongDtype {
             stream: cd.dtype.label(),
@@ -335,7 +388,6 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
     }
     let _decompress = tac_obs::span(tac_obs::Stage::Decompress).arg("levels", cd.masks.len());
     check_geometry(cd)?;
-    let workers = parallelism.workers();
     let finest_dim = cd.finest_dim;
     let levels: Vec<AmrLevel<T>> = match &cd.body {
         MethodBody::Tac(compressed) => {
@@ -346,20 +398,20 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
                     cd.masks.len()
                 )));
             }
-            engine::decompress_tac_levels(compressed, &cd.masks, workers)?
+            engine::decompress_tac_levels(compressed, &cd.masks, workers, clip)?
         }
         MethodBody::Baseline1D(levels) => {
             if levels.len() != cd.masks.len() {
                 return Err(TacError::Corrupt("level count mismatch".into()));
             }
             let stacks = StackSegments::of_1d(finest_dim, levels)?;
-            segment::decompress_stacks(&cd.masks, finest_dim, &stacks, workers)?
+            segment::decompress_stacks(&cd.masks, finest_dim, &stacks, workers, clip)?
         }
         MethodBody::ZMesh {
             codec, segments, ..
         } => {
             let stacks = StackSegments::of_zmesh(cd.masks.len(), finest_dim, *codec, segments)?;
-            segment::decompress_stacks(&cd.masks, finest_dim, &stacks, workers)?
+            segment::decompress_stacks(&cd.masks, finest_dim, &stacks, workers, clip)?
         }
         MethodBody::Baseline3D { stream, codec, .. } => {
             let n = finest_dim;
@@ -386,9 +438,14 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
                             "level {l}: a present cell lies outside the {n}^3 grid"
                         ))
                     };
+                    // The whole grid, or the rows of a region read's box.
+                    let clip = (clip.and_then(|boxes| boxes.get(l)).copied())
+                        .filter(|b| *b != Aabb::whole(dim));
+                    let spans = (clip.is_none().then_some(0..mask.len()).into_iter())
+                        .chain(clip.into_iter().flat_map(|b| box_rows(b, dim)));
                     let mut data = vec![T::ZERO; mask.len()];
-                    tac_obs::add_bytes(tac_obs::Counter::ReorderValues, mask.count_ones());
-                    for (start, len) in mask.runs() {
+                    let mut filled = 0;
+                    for (start, len) in spans.flat_map(|s| mask.runs_in(s.start, s.len())) {
                         let cells = data
                             .get_mut(start..)
                             .and_then(|d| d.get_mut(..len))
@@ -402,7 +459,9 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
                             let fine = x * scale + n * (y * scale + n * (z * scale));
                             *cell = *uniform.get(fine).ok_or_else(outside)?;
                         }
+                        filled += len;
                     }
+                    tac_obs::add_bytes(tac_obs::Counter::ReorderValues, filled);
                     Ok(AmrLevel::new(dim, data, mask.clone()))
                 })
                 .collect::<Result<Vec<_>, _>>()?
@@ -661,6 +720,7 @@ mod tests {
             ALL_PLANES,
             &values,
             &mut [data.as_mut_slice()],
+            None,
         )
         .unwrap();
         assert_eq!(bits(&data), bits(&expect));

@@ -7,23 +7,67 @@
 //! chunks whose boxes intersect the request, skipping the rest of the
 //! payload entirely.
 //!
+//! # The box contract
+//!
+//! A region read returns full-size levels in which every cell inside
+//! the request — on level `l`, the box coarsened by `2^l` (floor on the
+//! lower corner, ceiling on the upper) and clipped to the grid, see
+//! [`level_boxes`] — equals a full decode bit for bit, and every other
+//! cell holds `+0.0` bits. That holds for every method, element type
+//! and codec, and does not depend on how the container was chunked:
+//! the layout decides what a read costs, never what it returns.
+//!
+//! # What a read costs
+//!
 //! Selectivity comes from each method's own structure. A TAC level
-//! chunk is either one region group (OpST / AKDTree / NaST) or one
-//! whole-grid stream (ZeroFill / GSP) whose box is the mask's bounding
-//! box. A zMesh or 1D chunk is one segment of the traversal — a slab of
-//! whole z-planes, see [`crate::segment`] — so a request reads the slabs
-//! it meets and skips the rest. Only the 3D baseline is one full-domain
-//! chunk and degrades gracefully to a full decode.
+//! chunk is one region group (OpST / AKDTree / NaST), one z-slab of a
+//! dense level (ZeroFill / GSP under `roi_tile`) or, for a dense level
+//! no larger than the tile, one whole-grid stream boxed by the mask's
+//! bounding box. A zMesh or 1D chunk is one segment of the traversal —
+//! a slab of whole z-planes, see [`crate::segment`]. A request decodes
+//! the chunks it meets and skips the rest; only the 3D baseline is one
+//! full-domain chunk and always decodes in full. Whatever is decoded,
+//! only its cells inside the box are written — pasted and masked,
+//! scattered, or sampled — so the pages of the level grids outside the
+//! box are never touched.
 
 use crate::container::{parse_v2, ChunkEntry, CompressedDataset, MethodBody, V2Layout, V2Meta};
 use crate::error::TacError;
-use crate::pipeline::decompress_dataset_par_t;
+use crate::pipeline::decompress_dataset_in;
 use crate::segment::{decompress_stacks, SegmentRef, StackSegments};
-use crate::zmesh::refinement;
+use crate::zmesh::{level_dim, refinement};
 use std::ops::Range;
 use tac_amr::{Aabb, AmrDataset};
 use tac_codec::{CodecElement, CodecError};
-use tac_par::Parallelism;
+
+/// The box a region read of `roi` (finest-grid cells, half-open) keeps
+/// on each of `levels` levels: coarsened by the level's refinement
+/// `2^l` — floor on `min`, ceiling on `max`, so it covers every cell any
+/// requested fine cell lies in — and clipped to the level's grid; empty
+/// where the request misses the level.
+pub(crate) fn level_boxes(roi: Aabb, finest_dim: usize, levels: usize) -> Vec<Aabb> {
+    (0..levels)
+        .map(|l| {
+            let coarse = roi.coarsen(refinement(l).unwrap_or(usize::MAX));
+            let grid = Aabb::whole(level_dim(finest_dim, l));
+            coarse
+                .intersection(&grid)
+                .unwrap_or_else(|| Aabb::new((0, 0, 0), (0, 0, 0)))
+        })
+        .collect()
+}
+
+/// The rows of box `b` on a `dim`^3 grid (x fastest), as flat index
+/// ranges in ascending order.
+pub(crate) fn box_rows(b: Aabb, dim: usize) -> impl Iterator<Item = Range<usize>> {
+    let width = b.max.0.saturating_sub(b.min.0);
+    (b.min.2..b.max.2).flat_map(move |z| {
+        (b.min.1..b.max.1).map(move |y| {
+            let start = b.min.0 + dim * (y + dim * z);
+            start..start + width
+        })
+    })
+}
 
 /// Byte accounting of one [`decompress_region_t`] call. "Read" counts the
 /// payload chunks actually sliced and decoded; the header, masks, and
@@ -69,36 +113,41 @@ fn record_roi_stats(stats: &RoiStats) {
 }
 
 /// Decodes the read segments of a zMesh / 1D container, each into its
-/// own slab of the level grids.
+/// own slab of the level grids, writing only the cells inside `boxes`.
 fn decode_stacks<T: CodecElement>(
     layout: &V2Layout<'_>,
     stacks: &[StackSegments<'_>],
+    boxes: &[Aabb],
     stats: RoiStats,
 ) -> Result<(AmrDataset<T>, RoiStats), TacError> {
     record_roi_stats(&stats);
     let _decompress = tac_obs::span(tac_obs::Stage::Decompress).arg("levels", layout.masks.len());
-    let levels = decompress_stacks(&layout.masks, layout.finest_dim, stacks, 1)?;
+    let levels = decompress_stacks(&layout.masks, layout.finest_dim, stacks, 1, Some(boxes))?;
     Ok((AmrDataset::new(layout.name.clone(), levels), stats))
 }
 
-/// Decodes the part of a chunked (v2–v5) container intersecting `roi`
-/// (given in finest-level cell coordinates, half-open).
+/// Decodes the box `roi` (finest-level cell coordinates, half-open) of a
+/// chunked (v2–v5) container.
 ///
-/// Returns full-size levels in which every cell covered by a decoded
-/// chunk carries its reconstructed value and every skipped cell is zero
-/// — so within `roi`, the result matches a full decode exactly, and the
-/// reported [`RoiStats`] show how much payload the request avoided.
+/// Returns full-size levels under the box contract of the module docs:
+/// on level `l`, every cell inside `roi` coarsened by `2^l` (floor on
+/// `min`, ceiling on `max`) and clipped to the grid equals a full decode
+/// bit for bit, and every other cell holds `+0.0` bits — on every
+/// method, element type and codec, however the container was chunked.
+/// A box that misses the domain returns all-zero levels; one covering it
+/// returns the full decode.
 ///
-/// Skipped and absent cells hold `+0.0` bits. A skipped chunk costs
-/// nothing beyond its chunk-table row (and, for a region group, the
-/// origin list the table check reads): the level grids are
-/// zero-initialised and only the regions of the chunks actually read
-/// are written — TAC regions pasted then masked, zMesh / 1D segments
-/// scattered into their slabs — so pages of a level grid that no read
-/// chunk touches are never written, a skipped chunk's stream bytes are
-/// never copied, and the call costs what its chunks cost, not what the
-/// bounding grids cost. The 3D baseline alone is a single chunk and
-/// always decodes in full.
+/// The reported [`RoiStats`] show how much payload the request avoided.
+/// A skipped chunk costs nothing beyond its chunk-table row (and, for a
+/// region group, the origin list the table check reads), and a read one
+/// writes only its cells inside the box: the level grids are
+/// zero-initialised and only the box is written — TAC regions pasted
+/// then masked row by row, zMesh / 1D segments scattered piece by piece,
+/// whole-level streams and the 3D baseline's grid copied or sampled box
+/// row by box row — so the pages of a level grid outside the box are
+/// never touched, and the call costs what its chunks and its box cost,
+/// not what the bounding grids cost. The 3D baseline alone is a single
+/// chunk and always decodes in full.
 ///
 /// v1 containers have no chunk table and are rejected; re-serialize
 /// with [`CompressedDataset::to_bytes`] to upgrade.
@@ -127,12 +176,11 @@ pub fn decompress_region_t<T: CodecElement>(
         payload_bytes_total: layout.entries.iter().map(|e| e.len).sum(),
         payload_bytes_read: 0,
     };
+    let boxes = level_boxes(roi, layout.finest_dim, layout.masks.len());
     // A chunk is read when its box meets the request on its own level's
-    // grid: the ROI is expressed on the finest grid, level l is 2^l
-    // times coarser.
+    // grid.
     let mut wanted = |e: &ChunkEntry| {
-        let factor = refinement(usize::from(e.level)).unwrap_or(usize::MAX);
-        let read = e.bbox.intersects(&roi.coarsen(factor));
+        let read = (boxes.get(usize::from(e.level))).is_some_and(|b| e.bbox.intersects(b));
         if read {
             stats.chunks_read += 1;
             stats.payload_bytes_read += e.len;
@@ -163,7 +211,7 @@ pub fn decompress_region_t<T: CodecElement>(
                 codec: *codec,
                 segments: read(&mut layout.entries.iter(), layout.zmesh_planes()?),
             }];
-            return decode_stacks(&layout, &stacks, stats);
+            return decode_stacks(&layout, &stacks, &boxes, stats);
         }
         V2Meta::Baseline1D(ebs) => {
             let mut stacks = Vec::with_capacity(ebs.len());
@@ -176,7 +224,7 @@ pub fn decompress_region_t<T: CodecElement>(
                     });
                 }
             }
-            return decode_stacks(&layout, &stacks, stats);
+            return decode_stacks(&layout, &stacks, &boxes, stats);
         }
         // The 3D baseline cannot decode partially: its one chunk is
         // read and the stats reflect it.
@@ -186,7 +234,7 @@ pub fn decompress_region_t<T: CodecElement>(
             record_roi_stats(&stats);
             return layout
                 .assemble()
-                .and_then(|cd| decompress_dataset_par_t(&cd, Parallelism::Serial))
+                .and_then(|cd| decompress_dataset_in(&cd, 1, Some(&boxes)))
                 .map(|ds| (ds, stats));
         }
     };
@@ -208,7 +256,7 @@ pub fn decompress_region_t<T: CodecElement>(
         body,
     };
     record_roi_stats(&stats);
-    Ok((decompress_dataset_par_t(&cd, Parallelism::Serial)?, stats))
+    Ok((decompress_dataset_in(&cd, 1, Some(&boxes))?, stats))
 }
 
 #[cfg(test)]
@@ -219,6 +267,7 @@ mod tests {
     use crate::container::Method;
     use crate::pipeline::{compress_dataset_t, decompress_dataset_par_t};
     use tac_amr::{AmrDataset, AmrLevel};
+    use tac_par::Parallelism;
     use tac_sz::ErrorBound;
 
     /// Two-level dataset whose fine cells sit in two far-apart corner
@@ -274,26 +323,95 @@ mod tests {
 
         let roi = Aabb::new((0, 0, 0), (8, 8, 8)); // 1/8 of the fine volume
         let (partial, stats) = decompress_region_t::<f64>(&bytes, roi).unwrap();
-        assert_eq!(partial.num_levels(), full.num_levels());
-        for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
-            let factor = 1 << l;
-            let roi_level = roi.coarsen(factor);
-            for z in roi_level.min.2..roi_level.max.2.min(p.dim()) {
-                for y in roi_level.min.1..roi_level.max.1.min(p.dim()) {
-                    for x in roi_level.min.0..roi_level.max.0.min(p.dim()) {
-                        assert_eq!(
-                            p.value(x, y, z),
-                            f.value(x, y, z),
-                            "level {l} cell ({x},{y},{z})"
-                        );
-                    }
-                }
-            }
-        }
+        assert_box_contract(&partial, &full, roi);
         // The far corner's chunks were skipped.
         assert!(stats.chunks_read < stats.chunks_total);
         assert!(stats.payload_bytes_read < stats.payload_bytes_total);
         assert!(stats.skipped_fraction() > 0.0);
+    }
+
+    /// The box contract: inside `roi` on each level's grid the region
+    /// read equals the full decode bit for bit, everywhere else it holds
+    /// `+0.0` bits.
+    fn assert_box_contract<T: CodecElement>(
+        partial: &AmrDataset<T>,
+        full: &AmrDataset<T>,
+        roi: Aabb,
+    ) {
+        assert_eq!(partial.num_levels(), full.num_levels());
+        for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
+            let (inside, dim) = (roi.coarsen(1 << l), p.dim());
+            for (i, (a, b)) in p.data().iter().zip(f.data()).enumerate() {
+                let want = if inside.contains(i % dim, i / dim % dim, i / dim / dim) {
+                    b.to_bits_u64()
+                } else {
+                    0
+                };
+                assert_eq!(a.to_bits_u64(), want, "{roi:?}: level {l} cell {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn level_boxes_coarsen_outward_and_clip_to_each_grid() {
+        let boxes = level_boxes(Aabb::new((3, 0, 5), (9, 20, 6)), 16, 3);
+        assert_eq!(
+            boxes,
+            [
+                Aabb::new((3, 0, 5), (9, 16, 6)),
+                Aabb::new((1, 0, 2), (5, 8, 3)),
+                Aabb::new((0, 0, 1), (3, 4, 2)),
+            ]
+        );
+        // Off the domain, or empty: an empty box on every level.
+        for roi in [
+            Aabb::new((2, 2, 16), (4, 4, 30)),
+            Aabb::new((5, 5, 5), (5, 9, 9)),
+        ] {
+            assert!(
+                level_boxes(roi, 16, 3).iter().all(Aabb::is_empty),
+                "{roi:?}"
+            );
+        }
+        let rows: Vec<Range<usize>> = box_rows(Aabb::new((1, 2, 3), (3, 4, 4)), 4).collect();
+        assert_eq!(rows, [57..59, 61..63]);
+        assert_eq!(box_rows(Aabb::new((0, 0, 0), (0, 0, 0)), 4).count(), 0);
+    }
+
+    /// Every method answers a region read with exactly the box: TAC with
+    /// dense levels cut into slabs and whole, zMesh and 1D over several
+    /// segments, the 3D baseline from its one stream.
+    #[test]
+    fn every_method_returns_exactly_the_box() {
+        let ds = corners_dataset(64);
+        for (method, roi_tile) in [
+            (Method::Tac, Some(8)),
+            (Method::Tac, None),
+            (Method::ZMesh, None),
+            (Method::Baseline1D, None),
+            (Method::Baseline3D, None),
+        ] {
+            let cfg = TacConfig {
+                unit: 4,
+                error_bound: ErrorBound::Abs(1e-3),
+                roi_tile,
+                ..Default::default()
+            };
+            let bytes = compress_dataset_t(&ds, &cfg, method).unwrap().to_bytes();
+            let full = decompress_dataset_par_t::<f64>(
+                &CompressedDataset::from_bytes(&bytes).unwrap(),
+                Parallelism::Serial,
+            )
+            .unwrap();
+            for roi in [
+                Aabb::new((3, 5, 7), (29, 19, 41)),
+                Aabb::new((50, 60, 0), (70, 64, 3)),
+                Aabb::whole(64),
+            ] {
+                let (partial, _) = decompress_region_t::<f64>(&bytes, roi).unwrap();
+                assert_box_contract(&partial, &full, roi);
+            }
+        }
     }
 
     #[test]
@@ -427,16 +545,7 @@ mod tests {
             Parallelism::Serial,
         )
         .unwrap();
-        for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
-            let roi_level = roi.coarsen(1 << l);
-            for z in roi_level.min.2..roi_level.max.2.min(p.dim()) {
-                for y in roi_level.min.1..roi_level.max.1.min(p.dim()) {
-                    for x in roi_level.min.0..roi_level.max.0.min(p.dim()) {
-                        assert_eq!(p.value(x, y, z), f.value(x, y, z));
-                    }
-                }
-            }
-        }
+        assert_box_contract(&partial, &full, roi);
         // Decoding an f32 container at f64 width is refused up front.
         assert!(decompress_region_t::<f64>(&bytes, roi).is_err());
     }

@@ -28,7 +28,7 @@
 use crate::config::TacConfig;
 use crate::container::{Baseline1DLevel, MethodBody};
 use crate::error::TacError;
-use crate::pipeline::resolve_level_eb_for;
+use crate::pipeline::{resolve_level_eb_for, LevelRanges};
 use crate::zmesh::{gather_walk, level_dim, population, scatter_walk, slab};
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
@@ -193,10 +193,11 @@ fn encode_segments<T: CodecElement>(
 
 /// Compresses the zMesh traversal of the whole level stack, cut at
 /// `budget` values, under one bound resolved against the dataset's value
-/// range.
+/// range (the union of the levels' `ranges`).
 pub(crate) fn compress_zmesh<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
+    ranges: &LevelRanges,
     budget: usize,
 ) -> Result<MethodBody, TacError> {
     let masks: Vec<&BitMask> = ds.levels().iter().map(|l| l.mask()).collect();
@@ -208,7 +209,7 @@ pub(crate) fn compress_zmesh<T: CodecElement>(
                 "dataset has no present cells".into(),
             ));
         }
-        let range = union_range(ds.levels().iter().map(|l| l.value_range()));
+        let range = union_range(ranges.iter().copied());
         let abs_eb = resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, range)?;
         (abs_eb, plan_cuts(&masks, ds.finest_dim(), budget))
     };
@@ -230,11 +231,13 @@ pub(crate) fn compress_zmesh<T: CodecElement>(
 }
 
 /// Compresses every non-empty level as its own flat traversal, cut at
-/// `budget` values, each under its own level's bound. The segments of
-/// all levels run as one flattened task batch.
+/// `budget` values, each under its own level's bound (resolved against
+/// its entry of `ranges`). The segments of all levels run as one
+/// flattened task batch.
 pub(crate) fn compress_1d<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
+    ranges: &LevelRanges,
     budget: usize,
 ) -> Result<MethodBody, TacError> {
     let masks: Vec<&BitMask> = ds.levels().iter().map(|l| l.mask()).collect();
@@ -256,7 +259,7 @@ pub(crate) fn compress_1d<T: CodecElement>(
                 T::DTYPE,
                 cfg.error_bound,
                 cfg.level_scale(l),
-                level.value_range(),
+                ranges.get(l).copied().flatten(),
             )?;
             let cuts = plan_cuts(mask, level.dim(), budget);
             plans.push(Some((abs_eb, cuts.len())));
@@ -377,6 +380,8 @@ struct DecodeTask<'a, T> {
     codec: CodecId,
     segment: &'a SegmentRef<'a>,
     slabs: Mutex<Vec<&'a mut [T]>>,
+    /// A region read's box on each level of the stack.
+    clip: Option<&'a [Aabb]>,
 }
 
 /// Decodes the given segments of a single-stream body into full-size
@@ -385,13 +390,15 @@ struct DecodeTask<'a, T> {
 /// Each segment is held to exactly one value per traversal cell of its
 /// planes. Cells of planes no given segment covers — and absent cells —
 /// hold `+0.0` bits, and the pages of the level buffers they lie on are
-/// never written. A level no stack spans carries no payload, so its mask
-/// must be empty.
+/// never written. With `clip` — a region read's box on each level's
+/// grid — only the cells inside the box are written. A level no stack
+/// spans carries no payload, so its mask must be empty.
 pub(crate) fn decompress_stacks<T: CodecElement>(
     masks: &[BitMask],
     finest_dim: usize,
     stacks: &[StackSegments<'_>],
     workers: usize,
+    clip: Option<&[Aabb]>,
 ) -> Result<Vec<AmrLevel<T>>, TacError> {
     let mask_refs: Vec<&BitMask> = masks.iter().collect();
     for (l, mask) in masks.iter().enumerate() {
@@ -413,6 +420,7 @@ pub(crate) fn decompress_stacks<T: CodecElement>(
         let mut tasks: Vec<DecodeTask<'_, T>> = Vec::new();
         for stack in stacks {
             let stack_masks = mask_refs.get(stack.levels.clone()).ok_or_else(misplaced)?;
+            let stack_clip = clip.and_then(|boxes| boxes.get(stack.levels.clone()));
             let stack_dim = level_dim(finest_dim, stack.levels.start);
             // Level by level, hand every segment its slab of the buffer.
             let mut slabs: Vec<Vec<&mut [T]>> = stack
@@ -446,6 +454,7 @@ pub(crate) fn decompress_stacks<T: CodecElement>(
                         codec: stack.codec,
                         segment,
                         slabs: Mutex::new(slabs),
+                        clip: stack_clip,
                     }),
             );
         }
@@ -477,6 +486,7 @@ pub(crate) fn decompress_stacks<T: CodecElement>(
                     t.segment.planes.clone(),
                     &values,
                     &mut slabs,
+                    t.clip,
                 )
             },
         )
@@ -496,7 +506,7 @@ mod tests {
     use super::*;
     use crate::container::tests::{edit_table, row_box, set_row_box};
     use crate::container::{CompressedDataset, Method};
-    use crate::pipeline::decompress_dataset_par_t;
+    use crate::pipeline::{decompress_dataset_par_t, level_ranges};
     use crate::roi::decompress_region_t;
     use crate::zmesh::tests::random_hierarchy;
     use crate::zmesh::zmesh_order;
@@ -544,9 +554,10 @@ mod tests {
         method: Method,
         budget: usize,
     ) -> Result<CompressedDataset, TacError> {
+        let ranges = level_ranges(ds);
         let body = match method {
-            Method::ZMesh => compress_zmesh(ds, cfg, budget)?,
-            _ => compress_1d(ds, cfg, budget)?,
+            Method::ZMesh => compress_zmesh(ds, cfg, &ranges, budget)?,
+            _ => compress_1d(ds, cfg, &ranges, budget)?,
         };
         Ok(CompressedDataset {
             name: ds.name().to_string(),

@@ -30,7 +30,7 @@
 use crate::config::TacConfig;
 use crate::container::{CompressedDataset, Method, MethodBody};
 use crate::error::TacError;
-use crate::pipeline::{compress_dataset_t, resolve_level_eb_for};
+use crate::pipeline::{compress_with, level_ranges, resolve_level_eb_for, LevelRanges};
 use crate::segment::union_range;
 use crate::stream::CompressedLevel;
 use crate::zmesh::{gather_walk, ALL_PLANES};
@@ -105,11 +105,22 @@ pub fn select_auto<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
 ) -> Result<AutoSelection, TacError> {
+    select_ranged(ds, cfg, &level_ranges(ds))
+}
+
+/// [`select_auto`] over level ranges already scanned — `Method::Auto`
+/// scans them once and hands the same ranges to the selection and to
+/// the winner's write.
+pub(crate) fn select_ranged<T: CodecElement>(
+    ds: &AmrDataset<T>,
+    cfg: &TacConfig,
+    ranges: &LevelRanges,
+) -> Result<AutoSelection, TacError> {
     let _select = tac_obs::span(tac_obs::Stage::Select).arg("levels", ds.num_levels());
     if ds.total_present() <= cfg.auto.exhaustive_limit {
-        select_exhaustive(ds, cfg)
+        select_exhaustive(ds, cfg, ranges)
     } else {
-        select_sampled(ds, cfg)
+        select_sampled(ds, cfg, ranges)
     }
 }
 
@@ -119,6 +130,7 @@ pub fn select_auto<T: CodecElement>(
 fn select_exhaustive<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
+    ranges: &LevelRanges,
 ) -> Result<AutoSelection, TacError> {
     let mut candidates = Vec::new();
     // The full container of each successful TAC run, by codec (kept to
@@ -132,7 +144,7 @@ fn select_exhaustive<T: CodecElement>(
                 codec,
                 ..cfg.clone()
             };
-            let cd = match compress_dataset_t(ds, &trial_cfg, method) {
+            let cd = match compress_with(ds, &trial_cfg, method, Some(ranges)) {
                 Ok(cd) => cd,
                 Err(e) => {
                     // Remember the failure of the choice the fixed
@@ -284,15 +296,11 @@ fn trial<T: CodecElement>(
 fn select_sampled<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
+    level_ranges: &LevelRanges,
 ) -> Result<AutoSelection, TacError> {
     let budget = cfg.auto.sample_budget;
     let present_total = ds.total_present();
     let mut fallback_err: Option<TacError> = None;
-
-    // One O(present) range scan per level, shared by the per-level
-    // bound resolution and the single-stream candidates' global range.
-    let level_ranges: Vec<Option<(f64, f64)>> =
-        ds.levels().iter().map(|l| l.value_range()).collect();
 
     // Contiguous prefix windows of present values (literal prefixes of
     // the 1D streams the per-level methods would encode), budget split
@@ -508,6 +516,7 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::compress_dataset_t;
     use tac_amr::AmrLevel;
     use tac_sz::ErrorBound;
 

@@ -108,7 +108,9 @@ pub enum LevelPayload {
     Empty,
     /// Whole-grid rank-3 SZ stream (ZeroFill and GSP).
     Whole(Vec<u8>),
-    /// Extracted sub-block groups (NaST, OpST, AKDTree).
+    /// Extracted sub-block groups (NaST, OpST, AKDTree), or the z-slabs
+    /// a dense level (ZeroFill, GSP) is cut into under
+    /// [`crate::TacConfig::roi_tile`].
     Groups(Vec<BlockGroup>),
 }
 

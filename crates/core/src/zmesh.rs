@@ -48,7 +48,7 @@
 use crate::error::TacError;
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ops::Range;
-use tac_amr::{BitMask, Runs};
+use tac_amr::{Aabb, BitMask, Runs};
 use tac_dtype::Element;
 
 /// One entry of the traversal: `(level, flat index within that level)`.
@@ -282,11 +282,62 @@ pub(crate) fn gather_walk<T: Element>(
     out
 }
 
+/// A region read's box on one level's grid, held in the terms a piece
+/// of the walk is clipped in.
+struct Clip {
+    dim: usize,
+    b: Aabb,
+    /// The flat range of the box's z-planes: pieces outside it are
+    /// rejected without a division.
+    planes: Range<usize>,
+}
+
+impl Clip {
+    fn new(b: Aabb, dim: usize) -> Self {
+        let plane = dim * dim;
+        Clip {
+            dim,
+            b,
+            planes: b.min.2 * plane..b.max.2 * plane,
+        }
+    }
+
+    /// Copies the cells of the piece at flat index `start` that lie
+    /// inside the box, `dst[i] = src[i]`, row by row of the grid.
+    #[inline]
+    fn copy<T: Copy>(&self, start: usize, dst: &mut [T], src: &[T]) {
+        let end = start.saturating_add(src.len());
+        if end <= self.planes.start || self.planes.end <= start {
+            return;
+        }
+        let b = &self.b;
+        let mut at = start;
+        while at < end {
+            let (row, x) = (at / self.dim, at % self.dim);
+            let row_start = at - x;
+            let next = (row_start + self.dim).min(end);
+            let (y, z) = (row % self.dim, row / self.dim);
+            if (b.min.1..b.max.1).contains(&y) && (b.min.2..b.max.2).contains(&z) {
+                let lo = (row_start + b.min.0).max(at) - start;
+                let hi = (row_start + b.max.0).min(next).saturating_sub(start);
+                if let (Some(d), Some(s)) = (dst.get_mut(lo..hi), src.get(lo..hi)) {
+                    d.copy_from_slice(s);
+                }
+            }
+            at = next;
+        }
+    }
+}
+
 /// Scatters a decoded stream back along the traversal of `planes`, one
 /// slice copy per piece. `slabs[l]` is the part of level `l`'s dense
 /// buffer those planes cover ([`slab`]) and nothing outside it is
 /// reachable, so concurrent scatters of disjoint plane ranges need no
 /// synchronisation.
+///
+/// With `clip` — a region read's box on each level's grid — only the
+/// part of each piece inside its level's box is copied; the walk, and
+/// the length check below, still cover the whole stream.
 ///
 /// # Errors
 /// The stream must hold exactly one value per traversal cell of the
@@ -298,6 +349,36 @@ pub(crate) fn scatter_walk<T: Element>(
     planes: Range<usize>,
     values: &[T],
     slabs: &mut [&mut [T]],
+    clip: Option<&[Aabb]>,
+) -> Result<(), TacError> {
+    // Per level, once: its box, unless that is the whole grid. A full
+    // decode takes a walk with no per-piece test at all.
+    let clips: Vec<Option<Clip>> = (clip.into_iter().flatten().enumerate())
+        .map(|(l, b)| {
+            let dim = level_dim(finest_dim, l);
+            (*b != Aabb::whole(dim)).then(|| Clip::new(*b, dim))
+        })
+        .collect();
+    if clips.iter().all(Option::is_none) {
+        let copy = |_, _, dst: &mut [T], src: &[T]| copy_piece(dst, src);
+        return scatter_pieces(masks, finest_dim, planes, values, slabs, &copy);
+    }
+    let copy = |l: usize, start, dst: &mut [T], src: &[T]| match clips.get(l) {
+        Some(Some(clip)) => clip.copy(start, dst, src),
+        _ => copy_piece(dst, src),
+    };
+    scatter_pieces(masks, finest_dim, planes, values, slabs, &copy)
+}
+
+/// [`scatter_walk`]'s walk, moving each piece with `copy(level, start,
+/// dst, src)`.
+fn scatter_pieces<T: Element>(
+    masks: &[&BitMask],
+    finest_dim: usize,
+    planes: Range<usize>,
+    values: &[T],
+    slabs: &mut [&mut [T]],
+    copy: &impl Fn(usize, usize, &mut [T], &[T]),
 ) -> Result<(), TacError> {
     let bases: Vec<usize> = (0..masks.len())
         .map(|l| slab(finest_dim, masks.len(), l, &planes).map_or(0, |cells| cells.start))
@@ -312,7 +393,7 @@ pub(crate) fn scatter_walk<T: Element>(
         let (Some(dst), Some(src), Some(tail)) = (dst, rest.get(..len), rest.get(len..)) else {
             return Break(());
         };
-        copy_piece(dst, src);
+        copy(l, start, dst, src);
         rest = tail;
         Continue(())
     })
@@ -646,28 +727,64 @@ pub(crate) mod tests {
             ALL_PLANES,
             &stream,
             &mut whole(&mut streamed),
+            None,
         )
         .unwrap();
         for (l, (a, b)) in streamed.iter().zip(&expect).enumerate() {
             assert_eq!(bits(a), bits(b), "seed {seed}: scatter level {l}");
         }
 
-        // One value short and one value long are both corrupt.
+        // Clipped to a random box per level (empty, partial or whole):
+        // only the traversal cells inside their level's box take the
+        // stream's bits.
+        let boxes: Vec<Aabb> = (0..masks.len())
+            .map(|l| {
+                let dim = finest_dim >> l;
+                let mut at = || (rng.next() % (dim as u64 + 1)) as usize;
+                let [x0, x1, y0, y1, z0, z1] = [at(), at(), at(), at(), at(), at()];
+                let lo = (x0.min(x1), y0.min(y1), z0.min(z1));
+                Aabb::new(lo, (x0.max(x1), y0.max(y1), z0.max(z1)))
+            })
+            .collect();
+        let mut clipped = before.clone();
+        scatter_walk(
+            &refs,
+            finest_dim,
+            ALL_PLANES,
+            &stream,
+            &mut whole(&mut clipped),
+            Some(&boxes),
+        )
+        .unwrap();
+        for (l, ((got, all), old)) in clipped.iter().zip(&expect).zip(&before).enumerate() {
+            let dim = finest_dim >> l;
+            for (i, v) in got.iter().enumerate() {
+                let inside = boxes[l].contains(i % dim, i / dim % dim, i / dim / dim);
+                let want = if inside { all[i] } else { old[i] };
+                assert_eq!(v.to_bits_u64(), want.to_bits_u64(), "seed {seed}: {l}/{i}");
+            }
+        }
+
+        // One value short and one value long are both corrupt, clipped
+        // or not.
         let mut long = stream.clone();
         long.push(T::ZERO);
         for wrong in [&stream[..stream.len().saturating_sub(1)], &long[..]] {
             if wrong.len() == stream.len() {
                 continue; // an empty traversal has no shorter stream
             }
-            let err = scatter_walk(
-                &refs,
-                finest_dim,
-                ALL_PLANES,
-                wrong,
-                &mut whole(&mut before.clone()),
-            )
-            .unwrap_err();
-            assert!(matches!(err, TacError::Corrupt(_)), "seed {seed}: {err}");
+            for clip in [None, Some(&boxes[..])] {
+                let err = scatter_walk(
+                    &refs,
+                    finest_dim,
+                    ALL_PLANES,
+                    wrong,
+                    &mut whole(&mut before.clone()),
+                    clip,
+                )
+                .unwrap_err();
+                assert!(matches!(err, TacError::Corrupt(_)), "seed {seed}: {err}");
+            }
         }
     }
 

@@ -85,7 +85,8 @@ pub struct ConformanceCell {
     pub max_err_ratio: f64,
     /// Whether every non-finite input reconstructed bit-exactly.
     pub nonfinite_exact: bool,
-    /// ROI-vs-full agreement (wire leg only; `None` elsewhere).
+    /// Region reads keep the box contract — the full decode inside the
+    /// box, `+0.0` outside (wire leg only; `None` elsewhere).
     pub roi_agrees: Option<bool>,
     /// First failure description, if any step errored outright.
     pub error: Option<String>,
@@ -498,8 +499,9 @@ fn run_cell<T: CodecElement>(
 }
 
 /// Decodes two regions of interest (a corner octant and an interior
-/// box) and checks each agrees bit-for-bit with the full decode inside
-/// the region.
+/// box) and checks each against the box contract: bit-for-bit equal to
+/// the full decode inside the region (coarsened to each level), `+0.0`
+/// bits everywhere else.
 fn roi_agrees<T: CodecElement>(bytes: &[u8], full: &AmrDataset<T>, finest_dim: usize) -> bool {
     let half = (finest_dim / 2).max(1);
     let quarter = finest_dim / 4;
@@ -510,27 +512,23 @@ fn roi_agrees<T: CodecElement>(bytes: &[u8], full: &AmrDataset<T>, finest_dim: u
             (quarter + half, quarter + half, quarter + half),
         ),
     ];
-    for roi in rois {
+    rois.into_iter().all(|roi| {
         let Ok((partial, _stats)) = decompress_region_t::<T>(bytes, roi) else {
             return false;
         };
-        if partial.num_levels() != full.num_levels() {
-            return false;
-        }
-        for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
-            let roi_level = roi.coarsen(1 << l);
-            for z in roi_level.min.2..roi_level.max.2.min(p.dim()) {
-                for y in roi_level.min.1..roi_level.max.1.min(p.dim()) {
-                    for x in roi_level.min.0..roi_level.max.0.min(p.dim()) {
-                        if p.value(x, y, z).to_bits_u64() != f.value(x, y, z).to_bits_u64() {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    true
+        partial.num_levels() == full.num_levels()
+            && (partial.levels().iter().zip(full.levels()).enumerate()).all(|(l, (p, f))| {
+                let (inside, dim) = (roi.coarsen(1 << l), p.dim());
+                (p.data().iter().zip(f.data()).enumerate()).all(|(i, (a, b))| {
+                    let want = if inside.contains(i % dim, i / dim % dim, i / dim / dim) {
+                        b.to_bits_u64()
+                    } else {
+                        0
+                    };
+                    a.to_bits_u64() == want
+                })
+            })
+    })
 }
 
 #[cfg(test)]

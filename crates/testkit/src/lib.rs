@@ -19,7 +19,8 @@
 //!   {TAC, 1D, zMesh, 3D} x {sz, pco-lite, pco-ans} x {memory, v4} x
 //!   {1, 2, 4, 8} workers, asserting the resolved error bound
 //!   pointwise, byte-identity across worker counts, bit-exact
-//!   non-finite round-trips, and ROI⊆full-decode agreement; emits the
+//!   non-finite round-trips, and the region-read box contract (the full
+//!   decode inside the box, `+0.0` outside); emits the
 //!   machine-readable `CONFORMANCE.json` CI artifact.
 //! * **Container fuzzer** ([`fuzz_containers`], [`probe_container`]) —
 //!   structure-aware mutation of valid containers — freshly written v4

@@ -559,6 +559,42 @@ fn overlapping_regions_are_rejected_at_every_worker_count() {
         serial
     );
     assert_eq!(probe_container(&bytes), ProbeResult::Rejected);
+
+    // The doubled sub-block moved one cell along x, so the pair shares
+    // all but one face: a request for a cell of that face meets the
+    // group's chunk and none of the doubled cells. The read writes
+    // nothing of the overlap, yet the group claims every cell it
+    // covers, so the read still refuses.
+    let mut shifted = cd.clone();
+    let MethodBody::Tac(levels) = &mut shifted.body else {
+        unreachable!()
+    };
+    let LevelPayload::Groups(groups) = &mut levels[l].payload else {
+        unreachable!()
+    };
+    let moved = groups.iter_mut().find(|h| h.origins == g.origins).unwrap();
+    let dim = cd.finest_dim >> l;
+    let (w, last) = (g.shape.0 as u32, moved.origins.len() - 1);
+    let (face, step) = if x as usize + g.shape.0 < dim {
+        (x, x + 1)
+    } else {
+        (x + w - 1, x - 1)
+    };
+    moved.origins[last].0 = step;
+    let bytes = shifted.to_bytes();
+    let cell = (
+        face as usize * scale,
+        y as usize * scale,
+        z as usize * scale,
+    );
+    let roi = Aabb::of_region(cell, (1, 1, 1));
+    let (Err(err), Err(full)) = (
+        decompress_region_t::<f64>(&bytes, roi),
+        decompress_dataset_par_t::<f64>(&shifted, Parallelism::Serial),
+    ) else {
+        panic!("a partial overlap decoded");
+    };
+    assert_eq!(overlap(err), overlap(full));
 }
 
 /// Where the mask-mode byte of a v5 container sits.

@@ -567,8 +567,9 @@ fn corpus_file(stem: &str, version: u8) -> Vec<u8> {
 /// the same `CompressedDataset`, account to the recorded byte counts and
 /// decode bit-identically at 1 and 2 workers; and re-serializing any of
 /// them **upgrades** it: version byte 5, equal to the committed `_v5`
-/// sibling, re-parsing to the same container — after which a region
-/// read, which v1 itself cannot serve, agrees with the full decode.
+/// sibling, re-parsing to the same container. Region reads of every
+/// chunked file and of the upgrade (v1 itself cannot serve one) return
+/// the full decode inside the box and `+0.0` outside.
 #[test]
 fn frozen_corpus_parses_decodes_and_upgrades_identically() {
     let mut files = 0;
@@ -614,20 +615,31 @@ fn frozen_corpus_parses_decodes_and_upgrades_identically() {
             "{stem}"
         );
 
-        // v1 has no chunk table; its upgrade does.
-        if versions.contains(&1) {
-            let dim = cd.finest_dim;
+        // Region reads of every chunked file, and of the upgrade (v1 has
+        // no chunk table; its upgrade does), keep the box contract: the
+        // full decode inside the box, `+0.0` bits outside.
+        let dim = cd.finest_dim;
+        let chunked = versions.iter().filter(|&&v| v >= 2);
+        let files: Vec<Vec<u8>> = chunked.map(|&v| corpus_file(stem, v)).collect();
+        for bytes in files.iter().chain([&upgraded]) {
             for roi in [
                 Aabb::new((0, 0, 0), (dim / 2, dim / 2, dim / 2)),
                 Aabb::new((dim / 4, dim / 4, 1), (dim / 4 + dim / 2, dim, dim - 1)),
             ] {
-                let partial = region_bits(cd.dtype, &upgraded, roi);
+                let partial = region_bits(cd.dtype, bytes, roi);
                 for (l, (p, f)) in partial.iter().zip(&decoded).enumerate() {
                     let (inside, d) = (roi.coarsen(1 << l), dim >> l);
                     for (i, (a, b)) in p.iter().zip(f).enumerate() {
-                        if inside.contains(i % d, i / d % d, i / d / d) {
-                            assert_eq!(a, b, "{stem}: level {l} cell {i} in {roi:?}");
-                        }
+                        let want = if inside.contains(i % d, i / d % d, i / d / d) {
+                            *b
+                        } else {
+                            0
+                        };
+                        assert_eq!(
+                            *a, want,
+                            "{stem} v{}: level {l} cell {i} in {roi:?}",
+                            bytes[4]
+                        );
                     }
                 }
             }

@@ -166,6 +166,7 @@ fn merged_counters_are_invariant_across_worker_counts() {
 
     assembly_work_follows_the_occupied_volume(session);
     segmented_round_trips_are_attributed_and_counted(session);
+    tac_region_reads_write_the_box_and_name_their_time(session);
 
     // Leave the session clean for any later obs-enabled test binaries
     // sharing the process (none today, but take() is cheap insurance).
@@ -398,6 +399,73 @@ fn segmented_round_trips_are_attributed_and_counted(session: &tac_obs::ObsSessio
     assert!(
         share < 0.15,
         "{:.1}% of a Tac compress + to_bytes is unattributed self-time",
+        100.0 * share
+    );
+}
+
+/// A region read of a tiled TAC container — the fine level in region
+/// groups, the dense level cut into z-slabs — writes the box, not the
+/// chunks it decodes: `assemble_cells_written` (cells copied + visited
+/// by masking) is at most twice the box's cells summed over the levels,
+/// far below what the decoded chunks hold; and what `roi_decode` keeps
+/// for itself past the parse and the decode tasks stays under 15% of
+/// the read. Called from the one `#[test]` above because the recorder
+/// session is process-global.
+fn tac_region_reads_write_the_box_and_name_their_time(session: &tac_obs::ObsSession) {
+    let ds = load_dataset("Run1_Z10", 4, 14);
+    let cfg = TacConfig {
+        roi_tile: Some(ds.finest_dim() / 4),
+        ..TacConfig::default()
+    };
+    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+    let MethodBody::Tac(levels) = &cd.body else {
+        panic!("Method::Tac wrote a non-TAC body");
+    };
+    let slabs = levels
+        .iter()
+        .find(|cl| cl.strategy == tac_core::Strategy::Gsp);
+    assert!(
+        matches!(slabs.map(|cl| &cl.payload), Some(LevelPayload::Groups(g)) if g.len() > 1),
+        "the dense level should be cut into slabs"
+    );
+    let bytes = cd.to_bytes();
+    // 1/64 of the volume, off the tiles.
+    let fine = ds.finest_dim();
+    let (lo, hi) = (fine / 8 + 3, fine / 8 + 3 + fine / 4);
+    let roi = Aabb::new((lo, lo, lo), (hi, hi, hi));
+    let box_cells: u64 = (0..ds.num_levels())
+        .map(|l| {
+            let dim = fine >> l;
+            let inside = roi.coarsen(1 << l);
+            let side = |lo: usize, hi: usize| hi.min(dim).saturating_sub(lo) as u64;
+            side(inside.min.0, inside.max.0)
+                * side(inside.min.1, inside.max.1)
+                * side(inside.min.2, inside.max.2)
+        })
+        .sum();
+    let mut share = f64::INFINITY;
+    for _ in 0..3 {
+        let _ = session.take();
+        let (_, stats) = decompress_region_t::<f64>(&bytes, roi).unwrap();
+        let snap = session.take();
+        assert!(stats.chunks_read < stats.chunks_total, "{stats:?}");
+        assert_eq!(
+            snap.counter(Counter::ChunksDecoded),
+            stats.chunks_read as u64
+        );
+        let written = snap.counter(Counter::AssembleCellsWritten);
+        assert!(
+            0 < written && written <= 2 * box_cells,
+            "a region read wrote {written} cells for a box of {box_cells}"
+        );
+        let report = StageReport::from_snapshot(&snap);
+        assert!(report.rows.iter().any(|r| r.stage == Stage::Paste));
+        let row = report.rows.iter().find(|r| r.stage == Stage::RoiDecode);
+        share = share.min(report.fraction(row.expect("no roi_decode span recorded")));
+    }
+    assert!(
+        share < 0.15,
+        "{:.1}% of a tiled Tac region read is unattributed self-time",
         100.0 * share
     );
 }

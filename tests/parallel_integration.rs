@@ -7,7 +7,7 @@
 use tac_amr::{paste_region, Aabb, AmrDataset};
 use tac_core::{
     codec_for, compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecElement,
-    CodecId, CompressedDataset, LevelPayload, Method, MethodBody, Parallelism, TacConfig,
+    CodecId, CompressedDataset, LevelPayload, Method, MethodBody, Parallelism, Strategy, TacConfig,
 };
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
@@ -280,7 +280,7 @@ fn parallel_decompression_matches_serial() {
 
 /// A 64^3 TAC container whose fine level is cut into 16-cell tiles (so
 /// dozens of region groups whose boxes interleave in z, every z-plane
-/// shared by several tasks) over a GSP whole-level stream.
+/// shared by several tasks) over a GSP level cut into 16-plane slabs.
 fn contended_container<T: CodecElement>(ds: &AmrDataset<T>, codec: CodecId) -> CompressedDataset {
     let cfg = TacConfig {
         unit: 4,
@@ -305,7 +305,8 @@ fn contended_container<T: CodecElement>(ds: &AmrDataset<T>, codec: CodecId) -> C
         on_plane(ds.finest_dim() / 2) >= 4,
         "groups do not share planes"
     );
-    assert!(matches!(levels[1].payload, LevelPayload::Whole(_)));
+    assert_eq!(levels[1].strategy, Strategy::Gsp);
+    assert!(matches!(&levels[1].payload, LevelPayload::Groups(slabs) if slabs.len() == 2));
     cd
 }
 
@@ -371,7 +372,8 @@ fn contended_decodes_are_worker_invariant<T: CodecElement>(ds: &AmrDataset<T>) {
             assert_eq!(decode(8), serial, "{what}: round {round} at 8 workers");
         }
 
-        // Region reads run the same tasks on the chunks they keep.
+        // Region reads run the same tasks on the chunks they keep and
+        // return exactly the box: the full decode inside, `+0.0` outside.
         let bytes = cd.to_bytes();
         for roi in [
             Aabb::new((3, 5, 7), (dim / 2 + 1, dim / 2 + 3, dim / 2 + 5)),
@@ -382,9 +384,12 @@ fn contended_decodes_are_worker_invariant<T: CodecElement>(ds: &AmrDataset<T>) {
             for (l, (p, f)) in level_bits(&partial).iter().zip(&serial).enumerate() {
                 let (inside, d) = (roi.coarsen(1 << l), dim >> l);
                 for (i, (a, b)) in p.iter().zip(f).enumerate() {
-                    if inside.contains(i % d, i / d % d, i / d / d) {
-                        assert_eq!(a, b, "{what}: level {l} cell {i} in {roi:?}");
-                    }
+                    let want = if inside.contains(i % d, i / d % d, i / d / d) {
+                        *b
+                    } else {
+                        0
+                    };
+                    assert_eq!(*a, want, "{what}: level {l} cell {i} in {roi:?}");
                 }
             }
         }

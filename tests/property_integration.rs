@@ -4,8 +4,9 @@
 use proptest::prelude::*;
 use tac_amr::{Aabb, AmrDataset, AmrLevel};
 use tac_core::{
-    compress_dataset_t, decompress_dataset_par_t, plan_opst_from_occupancy, zmesh_order,
-    LevelPayload, Method, MethodBody, Parallelism, Strategy, TacConfig,
+    compress_dataset_t, decompress_dataset_par_t, decompress_region_t, plan_opst_from_occupancy,
+    zmesh_order, CodecElement, CodecId, CompressedDataset, CompressedLevel, LevelPayload, Method,
+    MethodBody, Parallelism, Strategy, TacConfig, TacDtype, TacError,
 };
 use tac_sz::{compress, decompress, Dims, ErrorBound, SzConfig};
 
@@ -42,125 +43,215 @@ fn dataset_from_refinement(coarse_dim: usize, refine: &[bool], seed: u64) -> Amr
     AmrDataset::new("prop", vec![fine, coarse])
 }
 
-/// One multi-segment single-stream container over the shared 64^3 /
-/// 32^3 dataset, with its full decode and its chunk-table rows as
-/// `(level, box on that level's grid)` — the boxes the writer derives
-/// from the segments' plane cuts.
-struct Segmented {
-    method: Method,
-    bytes: Vec<u8>,
-    full: AmrDataset,
-    rows: Vec<(usize, Aabb)>,
+/// A container's chunk-table rows as `(level, box on that level's
+/// grid)`, rebuilt from the body the way the writer derives them: a
+/// region group's own box, a whole-level stream's tight mask box, a
+/// zMesh / 1D segment's slab of whole planes (zMesh rows on the finest
+/// grid, a lone 1D segment keeping its level's tight box), the 3D
+/// baseline's whole domain.
+fn table_rows(cd: &CompressedDataset) -> Vec<(usize, Aabb)> {
+    let fine = cd.finest_dim;
+    let tight = |l: usize| cd.masks[l].bounding_box(fine >> l).unwrap();
+    let slabs = |dim: usize, scale: usize, segments: &[tac_core::Segment]| {
+        let mut from = 0;
+        segments
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let last = i + 1 == segments.len();
+                let to = if last { dim } else { s.plane_end * scale };
+                let slab = Aabb::new((0, 0, from), (dim, dim, to));
+                from = to;
+                slab
+            })
+            .collect::<Vec<_>>()
+    };
+    match &cd.body {
+        MethodBody::Tac(levels) => (levels.iter().enumerate())
+            .flat_map(|(l, cl)| match &cl.payload {
+                LevelPayload::Empty => vec![],
+                LevelPayload::Whole(_) => vec![(l, tight(l))],
+                LevelPayload::Groups(groups) => groups.iter().map(|g| (l, g.aabb())).collect(),
+            })
+            .collect(),
+        MethodBody::ZMesh { segments, .. } => {
+            let scale = 1 << (cd.masks.len() - 1);
+            (slabs(fine, scale, segments).into_iter())
+                .map(|b| (0, b))
+                .collect()
+        }
+        MethodBody::Baseline1D(levels) => (levels.iter().enumerate())
+            .flat_map(|(l, level)| {
+                let boxes = match level {
+                    None => vec![],
+                    Some((_, _, segments)) if segments.len() == 1 => vec![tight(l)],
+                    Some((_, _, segments)) => slabs(fine >> l, 1, segments),
+                };
+                boxes.into_iter().map(move |b| (l, b))
+            })
+            .collect(),
+        MethodBody::Baseline3D { .. } => vec![(0, Aabb::whole(fine))],
+    }
 }
 
-/// zMesh and 1D containers big enough (~233 K values) to be cut into
-/// several segments, built once.
-fn segmented() -> &'static [Segmented] {
-    static BUILT: std::sync::OnceLock<Vec<Segmented>> = std::sync::OnceLock::new();
+/// Each level's values as bit patterns.
+fn level_bits<T: CodecElement>(ds: &AmrDataset<T>) -> Vec<Vec<u64>> {
+    let bits = |l: &AmrLevel<T>| l.data().iter().map(|v| v.to_bits_u64()).collect();
+    ds.levels().iter().map(bits).collect()
+}
+
+/// `ds` compressed at its own width or narrowed to `f32`.
+fn compress_at(
+    ds: &AmrDataset,
+    f32: bool,
+    cfg: &TacConfig,
+    method: Method,
+) -> Result<CompressedDataset, TacError> {
+    if f32 {
+        compress_dataset_t(&ds.cast::<f32>(), cfg, method)
+    } else {
+        compress_dataset_t(ds, cfg, method)
+    }
+}
+
+/// A full decode at the container's element type, as [`level_bits`].
+fn full_bits(cd: &CompressedDataset) -> Vec<Vec<u64>> {
+    match cd.dtype {
+        TacDtype::F32 => {
+            level_bits(&decompress_dataset_par_t::<f32>(cd, Parallelism::Serial).unwrap())
+        }
+        TacDtype::F64 => {
+            level_bits(&decompress_dataset_par_t::<f64>(cd, Parallelism::Serial).unwrap())
+        }
+    }
+}
+
+/// One region-read setup: a container, its full decode and its rows.
+struct Built {
+    what: String,
+    bytes: Vec<u8>,
+    dtype: TacDtype,
+    finest_dim: usize,
+    full: Vec<Vec<u64>>,
+    rows: Vec<(usize, Aabb)>,
+    full_read: bool,
+}
+
+impl Built {
+    fn new(what: String, cd: &CompressedDataset) -> Self {
+        Built {
+            what,
+            bytes: cd.to_bytes(),
+            dtype: cd.dtype,
+            finest_dim: cd.finest_dim,
+            full: full_bits(cd),
+            rows: table_rows(cd),
+            full_read: cd.method() == Method::Baseline3D,
+        }
+    }
+
+    /// `decompress_region_t` under the box contract: inside `roi`,
+    /// coarsened to each level and clipped to its grid, every cell
+    /// equals the full decode bit for bit; every other cell holds `+0.0`
+    /// bits — whatever chunk covers it. The read decodes exactly the
+    /// rows whose boxes meet the request, and never more payload than a
+    /// full decode.
+    fn check_region(&self, roi: Aabb) -> Result<(), TestCaseError> {
+        let (partial, stats) = match self.dtype {
+            TacDtype::F32 => decompress_region_t::<f32>(&self.bytes, roi)
+                .map(|(ds, stats)| (level_bits(&ds), stats)),
+            TacDtype::F64 => decompress_region_t::<f64>(&self.bytes, roi)
+                .map(|(ds, stats)| (level_bits(&ds), stats)),
+        }
+        .unwrap();
+        // (The 3D baseline's one chunk is read whatever the box.)
+        let met = |&(level, bbox): &(usize, Aabb)| {
+            self.full_read || bbox.intersects(&roi.coarsen(1 << level))
+        };
+        prop_assert_eq!(stats.chunks_total, self.rows.len(), "{}", self.what);
+        prop_assert_eq!(
+            stats.chunks_read,
+            self.rows.iter().filter(|r| met(r)).count(),
+            "{}",
+            self.what
+        );
+        prop_assert!(stats.payload_bytes_read <= stats.payload_bytes_total);
+        prop_assert_eq!(partial.len(), self.full.len());
+        for (l, (p, f)) in partial.iter().zip(&self.full).enumerate() {
+            let dim = self.finest_dim >> l;
+            prop_assert_eq!(dim * dim * dim, p.len());
+            let inside = roi.coarsen(1 << l);
+            for (i, (a, b)) in p.iter().zip(f).enumerate() {
+                let (x, y, z) = (i % dim, i / dim % dim, i / dim / dim);
+                let want = if inside.contains(x, y, z) { *b } else { 0 };
+                prop_assert!(
+                    *a == want,
+                    "{} {:?}: level {} cell ({},{},{}) holds {:#x}, the contract says {:#x}",
+                    self.what,
+                    roi,
+                    l,
+                    x,
+                    y,
+                    z,
+                    a,
+                    want
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Containers big enough to be cut into many chunks, built once over a
+/// shared 64^3 / 32^3 dataset (~233 K values): multi-segment zMesh and
+/// 1D bodies, and TAC bodies whose dense levels are cut into several
+/// z-slabs — GSP and ZeroFill forced on both levels (a 12-cell tile
+/// leaves a short last slab), and the density filter's own pick — at
+/// both element types.
+fn big_containers() -> &'static [Built] {
+    static BUILT: std::sync::OnceLock<Vec<Built>> = std::sync::OnceLock::new();
     BUILT.get_or_init(|| {
         let refine: Vec<bool> = (0..32usize.pow(3))
             .map(|i| (i % 32 + 2 * (i / 32 % 32) + 3 * (i / 1024)) % 8 != 0)
             .collect();
         let ds = dataset_from_refinement(32, &refine, 7);
         let cfg = TacConfig::with_error_bound(ErrorBound::Abs(0.5));
-        [Method::ZMesh, Method::Baseline1D]
-            .into_iter()
-            .map(|method| {
-                let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
-                let slabs = |dim: usize, scale: usize, segments: &[tac_core::Segment]| {
-                    let mut from = 0;
-                    segments
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            let last = i + 1 == segments.len();
-                            let to = if last { dim } else { s.plane_end * scale };
-                            let slab = Aabb::new((0, 0, from), (dim, dim, to));
-                            from = to;
-                            slab
-                        })
-                        .collect::<Vec<_>>()
-                };
-                let rows: Vec<(usize, Aabb)> = match &cd.body {
-                    MethodBody::ZMesh { segments, .. } => {
-                        slabs(64, 2, segments).into_iter().map(|b| (0, b)).collect()
-                    }
-                    MethodBody::Baseline1D(levels) => levels
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(l, level)| {
-                            let (_, _, segments) = level.as_ref().unwrap();
-                            let boxes = match segments.len() {
-                                // A lone segment keeps the level's tight box.
-                                1 => vec![cd.masks[l].bounding_box(64 >> l).unwrap()],
-                                _ => slabs(64 >> l, 1, segments),
-                            };
-                            boxes.into_iter().map(move |b| (l, b))
-                        })
-                        .collect(),
-                    _ => panic!("{method:?} wrote another method's body"),
-                };
-                assert!(rows.len() >= 4, "{method:?}: {} rows", rows.len());
-                Segmented {
-                    method,
-                    bytes: cd.to_bytes(),
-                    full: decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap(),
-                    rows,
-                }
-            })
-            .collect()
-    })
-}
-
-/// `decompress_region_t` over a multi-segment container is a restriction
-/// of the full decode: bit-equal inside the box, `+0.0` bits in every
-/// slab whose row the box misses, and reads exactly the rows it meets.
-fn check_segmented_roi(c: &Segmented, roi: Aabb) -> Result<(), TestCaseError> {
-    let (partial, stats) = tac_core::decompress_region_t::<f64>(&c.bytes, roi).unwrap();
-    let met = |&(level, bbox): &(usize, Aabb)| bbox.intersects(&roi.coarsen(1 << level));
-    prop_assert_eq!(stats.chunks_total, c.rows.len());
-    prop_assert_eq!(stats.chunks_read, c.rows.iter().filter(|r| met(r)).count());
-    prop_assert!(stats.payload_bytes_read <= stats.payload_bytes_total);
-    for (l, (p, f)) in partial.levels().iter().zip(c.full.levels()).enumerate() {
-        let dim = p.dim();
-        let inside = roi.coarsen(1 << l);
-        // A zMesh row (level 0) covers its slab of every level; a 1D
-        // row covers its own level only.
-        let skipped: Vec<Aabb> = c
-            .rows
-            .iter()
-            .filter(|r| !met(r) && (r.0 == l || c.method == Method::ZMesh))
-            .map(|&(level, bbox)| bbox.coarsen(1 << (l - level)))
-            .collect();
-        for (i, (a, b)) in p.data().iter().zip(f.data()).enumerate() {
-            let (x, y, z) = (i % dim, i / dim % dim, i / dim / dim);
-            if inside.contains(x, y, z) {
-                prop_assert!(
-                    a.to_bits() == b.to_bits(),
-                    "{:?} {:?}: level {} cell ({},{},{}) diverges inside ROI",
-                    c.method,
-                    roi,
-                    l,
-                    x,
-                    y,
-                    z
-                );
-            }
-            if skipped.iter().any(|slab| slab.contains(x, y, z)) {
-                prop_assert!(
-                    a.to_bits() == 0,
-                    "{:?} {:?}: level {} cell ({},{},{}) of a skipped slab is not +0.0",
-                    c.method,
-                    roi,
-                    l,
-                    x,
-                    y,
-                    z
-                );
-            }
+        let mut built = Vec::new();
+        for method in [Method::ZMesh, Method::Baseline1D] {
+            let cd = compress_dataset_t(&ds, &cfg, method).unwrap();
+            let rows = table_rows(&cd).len();
+            assert!(rows >= 4, "{method:?}: {rows} rows");
+            built.push(Built::new(format!("{method:?}"), &cd));
         }
-    }
-    Ok(())
+        for (strategy, tile, f32) in [
+            (Some(Strategy::Gsp), 16, false),
+            (Some(Strategy::ZeroFill), 12, true),
+            (None, 16, true),
+        ] {
+            let tac_cfg = TacConfig {
+                unit: 4,
+                roi_tile: Some(tile),
+                forced_strategy: strategy,
+                ..cfg.clone()
+            };
+            let cd = compress_at(&ds, f32, &tac_cfg, Method::Tac).unwrap();
+            let MethodBody::Tac(levels) = &cd.body else {
+                panic!("Method::Tac wrote a non-TAC body");
+            };
+            let slabs = |cl: &CompressedLevel| match &cl.payload {
+                LevelPayload::Groups(groups)
+                    if matches!(cl.strategy, Strategy::Gsp | Strategy::ZeroFill) =>
+                {
+                    groups.len()
+                }
+                _ => 0,
+            };
+            assert!(levels.iter().any(|cl| slabs(cl) >= 2), "{strategy:?}");
+            let what = format!("Tac/{strategy:?}/tile {tile}/f32 {f32}");
+            built.push(Built::new(what, &cd));
+        }
+        built
+    })
 }
 
 proptest! {
@@ -376,35 +467,40 @@ proptest! {
         prop_assert_eq!(parsed.to_bytes(), latest);
     }
 
-    /// v2 region-of-interest decoding is a restriction of the full
-    /// decode for *any* box — empty, a single cell, odd corners that
-    /// straddle coarse cells, partly or wholly outside the domain:
-    /// inside the box every cell matches the full reconstruction bit
-    /// for bit, every cell of every chunk the read skipped holds `+0.0`
-    /// bits, and the decoder never reads more payload than a full
-    /// decode.
+    /// Region reads honour the box contract for *any* box — empty, a
+    /// single cell, odd corners that straddle coarse cells, partly or
+    /// wholly outside the domain — on every method, codec and element
+    /// type, whatever the chunking: inside the box every cell matches
+    /// the full reconstruction bit for bit, every other cell holds
+    /// `+0.0` bits, and the read decodes exactly the chunks its box
+    /// meets. TAC runs under the density filter's pick, forced region
+    /// groups and forced dense levels, with tiles that cut both levels,
+    /// the fine one only, or neither.
     #[test]
     fn roi_decode_is_subset_of_full_decode(
         refine in prop::collection::vec(any::<bool>(), 64),
         seed in 0u64..200,
         corners in prop::collection::vec(0usize..12, 6),
-        tiled in any::<bool>(),
-        sparse in any::<bool>(),
+        method in 0usize..4,
+        strategy in 0usize..4,
+        tile in 0usize..4,
+        codec in 0usize..3,
+        f32 in any::<bool>(),
     ) {
         let ds = dataset_from_refinement(4, &refine, seed);
         prop_assume!(ds.total_present() > 0);
+        let method = [Method::Tac, Method::ZMesh, Method::Baseline1D, Method::Baseline3D][method];
+        let strategy = [None, Some(Strategy::OpST), Some(Strategy::Gsp), Some(Strategy::ZeroFill)][strategy];
         let cfg = TacConfig {
             unit: 2,
             error_bound: ErrorBound::Abs(0.5),
-            roi_tile: if tiled { Some(4) } else { None },
-            // Region groups on every level, or the density filter's own
-            // pick (whole-grid streams on the denser levels).
-            forced_strategy: sparse.then_some(Strategy::OpST),
+            roi_tile: [None, Some(2), Some(3), Some(4)][tile],
+            forced_strategy: strategy,
+            codec: CodecId::all()[codec],
             ..Default::default()
         };
-        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
-        let bytes = cd.to_bytes();
-        let full = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+        let cd = compress_at(&ds, f32, &cfg, method).unwrap();
+        let small = Built::new(format!("{method:?}/{:?}/{:?}/{}", strategy, cfg.roi_tile, cfg.codec), &cd);
 
         // Two random corners on a 12^3 lattice around the 8^3 fine grid;
         // equal coordinates give an empty box.
@@ -414,74 +510,20 @@ proptest! {
             span(corners[2], corners[3]),
             span(corners[4], corners[5]),
         );
-        let roi = Aabb::new((x.0, y.0, z.0), (x.1, y.1, z.1));
-        let (partial, stats) = tac_core::decompress_region_t::<f64>(&bytes, roi).unwrap();
+        small.check_region(Aabb::new((x.0, y.0, z.0), (x.1, y.1, z.1)))?;
 
-        prop_assert!(stats.payload_bytes_read <= stats.payload_bytes_total);
-        prop_assert_eq!(partial.num_levels(), full.num_levels());
-        let MethodBody::Tac(compressed) = &cd.body else {
-            panic!("Method::Tac wrote a non-TAC body");
-        };
-        for (l, (p, f)) in partial.levels().iter().zip(full.levels()).enumerate() {
-            let dim = p.dim();
-            let roi_level = roi.coarsen(1 << l);
-            for z in roi_level.min.2..roi_level.max.2.min(dim) {
-                for y in roi_level.min.1..roi_level.max.1.min(dim) {
-                    for x in roi_level.min.0..roi_level.max.0.min(dim) {
-                        prop_assert!(
-                            p.value(x, y, z).to_bits() == f.value(x, y, z).to_bits(),
-                            "level {} cell ({},{},{}) diverges inside ROI", l, x, y, z
-                        );
-                    }
-                }
-            }
-            // What the read skipped, by the chunk table's own boxes: a
-            // group whose box misses the ROI leaves its regions alone; a
-            // whole-grid stream (boxed by its mask's bounding box)
-            // leaves the whole level alone.
-            let skipped: Vec<Aabb> = match &compressed[l].payload {
-                LevelPayload::Empty => vec![],
-                LevelPayload::Whole(_) => {
-                    let bbox = p.mask().bounding_box(dim).unwrap();
-                    if bbox.intersects(&roi_level) { vec![] } else { vec![Aabb::whole(dim)] }
-                }
-                LevelPayload::Groups(groups) => groups
-                    .iter()
-                    .filter(|g| !g.aabb().intersects(&roi_level))
-                    .flat_map(|g| {
-                        g.origins.iter().map(|&(x, y, z)| {
-                            Aabb::of_region((x as usize, y as usize, z as usize), g.shape)
-                        })
-                    })
-                    .collect(),
-            };
-            for region in skipped {
-                for z in region.min.2..region.max.2 {
-                    for y in region.min.1..region.max.1 {
-                        for x in region.min.0..region.max.0 {
-                            prop_assert!(
-                                p.value(x, y, z).to_bits() == 0,
-                                "level {} cell ({},{},{}) of a skipped chunk is not +0.0",
-                                l, x, y, z
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // The same contract over multi-segment zMesh and 1D containers,
-        // on a 72^3 lattice around their 64^3 grid: the drawn box (odd
-        // corners straddle coarse cells and plane cuts; equal ones are
+        // The same contract over the many-chunk containers, on a 72^3
+        // lattice around their 64^3 grid: the drawn box (odd corners
+        // straddle coarse cells, plane cuts and slab cuts; equal ones are
         // empty), the single cell at its corner, and the box pushed out
         // of the domain.
         let wide = |c: usize| 6 * c + c % 2;
         let min = (wide(x.0), wide(y.0), wide(z.0));
         let max = (wide(x.1), wide(y.1), wide(z.1));
-        for c in segmented() {
-            check_segmented_roi(c, Aabb::new(min, max))?;
-            check_segmented_roi(c, Aabb::new(min, (min.0 + 1, min.1 + 1, min.2 + 1)))?;
-            check_segmented_roi(c, Aabb::new((min.0, min.1, min.2 + 64), (max.0, max.1, max.2 + 64)))?;
+        for c in big_containers() {
+            c.check_region(Aabb::new(min, max))?;
+            c.check_region(Aabb::new(min, (min.0 + 1, min.1 + 1, min.2 + 1)))?;
+            c.check_region(Aabb::new((min.0, min.1, min.2 + 64), (max.0, max.1, max.2 + 64)))?;
         }
     }
 }
