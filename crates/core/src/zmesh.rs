@@ -20,13 +20,18 @@
 //! it is still well defined, and compress and decode walk it alike.
 //!
 //! There is one implementation, [`walk`]: it streams the traversal as
-//! `(level, start, len)` pieces of flat indices — whole mask runs on the
-//! coarsest level, sibling pairs below it — and the pipeline gathers and
-//! scatters straight between the level buffers and the codec stream
-//! through [`gather_walk`] / [`scatter_walk`], never materialising a
-//! per-value order. [`zmesh_order`] is the analysis/test view of the
-//! same walker (one `(level, index)` entry per value), with [`gather`]
-//! and [`scatter`] as its explicit-order companions.
+//! [`Piece`]s of one level each — whole mask runs on the coarsest level;
+//! below it, one **row segment** per stretch of absent cells in one row
+//! whose children are all present one level finer (its values are the
+//! fixed `dz, dy, dx` interleave of four finer rows), and sibling pairs
+//! wherever a cell's children are not all present. The pieces are only
+//! a grouping: the order contract above decides every value's place.
+//! The pipeline gathers and scatters straight between the level buffers
+//! and the codec stream through [`gather_walk`] / [`scatter_walk`], one
+//! tight loop per segment, never materialising a per-value order.
+//! [`zmesh_order`] is the analysis/test view of the same walker (one
+//! `(level, index)` entry per value), with [`gather`] and [`scatter`] as
+//! its explicit-order companions.
 //!
 //! # Plane ranges
 //!
@@ -92,17 +97,54 @@ pub(crate) fn slab(
     Some(from..to.max(from))
 }
 
+/// Consecutive present flat indices of one level, in traversal order, as
+/// [`walk`] hands them out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Piece {
+    /// `len` consecutive flat indices from `start`: a mask run on the
+    /// coarsest level, a sibling pair or a lone sibling below it.
+    Run { start: usize, len: usize },
+    /// A row segment: `pairs` adjacent absent cells of one row of the
+    /// next coarser level, all of whose children are present. The
+    /// children of its `p`-th cell are the sibling pairs at `rows[k] +
+    /// 2p` of four rows, `k = dy + 2·dz`, and its `8 · pairs` values are
+    /// those pairs in the order `for p { for k { pair } }` — what one
+    /// sibling-pair piece per child pair would have listed.
+    Rows { rows: [usize; 4], pairs: usize },
+}
+
+impl Piece {
+    /// Values the piece holds.
+    pub(crate) fn len(&self) -> usize {
+        match *self {
+            Piece::Run { len, .. } => len,
+            Piece::Rows { pairs, .. } => pairs.saturating_mul(8),
+        }
+    }
+
+    /// The flat index of the piece's value `i`, for `i < self.len()`.
+    pub(crate) fn cell(&self, i: usize) -> usize {
+        match *self {
+            Piece::Run { start, .. } => start + i,
+            Piece::Rows { rows, .. } => {
+                let row = rows.get(i / 2 % 4).copied().unwrap_or_default();
+                row + 2 * (i / 8) + i % 2
+            }
+        }
+    }
+}
+
 /// Streams the zMesh traversal of the z-planes `planes` of the coarsest
 /// level of a level stack described by its occupancy masks (fine to
-/// coarse) as `(level, start, len)` pieces: `len` consecutive flat
-/// indices of `level`, all present, in traversal order. `emit` may stop
-/// the walk early with `Break`. Never panics: planes beyond the grid are
-/// clipped and mask bits beyond a mask's length read as absent.
+/// coarse) as `(level, piece)`: the piece's flat indices of `level`, all
+/// present, in traversal order. `emit` may stop the walk early with
+/// `Break`. Never panics: planes beyond the grid are clipped and mask
+/// bits beyond a mask's length read as absent.
 pub(crate) fn walk<B>(
     masks: &[&BitMask],
     finest_dim: usize,
     planes: Range<usize>,
-    mut emit: impl FnMut(usize, usize, usize) -> ControlFlow<B>,
+    mut emit: impl FnMut(usize, Piece) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     let Some((mask, finer)) = masks.split_last() else {
         return Continue(());
@@ -116,7 +158,7 @@ pub(crate) fn walk<B>(
     let mut at = cells.start;
     for (start, len) in mask.runs_in(cells.start, cells.len()) {
         descend(masks, finest_dim, coarsest, at..start, &mut emit)?;
-        emit(coarsest, start, len)?;
+        emit(coarsest, Piece::Run { start, len })?;
         at = start.saturating_add(len);
     }
     descend(masks, finest_dim, coarsest, at..cells.end, &mut emit)
@@ -150,13 +192,26 @@ impl<'a> Cursor<'a> {
         }
         self.start <= i
     }
+
+    /// Where the run of present bits from `i` on ends: `i` itself when
+    /// bit `i` is absent.
+    #[inline]
+    fn present_to(&mut self, i: usize) -> usize {
+        if self.present(i) {
+            self.end
+        } else {
+            i
+        }
+    }
 }
 
 /// The cells `gap` of level `l` are absent there: each is replaced in
 /// place by its eight children, `dz, dy`-major, one `dx` sibling pair
-/// (two adjacent flat indices of the finer level) at a time. A present
-/// child is emitted, an absent one descends in turn.
-fn descend<B, F: FnMut(usize, usize, usize) -> ControlFlow<B>>(
+/// (two adjacent flat indices of the finer level) at a time. Adjacent
+/// cells of one row whose children are all present go out as one row
+/// segment; otherwise a present child is emitted, an absent one descends
+/// in turn.
+fn descend<B, F: FnMut(usize, Piece) -> ControlFlow<B>>(
     masks: &[&BitMask],
     finest_dim: usize,
     l: usize,
@@ -180,22 +235,38 @@ fn descend<B, F: FnMut(usize, usize, usize) -> ControlFlow<B>>(
         let rows = [(0, 0), (1, 0), (0, 1), (1, 1)]
             .map(|(cy, cz)| fdim * (2 * y + cy + fdim * (2 * z + cz)));
         let mut cursors = rows.map(|row| Cursor::new(mask, row + 2 * x, 2 * cells));
-        for cx in x..x + cells {
+        let mut cx = x;
+        while cx < x + cells {
+            // The cells from `cx` on whose children are all present: as
+            // many as the shortest present run of the four rows covers.
+            let mut pairs = x + cells - cx;
             for (row, cursor) in rows.iter().zip(&mut cursors) {
                 let pair = row + 2 * cx;
+                pairs = pairs.min((cursor.present_to(pair) - pair) / 2);
+            }
+            if pairs > 0 {
+                let rows = rows.map(|row| row + 2 * cx);
+                emit(finer, Piece::Rows { rows, pairs })?;
+                cx += pairs;
+                continue;
+            }
+            for (row, cursor) in rows.iter().zip(&mut cursors) {
+                let pair = row + 2 * cx;
+                let run = |start, len| Piece::Run { start, len };
                 match (cursor.present(pair), cursor.present(pair + 1)) {
-                    (true, true) => emit(finer, pair, 2)?,
+                    (true, true) => emit(finer, run(pair, 2))?,
                     (true, false) => {
-                        emit(finer, pair, 1)?;
+                        emit(finer, run(pair, 1))?;
                         descend(masks, finest_dim, finer, pair + 1..pair + 2, emit)?;
                     }
                     (false, true) => {
                         descend(masks, finest_dim, finer, pair..pair + 1, emit)?;
-                        emit(finer, pair + 1, 1)?;
+                        emit(finer, run(pair + 1, 1))?;
                     }
                     (false, false) => descend(masks, finest_dim, finer, pair..pair + 2, emit)?,
                 }
             }
+            cx += 1;
         }
         at += cells;
     }
@@ -212,15 +283,15 @@ fn descend<B, F: FnMut(usize, usize, usize) -> ControlFlow<B>>(
 /// exactly once.
 pub fn zmesh_order(masks: &[&BitMask], finest_dim: usize) -> Vec<ZmeshEntry> {
     let mut out = Vec::with_capacity(masks.iter().map(|m| m.count_ones()).sum());
-    let _ = walk(masks, finest_dim, ALL_PLANES, |l, start, len| {
-        out.extend((start..).take(len).map(|idx| (l, idx)));
+    let _ = walk(masks, finest_dim, ALL_PLANES, |l, piece| {
+        out.extend((0..piece.len()).map(|i| (l, piece.cell(i))));
         Continue::<(), ()>(())
     });
     out
 }
 
-/// Copies one piece of the traversal. Below the coarsest level nearly
-/// every piece is a sibling pair; matching that as a fixed-size pattern
+/// Copies one run of the traversal. Below the coarsest level a run is a
+/// sibling pair or one sibling; matching a pair as a fixed-size pattern
 /// keeps a `memcpy` call per pair off the hot path.
 #[inline]
 fn copy_piece<T: Copy>(dst: &mut [T], src: &[T]) {
@@ -228,6 +299,87 @@ fn copy_piece<T: Copy>(dst: &mut [T], src: &[T]) {
         ([d0, d1], &[s0, s1]) => (*d0, *d1) = (s0, s1),
         (dst, src) => dst.copy_from_slice(src),
     }
+}
+
+/// The four rows of a row segment, `width` cells each from `rows[k]`, in
+/// a slab holding its level's cells from flat index `base` on; `None`
+/// unless all four lie inside it. The walk builds the rows ascending
+/// and apart.
+fn rows_mut<T>(
+    mut cells: &mut [T],
+    mut base: usize,
+    rows: [usize; 4],
+    width: usize,
+) -> Option<[&mut [T]; 4]> {
+    let mut out: [Option<&mut [T]>; 4] = [None, None, None, None];
+    for (slot, row) in out.iter_mut().zip(rows) {
+        let tail = std::mem::take(&mut cells).get_mut(row.checked_sub(base)?..)?;
+        if tail.len() < width {
+            return None;
+        }
+        let (mine, rest) = tail.split_at_mut(width);
+        (*slot, cells, base) = (Some(mine), rest, row.checked_add(width)?);
+    }
+    let [r0, r1, r2, r3] = out;
+    Some([r0?, r1?, r2?, r3?])
+}
+
+/// [`gather_piece`] for a row segment: `dst` takes the pairs of its four
+/// rows in [`Piece::Rows`] order, a cell's eight values at a time. Out of
+/// line, like [`scatter_rows`] and [`Clip::rows`], so that the per-run
+/// path — all the 1D arm's single-level walk takes — stays small enough
+/// to inline into the walk.
+#[inline(never)]
+fn gather_rows<T: Copy>(rows: [usize; 4], pairs: usize, src: &[T], dst: &mut [T]) -> usize {
+    let piece = Piece::Rows { rows, pairs };
+    let fit = piece.len().min(dst.len());
+    let width = 2 * pairs;
+    let [r0, r1, r2, r3] = rows.map(|row| src.get(row..row.checked_add(width)?));
+    let (Some(dst), Some(r0), Some(r1), Some(r2), Some(r3)) = (dst.get_mut(..fit), r0, r1, r2, r3)
+    else {
+        return 0;
+    };
+    if fit < piece.len() {
+        // A window that ends inside the segment.
+        for (i, v) in dst.iter_mut().enumerate() {
+            *v = src.get(piece.cell(i)).copied().unwrap_or(*v);
+        }
+        return fit;
+    }
+    let row_pairs = (r0.chunks_exact(2).zip(r1.chunks_exact(2)))
+        .zip(r2.chunks_exact(2).zip(r3.chunks_exact(2)));
+    for (cell, ((a, b), (c, d))) in dst.chunks_exact_mut(8).zip(row_pairs) {
+        if let ([v0, v1, v2, v3, v4, v5, v6, v7], &[a0, a1], &[b0, b1], &[c0, c1], &[d0, d1]) =
+            (cell, a, b, c, d)
+        {
+            (*v0, *v1, *v2, *v3, *v4, *v5, *v6, *v7) = (a0, a1, b0, b1, c0, c1, d0, d1);
+        }
+    }
+    fit
+}
+
+/// [`scatter_piece`] for an unclipped row segment: the inverse of
+/// [`gather_rows`] into the slab `cells` of its level from flat index
+/// `base` on; `None` when the rows do not lie inside it.
+#[inline(never)]
+fn scatter_rows<T: Copy>(
+    rows: [usize; 4],
+    pairs: usize,
+    base: usize,
+    cells: &mut [T],
+    src: &[T],
+) -> Option<()> {
+    let [r0, r1, r2, r3] = rows_mut(cells, base, rows, 2 * pairs)?;
+    let row_pairs = (r0.chunks_exact_mut(2).zip(r1.chunks_exact_mut(2)))
+        .zip(r2.chunks_exact_mut(2).zip(r3.chunks_exact_mut(2)));
+    for (cell, ((a, b), (c, d))) in src.chunks_exact(8).zip(row_pairs) {
+        if let (&[v0, v1, v2, v3, v4, v5, v6, v7], [a0, a1], [b0, b1], [c0, c1], [d0, d1]) =
+            (cell, a, b, c, d)
+        {
+            (*a0, *a1, *b0, *b1, *c0, *c1, *d0, *d1) = (v0, v1, v2, v3, v4, v5, v6, v7);
+        }
+    }
+    Some(())
 }
 
 /// Present cells in the slabs of `planes`, summed over the levels: an
@@ -250,8 +402,9 @@ pub(crate) fn population(masks: &[&BitMask], finest_dim: usize, planes: &Range<u
 
 /// Gathers the first `limit` values of the traversal of `planes` (all of
 /// them for `usize::MAX`) straight out of the level buffers, one slice
-/// copy per piece. `Method::Auto`'s selection pass takes a bounded prefix
-/// this way; the walk stops as soon as the window is full.
+/// copy per run and one interleaving loop per row segment.
+/// `Method::Auto`'s selection pass takes a bounded prefix this way; the
+/// walk stops as soon as the window is full.
 pub(crate) fn gather_walk<T: Element>(
     masks: &[&BitMask],
     finest_dim: usize,
@@ -263,23 +416,42 @@ pub(crate) fn gather_walk<T: Element>(
     // the slabs' population.
     let present = population(masks, finest_dim, &planes);
     let mut out = vec![T::ZERO; present.min(limit)];
-    let mut filled = 0;
-    let _ = walk(masks, finest_dim, planes, |l, start, len| {
-        let len = len.min(out.len() - filled);
-        let src = level_data.get(l).and_then(|d| d.get(start..)?.get(..len));
-        let dst = out.get_mut(filled..).and_then(|o| o.get_mut(..len));
-        if let (Some(src), Some(dst)) = (src, dst) {
-            copy_piece(dst, src);
-            filled += len;
-        }
+    let (mut filled, mut pieces) = (0, 0);
+    let _ = walk(masks, finest_dim, planes, |l, piece| {
+        pieces += 1;
+        let src = level_data.get(l).copied().unwrap_or_default();
+        let dst = out.get_mut(filled..).unwrap_or_default();
+        filled += gather_piece(piece, src, dst);
         if filled < out.len() {
             Continue(())
         } else {
             Break(())
         }
     });
+    tac_obs::add_bytes(tac_obs::Counter::ReorderPieces, pieces);
     out.truncate(filled);
     out
+}
+
+/// Copies as many values of `piece` as fit from its level's buffer `src`
+/// to the front of `dst`, and says how many: none when the piece does
+/// not lie inside `src`.
+#[inline]
+fn gather_piece<T: Copy>(piece: Piece, src: &[T], dst: &mut [T]) -> usize {
+    match piece {
+        Piece::Run { start, len } => {
+            let fit = len.min(dst.len());
+            match (
+                src.get(start..).and_then(|s| s.get(..fit)),
+                dst.get_mut(..fit),
+            ) {
+                (Some(src), Some(dst)) => copy_piece(dst, src),
+                _ => return 0,
+            }
+            fit
+        }
+        Piece::Rows { rows, pairs } => gather_rows(rows, pairs, src, dst),
+    }
 }
 
 /// A region read's box on one level's grid, held in the terms a piece
@@ -327,13 +499,55 @@ impl Clip {
             at = next;
         }
     }
+
+    /// [`scatter_rows`] inside the box: copies the cells of the row
+    /// segment that lie inside it. Each of the four rows is tested against
+    /// the box once and takes only its in-box x-span, and a segment
+    /// outside the box's planes is skipped before any division. `None`
+    /// when the rows do not lie inside the slab.
+    #[inline(never)]
+    fn rows<T: Copy>(
+        &self,
+        rows: [usize; 4],
+        pairs: usize,
+        base: usize,
+        cells: &mut [T],
+        src: &[T],
+    ) -> Option<()> {
+        let width = 2 * pairs;
+        let dst = rows_mut(cells, base, rows, width)?;
+        let [first, .., last] = rows;
+        if last.saturating_add(width) <= self.planes.start || self.planes.end <= first {
+            return Some(());
+        }
+        let b = &self.b;
+        let (x, row) = (first % self.dim, first / self.dim);
+        let (y, z) = (row % self.dim, row / self.dim);
+        // The in-box span of every row, as offsets into it.
+        let lo = b.min.0.saturating_sub(x);
+        let hi = b.max.0.saturating_sub(x).min(width);
+        for (k, cells) in dst.into_iter().enumerate() {
+            let (y, z) = (y + k % 2, z + k / 2);
+            if !(b.min.1..b.max.1).contains(&y) || !(b.min.2..b.max.2).contains(&z) {
+                continue;
+            }
+            // Offset `j` of row `k` is value `8·(j / 2) + 2k + j % 2`.
+            for (j, cell) in (lo..hi).zip(cells.get_mut(lo..hi).into_iter().flatten()) {
+                *cell = src
+                    .get(4 * (j & !1) + 2 * k + j % 2)
+                    .copied()
+                    .unwrap_or(*cell);
+            }
+        }
+        Some(())
+    }
 }
 
 /// Scatters a decoded stream back along the traversal of `planes`, one
-/// slice copy per piece. `slabs[l]` is the part of level `l`'s dense
-/// buffer those planes cover ([`slab`]) and nothing outside it is
-/// reachable, so concurrent scatters of disjoint plane ranges need no
-/// synchronisation.
+/// slice copy per run and one loop per row segment. `slabs[l]` is the
+/// part of level `l`'s dense buffer those planes cover ([`slab`]) and
+/// nothing outside it is reachable, so concurrent scatters of disjoint
+/// plane ranges need no synchronisation.
 ///
 /// With `clip` — a region read's box on each level's grid — only the
 /// part of each piece inside its level's box is copied; the walk, and
@@ -360,44 +574,46 @@ pub(crate) fn scatter_walk<T: Element>(
         })
         .collect();
     if clips.iter().all(Option::is_none) {
-        let copy = |_, _, dst: &mut [T], src: &[T]| copy_piece(dst, src);
-        return scatter_pieces(masks, finest_dim, planes, values, slabs, &copy);
+        return scatter_pieces::<T, false>(masks, finest_dim, planes, values, slabs, &clips);
     }
-    let copy = |l: usize, start, dst: &mut [T], src: &[T]| match clips.get(l) {
-        Some(Some(clip)) => clip.copy(start, dst, src),
-        _ => copy_piece(dst, src),
-    };
-    scatter_pieces(masks, finest_dim, planes, values, slabs, &copy)
+    scatter_pieces::<T, true>(masks, finest_dim, planes, values, slabs, &clips)
 }
 
-/// [`scatter_walk`]'s walk, moving each piece with `copy(level, start,
-/// dst, src)`.
-fn scatter_pieces<T: Element>(
+/// [`scatter_walk`]'s walk. Compiled twice: with `CLIPPED` false it
+/// never looks at `clips`, so a full decode pays no per-piece test.
+fn scatter_pieces<T: Element, const CLIPPED: bool>(
     masks: &[&BitMask],
     finest_dim: usize,
     planes: Range<usize>,
     values: &[T],
     slabs: &mut [&mut [T]],
-    copy: &impl Fn(usize, usize, &mut [T], &[T]),
+    clips: &[Option<Clip>],
 ) -> Result<(), TacError> {
     let bases: Vec<usize> = (0..masks.len())
         .map(|l| slab(finest_dim, masks.len(), l, &planes).map_or(0, |cells| cells.start))
         .collect();
-    let mut rest = values;
-    let ran_short = walk(masks, finest_dim, planes, |l, start, len| {
-        let dst = bases
-            .get(l)
-            .and_then(|base| start.checked_sub(*base))
-            .zip(slabs.get_mut(l))
-            .and_then(|(at, cells)| cells.get_mut(at..at.checked_add(len)?));
-        let (Some(dst), Some(src), Some(tail)) = (dst, rest.get(..len), rest.get(len..)) else {
+    let (mut rest, mut pieces) = (values, 0);
+    let ran_short = walk(masks, finest_dim, planes, |l, piece| {
+        pieces += 1;
+        let clip = if CLIPPED {
+            clips.get(l).and_then(Option::as_ref)
+        } else {
+            None
+        };
+        let (Some((src, tail)), Some((base, cells))) = (
+            rest.get(..piece.len()).zip(rest.get(piece.len()..)),
+            bases.get(l).zip(slabs.get_mut(l)),
+        ) else {
             return Break(());
         };
-        copy(l, start, dst, src);
+        if scatter_piece(piece, *base, cells, src, clip).is_none() {
+            return Break(());
+        }
         rest = tail;
         Continue(())
     })
     .is_break();
+    tac_obs::add_bytes(tac_obs::Counter::ReorderPieces, pieces);
     if ran_short || !rest.is_empty() {
         return Err(TacError::Corrupt(format!(
             "stream holds {} values, the traversal of its planes has {}",
@@ -410,6 +626,35 @@ fn scatter_pieces<T: Element>(
         )));
     }
     Ok(())
+}
+
+/// Writes the values `src` of `piece` into its level's slab `cells`,
+/// which holds the level from flat index `base` on — with `clip`, only
+/// those inside the box. `None` when the piece does not lie inside the
+/// slab.
+#[inline]
+fn scatter_piece<T: Copy>(
+    piece: Piece,
+    base: usize,
+    cells: &mut [T],
+    src: &[T],
+    clip: Option<&Clip>,
+) -> Option<()> {
+    match piece {
+        Piece::Run { start, len } => {
+            let at = start.checked_sub(base)?;
+            let dst = cells.get_mut(at..at.checked_add(len)?)?;
+            match clip {
+                Some(clip) => clip.copy(start, dst, src),
+                None => copy_piece(dst, src),
+            }
+            Some(())
+        }
+        Piece::Rows { rows, pairs } => match clip {
+            Some(clip) => clip.rows(rows, pairs, base, cells, src),
+            None => scatter_rows(rows, pairs, base, cells, src),
+        },
+    }
 }
 
 /// Gathers level data values into a 1D array following `order`.
@@ -635,8 +880,8 @@ pub(crate) mod tests {
             let refs: Vec<&BitMask> = masks.iter().collect();
             let order = zmesh_order(&refs, finest_dim);
             assert_eq!(order, reference_order(&refs, finest_dim), "seed {seed}");
-            let _ = walk(&refs, finest_dim, ALL_PLANES, |_, _, len| {
-                assert!(len >= 1, "seed {seed}: empty piece");
+            let _ = walk(&refs, finest_dim, ALL_PLANES, |_, piece| {
+                assert!(piece.len() >= 1, "seed {seed}: empty piece");
                 Continue::<(), ()>(())
             });
         }
@@ -666,13 +911,15 @@ pub(crate) mod tests {
             for pair in cuts.windows(2) {
                 let planes = pair[0]..pair[1];
                 let at = joined.len();
-                let _ = walk(&refs, finest_dim, planes.clone(), |l, start, len| {
+                let _ = walk(&refs, finest_dim, planes.clone(), |l, piece| {
                     let cells = slab(finest_dim, masks.len(), l, &planes).unwrap();
-                    assert!(
-                        cells.start <= start && start + len <= cells.end,
-                        "seed {seed}: piece {l}/{start}+{len} outside slab {cells:?}"
-                    );
-                    joined.extend((start..start + len).map(|idx| (l, idx)));
+                    for idx in (0..piece.len()).map(|i| piece.cell(i)) {
+                        assert!(
+                            cells.contains(&idx),
+                            "seed {seed}: piece {l}/{piece:?} outside slab {cells:?}"
+                        );
+                        joined.push((l, idx));
+                    }
                     Continue::<(), ()>(())
                 });
                 // The ranged popcount bounds the piece from above, is
@@ -693,6 +940,39 @@ pub(crate) mod tests {
         assert_eq!(slab(8, 2, 1, &(5..7)), Some(64..64));
         assert_eq!(slab(8, 2, 2, &(0..1)), None);
         assert_eq!(slab(8, 0, 0, &(0..1)), None);
+    }
+
+    /// Scatters `stream` into a copy of `before` clipped to one box per
+    /// level: the traversal cells inside their level's box must take the
+    /// stream's bits, every other cell must keep its own.
+    fn check_clipped_scatter<T: Element>(
+        refs: &[&BitMask],
+        finest_dim: usize,
+        stream: &[T],
+        before: &[Vec<T>],
+        boxes: &[Aabb],
+        what: &str,
+    ) {
+        let mut expect = before.to_vec();
+        scatter(&zmesh_order(refs, finest_dim), stream, &mut expect);
+        let mut clipped = before.to_vec();
+        scatter_walk(
+            refs,
+            finest_dim,
+            ALL_PLANES,
+            stream,
+            &mut whole(&mut clipped),
+            Some(boxes),
+        )
+        .unwrap();
+        for (l, ((got, all), old)) in clipped.iter().zip(&expect).zip(before).enumerate() {
+            let dim = finest_dim >> l;
+            for (i, v) in got.iter().enumerate() {
+                let inside = boxes[l].contains(i % dim, i / dim % dim, i / dim / dim);
+                let want = if inside { all[i] } else { old[i] };
+                assert_eq!(v.to_bits_u64(), want.to_bits_u64(), "{what}: {l}/{i}");
+            }
+        }
     }
 
     fn check_streamed_gather_and_scatter<T: Element>(seed: u64) {
@@ -746,24 +1026,8 @@ pub(crate) mod tests {
                 Aabb::new(lo, (x0.max(x1), y0.max(y1), z0.max(z1)))
             })
             .collect();
-        let mut clipped = before.clone();
-        scatter_walk(
-            &refs,
-            finest_dim,
-            ALL_PLANES,
-            &stream,
-            &mut whole(&mut clipped),
-            Some(&boxes),
-        )
-        .unwrap();
-        for (l, ((got, all), old)) in clipped.iter().zip(&expect).zip(&before).enumerate() {
-            let dim = finest_dim >> l;
-            for (i, v) in got.iter().enumerate() {
-                let inside = boxes[l].contains(i % dim, i / dim % dim, i / dim / dim);
-                let want = if inside { all[i] } else { old[i] };
-                assert_eq!(v.to_bits_u64(), want.to_bits_u64(), "seed {seed}: {l}/{i}");
-            }
-        }
+        let what = format!("seed {seed}");
+        check_clipped_scatter(&refs, finest_dim, &stream, &before, &boxes, &what);
 
         // One value short and one value long are both corrupt, clipped
         // or not.
@@ -794,6 +1058,174 @@ pub(crate) mod tests {
             check_streamed_gather_and_scatter::<f64>(seed);
             check_streamed_gather_and_scatter::<f32>(seed);
         }
+    }
+
+    /// A valid two-level tree on a `fine`^3 grid: the coarse cells inside
+    /// an off-centre ball are refined, every other coarse cell is present.
+    fn refined_ball(fine: usize) -> Vec<BitMask> {
+        let dim = fine / 2;
+        let mut finer = BitMask::zeros(fine.pow(3));
+        let mut coarse = BitMask::ones(dim.pow(3));
+        let centre = [0.45, 0.55, 0.5].map(|f| f * dim as f64);
+        for c in 0..dim.pow(3) {
+            let at = [c % dim, c / dim % dim, c / dim / dim];
+            let r2: f64 = (0..3).map(|a| (at[a] as f64 - centre[a]).powi(2)).sum();
+            if r2 < (dim as f64 / 3.0).powi(2) {
+                coarse.set(c, false);
+                for child in 0..8 {
+                    let [x, y, z] = [0, 1, 2].map(|a| 2 * at[a] + (child >> a & 1));
+                    finer.set(x + fine * (y + fine * z), true);
+                }
+            }
+        }
+        vec![finer, coarse]
+    }
+
+    /// Every piece of the whole walk, with its level.
+    fn pieces(refs: &[&BitMask], finest_dim: usize) -> Vec<(usize, Piece)> {
+        let mut out = Vec::new();
+        let _ = walk(refs, finest_dim, ALL_PLANES, |l, piece| {
+            out.push((l, piece));
+            Continue::<(), ()>(())
+        });
+        out
+    }
+
+    #[test]
+    fn valid_two_level_trees_descend_in_row_segments_in_reference_order() {
+        for fine in [16, 64] {
+            let masks = refined_ball(fine);
+            let refs: Vec<&BitMask> = masks.iter().collect();
+            assert_eq!(zmesh_order(&refs, fine), reference_order(&refs, fine));
+            // Every descent is a row segment, one per maximal stretch of
+            // refined cells in a coarse row.
+            let dim = fine / 2;
+            let stretches = (0..dim * dim)
+                .map(|row| {
+                    let refined = |x: usize| !masks[1].get(row * dim + x);
+                    (0..dim)
+                        .filter(|&x| refined(x) && (x == 0 || !refined(x - 1)))
+                        .count()
+                })
+                .sum::<usize>();
+            let fine_pieces: Vec<Piece> = pieces(&refs, fine)
+                .into_iter()
+                .filter_map(|(l, piece)| (l == 0).then_some(piece))
+                .collect();
+            assert!(stretches > dim, "{fine}: {stretches} stretches");
+            assert_eq!(fine_pieces.len(), stretches, "{fine}");
+            assert!(
+                fine_pieces.iter().all(|p| matches!(p, Piece::Rows { .. })),
+                "{fine}: a sibling pair in a valid two-level tree"
+            );
+        }
+    }
+
+    fn check_windows_inside_the_first_segment<T: Element>(fine: usize) {
+        let masks = refined_ball(fine);
+        let refs: Vec<&BitMask> = masks.iter().collect();
+        let order = zmesh_order(&refs, fine);
+        let data: Vec<Vec<T>> = random_buffers(&masks, fine as u64);
+        let slices: Vec<&[T]> = data.iter().map(|d| d.as_slice()).collect();
+        let mut from = 0;
+        let first = pieces(&refs, fine)
+            .into_iter()
+            .find_map(|(_, piece)| match piece {
+                Piece::Rows { .. } => Some(piece),
+                _ => {
+                    from += piece.len();
+                    None
+                }
+            });
+        let len = first.expect("a row segment").len();
+        assert!(len >= 16, "{fine}: a {len}-value first segment");
+        for n in from..=from + len {
+            let window = gather_walk(&refs, fine, ALL_PLANES, &slices, n);
+            assert_eq!(bits(&window), bits(&gather(&order[..n], &slices)), "{n}");
+        }
+    }
+
+    #[test]
+    fn windows_ending_inside_a_row_segment_are_the_order_prefix() {
+        for fine in [16, 64] {
+            check_windows_inside_the_first_segment::<f64>(fine);
+            check_windows_inside_the_first_segment::<f32>(fine);
+        }
+    }
+
+    fn check_clipped_row_segments<T: Element>(fine: usize) {
+        let masks = refined_ball(fine);
+        let refs: Vec<&BitMask> = masks.iter().collect();
+        let data: Vec<Vec<T>> = random_buffers(&masks, 7);
+        let slices: Vec<&[T]> = data.iter().map(|d| d.as_slice()).collect();
+        let stream = gather(&zmesh_order(&refs, fine), &slices);
+        let before: Vec<Vec<T>> = random_buffers(&masks, 11);
+        // Odd x bounds split a sibling pair; odd y and z bounds keep one
+        // or two of a segment's four rows (a box keeps a product of its
+        // y and z rows, never three). The coarse level takes the box
+        // coarsened, or its whole grid, or nothing.
+        let s = fine / 16;
+        for x in [(3, 11), (0, 16), (5, 6), (2, 9)] {
+            for y in [(3, 10), (0, 16), (4, 5)] {
+                for z in [(5, 12), (2, 8), (7, 8)] {
+                    let b = Aabb::new((s * x.0, s * y.0, s * z.0), (s * x.1, s * y.1, s * z.1));
+                    let none = Aabb::new((0, 0, 0), (0, 0, 0));
+                    for coarse in [b.coarsen(2), Aabb::whole(fine / 2), none] {
+                        let what = format!("{fine}: {b:?} / {coarse:?}");
+                        check_clipped_scatter(&refs, fine, &stream, &before, &[b, coarse], &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clipped_row_segments_match_the_explicit_order_reference() {
+        check_clipped_row_segments::<f64>(16);
+        check_clipped_row_segments::<f32>(16);
+        check_clipped_row_segments::<f64>(64);
+    }
+
+    #[test]
+    fn masks_shorter_than_their_grid_are_corrupt_not_a_panic() {
+        let masks = refined_ball(16);
+        let refs: Vec<&BitMask> = masks.iter().collect();
+        let data: Vec<Vec<f64>> = random_buffers(&masks, 3);
+        let slices: Vec<&[f64]> = data.iter().map(|d| d.as_slice()).collect();
+        let stream = gather(&zmesh_order(&refs, 16), &slices);
+        let boxes = [
+            Aabb::new((3, 3, 3), (11, 11, 11)),
+            Aabb::new((1, 1, 1), (6, 6, 6)),
+        ];
+        for l in 0..2 {
+            // Cut before the first, a middle and the last present cell.
+            let ones: Vec<usize> = masks[l].iter_ones().collect();
+            for keep in [ones[0], ones[ones.len() / 2], ones[ones.len() - 1]] {
+                let mut short = masks.clone();
+                short[l] = BitMask::zeros(keep);
+                for i in masks[l].iter_ones().take_while(|&i| i < keep) {
+                    short[l].set(i, true);
+                }
+                let refs: Vec<&BitMask> = short.iter().collect();
+                let walked = gather_walk(&refs, 16, ALL_PLANES, &slices, usize::MAX);
+                assert!(walked.len() < stream.len(), "level {l} cut to {keep}");
+                for clip in [None, Some(&boxes[..])] {
+                    let mut bufs = data.clone();
+                    let err =
+                        scatter_walk(&refs, 16, ALL_PLANES, &stream, &mut whole(&mut bufs), clip)
+                            .unwrap_err();
+                    assert!(
+                        matches!(err, TacError::Corrupt(_)),
+                        "level {l} cut to {keep}: {err}"
+                    );
+                }
+            }
+        }
+        // Whole masks over a level buffer too short for its last cell.
+        let mut bufs = data.clone();
+        bufs[0].truncate(masks[0].iter_ones().last().unwrap());
+        let err = scatter_walk(&refs, 16, ALL_PLANES, &stream, &mut whole(&mut bufs), None);
+        assert!(matches!(err, Err(TacError::Corrupt(_))), "{err:?}");
     }
 
     #[test]

@@ -83,9 +83,11 @@ pub fn build_amr(
     // jitter reproduces that value mixing while keeping densities exact.
     let mut score_pyramid: Vec<Vec<f64>> = Vec::with_capacity(levels);
     let mut mean_pyramid: Vec<Vec<f64>> = Vec::with_capacity(levels);
-    // Jitter is constant across 4^3-cell patches: AMReX refines whole
-    // rectangular patches (blocking factor >= 4), so refinement masks are
-    // blocky, never cell-speckled. Patch-granular jitter preserves that.
+    // Jitter is constant across 8^3-cell patches of the finest grid (the
+    // `>> 3` below). It only scales the score: refinement is still decided
+    // per cell, each level ranking its individual cells, so the masks
+    // follow the score field cell by cell and can be speckled wherever it
+    // is — unlike AMReX, which refines whole box-aligned patches.
     let jittered: Vec<f64> = uniform
         .iter()
         .enumerate()

@@ -208,6 +208,9 @@ pub enum Counter {
     /// Values moved by [`Stage::Reorder`] spans: one per value gathered
     /// into, or scattered out of, a 1D / zMesh / 3D codec stream.
     ReorderValues,
+    /// Traversal pieces the zMesh / 1D gather and scatter move those
+    /// values in: one per mask run, sibling pair or row segment.
+    ReorderPieces,
 }
 
 impl Counter {
@@ -242,6 +245,7 @@ impl Counter {
         Counter::SelectWinnerBytes,
         Counter::AssembleCellsWritten,
         Counter::ReorderValues,
+        Counter::ReorderPieces,
     ];
 
     /// Index into a shard's counter array.
@@ -279,6 +283,7 @@ impl Counter {
             Counter::SelectWinnerBytes => "select_winner_bytes",
             Counter::AssembleCellsWritten => "assemble_cells_written",
             Counter::ReorderValues => "reorder_values",
+            Counter::ReorderPieces => "reorder_pieces",
         }
     }
 }

@@ -314,16 +314,25 @@ impl Recorder for ObsSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
 
-    fn setup() -> &'static ObsSession {
+    /// The tests run concurrently but share the one global session, and
+    /// every `setup()` and `take()` resets all of it: a sibling's reset
+    /// in the middle of a test's body drops its counts, and a sibling's
+    /// records land in its snapshot. Each test holds this for its whole
+    /// body.
+    static SESSION_LOCK: Mutex<()> = Mutex::new(());
+
+    fn setup() -> (MutexGuard<'static, ()>, &'static ObsSession) {
+        let held = SESSION_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let s = install();
         s.reset();
-        s
+        (held, s)
     }
 
     #[test]
     fn nested_spans_account_self_time_exactly() {
-        let s = setup();
+        let (_held, s) = setup();
         {
             let _outer = crate::span(Stage::Compress).arg("level", 2usize);
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -362,7 +371,7 @@ mod tests {
 
     #[test]
     fn counters_merge_across_threads() {
-        let s = setup();
+        let (_held, s) = setup();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -381,7 +390,7 @@ mod tests {
 
     #[test]
     fn histogram_observations_clamp_and_merge() {
-        let s = setup();
+        let (_held, s) = setup();
         crate::hist(HistKind::PcoPageBits, 12);
         crate::hist(HistKind::PcoPageBits, 12);
         crate::hist(HistKind::PcoPageBits, 1000); // clamps to last bucket
@@ -394,7 +403,7 @@ mod tests {
 
     #[test]
     fn reset_clears_all_shards() {
-        let s = setup();
+        let (_held, s) = setup();
         crate::add(Counter::ExecTasks, 7);
         {
             let _g = crate::span(Stage::Plan);

@@ -84,6 +84,7 @@ fn counters_of_interest(snap: &Snapshot) -> Vec<(Counter, u64)> {
         Counter::PcoPages,
         Counter::AssembleCellsWritten,
         Counter::ReorderValues,
+        Counter::ReorderPieces,
     ]
     .into_iter()
     .map(|c| (c, snap.counter(c)))
@@ -165,6 +166,7 @@ fn merged_counters_are_invariant_across_worker_counts() {
     }
 
     assembly_work_follows_the_occupied_volume(session);
+    refined_rows_move_as_row_segments(session);
     segmented_round_trips_are_attributed_and_counted(session);
     tac_region_reads_write_the_box_and_name_their_time(session);
 
@@ -223,6 +225,55 @@ fn assembly_work_follows_the_occupied_volume(session: &tac_obs::ObsSession) {
         written * 20 < (dim * dim * dim) as u64,
         "assembly touched {written} cells of a {dim}^3 grid at <1% occupancy"
     );
+}
+
+/// The zMesh walk hands a refined stretch of a coarse row to gather and
+/// scatter as one row segment, not one piece per sibling pair: on a valid
+/// two-level tree at 64^3 — a refined ball inside a present coarse level
+/// — the pieces moved are at most a quarter of the values moved, in both
+/// directions, where one piece per sibling pair would exceed it. Called
+/// from the one `#[test]` above because the recorder session is
+/// process-global.
+fn refined_rows_move_as_row_segments(session: &tac_obs::ObsSession) {
+    let dim = 32usize;
+    let mut fine = AmrLevel::<f64>::empty(2 * dim);
+    let mut coarse = AmrLevel::<f64>::empty(dim);
+    for z in 0..dim {
+        for y in 0..dim {
+            for x in 0..dim {
+                let r2 = [x, y, z]
+                    .map(|a| (a as f64 - 14.5).powi(2))
+                    .iter()
+                    .sum::<f64>();
+                if r2 < 100.0 {
+                    for c in 0..8 {
+                        let (fx, fy, fz) =
+                            (2 * x + (c & 1), 2 * y + (c >> 1 & 1), 2 * z + (c >> 2));
+                        fine.set_value(fx, fy, fz, (fx as f64 * 0.1).sin() + fz as f64 * 0.01);
+                    }
+                } else {
+                    coarse.set_value(x, y, z, (x as f64 * 0.2).cos() + y as f64 * 0.02);
+                }
+            }
+        }
+    }
+    let ds = AmrDataset::new("ball64", vec![fine, coarse]);
+    ds.validate().unwrap();
+    let cfg = TacConfig::default();
+    let _ = session.take();
+    let cd = compress_dataset_t(&ds, &cfg, Method::ZMesh).unwrap();
+    let gathered = session.take();
+    decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+    let scattered = session.take();
+    for (snap, what) in [(gathered, "gather"), (scattered, "scatter")] {
+        let values = snap.counter(Counter::ReorderValues);
+        let pieces = snap.counter(Counter::ReorderPieces);
+        assert_eq!(values, ds.total_present() as u64, "{what}");
+        assert!(
+            0 < pieces && 4 * pieces <= values,
+            "{what}: {pieces} pieces for {values} values"
+        );
+    }
 }
 
 /// Values held by the segments of a zMesh / 1D body whose rows a region
