@@ -16,13 +16,17 @@
 //!    [`tac_codec::ScalarCodec`] backend.
 //! 3. **Assemble** (serial, cheap): collect the compressed streams back
 //!    into per-level payloads in plan order. The decode side has no such
-//!    tail: pasting is where a fresh level grid is first touched, page
-//!    fault by page fault — most of a serial decode — so every decode
-//!    task also pastes and masks what it decoded, straight into its
-//!    level's grid under the lock of the z-plane a row lies on, touching
-//!    only the cells its payload covers. Tasks run in no fixed order, so
-//!    two regions over one cell have no defined winner and are an error:
-//!    claim bits beside the cells catch it at any worker count.
+//!    tail. Its level grids are allocated, cut and handed back by the
+//!    one owner every decode arm shares
+//!    ([`crate::pipeline::decompress_dataset_in`]); a TAC level arrives
+//!    as a [`SlabGrid`] of one locked slab per z-plane, and every decode
+//!    task pastes and masks what it decoded straight into it, under the
+//!    lock of the plane a row lies on, touching only the cells its
+//!    payload covers — pasting is where a fresh grid is first touched,
+//!    page fault by page fault, most of a serial decode. Tasks run in no
+//!    fixed order, so two regions over one cell have no defined winner
+//!    and are an error: the grid's claim bits catch it at any worker
+//!    count.
 //!
 //! Because tasks are planned before execution and results are keyed by
 //! task index, the assembled output is **byte-identical for every
@@ -33,16 +37,15 @@ use crate::akdtree::plan_akdtree;
 use crate::config::{Strategy, TacConfig};
 use crate::error::TacError;
 use crate::extract::{
-    block_cells, claim_words, compress_group, decode_group, paste_group, plan_groups, planes_of,
-    GroupPlan, Plane,
+    block_cells, compress_group, decode_group, paste_group, plan_groups, GroupPlan,
 };
+use crate::grid::SlabGrid;
 use crate::gsp::pad_ghost_shell;
 use crate::nast::plan_nast;
 use crate::opst::plan_opst;
-use crate::roi::box_rows;
 use crate::stream::{BlockGroup, CompressedLevel, LevelPayload};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tac_amr::{Aabb, AmrLevel, BitMask, BlockGrid};
+use tac_amr::{AmrLevel, BitMask, BlockGrid};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecError, CodecId, Dims};
 use tac_dtype::Element;
 
@@ -198,6 +201,7 @@ enum TaskOut {
 /// per-level compressed payloads in plan order. `level_data[i]` is the
 /// flat array of the i-th planned level (read by ZeroFill tasks and
 /// region-group tasks).
+// tac-lint: allow(panic) -- encoder-only: in-memory plans, one task result per planned task in plan order, so every `expect` and arm holds by construction.
 pub(crate) fn compress_plans<T: CodecElement>(
     plans: &[LevelPlan<T>],
     level_data: &[&[T]],
@@ -308,16 +312,14 @@ pub(crate) fn compress_plans<T: CodecElement>(
 }
 
 /// One flattened decompression task.
-struct DecompressTask<'a> {
+struct DecompressTask<'a, 'g, T> {
     level: usize,
-    dim: usize,
+    mask: &'a BitMask,
+    grid: &'a SlabGrid<'g, T>,
     codec: CodecId,
     /// Cells the task decodes (the scheduler's cost estimate), computed
     /// with checked arithmetic while the task list is built.
     cells: u64,
-    /// The box of a region read on this level, unless it is the whole
-    /// grid: the only cells the task writes.
-    clip: Option<Aabb>,
     kind: DecompressKind<'a>,
 }
 
@@ -326,80 +328,75 @@ enum DecompressKind<'a> {
     Group(&'a BlockGroup),
 }
 
-/// The cell count `dim^3` of level `l`, provided its mask has exactly
-/// one bit per cell. The checked products guard in-memory callers
-/// handing over a crafted dim.
-pub(crate) fn check_level_mask(l: usize, dim: usize, mask: &BitMask) -> Result<usize, TacError> {
-    let n = dim
-        .checked_mul(dim)
-        .and_then(|s| s.checked_mul(dim))
-        .ok_or_else(|| TacError::Corrupt(format!("level {l}: dim {dim} overflows dim^3")))?;
-    if mask.len() != n {
-        return Err(TacError::Corrupt(format!(
-            "level {l}: mask has {} bits for a {dim}^3 level",
-            mask.len()
-        )));
-    }
-    Ok(n)
-}
-
-/// Decompresses TAC per-level payloads on `workers` threads: every
-/// whole-grid stream and every region group is an independent task that
-/// decodes and assembles it (see the module doc). Results are read in
-/// task order, so the first failing task by index decides the error at
-/// every worker count; overlapping regions are `Corrupt` after that, so
+/// Decompresses TAC per-level payloads on `workers` threads into the
+/// level grids `grids`, each cut one slab per z-plane, with claim bits
+/// on every level that has a payload: every whole-grid stream and every
+/// region group is an independent task that decodes and pastes it — a
+/// whole-grid stream as one region covering the grid — through
+/// [`paste_group`] (see the module doc). Results are read in task
+/// order, so the first failing task by index decides the error at every
+/// worker count; overlapping regions are `Corrupt` after that, so
 /// neither answer depends on which region pasted first.
 ///
-/// Contract of the returned levels: a present cell carries its decoded
+/// Contract of the written grids: a present cell carries its decoded
 /// value, and every other cell — absent under the mask, or covered by
 /// no payload at all (an `Empty` level, a chunk an ROI read left out) —
-/// holds `+0.0` bits. Assembly writes only what a payload covers: the
-/// rows of each pasted region and the grid of a whole-level stream, so
-/// its cost follows the occupied volume and the pages of a level grid
-/// that no chunk touches are never written (they stay untouched
-/// zero-initialised memory).
+/// keeps the `+0.0` bits of the zero grid. Assembly writes only what a
+/// payload covers: the rows of each pasted region and the grid of a
+/// whole-level stream, so its cost follows the occupied volume and the
+/// pages of a level grid that no chunk touches are never written.
 ///
-/// `clip` — a region read's box on each level's grid, see
-/// [`crate::roi::level_boxes`] — narrows that to the cells inside the
-/// box: every other cell holds `+0.0` bits, whatever chunk covers it,
-/// and a task writes only the in-box part of what it decoded. Regions
-/// still claim every cell they cover, so an overlap is `Corrupt` even
-/// where it lies outside the box. Full decodes pass `None`.
+/// Under a grid's clip — a region read's box — a task writes only the
+/// in-box part of what it decoded. Regions still claim every cell they
+/// cover, so an overlap is `Corrupt` even where it lies outside the box.
 pub(crate) fn decompress_tac_levels<T: CodecElement>(
     compressed: &[CompressedLevel],
     masks: &[BitMask],
+    grids: &[SlabGrid<'_, T>],
     workers: usize,
-    clip: Option<&[Aabb]>,
-) -> Result<Vec<AmrLevel<T>>, TacError> {
+) -> Result<(), TacError> {
+    if compressed.len() != masks.len() {
+        return Err(TacError::Corrupt(format!(
+            "{} compressed levels for {} masks",
+            compressed.len(),
+            masks.len()
+        )));
+    }
     // Validate everything the decode tasks and the paste trust, up
-    // front: masks (tasks do not see them) and every group's declared
-    // geometry. The checked products guard in-memory callers handing
-    // over a crafted dim and wire groups declaring crafted extents.
-    let mut tasks: Vec<DecompressTask<'_>> = Vec::new();
-    for (l, (cl, mask)) in compressed.iter().zip(masks).enumerate() {
+    // front: each level's dim against its grid's, which the masks were
+    // checked against, and every group's declared geometry. The checked
+    // products guard wire groups declaring crafted extents.
+    let mut tasks: Vec<DecompressTask<'_, '_, T>> = Vec::new();
+    for (l, ((cl, mask), grid)) in compressed.iter().zip(masks).zip(grids).enumerate() {
         if cl.dtype != T::DTYPE {
             return Err(TacError::Codec(CodecError::WrongDtype {
                 stream: cl.dtype.label(),
                 requested: T::DTYPE.label(),
             }));
         }
-        let n = check_level_mask(l, cl.dim, mask)?;
-        let clip =
-            (clip.and_then(|boxes| boxes.get(l)).copied()).filter(|b| *b != Aabb::whole(cl.dim));
+        if cl.dim != grid.dim() {
+            return Err(TacError::Corrupt(format!(
+                "level {l}: dim {} on a {}^3 grid",
+                cl.dim,
+                grid.dim()
+            )));
+        }
         let task = |cells: usize, kind| DecompressTask {
             level: l,
-            dim: cl.dim,
+            mask,
+            grid,
             codec: cl.codec,
             cells: cells as u64,
-            clip,
             kind,
         };
         match &cl.payload {
             LevelPayload::Empty => {}
-            LevelPayload::Whole(stream) => tasks.push(task(n, DecompressKind::Whole(stream))),
+            LevelPayload::Whole(stream) => {
+                tasks.push(task(mask.len(), DecompressKind::Whole(stream)))
+            }
             LevelPayload::Groups(groups) => {
                 for g in groups {
-                    let cells = block_cells(g, cl.dim)?
+                    let cells = block_cells(g.shape, cl.dim)?
                         .checked_mul(g.origins.len())
                         .ok_or_else(|| {
                             TacError::Corrupt(format!(
@@ -413,24 +410,6 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
             }
         }
     }
-
-    // Per level, the grid and the claim bits beside it (one per cell).
-    // A whole-level stream's buffer becomes the grid as it is; group
-    // levels paste into zero-initialised memory cut into locked
-    // z-planes. Zero pages cost nothing until a task writes them.
-    let mut bufs: Vec<(Vec<T>, Vec<u64>)> = (compressed.iter().zip(masks))
-        .map(|(cl, mask)| match cl.payload {
-            LevelPayload::Whole(_) => (Vec::new(), Vec::new()),
-            LevelPayload::Empty => (vec![T::ZERO; mask.len()], Vec::new()),
-            LevelPayload::Groups(_) => (
-                vec![T::ZERO; mask.len()],
-                vec![0; cl.dim * claim_words(cl.dim)],
-            ),
-        })
-        .collect();
-    let planes: Vec<Vec<Plane<'_, T>>> = (compressed.iter().zip(&mut bufs))
-        .map(|(cl, (grid, claims))| planes_of(grid, claims, cl.dim))
-        .collect();
     // The lowest level on which a region met a cell already claimed.
     let overlap = AtomicUsize::new(usize::MAX);
 
@@ -439,9 +418,10 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
         workers,
         &tasks,
         |t| t.cells,
-        |t| -> Result<Vec<T>, TacError> {
+        |t| -> Result<(), TacError> {
+            let (dim, mask) = (t.grid.dim(), t.mask);
             let _decode = tac_obs::span(tac_obs::Stage::Decode)
-                .arg("dim", t.dim)
+                .arg("dim", dim)
                 .arg("codec", t.codec.tag());
             if tac_obs::enabled() {
                 let bytes = match &t.kind {
@@ -451,87 +431,65 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
                 tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
                 tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, bytes);
             }
-            let mask = &masks[t.level];
-            let paste_span = |cells: usize| {
-                (tac_obs::span(tac_obs::Stage::Paste).arg("level", t.level)).arg("cells", cells)
-            };
-            match &t.kind {
+            // A whole-level stream is one region covering the grid.
+            let whole = [(0, 0, 0)];
+            let (values, shape, origins) = match &t.kind {
                 DecompressKind::Whole(stream) => {
-                    let (mut values, dims) = T::codec_decompress(codec_for(t.codec), stream)?;
-                    if dims != Dims::D3(t.dim, t.dim, t.dim) || values.len() != mask.len() {
+                    let (values, dims) = T::codec_decompress(codec_for(t.codec), stream)?;
+                    if dims != Dims::D3(dim, dim, dim) || values.len() != mask.len() {
                         return Err(TacError::Corrupt(format!(
                             "level {}: whole-grid stream holds {} values, dims {dims:?}",
                             t.level,
                             values.len()
                         )));
                     }
-                    let Some(clip) = t.clip else {
-                        let _paste = paste_span(values.len());
-                        mask.zero_absent(0, &mut values);
-                        tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, values.len());
-                        return Ok(values);
-                    };
-                    // A region read: the box's rows move into a fresh grid
-                    // and are masked there.
-                    let _paste = paste_span(clip.volume());
-                    let mut grid = vec![T::ZERO; values.len()];
-                    for row in box_rows(clip, t.dim) {
-                        if let (Some(dst), Some(src)) =
-                            (grid.get_mut(row.clone()), values.get(row.clone()))
-                        {
-                            dst.copy_from_slice(src);
-                            mask.zero_absent(row.start, dst);
-                        }
-                    }
-                    tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * clip.volume());
-                    Ok(grid)
+                    (values, (dim, dim, dim), whole.as_slice())
                 }
-                DecompressKind::Group(g) => {
-                    let values = decode_group::<T>(g, t.codec)?;
-                    let _paste = paste_span(values.len());
-                    let (fresh, copied) =
-                        paste_group(&planes[t.level], t.dim, g, &values, mask, t.clip.as_ref())?;
-                    if !fresh {
-                        overlap.fetch_min(t.level, Ordering::Relaxed);
-                    }
-                    // Every copied cell is pasted once and visited once
-                    // more by the masking.
-                    tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * copied);
-                    Ok(Vec::new())
-                }
+                DecompressKind::Group(g) => (
+                    decode_group::<T>(g, t.codec)?,
+                    g.shape,
+                    g.origins.as_slice(),
+                ),
+            };
+            let _paste = (tac_obs::span(tac_obs::Stage::Paste).arg("level", t.level))
+                .arg("cells", values.len());
+            let (fresh, copied) = paste_group(t.grid, shape, origins, &values, mask)?;
+            if !fresh {
+                overlap.fetch_min(t.level, Ordering::Relaxed);
             }
+            // Every copied cell is pasted once and visited once more by
+            // the masking.
+            tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * copied);
+            Ok(())
         },
     );
     drop(exec_span);
-
-    // Hand-over: group tasks wrote their level's grid in place; a
-    // whole-level task's masked buffer is the grid.
-    let _assemble = tac_obs::span(tac_obs::Stage::Assemble);
-    drop(planes);
-    let buffers = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let l = overlap.into_inner();
-    if l != usize::MAX {
-        return Err(TacError::Corrupt(format!(
+    results.into_iter().collect::<Result<(), _>>()?;
+    match overlap.into_inner() {
+        usize::MAX => Ok(()),
+        l => Err(TacError::Corrupt(format!(
             "level {l}: a region overlaps another region"
-        )));
+        ))),
     }
-    for (task, values) in tasks.iter().zip(buffers) {
-        if let DecompressKind::Whole(_) = task.kind {
-            bufs[task.level].0 = values;
-        }
-    }
-    Ok(compressed
-        .iter()
-        .zip(bufs)
-        .zip(masks)
-        .map(|((cl, (data, _)), mask)| AmrLevel::new(cl.dim, data, mask.clone()))
-        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tac_amr::paste_region;
+    use crate::pipeline::{decompress_dataset_in, Body};
+    use tac_amr::{paste_region, Aabb};
+
+    /// TAC levels decoded through the grid owner, as the full decode and
+    /// the region read of a TAC container decode them.
+    fn decompress_tac_levels<T: CodecElement>(
+        compressed: &[CompressedLevel],
+        masks: &[BitMask],
+        workers: usize,
+        clip: Option<&[Aabb]>,
+    ) -> Result<Vec<AmrLevel<T>>, TacError> {
+        let finest_dim = compressed.first().map_or(0, |cl| cl.dim);
+        decompress_dataset_in(finest_dim, masks, Body::Tac(compressed), workers, clip)
+    }
 
     #[test]
     fn unit_for_clamps_but_rejects_zero() {

@@ -9,8 +9,8 @@
 //! `GroupPlan`s across levels into its task list.
 
 use crate::error::TacError;
+use crate::grid::SlabGrid;
 use crate::stream::BlockGroup;
-use std::sync::{Mutex, PoisonError};
 use tac_amr::{copy_region_into, Aabb, BitMask};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecId, Dims};
 use tac_dtype::Element;
@@ -166,8 +166,8 @@ pub(crate) fn decode_group<T: CodecElement>(
 /// fit its level: each must lie in `1..=dim`. The extents are raw
 /// 32-bit wire fields, so this is where a crafted shape is rejected —
 /// before any product of them feeds a cost estimate or a slice length.
-pub(crate) fn block_cells(g: &BlockGroup, dim: usize) -> Result<usize, TacError> {
-    let (w, h, d) = g.shape;
+pub(crate) fn block_cells(shape: (usize, usize, usize), dim: usize) -> Result<usize, TacError> {
+    let (w, h, d) = shape;
     [w, h, d]
         .into_iter()
         .try_fold(1usize, |cells, extent| {
@@ -179,33 +179,9 @@ pub(crate) fn block_cells(g: &BlockGroup, dim: usize) -> Result<usize, TacError>
         })
         .ok_or_else(|| {
             TacError::Corrupt(format!(
-                "group shape {:?} does not fit a {dim}^3 level",
-                g.shape
+                "group shape {shape:?} does not fit a {dim}^3 level"
             ))
         })
-}
-
-/// One z-plane of a group level's grid behind the lock its writers
-/// take: the plane's `dim * dim` cells and, beside them, one claim bit
-/// per cell ([`claim_words`] words), set by the region that writes it.
-pub(crate) type Plane<'a, T> = Mutex<(&'a mut [T], &'a mut [u64])>;
-
-/// Claim words per plane of a `dim^3` level.
-pub(crate) fn claim_words(dim: usize) -> usize {
-    (dim * dim).div_ceil(64)
-}
-
-/// Cuts a level's grid and the claim words beside it into z-planes.
-pub(crate) fn planes_of<'a, T>(
-    grid: &'a mut [T],
-    claims: &'a mut [u64],
-    dim: usize,
-) -> Vec<Plane<'a, T>> {
-    // (`chunks_mut` refuses a zero size; a 0^3 level has no cells.)
-    grid.chunks_mut((dim * dim).max(1))
-        .zip(claims.chunks_mut(claim_words(dim).max(1)))
-        .map(Mutex::new)
-        .collect()
 }
 
 /// Sets the claim bits `[start, start + len)` and reports whether every
@@ -227,41 +203,42 @@ fn claim(bits: &mut [u64], start: usize, len: usize) -> bool {
     fresh
 }
 
-/// Pastes a decoded group into its level's z-planes and applies the
-/// occupancy mask to what it pasted: row by row, under the lock of the
-/// plane the row lies on, the region's values are copied in, the absent
-/// cells of that row are reset to `+0.0` and the row's cells claimed.
-/// Cells outside every region are never written. With a `clip` box — a
-/// region read — only the part of each row inside the box is copied and
-/// masked, while the whole row is still claimed, so an overlap is found
-/// wherever it lies. Each sub-block's origin and shape are bounds-checked
-/// before its first row is touched.
+/// Pastes the decoded sub-blocks of shape `shape` at `origins` — a
+/// group's regions, or the one region of a whole-level stream — into
+/// their level's grid, cut one slab per z-plane with claim bits, and
+/// applies the occupancy mask to what it pasted: row by row, under the
+/// lock of the plane the row lies on, the region's values are copied in,
+/// the absent cells of that row are reset to `+0.0` and the row's cells
+/// claimed. Cells outside every region are never written. Under the
+/// grid's clip — a region read's box — only the part of each row inside
+/// the box is copied and masked, while the whole row is still claimed,
+/// so an overlap is found wherever it lies. Each sub-block's origin and
+/// shape are bounds-checked before its first row is touched.
 ///
 /// Returns whether every pasted cell was unclaimed — concurrent tasks
 /// cannot agree on which region's value a cell claimed twice keeps, so
 /// the caller rejects such a level — and how many cells were copied.
 pub(crate) fn paste_group<T: Element>(
-    planes: &[Plane<'_, T>],
-    dim: usize,
-    g: &BlockGroup,
+    grid: &SlabGrid<'_, T>,
+    shape: (usize, usize, usize),
+    origins: &[(u32, u32, u32)],
     values: &[T],
     mask: &BitMask,
-    clip: Option<&Aabb>,
 ) -> Result<(bool, usize), TacError> {
-    let (w, h, d) = g.shape;
+    let (dim, clip) = (grid.dim(), grid.clip());
+    let (w, h, d) = shape;
     // `block_cells` guarantees a non-zero block, so the chunking below
     // cannot panic. `decode_group` validated the stream's declared dims,
     // but the values really come from a decoded payload: a sub-block
     // without data is an error, not an index.
-    let mut blocks = values.chunks_exact(block_cells(g, dim)?);
+    let mut blocks = values.chunks_exact(block_cells(shape, dim)?);
     let mut fresh = true;
     let mut copied = 0;
-    for (i, &(x, y, z)) in g.origins.iter().enumerate() {
+    for (i, &(x, y, z)) in origins.iter().enumerate() {
         let (x, y, z) = (x as usize, y as usize, z as usize);
         if x + w > dim || y + h > dim || z + d > dim {
             return Err(TacError::Corrupt(format!(
-                "region at ({x},{y},{z}) shape {:?} exceeds grid {dim}",
-                g.shape
+                "region at ({x},{y},{z}) shape {shape:?} exceeds grid {dim}"
             )));
         }
         let slice = blocks.next().ok_or_else(|| {
@@ -281,23 +258,24 @@ pub(crate) fn paste_group<T: Element>(
         let mut rows = slice.chunks_exact(w);
         for zz in z..z + d {
             let short = || TacError::Corrupt(format!("grid is short of a {dim}^3 level"));
-            let mut plane =
-                (planes.get(zz).ok_or_else(short)?.lock()).unwrap_or_else(PoisonError::into_inner);
-            let (cells, claimed) = &mut *plane;
+            let mut plane = grid.lock(zz)?;
+            let base = plane.base;
+            let (cells, claims) = plane.cells_and_claims();
             for yy in y..y + h {
-                let row = x + dim * yy;
+                let row = x + dim * (yy + dim * zz);
+                let at = row.checked_sub(base).ok_or_else(short)?;
                 let src = rows.next().ok_or_else(short)?;
                 if inside(yy, zz) {
                     let (Some(dst), Some(src)) =
-                        (cells.get_mut(row + from..row + to), src.get(from..to))
+                        (cells.get_mut(at + from..at + to), src.get(from..to))
                     else {
                         return Err(short());
                     };
                     dst.copy_from_slice(src);
-                    mask.zero_absent(row + from + dim * dim * zz, dst);
+                    mask.zero_absent(row + from, dst);
                     copied += to - from;
                 }
-                fresh &= claim(claimed, row, w);
+                fresh &= claim(claims, at, w);
             }
         }
     }
@@ -308,17 +286,23 @@ pub(crate) fn paste_group<T: Element>(
 mod tests {
     use super::*;
 
+    /// A `dim^3` grid cut the way TAC decodes paste into it: one claimed
+    /// slab per plane.
+    fn planes(cells: &mut [f64], dim: usize, clip: Option<Aabb>) -> SlabGrid<'_, f64> {
+        SlabGrid::new(cells, dim, (0..dim).map(|z| z..z + 1), true, clip).unwrap()
+    }
+
     /// Decodes and pastes every group into a dense, fully present
     /// `dim^3` grid (cells outside every region stay zero).
     fn decode_all(groups: &[BlockGroup], dim: usize, codec: CodecId) -> Result<Vec<f64>, TacError> {
         let mut out = vec![0.0; dim * dim * dim];
-        let mut claims = vec![0; dim * claim_words(dim)];
         let mask = BitMask::ones(out.len());
+        let grid = planes(&mut out, dim, None);
         for g in groups {
             let values = decode_group(g, codec)?;
-            let planes = planes_of(&mut out, &mut claims, dim);
-            assert!(paste_group(&planes, dim, g, &values, &mask, None)?.0);
+            assert!(paste_group(&grid, g.shape, &g.origins, &values, &mask)?.0);
         }
+        drop(grid);
         Ok(out)
     }
 
@@ -398,11 +382,6 @@ mod tests {
             mask.set(i, true);
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        let corner = BlockGroup {
-            shape: (1, 1, 1),
-            origins: vec![(6, 4, 2)],
-            stream: Vec::new(),
-        };
         // Unclipped, a box that cuts both sub-blocks, and one that misses
         // them: only the boxed cells are written, every region cell is
         // claimed all the same.
@@ -413,12 +392,13 @@ mod tests {
         ] {
             // A sentinel everywhere shows which cells the paste wrote.
             let mut out = vec![9.0f64; dim * dim * dim];
-            let mut claims = vec![0; dim * claim_words(dim)];
-            let planes = planes_of(&mut out, &mut claims, dim);
-            let (fresh, copied) =
-                paste_group(&planes, dim, &g, &values, &mask, clip.as_ref()).unwrap();
+            let grid = planes(&mut out, dim, clip);
+            let (fresh, copied) = paste_group(&grid, g.shape, &g.origins, &values, &mask).unwrap();
             assert!(fresh);
-            drop(planes);
+            let claims: Vec<u64> = (0..dim)
+                .flat_map(|z| grid.lock(z).unwrap().cells_and_claims().1.to_vec())
+                .collect();
+            drop(grid);
             let mut src = values.iter();
             let mut expect = vec![9.0f64; dim * dim * dim];
             let mut claimed = vec![false; dim * dim * dim];
@@ -443,10 +423,14 @@ mod tests {
             for (i, &c) in claimed.iter().enumerate() {
                 assert_eq!(claims[i / 64] >> (i % 64) & 1 == 1, c, "cell {i}");
             }
-            let planes = planes_of(&mut out, &mut claims, dim);
-            let clip = Some(Aabb::new((0, 0, 0), (1, 1, 1)));
-            let (fresh, copied) =
-                paste_group(&planes, dim, &corner, &[1.0], &mask, clip.as_ref()).unwrap();
+            let grid = planes(&mut out, dim, Some(Aabb::new((0, 0, 0), (1, 1, 1))));
+            assert!(
+                paste_group(&grid, g.shape, &g.origins, &values, &mask)
+                    .unwrap()
+                    .0
+            );
+            let corner = [(6, 4, 2)];
+            let (fresh, copied) = paste_group(&grid, (1, 1, 1), &corner, &[1.0], &mask).unwrap();
             assert!(!fresh && copied == 0);
         }
     }
@@ -455,8 +439,7 @@ mod tests {
     /// plane is 100 bits in two words).
     #[test]
     fn claims_are_per_cell_across_word_boundaries() {
-        let mut words = vec![0u64; claim_words(10)];
-        assert_eq!(words.len(), 2);
+        let mut words = vec![0u64; 2];
         assert!(claim(&mut words, 60, 10)); // bits 60..70
         assert_eq!(words, [0xF << 60, 0x3F]);
         assert!(claim(&mut words, 0, 60));

@@ -67,6 +67,7 @@ mod density;
 mod engine;
 mod error;
 mod extract;
+mod grid;
 mod gsp;
 mod nast;
 mod opst;

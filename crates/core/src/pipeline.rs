@@ -14,10 +14,12 @@ use crate::container::{CompressedDataset, Method, MethodBody};
 use crate::density::choose_strategy;
 use crate::engine::{self, LevelPlan};
 use crate::error::TacError;
+use crate::grid::SlabGrid;
 use crate::roi::box_rows;
 use crate::segment::{self, StackSegments, SEGMENT_BUDGET};
-use crate::stream::CompressedLevel;
-use crate::zmesh::level_dim;
+use crate::stream::{CompressedLevel, LevelPayload};
+use crate::zmesh::{level_dim, refinement};
+use std::ops::Range;
 use tac_amr::{min_max, to_uniform, Aabb, AmrDataset, AmrLevel, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecError, CodecId, Dims, ErrorBound};
 use tac_dtype::{dispatch_dtype, Element, TacDtype};
@@ -124,12 +126,8 @@ pub fn decompress_level_t<T: CodecElement>(
     cl: &CompressedLevel,
     mask: &BitMask,
 ) -> Result<AmrLevel<T>, TacError> {
-    let mut levels = engine::decompress_tac_levels(
-        std::slice::from_ref(cl),
-        std::slice::from_ref(mask),
-        1,
-        None,
-    )?;
+    let body = Body::Tac(std::slice::from_ref(cl));
+    let mut levels = decompress_dataset_in(cl.dim, std::slice::from_ref(mask), body, 1, None)?;
     levels
         .pop()
         .ok_or_else(|| TacError::Corrupt("the engine returned no level".into()))
@@ -333,25 +331,24 @@ pub fn decompress_dataset_any(cd: &CompressedDataset) -> Result<AnyDataset, TacE
     }
 }
 
-/// Checks the geometry every decode arm trusts when it sizes buffers and
+/// Checks the geometry every decode arm trusts when it sizes grids and
 /// walks masks by `finest_dim >> l`: at least one level, no level
 /// shifted down to zero cells, and one mask bit per cell of each level.
 /// `from_bytes` guarantees all of it; a hand-built container (every
-/// field is public) does not.
-fn check_geometry(cd: &CompressedDataset) -> Result<(), TacError> {
-    if cd.masks.is_empty() {
+/// field is public) does not, so the products are checked.
+fn check_geometry(finest_dim: usize, masks: &[BitMask]) -> Result<(), TacError> {
+    if masks.is_empty() {
         return Err(TacError::Corrupt("container has no levels".into()));
     }
-    for (l, mask) in cd.masks.iter().enumerate() {
-        let dim = level_dim(cd.finest_dim, l);
-        if dim == 0 {
+    for (l, mask) in masks.iter().enumerate() {
+        let dim = level_dim(finest_dim, l);
+        let cells = dim.checked_mul(dim).and_then(|s| s.checked_mul(dim));
+        if dim == 0 || cells != Some(mask.len()) {
             return Err(TacError::Corrupt(format!(
-                "{} levels do not fit a finest dim of {}",
-                cd.masks.len(),
-                cd.finest_dim
+                "level {l} of a finest dim of {finest_dim}: {dim}^3 cells, {} mask bits",
+                mask.len()
             )));
         }
-        engine::check_level_mask(l, dim, mask)?;
     }
     Ok(())
 }
@@ -367,114 +364,167 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
     cd: &CompressedDataset,
     parallelism: Parallelism,
 ) -> Result<AmrDataset<T>, TacError> {
-    decompress_dataset_in(cd, parallelism.workers(), None)
-}
-
-/// [`decompress_dataset_par_t`] on `workers` threads, writing only the
-/// cells inside `clip` — a region read's box on each level's grid
-/// ([`crate::roi::level_boxes`]) — when one is given: every other cell
-/// holds `+0.0` bits, whatever the body decoded there. `None` is the
-/// full decode.
-pub(crate) fn decompress_dataset_in<T: CodecElement>(
-    cd: &CompressedDataset,
-    workers: usize,
-    clip: Option<&[Aabb]>,
-) -> Result<AmrDataset<T>, TacError> {
     if cd.dtype != T::DTYPE {
         return Err(TacError::Codec(CodecError::WrongDtype {
             stream: cd.dtype.label(),
             requested: T::DTYPE.label(),
         }));
     }
-    let _decompress = tac_obs::span(tac_obs::Stage::Decompress).arg("levels", cd.masks.len());
-    check_geometry(cd)?;
-    let finest_dim = cd.finest_dim;
-    let levels: Vec<AmrLevel<T>> = match &cd.body {
-        MethodBody::Tac(compressed) => {
-            if compressed.len() != cd.masks.len() {
-                return Err(TacError::Corrupt(format!(
-                    "{} compressed levels for {} masks",
-                    compressed.len(),
-                    cd.masks.len()
-                )));
-            }
-            engine::decompress_tac_levels(compressed, &cd.masks, workers, clip)?
-        }
+    let body = match &cd.body {
+        MethodBody::Tac(levels) => Body::Tac(levels),
         MethodBody::Baseline1D(levels) => {
             if levels.len() != cd.masks.len() {
                 return Err(TacError::Corrupt("level count mismatch".into()));
             }
-            let stacks = StackSegments::of_1d(finest_dim, levels)?;
-            segment::decompress_stacks(&cd.masks, finest_dim, &stacks, workers, clip)?
+            Body::Stacks(StackSegments::of_1d(cd.finest_dim, levels)?)
         }
         MethodBody::ZMesh {
             codec, segments, ..
-        } => {
-            let stacks = StackSegments::of_zmesh(cd.masks.len(), finest_dim, *codec, segments)?;
-            segment::decompress_stacks(&cd.masks, finest_dim, &stacks, workers, clip)?
-        }
-        MethodBody::Baseline3D { stream, codec, .. } => {
-            let n = finest_dim;
-            tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
-            tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, stream.len());
-            let (uniform, dims) = {
-                let _decode = tac_obs::span(tac_obs::Stage::Decode).arg("codec", codec.tag());
-                T::codec_decompress(codec_for(*codec), stream)?
-            };
-            if dims != Dims::D3(n, n, n) {
-                return Err(TacError::Corrupt(format!(
-                    "3D baseline stream dims {dims:?} for finest dim {n}"
-                )));
-            }
-            let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-            cd.masks
-                .iter()
-                .enumerate()
-                .map(|(l, mask)| -> Result<AmrLevel<T>, TacError> {
-                    let dim = n >> l;
-                    let scale = 1usize << l;
-                    let outside = || {
-                        TacError::Corrupt(format!(
-                            "level {l}: a present cell lies outside the {n}^3 grid"
-                        ))
-                    };
-                    // The whole grid, or the rows of a region read's box.
-                    let clip = (clip.and_then(|boxes| boxes.get(l)).copied())
-                        .filter(|b| *b != Aabb::whole(dim));
-                    let spans = (clip.is_none().then_some(0..mask.len()).into_iter())
-                        .chain(clip.into_iter().flat_map(|b| box_rows(b, dim)));
-                    let mut data = vec![T::ZERO; mask.len()];
-                    let mut filled = 0;
-                    for (start, len) in spans.flat_map(|s| mask.runs_in(s.start, s.len())) {
-                        let cells = data
-                            .get_mut(start..)
-                            .and_then(|d| d.get_mut(..len))
-                            .ok_or_else(outside)?;
-                        for (idx, cell) in (start..).zip(cells) {
-                            let x = idx % dim;
-                            let y = (idx / dim) % dim;
-                            let z = idx / (dim * dim);
-                            // Sample the first covered fine position (exact
-                            // inverse of piecewise-constant up-sampling).
-                            let fine = x * scale + n * (y * scale + n * (z * scale));
-                            *cell = *uniform.get(fine).ok_or_else(outside)?;
-                        }
-                        filled += len;
-                    }
-                    tac_obs::add_bytes(tac_obs::Counter::ReorderValues, filled);
-                    Ok(AmrLevel::new(dim, data, mask.clone()))
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        }
+        } => Body::Stacks(vec![StackSegments::all(
+            0..cd.masks.len(),
+            cd.finest_dim,
+            *codec,
+            segments,
+        )?]),
+        MethodBody::Baseline3D { stream, codec, .. } => Body::Uniform(*codec, stream),
     };
+    let levels =
+        decompress_dataset_in(cd.finest_dim, &cd.masks, body, parallelism.workers(), None)?;
     Ok(AmrDataset::new(cd.name.clone(), levels))
+}
+
+/// What a decode writes into the level grids: TAC levels, zMesh / 1D
+/// stacks of any subset of their segments, or the 3D uniform stream.
+pub(crate) enum Body<'a> {
+    Tac(&'a [CompressedLevel]),
+    Stacks(Vec<StackSegments<'a>>),
+    Uniform(CodecId, &'a [u8]),
+}
+
+impl Body<'_> {
+    /// How the body's tasks write level `l`, of side `dim`: the z-plane
+    /// ranges its grid is cut into, and whether they claim.
+    fn cuts(&self, l: usize, dim: usize) -> (Vec<Range<usize>>, bool) {
+        match self {
+            // The regions of different groups share planes: one slab per
+            // plane, claimed wherever a payload pastes.
+            Body::Tac(levels) => {
+                let claims = levels
+                    .get(l)
+                    .is_some_and(|cl| cl.payload != LevelPayload::Empty);
+                ((0..dim).map(|z| z..z + 1).collect(), claims)
+            }
+            // A segment owns its planes, scaled to the level.
+            Body::Stacks(stacks) => {
+                let cuts = stacks.iter().find(|s| s.levels.contains(&l)).map(|s| {
+                    let scale = refinement(s.levels.end - 1 - l).unwrap_or(usize::MAX);
+                    let scaled = |planes: &Range<usize>| {
+                        planes.start.saturating_mul(scale)..planes.end.saturating_mul(scale)
+                    };
+                    s.segments.iter().map(|s| scaled(&s.planes)).collect()
+                });
+                (cuts.unwrap_or_default(), false)
+            }
+            Body::Uniform(..) => (std::iter::once(0..dim).collect(), false),
+        }
+    }
+}
+
+/// Decodes `body` into the levels `masks` describe, on `workers`
+/// threads: the one place every decode's level grids are allocated, cut
+/// for the body's tasks under each level's box of `clip` (a region read,
+/// [`crate::roi::level_boxes`]; `None` is the full decode, and outside a
+/// box every cell holds `+0.0` bits) and handed back as levels.
+pub(crate) fn decompress_dataset_in<T: CodecElement>(
+    finest_dim: usize,
+    masks: &[BitMask],
+    body: Body<'_>,
+    workers: usize,
+    clip: Option<&[Aabb]>,
+) -> Result<Vec<AmrLevel<T>>, TacError> {
+    let _decompress = tac_obs::span(tac_obs::Stage::Decompress).arg("levels", masks.len());
+    check_geometry(finest_dim, masks)?;
+    let dims: Vec<usize> = (0..masks.len()).map(|l| level_dim(finest_dim, l)).collect();
+    let assemble = tac_obs::span(tac_obs::Stage::Assemble);
+    // Zero pages cost nothing until a task writes them.
+    let mut cells: Vec<Vec<T>> = masks.iter().map(|m| vec![T::ZERO; m.len()]).collect();
+    let grids = (cells.iter_mut().zip(&dims).enumerate())
+        .map(|(l, (cells, &dim))| {
+            let (cuts, claims) = body.cuts(l, dim);
+            let clip = clip.and_then(|boxes| boxes.get(l)).copied();
+            SlabGrid::new(cells, dim, cuts, claims, clip)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    drop(assemble);
+    match &body {
+        Body::Tac(levels) => engine::decompress_tac_levels(levels, masks, &grids, workers)?,
+        Body::Stacks(stacks) => {
+            segment::decompress_stacks(masks, finest_dim, stacks, &grids, workers)?
+        }
+        Body::Uniform(codec, stream) => fill_uniform(finest_dim, masks, *codec, stream, &grids)?,
+    }
+    drop(grids);
+    let _assemble = tac_obs::span(tac_obs::Stage::Assemble);
+    Ok((cells.into_iter().zip(masks).zip(dims))
+        .map(|((data, mask), dim)| AmrLevel::new(dim, data, mask.clone()))
+        .collect())
+}
+
+/// The 3D baseline's arm: every present cell samples the first fine
+/// position it covers (the inverse of piecewise-constant up-sampling).
+fn fill_uniform<T: CodecElement>(
+    finest_dim: usize,
+    masks: &[BitMask],
+    codec: CodecId,
+    stream: &[u8],
+    grids: &[SlabGrid<'_, T>],
+) -> Result<(), TacError> {
+    let n = finest_dim;
+    tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
+    tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, stream.len());
+    let (uniform, dims) = {
+        let _decode = tac_obs::span(tac_obs::Stage::Decode).arg("codec", codec.tag());
+        T::codec_decompress(codec_for(codec), stream)?
+    };
+    if dims != Dims::D3(n, n, n) {
+        return Err(TacError::Corrupt(format!(
+            "3D baseline stream dims {dims:?} for finest dim {n}"
+        )));
+    }
+    let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
+    for (l, (mask, grid)) in masks.iter().zip(grids).enumerate() {
+        let (dim, scale) = (grid.dim(), 1usize << l);
+        let outside = || {
+            TacError::Corrupt(format!(
+                "level {l}: a present cell lies outside the {n}^3 grid"
+            ))
+        };
+        // The whole grid, or the rows of a region read's box, in its one slab.
+        let spans = (grid.clip().is_none().then_some(0..mask.len()).into_iter())
+            .chain(grid.clip().into_iter().flat_map(|b| box_rows(b, dim)));
+        let mut slab = grid.lock(0)?;
+        let mut filled = 0;
+        for (start, len) in spans.flat_map(|s| mask.runs_in(s.start, s.len())) {
+            let cells = (slab.cells.get_mut(start..))
+                .and_then(|d| d.get_mut(..len))
+                .ok_or_else(outside)?;
+            for (idx, cell) in (start..).zip(cells) {
+                let (x, y, z) = (idx % dim, idx / dim % dim, idx / (dim * dim));
+                *cell = *uniform
+                    .get(x * scale + n * (y * scale + n * (z * scale)))
+                    .ok_or_else(outside)?;
+            }
+            filled += len;
+        }
+        tac_obs::add_bytes(tac_obs::Counter::ReorderValues, filled);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::segment::Segment;
-    use crate::stream::LevelPayload;
     use crate::zmesh::{scatter_walk, ALL_PLANES};
 
     /// Builds a two-level dataset with a blobby fine region (~30% fine
@@ -719,8 +769,8 @@ mod tests {
             dim,
             ALL_PLANES,
             &values,
-            &mut [data.as_mut_slice()],
-            None,
+            &mut [(0, data.as_mut_slice())],
+            &[],
         )
         .unwrap();
         assert_eq!(bits(&data), bits(&expect));

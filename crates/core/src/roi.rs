@@ -26,15 +26,18 @@
 //! bounding box. A zMesh or 1D chunk is one segment of the traversal —
 //! a slab of whole z-planes, see [`crate::segment`]. A request decodes
 //! the chunks it meets and skips the rest; only the 3D baseline is one
-//! full-domain chunk and always decodes in full. Whatever is decoded,
-//! only its cells inside the box are written — pasted and masked,
-//! scattered, or sampled — so the pages of the level grids outside the
-//! box are never touched.
+//! full-domain chunk and always decodes in full.
+//!
+//! The chunks it reads go through the full decode's own path
+//! ([`crate::pipeline::decompress_dataset_in`]), whose level grids carry
+//! each level's box as their clip ([`crate::grid::SlabGrid`]): every arm
+//! writes only the cells inside it — pasted and masked, scattered, or
+//! sampled — so the pages outside the box are never touched.
 
-use crate::container::{parse_v2, ChunkEntry, CompressedDataset, MethodBody, V2Layout, V2Meta};
+use crate::container::{parse_v2, ChunkEntry, V2Meta};
 use crate::error::TacError;
-use crate::pipeline::decompress_dataset_in;
-use crate::segment::{decompress_stacks, SegmentRef, StackSegments};
+use crate::pipeline::{decompress_dataset_in, Body};
+use crate::segment::{SegmentRef, StackSegments};
 use crate::zmesh::{level_dim, refinement};
 use std::ops::Range;
 use tac_amr::{Aabb, AmrDataset};
@@ -112,20 +115,6 @@ fn record_roi_stats(stats: &RoiStats) {
     );
 }
 
-/// Decodes the read segments of a zMesh / 1D container, each into its
-/// own slab of the level grids, writing only the cells inside `boxes`.
-fn decode_stacks<T: CodecElement>(
-    layout: &V2Layout<'_>,
-    stacks: &[StackSegments<'_>],
-    boxes: &[Aabb],
-    stats: RoiStats,
-) -> Result<(AmrDataset<T>, RoiStats), TacError> {
-    record_roi_stats(&stats);
-    let _decompress = tac_obs::span(tac_obs::Stage::Decompress).arg("levels", layout.masks.len());
-    let levels = decompress_stacks(&layout.masks, layout.finest_dim, stacks, 1, Some(boxes))?;
-    Ok((AmrDataset::new(layout.name.clone(), levels), stats))
-}
-
 /// Decodes the box `roi` (finest-level cell coordinates, half-open) of a
 /// chunked (v2–v5) container.
 ///
@@ -150,7 +139,7 @@ fn decode_stacks<T: CodecElement>(
 /// chunk and always decodes in full.
 ///
 /// v1 containers have no chunk table and are rejected; re-serialize
-/// with [`CompressedDataset::to_bytes`] to upgrade.
+/// with [`crate::CompressedDataset::to_bytes`] to upgrade.
 ///
 /// A container whose element type disagrees with `T` is rejected up
 /// front, before any chunk is sliced or decoded.
@@ -203,16 +192,17 @@ pub fn decompress_region_t<T: CodecElement>(
     // by `parse_v2` itself, and the TAC levels come from the builder the
     // full parse uses, so this decoder and the full parse agree on what
     // a valid container is by construction.
+    let tac_levels;
     let body = match &layout.meta {
-        V2Meta::Tac(metas) => MethodBody::Tac(layout.tac_levels(metas, &mut wanted)?),
-        V2Meta::ZMesh(_, codec) => {
-            let stacks = [StackSegments {
-                levels: 0..layout.masks.len(),
-                codec: *codec,
-                segments: read(&mut layout.entries.iter(), layout.zmesh_planes()?),
-            }];
-            return decode_stacks(&layout, &stacks, &boxes, stats);
+        V2Meta::Tac(metas) => {
+            tac_levels = layout.tac_levels(metas, &mut wanted)?;
+            Body::Tac(&tac_levels)
         }
+        V2Meta::ZMesh(_, codec) => Body::Stacks(vec![StackSegments {
+            levels: 0..layout.masks.len(),
+            codec: *codec,
+            segments: read(&mut layout.entries.iter(), layout.zmesh_planes()?),
+        }]),
         V2Meta::Baseline1D(ebs) => {
             let mut stacks = Vec::with_capacity(ebs.len());
             for (l, eb) in ebs.iter().enumerate() {
@@ -224,39 +214,21 @@ pub fn decompress_region_t<T: CodecElement>(
                     });
                 }
             }
-            return decode_stacks(&layout, &stacks, &boxes, stats);
+            Body::Stacks(stacks)
         }
         // The 3D baseline cannot decode partially: its one chunk is
         // read and the stats reflect it.
-        V2Meta::Baseline3D(..) => {
+        V2Meta::Baseline3D(_, codec) => {
             stats.chunks_read = stats.chunks_total;
             stats.payload_bytes_read = stats.payload_bytes_total;
-            record_roi_stats(&stats);
-            return layout
-                .assemble()
-                .and_then(|cd| decompress_dataset_in(&cd, 1, Some(&boxes)))
-                .map(|ds| (ds, stats));
+            let chunk = (layout.entries.first())
+                .ok_or_else(|| TacError::Corrupt("3D container has no chunk".into()))?;
+            Body::Uniform(*codec, layout.chunk_bytes(chunk))
         }
     };
-
-    // Move the header fields out of the layout (the payload borrow is
-    // done — `body` owns its chunk copies).
-    let V2Layout {
-        name,
-        finest_dim,
-        dtype,
-        masks,
-        ..
-    } = layout;
-    let cd = CompressedDataset {
-        name,
-        finest_dim,
-        dtype,
-        masks,
-        body,
-    };
     record_roi_stats(&stats);
-    Ok((decompress_dataset_in(&cd, 1, Some(&boxes))?, stats))
+    let levels = decompress_dataset_in(layout.finest_dim, &layout.masks, body, 1, Some(&boxes))?;
+    Ok((AmrDataset::new(layout.name, levels), stats))
 }
 
 #[cfg(test)]
@@ -264,7 +236,7 @@ mod tests {
     use super::*;
     use crate::config::TacConfig;
     use crate::container::tests::{edit_table, frozen_v1};
-    use crate::container::Method;
+    use crate::container::{CompressedDataset, Method};
     use crate::pipeline::{compress_dataset_t, decompress_dataset_par_t};
     use tac_amr::{AmrDataset, AmrLevel};
     use tac_par::Parallelism;

@@ -15,10 +15,14 @@
 //!   resolved up front for its stack, and the concatenation of the
 //!   segments' values is the unsegmented stream;
 //! * compression runs gather → encode per segment, and decompression
-//!   decode → scatter per segment, as `tac_par` tasks — the decode tasks
-//!   write disjoint `&mut` slices of the level buffers;
+//!   decode → scatter per segment, as `tac_par` tasks. The decode tasks
+//!   write the level grids every decode arm shares
+//!   ([`crate::grid::SlabGrid`]), each cut one slab per segment at the
+//!   segment's planes scaled to the level, so every task locks its own
+//!   slabs once and no two tasks meet;
 //! * a region-of-interest read decodes only the segments whose planes
-//!   meet the request and never touches the rest of the level buffers.
+//!   meet the request, scatters only the cells inside the grids' box,
+//!   and never touches the rest of the level grids.
 //!
 //! Cut points depend on the masks alone (ranged popcounts per plane), so
 //! the bytes are identical for every worker count. A traversal below the
@@ -28,11 +32,11 @@
 use crate::config::TacConfig;
 use crate::container::{Baseline1DLevel, MethodBody};
 use crate::error::TacError;
+use crate::grid::SlabGrid;
 use crate::pipeline::{resolve_level_eb_for, LevelRanges};
-use crate::zmesh::{gather_walk, level_dim, population, scatter_walk, slab};
+use crate::zmesh::{gather_walk, level_dim, population, scatter_walk};
 use std::ops::Range;
-use std::sync::{Mutex, PoisonError};
-use tac_amr::{Aabb, AmrDataset, AmrLevel, BitMask};
+use tac_amr::{Aabb, AmrDataset, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecId, Dims};
 
 /// Values a segment takes in before it closes at the next plane boundary.
@@ -303,8 +307,9 @@ pub(crate) struct StackSegments<'a> {
 }
 
 impl<'a> StackSegments<'a> {
-    /// Every segment of an in-memory stack, held to the tiling rule.
-    fn all(
+    /// Every segment of an in-memory stack, held to the tiling rule: a
+    /// zMesh body is one stack over every level.
+    pub(crate) fn all(
         levels: Range<usize>,
         finest_dim: usize,
         codec: CodecId,
@@ -326,16 +331,6 @@ impl<'a> StackSegments<'a> {
         })
     }
 
-    /// The stacks of an in-memory zMesh body (one over every level).
-    pub(crate) fn of_zmesh(
-        num_levels: usize,
-        finest_dim: usize,
-        codec: CodecId,
-        segments: &'a [Segment],
-    ) -> Result<Vec<Self>, TacError> {
-        Ok(vec![Self::all(0..num_levels, finest_dim, codec, segments)?])
-    }
-
     /// The stacks of an in-memory 1D body (one per present level).
     pub(crate) fn of_1d(
         finest_dim: usize,
@@ -352,54 +347,37 @@ impl<'a> StackSegments<'a> {
     }
 }
 
-/// Splits `buf` into the sub-slices `ranges`, which must ascend without
-/// overlap inside it.
-fn carve<'a, T>(mut buf: &'a mut [T], ranges: &[Range<usize>]) -> Option<Vec<&'a mut [T]>> {
-    let mut at = 0usize;
-    let mut out = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        let skip = r.start.checked_sub(at)?;
-        let take = r.end.checked_sub(r.start)?;
-        if buf.len() < skip.checked_add(take)? {
-            return None;
-        }
-        let (mine, tail) = buf.split_at_mut(skip).1.split_at_mut(take);
-        out.push(mine);
-        (buf, at) = (tail, r.end);
-    }
-    Some(out)
-}
-
-/// One segment to decode and scatter into its slabs of the level
-/// buffers. The slabs of different tasks are disjoint; the mutex only
-/// hands the exclusive borrow through the scheduler's shared task list
-/// and is locked once.
-struct DecodeTask<'a, T> {
+/// One segment to decode and scatter into its slab of every level grid
+/// of its stack.
+struct DecodeTask<'a, 'g, T> {
+    grids: &'a [SlabGrid<'g, T>],
     masks: &'a [&'a BitMask],
     finest_dim: usize,
     codec: CodecId,
     segment: &'a SegmentRef<'a>,
-    slabs: Mutex<Vec<&'a mut [T]>>,
-    /// A region read's box on each level of the stack.
-    clip: Option<&'a [Aabb]>,
+    /// The segment's place in its stack: its slab in each of the grids.
+    slab: usize,
 }
 
-/// Decodes the given segments of a single-stream body into full-size
-/// levels, decode → scatter per segment as scheduler tasks.
+/// Decodes the given segments of a single-stream body into the level
+/// grids `grids`, decode → scatter per segment as scheduler tasks. Each
+/// grid a stack spans is cut one slab per segment, at the segment's
+/// planes scaled to the level, so the slabs of different tasks are
+/// disjoint and each lock is taken once.
 ///
 /// Each segment is held to exactly one value per traversal cell of its
 /// planes. Cells of planes no given segment covers — and absent cells —
-/// hold `+0.0` bits, and the pages of the level buffers they lie on are
-/// never written. With `clip` — a region read's box on each level's
-/// grid — only the cells inside the box are written. A level no stack
-/// spans carries no payload, so its mask must be empty.
+/// keep the `+0.0` bits of the zero grid, and the pages they lie on are
+/// never written. Under a grid's clip — a region read's box — only the
+/// cells inside the box are written. A level no stack spans carries no
+/// payload, so its mask must be empty.
 pub(crate) fn decompress_stacks<T: CodecElement>(
     masks: &[BitMask],
     finest_dim: usize,
     stacks: &[StackSegments<'_>],
+    grids: &[SlabGrid<'_, T>],
     workers: usize,
-    clip: Option<&[Aabb]>,
-) -> Result<Vec<AmrLevel<T>>, TacError> {
+) -> Result<(), TacError> {
     let mask_refs: Vec<&BitMask> = masks.iter().collect();
     for (l, mask) in masks.iter().enumerate() {
         if mask.count_ones() != 0 && !stacks.iter().any(|s| s.levels.contains(&l)) {
@@ -409,96 +387,57 @@ pub(crate) fn decompress_stacks<T: CodecElement>(
             )));
         }
     }
-    let mut bufs: Vec<Vec<T>> = {
-        let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-        masks.iter().map(|m| vec![T::ZERO; m.len()]).collect()
-    };
-    {
-        let misplaced = || TacError::Corrupt("segments overlap or leave their level".into());
-        let mut level_bufs: Vec<Option<&mut [T]>> =
-            bufs.iter_mut().map(|b| Some(b.as_mut_slice())).collect();
-        let mut tasks: Vec<DecodeTask<'_, T>> = Vec::new();
-        for stack in stacks {
-            let stack_masks = mask_refs.get(stack.levels.clone()).ok_or_else(misplaced)?;
-            let stack_clip = clip.and_then(|boxes| boxes.get(stack.levels.clone()));
-            let stack_dim = level_dim(finest_dim, stack.levels.start);
-            // Level by level, hand every segment its slab of the buffer.
-            let mut slabs: Vec<Vec<&mut [T]>> = stack
-                .segments
-                .iter()
-                .map(|_| Vec::with_capacity(stack_masks.len()))
-                .collect();
-            for (j, l) in stack.levels.clone().enumerate() {
-                let buf = level_bufs.get_mut(l).and_then(Option::take);
-                let ranges = stack
-                    .segments
-                    .iter()
-                    .map(|s| slab(stack_dim, stack_masks.len(), j, &s.planes))
-                    .collect::<Option<Vec<_>>>();
-                let carved = buf
-                    .zip(ranges)
-                    .and_then(|(buf, ranges)| carve(buf, &ranges))
-                    .ok_or_else(misplaced)?;
-                for (mine, cells) in slabs.iter_mut().zip(carved) {
-                    mine.push(cells);
-                }
-            }
-            tasks.extend(
-                stack
-                    .segments
-                    .iter()
-                    .zip(slabs)
-                    .map(|(segment, slabs)| DecodeTask {
-                        masks: stack_masks,
-                        finest_dim: stack_dim,
-                        codec: stack.codec,
-                        segment,
-                        slabs: Mutex::new(slabs),
-                        clip: stack_clip,
-                    }),
-            );
+    let mut tasks: Vec<DecodeTask<'_, '_, T>> = Vec::new();
+    for stack in stacks {
+        let (Some(stack_masks), Some(stack_grids)) = (
+            mask_refs.get(stack.levels.clone()),
+            grids.get(stack.levels.clone()),
+        ) else {
+            return Err(TacError::Corrupt("a stack leaves the levels".into()));
+        };
+        for (slab, segment) in stack.segments.iter().enumerate() {
+            tasks.push(DecodeTask {
+                grids: stack_grids,
+                masks: stack_masks,
+                finest_dim: level_dim(finest_dim, stack.levels.start),
+                codec: stack.codec,
+                segment,
+                slab,
+            });
         }
-
-        let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
-        tac_par::execute(
-            workers,
-            &tasks,
-            |t| t.segment.stream.len() as u64,
-            |t| -> Result<(), TacError> {
-                let (values, dims) = {
-                    let _decode = tac_obs::span(tac_obs::Stage::Decode).arg("codec", t.codec.tag());
-                    tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
-                    tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, t.segment.stream.len());
-                    T::codec_decompress(codec_for(t.codec), t.segment.stream)?
-                };
-                if dims != Dims::D1(values.len()) {
-                    return Err(TacError::Corrupt(format!(
-                        "segment stream holds {dims:?} for {} values",
-                        values.len()
-                    )));
-                }
-                let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-                tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
-                let mut slabs = t.slabs.lock().unwrap_or_else(PoisonError::into_inner);
-                scatter_walk(
-                    t.masks,
-                    t.finest_dim,
-                    t.segment.planes.clone(),
-                    &values,
-                    &mut slabs,
-                    t.clip,
-                )
-            },
-        )
-        .into_iter()
-        .collect::<Result<(), TacError>>()?;
     }
-    Ok(bufs
-        .into_iter()
-        .zip(masks)
-        .enumerate()
-        .map(|(l, (data, mask))| AmrLevel::new(level_dim(finest_dim, l), data, mask.clone()))
-        .collect())
+
+    let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
+    tac_par::execute(
+        workers,
+        &tasks,
+        |t| t.segment.stream.len() as u64,
+        |t| -> Result<(), TacError> {
+            let (values, dims) = {
+                let _decode = tac_obs::span(tac_obs::Stage::Decode).arg("codec", t.codec.tag());
+                tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
+                tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, t.segment.stream.len());
+                T::codec_decompress(codec_for(t.codec), t.segment.stream)?
+            };
+            if dims != Dims::D1(values.len()) {
+                return Err(TacError::Corrupt(format!(
+                    "segment stream holds {dims:?} for {} values",
+                    values.len()
+                )));
+            }
+            let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
+            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
+            let mut slabs =
+                (t.grids.iter().map(|g| g.lock(t.slab))).collect::<Result<Vec<_>, _>>()?;
+            let mut cells: Vec<(usize, &mut [T])> =
+                slabs.iter_mut().map(|s| (s.base, &mut *s.cells)).collect();
+            let clips: Vec<Option<Aabb>> = t.grids.iter().map(SlabGrid::clip).collect();
+            let planes = t.segment.planes.clone();
+            scatter_walk(t.masks, t.finest_dim, planes, &values, &mut cells, &clips)
+        },
+    )
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -510,6 +449,7 @@ mod tests {
     use crate::roi::decompress_region_t;
     use crate::zmesh::tests::random_hierarchy;
     use crate::zmesh::zmesh_order;
+    use tac_amr::AmrLevel;
     use tac_codec::ErrorBound;
     use tac_dtype::Element;
     use tac_par::Parallelism;

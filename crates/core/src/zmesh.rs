@@ -545,13 +545,15 @@ impl Clip {
 
 /// Scatters a decoded stream back along the traversal of `planes`, one
 /// slice copy per run and one loop per row segment. `slabs[l]` is the
-/// part of level `l`'s dense buffer those planes cover ([`slab`]) and
-/// nothing outside it is reachable, so concurrent scatters of disjoint
-/// plane ranges need no synchronisation.
+/// part of level `l`'s dense buffer those planes cover ([`slab`]), with
+/// the flat index it starts at, and nothing outside it is reachable, so
+/// concurrent scatters of disjoint plane ranges need no synchronisation.
 ///
-/// With `clip` — a region read's box on each level's grid — only the
-/// part of each piece inside its level's box is copied; the walk, and
-/// the length check below, still cover the whole stream.
+/// `clips[l]`, where present, is a region read's box on level `l`'s grid
+/// ([`crate::grid::SlabGrid::clip`]): only the part of each piece inside
+/// it is copied; the walk, and the length check below, still cover the
+/// whole stream. With no box at all — a full decode — the walk makes no
+/// per-piece test.
 ///
 /// # Errors
 /// The stream must hold exactly one value per traversal cell of the
@@ -562,16 +564,11 @@ pub(crate) fn scatter_walk<T: Element>(
     finest_dim: usize,
     planes: Range<usize>,
     values: &[T],
-    slabs: &mut [&mut [T]],
-    clip: Option<&[Aabb]>,
+    slabs: &mut [(usize, &mut [T])],
+    clips: &[Option<Aabb>],
 ) -> Result<(), TacError> {
-    // Per level, once: its box, unless that is the whole grid. A full
-    // decode takes a walk with no per-piece test at all.
-    let clips: Vec<Option<Clip>> = (clip.into_iter().flatten().enumerate())
-        .map(|(l, b)| {
-            let dim = level_dim(finest_dim, l);
-            (*b != Aabb::whole(dim)).then(|| Clip::new(*b, dim))
-        })
+    let clips: Vec<Option<Clip>> = (clips.iter().enumerate())
+        .map(|(l, b)| b.map(|b| Clip::new(b, level_dim(finest_dim, l))))
         .collect();
     if clips.iter().all(Option::is_none) {
         return scatter_pieces::<T, false>(masks, finest_dim, planes, values, slabs, &clips);
@@ -586,12 +583,9 @@ fn scatter_pieces<T: Element, const CLIPPED: bool>(
     finest_dim: usize,
     planes: Range<usize>,
     values: &[T],
-    slabs: &mut [&mut [T]],
+    slabs: &mut [(usize, &mut [T])],
     clips: &[Option<Clip>],
 ) -> Result<(), TacError> {
-    let bases: Vec<usize> = (0..masks.len())
-        .map(|l| slab(finest_dim, masks.len(), l, &planes).map_or(0, |cells| cells.start))
-        .collect();
     let (mut rest, mut pieces) = (values, 0);
     let ran_short = walk(masks, finest_dim, planes, |l, piece| {
         pieces += 1;
@@ -602,7 +596,7 @@ fn scatter_pieces<T: Element, const CLIPPED: bool>(
         };
         let (Some((src, tail)), Some((base, cells))) = (
             rest.get(..piece.len()).zip(rest.get(piece.len()..)),
-            bases.get(l).zip(slabs.get_mut(l)),
+            slabs.get_mut(l),
         ) else {
             return Break(());
         };
@@ -889,8 +883,14 @@ pub(crate) mod tests {
     }
 
     /// The whole-buffer slab view `scatter_walk` takes for `ALL_PLANES`.
-    fn whole<T>(bufs: &mut [Vec<T>]) -> Vec<&mut [T]> {
-        bufs.iter_mut().map(|b| b.as_mut_slice()).collect()
+    fn whole<T>(bufs: &mut [Vec<T>]) -> Vec<(usize, &mut [T])> {
+        bufs.iter_mut().map(|b| (0, b.as_mut_slice())).collect()
+    }
+
+    /// Every level clipped to its box, whole-grid boxes included: the
+    /// clipped walk must hold for those too.
+    fn some(boxes: &[Aabb]) -> Vec<Option<Aabb>> {
+        boxes.iter().copied().map(Some).collect()
     }
 
     #[test]
@@ -962,7 +962,7 @@ pub(crate) mod tests {
             ALL_PLANES,
             stream,
             &mut whole(&mut clipped),
-            Some(boxes),
+            &some(boxes),
         )
         .unwrap();
         for (l, ((got, all), old)) in clipped.iter().zip(&expect).zip(before).enumerate() {
@@ -1007,7 +1007,7 @@ pub(crate) mod tests {
             ALL_PLANES,
             &stream,
             &mut whole(&mut streamed),
-            None,
+            &[],
         )
         .unwrap();
         for (l, (a, b)) in streamed.iter().zip(&expect).enumerate() {
@@ -1037,14 +1037,14 @@ pub(crate) mod tests {
             if wrong.len() == stream.len() {
                 continue; // an empty traversal has no shorter stream
             }
-            for clip in [None, Some(&boxes[..])] {
+            for clips in [Vec::new(), some(&boxes)] {
                 let err = scatter_walk(
                     &refs,
                     finest_dim,
                     ALL_PLANES,
                     wrong,
                     &mut whole(&mut before.clone()),
-                    clip,
+                    &clips,
                 )
                 .unwrap_err();
                 assert!(matches!(err, TacError::Corrupt(_)), "seed {seed}: {err}");
@@ -1209,11 +1209,17 @@ pub(crate) mod tests {
                 let refs: Vec<&BitMask> = short.iter().collect();
                 let walked = gather_walk(&refs, 16, ALL_PLANES, &slices, usize::MAX);
                 assert!(walked.len() < stream.len(), "level {l} cut to {keep}");
-                for clip in [None, Some(&boxes[..])] {
+                for clips in [Vec::new(), some(&boxes)] {
                     let mut bufs = data.clone();
-                    let err =
-                        scatter_walk(&refs, 16, ALL_PLANES, &stream, &mut whole(&mut bufs), clip)
-                            .unwrap_err();
+                    let err = scatter_walk(
+                        &refs,
+                        16,
+                        ALL_PLANES,
+                        &stream,
+                        &mut whole(&mut bufs),
+                        &clips,
+                    )
+                    .unwrap_err();
                     assert!(
                         matches!(err, TacError::Corrupt(_)),
                         "level {l} cut to {keep}: {err}"
@@ -1224,7 +1230,7 @@ pub(crate) mod tests {
         // Whole masks over a level buffer too short for its last cell.
         let mut bufs = data.clone();
         bufs[0].truncate(masks[0].iter_ones().last().unwrap());
-        let err = scatter_walk(&refs, 16, ALL_PLANES, &stream, &mut whole(&mut bufs), None);
+        let err = scatter_walk(&refs, 16, ALL_PLANES, &stream, &mut whole(&mut bufs), &[]);
         assert!(matches!(err, Err(TacError::Corrupt(_))), "{err:?}");
     }
 

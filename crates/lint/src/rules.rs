@@ -35,6 +35,8 @@ pub const DECODE_PATH_MODULES: &[&str] = &[
     "crates/core/src/stream.rs",
     "crates/core/src/roi.rs",
     "crates/core/src/extract.rs",
+    "crates/core/src/engine.rs",
+    "crates/core/src/grid.rs",
     "crates/core/src/select.rs",
     "crates/core/src/zmesh.rs",
     "crates/core/src/segment.rs",
@@ -61,6 +63,7 @@ pub const WIRE_ARITH_MODULES: &[&str] = &[
     "crates/core/src/stream.rs",
     "crates/core/src/select.rs",
     "crates/core/src/roi.rs",
+    "crates/core/src/grid.rs",
     "crates/core/src/zmesh.rs",
     "crates/core/src/segment.rs",
     "crates/sz/src/wire.rs",

@@ -400,9 +400,10 @@ fn segmented_round_trips_are_attributed_and_counted(session: &tac_obs::ObsSessio
     }
 
     // The TAC row: a serial decode of the benchmark's flagship input at
-    // 128^3. Every task's decode span now covers its paste too, so what
-    // `decompress` keeps for itself is the geometry check, the zero-grid
-    // allocation and the hand-over.
+    // 128^3. Every task's decode span covers its paste too, and the
+    // zero-grid allocation and hand-back sit under `assemble`, so what
+    // `decompress` keeps for itself is the geometry check and the task
+    // list.
     let ds = load_dataset("Run1_Z10", 4, 14);
     let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
     let mut share = f64::INFINITY;
