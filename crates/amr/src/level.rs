@@ -151,10 +151,21 @@ impl<T: Element> AmrLevel<T> {
     /// the level is empty. (Widening is exact for both element types, so
     /// relative error bounds resolve against the true range.)
     /// NaNs are skipped unless every present value is NaN, which gives
-    /// `(NaN, NaN)`.
+    /// `(NaN, NaN)`. The whole-level case of [`AmrLevel::value_range_in`].
     pub fn value_range(&self) -> Option<(f64, f64)> {
+        self.value_range_in(0, self.num_cells())
+    }
+
+    /// [`AmrLevel::value_range`] over the present cells of the flat range
+    /// `[start, start + len)` (clipped to the level; `None` when it holds
+    /// no present cell). The bits of the result do not depend on the
+    /// order the values were folded in: an all-NaN range gives the
+    /// canonical `f64::NAN` and a zero extreme is `+0.0`. So the ranges of
+    /// any split of a level, folded with `f64::min` / `f64::max` in any
+    /// order, equal the whole level's bit for bit.
+    pub fn value_range_in(&self, start: usize, len: usize) -> Option<(f64, f64)> {
         let mut range = MinMax::new();
-        for (start, len) in self.mask.runs() {
+        for (start, len) in self.mask.runs_in(start, len) {
             range.extend(&self.data[start..start + len]);
         }
         range.finish()
@@ -164,7 +175,7 @@ impl<T: Element> AmrLevel<T> {
 /// `(min, max)` of `values` in `f64` working precision; `None` for an
 /// empty slice. NaNs are skipped unless every value is NaN, which gives
 /// `(NaN, NaN)` — the same fold [`AmrLevel::value_range`] runs over a
-/// level's present cells.
+/// level's present cells, with the same canonical bits.
 pub fn min_max<T: Element>(values: &[T]) -> Option<(f64, f64)> {
     let mut range = MinMax::new();
     range.extend(values);
@@ -212,11 +223,17 @@ impl MinMax {
         }
     }
 
+    /// The folded extremes, canonical: which of two tied values a
+    /// `min`/`max` keeps depends on operand order, and only `±0.0` and
+    /// NaN payloads tie without being the same bits — so a NaN becomes
+    /// `f64::NAN` and `-0.0` becomes `+0.0` (`x + 0.0` changes no other
+    /// value).
     fn finish(self) -> Option<(f64, f64)> {
+        let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v + 0.0 };
         self.any.then(|| {
             (
-                self.lo.into_iter().fold(f64::NAN, f64::min),
-                self.hi.into_iter().fold(f64::NAN, f64::max),
+                canonical(self.lo.into_iter().fold(f64::NAN, f64::min)),
+                canonical(self.hi.into_iter().fold(f64::NAN, f64::max)),
             )
         })
     }
@@ -324,6 +341,95 @@ mod tests {
         assert_eq!(min_max::<f64>(&[]), None);
         let (lo, hi) = min_max(&[f32::NAN; 9]).unwrap();
         assert!(lo.is_nan() && hi.is_nan());
+    }
+
+    /// The ranges of `lvl` split every `len` cells, folded with
+    /// `f64::min` / `f64::max` in split order (or reversed), as bits.
+    fn merged<T: Element>(lvl: &AmrLevel<T>, len: usize, reversed: bool) -> Option<(u64, u64)> {
+        let mut parts: Vec<_> = (0..lvl.num_cells())
+            .step_by(len)
+            .map(|start| lvl.value_range_in(start, len))
+            .collect();
+        if reversed {
+            parts.reverse();
+        }
+        let merged = parts.into_iter().flatten();
+        let (lo, hi) = merged.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))?;
+        Some((lo.to_bits(), hi.to_bits()))
+    }
+
+    fn split_ranges_merge_to_the_whole_range<T: Element>() {
+        let neg_zero_nan = |i: usize| match i % 3 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => f64::from_bits(0x7FF8_0000_0000_0000 | i as u64),
+        };
+        let cases: [(&str, &dyn Fn(usize) -> f64); 7] = [
+            ("zero minimum of both signs", &|i| [0.0, -0.0, 2.5][i % 3]),
+            ("zero maximum of both signs", &|i| [-0.0, -1.5, 0.0][i % 3]),
+            ("only zeros and NaN payloads", &neg_zero_nan),
+            ("NaN-only chunks", &|i| {
+                if i < 200 {
+                    f64::NAN
+                } else {
+                    i as f64
+                }
+            }),
+            ("every value a NaN payload", &|i| {
+                f64::from_bits(0xFFF8_0000_0000_0000 | i as u64)
+            }),
+            ("infinities", &|i| match i % 50 {
+                7 => f64::INFINITY,
+                8 => f64::NEG_INFINITY,
+                _ => i as f64,
+            }),
+            ("finite", &|i| ((i * 7919) % 1013) as f64 - 500.0),
+        ];
+        for (what, value) in cases {
+            let level_of = |present: &dyn Fn(usize) -> bool| {
+                let mut lvl = AmrLevel::<T>::empty(7);
+                for i in (0..343).filter(|&i| present(i)) {
+                    lvl.set_value(i % 7, i / 7 % 7, i / 49, T::from_f64(value(i)));
+                }
+                lvl
+            };
+            // Ragged runs over mask words (`ragged_level`'s mask), and a
+            // level whose first 150 cells — whole chunks at small splits
+            // — are absent.
+            let ragged = level_of(&|i| i % 13 < 9 || (120..135).contains(&i) || i >= 330);
+            let late = level_of(&|i| i >= 150);
+            for lvl in [&ragged, &late] {
+                let whole = lvl
+                    .value_range()
+                    .map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+                // A cell, a row, a plane (49: off the 64-bit words), a
+                // word, and lengths straddling words and the level.
+                for len in [1, 3, 7, 49, 64, 65, 100, 343, 1000] {
+                    for reversed in [false, true] {
+                        assert_eq!(
+                            merged(lvl, len, reversed),
+                            whole,
+                            "{what}/{}: split {len}, reversed {reversed}",
+                            T::DTYPE.label()
+                        );
+                    }
+                }
+                let (lo, hi) = whole.unwrap();
+                for bits in [lo, hi] {
+                    let v = f64::from_bits(bits);
+                    assert!(v != 0.0 || bits == 0, "{what}: a zero extreme is +0.0");
+                    assert!(!v.is_nan() || bits == f64::NAN.to_bits(), "{what}: NaN");
+                }
+            }
+        }
+        assert_eq!(AmrLevel::<T>::empty(4).value_range_in(0, 64), None);
+        assert_eq!(ragged_level(|i| i as f64).value_range_in(343, 10), None);
+    }
+
+    #[test]
+    fn split_ranges_merge_to_value_range_bit_for_bit() {
+        split_ranges_merge_to_the_whole_range::<f64>();
+        split_ranges_merge_to_the_whole_range::<f32>();
     }
 
     #[test]

@@ -105,6 +105,8 @@ pub struct TacConfig {
     pub level_eb_scale: Vec<f64>,
     /// Force one strategy for every level (used by the per-figure
     /// benchmarks); `None` selects by density (the hybrid of Sec. 3.4).
+    /// Empty levels stay [`Strategy::Empty`], and `Empty` itself cannot
+    /// be forced.
     pub forced_strategy: Option<Strategy>,
     /// Enable the Sec. 4.4 top-level switch: when the finest level's
     /// density exceeds `t2`, compress via the 3D baseline instead of
@@ -247,6 +249,13 @@ impl TacConfig {
         {
             return Err(TacError::InvalidConfig(
                 "level eb scales must be positive and finite".into(),
+            ));
+        }
+        if self.forced_strategy == Some(Strategy::Empty) {
+            // Empty stores nothing: forced onto a level with present
+            // cells it would drop them.
+            return Err(TacError::InvalidConfig(
+                "Empty cannot be forced: it stores no present cell".into(),
             ));
         }
         if self.parallelism == Parallelism::Threads(0) {

@@ -2,12 +2,18 @@
 //!
 //! TAC's pipeline splits naturally into three phases:
 //!
-//! 1. **Plan** (serial, cheap): per level, pick the strategy, resolve
-//!    the error bound, run the partition planner (OpST / AKDTree / NaST
-//!    region extraction, GSP padding), and group regions into
-//!    compression jobs. This mirrors TAC+'s observation that the
-//!    partitioning stage can be pre-planned before any compression
-//!    runs.
+//! 1. **Plan** (one parallel batch, then a short serial pass): the
+//!    write's plan runs as one `tac-par` batch
+//!    ([`crate::pipeline`]) of *range tasks* — the present-cell min/max
+//!    of a fixed chunk of whole z-planes of a level — and one
+//!    *structure task* per level, which picks the strategy by density
+//!    and runs [`plan_level`]: the partition planner (OpST / AKDTree /
+//!    NaST region extraction grouped into compression jobs, GSP
+//!    padding, dense z-slabs), none of which needs a bound. The driver
+//!    then merges each level's chunk ranges and resolves the bounds in
+//!    level order, so the first error is the one a level-by-level plan
+//!    meets. This mirrors TAC+'s observation that the partitioning
+//!    stage can be pre-planned before any compression runs.
 //! 2. **Execute** (parallel): flatten every job across every level into
 //!    one task list and run it on `tac-par`'s work-stealing scheduler,
 //!    weighted by cell count. Each task is an independent scalar-codec
@@ -116,6 +122,8 @@ fn dense_work<T: Element>(source: Source<T>, dim: usize, tile: Option<usize>) ->
 pub(crate) struct LevelPlan<T: Element> {
     pub strategy: Strategy,
     pub dim: usize,
+    /// The level's resolved bound. [`plan_level`] leaves it 0: the
+    /// structure does not depend on it, so bounds resolve after planning.
     pub abs_eb: f64,
     /// Scalar codec every stream of this level compresses through.
     /// [`plan_level`] seeds it from the config; the `Method::Auto`
@@ -124,17 +132,27 @@ pub(crate) struct LevelPlan<T: Element> {
     pub work: LevelWork<T>,
 }
 
-/// Plans one level: partition planning and pre-processing, no
-/// compression.
+/// Plans one level's structure: partition planning and pre-processing,
+/// no bound and no compression.
+///
+/// # Errors
+/// [`Strategy::Empty`] over a level with present cells would drop them
+/// and is a [`TacError::InvalidConfig`].
 pub(crate) fn plan_level<T: Element>(
     level: &AmrLevel<T>,
     strategy: Strategy,
-    abs_eb: f64,
     cfg: &TacConfig,
 ) -> Result<LevelPlan<T>, TacError> {
     let dim = level.dim();
     let work = match strategy {
-        Strategy::Empty => LevelWork::Empty,
+        Strategy::Empty => match level.num_present() {
+            0 => LevelWork::Empty,
+            n => {
+                return Err(TacError::InvalidConfig(format!(
+                    "strategy Empty would drop the {n} present cells of a {dim}^3 level"
+                )))
+            }
+        },
         Strategy::ZeroFill => dense_work(Source::Level, dim, cfg.roi_tile),
         Strategy::Gsp => {
             let grid = BlockGrid::build(level, unit_for(dim, cfg.unit)?);
@@ -162,7 +180,7 @@ pub(crate) fn plan_level<T: Element>(
     Ok(LevelPlan {
         strategy,
         dim,
-        abs_eb,
+        abs_eb: 0.0,
         codec: cfg.codec,
         work,
     })
@@ -633,7 +651,10 @@ mod tests {
         strategy: Strategy,
         cfg: &TacConfig,
     ) -> CompressedLevel {
-        let plans = vec![plan_level(level, strategy, 1e-3, cfg).unwrap()];
+        let plans = vec![LevelPlan {
+            abs_eb: 1e-3,
+            ..plan_level(level, strategy, cfg).unwrap()
+        }];
         compress_plans(&plans, &[level.data()], cfg, 1)
             .unwrap()
             .pop()

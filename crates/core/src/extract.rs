@@ -70,8 +70,9 @@ pub(crate) fn plan_groups(regions: &[Region], tile: Option<usize>) -> Vec<GroupP
         (r.shape, bucket)
     };
     // Hash index for O(1) key lookup; the Vec keeps first-seen order so
-    // the plan stays deterministic (this runs in the serial planning
-    // phase, and tiling can make the key count scale with the regions).
+    // the plan stays deterministic (this runs inside the level's
+    // structure task of the plan batch, and tiling can make the key
+    // count scale with the regions).
     let mut index: std::collections::HashMap<Key, usize> = std::collections::HashMap::new();
     let mut plans: Vec<GroupPlan> = Vec::new();
     for r in regions {

@@ -16,9 +16,10 @@ use crate::engine::{self, LevelPlan};
 use crate::error::TacError;
 use crate::grid::SlabGrid;
 use crate::roi::box_rows;
-use crate::segment::{self, StackSegments, SEGMENT_BUDGET};
+use crate::segment::{self, union_range, StackSegments, SEGMENT_BUDGET};
 use crate::stream::{CompressedLevel, LevelPayload};
 use crate::zmesh::{level_dim, refinement};
+use std::borrow::Cow;
 use std::ops::Range;
 use tac_amr::{min_max, to_uniform, Aabb, AmrDataset, AmrLevel, BitMask};
 use tac_codec::{codec_for, CodecElement, CodecError, CodecId, Dims, ErrorBound};
@@ -109,7 +110,10 @@ pub fn compress_level_t<T: CodecElement>(
     cfg: &TacConfig,
 ) -> Result<CompressedLevel, TacError> {
     cfg.validate()?;
-    let plans = vec![engine::plan_level(level, strategy, abs_eb, cfg)?];
+    let plans = vec![LevelPlan {
+        abs_eb,
+        ..engine::plan_level(level, strategy, cfg)?
+    }];
     let mut levels =
         engine::compress_plans(&plans, &[level.data()], cfg, cfg.parallelism.workers())?;
     levels
@@ -143,32 +147,144 @@ pub fn select_method<T: Element>(ds: &AmrDataset<T>, cfg: &TacConfig) -> Method 
     }
 }
 
+/// A value range over present cells, `None` when there is none.
+pub(crate) type ValueRange = Option<(f64, f64)>;
+
 /// Each level's value range over its present cells (`None` for an empty
 /// level) — one scan per write, shared by everything that resolves a
 /// bound: the TAC and 1D per-level bounds, zMesh's union range and every
 /// candidate `Method::Auto` scores.
-pub(crate) type LevelRanges = [Option<(f64, f64)>];
+pub(crate) type LevelRanges = [ValueRange];
 
-/// Scans [`LevelRanges`] once.
-pub(crate) fn level_ranges<T: Element>(ds: &AmrDataset<T>) -> Vec<Option<(f64, f64)>> {
-    let _plan = tac_obs::span(tac_obs::Stage::Plan);
-    ds.levels().iter().map(|l| l.value_range()).collect()
+/// Cells of whole z-planes one range task of a write's plan batch scans
+/// (at least one plane): 16 tasks for a 256^3 level. A constant, so the
+/// tasks do not depend on the worker count (and the merged ranges do
+/// not depend on the split: [`AmrLevel::value_range_in`]).
+pub(crate) const RANGE_CHUNK: usize = 1 << 20;
+
+/// Where a write takes its [`LevelRanges`] from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ranges<'a> {
+    /// Scanned by the write's plan batch, in range tasks of this many
+    /// cells ([`RANGE_CHUNK`]; tests pass less).
+    Scan(usize),
+    /// Already scanned: `Method::Auto` scans once for its candidates and
+    /// its winner.
+    Scanned(&'a LevelRanges),
 }
 
-/// Plans every level of a TAC run serially (cheap partition planning):
-/// strategy by density, per-level bound, region extraction / padding.
-/// `level_codecs[l]`, where present, replaces `cfg.codec` for level `l`
-/// (`Method::Auto`'s per-level winners; empty for fixed TAC).
+impl<'a> Ranges<'a> {
+    /// The ranges, scanned on `cfg`'s workers in a batch of range tasks
+    /// alone if need be.
+    pub(crate) fn get<T: Element>(
+        self,
+        ds: &AmrDataset<T>,
+        cfg: &TacConfig,
+    ) -> Cow<'a, LevelRanges> {
+        plan_batch(ds, cfg, self, false).0
+    }
+}
+
+/// One task of a write's plan batch.
+enum PlanTask<'a, T: Element> {
+    /// Level `l`'s present-cell range over some of its cells: whole
+    /// z-planes.
+    Scan(usize, &'a AmrLevel<T>, Range<usize>),
+    /// A level's strategy and structure ([`engine::plan_level`]).
+    Structure(&'a AmrLevel<T>),
+}
+
+/// A level's strategy, and its structure or the planner's error.
+type Structure<T> = (Strategy, Result<LevelPlan<T>, TacError>);
+
+enum PlanOut<T: Element> {
+    Scan(usize, ValueRange),
+    Structure(Structure<T>),
+}
+
+/// Runs a write's plan as one `tac_par` batch on `cfg`'s workers: under
+/// [`Ranges::Scan`], range tasks over every level in chunks of whole
+/// z-planes; with `structure`, one structure task per level. Hands back
+/// the ranges — scanned ones merged in chunk order — and each level's
+/// [`Structure`] in level order (none without `structure`). Nothing here
+/// fails: errors wait for the caller, which takes them in level order.
+fn plan_batch<'a, T: Element>(
+    ds: &AmrDataset<T>,
+    cfg: &TacConfig,
+    ranges: Ranges<'a>,
+    structure: bool,
+) -> (Cow<'a, LevelRanges>, Vec<Structure<T>>) {
+    let mut tasks = Vec::new();
+    if let Ranges::Scan(chunk) = ranges {
+        for (l, level) in ds.levels().iter().enumerate() {
+            let plane = (level.dim() * level.dim()).max(1);
+            let len = (chunk / plane).max(1) * plane;
+            let task = |start: usize| PlanTask::Scan(l, level, start..start + len);
+            tasks.extend((0..level.num_cells()).step_by(len).map(task));
+        }
+    }
+    if structure {
+        tasks.extend(ds.levels().iter().map(PlanTask::Structure));
+    }
+    // Worker-side task spans are accounted under `execute`.
+    let execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
+    let outs = tac_par::execute(
+        cfg.parallelism.workers(),
+        &tasks,
+        |t| match t {
+            PlanTask::Scan(_, _, cells) => cells.len() as u64,
+            PlanTask::Structure(level) => level.num_cells() as u64,
+        },
+        |t| {
+            let _plan = tac_obs::span(tac_obs::Stage::Plan);
+            match t {
+                PlanTask::Scan(l, level, cells) => {
+                    PlanOut::Scan(*l, level.value_range_in(cells.start, cells.len()))
+                }
+                PlanTask::Structure(level) => {
+                    let strategy = choose_strategy(level, cfg);
+                    PlanOut::Structure((strategy, engine::plan_level(level, strategy, cfg)))
+                }
+            }
+        },
+    );
+    drop(execute);
+    let mut scanned = vec![None; ds.num_levels()];
+    let mut structures = Vec::new();
+    for out in outs {
+        match out {
+            PlanOut::Scan(l, chunk) => {
+                if let Some(range) = scanned.get_mut(l) {
+                    *range = union_range([*range, chunk]);
+                }
+            }
+            PlanOut::Structure(s) => structures.push(s),
+        }
+    }
+    let ranges = match ranges {
+        Ranges::Scan(_) => Cow::Owned(scanned),
+        Ranges::Scanned(ranges) => Cow::Borrowed(ranges),
+    };
+    (ranges, structures)
+}
+
+/// Plans every level of a TAC run: one plan batch — range tasks unless
+/// `ranges` are already scanned, and a structure task per level (strategy
+/// by density, region extraction / padding) — then, in level order, the
+/// level's bound, and only after it the level's structure, so the first
+/// error is the one a level-by-level plan meets. `level_codecs[l]`,
+/// where present, replaces `cfg.codec` for level `l` (`Method::Auto`'s
+/// per-level winners; empty for fixed TAC).
 fn plan_tac_levels<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
-    ranges: &LevelRanges,
+    ranges: Ranges<'_>,
     level_codecs: &[CodecId],
 ) -> Result<Vec<LevelPlan<T>>, TacError> {
+    let (ranges, structures) = plan_batch(ds, cfg, ranges, true);
     let _plan = tac_obs::span(tac_obs::Stage::Plan);
-    let mut plans = Vec::with_capacity(ds.num_levels());
-    for (l, level) in ds.levels().iter().enumerate() {
-        let strategy = choose_strategy(level, cfg);
+    let mut plans = Vec::with_capacity(structures.len());
+    for (l, (strategy, plan)) in structures.into_iter().enumerate() {
         // An empty level compresses nothing, so no bound needs to
         // resolve (a relative bound could not: there is no range).
         let abs_eb = if strategy == Strategy::Empty {
@@ -181,11 +297,11 @@ fn plan_tac_levels<T: CodecElement>(
                 ranges.get(l).copied().flatten(),
             )?
         };
-        let mut plan = engine::plan_level(level, strategy, abs_eb, cfg)?;
-        if let Some(&codec) = level_codecs.get(l) {
-            plan.codec = codec;
-        }
-        plans.push(plan);
+        plans.push(LevelPlan {
+            abs_eb,
+            codec: level_codecs.get(l).copied().unwrap_or(cfg.codec),
+            ..plan?
+        });
     }
     Ok(plans)
 }
@@ -197,52 +313,43 @@ pub fn compress_dataset_t<T: CodecElement>(
     cfg: &TacConfig,
     method: Method,
 ) -> Result<CompressedDataset, TacError> {
-    compress_with(ds, cfg, method, None)
+    compress_with(ds, cfg, method, Ranges::Scan(RANGE_CHUNK))
 }
 
-/// [`compress_dataset_t`] reusing the level ranges a caller already
-/// scanned (`None`: scan them here, unless the 3D baseline, which
-/// resolves against its uniform grid, is all that runs).
+/// [`compress_dataset_t`] taking its level ranges from `ranges` (the 3D
+/// baseline, which resolves against its uniform grid, reads none).
 pub(crate) fn compress_with<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
     method: Method,
-    ranges: Option<&LevelRanges>,
+    ranges: Ranges<'_>,
 ) -> Result<CompressedDataset, TacError> {
     cfg.validate()?;
     let _compress = tac_obs::span(tac_obs::Stage::Compress).arg("levels", ds.num_levels());
-    let scanned;
-    let ranges = match ranges {
-        Some(ranges) => ranges,
-        None if method == Method::Baseline3D => &[],
-        None => {
-            scanned = level_ranges(ds);
-            &scanned
-        }
-    };
     let masks: Vec<BitMask> = ds.levels().iter().map(|l| l.mask().clone()).collect();
     let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
     let workers = cfg.parallelism.workers();
     // Plans every level, then runs all per-level / per-region
     // compression tasks on the work-stealing scheduler in one flattened
     // batch.
-    let tac_body = |level_codecs: &[CodecId]| -> Result<MethodBody, TacError> {
+    let tac_body = |ranges: Ranges<'_>, level_codecs: &[CodecId]| -> Result<MethodBody, TacError> {
         let plans = plan_tac_levels(ds, cfg, ranges, level_codecs)?;
         engine::compress_plans(&plans, &level_data, cfg, workers).map(MethodBody::Tac)
     };
     let body = match method {
-        Method::Tac => tac_body(&[])?,
-        Method::Baseline1D => segment::compress_1d(ds, cfg, ranges, SEGMENT_BUDGET)?,
-        Method::ZMesh => segment::compress_zmesh(ds, cfg, ranges, SEGMENT_BUDGET)?,
+        Method::Tac => tac_body(ranges, &[])?,
+        Method::Baseline1D => segment::compress_1d(ds, cfg, &ranges.get(ds, cfg), SEGMENT_BUDGET)?,
+        Method::ZMesh => segment::compress_zmesh(ds, cfg, &ranges.get(ds, cfg), SEGMENT_BUDGET)?,
         Method::Auto => {
             // TAC+-style adaptive selection: score every fixed
             // `(method, codec)` candidate (and, for TAC, every per-level
             // codec) and compress with the winner. The selection pass is
             // serial and deterministic, so Auto output stays
             // byte-identical across worker counts like every fixed path.
-            let selection = crate::select::select_ranged(ds, cfg, ranges)?;
+            let ranges = ranges.get(ds, cfg);
+            let selection = crate::select::select_ranged(ds, cfg, &ranges)?;
             if selection.method == Method::Tac {
-                tac_body(&selection.level_codecs)?
+                tac_body(Ranges::Scanned(&ranges), &selection.level_codecs)?
             } else {
                 // A single-codec winner: rerun the fixed pipeline with
                 // the selected codec and the ranges already scanned. The
@@ -252,7 +359,8 @@ pub(crate) fn compress_with<T: CodecElement>(
                     codec: selection.codec,
                     ..cfg.clone()
                 };
-                return compress_with(ds, &winner_cfg, selection.method, Some(ranges));
+                let ranges = Ranges::Scanned(&ranges);
+                return compress_with(ds, &winner_cfg, selection.method, ranges);
             }
         }
         Method::Baseline3D => {
@@ -1105,5 +1213,231 @@ mod tests {
         let data64: Vec<f64> = (0..512).map(|i| (i as f64) * 1e-33).collect();
         let ds64 = AmrDataset::new("tiny-range", vec![AmrLevel::dense(8, data64)]);
         compress_dataset_t(&ds64, &cfg, Method::Tac).unwrap();
+    }
+
+    #[test]
+    fn forced_empty_is_rejected_instead_of_dropping_the_data() {
+        // Forcing `Empty` used to compress `Ok` and store no value at
+        // all: the decode came back all `+0.0` and the container's
+        // parse failed on the level "marked empty" over a non-empty mask.
+        let ds = blobby_dataset(16);
+        let cfg = TacConfig {
+            unit: 4,
+            ..TacConfig::default().with_strategy(Strategy::Empty)
+        };
+        for err in [
+            cfg.validate().unwrap_err(),
+            compress_dataset_t(&ds, &cfg, Method::Tac).unwrap_err(),
+        ] {
+            assert!(matches!(err, TacError::InvalidConfig(_)), "{err}");
+        }
+        // The per-level entry point takes its strategy as an argument.
+        let fine = &ds.levels()[0];
+        let err = compress_level_t(fine, Strategy::Empty, 1e-3, &TacConfig::default()).unwrap_err();
+        assert!(matches!(err, TacError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("drop"), "{err}");
+    }
+
+    /// `ds` compressed with `method` at `workers`, its ranges scanned in
+    /// range tasks of `chunk` cells.
+    fn compress_chunked<T: CodecElement>(
+        ds: &AmrDataset<T>,
+        cfg: &TacConfig,
+        method: Method,
+        workers: usize,
+        chunk: usize,
+    ) -> Vec<u8> {
+        let cfg = TacConfig {
+            parallelism: Parallelism::Threads(workers),
+            ..cfg.clone()
+        };
+        (compress_with(ds, &cfg, method, Ranges::Scan(chunk)).unwrap()).to_bytes()
+    }
+
+    fn multi_chunk_writes_match<T: CodecElement>() {
+        // Relative bounds, so every level's bound reads its merged range;
+        // `-0.0` and `+0.0` among the present values.
+        let mut levels = blobby_dataset(16).levels().to_vec();
+        for level in &mut levels {
+            for (i, v) in level.data_mut().iter_mut().enumerate() {
+                if *v != 0.0 && i % 37 == 0 {
+                    *v = if i % 2 == 0 { -0.0 } else { 0.0 };
+                }
+            }
+        }
+        let ds = AmrDataset::new("signed-zeros", levels).cast::<T>();
+        let base = TacConfig {
+            unit: 4,
+            error_bound: ErrorBound::Rel(1e-3),
+            codec: CodecId::PcoAns,
+            ..Default::default()
+        };
+        let forced = [
+            Strategy::ZeroFill,
+            Strategy::NaST,
+            Strategy::OpST,
+            Strategy::AkdTree,
+            Strategy::Gsp,
+        ];
+        let mut runs: Vec<(String, TacConfig, Method)> = forced
+            .into_iter()
+            .map(|s| {
+                (
+                    format!("Tac/{s:?}"),
+                    base.clone().with_strategy(s),
+                    Method::Tac,
+                )
+            })
+            .collect();
+        for method in [Method::Tac, Method::Baseline1D, Method::ZMesh, Method::Auto] {
+            runs.push((format!("{method:?}"), base.clone(), method));
+        }
+        // Density-picked levels cut into slabs and tiles too.
+        runs.push((
+            "Tac/tiled".into(),
+            base.clone().with_roi_tile(4),
+            Method::Tac,
+        ));
+        for (what, cfg, method) in runs {
+            let what = format!("{what}/{}", T::DTYPE.label());
+            let reference = compress_chunked(&ds, &cfg, method, 1, RANGE_CHUNK);
+            // One plane of either level, two planes of the 16^3 level and
+            // six of the 8^3 one per range task: every level spans
+            // several chunks.
+            for chunk in [1, 512, 384] {
+                for workers in [1, 2, 4, 8] {
+                    // `assert!`, not `assert_eq!`: no container dump.
+                    assert!(
+                        compress_chunked(&ds, &cfg, method, workers, chunk) == reference,
+                        "{what}: chunk {chunk}, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_chunk_plans_write_identical_bytes_at_every_worker_count() {
+        multi_chunk_writes_match::<f64>();
+        multi_chunk_writes_match::<f32>();
+    }
+
+    #[test]
+    fn multi_chunk_ranges_equal_value_range() {
+        // Planes of 196 and 49 cells: chunk edges off the mask words.
+        let ds = blobby_dataset(14);
+        let bits = |ranges: &LevelRanges| -> Vec<Option<(u64, u64)>> {
+            let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+            ranges.iter().map(|r| r.map(bits)).collect()
+        };
+        let whole: Vec<_> = ds.levels().iter().map(AmrLevel::value_range).collect();
+        for workers in [1, 2, 4] {
+            let cfg = TacConfig::default().with_parallelism(Parallelism::Threads(workers));
+            for chunk in [1, 100, 256, RANGE_CHUNK] {
+                let (ranges, structures) = plan_batch(&ds, &cfg, Ranges::Scan(chunk), false);
+                let what = format!("chunk {chunk}, {workers} workers");
+                assert_eq!(bits(&ranges), bits(&whole), "{what}");
+                assert!(structures.is_empty());
+            }
+        }
+    }
+
+    /// The level-by-level plan the batch replaced: per level, strategy,
+    /// bound, then structure. Its first error is the one to match.
+    fn level_by_level<T: CodecElement>(
+        ds: &AmrDataset<T>,
+        cfg: &TacConfig,
+    ) -> Result<Vec<(Strategy, f64)>, TacError> {
+        let mut plans = Vec::new();
+        for (l, level) in ds.levels().iter().enumerate() {
+            let strategy = choose_strategy(level, cfg);
+            let abs_eb = match strategy {
+                Strategy::Empty => EMPTY_LEVEL_EB,
+                _ => resolve_level_eb_for(
+                    T::DTYPE,
+                    cfg.error_bound,
+                    cfg.level_scale(l),
+                    level.value_range(),
+                )?,
+            };
+            engine::plan_level(level, strategy, cfg)?;
+            plans.push((strategy, abs_eb));
+        }
+        Ok(plans)
+    }
+
+    #[test]
+    fn the_first_plan_error_is_the_level_by_level_one() {
+        // Level kinds, f32: a sparse smooth level, a dense one (ZeroFill
+        // needs no unit), an empty one, a sparse one holding +inf (its
+        // relative bound is `NonFinite`) and a sparse one spanning ~1e-30
+        // (its bound underflows f32: `DegenerateBound`). A zero unit —
+        // which `validate` would refuse, so the plan is called directly —
+        // fails the structure of every sparse level.
+        let level = |kind: &str, dim: usize| {
+            let mut lvl = AmrLevel::<f32>::empty(dim);
+            for i in 0..dim * dim * dim {
+                let v = match kind {
+                    "dense" => 1.0 + (i as f32 * 0.1).sin(),
+                    "inf" if i == 5 => f32::INFINITY,
+                    "tiny" => i as f32 * 1e-33,
+                    "empty" => continue,
+                    _ if i % 3 == 0 => continue,
+                    _ => 2.0 + (i as f32 * 0.3).cos(),
+                };
+                lvl.set_value(i % dim, i / dim % dim, i / dim / dim, v);
+            }
+            lvl
+        };
+        let scenarios: [(&[&str], usize); 6] = [
+            (&["inf", "tiny", "good"], 0),
+            (&["good", "inf", "tiny"], 0),
+            (&["dense", "tiny", "inf"], 0),
+            (&["dense", "empty", "inf", "tiny"], 4),
+            (&["good", "tiny", "inf", "good"], 4),
+            (&["dense", "empty", "good", "good"], 0),
+        ];
+        for (kinds, unit) in scenarios {
+            let levels = (kinds.iter().enumerate())
+                .map(|(l, kind)| level(kind, 16 >> l))
+                .collect();
+            let ds = AmrDataset::new("bad", levels);
+            let expected = level_by_level(
+                &ds,
+                &TacConfig {
+                    unit,
+                    error_bound: ErrorBound::Rel(1e-16),
+                    ..Default::default()
+                },
+            )
+            .unwrap_err();
+            for workers in [1, 2, 4] {
+                let cfg = TacConfig {
+                    unit,
+                    error_bound: ErrorBound::Rel(1e-16),
+                    parallelism: Parallelism::Threads(workers),
+                    ..Default::default()
+                };
+                for chunk in [1, RANGE_CHUNK] {
+                    let err = plan_tac_levels(&ds, &cfg, Ranges::Scan(chunk), &[]).unwrap_err();
+                    assert_eq!(
+                        std::mem::discriminant(&err),
+                        std::mem::discriminant(&expected),
+                        "{kinds:?}, unit {unit}: {err} vs {expected}"
+                    );
+                    assert_eq!(err.to_string(), expected.to_string(), "{kinds:?}");
+                }
+            }
+        }
+        // Without a bad level both plan alike.
+        let ds = AmrDataset::new("good", vec![level("good", 16), level("dense", 8)]);
+        let cfg = TacConfig {
+            unit: 4,
+            error_bound: ErrorBound::Rel(1e-3),
+            ..Default::default()
+        };
+        let plans = plan_tac_levels(&ds, &cfg, Ranges::Scan(1), &[]).unwrap();
+        let planned: Vec<_> = plans.iter().map(|p| (p.strategy, p.abs_eb)).collect();
+        assert_eq!(planned, level_by_level(&ds, &cfg).unwrap());
     }
 }

@@ -445,7 +445,7 @@ mod tests {
     use super::*;
     use crate::container::tests::{edit_table, row_box, set_row_box};
     use crate::container::{CompressedDataset, Method};
-    use crate::pipeline::{decompress_dataset_par_t, level_ranges};
+    use crate::pipeline::{decompress_dataset_par_t, Ranges, RANGE_CHUNK};
     use crate::roi::decompress_region_t;
     use crate::zmesh::tests::random_hierarchy;
     use crate::zmesh::zmesh_order;
@@ -494,7 +494,7 @@ mod tests {
         method: Method,
         budget: usize,
     ) -> Result<CompressedDataset, TacError> {
-        let ranges = level_ranges(ds);
+        let ranges = Ranges::Scan(RANGE_CHUNK).get(ds, cfg);
         let body = match method {
             Method::ZMesh => compress_zmesh(ds, cfg, &ranges, budget)?,
             _ => compress_1d(ds, cfg, &ranges, budget)?,

@@ -30,7 +30,7 @@
 use crate::config::TacConfig;
 use crate::container::{CompressedDataset, Method, MethodBody};
 use crate::error::TacError;
-use crate::pipeline::{compress_with, level_ranges, resolve_level_eb_for, LevelRanges};
+use crate::pipeline::{compress_with, resolve_level_eb_for, LevelRanges, Ranges, RANGE_CHUNK};
 use crate::segment::union_range;
 use crate::stream::CompressedLevel;
 use crate::zmesh::{gather_walk, ALL_PLANES};
@@ -105,7 +105,7 @@ pub fn select_auto<T: CodecElement>(
     ds: &AmrDataset<T>,
     cfg: &TacConfig,
 ) -> Result<AutoSelection, TacError> {
-    select_ranged(ds, cfg, &level_ranges(ds))
+    select_ranged(ds, cfg, &Ranges::Scan(RANGE_CHUNK).get(ds, cfg))
 }
 
 /// [`select_auto`] over level ranges already scanned — `Method::Auto`
@@ -144,7 +144,7 @@ fn select_exhaustive<T: CodecElement>(
                 codec,
                 ..cfg.clone()
             };
-            let cd = match compress_with(ds, &trial_cfg, method, Some(ranges)) {
+            let cd = match compress_with(ds, &trial_cfg, method, Ranges::Scanned(ranges)) {
                 Ok(cd) => cd,
                 Err(e) => {
                     // Remember the failure of the choice the fixed

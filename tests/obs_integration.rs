@@ -429,30 +429,39 @@ fn segmented_round_trips_are_attributed_and_counted(session: &tac_obs::ObsSessio
     // span of its own. What `compress` and `serialize` keep for
     // themselves — past the encode tasks and the mask packs — is the
     // plan hand-over, the payload copy and the chunk table. The parse
-    // has a name too, and the mask section is counted as written.
-    let mut share = f64::INFINITY;
-    for _ in 0..3 {
-        let _ = session.take();
-        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
-        let bytes = cd.to_bytes();
-        let snap = session.take();
-        assert_eq!(
-            snap.counter(Counter::StructureBytesOut),
-            cd.structure_bytes() as u64
+    // has a name too, and the mask section is counted as written. At two
+    // workers the plan batch's tasks and the encode tasks run on worker
+    // threads, and the report re-parents them under their `execute`
+    // spans.
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+        let cfg = TacConfig {
+            parallelism,
+            ..cfg.clone()
+        };
+        let mut share = f64::INFINITY;
+        for _ in 0..3 {
+            let _ = session.take();
+            let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+            let bytes = cd.to_bytes();
+            let snap = session.take();
+            assert_eq!(
+                snap.counter(Counter::StructureBytesOut),
+                cd.structure_bytes() as u64
+            );
+            share = share.min(
+                unattributed_under(&snap, Stage::Compress, Stage::Encode)
+                    + unattributed_under(&snap, Stage::Serialize, Stage::Lossless),
+            );
+            let _ = session.take();
+            assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
+            unattributed_under(&session.take(), Stage::Parse, Stage::Lossless);
+        }
+        assert!(
+            share < 0.15,
+            "{:.1}% of a {parallelism:?} Tac compress + to_bytes is unattributed self-time",
+            100.0 * share
         );
-        share = share.min(
-            unattributed_under(&snap, Stage::Compress, Stage::Encode)
-                + unattributed_under(&snap, Stage::Serialize, Stage::Lossless),
-        );
-        let _ = session.take();
-        assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
-        unattributed_under(&session.take(), Stage::Parse, Stage::Lossless);
     }
-    assert!(
-        share < 0.15,
-        "{:.1}% of a Tac compress + to_bytes is unattributed self-time",
-        100.0 * share
-    );
 }
 
 /// A region read of a tiled TAC container — the fine level in region
