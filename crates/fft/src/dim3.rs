@@ -3,10 +3,18 @@
 //! The 3D transform is separable: apply the 1D transform along x, then y,
 //! then z. Lines along each axis are independent, so they are distributed
 //! over std scoped threads (the fork–join idiom the hpc-parallel guides
-//! recommend; rayon is outside the allowed crate set).
+//! recommend; rayon is outside the allowed crate set). Strided y and z
+//! lines are transformed many at a time, as the columns of a row-major
+//! block ([`FftPlan::process_columns`]), so every butterfly streams
+//! contiguous rows; each value still sees exactly the operations of its
+//! own 1D transform, so the result is bit-identical at any worker count.
 
 use crate::complex::Complex;
 use crate::radix2::{Direction, FftPlan};
+
+/// Values (16 bytes each) the z-pass copies out per band: 256 KiB of
+/// scratch, well inside a core's L2.
+const Z_BAND: usize = 1 << 14;
 
 /// A plan for 3D transforms of shape `(nx, ny, nz)`, each a power of two.
 ///
@@ -90,26 +98,15 @@ impl Fft3Plan {
             self.plan_x.process(line, dir);
         });
 
-        // Pass 2: lines along y (stride nx). Gather into a scratch buffer,
-        // transform, scatter back. Parallelized over z-slabs: each z-slab
-        // of size nx*ny is independent.
+        // Pass 2: lines along y are the columns of a z-slab read as ny rows
+        // of nx values, transformed in place. Parallelized over z-slabs:
+        // each z-slab of size nx*ny is independent.
         let slab = nx * ny;
         self.for_each_chunk(data, slab, |zslab| {
-            let mut scratch = vec![Complex::ZERO; ny];
-            for x in 0..nx {
-                for (y, s) in scratch.iter_mut().enumerate() {
-                    *s = zslab[x + nx * y];
-                }
-                self.plan_y.process(&mut scratch, dir);
-                for (y, s) in scratch.iter().enumerate() {
-                    zslab[x + nx * y] = *s;
-                }
-            }
+            self.plan_y.process_columns(zslab, nx, dir);
         });
 
-        // Pass 3: lines along z (stride nx*ny). Parallelized over y-rows:
-        // for a fixed y, the sub-array {(x, y, z) : all x, z} touches
-        // disjoint memory for different y.
+        // Pass 3: lines along z (stride nx*ny).
         if nz > 1 {
             self.for_each_row_z(data, dir);
         }
@@ -121,64 +118,68 @@ impl Fft3Plan {
     where
         F: Fn(&mut [Complex]) + Sync,
     {
-        self.for_each_chunk_indexed(data, chunk, |_, piece| f(piece));
-    }
-
-    /// Like [`Self::for_each_chunk`], but passes each piece's index (its
-    /// position in `data.chunks_exact(chunk)` order) alongside the piece.
-    fn for_each_chunk_indexed<F>(&self, data: &mut [Complex], chunk: usize, f: F)
-    where
-        F: Fn(usize, &mut [Complex]) + Sync,
-    {
         let pieces = data.len() / chunk;
         if self.threads <= 1 || pieces < 2 {
-            for (i, piece) in data.chunks_exact_mut(chunk).enumerate() {
-                f(i, piece);
-            }
+            data.chunks_exact_mut(chunk).for_each(f);
             return;
         }
         let per_worker = pieces.div_ceil(self.threads);
         std::thread::scope(|scope| {
-            for (w, worker_slice) in data.chunks_mut(per_worker * chunk).enumerate() {
+            for worker_slice in data.chunks_mut(per_worker * chunk) {
                 let f = &f;
-                scope.spawn(move || {
-                    for (i, piece) in worker_slice.chunks_exact_mut(chunk).enumerate() {
-                        f(w * per_worker + i, piece);
-                    }
-                });
+                scope.spawn(move || worker_slice.chunks_exact_mut(chunk).for_each(f));
             }
         });
     }
 
     /// Transforms along z. Lines along z interleave in memory (stride
-    /// nx*ny), so the mutable grid cannot be split into disjoint
-    /// per-thread slices directly. Instead: gather every z-line into a
-    /// z-fastest transpose (whose lines ARE contiguous, so they chunk
-    /// disjointly), transform there, and scatter back slab by slab. Each
-    /// phase mutates only contiguous chunks of one array while reading
-    /// the other shared — borrow-checked parallelism, no `unsafe` — at
-    /// the cost of one extra nx*ny*nz scratch buffer.
+    /// nx*ny), so the grid cannot be cut into per-thread z-lines; it is
+    /// cut by columns instead. Each worker owns one range of (x, y)
+    /// positions, the same in every z-slab: `nz` disjoint row pieces of
+    /// the grid, so the split is borrow-checked, with no `unsafe`.
     fn for_each_row_z(&self, data: &mut [Complex], dir: Direction) {
-        let (nx, nz) = (self.nx, self.nz);
-        let slab = nx * self.ny;
-        let mut lines = vec![Complex::ZERO; data.len()];
-        {
-            let src: &[Complex] = data;
-            // Chunk i of `lines` is the z-line through (x, y) with
-            // i = x + nx*y, i.e. source offset i within each z-slab.
-            self.for_each_chunk_indexed(&mut lines, nz, |i, line| {
-                for (z, s) in line.iter_mut().enumerate() {
-                    *s = src[i + slab * z];
+        let slab = self.nx * self.ny;
+        let per_worker = slab.div_ceil(self.threads);
+        let mut owned: Vec<Vec<&mut [Complex]>> = Vec::new();
+        for zslab in data.chunks_exact_mut(slab) {
+            for (w, piece) in zslab.chunks_mut(per_worker).enumerate() {
+                if w == owned.len() {
+                    owned.push(Vec::with_capacity(self.nz));
                 }
-                self.plan_z.process(line, dir);
-            });
-        }
-        let lines = &lines;
-        self.for_each_chunk_indexed(data, slab, |z, zslab| {
-            for (i, d) in zslab.iter_mut().enumerate() {
-                *d = lines[nz * i + z];
+                owned[w].push(piece);
             }
-        });
+        }
+        match owned.as_mut_slice() {
+            [rows] => self.z_columns(rows, dir),
+            workers => std::thread::scope(|scope| {
+                for rows in workers {
+                    scope.spawn(move || self.z_columns(rows, dir));
+                }
+            }),
+        }
+    }
+
+    /// Transforms the columns of `rows` (one piece per z-slab, all one
+    /// width) along z, a band of columns at a time: the band is copied
+    /// into a scratch of at most `Z_BAND` values, transformed there with
+    /// [`FftPlan::process_columns`] and copied back. The scratch is
+    /// reused band after band, so it stays cache-sized whatever the grid.
+    fn z_columns(&self, rows: &mut [&mut [Complex]], dir: Direction) {
+        let nz = self.nz;
+        let width = rows[0].len();
+        let band = (Z_BAND / nz).clamp(1, width);
+        let mut scratch = vec![Complex::ZERO; band * nz];
+        for start in (0..width).step_by(band) {
+            let cols = band.min(width - start);
+            let block = &mut scratch[..cols * nz];
+            for (dst, row) in block.chunks_exact_mut(cols).zip(rows.iter()) {
+                dst.copy_from_slice(&row[start..start + cols]);
+            }
+            self.plan_z.process_columns(block, cols, dir);
+            for (src, row) in block.chunks_exact(cols).zip(rows.iter_mut()) {
+                row[start..start + cols].copy_from_slice(src);
+            }
+        }
     }
 }
 
@@ -221,16 +222,47 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_agree() {
-        let n = 16;
-        let field: Vec<f64> = (0..n * n * n).map(|i| (i as f64 * 0.013).sin()).collect();
-        let mut par: Vec<Complex> = field.iter().map(|&v| Complex::from_real(v)).collect();
-        let mut seq = par.clone();
-        Fft3Plan::cubic(n).process(&mut par, Direction::Forward);
-        Fft3Plan::cubic(n)
-            .with_threads(1)
-            .process(&mut seq, Direction::Forward);
-        for (a, b) in par.iter().zip(&seq) {
-            assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9);
+        // Bit for bit, whatever the worker count: each line goes through
+        // the same operations in the same order as under the 1D plan.
+        // 64x64x16 cuts the z-pass into several bands per worker, the
+        // last one short on 3 workers.
+        for (nx, ny, nz) in [(16, 16, 16), (8, 4, 32), (32, 2, 4), (64, 64, 16)] {
+            let len = nx * ny * nz;
+            let input: Vec<Complex> = (0..len)
+                .map(|i| Complex::new((i as f64 * 0.013).sin(), (i % 7) as f64 - 3.0))
+                .collect();
+            for dir in [Direction::Forward, Direction::Inverse] {
+                // Reference: every line transformed alone by its 1D plan.
+                let mut want = input.clone();
+                for line in want.chunks_exact_mut(nx) {
+                    FftPlan::new(nx).process(line, dir);
+                }
+                for (n, stride) in [(ny, nx), (nz, nx * ny)] {
+                    let plan = FftPlan::new(n);
+                    let block = n * stride;
+                    for start in (0..len).step_by(block) {
+                        for c in 0..stride {
+                            let idx = |k: usize| start + c + k * stride;
+                            let mut line: Vec<Complex> = (0..n).map(|k| want[idx(k)]).collect();
+                            plan.process(&mut line, dir);
+                            for (k, v) in line.into_iter().enumerate() {
+                                want[idx(k)] = v;
+                            }
+                        }
+                    }
+                }
+                for threads in [1, 2, 3, 4] {
+                    let mut got = input.clone();
+                    Fft3Plan::new(nx, ny, nz)
+                        .with_threads(threads)
+                        .process(&mut got, dir);
+                    let bits = |z: &Complex| (z.re.to_bits(), z.im.to_bits());
+                    assert!(
+                        got.iter().map(bits).eq(want.iter().map(bits)),
+                        "{nx}x{ny}x{nz} {dir:?} on {threads} thread(s)"
+                    );
+                }
+            }
         }
     }
 

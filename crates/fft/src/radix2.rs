@@ -85,6 +85,25 @@ impl FftPlan {
     /// Panics if `data.len()` differs from the plan length.
     pub fn process(&self, data: &mut [Complex], dir: Direction) {
         assert_eq!(data.len(), self.n, "buffer length must match plan length");
+        self.process_columns(data, 1, dir);
+    }
+
+    /// Runs the transform in place on every column of `data` read as `n`
+    /// rows of `width` values: column `c` is the line `data[c]`,
+    /// `data[c + width]`, .. . Each value goes through the same
+    /// operations in the same order as under [`Self::process`] of its
+    /// column alone, so the results are bit-identical. Always inlined, so
+    /// `process` runs it with a `width` of 1 known at compile time.
+    ///
+    /// # Panics
+    /// Panics if `data.len()` is not `width` times the plan length.
+    #[inline(always)]
+    pub(crate) fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
+        assert_eq!(
+            data.len(),
+            self.n * width,
+            "buffer length must be width times plan length"
+        );
         let n = self.n;
         if n == 1 {
             return;
@@ -96,11 +115,12 @@ impl FftPlan {
                 *z = z.conj();
             }
         }
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
+        // Bit-reversal permutation, a row at a time.
+        for (i, &j) in self.bitrev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
-                data.swap(i, j);
+                let (head, tail) = data.split_at_mut(j * width);
+                head[i * width..(i + 1) * width].swap_with_slice(&mut tail[..width]);
             }
         }
         // Butterfly stages.
@@ -109,15 +129,17 @@ impl FftPlan {
         while m <= n {
             let half = m / 2;
             let tw = &self.twiddles[tw_base..tw_base + half];
-            let mut start = 0usize;
-            while start < n {
-                for k in 0..half {
-                    let even = data[start + k];
-                    let odd = data[start + k + half] * tw[k];
-                    data[start + k] = even + odd;
-                    data[start + k + half] = even - odd;
+            for block in data.chunks_exact_mut(m * width) {
+                let (lo, hi) = block.split_at_mut(half * width);
+                let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
+                for ((lo, hi), &w) in rows.zip(tw) {
+                    for (a, b) in lo.iter_mut().zip(hi) {
+                        let even = *a;
+                        let odd = *b * w;
+                        *a = even + odd;
+                        *b = even - odd;
+                    }
                 }
-                start += m;
             }
             tw_base += half;
             m <<= 1;

@@ -32,6 +32,11 @@ impl CatalogEntry {
     ///
     /// `scale` divides the paper's grid (use 4 for laptop-sized runs);
     /// `seed` controls the underlying random field.
+    ///
+    /// # Panics
+    /// Panics if `scale` is 0 (it divides the paper's side), or if the
+    /// scaled side is not a power of two (`gaussian_random_field` asserts
+    /// it): any power-of-two `scale` is safe.
     pub fn generate(&self, kind: FieldKind, scale: usize, seed: u64) -> AmrDataset {
         let n = self.scaled_fine_dim(scale);
         let uniform = synthesize(kind, n, seed ^ fxhash(self.name));

@@ -56,56 +56,62 @@ impl SpectrumModel {
 pub fn gaussian_random_field(n: usize, model: &SpectrumModel, seed: u64) -> Vec<f64> {
     assert!(n.is_power_of_two(), "grid side must be a power of two");
     let mut rng = StdRng::seed_from_u64(seed);
-    // Box-Muller white noise (avoids needing rand_distr).
+    // Box-Muller white noise (avoids needing rand_distr). The uniforms
+    // are drawn in stream order, each pair parked as (u1, u2) in the slot
+    // its cosine output takes; the pairs are then transformed in place on
+    // every core, with no second buffer.
     let total = n * n * n;
-    let mut buf: Vec<Complex> = Vec::with_capacity(total);
-    while buf.len() < total {
+    let mut buf = vec![Complex::ZERO; total];
+    for pair in buf.chunks_mut(2) {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        buf.push(Complex::from_real(r * theta.cos()));
-        if buf.len() < total {
-            buf.push(Complex::from_real(r * theta.sin()));
-        }
+        pair[0] = Complex::new(u1, u2);
     }
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    std::thread::scope(|scope| {
+        for chunk in buf.chunks_mut(total.div_ceil(2 * workers) * 2) {
+            scope.spawn(|| {
+                for pair in chunk.chunks_mut(2) {
+                    let (u1, u2) = (pair[0].re, pair[0].im);
+                    let r = (-2.0 * u1.ln()).sqrt();
+                    let theta = 2.0 * std::f64::consts::PI * u2;
+                    pair[0] = Complex::from_real(r * theta.cos());
+                    if let Some(sin) = pair.get_mut(1) {
+                        *sin = Complex::from_real(r * theta.sin());
+                    }
+                }
+            });
+        }
+    });
 
     let plan = Fft3Plan::cubic(n);
     plan.process(&mut buf, Direction::Forward);
 
     // Colour with sqrt(P(k)); zero the DC mode (the mean is set later by
-    // the field transforms).
+    // the field transforms). The filter depends only on the integer
+    // |k|^2 = kx^2 + ky^2 + kz^2 <= 3 (n/2)^2 over signed frequencies, so
+    // it is tabulated once per |k|^2: the table entry is exactly what
+    // evaluating the filter per cell gives, since every |k|^2 is exact
+    // in f64.
     let half = n / 2;
-    for kz in 0..n {
-        let fz = signed_freq(kz, half);
-        for ky in 0..n {
-            let fy = signed_freq(ky, half);
-            for kx in 0..n {
-                let fx = signed_freq(kx, half);
-                let idx = kx + n * (ky + n * kz);
-                let k2 = fx * fx + fy * fy + fz * fz;
-                if k2 == 0.0 {
-                    buf[idx] = Complex::ZERO;
-                } else {
-                    let k = k2.sqrt() / n as f64; // normalized to ~[0, sqrt(3)/2]
-                    buf[idx] = buf[idx] * model.amplitude(k);
-                }
+    let sq: Vec<usize> = (0..n).map(|k| k.min(n - k).pow(2)).collect();
+    let mut amplitude = vec![0.0; 3 * half * half + 1];
+    for (k2, a) in amplitude.iter_mut().enumerate().skip(1) {
+        let k = (k2 as f64).sqrt() / n as f64; // normalized to ~[0, sqrt(3)/2]
+        *a = model.amplitude(k);
+    }
+    for (plane, &z2) in buf.chunks_exact_mut(n * n).zip(&sq) {
+        for (row, &y2) in plane.chunks_exact_mut(n).zip(&sq) {
+            for (c, &x2) in row.iter_mut().zip(&sq) {
+                *c = *c * amplitude[x2 + y2 + z2];
             }
         }
     }
+    buf[0] = Complex::ZERO;
     plan.process(&mut buf, Direction::Inverse);
     let mut field: Vec<f64> = buf.into_iter().map(|z| z.re).collect();
     normalize(&mut field);
     field
-}
-
-#[inline]
-fn signed_freq(k: usize, half: usize) -> f64 {
-    if k <= half {
-        k as f64
-    } else {
-        k as f64 - 2.0 * half as f64
-    }
 }
 
 /// Rescales a field in place to zero mean and unit variance.

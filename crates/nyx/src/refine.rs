@@ -10,7 +10,7 @@
 //! refined regions cluster around the field's peaks, as in the paper's
 //! Fig. 4 — and the densities land within integer rounding of the spec.
 
-use tac_amr::{AmrDataset, AmrLevel};
+use tac_amr::{AmrDataset, AmrLevel, BitMask};
 
 /// Target per-level densities, **fine to coarse** (Table 1 ordering).
 ///
@@ -58,6 +58,33 @@ impl RefinementSpec {
 /// Present coarse cells store the **mean** of the fine values they cover
 /// (the restriction operator); finest-level cells store exact values.
 ///
+/// # Ranking
+///
+/// Levels are assigned coarsest first. A level's candidates are every
+/// cell of the coarsest level, or the children of the cells the level
+/// above refined. Each candidate is ranked by its score: the maximum,
+/// over the finest cells it covers, of the field value times a
+/// deterministic jitter factor. Real refinement criteria (gradient
+/// norms, per-patch thresholds) do not rank-order the domain strictly by
+/// value, so moderate-value regions stay coarse too; the jitter
+/// reproduces that value mixing while keeping densities exact. It is
+/// constant across 8^3-cell patches of the finest grid, and the patch id
+/// `x + n * (y + n * z)` over patch coordinates strides by `n`, not
+/// `n / 8`: that id seeds every generated dataset, so it stays as
+/// written. The jitter only scales the score: refinement is still decided
+/// per cell, so the masks follow the score field cell by cell and can be
+/// speckled wherever it is — unlike AMReX, which refines whole
+/// box-aligned patches.
+///
+/// The level's target count of lowest-ranked candidates stays present
+/// and the rest refine. Candidates are ordered by score, then by flat
+/// index, with scores compared by [`f64::total_cmp`] after `-0.0` is
+/// made `+0.0` and every NaN one positive NaN, so a NaN score ranks
+/// above every number and refines first. Block maxima skip NaN cells
+/// (an all-NaN block scores `f64::MIN`), so a field holding NaN builds
+/// like any other. The finest level keeps every candidate it gets, so
+/// it is never ranked.
+///
 /// # Panics
 /// Panics if `n` is not divisible by `2^(levels-1)` or the data length is
 /// wrong.
@@ -75,122 +102,139 @@ pub fn build_amr(
         levels - 1
     );
 
-    // Per-level score pyramids (block maxima) and mean pyramids
-    // (restriction values), finest first. The score is the field value
-    // times a deterministic jitter factor: real refinement criteria
-    // (gradient norms, per-patch thresholds) do not rank-order the domain
-    // strictly by value, so moderate-value regions stay coarse too. The
-    // jitter reproduces that value mixing while keeping densities exact.
-    let mut score_pyramid: Vec<Vec<f64>> = Vec::with_capacity(levels);
-    let mut mean_pyramid: Vec<Vec<f64>> = Vec::with_capacity(levels);
-    // Jitter is constant across 8^3-cell patches of the finest grid (the
-    // `>> 3` below). It only scales the score: refinement is still decided
-    // per cell, each level ranking its individual cells, so the masks
-    // follow the score field cell by cell and can be speckled wherever it
-    // is — unlike AMReX, which refines whole box-aligned patches.
-    let jittered: Vec<f64> = uniform
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            let x = (i % n) >> 3;
-            let y = ((i / n) % n) >> 3;
-            let z = (i / (n * n)) >> 3;
-            let patch = (x + n * (y + n * z)) as u64;
-            // splitmix64 of the patch id -> uniform in [-1, 1).
-            let mut h = patch.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            h ^= h >> 31;
-            let u = (h >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
-            v * (0.6 * u).exp()
-        })
-        .collect();
-    score_pyramid.push(jittered);
-    mean_pyramid.push(uniform.to_vec());
-    for l in 1..levels {
+    // Score (block maxima) and mean (restriction values) pyramids for
+    // levels 1.., finest first; level 0's are the jittered field and
+    // `uniform` itself, which nothing needs materialised.
+    let mut scores: Vec<Vec<f64>> = Vec::with_capacity(levels - 1);
+    let mut means: Vec<Vec<f64>> = Vec::with_capacity(levels - 1);
+    if levels > 1 {
+        let jitter = patch_jitter(n);
+        let patches = n.div_ceil(8);
+        scores.push(coarsen(uniform, n, |[x, y, z], cells| {
+            // A level-1 cell's 2^3 block lies inside one 8^3 patch.
+            let factor = jitter[(x >> 2) + patches * ((y >> 2) + patches * (z >> 2))];
+            cells.iter().fold(f64::MIN, |s, &v| s.max(v * factor))
+        }));
+        means.push(coarsen(uniform, n, block_mean));
+    }
+    for l in 2..levels {
         let fine_dim = n >> (l - 1);
-        let dim = n >> l;
-        let finer_score = &score_pyramid[l - 1];
-        let finer_mean = &mean_pyramid[l - 1];
-        let mut score = vec![f64::MIN; dim * dim * dim];
-        let mut mean = vec![0.0f64; dim * dim * dim];
-        for z in 0..fine_dim {
-            for y in 0..fine_dim {
-                for x in 0..fine_dim {
-                    let src = x + fine_dim * (y + fine_dim * z);
-                    let dst = (x / 2) + dim * ((y / 2) + dim * (z / 2));
-                    score[dst] = score[dst].max(finer_score[src]);
-                    mean[dst] += finer_mean[src] * 0.125;
-                }
-            }
-        }
-        score_pyramid.push(score);
-        mean_pyramid.push(mean);
+        scores.push(coarsen(&scores[l - 2], fine_dim, |_, cells| {
+            cells.iter().fold(f64::MIN, |s, &v| s.max(v))
+        }));
+        means.push(coarsen(&means[l - 2], fine_dim, block_mean));
     }
 
-    // Integer targets per level (how many cells stay *present*). The
-    // finest level absorbs all remaining coverage.
-    let mut targets: Vec<usize> = (0..levels)
-        .map(|l| {
-            let dim = n >> l;
-            (spec.densities[l] * (dim * dim * dim) as f64).round() as usize
-        })
-        .collect();
-
-    // Top-down assignment, coarsest first. `candidates` holds flat cell
-    // indices of the current level still unassigned.
-    let mut amr_levels: Vec<AmrLevel> = (0..levels).map(|l| AmrLevel::empty(n >> l)).collect();
-    let coarsest = levels - 1;
-    let coarsest_dim = n >> coarsest;
-    let mut candidates: Vec<usize> = (0..coarsest_dim * coarsest_dim * coarsest_dim).collect();
-
-    for l in (0..levels).rev() {
+    // Top-down assignment, coarsest first, of every level but the finest.
+    // `candidates` marks the current level's cells still unassigned.
+    let mut amr_levels: Vec<AmrLevel> = Vec::with_capacity(levels);
+    let coarsest_dim = n >> (levels - 1);
+    let mut candidates = BitMask::ones(coarsest_dim * coarsest_dim * coarsest_dim);
+    for l in (1..levels).rev() {
         let dim = n >> l;
-        if l == 0 {
-            // Finest level keeps everything still on the table.
-            targets[0] = candidates.len();
+        let cells = dim * dim * dim;
+        let (scores, means) = (&scores[l - 1], &means[l - 1]);
+        let mut ranked: Vec<(f64, usize)> = candidates
+            .iter_ones()
+            .map(|cell| (rank_key(scores[cell]), cell))
+            .collect();
+        let target = (spec.densities[l] * cells as f64).round() as usize;
+        let keep = target.min(ranked.len());
+        // Only which candidates stay matters, not their order, and the
+        // order is total (indices are distinct): a selection suffices.
+        let by_rank = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        if keep < ranked.len() {
+            ranked.select_nth_unstable_by(keep, by_rank);
         }
-        let keep = targets[l].min(candidates.len());
-        // Highest score refines; keep the lowest-score cells here. Sorting
-        // by (score, index) makes the construction deterministic.
-        let scores = &score_pyramid[l];
-        candidates.sort_by(|&a, &b| {
-            scores[a]
-                .partial_cmp(&scores[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let means = &mean_pyramid[l];
-        for &cell in candidates.iter().take(keep) {
-            let x = cell % dim;
-            let y = (cell / dim) % dim;
-            let z = cell / (dim * dim);
-            amr_levels[l].set_value(x, y, z, means[cell]);
+        let mut data = vec![0.0f64; cells];
+        let mut present = BitMask::zeros(cells);
+        for &(_, cell) in &ranked[..keep] {
+            data[cell] = means[cell];
+            present.set(cell, true);
         }
-        if l == 0 {
-            break;
+        let mut refined = BitMask::zeros(cells);
+        for &(_, cell) in &ranked[keep..] {
+            refined.set(cell, true);
         }
-        // Refined cells spawn 8 children as next-level candidates.
-        let child_dim = dim * 2;
-        let mut next = Vec::with_capacity((candidates.len() - keep) * 8);
-        for &cell in candidates.iter().skip(keep) {
-            let x = cell % dim;
-            let y = (cell / dim) % dim;
-            let z = cell / (dim * dim);
-            for dz in 0..2 {
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        next.push(
-                            (2 * x + dx) + child_dim * ((2 * y + dy) + child_dim * (2 * z + dz)),
-                        );
-                    }
-                }
-            }
-        }
-        candidates = next;
+        amr_levels.push(AmrLevel::new(dim, data, present));
+        candidates = refined.upsample2(dim);
     }
 
+    // The finest level keeps everything still on the table.
+    let mut data = vec![0.0f64; n * n * n];
+    for (start, len) in candidates.runs() {
+        data[start..start + len].copy_from_slice(&uniform[start..start + len]);
+    }
+    amr_levels.push(AmrLevel::new(n, data, candidates));
+    amr_levels.reverse();
     AmrDataset::new(name, amr_levels)
+}
+
+/// The jitter factor `exp(0.6 u)` of every 8^3 patch of an `n^3` grid,
+/// indexed by patch coordinates `px + p * (py + p * pz)` with
+/// `p = ceil(n / 8)`. `u` in [-1, 1) is the splitmix64 hash of the patch
+/// id `px + n * (py + n * pz)`.
+fn patch_jitter(n: usize) -> Vec<f64> {
+    let patches = n.div_ceil(8);
+    let mut jitter = Vec::with_capacity(patches * patches * patches);
+    for z in 0..patches {
+        for y in 0..patches {
+            for x in 0..patches {
+                let patch = (x + n * (y + n * z)) as u64;
+                let mut h = patch.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                h ^= h >> 31;
+                let u = (h >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+                jitter.push((0.6 * u).exp());
+            }
+        }
+    }
+    jitter
+}
+
+/// One grid level coarser: cell `[x, y, z]` of the `(fine_dim / 2)^3`
+/// result is `block(cell, children)`, its eight children of `fine` in
+/// (z, y, x) order, x fastest.
+fn coarsen(
+    fine: &[f64],
+    fine_dim: usize,
+    mut block: impl FnMut([usize; 3], [f64; 8]) -> f64,
+) -> Vec<f64> {
+    let dim = fine_dim / 2;
+    let mut out = Vec::with_capacity(dim * dim * dim);
+    for z in 0..dim {
+        for y in 0..dim {
+            let row = |dy: usize, dz: usize| {
+                let start = fine_dim * (2 * y + dy + fine_dim * (2 * z + dz));
+                fine[start..start + fine_dim].chunks_exact(2)
+            };
+            let rows = row(0, 0).zip(row(1, 0)).zip(row(0, 1)).zip(row(1, 1));
+            for (x, (((a, b), c), d)) in rows.enumerate() {
+                let cells = [a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1]];
+                out.push(block([x, y, z], cells));
+            }
+        }
+    }
+    out
+}
+
+/// A block's restriction value: the children's mean, summed in order.
+fn block_mean(_: [usize; 3], cells: [f64; 8]) -> f64 {
+    cells.iter().fold(0.0, |m, &v| m + v * 0.125)
+}
+
+/// A score as a ranking key for [`f64::total_cmp`]: `-0.0` becomes
+/// `+0.0` and every NaN one positive NaN, so keys compare as `partial_cmp`
+/// compares their scores wherever that is defined.
+fn rank_key(score: f64) -> f64 {
+    if score.is_nan() {
+        f64::NAN.abs()
+    } else if score == 0.0 {
+        0.0
+    } else {
+        score
+    }
 }
 
 #[cfg(test)]
@@ -279,6 +323,42 @@ mod tests {
         let b = build_amr("b", &field, n, &spec);
         for (x, y) in a.levels().iter().zip(b.levels()) {
             assert_eq!(x, y);
+        }
+    }
+
+    #[test]
+    fn nan_sprinkled_fields_build() {
+        // NaN cells of either sign: the ranking must stay a total order
+        // (the sort used to panic on them) and the build deterministic.
+        let n = 32;
+        let spec = RefinementSpec::new(vec![0.1, 0.3, 0.6]);
+        for seed in 0..8u64 {
+            let mut field = test_field(n, 100 + seed);
+            let mut h = seed;
+            for k in 0..200 {
+                h = h
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let cell = (h >> 33) as usize % field.len();
+                field[cell] = if k % 2 == 0 { f64::NAN } else { -f64::NAN };
+            }
+            let a = build_amr("nan", &field, n, &spec);
+            a.validate().unwrap();
+            for (got, want) in a.densities().iter().zip(spec.densities()) {
+                assert!(
+                    (got - want).abs() < 0.01,
+                    "seed {seed}: density {got} vs {want}"
+                );
+            }
+            let b = build_amr("nan", &field, n, &spec);
+            for (x, y) in a.levels().iter().zip(b.levels()) {
+                assert_eq!(x.mask(), y.mask());
+                assert!(x
+                    .data()
+                    .iter()
+                    .zip(y.data())
+                    .all(|(p, q)| p.to_bits() == q.to_bits()));
+            }
         }
     }
 
