@@ -214,12 +214,15 @@ impl MinMax {
         self.fold(chunks.remainder());
     }
 
-    /// Folds up to [`MinMax::LANES`] values, one per lane.
+    /// Folds up to [`MinMax::LANES`] values, one per lane. Lanes are
+    /// indexed, not zipped: optimised code is the same, and an
+    /// unoptimised (test) build runs about twice as fast.
     #[inline]
     fn fold<T: Element>(&mut self, values: &[T]) {
-        for ((lo, hi), v) in self.lo.iter_mut().zip(&mut self.hi).zip(values) {
-            *lo = lo.min(v.to_f64());
-            *hi = hi.max(v.to_f64());
+        for (lane, v) in values.iter().enumerate().take(Self::LANES) {
+            let x = v.to_f64();
+            self.lo[lane] = self.lo[lane].min(x);
+            self.hi[lane] = self.hi[lane].max(x);
         }
     }
 

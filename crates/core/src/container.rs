@@ -401,7 +401,6 @@ impl CompressedDataset {
     /// levels, an uncovered cell, a side that does not halve) stores
     /// every mask.
     fn write_masks(&self, w: &mut Writer) {
-        let _pack = tac_obs::span(tac_obs::Stage::Lossless);
         let implied = self.masks.split_first().is_some_and(|(finest, coarser)| {
             implied_finest_mask(coarser, self.finest_dim).as_ref() == Some(finest)
         });
@@ -410,6 +409,9 @@ impl CompressedDataset {
         } else {
             MASKS_STORED
         });
+        // The span times the packs alone; the implied-mask check above
+        // is serialization work.
+        let _pack = tac_obs::span(tac_obs::Stage::Lossless);
         for m in self.masks.iter().skip(usize::from(implied)) {
             w.put_blob(&tac_sz::lossless::compress(&m.to_bytes()));
         }

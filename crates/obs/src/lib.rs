@@ -182,6 +182,12 @@ pub enum Counter {
     SzBlocksLorenzo,
     /// SZ blocks predicted with the regression predictor.
     SzBlocksRegression,
+    /// Payload bytes SZ offered to its lossless (LZSS) stage.
+    SzLosslessBytesIn,
+    /// Payload bytes, of those offered, whose LZSS pack SZ kept because
+    /// it was smaller; the rest of `sz_lossless_bytes_in` was packed
+    /// and thrown away.
+    SzLosslessBytesKept,
     /// PcoLite pages emitted.
     PcoPages,
     /// PcoLite in-page patched outliers.
@@ -235,6 +241,8 @@ impl Counter {
         Counter::SzQuantMisses,
         Counter::SzBlocksLorenzo,
         Counter::SzBlocksRegression,
+        Counter::SzLosslessBytesIn,
+        Counter::SzLosslessBytesKept,
         Counter::PcoPages,
         Counter::PcoOutliers,
         Counter::PcoExceptions,
@@ -273,6 +281,8 @@ impl Counter {
             Counter::SzQuantMisses => "sz_quant_misses",
             Counter::SzBlocksLorenzo => "sz_blocks_lorenzo",
             Counter::SzBlocksRegression => "sz_blocks_regression",
+            Counter::SzLosslessBytesIn => "sz_lossless_bytes_in",
+            Counter::SzLosslessBytesKept => "sz_lossless_bytes_kept",
             Counter::PcoPages => "pco_pages",
             Counter::PcoOutliers => "pco_outliers",
             Counter::PcoExceptions => "pco_exceptions",

@@ -19,6 +19,57 @@ use crate::regression::RegressionContext;
 use crate::wire::ByteReader;
 use tac_dtype::{Element, TacDtype};
 
+/// The entropy and lossless stages of a stream, both ways. The
+/// pipeline is generic over them so the differential tests can run the
+/// stages every stream used to go through behind the same front end;
+/// [`Shipped`] is the only back end outside tests.
+trait BackEnd {
+    /// Writes the Huffman table of `symbols` to `table` and returns
+    /// their bits and bit length.
+    fn encode_symbols(symbols: &[u32], table: &mut Vec<u8>) -> (Vec<u8>, u64);
+    /// Decodes `n` symbols from `bits`, which holds `bit_len` valid bits.
+    fn decode_symbols(
+        code: &HuffmanCode,
+        bits: &[u8],
+        bit_len: u64,
+        n: usize,
+    ) -> Result<Vec<u32>, SzError>;
+    /// The LZSS pack of a payload.
+    fn pack(payload: &[u8]) -> Vec<u8>;
+    /// The payload of an LZSS-packed body.
+    fn unpack(body: &[u8]) -> Result<Vec<u8>, SzError>;
+}
+
+/// The back end every stream is written and read with.
+struct Shipped;
+
+impl BackEnd for Shipped {
+    fn encode_symbols(symbols: &[u32], table: &mut Vec<u8>) -> (Vec<u8>, u64) {
+        let huffman = HuffmanCode::from_symbols(symbols);
+        huffman.serialize_table(table);
+        let mut writer = BitWriter::with_capacity(symbols.len() / 4);
+        huffman.encode(symbols, &mut writer);
+        writer.finish()
+    }
+
+    fn decode_symbols(
+        code: &HuffmanCode,
+        bits: &[u8],
+        bit_len: u64,
+        n: usize,
+    ) -> Result<Vec<u32>, SzError> {
+        code.decode(&mut BitReader::new(bits, bit_len)?, n)
+    }
+
+    fn pack(payload: &[u8]) -> Vec<u8> {
+        lossless::compress(payload)
+    }
+
+    fn unpack(body: &[u8]) -> Result<Vec<u8>, SzError> {
+        lossless::decompress(body)
+    }
+}
+
 /// Per-point behaviour plugged into the shared traversal.
 ///
 /// Generic over the element type: predictions are always `f64` working
@@ -226,6 +277,15 @@ pub fn compress_with_recon_t<T: Element>(
     dims: Dims,
     cfg: &SzConfig,
 ) -> Result<(Vec<u8>, Vec<T>), SzError> {
+    compress_with::<T, Shipped>(data, dims, cfg)
+}
+
+/// [`compress_with_recon_t`] over the back end `B`.
+fn compress_with<T: Element, B: BackEnd>(
+    data: &[T],
+    dims: Dims,
+    cfg: &SzConfig,
+) -> Result<(Vec<u8>, Vec<T>), SzError> {
     dims.validate(data.len())?;
     cfg.validate()?;
     let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -287,21 +347,15 @@ pub fn compress_with_recon_t<T: Element>(
 
     // Payload: raw count + raw values (element-native width) + predictor
     // section + Huffman table + bit length + bits.
-    let entropy_span = tac_obs::span(tac_obs::Stage::Entropy);
-    let huffman = HuffmanCode::from_symbols(&symbols);
-    let mut writer = BitWriter::with_capacity(symbols.len() / 4);
-    huffman.encode(&symbols, &mut writer);
-    let (bits, bit_len) = writer.finish();
-    drop(entropy_span);
+    let mut table = Vec::new();
+    let (bits, bit_len) = {
+        let _entropy = tac_obs::span(tac_obs::Stage::Entropy);
+        B::encode_symbols(&symbols, &mut table)
+    };
 
     // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory section lengths; a wrong guess only costs a reallocation.
     let mut payload = Vec::with_capacity(
-        8 + raws.len() * T::WIRE_BYTES
-            + pred_section.len()
-            + 8
-            + huffman.table_size()
-            + 8
-            + bits.len(),
+        8 + raws.len() * T::WIRE_BYTES + pred_section.len() + 8 + table.len() + 8 + bits.len(),
     );
     payload.extend_from_slice(&(raws.len() as u64).to_le_bytes());
     for &r in &raws {
@@ -309,7 +363,7 @@ pub fn compress_with_recon_t<T: Element>(
     }
     payload.extend_from_slice(&(pred_section.len() as u64).to_le_bytes());
     payload.extend_from_slice(&pred_section);
-    huffman.serialize_table(&mut payload);
+    payload.extend_from_slice(&table);
     payload.extend_from_slice(&bit_len.to_le_bytes());
     payload.extend_from_slice(&bits);
 
@@ -320,9 +374,13 @@ pub fn compress_with_recon_t<T: Element>(
     let body = if cfg.lossless {
         let packed = {
             let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
-            lossless::compress(&payload)
+            B::pack(&payload)
         };
+        // The pack is kept only when it is smaller: the two counters
+        // show how much of the stage's input was worth packing.
+        tac_obs::add_bytes(tac_obs::Counter::SzLosslessBytesIn, payload.len());
         if packed.len() < payload.len() {
+            tac_obs::add_bytes(tac_obs::Counter::SzLosslessBytesKept, payload.len());
             flags |= FLAG_LOSSLESS;
             packed
         } else {
@@ -357,6 +415,11 @@ pub fn decompress(bytes: &[u8]) -> Result<(Vec<f64>, Dims), SzError> {
 
 /// Element-generic [`decompress`]: the stream's dtype flag must match `T`.
 pub fn decompress_t<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError> {
+    decompress_with::<T, Shipped>(bytes)
+}
+
+/// [`decompress_t`] over the back end `B`.
+fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError> {
     let (header, consumed) = Header::decode(bytes)?;
     if header.dtype() != T::DTYPE {
         return Err(SzError::UnsupportedFormat(format!(
@@ -372,7 +435,7 @@ pub fn decompress_t<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError>
     let payload: &[u8] = if header.flags & FLAG_LOSSLESS != 0 {
         payload_owned = {
             let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
-            lossless::decompress(body)?
+            B::unpack(body)?
         };
         &payload_owned
     } else {
@@ -462,8 +525,7 @@ pub fn decompress_t<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError>
             "{n} points cannot decode from a {bit_len}-bit stream"
         )));
     }
-    let mut reader = BitReader::new(r.rest(), bit_len)?;
-    let symbols = huffman.decode(&mut reader, n)?;
+    let symbols = B::decode_symbols(&huffman, r.rest(), bit_len, n)?;
     drop(entropy_span);
 
     let quantizer = Quantizer::new(header.abs_eb, header.capacity as usize);
@@ -539,6 +601,201 @@ mod tests {
                     b.to_bits(),
                     "non-finite point {i} must be exact"
                 );
+            }
+        }
+    }
+
+    /// The back end every stream went through before the table kernels
+    /// and the chain ring.
+    struct Reference;
+
+    impl BackEnd for Reference {
+        fn encode_symbols(symbols: &[u32], table: &mut Vec<u8>) -> (Vec<u8>, u64) {
+            let huffman = crate::huffman::reference::HuffmanCode::from_symbols(symbols);
+            huffman.serialize_table(table);
+            let mut writer = crate::bitstream::reference::BitWriter::with_capacity(0);
+            huffman.encode(symbols, &mut writer);
+            writer.finish()
+        }
+
+        fn decode_symbols(
+            code: &HuffmanCode,
+            bits: &[u8],
+            bit_len: u64,
+            n: usize,
+        ) -> Result<Vec<u32>, SzError> {
+            let mut reader = crate::bitstream::reference::BitReader::new(bits, bit_len)?;
+            crate::huffman::reference::HuffmanCode::from_table(code).decode(&mut reader, n)
+        }
+
+        fn pack(payload: &[u8]) -> Vec<u8> {
+            lossless::reference::compress(payload)
+        }
+
+        fn unpack(body: &[u8]) -> Result<Vec<u8>, SzError> {
+            lossless::reference::decompress(body)
+        }
+    }
+
+    /// One input per rank, smooth with a few spikes so the streams
+    /// carry raw values and a range of code lengths.
+    fn rank_inputs() -> Vec<(Vec<f64>, Dims)> {
+        let spiky = |n: usize| -> Vec<f64> {
+            let mut v = smooth_3d(16);
+            v.truncate(n);
+            for k in (0..n).step_by(97) {
+                v[k] += 50.0 * ((k % 7) as f64 - 3.0);
+            }
+            v
+        };
+        vec![
+            (spiky(3000), Dims::D1(3000)),
+            (spiky(40 * 30), Dims::D2(40, 30)),
+            (spiky(16 * 16 * 16), Dims::D3(16, 16, 16)),
+            (spiky(6 * 7 * 8 * 3), Dims::D4(6, 7, 8, 3)),
+        ]
+    }
+
+    fn configs() -> Vec<SzConfig> {
+        vec![
+            SzConfig::abs(1e-3),
+            SzConfig::abs(1e-3).without_lossless(),
+            SzConfig::rel(1e-5),
+            SzConfig::rel(1e-2).without_regression(),
+            SzConfig::abs(1e-4).with_capacity(64),
+        ]
+    }
+
+    fn same_streams<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig) {
+        let (a, ra) = compress_with::<T, Shipped>(data, dims, cfg).unwrap();
+        let (b, rb) = compress_with::<T, Reference>(data, dims, cfg).unwrap();
+        assert!(a == b, "{dims:?} {cfg:?}: stream differs");
+        assert!(
+            ra == rb
+                || ra
+                    .iter()
+                    .zip(&rb)
+                    .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits())
+        );
+        let (x, _) = decompress_with::<T, Shipped>(&a).unwrap();
+        let (y, _) = decompress_with::<T, Reference>(&a).unwrap();
+        assert!(x
+            .iter()
+            .zip(&y)
+            .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits()));
+    }
+
+    #[test]
+    fn streams_match_reference_back_end() {
+        for (data, dims) in rank_inputs() {
+            let data32: Vec<f32> = data.iter().map(|&v| v as f32).collect();
+            for cfg in configs() {
+                same_streams::<f64>(&data, dims, &cfg);
+                same_streams::<f32>(&data32, dims, &cfg);
+            }
+        }
+        // A constant field (one-symbol alphabet) and white noise (wide).
+        same_streams::<f64>(&[7.25; 4096], Dims::D3(16, 16, 16), &SzConfig::rel(1e-4));
+        let noise: Vec<f64> = (0..4096u64)
+            .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) >> 11) as f64 / (1u64 << 53) as f64)
+            .collect();
+        for cfg in [SzConfig::abs(1e-9), SzConfig::abs(1e-3)] {
+            same_streams::<f64>(&noise, Dims::D1(4096), &cfg);
+        }
+    }
+
+    /// Streams past the chain ring's window and with long-tailed code
+    /// lengths; a release build (CI's release step) runs them at 2^20
+    /// values, a debug build at 2^14.
+    #[test]
+    fn large_streams_match_reference_back_end() {
+        let n = if cfg!(debug_assertions) {
+            1 << 14
+        } else {
+            1 << 20
+        };
+        let data: Vec<f64> = (0..n)
+            .map(|i| {
+                let x = i as f64;
+                (x * 1e-3).sin() * 40.0 + (x * 0.37).cos() + ((i * 7919) % 1009) as f64 * 1e-3
+            })
+            .collect();
+        for cfg in [SzConfig::rel(1e-5), SzConfig::rel(1e-3)] {
+            same_streams::<f64>(&data, Dims::D1(n), &cfg);
+        }
+        let side = if cfg!(debug_assertions) { 24 } else { 96 };
+        let cube: Vec<f32> = data
+            .iter()
+            .take(side * side * side)
+            .map(|&v| v as f32)
+            .collect();
+        same_streams::<f32>(&cube, Dims::D3(side, side, side), &SzConfig::rel(1e-4));
+    }
+
+    /// Every truncation and every single-byte mutation (four flips per
+    /// byte) of a few packed streams decodes as the reference back end
+    /// does: the same values or the same error kind. The one change: an
+    /// LZSS body with bytes after its last token is `Corrupt`, where the
+    /// reference read it.
+    #[test]
+    fn decode_errors_match_reference_back_end() {
+        let d3 = smooth_3d(6);
+        let mut streams = vec![
+            compress(&d3, Dims::D3(6, 6, 6), &SzConfig::abs(1e-3)).unwrap(),
+            compress(&d3, Dims::D1(216), &SzConfig::abs(1e-2).without_lossless()).unwrap(),
+            compress(&d3, Dims::D4(3, 4, 6, 3), &SzConfig::abs(1e-4)).unwrap(),
+        ];
+        let d32: Vec<f32> = d3.iter().map(|&v| v as f32).collect();
+        streams.push(compress_t(&d32, Dims::D2(12, 18), &SzConfig::abs(1e-3)).unwrap());
+        assert!(streams.iter().any(|s| s[5] & FLAG_LOSSLESS != 0));
+        fn check<T: Element>(s: &[u8]) {
+            let a = decompress_with::<T, Shipped>(s);
+            let b = decompress_with::<T, Reference>(s);
+            match (&a, &b) {
+                (Ok((x, dx)), Ok((y, dy))) => {
+                    assert_eq!(dx, dy);
+                    assert!(x
+                        .iter()
+                        .zip(y)
+                        .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits()));
+                }
+                (Err(x), Err(y)) => {
+                    assert_eq!(
+                        std::mem::discriminant(x),
+                        std::mem::discriminant(y),
+                        "{x} / {y}"
+                    );
+                }
+                (Err(SzError::Corrupt(_)), Ok(_)) => {
+                    // Only the LZSS layer may tell them apart.
+                    let (_, at) = Header::decode(s).unwrap();
+                    let body = &s[at..];
+                    assert!(lossless::decompress(body).is_err());
+                    let payload = lossless::reference::decompress(body).unwrap();
+                    assert!((0..body.len())
+                        .any(|p| lossless::decompress(&body[..p]).is_ok_and(|q| q == payload)));
+                }
+                _ => panic!("shipped {a:?} vs reference {b:?}"),
+            }
+        }
+        for s in &streams {
+            let f32_stream = stream_dtype(s) == Some(TacDtype::F32);
+            let run = |m: &[u8]| {
+                if f32_stream {
+                    check::<f32>(m)
+                } else {
+                    check::<f64>(m)
+                }
+            };
+            for cut in 0..s.len() {
+                run(&s[..cut]);
+            }
+            for k in 0..s.len() {
+                for flip in [0x01u8, 0x10, 0x80, 0xFF] {
+                    let mut m = s.clone();
+                    m[k] ^= flip;
+                    run(&m);
+                }
             }
         }
     }
