@@ -3,7 +3,7 @@
 
 use crate::error::TacError;
 use serde::{Deserialize, Serialize};
-use tac_codec::{CodecConfig, CodecId};
+use tac_codec::CodecId;
 use tac_par::Parallelism;
 use tac_sz::ErrorBound;
 
@@ -114,16 +114,11 @@ pub struct TacConfig {
     pub adaptive_3d_switch: bool,
     /// Scalar-codec backend every payload stream compresses through
     /// (see [`tac_codec::ScalarCodec`]). The default, [`CodecId::Sz`],
-    /// reproduces the paper's SZ substrate; [`CodecId::PcoLite`] swaps
-    /// in the pcodec-style delta + bit-packing backend.
+    /// reproduces the paper's SZ substrate; [`CodecId::PcoAns`] swaps in
+    /// the pcodec-style front end with a tabled-ANS entropy stage (the
+    /// codec four of the five benchmark workloads run), and
+    /// [`CodecId::PcoLite`] the same front end with plain bit-packing.
     pub codec: CodecId,
-    /// Quantizer capacity handed to the SZ substrate.
-    pub sz_capacity: usize,
-    /// Whether SZ's lossless backend runs.
-    pub sz_lossless: bool,
-    /// Whether SZ's block-regression predictor runs (SZ2-style; disable
-    /// for SZ-1.4-style pure Lorenzo).
-    pub sz_regression: bool,
     /// Worker budget for the block-sharded compression engine. The
     /// engine shards the dataset into per-level, per-region tasks and
     /// runs them on this many work-stealing threads; output bytes are
@@ -154,9 +149,6 @@ impl Default for TacConfig {
             forced_strategy: None,
             adaptive_3d_switch: false,
             codec: CodecId::Sz,
-            sz_capacity: 65536,
-            sz_lossless: true,
-            sz_regression: true,
             parallelism: Parallelism::Auto,
             roi_tile: None,
             auto: AutoParams::default(),
@@ -275,18 +267,6 @@ impl TacConfig {
         }
         Ok(())
     }
-
-    /// The backend-agnostic codec configuration for a given resolved
-    /// absolute bound (what the engine hands to
-    /// [`tac_codec::ScalarCodec::compress`]).
-    pub(crate) fn codec_config(&self, abs_eb: f64) -> CodecConfig {
-        CodecConfig {
-            abs_eb,
-            capacity: self.sz_capacity,
-            lossless: self.sz_lossless,
-            regression: self.sz_regression,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -390,8 +370,5 @@ mod tests {
         let c = TacConfig::default().with_codec(CodecId::PcoLite);
         assert_eq!(c.codec, CodecId::PcoLite);
         assert!(c.validate().is_ok());
-        let cc = c.codec_config(1e-3);
-        assert_eq!(cc.abs_eb, 1e-3);
-        assert_eq!(cc.capacity, c.sz_capacity);
     }
 }

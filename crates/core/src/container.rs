@@ -7,7 +7,7 @@
 //! stores box lists outside the field data), and the method-specific
 //! payload.
 //!
-//! # One writer, five readers
+//! # One writer, one reader
 //!
 //! [`CompressedDataset::to_bytes`] is the only serializer and **v5** the
 //! only version it writes:
@@ -46,8 +46,8 @@
 //! ever written, to the same in-memory container:
 //!
 //! * **v1** — the original monolithic layout: payload streams inline,
-//!   decodable only front to back. The scalar codec and element type are
-//!   recovered from self-describing level tags and stream magics.
+//!   found by walking the body front to back. The scalar codec and
+//!   element type are recovered from level tags and stream magics.
 //! * **v2** — the chunked layout without codec or dtype bytes: every
 //!   stream is SZ over `f64`.
 //! * **v3** — v2 plus a scalar-codec byte ([`CodecId`]) per level in
@@ -55,6 +55,12 @@
 //! * **v4** — v3 plus one element-type byte ([`TacDtype`]) in the
 //!   header and per chunk-table row.
 //! * **v5** — v4 plus the `mask_mode` byte; rows stay v4 rows.
+//!
+//! Every version parses to one layout: method metadata, one chunk row
+//! per stream, and the payload the rows point into. A v1 body has no
+//! chunk table, so its walker emits the rows the writer would record for
+//! the same streams. One validator then holds every row to the rules
+//! below, for `from_bytes` and [`crate::roi::decompress_region_t`] alike.
 //!
 //! Nothing in the workspace writes v1–v4 any more. Their readers are
 //! held by the frozen containers under `tests/data/` (`golden_*` and
@@ -92,13 +98,13 @@
 //! body with a clean chunk-count error ("expected exactly one chunk"),
 //! never a misdecode. Where the cuts fall is the writer's business (a
 //! fixed value budget, `segment::SEGMENT_BUDGET`): readers take every
-//! cut from the table and depend on no constant. (v1 bodies carry
-//! segments too; see [`read_segments_v1`].)
+//! cut from the table and depend on no constant. (A v1 body records its
+//! cuts inline; its walker turns them into these rows.)
 
 use crate::config::Strategy;
 use crate::error::TacError;
 use crate::segment::{planes_of_rows, Segment};
-use crate::stream::{BlockGroup, CompressedLevel, LevelPayload, Reader, Writer};
+use crate::stream::{v1_level_tag, BlockGroup, CompressedLevel, LevelPayload, Reader, Writer};
 use crate::zmesh::{level_dim, refinement};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -269,7 +275,7 @@ impl MethodBody {
 
 /// Accounted size of a segment list: every stream behind a `u64`
 /// length prefix, plus — past one segment — a `u32` count and one `u32`
-/// plane cut per segment (the framing [`read_segments_v1`] reads).
+/// plane cut per segment (the framing of a v1 body).
 // tac-lint: allow(arith) -- size accounting over in-memory streams already held in RAM; the sums cannot exceed what was allocated.
 fn segments_bytes(segments: &[Segment]) -> usize {
     let framing = match segments.len() {
@@ -277,45 +283,6 @@ fn segments_bytes(segments: &[Segment]) -> usize {
         n => 4 + 4 * n,
     };
     framing + segments.iter().map(|s| 8 + s.stream.len()).sum::<usize>()
-}
-
-/// Reads the segment list of a v1 body from just after its first blob
-/// (`first`): one segment is that blob alone; more follow it as the
-/// segment count, the first segment's plane cut, and each further
-/// segment as cut + blob. `planes` is the plane count of the stack,
-/// which a lone blob (every pre-segment v1 body) covers whole; `multi`
-/// says whether the count and cuts follow.
-fn read_segments_v1(
-    r: &mut Reader<'_>,
-    first: Vec<u8>,
-    planes: usize,
-    multi: bool,
-) -> Result<Vec<Segment>, TacError> {
-    if !multi {
-        return Ok(vec![Segment {
-            plane_end: planes,
-            stream: first,
-        }]);
-    }
-    let count = r.get_u32()? as usize;
-    // Every further segment is at least a cut and a length prefix.
-    if count < 2 || count - 2 > r.remaining() / 12 {
-        return Err(TacError::Corrupt(format!(
-            "{count} segments is implausible"
-        )));
-    }
-    let mut segments = Vec::with_capacity(count);
-    segments.push(Segment {
-        plane_end: r.get_u32()? as usize,
-        stream: first,
-    });
-    for _ in 1..count {
-        segments.push(Segment {
-            plane_end: r.get_u32()? as usize,
-            stream: r.get_blob()?.to_vec(),
-        });
-    }
-    Ok(segments)
 }
 
 /// A compressed AMR dataset: structure metadata plus method payload.
@@ -522,7 +489,8 @@ impl CompressedDataset {
                         continue;
                     };
                     let dim = level_dim(self.finest_dim, l);
-                    for (s, slab) in segments.iter().zip(slab_boxes(segments, dim, 1)) {
+                    let slabs = slab_boxes(segments.iter().map(|s| s.plane_end), dim, 1);
+                    for (s, slab) in segments.iter().zip(slabs) {
                         // A lone segment keeps the level's tight box;
                         // otherwise the row's z-extent is its address.
                         let bbox = match segments.len() {
@@ -539,7 +507,8 @@ impl CompressedDataset {
                 // Rows sit on the finest grid, where a plane of the
                 // coarsest level is `scale` planes thick.
                 let scale = zmesh_row_scale(self.masks.len());
-                let boxes = slab_boxes(segments, self.finest_dim, scale);
+                let ends = segments.iter().map(|s| s.plane_end);
+                let boxes = slab_boxes(ends, self.finest_dim, scale);
                 for (s, bbox) in segments.iter().zip(boxes) {
                     chunk(&mut w, 0, *codec, bbox, &|w| w.put_bytes(&s.stream));
                 }
@@ -572,16 +541,7 @@ impl CompressedDataset {
     /// [`CompressedDataset::to_bytes`] writes now or any earlier writer
     /// ever wrote.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TacError> {
-        let _parse = tac_obs::span(tac_obs::Stage::Parse);
-        let mut r = Reader::new(bytes);
-        let prelude = parse_prelude(&mut r)?;
-        match prelude.version {
-            VERSION_V1 => parse_v1_body(&mut r, prelude),
-            VERSION_V2..=VERSION_V5 => parse_chunked_tail(&mut r, prelude)?.assemble(),
-            v => Err(TacError::Corrupt(format!(
-                "unsupported container version {v}"
-            ))),
-        }
+        parse_layout(bytes)?.assemble()
     }
 }
 
@@ -729,134 +689,11 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
     })
 }
 
-/// Parses the v1 (monolithic) body. v1 has no dtype byte; the element
-/// type is recovered from the payload itself — TAC level tags are
-/// self-describing, and the baselines' scalar streams carry a dtype
-/// flag in their own headers.
-fn parse_v1_body(r: &mut Reader<'_>, prelude: Prelude) -> Result<CompressedDataset, TacError> {
-    let Prelude {
-        method,
-        name,
-        finest_dim,
-        masks,
-        ..
-    } = prelude;
-    let num_levels = masks.len();
-    let body = match method {
-        Method::Tac => {
-            let mut levels = Vec::with_capacity(num_levels);
-            for _ in 0..num_levels {
-                levels.push(CompressedLevel::read(r)?);
-            }
-            MethodBody::Tac(levels)
-        }
-        Method::Baseline1D => {
-            let mut levels = Vec::with_capacity(num_levels);
-            for l in 0..num_levels {
-                let planes = level_dim(finest_dim, l);
-                let tag = r.get_u8()?;
-                let codec = match tag {
-                    0 => {
-                        levels.push(None);
-                        continue;
-                    }
-                    // Legacy tag: implicitly the SZ codec.
-                    1 => CodecId::Sz,
-                    // Tag 3 is the multi-segment form of tag 2.
-                    2 | 3 => CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?,
-                    t => return Err(TacError::Corrupt(format!("unknown 1D level tag {t}"))),
-                };
-                let abs_eb = r.get_f64()?;
-                let first = r.get_blob()?.to_vec();
-                let segments = read_segments_v1(r, first, planes, tag == 3)?;
-                levels.push(Some((abs_eb, codec, segments)));
-            }
-            MethodBody::Baseline1D(levels)
-        }
-        // The single-stream baselines have no codec tag in v1; the
-        // stream's own magic number says which backend wrote it (every
-        // pre-codec container sniffs as SZ).
-        Method::ZMesh => {
-            let abs_eb = r.get_f64()?;
-            // Anything after the first blob is the multi-segment framing
-            // (bodies written before it end right there).
-            let first = r.get_blob()?.to_vec();
-            let planes = level_dim(finest_dim, num_levels.saturating_sub(1));
-            let multi = r.remaining() != 0;
-            let segments = read_segments_v1(r, first, planes, multi)?;
-            let codec = segments
-                .first()
-                .and_then(|s| sniff_codec(&s.stream).ok())
-                .unwrap_or_default();
-            MethodBody::ZMesh {
-                abs_eb,
-                codec,
-                segments,
-            }
-        }
-        Method::Baseline3D => {
-            let abs_eb = r.get_f64()?;
-            let stream = r.get_blob()?.to_vec();
-            MethodBody::Baseline3D {
-                abs_eb,
-                codec: sniff_codec(&stream).unwrap_or_default(),
-                stream,
-            }
-        }
-        // Unreachable by construction: `Method::from_tag` rejects the
-        // Auto sentinel, so a parsed prelude never carries it. Kept as
-        // a corruption error rather than a panic on the decode path.
-        Method::Auto => {
-            return Err(TacError::Corrupt(
-                "Method::Auto is encoder-side only and never serializes".into(),
-            ))
-        }
-    };
-    if r.remaining() != 0 {
-        return Err(TacError::Corrupt(format!(
-            "{} trailing bytes",
-            r.remaining()
-        )));
-    }
-    let dtype = match &body {
-        MethodBody::Tac(levels) => {
-            let dtype = levels.first().map(|l| l.dtype).unwrap_or_default();
-            if levels.iter().any(|l| l.dtype != dtype) {
-                return Err(TacError::Corrupt(
-                    "levels disagree on the element type".into(),
-                ));
-            }
-            dtype
-        }
-        // The baselines' streams carry a dtype flag in their scalar-codec
-        // headers; empty streams (all-empty datasets) default to f64.
-        MethodBody::Baseline1D(levels) => levels
-            .iter()
-            .flatten()
-            .flat_map(|(_, _, segments)| segments)
-            .find_map(|s| tac_codec::stream_dtype(&s.stream))
-            .unwrap_or_default(),
-        MethodBody::ZMesh { segments, .. } => segments
-            .iter()
-            .find_map(|s| tac_codec::stream_dtype(&s.stream))
-            .unwrap_or_default(),
-        MethodBody::Baseline3D { stream, .. } => {
-            tac_codec::stream_dtype(stream).unwrap_or_default()
-        }
-    };
-    Ok(CompressedDataset {
-        name,
-        finest_dim,
-        dtype,
-        masks,
-        body,
-    })
-}
-
 /// One chunk-table row: which level the chunk belongs to, where its
 /// bytes live in the payload, which scalar codec wrote it (v3+; v2 rows
 /// imply SZ), its element type (v4+; earlier rows imply `f64`), and the
-/// cell-coordinate box it covers (level-local coordinates).
+/// cell-coordinate box it covers (level-local coordinates). A v1 body
+/// has no table; its walker builds the same rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChunkEntry {
     pub level: u8,
@@ -869,12 +706,10 @@ pub(crate) struct ChunkEntry {
 
 /// Serialized chunk-table row size of the given container version.
 pub(crate) fn chunk_entry_bytes(version: u8) -> usize {
-    if version >= VERSION_V4 {
-        CHUNK_ROW_BYTES_V4
-    } else if version >= VERSION_V3 {
-        CHUNK_ROW_BYTES_V3
-    } else {
-        CHUNK_ROW_BYTES_V2
+    match version {
+        VERSION_V2 => CHUNK_ROW_BYTES_V2,
+        VERSION_V3 => CHUNK_ROW_BYTES_V3,
+        _ => CHUNK_ROW_BYTES_V4,
     }
 }
 
@@ -916,16 +751,8 @@ impl ChunkEntry {
         let x1 = r.get_u32()? as usize;
         let y1 = r.get_u32()? as usize;
         let z1 = r.get_u32()? as usize;
-        // The writer only ever records non-empty boxes; a degenerate one
-        // here is corruption, and accepting it would make ROI decoding
-        // silently skip a live chunk.
-        if x1 <= x0 || y1 <= y0 || z1 <= z0 {
-            return Err(TacError::Corrupt(format!(
-                "chunk bbox [{:?}, {:?}) is empty",
-                (x0, y0, z0),
-                (x1, y1, z1)
-            )));
-        }
+        // `Aabb::new` clamps an inverted box to an empty one, which the
+        // validator refuses like every other empty box.
         Ok(ChunkEntry {
             level,
             offset,
@@ -937,7 +764,7 @@ impl ChunkEntry {
     }
 }
 
-/// Per-level metadata of a chunked (v2–v5) TAC payload.
+/// Per-level metadata of a TAC payload.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TacLevelMeta {
     pub strategy: Strategy,
@@ -964,9 +791,9 @@ impl TacLevelMeta {
     }
 }
 
-/// Method metadata of a parsed chunked (v2–v5) container.
+/// Method metadata of a parsed container.
 #[derive(Debug, Clone)]
-pub(crate) enum V2Meta {
+pub(crate) enum MethodMeta {
     Tac(Vec<TacLevelMeta>),
     /// Per level: the resolved bound and codec for present levels.
     Baseline1D(Vec<Option<(f64, CodecId)>>),
@@ -974,35 +801,53 @@ pub(crate) enum V2Meta {
     Baseline3D(f64, CodecId),
 }
 
-/// A parsed chunked container with the payload still in serialized
-/// form: chunks decode on demand (the whole point of the format).
+/// A parsed container with the payload still in serialized form: its
+/// rows — a v2–v5 chunk table, or what the walker of a v1 body emits —
+/// decode on demand.
 #[derive(Debug)]
-pub(crate) struct V2Layout<'a> {
+pub(crate) struct Layout<'a> {
     pub name: String,
     pub finest_dim: usize,
     pub dtype: TacDtype,
     pub masks: Vec<BitMask>,
-    pub meta: V2Meta,
+    pub meta: MethodMeta,
     pub payload: &'a [u8],
     pub entries: Vec<ChunkEntry>,
 }
 
-/// Parses a chunked (v2–v5) container down to its layout without
-/// decoding any chunk.
-pub(crate) fn parse_v2(bytes: &[u8]) -> Result<V2Layout<'_>, TacError> {
+/// Parses a container of any version down to its validated layout,
+/// without decoding any chunk.
+pub(crate) fn parse_layout(bytes: &[u8]) -> Result<Layout<'_>, TacError> {
     let _parse = tac_obs::span(tac_obs::Stage::Parse);
     let mut r = Reader::new(bytes);
     let prelude = parse_prelude(&mut r)?;
-    if prelude.version == VERSION_V1 {
-        return Err(TacError::Corrupt(
-            "chunk-table access needs a chunked (v2+) container (found v1)".into(),
-        ));
+    // `parse_prelude` admits versions 1 to 5 only.
+    let layout = match prelude.version {
+        VERSION_V1 => walk_v1_body(r.rest(), prelude)?,
+        _ => parse_chunked_tail(&mut r, prelude)?,
+    };
+    // Enforce the table/metadata invariants once here, so every
+    // consumer (full assemble, ROI decode) agrees on what a valid
+    // container is by construction.
+    layout.validate_chunk_table()?;
+    Ok(layout)
+}
+
+/// The head of a TAC level's metadata in every version: strategy, side
+/// (bounded, so every `dim^3` downstream stays overflow-free), bound.
+fn read_level_head(r: &mut Reader<'_>) -> Result<(Strategy, usize, f64), TacError> {
+    let strategy = Strategy::from_tag(r.get_u8()?)?;
+    let dim = r.get_u64()? as usize;
+    if dim == 0 || dim > MAX_FINEST_DIM {
+        return Err(TacError::Corrupt(format!(
+            "level dim {dim} outside the supported 1..={MAX_FINEST_DIM}"
+        )));
     }
-    parse_chunked_tail(&mut r, prelude)
+    Ok((strategy, dim, r.get_f64()?))
 }
 
 /// Parses everything after the shared prelude of a chunked container.
-fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layout<'a>, TacError> {
+fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<Layout<'a>, TacError> {
     let Prelude {
         version,
         method,
@@ -1024,14 +869,7 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
         Method::Tac => {
             let mut metas = Vec::with_capacity(num_levels);
             for _ in 0..num_levels {
-                let strategy = Strategy::from_tag(r.get_u8()?)?;
-                let dim = r.get_u64()? as usize;
-                if dim == 0 || dim > MAX_FINEST_DIM {
-                    return Err(TacError::Corrupt(format!(
-                        "level dim {dim} outside the supported 1..={MAX_FINEST_DIM}"
-                    )));
-                }
-                let abs_eb = r.get_f64()?;
+                let (strategy, dim, abs_eb) = read_level_head(r)?;
                 let kind = r.get_u8()?;
                 let group_count = match kind {
                     0 | 1 => 0,
@@ -1048,7 +886,7 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
                     group_count,
                 });
             }
-            V2Meta::Tac(metas)
+            MethodMeta::Tac(metas)
         }
         Method::Baseline1D => {
             let mut ebs = Vec::with_capacity(num_levels);
@@ -1062,24 +900,17 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
                     t => return Err(TacError::Corrupt(format!("unknown 1D level tag {t}"))),
                 });
             }
-            V2Meta::Baseline1D(ebs)
+            MethodMeta::Baseline1D(ebs)
         }
         Method::ZMesh => {
             let eb = r.get_f64()?;
-            V2Meta::ZMesh(eb, read_codec(r)?)
+            MethodMeta::ZMesh(eb, read_codec(r)?)
         }
         Method::Baseline3D => {
             let eb = r.get_f64()?;
-            V2Meta::Baseline3D(eb, read_codec(r)?)
+            MethodMeta::Baseline3D(eb, read_codec(r)?)
         }
-        // Unreachable by construction: `Method::from_tag` rejects the
-        // Auto sentinel, so a parsed prelude never carries it. Kept as
-        // a corruption error rather than a panic on the decode path.
-        Method::Auto => {
-            return Err(TacError::Corrupt(
-                "Method::Auto is encoder-side only and never serializes".into(),
-            ))
-        }
+        Method::Auto => return Err(auto_on_the_wire()),
     };
 
     let payload = r.get_blob()?;
@@ -1126,13 +957,8 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
             "table offset footer {stored_table_pos} does not match table at {table_pos}"
         )));
     }
-    if r.remaining() != 0 {
-        return Err(TacError::Corrupt(format!(
-            "{} trailing bytes",
-            r.remaining()
-        )));
-    }
-    let layout = V2Layout {
+    all_read(r, "")?;
+    Ok(Layout {
         name,
         finest_dim,
         dtype,
@@ -1140,12 +966,218 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<V2Layo
         meta,
         payload,
         entries,
+    })
+}
+
+/// Walks a v1 (monolithic) `body` into the layout a chunk table gives:
+/// the method metadata, and a row into `body` per stream where the writer
+/// records one — a TAC whole-level stream or serialized region group,
+/// each zMesh / 1D segment, the 3D stream. TAC level tags carry codec and
+/// dtype; the baselines' streams carry them in their own headers.
+fn walk_v1_body(body: &[u8], prelude: Prelude) -> Result<Layout<'_>, TacError> {
+    let Prelude {
+        method,
+        name,
+        finest_dim,
+        masks,
+        ..
+    } = prelude;
+    let r = &mut Reader::new(body);
+    let num_levels = masks.len();
+    // The element type of every row is set once the whole body is known.
+    let row = |level: usize, at: Range<usize>, codec, bbox| ChunkEntry {
+        level: u8::try_from(level).unwrap_or(u8::MAX),
+        offset: at.start,
+        len: at.len(),
+        codec,
+        dtype: TacDtype::F64,
+        bbox,
     };
-    // Enforce the table/metadata invariants once here, so every
-    // consumer (full assemble, ROI decode) agrees on what a valid
-    // container is by construction.
-    layout.validate_chunk_table()?;
-    Ok(layout)
+    // A single-stream baseline's codec is the one whose magic opens its
+    // stream (every pre-codec stream sniffs as SZ).
+    let sniff = |at: &Range<usize>| {
+        sniff_codec(body.get(at.clone()).unwrap_or_default()).unwrap_or_default()
+    };
+    let mut entries = Vec::new();
+    let mut tac_dtype = None;
+    let meta = match method {
+        Method::Tac => {
+            let mut metas = Vec::with_capacity(num_levels);
+            for l in 0..num_levels {
+                let (strategy, dim, abs_eb) = read_level_head(r)?;
+                let (kind, dtype, tagged) = v1_level_tag(r.get_u8()?)?;
+                let codec = if tagged {
+                    CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?
+                } else {
+                    CodecId::Sz
+                };
+                if *tac_dtype.get_or_insert(dtype) != dtype {
+                    return Err(TacError::Corrupt(
+                        "levels disagree on the element type".into(),
+                    ));
+                }
+                let mut group_count = 0;
+                match kind {
+                    0 => {}
+                    1 => {
+                        let bbox = tight_box(masks.get(l), dim);
+                        entries.push(row(l, blob_at(r)?, codec, bbox));
+                    }
+                    _ => {
+                        group_count = r.get_u32()? as usize;
+                        for _ in 0..group_count {
+                            let start = r.position();
+                            let bbox = BlockGroup::read_header(r)?.aabb();
+                            r.get_blob()?;
+                            entries.push(row(l, start..r.position(), codec, bbox));
+                        }
+                    }
+                }
+                metas.push(TacLevelMeta {
+                    strategy,
+                    dim,
+                    abs_eb,
+                    codec,
+                    kind,
+                    group_count,
+                });
+            }
+            MethodMeta::Tac(metas)
+        }
+        Method::Baseline1D => {
+            let mut levels = Vec::with_capacity(num_levels);
+            for l in 0..num_levels {
+                let tag = r.get_u8()?;
+                let codec = match tag {
+                    0 => {
+                        levels.push(None);
+                        continue;
+                    }
+                    // Legacy tag: implicitly the SZ codec.
+                    1 => CodecId::Sz,
+                    // Tag 3 is the multi-segment form of tag 2.
+                    2 | 3 => CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?,
+                    t => return Err(TacError::Corrupt(format!("unknown 1D level tag {t}"))),
+                };
+                let abs_eb = r.get_f64()?;
+                let dim = level_dim(finest_dim, l);
+                let first = blob_at(r)?;
+                let segments = v1_segments(r, first, dim, tag == 3)?;
+                // A lone segment keeps the level's tight box, as written.
+                let lone = (segments.len() == 1).then(|| tight_box(masks.get(l), dim));
+                let slabs = slab_boxes(segments.iter().map(|s| s.1), dim, 1);
+                for ((at, _), slab) in segments.iter().zip(slabs) {
+                    entries.push(row(l, at.clone(), codec, lone.unwrap_or(slab)));
+                }
+                levels.push(Some((abs_eb, codec)));
+            }
+            MethodMeta::Baseline1D(levels)
+        }
+        Method::ZMesh => {
+            let abs_eb = r.get_f64()?;
+            let first = blob_at(r)?;
+            let codec = sniff(&first);
+            // Anything after the first stream is the multi-segment
+            // framing (bodies written before it end right there).
+            let multi = r.remaining() != 0;
+            let planes = level_dim(finest_dim, num_levels.saturating_sub(1));
+            let segments = v1_segments(r, first, planes, multi)?;
+            let scale = zmesh_row_scale(num_levels);
+            let slabs = slab_boxes(segments.iter().map(|s| s.1), finest_dim, scale);
+            for ((at, _), slab) in segments.iter().zip(slabs) {
+                entries.push(row(0, at.clone(), codec, slab));
+            }
+            MethodMeta::ZMesh(abs_eb, codec)
+        }
+        Method::Baseline3D => {
+            let abs_eb = r.get_f64()?;
+            let at = blob_at(r)?;
+            let codec = sniff(&at);
+            entries.push(row(0, at, codec, Aabb::whole(finest_dim)));
+            MethodMeta::Baseline3D(abs_eb, codec)
+        }
+        Method::Auto => return Err(auto_on_the_wire()),
+    };
+    all_read(r, "")?;
+    // The baselines' streams carry a dtype flag in their codec headers;
+    // a body without streams (an all-empty dataset) is `f64`.
+    let dtype = tac_dtype.unwrap_or_else(|| {
+        (entries.iter())
+            .find_map(|e| tac_codec::stream_dtype(body.get(e.offset..)?.get(..e.len)?))
+            .unwrap_or_default()
+    });
+    for e in &mut entries {
+        e.dtype = dtype;
+    }
+    Ok(Layout {
+        name,
+        finest_dim,
+        dtype,
+        masks,
+        meta,
+        payload: body,
+        entries,
+    })
+}
+
+/// A body parse meeting `Method::Auto`: unreachable by construction, as
+/// `Method::from_tag` rejects the sentinel, but a corruption error rather
+/// than a panic on the decode path.
+fn auto_on_the_wire() -> TacError {
+    TacError::Corrupt("Method::Auto is encoder-side only and never serializes".into())
+}
+
+/// Refuses the bytes `r` left unread, naming `what` they trail.
+fn all_read(r: &Reader<'_>, what: &str) -> Result<(), TacError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(TacError::Corrupt(format!("{n} trailing bytes{what}"))),
+    }
+}
+
+/// Reads a length-prefixed blob and returns where its bytes sit in the
+/// reader's buffer.
+fn blob_at(r: &mut Reader<'_>) -> Result<Range<usize>, TacError> {
+    let blob = r.get_blob()?;
+    let end = r.position();
+    Ok(end - blob.len()..end)
+}
+
+/// Reads a v1 zMesh / 1D segment list after its first stream (`first`):
+/// alone, it covers all `planes` planes of its stack; when `multi`, the
+/// count, its cut and each further segment as cut + stream follow.
+/// Returns each segment's stream bytes and plane cut.
+fn v1_segments(
+    r: &mut Reader<'_>,
+    first: Range<usize>,
+    planes: usize,
+    multi: bool,
+) -> Result<Vec<(Range<usize>, usize)>, TacError> {
+    if !multi {
+        return Ok(vec![(first, planes)]);
+    }
+    let count = r.get_u32()? as usize;
+    // Every further segment is at least a cut and a length prefix.
+    if count < 2 || count - 2 > r.remaining() / 12 {
+        return Err(TacError::Corrupt(format!(
+            "{count} segments is implausible"
+        )));
+    }
+    let mut segments = Vec::with_capacity(count);
+    segments.push((first, r.get_u32()? as usize));
+    for _ in 1..count {
+        let cut = r.get_u32()? as usize;
+        segments.push((blob_at(r)?, cut));
+    }
+    // A row's box ends the last segment at the grid's edge, so the cut
+    // recorded there has to be the stack's last plane.
+    let last = segments.last().map_or(0, |s| s.1);
+    if last != planes {
+        return Err(TacError::Corrupt(format!(
+            "the last segment ends at plane {last}, not at the stack's {planes}"
+        )));
+    }
+    Ok(segments)
 }
 
 /// The box a whole-level row records: the tight bounding box of the
@@ -1155,19 +1187,19 @@ fn tight_box(mask: Option<&BitMask>, dim: usize) -> Aabb {
         .unwrap_or_else(|| Aabb::whole(dim))
 }
 
-/// The boxes a traversal's segments record on the `dim`^3 grid their
-/// rows sit on, `scale` of its planes to a plane of the traversal's
-/// coarsest level: each spans the whole x-y extent and its segment's
-/// planes, and the last runs to the end of the grid.
-fn slab_boxes(segments: &[Segment], dim: usize, scale: usize) -> impl Iterator<Item = Aabb> + '_ {
-    let mut from = 0;
-    segments.iter().enumerate().map(move |(i, s)| {
-        let last = i + 1 == segments.len();
-        let to = if last {
-            dim
-        } else {
-            s.plane_end.saturating_mul(scale)
-        };
+/// The boxes a traversal's segments, ending at `plane_ends`, record on
+/// the `dim`^3 grid their rows sit on, `scale` of its planes to a plane
+/// of the traversal's coarsest level: each spans the whole x-y extent
+/// and its segment's planes, and the last runs to the end of the grid.
+fn slab_boxes(
+    plane_ends: impl ExactSizeIterator<Item = usize>,
+    dim: usize,
+    scale: usize,
+) -> impl Iterator<Item = Aabb> {
+    let (count, mut from) = (plane_ends.len(), 0);
+    plane_ends.enumerate().map(move |(i, end)| {
+        let last = i + 1 == count;
+        let to = if last { dim } else { end.saturating_mul(scale) };
         Aabb::new((0, 0, std::mem::replace(&mut from, to)), (dim, dim, to))
     })
 }
@@ -1178,11 +1210,13 @@ fn zmesh_row_scale(num_levels: usize) -> usize {
     refinement(num_levels.saturating_sub(1)).unwrap_or(usize::MAX)
 }
 
-impl V2Layout<'_> {
-    /// Checks the chunk table against the method metadata and the masks:
-    /// each level lists exactly the chunks its metadata promises, tagged
-    /// with its codec and the container's element type, and every row's
-    /// box is the one the writer derives from data this check can see —
+impl Layout<'_> {
+    /// Checks the rows — a chunk table's, or a walked v1 body's —
+    /// against the method metadata and the masks, the one body check of
+    /// every version: each level lists exactly the chunks its metadata
+    /// promises, tagged with its codec and the container's element type,
+    /// a TAC level marked empty has no cells, and every row's box is the
+    /// non-empty one the writer derives from data this check can see —
     /// inside its level's grid; the mask's tight box for a whole-level
     /// stream; the group header's own box for a region group (the stream
     /// behind the header is not read); the z-tiling rule for zMesh and
@@ -1192,6 +1226,15 @@ impl V2Layout<'_> {
     /// to refuse than to hand the chunk to the wrong backend.
     fn validate_chunk_table(&self) -> Result<(), TacError> {
         for e in &self.entries {
+            // The writer only ever records non-empty boxes; accepting an
+            // empty one would make a region read silently skip a live
+            // chunk.
+            if e.bbox.is_empty() {
+                return Err(TacError::Corrupt(format!(
+                    "chunk bbox [{:?}, {:?}) is empty",
+                    e.bbox.min, e.bbox.max
+                )));
+            }
             // A mismatch would hand f32 bytes to an f64 monomorphization.
             if e.dtype != self.dtype {
                 return Err(TacError::Corrupt(format!(
@@ -1239,7 +1282,7 @@ impl V2Layout<'_> {
             Ok(())
         };
         match &self.meta {
-            V2Meta::Tac(metas) => {
+            MethodMeta::Tac(metas) => {
                 for (l, meta) in metas.iter().enumerate() {
                     count(l, meta.expected_chunks(), rows(l, meta.codec)?)?;
                     // No payload means no cells (zMesh and 1D refuse the
@@ -1261,7 +1304,7 @@ impl V2Layout<'_> {
                     }
                 }
             }
-            V2Meta::Baseline1D(ebs) => {
+            MethodMeta::Baseline1D(ebs) => {
                 for (l, eb) in ebs.iter().enumerate() {
                     match eb {
                         None => count(l, 0, rows(l, CodecId::default())?)?,
@@ -1272,11 +1315,11 @@ impl V2Layout<'_> {
                     }
                 }
             }
-            V2Meta::ZMesh(_, codec) => {
+            MethodMeta::ZMesh(_, codec) => {
                 rows(0, *codec)?;
                 self.zmesh_planes()?;
             }
-            V2Meta::Baseline3D(_, codec) => {
+            MethodMeta::Baseline3D(_, codec) => {
                 count(0, 1, rows(0, *codec)?)?;
                 count(0, 1, self.entries.len())?;
                 for e in &self.entries {
@@ -1397,15 +1440,15 @@ impl V2Layout<'_> {
         Ok(levels)
     }
 
-    /// Decodes every chunk, reassembling the full in-memory container
-    /// (the chunked equivalent of the v1 front-to-back parse). Chunk
-    /// counts were already validated against the metadata at parse time.
-    /// Consumes the layout so the name and masks move instead of
-    /// cloning.
+    /// Copies every chunk out of the payload, reassembling the full
+    /// in-memory container. Chunk counts were already validated against
+    /// the metadata at parse time. Consumes the layout so the name and
+    /// masks move instead of cloning.
     pub fn assemble(self) -> Result<CompressedDataset, TacError> {
+        let _parse = tac_obs::span(tac_obs::Stage::Parse);
         let body = match &self.meta {
-            V2Meta::Tac(metas) => MethodBody::Tac(self.tac_levels(metas, |_| true)?),
-            V2Meta::Baseline1D(ebs) => {
+            MethodMeta::Tac(metas) => MethodBody::Tac(self.tac_levels(metas, |_| true)?),
+            MethodMeta::Baseline1D(ebs) => {
                 let mut levels = Vec::with_capacity(ebs.len());
                 for (l, eb) in ebs.iter().enumerate() {
                     levels.push(match eb {
@@ -1418,12 +1461,12 @@ impl V2Layout<'_> {
                 }
                 MethodBody::Baseline1D(levels)
             }
-            V2Meta::ZMesh(abs_eb, codec) => MethodBody::ZMesh {
+            MethodMeta::ZMesh(abs_eb, codec) => MethodBody::ZMesh {
                 abs_eb: *abs_eb,
                 codec: *codec,
                 segments: self.segments(self.entries.iter(), self.zmesh_planes()?),
             },
-            V2Meta::Baseline3D(abs_eb, codec) => MethodBody::Baseline3D {
+            MethodMeta::Baseline3D(abs_eb, codec) => MethodBody::Baseline3D {
                 abs_eb: *abs_eb,
                 codec: *codec,
                 stream: self
@@ -1446,12 +1489,7 @@ impl V2Layout<'_> {
     fn parse_group(&self, e: &ChunkEntry) -> Result<BlockGroup, TacError> {
         let mut r = Reader::new(self.chunk_bytes(e));
         let g = BlockGroup::read(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(TacError::Corrupt(format!(
-                "{} trailing bytes in group chunk",
-                r.remaining()
-            )));
-        }
+        all_read(&r, " in group chunk")?;
         Ok(g)
     }
 }
@@ -1749,7 +1787,7 @@ pub(crate) mod tests {
     fn v2_chunk_table_maps_payload() {
         let cd = sample_tac();
         let bytes = cd.to_bytes();
-        let layout = parse_v2(&bytes).unwrap();
+        let layout = parse_layout(&bytes).unwrap();
         // One group chunk on the fine level, one whole chunk on the
         // coarse level.
         assert_eq!(layout.entries.len(), 2);
@@ -1761,8 +1799,131 @@ pub(crate) mod tests {
         // Coarse mask has a single present cell at the origin.
         assert_eq!(coarse.bbox, Aabb::new((0, 0, 0), (1, 1, 1)));
         assert_eq!(layout.chunk_bytes(coarse), &[1, 2, 3]);
-        // v1 bytes have no chunk table.
-        assert!(parse_v2(frozen_v1!("tac_sz")).is_err());
+        // A v1 body has no table: its walker emits the rows the writer
+        // records for the same streams.
+        for v1 in [
+            frozen_v1!("tac_sz"),
+            frozen_v1!("tac_f32"),
+            frozen_v1!("b1d_seg"),
+            frozen_v1!("zmesh_seg"),
+            frozen_v1!("b3d_ans"),
+        ] {
+            let upgraded = CompressedDataset::from_bytes(v1).unwrap().to_bytes();
+            let walked = parse_layout(v1).unwrap();
+            let written = parse_layout(&upgraded).unwrap();
+            assert_eq!(walked.entries.len(), written.entries.len());
+            for (a, b) in walked.entries.iter().zip(&written.entries) {
+                let row = |e: &ChunkEntry| (e.level, e.codec, e.dtype, e.bbox);
+                assert_eq!(row(a), row(b));
+                assert_eq!(walked.chunk_bytes(a), written.chunk_bytes(b));
+            }
+        }
+    }
+
+    /// A v1 container: the prelude with every mask stored, then `body`.
+    fn v1_container(
+        method: Method,
+        finest_dim: usize,
+        masks: &[BitMask],
+        body: impl FnOnce(&mut Writer),
+    ) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_bytes(MAGIC);
+        w.put_u8(VERSION_V1);
+        w.put_u8(method.tag());
+        w.put_str("v1");
+        w.put_u64(finest_dim as u64);
+        w.put_u8(masks.len() as u8);
+        for m in masks {
+            w.put_blob(&tac_sz::lossless::compress(&m.to_bytes()));
+        }
+        body(&mut w);
+        w.into_bytes()
+    }
+
+    /// A one-level 2^3 v1 TAC container whose level carries payload
+    /// `tag`, then `rest`.
+    fn v1_tac_level(mask: BitMask, tag: u8, rest: &[u8]) -> Vec<u8> {
+        v1_container(Method::Tac, 2, &[mask], |w| {
+            w.put_u8(Strategy::Gsp.tag());
+            w.put_u64(2);
+            w.put_f64(1e-3);
+            w.put_u8(tag);
+            w.put_bytes(rest);
+        })
+    }
+
+    #[test]
+    fn v1_level_marked_empty_over_present_cells_is_rejected() {
+        // v1 tag 0 (empty, f64) over eight present cells used to parse,
+        // and decode to a silently all-zero level.
+        let bytes = v1_tac_level(BitMask::ones(8), 0, &[]);
+        both_refuse(&bytes, "level 0 marked empty but mask has 8 cells");
+        // Over an empty mask it is what the v1 writer emitted.
+        let cd = CompressedDataset::from_bytes(&v1_tac_level(BitMask::zeros(8), 0, &[])).unwrap();
+        let MethodBody::Tac(levels) = &cd.body else {
+            panic!("not a TAC body")
+        };
+        assert_eq!(levels[0].payload, LevelPayload::Empty);
+    }
+
+    #[test]
+    fn v1_unknown_codec_byte_is_rejected() {
+        // Tag 3: a whole-grid stream behind a codec byte, here naming no
+        // backend.
+        let mut rest = vec![200];
+        rest.extend(3u64.to_le_bytes());
+        rest.extend([1, 2, 3]);
+        let err = CompressedDataset::from_bytes(&v1_tac_level(BitMask::ones(8), 3, &rest));
+        assert!(matches!(err, Err(TacError::Codec(_))), "{err:?}");
+    }
+
+    #[test]
+    fn v1_segments_must_end_at_the_last_plane() {
+        // Two segments, cut after plane 1; the last one claims to end at
+        // plane `last` of a stack of `planes`.
+        let segments = |w: &mut Writer, last: u32| {
+            w.put_blob(&[1, 2, 3]);
+            w.put_u32(2);
+            w.put_u32(1);
+            w.put_u32(last);
+            w.put_blob(&[4, 5]);
+        };
+        // A 1D level of 4 planes (tag 3: SZ, segmented) and a zMesh body
+        // over a two-level stack of 2.
+        let one_d = |last| {
+            v1_container(Method::Baseline1D, 4, &[BitMask::ones(64)], |w| {
+                w.put_u8(3);
+                w.put_u8(CodecId::Sz.tag());
+                w.put_f64(1e-3);
+                segments(w, last);
+            })
+        };
+        let zmesh = |last| {
+            let masks = tree_masks(4, 2, 0);
+            v1_container(Method::ZMesh, 4, &masks, |w| {
+                w.put_f64(1e-3);
+                segments(w, last);
+            })
+        };
+        for (v1, planes) in [(&one_d as &dyn Fn(u32) -> Vec<u8>, 4), (&zmesh, 2)] {
+            let cd = CompressedDataset::from_bytes(&v1(planes)).unwrap();
+            let ends: Vec<usize> = match &cd.body {
+                MethodBody::Baseline1D(levels) => levels[0].as_ref().unwrap().2.clone(),
+                MethodBody::ZMesh { segments, .. } => segments.clone(),
+                body => panic!("{body:?}"),
+            }
+            .iter()
+            .map(|s| s.plane_end)
+            .collect();
+            assert_eq!(ends, [1, planes as usize]);
+            for last in [planes - 1, planes + 1] {
+                both_refuse(
+                    &v1(last),
+                    &format!("the last segment ends at plane {last}, not at the stack's {planes}"),
+                );
+            }
+        }
     }
 
     #[test]
@@ -1883,7 +2044,7 @@ pub(crate) mod tests {
     fn v4_chunk_rows_carry_the_dtype() {
         let cd = sample_tac_typed(CodecId::Sz, TacDtype::F32);
         let bytes = cd.to_bytes();
-        let layout = parse_v2(&bytes).unwrap();
+        let layout = parse_layout(&bytes).unwrap();
         assert_eq!(layout.dtype, TacDtype::F32);
         assert!(layout.entries.iter().all(|e| e.dtype == TacDtype::F32));
         // Table geometry: count prefix + fixed-size v4 rows, then footer.
@@ -2028,7 +2189,7 @@ pub(crate) mod tests {
         }
         assert_eq!(cd.structure_bytes(), 1 + r.position());
         assert_eq!(&CompressedDataset::from_bytes(&bytes).unwrap(), cd);
-        assert_eq!(parse_v2(&bytes).unwrap().masks, cd.masks);
+        assert_eq!(parse_layout(&bytes).unwrap().masks, cd.masks);
         bytes
     }
 

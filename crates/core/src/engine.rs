@@ -223,7 +223,6 @@ enum TaskOut {
 pub(crate) fn compress_plans<T: CodecElement>(
     plans: &[LevelPlan<T>],
     level_data: &[&[T]],
-    cfg: &TacConfig,
     workers: usize,
 ) -> Result<Vec<CompressedLevel>, TacError> {
     assert_eq!(plans.len(), level_data.len());
@@ -231,7 +230,7 @@ pub(crate) fn compress_plans<T: CodecElement>(
     // task index order is deterministic.
     let mut tasks: Vec<CompressTask<'_, T>> = Vec::new();
     for (plan, &data) in plans.iter().zip(level_data) {
-        let codec_cfg = cfg.codec_config(plan.abs_eb);
+        let codec_cfg = CodecConfig::abs(plan.abs_eb);
         match &plan.work {
             LevelWork::Empty => {}
             LevelWork::Whole(source) => tasks.push(CompressTask {
@@ -408,6 +407,14 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
             kind,
         };
         match &cl.payload {
+            // A full decode of no payload would return present cells as
+            // zeros; a region read leaves the streams it skips `Empty`.
+            LevelPayload::Empty if grid.clip().is_none() && mask.count_ones() != 0 => {
+                return Err(TacError::Corrupt(format!(
+                    "level {l} marked empty but mask has {} cells",
+                    mask.count_ones()
+                )));
+            }
             LevelPayload::Empty => {}
             LevelPayload::Whole(stream) => {
                 tasks.push(task(mask.len(), DecompressKind::Whole(stream)))
@@ -655,7 +662,7 @@ mod tests {
             abs_eb: 1e-3,
             ..plan_level(level, strategy, cfg).unwrap()
         }];
-        compress_plans(&plans, &[level.data()], cfg, 1)
+        compress_plans(&plans, &[level.data()], 1)
             .unwrap()
             .pop()
             .unwrap()

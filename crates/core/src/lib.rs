@@ -24,10 +24,11 @@
 //!
 //! Every payload stream compresses through a pluggable scalar-codec
 //! backend ([`tac_codec::ScalarCodec`]), selected per run with
-//! [`TacConfig::codec`]: the default SZ substrate ([`CodecId::Sz`]) or
-//! the pcodec-style delta + bit-packing backend
-//! ([`CodecId::PcoLite`]). Containers carry the codec tag on the wire,
-//! and pre-codec containers parse unchanged.
+//! [`TacConfig::codec`]: the default SZ substrate ([`CodecId::Sz`]), or
+//! one of two pcodec-style backends sharing a quantize–delta front end —
+//! tabled ANS ([`CodecId::PcoAns`], the codec most benchmark workloads
+//! run) or plain bit-packing ([`CodecId::PcoLite`]). Containers carry the
+//! codec tag on the wire, and pre-codec containers parse unchanged.
 //!
 //! [`Method::Auto`] layers TAC+-style adaptive selection on top: a
 //! deterministic selection pass ([`select_auto`]) scores every fixed

@@ -22,7 +22,7 @@ use crate::zmesh::{level_dim, refinement};
 use std::borrow::Cow;
 use std::ops::Range;
 use tac_amr::{min_max, to_uniform, Aabb, AmrDataset, AmrLevel, BitMask};
-use tac_codec::{codec_for, CodecElement, CodecError, CodecId, Dims, ErrorBound};
+use tac_codec::{codec_for, CodecConfig, CodecElement, CodecError, CodecId, Dims, ErrorBound};
 use tac_dtype::{dispatch_dtype, Element, TacDtype};
 use tac_par::Parallelism;
 
@@ -114,8 +114,7 @@ pub fn compress_level_t<T: CodecElement>(
         abs_eb,
         ..engine::plan_level(level, strategy, cfg)?
     }];
-    let mut levels =
-        engine::compress_plans(&plans, &[level.data()], cfg, cfg.parallelism.workers())?;
+    let mut levels = engine::compress_plans(&plans, &[level.data()], cfg.parallelism.workers())?;
     levels
         .pop()
         .ok_or_else(|| TacError::Corrupt("the engine returned no level".into()))
@@ -334,7 +333,7 @@ pub(crate) fn compress_with<T: CodecElement>(
     // batch.
     let tac_body = |ranges: Ranges<'_>, level_codecs: &[CodecId]| -> Result<MethodBody, TacError> {
         let plans = plan_tac_levels(ds, cfg, ranges, level_codecs)?;
-        engine::compress_plans(&plans, &level_data, cfg, workers).map(MethodBody::Tac)
+        engine::compress_plans(&plans, &level_data, workers).map(MethodBody::Tac)
     };
     let body = match method {
         Method::Tac => tac_body(ranges, &[])?,
@@ -380,7 +379,7 @@ pub(crate) fn compress_with<T: CodecElement>(
                     codec_for(cfg.codec),
                     &uniform,
                     Dims::D3(n, n, n),
-                    &cfg.codec_config(abs_eb),
+                    &CodecConfig::abs(abs_eb),
                 )?
             };
             tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
@@ -768,6 +767,28 @@ mod tests {
         assert_eq!(out.num_present(), 0);
     }
 
+    /// An `Empty` payload over present cells used to decode to silent
+    /// zeros. A full decode refuses it; a region read, which leaves the
+    /// whole-level streams it skips `Empty`, is held by the parse
+    /// instead.
+    #[test]
+    fn an_empty_payload_over_present_cells_is_refused_on_full_decode() {
+        let ds = blobby_dataset(16);
+        let mut cd = compress_dataset_t(&ds, &TacConfig::default(), Method::Tac).unwrap();
+        let MethodBody::Tac(levels) = &mut cd.body else {
+            panic!("not a TAC body")
+        };
+        levels[1].payload = LevelPayload::Empty;
+        let coarse = levels[1].clone();
+        let why = "marked empty but mask has";
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let err = decompress_dataset_par_t::<f64>(&cd, parallelism).unwrap_err();
+            assert!(err.to_string().contains(why), "{err}");
+        }
+        let err = decompress_level_t::<f64>(&coarse, &cd.masks[1]).unwrap_err();
+        assert!(err.to_string().contains(why), "{err}");
+    }
+
     #[test]
     fn dataset_roundtrip_all_methods_and_codecs() {
         let ds = blobby_dataset(16);
@@ -818,7 +839,7 @@ mod tests {
                 codec_for(cfg.codec),
                 &values[..len],
                 Dims::D1(len),
-                &cfg.codec_config(1e-3),
+                &CodecConfig::abs(1e-3),
             )
             .unwrap();
             let bad = CompressedDataset {

@@ -1,11 +1,12 @@
-//! Region-of-interest decompression over the chunked (v2–v5) container.
+//! Region-of-interest decompression over a container of any version.
 //!
 //! In-situ AMR workflows (AMRIC, SC'23) rarely need a whole snapshot
 //! back: a halo finder inspects a subvolume, a visualisation pans
 //! through a slab. The chunk table records a bounding box per chunk,
 //! so a decoder can seek to — and spend decode time on — only the
 //! chunks whose boxes intersect the request, skipping the rest of the
-//! payload entirely.
+//! payload entirely. A v1 body has no table; the parse walks it into the
+//! same rows, so v1 files are read the same way.
 //!
 //! # The box contract
 //!
@@ -34,7 +35,7 @@
 //! writes only the cells inside it — pasted and masked, scattered, or
 //! sampled — so the pages outside the box are never touched.
 
-use crate::container::{parse_v2, ChunkEntry, V2Meta};
+use crate::container::{parse_layout, ChunkEntry, MethodMeta};
 use crate::error::TacError;
 use crate::pipeline::{decompress_dataset_in, Body};
 use crate::segment::{SegmentRef, StackSegments};
@@ -116,7 +117,7 @@ fn record_roi_stats(stats: &RoiStats) {
 }
 
 /// Decodes the box `roi` (finest-level cell coordinates, half-open) of a
-/// chunked (v2–v5) container.
+/// container of any version (v1–v5).
 ///
 /// Returns full-size levels under the box contract of the module docs:
 /// on level `l`, every cell inside `roi` coarsened by `2^l` (floor on
@@ -138,8 +139,10 @@ fn record_roi_stats(stats: &RoiStats) {
 /// not what the bounding grids cost. The 3D baseline alone is a single
 /// chunk and always decodes in full.
 ///
-/// v1 containers have no chunk table and are rejected; re-serialize
-/// with [`crate::CompressedDataset::to_bytes`] to upgrade.
+/// A v1 container has no chunk table: its body is walked into the rows
+/// the writer would record for the same streams, and read like any
+/// other, through the parse and row checks
+/// [`crate::CompressedDataset::from_bytes`] uses.
 ///
 /// A container whose element type disagrees with `T` is rejected up
 /// front, before any chunk is sliced or decoded.
@@ -151,7 +154,7 @@ pub fn decompress_region_t<T: CodecElement>(
     // Parsing and checking the table is this call's planning.
     let layout = {
         let _plan = tac_obs::span(tac_obs::Stage::Plan);
-        parse_v2(bytes)?
+        parse_layout(bytes)?
     };
     if layout.dtype != T::DTYPE {
         return Err(TacError::Codec(CodecError::WrongDtype {
@@ -188,22 +191,22 @@ pub fn decompress_region_t<T: CodecElement>(
             .collect::<Vec<_>>()
     };
 
-    // The table was validated against the method metadata and the masks
-    // by `parse_v2` itself, and the TAC levels come from the builder the
+    // The rows were validated against the method metadata and the masks
+    // by `parse_layout` itself, and the TAC levels come from the builder the
     // full parse uses, so this decoder and the full parse agree on what
     // a valid container is by construction.
     let tac_levels;
     let body = match &layout.meta {
-        V2Meta::Tac(metas) => {
+        MethodMeta::Tac(metas) => {
             tac_levels = layout.tac_levels(metas, &mut wanted)?;
             Body::Tac(&tac_levels)
         }
-        V2Meta::ZMesh(_, codec) => Body::Stacks(vec![StackSegments {
+        MethodMeta::ZMesh(_, codec) => Body::Stacks(vec![StackSegments {
             levels: 0..layout.masks.len(),
             codec: *codec,
             segments: read(&mut layout.entries.iter(), layout.zmesh_planes()?),
         }]),
-        V2Meta::Baseline1D(ebs) => {
+        MethodMeta::Baseline1D(ebs) => {
             let mut stacks = Vec::with_capacity(ebs.len());
             for (l, eb) in ebs.iter().enumerate() {
                 if let Some((_, codec)) = eb {
@@ -218,7 +221,7 @@ pub fn decompress_region_t<T: CodecElement>(
         }
         // The 3D baseline cannot decode partially: its one chunk is
         // read and the stats reflect it.
-        V2Meta::Baseline3D(_, codec) => {
+        MethodMeta::Baseline3D(_, codec) => {
             stats.chunks_read = stats.chunks_total;
             stats.payload_bytes_read = stats.payload_bytes_total;
             let chunk = (layout.entries.first())
@@ -522,13 +525,28 @@ mod tests {
         assert!(decompress_region_t::<f64>(&bytes, roi).is_err());
     }
 
+    /// v1 bodies are walked into rows: a region read of one keeps the
+    /// box contract and reads the chunks its upgrade to v5 would.
     #[test]
-    fn v1_containers_are_rejected_for_roi() {
-        let v1 = frozen_v1!("tac_sz");
-        let err = decompress_region_t::<f64>(v1, Aabb::whole(16)).unwrap_err();
-        assert!(err.to_string().contains("v2"), "{err}");
-        // Re-serializing is the upgrade.
-        let upgraded = CompressedDataset::from_bytes(v1).unwrap().to_bytes();
-        decompress_region_t::<f64>(&upgraded, Aabb::whole(16)).unwrap();
+    fn v1_containers_serve_region_reads() {
+        for v1 in [
+            frozen_v1!("tac_sz"),
+            frozen_v1!("b1d_seg"),
+            frozen_v1!("zmesh_seg"),
+            frozen_v1!("b3d_sz"),
+        ] {
+            let cd = CompressedDataset::from_bytes(v1).unwrap();
+            let full = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+            let dim = cd.finest_dim;
+            for roi in [
+                Aabb::new((0, 0, 0), (dim / 2, dim / 2, dim / 2)),
+                Aabb::new((1, dim / 4, dim / 2), (dim, dim - 1, dim)),
+            ] {
+                let (partial, stats) = decompress_region_t::<f64>(v1, roi).unwrap();
+                assert_box_contract(&partial, &full, roi);
+                let (_, upgraded) = decompress_region_t::<f64>(&cd.to_bytes(), roi).unwrap();
+                assert_eq!(stats, upgraded, "{:?} {roi:?}", cd.method());
+            }
+        }
     }
 }

@@ -37,7 +37,7 @@ use crate::pipeline::{resolve_level_eb_for, LevelRanges};
 use crate::zmesh::{gather_walk, level_dim, population, scatter_walk};
 use std::ops::Range;
 use tac_amr::{Aabb, AmrDataset, BitMask};
-use tac_codec::{codec_for, CodecElement, CodecId, Dims};
+use tac_codec::{codec_for, CodecConfig, CodecElement, CodecId, Dims};
 
 /// Values a segment takes in before it closes at the next plane boundary.
 /// A writer-side constant: readers take every cut from the chunk table.
@@ -181,7 +181,7 @@ fn encode_segments<T: CodecElement>(
                 codec_for(cfg.codec),
                 &values,
                 Dims::D1(values.len()),
-                &cfg.codec_config(t.abs_eb),
+                &CodecConfig::abs(t.abs_eb),
             )?;
             tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
             tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
@@ -697,7 +697,7 @@ mod tests {
                 codec_for(cfg.codec),
                 &values,
                 Dims::D1(n),
-                &cfg.codec_config(EB),
+                &CodecConfig::abs(EB),
             )
             .unwrap()
         };

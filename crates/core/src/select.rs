@@ -35,7 +35,7 @@ use crate::segment::union_range;
 use crate::stream::CompressedLevel;
 use crate::zmesh::{gather_walk, ALL_PLANES};
 use tac_amr::{AmrDataset, BitMask};
-use tac_codec::{codec_for, CodecElement, CodecId, Dims};
+use tac_codec::{codec_for, CodecConfig, CodecElement, CodecId, Dims};
 
 /// Smallest per-level sample window of the sampled regime: below this,
 /// per-stream header overhead dominates and extrapolation is noise.
@@ -279,13 +279,8 @@ fn sample_window<T: CodecElement>(
 }
 
 /// A trial encode of one window: the stream's size in bytes.
-fn trial<T: CodecElement>(
-    codec: CodecId,
-    window: &[T],
-    abs_eb: f64,
-    cfg: &TacConfig,
-) -> Option<usize> {
-    let cc = cfg.codec_config(abs_eb);
+fn trial<T: CodecElement>(codec: CodecId, window: &[T], abs_eb: f64) -> Option<usize> {
+    let cc = CodecConfig::abs(abs_eb);
     let stream = T::codec_compress(codec_for(codec), window, Dims::D1(window.len()), &cc).ok()?;
     tac_obs::add_bytes(tac_obs::Counter::SelectSampledValues, window.len());
     Some(stream.len())
@@ -359,8 +354,7 @@ fn select_sampled<T: CodecElement>(
                 CodecId::all()
                     .into_iter()
                     .map(|codec| {
-                        trial(codec, &s.window, s.abs_eb, cfg)
-                            .map(|raw| (raw as f64) * scale_factor)
+                        trial(codec, &s.window, s.abs_eb).map(|raw| (raw as f64) * scale_factor)
                     })
                     .collect()
             })
@@ -455,7 +449,7 @@ fn select_sampled<T: CodecElement>(
                 let fd = ds.finest_dim();
                 let uniform_cells = (fd * fd) * fd;
                 for codec in CodecId::all() {
-                    let Some(raw) = trial(codec, &zwindow, abs_eb, cfg) else {
+                    let Some(raw) = trial(codec, &zwindow, abs_eb) else {
                         continue;
                     };
                     let bpv = (raw as f64) / (zwindow.len() as f64);

@@ -147,58 +147,24 @@ const TAG_EMPTY_F32: u8 = 5;
 const TAG_WHOLE_F32: u8 = 6;
 const TAG_GROUPS_F32: u8 = 7;
 
-impl CompressedLevel {
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, TacError> {
-        let strategy = Strategy::from_tag(r.get_u8()?)?;
-        let dim = r.get_u64()? as usize;
-        // Bound the dimension here so every downstream `dim^3` (mask
-        // checks, reconstruction buffers) stays overflow-free.
-        if dim == 0 || dim > crate::container::MAX_FINEST_DIM {
-            return Err(TacError::Corrupt(format!(
-                "level dim {dim} outside the supported 1..={}",
-                crate::container::MAX_FINEST_DIM
-            )));
-        }
-        let abs_eb = r.get_f64()?;
-        let tag = r.get_u8()?;
-        let dtype = match tag {
-            TAG_EMPTY_F32 | TAG_WHOLE_F32 | TAG_GROUPS_F32 => TacDtype::F32,
-            _ => TacDtype::F64,
-        };
-        let codec = match tag {
-            TAG_EMPTY | TAG_WHOLE_SZ | TAG_GROUPS_SZ | TAG_EMPTY_F32 => CodecId::Sz,
-            TAG_WHOLE_TAGGED | TAG_GROUPS_TAGGED | TAG_WHOLE_F32 | TAG_GROUPS_F32 => {
-                CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?
-            }
-            t => return Err(TacError::Corrupt(format!("unknown payload tag {t}"))),
-        };
-        let payload = match tag {
-            TAG_EMPTY | TAG_EMPTY_F32 => LevelPayload::Empty,
-            TAG_WHOLE_SZ | TAG_WHOLE_TAGGED | TAG_WHOLE_F32 => {
-                LevelPayload::Whole(r.get_blob()?.to_vec())
-            }
-            _ => {
-                let n = r.get_u32()? as usize;
-                if n > r.remaining() {
-                    return Err(TacError::Corrupt(format!("{n} groups is implausible")));
-                }
-                let mut groups = Vec::with_capacity(n);
-                for _ in 0..n {
-                    groups.push(BlockGroup::read(r)?);
-                }
-                LevelPayload::Groups(groups)
-            }
-        };
-        Ok(CompressedLevel {
-            strategy,
-            dim,
-            abs_eb,
-            codec,
-            dtype,
-            payload,
-        })
-    }
+/// What a v1 level tag says: the payload kind in the chunked metadata's
+/// terms (0 empty, 1 whole-grid stream, 2 region groups), the element
+/// type, and whether a codec byte follows (an untagged level is SZ).
+pub(crate) fn v1_level_tag(tag: u8) -> Result<(u8, TacDtype, bool), TacError> {
+    Ok(match tag {
+        TAG_EMPTY => (0, TacDtype::F64, false),
+        TAG_WHOLE_SZ => (1, TacDtype::F64, false),
+        TAG_GROUPS_SZ => (2, TacDtype::F64, false),
+        TAG_WHOLE_TAGGED => (1, TacDtype::F64, true),
+        TAG_GROUPS_TAGGED => (2, TacDtype::F64, true),
+        TAG_EMPTY_F32 => (0, TacDtype::F32, false),
+        TAG_WHOLE_F32 => (1, TacDtype::F32, true),
+        TAG_GROUPS_F32 => (2, TacDtype::F32, true),
+        t => return Err(TacError::Corrupt(format!("unknown payload tag {t}"))),
+    })
+}
 
+impl CompressedLevel {
     /// Accounted size in bytes — the level's share of
     /// [`crate::CompressedDataset::payload_bytes`]. A size formula,
     /// independent of the wire version: strategy, dim, bound and tag
@@ -238,23 +204,6 @@ mod tests {
         assert_eq!(bytes.len(), g.total_bytes());
         let mut r = Reader::new(&bytes);
         assert_eq!(BlockGroup::read(&mut r).unwrap(), g);
-    }
-
-    #[test]
-    fn unknown_codec_byte_is_rejected() {
-        // A v1 level: strategy, dim, bound, then a tagged whole-grid
-        // payload whose codec byte names no backend.
-        let mut w = Writer::new();
-        w.put_u8(Strategy::OpST.tag());
-        w.put_u64(8);
-        w.put_f64(1e-3);
-        w.put_u8(TAG_WHOLE_TAGGED);
-        w.put_u8(200);
-        w.put_blob(&[1, 2, 3]);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let err = CompressedLevel::read(&mut r).unwrap_err();
-        assert!(matches!(err, TacError::Codec(_)), "{err}");
     }
 
     #[test]

@@ -344,25 +344,27 @@ fn group_extents_beyond_the_level_are_rejected_at_every_worker_count() {
             ]),
         }]),
     };
-    // The v1 grammar is intact — the shape is only wrong for the level
-    // it claims to belong to — so the decode itself must refuse it, in
-    // memory and re-parsed alike (from the bytes the last v1 writer
-    // serialized this container to).
-    let parsed =
-        CompressedDataset::from_bytes(include_bytes!("data/hostile_v1_group_extents.bin")).unwrap();
-    assert_eq!(parsed, cd);
-    for hostile in [&cd, &parsed] {
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-            assert!(
-                decompress_dataset_par_t::<f64>(hostile, parallelism).is_err(),
-                "{parallelism:?}"
-            );
+    // In memory, the decode itself must refuse it.
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+        assert!(
+            decompress_dataset_par_t::<f64>(&cd, parallelism).is_err(),
+            "{parallelism:?}"
+        );
+    }
+    // On the wire, the group's box is its row's box — read from the
+    // chunked form's table, or walked out of the bytes the last v1
+    // writer serialized this container to — and the shared parse
+    // refuses a box that leaves the level's grid, before any decode.
+    let v1 = include_bytes!("data/hostile_v1_group_extents.bin").to_vec();
+    assert_eq!(v1[4], 1);
+    for bytes in [cd.to_bytes(), v1] {
+        for err in [
+            CompressedDataset::from_bytes(&bytes).unwrap_err(),
+            decompress_region_t::<f64>(&bytes, Aabb::whole(8)).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("leaves the 8^3 grid"), "{err}");
         }
     }
-    // The chunked form records the group's box in its table row, and the
-    // shared parse refuses a box that leaves the level's grid.
-    assert!(CompressedDataset::from_bytes(&cd.to_bytes()).is_err());
-    assert!(decompress_region_t::<f64>(&cd.to_bytes(), Aabb::whole(8)).is_err());
 }
 
 /// Every field of `CompressedDataset` is public, so a caller can hand

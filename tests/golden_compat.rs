@@ -568,8 +568,8 @@ fn corpus_file(stem: &str, version: u8) -> Vec<u8> {
 /// decode bit-identically at 1 and 2 workers; and re-serializing any of
 /// them **upgrades** it: version byte 5, equal to the committed `_v5`
 /// sibling, re-parsing to the same container. Region reads of every
-/// chunked file and of the upgrade (v1 itself cannot serve one) return
-/// the full decode inside the box and `+0.0` outside.
+/// file, v1 included, and of the upgrade return the full decode inside
+/// the box and `+0.0` outside.
 #[test]
 fn frozen_corpus_parses_decodes_and_upgrades_identically() {
     let mut files = 0;
@@ -615,12 +615,11 @@ fn frozen_corpus_parses_decodes_and_upgrades_identically() {
             "{stem}"
         );
 
-        // Region reads of every chunked file, and of the upgrade (v1 has
-        // no chunk table; its upgrade does), keep the box contract: the
-        // full decode inside the box, `+0.0` bits outside.
+        // Region reads of every file, v1 included, and of the upgrade
+        // keep the box contract: the full decode inside the box, `+0.0`
+        // bits outside.
         let dim = cd.finest_dim;
-        let chunked = versions.iter().filter(|&&v| v >= 2);
-        let files: Vec<Vec<u8>> = chunked.map(|&v| corpus_file(stem, v)).collect();
+        let files: Vec<Vec<u8>> = versions.iter().map(|&v| corpus_file(stem, v)).collect();
         for bytes in files.iter().chain([&upgraded]) {
             for roi in [
                 Aabb::new((0, 0, 0), (dim / 2, dim / 2, dim / 2)),
