@@ -6,7 +6,6 @@
 //! works with.
 
 use crate::aabb::Aabb;
-use tac_dtype::Element;
 
 /// A word with its low `n` bits set (`n <= 64`).
 #[inline]
@@ -274,47 +273,43 @@ impl BitMask {
         }
     }
 
-    /// Stores `T::ZERO` (`+0.0` bits) over every cell of `cells` whose
-    /// mask bit is clear, where `cells[i]` is the cell of bit
-    /// `start + i`; present cells are not touched. Word-wise: an
-    /// all-present word is skipped without reading its 64 cells, an
-    /// all-absent word is one `fill`, and a mixed word is filled one run
-    /// of absent cells at a time.
+    /// Copies `src[i]` over `dst[i]` for every cell whose mask bit
+    /// `start + i` is set, and returns how many cells it copied; a cell
+    /// whose bit is clear is not written, so a destination that holds
+    /// `+0.0` bits there ends up masked without its absent cells — or the
+    /// pages they lie on — being touched. One copy per run of
+    /// [`BitMask::runs_in`]: all-clear words are skipped, consecutive
+    /// all-set words are one copy, and a mixed word is copied one run of
+    /// present cells at a time.
     ///
     /// # Panics
-    /// Panics if `[start, start + cells.len())` does not lie inside the
-    /// mask.
-    pub fn zero_absent<T: Element>(&self, start: usize, cells: &mut [T]) {
+    /// Panics if `src` and `dst` differ in length or
+    /// `[start, start + dst.len())` does not lie inside the mask.
+    pub fn copy_present<T: Copy>(&self, start: usize, src: &[T], dst: &mut [T]) -> usize {
+        assert_eq!(
+            src.len(),
+            dst.len(),
+            "source and destination differ in length"
+        );
         assert!(
-            self.contains_range(start, cells.len()),
+            self.contains_range(start, dst.len()),
             "bit range {start}+{} out of range {}",
-            cells.len(),
+            dst.len(),
             self.len
         );
-        let mut at = start;
-        let mut rest = cells;
-        while !rest.is_empty() {
-            let (taken, present) = self.piece(at, rest.len());
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(taken);
-            let all = low_ones(taken);
-            let mut absent = !present & all;
-            if absent == all {
-                chunk.fill(T::ZERO);
-            } else {
-                while absent != 0 {
-                    let lo = absent.trailing_zeros();
-                    // `absent != all` here, so `lo` and `run` are at most
-                    // 63 and the shifts stay in range.
-                    let run = (absent >> lo).trailing_ones();
-                    if let Some(gap) = chunk.get_mut(lo as usize..(lo + run) as usize) {
-                        gap.fill(T::ZERO);
-                    }
-                    absent &= !(low_ones(run as usize) << lo);
-                }
+        let mut copied = 0;
+        for (at, len) in self.runs_in(start, src.len()) {
+            // Runs lie inside the range, so `at >= start`.
+            let from = at - start;
+            if let (Some(to), Some(run)) = (
+                dst.get_mut(from..).and_then(|d| d.get_mut(..len)),
+                src.get(from..).and_then(|s| s.get(..len)),
+            ) {
+                to.copy_from_slice(run);
             }
-            at += taken;
-            rest = tail;
+            copied += len;
         }
+        copied
     }
 
     /// ORs `bits` into the mask from bit `at` upwards, across the word
@@ -336,33 +331,98 @@ impl BitMask {
     /// The mask 2x-upsampled in 3D: reading `self` as a `dim^3` grid (x
     /// fastest), the `(2 dim)^3` grid whose cell `(x, y, z)` holds cell
     /// `(x/2, y/2, z/2)` of `self` — the cells one level finer that each
-    /// cell of a refinement tree covers. Word-wise: a row is walked 32
-    /// bits at a time, each piece doubled to 64 and ORed into the four
-    /// fine rows below it, whatever the rows' alignment.
+    /// cell of a refinement tree covers. Row-wise: each fine row is built
+    /// once, 32 coarse bits doubled into each of its words (a clear piece
+    /// costs no doubling). When fine rows are whole words (`dim` a
+    /// multiple of 32) the row is built in place and copied to its
+    /// y-twin, and each finished plane is copied to its z-twin, so every
+    /// word is written once; otherwise the built row is ORed into its
+    /// four fine rows.
     ///
     /// # Panics
     /// Panics if `len != dim^3`.
     pub fn upsample2(&self, dim: usize) -> BitMask {
+        self.upsample2_flipped(dim, 0)
+    }
+
+    /// The complement of [`BitMask::upsample2`], built in the same one
+    /// pass: the fine cells whose coarse cell is clear — in a refinement
+    /// tree, the cells no coarser level covers.
+    ///
+    /// # Panics
+    /// Panics if `len != dim^3`.
+    pub fn upsample2_complement(&self, dim: usize) -> BitMask {
+        self.upsample2_flipped(dim, u64::MAX)
+    }
+
+    /// [`BitMask::upsample2`] with every fine bit XORed with `flip`'s
+    /// (`0` or all ones).
+    fn upsample2_flipped(&self, dim: usize, flip: u64) -> BitMask {
         assert_eq!(self.len, dim * dim * dim, "mask is not a {dim}^3 grid");
-        let fine = 2 * dim;
-        let mut out = BitMask::zeros(fine * fine * fine);
-        for z in 0..dim {
-            for y in 0..dim {
-                let row = dim * (y + dim * z);
-                let mut x = 0;
-                while x < dim {
-                    let (taken, bits) = self.piece(row + x, (dim - x).min(32));
-                    if bits != 0 {
-                        let wide = double_bits(bits);
-                        for (fy, fz) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
-                            out.or_bits(fine * (2 * y + fy + fine * (2 * z + fz)) + 2 * x, wide);
+        let (fine, plane) = (2 * dim, 4 * dim * dim);
+        let mut out = BitMask::zeros(fine * plane);
+        // The fine row of coarse row `(y, z)`, 64 bits a word.
+        let build = |row: &mut [u64], y: usize, z: usize| {
+            let coarse = dim * (y + dim * z);
+            for (k, word) in row.iter_mut().enumerate() {
+                let taken = (dim - 32 * k).min(32);
+                let fill = if taken == 32 {
+                    flip
+                } else {
+                    double_bits(flip & low_ones(taken))
+                };
+                let bits = self.bits_at(coarse + 32 * k, taken);
+                *word = if bits == 0 {
+                    fill
+                } else {
+                    double_bits(bits) ^ fill
+                };
+            }
+        };
+        if dim > 0 && fine % 64 == 0 {
+            let (row_words, plane_words) = (fine / 64, plane / 64);
+            for (z, planes) in out.words.chunks_exact_mut(2 * plane_words).enumerate() {
+                let (even, odd) = planes.split_at_mut(plane_words);
+                for (y, rows) in even.chunks_exact_mut(2 * row_words).enumerate() {
+                    let (row, twin) = rows.split_at_mut(row_words);
+                    build(row, y, z);
+                    twin.copy_from_slice(row);
+                }
+                odd.copy_from_slice(even);
+            }
+        } else {
+            let mut row = vec![0u64; fine.div_ceil(64)];
+            for z in 0..dim {
+                for y in 0..dim {
+                    build(&mut row, y, z);
+                    let at = fine * (2 * y + fine * 2 * z);
+                    for twin in [0, fine, plane, plane + fine] {
+                        for (k, &bits) in row.iter().enumerate() {
+                            out.or_bits(at + twin + 64 * k, bits);
                         }
                     }
-                    x += taken;
                 }
             }
         }
         out
+    }
+
+    /// The `n <= 64` mask bits from bit `at`, across a word boundary when
+    /// they straddle one, right-aligned with everything above them zero.
+    /// Bits beyond the mask read as absent.
+    #[inline]
+    fn bits_at(&self, at: usize, n: usize) -> u64 {
+        let shift = at % 64;
+        let low = self.words.get(at / 64).map_or(0, |&w| w >> shift);
+        // A straddling read has `shift > 0`, so the shift stays in range.
+        let high = if n > 64 - shift {
+            self.words
+                .get(at / 64 + 1)
+                .map_or(0, |&w| w << (64 - shift))
+        } else {
+            0
+        };
+        (low | high) & low_ones(n)
     }
 
     /// Sets every bit that is set in `other`.
@@ -374,15 +434,6 @@ impl BitMask {
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w |= o;
         }
-    }
-
-    /// The mask with every bit flipped (bits beyond `len` stay clear).
-    pub fn complement(mut self) -> BitMask {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.clear_tail();
-        self
     }
 
     /// First and last set-bit offsets within the bit range
@@ -472,13 +523,12 @@ impl Iterator for Runs<'_> {
             let (taken, bits) = self.mask.piece(self.at, self.end - self.at);
             if bits == 0 {
                 // A piece of clear bits: skip it whole, and with it every
-                // all-clear word that follows (one compare each — what
-                // keeps a sparse mask as cheap here as in `iter_ones`).
+                // all-clear word that follows up to the range's end (one
+                // compare each — what keeps a sparse mask as cheap here as
+                // in `iter_ones`, and a short range as cheap as its words).
                 self.at += taken;
-                let clear = self
-                    .mask
-                    .words
-                    .get(self.at / 64..)
+                let clear = (self.mask.words)
+                    .get(self.at / 64..self.end.div_ceil(64))
                     .map_or(0, |rest| rest.iter().take_while(|&&word| word == 0).count());
                 self.at = self.at.saturating_add(clear.saturating_mul(64));
                 continue;
@@ -511,6 +561,7 @@ impl Iterator for Runs<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use tac_dtype::Element;
 
     /// A mask whose words are a seeded mix of all-zero, all-one and
     /// random words, so the ranged kernels meet every word class.
@@ -536,16 +587,18 @@ mod tests {
     }
 
     /// Checks both ranged kernels on `[start, start + len)` against a
-    /// bit-by-bit reference, for one element type. The cells start as
-    /// values whose bits differ from `+0.0` (including `-0.0` and NaN).
+    /// bit-by-bit reference, for one element type. The source cells hold
+    /// values whose bits differ from `+0.0` (including `-0.0` and NaN),
+    /// the destination a sentinel no present cell carries.
     fn check_ranged_kernels<T: Element>(m: &BitMask, start: usize, len: usize, fill: [T; 3]) {
         let count = (start..start + len).filter(|&i| m.get(i)).count();
         assert_eq!(m.count_ones_in(start, len), count, "count {start}+{len}");
-        let before: Vec<T> = (0..len).map(|i| fill[i % 3]).collect();
-        let mut cells = before.clone();
-        m.zero_absent(start, &mut cells);
-        for (i, (after, before)) in cells.iter().zip(&before).enumerate() {
-            let expect = if m.get(start + i) { *before } else { T::ZERO };
+        let src: Vec<T> = (0..len).map(|i| fill[i % 3]).collect();
+        let sentinel = T::from_f64(9.0);
+        let mut cells = vec![sentinel; len];
+        assert_eq!(m.copy_present(start, &src, &mut cells), count);
+        for (i, (after, src)) in cells.iter().zip(&src).enumerate() {
+            let expect = if m.get(start + i) { *src } else { sentinel };
             assert_eq!(
                 after.to_bits_u64(),
                 expect.to_bits_u64(),
@@ -575,8 +628,8 @@ mod tests {
     /// rows (64) and rows ending in a tail piece (96).
     const TREE_DIMS: [usize; 11] = [1, 2, 3, 4, 8, 12, 16, 24, 32, 64, 96];
 
-    /// Checks `upsample2`, `union_with` and `complement` on `dim^3` masks
-    /// against a bit-by-bit reference, tail words included.
+    /// Checks `upsample2`, `upsample2_complement` and `union_with` on
+    /// `dim^3` masks against a bit-by-bit reference, tail words included.
     fn check_tree_kernels(dim: usize, seed: u64) {
         let tail_is_clean = |m: &BitMask| {
             let ones: usize = m.words.iter().map(|w| w.count_ones() as usize).sum();
@@ -586,25 +639,27 @@ mod tests {
         let coarse = mixed_mask(dim * dim * dim, seed);
         let fine = 2 * dim;
         let up = coarse.upsample2(dim);
+        let flipped = coarse.upsample2_complement(dim);
         assert_eq!(up.len(), fine * fine * fine);
+        assert_eq!(flipped.len(), up.len());
         tail_is_clean(&up);
+        tail_is_clean(&flipped);
         for z in 0..fine {
             for y in 0..fine {
                 for x in 0..fine {
                     let parent = coarse.get(x / 2 + dim * (y / 2 + dim * (z / 2)));
-                    assert_eq!(up.get(x + fine * (y + fine * z)), parent, "({x}, {y}, {z})");
+                    let i = x + fine * (y + fine * z);
+                    assert_eq!(up.get(i), parent, "({x}, {y}, {z})");
+                    assert_eq!(flipped.get(i), !parent, "complement ({x}, {y}, {z})");
                 }
             }
         }
         let other = mixed_mask(coarse.len(), seed ^ 0xA5A5);
         let mut both = coarse.clone();
         both.union_with(&other);
-        let flipped = coarse.clone().complement();
         tail_is_clean(&both);
-        tail_is_clean(&flipped);
         for i in 0..coarse.len() {
             assert_eq!(both.get(i), coarse.get(i) || other.get(i), "union bit {i}");
-            assert_eq!(flipped.get(i), !coarse.get(i), "complement bit {i}");
         }
     }
 
@@ -613,13 +668,20 @@ mod tests {
         for dim in TREE_DIMS {
             check_tree_kernels(dim, dim as u64);
         }
-        // All-clear and all-set inputs, on a straddling and a tail row.
-        for dim in [3, 96] {
+        // All-clear and all-set inputs, on the empty grid, a straddling
+        // row and a tail row.
+        for dim in [0, 3, 96] {
             let n = dim * dim * dim;
             assert_eq!(BitMask::zeros(n).upsample2(dim), BitMask::zeros(8 * n));
             assert_eq!(BitMask::ones(n).upsample2(dim), BitMask::ones(8 * n));
-            assert_eq!(BitMask::ones(n).complement(), BitMask::zeros(n));
-            assert_eq!(BitMask::zeros(n).complement(), BitMask::ones(n));
+            assert_eq!(
+                BitMask::ones(n).upsample2_complement(dim),
+                BitMask::zeros(8 * n)
+            );
+            assert_eq!(
+                BitMask::zeros(n).upsample2_complement(dim),
+                BitMask::ones(8 * n)
+            );
         }
     }
 
@@ -750,6 +812,18 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn unit_counts_reject_a_range_past_the_end() {
         BitMask::zeros(70).add_unit_counts(64, 8, &mut [0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn copy_present_rejects_a_range_past_the_end() {
+        BitMask::ones(70).copy_present(64, &[1.0; 7], &mut [0.0; 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn copy_present_rejects_slices_of_different_lengths() {
+        BitMask::ones(70).copy_present(0, &[1.0; 7], &mut [0.0; 6]);
     }
 
     #[test]

@@ -33,14 +33,16 @@
 //! largest, is exactly the cells no coarser level covers. Mode **1**
 //! omits its blob, and the reader rebuilds it before anything else sees
 //! the prelude as `m_0 = !up2(m_1 | up2(m_2 | … up2(m_{L-1})))` (`up2` =
-//! [`BitMask::upsample2`]; all ones when `L = 1`). Mode **0** stores
-//! every mask, as v1–v4 do. The writer picks by exact equality, not by
-//! trusting its input: mode 1 iff the mask derived from `masks[1..]`
-//! equals `masks[0]` bit for bit and `finest_dim` halves exactly `L - 1`
-//! times. Hierarchies that are no tree — overlapping levels, an uncovered
-//! cell, two dense levels, an odd side — get mode 0, so every in-memory
-//! container still round-trips. Parsed masks, the chunk table, every
-//! payload byte and every decoder are the same in both modes.
+//! [`BitMask::upsample2`], the outer `!up2` one
+//! [`BitMask::upsample2_complement`] pass; all ones when `L = 1`). Mode
+//! **0** stores every mask, as v1–v4 do. The writer picks by exact
+//! equality, not by trusting its input: mode 1 iff the mask derived from
+//! `masks[1..]` equals `masks[0]` bit for bit and `finest_dim` halves
+//! exactly `L - 1` times. Hierarchies that are no tree — overlapping
+//! levels, an uncovered cell, two dense levels, an odd side — get mode
+//! 0, so every in-memory container still round-trips. Parsed masks, the
+//! chunk table, every payload byte and every decoder are the same in
+//! both modes.
 //!
 //! [`CompressedDataset::from_bytes`] still reads every version that was
 //! ever written, to the same in-memory container:
@@ -548,10 +550,11 @@ impl CompressedDataset {
 /// The finest mask a refinement tree implies: its levels partition the
 /// domain, so level 0 holds exactly the cells no coarser level does —
 /// `!up2(m_1 | up2(m_2 | … up2(m_{L-1})))` with `up2` the 2x upsample
-/// of [`BitMask::upsample2`], and all ones for a single level. `coarser`
-/// holds the masks of levels `1..L`. `None` when `finest_dim` does not
-/// halve exactly once per coarser level or a mask is not its level's
-/// grid: no tree is implied there.
+/// of [`BitMask::upsample2`] (the outer `!up2` built in one pass by
+/// [`BitMask::upsample2_complement`]), and all ones for a single level.
+/// `coarser` holds the masks of levels `1..L`. `None` when `finest_dim`
+/// does not halve exactly once per coarser level or a mask is not its
+/// level's grid: no tree is implied there.
 fn implied_finest_mask(coarser: &[BitMask], finest_dim: usize) -> Option<BitMask> {
     let scale = refinement(coarser.len())?;
     if finest_dim == 0 || finest_dim > MAX_FINEST_DIM || finest_dim % scale != 0 {
@@ -576,7 +579,7 @@ fn implied_finest_mask(coarser: &[BitMask], finest_dim: usize) -> Option<BitMask
     }
     Some(match covered {
         None => BitMask::ones(finest_dim.checked_pow(3)?),
-        Some(below) => below.upsample2(finest_dim / 2).complement(),
+        Some(below) => below.upsample2_complement(finest_dim / 2),
     })
 }
 
@@ -1210,7 +1213,7 @@ fn zmesh_row_scale(num_levels: usize) -> usize {
     refinement(num_levels.saturating_sub(1)).unwrap_or(usize::MAX)
 }
 
-impl Layout<'_> {
+impl<'a> Layout<'a> {
     /// Checks the rows — a chunk table's, or a walked v1 body's —
     /// against the method metadata and the masks, the one body check of
     /// every version: each level lists exactly the chunks its metadata
@@ -1372,7 +1375,7 @@ impl Layout<'_> {
     /// The serialized bytes of one chunk. Every entry's byte range was
     /// bounds-checked against the payload at parse time; an entry that
     /// somehow escaped that check yields an empty slice, never a panic.
-    pub fn chunk_bytes(&self, e: &ChunkEntry) -> &[u8] {
+    pub fn chunk_bytes(&self, e: &ChunkEntry) -> &'a [u8] {
         e.offset
             .checked_add(e.len)
             .and_then(|end| self.payload.get(e.offset..end))
@@ -2163,7 +2166,7 @@ pub(crate) mod tests {
     /// origin, and every fine cell outside it.
     fn tree_tac() -> CompressedDataset {
         let mut cd = sample_tac();
-        cd.masks[0] = cd.masks[1].upsample2(2).complement();
+        cd.masks[0] = cd.masks[1].upsample2_complement(2);
         cd
     }
 

@@ -25,14 +25,16 @@
 //!    tail. Its level grids are allocated, cut and handed back by the
 //!    one owner every decode arm shares
 //!    ([`crate::pipeline::decompress_dataset_in`]); a TAC level arrives
-//!    as a [`SlabGrid`] of one locked slab per z-plane, and every decode
-//!    task pastes and masks what it decoded straight into it, under the
-//!    lock of the plane a row lies on, touching only the cells its
-//!    payload covers — pasting is where a fresh grid is first touched,
-//!    page fault by page fault, most of a serial decode. Tasks run in no
-//!    fixed order, so two regions over one cell have no defined winner
-//!    and are an error: the grid's claim bits catch it at any worker
-//!    count.
+//!    as a [`SlabGrid`] of one locked slab per z-plane, already holding
+//!    `+0.0` bits, and every decode task stores the present cells of
+//!    what it decoded straight into it, under the lock of the plane a
+//!    row lies on ([`paste_group`]): a region row with no present cell
+//!    is never written, so a sparse level costs its present cells, not
+//!    its region volume — pasting is where a fresh grid is first
+//!    touched, page fault by page fault. Tasks run in no fixed order, so
+//!    two regions over one cell, present or absent, have no defined
+//!    winner and are an error: the grid's claim bits, set on every
+//!    region cell, catch it at any worker count.
 //!
 //! Because tasks are planned before execution and results are keyed by
 //! task index, the assembled output is **byte-identical for every
@@ -358,10 +360,11 @@ enum DecompressKind<'a> {
 /// Contract of the written grids: a present cell carries its decoded
 /// value, and every other cell — absent under the mask, or covered by
 /// no payload at all (an `Empty` level, a chunk an ROI read left out) —
-/// keeps the `+0.0` bits of the zero grid. Assembly writes only what a
-/// payload covers: the rows of each pasted region and the grid of a
-/// whole-level stream, so its cost follows the occupied volume and the
-/// pages of a level grid that no chunk touches are never written.
+/// keeps the `+0.0` bits of the zero grid. Assembly stores only the
+/// present cells a payload covers — of each pasted region, and of the
+/// grid of a whole-level stream — so its cost follows the present
+/// cells, and the pages of a level grid that hold none of them are
+/// never written.
 ///
 /// Under a grid's clip — a region read's box — a task writes only the
 /// in-box part of what it decoded. Regions still claim every cell they
@@ -478,13 +481,11 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
             };
             let _paste = (tac_obs::span(tac_obs::Stage::Paste).arg("level", t.level))
                 .arg("cells", values.len());
-            let (fresh, copied) = paste_group(t.grid, shape, origins, &values, mask)?;
+            let (fresh, stored) = paste_group(t.grid, shape, origins, &values, mask)?;
             if !fresh {
                 overlap.fetch_min(t.level, Ordering::Relaxed);
             }
-            // Every copied cell is pasted once and visited once more by
-            // the masking.
-            tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, 2 * copied);
+            tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, stored);
             Ok(())
         },
     );
@@ -501,8 +502,12 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{decompress_dataset_in, Body};
-    use tac_amr::{paste_region, Aabb};
+    use crate::container::MethodBody;
+    use crate::pipeline::{
+        compress_dataset_t, decompress_dataset_in, decompress_dataset_par_t, Body,
+    };
+    use crate::{Method, Parallelism};
+    use tac_amr::{paste_region, Aabb, AmrDataset};
 
     /// TAC levels decoded through the grid owner, as the full decode and
     /// the region read of a TAC container decode them.
@@ -513,7 +518,13 @@ mod tests {
         clip: Option<&[Aabb]>,
     ) -> Result<Vec<AmrLevel<T>>, TacError> {
         let finest_dim = compressed.first().map_or(0, |cl| cl.dim);
-        decompress_dataset_in(finest_dim, masks, Body::Tac(compressed), workers, clip)
+        decompress_dataset_in(
+            finest_dim,
+            masks.to_vec(),
+            Body::Tac(compressed),
+            workers,
+            clip,
+        )
     }
 
     #[test]
@@ -787,23 +798,7 @@ mod tests {
                     ],
                 ),
             ] {
-                let cl = level(overlapping);
-                // A region read whose box misses the doubled cells still
-                // sees them: the regions it decodes claim every cell.
-                let away = [Aabb::new((5, 0, 0), (8, 1, 1))];
-                for (workers, clip) in [(1, None), (2, None), (4, None), (1, Some(&away[..]))] {
-                    let err = decompress_tac_levels::<f64>(
-                        std::slice::from_ref(&cl),
-                        std::slice::from_ref(&mask),
-                        workers,
-                        clip,
-                    )
-                    .unwrap_err();
-                    assert!(
-                        matches!(&err, TacError::Corrupt(why) if why.contains("overlaps")),
-                        "{codec}, {what}, {workers} workers, {clip:?}: {err}"
-                    );
-                }
+                overlaps_are_corrupt(&level(overlapping), &mask, &format!("{codec}, {what}"));
             }
 
             let cl = level(vec![
@@ -829,6 +824,140 @@ mod tests {
                 got[absent_group_cell], 0,
                 "absent cell under a group is +0.0"
             );
+        }
+    }
+
+    /// Asserts that decoding `cl` is `Corrupt` for overlapping regions
+    /// at 1, 2 and 4 workers, and under a region read whose box misses
+    /// the doubled cells: the regions it decodes claim every cell.
+    fn overlaps_are_corrupt(cl: &CompressedLevel, mask: &BitMask, what: &str) {
+        let away = [Aabb::new((5, 0, 0), (8, 1, 1))];
+        for (workers, clip) in [(1, None), (2, None), (4, None), (1, Some(&away[..]))] {
+            let err = decompress_tac_levels::<f64>(
+                std::slice::from_ref(cl),
+                std::slice::from_ref(mask),
+                workers,
+                clip,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, TacError::Corrupt(why) if why.contains("overlaps")),
+                "{what}, {workers} workers, {clip:?}: {err}"
+            );
+        }
+    }
+
+    /// Two regions that meet only on absent cells are refused like any
+    /// overlap: the paste stores no absent cell, but claims every region
+    /// cell.
+    #[test]
+    fn regions_meeting_only_on_absent_cells_are_corrupt() {
+        let dim = 8usize;
+        let data: Vec<f64> = (0..dim * dim * dim).map(|i| i as f64).collect();
+        // Present: the lower half of the grid, and one corner cell.
+        let mut mask = BitMask::zeros(data.len());
+        for i in 0..data.len() / 2 {
+            mask.set(i, true);
+        }
+        mask.set(dim * dim * dim - 1, true);
+        let cfg = CodecConfig::abs(1e-3);
+        for codec in CodecId::all() {
+            let group = |shape, origins: &[(usize, usize, usize)]| {
+                let plan = GroupPlan {
+                    shape,
+                    origins: origins.to_vec(),
+                };
+                compress_group(&data, dim, &plan, codec, &cfg).unwrap()
+            };
+            // Both regions hold present cells; the one cell they share,
+            // (5, 5, 5), is absent.
+            let cl = CompressedLevel {
+                strategy: Strategy::OpST,
+                dim,
+                abs_eb: 1e-3,
+                codec,
+                dtype: f64::DTYPE,
+                payload: LevelPayload::Groups(vec![
+                    group((4, 3, 3), &[(2, 3, 3)]),
+                    group((3, 3, 3), &[(5, 5, 5)]),
+                ]),
+            };
+            assert!(!mask.get(5 + dim * (5 + dim * 5)));
+            overlaps_are_corrupt(&cl, &mask, &format!("{codec}"));
+        }
+    }
+
+    /// A four-level refinement tree over a 64^3 finest grid whose finest
+    /// level is under 0.1 % present: each level holds the cells of its
+    /// parent's refined box that it does not refine itself, the finest
+    /// the children of ~30 scattered level-1 cells. Most rows of its
+    /// regions hold no present cell. NaN and `-0.0` sit among the values.
+    fn sparse_tree() -> AmrDataset<f64> {
+        let refined = |l: usize, [x, y, z]: [usize; 3]| match l {
+            3 => [x, y, z].iter().all(|c| (2..5).contains(c)),
+            2 => [x, y, z].iter().all(|c| (5..9).contains(c)),
+            1 => [x, y, z].iter().all(|c| (10..18).contains(c)) && (x * 7 + y * 3 + z) % 17 == 0,
+            _ => false,
+        };
+        let mut levels = (0..4)
+            .map(|l| {
+                let dim = 64 >> l;
+                let mut level = AmrLevel::<f64>::empty(dim);
+                for z in 0..dim {
+                    for y in 0..dim {
+                        for x in 0..dim {
+                            let cell = [x, y, z];
+                            let parent = [x / 2, y / 2, z / 2];
+                            if (l == 3 || refined(l + 1, parent)) && !refined(l, cell) {
+                                let v = ((x + 2 * y) as f64 * 0.3).sin() + (z * (l + 1)) as f64;
+                                level.set_value(x, y, z, v);
+                            }
+                        }
+                    }
+                }
+                level
+            })
+            .collect::<Vec<_>>();
+        let present: Vec<usize> = levels[0].mask().iter_ones().take(2).collect();
+        for (&i, v) in present.iter().zip([f64::NAN, -0.0]) {
+            levels[0].set_value(i % 64, i / 64 % 64, i / 4096, v);
+        }
+        AmrDataset::new("sparse-tree", levels)
+    }
+
+    /// A deep sparse hierarchy decodes bit for bit like the per-cell
+    /// reference on every level, at one worker and at two, on every
+    /// codec: pasting only present cells leaves nothing unmasked.
+    #[test]
+    fn a_sparse_four_level_tree_decodes_like_the_reference_at_every_worker_count() {
+        let ds = sparse_tree();
+        assert!(ds.levels()[0].density() < 0.001);
+        for codec in CodecId::all() {
+            let cfg = TacConfig {
+                codec,
+                ..Default::default()
+            };
+            let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+            let MethodBody::Tac(levels) = &cd.body else {
+                panic!("{codec}: Method::Tac wrote a non-TAC body");
+            };
+            assert!(
+                matches!(levels[0].payload, LevelPayload::Groups(_)),
+                "{codec}: the sparse finest level should be cut into regions"
+            );
+            for workers in [1, 2] {
+                let out =
+                    decompress_dataset_par_t::<f64>(&cd, Parallelism::Threads(workers)).unwrap();
+                for (l, (cl, mask)) in levels.iter().zip(&cd.masks).enumerate() {
+                    let bits: Vec<u64> =
+                        out.levels()[l].data().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        bits,
+                        reference_assembly::<f64>(cl, mask),
+                        "{codec}, level {l}, {workers} workers"
+                    );
+                }
+            }
         }
     }
 

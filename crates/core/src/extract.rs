@@ -206,19 +206,24 @@ fn claim(bits: &mut [u64], start: usize, len: usize) -> bool {
 
 /// Pastes the decoded sub-blocks of shape `shape` at `origins` — a
 /// group's regions, or the one region of a whole-level stream — into
-/// their level's grid, cut one slab per z-plane with claim bits, and
-/// applies the occupancy mask to what it pasted: row by row, under the
-/// lock of the plane the row lies on, the region's values are copied in,
-/// the absent cells of that row are reset to `+0.0` and the row's cells
-/// claimed. Cells outside every region are never written. Under the
-/// grid's clip — a region read's box — only the part of each row inside
-/// the box is copied and masked, while the whole row is still claimed,
-/// so an overlap is found wherever it lies. Each sub-block's origin and
-/// shape are bounds-checked before its first row is touched.
+/// their level's grid, cut one slab per z-plane with claim bits, storing
+/// only the cells the occupancy mask marks present. Row by row, under
+/// the lock of the plane the row lies on, [`BitMask::copy_present`]
+/// reads the row's mask bits once: a row with no present cell is not
+/// written at all, an all-present row is one copy, and a mixed row is
+/// copied one present run at a time. The grid arrives holding `+0.0`
+/// bits (see [`crate::pipeline::decompress_dataset_in`]), so absent
+/// cells and the pages that hold only absent cells are never touched.
+/// Every cell of every region row is claimed all the same. Under the
+/// grid's clip — a region read's box — only the in-box part of each row
+/// is stored, while the whole row is still claimed, so an overlap is
+/// found wherever it lies, over present cells or absent ones. Each
+/// sub-block's origin and shape are bounds-checked before its first row
+/// is touched.
 ///
-/// Returns whether every pasted cell was unclaimed — concurrent tasks
+/// Returns whether every region cell was unclaimed — concurrent tasks
 /// cannot agree on which region's value a cell claimed twice keeps, so
-/// the caller rejects such a level — and how many cells were copied.
+/// the caller rejects such a level — and how many cells were stored.
 pub(crate) fn paste_group<T: Element>(
     grid: &SlabGrid<'_, T>,
     shape: (usize, usize, usize),
@@ -234,7 +239,7 @@ pub(crate) fn paste_group<T: Element>(
     // without data is an error, not an index.
     let mut blocks = values.chunks_exact(block_cells(shape, dim)?);
     let mut fresh = true;
-    let mut copied = 0;
+    let mut stored = 0;
     for (i, &(x, y, z)) in origins.iter().enumerate() {
         let (x, y, z) = (x as usize, y as usize, z as usize);
         if x + w > dim || y + h > dim || z + d > dim {
@@ -272,15 +277,13 @@ pub(crate) fn paste_group<T: Element>(
                     else {
                         return Err(short());
                     };
-                    dst.copy_from_slice(src);
-                    mask.zero_absent(row + from, dst);
-                    copied += to - from;
+                    stored += mask.copy_present(row + from, src, dst);
                 }
                 fresh &= claim(claims, at, w);
             }
         }
     }
-    Ok((fresh, copied))
+    Ok((fresh, stored))
 }
 
 #[cfg(test)]
@@ -361,6 +364,11 @@ mod tests {
         }
     }
 
+    /// The paste's contract on a sentinel grid: it stores the present
+    /// cells of its regions that lie inside the box, writes no other
+    /// cell — absent ones included, since the grid it is handed already
+    /// holds `+0.0` there — and claims every region cell, present or
+    /// absent, inside the box or not.
     #[test]
     fn paste_masks_the_pasted_rows_and_writes_nothing_else() {
         let dim = 8;
@@ -384,8 +392,8 @@ mod tests {
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         // Unclipped, a box that cuts both sub-blocks, and one that misses
-        // them: only the boxed cells are written, every region cell is
-        // claimed all the same.
+        // them: only the boxed present cells are written, every region
+        // cell is claimed all the same.
         for clip in [
             None,
             Some(Aabb::new((3, 1, 1), (6, 4, 7))),
@@ -394,7 +402,7 @@ mod tests {
             // A sentinel everywhere shows which cells the paste wrote.
             let mut out = vec![9.0f64; dim * dim * dim];
             let grid = planes(&mut out, dim, clip);
-            let (fresh, copied) = paste_group(&grid, g.shape, &g.origins, &values, &mask).unwrap();
+            let (fresh, stored) = paste_group(&grid, g.shape, &g.origins, &values, &mask).unwrap();
             assert!(fresh);
             let claims: Vec<u64> = (0..dim)
                 .flat_map(|z| grid.lock(z).unwrap().cells_and_claims().1.to_vec())
@@ -410,15 +418,15 @@ mod tests {
                             let i = xx + dim * (yy + dim * zz);
                             let v = *src.next().unwrap();
                             claimed[i] = true;
-                            if clip.map_or(true, |b| b.contains(xx, yy, zz)) {
-                                expect[i] = if mask.get(i) { v } else { 0.0 };
+                            if mask.get(i) && clip.map_or(true, |b| b.contains(xx, yy, zz)) {
+                                expect[i] = v;
                             }
                         }
                     }
                 }
             }
             assert_eq!(bits(&out), bits(&expect), "{clip:?}");
-            assert_eq!(copied, expect.iter().filter(|&&v| v != 9.0).count());
+            assert_eq!(stored, expect.iter().filter(|&&v| v != 9.0).count());
             // The claim bits are exactly the region cells (an 8^3 plane
             // is one claim word), so a region sharing one cell overlaps.
             for (i, &c) in claimed.iter().enumerate() {
@@ -430,9 +438,14 @@ mod tests {
                     .unwrap()
                     .0
             );
-            let corner = [(6, 4, 2)];
-            let (fresh, copied) = paste_group(&grid, (1, 1, 1), &corner, &[1.0], &mask).unwrap();
-            assert!(!fresh && copied == 0);
+            // Outside the box, over a present cell and over an absent one
+            // (cell 90 of the first sub-block): both are claimed twice.
+            assert!(!mask.get(90));
+            for corner in [(6, 4, 2), (2, 3, 1)] {
+                let (fresh, stored) =
+                    paste_group(&grid, (1, 1, 1), &[corner], &[1.0], &mask).unwrap();
+                assert!(!fresh && stored == 0, "{corner:?}");
+            }
         }
     }
 

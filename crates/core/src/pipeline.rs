@@ -130,7 +130,7 @@ pub fn decompress_level_t<T: CodecElement>(
     mask: &BitMask,
 ) -> Result<AmrLevel<T>, TacError> {
     let body = Body::Tac(std::slice::from_ref(cl));
-    let mut levels = decompress_dataset_in(cl.dim, std::slice::from_ref(mask), body, 1, None)?;
+    let mut levels = decompress_dataset_in(cl.dim, vec![mask.clone()], body, 1, None)?;
     levels
         .pop()
         .ok_or_else(|| TacError::Corrupt("the engine returned no level".into()))
@@ -495,8 +495,9 @@ pub fn decompress_dataset_par_t<T: CodecElement>(
         )?]),
         MethodBody::Baseline3D { stream, codec, .. } => Body::Uniform(*codec, stream),
     };
-    let levels =
-        decompress_dataset_in(cd.finest_dim, &cd.masks, body, parallelism.workers(), None)?;
+    // The container is borrowed: its masks are cloned into the levels.
+    let masks = cd.masks.clone();
+    let levels = decompress_dataset_in(cd.finest_dim, masks, body, parallelism.workers(), None)?;
     Ok(AmrDataset::new(cd.name.clone(), levels))
 }
 
@@ -541,19 +542,23 @@ impl Body<'_> {
 /// threads: the one place every decode's level grids are allocated, cut
 /// for the body's tasks under each level's box of `clip` (a region read,
 /// [`crate::roi::level_boxes`]; `None` is the full decode, and outside a
-/// box every cell holds `+0.0` bits) and handed back as levels.
+/// box every cell holds `+0.0` bits) and handed back as levels, which
+/// take ownership of `masks`.
 pub(crate) fn decompress_dataset_in<T: CodecElement>(
     finest_dim: usize,
-    masks: &[BitMask],
+    masks: Vec<BitMask>,
     body: Body<'_>,
     workers: usize,
     clip: Option<&[Aabb]>,
 ) -> Result<Vec<AmrLevel<T>>, TacError> {
     let _decompress = tac_obs::span(tac_obs::Stage::Decompress).arg("levels", masks.len());
-    check_geometry(finest_dim, masks)?;
+    check_geometry(finest_dim, &masks)?;
     let dims: Vec<usize> = (0..masks.len()).map(|l| level_dim(finest_dim, l)).collect();
     let assemble = tac_obs::span(tac_obs::Stage::Assemble);
-    // Zero pages cost nothing until a task writes them.
+    // A zeroed `vec!` is one `alloc_zeroed`: a grid the allocator maps
+    // fresh costs no page until a task writes one, while a grid it
+    // recycles from its heap is cleared up front. Either way the arms
+    // below rely on every cell starting as `+0.0` bits.
     let mut cells: Vec<Vec<T>> = masks.iter().map(|m| vec![T::ZERO; m.len()]).collect();
     let grids = (cells.iter_mut().zip(&dims).enumerate())
         .map(|(l, (cells, &dim))| {
@@ -564,16 +569,16 @@ pub(crate) fn decompress_dataset_in<T: CodecElement>(
         .collect::<Result<Vec<_>, _>>()?;
     drop(assemble);
     match &body {
-        Body::Tac(levels) => engine::decompress_tac_levels(levels, masks, &grids, workers)?,
+        Body::Tac(levels) => engine::decompress_tac_levels(levels, &masks, &grids, workers)?,
         Body::Stacks(stacks) => {
-            segment::decompress_stacks(masks, finest_dim, stacks, &grids, workers)?
+            segment::decompress_stacks(&masks, finest_dim, stacks, &grids, workers)?
         }
-        Body::Uniform(codec, stream) => fill_uniform(finest_dim, masks, *codec, stream, &grids)?,
+        Body::Uniform(codec, stream) => fill_uniform(finest_dim, &masks, *codec, stream, &grids)?,
     }
     drop(grids);
     let _assemble = tac_obs::span(tac_obs::Stage::Assemble);
     Ok((cells.into_iter().zip(masks).zip(dims))
-        .map(|((data, mask), dim)| AmrLevel::new(dim, data, mask.clone()))
+        .map(|((data, mask), dim)| AmrLevel::new(dim, data, mask))
         .collect())
 }
 

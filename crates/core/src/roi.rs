@@ -32,7 +32,7 @@
 //! The chunks it reads go through the full decode's own path
 //! ([`crate::pipeline::decompress_dataset_in`]), whose level grids carry
 //! each level's box as their clip ([`crate::grid::SlabGrid`]): every arm
-//! writes only the cells inside it — pasted and masked, scattered, or
+//! writes only the present cells inside it — pasted, scattered, or
 //! sampled — so the pages outside the box are never touched.
 
 use crate::container::{parse_layout, ChunkEntry, MethodMeta};
@@ -130,9 +130,9 @@ fn record_roi_stats(stats: &RoiStats) {
 /// The reported [`RoiStats`] show how much payload the request avoided.
 /// A skipped chunk costs nothing beyond its chunk-table row (and, for a
 /// region group, the origin list the table check reads), and a read one
-/// writes only its cells inside the box: the level grids are
-/// zero-initialised and only the box is written — TAC regions pasted
-/// then masked row by row, zMesh / 1D segments scattered piece by piece,
+/// writes only its present cells inside the box: the level grids are
+/// zero-initialised and only the box is written — the present cells of
+/// TAC regions stored row by row, zMesh / 1D segments scattered piece by piece,
 /// whole-level streams and the 3D baseline's grid copied or sampled box
 /// row by box row — so the pages of a level grid outside the box are
 /// never touched, and the call costs what its chunks and its box cost,
@@ -230,7 +230,8 @@ pub fn decompress_region_t<T: CodecElement>(
         }
     };
     record_roi_stats(&stats);
-    let levels = decompress_dataset_in(layout.finest_dim, &layout.masks, body, 1, Some(&boxes))?;
+    // The layout is this call's own: its masks move into the levels.
+    let levels = decompress_dataset_in(layout.finest_dim, layout.masks, body, 1, Some(&boxes))?;
     Ok((AmrDataset::new(layout.name, levels), stats))
 }
 

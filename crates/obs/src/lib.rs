@@ -206,10 +206,10 @@ pub enum Counter {
     SelectSampledValues,
     /// Estimated payload bytes of the winning selection candidate.
     SelectWinnerBytes,
-    /// Level-grid cells touched by decode-side assembly: cells pasted
-    /// from region groups plus cells visited by mask application. Stays
-    /// proportional to the decoded regions, not to `dim^3`, on sparse
-    /// levels.
+    /// Level-grid cells stored by TAC decode-side assembly: the present
+    /// cells of the pasted regions (inside the box, on a region read).
+    /// Absent cells are never written, so it stays proportional to the
+    /// present cells decoded, not to the region volume or to `dim^3`.
     AssembleCellsWritten,
     /// Values moved by [`Stage::Reorder`] spans: one per value gathered
     /// into, or scattered out of, a 1D / zMesh / 3D codec stream.
