@@ -186,7 +186,7 @@ impl BitMask {
     /// Up to `max` mask bits starting at bit `at`, cut at the next word
     /// boundary: how many bits were taken (`>= 1` when `max > 0`) and
     /// the bits themselves, right-aligned with everything above them
-    /// zero. The three ranged kernels below walk a range piece by piece
+    /// zero. The ranged kernels below walk a range piece by piece
     /// through this one place, so the partial-word masking at both ends
     /// exists once. Bits beyond the mask read as absent.
     #[inline]
@@ -277,10 +277,11 @@ impl BitMask {
     /// `start + i` is set, and returns how many cells it copied; a cell
     /// whose bit is clear is not written, so a destination that holds
     /// `+0.0` bits there ends up masked without its absent cells — or the
-    /// pages they lie on — being touched. One copy per run of
-    /// [`BitMask::runs_in`]: all-clear words are skipped, consecutive
-    /// all-set words are one copy, and a mixed word is copied one run of
-    /// present cells at a time.
+    /// pages they lie on — being touched. Word by word, through the
+    /// pieces the other ranged kernels walk: an all-clear word is
+    /// skipped, an all-set word is one slice copy, and a mixed word goes
+    /// byte by byte — a full byte is a fixed 8-cell copy, any other a
+    /// loop over its set bits.
     ///
     /// # Panics
     /// Panics if `src` and `dst` differ in length or
@@ -297,17 +298,45 @@ impl BitMask {
             dst.len(),
             self.len
         );
-        let mut copied = 0;
-        for (at, len) in self.runs_in(start, src.len()) {
-            // Runs lie inside the range, so `at >= start`.
-            let from = at - start;
-            if let (Some(to), Some(run)) = (
-                dst.get_mut(from..).and_then(|d| d.get_mut(..len)),
-                src.get(from..).and_then(|s| s.get(..len)),
-            ) {
-                to.copy_from_slice(run);
+        let (mut copied, mut done) = (0, 0);
+        while done < dst.len() {
+            let (taken, bits) = self.piece(start + done, dst.len() - done);
+            let word = done..done + taken;
+            done += taken;
+            if bits == 0 {
+                continue;
             }
-            copied += len;
+            let (Some(to), Some(from)) = (dst.get_mut(word.clone()), src.get(word)) else {
+                break;
+            };
+            copied += bits.count_ones() as usize;
+            if bits == low_ones(taken) {
+                to.copy_from_slice(from);
+                continue;
+            }
+            for ((to, from), byte) in to.chunks_mut(8).zip(from.chunks(8)).zip(bits.to_le_bytes()) {
+                match byte {
+                    0 => {}
+                    // A full byte lies wholly inside the piece: the bits
+                    // above `taken` are clear.
+                    u8::MAX => {
+                        if let (Ok(to), Ok(from)) =
+                            (<&mut [T; 8]>::try_from(to), <&[T; 8]>::try_from(from))
+                        {
+                            *to = *from;
+                        }
+                    }
+                    mut rest => {
+                        while rest != 0 {
+                            let i = rest.trailing_zeros() as usize;
+                            if let (Some(to), Some(from)) = (to.get_mut(i), from.get(i)) {
+                                *to = *from;
+                            }
+                            rest &= rest - 1;
+                        }
+                    }
+                }
+            }
         }
         copied
     }
@@ -746,8 +775,27 @@ mod tests {
             (64, 128), // whole words only
             (128, 72), // ending exactly on the partial tail
             (0, 200),  // everything
+            (13, 6),   // inside one byte, both ends mid-byte
+            (13, 43),  // mid-byte to mid-byte across bytes of one word
+            (37, 99),  // mid-word to mid-word across a whole word
+            (59, 70),  // mid-byte at both ends, straddling two boundaries
         ] {
             check_ranged_kernels(&m, start, len, [-0.0f64, f64::NAN, 7.5]);
+        }
+        // Words mixing every byte class — full, empty, partial — so the
+        // mixed-word path meets full bytes cut by the range's ends.
+        let mut m = BitMask::zeros(200);
+        m.words = vec![
+            0x00FF_F00F_FF00_FF81,
+            0xFFFF_FFFF_0000_00FF,
+            0x8001_FF00_FF7E_00FF,
+            0xFF,
+        ];
+        for start in [0, 3, 8, 12, 61, 64, 70, 125] {
+            for len in [0, 1, 5, 8, 11, 52, 67, 200 - start] {
+                check_ranged_kernels(&m, start, len.min(200 - start), [-0.0f64, f64::NAN, 7.5]);
+                check_ranged_kernels(&m, start, len.min(200 - start), [-0.0f32, f32::NAN, 7.5]);
+            }
         }
     }
 

@@ -12,7 +12,8 @@
 //!    `Method::Auto` picks exactly this pair): one task per z-slab
 //!    segment of the traversal;
 //! 3. full decode vs region-of-interest decode of a 1/8-volume corner
-//!    through the v2 chunk table, with payload-byte accounting.
+//!    through the v2 chunk table, with payload-byte accounting, both on
+//!    the default parallelism a region read runs on.
 //!
 //! Expected shapes: near-linear compression speedup while physical
 //! cores last (the per-group tasks dominate and the scheduler keeps
@@ -166,23 +167,28 @@ pub fn report() -> String {
         Method::ZMesh,
     );
 
-    // ROI decode: a 1/8-volume corner against the full decode.
+    // ROI decode: a 1/8-volume corner against the full decode, both on
+    // the workers a region read runs on (the default parallelism).
     let cfg = bench_config(unit, ds.finest_dim(), 1);
     let cd = compress_dataset_t(&ds, &cfg, Method::Tac).expect("compress");
     let bytes = cd.to_bytes();
     let half = ds.finest_dim() / 2;
     let roi = Aabb::new((0, 0, 0), (half, half, half));
+    let read_on = Parallelism::default();
 
     let t0 = std::time::Instant::now();
     let parsed = CompressedDataset::from_bytes(&bytes).expect("parse");
-    decompress_dataset_par_t::<f64>(&parsed, cfg.parallelism).expect("full decode");
+    decompress_dataset_par_t::<f64>(&parsed, read_on).expect("full decode");
     let full_s = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
     let (_, stats) = decompress_region_t::<f64>(&bytes, roi).expect("roi decode");
     let roi_s = t1.elapsed().as_secs_f64();
 
-    out.push_str("ROI decode (v2 chunk table), 1/8-volume corner:\n");
+    out.push_str(&format!(
+        "ROI decode (v2 chunk table), 1/8-volume corner, both decodes on {} workers:\n",
+        read_on.workers()
+    ));
     out.push_str(&format!(
         "  full decode {:.4}s reading {} payload bytes; ROI decode {:.4}s reading {} ({:.0}% skipped, {}/{} chunks)\n",
         full_s,

@@ -210,8 +210,8 @@ fn claim(bits: &mut [u64], start: usize, len: usize) -> bool {
 /// only the cells the occupancy mask marks present. Row by row, under
 /// the lock of the plane the row lies on, [`BitMask::copy_present`]
 /// reads the row's mask bits once: a row with no present cell is not
-/// written at all, an all-present row is one copy, and a mixed row is
-/// copied one present run at a time. The grid arrives holding `+0.0`
+/// written at all, an all-present word of it is one copy, and a mixed
+/// word is copied byte by byte. The grid arrives holding `+0.0`
 /// bits (see [`crate::pipeline::decompress_dataset_in`]), so absent
 /// cells and the pages that hold only absent cells are never touched.
 /// Every cell of every region row is claimed all the same. Under the

@@ -34,6 +34,18 @@
 //! each level's box as their clip ([`crate::grid::SlabGrid`]): every arm
 //! writes only the present cells inside it — pasted, scattered, or
 //! sampled — so the pages outside the box are never touched.
+//!
+//! The chunks a read meets decode as `tac-par` tasks on the default
+//! parallelism ([`tac_par::Parallelism::default`]: the available cores,
+//! capped at 16), like a full decode's. The executor caps the workers at
+//! the task count and runs a one-task batch inline, so a read that meets
+//! one chunk — the 3D baseline's, say — spawns no thread. What a read
+//! returns does not depend on the worker count: the levels, the masks
+//! and the [`RoiStats`] are bit-identical at any count, and a bad
+//! container fails with the same error (the first in task order; an
+//! overlap names its lowest level). What stays serial is the parse —
+//! the LZSS unpack of the stored masks among it — and zeroing the level
+//! grids the allocator hands back from its heap.
 
 use crate::container::{parse_layout, ChunkEntry, MethodMeta};
 use crate::error::TacError;
@@ -43,6 +55,7 @@ use crate::zmesh::{level_dim, refinement};
 use std::ops::Range;
 use tac_amr::{Aabb, AmrDataset};
 use tac_codec::{CodecElement, CodecError};
+use tac_par::Parallelism;
 
 /// The box a region read of `roi` (finest-grid cells, half-open) keeps
 /// on each of `levels` levels: coarsened by the level's refinement
@@ -146,11 +159,27 @@ fn record_roi_stats(stats: &RoiStats) {
 ///
 /// A container whose element type disagrees with `T` is rejected up
 /// front, before any chunk is sliced or decoded.
+///
+/// The chunks the box meets decode on the default parallelism, the
+/// available cores capped at 16, with output and errors identical at
+/// any worker count. A read that meets several chunks spawns scoped
+/// threads — at most one per chunk and per core — for the length of the
+/// call: a caller already running reads on a thread pool of its own
+/// gets those threads on top of the pool's.
 pub fn decompress_region_t<T: CodecElement>(
     bytes: &[u8],
     roi: Aabb,
 ) -> Result<(AmrDataset<T>, RoiStats), TacError> {
-    let _roi_span = tac_obs::span(tac_obs::Stage::RoiDecode);
+    region_read(bytes, roi, Parallelism::default().workers())
+}
+
+/// [`decompress_region_t`] with its decode batch on `workers` threads.
+pub(crate) fn region_read<T: CodecElement>(
+    bytes: &[u8],
+    roi: Aabb,
+    workers: usize,
+) -> Result<(AmrDataset<T>, RoiStats), TacError> {
+    let _roi_span = tac_obs::span(tac_obs::Stage::RoiDecode).arg("workers", workers);
     // Parsing and checking the table is this call's planning.
     let layout = {
         let _plan = tac_obs::span(tac_obs::Stage::Plan);
@@ -231,7 +260,8 @@ pub fn decompress_region_t<T: CodecElement>(
     };
     record_roi_stats(&stats);
     // The layout is this call's own: its masks move into the levels.
-    let levels = decompress_dataset_in(layout.finest_dim, layout.masks, body, 1, Some(&boxes))?;
+    let levels =
+        decompress_dataset_in(layout.finest_dim, layout.masks, body, workers, Some(&boxes))?;
     Ok((AmrDataset::new(layout.name, levels), stats))
 }
 
@@ -240,10 +270,10 @@ mod tests {
     use super::*;
     use crate::config::TacConfig;
     use crate::container::tests::{edit_table, frozen_v1};
-    use crate::container::{CompressedDataset, Method};
+    use crate::container::{CompressedDataset, Method, MethodBody};
     use crate::pipeline::{compress_dataset_t, decompress_dataset_par_t};
-    use tac_amr::{AmrDataset, AmrLevel};
-    use tac_par::Parallelism;
+    use crate::stream::LevelPayload;
+    use tac_amr::{AmrDataset, AmrLevel, BitMask};
     use tac_sz::ErrorBound;
 
     /// Two-level dataset whose fine cells sit in two far-apart corner
@@ -524,6 +554,119 @@ mod tests {
         assert_box_contract(&partial, &full, roi);
         // Decoding an f32 container at f64 width is refused up front.
         assert!(decompress_region_t::<f64>(&bytes, roi).is_err());
+    }
+
+    /// What a region read at `workers` workers returns, as comparable
+    /// bits: each level's cells and mask plus the stats, or the error
+    /// text.
+    type ReadBits = Result<(Vec<(Vec<u64>, BitMask)>, RoiStats), String>;
+
+    fn read_bits<T: CodecElement>(bytes: &[u8], roi: Aabb, workers: usize) -> ReadBits {
+        let (ds, stats) = region_read::<T>(bytes, roi, workers).map_err(|e| e.to_string())?;
+        let levels = ds.levels().iter().map(|l| {
+            let cells = l.data().iter().map(|v| v.to_bits_u64()).collect();
+            (cells, l.mask().clone())
+        });
+        Ok((levels.collect(), stats))
+    }
+
+    /// Reads `bytes` at 1, 2 and 4 workers over boxes that meet a
+    /// corner, cross tiles and slabs, cover the domain and miss it, and
+    /// asserts the same levels, masks and stats — or the same error — at
+    /// every count. Returns the 1-worker reads.
+    fn assert_worker_identity<T: CodecElement>(bytes: &[u8], what: &str) -> Vec<ReadBits> {
+        let dim = CompressedDataset::from_bytes(bytes).map_or(32, |cd| cd.finest_dim);
+        let mut serial_reads = Vec::new();
+        for roi in [
+            Aabb::new((0, 0, 0), (dim / 2, dim / 2, dim / 2)),
+            Aabb::new((3, 5, 7), (dim - 3, dim / 2 + 5, dim - 1)),
+            Aabb::whole(dim),
+            Aabb::new((1, 1, dim), (2, 2, dim + 4)),
+        ] {
+            let serial = read_bits::<T>(bytes, roi, 1);
+            for workers in [2, 4] {
+                let parallel = read_bits::<T>(bytes, roi, workers);
+                assert!(
+                    parallel == serial,
+                    "{what} {roi:?}: {workers} workers read something else than 1"
+                );
+            }
+            serial_reads.push(serial);
+        }
+        serial_reads
+    }
+
+    /// Region reads decode their chunks on the workers: every method —
+    /// TAC region groups and GSP slabs, zMesh and 1D segments, the 3D
+    /// baseline — at both widths returns the same bits and stats at
+    /// every worker count, and a hostile container the same error.
+    #[test]
+    fn region_reads_are_identical_at_every_worker_count() {
+        fn methods<T: CodecElement>(ds: &AmrDataset<T>, width: &str) {
+            let cfg = |roi_tile| TacConfig {
+                unit: 4,
+                error_bound: ErrorBound::Abs(1e-3),
+                roi_tile,
+                ..Default::default()
+            };
+            for (method, roi_tile) in [
+                (Method::Tac, Some(8)),
+                (Method::Tac, None),
+                (Method::Baseline3D, None),
+            ] {
+                let cd = compress_dataset_t(ds, &cfg(roi_tile), method).unwrap();
+                let what = format!("{width} {method:?} tile {roi_tile:?}");
+                assert_worker_identity::<T>(&cd.to_bytes(), &what);
+            }
+            // A small budget cuts each traversal into several segments.
+            for method in [Method::ZMesh, Method::Baseline1D] {
+                let cd = crate::segment::tests::compress(ds, &cfg(None), method, 2048).unwrap();
+                let reads =
+                    assert_worker_identity::<T>(&cd.to_bytes(), &format!("{width} {method:?}"));
+                let Ok((_, stats)) = &reads[0] else {
+                    panic!("{width} {method:?}: the corner read failed");
+                };
+                assert!(
+                    0 < stats.chunks_read && stats.chunks_read < stats.chunks_total,
+                    "{width} {method:?}: {stats:?}"
+                );
+            }
+        }
+        let ds = corners_dataset(32);
+        methods(&ds, "f64");
+        methods(&ds.cast::<f32>(), "f32");
+
+        // Hostile files: the same error at every worker count.
+        for bytes in [
+            include_bytes!("../../../tests/data/hostile_v1_level_count.bin").as_slice(),
+            include_bytes!("../../../tests/data/hostile_v1_group_extents.bin").as_slice(),
+        ] {
+            for read in assert_worker_identity::<f64>(bytes, "hostile") {
+                assert!(read.is_err(), "a hostile file read as {read:?}");
+            }
+        }
+        // Two region groups of the fine level cover the same cells: only
+        // the decode can tell, and it names the level at every count.
+        let golden = include_bytes!("../../../tests/data/golden_tac_v5.tacd");
+        let mut cd = CompressedDataset::from_bytes(golden).unwrap();
+        let MethodBody::Tac(levels) = &mut cd.body else {
+            panic!("golden_tac_v5 is a TAC container");
+        };
+        let group = (levels.iter_mut())
+            .find_map(|l| match &mut l.payload {
+                LevelPayload::Groups(groups) => groups.iter_mut().find(|g| g.origins.len() > 1),
+                _ => None,
+            })
+            .expect("golden_tac_v5 holds a group of several sub-blocks");
+        let last = group.origins.len() - 1;
+        group.origins[last] = group.origins[0];
+        let overlapping = cd.to_bytes();
+        let full = read_bits::<f64>(&overlapping, Aabb::whole(cd.finest_dim), 1);
+        assert!(
+            matches!(&full, Err(e) if e.contains("overlaps another region")),
+            "{full:?}"
+        );
+        assert_worker_identity::<f64>(&overlapping, "overlapping groups");
     }
 
     /// v1 bodies are walked into rows: a region read of one keeps the

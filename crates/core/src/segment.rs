@@ -441,7 +441,7 @@ pub(crate) fn decompress_stacks<T: CodecElement>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::container::tests::{edit_table, row_box, set_row_box};
     use crate::container::{CompressedDataset, Method};
@@ -488,7 +488,7 @@ mod tests {
     }
 
     /// `compress_dataset_t`'s zMesh / 1D arms at an explicit budget.
-    fn compress<T: CodecElement>(
+    pub(crate) fn compress<T: CodecElement>(
         ds: &AmrDataset<T>,
         cfg: &TacConfig,
         method: Method,
