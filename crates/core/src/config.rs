@@ -94,7 +94,8 @@ pub struct TacConfig {
     /// Density threshold T1 between OpST and AKDTree (paper: 0.50).
     pub t1: f64,
     /// Density threshold T2 between AKDTree and GSP — and the finest-level
-    /// threshold of the Sec. 4.4 TAC-vs-3D-baseline switch (paper: 0.60).
+    /// threshold at which [`crate::select_method`] picks the 3D baseline
+    /// over TAC (Sec. 4.4; paper: 0.60).
     pub t2: f64,
     /// Base error bound applied to every level (before per-level scaling).
     pub error_bound: ErrorBound,
@@ -108,10 +109,6 @@ pub struct TacConfig {
     /// Empty levels stay [`Strategy::Empty`], and `Empty` itself cannot
     /// be forced.
     pub forced_strategy: Option<Strategy>,
-    /// Enable the Sec. 4.4 top-level switch: when the finest level's
-    /// density exceeds `t2`, compress via the 3D baseline instead of
-    /// level-wise TAC.
-    pub adaptive_3d_switch: bool,
     /// Scalar-codec backend every payload stream compresses through
     /// (see [`tac_codec::ScalarCodec`]). The default, [`CodecId::Sz`],
     /// reproduces the paper's SZ substrate; [`CodecId::PcoAns`] swaps in
@@ -147,7 +144,6 @@ impl Default for TacConfig {
             error_bound: ErrorBound::Rel(1e-4),
             level_eb_scale: Vec::new(),
             forced_strategy: None,
-            adaptive_3d_switch: false,
             codec: CodecId::Sz,
             parallelism: Parallelism::Auto,
             roi_tile: None,
@@ -180,12 +176,6 @@ impl TacConfig {
     /// Sets the unit block size.
     pub fn with_unit(mut self, unit: usize) -> Self {
         self.unit = unit;
-        self
-    }
-
-    /// Enables the Sec. 4.4 adaptive 3D-baseline switch.
-    pub fn with_adaptive_3d_switch(mut self) -> Self {
-        self.adaptive_3d_switch = true;
         self
     }
 

@@ -58,6 +58,9 @@
 //!   header and per chunk-table row.
 //! * **v5** — v4 plus the `mask_mode` byte; rows stay v4 rows.
 //!
+//! The version byte is read once into a [`Wire`] that says which of
+//! these bytes follow; no parse step compares versions itself.
+//!
 //! Every version parses to one layout: method metadata, one chunk row
 //! per stream, and the payload the rows point into. A v1 body has no
 //! chunk table, so its walker emits the rows the writer would record for
@@ -583,10 +586,67 @@ fn implied_finest_mask(coarser: &[BitMask], finest_dim: usize) -> Option<BitMask
     })
 }
 
+/// What one container version puts on the wire, decided once from its
+/// version byte, so no parse step compares versions itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wire {
+    /// v2+: a chunk table (a v1 body is walked into rows instead).
+    table: bool,
+    /// v3+: a codec byte in the method metadata and every table row.
+    codec_bytes: bool,
+    /// v4+: an element-type byte in the header and every table row.
+    dtype_bytes: bool,
+    /// v5: a mask-mode byte after the level count.
+    mask_mode: bool,
+    /// Bytes of one chunk-table row.
+    row_bytes: usize,
+}
+
+impl Wire {
+    /// The wire of container version `version`, if a reader knows it.
+    fn of(version: u8) -> Result<Self, TacError> {
+        let row_bytes = match version {
+            VERSION_V2 => CHUNK_ROW_BYTES_V2,
+            VERSION_V3 => CHUNK_ROW_BYTES_V3,
+            VERSION_V1 | VERSION_V4 | VERSION_V5 => CHUNK_ROW_BYTES_V4,
+            _ => {
+                return Err(TacError::Corrupt(format!(
+                    "unsupported container version {version}"
+                )))
+            }
+        };
+        Ok(Wire {
+            table: version >= VERSION_V2,
+            codec_bytes: version >= VERSION_V3,
+            dtype_bytes: version >= VERSION_V4,
+            mask_mode: version >= VERSION_V5,
+            row_bytes,
+        })
+    }
+}
+
+/// A codec byte where the layout has one; untagged streams are SZ.
+fn read_codec(r: &mut Reader<'_>, tagged: bool) -> Result<CodecId, TacError> {
+    if !tagged {
+        return Ok(CodecId::Sz);
+    }
+    CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)
+}
+
+/// An element-type byte where the layout has one; untagged data is `f64`.
+fn read_dtype(r: &mut Reader<'_>, tagged: bool) -> Result<TacDtype, TacError> {
+    if !tagged {
+        return Ok(TacDtype::F64);
+    }
+    let tag = r.get_u8()?;
+    TacDtype::from_tag(tag)
+        .ok_or_else(|| TacError::Corrupt(format!("unknown element-type tag {tag}")))
+}
+
 /// Parsed shared front matter of every container version.
 #[derive(Debug)]
 pub(crate) struct Prelude {
-    pub version: u8,
+    pub wire: Wire,
     pub method: Method,
     /// From the v4 header byte; `F64` for every earlier version (v1
     /// bodies may refine this from their self-describing payloads).
@@ -605,20 +665,9 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
     if magic != MAGIC {
         return Err(TacError::Corrupt(format!("bad magic {magic:02x?}")));
     }
-    let version = r.get_u8()?;
-    if !(VERSION_V1..=VERSION_V5).contains(&version) {
-        return Err(TacError::Corrupt(format!(
-            "unsupported container version {version}"
-        )));
-    }
+    let wire = Wire::of(r.get_u8()?)?;
     let method = Method::from_tag(r.get_u8()?)?;
-    let dtype = if version >= VERSION_V4 {
-        let tag = r.get_u8()?;
-        TacDtype::from_tag(tag)
-            .ok_or_else(|| TacError::Corrupt(format!("unknown element-type tag {tag}")))?
-    } else {
-        TacDtype::F64
-    };
+    let dtype = read_dtype(r, wire.dtype_bytes)?;
     let name = r.get_str()?;
     let finest_dim = r.get_u64()? as usize;
     // A crafted dimension must fail cleanly before any `dim^3` products:
@@ -642,7 +691,7 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
             "{num_levels} levels do not fit a finest dim of {finest_dim}"
         )));
     }
-    let implied = match (version >= VERSION_V5).then(|| r.get_u8()).transpose()? {
+    let implied = match wire.mask_mode.then(|| r.get_u8()).transpose()? {
         None | Some(MASKS_STORED) => false,
         Some(MASKS_FINEST_IMPLIED) => true,
         Some(mode) => return Err(TacError::Corrupt(format!("unknown mask mode {mode}"))),
@@ -683,7 +732,7 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
         masks.insert(0, finest);
     }
     Ok(Prelude {
-        version,
+        wire,
         method,
         dtype,
         name,
@@ -707,15 +756,6 @@ pub(crate) struct ChunkEntry {
     pub bbox: Aabb,
 }
 
-/// Serialized chunk-table row size of the given container version.
-pub(crate) fn chunk_entry_bytes(version: u8) -> usize {
-    match version {
-        VERSION_V2 => CHUNK_ROW_BYTES_V2,
-        VERSION_V3 => CHUNK_ROW_BYTES_V3,
-        _ => CHUNK_ROW_BYTES_V4,
-    }
-}
-
 impl ChunkEntry {
     /// Writes the row in its v4 form (`CHUNK_ROW_BYTES_V4` bytes).
     // tac-lint: allow(arith) -- writer-side width reduction: bbox coordinates are cell indices bounded by MAX_FINEST_DIM (2^13), far below u32::MAX.
@@ -732,22 +772,12 @@ impl ChunkEntry {
         }
     }
 
-    fn read(r: &mut Reader<'_>, version: u8) -> Result<Self, TacError> {
+    fn read(r: &mut Reader<'_>, wire: Wire) -> Result<Self, TacError> {
         let level = r.get_u8()?;
         let offset = r.get_u64()? as usize;
         let len = r.get_u64()? as usize;
-        let codec = if version >= VERSION_V3 {
-            CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?
-        } else {
-            CodecId::Sz
-        };
-        let dtype = if version >= VERSION_V4 {
-            let tag = r.get_u8()?;
-            TacDtype::from_tag(tag)
-                .ok_or_else(|| TacError::Corrupt(format!("unknown element-type tag {tag}")))?
-        } else {
-            TacDtype::F64
-        };
+        let codec = read_codec(r, wire.codec_bytes)?;
+        let dtype = read_dtype(r, wire.dtype_bytes)?;
         let x0 = r.get_u32()? as usize;
         let y0 = r.get_u32()? as usize;
         let z0 = r.get_u32()? as usize;
@@ -824,10 +854,10 @@ pub(crate) fn parse_layout(bytes: &[u8]) -> Result<Layout<'_>, TacError> {
     let _parse = tac_obs::span(tac_obs::Stage::Parse);
     let mut r = Reader::new(bytes);
     let prelude = parse_prelude(&mut r)?;
-    // `parse_prelude` admits versions 1 to 5 only.
-    let layout = match prelude.version {
-        VERSION_V1 => walk_v1_body(r.rest(), prelude)?,
-        _ => parse_chunked_tail(&mut r, prelude)?,
+    let layout = if prelude.wire.table {
+        parse_chunked_tail(&mut r, prelude)?
+    } else {
+        walk_v1_body(r.rest(), prelude)?
     };
     // Enforce the table/metadata invariants once here, so every
     // consumer (full assemble, ROI decode) agrees on what a valid
@@ -852,21 +882,13 @@ fn read_level_head(r: &mut Reader<'_>) -> Result<(Strategy, usize, f64), TacErro
 /// Parses everything after the shared prelude of a chunked container.
 fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<Layout<'a>, TacError> {
     let Prelude {
-        version,
+        wire,
         method,
         dtype,
         name,
         finest_dim,
         masks,
     } = prelude;
-    let tagged = version >= VERSION_V3;
-    let read_codec = |r: &mut Reader<'_>| -> Result<CodecId, TacError> {
-        if tagged {
-            CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)
-        } else {
-            Ok(CodecId::Sz)
-        }
-    };
     let num_levels = masks.len();
     let meta = match method {
         Method::Tac => {
@@ -879,7 +901,7 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<Layout
                     2 => r.get_u32()? as usize,
                     k => return Err(TacError::Corrupt(format!("unknown payload kind {k}"))),
                 };
-                let codec = read_codec(r)?;
+                let codec = read_codec(r, wire.codec_bytes)?;
                 metas.push(TacLevelMeta {
                     strategy,
                     dim,
@@ -898,7 +920,7 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<Layout
                     0 => None,
                     1 => {
                         let eb = r.get_f64()?;
-                        Some((eb, read_codec(r)?))
+                        Some((eb, read_codec(r, wire.codec_bytes)?))
                     }
                     t => return Err(TacError::Corrupt(format!("unknown 1D level tag {t}"))),
                 });
@@ -907,11 +929,11 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<Layout
         }
         Method::ZMesh => {
             let eb = r.get_f64()?;
-            MethodMeta::ZMesh(eb, read_codec(r)?)
+            MethodMeta::ZMesh(eb, read_codec(r, wire.codec_bytes)?)
         }
         Method::Baseline3D => {
             let eb = r.get_f64()?;
-            MethodMeta::Baseline3D(eb, read_codec(r)?)
+            MethodMeta::Baseline3D(eb, read_codec(r, wire.codec_bytes)?)
         }
         Method::Auto => return Err(auto_on_the_wire()),
     };
@@ -919,11 +941,8 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<Layout
     let payload = r.get_blob()?;
     let table_pos = r.position();
     let num_chunks = r.get_u32()? as usize;
-    // Bound the allocation by what the buffer can hold (entries are
-    // fixed-size: level u8 + offset/len u64 + codec byte on v3 + bbox
-    // 6 x u32).
-    let entry_bytes = chunk_entry_bytes(version);
-    if num_chunks > r.remaining() / entry_bytes {
+    // Bound the allocation by what the buffer can hold: rows are fixed-size.
+    if num_chunks > r.remaining() / wire.row_bytes {
         return Err(TacError::Corrupt(format!(
             "table declares {num_chunks} chunks but only {} bytes remain",
             r.remaining()
@@ -931,7 +950,7 @@ fn parse_chunked_tail<'a>(r: &mut Reader<'a>, prelude: Prelude) -> Result<Layout
     }
     let mut entries = Vec::with_capacity(num_chunks);
     for _ in 0..num_chunks {
-        let e = ChunkEntry::read(r, version)?;
+        let e = ChunkEntry::read(r, wire)?;
         // checked_add: a crafted offset near u64::MAX must fail cleanly,
         // not wrap past the bound and panic at slice time.
         let in_bounds = e
@@ -1009,11 +1028,7 @@ fn walk_v1_body(body: &[u8], prelude: Prelude) -> Result<Layout<'_>, TacError> {
             for l in 0..num_levels {
                 let (strategy, dim, abs_eb) = read_level_head(r)?;
                 let (kind, dtype, tagged) = v1_level_tag(r.get_u8()?)?;
-                let codec = if tagged {
-                    CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?
-                } else {
-                    CodecId::Sz
-                };
+                let codec = read_codec(r, tagged)?;
                 if *tac_dtype.get_or_insert(dtype) != dtype {
                     return Err(TacError::Corrupt(
                         "levels disagree on the element type".into(),
@@ -1023,7 +1038,9 @@ fn walk_v1_body(body: &[u8], prelude: Prelude) -> Result<Layout<'_>, TacError> {
                 match kind {
                     0 => {}
                     1 => {
-                        let bbox = tight_box(masks.get(l), dim);
+                        // The box of the grid the mask describes: the
+                        // declared side is checked against it at decode.
+                        let bbox = tight_box(masks.get(l), level_dim(finest_dim, l));
                         entries.push(row(l, blob_at(r)?, codec, bbox));
                     }
                     _ => {
@@ -1056,10 +1073,9 @@ fn walk_v1_body(body: &[u8], prelude: Prelude) -> Result<Layout<'_>, TacError> {
                         levels.push(None);
                         continue;
                     }
-                    // Legacy tag: implicitly the SZ codec.
-                    1 => CodecId::Sz,
-                    // Tag 3 is the multi-segment form of tag 2.
-                    2 | 3 => CodecId::from_tag(r.get_u8()?).map_err(TacError::Codec)?,
+                    // Tag 1 is legacy SZ, without a codec byte; tag 3 is
+                    // the multi-segment form of tag 2.
+                    1..=3 => read_codec(r, tag != 1)?,
                     t => return Err(TacError::Corrupt(format!("unknown 1D level tag {t}"))),
                 };
                 let abs_eb = r.get_f64()?;
@@ -1505,7 +1521,7 @@ pub(crate) mod tests {
     /// rows as byte vectors (drop, reorder or patch them — see
     /// [`set_row_box`]); count prefix and footer are re-emitted to match.
     pub(crate) fn edit_table(bytes: &[u8], edit: impl FnOnce(&mut Vec<Vec<u8>>)) -> Vec<u8> {
-        let row = chunk_entry_bytes(bytes[4]);
+        let row = Wire::of(bytes[4]).unwrap().row_bytes;
         let footer_at = bytes.len() - TABLE_FOOTER_BYTES;
         let table_pos = u64::from_le_bytes(bytes[footer_at..].try_into().unwrap()) as usize;
         let rows_at = table_pos + CHUNK_COUNT_PREFIX_BYTES;

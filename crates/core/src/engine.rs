@@ -32,9 +32,11 @@
 //!    is never written, so a sparse level costs its present cells, not
 //!    its region volume — pasting is where a fresh grid is first
 //!    touched, page fault by page fault. Tasks run in no fixed order, so
-//!    two regions over one cell, present or absent, have no defined
-//!    winner and are an error: the grid's claim bits, set on every
-//!    region cell, catch it at any worker count.
+//!    two regions over one cell, present or absent, would have no
+//!    defined winner: each level's regions are checked against each
+//!    other from their origin lists before the batch runs
+//!    ([`check_regions`]), and an overlap is an error at any worker
+//!    count.
 //!
 //! Because tasks are planned before execution and results are keyed by
 //! task index, the assembled output is **byte-identical for every
@@ -45,14 +47,13 @@ use crate::akdtree::plan_akdtree;
 use crate::config::{Strategy, TacConfig};
 use crate::error::TacError;
 use crate::extract::{
-    block_cells, compress_group, decode_group, paste_group, plan_groups, GroupPlan,
+    check_regions, compress_group, decode_group, paste_group, plan_groups, GroupPlan,
 };
 use crate::grid::SlabGrid;
 use crate::gsp::pad_ghost_shell;
 use crate::nast::plan_nast;
 use crate::opst::plan_opst;
 use crate::stream::{BlockGroup, CompressedLevel, LevelPayload};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tac_amr::{AmrLevel, BitMask, BlockGrid};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecError, CodecId, Dims};
 use tac_dtype::Element;
@@ -337,7 +338,7 @@ struct DecompressTask<'a, 'g, T> {
     grid: &'a SlabGrid<'g, T>,
     codec: CodecId,
     /// Cells the task decodes (the scheduler's cost estimate), computed
-    /// with checked arithmetic while the task list is built.
+    /// once the level's regions are checked.
     cells: u64,
     kind: DecompressKind<'a>,
 }
@@ -348,14 +349,16 @@ enum DecompressKind<'a> {
 }
 
 /// Decompresses TAC per-level payloads on `workers` threads into the
-/// level grids `grids`, each cut one slab per z-plane, with claim bits
-/// on every level that has a payload: every whole-grid stream and every
-/// region group is an independent task that decodes and pastes it — a
-/// whole-grid stream as one region covering the grid — through
-/// [`paste_group`] (see the module doc). Results are read in task
-/// order, so the first failing task by index decides the error at every
-/// worker count; overlapping regions are `Corrupt` after that, so
-/// neither answer depends on which region pasted first.
+/// level grids `grids`, each cut one slab per z-plane: every whole-grid
+/// stream and every region group is an independent task that decodes
+/// and pastes it — a whole-grid stream as one region covering the grid
+/// — through [`paste_group`] (see the module doc). Everything the tasks
+/// trust is checked first, in level order: each level's dtype and dim,
+/// and its regions ([`check_regions`]: shapes that fit, sub-blocks
+/// inside the grid, no cell in two of them), so an overlap is `Corrupt`
+/// naming the lowest level before any task runs. Task results are read
+/// in task order, so the first failing task by index decides a decode
+/// error at every worker count.
 ///
 /// Contract of the written grids: a present cell carries its decoded
 /// value, and every other cell — absent under the mask, or covered by
@@ -367,8 +370,9 @@ enum DecompressKind<'a> {
 /// never written.
 ///
 /// Under a grid's clip — a region read's box — a task writes only the
-/// in-box part of what it decoded. Regions still claim every cell they
-/// cover, so an overlap is `Corrupt` even where it lies outside the box.
+/// in-box part of what it decoded. The region check still covers every
+/// region the read decodes, so an overlap is `Corrupt` even where it
+/// lies outside the box.
 pub(crate) fn decompress_tac_levels<T: CodecElement>(
     compressed: &[CompressedLevel],
     masks: &[BitMask],
@@ -384,8 +388,7 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
     }
     // Validate everything the decode tasks and the paste trust, up
     // front: each level's dim against its grid's, which the masks were
-    // checked against, and every group's declared geometry. The checked
-    // products guard wire groups declaring crafted extents.
+    // checked against, and every group's regions.
     let mut tasks: Vec<DecompressTask<'_, '_, T>> = Vec::new();
     for (l, ((cl, mask), grid)) in compressed.iter().zip(masks).zip(grids).enumerate() {
         if cl.dtype != T::DTYPE {
@@ -423,23 +426,17 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
                 tasks.push(task(mask.len(), DecompressKind::Whole(stream)))
             }
             LevelPayload::Groups(groups) => {
+                check_regions(l, cl.dim, groups)?;
+                // Disjoint sub-blocks inside the grid: no group holds more
+                // than the level's cells, so no product overflows.
                 for g in groups {
-                    let cells = block_cells(g.shape, cl.dim)?
-                        .checked_mul(g.origins.len())
-                        .ok_or_else(|| {
-                            TacError::Corrupt(format!(
-                                "level {l}: group of {} sub-blocks of shape {:?} overflows",
-                                g.origins.len(),
-                                g.shape
-                            ))
-                        })?;
+                    let (w, h, d) = g.shape;
+                    let cells = w * h * d * g.origins.len();
                     tasks.push(task(cells, DecompressKind::Group(g)));
                 }
             }
         }
     }
-    // The lowest level on which a region met a cell already claimed.
-    let overlap = AtomicUsize::new(usize::MAX);
 
     let exec_span = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
     let results = tac_par::execute(
@@ -481,22 +478,13 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
             };
             let _paste = (tac_obs::span(tac_obs::Stage::Paste).arg("level", t.level))
                 .arg("cells", values.len());
-            let (fresh, stored) = paste_group(t.grid, shape, origins, &values, mask)?;
-            if !fresh {
-                overlap.fetch_min(t.level, Ordering::Relaxed);
-            }
+            let stored = paste_group(t.grid, shape, origins, &values, mask)?;
             tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, stored);
             Ok(())
         },
     );
     drop(exec_span);
-    results.into_iter().collect::<Result<(), _>>()?;
-    match overlap.into_inner() {
-        usize::MAX => Ok(()),
-        l => Err(TacError::Corrupt(format!(
-            "level {l}: a region overlaps another region"
-        ))),
-    }
+    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -784,6 +772,21 @@ mod tests {
                 payload: LevelPayload::Groups(groups),
             };
             let absent_only = || group((2, 2, 2), &[(4, 6, 6)]);
+            // Two shapes on the unit-2 grid that share only cells of
+            // `(2..4, 2..4, 6..8)`, all of them absent.
+            let over_absent = vec![
+                group((4, 4, 4), &[(0, 0, 4)]),
+                group((2, 2, 2), &[(2, 2, 6)]),
+            ];
+            let mut doubled = (6..8).flat_map(|z| {
+                (2..4).flat_map(move |y| (2..4).map(move |x| x + dim * (y + dim * z)))
+            });
+            assert!(doubled.all(|i| !mask.get(i)));
+            // Dense slabs that share plane 3.
+            let slabs = vec![
+                group((8, 8, 4), &[(0, 0, 0)]),
+                group((8, 8, 5), &[(0, 0, 3)]),
+            ];
             for (what, overlapping) in [
                 (
                     "within a group",
@@ -797,8 +800,35 @@ mod tests {
                         group((5, 3, 2), &[(1, 2, 1)]),
                     ],
                 ),
+                (
+                    "on one cell off the unit grid",
+                    vec![
+                        group((4, 4, 4), &[(0, 0, 0)]),
+                        group((1, 1, 1), &[(3, 3, 3)]),
+                    ],
+                ),
+                ("on absent cells, across shapes", over_absent),
+                ("dense slabs on one plane", slabs),
             ] {
                 overlaps_are_corrupt(&level(overlapping), &mask, &format!("{codec}, {what}"));
+            }
+            // Adjacent regions on the unit grid, across groups and within
+            // one, decode like the reference: the check sees no overlap
+            // where regions only touch.
+            let adjacent = level(vec![
+                group((4, 4, 4), &[(0, 0, 0), (4, 0, 0), (0, 4, 4)]),
+                group((2, 2, 2), &[(4, 4, 0), (6, 4, 0), (4, 4, 2)]),
+            ]);
+            for workers in [1, 2, 4] {
+                let got = decompress_tac_levels::<f64>(
+                    std::slice::from_ref(&adjacent),
+                    std::slice::from_ref(&mask),
+                    workers,
+                    None,
+                )
+                .unwrap();
+                let bits: Vec<u64> = got[0].data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, reference_assembly::<f64>(&adjacent, &mask), "{codec}");
             }
 
             let cl = level(vec![
@@ -829,7 +859,7 @@ mod tests {
 
     /// Asserts that decoding `cl` is `Corrupt` for overlapping regions
     /// at 1, 2 and 4 workers, and under a region read whose box misses
-    /// the doubled cells: the regions it decodes claim every cell.
+    /// the doubled cells: the check covers the regions it decodes whole.
     fn overlaps_are_corrupt(cl: &CompressedLevel, mask: &BitMask, what: &str) {
         let away = [Aabb::new((5, 0, 0), (8, 1, 1))];
         for (workers, clip) in [(1, None), (2, None), (4, None), (1, Some(&away[..]))] {
@@ -848,8 +878,8 @@ mod tests {
     }
 
     /// Two regions that meet only on absent cells are refused like any
-    /// overlap: the paste stores no absent cell, but claims every region
-    /// cell.
+    /// overlap: the paste stores no absent cell, but the check reads the
+    /// origin lists, not the mask.
     #[test]
     fn regions_meeting_only_on_absent_cells_are_corrupt() {
         let dim = 8usize;
@@ -957,6 +987,45 @@ mod tests {
                         "{codec}, level {l}, {workers} workers"
                     );
                 }
+            }
+        }
+    }
+
+    /// A sub-block leaving the grid is `Corrupt` before any task runs:
+    /// the first task's stream is not even a stream, so a decode that
+    /// started would fail with a codec error instead.
+    #[test]
+    fn regions_leaving_the_grid_are_refused_before_any_task_runs() {
+        let group = |shape, origin| BlockGroup {
+            shape,
+            origins: vec![origin],
+            stream: Vec::new(),
+        };
+        for outside in [(5, 0, 0), (0, 7, 0), (0, 0, u32::MAX)] {
+            let cl = CompressedLevel {
+                strategy: Strategy::OpST,
+                dim: 8,
+                abs_eb: 1e-3,
+                codec: CodecId::Sz,
+                dtype: f64::DTYPE,
+                payload: LevelPayload::Groups(vec![
+                    group((4, 4, 4), (0, 0, 0)),
+                    group((4, 2, 2), outside),
+                ]),
+            };
+            let mask = BitMask::ones(512);
+            for workers in [1, 2, 4] {
+                let err = decompress_tac_levels::<f64>(
+                    std::slice::from_ref(&cl),
+                    std::slice::from_ref(&mask),
+                    workers,
+                    None,
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(&err, TacError::Corrupt(why) if why.contains("exceeds grid")),
+                    "{outside:?}, {workers} workers: {err}"
+                );
             }
         }
     }

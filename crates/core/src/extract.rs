@@ -163,148 +163,174 @@ pub(crate) fn decode_group<T: CodecElement>(
     Ok(values)
 }
 
-/// Cells per sub-block (`w * h * d`) of a group whose declared extents
-/// fit its level: each must lie in `1..=dim`. The extents are raw
-/// 32-bit wire fields, so this is where a crafted shape is rejected —
-/// before any product of them feeds a cost estimate or a slice length.
-pub(crate) fn block_cells(shape: (usize, usize, usize), dim: usize) -> Result<usize, TacError> {
-    let (w, h, d) = shape;
-    [w, h, d]
-        .into_iter()
-        .try_fold(1usize, |cells, extent| {
-            if (1..=dim).contains(&extent) {
-                cells.checked_mul(extent)
-            } else {
-                None
-            }
-        })
-        .ok_or_else(|| {
-            TacError::Corrupt(format!(
-                "group shape {shape:?} does not fit a {dim}^3 level"
-            ))
-        })
-}
-
-/// Sets the claim bits `[start, start + len)` and reports whether every
-/// one of them was clear before (bits past the buffer count as taken).
-fn claim(bits: &mut [u64], start: usize, len: usize) -> bool {
-    let (mut at, end) = (start, start + len);
-    let mut fresh = true;
-    while at < end {
-        // 1..=64 bits of one word, so neither shift leaves its range.
-        let take = (64 - at % 64).min(end - at);
-        let run = (u64::MAX >> (64 - take)) << (at % 64);
-        let Some(word) = bits.get_mut(at / 64) else {
-            return false;
-        };
-        fresh &= *word & run == 0;
-        *word |= run;
-        at += take;
+/// Checks the regions of level `level`'s groups before any of them
+/// decodes: every sub-block's extents lie in `1..=dim` (they are raw
+/// 32-bit wire fields, so this comes before any product of them feeds
+/// a cost estimate or a slice length), every sub-block lies inside the
+/// grid, and no cell lies in two sub-blocks — decode tasks paste in no
+/// fixed order, so a doubled cell, present or absent, has no defined
+/// winner.
+///
+/// A plan's regions are disjoint by construction (NaST's unit blocks,
+/// OpST's cubes, AKDTree's boxes, a dense level's slabs), so overlap is
+/// a property of the origin lists alone. It is marked on a bitmap of the
+/// level's common block: per axis, the gcd of every origin coordinate
+/// and extent — the unit block of the sparse strategies, whole planes
+/// across for slabs — so the bitmap is never larger than the level's
+/// mask, and only crafted input falls to one cell.
+pub(crate) fn check_regions(
+    level: usize,
+    dim: usize,
+    groups: &[BlockGroup],
+) -> Result<(), TacError> {
+    if groups.is_empty() {
+        return Ok(());
     }
-    fresh
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let mut block = [0usize; 3];
+    for g in groups {
+        let (w, h, d) = g.shape;
+        if ![w, h, d].iter().all(|e| (1..=dim).contains(e)) {
+            return Err(TacError::Corrupt(format!(
+                "group shape {:?} does not fit a {dim}^3 level",
+                g.shape
+            )));
+        }
+        for (b, n) in block.iter_mut().zip([w, h, d]) {
+            *b = gcd(*b, n);
+        }
+        for &(x, y, z) in &g.origins {
+            let (x, y, z) = (x as usize, y as usize, z as usize);
+            if x + w > dim || y + h > dim || z + d > dim {
+                return Err(TacError::Corrupt(format!(
+                    "region at ({x},{y},{z}) shape {:?} exceeds grid {dim}",
+                    g.shape
+                )));
+            }
+            for (b, o) in block.iter_mut().zip([x, y, z]) {
+                *b = gcd(*b, o);
+            }
+        }
+    }
+    // There is a group, and every extent is at least 1: so is every side
+    // of the block. In blocks, each region is `[x / bx, (x + w) / bx)`
+    // and so on: whole blocks, inside the `nx * ny * nz` bitmap.
+    let [bx, by, bz] = block;
+    let (nx, ny, nz) = (dim / bx, dim / by, dim / bz);
+    let mut taken = BitMask::zeros(nx * ny * nz);
+    for g in groups {
+        let (w, h, d) = g.shape;
+        for &(x, y, z) in &g.origins {
+            let (x, y, z) = (x as usize / bx, y as usize / by, z as usize / bz);
+            for zz in z..z + d / bz {
+                for yy in y..y + h / by {
+                    let row = x + nx * (yy + ny * zz);
+                    if taken.count_ones_in(row, w / bx) != 0 {
+                        return Err(TacError::Corrupt(format!(
+                            "level {level}: a region overlaps another region"
+                        )));
+                    }
+                    (row..row + w / bx).for_each(|i| taken.set(i, true));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Pastes the decoded sub-blocks of shape `shape` at `origins` — a
 /// group's regions, or the one region of a whole-level stream — into
-/// their level's grid, cut one slab per z-plane with claim bits, storing
-/// only the cells the occupancy mask marks present. Row by row, under
-/// the lock of the plane the row lies on, [`BitMask::copy_present`]
-/// reads the row's mask bits once: a row with no present cell is not
-/// written at all, an all-present word of it is one copy, and a mixed
-/// word is copied byte by byte. The grid arrives holding `+0.0`
-/// bits (see [`crate::pipeline::decompress_dataset_in`]), so absent
-/// cells and the pages that hold only absent cells are never touched.
-/// Every cell of every region row is claimed all the same. Under the
-/// grid's clip — a region read's box — only the in-box part of each row
-/// is stored, while the whole row is still claimed, so an overlap is
-/// found wherever it lies, over present cells or absent ones. Each
-/// sub-block's origin and shape are bounds-checked before its first row
-/// is touched.
+/// their level's grid, cut one slab per z-plane, storing only the cells
+/// the occupancy mask marks present. The regions were checked before
+/// the decode batch ([`check_regions`]): they fit the grid and no two
+/// share a cell, so whichever task pastes first, every cell has one
+/// writer. Row by row, under the lock of the plane the row lies on,
+/// [`BitMask::copy_present`] reads the row's mask bits once: a row with
+/// no present cell is not written at all, an all-present word of it is
+/// one copy, and a mixed word is copied byte by byte. The grid arrives
+/// holding `+0.0` bits (see [`crate::pipeline::decompress_dataset_in`]),
+/// so absent cells and the pages that hold only absent cells are never
+/// touched. Under the grid's clip — a region read's box — only the
+/// in-box part of each row is stored.
 ///
-/// Returns whether every region cell was unclaimed — concurrent tasks
-/// cannot agree on which region's value a cell claimed twice keeps, so
-/// the caller rejects such a level — and how many cells were stored.
+/// Returns how many cells were stored.
 pub(crate) fn paste_group<T: Element>(
     grid: &SlabGrid<'_, T>,
     shape: (usize, usize, usize),
     origins: &[(u32, u32, u32)],
     values: &[T],
     mask: &BitMask,
-) -> Result<(bool, usize), TacError> {
+) -> Result<usize, TacError> {
     let (dim, clip) = (grid.dim(), grid.clip());
     let (w, h, d) = shape;
-    // `block_cells` guarantees a non-zero block, so the chunking below
-    // cannot panic. `decode_group` validated the stream's declared dims,
-    // but the values really come from a decoded payload: a sub-block
-    // without data is an error, not an index.
-    let mut blocks = values.chunks_exact(block_cells(shape, dim)?);
-    let mut fresh = true;
+    // `decode_group` validated the stream's declared dims, but the values
+    // really come from a decoded payload: a sub-block without data is an
+    // error, not an index (and a block of no cells a chunk of one).
+    let mut blocks = values.chunks_exact((w * h * d).max(1));
+    let short = || TacError::Corrupt(format!("grid is short of a {dim}^3 level"));
+    // The part of `[o, o + n)` inside `[lo, hi)`, relative to `o`.
+    let span =
+        |o: usize, n: usize, lo: usize, hi: usize| lo.clamp(o, o + n) - o..hi.clamp(o, o + n) - o;
     let mut stored = 0;
     for (i, &(x, y, z)) in origins.iter().enumerate() {
         let (x, y, z) = (x as usize, y as usize, z as usize);
-        if x + w > dim || y + h > dim || z + d > dim {
-            return Err(TacError::Corrupt(format!(
-                "region at ({x},{y},{z}) shape {shape:?} exceeds grid {dim}"
-            )));
-        }
         let slice = blocks.next().ok_or_else(|| {
             TacError::Corrupt(format!("group stream holds no data for sub-block {i}"))
         })?;
-        // The in-box part of every row of the block: `[from, to)` of the
-        // row's `w` cells, on the rows the box holds.
-        let (from, to) = clip.map_or((0, w), |b| {
-            (b.min.0.clamp(x, x + w) - x, b.max.0.clamp(x, x + w) - x)
+        // The in-box part of the block, in block coordinates: all of it
+        // on a full decode.
+        let (xs, ys, zs) = clip.map_or((0..w, 0..h, 0..d), |b| {
+            (
+                span(x, w, b.min.0, b.max.0),
+                span(y, h, b.min.1, b.max.1),
+                span(z, d, b.min.2, b.max.2),
+            )
         });
-        let inside = |yy: usize, zz: usize| {
-            from < to
-                && clip.map_or(true, |b| {
-                    (b.min.1..b.max.1).contains(&yy) && (b.min.2..b.max.2).contains(&zz)
-                })
-        };
-        let mut rows = slice.chunks_exact(w);
-        for zz in z..z + d {
-            let short = || TacError::Corrupt(format!("grid is short of a {dim}^3 level"));
-            let mut plane = grid.lock(zz)?;
-            let base = plane.base;
-            let (cells, claims) = plane.cells_and_claims();
-            for yy in y..y + h {
-                let row = x + dim * (yy + dim * zz);
-                let at = row.checked_sub(base).ok_or_else(short)?;
-                let src = rows.next().ok_or_else(short)?;
-                if inside(yy, zz) {
-                    let (Some(dst), Some(src)) =
-                        (cells.get_mut(at + from..at + to), src.get(from..to))
-                    else {
-                        return Err(short());
-                    };
-                    stored += mask.copy_present(row + from, src, dst);
-                }
-                fresh &= claim(claims, at, w);
+        if xs.is_empty() {
+            continue;
+        }
+        for dz in zs {
+            let mut plane = grid.lock(z + dz)?;
+            for dy in ys.clone() {
+                let row = x + dim * (y + dy + dim * (z + dz));
+                let src = (slice.get(w * (dy + h * dz)..)).and_then(|r| r.get(xs.clone()));
+                let at = row.checked_sub(plane.base);
+                let dst = at.and_then(|at| plane.cells.get_mut(at + xs.start..at + xs.end));
+                let (Some(src), Some(dst)) = (src, dst) else {
+                    return Err(short());
+                };
+                stored += mask.copy_present(row + xs.start, src, dst);
             }
         }
     }
-    Ok((fresh, stored))
+    Ok(stored)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A `dim^3` grid cut the way TAC decodes paste into it: one claimed
-    /// slab per plane.
+    /// A `dim^3` grid cut the way TAC decodes paste into it: one slab
+    /// per plane.
     fn planes(cells: &mut [f64], dim: usize, clip: Option<Aabb>) -> SlabGrid<'_, f64> {
-        SlabGrid::new(cells, dim, (0..dim).map(|z| z..z + 1), true, clip).unwrap()
+        SlabGrid::new(cells, dim, (0..dim).map(|z| z..z + 1), clip).unwrap()
     }
 
-    /// Decodes and pastes every group into a dense, fully present
-    /// `dim^3` grid (cells outside every region stay zero).
+    /// Checks, decodes and pastes every group into a dense, fully
+    /// present `dim^3` grid (cells outside every region stay zero).
     fn decode_all(groups: &[BlockGroup], dim: usize, codec: CodecId) -> Result<Vec<f64>, TacError> {
         let mut out = vec![0.0; dim * dim * dim];
         let mask = BitMask::ones(out.len());
+        check_regions(0, dim, groups)?;
         let grid = planes(&mut out, dim, None);
         for g in groups {
             let values = decode_group(g, codec)?;
-            assert!(paste_group(&grid, g.shape, &g.origins, &values, &mask)?.0);
+            paste_group(&grid, g.shape, &g.origins, &values, &mask)?;
         }
         drop(grid);
         Ok(out)
@@ -365,10 +391,9 @@ mod tests {
     }
 
     /// The paste's contract on a sentinel grid: it stores the present
-    /// cells of its regions that lie inside the box, writes no other
+    /// cells of its regions that lie inside the box and writes no other
     /// cell — absent ones included, since the grid it is handed already
-    /// holds `+0.0` there — and claims every region cell, present or
-    /// absent, inside the box or not.
+    /// holds `+0.0` there.
     #[test]
     fn paste_masks_the_pasted_rows_and_writes_nothing_else() {
         let dim = 8;
@@ -391,33 +416,28 @@ mod tests {
             mask.set(i, true);
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        // Unclipped, a box that cuts both sub-blocks, and one that misses
-        // them: only the boxed present cells are written, every region
-        // cell is claimed all the same.
+        // Unclipped, a box that cuts both sub-blocks, one that misses
+        // them and one that misses them only along x: only the boxed
+        // present cells are written.
         for clip in [
             None,
             Some(Aabb::new((3, 1, 1), (6, 4, 7))),
             Some(Aabb::new((0, 0, 3), (8, 8, 6))),
+            Some(Aabb::new((0, 0, 0), (2, 8, 8))),
         ] {
             // A sentinel everywhere shows which cells the paste wrote.
             let mut out = vec![9.0f64; dim * dim * dim];
             let grid = planes(&mut out, dim, clip);
-            let (fresh, stored) = paste_group(&grid, g.shape, &g.origins, &values, &mask).unwrap();
-            assert!(fresh);
-            let claims: Vec<u64> = (0..dim)
-                .flat_map(|z| grid.lock(z).unwrap().cells_and_claims().1.to_vec())
-                .collect();
+            let stored = paste_group(&grid, g.shape, &g.origins, &values, &mask).unwrap();
             drop(grid);
             let mut src = values.iter();
             let mut expect = vec![9.0f64; dim * dim * dim];
-            let mut claimed = vec![false; dim * dim * dim];
             for &(x, y, z) in &g.origins {
                 for zz in z as usize..z as usize + 2 {
                     for yy in y as usize..y as usize + 2 {
                         for xx in x as usize..x as usize + 5 {
                             let i = xx + dim * (yy + dim * zz);
                             let v = *src.next().unwrap();
-                            claimed[i] = true;
                             if mask.get(i) && clip.map_or(true, |b| b.contains(xx, yy, zz)) {
                                 expect[i] = v;
                             }
@@ -427,43 +447,106 @@ mod tests {
             }
             assert_eq!(bits(&out), bits(&expect), "{clip:?}");
             assert_eq!(stored, expect.iter().filter(|&&v| v != 9.0).count());
-            // The claim bits are exactly the region cells (an 8^3 plane
-            // is one claim word), so a region sharing one cell overlaps.
-            for (i, &c) in claimed.iter().enumerate() {
-                assert_eq!(claims[i / 64] >> (i % 64) & 1 == 1, c, "cell {i}");
-            }
-            let grid = planes(&mut out, dim, Some(Aabb::new((0, 0, 0), (1, 1, 1))));
-            assert!(
-                paste_group(&grid, g.shape, &g.origins, &values, &mask)
-                    .unwrap()
-                    .0
-            );
-            // Outside the box, over a present cell and over an absent one
-            // (cell 90 of the first sub-block): both are claimed twice.
-            assert!(!mask.get(90));
-            for corner in [(6, 4, 2), (2, 3, 1)] {
-                let (fresh, stored) =
-                    paste_group(&grid, (1, 1, 1), &[corner], &[1.0], &mask).unwrap();
-                assert!(!fresh && stored == 0, "{corner:?}");
-            }
         }
     }
 
-    /// Claims over a plane whose rows straddle word boundaries (a 10^2
-    /// plane is 100 bits in two words).
+    /// A group's sub-block shape and origins.
+    type Group<'a> = ((usize, usize, usize), &'a [(u32, u32, u32)]);
+
+    /// `check_regions` over the groups of shapes and origins `groups` on
+    /// an 8^3 level.
+    fn check(groups: &[Group<'_>]) -> Result<(), TacError> {
+        let groups: Vec<BlockGroup> = (groups.iter())
+            .map(|&(shape, origins)| BlockGroup {
+                shape,
+                origins: origins.to_vec(),
+                stream: Vec::new(),
+            })
+            .collect();
+        check_regions(3, 8, &groups)
+    }
+
+    /// Regions that share a cell are refused whatever block the level's
+    /// origins and extents have in common: a unit block, whole planes
+    /// across for slabs, or one cell; regions that only touch are not.
     #[test]
-    fn claims_are_per_cell_across_word_boundaries() {
-        let mut words = vec![0u64; 2];
-        assert!(claim(&mut words, 60, 10)); // bits 60..70
-        assert_eq!(words, [0xF << 60, 0x3F]);
-        assert!(claim(&mut words, 0, 60));
-        assert!(claim(&mut words, 70, 30));
-        assert_eq!(words, [u64::MAX, (1 << 36) - 1]);
-        assert!(!claim(&mut words, 69, 1));
-        let mut words = vec![0u64; 2];
-        assert!(claim(&mut words, 0, 128) && !claim(&mut words, 127, 1));
-        // Past the buffer: refused, not indexed.
-        assert!(!claim(&mut words, 120, 16));
+    fn regions_sharing_a_cell_overlap_on_any_common_block() {
+        let overlaps = |r: Result<(), TacError>| matches!(&r, Err(TacError::Corrupt(why)) if why == "level 3: a region overlaps another region");
+        for (what, groups) in [
+            (
+                "one cell, off the unit grid",
+                vec![((4, 4, 4), &[(0, 0, 0)][..]), ((1, 1, 1), &[(3, 3, 3)])],
+            ),
+            (
+                "slabs sharing plane 3",
+                vec![((8, 8, 4), &[(0, 0, 0), (0, 0, 3)][..])],
+            ),
+            (
+                "unit blocks, within one group",
+                vec![((2, 2, 2), &[(0, 0, 0), (2, 4, 6), (0, 0, 0)][..])],
+            ),
+            (
+                "a cube over a smaller one",
+                vec![((4, 4, 4), &[(4, 4, 4)][..]), ((2, 2, 2), &[(6, 4, 6)])],
+            ),
+            (
+                "the last cell of a row",
+                vec![((8, 1, 1), &[(0, 7, 7)][..]), ((1, 1, 1), &[(7, 7, 7)])],
+            ),
+        ] {
+            assert!(overlaps(check(&groups)), "{what}: {:?}", check(&groups));
+        }
+        for (what, groups) in [
+            (
+                "adjacent unit blocks",
+                vec![
+                    ((4, 4, 4), &[(0, 0, 0), (4, 0, 0), (0, 4, 4)][..]),
+                    ((2, 2, 2), &[(4, 4, 0)]),
+                ],
+            ),
+            (
+                "slabs, the last one short",
+                vec![
+                    ((8, 8, 3), &[(0, 0, 0), (0, 0, 3)][..]),
+                    ((8, 8, 2), &[(0, 0, 6)]),
+                ],
+            ),
+            (
+                "one-cell regions side by side",
+                vec![((1, 1, 1), &[(0, 0, 0), (1, 0, 0), (0, 1, 0)][..])],
+            ),
+            ("the whole level", vec![((8, 8, 8), &[(0, 0, 0)][..])]),
+            ("a group of no sub-blocks", vec![((3, 5, 7), &[][..])]),
+            ("no group", vec![]),
+        ] {
+            assert!(check(&groups).is_ok(), "{what}: {:?}", check(&groups));
+        }
+    }
+
+    /// A sub-block leaving the grid, or a shape that cannot fit it, is
+    /// refused as corrupt, not indexed.
+    #[test]
+    fn regions_outside_the_grid_are_corrupt() {
+        let big = u32::MAX;
+        for (what, groups) in [
+            ("past x", vec![((4, 4, 4), &[(5, 0, 0)][..])]),
+            (
+                "past z, after a valid group",
+                vec![((4, 4, 4), &[(0, 0, 0)][..]), ((2, 2, 2), &[(0, 0, 7)])],
+            ),
+            (
+                "far past the grid",
+                vec![((1, 1, 1), &[(big, big, big)][..])],
+            ),
+            ("a zero extent", vec![((0, 4, 4), &[(0, 0, 0)][..])]),
+            ("an extent past the level", vec![((4, 9, 4), &[][..])]),
+        ] {
+            let err = check(&groups).unwrap_err();
+            assert!(
+                matches!(&err, TacError::Corrupt(why) if !why.contains("overlaps")),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! locked slabs — one per plane for TAC, whose regions share planes; one
 //! per segment for zMesh and 1D; one for the 3D baseline — with a region
 //! read's box resolved once (`None` when it is the whole grid, so a full
-//! decode takes every arm's unclipped path) and claim bits, one per
-//! cell, only where asked for.
+//! decode takes every arm's unclipped path). A grid checks nothing about
+//! what its writers store: a TAC level's regions are checked against
+//! each other before any task runs ([`crate::extract::check_regions`]).
 
 use crate::error::TacError;
 use std::ops::Range;
@@ -15,25 +16,6 @@ pub(crate) struct Slab<'a, T> {
     /// Flat index of `cells[0]` in the level grid.
     pub base: usize,
     pub cells: &'a mut [T],
-    /// `None` unless the grid claims.
-    claims: Option<Vec<u64>>,
-}
-
-impl<T> Slab<'_, T> {
-    /// The slab's cells and their claim bits, one per cell — allocated at
-    /// first use, so a slab no region touches costs nothing; empty unless
-    /// the grid claims.
-    pub(crate) fn cells_and_claims(&mut self) -> (&mut [T], &mut [u64]) {
-        let words = self.cells.len().div_ceil(64);
-        let claims = match &mut self.claims {
-            Some(bits) => {
-                bits.resize(words, 0);
-                bits.as_mut_slice()
-            }
-            None => &mut [],
-        };
-        (self.cells, claims)
-    }
 }
 
 /// A caller-owned `dim^3` level grid cut into locked z-plane slabs.
@@ -46,13 +28,12 @@ pub(crate) struct SlabGrid<'a, T> {
 impl<'a, T> SlabGrid<'a, T> {
     /// Cuts `cells`, a `dim^3` grid, into one slab per z-plane range of
     /// `cuts` — non-empty, ascending and apart, inside the grid; planes no
-    /// cut names belong to no slab — with claim bits when `claims` is set.
-    /// `clip` is a region read's box on the level.
+    /// cut names belong to no slab. `clip` is a region read's box on the
+    /// level.
     pub(crate) fn new(
         cells: &'a mut [T],
         dim: usize,
         cuts: impl IntoIterator<Item = Range<usize>>,
-        claims: bool,
         clip: Option<Aabb>,
     ) -> Result<Self, TacError> {
         let plane = (dim.checked_mul(dim))
@@ -73,7 +54,6 @@ impl<'a, T> SlabGrid<'a, T> {
             slabs.push(Mutex::new(Slab {
                 base: planes.start * plane,
                 cells,
-                claims: claims.then(Vec::new),
             }));
             (rest, at) = (tail, planes.end);
         }
@@ -117,7 +97,7 @@ mod tests {
         dim: usize,
         cuts: &[(usize, usize)],
     ) -> Result<SlabGrid<'a, u8>, TacError> {
-        SlabGrid::new(cells, dim, cuts.iter().map(|&(a, b)| a..b), false, None)
+        SlabGrid::new(cells, dim, cuts.iter().map(|&(a, b)| a..b), None)
     }
 
     #[test]
@@ -178,23 +158,8 @@ mod tests {
             (Some(part), Some(part)),
             (Some(Aabb::whole(3)), Some(Aabb::whole(3))),
         ] {
-            let grid = SlabGrid::new(&mut cells, 4, (0..4).map(|z| z..z + 1), false, clip).unwrap();
+            let grid = SlabGrid::new(&mut cells, 4, (0..4).map(|z| z..z + 1), clip).unwrap();
             assert_eq!(grid.clip(), want, "{clip:?}");
-        }
-    }
-
-    #[test]
-    fn claim_bits_exist_only_where_asked_for() {
-        let mut cells = vec![0.0f64; 1000];
-        for claims in [false, true] {
-            let grid = SlabGrid::new(&mut cells, 10, [0..3, 3..10], claims, None).unwrap();
-            for (i, cells) in [300usize, 700].into_iter().enumerate() {
-                let mut slab = grid.lock(i).unwrap();
-                // Nothing is allocated before the first claim.
-                assert_eq!(slab.claims, claims.then(Vec::new), "{claims}");
-                let words = if claims { cells.div_ceil(64) } else { 0 };
-                assert_eq!(slab.cells_and_claims().1, vec![0; words], "{claims}");
-            }
         }
     }
 }

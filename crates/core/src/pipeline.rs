@@ -17,7 +17,7 @@ use crate::error::TacError;
 use crate::grid::SlabGrid;
 use crate::roi::box_rows;
 use crate::segment::{self, union_range, StackSegments, SEGMENT_BUDGET};
-use crate::stream::{CompressedLevel, LevelPayload};
+use crate::stream::CompressedLevel;
 use crate::zmesh::{level_dim, refinement};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -138,8 +138,10 @@ pub fn decompress_level_t<T: CodecElement>(
 
 /// Implements the paper's Sec. 4.4 top-level selector: TAC when the
 /// finest level is sparse, the 3D baseline when it is dense (>= `t2`).
+/// Calling it is the opt-in: the compress entry points take the method
+/// they are given.
 pub fn select_method<T: Element>(ds: &AmrDataset<T>, cfg: &TacConfig) -> Method {
-    if cfg.adaptive_3d_switch && ds.finest_density() >= cfg.t2 {
+    if ds.finest_density() >= cfg.t2 {
         Method::Baseline3D
     } else {
         Method::Tac
@@ -511,17 +513,12 @@ pub(crate) enum Body<'a> {
 
 impl Body<'_> {
     /// How the body's tasks write level `l`, of side `dim`: the z-plane
-    /// ranges its grid is cut into, and whether they claim.
-    fn cuts(&self, l: usize, dim: usize) -> (Vec<Range<usize>>, bool) {
+    /// ranges its grid is cut into.
+    fn cuts(&self, l: usize, dim: usize) -> Vec<Range<usize>> {
         match self {
             // The regions of different groups share planes: one slab per
-            // plane, claimed wherever a payload pastes.
-            Body::Tac(levels) => {
-                let claims = levels
-                    .get(l)
-                    .is_some_and(|cl| cl.payload != LevelPayload::Empty);
-                ((0..dim).map(|z| z..z + 1).collect(), claims)
-            }
+            // plane.
+            Body::Tac(_) => (0..dim).map(|z| z..z + 1).collect(),
             // A segment owns its planes, scaled to the level.
             Body::Stacks(stacks) => {
                 let cuts = stacks.iter().find(|s| s.levels.contains(&l)).map(|s| {
@@ -531,9 +528,9 @@ impl Body<'_> {
                     };
                     s.segments.iter().map(|s| scaled(&s.planes)).collect()
                 });
-                (cuts.unwrap_or_default(), false)
+                cuts.unwrap_or_default()
             }
-            Body::Uniform(..) => (std::iter::once(0..dim).collect(), false),
+            Body::Uniform(..) => std::iter::once(0..dim).collect(),
         }
     }
 }
@@ -562,9 +559,8 @@ pub(crate) fn decompress_dataset_in<T: CodecElement>(
     let mut cells: Vec<Vec<T>> = masks.iter().map(|m| vec![T::ZERO; m.len()]).collect();
     let grids = (cells.iter_mut().zip(&dims).enumerate())
         .map(|(l, (cells, &dim))| {
-            let (cuts, claims) = body.cuts(l, dim);
             let clip = clip.and_then(|boxes| boxes.get(l)).copied();
-            SlabGrid::new(cells, dim, cuts, claims, clip)
+            SlabGrid::new(cells, dim, body.cuts(l, dim), clip)
         })
         .collect::<Result<Vec<_>, _>>()?;
     drop(assemble);
@@ -637,6 +633,7 @@ fn fill_uniform<T: CodecElement>(
 mod tests {
     use super::*;
     use crate::segment::Segment;
+    use crate::stream::LevelPayload;
     use crate::zmesh::{scatter_walk, ALL_PLANES};
 
     /// Builds a two-level dataset with a blobby fine region (~30% fine
@@ -1015,13 +1012,10 @@ mod tests {
     fn adaptive_switch_selects_3d_for_dense_finest() {
         let fine = AmrLevel::dense(8, vec![1.0; 512]);
         let ds = AmrDataset::new("dense", vec![fine]);
-        let cfg = TacConfig::default().with_adaptive_3d_switch();
+        let cfg = TacConfig::default();
         assert_eq!(select_method(&ds, &cfg), Method::Baseline3D);
         let sparse = blobby_dataset(16);
         assert_eq!(select_method(&sparse, &cfg), Method::Tac);
-        // Switch off: always TAC.
-        let cfg_off = TacConfig::default();
-        assert_eq!(select_method(&ds, &cfg_off), Method::Tac);
     }
 
     #[test]

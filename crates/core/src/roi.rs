@@ -42,10 +42,10 @@
 //! one chunk — the 3D baseline's, say — spawns no thread. What a read
 //! returns does not depend on the worker count: the levels, the masks
 //! and the [`RoiStats`] are bit-identical at any count, and a bad
-//! container fails with the same error (the first in task order; an
-//! overlap names its lowest level). What stays serial is the parse —
-//! the LZSS unpack of the stored masks among it — and zeroing the level
-//! grids the allocator hands back from its heap.
+//! container fails with the same error (an overlap, before any task
+//! runs, at its lowest level; else the first in task order). What stays
+//! serial is the parse — the LZSS unpack of the stored masks among it —
+//! and zeroing the level grids the allocator hands back from its heap.
 
 use crate::container::{parse_layout, ChunkEntry, MethodMeta};
 use crate::error::TacError;
@@ -646,7 +646,7 @@ mod tests {
             }
         }
         // Two region groups of the fine level cover the same cells: only
-        // the decode can tell, and it names the level at every count.
+        // the region check can tell, and it names the level at every count.
         let golden = include_bytes!("../../../tests/data/golden_tac_v5.tacd");
         let mut cd = CompressedDataset::from_bytes(golden).unwrap();
         let MethodBody::Tac(levels) = &mut cd.body else {

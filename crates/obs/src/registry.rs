@@ -172,7 +172,6 @@ pub(crate) fn hist(kind: HistKind, value: usize) {
 /// Per-thread storage. Only the owning thread writes; collect reads the
 /// relaxed atomics after workers are joined.
 struct Shard {
-    tid: u32,
     counters: Vec<AtomicU64>,
     /// Flat `[kind][bucket]` histogram buckets.
     hist_buckets: Vec<AtomicU64>,
@@ -180,12 +179,11 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(tid: u32) -> Self {
+    fn new() -> Self {
         let counters = (0..Counter::COUNT).map(|_| AtomicU64::new(0)).collect();
         let flat_len = HistKind::COUNT.saturating_mul(HIST_BUCKETS);
         let hist_buckets = (0..flat_len).map(|_| AtomicU64::new(0)).collect();
         Shard {
-            tid,
             counters,
             hist_buckets,
             spans: Mutex::new(Vec::new()),
@@ -195,7 +193,8 @@ impl Shard {
 
 /// The built-in sharded recorder: one shard per recording thread,
 /// registered on first use and kept alive (via `Arc`) after the thread
-/// exits so its data survives until collect.
+/// exits so its data survives until the next [`ObsSession::reset`],
+/// which drops it.
 pub struct ObsSession {
     shards: Mutex<Vec<Arc<Shard>>>,
 }
@@ -212,7 +211,7 @@ impl ObsSession {
         SHARD.with(|cell| {
             let mut slot = cell.borrow_mut();
             if slot.is_none() {
-                let shard = Arc::new(Shard::new(current_tid()));
+                let shard = Arc::new(Shard::new());
                 if let Ok(mut all) = self.shards.lock() {
                     all.push(Arc::clone(&shard));
                 }
@@ -256,10 +255,15 @@ impl ObsSession {
     }
 
     /// Zero every counter and histogram bucket and drop recorded spans,
-    /// in every shard (including shards of threads that have exited).
+    /// in every shard, and drop the shards of threads that have exited:
+    /// a shard only the session holds is one nothing records into again,
+    /// so the list stays as long as the live recording threads, however
+    /// many scoped threads have come and gone.
     pub fn reset(&self) {
-        for shard in self.all_shards() {
-            let _ = shard.tid;
+        let Ok(mut all) = self.shards.lock() else {
+            return;
+        };
+        all.retain(|shard| {
             for slot in shard.counters.iter() {
                 slot.store(0, Ordering::Relaxed);
             }
@@ -269,7 +273,8 @@ impl ObsSession {
             if let Ok(mut spans) = shard.spans.lock() {
                 spans.clear();
             }
-        }
+            Arc::strong_count(shard) > 1
+        });
     }
 
     /// [`Self::snapshot`] followed by [`Self::reset`].
@@ -399,6 +404,28 @@ mod tests {
         assert_eq!(h.counts.get(12), Some(&2));
         assert_eq!(h.counts.get(HIST_BUCKETS - 1), Some(&1));
         assert_eq!(h.total(), 3);
+    }
+
+    /// Threads that recorded and exited leave no shard behind once their
+    /// records are taken: `join` waits for the thread-local destructors,
+    /// so every count arrives and every shard is the session's alone.
+    #[test]
+    fn take_drops_the_shards_of_exited_threads() {
+        let (_held, s) = setup();
+        // This thread's shard is live and stays.
+        crate::add(Counter::ExecTasks, 1);
+        let before = s.all_shards().len();
+        let threads: Vec<_> = (0..64)
+            .map(|_| std::thread::spawn(|| crate::add(Counter::ExecTasks, 1)))
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(s.all_shards().len(), before + 64);
+        assert_eq!(s.take().counter(Counter::ExecTasks), 65);
+        // Shards of threads that exited before this test began go too.
+        let after = s.all_shards().len();
+        assert!(0 < after && after <= before, "{before} -> {after}");
     }
 
     #[test]

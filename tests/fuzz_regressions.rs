@@ -170,6 +170,34 @@ fn container_level_dim_is_bounded() {
     assert_eq!(probe_container(&bytes), ProbeResult::Rejected);
 }
 
+/// A v1 TAC whole-level record declaring a plausible side its mask does
+/// not have (5 on a 4^3 level) is rejected: the walker boxes the row on
+/// the mask's own grid, and the decode refuses the side, instead of the
+/// mask's box being taken at the declared side (a panic).
+#[test]
+fn v1_whole_level_dim_that_disagrees_with_its_mask_is_rejected() {
+    let mask = tac_amr::BitMask::ones(4 * 4 * 4);
+    let packed = tac_sz::lossless::compress(&mask.to_bytes());
+    for dim in [3, 5, 8] {
+        let bytes = Bytes::default()
+            .raw(b"TACD")
+            .u8(1) // version
+            .u8(0) // method: TAC
+            .blob(b"crafted")
+            .u64(4) // finest dim
+            .u8(1) // level count
+            .blob(&packed) // valid mask for a 4^3 level
+            // CompressedLevel: strategy, dim (the attack), eb, payload tag.
+            .u8(1) // ZeroFill
+            .u64(dim)
+            .f64(1e-3)
+            .u8(1) // whole-level SZ stream
+            .blob(b"not a stream")
+            .0;
+        assert_eq!(probe_container(&bytes), ProbeResult::Rejected, "dim {dim}");
+    }
+}
+
 /// The in-memory API is guarded too: a hand-built `CompressedLevel`
 /// with an overflowing dimension errors instead of panicking in the
 /// mask cross-check.

@@ -63,11 +63,7 @@ fn t2_routes_sparse_fine_to_opst_and_dense_coarse_to_gsp() {
 fn adaptive_switch_picks_3d_for_z3() {
     // Run1_Z3 has a 64% finest level — above T2 — so Sec. 4.4 says use
     // the 3D baseline; Z10 (23%) stays with TAC.
-    let c = TacConfig {
-        unit: 4,
-        adaptive_3d_switch: true,
-        ..cfg(4)
-    };
+    let c = cfg(4);
     let z3 = entry("Run1_Z3")
         .unwrap()
         .generate(FieldKind::BaryonDensity, 16, 1);
