@@ -14,8 +14,7 @@
 //! * [`BlockGrid`] — unit-block occupancy summaries that TAC's
 //!   pre-process strategies (OpST / AKDTree / GSP) consume;
 //! * [`to_uniform`] / [`from_uniform`] — piecewise-constant prolongation
-//!   to a single uniform grid and back (the "3D baseline" substrate);
-//! * Morton-order utilities for the zMesh reordering baseline.
+//!   to a single uniform grid and back (the "3D baseline" substrate).
 //!
 //! ```
 //! use tac_amr::{AmrDataset, AmrLevel, to_uniform};
@@ -34,7 +33,6 @@ mod blocks;
 mod dataset;
 mod level;
 mod mask;
-mod morton;
 mod upsample;
 
 pub use aabb::Aabb;
@@ -42,7 +40,6 @@ pub use blocks::{copy_region, copy_region_into, paste_region, BlockGrid};
 pub use dataset::{AmrDataset, AmrValidationError};
 pub use level::{min_max, AmrLevel};
 pub use mask::{BitMask, Runs};
-pub use morton::{morton2_decode, morton2_encode, morton3_decode, morton3_encode};
 pub use upsample::{
     from_uniform, from_uniform_averaged, level_to_uniform, redundant_points, to_uniform,
 };

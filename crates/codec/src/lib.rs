@@ -13,18 +13,17 @@
 //!   [`compress`](ScalarCodec::compress) /
 //!   [`decompress`](ScalarCodec::decompress) of a flat array of known
 //!   [`Dims`], plus [`compress_with_recon`](ScalarCodec::compress_with_recon)
-//!   for distortion metrics without a decode pass and
-//!   [`looks_like`](ScalarCodec::looks_like) stream sniffing;
+//!   for distortion metrics without a decode pass;
 //! * [`CodecId`] — a **stable one-byte wire tag** per backend, stored in
 //!   `tac-core`'s level payloads and chunk tables so containers are
 //!   self-describing;
-//! * three registered backends: [`SzCodec`] (the SZ-style
+//! * three backends: [`SzCodec`] (the SZ-style
 //!   predict-quantize-encode compressor from `tac-sz`), [`PcoLite`]
 //!   (a pcodec-inspired delta + per-page adaptive bit-packing codec),
 //!   and [`PcoAns`] (PcoLite's front end with a tabled-ANS entropy
 //!   stage and branch-free batch decode kernels);
-//! * a registry — [`codec_for`], [`registered`], [`sniff_codec`],
-//!   [`looks_like_stream`] — that `tac-core` dispatches through.
+//! * [`codec_for`], [`sniff_codec`] and [`stream_dtype`], which
+//!   `tac-core` dispatches and sniffs through.
 //!
 //! ```
 //! use tac_codec::{codec_for, CodecConfig, CodecId, Dims};
@@ -43,28 +42,17 @@
 //! }
 //! ```
 //!
-//! ## Registering a third backend
+//! ## The three backends
 //!
-//! 1. Pick the next free wire tag and add a variant to [`CodecId`]
-//!    (tags are append-only: existing numbers are frozen by shipped
-//!    containers; never reuse or renumber them). Extend
-//!    [`CodecId::from_tag`], [`CodecId::label`], and [`CodecId::all`].
-//! 2. Implement [`ScalarCodec<T>`](ScalarCodec) for a unit struct, once,
-//!    for every `T: Element`. The stream your
-//!    `compress` emits must start with the magic number returned by
-//!    [`magic`](ScalarCodec::magic), unique among backends and no
-//!    prefix of another backend's magic, so [`sniff_codec`] (which
-//!    probes longest magic first) and the container's codec-tag
-//!    validation can tell streams apart; `decompress` must reject
-//!    foreign or corrupt bytes with an error (never panic, never
-//!    mis-decode).
-//! 3. Return the new backend from [`codec_for`] ([`registered`] and
-//!    the sniffers derive from [`CodecId::all`] automatically).
-//! 4. That is the whole integration: `tac-core` threads any
-//!    `TacConfig { codec, .. }` through planning, the parallel engine,
-//!    the container, and ROI decoding via this registry, and the
-//!    `codec_comparison` experiment in `tac-bench` picks up every
-//!    registered backend automatically.
+//! The set is closed: the wire tags of [`CodecId`] are frozen by
+//! shipped containers, and [`codec_for`], [`sniff_codec`] and
+//! [`stream_dtype`] match on exactly these three. Every stream opens
+//! with one header — magic, version, flags, rank, dims, bound — which
+//! [`tac_sz::Header`] (`tac-sz`'s `container.rs`) alone writes and
+//! reads. A backend owns its 4-byte `MAGIC` and its `VERSION` (the
+//! magics are pairwise distinct, which `tac-lint`'s wirecheck
+//! enforces), its flag policy and the body after the header; sniffing
+//! peeks at the header once and matches its magic and version.
 //!
 //! The error-bound contract every backend must uphold: for each finite
 //! input value `v` and its reconstruction `v'`, `|v - v'| <= abs_eb`;
@@ -91,6 +79,7 @@ pub use tac_dtype::{Element, TacDtype};
 pub use tac_sz::{Dims, ErrorBound};
 
 use serde::{Deserialize, Serialize};
+use tac_sz::Header;
 
 /// Stable one-byte identifier of a scalar-codec backend — the tag
 /// `tac-core` writes into level payloads and v3 chunk tables. Wire tags
@@ -162,29 +151,17 @@ impl std::fmt::Display for CodecId {
 ///
 /// The error bound arrives here already **resolved to an absolute
 /// epsilon** (TAC resolves relative bounds per level, against each
-/// level's own value range). The remaining knobs are hints: a backend
-/// uses the ones that apply to it and ignores the rest.
+/// level's own value range).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodecConfig {
     /// Absolute point-wise error bound (`|v - v'| <= abs_eb`).
     pub abs_eb: f64,
-    /// Quantizer capacity (SZ: number of quantization bins).
-    pub capacity: usize,
-    /// Whether a trailing lossless (LZSS) stage may run.
-    pub lossless: bool,
-    /// Whether block-regression prediction may run (SZ only).
-    pub regression: bool,
 }
 
 impl CodecConfig {
-    /// Configuration with the given absolute bound and default knobs.
+    /// Configuration with the given absolute bound.
     pub fn abs(abs_eb: f64) -> Self {
-        CodecConfig {
-            abs_eb,
-            capacity: 65536,
-            lossless: true,
-            regression: true,
-        }
+        CodecConfig { abs_eb }
     }
 
     /// Validates the resolved bound.
@@ -232,17 +209,6 @@ pub trait ScalarCodec<T: Element>: Send + Sync {
     /// must streams of another element type
     /// ([`CodecError::WrongDtype`]).
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError>;
-
-    /// The backend's stream magic number — the byte prefix every stream
-    /// it emits starts with. Must be unique among registered backends
-    /// and not a prefix of another backend's magic; [`sniff_codec`]
-    /// probes backends longest-magic-first so a longer magic can never
-    /// be shadowed by a shorter one.
-    fn magic(&self) -> &'static [u8];
-
-    /// Cheap magic-number sniff: does `bytes` start like one of this
-    /// backend's streams?
-    fn looks_like(&self, bytes: &[u8]) -> bool;
 }
 
 /// The element-first spelling of the [`ScalarCodec`] calls, implemented
@@ -293,56 +259,35 @@ pub fn codec_for<T: Element>(id: CodecId) -> &'static dyn ScalarCodec<T> {
     }
 }
 
-/// Every registered backend, in wire-tag order (derived from
-/// [`CodecId::all`], so a new backend only has to be added there and in
-/// [`codec_for`]).
-pub fn registered<T: Element>() -> [&'static dyn ScalarCodec<T>; 3] {
-    CodecId::all().map(codec_for)
+/// The backend and element type a stream's header names: one peek at
+/// the header, its magic and version matched against the three
+/// backends.
+fn stream_head(bytes: &[u8]) -> Result<(CodecId, TacDtype), CodecError> {
+    let unknown = || CodecError::UnknownStream {
+        prefix: bytes.iter().copied().take(4).collect(),
+    };
+    let (magic, version, dtype) = Header::peek(bytes).ok_or_else(unknown)?;
+    let id = match (magic, version) {
+        (tac_sz::MAGIC, tac_sz::VERSION) => CodecId::Sz,
+        (pco::MAGIC, pco::VERSION) => CodecId::PcoLite,
+        (pco_ans::MAGIC, pco_ans::VERSION) => CodecId::PcoAns,
+        _ => return Err(unknown()),
+    };
+    Ok((id, dtype))
 }
 
-/// Identifies which registered codec produced `bytes`, by magic number.
-///
-/// Backends are probed **longest magic first** (ties broken by wire
-/// tag), so a backend whose magic happens to extend another's can never
-/// be mis-sniffed as the shorter match. An unrecognized stream is a
-/// typed [`CodecError::UnknownStream`] carrying the offending prefix —
-/// not a silent first-match fallback.
+/// Identifies which backend produced `bytes`, by the magic number and
+/// version its header opens with. An unrecognized stream is a typed
+/// [`CodecError::UnknownStream`] carrying the offending prefix — not a
+/// silent first-match fallback.
 pub fn sniff_codec(bytes: &[u8]) -> Result<CodecId, CodecError> {
-    // Magics do not depend on the element type; any `T` serves.
-    let mut backends = registered::<f64>();
-    backends.sort_by(|a, b| {
-        b.magic()
-            .len()
-            .cmp(&a.magic().len())
-            .then(a.id().tag().cmp(&b.id().tag()))
-    });
-    backends
-        .into_iter()
-        .find(|c| c.looks_like(bytes))
-        .map(|c| c.id())
-        .ok_or_else(|| CodecError::UnknownStream {
-            prefix: bytes.iter().copied().take(4).collect(),
-        })
+    stream_head(bytes).map(|(id, _)| id)
 }
 
-/// Codec-agnostic extension of `tac_sz::looks_like_stream`: true when
-/// **any** registered backend recognizes the bytes as one of its
-/// streams.
-pub fn looks_like_stream(bytes: &[u8]) -> bool {
-    sniff_codec(bytes).is_ok()
-}
-
-/// Sniffs the element type of a recognized stream without decoding it.
-/// Every registered backend keeps its flag byte at offset 5 with bit 1
-/// meaning `f32`; `None` when no backend recognizes the bytes.
+/// Sniffs the element type of a recognized stream without decoding it;
+/// `None` when no backend recognizes the bytes.
 pub fn stream_dtype(bytes: &[u8]) -> Option<TacDtype> {
-    sniff_codec(bytes).ok()?;
-    let flags = *bytes.get(5)?;
-    Some(if flags & 0b0000_0010 != 0 {
-        TacDtype::F32
-    } else {
-        TacDtype::F64
-    })
+    stream_head(bytes).ok().map(|(_, dtype)| dtype)
 }
 
 #[cfg(test)]
@@ -397,19 +342,22 @@ mod tests {
             let codec = codec_for::<f64>(id);
             let bytes = codec.compress(&data, Dims::D1(256), &cfg).unwrap();
             assert_eq!(sniff_codec(&bytes), Ok(id));
-            assert!(looks_like_stream(&bytes));
-            assert!(bytes.starts_with(codec.magic()), "{id}");
             // Every *other* backend must refuse the stream outright.
             for other in CodecId::all() {
                 if other != id {
-                    let other_codec = codec_for::<f64>(other);
-                    assert!(!other_codec.looks_like(&bytes));
                     assert!(
-                        other_codec.decompress(&bytes).is_err(),
+                        codec_for::<f64>(other).decompress(&bytes).is_err(),
                         "{other} decoded a {id} stream"
                     );
                 }
             }
+            // Sniffing needs the flag byte and the backend's version.
+            assert!(sniff_codec(&bytes[..5]).is_err(), "{id}");
+            assert!(sniff_codec(&bytes[..6]).is_ok(), "{id}");
+            let mut other_version = bytes.clone();
+            other_version[4] ^= 0x80;
+            assert!(sniff_codec(&other_version).is_err(), "{id}");
+            assert_eq!(stream_dtype(&other_version), None, "{id}");
         }
         assert!(matches!(
             sniff_codec(b"not a stream at all"),
@@ -419,25 +367,17 @@ mod tests {
             sniff_codec(&[]),
             Err(CodecError::UnknownStream { ref prefix }) if prefix.is_empty()
         ));
-        assert!(!looks_like_stream(&[]));
+        assert_eq!(stream_dtype(&[]), None);
     }
 
     #[test]
     fn magics_are_unique_and_prefix_free() {
-        // The longest-first probe order in sniff_codec is only sound if
-        // no registered magic is a prefix of another's.
-        let backends = registered::<f64>();
-        for a in &backends {
-            assert!(!a.magic().is_empty(), "{} has an empty magic", a.id());
-            for b in &backends {
-                if a.id() != b.id() {
-                    assert!(
-                        !a.magic().starts_with(b.magic()),
-                        "{} magic is prefixed by {}",
-                        a.id(),
-                        b.id()
-                    );
-                }
+        // Sniffing matches whole 4-byte magics, so pairwise distinct
+        // magics are prefix-free too.
+        let magics = [tac_sz::MAGIC, pco::MAGIC, pco_ans::MAGIC];
+        for (i, a) in magics.iter().enumerate() {
+            for b in &magics[i + 1..] {
+                assert_ne!(a, b);
             }
         }
     }

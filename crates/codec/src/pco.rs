@@ -24,21 +24,14 @@
 //! the encoding.
 
 use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
-use tac_dtype::{Element, TacDtype};
-use tac_sz::wire::{ByteReader, ByteWriter};
-use tac_sz::{lossless, Dims};
+use tac_dtype::Element;
+use tac_sz::wire::ByteReader;
+use tac_sz::{lossless, Dims, Header, HeaderError, FLAG_LOSSLESS};
 
 /// Stream magic number ("TAC Pco-Lite v1").
-const MAGIC: [u8; 4] = *b"TPL1";
+pub(crate) const MAGIC: [u8; 4] = *b"TPL1";
 /// Current format version.
-const VERSION: u8 = 1;
-/// Flag bit: body passed through the LZSS stage.
-const FLAG_LOSSLESS: u8 = 0b0000_0001;
-/// Flag bit: elements are `f32` (unset: `f64`, so every pre-dtype stream
-/// decodes unchanged). Kept at the same bit as `tac-sz`'s dtype flag so
-/// registry-level sniffing reads one byte for either backend. `PcoAns`
-/// streams use the same bit.
-pub(crate) const FLAG_F32: u8 = 0b0000_0010;
+pub(crate) const VERSION: u8 = 1;
 /// Values per page. Each page picks its own bit width, so the page size
 /// trades adaptivity against per-page header overhead.
 const PAGE: usize = 1024;
@@ -379,31 +372,23 @@ fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
 }
 
-/// The header both pcodec-style backends open a stream with: magic,
-/// version, flags, rank, one `u64` per axis, the absolute bound.
-pub(crate) fn stream_header(
-    magic: &[u8; 4],
-    version: u8,
-    flags: u8,
-    dims: Dims,
-    abs_eb: f64,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_bytes(magic);
-    w.put_u8(version);
-    w.put_u8(flags);
-    w.put_u8(dims.rank());
-    let axes = match dims {
-        Dims::D1(a) => [a, 0, 0, 0],
-        Dims::D2(a, b) => [a, b, 0, 0],
-        Dims::D3(a, b, c) => [a, b, c, 0],
-        Dims::D4(a, b, c, d) => [a, b, c, d],
-    };
-    for &axis in axes.iter().take(usize::from(dims.rank())) {
-        w.put_u64(axis as u64);
+/// Maps a refused stream header onto the errors both pcodec-style
+/// backends report: another magic is [`CodecError::WrongCodec`], another
+/// element type [`CodecError::WrongDtype`], anything else corrupt.
+/// `label` names the backend.
+pub(crate) fn header_error(label: &'static str, e: HeaderError) -> CodecError {
+    match e {
+        HeaderError::Magic(found) => CodecError::WrongCodec {
+            expected: label,
+            found: format!("magic {found:02x?}"),
+        },
+        HeaderError::Dtype { stream, requested } => CodecError::WrongDtype {
+            stream: stream.label(),
+            requested: requested.label(),
+        },
+        HeaderError::Version { .. } => corrupt(format!("{label} {e}")),
+        HeaderError::Corrupt(msg) => corrupt(msg),
     }
-    w.put_f64(abs_eb);
-    w.into_bytes()
 }
 
 /// Element-generic encoder body. The `f64` instantiation is
@@ -425,116 +410,22 @@ fn compress_impl<T: Element, const RECON: bool>(
     let mut body = Vec::with_capacity(8 + n * 2 / PAGE.max(1) + n);
     let recon = encode_stream::<T, RECON>(data, abs_eb, PAGE, &mut body, encode_page);
 
-    let mut flags = 0u8;
-    if T::DTYPE == TacDtype::F32 {
-        flags |= FLAG_F32;
-    }
-    let body = if cfg.lossless {
-        let packed = {
-            let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
-            lossless::compress(&body)
-        };
-        if packed.len() < body.len() {
-            flags |= FLAG_LOSSLESS;
-            packed
-        } else {
-            body
-        }
+    let mut header = Header::new::<T>(MAGIC, VERSION, dims, abs_eb);
+    let packed = {
+        let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
+        lossless::compress(&body)
+    };
+    let body = if packed.len() < body.len() {
+        header.flags |= FLAG_LOSSLESS;
+        packed
     } else {
         body
     };
 
-    let mut out = stream_header(&MAGIC, VERSION, flags, dims, abs_eb);
+    let mut out = Vec::with_capacity(header.encoded_len().saturating_add(body.len()));
+    header.encode(&mut out);
     out.extend_from_slice(&body);
     Ok((out, recon))
-}
-
-/// What [`read_stream_head`] found at the front of a stream.
-pub(crate) struct StreamHead<'a> {
-    pub flags: u8,
-    pub dims: Dims,
-    pub abs_eb: f64,
-    /// Everything after the header.
-    pub body: &'a [u8],
-}
-
-/// Decode twin of [`stream_header`], shared by both pcodec-style
-/// backends: checks the magic, the version, the flag byte (any bit
-/// outside `known_flags` is corrupt — a backend that tolerates unknown
-/// bits passes `u8::MAX`), the dtype flag against `T`, the rank, the
-/// dimensions and the bound. `label` names the backend in errors.
-pub(crate) fn read_stream_head<'a, T: Element>(
-    bytes: &'a [u8],
-    magic: &[u8; 4],
-    version: u8,
-    label: &'static str,
-    known_flags: u8,
-) -> Result<StreamHead<'a>, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let found = r
-        .get_bytes(4)
-        .map_err(|_| corrupt("stream shorter than header"))?;
-    if found != magic {
-        return Err(CodecError::WrongCodec {
-            expected: label,
-            found: format!("magic {found:02x?}"),
-        });
-    }
-    let found = r.get_u8().map_err(|_| corrupt("header truncated"))?;
-    if found != version {
-        return Err(corrupt(format!(
-            "{label} version {found} (expected {version})"
-        )));
-    }
-    let flags = r.get_u8().map_err(|_| corrupt("header truncated"))?;
-    if flags & !known_flags != 0 {
-        return Err(corrupt(format!("unknown flag bits {flags:#04x}")));
-    }
-    let stream_dtype = if flags & FLAG_F32 != 0 {
-        TacDtype::F32
-    } else {
-        TacDtype::F64
-    };
-    if stream_dtype != T::DTYPE {
-        return Err(CodecError::WrongDtype {
-            stream: stream_dtype.label(),
-            requested: T::DTYPE.label(),
-        });
-    }
-    let rank = r.get_u8().map_err(|_| corrupt("header truncated"))?;
-    if !(1..=4).contains(&rank) {
-        return Err(corrupt(format!("invalid rank {rank}")));
-    }
-    let mut dim = || -> Result<usize, CodecError> {
-        r.get_u64()
-            .map(|v| v as usize)
-            .map_err(|_| corrupt("header truncated"))
-    };
-    let dims = match rank {
-        1 => Dims::D1(dim()?),
-        2 => Dims::D2(dim()?, dim()?),
-        3 => Dims::D3(dim()?, dim()?, dim()?),
-        _ => Dims::D4(dim()?, dim()?, dim()?, dim()?),
-    };
-    if dims.is_empty() {
-        return Err(corrupt("zero-sized dimensions"));
-    }
-    if dims.len() > (1usize << 40) {
-        return Err(corrupt(format!(
-            "declared element count {} is implausible",
-            dims.len()
-        )));
-    }
-    let abs_eb = r.get_f64().map_err(|_| corrupt("header truncated"))?;
-    if abs_eb <= 0.0 || !abs_eb.is_finite() {
-        return Err(corrupt(format!("invalid stored eb {abs_eb}")));
-    }
-    Ok(StreamHead {
-        flags,
-        dims,
-        abs_eb,
-        body: r.rest(),
-    })
 }
 
 /// Opens a body of `n` declared points. `min_body` is the least a body
@@ -597,7 +488,8 @@ pub(crate) fn patch_exceptions<T: Element>(
 /// Element-generic decoder body: the stream's dtype flag must match `T`.
 fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
     // Unknown flag bits have always been ignored on this wire.
-    let head = read_stream_head::<T>(bytes, &MAGIC, VERSION, "pco-lite", u8::MAX)?;
+    let (head, rest) = Header::read::<T>(bytes, MAGIC, VERSION, u8::MAX)
+        .map_err(|e| header_error("pco-lite", e))?;
     let dims = head.dims;
     let two_eb = 2.0 * head.abs_eb;
     let n = dims.len();
@@ -606,11 +498,11 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     let body: &[u8] = if head.flags & FLAG_LOSSLESS != 0 {
         body_owned = {
             let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
-            lossless::decompress(head.body)?
+            lossless::decompress(rest)?
         };
         &body_owned
     } else {
-        head.body
+        rest
     };
     let mut b = ByteReader::new(body);
 
@@ -690,16 +582,6 @@ impl<T: Element> ScalarCodec<T> for PcoLite {
 
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
         decompress_impl(bytes)
-    }
-
-    fn magic(&self) -> &'static [u8] {
-        &MAGIC
-    }
-
-    fn looks_like(&self, bytes: &[u8]) -> bool {
-        bytes.len() > 5
-            && bytes.get(..4) == Some(MAGIC.as_slice())
-            && bytes.get(4) == Some(&VERSION)
     }
 }
 
@@ -802,6 +684,16 @@ mod tests {
     use super::*;
     use crate::testdata::{draw, splitmix64, Family};
     use crate::CodecElement;
+
+    /// A stream's header and its body with the LZSS stage undone.
+    fn unpacked<T: Element>(bytes: &[u8]) -> (Header, Vec<u8>) {
+        let (head, rest) = Header::read::<T>(bytes, MAGIC, VERSION, u8::MAX).unwrap();
+        if head.flags & FLAG_LOSSLESS != 0 {
+            (head, lossless::decompress(rest).unwrap())
+        } else {
+            (head, rest.to_vec())
+        }
+    }
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
         let cfg = CodecConfig::abs(eb);
@@ -964,7 +856,6 @@ mod tests {
             f64::codec_decompress(&PcoLite, &sz),
             Err(CodecError::WrongCodec { .. })
         ));
-        assert!(!ScalarCodec::<f64>::looks_like(&PcoLite, &sz));
     }
 
     #[test]
@@ -973,17 +864,15 @@ mod tests {
         // table is 12 bytes/entry vs 16 at f64, so it must be smaller.
         let data64 = vec![f64::NAN; 600];
         let data32 = vec![f32::NAN; 600];
-        let cfg = CodecConfig {
-            lossless: false,
-            ..CodecConfig::abs(1e-3)
-        };
+        let cfg = CodecConfig::abs(1e-3);
         let b64 = PcoLite.compress(&data64, Dims::D1(600), &cfg).unwrap();
         let b32 = PcoLite.compress(&data32, Dims::D1(600), &cfg).unwrap();
+        let (body64, body32) = (unpacked::<f64>(&b64).1, unpacked::<f32>(&b32).1);
         assert!(
-            b32.len() + 600 * 4 <= b64.len(),
+            body32.len() + 600 * 4 <= body64.len(),
             "f32 {} vs f64 {}",
-            b32.len(),
-            b64.len()
+            body32.len(),
+            body64.len()
         );
         let (out, _) = f32::codec_decompress(&PcoLite, &b32).unwrap();
         assert!(out.iter().all(|v| v.is_nan()));
@@ -1136,24 +1025,26 @@ mod tests {
     }
 
     fn assert_matches_reference<T: CodecElement>(data: &[T], eb: f64, what: &str) {
-        // Without the LZSS stage the stream is the header plus the body.
-        let cfg = CodecConfig {
-            lossless: false,
-            ..CodecConfig::abs(eb)
-        };
+        // With the LZSS stage undone the stream is the header plus the
+        // reference body.
+        let cfg = CodecConfig::abs(eb);
         let dims = Dims::D1(data.len());
         let (body, want_recon) = reference_body(data, eb);
-        let flags = if T::DTYPE == TacDtype::F32 {
-            FLAG_F32
-        } else {
-            0
-        };
-        let mut want = stream_header(&MAGIC, VERSION, flags, dims, eb);
-        want.extend_from_slice(&body);
         let got = PcoLite.compress(data, dims, &cfg).unwrap();
-        assert!(got == want, "{what}: stream differs from the reference");
-        let (got, recon) = PcoLite.compress_with_recon(data, dims, &cfg).unwrap();
-        assert!(got == want, "{what}: stream differs when recon is kept");
+        let (head, got_body) = unpacked::<T>(&got);
+        let head_flags = head.flags & !FLAG_LOSSLESS;
+        let want = Header::new::<T>(MAGIC, VERSION, dims, eb);
+        assert_eq!(
+            Header {
+                flags: head_flags,
+                ..head
+            },
+            want,
+            "{what}"
+        );
+        assert!(got_body == body, "{what}: body differs from the reference");
+        let (kept, recon) = PcoLite.compress_with_recon(data, dims, &cfg).unwrap();
+        assert!(kept == got, "{what}: stream differs when recon is kept");
         let (decoded, _) = T::codec_decompress(&PcoLite, &got).unwrap();
         assert_eq!(recon.len(), data.len(), "{what}");
         for ((a, b), c) in recon.iter().zip(&want_recon).zip(&decoded) {

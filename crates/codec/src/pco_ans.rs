@@ -38,13 +38,12 @@
 use crate::ans::{self, AnsDecoder, DecodeTable, EncSym, LANES, RANS_L, SYMBOL_SLOTS};
 use crate::bins::{self, CLASSES};
 use crate::pco::{
-    encode_stream, patch_exceptions, read_exceptions, read_stream_head, stream_header, unzigzag,
-    BitSink, FLAG_F32,
+    encode_stream, header_error, patch_exceptions, read_exceptions, unzigzag, BitSink,
 };
 use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
-use tac_dtype::{Element, TacDtype};
+use tac_dtype::Element;
 use tac_sz::wire::ByteReader;
-use tac_sz::Dims;
+use tac_sz::{Dims, Header, FLAG_F32};
 
 /// Stream magic number ("TAC Pco-ANS v1").
 pub(crate) const MAGIC: [u8; 4] = *b"TPA1";
@@ -209,14 +208,10 @@ fn compress_impl<T: Element, const RECON: bool>(
     cfg.validate()?;
     let n = data.len();
 
-    let flags = if T::DTYPE == TacDtype::F32 {
-        FLAG_F32
-    } else {
-        0
-    };
-    let mut out = stream_header(&MAGIC, VERSION, flags, dims, cfg.abs_eb);
-    // tac-lint: allow(arith) -- writer-side capacity estimate over an in-memory length; a wrong guess only costs a reallocation.
-    out.reserve(8 + n);
+    let header = Header::new::<T>(MAGIC, VERSION, dims, cfg.abs_eb);
+    // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths; a wrong guess only costs a reallocation.
+    let mut out = Vec::with_capacity(header.encoded_len() + 8 + n);
+    header.encode(&mut out);
     let mut scratch = EncodeScratch::new(n.min(PAGE));
     let recon = encode_stream::<T, RECON>(data, cfg.abs_eb, PAGE, &mut out, |z, classes, out| {
         encode_page(&mut scratch, z, classes, out)
@@ -412,11 +407,13 @@ fn decode_page<T: Element>(
 /// Element-generic decoder body: the stream's dtype flag must match
 /// `T`.
 fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
-    let head = read_stream_head::<T>(bytes, &MAGIC, VERSION, "pco-ans", FLAG_F32)?;
+    // The only flag this wire sets is the dtype; any other bit is corrupt.
+    let (head, rest) = Header::read::<T>(bytes, MAGIC, VERSION, FLAG_F32)
+        .map_err(|e| header_error("pco-ans", e))?;
     let dims = head.dims;
     let two_eb = 2.0 * head.abs_eb;
     let n = dims.len();
-    let mut b = ByteReader::new(head.body);
+    let mut b = ByteReader::new(rest);
 
     // Every page needs its fixed header plus at least one bin entry,
     // after the 8-byte exception count.
@@ -461,16 +458,6 @@ impl<T: Element> ScalarCodec<T> for PcoAns {
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
         decompress_impl(bytes)
     }
-
-    fn magic(&self) -> &'static [u8] {
-        &MAGIC
-    }
-
-    fn looks_like(&self, bytes: &[u8]) -> bool {
-        bytes.len() > 5
-            && bytes.get(..4) == Some(MAGIC.as_slice())
-            && bytes.get(4) == Some(&VERSION)
-    }
 }
 
 #[cfg(test)]
@@ -481,6 +468,7 @@ mod tests {
     use crate::pco::reference::{front_end, BitPacker};
     use crate::testdata::{draw, splitmix64, Family};
     use crate::CodecElement;
+    use tac_dtype::TacDtype;
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
         let cfg = CodecConfig::abs(eb);
@@ -677,7 +665,6 @@ mod tests {
             f64::codec_decompress(&PcoAns, &sz),
             Err(CodecError::WrongCodec { .. })
         ));
-        assert!(!ScalarCodec::<f64>::looks_like(&PcoAns, &sz));
     }
 
     #[test]

@@ -85,18 +85,19 @@ impl Default for AutoParams {
     }
 }
 
+/// Density threshold T1 between OpST and AKDTree (Sec. 3.4; paper: 0.50).
+pub const T1: f64 = 0.50;
+/// Density threshold T2 between AKDTree and GSP (Sec. 3.4), and the
+/// finest-level density at which [`crate::select_method`] picks the 3D
+/// baseline over TAC (Sec. 4.4; paper: 0.60).
+pub const T2: f64 = 0.60;
+
 /// Full TAC configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TacConfig {
     /// Unit block side length (the paper uses 16 for 512^3 levels; scaled
     /// runs use 8). Must divide every level dimension.
     pub unit: usize,
-    /// Density threshold T1 between OpST and AKDTree (paper: 0.50).
-    pub t1: f64,
-    /// Density threshold T2 between AKDTree and GSP — and the finest-level
-    /// threshold at which [`crate::select_method`] picks the 3D baseline
-    /// over TAC (Sec. 4.4; paper: 0.60).
-    pub t2: f64,
     /// Base error bound applied to every level (before per-level scaling).
     pub error_bound: ErrorBound,
     /// Per-level error-bound multipliers, fine to coarse (Sec. 4.5's
@@ -139,8 +140,6 @@ impl Default for TacConfig {
     fn default() -> Self {
         TacConfig {
             unit: 8,
-            t1: 0.50,
-            t2: 0.60,
             error_bound: ErrorBound::Rel(1e-4),
             level_eb_scale: Vec::new(),
             forced_strategy: None,
@@ -210,18 +209,12 @@ impl TacConfig {
         self.level_eb_scale.get(level).copied().unwrap_or(1.0)
     }
 
-    /// Validates thresholds and unit size.
+    /// Validates the unit size, the bounds and the engine settings.
     pub fn validate(&self) -> Result<(), TacError> {
         if self.unit == 0 || !self.unit.is_power_of_two() {
             return Err(TacError::InvalidConfig(format!(
                 "unit block size {} must be a positive power of two",
                 self.unit
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.t1) || !(0.0..=1.0).contains(&self.t2) || self.t1 > self.t2 {
-            return Err(TacError::InvalidConfig(format!(
-                "thresholds must satisfy 0 <= t1 <= t2 <= 1, got t1={} t2={}",
-                self.t1, self.t2
             )));
         }
         if self
@@ -265,10 +258,9 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_thresholds() {
-        let c = TacConfig::default();
-        assert_eq!(c.t1, 0.50);
-        assert_eq!(c.t2, 0.60);
-        assert!(c.validate().is_ok());
+        assert_eq!(T1, 0.50);
+        assert_eq!(T2, 0.60);
+        assert!(TacConfig::default().validate().is_ok());
     }
 
     #[test]
@@ -297,12 +289,6 @@ mod tests {
     fn validation_rejects_bad_config() {
         let c = TacConfig {
             unit: 3,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = TacConfig {
-            t1: 0.7,
-            t2: 0.6,
             ..Default::default()
         };
         assert!(c.validate().is_err());

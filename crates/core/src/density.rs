@@ -1,18 +1,19 @@
 //! The density filter (paper Sec. 3.4): picks a pre-process strategy per
 //! level from its cell density.
 
-use crate::config::{Strategy, TacConfig};
+use crate::config::{Strategy, TacConfig, T1, T2};
 use tac_amr::AmrLevel;
 use tac_dtype::Element;
 
-/// Selects the strategy for `level` under `cfg`'s thresholds:
+/// Selects the strategy for `level` by the paper's thresholds
+/// [`T1`] and [`T2`]:
 ///
 /// * empty level → [`Strategy::Empty`];
 /// * fully dense level → [`Strategy::ZeroFill`] (nothing to remove or pad
 ///   — the grid goes straight to the 3D compressor);
-/// * `d < t1` → [`Strategy::OpST`];
-/// * `t1 <= d < t2` → [`Strategy::AkdTree`];
-/// * `d >= t2` → [`Strategy::Gsp`].
+/// * `d < T1` → [`Strategy::OpST`];
+/// * `T1 <= d < T2` → [`Strategy::AkdTree`];
+/// * `d >= T2` → [`Strategy::Gsp`].
 ///
 /// A forced strategy in the config overrides density selection (except for
 /// empty levels, which have nothing to compress).
@@ -27,9 +28,9 @@ pub fn choose_strategy<T: Element>(level: &AmrLevel<T>, cfg: &TacConfig) -> Stra
     if d >= 1.0 {
         return Strategy::ZeroFill;
     }
-    if d < cfg.t1 {
+    if d < T1 {
         Strategy::OpST
-    } else if d < cfg.t2 {
+    } else if d < T2 {
         Strategy::AkdTree
     } else {
         Strategy::Gsp
@@ -102,7 +103,7 @@ mod tests {
 
     #[test]
     fn boundary_values_route_like_the_paper() {
-        // Exactly 50% -> AKDTree (t1 inclusive upper), exactly 60% -> GSP.
+        // Exactly 50% -> AKDTree (T1 inclusive upper), exactly 60% -> GSP.
         // dim 10 makes both fractions exact (1000 cells).
         let cfg = TacConfig::default();
         assert_eq!(

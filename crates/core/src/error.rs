@@ -13,7 +13,7 @@ pub enum TacError {
     Sz(SzError),
     /// The compressed container is malformed.
     Corrupt(String),
-    /// Configuration is invalid (thresholds, unit size, level scales).
+    /// Configuration is invalid (unit size, level scales, engine settings).
     InvalidConfig(String),
     /// The dataset violates AMR invariants needed by the method.
     InvalidDataset(String),

@@ -137,11 +137,11 @@ pub fn decompress_level_t<T: CodecElement>(
 }
 
 /// Implements the paper's Sec. 4.4 top-level selector: TAC when the
-/// finest level is sparse, the 3D baseline when it is dense (>= `t2`).
-/// Calling it is the opt-in: the compress entry points take the method
-/// they are given.
-pub fn select_method<T: Element>(ds: &AmrDataset<T>, cfg: &TacConfig) -> Method {
-    if ds.finest_density() >= cfg.t2 {
+/// finest level is sparse, the 3D baseline when it is dense (>=
+/// [`T2`](crate::T2)). Calling it is the opt-in: the compress entry
+/// points take the method they are given.
+pub fn select_method<T: Element>(ds: &AmrDataset<T>) -> Method {
+    if ds.finest_density() >= crate::T2 {
         Method::Baseline3D
     } else {
         Method::Tac
@@ -1012,10 +1012,9 @@ mod tests {
     fn adaptive_switch_selects_3d_for_dense_finest() {
         let fine = AmrLevel::dense(8, vec![1.0; 512]);
         let ds = AmrDataset::new("dense", vec![fine]);
-        let cfg = TacConfig::default();
-        assert_eq!(select_method(&ds, &cfg), Method::Baseline3D);
+        assert_eq!(select_method(&ds), Method::Baseline3D);
         let sparse = blobby_dataset(16);
-        assert_eq!(select_method(&sparse, &cfg), Method::Tac);
+        assert_eq!(select_method(&sparse), Method::Tac);
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl Parallelism {
                 .min(16),
         }
     }
-
-    /// Whether the scheduler would spawn worker threads at all.
-    pub fn is_parallel(self) -> bool {
-        self.workers() > 1
-    }
 }
 
 impl Default for Parallelism {
@@ -100,8 +95,6 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).workers(), 1);
         let auto = Parallelism::Auto.workers();
         assert!((1..=16).contains(&auto));
-        assert!(!Parallelism::Serial.is_parallel());
-        assert!(Parallelism::Threads(8).is_parallel());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::config::{Dims, SzConfig};
-use crate::container::{Header, FLAG_F32, FLAG_LOSSLESS, MAGIC, VERSION};
+use crate::container::{Header, HeaderError, FLAG_LOSSLESS, MAGIC, VERSION};
 use crate::error::SzError;
 use crate::huffman::HuffmanCode;
 use crate::lossless;
@@ -17,7 +17,7 @@ use crate::predictor::{lorenzo_1d, lorenzo_2d, lorenzo_3d};
 use crate::quantizer::{Quantized, Quantizer, UNPREDICTABLE};
 use crate::regression::RegressionContext;
 use crate::wire::ByteReader;
-use tac_dtype::{Element, TacDtype};
+use tac_dtype::Element;
 
 /// The entropy and lossless stages of a stream, both ways. The
 /// pipeline is generic over them so the differential tests can run the
@@ -265,7 +265,7 @@ pub fn compress_with_recon(
 
 /// Element-generic [`compress`]: monomorphized per width, no per-value
 /// dtype branches. The `f64` instantiation is byte-identical to the
-/// historical format; `f32` streams set [`FLAG_F32`] and store verbatim
+/// historical format; `f32` streams set [`FLAG_F32`](crate::FLAG_F32) and store verbatim
 /// values at 4 bytes each.
 pub fn compress_t<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig) -> Result<Vec<u8>, SzError> {
     compress_with_recon_t(data, dims, cfg).map(|(bytes, _)| bytes)
@@ -367,10 +367,7 @@ fn compress_with<T: Element, B: BackEnd>(
     payload.extend_from_slice(&bit_len.to_le_bytes());
     payload.extend_from_slice(&bits);
 
-    let mut flags = 0u8;
-    if T::DTYPE == TacDtype::F32 {
-        flags |= FLAG_F32;
-    }
+    let mut header = Header::new::<T>(MAGIC, VERSION, dims, abs_eb);
     let body = if cfg.lossless {
         let packed = {
             let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
@@ -381,7 +378,7 @@ fn compress_with<T: Element, B: BackEnd>(
         tac_obs::add_bytes(tac_obs::Counter::SzLosslessBytesIn, payload.len());
         if packed.len() < payload.len() {
             tac_obs::add_bytes(tac_obs::Counter::SzLosslessBytesKept, payload.len());
-            flags |= FLAG_LOSSLESS;
+            header.flags |= FLAG_LOSSLESS;
             packed
         } else {
             payload
@@ -390,16 +387,11 @@ fn compress_with<T: Element, B: BackEnd>(
         payload
     };
 
-    // tac-lint: allow(arith) -- cfg.validate() bounds capacity to 1 << 28, well inside u32.
-    let header = Header {
-        flags,
-        dims,
-        abs_eb,
-        capacity: cfg.capacity as u32,
-    };
     // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths.
-    let mut out = Vec::with_capacity(header.encoded_len() + body.len());
+    let mut out = Vec::with_capacity(header.encoded_len() + 4 + body.len());
     header.encode(&mut out);
+    // tac-lint: allow(arith) -- cfg.validate() bounds capacity to 1 << 28, well inside u32.
+    out.extend_from_slice(&(cfg.capacity as u32).to_le_bytes());
     out.extend_from_slice(&body);
     Ok((out, recon))
 }
@@ -407,8 +399,8 @@ fn compress_with<T: Element, B: BackEnd>(
 /// Decompresses a stream produced by [`compress`], returning the data and
 /// its shape.
 ///
-/// Rejects `f32` streams with [`SzError::UnsupportedFormat`]; sniff with
-/// [`stream_dtype`] and call [`decompress_t::<f32>`] for those.
+/// Rejects `f32` streams with [`SzError::UnsupportedFormat`]; call
+/// [`decompress_t::<f32>`] for those.
 pub fn decompress(bytes: &[u8]) -> Result<(Vec<f64>, Dims), SzError> {
     decompress_t::<f64>(bytes)
 }
@@ -418,19 +410,31 @@ pub fn decompress_t<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError>
     decompress_with::<T, Shipped>(bytes)
 }
 
+impl From<HeaderError> for SzError {
+    /// Another magic, version or element type is a format this decoder
+    /// does not read; anything else is a corrupt header.
+    fn from(e: HeaderError) -> Self {
+        match e {
+            HeaderError::Corrupt(msg) => SzError::Corrupt(msg),
+            other => SzError::UnsupportedFormat(other.to_string()),
+        }
+    }
+}
+
 /// [`decompress_t`] over the back end `B`.
 fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError> {
-    let (header, consumed) = Header::decode(bytes)?;
-    if header.dtype() != T::DTYPE {
-        return Err(SzError::UnsupportedFormat(format!(
-            "stream holds {} elements, caller expected {}",
-            header.dtype(),
-            T::DTYPE
+    // Unknown flag bits have always been ignored on this wire.
+    let (header, rest) = Header::read::<T>(bytes, MAGIC, VERSION, u8::MAX)?;
+    let mut r = ByteReader::new(rest);
+    let capacity = r
+        .get_u32()
+        .map_err(|_| SzError::Corrupt("header truncated".into()))?;
+    if capacity < 4 || capacity % 2 != 0 {
+        return Err(SzError::Corrupt(format!(
+            "invalid stored capacity {capacity}"
         )));
     }
-    let body = bytes
-        .get(consumed..)
-        .ok_or_else(|| SzError::Corrupt("stream truncated after header".into()))?;
+    let body = r.rest();
     let payload_owned;
     let payload: &[u8] = if header.flags & FLAG_LOSSLESS != 0 {
         payload_owned = {
@@ -528,7 +532,7 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
     let symbols = B::decode_symbols(&huffman, r.rest(), bit_len, n)?;
     drop(entropy_span);
 
-    let quantizer = Quantizer::new(header.abs_eb, header.capacity as usize);
+    let quantizer = Quantizer::new(header.abs_eb, capacity as usize);
     let mut recon = vec![T::ZERO; n];
     let mut dec = Decoder {
         quantizer,
@@ -549,34 +553,10 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
     Ok((recon, header.dims))
 }
 
-/// The stream magic every TSZ1 stream starts with — exposed so the
-/// codec registry can order its sniff probes by magic length.
-pub fn stream_magic() -> &'static [u8] {
-    &MAGIC
-}
-
-/// Sanity check available to callers: magic-number sniffing.
-pub fn looks_like_stream(bytes: &[u8]) -> bool {
-    bytes.len() > 5 && bytes.get(..4) == Some(MAGIC.as_slice()) && bytes.get(4) == Some(&VERSION)
-}
-
-/// Sniffs the element type of a stream from its flag byte without decoding
-/// the payload. Returns `None` when the bytes are not a TSZ1 stream.
-pub fn stream_dtype(bytes: &[u8]) -> Option<TacDtype> {
-    if !looks_like_stream(bytes) {
-        return None;
-    }
-    let flags = *bytes.get(5)?;
-    Some(if flags & FLAG_F32 != 0 {
-        TacDtype::F32
-    } else {
-        TacDtype::F64
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tac_dtype::TacDtype;
 
     fn smooth_3d(n: usize) -> Vec<f64> {
         let mut v = Vec::with_capacity(n * n * n);
@@ -589,6 +569,10 @@ mod tests {
             }
         }
         v
+    }
+
+    fn stream_dtype(bytes: &[u8]) -> Option<TacDtype> {
+        Header::peek(bytes).map(|(_, _, dtype)| dtype)
     }
 
     fn check_bound(orig: &[f64], recon: &[f64], eb: f64) {
@@ -768,8 +752,8 @@ mod tests {
                 }
                 (Err(SzError::Corrupt(_)), Ok(_)) => {
                     // Only the LZSS layer may tell them apart.
-                    let (_, at) = Header::decode(s).unwrap();
-                    let body = &s[at..];
+                    let (_, rest) = Header::read::<T>(s, MAGIC, VERSION, u8::MAX).unwrap();
+                    let body = &rest[4..];
                     assert!(lossless::decompress(body).is_err());
                     let payload = lossless::reference::decompress(body).unwrap();
                     assert!((0..body.len())
@@ -960,8 +944,9 @@ mod tests {
     fn stream_sniffing() {
         let data = vec![1.0; 8];
         let bytes = compress(&data, Dims::D1(8), &SzConfig::abs(1.0)).unwrap();
-        assert!(looks_like_stream(&bytes));
-        assert!(!looks_like_stream(b"not a stream"));
+        assert_eq!(Header::peek(&bytes), Some((MAGIC, VERSION, TacDtype::F64)));
+        assert_ne!(Header::peek(b"not a stream").map(|(m, ..)| m), Some(MAGIC));
+        assert_eq!(Header::peek(&bytes[..5]), None);
     }
 
     #[test]

@@ -1,27 +1,32 @@
-//! On-disk container format for a single compressed array.
+//! The header every codec stream opens with. SZ (`TSZ1`), pco-lite
+//! (`TPL1`) and pco-ans (`TPA1`) streams all start with it, and this
+//! module is the only code that writes or reads it: each backend brings
+//! its own magic, version and flag policy, sniffing reads the first six
+//! bytes through [`Header::peek`].
 //!
 //! Layout (little-endian):
 //!
 //! ```text
-//! magic  [u8; 4] = "TSZ1"
-//! version u8    = 1
-//! flags   u8      bit 0: payload is LZSS-compressed
-//!                 bit 1: elements are f32 (absent: f64)
-//! rank    u8      1..=4
+//! magic   [u8; 4]   the backend's: "TSZ1" here, "TPL1" / "TPA1" in tac-codec
+//! version u8        the backend's format version
+//! flags   u8        bit 0: body is LZSS-compressed (SZ, pco-lite)
+//!                   bit 1: elements are f32 (absent: f64)
+//! rank    u8        1..=4
 //! dims    rank x u64
-//! abs_eb  f64     resolved absolute error bound
-//! capacity u32    quantizer bins
-//! payload ...     (see compress.rs)
+//! abs_eb  f64       resolved absolute error bound
 //! ```
+//!
+//! An SZ stream follows it with `capacity u32` (quantizer bins), then
+//! its payload (see compress.rs).
 
 use crate::config::Dims;
-use crate::error::SzError;
 use crate::wire::{ByteReader, ByteWriter};
-use tac_dtype::TacDtype;
+use std::fmt;
+use tac_dtype::{Element, TacDtype};
 
-/// Stream magic number.
+/// SZ stream magic number.
 pub const MAGIC: [u8; 4] = *b"TSZ1";
-/// Current format version.
+/// SZ stream format version.
 pub const VERSION: u8 = 1;
 /// Flag bit: payload passed through the LZSS stage.
 pub const FLAG_LOSSLESS: u8 = 0b0000_0001;
@@ -29,137 +34,209 @@ pub const FLAG_LOSSLESS: u8 = 0b0000_0001;
 /// every pre-dtype stream decodes unchanged).
 pub const FLAG_F32: u8 = 0b0000_0010;
 
-/// Decoded stream header.
+/// A codec stream header.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Header {
+    /// The backend's magic number.
+    pub magic: [u8; 4],
+    /// The backend's format version.
+    pub version: u8,
     /// Flag bits (see `FLAG_*`).
     pub flags: u8,
     /// Array shape.
     pub dims: Dims,
     /// Resolved absolute error bound used by the quantizer.
     pub abs_eb: f64,
-    /// Quantizer capacity.
-    pub capacity: u32,
+}
+
+/// Why a stream's header was refused. Each backend maps it onto its own
+/// error type.
+#[derive(Debug, Clone, PartialEq)]
+pub enum HeaderError {
+    /// The stream opens with another backend's magic.
+    Magic([u8; 4]),
+    /// The stream has another format version.
+    Version {
+        /// Version byte of the stream.
+        found: u8,
+        /// Version the backend reads.
+        expected: u8,
+    },
+    /// The stream holds elements of another type.
+    Dtype {
+        /// Element type recorded in the flag bits.
+        stream: TacDtype,
+        /// Element type the caller asked to decode.
+        requested: TacDtype,
+    },
+    /// The header is truncated or a field is out of range.
+    Corrupt(String),
+}
+
+impl fmt::Display for HeaderError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HeaderError::Magic(found) => write!(f, "bad magic {found:02x?}"),
+            HeaderError::Version { found, expected } => {
+                write!(f, "version {found} (expected {expected})")
+            }
+            HeaderError::Dtype { stream, requested } => {
+                write!(
+                    f,
+                    "stream holds {stream} elements, caller expected {requested}"
+                )
+            }
+            HeaderError::Corrupt(msg) => f.write_str(msg),
+        }
+    }
+}
+
+fn dtype_of(flags: u8) -> TacDtype {
+    if flags & FLAG_F32 != 0 {
+        TacDtype::F32
+    } else {
+        TacDtype::F64
+    }
 }
 
 impl Header {
-    /// Element type of the stream, derived from the flag bits.
-    pub fn dtype(&self) -> TacDtype {
-        if self.flags & FLAG_F32 != 0 {
-            TacDtype::F32
+    /// The header of a stream of `T` elements: the dtype flag is set from
+    /// `T`, every other flag is clear.
+    pub fn new<T: Element>(magic: [u8; 4], version: u8, dims: Dims, abs_eb: f64) -> Self {
+        let flags = if T::DTYPE == TacDtype::F32 {
+            FLAG_F32
         } else {
-            TacDtype::F64
+            0
+        };
+        Header {
+            magic,
+            version,
+            flags,
+            dims,
+            abs_eb,
         }
     }
 
     /// Serialized size in bytes.
-    // tac-lint: allow(arith) -- writer-side size accounting: rank() <= 3, so the sum stays tiny.
+    // tac-lint: allow(arith) -- writer-side size accounting: rank() <= 4, so the sum stays tiny.
     pub fn encoded_len(&self) -> usize {
-        4 + 1 + 1 + 1 + self.dims.rank() as usize * 8 + 8 + 4
+        4 + 1 + 1 + 1 + self.dims.rank() as usize * 8 + 8
     }
 
     /// Appends the encoded header to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::new();
-        w.put_bytes(&MAGIC);
-        w.put_u8(VERSION);
+        w.put_bytes(&self.magic);
+        w.put_u8(self.version);
         w.put_u8(self.flags);
         w.put_u8(self.dims.rank());
-        match self.dims {
-            Dims::D1(a) => w.put_u64(a as u64),
-            Dims::D2(a, b) => {
-                w.put_u64(a as u64);
-                w.put_u64(b as u64);
-            }
-            Dims::D3(a, b, c) => {
-                w.put_u64(a as u64);
-                w.put_u64(b as u64);
-                w.put_u64(c as u64);
-            }
-            Dims::D4(a, b, c, d) => {
-                w.put_u64(a as u64);
-                w.put_u64(b as u64);
-                w.put_u64(c as u64);
-                w.put_u64(d as u64);
-            }
+        let axes = match self.dims {
+            Dims::D1(a) => [a, 0, 0, 0],
+            Dims::D2(a, b) => [a, b, 0, 0],
+            Dims::D3(a, b, c) => [a, b, c, 0],
+            Dims::D4(a, b, c, d) => [a, b, c, d],
+        };
+        for &axis in axes.iter().take(usize::from(self.dims.rank())) {
+            w.put_u64(axis as u64);
         }
         w.put_f64(self.abs_eb);
-        w.put_u32(self.capacity);
         out.extend_from_slice(&w.into_bytes());
     }
 
-    /// Decodes a header, returning it and the bytes consumed.
-    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), SzError> {
+    /// The magic, version and element type a stream opens with, without
+    /// reading further: what sniffing needs. `None` when the bytes stop
+    /// before the flag byte.
+    pub fn peek(bytes: &[u8]) -> Option<([u8; 4], u8, TacDtype)> {
+        match *bytes {
+            [a, b, c, d, version, flags, ..] => Some(([a, b, c, d], version, dtype_of(flags))),
+            _ => None,
+        }
+    }
+
+    /// Reads the header of a `T` stream from the backend `magic` /
+    /// `version`, returning it and the bytes after it. Any flag bit
+    /// outside `known_flags` is corrupt (a backend that ignores unknown
+    /// bits passes `u8::MAX`). The checks run in wire order, with the
+    /// element type checked right after the flags.
+    pub fn read<T: Element>(
+        bytes: &[u8],
+        magic: [u8; 4],
+        version: u8,
+        known_flags: u8,
+    ) -> Result<(Self, &[u8]), HeaderError> {
+        let truncated = |_| HeaderError::Corrupt("header truncated".into());
+        let corrupt = |msg: String| Err(HeaderError::Corrupt(msg));
         let mut r = ByteReader::new(bytes);
-        let magic = r
-            .get_bytes(4)
-            .map_err(|_| SzError::Corrupt("stream shorter than header".into()))?;
-        if magic != MAGIC {
-            return Err(SzError::UnsupportedFormat(format!(
-                "bad magic {magic:02x?}"
-            )));
+        let found = r.get_bytes(4).map_err(truncated)?;
+        if found != magic {
+            let mut m = [0; 4];
+            m.copy_from_slice(found);
+            return Err(HeaderError::Magic(m));
         }
-        let version = r
-            .get_u8()
-            .map_err(|_| SzError::Corrupt("stream shorter than header".into()))?;
-        if version != VERSION {
-            return Err(SzError::UnsupportedFormat(format!(
-                "version {version} (expected {VERSION})"
-            )));
+        let found = r.get_u8().map_err(truncated)?;
+        if found != version {
+            return Err(HeaderError::Version {
+                found,
+                expected: version,
+            });
         }
-        let header_err = |_| SzError::Corrupt("header truncated".into());
-        let flags = r.get_u8().map_err(header_err)?;
-        let rank = r.get_u8().map_err(header_err)?;
+        let flags = r.get_u8().map_err(truncated)?;
+        if flags & !known_flags != 0 {
+            return corrupt(format!("unknown flag bits {flags:#04x}"));
+        }
+        if dtype_of(flags) != T::DTYPE {
+            return Err(HeaderError::Dtype {
+                stream: dtype_of(flags),
+                requested: T::DTYPE,
+            });
+        }
+        let rank = r.get_u8().map_err(truncated)?;
         if !(1..=4).contains(&rank) {
-            return Err(SzError::Corrupt(format!("invalid rank {rank}")));
+            return corrupt(format!("invalid rank {rank}"));
         }
-        fn dim(r: &mut ByteReader<'_>) -> Result<usize, SzError> {
-            r.get_u64()
-                .map(|v| v as usize)
-                .map_err(|_| SzError::Corrupt("header truncated".into()))
-        }
+        let mut dim = || r.get_u64().map(|v| v as usize).map_err(truncated);
         let dims = match rank {
-            1 => Dims::D1(dim(&mut r)?),
-            2 => Dims::D2(dim(&mut r)?, dim(&mut r)?),
-            3 => Dims::D3(dim(&mut r)?, dim(&mut r)?, dim(&mut r)?),
-            _ => Dims::D4(dim(&mut r)?, dim(&mut r)?, dim(&mut r)?, dim(&mut r)?),
+            1 => Dims::D1(dim()?),
+            2 => Dims::D2(dim()?, dim()?),
+            3 => Dims::D3(dim()?, dim()?, dim()?),
+            _ => Dims::D4(dim()?, dim()?, dim()?, dim()?),
         };
         if dims.is_empty() {
-            return Err(SzError::Corrupt("zero-sized dimensions".into()));
+            return corrupt("zero-sized dimensions".into());
         }
-        // Reject absurd sizes before the decompressor allocates (declared
-        // dims drive a vec![0.0; n] allocation).
+        // Reject absurd sizes before a decoder allocates (declared dims
+        // drive a vec![0.0; n] allocation).
         if dims.len() > (1usize << 40) {
-            return Err(SzError::Corrupt(format!(
+            return corrupt(format!(
                 "declared element count {} is implausible",
                 dims.len()
-            )));
+            ));
         }
-        let abs_eb = r.get_f64().map_err(header_err)?;
-        let capacity = r.get_u32().map_err(header_err)?;
+        let abs_eb = r.get_f64().map_err(truncated)?;
         if abs_eb <= 0.0 || !abs_eb.is_finite() {
-            return Err(SzError::Corrupt(format!("invalid stored eb {abs_eb}")));
+            return corrupt(format!("invalid stored eb {abs_eb}"));
         }
-        if capacity < 4 || capacity % 2 != 0 {
-            return Err(SzError::Corrupt(format!(
-                "invalid stored capacity {capacity}"
-            )));
-        }
-        Ok((
-            Header {
-                flags,
-                dims,
-                abs_eb,
-                capacity,
-            },
-            r.position(),
-        ))
+        let header = Header {
+            magic,
+            version,
+            flags,
+            dims,
+            abs_eb,
+        };
+        Ok((header, r.rest()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sz_header(dims: Dims) -> Header {
+        Header {
+            flags: FLAG_LOSSLESS,
+            ..Header::new::<f64>(MAGIC, VERSION, dims, 1.5e-4)
+        }
+    }
 
     #[test]
     fn header_roundtrip_all_ranks() {
@@ -169,68 +246,70 @@ mod tests {
             Dims::D3(4, 5, 6),
             Dims::D4(2, 3, 4, 5),
         ] {
-            let h = Header {
-                flags: FLAG_LOSSLESS,
-                dims,
-                abs_eb: 1.5e-4,
-                capacity: 65536,
-            };
+            let h = sz_header(dims);
             let mut buf = Vec::new();
             h.encode(&mut buf);
             assert_eq!(buf.len(), h.encoded_len());
-            let (h2, consumed) = Header::decode(&buf).unwrap();
-            assert_eq!(consumed, buf.len());
+            buf.push(7);
+            let (h2, rest) = Header::read::<f64>(&buf, MAGIC, VERSION, u8::MAX).unwrap();
+            assert_eq!(rest, [7]);
             assert_eq!(h2, h);
+            assert_eq!(Header::peek(&buf), Some((MAGIC, VERSION, TacDtype::F64)));
         }
     }
 
     #[test]
     fn decode_rejects_bad_magic_and_version() {
-        let h = Header {
-            flags: 0,
-            dims: Dims::D1(10),
-            abs_eb: 1.0,
-            capacity: 1024,
-        };
         let mut buf = Vec::new();
-        h.encode(&mut buf);
+        sz_header(Dims::D1(10)).encode(&mut buf);
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(matches!(
-            Header::decode(&bad),
-            Err(SzError::UnsupportedFormat(_))
+            Header::read::<f64>(&bad, MAGIC, VERSION, u8::MAX),
+            Err(HeaderError::Magic(_))
         ));
         let mut bad = buf.clone();
         bad[4] = 99;
         assert!(matches!(
-            Header::decode(&bad),
-            Err(SzError::UnsupportedFormat(_))
+            Header::read::<f64>(&bad, MAGIC, VERSION, u8::MAX),
+            Err(HeaderError::Version { found: 99, .. })
         ));
     }
 
     #[test]
     fn decode_rejects_invalid_fields() {
-        let h = Header {
-            flags: 0,
-            dims: Dims::D1(10),
-            abs_eb: 1.0,
-            capacity: 1024,
-        };
+        let h = sz_header(Dims::D1(10));
         let mut buf = Vec::new();
         h.encode(&mut buf);
+        let read = |b: &[u8]| Header::read::<f64>(b, MAGIC, VERSION, u8::MAX).map(|(h, _)| h);
         // rank byte
         let mut bad = buf.clone();
         bad[6] = 9;
-        assert!(Header::decode(&bad).is_err());
-        // truncation
-        assert!(Header::decode(&buf[..10]).is_err());
+        assert!(matches!(read(&bad), Err(HeaderError::Corrupt(_))));
+        // truncation, before and after the magic
+        assert!(matches!(read(&buf[..3]), Err(HeaderError::Corrupt(_))));
+        assert!(matches!(read(&buf[..10]), Err(HeaderError::Corrupt(_))));
         // zero dims
-        let zero = Header {
+        let mut buf0 = Vec::new();
+        Header {
             dims: Dims::D1(0),
             ..h
-        };
-        let mut buf0 = Vec::new();
-        zero.encode(&mut buf0);
-        assert!(Header::decode(&buf0).is_err());
+        }
+        .encode(&mut buf0);
+        assert!(matches!(read(&buf0), Err(HeaderError::Corrupt(_))));
+        // flags outside the backend's known set, and the other dtype
+        assert!(matches!(
+            Header::read::<f64>(&buf, MAGIC, VERSION, FLAG_F32),
+            Err(HeaderError::Corrupt(_))
+        ));
+        assert!(matches!(
+            Header::read::<f32>(&buf, MAGIC, VERSION, u8::MAX),
+            Err(HeaderError::Dtype {
+                stream: TacDtype::F64,
+                requested: TacDtype::F32
+            })
+        ));
+        // sniffing needs the flag byte
+        assert_eq!(Header::peek(&buf[..5]), None);
     }
 }

@@ -49,10 +49,9 @@ pub mod wire;
 
 pub use compress::{
     compress, compress_t, compress_with_recon, compress_with_recon_t, decompress, decompress_t,
-    looks_like_stream, stream_dtype, stream_magic,
 };
 pub use config::{Dims, ErrorBound, SzConfig};
-pub use container::{Header, FLAG_F32, FLAG_LOSSLESS};
+pub use container::{Header, HeaderError, FLAG_F32, FLAG_LOSSLESS, MAGIC, VERSION};
 pub use error::SzError;
 pub use huffman::HuffmanCode;
 pub use quantizer::{Quantized, Quantizer, UNPREDICTABLE};

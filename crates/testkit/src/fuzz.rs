@@ -471,14 +471,10 @@ fn mutate(bytes: &mut Vec<u8>, donor: &[u8], rng: &mut TestRng) -> String {
 
 /// Picks a byte position inside an embedded pco-ans stream's ANS-table
 /// / seed-state region, provided the container holds one. The stream is
-/// located by its registered magic, so this needs no private constants.
+/// located by sniffing its header, so this needs no private constants.
 fn pco_ans_region_pos(bytes: &[u8], rng: &mut TestRng) -> Option<usize> {
-    let magic = tac_core::codec_for::<f64>(CodecId::PcoAns).magic();
-    let starts: Vec<usize> = bytes
-        .windows(magic.len())
-        .enumerate()
-        .filter(|(_, w)| *w == magic)
-        .map(|(i, _)| i)
+    let starts: Vec<usize> = (0..bytes.len())
+        .filter(|&i| tac_core::sniff_codec(&bytes[i..]) == Ok(CodecId::PcoAns))
         .collect();
     if starts.is_empty() {
         return None;

@@ -1,6 +1,8 @@
 //! Pinned regression tests for every crash class the structure-aware
 //! container fuzzer (`tac-testkit`) has found, plus the bounded fuzz
-//! smoke CI runs on every push.
+//! smoke CI runs on every push and the single-byte flip sweeps over the
+//! frozen corpus under `tests/data` (the codec stream headers on every
+//! run; every byte of every file in the `#[ignore]`d release sweep).
 //!
 //! Each test inlines the offending byte construction — the minimal
 //! stream that reproduced the original panic/abort — and asserts the
@@ -748,6 +750,91 @@ fn hierarchies_that_are_no_tree_keep_their_masks_stored() {
         assert_eq!(CompressedDataset::from_bytes(&bytes).unwrap(), cd);
         assert_eq!(probe_container(&bytes), ProbeResult::Decoded, "{method:?}");
     }
+}
+
+/// The frozen corpus: every `.tacd` file under `tests/data`, by name.
+fn frozen_corpus() -> Vec<(String, Vec<u8>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "tacd"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// The byte ranges of the codec stream headers inside `bytes`, each
+/// found by sniffing its magic and version: through the bound, plus
+/// the capacity an SZ stream appends.
+fn stream_headers(bytes: &[u8]) -> Vec<(tac_core::CodecId, std::ops::Range<usize>)> {
+    (0..bytes.len())
+        .filter_map(|at| {
+            let codec = tac_core::sniff_codec(&bytes[at..]).ok()?;
+            let rank = usize::from(*bytes.get(at + 6)?).clamp(1, 4);
+            let capacity = if codec == tac_core::CodecId::Sz { 4 } else { 0 };
+            let end = (at + 7 + 8 * rank + 8 + capacity).min(bytes.len());
+            Some((codec, at..end))
+        })
+        .collect()
+}
+
+/// Flips each byte at `offsets` by `0x01` and by `0x80` and probes every
+/// flipped file through `from_bytes`, a full decode at its declared
+/// dtype and a region read of a fixed box. Returns one line, naming the
+/// file, offset and flip, per probe that panicked or decoded to an
+/// incoherent dataset.
+fn flip_failures(name: &str, bytes: &[u8], offsets: impl Iterator<Item = usize>) -> Vec<String> {
+    let mut flipped = bytes.to_vec();
+    let mut failures = Vec::new();
+    for at in offsets {
+        for flip in [0x01u8, 0x80] {
+            flipped[at] ^= flip;
+            match probe_container(&flipped) {
+                ProbeResult::Rejected | ProbeResult::Decoded => {}
+                bad => failures.push(format!("{name}: byte {at} ^ {flip:#04x}: {bad:?}")),
+            }
+            flipped[at] ^= flip;
+        }
+    }
+    failures
+}
+
+/// Every byte of every codec stream header in the frozen corpus, flipped:
+/// the bytes the one shared header reader parses for all three backends.
+#[test]
+fn single_byte_flips_in_corpus_stream_headers_are_clean() {
+    let mut failures = Vec::new();
+    let mut headers = [0usize; 3];
+    for (name, bytes) in frozen_corpus() {
+        let found = stream_headers(&bytes);
+        for (codec, _) in &found {
+            headers[usize::from(codec.tag())] += 1;
+        }
+        let offsets = found.into_iter().flat_map(|(_, range)| range);
+        failures.extend(flip_failures(&name, &bytes, offsets));
+    }
+    // The corpus holds streams of all three backends.
+    assert!(headers.iter().all(|&n| n > 0), "{headers:?}");
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Every byte of every file in the frozen corpus, flipped (~164k
+/// decodes; run in release).
+#[test]
+#[ignore = "whole-corpus sweep: cargo test --release --test fuzz_regressions -- --ignored"]
+fn single_byte_flips_over_the_whole_corpus_are_clean() {
+    let mut failures = Vec::new();
+    for (name, bytes) in frozen_corpus() {
+        failures.extend(flip_failures(&name, &bytes, 0..bytes.len()));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// The CI smoke: the bounded seeded campaign must observe zero panics

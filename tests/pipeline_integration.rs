@@ -63,15 +63,14 @@ fn t2_routes_sparse_fine_to_opst_and_dense_coarse_to_gsp() {
 fn adaptive_switch_picks_3d_for_z3() {
     // Run1_Z3 has a 64% finest level — above T2 — so Sec. 4.4 says use
     // the 3D baseline; Z10 (23%) stays with TAC.
-    let c = cfg(4);
     let z3 = entry("Run1_Z3")
         .unwrap()
         .generate(FieldKind::BaryonDensity, 16, 1);
     let z10 = entry("Run1_Z10")
         .unwrap()
         .generate(FieldKind::BaryonDensity, 16, 1);
-    assert_eq!(select_method(&z3, &c), Method::Baseline3D);
-    assert_eq!(select_method(&z10, &c), Method::Tac);
+    assert_eq!(select_method(&z3), Method::Baseline3D);
+    assert_eq!(select_method(&z10), Method::Tac);
 }
 
 #[test]
