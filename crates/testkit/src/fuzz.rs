@@ -165,11 +165,13 @@ const LEGACY: [&[u8]; 46] = [
 
 /// The v5 siblings of the frozen files — what today's writer makes of
 /// them, implied finest masks included.
-const GOLDEN_V5: [&[u8]; 16] = [
+const GOLDEN_V5: [&[u8]; 18] = [
     include_bytes!("../../../tests/data/golden_ans_v5.tacd"),
     include_bytes!("../../../tests/data/golden_auto_v5.tacd"),
     include_bytes!("../../../tests/data/golden_b1d_v5.tacd"),
     include_bytes!("../../../tests/data/golden_f32_v5.tacd"),
+    include_bytes!("../../../tests/data/golden_lite_tac_v5.tacd"),
+    include_bytes!("../../../tests/data/golden_lite_zmesh_v5.tacd"),
     include_bytes!("../../../tests/data/golden_tac_v5.tacd"),
     include_bytes!("../../../tests/data/legacy_b1d_ans_v5.tacd"),
     include_bytes!("../../../tests/data/legacy_b1d_seg_v5.tacd"),

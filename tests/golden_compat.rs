@@ -21,9 +21,10 @@ use std::path::PathBuf;
 use tac_amr::{Aabb, AmrDataset, AmrLevel};
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecElement, CodecId,
-    CompressedDataset, LevelPayload, Method, MethodBody, Parallelism, TacConfig, TacDtype,
+    CompressedDataset, LevelPayload, Method, MethodBody, Parallelism, Strategy, TacConfig,
+    TacDtype,
 };
-use tac_sz::ErrorBound;
+use tac_sz::{ErrorBound, FLAG_LOSSLESS};
 
 fn data_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data")
@@ -92,22 +93,23 @@ fn fixture_config() -> TacConfig {
     }
 }
 
-/// Serializes per-level f32 reconstructions: u32 level count, then per
-/// level a u64 dim followed by dim^3 f32 bit patterns, all little-endian
-/// (the f64 `_expected.bin` files are the same with u64 patterns).
-fn encode_expected_f32(ds: &AmrDataset<f32>) -> Vec<u8> {
+/// Serializes per-level reconstructions: u32 level count, then per
+/// level a u64 dim followed by dim^3 bit patterns at `T`'s width, all
+/// little-endian.
+fn encode_expected<T: CodecElement>(ds: &AmrDataset<T>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend((ds.num_levels() as u32).to_le_bytes());
     for level in ds.levels() {
         out.extend((level.dim() as u64).to_le_bytes());
         for &v in level.data() {
-            out.extend(v.to_bits().to_le_bytes());
+            v.append_le(&mut out);
         }
     }
     out
 }
 
-fn decode_expected_f32(bytes: &[u8]) -> Vec<(usize, Vec<f32>)> {
+/// Inverse of [`encode_expected`].
+fn decode_expected<T: CodecElement>(bytes: &[u8]) -> Vec<(usize, Vec<T>)> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| {
         let s = &bytes[*pos..*pos + n];
@@ -119,30 +121,40 @@ fn decode_expected_f32(bytes: &[u8]) -> Vec<(usize, Vec<f32>)> {
         .map(|_| {
             let dim = u64::from_le_bytes(take(&mut pos, 8).try_into().unwrap()) as usize;
             let data = (0..dim * dim * dim)
-                .map(|_| f32::from_bits(u32::from_le_bytes(take(&mut pos, 4).try_into().unwrap())))
+                .map(|_| T::read_le(take(&mut pos, T::WIRE_BYTES)).unwrap())
                 .collect();
             (dim, data)
         })
         .collect()
 }
 
-fn decode_expected(bytes: &[u8]) -> Vec<(usize, Vec<f64>)> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| {
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        s
-    };
-    let levels = u32::from_le_bytes(take(&mut pos, 4).try_into().unwrap()) as usize;
-    (0..levels)
-        .map(|_| {
-            let dim = u64::from_le_bytes(take(&mut pos, 8).try_into().unwrap()) as usize;
-            let data = (0..dim * dim * dim)
-                .map(|_| f64::from_bits(u64::from_le_bytes(take(&mut pos, 8).try_into().unwrap())))
-                .collect();
-            (dim, data)
-        })
-        .collect()
+/// Parses `tests/data/<file>.tacd`, decodes it at `T` and checks every
+/// level bit for bit against `tests/data/<expected>.bin`; returns the
+/// parsed container.
+fn check_decode<T: CodecElement>(file: &str, expected: &str) -> CompressedDataset {
+    let dir = data_dir();
+    let bytes = std::fs::read(dir.join(format!("{file}.tacd")))
+        .unwrap_or_else(|e| panic!("missing fixture {file}.tacd: {e}"));
+    let expected =
+        decode_expected::<T>(&std::fs::read(dir.join(format!("{expected}.bin"))).unwrap());
+
+    let cd = CompressedDataset::from_bytes(&bytes)
+        .unwrap_or_else(|e| panic!("{file} no longer parses: {e}"));
+    assert_eq!(cd.dtype, T::DTYPE, "{file}");
+    let out = decompress_dataset_par_t::<T>(&cd, Parallelism::Serial).unwrap();
+    assert_eq!(out.num_levels(), expected.len());
+    for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
+        assert_eq!(level.dim(), *dim, "{file} level {l} dim");
+        assert_eq!(level.data().len(), want.len());
+        for (i, (a, b)) in want.iter().zip(level.data()).enumerate() {
+            assert_eq!(
+                a.to_bits_u64(),
+                b.to_bits_u64(),
+                "{file} level {l} cell {i}: {a} vs {b}"
+            );
+        }
+    }
+    cd
 }
 
 /// The f32 pco-ans mixed-codec fixture container: the TAC compression
@@ -183,28 +195,8 @@ fn check_golden(method: Method, version: &str) {
 }
 
 fn check_golden_stem(stem: &str, method: Method, version: &str) {
-    let dir = data_dir();
-    let bytes = std::fs::read(dir.join(format!("{stem}_{version}.tacd")))
-        .unwrap_or_else(|e| panic!("missing fixture {stem}_{version}.tacd: {e}"));
-    let expected_bytes = std::fs::read(dir.join(format!("{stem}_expected.bin"))).unwrap();
-    let expected = decode_expected(&expected_bytes);
-
-    let cd = CompressedDataset::from_bytes(&bytes)
-        .unwrap_or_else(|e| panic!("{stem}_{version} no longer parses: {e}"));
-    assert_eq!(cd.method(), method);
-    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
-    assert_eq!(out.num_levels(), expected.len());
-    for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
-        assert_eq!(level.dim(), *dim, "level {l} dim");
-        assert_eq!(level.data().len(), want.len());
-        for (i, (a, b)) in want.iter().zip(level.data()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{stem}_{version} level {l} cell {i}: {a} vs {b}"
-            );
-        }
-    }
+    let cd = check_decode::<f64>(&format!("{stem}_{version}"), &format!("{stem}_expected"));
+    assert_eq!(cd.method(), method, "{stem}_{version}");
 }
 
 #[test]
@@ -254,28 +246,7 @@ fn golden_mix_v1_decodes_bit_exactly() {
 }
 
 fn check_golden_f32(stem: &str, version: &str) {
-    let dir = data_dir();
-    let bytes = std::fs::read(dir.join(format!("{stem}_{version}.tacd")))
-        .unwrap_or_else(|e| panic!("missing fixture {stem}_{version}.tacd: {e}"));
-    let expected_bytes = std::fs::read(dir.join(format!("{stem}_expected.bin"))).unwrap();
-    let expected = decode_expected_f32(&expected_bytes);
-
-    let cd = CompressedDataset::from_bytes(&bytes)
-        .unwrap_or_else(|e| panic!("{stem}_{version} no longer parses: {e}"));
-    assert_eq!(cd.dtype, TacDtype::F32);
-    let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
-    assert_eq!(out.num_levels(), expected.len());
-    for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
-        assert_eq!(level.dim(), *dim, "level {l} dim");
-        assert_eq!(level.data().len(), want.len());
-        for (i, (a, b)) in want.iter().zip(level.data()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{stem}_{version} level {l} cell {i}: {a} vs {b}"
-            );
-        }
-    }
+    check_decode::<f32>(&format!("{stem}_{version}"), &format!("{stem}_expected"));
 }
 
 #[test]
@@ -359,17 +330,10 @@ fn golden_ans_v1_fixture_is_mixed_codec() {
 /// v5 sibling, and the f64 decode path refuses the stream.
 #[test]
 fn golden_ans_v4_decodes_bit_exactly() {
-    let dir = data_dir();
-    let bytes = std::fs::read(dir.join("golden_ans_v4.tacd"))
-        .unwrap_or_else(|e| panic!("missing fixture golden_ans_v4.tacd: {e}"));
+    let bytes = corpus_file("golden_ans", 4);
     assert_eq!(&bytes[..4], b"TACD");
-    assert_eq!(bytes[4], 4, "fixture is not a v4 container");
     assert_eq!(bytes[6], TacDtype::F32.tag(), "fixture is not tagged f32");
-    let expected =
-        decode_expected_f32(&std::fs::read(dir.join("golden_ans_f32_expected.bin")).unwrap());
-
-    let cd = CompressedDataset::from_bytes(&bytes)
-        .unwrap_or_else(|e| panic!("golden_ans_v4 no longer parses: {e}"));
+    let cd = check_decode::<f32>("golden_ans_v4", "golden_ans_f32_expected");
     let MethodBody::Tac(levels) = &cd.body else {
         panic!("fixture is not a TAC container");
     };
@@ -381,20 +345,6 @@ fn golden_ans_v4_decodes_bit_exactly() {
         decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
         "f64 decode must refuse"
     );
-
-    let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
-    assert_eq!(out.num_levels(), expected.len());
-    for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
-        assert_eq!(level.dim(), *dim, "level {l} dim");
-        assert_eq!(level.data().len(), want.len());
-        for (i, (a, b)) in want.iter().zip(level.data()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "golden_ans_v4 level {l} cell {i}: {a} vs {b}"
-            );
-        }
-    }
 }
 
 /// The adaptive-selection fixture (v1, f64): whatever winner
@@ -404,26 +354,8 @@ fn golden_ans_v4_decodes_bit_exactly() {
 /// pinned container, so the determinism contract is itself under pin.
 #[test]
 fn golden_auto_v1_decodes_bit_exactly() {
-    let dir = data_dir();
-    let bytes = std::fs::read(dir.join("golden_auto_v1.tacd"))
-        .unwrap_or_else(|e| panic!("missing fixture golden_auto_v1.tacd: {e}"));
-    let expected = decode_expected(&std::fs::read(dir.join("golden_auto_expected.bin")).unwrap());
-
-    let cd = CompressedDataset::from_bytes(&bytes)
-        .unwrap_or_else(|e| panic!("golden_auto_v1 no longer parses: {e}"));
+    let cd = check_decode::<f64>("golden_auto_v1", "golden_auto_expected");
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
-    let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
-    assert_eq!(out.num_levels(), expected.len());
-    for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
-        assert_eq!(level.dim(), *dim, "level {l} dim");
-        for (i, (a, b)) in want.iter().zip(level.data()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "golden_auto_v1 level {l} cell {i}: {a} vs {b}"
-            );
-        }
-    }
     // The selection itself is deterministic across revisions.
     let again = compress_dataset_t(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
@@ -436,34 +368,15 @@ fn golden_auto_v1_decodes_bit_exactly() {
 /// writer left it; today's selection writes its v5 sibling.
 #[test]
 fn golden_auto_v4_decodes_bit_exactly() {
-    let dir = data_dir();
-    let bytes = std::fs::read(dir.join("golden_auto_v4.tacd"))
-        .unwrap_or_else(|e| panic!("missing fixture golden_auto_v4.tacd: {e}"));
+    let bytes = corpus_file("golden_auto", 4);
     assert_eq!(&bytes[..4], b"TACD");
-    assert_eq!(bytes[4], 4, "fixture is not a v4 container");
     assert_eq!(bytes[6], TacDtype::F32.tag(), "fixture is not tagged f32");
-    let expected =
-        decode_expected_f32(&std::fs::read(dir.join("golden_auto_f32_expected.bin")).unwrap());
-
-    let cd = CompressedDataset::from_bytes(&bytes)
-        .unwrap_or_else(|e| panic!("golden_auto_v4 no longer parses: {e}"));
+    let cd = check_decode::<f32>("golden_auto_v4", "golden_auto_f32_expected");
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
     assert!(
         decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
         "f64 decode must refuse"
     );
-    let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
-    assert_eq!(out.num_levels(), expected.len());
-    for (l, ((dim, want), level)) in expected.iter().zip(out.levels()).enumerate() {
-        assert_eq!(level.dim(), *dim, "level {l} dim");
-        for (i, (a, b)) in want.iter().zip(level.data()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "golden_auto_v4 level {l} cell {i}: {a} vs {b}"
-            );
-        }
-    }
     let again =
         compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
@@ -471,6 +384,138 @@ fn golden_auto_v4_decodes_bit_exactly() {
         (&cd, corpus_file("golden_auto", 5)),
         "today's selection no longer reproduces the pinned container"
     );
+}
+
+/// The pco-lite fixtures' configuration: [`fixture_config`] on
+/// pco-lite, tiled at 4 cells so the 8^3 GSP level is cut into two
+/// z-slabs.
+fn lite_config() -> TacConfig {
+    TacConfig {
+        codec: CodecId::PcoLite,
+        roi_tile: Some(4),
+        ..fixture_config()
+    }
+}
+
+/// [`fixture_dataset`] with hash noise of amplitude 0.05 on the fine
+/// cells of its upper half, so that some of its pco-lite streams pack
+/// under LZSS and some do not.
+fn lite_tac_dataset() -> AmrDataset {
+    let mut levels = fixture_dataset().levels().to_vec();
+    let fine = &mut levels[0];
+    let d = fine.dim();
+    let upper: Vec<usize> = fine
+        .mask()
+        .iter_ones()
+        .filter(|i| i / d / d >= d / 2)
+        .collect();
+    for i in upper {
+        let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+        let noise = (h as f64 / (1u64 << 53) as f64 - 0.5) * 0.1;
+        fine.data_mut()[i] += noise;
+    }
+    let ds = AmrDataset::new("golden-lite", levels);
+    ds.validate().unwrap();
+    ds
+}
+
+/// The two pco-lite fixtures, as `(stem, method, source dataset)`:
+/// `golden_lite_tac` is the tiled f64 TAC container of
+/// [`lite_tac_dataset`] — OpST groups on the fine level, the GSP level
+/// as two z-slabs — and `golden_lite_zmesh` the zMesh container of the
+/// f32 fixture dataset.
+fn lite_fixtures() -> [(&'static str, Method, AmrDataset); 2] {
+    [
+        ("golden_lite_tac", Method::Tac, lite_tac_dataset()),
+        ("golden_lite_zmesh", Method::ZMesh, fixture_dataset()),
+    ]
+}
+
+/// Every codec stream of a TAC or zMesh container, with the strategy of
+/// its level (`None` for zMesh).
+fn streams(cd: &CompressedDataset) -> Vec<(Option<Strategy>, &[u8])> {
+    match &cd.body {
+        MethodBody::Tac(levels) => levels
+            .iter()
+            .flat_map(|l| {
+                let streams: Vec<&[u8]> = match &l.payload {
+                    LevelPayload::Empty => Vec::new(),
+                    LevelPayload::Whole(stream) => vec![stream],
+                    LevelPayload::Groups(groups) => groups.iter().map(|g| &g.stream[..]).collect(),
+                };
+                streams.into_iter().map(|s| (Some(l.strategy), s))
+            })
+            .collect(),
+        MethodBody::ZMesh { segments, .. } => {
+            segments.iter().map(|s| (None, &s.stream[..])).collect()
+        }
+        _ => unreachable!("the pco-lite fixtures are TAC and zMesh containers"),
+    }
+}
+
+/// The pco-lite fixtures decode bit-exactly, within the bound of the
+/// data that was compressed, and reach what they are there for: every
+/// stream is pco-lite; the TAC file holds several OpST groups and
+/// several GSP slabs; and the LZSS flag is set on some streams and
+/// clear on others.
+#[test]
+fn golden_lite_fixtures_decode_bit_exactly() {
+    for (stem, method, ds) in lite_fixtures() {
+        let file = format!("{stem}_v5");
+        let expected = format!("{stem}_expected");
+        let (cd, decoded) = match method {
+            Method::Tac => {
+                let cd = check_decode::<f64>(&file, &expected);
+                let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+                (cd, dataset_bits(&out))
+            }
+            _ => {
+                let cd = check_decode::<f32>(&file, &expected);
+                let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
+                (cd, dataset_bits(&out))
+            }
+        };
+        assert_eq!(cd.method(), method, "{stem}");
+        for (l, level) in ds.levels().iter().enumerate() {
+            assert_eq!(&cd.masks[l], level.mask(), "{stem}: level {l}");
+            let eb = match &cd.body {
+                MethodBody::Tac(levels) => levels[l].abs_eb,
+                MethodBody::ZMesh { abs_eb, .. } => *abs_eb,
+                _ => unreachable!("{stem}"),
+            };
+            for i in level.mask().iter_ones() {
+                let (want, got) = match cd.dtype {
+                    TacDtype::F32 => (
+                        f64::from(level.data()[i] as f32),
+                        f64::from(f32::from_bits(decoded[l][i] as u32)),
+                    ),
+                    TacDtype::F64 => (level.data()[i], f64::from_bits(decoded[l][i])),
+                };
+                assert!((want - got).abs() <= eb, "{stem}: level {l} cell {i}");
+            }
+        }
+
+        let streams = streams(&cd);
+        for (_, stream) in &streams {
+            assert_eq!(
+                tac_core::sniff_codec(stream),
+                Ok(CodecId::PcoLite),
+                "{stem}"
+            );
+        }
+        if method == Method::Tac {
+            let packed = streams
+                .iter()
+                .filter(|s| s.1[5] & FLAG_LOSSLESS != 0)
+                .count();
+            assert!(packed > 0, "{stem}: no LZSS-packed stream");
+            assert!(packed < streams.len(), "{stem}: every stream LZSS-packed");
+            for strategy in [Strategy::OpST, Strategy::Gsp] {
+                let n = streams.iter().filter(|s| s.0 == Some(strategy)).count();
+                assert!(n >= 2, "{stem}: {n} {strategy:?} streams");
+            }
+        }
+    }
 }
 
 /// A dataset's values as bit patterns, one `Vec` per level.
@@ -513,7 +558,10 @@ fn region_bits(dtype: TacDtype, bytes: &[u8], roi: Aabb) -> Vec<Vec<u64>> {
 /// each row's container as the last v4 writer serialized it. **Never
 /// regenerate a v1–v4 file**: no code can write one any more, and they
 /// are the only thing holding those readers. Every `_v5` file is its
-/// row's container as today's writer serializes it.
+/// row's container as today's writer serializes it. The v5-only
+/// `golden_lite_*` rows hold pco-lite streams where the older files
+/// hold none: tiled GSP slabs and OpST groups, LZSS-packed and unpacked
+/// bodies, and f32 zMesh (see [`lite_fixtures`]).
 type CorpusRow = (&'static str, &'static [u8], usize, usize, &'static [usize]);
 const CORPUS: &[CorpusRow] = &[
     ("golden_tac", &[1, 2, 4, 5], 2525, 73, &[2110, 397, 18]),
@@ -524,6 +572,8 @@ const CORPUS: &[CorpusRow] = &[
     ("golden_auto", &[1], 398, 73, &[]),
     ("golden_auto", &[4, 5], 398, 73, &[]),
     ("golden_f32", &[1, 4, 5], 2527, 73, &[2111, 398, 18]),
+    ("golden_lite_tac", &[5], 2912, 73, &[2446, 448, 18]),
+    ("golden_lite_zmesh", &[5], 876, 73, &[]),
     (
         "legacy_tac_sz",
         &[1, 2, 4, 5],
@@ -565,7 +615,7 @@ fn corpus_file(stem: &str, version: u8) -> Vec<u8> {
 
 /// Every frozen container keeps parsing; all versions of a row parse to
 /// the same `CompressedDataset`, account to the recorded byte counts and
-/// decode bit-identically at 1 and 2 workers; and re-serializing any of
+/// decode bit-identically at 1, 2 and 4 workers; and re-serializing any of
 /// them **upgrades** it: version byte 5, equal to the committed `_v5`
 /// sibling, re-parsing to the same container. Region reads of every
 /// file, v1 included, and of the upgrade return the full decode inside
@@ -600,7 +650,11 @@ fn frozen_corpus_parses_decodes_and_upgrades_identically() {
             let parsed = CompressedDataset::from_bytes(&bytes)
                 .unwrap_or_else(|e| panic!("{what} no longer parses: {e}"));
             assert_eq!(parsed, cd, "{what}");
-            for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            for parallelism in [
+                Parallelism::Serial,
+                Parallelism::Threads(2),
+                Parallelism::Threads(4),
+            ] {
                 assert_eq!(decode_bits(&parsed, parallelism), decoded, "{what}");
             }
             assert_eq!(parsed.to_bytes(), upgraded, "{what}: upgrade");
@@ -758,7 +812,7 @@ fn regenerate_golden_ans_fixtures() {
     let recon32 = decompress_dataset_par_t::<f32>(&mixed32, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_ans_f32_expected.bin"),
-        encode_expected_f32(&recon32),
+        encode_expected(&recon32),
     )
     .unwrap();
     println!("wrote golden_ans_v5 fixtures to {}", dir.display());
@@ -776,8 +830,34 @@ fn regenerate_golden_auto_fixtures() {
     let recon32 = decompress_dataset_par_t::<f32>(&cd32, Parallelism::Serial).unwrap();
     std::fs::write(
         dir.join("golden_auto_f32_expected.bin"),
-        encode_expected_f32(&recon32),
+        encode_expected(&recon32),
     )
     .unwrap();
     println!("wrote golden_auto_v5 fixtures to {}", dir.display());
+}
+
+/// Writes the pco-lite fixtures (`golden_lite_tac_v5`,
+/// `golden_lite_zmesh_v5`) with their bit-exact expected
+/// reconstructions.
+#[test]
+#[ignore = "regenerates the pco-lite golden fixtures; run only to intentionally re-baseline"]
+fn regenerate_golden_lite_fixtures() {
+    let dir = data_dir();
+    for (stem, method, ds) in lite_fixtures() {
+        let expected = match method {
+            Method::Tac => {
+                let cd = compress_dataset_t(&ds, &lite_config(), method).unwrap();
+                std::fs::write(dir.join(format!("{stem}_v5.tacd")), cd.to_bytes()).unwrap();
+                encode_expected(&decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap())
+            }
+            _ => {
+                let ds = ds.cast::<f32>();
+                let cd = compress_dataset_t(&ds, &lite_config(), method).unwrap();
+                std::fs::write(dir.join(format!("{stem}_v5.tacd")), cd.to_bytes()).unwrap();
+                encode_expected(&decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap())
+            }
+        };
+        std::fs::write(dir.join(format!("{stem}_expected.bin")), expected).unwrap();
+        println!("wrote {stem} fixtures to {}", dir.display());
+    }
 }
