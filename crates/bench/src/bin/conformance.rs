@@ -1,15 +1,19 @@
 //! The conformance runner: sweeps the full error-bound matrix (every
-//! registered scenario x {TAC, 1D, zMesh, 3D} x {sz, pco-lite, pco-ans}
-//! x {memory, v5} x {1, 2, 4, 8} workers), writes the
+//! registered scenario x {TAC, 1D, zMesh, 3D} x {sz, pco-ans} x
+//! {memory, v5} x {1, 2, 4, 8} workers, plus one `Method::Auto` sweep
+//! per scenario: 234 cells), writes the
 //! machine-readable `CONFORMANCE.json` artifact, then runs the bounded
 //! container-fuzz smoke. Exits non-zero if any matrix cell fails or the
 //! fuzzer observes a panic/incoherent decode.
 //!
 //! Flags:
+//!
+//! ```text
 //!   --seed <u64>        scenario generation seed (default 7)
 //!   --fuzz-iters <n>    fuzz smoke iterations (default 2000; 0 skips)
 //!   --fuzz-seed <u64>   fuzz mutation seed (default the CI seed)
-//!   --out <path>        report path (default `<repo root>/CONFORMANCE.json`)
+//!   --out <path>        report path (default <repo root>/CONFORMANCE.json)
+//! ```
 
 use tac_testkit::{fuzz_containers, run_conformance, FuzzConfig};
 

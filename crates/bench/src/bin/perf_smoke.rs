@@ -1,49 +1,26 @@
-//! CI perf smoke for the codec layer: measures pco-ans against
-//! pco-lite decode throughput and fails the build when the ANS path
-//! regresses.
+//! CI perf smoke for the codec layer and the adaptive selection.
 //!
-//! Two regimes:
+//! Two families of gates:
 //!
 //! 1. **Raw dense stream** — one whole coarse level as a rank-3 array
-//!    straight through each backend. This is the regime the PcoAns
-//!    batch kernels target and where the win is decisive (LZSS decode
-//!    is per-symbol-branchy on dense data); pco-ans decode must be at
-//!    least as fast as pco-lite, full stop. The same stream gates the
-//!    write side: pco-ans must encode at no less than [`ENCODE_FLOOR`]
-//!    of its own decode throughput.
-//! 2. **1D/f64 container row** — the `BENCH_codec.json` row the issue
-//!    tracks, measured the same way (serial end-to-end container
-//!    decode). On ultra-smooth 1D-gathered data LZSS approaches memcpy
-//!    speed (long overlapping matches), so pco-ans is only expected to
-//!    hold [`ROW_FLOOR`] of pco-lite's decode throughput — a reading
-//!    that sits on the floor and flips between runs on a 2-core host, so
-//!    it is printed as a `WARN` row and fails nothing — and it must keep
-//!    its compression-ratio advantage (within 10% of pco-lite or
-//!    better), which is deterministic and gates.
-//!
-//! A third family of gates covers the adaptive selection
-//! (`Method::Auto`, the TAC+ pass): on every registered testkit
-//! scenario, Auto's serialized container must reach at least
-//! [`AUTO_FLOOR`] of the best fixed `(method, codec)` pair's bytes at
-//! the same error bound. The per-scenario winners and margins are
-//! written to `SELECTION_auto.json`, archived by CI next to
-//! `BENCH_codec.json`.
+//!    straight through pco-ans, the regime its batch kernels target.
+//!    The write side is gated against the read side: pco-ans must
+//!    encode at no less than [`ENCODE_FLOOR`] of its own decode
+//!    throughput on the same values.
+//! 2. **Adaptive selection** (`Method::Auto`, the TAC+ pass): on every
+//!    registered testkit scenario, Auto's serialized container must
+//!    reach at least [`AUTO_FLOOR`] of the best fixed `(method, codec)`
+//!    pair's bytes at the same error bound. The per-scenario winners and
+//!    margins are written to `SELECTION_auto.json`, archived by CI next
+//!    to `BENCH_codec.json`.
 //!
 //! Exits non-zero with a one-line verdict per gate. Scale follows
 //! `TAC_BENCH_SCALE` (default 8, the quick-mode bench scale).
 
 use std::time::Instant;
 use tac_bench::default_scale;
-use tac_bench::experiments::codec_comparison::bench_config;
-use tac_bench::support::{default_unit, load_dataset, measure};
+use tac_bench::support::load_dataset;
 use tac_core::{codec_for, select_auto, CodecConfig, CodecId, Method, TacConfig};
-
-/// Expected pco-ans / pco-lite decode-throughput ratio on the 1D/f64
-/// container row: a fallback to the pre-ANS numbers sits near 0.45, a
-/// healthy build reads 0.65–0.85 depending on the host. Advisory only —
-/// two timed quotients of ~10 ms passes do not separate those on a
-/// shared 2-core runner (the row failed 4–7 of 9 runs at any commit).
-const ROW_FLOOR: f64 = 0.70;
 
 /// Minimum pco-ans encode / decode throughput ratio on the raw dense
 /// stream — both timed in this process on the same values, so the
@@ -52,10 +29,6 @@ const ROW_FLOOR: f64 = 0.70;
 /// a divide per value, 16 B/value of intermediates) sat at 0.17-0.26,
 /// so the floor separates the two with margin on both sides.
 const ENCODE_FLOOR: f64 = 0.35;
-
-/// Minimum pco-ans / pco-lite compression-ratio quotient on the same
-/// row ("within 10%"). Measured headroom is ~1.24.
-const RATIO_FLOOR: f64 = 0.90;
 
 /// Minimum best-fixed / Auto serialized-bytes quotient per scenario
 /// (equal error bound, so byte dominance is ratio dominance). The
@@ -73,19 +46,18 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Raw-stream `(encode, decode)` throughput (MB/s) of `codec` on the
+/// Raw-stream `(encode, decode)` throughput (MB/s) of pco-ans on the
 /// dense coarse level.
-fn raw_stream(ds: &tac_amr::AmrDataset, codec: CodecId) -> (f64, f64) {
+fn raw_stream(ds: &tac_amr::AmrDataset) -> (f64, f64) {
     let coarse = ds.levels().last().expect("at least one level");
     let n = coarse.dim();
     let data = coarse.data().to_vec();
-    let backend = codec_for(codec);
+    let backend = codec_for(CodecId::PcoAns);
     let dims = tac_sz::Dims::D3(n, n, n);
     let cfg = CodecConfig::abs(1e-3);
     let stream = backend.compress(&data, dims, &cfg).expect("compress");
-    // Decode first: it is the number both gates share, and timing it
-    // before the encode loop keeps it clear of the allocator state nine
-    // encodes leave behind.
+    // Decode first: timing it before the encode loop keeps it clear of
+    // the allocator state nine encodes leave behind.
     let decode = best_secs(9, || {
         backend.decompress(&stream).expect("decompress");
     });
@@ -96,72 +68,25 @@ fn raw_stream(ds: &tac_amr::AmrDataset, codec: CodecId) -> (f64, f64) {
     (mb / encode, mb / decode)
 }
 
-/// 1D/f64 container-row measurement: (decode MB/s, compression ratio).
-fn container_row(ds: &tac_amr::AmrDataset, unit: usize, codec: CodecId) -> (f64, f64) {
-    let cfg = bench_config(unit, codec);
-    let bytes = ds.total_present() * 8;
-    let mut best_decode = 0.0f64;
-    let mut ratio = 0.0f64;
-    for _ in 0..3 {
-        let m = measure(ds, &cfg, Method::Baseline1D, 1e-3);
-        best_decode = best_decode.max(m.decompress_mb_s(bytes));
-        ratio = m.ratio;
-    }
-    (best_decode, ratio)
-}
-
 fn main() {
     let scale = default_scale();
-    let unit = default_unit(scale);
     let ds = load_dataset("Run1_Z10", scale, 14);
-    // One verdict row; `miss` is what a reading under the floor is called.
-    let row = |miss: &str, name: &str, value: f64, floor: f64| {
+    let mut failed = false;
+    let mut gate = |name: &str, value: f64, floor: f64| {
         let ok = value >= floor;
         println!(
             "{} {name}: {value:.3} (floor {floor:.3})",
-            if ok { "PASS" } else { miss }
+            if ok { "PASS" } else { "FAIL" }
         );
-        ok
-    };
-    let mut failed = false;
-    let mut gate = |name: &str, value: f64, floor: f64| {
-        failed |= !row("FAIL", name, value, floor);
+        failed |= !ok;
     };
 
-    let (enc_ans, raw_ans) = raw_stream(&ds, CodecId::PcoAns);
-    let (_, raw_lite) = raw_stream(&ds, CodecId::PcoLite);
-    println!(
-        "raw dense stream: pco-ans encode {enc_ans:.1} MB/s, decode {raw_ans:.1} MB/s; \
-         pco-lite decode {raw_lite:.1} MB/s"
-    );
-    gate(
-        "raw-stream pco-ans/pco-lite decode",
-        raw_ans / raw_lite,
-        1.0,
-    );
+    let (enc_ans, raw_ans) = raw_stream(&ds);
+    println!("raw dense stream: pco-ans encode {enc_ans:.1} MB/s, decode {raw_ans:.1} MB/s");
     gate(
         "raw-stream pco-ans encode/decode",
         enc_ans / raw_ans,
         ENCODE_FLOOR,
-    );
-
-    let (row_ans, ratio_ans) = container_row(&ds, unit, CodecId::PcoAns);
-    let (row_lite, ratio_lite) = container_row(&ds, unit, CodecId::PcoLite);
-    println!(
-        "1D/f64 container decode: pco-ans {row_ans:.1} MB/s (ratio {ratio_ans:.2}), \
-         pco-lite {row_lite:.1} MB/s (ratio {ratio_lite:.2})"
-    );
-    // Advisory: printed, never failed on (see `ROW_FLOOR`).
-    row(
-        "WARN",
-        "1D/f64 pco-ans/pco-lite decode",
-        row_ans / row_lite,
-        ROW_FLOOR,
-    );
-    gate(
-        "1D/f64 pco-ans/pco-lite ratio",
-        ratio_ans / ratio_lite,
-        RATIO_FLOOR,
     );
 
     // Adaptive-selection gates (`auto_vs_fixed` rows), one per testkit

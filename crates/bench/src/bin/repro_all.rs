@@ -4,13 +4,16 @@
 //! or `TAC_BENCH_QUICK=1` for a faster pass.
 //!
 //! Flags:
+//!
+//! ```text
 //!   --only <substr>   run only sections whose name contains <substr>
-//!                     (case-insensitive; e.g. `--only par`, `--only table`)
+//!                     (case-insensitive; e.g. --only par, --only table)
 //!   --list            print section names and exit
 //!   --obs             record spans/counters across every section and
 //!                     finish with a per-stage breakdown plus a
-//!                     chrome://tracing `TRACE_repro.json` (requires the
-//!                     `obs` cargo feature; ignored otherwise)
+//!                     chrome://tracing TRACE_repro.json (requires the
+//!                     obs cargo feature; ignored otherwise)
+//! ```
 
 use tac_bench::experiments as ex;
 use tac_bench::obs_support;

@@ -12,10 +12,10 @@
 //!    the dense coarse levels (one whole-grid stream).
 //!
 //! Expected shapes: SZ's Lorenzo/regression prediction wins ratio on the
-//! smooth 3D fields; PcoLite's single-scan delta pipeline trades some
-//! ratio for decode throughput and tiny fixed overheads (it often wins
-//! on the small fine-level group streams, where SZ's Huffman tables
-//! dominate). The point of the table is that the answer is per-level —
+//! smooth 3D fields; pco-ans's single-scan delta pipeline with a
+//! tabled-ANS tail trades some ratio for decode throughput (it often
+//! wins on the small fine-level group streams, where SZ's Huffman
+//! tables dominate). The point of the table is that the answer is per-level —
 //! which is exactly what the pluggable backend layer makes actionable.
 
 use crate::support::{default_scale, default_unit, load_dataset, measure, quick_mode, Measured};

@@ -17,11 +17,12 @@
 //! * [`CodecId`] — a **stable one-byte wire tag** per backend, stored in
 //!   `tac-core`'s level payloads and chunk tables so containers are
 //!   self-describing;
-//! * three backends: [`SzCodec`] (the SZ-style
-//!   predict-quantize-encode compressor from `tac-sz`), [`PcoLite`]
-//!   (a pcodec-inspired delta + per-page adaptive bit-packing codec),
-//!   and [`PcoAns`] (PcoLite's front end with a tabled-ANS entropy
-//!   stage and branch-free batch decode kernels);
+//! * three decoders and two encoders: [`SzCodec`] (the SZ-style
+//!   predict-quantize-encode compressor from `tac-sz`) and [`PcoAns`]
+//!   (a pcodec-style quantize–delta front end with a tabled-ANS entropy
+//!   stage and branch-free batch decode kernels) write and read;
+//!   [`PcoLite`] (the same front end with per-page bit packing) only
+//!   reads, so the containers it wrote keep decoding;
 //! * [`codec_for`], [`sniff_codec`] and [`stream_dtype`], which
 //!   `tac-core` dispatches and sniffs through.
 //!
@@ -46,7 +47,9 @@
 //!
 //! The set is closed: the wire tags of [`CodecId`] are frozen by
 //! shipped containers, and [`codec_for`], [`sniff_codec`] and
-//! [`stream_dtype`] match on exactly these three. Every stream opens
+//! [`stream_dtype`] match on exactly these three. [`CodecId::all`]
+//! lists the two a writer may pick; compressing through [`PcoLite`] is
+//! [`CodecError::InvalidConfig`]. Every stream opens
 //! with one header — magic, version, flags, rank, dims, bound — which
 //! [`tac_sz::Header`] (`tac-sz`'s `container.rs`) alone writes and
 //! reads. A backend owns its 4-byte `MAGIC` and its `VERSION` (the
@@ -89,12 +92,13 @@ pub enum CodecId {
     /// The SZ-style predict–quantize–encode compressor (`tac-sz`). Wire
     /// tag 0; the implicit codec of every pre-codec (v1/v2) container.
     Sz,
-    /// The pcodec-inspired delta + per-page adaptive bit-packing codec.
-    /// Wire tag 1.
+    /// The pcodec-inspired delta + per-page bit-packing codec (wire tag
+    /// 1), decode-only: its streams still decode, but no writer produces
+    /// them ([`PcoAns`] is smaller on every benchmark workload).
     PcoLite,
-    /// The tabled-ANS codec: PcoLite's quantize–delta–zigzag front end
-    /// with per-page greedy binning, a tabled rANS entropy stage over
-    /// bin tokens, and branch-free batch decode. Wire tag 2.
+    /// The tabled-ANS codec: the pcodec-style quantize–delta–zigzag
+    /// front end with per-page greedy binning, a tabled rANS entropy
+    /// stage over bin tokens, and branch-free batch decode. Wire tag 2.
     PcoAns,
 }
 
@@ -127,9 +131,10 @@ impl CodecId {
         }
     }
 
-    /// Every registered codec id, in wire-tag order.
-    pub fn all() -> [CodecId; 3] {
-        [CodecId::Sz, CodecId::PcoLite, CodecId::PcoAns]
+    /// Every codec a writer may pick, in wire-tag order (decode-only
+    /// [`CodecId::PcoLite`] is not one).
+    pub fn all() -> [CodecId; 2] {
+        [CodecId::Sz, CodecId::PcoAns]
     }
 }
 
@@ -305,10 +310,11 @@ mod tests {
         assert_eq!(CodecId::Sz.tag(), 0, "Sz wire tag is frozen at 0");
         assert_eq!(CodecId::PcoLite.tag(), 1, "PcoLite wire tag is frozen at 1");
         assert_eq!(CodecId::PcoAns.tag(), 2, "PcoAns wire tag is frozen at 2");
-        for id in CodecId::all() {
+        for id in CodecId::all().into_iter().chain([CodecId::PcoLite]) {
             assert_eq!(CodecId::from_tag(id.tag()).unwrap(), id);
             assert_eq!(codec_for::<f64>(id).id(), id);
         }
+        assert_eq!(CodecId::all(), [CodecId::Sz, CodecId::PcoAns]);
         assert!(CodecId::from_tag(99).is_err());
         assert_eq!(CodecId::default(), CodecId::Sz);
     }
@@ -338,12 +344,17 @@ mod tests {
     fn sniffing_tells_backends_apart() {
         let data = smooth(256);
         let cfg = CodecConfig::abs(1e-4);
-        for id in CodecId::all() {
-            let codec = codec_for::<f64>(id);
-            let bytes = codec.compress(&data, Dims::D1(256), &cfg).unwrap();
+        let lite = pco::reference::stream(&data, Dims::D1(256), 1e-4).0;
+        let streams = CodecId::all().map(|id| {
+            (
+                id,
+                codec_for(id).compress(&data, Dims::D1(256), &cfg).unwrap(),
+            )
+        });
+        for (id, bytes) in streams.into_iter().chain([(CodecId::PcoLite, lite)]) {
             assert_eq!(sniff_codec(&bytes), Ok(id));
             // Every *other* backend must refuse the stream outright.
-            for other in CodecId::all() {
+            for other in [CodecId::Sz, CodecId::PcoLite, CodecId::PcoAns] {
                 if other != id {
                     assert!(
                         codec_for::<f64>(other).decompress(&bytes).is_err(),
@@ -469,5 +480,11 @@ mod tests {
                 .compress(&data, Dims::D2(3, 3), &CodecConfig::abs(1.0))
                 .is_err());
         }
+        // Decode-only pco-lite refuses every configuration.
+        let lite = codec_for::<f64>(CodecId::PcoLite);
+        assert!(matches!(
+            lite.compress(&data, Dims::D1(8), &CodecConfig::abs(1.0)),
+            Err(CodecError::InvalidConfig(_))
+        ));
     }
 }

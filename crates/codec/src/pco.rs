@@ -1,8 +1,9 @@
-//! `PcoLite`: a pcodec-inspired error-bounded codec.
+//! `PcoLite`: the decoder of the pcodec-inspired delta + per-page
+//! bit-packing codec, and the front end [`crate::PcoAns`] encodes with.
 //!
 //! [pcodec](https://github.com/mwlon/pcodec) compresses numerical
 //! columns with delta encoding, adaptive binning, and bit packing.
-//! `PcoLite` transplants that recipe onto TAC's error-bounded setting:
+//! Both pcodec-style wires share its first steps:
 //!
 //! 1. **Uniform quantization** — each finite value maps to the integer
 //!    `q = round(v / (2*eb))`; the reconstruction `q * 2*eb` is within
@@ -12,16 +13,20 @@
 //! 2. **Delta encoding** — consecutive quantized integers are close for
 //!    the smooth per-level fields TAC extracts, so the stream of
 //!    differences is small; zigzag mapping folds signs away.
-//! 3. **Per-page adaptive binning** — the stream splits into fixed-size
-//!    pages; each page independently picks the bit width minimizing
-//!    `packed_bits + outlier_cost`, storing the few values wider than
-//!    the chosen width as per-page outliers (patched bit packing).
-//! 4. **Bit packing** + the shared LZSS lossless stage when it helps.
 //!
-//! Unlike SZ there is no neighbour prediction: decoding a value needs
-//! only the running delta sum, which keeps the decoder a single linear
-//! scan. The shape ([`Dims`]) is metadata only — rank does not change
-//! the encoding.
+//! A `TPL1` (pco-lite) stream then splits the latents into pages of
+//! [`PAGE`] values, each bit-packed at its own width with the few wider
+//! values stored as per-page outliers, and offers the body to the
+//! shared LZSS stage. pco-lite is **decode-only**: containers written
+//! with it keep decoding bit-exactly, but no writer produces one any
+//! more — pco-ans codes the same front end with a tabled-ANS tail and
+//! is smaller on every benchmark workload. The encoder lives on as the
+//! `#[cfg(test)]` [`reference`] module, which writes the streams the
+//! decoder tests read.
+//!
+//! Decoding a value needs only the running delta sum, which keeps the
+//! decoder a single linear scan. The shape ([`Dims`]) is metadata only
+//! — rank does not change the encoding.
 
 use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
 use tac_dtype::Element;
@@ -32,20 +37,18 @@ use tac_sz::{lossless, Dims, Header, HeaderError, FLAG_LOSSLESS};
 pub(crate) const MAGIC: [u8; 4] = *b"TPL1";
 /// Current format version.
 pub(crate) const VERSION: u8 = 1;
-/// Values per page. Each page picks its own bit width, so the page size
+/// Values per page. Each page has its own bit width, so the page size
 /// trades adaptivity against per-page header overhead.
 const PAGE: usize = 1024;
 /// Serialized size of one exception entry for element type `T`
 /// (index u64 + the element's native-width bits: 16 bytes at f64, 12 at
-/// f32 — pages and exceptions both carry the element width). Shared
-/// with `PcoAns`, whose exception table uses the identical layout.
+/// f32). Both pcodec-style wires use this exception table layout.
 pub(crate) fn exception_bytes<T: Element>() -> usize {
     8 + T::WIRE_BYTES
 }
-/// Serialized size of one page outlier (position u16 + zigzag u64).
-const OUTLIER_BYTES: usize = 10;
-
-/// The pcodec-inspired delta + per-page adaptive bit-packing backend.
+/// The pcodec-inspired delta + per-page bit-packing backend: decodes
+/// `TPL1` streams; compressing through it is
+/// [`CodecError::InvalidConfig`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PcoLite;
 
@@ -80,9 +83,9 @@ pub(crate) fn round_half_away(t: f64) -> i64 {
     (t + BELOW_HALF.copysign(t)) as i64
 }
 
-/// The quantize → delta → zigzag front end both pcodec-style backends
-/// share (through [`encode_stream`]), run one page at a time so no
-/// whole-stream intermediate exists:
+/// The quantize → delta → zigzag front end of the pcodec-style wires,
+/// run by PcoAns's encoder (through [`encode_stream`]) one page at a
+/// time so no whole-stream intermediate exists:
 /// each finite value maps to the code `q = round(v / 2eb)`; the code's
 /// difference to the previous quantized value is zigzag-folded into a
 /// *latent*. A value whose `T`-narrowed reconstruction `q * 2eb` misses
@@ -186,8 +189,8 @@ impl<T: Element> Quantizer<T> {
 
 /// Codes `data` onto `out` (which holds the stream header) a page of
 /// `page` values at a time: the exception table's slot, then each page
-/// quantized into latents and classes and handed to `encode_page` —
-/// the one thing the two backends do differently. Returns the decoder's
+/// quantized into latents and classes and handed to `encode_page`,
+/// which codes the page's tail. Returns the decoder's
 /// exact output when `RECON` (empty otherwise). The scratch holds one
 /// page, or the whole stream when that is shorter: TAC feeds these
 /// codecs thousands of streams of a few dozen values, which must not
@@ -224,9 +227,9 @@ pub(crate) fn encode_stream<T: Element, const RECON: bool>(
     recon
 }
 
-/// LSB-first bit packer appending to a byte vector, shared by both
-/// backends (PcoLite's fixed-width pages, PcoAns's offset streams). Bits
-/// gather in a 64-bit accumulator that is flushed eight bytes at a time.
+/// LSB-first bit packer appending to a byte vector (PcoAns's offset
+/// streams). Bits gather in a 64-bit accumulator that is flushed eight
+/// bytes at a time.
 pub(crate) struct BitSink<'a> {
     out: &'a mut Vec<u8>,
     acc: u64,
@@ -319,61 +322,12 @@ fn packed_bytes(len: usize, width: usize) -> usize {
     len.saturating_mul(width).div_ceil(8)
 }
 
-/// Picks the page's bit width: minimize packed size plus outlier cost,
-/// preferring the smaller width on ties. Returns `(width, n_outliers)`.
-// tac-lint: allow(panic, arith) -- encoder-only: the arrays are fixed [_; 65] indexed by w <= 64, and n_over <= len <= PAGE keeps the cost sums tiny.
-fn choose_width(counts: &[usize; 65], len: usize) -> (usize, usize) {
-    // over[w] = number of values needing more than w bits.
-    let mut over = [0usize; 65];
-    for w in (0..64).rev() {
-        over[w] = over[w + 1] + counts[w + 1];
-    }
-    let mut best = (64usize, 0usize);
-    let mut best_cost = usize::MAX;
-    for (w, &n_over) in over.iter().enumerate() {
-        let cost = n_over * OUTLIER_BYTES + packed_bytes(len, w);
-        if cost < best_cost {
-            best_cost = cost;
-            best = (w, n_over);
-        }
-    }
-    best
-}
-
-/// Encodes one page of latents (`classes` holding their bit lengths)
-/// into `out`.
-// tac-lint: allow(panic, arith) -- encoder-only: a class is at most 64 and indexes the fixed [_; 65] array, and width/outlier-count/position all fit their wire types by the PAGE = 1024 bound.
-fn encode_page(z: &[u64], classes: &[u8], out: &mut Vec<u8>) {
-    let mut counts = [0usize; 65];
-    for &c in classes {
-        counts[usize::from(c)] += 1;
-    }
-    let (width, n_outliers) = choose_width(&counts, z.len());
-    tac_obs::hist(tac_obs::HistKind::PcoPageBits, width);
-    tac_obs::add(tac_obs::Counter::PcoPages, 1);
-    tac_obs::add_bytes(tac_obs::Counter::PcoOutliers, n_outliers);
-    out.push(width as u8);
-    out.extend((n_outliers as u16).to_le_bytes());
-    let fits = |c: u8| usize::from(c) <= width;
-    for (pos, (&v, &c)) in z.iter().zip(classes).enumerate() {
-        if !fits(c) {
-            out.extend((pos as u16).to_le_bytes());
-            out.extend(v.to_le_bytes());
-        }
-    }
-    let mut sink = BitSink::new(out);
-    for (&v, &c) in z.iter().zip(classes) {
-        sink.push(if fits(c) { v } else { 0 }, width as u32);
-    }
-    sink.finish();
-}
-
 fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
 }
 
 /// Maps a refused stream header onto the errors both pcodec-style
-/// backends report: another magic is [`CodecError::WrongCodec`], another
+/// decoders report: another magic is [`CodecError::WrongCodec`], another
 /// element type [`CodecError::WrongDtype`], anything else corrupt.
 /// `label` names the backend.
 pub(crate) fn header_error(label: &'static str, e: HeaderError) -> CodecError {
@@ -391,47 +345,11 @@ pub(crate) fn header_error(label: &'static str, e: HeaderError) -> CodecError {
     }
 }
 
-/// Element-generic encoder body. The `f64` instantiation is
-/// byte-identical to the historical format (the dtype flag stays clear).
-/// `RECON` selects whether the decoder's exact output is materialized
-/// alongside the stream (empty otherwise).
-fn compress_impl<T: Element, const RECON: bool>(
-    data: &[T],
-    dims: Dims,
-    cfg: &CodecConfig,
-) -> Result<(Vec<u8>, Vec<T>), CodecError> {
-    dims.validate(data.len())?;
-    cfg.validate()?;
-    let abs_eb = cfg.abs_eb;
-
-    // Body: exception table, then the pages back to back.
-    let n = data.len();
-    // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths; a wrong guess only costs a reallocation.
-    let mut body = Vec::with_capacity(8 + n * 2 / PAGE.max(1) + n);
-    let recon = encode_stream::<T, RECON>(data, abs_eb, PAGE, &mut body, encode_page);
-
-    let mut header = Header::new::<T>(MAGIC, VERSION, dims, abs_eb);
-    let packed = {
-        let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
-        lossless::compress(&body)
-    };
-    let body = if packed.len() < body.len() {
-        header.flags |= FLAG_LOSSLESS;
-        packed
-    } else {
-        body
-    };
-
-    let mut out = Vec::with_capacity(header.encoded_len().saturating_add(body.len()));
-    header.encode(&mut out);
-    out.extend_from_slice(&body);
-    Ok((out, recon))
-}
-
 /// Opens a body of `n` declared points. `min_body` is the least a body
 /// of that many points can occupy on the backend's wire: checked first,
 /// so a crafted header cannot demand terabytes of reconstruction from a
-/// tiny body. Then reads the exception table both backends start with —
+/// tiny body. Then reads the exception table both pcodec-style wires
+/// start with —
 /// a `u64` count and `(index u64, value)` entries in strictly increasing
 /// index order, all below `n`.
 pub(crate) fn read_exceptions<T: Element>(
@@ -562,22 +480,27 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
     Ok((recon, dims))
 }
 
+/// What compressing through [`PcoLite`] returns.
+fn decode_only() -> CodecError {
+    CodecError::InvalidConfig("pco-lite is decode-only: compress with pco-ans instead".into())
+}
+
 impl<T: Element> ScalarCodec<T> for PcoLite {
     fn id(&self) -> CodecId {
         CodecId::PcoLite
     }
 
-    fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
-        compress_impl::<T, false>(data, dims, cfg).map(|(bytes, _)| bytes)
+    fn compress(&self, _: &[T], _: Dims, _: &CodecConfig) -> Result<Vec<u8>, CodecError> {
+        Err(decode_only())
     }
 
     fn compress_with_recon(
         &self,
-        data: &[T],
-        dims: Dims,
-        cfg: &CodecConfig,
+        _: &[T],
+        _: Dims,
+        _: &CodecConfig,
     ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
-        compress_impl::<T, true>(data, dims, cfg)
+        Err(decode_only())
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
@@ -585,12 +508,18 @@ impl<T: Element> ScalarCodec<T> for PcoLite {
     }
 }
 
-/// The front end and bit packer both backends shipped before the page
-/// kernel, kept as the reference their differential tests hold
-/// [`Quantizer`] and [`BitSink`] to.
+/// The reference encoders: the front end and bit packer both
+/// pcodec-style backends shipped before the page kernel, which the
+/// differential tests hold [`Quantizer`], [`encode_stream`] and
+/// [`BitSink`] to, and the whole pco-lite writer as it last shipped,
+/// which writes the streams the decoder tests read.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{zigzag, Element};
+    use super::{bit_len, packed_bytes, zigzag, Element, MAGIC, PAGE, VERSION};
+    use tac_sz::{lossless, Dims, Header, FLAG_LOSSLESS};
+
+    /// Serialized size of one page outlier (position u16 + zigzag u64).
+    const OUTLIER_BYTES: usize = 10;
 
     /// Quantizes one value, or `None` when it must be stored raw. Returns
     /// the code and the `T`-narrowed reconstruction the decoder will
@@ -677,6 +606,85 @@ pub(crate) mod reference {
             self.buf
         }
     }
+
+    /// Picks a page's bit width: minimize packed size plus outlier cost,
+    /// preferring the smaller width on ties. Returns `(width,
+    /// n_outliers)`.
+    pub(crate) fn choose_width(counts: &[usize; 65], len: usize) -> (usize, usize) {
+        // over[w] = number of values needing more than w bits.
+        let mut over = [0usize; 65];
+        for w in (0..64).rev() {
+            over[w] = over[w + 1] + counts[w + 1];
+        }
+        let mut best = (64usize, 0usize);
+        let mut best_cost = usize::MAX;
+        for (w, &n_over) in over.iter().enumerate() {
+            let cost = n_over * OUTLIER_BYTES + packed_bytes(len, w);
+            if cost < best_cost {
+                best_cost = cost;
+                best = (w, n_over);
+            }
+        }
+        best
+    }
+
+    /// One page of latents as pco-lite codes it: width, outlier count,
+    /// the outliers, then the packed values.
+    pub(crate) fn encode_page(z: &[u64], out: &mut Vec<u8>) {
+        let mut counts = [0usize; 65];
+        for &v in z {
+            counts[bit_len(v)] += 1;
+        }
+        let (width, n_outliers) = choose_width(&counts, z.len());
+        out.push(width as u8);
+        out.extend((n_outliers as u16).to_le_bytes());
+        for (pos, &v) in z.iter().enumerate() {
+            if bit_len(v) > width {
+                out.extend((pos as u16).to_le_bytes());
+                out.extend(v.to_le_bytes());
+            }
+        }
+        let mut packer = BitPacker::with_capacity(packed_bytes(z.len(), width));
+        for &v in z {
+            packer.push(if bit_len(v) > width { 0 } else { v }, width);
+        }
+        out.extend(packer.finish());
+    }
+
+    /// A pco-lite body before the LZSS stage — the exception table, then
+    /// the pages — with the reconstruction it decodes to.
+    pub(crate) fn body<T: Element>(data: &[T], abs_eb: f64) -> (Vec<u8>, Vec<T>) {
+        let (z, recon, exceptions) = front_end(data, abs_eb);
+        let mut body = Vec::new();
+        body.extend((exceptions.len() as u64).to_le_bytes());
+        for &(idx, v) in &exceptions {
+            body.extend(idx.to_le_bytes());
+            v.append_le(&mut body);
+        }
+        for page in z.chunks(PAGE) {
+            encode_page(page, &mut body);
+        }
+        (body, recon)
+    }
+
+    /// A whole `TPL1` stream as the pco-lite writer last shipped it: the
+    /// header, then the body, LZSS-packed when that is smaller.
+    pub(crate) fn stream<T: Element>(data: &[T], dims: Dims, abs_eb: f64) -> (Vec<u8>, Vec<T>) {
+        assert_eq!(dims.len(), data.len());
+        let (body, recon) = body(data, abs_eb);
+        let mut header = Header::new::<T>(MAGIC, VERSION, dims, abs_eb);
+        let packed = lossless::compress(&body);
+        let body = if packed.len() < body.len() {
+            header.flags |= FLAG_LOSSLESS;
+            packed
+        } else {
+            body
+        };
+        let mut out = Vec::new();
+        header.encode(&mut out);
+        out.extend_from_slice(&body);
+        (out, recon)
+    }
 }
 
 #[cfg(test)]
@@ -684,6 +692,11 @@ mod tests {
     use super::*;
     use crate::testdata::{draw, splitmix64, Family};
     use crate::CodecElement;
+
+    /// A pco-lite stream of `data` from the reference writer.
+    fn lite<T: Element>(data: &[T], dims: Dims, eb: f64) -> Vec<u8> {
+        reference::stream(data, dims, eb).0
+    }
 
     /// A stream's header and its body with the LZSS stage undone.
     fn unpacked<T: Element>(bytes: &[u8]) -> (Header, Vec<u8>) {
@@ -696,8 +709,7 @@ mod tests {
     }
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
-        let cfg = CodecConfig::abs(eb);
-        let (bytes, recon) = PcoLite.compress_with_recon(data, dims, &cfg).unwrap();
+        let (bytes, recon) = reference::stream(data, dims, eb);
         let (out, out_dims) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
         assert_eq!(out_dims, dims);
         for (a, b) in recon.iter().zip(&out) {
@@ -717,14 +729,27 @@ mod tests {
     }
 
     #[test]
+    fn compressing_is_invalid_config() {
+        let data = [1.0f64; 8];
+        let cfg = CodecConfig::abs(1e-3);
+        let err = PcoLite.compress(&data, Dims::D1(8), &cfg).unwrap_err();
+        assert!(matches!(&err, CodecError::InvalidConfig(why) if why.contains("pco-ans")));
+        let data32 = [1.0f32; 8];
+        assert!(matches!(
+            PcoLite.compress_with_recon(&data32, Dims::D1(8), &cfg),
+            Err(CodecError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
     fn smooth_3d_roundtrips_and_compresses() {
         let n = 16;
         let data: Vec<f64> = (0..n * n * n)
             .map(|i| (i as f64 * 0.003).sin() * 10.0 + (i as f64 * 0.0007).cos())
             .collect();
-        let cfg = CodecConfig::abs(1e-3);
-        let bytes = PcoLite.compress(&data, Dims::D3(n, n, n), &cfg).unwrap();
-        let (out, _) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
+        let bytes = lite(&data, Dims::D3(n, n, n), 1e-3);
+        let (out, dims) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
+        assert_eq!(dims, Dims::D3(n, n, n));
         check_bound(&data, &out, 1e-3);
         assert!(
             bytes.len() < data.len() * 8 / 4,
@@ -736,8 +761,7 @@ mod tests {
     #[test]
     fn constant_field_is_tiny() {
         let data = vec![42.5f64; 4096];
-        let cfg = CodecConfig::abs(1e-6);
-        let bytes = PcoLite.compress(&data, Dims::D1(4096), &cfg).unwrap();
+        let bytes = lite(&data, Dims::D1(4096), 1e-6);
         let (out, _) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
         check_bound(&data, &out, 1e-6);
         assert!(
@@ -789,14 +813,16 @@ mod tests {
 
     #[test]
     fn page_outliers_handle_isolated_jumps() {
-        // Mostly-flat signal with rare huge spikes: the page width should
-        // stay small and the spikes ride as outliers.
+        // Mostly-flat signal with rare huge spikes: the page width stays
+        // small and the spikes ride as outliers.
         let mut data = vec![1.0f64; 3000];
         for i in (0..3000).step_by(500) {
             data[i] = 1e6;
         }
-        let cfg = CodecConfig::abs(1e-3);
-        let bytes = PcoLite.compress(&data, Dims::D1(3000), &cfg).unwrap();
+        let bytes = lite(&data, Dims::D1(3000), 1e-3);
+        let (_, body) = unpacked::<f64>(&bytes);
+        assert!(body[8] < 8, "first page width {}", body[8]);
+        assert!(u16::from_le_bytes([body[9], body[10]]) > 0, "no outliers");
         let (out, _) = f64::codec_decompress(&PcoLite, &bytes).unwrap();
         check_bound(&data, &out, 1e-3);
         assert!(
@@ -809,8 +835,7 @@ mod tests {
     #[test]
     fn corrupt_streams_error_never_panic() {
         let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.01).sin()).collect();
-        let cfg = CodecConfig::abs(1e-4);
-        let bytes = PcoLite.compress(&data, Dims::D1(1000), &cfg).unwrap();
+        let bytes = lite(&data, Dims::D1(1000), 1e-4);
         // Bit flips anywhere must not panic.
         let mut mutated = bytes.clone();
         for i in (0..mutated.len()).step_by(3) {
@@ -862,11 +887,8 @@ mod tests {
     fn f32_exceptions_are_stored_at_native_width() {
         // All-exception input (NaN-heavy): the f32 stream's exception
         // table is 12 bytes/entry vs 16 at f64, so it must be smaller.
-        let data64 = vec![f64::NAN; 600];
-        let data32 = vec![f32::NAN; 600];
-        let cfg = CodecConfig::abs(1e-3);
-        let b64 = PcoLite.compress(&data64, Dims::D1(600), &cfg).unwrap();
-        let b32 = PcoLite.compress(&data32, Dims::D1(600), &cfg).unwrap();
+        let b64 = lite(&[f64::NAN; 600], Dims::D1(600), 1e-3);
+        let b32 = lite(&[f32::NAN; 600], Dims::D1(600), 1e-3);
         let (body64, body32) = (unpacked::<f64>(&b64).1, unpacked::<f32>(&b32).1);
         assert!(
             body32.len() + 600 * 4 <= body64.len(),
@@ -881,15 +903,12 @@ mod tests {
     #[test]
     fn f32_narrowed_reconstruction_respects_bound() {
         // Quantized reconstructions are narrowed to f32 before the bound
-        // check; large-magnitude values whose narrow breaks the bound must
+        // check; large-magnitude values whose narrow breaks the bound
         // ride as exceptions instead.
         let data: Vec<f32> = (0..2048)
             .map(|i| 99_999_992.0f32 + (i as f32 * 0.25).sin() * 40.0)
             .collect();
-        let cfg = CodecConfig::abs(6.0);
-        let (bytes, recon) = PcoLite
-            .compress_with_recon(&data, Dims::D1(2048), &cfg)
-            .unwrap();
+        let (bytes, recon) = reference::stream(&data, Dims::D1(2048), 6.0);
         let (out, _) = f32::codec_decompress(&PcoLite, &bytes).unwrap();
         for (i, (&a, &b)) in data.iter().zip(&out).enumerate() {
             assert!((a as f64 - b as f64).abs() <= 6.0, "point {i}: {a} vs {b}");
@@ -900,8 +919,7 @@ mod tests {
     #[test]
     fn f32_corrupt_streams_error_never_panic() {
         let data: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
-        let cfg = CodecConfig::abs(1e-4);
-        let bytes = PcoLite.compress(&data, Dims::D1(1000), &cfg).unwrap();
+        let bytes = lite(&data, Dims::D1(1000), 1e-4);
         let mut mutated = bytes.clone();
         for i in (0..mutated.len()).step_by(3) {
             mutated[i] ^= 0xFF;
@@ -931,7 +949,7 @@ mod tests {
         let mut counts = [0usize; 65];
         counts[4] = 1000;
         counts[60] = 3;
-        let (w, n_out) = choose_width(&counts, 1003);
+        let (w, n_out) = reference::choose_width(&counts, 1003);
         assert_eq!(n_out, 3);
         assert!((4..8).contains(&w), "chose width {w}");
     }
@@ -985,75 +1003,28 @@ mod tests {
         }
     }
 
-    /// One page through PcoLite's encoder as it shipped before the page
-    /// front end.
-    fn reference_encode_page(z: &[u64], out: &mut Vec<u8>) {
-        let mut counts = [0usize; 65];
-        for &v in z {
-            counts[bit_len(v)] += 1;
-        }
-        let (width, n_outliers) = choose_width(&counts, z.len());
-        out.push(width as u8);
-        out.extend((n_outliers as u16).to_le_bytes());
-        for (pos, &v) in z.iter().enumerate() {
-            if bit_len(v) > width {
-                out.extend((pos as u16).to_le_bytes());
-                out.extend(v.to_le_bytes());
-            }
-        }
-        let mut packer = reference::BitPacker::with_capacity(packed_bytes(z.len(), width));
-        for &v in z {
-            packer.push(if bit_len(v) > width { 0 } else { v }, width);
-        }
-        out.extend(packer.finish());
-    }
-
-    /// The body (before the LZSS stage) the previous encoder built, with
-    /// the reconstruction it promised.
-    fn reference_body<T: Element>(data: &[T], abs_eb: f64) -> (Vec<u8>, Vec<T>) {
-        let (z, recon, exceptions) = reference::front_end(data, abs_eb);
-        let mut body = Vec::new();
-        body.extend((exceptions.len() as u64).to_le_bytes());
-        for &(idx, v) in &exceptions {
-            body.extend(idx.to_le_bytes());
-            v.append_le(&mut body);
-        }
-        for page in z.chunks(PAGE) {
-            reference_encode_page(page, &mut body);
-        }
-        (body, recon)
-    }
-
+    /// The page front end ([`encode_stream`]) with pco-lite's reference
+    /// page coder behind it writes the reference body and promises the
+    /// reference reconstruction, which the decoder then produces.
     fn assert_matches_reference<T: CodecElement>(data: &[T], eb: f64, what: &str) {
-        // With the LZSS stage undone the stream is the header plus the
-        // reference body.
-        let cfg = CodecConfig::abs(eb);
-        let dims = Dims::D1(data.len());
-        let (body, want_recon) = reference_body(data, eb);
-        let got = PcoLite.compress(data, dims, &cfg).unwrap();
-        let (head, got_body) = unpacked::<T>(&got);
-        let head_flags = head.flags & !FLAG_LOSSLESS;
-        let want = Header::new::<T>(MAGIC, VERSION, dims, eb);
-        assert_eq!(
-            Header {
-                flags: head_flags,
-                ..head
-            },
-            want,
-            "{what}"
-        );
-        assert!(got_body == body, "{what}: body differs from the reference");
-        let (kept, recon) = PcoLite.compress_with_recon(data, dims, &cfg).unwrap();
-        assert!(kept == got, "{what}: stream differs when recon is kept");
-        let (decoded, _) = T::codec_decompress(&PcoLite, &got).unwrap();
+        let (want_body, want_recon) = reference::body(data, eb);
+        let mut body = Vec::new();
+        let recon = encode_stream::<T, true>(data, eb, PAGE, &mut body, |z, _, out| {
+            reference::encode_page(z, out)
+        });
+        assert!(body == want_body, "{what}: body differs from the reference");
+        let mut plain = Vec::new();
+        encode_stream::<T, false>(data, eb, PAGE, &mut plain, |z, _, out| {
+            reference::encode_page(z, out)
+        });
+        assert!(plain == body, "{what}: body differs when recon is dropped");
+
+        let (stream, _) = reference::stream(data, Dims::D1(data.len()), eb);
+        let (decoded, _) = T::codec_decompress(&PcoLite, &stream).unwrap();
         assert_eq!(recon.len(), data.len(), "{what}");
         for ((a, b), c) in recon.iter().zip(&want_recon).zip(&decoded) {
             assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "{what}: recon");
-            assert_eq!(
-                a.to_bits_u64(),
-                c.to_bits_u64(),
-                "{what}: recon promise broken"
-            );
+            assert_eq!(a.to_bits_u64(), c.to_bits_u64(), "{what}: decode");
         }
     }
 

@@ -1,7 +1,9 @@
 //! `PcoAns`: a tabled-ANS, batch-decoding error-bounded codec — the
-//! throughput-oriented successor to [`crate::PcoLite`].
+//! one pcodec-style encoder, successor to the decode-only
+//! [`crate::PcoLite`].
 //!
-//! The front end is PcoLite's, unchanged: uniform quantization to
+//! The front end is the one `TPL1` streams were written with (it lives
+//! in `pco.rs`, beside the pco-lite decoder): uniform quantization to
 //! `q = round(v / 2eb)`, delta encoding, zigzag folding, raw
 //! exceptions for values that cannot quantize. The tail is pcodec's
 //! recipe instead of LZSS + bit packing:
@@ -30,8 +32,8 @@
 //! behind the words. Nothing but the output is sized by the stream, so
 //! the cost per value is flat in stream length.
 //!
-//! There is deliberately **no trailing LZSS stage** — on PcoLite the
-//! `pack` + `lossless` stages dominate decode wall time, and the
+//! There is deliberately **no trailing LZSS stage** — on pco-lite the
+//! `pack` + `lossless` stages dominated decode wall time, and the
 //! entropy coding the LZSS pass recovered now happens in the rANS
 //! stage at a fraction of the cost.
 
@@ -50,7 +52,7 @@ pub(crate) const MAGIC: [u8; 4] = *b"TPA1";
 /// Current format version.
 pub(crate) const VERSION: u8 = 1;
 /// Values per page. Each page carries its own bin table, ANS payload
-/// and offset stream; larger than PcoLite's page because the header is
+/// and offset stream; larger than pco-lite's page because the header is
 /// bigger and the bins adapt within the page anyway.
 const PAGE: usize = 4096;
 /// Values per decode batch: tokens move through an SoA scratch buffer
@@ -194,8 +196,8 @@ fn encode_page(scratch: &mut EncodeScratch, z: &[u64], classes: &[u8], out: &mut
 }
 
 /// Element-generic encoder body: one pass over `data`, a page at a
-/// time through [`encode_stream`] (the front end is PcoLite's, shared
-/// verbatim), so the cost per value does not depend on the stream's
+/// time through [`encode_stream`] (the shared pcodec-style front end),
+/// so the cost per value does not depend on the stream's
 /// length and nothing the size of the stream is held besides the
 /// output. `RECON` selects whether the decoder's exact output is
 /// materialized alongside (empty otherwise).

@@ -1,10 +1,11 @@
-//! Seeded inputs for the differential tests that hold both pcodec-style
-//! encoders to the bytes of the encoders they replaced.
+//! Seeded inputs for the differential tests that hold the pcodec-style
+//! front end and pco-ans's encoder to the bytes of the reference
+//! encoders they replaced.
 
 use tac_dtype::Element;
 
 /// Page length [`Family::ExceptionsAtPageEdges`] plants its exceptions
-/// around — PcoAns's; PcoLite's 1024-value pages divide it, so every
+/// around — PcoAns's; pco-lite's 1024-value pages divide it, so every
 /// edge is also one of theirs.
 const EDGE_PAGE: usize = 4096;
 

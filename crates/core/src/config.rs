@@ -56,7 +56,8 @@ impl Strategy {
 }
 
 /// Tuning knobs of the adaptive `Method::Auto` selection pass (the
-/// TAC+-style per-level method+codec chooser in [`crate::select`]).
+/// TAC+-style per-level method+codec chooser behind
+/// [`select_auto`](crate::select_auto)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoParams {
     /// Datasets with at most this many present values are selected by
@@ -111,11 +112,12 @@ pub struct TacConfig {
     /// be forced.
     pub forced_strategy: Option<Strategy>,
     /// Scalar-codec backend every payload stream compresses through
-    /// (see [`tac_codec::ScalarCodec`]). The default, [`CodecId::Sz`],
-    /// reproduces the paper's SZ substrate; [`CodecId::PcoAns`] swaps in
-    /// the pcodec-style front end with a tabled-ANS entropy stage (the
-    /// codec four of the five benchmark workloads run), and
-    /// [`CodecId::PcoLite`] the same front end with plain bit-packing.
+    /// (see [`tac_codec::ScalarCodec`]): one of [`CodecId::all`]. The
+    /// default, [`CodecId::Sz`], reproduces the paper's SZ substrate;
+    /// [`CodecId::PcoAns`] swaps in the pcodec-style front end with a
+    /// tabled-ANS entropy stage (the codec four of the five benchmark
+    /// workloads run). [`CodecId::PcoLite`] is decode-only, so
+    /// [`TacConfig::validate`] refuses it.
     pub codec: CodecId,
     /// Worker budget for the block-sharded compression engine. The
     /// engine shards the dataset into per-level, per-region tasks and
@@ -248,6 +250,11 @@ impl TacConfig {
                 "auto sample budget must be positive".into(),
             ));
         }
+        if self.codec == CodecId::PcoLite {
+            return Err(TacError::InvalidConfig(
+                "pco-lite is decode-only: configure pco-ans instead".into(),
+            ));
+        }
         Ok(())
     }
 }
@@ -343,8 +350,13 @@ mod tests {
     #[test]
     fn codec_defaults_to_sz_and_builds() {
         assert_eq!(TacConfig::default().codec, CodecId::Sz);
-        let c = TacConfig::default().with_codec(CodecId::PcoLite);
-        assert_eq!(c.codec, CodecId::PcoLite);
+        let c = TacConfig::default().with_codec(CodecId::PcoAns);
+        assert_eq!(c.codec, CodecId::PcoAns);
         assert!(c.validate().is_ok());
+        let c = TacConfig::default().with_codec(CodecId::PcoLite);
+        assert!(matches!(
+            c.validate(),
+            Err(TacError::InvalidConfig(why)) if why.contains("pco-ans")
+        ));
     }
 }

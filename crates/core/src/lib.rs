@@ -24,11 +24,12 @@
 //!
 //! Every payload stream compresses through a pluggable scalar-codec
 //! backend ([`tac_codec::ScalarCodec`]), selected per run with
-//! [`TacConfig::codec`]: the default SZ substrate ([`CodecId::Sz`]), or
-//! one of two pcodec-style backends sharing a quantize–delta front end —
-//! tabled ANS ([`CodecId::PcoAns`], the codec most benchmark workloads
-//! run) or plain bit-packing ([`CodecId::PcoLite`]). Containers carry the
-//! codec tag on the wire, and pre-codec containers parse unchanged.
+//! [`TacConfig::codec`]: the default SZ substrate ([`CodecId::Sz`]) or
+//! the pcodec-style quantize–delta front end with a tabled-ANS tail
+//! ([`CodecId::PcoAns`], the codec most benchmark workloads run).
+//! Containers carry the codec tag on the wire, and pre-codec containers
+//! parse unchanged; streams of the decode-only [`CodecId::PcoLite`]
+//! (the same front end with plain bit-packing) still decode.
 //!
 //! [`Method::Auto`] layers TAC+-style adaptive selection on top: a
 //! deterministic selection pass ([`select_auto`]) scores every fixed

@@ -566,7 +566,7 @@ mod tests {
         let sel = select_auto(&ds, &cfg()).unwrap();
         assert!(sel.exhaustive);
         assert_ne!(sel.method, Method::Auto);
-        assert_eq!(sel.candidates.len(), 12, "4 methods x 3 codecs");
+        assert_eq!(sel.candidates.len(), 8, "4 methods x 2 codecs");
         assert!(sel.candidates.iter().all(|c| c.exact));
         // Bytes are the whole score.
         for c in &sel.candidates {

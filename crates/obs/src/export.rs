@@ -240,7 +240,6 @@ impl StageReport {
 mod tests {
     use super::*;
     use crate::snapshot::SpanEvent;
-    use crate::HistKind;
 
     fn ev(stage: Stage, start: u64, dur: u64, self_ns: u64, depth: u16) -> SpanEvent {
         SpanEvent {
@@ -343,8 +342,7 @@ mod tests {
         let text = StageReport::from_snapshot(&sample()).render_text();
         assert!(text.contains("encode"), "{text}");
         assert!(text.contains("chunks_encoded"), "{text}");
-        assert!(text.contains("pco_page_bits"), "{text}");
-        let _ = HistKind::PcoPageBits;
+        assert!(text.contains("ans_page_bins"), "{text}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The crate follows the `log`-crate model: every other crate calls the
 //! free functions [`span`], [`add`] and [`hist`] unconditionally, and a
-//! static [`Recorder`] decides what happens to the data. Without the
+//! static `Recorder` (built with the `enabled` feature) decides what happens to the data. Without the
 //! `enabled` cargo feature the whole API compiles to zero-sized inline
 //! no-ops — [`SpanGuard`] is a unit struct and every call body is empty,
 //! so the default build carries no recorder branches in hot loops (see
@@ -71,9 +71,11 @@ pub enum Stage {
     Encode,
     /// One codec decode task.
     Decode,
-    /// Codec quantization (SZ prediction+quantization, PcoLite q+delta).
+    /// Codec quantization (SZ prediction+quantization, the pcodec-style
+    /// q+delta front end).
     Quantize,
-    /// PcoLite adaptive bit packing.
+    /// Page coding of the pcodec-style codecs: pco-ans bins, tokens and
+    /// offsets, pco-lite bit unpacking.
     Pack,
     /// PcoAns per-page bin planning + rANS table build (both sides).
     AnsTable,
@@ -188,11 +190,8 @@ pub enum Counter {
     /// it was smaller; the rest of `sz_lossless_bytes_in` was packed
     /// and thrown away.
     SzLosslessBytesKept,
-    /// PcoLite pages emitted.
-    PcoPages,
-    /// PcoLite in-page patched outliers.
-    PcoOutliers,
-    /// PcoLite out-of-page exception values.
+    /// Exception values (stored raw, outside the pages) the pcodec-style
+    /// front end wrote.
     PcoExceptions,
     /// PcoAns pages emitted or decoded.
     AnsPages,
@@ -243,8 +242,6 @@ impl Counter {
         Counter::SzBlocksRegression,
         Counter::SzLosslessBytesIn,
         Counter::SzLosslessBytesKept,
-        Counter::PcoPages,
-        Counter::PcoOutliers,
         Counter::PcoExceptions,
         Counter::AnsPages,
         Counter::AnsRenorms,
@@ -283,8 +280,6 @@ impl Counter {
             Counter::SzBlocksRegression => "sz_blocks_regression",
             Counter::SzLosslessBytesIn => "sz_lossless_bytes_in",
             Counter::SzLosslessBytesKept => "sz_lossless_bytes_kept",
-            Counter::PcoPages => "pco_pages",
-            Counter::PcoOutliers => "pco_outliers",
             Counter::PcoExceptions => "pco_exceptions",
             Counter::AnsPages => "ans_pages",
             Counter::AnsRenorms => "ans_renorms",
@@ -302,8 +297,6 @@ impl Counter {
 /// [`HIST_BUCKETS`]` - 1` — exactly right for bit widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HistKind {
-    /// Bit width chosen per PcoLite page (0..=64).
-    PcoPageBits,
     /// Bin count chosen per PcoAns page (1..=65, clamped to the bucket
     /// range).
     AnsPageBins,
@@ -319,7 +312,7 @@ impl HistKind {
     pub const COUNT: usize = HistKind::ALL.len();
 
     /// Every histogram kind.
-    pub const ALL: &'static [HistKind] = &[HistKind::PcoPageBits, HistKind::AnsPageBins];
+    pub const ALL: &'static [HistKind] = &[HistKind::AnsPageBins];
 
     /// Index into a shard's histogram array.
     #[inline(always)]
@@ -330,7 +323,6 @@ impl HistKind {
     /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
-            HistKind::PcoPageBits => "pco_page_bits",
             HistKind::AnsPageBins => "ans_page_bins",
         }
     }
@@ -478,6 +470,6 @@ mod tests {
         drop(g);
         add(Counter::ChunksEncoded, 1);
         add_bytes(Counter::PayloadBytesOut, 128);
-        hist(HistKind::PcoPageBits, 12);
+        hist(HistKind::AnsPageBins, 12);
     }
 }

@@ -396,11 +396,11 @@ mod tests {
     #[test]
     fn histogram_observations_clamp_and_merge() {
         let (_held, s) = setup();
-        crate::hist(HistKind::PcoPageBits, 12);
-        crate::hist(HistKind::PcoPageBits, 12);
-        crate::hist(HistKind::PcoPageBits, 1000); // clamps to last bucket
+        crate::hist(HistKind::AnsPageBins, 12);
+        crate::hist(HistKind::AnsPageBins, 12);
+        crate::hist(HistKind::AnsPageBins, 1000); // clamps to last bucket
         let snap = s.take();
-        let h = snap.histogram(HistKind::PcoPageBits).expect("histogram");
+        let h = snap.histogram(HistKind::AnsPageBins).expect("histogram");
         assert_eq!(h.counts.get(12), Some(&2));
         assert_eq!(h.counts.get(HIST_BUCKETS - 1), Some(&1));
         assert_eq!(h.total(), 3);

@@ -142,7 +142,7 @@ mod tests {
         }
         a.merge(b);
         assert_eq!(a.counter(Counter::ChunksEncoded), 7);
-        let h = a.histogram(HistKind::PcoPageBits).unwrap();
+        let h = a.histogram(HistKind::AnsPageBins).unwrap();
         assert_eq!(h.total(), 5);
         assert_eq!(h.mean(), Some(12.0));
     }

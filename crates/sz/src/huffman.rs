@@ -10,8 +10,8 @@
 //! * **Build.** Quantization codes cluster around the capacity's middle
 //!   (plus [`crate::UNPREDICTABLE`] = 0), so the symbols of a stream span
 //!   a narrow `[min, max]`. When that span is small next to the stream
-//!   (at most [`DENSE_SPAN_PER_VALUE`] slots per value, and at most
-//!   [`DENSE_SPAN_MAX`]) the frequencies are counted in a dense array
+//!   (at most `DENSE_SPAN_PER_VALUE` = 16 slots per value, and at most
+//!   `DENSE_SPAN_MAX` = 2^22) the frequencies are counted in a dense array
 //!   over it, which lists the distinct symbols in ascending order with
 //!   their counts — the list sorting a copy of the stream gives, so the
 //!   code lengths and the table are the same. Wider spans sort.
@@ -20,8 +20,8 @@
 //!   symbols in a small open-addressing hash table instead (SZ's small
 //!   streams land here: symbol 0, [`crate::UNPREDICTABLE`], sits half
 //!   the capacity away from the rest).
-//! * **Decode.** A table indexed by the next `min(max length,`
-//!   [`TABLE_BITS`]`)` bits resolves every code that short in one
+//! * **Decode.** A table indexed by the next `min(max length,
+//!   TABLE_BITS)` bits (`TABLE_BITS` = 11) resolves every code that short in one
 //!   lookup, several codes per 57-bit word peeked off the stream. Longer
 //!   codes, bit patterns no short code starts, and codes that would run
 //!   past the stream's declared length take the canonical walk every

@@ -16,7 +16,7 @@
 //! # The chain ring
 //!
 //! The match finder keeps one chain link per position, but only for the
-//! last [`WINDOW`] positions: position `p`'s link lives in slot
+//! last `WINDOW` = 2^16 positions: position `p`'s link lives in slot
 //! `p % WINDOW` of a 256 KiB ring rather than in a 4-byte-per-input-byte
 //! array (an input shorter than the window gets a ring of its length
 //! rounded up to a power of two, which never wraps). Its decisions are

@@ -210,7 +210,7 @@ pub fn overlapping_groups() -> Vec<u8> {
 /// Builds the corpus the mutations start from: three small scenarios
 /// under all four methods and every registered codec where it adds a
 /// wire difference, as today's writer serializes them (v5), then the
-/// [`LEGACY`] files for v1–v4 and their [`GOLDEN_V5`] siblings — all
+/// `LEGACY` files for v1–v4 and their `GOLDEN_V5` siblings — all
 /// valid — and, last, the hostile [`overlapping_groups`] seed.
 pub fn corpus() -> Vec<Vec<u8>> {
     let mut out = Vec::new();

@@ -16,8 +16,8 @@
 //!   through [`dataset_from_assignment`].
 //! * **Conformance matrix** ([`run_conformance`],
 //!   [`ConformanceReport`]) — sweeps every scenario through
-//!   {TAC, 1D, zMesh, 3D} x {sz, pco-lite, pco-ans} x {memory, v4} x
-//!   {1, 2, 4, 8} workers, asserting the resolved error bound
+//!   {TAC, 1D, zMesh, 3D} x {sz, pco-ans} x {memory, v5} x
+//!   {1, 2, 4, 8} workers, plus one `Method::Auto` sweep, asserting the resolved error bound
 //!   pointwise, byte-identity across worker counts, bit-exact
 //!   non-finite round-trips, and the region-read box contract (the full
 //!   decode inside the box, `+0.0` outside); emits the

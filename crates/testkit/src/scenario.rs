@@ -110,7 +110,7 @@ pub fn scenarios() -> Vec<ScenarioSpec> {
         ScenarioSpec {
             name: "spike-field",
             description: "near-constant field with rare isolated 1e6 spikes: exercises \
-                          outlier paths (SZ unpredictables, pco-lite page outliers)",
+                          outlier paths (SZ unpredictables, pco-ans wide-offset bins)",
             finest_dim: 16,
             num_levels: 2,
             error_bound: ErrorBound::Abs(1e-3),

@@ -166,7 +166,7 @@ pub mod prop {
         use rand::Rng;
         use std::ops::Range;
 
-        /// Acceptable `size` arguments for [`vec`]: a fixed length or a
+        /// Acceptable `size` arguments for [`vec()`]: a fixed length or a
         /// half-open range of lengths.
         pub trait IntoSizeRange {
             /// Draws a concrete length.

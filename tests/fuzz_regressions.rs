@@ -464,7 +464,8 @@ fn in_memory_masks_that_disagree_with_the_grid_are_rejected_by_every_method() {
 /// having read 0 of 3 chunks — `+0.0` where the full decode holds
 /// values. Every row's box is now checked against what the writer
 /// derives (the mask's tight box, the group header's own box), so both
-/// decoders refuse it, at either element type and under every codec.
+/// decoders refuse it, at either element type and under every codec
+/// (pco-lite's rows come from the frozen `golden_lite_tac_v5.tacd`).
 #[test]
 fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
     use tac_amr::{Aabb, AmrDataset, AmrLevel};
@@ -489,25 +490,29 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
     let ds = AmrDataset::new("corners", vec![fine, coarse]);
     ds.validate().unwrap();
 
-    fn check<T: CodecElement>(ds: &AmrDataset<T>, codec: CodecId) {
+    fn tac_bytes<T: CodecElement>(ds: &AmrDataset<T>, codec: CodecId) -> Vec<u8> {
         let cfg = TacConfig {
             unit: 4,
             codec,
             roi_tile: Some(8),
             ..TacConfig::with_error_bound(tac_sz::ErrorBound::Abs(1e-3))
         };
-        let bytes = compress_dataset_t(ds, &cfg, Method::Tac)
+        compress_dataset_t(ds, &cfg, Method::Tac)
             .unwrap()
-            .to_bytes();
+            .to_bytes()
+    }
+
+    fn check<T: CodecElement>(bytes: &[u8], codec: CodecId) {
         let roi = Aabb::new((0, 0, 0), (4, 4, 4));
-        let (honest, stats) = decompress_region_t::<T>(&bytes, roi).unwrap();
-        assert!(stats.chunks_read > 0 && honest.finest().value(1, 1, 1) != T::ZERO);
+        let (honest, stats) = decompress_region_t::<T>(bytes, roi).unwrap();
+        let held = |l: &AmrLevel<T>| l.data().iter().any(|&v| v != T::ZERO);
+        assert!(stats.chunks_read > 0 && honest.levels().iter().any(held));
 
         // Every row's box (its last six u32s) becomes [7,8)^3. Rows are
         // v4 rows, which v5 keeps: the version byte says so.
         assert_eq!(bytes[4], 5);
         let row = CHUNK_ROW_BYTES_V4;
-        let mut tampered = bytes.clone();
+        let mut tampered = bytes.to_vec();
         let footer_at = bytes.len() - TABLE_FOOTER_BYTES;
         let table_pos = u64::from_le_bytes(bytes[footer_at..].try_into().unwrap()) as usize;
         let rows = &mut tampered[table_pos + CHUNK_COUNT_PREFIX_BYTES..footer_at];
@@ -528,9 +533,14 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
             "{codec} ROI: {err}"
         );
     }
-    check(&ds, CodecId::Sz);
-    check(&ds, CodecId::PcoLite);
-    check(&ds.cast::<f32>(), CodecId::PcoAns);
+    check::<f64>(&tac_bytes(&ds, CodecId::Sz), CodecId::Sz);
+    // Decode-only pco-lite: the frozen tiled TAC fixture.
+    let lite = include_bytes!("data/golden_lite_tac_v5.tacd");
+    check::<f64>(lite, CodecId::PcoLite);
+    check::<f32>(
+        &tac_bytes(&ds.cast::<f32>(), CodecId::PcoAns),
+        CodecId::PcoAns,
+    );
 }
 
 /// Decode tasks paste their regions concurrently, so two regions over

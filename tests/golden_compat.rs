@@ -347,25 +347,20 @@ fn golden_ans_v4_decodes_bit_exactly() {
     );
 }
 
-/// The adaptive-selection fixture (v1, f64): whatever winner
-/// `Method::Auto` picked when the fixture was baselined, pinned as
-/// ordinary container bytes. Decoding needs no knowledge of the
-/// selection — and re-running today's selection must reproduce the
-/// pinned container, so the determinism contract is itself under pin.
+/// The first adaptive-selection fixture (v1, f64): the winner
+/// `Method::Auto` picked when it was baselined (1D · pco-lite), pinned
+/// as ordinary container bytes. Decoding needs no knowledge of the
+/// selection. pco-lite has since left the candidate set, so today's
+/// selection is pinned by `golden_select_v5` instead
+/// ([`golden_select_v5_pins_todays_auto_selection`]).
 #[test]
 fn golden_auto_v1_decodes_bit_exactly() {
     let cd = check_decode::<f64>("golden_auto_v1", "golden_auto_expected");
     assert_ne!(cd.method(), Method::Auto, "Auto never reaches the wire");
-    // The selection itself is deterministic across revisions.
-    let again = compress_dataset_t(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
-    assert_eq!(
-        again, cd,
-        "today's selection no longer reproduces the pinned container"
-    );
 }
 
-/// The f32 flavour of the adaptively-selected container, as the v4
-/// writer left it; today's selection writes its v5 sibling.
+/// The f32 flavour of the first adaptively-selected container, as the
+/// v4 writer left it; today's writer upgrades it to its v5 sibling.
 #[test]
 fn golden_auto_v4_decodes_bit_exactly() {
     let bytes = corpus_file("golden_auto", 4);
@@ -377,29 +372,35 @@ fn golden_auto_v4_decodes_bit_exactly() {
         decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).is_err(),
         "f64 decode must refuse"
     );
+    assert_eq!(cd.to_bytes(), corpus_file("golden_auto", 5));
+}
+
+/// The selection is deterministic across revisions: re-running today's
+/// `Method::Auto` on the fixture dataset, at f64 and at f32, reproduces
+/// the pinned `golden_select` containers byte for byte, and they decode
+/// to their pinned reconstructions.
+#[test]
+fn golden_select_v5_pins_todays_auto_selection() {
+    let cd = check_decode::<f64>("golden_select_v5", "golden_select_expected");
+    let again = compress_dataset_t(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
+    assert_eq!(
+        (&again, again.to_bytes()),
+        (&cd, corpus_file("golden_select", 5)),
+        "today's selection no longer reproduces the pinned container"
+    );
+    let cd = check_decode::<f32>("golden_select_f32_v5", "golden_select_f32_expected");
     let again =
         compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
     assert_eq!(
         (&again, again.to_bytes()),
-        (&cd, corpus_file("golden_auto", 5)),
+        (&cd, corpus_file("golden_select_f32", 5)),
         "today's selection no longer reproduces the pinned container"
     );
 }
 
-/// The pco-lite fixtures' configuration: [`fixture_config`] on
-/// pco-lite, tiled at 4 cells so the 8^3 GSP level is cut into two
-/// z-slabs.
-fn lite_config() -> TacConfig {
-    TacConfig {
-        codec: CodecId::PcoLite,
-        roi_tile: Some(4),
-        ..fixture_config()
-    }
-}
-
 /// [`fixture_dataset`] with hash noise of amplitude 0.05 on the fine
-/// cells of its upper half, so that some of its pco-lite streams pack
-/// under LZSS and some do not.
+/// cells of its upper half, so that some of its pco-lite streams packed
+/// under LZSS and some did not.
 fn lite_tac_dataset() -> AmrDataset {
     let mut levels = fixture_dataset().levels().to_vec();
     let fine = &mut levels[0];
@@ -419,11 +420,13 @@ fn lite_tac_dataset() -> AmrDataset {
     ds
 }
 
-/// The two pco-lite fixtures, as `(stem, method, source dataset)`:
-/// `golden_lite_tac` is the tiled f64 TAC container of
-/// [`lite_tac_dataset`] — OpST groups on the fine level, the GSP level
-/// as two z-slabs — and `golden_lite_zmesh` the zMesh container of the
-/// f32 fixture dataset.
+/// The two pco-lite fixtures, as `(stem, method, source dataset)`,
+/// written by the last pco-lite writer under [`fixture_config`] with
+/// `codec: PcoLite` and `roi_tile: Some(4)`. `golden_lite_tac` is the
+/// tiled f64 TAC container of [`lite_tac_dataset`] — OpST groups on the
+/// fine level, the 8^3 GSP level as two z-slabs — and
+/// `golden_lite_zmesh` the zMesh container of the f32 fixture dataset.
+/// No code can write them any more: never regenerate them.
 fn lite_fixtures() -> [(&'static str, Method, AmrDataset); 2] {
     [
         ("golden_lite_tac", Method::Tac, lite_tac_dataset()),
@@ -574,6 +577,8 @@ const CORPUS: &[CorpusRow] = &[
     ("golden_f32", &[1, 4, 5], 2527, 73, &[2111, 398, 18]),
     ("golden_lite_tac", &[5], 2912, 73, &[2446, 448, 18]),
     ("golden_lite_zmesh", &[5], 876, 73, &[]),
+    ("golden_select", &[5], 754, 73, &[]),
+    ("golden_select_f32", &[5], 650, 73, &[]),
     (
         "legacy_tac_sz",
         &[1, 2, 4, 5],
@@ -818,46 +823,29 @@ fn regenerate_golden_ans_fixtures() {
     println!("wrote golden_ans_v5 fixtures to {}", dir.display());
 }
 
-/// Writes only the f32 adaptive-selection fixture (`golden_auto_v5`)
-/// with its bit-exact expected reconstruction. Separate for the same
-/// reason as the ANS regenerator.
+/// Writes only the adaptive-selection fixtures (`golden_select_v5`,
+/// f64, and `golden_select_f32_v5`) with their bit-exact expected
+/// reconstructions. Separate for the same reason as the ANS
+/// regenerator.
 #[test]
-#[ignore = "regenerates the auto-selection v5 golden fixture; run only to intentionally re-baseline"]
+#[ignore = "regenerates the auto-selection v5 golden fixtures; run only to intentionally re-baseline"]
 fn regenerate_golden_auto_fixtures() {
     let dir = data_dir();
+    let cd = compress_dataset_t(&fixture_dataset(), &fixture_config(), Method::Auto).unwrap();
+    std::fs::write(dir.join("golden_select_v5.tacd"), cd.to_bytes()).unwrap();
+    let recon = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+    std::fs::write(
+        dir.join("golden_select_expected.bin"),
+        encode_expected(&recon),
+    )
+    .unwrap();
     let cd32 = compress_dataset_t(&fixture_dataset_f32(), &fixture_config(), Method::Auto).unwrap();
-    std::fs::write(dir.join("golden_auto_v5.tacd"), cd32.to_bytes()).unwrap();
+    std::fs::write(dir.join("golden_select_f32_v5.tacd"), cd32.to_bytes()).unwrap();
     let recon32 = decompress_dataset_par_t::<f32>(&cd32, Parallelism::Serial).unwrap();
     std::fs::write(
-        dir.join("golden_auto_f32_expected.bin"),
+        dir.join("golden_select_f32_expected.bin"),
         encode_expected(&recon32),
     )
     .unwrap();
-    println!("wrote golden_auto_v5 fixtures to {}", dir.display());
-}
-
-/// Writes the pco-lite fixtures (`golden_lite_tac_v5`,
-/// `golden_lite_zmesh_v5`) with their bit-exact expected
-/// reconstructions.
-#[test]
-#[ignore = "regenerates the pco-lite golden fixtures; run only to intentionally re-baseline"]
-fn regenerate_golden_lite_fixtures() {
-    let dir = data_dir();
-    for (stem, method, ds) in lite_fixtures() {
-        let expected = match method {
-            Method::Tac => {
-                let cd = compress_dataset_t(&ds, &lite_config(), method).unwrap();
-                std::fs::write(dir.join(format!("{stem}_v5.tacd")), cd.to_bytes()).unwrap();
-                encode_expected(&decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap())
-            }
-            _ => {
-                let ds = ds.cast::<f32>();
-                let cd = compress_dataset_t(&ds, &lite_config(), method).unwrap();
-                std::fs::write(dir.join(format!("{stem}_v5.tacd")), cd.to_bytes()).unwrap();
-                encode_expected(&decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap())
-            }
-        };
-        std::fs::write(dir.join(format!("{stem}_expected.bin")), expected).unwrap();
-        println!("wrote {stem} fixtures to {}", dir.display());
-    }
+    println!("wrote golden_select v5 fixtures to {}", dir.display());
 }

@@ -81,7 +81,7 @@ fn counters_of_interest(snap: &Snapshot) -> Vec<(Counter, u64)> {
         Counter::PayloadBytesIn,
         Counter::SzQuantHits,
         Counter::SzQuantMisses,
-        Counter::PcoPages,
+        Counter::AnsPages,
         Counter::AssembleCellsWritten,
         Counter::ReorderValues,
         Counter::ReorderPieces,

@@ -6,8 +6,9 @@
 
 use tac_amr::{paste_region, Aabb, AmrDataset};
 use tac_core::{
-    codec_for, compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecElement,
-    CodecId, CompressedDataset, LevelPayload, Method, MethodBody, Parallelism, Strategy, TacConfig,
+    codec_for, compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecConfig,
+    CodecElement, CodecError, CodecId, CompressedDataset, LevelPayload, Method, MethodBody,
+    Parallelism, Strategy, TacConfig, TacError,
 };
 use tac_nyx::{entry, FieldKind};
 use tac_sz::ErrorBound;
@@ -180,15 +181,20 @@ fn codec_tag_mismatch_is_rejected() {
     );
 }
 
+/// The frozen tiled TAC container whose streams are all pco-lite, the
+/// decode-only codec no writer produces any more.
+fn pco_lite_container() -> Vec<u8> {
+    include_bytes!("data/golden_lite_tac_v5.tacd").to_vec()
+}
+
 /// Flipping a single chunk-table codec byte must be caught at parse
 /// time (the table would otherwise route the chunk to the wrong
 /// backend).
 #[test]
 fn tampered_chunk_codec_byte_is_rejected_at_parse() {
-    let ds = small_z10();
-    let cd = compress_dataset_t(&ds, &cfg_codec(1, CodecId::PcoLite), Method::Tac).unwrap();
-    let bytes = cd.to_bytes();
+    let bytes = pco_lite_container();
     assert_eq!(bytes[4], 5, "containers serialize as v5");
+    let dim = CompressedDataset::from_bytes(&bytes).unwrap().finest_dim;
     // Chunk rows: level u8 + offset u64 + len u64, then the codec
     // byte at offset 17 within the row; rows start 4 bytes after the
     // table position recorded in the footer.
@@ -198,7 +204,7 @@ fn tampered_chunk_codec_byte_is_rejected_at_parse() {
     assert_eq!(tampered[codec_at], CodecId::PcoLite.tag());
     tampered[codec_at] = CodecId::Sz.tag();
     assert!(CompressedDataset::from_bytes(&tampered).is_err());
-    assert!(decompress_region_t::<f64>(&tampered, Aabb::whole(ds.finest_dim())).is_err());
+    assert!(decompress_region_t::<f64>(&tampered, Aabb::whole(dim)).is_err());
     // An unknown codec tag is rejected too.
     tampered[codec_at] = 250;
     assert!(CompressedDataset::from_bytes(&tampered).is_err());
@@ -207,15 +213,10 @@ fn tampered_chunk_codec_byte_is_rejected_at_parse() {
 /// ROI decoding works identically whichever codec the rows are tagged with.
 #[test]
 fn roi_decode_works_for_pco_lite_containers() {
-    let ds = small_z10();
-    let cfg = TacConfig {
-        roi_tile: Some(ds.finest_dim() / 2),
-        ..cfg_codec(2, CodecId::PcoLite)
-    };
-    let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
-    let bytes = cd.to_bytes();
+    let bytes = pco_lite_container();
+    let cd = CompressedDataset::from_bytes(&bytes).unwrap();
     let full = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
-    let half = ds.finest_dim() / 2;
+    let half = cd.finest_dim / 2;
     let roi = Aabb::new((0, 0, 0), (half, half, half));
     let (partial, stats) = decompress_region_t::<f64>(&bytes, roi).unwrap();
     assert!(stats.payload_bytes_read < stats.payload_bytes_total);
@@ -229,6 +230,34 @@ fn roi_decode_works_for_pco_lite_containers() {
             }
         }
     }
+}
+
+/// pco-lite is decode-only: no method, Auto included, compresses with
+/// it, and its backend refuses to encode at either element type.
+#[test]
+fn pco_lite_is_decode_only() {
+    let ds = small_z10();
+    let cfg = cfg_codec(1, CodecId::PcoLite);
+    for method in Method::fixed().into_iter().chain([Method::Auto]) {
+        let err = compress_dataset_t(&ds, &cfg, method).unwrap_err();
+        assert!(
+            matches!(&err, TacError::InvalidConfig(why) if why.contains("pco-ans")),
+            "{method:?}: {err}"
+        );
+    }
+    let data = ds.levels()[1].data();
+    let dims = tac_sz::Dims::D1(data.len());
+    let codec_cfg = CodecConfig::abs(1e-3);
+    assert!(matches!(
+        codec_for::<f64>(CodecId::PcoLite).compress(data, dims, &codec_cfg),
+        Err(CodecError::InvalidConfig(_))
+    ));
+    let data32: Vec<f32> = data.iter().map(|&v| v as f32).collect();
+    assert!(matches!(
+        codec_for::<f32>(CodecId::PcoLite).compress_with_recon(&data32, dims, &codec_cfg),
+        Err(CodecError::InvalidConfig(_))
+    ));
+    assert!(!CodecId::all().contains(&CodecId::PcoLite));
 }
 
 /// Spatially-tiled grouping (the ROI-friendly layout) must be just as

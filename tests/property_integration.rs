@@ -484,7 +484,7 @@ proptest! {
         method in 0usize..4,
         strategy in 0usize..4,
         tile in 0usize..4,
-        codec in 0usize..3,
+        codec in 0usize..2,
         f32 in any::<bool>(),
     ) {
         let ds = dataset_from_refinement(4, &refine, seed);
