@@ -21,7 +21,7 @@
 //! with it keep decoding bit-exactly, but no writer produces one any
 //! more — pco-ans codes the same front end with a tabled-ANS tail and
 //! is smaller on every benchmark workload. The encoder lives on as the
-//! `#[cfg(test)]` [`reference`] module, which writes the streams the
+//! `#[cfg(test)]` `reference` module, which writes the streams the
 //! decoder tests read.
 //!
 //! Decoding a value needs only the running delta sum, which keeps the
@@ -46,6 +46,7 @@ const PAGE: usize = 1024;
 pub(crate) fn exception_bytes<T: Element>() -> usize {
     8 + T::WIRE_BYTES
 }
+
 /// The pcodec-inspired delta + per-page bit-packing backend: decodes
 /// `TPL1` streams; compressing through it is
 /// [`CodecError::InvalidConfig`].
@@ -190,8 +191,8 @@ impl<T: Element> Quantizer<T> {
 /// Codes `data` onto `out` (which holds the stream header) a page of
 /// `page` values at a time: the exception table's slot, then each page
 /// quantized into latents and classes and handed to `encode_page`,
-/// which codes the page's tail. Returns the decoder's
-/// exact output when `RECON` (empty otherwise). The scratch holds one
+/// which codes the page's tail. Returns the decoder's exact output
+/// when `RECON` (empty otherwise). The scratch holds one
 /// page, or the whole stream when that is shorter: TAC feeds these
 /// codecs thousands of streams of a few dozen values, which must not
 /// each pay for a full page of it.
@@ -349,9 +350,8 @@ pub(crate) fn header_error(label: &'static str, e: HeaderError) -> CodecError {
 /// of that many points can occupy on the backend's wire: checked first,
 /// so a crafted header cannot demand terabytes of reconstruction from a
 /// tiny body. Then reads the exception table both pcodec-style wires
-/// start with —
-/// a `u64` count and `(index u64, value)` entries in strictly increasing
-/// index order, all below `n`.
+/// start with — a `u64` count and `(index u64, value)` entries in
+/// strictly increasing index order, all below `n`.
 pub(crate) fn read_exceptions<T: Element>(
     b: &mut ByteReader<'_>,
     n: usize,
@@ -726,19 +726,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "non-finite point {i}");
             }
         }
-    }
-
-    #[test]
-    fn compressing_is_invalid_config() {
-        let data = [1.0f64; 8];
-        let cfg = CodecConfig::abs(1e-3);
-        let err = PcoLite.compress(&data, Dims::D1(8), &cfg).unwrap_err();
-        assert!(matches!(&err, CodecError::InvalidConfig(why) if why.contains("pco-ans")));
-        let data32 = [1.0f32; 8];
-        assert!(matches!(
-            PcoLite.compress_with_recon(&data32, Dims::D1(8), &cfg),
-            Err(CodecError::InvalidConfig(_))
-        ));
     }
 
     #[test]
