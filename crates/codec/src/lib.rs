@@ -480,11 +480,5 @@ mod tests {
                 .compress(&data, Dims::D2(3, 3), &CodecConfig::abs(1.0))
                 .is_err());
         }
-        // Decode-only pco-lite refuses every configuration.
-        let lite = codec_for::<f64>(CodecId::PcoLite);
-        assert!(matches!(
-            lite.compress(&data, Dims::D1(8), &CodecConfig::abs(1.0)),
-            Err(CodecError::InvalidConfig(_))
-        ));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The crate follows the `log`-crate model: every other crate calls the
 //! free functions [`span`], [`add`] and [`hist`] unconditionally, and a
-//! static `Recorder` (built with the `enabled` feature) decides what happens to the data. Without the
-//! `enabled` cargo feature the whole API compiles to zero-sized inline
+//! static `Recorder` (built with the `enabled` feature) decides what
+//! happens to the data. Without the `enabled` cargo feature the whole
+//! API compiles to zero-sized inline
 //! no-ops — [`SpanGuard`] is a unit struct and every call body is empty,
 //! so the default build carries no recorder branches in hot loops (see
 //! the `disabled_guard_is_zero_sized` test). With `enabled`, spans keep

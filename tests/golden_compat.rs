@@ -466,18 +466,11 @@ fn golden_lite_fixtures_decode_bit_exactly() {
     for (stem, method, ds) in lite_fixtures() {
         let file = format!("{stem}_v5");
         let expected = format!("{stem}_expected");
-        let (cd, decoded) = match method {
-            Method::Tac => {
-                let cd = check_decode::<f64>(&file, &expected);
-                let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
-                (cd, dataset_bits(&out))
-            }
-            _ => {
-                let cd = check_decode::<f32>(&file, &expected);
-                let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
-                (cd, dataset_bits(&out))
-            }
+        let cd = match method {
+            Method::Tac => check_decode::<f64>(&file, &expected),
+            _ => check_decode::<f32>(&file, &expected),
         };
+        let decoded = decode_bits(&cd, Parallelism::Serial);
         assert_eq!(cd.method(), method, "{stem}");
         for (l, level) in ds.levels().iter().enumerate() {
             assert_eq!(&cd.masks[l], level.mask(), "{stem}: level {l}");
