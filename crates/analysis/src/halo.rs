@@ -13,7 +13,7 @@
 pub struct HaloFinderConfig {
     /// Candidate threshold as a multiple of the mean (paper: 81.66).
     pub threshold_factor: f64,
-    /// Minimum candidate cells per halo (criterion 2 of the paper).
+    /// Minimum candidate cells per halo (condition 2 of the paper).
     pub min_cells: usize,
 }
 

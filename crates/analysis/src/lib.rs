@@ -9,10 +9,10 @@
 //!   over the present cells of an AMR dataset ([`distortion`],
 //!   [`amr_distortion`]);
 //! * **matter power spectrum** — the Gimlet-style P(k) with the 1%
-//!   relative-error acceptance criterion ([`power_spectrum`],
+//!   relative-error acceptance test ([`power_spectrum`],
 //!   [`spectrum_acceptable`]);
 //! * **halo finder** — threshold + connected-components clustering with
-//!   the 81.66x-mean candidate criterion, and Table 3's biggest-halo
+//!   the 81.66x-mean candidate threshold, and Table 3's biggest-halo
 //!   comparison ([`find_halos`], [`compare_catalogs`]);
 //! * **rate-distortion bookkeeping** — labelled (bit-rate, PSNR) curves
 //!   with interpolation for same-bit-rate comparisons ([`RdCurve`]).

@@ -3,7 +3,7 @@
 //!
 //! The spectrum is the radially binned squared magnitude of the Fourier
 //! transform of the density contrast `delta = rho / <rho> - 1`. The
-//! acceptance criterion from the paper: the relative error of the
+//! acceptance test from the paper: the relative error of the
 //! decompressed spectrum must stay within 1% for all wavenumbers below a
 //! cutoff.
 

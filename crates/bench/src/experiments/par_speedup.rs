@@ -46,8 +46,7 @@ pub struct SpeedupRow {
     pub throughput_mb_s: f64,
 }
 
-/// The benchmark configuration shared by the table, the criterion
-/// bench, and `BENCH_par.json`.
+/// The configuration every row of the table runs under.
 pub fn bench_config(unit: usize, fine_dim: usize, threads: usize) -> TacConfig {
     TacConfig {
         unit,

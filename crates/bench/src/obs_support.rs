@@ -1,6 +1,6 @@
-//! Observability plumbing shared by the bench binaries and criterion
-//! harnesses: `--obs` flag detection, recorder installation, and the
-//! `TRACE_*.json` / per-stage report artifact writers.
+//! Observability plumbing for the bench binaries (`repro_all --obs`):
+//! `--obs` flag detection, session installation, and the
+//! `TRACE_*.json` / per-stage report writers.
 //!
 //! Compiled in every build. Without the `obs` cargo feature the helpers
 //! degrade to `None`/no-ops, so call sites stay unconditional and the
@@ -8,7 +8,6 @@
 
 use std::path::PathBuf;
 use tac_obs::export::{chrome_trace_json, StageReport};
-use tac_obs::meta::RunMeta;
 use tac_obs::Snapshot;
 
 /// Whether `--obs` was passed on the command line.
@@ -22,7 +21,7 @@ pub fn obs_active() -> bool {
     tac_obs::enabled() && obs_requested()
 }
 
-/// Installs the global recorder when profiling is live; warns when
+/// Installs the global session when profiling is live; warns when
 /// `--obs` was requested but the feature is compiled out. Returns
 /// whether spans and counters will be recorded from here on.
 #[cfg(feature = "obs")]
@@ -76,28 +75,14 @@ pub fn write_trace_and_report(tag: &str, snap: &Snapshot) -> String {
     StageReport::from_snapshot(snap).render_text()
 }
 
-/// The one-line run-metadata object (git commit, seed, workers, cores,
-/// timestamp) embedded as the `meta` header of the bench JSON artifacts.
-pub fn meta_json(seed: u64, workers: usize) -> String {
-    RunMeta::capture(seed, workers).to_json()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn workspace_path_lands_at_repo_root() {
-        let p = workspace_path("BENCH_codec.json");
-        assert!(p.ends_with("../../BENCH_codec.json"));
-    }
-
-    #[test]
-    fn meta_json_has_the_header_keys() {
-        let m = meta_json(14, 4);
-        for key in ["git_commit", "seed", "workers", "cores", "timestamp"] {
-            assert!(m.contains(&format!("\"{key}\"")), "{m}");
-        }
+        let p = workspace_path("TRACE_repro.json");
+        assert!(p.ends_with("../../TRACE_repro.json"));
     }
 
     /// Without `--obs` on the test binary's command line, nothing is

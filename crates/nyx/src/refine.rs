@@ -4,7 +4,7 @@
 //! Real AMR codes refine a region when its value (or gradient) exceeds a
 //! threshold. To reproduce the *exact* density geometry of the paper's
 //! Table 1 datasets we invert that: rank regions by their refinement score
-//! (block maximum of the field — the `max value > threshold` criterion)
+//! (block maximum of the field — the `max value > threshold` rule)
 //! and refine precisely enough of the highest-scoring regions to hit each
 //! level's target density. The resulting masks are spatially coherent —
 //! refined regions cluster around the field's peaks, as in the paper's

@@ -1,6 +1,6 @@
 //! Exporters over a collected [`Snapshot`]: a chrome://tracing-
 //! compatible event stream (load `TRACE_*.json` in `chrome://tracing`
-//! or Perfetto) and a compact per-stage text/JSON report in the
+//! or Perfetto) and a compact per-stage text report in the
 //! `EXPERIMENTS.md` table style.
 
 use std::fmt::Write as _;
@@ -222,18 +222,6 @@ impl StageReport {
         }
         out
     }
-
-    /// The `stages` JSON object for `BENCH_codec.json` rows: self-time
-    /// fraction per stage plus the wall-clock the fractions refer to.
-    pub fn stages_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"wall_ms\": {:.3}", ns_to_ms(self.wall_ns));
-        for row in &self.rows {
-            let _ = write!(out, ", \"{}\": {:.4}", row.stage.name(), self.fraction(row));
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -346,20 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn stages_json_has_wall_and_fractions() {
-        let json = StageReport::from_snapshot(&sample()).stages_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"wall_ms\": 1.000"), "{json}");
-        assert!(json.contains("\"encode\": 0.5000"), "{json}");
-    }
-
-    #[test]
     fn empty_snapshot_renders_without_panicking() {
         let snap = Snapshot::new();
         let report = StageReport::from_snapshot(&snap);
         assert_eq!(report.wall_ns, 0);
         let _ = report.render_text();
-        let _ = report.stages_json();
         let _ = chrome_trace_json(&snap);
     }
 }

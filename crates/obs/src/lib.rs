@@ -1,9 +1,9 @@
 //! Structured observability for the TAC stack.
 //!
-//! The crate follows the `log`-crate model: every other crate calls the
-//! free functions [`span`], [`add`] and [`hist`] unconditionally, and a
-//! static `Recorder` (built with the `enabled` feature) decides what
-//! happens to the data. Without the `enabled` cargo feature the whole
+//! Every other crate calls the free functions [`span`], [`add`] and
+//! [`hist`] unconditionally; with the `enabled` feature they record into
+//! the one global `ObsSession` once `install` has run, and do nothing
+//! before. Without the `enabled` cargo feature the whole
 //! API compiles to zero-sized inline
 //! no-ops — [`SpanGuard`] is a unit struct and every call body is empty,
 //! so the default build carries no recorder branches in hot loops (see
@@ -13,9 +13,9 @@
 //! so hot loops never touch shared atomics.
 //!
 //! Two exporters live in [`export`]: a chrome://tracing-compatible event
-//! stream and a compact per-stage text/JSON report. [`meta`] captures
-//! run metadata (git commit, seed, workers, cores, timestamp) so the
-//! JSON artifacts written by the bench harness are self-describing.
+//! stream and a compact per-stage text report. [`meta`] captures run
+//! metadata (git commit, seed, workers, cores, timestamp) so the
+//! conformance report is self-describing.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +28,7 @@ pub use snapshot::{HistSnapshot, Snapshot, SpanEvent};
 #[cfg(feature = "enabled")]
 mod registry;
 #[cfg(feature = "enabled")]
-pub use registry::{install, session, set_recorder, ObsSession, Recorder, SpanGuard};
+pub use registry::{install, session, ObsSession, SpanGuard};
 
 /// Whether the recording machinery is compiled in. `const`, so
 /// `if tac_obs::enabled() { .. }` folds away entirely in default builds.
@@ -38,8 +38,8 @@ pub const fn enabled() -> bool {
 }
 
 /// Pipeline stages a span can be attributed to. The names are wire- and
-/// report-stable: they appear in `TRACE_*.json` and the `stages` object
-/// of `BENCH_codec.json`.
+/// report-stable: they appear in `TRACE_*.json` and the per-stage
+/// report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Whole-dataset compression entry point.
@@ -461,7 +461,7 @@ mod tests {
         }
     }
 
-    /// The acceptance criterion for the default build: the disabled API
+    /// The promise of the default build: the disabled API
     /// is zero-sized, so there is nothing for a hot loop to branch on.
     #[cfg(not(feature = "enabled"))]
     #[test]

@@ -1,5 +1,5 @@
-//! Run metadata for self-describing artifacts: `BENCH_*.json` and
-//! `CONFORMANCE.json` embed a [`RunMeta`] header so an archived report
+//! Run metadata for self-describing artifacts: `CONFORMANCE.json`
+//! embeds a [`RunMeta`] header so an archived report
 //! pins the commit, seed, and machine shape that produced it. Compiled
 //! regardless of the `enabled` feature — metadata costs nothing per hot
 //! loop.

@@ -1,6 +1,6 @@
-//! The recording machinery behind the `enabled` feature: a static
-//! [`Recorder`] hook (à la `log`), the thread-local span stack, and the
-//! built-in sharded [`ObsSession`] recorder.
+//! The recording machinery behind the `enabled` feature: the
+//! thread-local span stack and the one sharded [`ObsSession`], which
+//! records once [`install`] has run.
 //!
 //! Hot-path discipline: a span open/close touches only thread-local
 //! state plus the calling thread's own shard (relaxed atomics nobody
@@ -17,19 +17,9 @@ use std::time::Instant;
 use crate::snapshot::{Snapshot, SpanEvent};
 use crate::{Counter, HistKind, ObsValue, Stage, HIST_BUCKETS};
 
-/// Sink for completed spans, counter increments, and histogram
-/// observations. Install one with [`set_recorder`] or use the built-in
-/// [`ObsSession`] via [`install`].
-pub trait Recorder: Sync {
-    /// A span closed.
-    fn record_span(&self, ev: SpanEvent);
-    /// Add `delta` to a counter.
-    fn add(&self, counter: Counter, delta: u64);
-    /// Record one histogram observation.
-    fn hist(&self, kind: HistKind, value: usize);
-}
-
-static RECORDER: OnceLock<&'static dyn Recorder> = OnceLock::new();
+/// The session spans, counters and histograms record into; unset until
+/// [`install`].
+static INSTALLED: OnceLock<&'static ObsSession> = OnceLock::new();
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static SESSION: OnceLock<ObsSession> = OnceLock::new();
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
@@ -50,29 +40,23 @@ fn current_tid() -> u32 {
     TID.with(|t| *t)
 }
 
-/// Install a custom recorder. First caller wins; returns whether this
-/// call installed it.
-pub fn set_recorder(r: &'static dyn Recorder) -> bool {
-    RECORDER.set(r).is_ok()
-}
-
 /// The global [`ObsSession`] (created on first use, recording nothing
-/// until [`install`]ed as the recorder).
+/// until [`install`]ed).
 pub fn session() -> &'static ObsSession {
     SESSION.get_or_init(ObsSession::new)
 }
 
-/// Install the global [`ObsSession`] as the recorder and return it.
+/// Start recording into the global [`ObsSession`] and return it.
 /// Idempotent; also pins the timestamp epoch.
 pub fn install() -> &'static ObsSession {
     let s = session();
     let _ = now_ns();
-    let _ = RECORDER.set(s);
+    let _ = INSTALLED.set(s);
     s
 }
 
-fn recorder() -> Option<&'static dyn Recorder> {
-    RECORDER.get().copied()
+fn installed() -> Option<&'static ObsSession> {
+    INSTALLED.get().copied()
 }
 
 /// One open span on the thread-local stack.
@@ -92,10 +76,10 @@ pub struct SpanGuard {
     active: bool,
 }
 
-/// Open a span. Inert (records nothing on drop) until a recorder is
+/// Open a span. Inert (records nothing on drop) until the session is
 /// installed.
 pub(crate) fn begin(stage: Stage) -> SpanGuard {
-    if recorder().is_none() {
+    if installed().is_none() {
         return SpanGuard { active: false };
     }
     let start_ns = now_ns();
@@ -130,7 +114,7 @@ impl Drop for SpanGuard {
             return;
         }
         let closed_at = now_ns();
-        let Some(r) = recorder() else { return };
+        let Some(session) = installed() else { return };
         let ev = STACK.with(|cell| {
             let mut stack = cell.borrow_mut();
             let frame = stack.pop()?;
@@ -149,23 +133,23 @@ impl Drop for SpanGuard {
             })
         });
         if let Some(ev) = ev {
-            r.record_span(ev);
+            session.record_span(ev);
         }
     }
 }
 
 /// Counter increment (free-function flavour used by `tac_obs::add`).
 pub(crate) fn add(counter: Counter, delta: u64) {
-    if let Some(r) = recorder() {
-        r.add(counter, delta);
+    if let Some(session) = installed() {
+        session.add(counter, delta);
     }
 }
 
 /// Histogram observation (free-function flavour used by
 /// `tac_obs::hist`).
 pub(crate) fn hist(kind: HistKind, value: usize) {
-    if let Some(r) = recorder() {
-        r.hist(kind, value);
+    if let Some(session) = installed() {
+        session.hist(kind, value);
     }
 }
 
@@ -191,7 +175,7 @@ impl Shard {
     }
 }
 
-/// The built-in sharded recorder: one shard per recording thread,
+/// The sharded recording session: one shard per recording thread,
 /// registered on first use and kept alive (via `Arc`) after the thread
 /// exits so its data survives until the next [`ObsSession::reset`],
 /// which drops it.
@@ -283,9 +267,8 @@ impl ObsSession {
         self.reset();
         snap
     }
-}
 
-impl Recorder for ObsSession {
+    /// A span closed.
     fn record_span(&self, ev: SpanEvent) {
         if let Some(shard) = self.shard() {
             if let Ok(mut spans) = shard.spans.lock() {
@@ -294,6 +277,7 @@ impl Recorder for ObsSession {
         }
     }
 
+    /// Add `delta` to a counter in the calling thread's shard.
     fn add(&self, counter: Counter, delta: u64) {
         if let Some(shard) = self.shard() {
             if let Some(slot) = shard.counters.get(counter.index()) {
@@ -302,6 +286,7 @@ impl Recorder for ObsSession {
         }
     }
 
+    /// Record one histogram observation in the calling thread's shard.
     fn hist(&self, kind: HistKind, value: usize) {
         if let Some(shard) = self.shard() {
             let bucket = value.min(HIST_BUCKETS.saturating_sub(1));

@@ -1,4 +1,4 @@
-//! The collected data model shared by the recorder and the exporters.
+//! The collected data model shared by the session and the exporters.
 //! Compiled regardless of the `enabled` feature so reports can be
 //! rebuilt from archived data without the recording machinery.
 

@@ -8,7 +8,7 @@
 //! the identical reconstruction, which is what guarantees the error bound.
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::config::{Dims, SzConfig};
+use crate::config::{Dims, ErrorBound, SzConfig};
 use crate::container::{Header, HeaderError, FLAG_LOSSLESS, MAGIC, VERSION};
 use crate::error::SzError;
 use crate::huffman::HuffmanCode;
@@ -280,14 +280,10 @@ pub fn compress_with_recon_t<T: Element>(
     compress_with::<T, Shipped>(data, dims, cfg)
 }
 
-/// [`compress_with_recon_t`] over the back end `B`.
-fn compress_with<T: Element, B: BackEnd>(
-    data: &[T],
-    dims: Dims,
-    cfg: &SzConfig,
-) -> Result<(Vec<u8>, Vec<T>), SzError> {
-    dims.validate(data.len())?;
-    cfg.validate()?;
+/// `(min, max)` over the finite values of `data`; `(0, 0)` when there
+/// are none (all-NaN/Inf input: any positive bound works, everything is
+/// raw).
+fn finite_range<T: Element>(data: &[T]) -> (f64, f64) {
     let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
     for &v in data {
         if v.is_finite() {
@@ -296,11 +292,26 @@ fn compress_with<T: Element, B: BackEnd>(
             max = max.max(v);
         }
     }
-    if !min.is_finite() {
-        // All-NaN/Inf input: any positive bound works, everything is raw.
-        min = 0.0;
-        max = 0.0;
+    if min.is_finite() {
+        (min, max)
+    } else {
+        (0.0, 0.0)
     }
+}
+
+/// [`compress_with_recon_t`] over the back end `B`.
+fn compress_with<T: Element, B: BackEnd>(
+    data: &[T],
+    dims: Dims,
+    cfg: &SzConfig,
+) -> Result<(Vec<u8>, Vec<T>), SzError> {
+    dims.validate(data.len())?;
+    cfg.validate()?;
+    // Only a relative bound reads the value range.
+    let (min, max) = match cfg.error_bound {
+        ErrorBound::Abs(_) => (0.0, 0.0),
+        ErrorBound::Rel(_) => finite_range(data),
+    };
     let abs_eb = cfg.error_bound.resolve_for(min, max, T::DTYPE)?;
     let quantizer = Quantizer::new(abs_eb, cfg.capacity);
     let contexts = build_contexts(data, dims, abs_eb, cfg.regression);

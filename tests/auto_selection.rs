@@ -1,18 +1,19 @@
 //! The `Method::Auto` dominance suite.
 //!
 //! Pins the TAC+ selection contract: on every registered scenario, at
-//! the scenario's own error bound, Auto's compression ratio is at least
-//! `DOMINANCE_TOLERANCE` times the best fixed `(method, codec)` pair's
-//! — while never violating the bound (the conformance matrix checks
-//! bound compliance for the same cells). Also pins determinism under
-//! identical seeds, clean fallback on degenerate inputs, and the
-//! selection-overhead budget in the sampled regime.
+//! the scenario's own error bound and element type, Auto's compression
+//! ratio is at least `DOMINANCE_TOLERANCE` times the best fixed
+//! `(method, codec)` pair's — while never violating the bound (the
+//! conformance matrix checks bound compliance for the same cells). Also
+//! pins determinism under identical seeds, clean fallback on degenerate
+//! inputs, and the selection-overhead budget in the sampled regime.
 
+use tac_amr::AmrDataset;
 use tac_core::{
-    compress_dataset_t, decompress_dataset_par_t, select_auto, AutoParams, CodecId,
-    CompressedDataset, Method, Parallelism, TacConfig,
+    compress_dataset_t, decompress_dataset_par_t, select_auto, AutoParams, CodecElement, CodecId,
+    CompressedDataset, Method, Parallelism, TacConfig, TacDtype,
 };
-use tac_testkit::scenarios;
+use tac_testkit::{scenarios, ScenarioSpec};
 
 /// Auto must reach at least this fraction of the best fixed pair's
 /// compression ratio on every scenario.
@@ -26,48 +27,62 @@ const OVERHEAD_BUDGET: f64 = 0.15;
 fn auto_dominates_every_fixed_pair_on_every_scenario() {
     for spec in scenarios() {
         let ds = spec.build(7);
-        let cfg = spec.config();
-        let auto_cd = compress_dataset_t(&ds, &cfg, Method::Auto)
-            .unwrap_or_else(|e| panic!("{}: Auto failed: {e}", spec.name));
-        let auto_bytes = auto_cd.to_bytes().len();
+        // Each scenario runs at its declared element type, as the
+        // conformance matrix does: `F32` scenarios generate only
+        // exactly-f32-representable values, so narrowing loses nothing.
+        match spec.dtype {
+            TacDtype::F64 => assert_auto_dominates(&spec, &ds),
+            TacDtype::F32 => assert_auto_dominates(&spec, &ds.cast::<f32>()),
+        }
+    }
+}
 
-        // The best fixed pair, skipping pairs the fixed pipeline itself
-        // rejects (those cannot be "best").
-        let mut best_fixed: Option<(usize, Method, CodecId)> = None;
-        for method in Method::fixed() {
-            for codec in CodecId::all() {
-                let fixed_cfg = TacConfig {
-                    codec,
-                    ..cfg.clone()
-                };
-                let Ok(cd) = compress_dataset_t(&ds, &fixed_cfg, method) else {
-                    continue;
-                };
-                let bytes = cd.to_bytes().len();
-                if best_fixed.map_or(true, |(b, ..)| bytes < b) {
-                    best_fixed = Some((bytes, method, codec));
-                }
+/// Auto's container against the best fixed `(method, codec)` pair's on
+/// one scenario dataset, every container at the scenario's dtype.
+fn assert_auto_dominates<T: CodecElement>(spec: &ScenarioSpec, ds: &AmrDataset<T>) {
+    let cfg = spec.config();
+    let auto_cd = compress_dataset_t(ds, &cfg, Method::Auto)
+        .unwrap_or_else(|e| panic!("{}: Auto failed: {e}", spec.name));
+    assert_eq!(auto_cd.dtype, spec.dtype, "{}: Auto", spec.name);
+    let auto_bytes = auto_cd.to_bytes().len();
+
+    // The best fixed pair, skipping pairs the fixed pipeline itself
+    // rejects (those cannot be "best").
+    let mut best_fixed: Option<(usize, Method, CodecId)> = None;
+    for method in Method::fixed() {
+        for codec in CodecId::all() {
+            let fixed_cfg = TacConfig {
+                codec,
+                ..cfg.clone()
+            };
+            let Ok(cd) = compress_dataset_t(ds, &fixed_cfg, method) else {
+                continue;
+            };
+            assert_eq!(cd.dtype, spec.dtype, "{}: {method:?}/{codec}", spec.name);
+            let bytes = cd.to_bytes().len();
+            if best_fixed.map_or(true, |(b, ..)| bytes < b) {
+                best_fixed = Some((bytes, method, codec));
             }
         }
-        let (best_bytes, best_method, best_codec) =
-            best_fixed.unwrap_or_else(|| panic!("{}: no fixed pair compresses", spec.name));
-
-        // Equal error bound, so ratio dominance is byte dominance:
-        // ratio_auto >= tol * ratio_best  <=>  auto <= best / tol.
-        assert!(
-            (auto_bytes as f64) <= (best_bytes as f64) / DOMINANCE_TOLERANCE,
-            "{}: Auto {} bytes ({:?}) vs best fixed {} bytes ({best_method:?}/{best_codec}) \
-             breaks the {DOMINANCE_TOLERANCE} dominance floor",
-            spec.name,
-            auto_bytes,
-            auto_cd.method(),
-            best_bytes,
-        );
-
-        // And the winner still round-trips through the wire it chose.
-        let parsed = CompressedDataset::from_bytes(&auto_cd.to_bytes()).unwrap();
-        assert_eq!(parsed, auto_cd, "{}", spec.name);
     }
+    let (best_bytes, best_method, best_codec) =
+        best_fixed.unwrap_or_else(|| panic!("{}: no fixed pair compresses", spec.name));
+
+    // Equal error bound, so ratio dominance is byte dominance:
+    // ratio_auto >= tol * ratio_best  <=>  auto <= best / tol.
+    assert!(
+        (auto_bytes as f64) <= (best_bytes as f64) / DOMINANCE_TOLERANCE,
+        "{}: Auto {} bytes ({:?}) vs best fixed {} bytes ({best_method:?}/{best_codec}) \
+         breaks the {DOMINANCE_TOLERANCE} dominance floor",
+        spec.name,
+        auto_bytes,
+        auto_cd.method(),
+        best_bytes,
+    );
+
+    // And the winner still round-trips through the wire it chose.
+    let parsed = CompressedDataset::from_bytes(&auto_cd.to_bytes()).unwrap();
+    assert_eq!(parsed, auto_cd, "{}", spec.name);
 }
 
 #[test]
