@@ -2,27 +2,27 @@
 //! pure-Lorenzo (SZ 1.4-style) vs Lorenzo+regression (SZ 2-style), on
 //! one dense smooth field — quantifying what each stage buys.
 
+use tac_amr::min_max;
 use tac_nyx::{synthesize, FieldKind};
-use tac_sz::{compress, Dims, SzConfig};
+use tac_sz::{compress, Dims, ErrorBound, SzConfig, TacDtype};
 
 fn main() {
     let n = 64;
     let data = synthesize(FieldKind::BaryonDensity, n, 42);
     let dims = Dims::D3(n, n, n);
+    let (min, max) = min_max(&data).expect("a non-empty field");
     println!("Ablation: codec stages on a {n}^3 baryon-density field");
     println!("{:<34} {:>12} {:>8}", "configuration", "bytes", "CR");
     for rel in [1e-3, 1e-4, 1e-5] {
+        let abs_eb = ErrorBound::Rel(rel)
+            .resolve_for(min, max, TacDtype::F64)
+            .expect("a positive relative bound");
+        let full = SzConfig::abs(abs_eb);
         for (label, cfg) in [
-            ("full (regression + LZSS)", SzConfig::rel(rel)),
-            ("no LZSS", SzConfig::rel(rel).without_lossless()),
-            (
-                "no regression (SZ1.4-style)",
-                SzConfig::rel(rel).without_regression(),
-            ),
-            (
-                "neither",
-                SzConfig::rel(rel).without_lossless().without_regression(),
-            ),
+            ("full (regression + LZSS)", full),
+            ("no LZSS", full.without_lossless()),
+            ("no regression (SZ1.4-style)", full.without_regression()),
+            ("neither", full.without_lossless().without_regression()),
         ] {
             let bytes = compress(&data, dims, &cfg).unwrap();
             println!(

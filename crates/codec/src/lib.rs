@@ -10,10 +10,10 @@
 //!
 //! * [`ScalarCodec`] — the trait every backend implements, generic over
 //!   the [`Element`] type: error-bounded
-//!   [`compress`](ScalarCodec::compress) /
-//!   [`decompress`](ScalarCodec::decompress) of a flat array of known
-//!   [`Dims`], plus [`compress_with_recon`](ScalarCodec::compress_with_recon)
-//!   for distortion metrics without a decode pass;
+//!   [`compress`](ScalarCodec::compress) of a flat array of known
+//!   [`Dims`] under an already-resolved absolute bound, returning the
+//!   stream, and [`decompress`](ScalarCodec::decompress) back to the
+//!   values and their shape;
 //! * [`CodecId`] — a **stable one-byte wire tag** per backend, stored in
 //!   `tac-core`'s level payloads and chunk tables so containers are
 //!   self-describing;
@@ -191,23 +191,10 @@ impl CodecConfig {
 /// contract: finite values reconstruct within `cfg.abs_eb`, non-finite
 /// values bit-exactly.
 pub trait ScalarCodec<T: Element>: Send + Sync {
-    /// The backend's stable wire identity.
-    fn id(&self) -> CodecId;
-
     /// Compresses `data` of shape `dims` under `cfg`. Verbatim/exception
     /// values are stored at `T`'s native width and the stream records
     /// the element type.
     fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError>;
-
-    /// Like [`ScalarCodec::compress`], additionally returning the exact
-    /// reconstruction the decompressor will produce, so distortion
-    /// metrics need no decode pass.
-    fn compress_with_recon(
-        &self,
-        data: &[T],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<T>), CodecError>;
 
     /// Decompresses a stream produced by this backend, returning the
     /// values and their shape. Foreign or corrupt bytes must error, as
@@ -232,16 +219,6 @@ pub trait CodecElement: Element {
         cfg: &CodecConfig,
     ) -> Result<Vec<u8>, CodecError> {
         codec.compress(data, dims, cfg)
-    }
-
-    /// [`ScalarCodec::compress_with_recon`] on `codec`.
-    fn codec_compress_with_recon(
-        codec: &dyn ScalarCodec<Self>,
-        data: &[Self],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<Self>), CodecError> {
-        codec.compress_with_recon(data, dims, cfg)
     }
 
     /// [`ScalarCodec::decompress`] on `codec`.
@@ -312,7 +289,13 @@ mod tests {
         assert_eq!(CodecId::PcoAns.tag(), 2, "PcoAns wire tag is frozen at 2");
         for id in CodecId::all().into_iter().chain([CodecId::PcoLite]) {
             assert_eq!(CodecId::from_tag(id.tag()).unwrap(), id);
-            assert_eq!(codec_for::<f64>(id).id(), id);
+        }
+        // `codec_for` hands out the backend whose streams sniff as `id`.
+        for id in CodecId::all() {
+            let bytes = codec_for::<f64>(id)
+                .compress(&smooth(64), Dims::D1(64), &CodecConfig::abs(1e-3))
+                .unwrap();
+            assert_eq!(sniff_codec(&bytes), Ok(id));
         }
         assert_eq!(CodecId::all(), [CodecId::Sz, CodecId::PcoAns]);
         assert!(CodecId::from_tag(99).is_err());
@@ -326,15 +309,11 @@ mod tests {
             let codec = codec_for(id);
             for dims in [Dims::D1(1000), Dims::D2(50, 20), Dims::D3(10, 10, 10)] {
                 let cfg = CodecConfig::abs(1e-3);
-                let (bytes, recon) = codec.compress_with_recon(&data, dims, &cfg).unwrap();
+                let bytes = codec.compress(&data, dims, &cfg).unwrap();
                 let (out, out_dims) = codec.decompress(&bytes).unwrap();
                 assert_eq!(out_dims, dims, "{id}");
                 for (i, (a, b)) in data.iter().zip(&out).enumerate() {
                     assert!((a - b).abs() <= 1e-3 * (1.0 + 1e-12), "{id} point {i}");
-                }
-                // compress_with_recon promises the decoder's exact output.
-                for (a, b) in recon.iter().zip(&out) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{id} recon mismatch");
                 }
             }
         }
@@ -399,9 +378,7 @@ mod tests {
         for id in CodecId::all() {
             let codec = codec_for(id);
             let cfg = CodecConfig::abs(1e-3);
-            let (bytes, recon) = codec
-                .compress_with_recon(&data, Dims::D2(50, 20), &cfg)
-                .unwrap();
+            let bytes = codec.compress(&data, Dims::D2(50, 20), &cfg).unwrap();
             assert_eq!(stream_dtype(&bytes), Some(TacDtype::F32), "{id}");
             let (out, dims) = codec.decompress(&bytes).unwrap();
             assert_eq!(dims, Dims::D2(50, 20), "{id}");
@@ -410,9 +387,6 @@ mod tests {
                     (a as f64 - b as f64).abs() <= 1e-3 * (1.0 + 1e-6),
                     "{id} point {i}: {a} vs {b}"
                 );
-            }
-            for (a, b) in recon.iter().zip(&out) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{id} recon mismatch");
             }
         }
     }

@@ -28,7 +28,7 @@
 //! decoder a single linear scan. The shape ([`Dims`]) is metadata only
 //! — rank does not change the encoding.
 
-use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
+use crate::{CodecConfig, CodecError, ScalarCodec};
 use tac_dtype::Element;
 use tac_sz::wire::ByteReader;
 use tac_sz::{lossless, Dims, Header, HeaderError, FLAG_LOSSLESS};
@@ -116,22 +116,14 @@ impl<T: Element> Quantizer<T> {
     }
 
     /// Quantizes the next page: `z` receives the latents and `classes`
-    /// their bit lengths (both exactly `data.len()` long). With `RECON`,
-    /// `recon` receives what the decoder will materialize — the narrowed
-    /// reconstruction, or the raw value of an exception.
+    /// their bit lengths (both exactly `data.len()` long).
     ///
     /// The loop is select-based: an exception costs the same as a hit
     /// apart from its (rare) push, and the only loop-carried dependency
     /// is the one-cycle `prev` select. `v / 2eb` stays a division — a
     /// reciprocal multiply rounds differently and would change codes.
     // tac-lint: allow(arith) -- encoder-only: `bit_len` is at most 64, so the class fits its byte; `seen + i` counts in-memory values.
-    fn page<const RECON: bool>(
-        &mut self,
-        data: &[T],
-        z: &mut [u64],
-        classes: &mut [u8],
-        recon: &mut [T],
-    ) {
+    fn page(&mut self, data: &[T], z: &mut [u64], classes: &mut [u8]) {
         debug_assert!(z.len() == data.len() && classes.len() == data.len());
         // Stay clear of the i64 edge: beyond 2^62 the f64 lattice is
         // coarser than 1 anyway, so a round trip through the integer grid
@@ -141,7 +133,6 @@ impl<T: Element> Quantizer<T> {
         let limit = (1i64 << 62) as f64;
         let (two_eb, abs_eb) = (self.two_eb, self.abs_eb);
         let mut prev = self.prev;
-        let mut recon = recon.iter_mut();
         for (i, ((&value, z), class)) in data.iter().zip(z).zip(classes).enumerate() {
             let v = value.to_f64();
             let t = v / two_eb;
@@ -154,11 +145,6 @@ impl<T: Element> Quantizer<T> {
             prev = if hit { q } else { prev };
             *z = latent;
             *class = bit_len(latent) as u8;
-            if RECON {
-                if let Some(slot) = recon.next() {
-                    *slot = if hit { narrowed } else { value };
-                }
-            }
             if !hit {
                 self.exceptions.push((self.seen + i as u64, value));
             }
@@ -191,25 +177,22 @@ impl<T: Element> Quantizer<T> {
 /// Codes `data` onto `out` (which holds the stream header) a page of
 /// `page` values at a time: the exception table's slot, then each page
 /// quantized into latents and classes and handed to `encode_page`,
-/// which codes the page's tail. Returns the decoder's exact output
-/// when `RECON` (empty otherwise). The scratch holds one
-/// page, or the whole stream when that is shorter: TAC feeds these
-/// codecs thousands of streams of a few dozen values, which must not
-/// each pay for a full page of it.
-pub(crate) fn encode_stream<T: Element, const RECON: bool>(
+/// which codes the page's tail. The scratch holds one page, or the
+/// whole stream when that is shorter: TAC feeds these codecs thousands
+/// of streams of a few dozen values, which must not each pay for a full
+/// page of it.
+pub(crate) fn encode_stream<T: Element>(
     data: &[T],
     abs_eb: f64,
     page: usize,
     out: &mut Vec<u8>,
     mut encode_page: impl FnMut(&[u64], &[u8], &mut Vec<u8>),
-) -> Vec<T> {
+) {
     let n = data.len();
     // The exception table goes here, ahead of the pages, once the last
     // page has told how many there are.
     let exceptions_at = out.len();
     out.extend(0u64.to_le_bytes());
-    let mut recon = vec![T::ZERO; if RECON { n } else { 0 }];
-    let mut recon_pages = recon.chunks_mut(page);
     let mut quantizer = Quantizer::new(abs_eb);
     let mut z = vec![0u64; n.min(page)];
     let mut classes = vec![0u8; n.min(page)];
@@ -218,14 +201,12 @@ pub(crate) fn encode_stream<T: Element, const RECON: bool>(
         let (classes, _) = classes.split_at_mut(values.len());
         {
             let _quantize = tac_obs::span(tac_obs::Stage::Quantize);
-            let recon_page = recon_pages.next().unwrap_or_default();
-            quantizer.page::<RECON>(values, z, classes, recon_page);
+            quantizer.page(values, z, classes);
         }
         let _pack = tac_obs::span(tac_obs::Stage::Pack);
         encode_page(z, classes, out);
     }
     quantizer.finish(out, exceptions_at);
-    recon
 }
 
 /// LSB-first bit packer appending to a byte vector (PcoAns's offset
@@ -486,20 +467,7 @@ fn decode_only() -> CodecError {
 }
 
 impl<T: Element> ScalarCodec<T> for PcoLite {
-    fn id(&self) -> CodecId {
-        CodecId::PcoLite
-    }
-
     fn compress(&self, _: &[T], _: Dims, _: &CodecConfig) -> Result<Vec<u8>, CodecError> {
-        Err(decode_only())
-    }
-
-    fn compress_with_recon(
-        &self,
-        _: &[T],
-        _: Dims,
-        _: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
         Err(decode_only())
     }
 
@@ -991,27 +959,21 @@ mod tests {
     }
 
     /// The page front end ([`encode_stream`]) with pco-lite's reference
-    /// page coder behind it writes the reference body and promises the
-    /// reference reconstruction, which the decoder then produces.
+    /// page coder behind it writes the reference body, and the decoder
+    /// produces the reconstruction the reference promises.
     fn assert_matches_reference<T: CodecElement>(data: &[T], eb: f64, what: &str) {
         let (want_body, want_recon) = reference::body(data, eb);
         let mut body = Vec::new();
-        let recon = encode_stream::<T, true>(data, eb, PAGE, &mut body, |z, _, out| {
+        encode_stream::<T>(data, eb, PAGE, &mut body, |z, _, out| {
             reference::encode_page(z, out)
         });
         assert!(body == want_body, "{what}: body differs from the reference");
-        let mut plain = Vec::new();
-        encode_stream::<T, false>(data, eb, PAGE, &mut plain, |z, _, out| {
-            reference::encode_page(z, out)
-        });
-        assert!(plain == body, "{what}: body differs when recon is dropped");
 
         let (stream, _) = reference::stream(data, Dims::D1(data.len()), eb);
         let (decoded, _) = T::codec_decompress(&PcoLite, &stream).unwrap();
-        assert_eq!(recon.len(), data.len(), "{what}");
-        for ((a, b), c) in recon.iter().zip(&want_recon).zip(&decoded) {
-            assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "{what}: recon");
-            assert_eq!(a.to_bits_u64(), c.to_bits_u64(), "{what}: decode");
+        assert_eq!(decoded.len(), data.len(), "{what}");
+        for (a, b) in want_recon.iter().zip(&decoded) {
+            assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "{what}: decode");
         }
     }
 

@@ -42,7 +42,7 @@ use crate::bins::{self, CLASSES};
 use crate::pco::{
     encode_stream, header_error, patch_exceptions, read_exceptions, unzigzag, BitSink,
 };
-use crate::{CodecConfig, CodecError, CodecId, ScalarCodec};
+use crate::{CodecConfig, CodecError, ScalarCodec};
 use tac_dtype::Element;
 use tac_sz::wire::ByteReader;
 use tac_sz::{Dims, Header, FLAG_F32};
@@ -199,13 +199,12 @@ fn encode_page(scratch: &mut EncodeScratch, z: &[u64], classes: &[u8], out: &mut
 /// time through [`encode_stream`] (the shared pcodec-style front end),
 /// so the cost per value does not depend on the stream's
 /// length and nothing the size of the stream is held besides the
-/// output. `RECON` selects whether the decoder's exact output is
-/// materialized alongside (empty otherwise).
-fn compress_impl<T: Element, const RECON: bool>(
+/// output.
+fn compress_impl<T: Element>(
     data: &[T],
     dims: Dims,
     cfg: &CodecConfig,
-) -> Result<(Vec<u8>, Vec<T>), CodecError> {
+) -> Result<Vec<u8>, CodecError> {
     dims.validate(data.len())?;
     cfg.validate()?;
     let n = data.len();
@@ -215,10 +214,10 @@ fn compress_impl<T: Element, const RECON: bool>(
     let mut out = Vec::with_capacity(header.encoded_len() + 8 + n);
     header.encode(&mut out);
     let mut scratch = EncodeScratch::new(n.min(PAGE));
-    let recon = encode_stream::<T, RECON>(data, cfg.abs_eb, PAGE, &mut out, |z, classes, out| {
+    encode_stream(data, cfg.abs_eb, PAGE, &mut out, |z, classes, out| {
         encode_page(&mut scratch, z, classes, out)
     });
-    Ok((out, recon))
+    Ok(out)
 }
 
 /// The value mask for a `width`-bit offset read (all-ones below
@@ -440,21 +439,8 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
 }
 
 impl<T: Element> ScalarCodec<T> for PcoAns {
-    fn id(&self) -> CodecId {
-        CodecId::PcoAns
-    }
-
     fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
-        compress_impl::<T, false>(data, dims, cfg).map(|(bytes, _)| bytes)
-    }
-
-    fn compress_with_recon(
-        &self,
-        data: &[T],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
-        compress_impl::<T, true>(data, dims, cfg)
+        compress_impl(data, dims, cfg)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
@@ -473,13 +459,9 @@ mod tests {
     use tac_dtype::TacDtype;
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
-        let cfg = CodecConfig::abs(eb);
-        let (bytes, recon) = PcoAns.compress_with_recon(data, dims, &cfg).unwrap();
+        let bytes = PcoAns.compress(data, dims, &CodecConfig::abs(eb)).unwrap();
         let (out, out_dims) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         assert_eq!(out_dims, dims);
-        for (a, b) in recon.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits(), "recon promise broken");
-        }
         out
     }
 
@@ -675,9 +657,7 @@ mod tests {
             .map(|i| (i as f32 * 0.01).sin() * 4.0 + (i as f32 * 0.002).cos())
             .collect();
         let cfg = CodecConfig::abs(1e-3);
-        let (bytes, recon) = PcoAns
-            .compress_with_recon(&data, Dims::D1(5000), &cfg)
-            .unwrap();
+        let bytes = PcoAns.compress(&data, Dims::D1(5000), &cfg).unwrap();
         let (out, dims) = f32::codec_decompress(&PcoAns, &bytes).unwrap();
         assert_eq!(dims, Dims::D1(5000));
         for (i, (&a, &b)) in data.iter().zip(&out).enumerate() {
@@ -685,9 +665,6 @@ mod tests {
                 (a as f64 - b as f64).abs() <= 1e-3 * (1.0 + 1e-6),
                 "point {i}"
             );
-        }
-        for (a, b) in recon.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
         // Wrong-width entry points reject.
         assert!(matches!(
@@ -854,21 +831,17 @@ mod tests {
     }
 
     /// Holds the page kernel to the reference encoder's bytes on one
-    /// stream, and `compress_with_recon` to its promise.
+    /// stream, and the decoder to the reconstruction it promised.
     fn assert_matches_reference<T: CodecElement>(data: &[T], dims: Dims, eb: f64, what: &str) {
-        let cfg = CodecConfig::abs(eb);
         let (want, want_recon) = reference_compress(data, dims, eb);
-        let got = PcoAns.compress(data, dims, &cfg).unwrap();
+        let got = PcoAns.compress(data, dims, &CodecConfig::abs(eb)).unwrap();
         assert!(got == want, "{what}: stream differs from the reference");
-        let (got, recon) = PcoAns.compress_with_recon(data, dims, &cfg).unwrap();
-        assert!(got == want, "{what}: stream differs when recon is kept");
         let (decoded, _) = T::codec_decompress(&PcoAns, &got).unwrap();
-        assert_eq!(recon.len(), data.len(), "{what}");
-        for ((a, b), c) in recon.iter().zip(&want_recon).zip(&decoded) {
-            assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "{what}: recon");
+        assert_eq!(decoded.len(), data.len(), "{what}");
+        for (a, b) in want_recon.iter().zip(&decoded) {
             assert_eq!(
                 a.to_bits_u64(),
-                c.to_bits_u64(),
+                b.to_bits_u64(),
                 "{what}: recon promise broken"
             );
         }

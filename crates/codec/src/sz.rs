@@ -9,37 +9,14 @@ use tac_sz::{Dims, SzConfig};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SzCodec;
 
-impl SzCodec {
-    fn sz_config(cfg: &CodecConfig) -> Result<SzConfig, CodecError> {
-        cfg.validate()?;
-        Ok(SzConfig::abs(cfg.abs_eb))
-    }
-}
-
 impl<T: Element> ScalarCodec<T> for SzCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Sz
-    }
-
     fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
-        Ok(tac_sz::compress_t(data, dims, &Self::sz_config(cfg)?)?)
-    }
-
-    fn compress_with_recon(
-        &self,
-        data: &[T],
-        dims: Dims,
-        cfg: &CodecConfig,
-    ) -> Result<(Vec<u8>, Vec<T>), CodecError> {
-        Ok(tac_sz::compress_with_recon_t(
-            data,
-            dims,
-            &Self::sz_config(cfg)?,
-        )?)
+        cfg.validate()?;
+        Ok(tac_sz::compress(data, dims, &SzConfig::abs(cfg.abs_eb))?)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
-        tac_sz::decompress_t(bytes).map_err(|e| match stream_head(bytes) {
+        tac_sz::decompress(bytes).map_err(|e| match stream_head(bytes) {
             // The SZ substrate reports a width mismatch as
             // `UnsupportedFormat`; the codec layer's error is typed.
             Ok((CodecId::Sz, found)) if found != T::DTYPE => CodecError::WrongDtype {

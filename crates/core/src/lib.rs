@@ -38,12 +38,13 @@
 //! already carries. Decode needs no new wire format.
 //!
 //! The whole surface is generic over the element type ([`Element`]:
-//! `f32` / `f64`). Seven entry points: [`compress_dataset_t`],
-//! [`decompress_dataset_par_t`], [`decompress_dataset_any`] (decodes at
-//! whatever type the container declares), [`decompress_region_t`],
+//! `f32` / `f64`). Six entry points: [`compress_dataset_t`],
+//! [`decompress_dataset_par_t`], [`decompress_region_t`],
 //! [`compress_level_t`], [`decompress_level_t`] and
-//! [`resolve_level_eb_for`]. Compression infers the type from its
-//! input; decodes name it (`::<f64>`).
+//! [`resolve_level_eb_for`], the one place a relative bound becomes an
+//! absolute one. Compression infers the type from its input; decodes
+//! name it (`::<f64>`, or the [`CompressedDataset::dtype`] a container
+//! declares).
 //!
 //! ```
 //! use tac_amr::{AmrDataset, AmrLevel};
@@ -93,8 +94,8 @@ pub use gsp::pad_ghost_shell;
 pub use nast::plan_nast;
 pub use opst::{plan_opst, plan_opst_from_occupancy, OpstPlan};
 pub use pipeline::{
-    compress_dataset_t, compress_level_t, decompress_dataset_any, decompress_dataset_par_t,
-    decompress_level_t, resolve_level_eb_for, select_method, AnyDataset,
+    compress_dataset_t, compress_level_t, decompress_dataset_par_t, decompress_level_t,
+    resolve_level_eb_for, select_method,
 };
 pub use roi::{decompress_region_t, RoiStats};
 pub use segment::Segment;

@@ -28,7 +28,11 @@ use tac_par::Parallelism;
 
 /// Resolves the configured error bound for one level of `dtype` data:
 /// applies the per-level multiplier, then converts relative bounds
-/// against the given value range.
+/// against the given value range. This is the only code that turns an
+/// [`ErrorBound::Rel`] into the absolute bound the codecs take. A level
+/// whose range is zero (one present cell, or a constant field) resolves
+/// to the smallest normal of `dtype`: every value then predicts exactly
+/// or is stored verbatim.
 ///
 /// # Non-finite policy
 /// Every codec backend stores NaN/±Inf inputs **verbatim** (bit-exact on
@@ -72,15 +76,16 @@ pub fn resolve_level_eb_for(
         }
     };
     // Only non-finite *extremes* are the data's fault. A finite span
-    // that overflows f64 (e.g. -1e308..1e308) stays on `resolve`'s
-    // conservative MIN_POSITIVE fallback — effectively verbatim storage.
+    // that overflows f64 (e.g. -1e308..1e308), like a zero span, takes
+    // `resolve_for`'s fallback: the smallest normal of `dtype`, which
+    // is effectively verbatim storage.
     if matches!(scaled, ErrorBound::Rel(_)) && !(min.is_finite() && max.is_finite()) {
         return Err(TacError::NonFinite(format!(
             "relative error bound cannot resolve against the non-finite \
              value range ({min}, {max})"
         )));
     }
-    let abs_eb = scaled.resolve(min, max)?;
+    let abs_eb = scaled.resolve_for(min, max, dtype)?;
     let degenerate = dispatch_dtype!(dtype, T => {
         abs_eb > 0.0 && T::from_f64(abs_eb).to_f64() == 0.0
     });
@@ -400,44 +405,6 @@ pub(crate) fn compress_with<T: CodecElement>(
         masks,
         body,
     })
-}
-
-/// A decompressed dataset of whichever element type the container
-/// declared — the dtype-sniffing decode path for callers that handle
-/// containers of unknown provenance.
-#[derive(Debug, Clone)]
-pub enum AnyDataset {
-    /// The container held `f64` data.
-    F64(AmrDataset),
-    /// The container held `f32` data.
-    F32(AmrDataset<f32>),
-}
-
-impl AnyDataset {
-    /// The element type of the decoded data.
-    pub fn dtype(&self) -> TacDtype {
-        match self {
-            AnyDataset::F64(_) => TacDtype::F64,
-            AnyDataset::F32(_) => TacDtype::F32,
-        }
-    }
-
-    /// Number of AMR levels, whatever the element type.
-    pub fn num_levels(&self) -> usize {
-        match self {
-            AnyDataset::F64(ds) => ds.num_levels(),
-            AnyDataset::F32(ds) => ds.num_levels(),
-        }
-    }
-}
-
-/// Decompresses a container of either element type, dispatching on the
-/// dtype it declares (serial engine).
-pub fn decompress_dataset_any(cd: &CompressedDataset) -> Result<AnyDataset, TacError> {
-    match cd.dtype {
-        TacDtype::F64 => decompress_dataset_par_t(cd, Parallelism::Serial).map(AnyDataset::F64),
-        TacDtype::F32 => decompress_dataset_par_t(cd, Parallelism::Serial).map(AnyDataset::F32),
-    }
 }
 
 /// Checks the geometry every decode arm trusts when it sizes grids and
@@ -1107,10 +1074,6 @@ mod tests {
                     decompress_dataset_par_t::<f64>(&parsed, Parallelism::Serial),
                     Err(TacError::Codec(CodecError::WrongDtype { .. }))
                 ));
-                // The sniffing path picks the declared element type.
-                let any = decompress_dataset_any(&parsed).unwrap();
-                assert_eq!(any.dtype(), TacDtype::F32);
-                assert_eq!(any.num_levels(), ds.num_levels());
             }
         }
     }
@@ -1128,7 +1091,7 @@ mod tests {
             decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial),
             Err(TacError::Codec(CodecError::WrongDtype { .. }))
         ));
-        assert_eq!(decompress_dataset_any(&cd).unwrap().dtype(), TacDtype::F64);
+        assert_eq!(cd.dtype, TacDtype::F64);
     }
 
     #[test]

@@ -29,11 +29,6 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a writer with pre-reserved capacity (in bytes).
     pub fn with_capacity(bytes: usize) -> Self {
         BitWriter {
@@ -71,17 +66,6 @@ impl BitWriter {
             self.acc = v & ((1u64 << rest) - 1);
             self.used = rest;
         }
-    }
-
-    /// Appends a single bit.
-    #[inline]
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(bit as u64, 1);
-    }
-
-    /// Total number of bits written so far.
-    pub fn bit_len(&self) -> u64 {
-        self.bits_written
     }
 
     /// Finishes the stream, padding the final byte with zero bits.
@@ -268,11 +252,6 @@ pub(crate) mod reference {
             self.write_bits(bit as u64, 1);
         }
 
-        /// Total number of bits written so far.
-        pub fn bit_len(&self) -> u64 {
-            self.bits_written
-        }
-
         /// Finishes the stream, padding the final byte with zero bits.
         /// Returns `(bytes, bit_len)`.
         pub fn finish(mut self) -> (Vec<u8>, u64) {
@@ -382,19 +361,18 @@ mod tests {
     fn writer_matches_reference_bytes() {
         for seed in 0..64u64 {
             let mut next = rng(seed);
-            let mut w = BitWriter::new();
+            let mut w = BitWriter::with_capacity(0);
             let mut r = reference::BitWriter::new();
             // Vary the write count so every tail length shows up.
             for _ in 0..(seed * 37 % 700) {
                 let (v, n) = (next(), width(&mut next));
                 if n == 1 {
-                    w.write_bit(v & 1 == 1);
+                    w.write_bits(v & 1, 1);
                     r.write_bit(v & 1 == 1);
                 } else {
                     w.write_bits(v, n);
                     r.write_bits(v, n);
                 }
-                assert_eq!(w.bit_len(), r.bit_len());
             }
             assert_eq!(w.finish(), r.finish(), "seed {seed}");
         }
@@ -451,10 +429,10 @@ mod tests {
 
     #[test]
     fn roundtrip_mixed_widths() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(0);
         w.write_bits(0b101, 3);
         w.write_bits(0xDEADBEEF, 32);
-        w.write_bit(true);
+        w.write_bits(1, 1);
         w.write_bits(0, 7);
         w.write_bits(u64::MAX, 64);
         let (bytes, bits) = w.finish();
@@ -469,7 +447,7 @@ mod tests {
 
     #[test]
     fn over_read_is_detected() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(0);
         w.write_bits(0b11, 2);
         let (bytes, bits) = w.finish();
         let mut r = BitReader::new(&bytes, bits).unwrap();
@@ -484,8 +462,8 @@ mod tests {
 
     #[test]
     fn bit_order_is_msb_first() {
-        let mut w = BitWriter::new();
-        w.write_bit(true);
+        let mut w = BitWriter::with_capacity(0);
+        w.write_bits(1, 1);
         w.write_bits(0, 7);
         let (bytes, _) = w.finish();
         assert_eq!(bytes, vec![0b1000_0000]);
@@ -494,9 +472,9 @@ mod tests {
     #[test]
     fn many_single_bits() {
         let pattern: Vec<bool> = (0..1000).map(|i| (i * 7) % 3 == 0).collect();
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(0);
         for &b in &pattern {
-            w.write_bit(b);
+            w.write_bits(u64::from(b), 1);
         }
         let (bytes, bits) = w.finish();
         assert_eq!(bits, 1000);
@@ -508,7 +486,7 @@ mod tests {
 
     #[test]
     fn zero_bit_write_is_noop() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(0);
         w.write_bits(123, 0);
         let (bytes, bits) = w.finish();
         assert!(bytes.is_empty());

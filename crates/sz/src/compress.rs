@@ -8,7 +8,7 @@
 //! the identical reconstruction, which is what guarantees the error bound.
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::config::{Dims, ErrorBound, SzConfig};
+use crate::config::{Dims, SzConfig};
 use crate::container::{Header, HeaderError, FLAG_LOSSLESS, MAGIC, VERSION};
 use crate::error::SzError;
 use crate::huffman::HuffmanCode;
@@ -94,7 +94,7 @@ impl<T: Element> PointCodec<T> for Encoder<'_, T> {
     // tac-lint: allow(panic) -- encoder over in-memory data: the traversal only produces idx < dims.len() == data.len(), validated before entry.
     fn process(&mut self, idx: usize, pred: f64) -> Result<T, SzError> {
         let v = self.data[idx];
-        let (q, recon) = self.quantizer.quantize_t(v, pred);
+        let (q, recon) = self.quantizer.quantize(v, pred);
         match q {
             Quantized::Code(sym) => self.symbols.push(sym),
             Quantized::Unpredictable => {
@@ -129,7 +129,7 @@ impl<T: Element> PointCodec<T> for Decoder<'_, T> {
             self.next_raw += 1;
             Ok(v)
         } else {
-            Ok(self.quantizer.recover_t(sym, pred))
+            Ok(self.quantizer.recover(sym, pred))
         }
     }
 }
@@ -243,77 +243,37 @@ fn build_contexts<T: Element>(
     }
 }
 
-/// Compresses `data` with the given shape and configuration.
+/// Quantization bins every stream is written with: code 0 is reserved
+/// for "unpredictable", codes `1..CAPACITY` map to
+/// `[-radius+1, radius-1]` where `radius = CAPACITY / 2` (SZ's default).
+/// The stream stores it, and the decoder reads whatever value it holds.
+const CAPACITY: u32 = 65536;
+
+/// Compresses `data` with the given shape under `cfg`'s absolute bound.
+/// Monomorphized per element width, with no per-value dtype branches:
+/// `f32` streams set [`FLAG_F32`](crate::FLAG_F32) and store verbatim
+/// values at 4 bytes each.
 ///
 /// # Errors
 /// Fails on shape/config validation errors; never fails on data content
 /// (NaN/Inf values are stored verbatim).
-pub fn compress(data: &[f64], dims: Dims, cfg: &SzConfig) -> Result<Vec<u8>, SzError> {
-    compress_with_recon_t(data, dims, cfg).map(|(bytes, _)| bytes)
+pub fn compress<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig) -> Result<Vec<u8>, SzError> {
+    compress_with::<T, Shipped>(data, dims, cfg, CAPACITY).map(|(bytes, _)| bytes)
 }
 
-/// Like [`compress`] but also returns the reconstruction the decompressor
-/// will produce — callers computing distortion metrics (PSNR, power
-/// spectra) can skip a decompression pass.
-pub fn compress_with_recon(
-    data: &[f64],
-    dims: Dims,
-    cfg: &SzConfig,
-) -> Result<(Vec<u8>, Vec<f64>), SzError> {
-    compress_with_recon_t(data, dims, cfg)
-}
-
-/// Element-generic [`compress`]: monomorphized per width, no per-value
-/// dtype branches. The `f64` instantiation is byte-identical to the
-/// historical format; `f32` streams set [`FLAG_F32`](crate::FLAG_F32) and store verbatim
-/// values at 4 bytes each.
-pub fn compress_t<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig) -> Result<Vec<u8>, SzError> {
-    compress_with_recon_t(data, dims, cfg).map(|(bytes, _)| bytes)
-}
-
-/// Element-generic [`compress_with_recon`].
-pub fn compress_with_recon_t<T: Element>(
-    data: &[T],
-    dims: Dims,
-    cfg: &SzConfig,
-) -> Result<(Vec<u8>, Vec<T>), SzError> {
-    compress_with::<T, Shipped>(data, dims, cfg)
-}
-
-/// `(min, max)` over the finite values of `data`; `(0, 0)` when there
-/// are none (all-NaN/Inf input: any positive bound works, everything is
-/// raw).
-fn finite_range<T: Element>(data: &[T]) -> (f64, f64) {
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in data {
-        if v.is_finite() {
-            let v = v.to_f64();
-            min = min.min(v);
-            max = max.max(v);
-        }
-    }
-    if min.is_finite() {
-        (min, max)
-    } else {
-        (0.0, 0.0)
-    }
-}
-
-/// [`compress_with_recon_t`] over the back end `B`.
+/// The encoder over the back end `B`, writing `capacity` quantization
+/// bins: the stream, and the reconstruction the predictor read, which
+/// is what the decoder will produce.
 fn compress_with<T: Element, B: BackEnd>(
     data: &[T],
     dims: Dims,
     cfg: &SzConfig,
+    capacity: u32,
 ) -> Result<(Vec<u8>, Vec<T>), SzError> {
     dims.validate(data.len())?;
     cfg.validate()?;
-    // Only a relative bound reads the value range.
-    let (min, max) = match cfg.error_bound {
-        ErrorBound::Abs(_) => (0.0, 0.0),
-        ErrorBound::Rel(_) => finite_range(data),
-    };
-    let abs_eb = cfg.error_bound.resolve_for(min, max, T::DTYPE)?;
-    let quantizer = Quantizer::new(abs_eb, cfg.capacity);
+    let abs_eb = cfg.abs_eb;
+    let quantizer = Quantizer::new(abs_eb, capacity as usize);
     let contexts = build_contexts(data, dims, abs_eb, cfg.regression);
     if tac_obs::enabled() {
         // Predictor mix: regression vs. Lorenzo blocks, per slab.
@@ -401,23 +361,15 @@ fn compress_with<T: Element, B: BackEnd>(
     // tac-lint: allow(arith) -- writer-side capacity estimate over in-memory lengths.
     let mut out = Vec::with_capacity(header.encoded_len() + 4 + body.len());
     header.encode(&mut out);
-    // tac-lint: allow(arith) -- cfg.validate() bounds capacity to 1 << 28, well inside u32.
-    out.extend_from_slice(&(cfg.capacity as u32).to_le_bytes());
+    out.extend_from_slice(&capacity.to_le_bytes());
     out.extend_from_slice(&body);
     Ok((out, recon))
 }
 
 /// Decompresses a stream produced by [`compress`], returning the data and
-/// its shape.
-///
-/// Rejects `f32` streams with [`SzError::UnsupportedFormat`]; call
-/// [`decompress_t::<f32>`] for those.
-pub fn decompress(bytes: &[u8]) -> Result<(Vec<f64>, Dims), SzError> {
-    decompress_t::<f64>(bytes)
-}
-
-/// Element-generic [`decompress`]: the stream's dtype flag must match `T`.
-pub fn decompress_t<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError> {
+/// its shape. The stream's dtype flag must match `T`: another width is
+/// [`SzError::UnsupportedFormat`].
+pub fn decompress<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError> {
     decompress_with::<T, Shipped>(bytes)
 }
 
@@ -432,7 +384,7 @@ impl From<HeaderError> for SzError {
     }
 }
 
-/// [`decompress_t`] over the back end `B`.
+/// [`decompress`] over the back end `B`.
 fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError> {
     // Unknown flag bits have always been ignored on this wire.
     let (header, rest) = Header::read::<T>(bytes, MAGIC, VERSION, u8::MAX)?;
@@ -567,6 +519,7 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ErrorBound;
     use tac_dtype::TacDtype;
 
     fn smooth_3d(n: usize) -> Vec<f64> {
@@ -580,6 +533,27 @@ mod tests {
             }
         }
         v
+    }
+
+    /// A configuration whose bound is `rel` times the finite value range
+    /// of `data`, resolved the way a caller resolves it.
+    fn rel<T: Element>(data: &[T], rel: f64) -> SzConfig {
+        let (min, max) = data
+            .iter()
+            .filter(|v| v.is_finite())
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                (lo.min(v.to_f64()), hi.max(v.to_f64()))
+            });
+        let (min, max) = if min.is_finite() {
+            (min, max)
+        } else {
+            (0.0, 0.0)
+        };
+        SzConfig::abs(
+            ErrorBound::Rel(rel)
+                .resolve_for(min, max, T::DTYPE)
+                .unwrap(),
+        )
     }
 
     fn stream_dtype(bytes: &[u8]) -> Option<TacDtype> {
@@ -651,19 +625,21 @@ mod tests {
         ]
     }
 
+    /// The last bound puts the spikes' codes far outside the default
+    /// window, so those streams carry raw values.
     fn configs() -> Vec<SzConfig> {
         vec![
             SzConfig::abs(1e-3),
             SzConfig::abs(1e-3).without_lossless(),
-            SzConfig::rel(1e-5),
-            SzConfig::rel(1e-2).without_regression(),
-            SzConfig::abs(1e-4).with_capacity(64),
+            SzConfig::abs(1e-5),
+            SzConfig::abs(1e-2).without_regression(),
+            SzConfig::abs(1e-6),
         ]
     }
 
-    fn same_streams<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig) {
-        let (a, ra) = compress_with::<T, Shipped>(data, dims, cfg).unwrap();
-        let (b, rb) = compress_with::<T, Reference>(data, dims, cfg).unwrap();
+    fn same_streams<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig, capacity: u32) {
+        let (a, ra) = compress_with::<T, Shipped>(data, dims, cfg, capacity).unwrap();
+        let (b, rb) = compress_with::<T, Reference>(data, dims, cfg, capacity).unwrap();
         assert!(a == b, "{dims:?} {cfg:?}: stream differs");
         assert!(
             ra == rb
@@ -685,17 +661,25 @@ mod tests {
         for (data, dims) in rank_inputs() {
             let data32: Vec<f32> = data.iter().map(|&v| v as f32).collect();
             for cfg in configs() {
-                same_streams::<f64>(&data, dims, &cfg);
-                same_streams::<f32>(&data32, dims, &cfg);
+                same_streams::<f64>(&data, dims, &cfg, CAPACITY);
+                same_streams::<f32>(&data32, dims, &cfg, CAPACITY);
             }
+            // A stored capacity other than the writer's decodes too.
+            same_streams::<f64>(&data, dims, &SzConfig::abs(1e-4), 64);
         }
         // A constant field (one-symbol alphabet) and white noise (wide).
-        same_streams::<f64>(&[7.25; 4096], Dims::D3(16, 16, 16), &SzConfig::rel(1e-4));
+        let constant = [7.25; 4096];
+        same_streams::<f64>(
+            &constant,
+            Dims::D3(16, 16, 16),
+            &rel(&constant, 1e-4),
+            CAPACITY,
+        );
         let noise: Vec<f64> = (0..4096u64)
             .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) >> 11) as f64 / (1u64 << 53) as f64)
             .collect();
         for cfg in [SzConfig::abs(1e-9), SzConfig::abs(1e-3)] {
-            same_streams::<f64>(&noise, Dims::D1(4096), &cfg);
+            same_streams::<f64>(&noise, Dims::D1(4096), &cfg, CAPACITY);
         }
     }
 
@@ -715,8 +699,8 @@ mod tests {
                 (x * 1e-3).sin() * 40.0 + (x * 0.37).cos() + ((i * 7919) % 1009) as f64 * 1e-3
             })
             .collect();
-        for cfg in [SzConfig::rel(1e-5), SzConfig::rel(1e-3)] {
-            same_streams::<f64>(&data, Dims::D1(n), &cfg);
+        for r in [1e-5, 1e-3] {
+            same_streams::<f64>(&data, Dims::D1(n), &rel(&data, r), CAPACITY);
         }
         let side = if cfg!(debug_assertions) { 24 } else { 96 };
         let cube: Vec<f32> = data
@@ -724,7 +708,12 @@ mod tests {
             .take(side * side * side)
             .map(|&v| v as f32)
             .collect();
-        same_streams::<f32>(&cube, Dims::D3(side, side, side), &SzConfig::rel(1e-4));
+        same_streams::<f32>(
+            &cube,
+            Dims::D3(side, side, side),
+            &rel(&cube, 1e-4),
+            CAPACITY,
+        );
     }
 
     /// Every truncation and every single-byte mutation (four flips per
@@ -741,7 +730,7 @@ mod tests {
             compress(&d3, Dims::D4(3, 4, 6, 3), &SzConfig::abs(1e-4)).unwrap(),
         ];
         let d32: Vec<f32> = d3.iter().map(|&v| v as f32).collect();
-        streams.push(compress_t(&d32, Dims::D2(12, 18), &SzConfig::abs(1e-3)).unwrap());
+        streams.push(compress(&d32, Dims::D2(12, 18), &SzConfig::abs(1e-3)).unwrap());
         assert!(streams.iter().any(|s| s[5] & FLAG_LOSSLESS != 0));
         fn check<T: Element>(s: &[u8]) {
             let a = decompress_with::<T, Shipped>(s);
@@ -844,7 +833,8 @@ mod tests {
     #[test]
     fn relative_bound_resolves_against_range() {
         let data: Vec<f64> = (0..1000).map(|i| i as f64).collect(); // range 999
-        let cfg = SzConfig::rel(1e-3);
+        let cfg = rel(&data, 1e-3);
+        assert!((cfg.abs_eb - 0.999).abs() < 1e-12);
         let bytes = compress(&data, Dims::D1(1000), &cfg).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         check_bound(&data, &out, 0.999);
@@ -855,11 +845,34 @@ mod tests {
         let n = 12;
         let data = smooth_3d(n);
         let cfg = SzConfig::abs(1e-2);
-        let (bytes, recon) = compress_with_recon(&data, Dims::D3(n, n, n), &cfg).unwrap();
-        let (out, _) = decompress(&bytes).unwrap();
+        let (bytes, recon) =
+            compress_with::<f64, Shipped>(&data, Dims::D3(n, n, n), &cfg, CAPACITY).unwrap();
+        let (out, _) = decompress::<f64>(&bytes).unwrap();
         for (a, b) in recon.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn regression_planes_the_wire_cannot_carry_fall_back_to_lorenzo() {
+        // A bound tiny against the values gives plane-fit codes beyond
+        // `i64`: a constant f32 field at f32's smallest normal (what a
+        // relative bound over a zero range resolves to), and f64 values
+        // near 1e10 at 1e-12. Such blocks must keep Lorenzo, or the
+        // decoder predicts from another plane than the encoder did.
+        let n = 16;
+        let constant = vec![7.25f32; n * n * n];
+        let cfg = SzConfig::abs(f64::from(f32::MIN_POSITIVE));
+        let bytes = compress(&constant, Dims::D3(n, n, n), &cfg).unwrap();
+        assert_eq!(decompress::<f32>(&bytes).unwrap().0, constant);
+
+        let data: Vec<f64> = (0..n * n * n)
+            .map(|i| 1e10 + (i as f64 * 0.01).sin() * 1e-3)
+            .collect();
+        let dims = Dims::D4(n, n, 4, 4);
+        let bytes = compress(&data, dims, &SzConfig::abs(1e-12)).unwrap();
+        let (out, _) = decompress::<f64>(&bytes).unwrap();
+        check_bound(&data, &out, 1e-12);
     }
 
     #[test]
@@ -880,9 +893,9 @@ mod tests {
     #[test]
     fn constant_field_compresses_tiny() {
         let data = vec![7.25f64; 32 * 32 * 32];
-        let cfg = SzConfig::rel(1e-4);
+        let cfg = rel(&data, 1e-4);
         let bytes = compress(&data, Dims::D3(32, 32, 32), &cfg).unwrap();
-        let (out, _) = decompress(&bytes).unwrap();
+        let (out, _) = decompress::<f64>(&bytes).unwrap();
         assert_eq!(out, data);
         assert!(
             bytes.len() < 600,
@@ -918,8 +931,8 @@ mod tests {
         )
         .unwrap();
         assert!(with.len() <= without.len() + 16);
-        let (a, _) = decompress(&with).unwrap();
-        let (b, _) = decompress(&without).unwrap();
+        let (a, _) = decompress::<f64>(&with).unwrap();
+        let (b, _) = decompress::<f64>(&without).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -942,12 +955,12 @@ mod tests {
         // produce output, never panic.
         for i in (0..bytes.len()).step_by(7) {
             bytes[i] ^= 0xFF;
-            let _ = decompress(&bytes);
+            let _ = decompress::<f64>(&bytes);
             bytes[i] ^= 0xFF;
         }
         // Truncations likewise.
         for cut in [0, 1, 5, 17, bytes.len() / 2] {
-            assert!(decompress(&bytes[..cut]).is_err());
+            assert!(decompress::<f64>(&bytes[..cut]).is_err());
         }
     }
 
@@ -973,14 +986,17 @@ mod tests {
     #[test]
     fn generic_f64_path_is_byte_identical_to_legacy() {
         // The monomorphized f64 pipeline must produce the exact bytes the
-        // pre-dtype compressor did: golden fixtures depend on it.
+        // pre-dtype compressor did: golden fixtures depend on it. The
+        // length and FNV-1a digest pin the stream it wrote.
         let n = 12;
         let data = smooth_3d(n);
-        let cfg = SzConfig::abs(1e-3);
-        let a = compress(&data, Dims::D3(n, n, n), &cfg).unwrap();
-        let b = compress_t::<f64>(&data, Dims::D3(n, n, n), &cfg).unwrap();
-        assert_eq!(a, b);
+        let a = compress(&data, Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap();
+        let fnv = a.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((a.len(), fnv), (725, 0xfb48_2190_c05b_3751));
         assert_eq!(stream_dtype(&a), Some(TacDtype::F64));
+        assert_eq!(a[5] & crate::FLAG_F32, 0);
     }
 
     #[test]
@@ -988,9 +1004,9 @@ mod tests {
         let n = 16;
         let data: Vec<f32> = smooth_3d(n).iter().map(|&v| v as f32).collect();
         let cfg = SzConfig::abs(1e-3);
-        let bytes = compress_t::<f32>(&data, Dims::D3(n, n, n), &cfg).unwrap();
+        let bytes = compress::<f32>(&data, Dims::D3(n, n, n), &cfg).unwrap();
         assert_eq!(stream_dtype(&bytes), Some(TacDtype::F32));
-        let (out, dims) = decompress_t::<f32>(&bytes).unwrap();
+        let (out, dims) = decompress::<f32>(&bytes).unwrap();
         assert_eq!(dims, Dims::D3(n, n, n));
         for (i, (&a, &b)) in data.iter().zip(&out).enumerate() {
             assert!(
@@ -1007,9 +1023,10 @@ mod tests {
     fn f32_recon_matches_decompressed_exactly() {
         let n = 10;
         let data: Vec<f32> = smooth_3d(n).iter().map(|&v| v as f32).collect();
-        let cfg = SzConfig::rel(1e-4);
-        let (bytes, recon) = compress_with_recon_t::<f32>(&data, Dims::D3(n, n, n), &cfg).unwrap();
-        let (out, _) = decompress_t::<f32>(&bytes).unwrap();
+        let cfg = rel(&data, 1e-4);
+        let (bytes, recon) =
+            compress_with::<f32, Shipped>(&data, Dims::D3(n, n, n), &cfg, CAPACITY).unwrap();
+        let (out, _) = decompress::<f32>(&bytes).unwrap();
         for (a, b) in recon.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1022,8 +1039,8 @@ mod tests {
         data[100] = f32::INFINITY;
         data[200] = f32::NEG_INFINITY;
         data[301] = -0.0;
-        let bytes = compress_t::<f32>(&data, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();
-        let (out, _) = decompress_t::<f32>(&bytes).unwrap();
+        let bytes = compress::<f32>(&data, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();
+        let (out, _) = decompress::<f32>(&bytes).unwrap();
         assert!(out[3].is_nan());
         assert_eq!(out[100], f32::INFINITY);
         assert_eq!(out[200], f32::NEG_INFINITY);
@@ -1044,19 +1061,14 @@ mod tests {
         let data64 = vec![1.0f64; 32];
         let data32 = vec![1.0f32; 32];
         let cfg = SzConfig::abs(0.1);
-        let b64 = compress_t::<f64>(&data64, Dims::D1(32), &cfg).unwrap();
-        let b32 = compress_t::<f32>(&data32, Dims::D1(32), &cfg).unwrap();
+        let b64 = compress::<f64>(&data64, Dims::D1(32), &cfg).unwrap();
+        let b32 = compress::<f32>(&data32, Dims::D1(32), &cfg).unwrap();
         assert!(matches!(
-            decompress_t::<f32>(&b64),
+            decompress::<f32>(&b64),
             Err(SzError::UnsupportedFormat(_))
         ));
         assert!(matches!(
-            decompress_t::<f64>(&b32),
-            Err(SzError::UnsupportedFormat(_))
-        ));
-        // The plain f64 entry point reports the same typed error.
-        assert!(matches!(
-            decompress(&b32),
+            decompress::<f64>(&b32),
             Err(SzError::UnsupportedFormat(_))
         ));
     }
@@ -1073,15 +1085,15 @@ mod tests {
             .collect();
         let noise32: Vec<f32> = noise64.iter().map(|&v| v as f32).collect();
         let cfg = SzConfig::abs(1e-9);
-        let b64 = compress_t::<f64>(&noise64, Dims::D3(16, 16, 16), &cfg).unwrap();
-        let b32 = compress_t::<f32>(&noise32, Dims::D3(16, 16, 16), &cfg).unwrap();
+        let b64 = compress::<f64>(&noise64, Dims::D3(16, 16, 16), &cfg).unwrap();
+        let b32 = compress::<f32>(&noise32, Dims::D3(16, 16, 16), &cfg).unwrap();
         assert!(
             (b32.len() as f64) < b64.len() as f64 * 0.75,
             "f32 {} vs f64 {}",
             b32.len(),
             b64.len()
         );
-        let (out, _) = decompress_t::<f32>(&b32).unwrap();
+        let (out, _) = decompress::<f32>(&b32).unwrap();
         for (&a, &b) in noise32.iter().zip(&out) {
             assert!((a as f64 - b as f64).abs() <= 1e-9);
         }

@@ -1,5 +1,5 @@
-//! Compressor configuration: error-bound modes, quantizer capacity,
-//! lossless backend toggle, and array dimensionality.
+//! Compressor configuration: error-bound modes, the resolved bound and
+//! the two stage toggles, and array dimensionality.
 
 use crate::error::SzError;
 use serde::{Deserialize, Serialize};
@@ -16,19 +16,14 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
-    /// Resolves the bound to an absolute epsilon for the given value range.
+    /// Resolves the bound to an absolute epsilon for data of element type
+    /// `dtype` spanning `min..=max`.
     ///
-    /// Constant inputs (zero range) resolve to a tiny positive epsilon so
-    /// that quantization still succeeds; every point then predicts exactly.
-    pub fn resolve(self, min: f64, max: f64) -> Result<f64, SzError> {
-        self.resolve_for(min, max, TacDtype::F64)
-    }
-
-    /// Like [`ErrorBound::resolve`], but the zero-range fallback epsilon is
-    /// the smallest positive *normal* of the element type actually being
-    /// compressed, so the quantizer step stays representable at that
-    /// precision (`f64::MIN_POSITIVE` would silently flush to zero in an
-    /// `f32` pipeline).
+    /// A relative bound over a zero (or non-finite) range resolves to the
+    /// smallest positive *normal* of `dtype`, so the quantizer step stays
+    /// representable at that precision (`f64::MIN_POSITIVE` would flush
+    /// to zero in an `f32` pipeline); every point then predicts exactly
+    /// or is stored verbatim.
     pub fn resolve_for(self, min: f64, max: f64, dtype: TacDtype) -> Result<f64, SzError> {
         let abs = match self {
             ErrorBound::Abs(eb) => eb,
@@ -129,12 +124,10 @@ impl Dims {
 /// Full compressor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SzConfig {
-    /// Error-bound mode and magnitude.
-    pub error_bound: ErrorBound,
-    /// Number of quantization bins (even, >= 4). Code 0 is reserved for
-    /// "unpredictable"; codes `1..capacity` map to `[-radius+1, radius-1]`
-    /// where `radius = capacity / 2`. SZ's default is 65536.
-    pub capacity: usize,
+    /// Absolute point-wise error bound (`|v - v'| <= abs_eb`), already
+    /// resolved: a relative bound is the caller's to turn into one, with
+    /// [`ErrorBound::resolve_for`].
+    pub abs_eb: f64,
     /// Whether to run the LZSS lossless stage over the encoded payload.
     pub lossless: bool,
     /// Whether rank-3/4 inputs may use the SZ2-style per-block regression
@@ -144,19 +137,13 @@ pub struct SzConfig {
 }
 
 impl SzConfig {
-    /// Configuration with an absolute error bound and default settings.
-    pub fn abs(eb: f64) -> Self {
+    /// Configuration with an absolute error bound, the lossless stage
+    /// and the regression predictor.
+    pub fn abs(abs_eb: f64) -> Self {
         SzConfig {
-            error_bound: ErrorBound::Abs(eb),
-            ..Default::default()
-        }
-    }
-
-    /// Configuration with a value-range-relative bound and default settings.
-    pub fn rel(eb: f64) -> Self {
-        SzConfig {
-            error_bound: ErrorBound::Rel(eb),
-            ..Default::default()
+            abs_eb,
+            lossless: true,
+            regression: true,
         }
     }
 
@@ -172,29 +159,15 @@ impl SzConfig {
         self
     }
 
-    /// Overrides the quantizer capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Validates capacity constraints.
+    /// Validates the bound: positive and finite.
     pub fn validate(&self) -> Result<(), SzError> {
-        if self.capacity < 4 || self.capacity % 2 != 0 || self.capacity > (1 << 28) {
-            return Err(SzError::InvalidCapacity(self.capacity));
+        if self.abs_eb <= 0.0 || !self.abs_eb.is_finite() {
+            return Err(SzError::InvalidErrorBound(format!(
+                "absolute error bound must be positive and finite, got {}",
+                self.abs_eb
+            )));
         }
         Ok(())
-    }
-}
-
-impl Default for SzConfig {
-    fn default() -> Self {
-        SzConfig {
-            error_bound: ErrorBound::Rel(1e-4),
-            capacity: 65536,
-            lossless: true,
-            regression: true,
-        }
     }
 }
 
@@ -227,26 +200,63 @@ mod tests {
 
     #[test]
     fn abs_bound_resolution() {
-        assert_eq!(ErrorBound::Abs(0.5).resolve(0.0, 1.0).unwrap(), 0.5);
-        assert!(ErrorBound::Abs(0.0).resolve(0.0, 1.0).is_err());
-        assert!(ErrorBound::Abs(-1.0).resolve(0.0, 1.0).is_err());
-        assert!(ErrorBound::Abs(f64::NAN).resolve(0.0, 1.0).is_err());
+        let resolve = |eb: ErrorBound| eb.resolve_for(0.0, 1.0, TacDtype::F64);
+        assert_eq!(resolve(ErrorBound::Abs(0.5)).unwrap(), 0.5);
+        assert!(resolve(ErrorBound::Abs(0.0)).is_err());
+        assert!(resolve(ErrorBound::Abs(-1.0)).is_err());
+        assert!(resolve(ErrorBound::Abs(f64::NAN)).is_err());
     }
 
     #[test]
     fn rel_bound_scales_with_range() {
-        let eb = ErrorBound::Rel(1e-3).resolve(-5.0, 5.0).unwrap();
+        let eb = ErrorBound::Rel(1e-3)
+            .resolve_for(-5.0, 5.0, TacDtype::F64)
+            .unwrap();
         assert!((eb - 1e-2).abs() < 1e-15);
-        // Constant data: falls back to a tiny positive epsilon.
-        let eb = ErrorBound::Rel(1e-3).resolve(2.0, 2.0).unwrap();
-        assert!(eb > 0.0);
+        // Constant data: falls back to the smallest normal of the element
+        // type, which stays positive at that width.
+        for dtype in [TacDtype::F64, TacDtype::F32] {
+            let eb = ErrorBound::Rel(1e-3).resolve_for(2.0, 2.0, dtype).unwrap();
+            assert!(eb > 0.0);
+            let narrowed = match dtype {
+                TacDtype::F64 => eb,
+                TacDtype::F32 => eb as f32 as f64,
+            };
+            assert_eq!(narrowed, eb, "{dtype:?}");
+        }
     }
 
     #[test]
     fn capacity_validation() {
+        // The writer stores its quantizer capacity after the header; the
+        // decoder refuses a stored value below 4 or odd, and reads any
+        // other.
+        let data: Vec<f64> = (0..64).map(|i| (i as f64 * 0.1).sin()).collect();
+        let bytes = crate::compress(&data, Dims::D1(64), &SzConfig::abs(1e-3)).unwrap();
+        let at = bytes.len()
+            - crate::Header::read::<f64>(&bytes, crate::MAGIC, crate::VERSION, u8::MAX)
+                .unwrap()
+                .1
+                .len();
+        assert_eq!(bytes[at..at + 4], 65536u32.to_le_bytes());
+        let with_capacity = |capacity: u32| {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&capacity.to_le_bytes());
+            crate::decompress::<f64>(&b)
+        };
+        for bad in [0, 2, 3, 7, 65537] {
+            assert!(
+                matches!(with_capacity(bad), Err(SzError::Corrupt(_))),
+                "capacity {bad}"
+            );
+        }
+        for good in [4, 8, 65536, 1 << 20] {
+            assert!(with_capacity(good).is_ok(), "capacity {good}");
+        }
+        // The configuration itself only carries the bound.
         assert!(SzConfig::abs(1.0).validate().is_ok());
-        assert!(SzConfig::abs(1.0).with_capacity(3).validate().is_err());
-        assert!(SzConfig::abs(1.0).with_capacity(7).validate().is_err());
-        assert!(SzConfig::abs(1.0).with_capacity(8).validate().is_ok());
+        for eb in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(SzConfig::abs(eb).validate().is_err(), "eb {eb}");
+        }
     }
 }

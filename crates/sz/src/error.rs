@@ -14,8 +14,6 @@ pub enum SzError {
     },
     /// The error bound is zero, negative, NaN, or infinite.
     InvalidErrorBound(String),
-    /// The quantizer capacity is invalid (must be an even value >= 4).
-    InvalidCapacity(usize),
     /// A dimension is zero.
     ZeroDimension,
     /// The compressed stream is truncated or malformed.
@@ -32,9 +30,6 @@ impl fmt::Display for SzError {
                 "data length {data_len} does not match dimension product {dims_len}"
             ),
             SzError::InvalidErrorBound(msg) => write!(f, "invalid error bound: {msg}"),
-            SzError::InvalidCapacity(c) => {
-                write!(f, "invalid quantizer capacity {c} (must be even and >= 4)")
-            }
             SzError::ZeroDimension => write!(f, "dimensions must all be non-zero"),
             SzError::Corrupt(msg) => write!(f, "corrupt compressed stream: {msg}"),
             SzError::UnsupportedFormat(msg) => write!(f, "unsupported format: {msg}"),
@@ -57,6 +52,8 @@ mod tests {
         assert!(e.to_string().contains("10"));
         assert!(e.to_string().contains("12"));
         assert!(SzError::ZeroDimension.to_string().contains("non-zero"));
-        assert!(SzError::InvalidCapacity(3).to_string().contains('3'));
+        assert!(SzError::InvalidErrorBound("eb -3".into())
+            .to_string()
+            .contains("-3"));
     }
 }

@@ -125,11 +125,6 @@ impl HuffmanCode {
         }
     }
 
-    /// Number of distinct symbols.
-    pub fn num_symbols(&self) -> usize {
-        self.symbols.len()
-    }
-
     /// Encodes `data` into `writer`.
     ///
     /// # Panics
@@ -176,12 +171,6 @@ impl HuffmanCode {
             out.extend_from_slice(&s.to_le_bytes());
             out.push(l);
         }
-    }
-
-    /// Size in bytes of the serialized table.
-    // tac-lint: allow(arith) -- encoder-side accounting over an in-memory table; 5 bytes per symbol cannot overflow usize.
-    pub fn table_size(&self) -> usize {
-        4 + self.symbols.len() * 5
     }
 
     /// Deserializes a table written by [`HuffmanCode::serialize_table`].
@@ -777,7 +766,7 @@ mod tests {
 
     fn roundtrip(data: &[u32]) {
         let code = HuffmanCode::from_symbols(data);
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(0);
         code.encode(data, &mut w);
         let mut table = Vec::new();
         code.serialize_table(&mut table);
@@ -885,7 +874,7 @@ mod tests {
             code.serialize_table(&mut t);
             old.serialize_table(&mut u);
             assert!(t == u, "stream {k}: table differs");
-            let mut w = BitWriter::new();
+            let mut w = BitWriter::with_capacity(0);
             code.encode(&data, &mut w);
             let mut v = crate::bitstream::reference::BitWriter::new();
             old.encode(&data, &mut v);
@@ -900,7 +889,7 @@ mod tests {
                 "stream {k}"
             );
             // A code read off the wire encodes the same bits.
-            let mut w = BitWriter::new();
+            let mut w = BitWriter::with_capacity(0);
             HuffmanCode::deserialize_table(&t)
                 .unwrap()
                 .0
@@ -967,9 +956,9 @@ mod tests {
             }
             // Runs of ones reach the longest codes, then a zero ends one.
             for ones in 0..80usize {
-                let mut bits = BitWriter::new();
+                let mut bits = BitWriter::with_capacity(0);
                 for _ in 0..ones {
-                    bits.write_bit(true);
+                    bits.write_bits(1, 1);
                 }
                 bits.write_bits(0b0110, 4);
                 let (bytes, bit_len) = bits.finish();
@@ -992,7 +981,7 @@ mod tests {
         for (data, _) in streams() {
             let data = &data[..data.len().min(200)];
             let code = HuffmanCode::from_symbols(data);
-            let mut w = BitWriter::new();
+            let mut w = BitWriter::with_capacity(0);
             code.encode(data, &mut w);
             let (bytes, bits) = w.finish();
             for cut in 0..=bits {
@@ -1040,7 +1029,7 @@ mod tests {
         let mut data = vec![0u32; 900];
         data.extend([1u32, 2, 3].iter().cycle().take(100));
         let code = HuffmanCode::from_symbols(&data);
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(0);
         code.encode(&data, &mut w);
         let (_, bits) = w.finish();
         assert!(bits < 2 * data.len() as u64, "bits = {bits}");
@@ -1059,7 +1048,7 @@ mod tests {
     fn decode_rejects_truncated_stream() {
         let data = vec![1u32, 2, 3, 4, 5, 6, 7, 8];
         let code = HuffmanCode::from_symbols(&data);
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(0);
         code.encode(&data, &mut w);
         let (bytes, bits) = w.finish();
         let mut r = BitReader::new(&bytes, bits / 2).unwrap();

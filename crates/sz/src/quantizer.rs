@@ -33,8 +33,9 @@ impl Quantizer {
     /// Creates a quantizer for absolute bound `eb` and `capacity` bins.
     ///
     /// # Panics
-    /// Panics on non-positive/non-finite `eb` or capacity < 4 (callers
-    /// validate via [`crate::SzConfig::validate`]).
+    /// Panics on non-positive/non-finite `eb` or an odd capacity < 4
+    /// (callers validate the bound via [`crate::SzConfig::validate`] and a
+    /// stored capacity on decode).
     pub fn new(eb: f64, capacity: usize) -> Self {
         assert!(eb > 0.0 && eb.is_finite(), "invalid error bound {eb}");
         assert!(capacity >= 4 && capacity % 2 == 0, "invalid capacity");
@@ -45,27 +46,14 @@ impl Quantizer {
         }
     }
 
-    /// The absolute error bound.
-    #[inline]
-    pub fn error_bound(&self) -> f64 {
-        self.eb
-    }
-
     /// Quantizes `value` against `pred`, returning the symbol and the
-    /// reconstructed value the decompressor will see.
+    /// reconstructed value the decompressor will see. Arithmetic runs in
+    /// `f64` working precision, the reconstruction is narrowed to `T`, and
+    /// the bound check runs on that *narrowed* value — if `T`'s rounding
+    /// breaks the bound, the point falls back to verbatim storage. Encoder
+    /// and decoder therefore agree bit-exactly at every element width.
     #[inline]
-    pub fn quantize(&self, value: f64, pred: f64) -> (Quantized, f64) {
-        self.quantize_t::<f64>(value, pred)
-    }
-
-    /// Element-generic quantization: arithmetic runs in `f64` working
-    /// precision, the reconstruction is narrowed to `T` (the value the
-    /// decoder will materialize), and the bound check runs on that
-    /// *narrowed* value — if `T`'s rounding breaks the bound, the point
-    /// falls back to verbatim storage. Encoder and decoder therefore agree
-    /// bit-exactly at every element width.
-    #[inline]
-    pub fn quantize_t<T: Element>(&self, value: T, pred: f64) -> (Quantized, T) {
+    pub fn quantize<T: Element>(&self, value: T, pred: f64) -> (Quantized, T) {
         let v = value.to_f64();
         let diff = v - pred;
         if !diff.is_finite() {
@@ -88,16 +76,11 @@ impl Quantizer {
         (Quantized::Code((code + self.radius) as u32), recon)
     }
 
-    /// Reconstructs a value from a non-zero symbol and its prediction.
+    /// Reconstructs a value from a non-zero symbol and its prediction:
+    /// the inverse of [`Quantizer::quantize_t`], the same `f64` bin
+    /// arithmetic narrowed to `T` exactly as the encoder did.
     #[inline]
-    pub fn recover(&self, symbol: u32, pred: f64) -> f64 {
-        self.recover_t::<f64>(symbol, pred)
-    }
-
-    /// Element-generic inverse of [`Quantizer::quantize_t`]: the same
-    /// `f64` bin arithmetic, narrowed to `T` exactly as the encoder did.
-    #[inline]
-    pub fn recover_t<T: Element>(&self, symbol: u32, pred: f64) -> T {
+    pub fn recover<T: Element>(&self, symbol: u32, pred: f64) -> T {
         debug_assert_ne!(symbol, UNPREDICTABLE);
         let code = symbol as i64 - self.radius;
         T::from_f64(pred + self.two_eb * code as f64)
@@ -114,11 +97,11 @@ mod tests {
         for i in 0..1000 {
             let v = (i as f64 * 0.737).sin() * 5.0;
             let pred = v + (i as f64 * 0.11).cos() * 0.3; // imperfect prediction
-            let (qz, recon) = q.quantize(v, pred);
+            let (qz, recon) = q.quantize::<f64>(v, pred);
             match qz {
                 Quantized::Code(sym) => {
                     assert!((recon - v).abs() <= 0.01, "bound violated: {recon} vs {v}");
-                    assert_eq!(q.recover(sym, pred), recon);
+                    assert_eq!(q.recover::<f64>(sym, pred), recon);
                     assert_ne!(sym, UNPREDICTABLE);
                 }
                 Quantized::Unpredictable => assert_eq!(recon, v),
@@ -129,7 +112,7 @@ mod tests {
     #[test]
     fn perfect_prediction_gives_mid_code() {
         let q = Quantizer::new(1e-3, 1024);
-        let (qz, recon) = q.quantize(42.0, 42.0);
+        let (qz, recon) = q.quantize::<f64>(42.0, 42.0);
         assert_eq!(qz, Quantized::Code(512));
         assert_eq!(recon, 42.0);
     }
@@ -137,7 +120,7 @@ mod tests {
     #[test]
     fn far_values_are_unpredictable() {
         let q = Quantizer::new(1e-6, 256);
-        let (qz, recon) = q.quantize(1000.0, 0.0);
+        let (qz, recon) = q.quantize::<f64>(1000.0, 0.0);
         assert_eq!(qz, Quantized::Unpredictable);
         assert_eq!(recon, 1000.0);
     }
@@ -145,9 +128,12 @@ mod tests {
     #[test]
     fn nan_and_infinity_are_unpredictable() {
         let q = Quantizer::new(0.1, 1024);
-        assert_eq!(q.quantize(f64::NAN, 0.0).0, Quantized::Unpredictable);
-        assert_eq!(q.quantize(f64::INFINITY, 0.0).0, Quantized::Unpredictable);
-        assert_eq!(q.quantize(1.0, f64::NAN).0, Quantized::Unpredictable);
+        assert_eq!(q.quantize::<f64>(f64::NAN, 0.0).0, Quantized::Unpredictable);
+        assert_eq!(
+            q.quantize::<f64>(f64::INFINITY, 0.0).0,
+            Quantized::Unpredictable
+        );
+        assert_eq!(q.quantize::<f64>(1.0, f64::NAN).0, Quantized::Unpredictable);
     }
 
     #[test]
@@ -156,9 +142,9 @@ mod tests {
         for code in [-100i64, -1, 0, 1, 77, 2000] {
             let pred = 10.0;
             let v = pred + code as f64 * 1.0; // exactly on bin centers
-            let (qz, recon) = q.quantize(v, pred);
+            let (qz, recon) = q.quantize::<f64>(v, pred);
             if let Quantized::Code(sym) = qz {
-                assert_eq!(q.recover(sym, pred), recon);
+                assert_eq!(q.recover::<f64>(sym, pred), recon);
                 assert!((recon - v).abs() <= 0.5);
             }
         }
@@ -170,7 +156,7 @@ mod tests {
         // never symbol 0.
         let q = Quantizer::new(1.0, 8); // radius 4, codes in (-3, 3)
         for delta in -10i32..=10 {
-            let (qz, _) = q.quantize(delta as f64 * 2.0, 0.0);
+            let (qz, _) = q.quantize::<f64>(delta as f64 * 2.0, 0.0);
             if let Quantized::Code(sym) = qz {
                 assert_ne!(sym, UNPREDICTABLE);
             }
@@ -185,7 +171,7 @@ mod tests {
         let q = Quantizer::new(6.0, 65536);
         let v: f32 = 99_999_992.0; // representable; next f32 up is 1e8
         let pred = v as f64 + 5.0; // code rounds to 0, recon_f64 = pred
-        let (qz, recon) = q.quantize_t::<f32>(v, pred);
+        let (qz, recon) = q.quantize::<f32>(v, pred);
         // recon_f64 = 99_999_997.0 -> nearest f32 is 100_000_000.0, which is
         // 8.0 > 6.0 away from v: must store verbatim, not emit a code.
         assert_eq!(qz, Quantized::Unpredictable);
@@ -198,11 +184,11 @@ mod tests {
         for i in 0..1000 {
             let v = ((i as f64 * 0.737).sin() * 5.0) as f32;
             let pred = v as f64 + (i as f64 * 0.11).cos() * 0.3;
-            let (qz, recon) = q.quantize_t::<f32>(v, pred);
+            let (qz, recon) = q.quantize::<f32>(v, pred);
             match qz {
                 Quantized::Code(sym) => {
                     assert!((recon as f64 - v as f64).abs() <= 1e-3);
-                    let replay: f32 = q.recover_t(sym, pred);
+                    let replay: f32 = q.recover(sym, pred);
                     assert_eq!(replay.to_bits(), recon.to_bits());
                 }
                 Quantized::Unpredictable => assert_eq!(recon.to_bits(), v.to_bits()),
@@ -215,7 +201,7 @@ mod tests {
         // At 1e300 the bin arithmetic loses all precision; the guard must
         // catch it rather than emit an out-of-bound reconstruction.
         let q = Quantizer::new(1e-9, 65536);
-        let (qz, recon) = q.quantize(1e300, 0.99e300);
+        let (qz, recon) = q.quantize::<f64>(1e300, 0.99e300);
         assert_eq!(qz, Quantized::Unpredictable);
         assert_eq!(recon, 1e300);
     }

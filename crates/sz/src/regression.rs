@@ -36,8 +36,6 @@ pub struct BlockCoeffs {
 /// raster order (x fastest).
 #[derive(Debug, Clone)]
 pub struct RegressionContext {
-    /// Grid extents in cells.
-    pub dims: (usize, usize, usize),
     /// Blocks per axis.
     pub nb: (usize, usize, usize),
     /// `true` = regression block, `false` = Lorenzo block.
@@ -118,8 +116,15 @@ impl RegressionContext {
                             (fit.b[2] / q1).round() * q1,
                         ],
                     };
-                    if !fit.b0.is_finite()
-                        || fit.b.iter().any(|v| !v.is_finite())
+                    // The decoder rebuilds each coefficient from the `i64`
+                    // code `serialize` writes. Where that does not give back
+                    // the encoder's value (a code that is not finite, or
+                    // saturates because the bound is tiny against the
+                    // values), the two sides would predict from different
+                    // planes, so the block keeps Lorenzo.
+                    let on_wire = |v: f64, q: f64| ((v / q).round() as i64) as f64 * q == v;
+                    if !on_wire(fit.b0, q0)
+                        || fit.b.iter().any(|&v| !on_wire(v, q1))
                         || regression_loses(data, nx, ny, (x0, y0, z0), (w, h, d), &fit, eb)
                     {
                         continue;
@@ -129,12 +134,7 @@ impl RegressionContext {
                 }
             }
         }
-        RegressionContext {
-            dims: (nx, ny, nz),
-            nb,
-            modes,
-            coeffs,
-        }
+        RegressionContext { nb, modes, coeffs }
     }
 
     /// Serializes flags + coefficient codes (coefficients are stored as
@@ -213,15 +213,7 @@ impl RegressionContext {
             }
             coeffs[bi] = BlockCoeffs { b0, b };
         }
-        Ok((
-            RegressionContext {
-                dims: (nx, ny, nz),
-                nb,
-                modes,
-                coeffs,
-            },
-            pos,
-        ))
+        Ok((RegressionContext { nb, modes, coeffs }, pos))
     }
 }
 

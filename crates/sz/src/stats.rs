@@ -15,11 +15,6 @@ pub struct CompressionStats {
 }
 
 impl CompressionStats {
-    /// Builds stats from element count and compressed size (f64 elements).
-    pub fn new(elements: usize, compressed_bytes: usize) -> Self {
-        Self::new_for(elements, compressed_bytes, TacDtype::F64)
-    }
-
     /// Builds stats with the original size accounted at the element type's
     /// native width (4 bytes for f32, 8 for f64).
     pub fn new_for(elements: usize, compressed_bytes: usize, dtype: TacDtype) -> Self {
@@ -39,16 +34,6 @@ impl CompressionStats {
     pub fn bit_rate(&self) -> f64 {
         self.compressed_bytes as f64 * 8.0 / self.elements.max(1) as f64
     }
-
-    /// Merges accounting across independently compressed pieces (e.g.,
-    /// per-level streams of an AMR dataset).
-    pub fn merge(&self, other: &CompressionStats) -> CompressionStats {
-        CompressionStats {
-            original_bytes: self.original_bytes + other.original_bytes,
-            compressed_bytes: self.compressed_bytes + other.compressed_bytes,
-            elements: self.elements + other.elements,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -57,30 +42,20 @@ mod tests {
 
     #[test]
     fn ratio_and_bitrate() {
-        let s = CompressionStats::new(1000, 1000);
+        let s = CompressionStats::new_for(1000, 1000, TacDtype::F64);
         assert!((s.ratio() - 8.0).abs() < 1e-12);
         assert!((s.bit_rate() - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn ratio_times_bitrate_is_word_size() {
-        let s = CompressionStats::new(12345, 6789);
+        let s = CompressionStats::new_for(12345, 6789, TacDtype::F64);
         assert!((s.ratio() * s.bit_rate() - 64.0).abs() < 1e-9);
     }
 
     #[test]
-    fn merge_accumulates() {
-        let a = CompressionStats::new(100, 50);
-        let b = CompressionStats::new(300, 75);
-        let m = a.merge(&b);
-        assert_eq!(m.elements, 400);
-        assert_eq!(m.original_bytes, 3200);
-        assert_eq!(m.compressed_bytes, 125);
-    }
-
-    #[test]
     fn degenerate_sizes_do_not_divide_by_zero() {
-        let s = CompressionStats::new(0, 0);
+        let s = CompressionStats::new_for(0, 0, TacDtype::F64);
         assert!(s.ratio().is_finite());
         assert!(s.bit_rate().is_finite());
     }

@@ -25,8 +25,9 @@ use crate::scenario::scenario;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tac_amr::Aabb;
 use tac_core::{
-    compress_dataset_t, decompress_dataset_any, decompress_region_t, AnyDataset, CodecId,
-    CompressedDataset, Element, LevelPayload, Method, MethodBody, TacConfig, CHUNK_ROW_BYTES_V4,
+    compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecId, CompressedDataset,
+    Element, LevelPayload, Method, MethodBody, Parallelism, TacConfig, TacDtype,
+    CHUNK_ROW_BYTES_V4,
 };
 
 /// Fuzz-run parameters.
@@ -271,10 +272,11 @@ pub fn probe_container(bytes: &[u8]) -> ProbeResult {
         match CompressedDataset::from_bytes(bytes) {
             Err(_) => Err(()),
             // Decode at whatever element type the container declares.
-            Ok(cd) => match decompress_dataset_any(&cd) {
-                Err(_) => Err(()),
-                Ok(AnyDataset::F64(ds)) => check_coherence(&cd, &ds),
-                Ok(AnyDataset::F32(ds)) => check_coherence(&cd, &ds),
+            Ok(cd) => match cd.dtype {
+                TacDtype::F64 => decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial)
+                    .map_or(Err(()), |ds| check_coherence(&cd, &ds)),
+                TacDtype::F32 => decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial)
+                    .map_or(Err(()), |ds| check_coherence(&cd, &ds)),
             },
         }
     })

@@ -69,7 +69,7 @@ fn sz_predictor_length_u64max_must_not_wrap_the_bounds_check() {
         .u64(0) // raw-value count
         .u64(u64::MAX) // predictor-section length: the overflow trigger
         .0;
-    assert!(tac_sz::decompress(&bytes).is_err());
+    assert!(tac_sz::decompress::<f64>(&bytes).is_err());
 }
 
 /// Fuzzer find #2 (seed 1, first campaign): a crafted `D4` header whose
@@ -83,7 +83,7 @@ fn sz_d4_slab_count_must_not_drive_the_context_allocation() {
         .u64(0) // raw-value count
         .blob(&[1]) // predictor section: tag 1 = per-slab contexts
         .0;
-    assert!(tac_sz::decompress(&bytes).is_err());
+    assert!(tac_sz::decompress::<f64>(&bytes).is_err());
 }
 
 /// Crafted raw-value counts must be bounded by the payload that would
@@ -94,7 +94,7 @@ fn sz_raw_count_must_not_drive_an_allocation() {
     let bytes = sz_header(0, &[1 << 30])
         .u64(1 << 30) // raw-value count: 8 GiB worth of f64s
         .0;
-    assert!(tac_sz::decompress(&bytes).is_err());
+    assert!(tac_sz::decompress::<f64>(&bytes).is_err());
 }
 
 /// A declared point count far beyond what the bit stream can encode
@@ -114,7 +114,7 @@ fn sz_point_count_must_fit_the_bit_stream() {
         .u64(8) // bit length: 8 bits for 2^30 declared points
         .u8(0xAA)
         .0;
-    assert!(tac_sz::decompress(&bytes).is_err());
+    assert!(tac_sz::decompress::<f64>(&bytes).is_err());
 }
 
 /// An LZSS stream declaring a huge uncompressed size must be rejected

@@ -12,11 +12,14 @@
 //!   range is NaN or infinite, compression fails with the typed
 //!   `TacError::NonFinite` instead of resolving a meaningless bound —
 //!   the historical failure mode was a silently degenerate epsilon.
+//! * **A zero range resolves at the element type.** A level with one
+//!   present cell, or a constant one, resolves a relative bound to the
+//!   smallest normal of its element type, which stays positive in `f32`.
 
 use tac_amr::{AmrDataset, AmrLevel};
 use tac_core::{
-    compress_dataset_t, decompress_dataset_par_t, CodecId, CompressedDataset, Method, Parallelism,
-    TacConfig, TacError,
+    compress_dataset_t, decompress_dataset_par_t, CodecId, CompressedDataset, Element, Method,
+    Parallelism, TacConfig, TacError,
 };
 use tac_sz::ErrorBound;
 
@@ -192,4 +195,70 @@ fn rel_bound_with_finite_range_tolerates_sprinkled_nan() {
             assert!((a - b).abs() <= 1e-3 * range * (1.0 + 1e-9), "cell {i}");
         }
     }
+}
+
+/// Compresses `ds` under `Rel(1e-3)` with every method and codec and
+/// checks each decode against the bound the dataset's overall range
+/// allows (exact, up to `f32`'s smallest normal, on a constant dataset).
+fn assert_rel_roundtrips_everywhere(ds: &AmrDataset<f32>) {
+    let present = || {
+        ds.levels()
+            .iter()
+            .flat_map(|l| l.mask().iter_ones().map(move |i| l.data()[i].to_f64()))
+    };
+    let min = present().fold(f64::INFINITY, f64::min);
+    let max = present().fold(f64::NEG_INFINITY, f64::max);
+    let eb = (1e-3 * (max - min)).max(f64::from(f32::MIN_POSITIVE));
+    for codec in CodecId::all() {
+        let cfg = TacConfig {
+            unit: 4,
+            codec,
+            error_bound: ErrorBound::Rel(1e-3),
+            ..Default::default()
+        };
+        for method in Method::fixed().into_iter().chain([Method::Auto]) {
+            let what = format!("{} {method:?}/{codec}", ds.name());
+            let cd = compress_dataset_t(ds, &cfg, method).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let cd = CompressedDataset::from_bytes(&cd.to_bytes()).unwrap();
+            let out = decompress_dataset_par_t::<f32>(&cd, Parallelism::Serial).unwrap();
+            for (a, b) in ds.levels().iter().zip(out.levels()) {
+                for i in a.mask().iter_ones() {
+                    let (x, y) = (a.data()[i].to_f64(), b.data()[i].to_f64());
+                    assert!((x - y).abs() <= eb, "{what} cell {i}: {x} vs {y}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn f32_levels_with_a_zero_range_compress_under_a_rel_bound() {
+    // Two levels: the coarse one holds a single present cell (range
+    // zero), the fine one covers everything else.
+    let n = 16;
+    let mut fine = AmrLevel::dense(
+        n,
+        (0..n * n * n)
+            .map(|i| (i as f32 * 0.01).sin() * 3.0)
+            .collect(),
+    );
+    let mut coarse = AmrLevel::<f32>::empty(n / 2);
+    coarse.set_value(1, 2, 3, 2.5);
+    for z in 6..8 {
+        for y in 4..6 {
+            for x in 2..4 {
+                fine.clear_cell(x, y, z);
+            }
+        }
+    }
+    let one_cell = AmrDataset::new("one-cell-coarse", vec![fine, coarse]);
+    assert!(one_cell.validate().is_ok());
+    assert_rel_roundtrips_everywhere(&one_cell);
+
+    // One constant level: every method resolves against a zero range.
+    let constant = AmrDataset::new(
+        "constant",
+        vec![AmrLevel::dense(n, vec![7.25f32; n * n * n])],
+    );
+    assert_rel_roundtrips_everywhere(&constant);
 }

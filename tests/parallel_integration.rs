@@ -254,7 +254,7 @@ fn pco_lite_is_decode_only() {
     ));
     let data32: Vec<f32> = data.iter().map(|&v| v as f32).collect();
     assert!(matches!(
-        codec_for::<f32>(CodecId::PcoLite).compress_with_recon(&data32, dims, &codec_cfg),
+        codec_for::<f32>(CodecId::PcoLite).compress(&data32, dims, &codec_cfg),
         Err(CodecError::InvalidConfig(_))
     ));
     assert!(!CodecId::all().contains(&CodecId::PcoLite));
