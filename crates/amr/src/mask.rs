@@ -17,6 +17,23 @@ fn low_ones(n: usize) -> u64 {
     }
 }
 
+/// Each byte value's eight bits as flags, least significant first: the
+/// table [`BitMask::flags_into`] expands a mixed word through.
+const BYTE_FLAGS: [[bool; 8]; 256] = {
+    let mut table = [[false; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            // tac-lint: allow(panic) -- const evaluation: `byte < 256` and `bit < 8` by the loop bounds, checked at compile time.
+            table[byte][bit] = (byte >> bit) & 1 == 1;
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
 /// The popcount of each byte of `w`, in that byte (SWAR: three
 /// add-and-mask steps for all eight bytes at once).
 #[inline]
@@ -221,6 +238,47 @@ impl BitMask {
             let (taken, bits) = self.piece(start + done, len - done);
             ones += bits.count_ones() as usize;
             done += taken;
+        }
+        ones
+    }
+
+    /// Writes one flag per bit of the range `[start, start + out.len())`
+    /// to `out` — `true` for a set bit — and returns how many are set.
+    /// Word-wise, through the pieces the other ranged kernels walk: each
+    /// byte of a piece becomes its eight flags through a 256-entry
+    /// table, one fixed-size copy with no branch on the bits, so a short
+    /// grid row costs a few stores.
+    ///
+    /// # Panics
+    /// Panics if the range does not lie inside the mask.
+    #[inline]
+    pub fn flags_into(&self, start: usize, out: &mut [bool]) -> usize {
+        assert!(
+            self.contains_range(start, out.len()),
+            "bit range {start}+{} out of range {}",
+            out.len(),
+            self.len
+        );
+        let flags_of = |byte: u8| BYTE_FLAGS.get(usize::from(byte)).unwrap_or(&[false; 8]);
+        let mut ones = 0usize;
+        let mut at = start;
+        let mut rest = out;
+        while !rest.is_empty() {
+            let (taken, bits) = self.piece(at, rest.len());
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(taken);
+            let bytes = bits.to_le_bytes();
+            let mut whole = piece.chunks_exact_mut(8);
+            for (flags, &byte) in (&mut whole).zip(&bytes) {
+                flags.copy_from_slice(flags_of(byte));
+            }
+            let part = whole.into_remainder();
+            let last = bytes.get(taken / 8).copied().unwrap_or(0);
+            for (flag, &bit) in part.iter_mut().zip(flags_of(last)) {
+                *flag = bit;
+            }
+            ones += bits.count_ones() as usize;
+            at += taken;
+            rest = tail;
         }
         ones
     }
@@ -622,6 +680,10 @@ mod tests {
     fn check_ranged_kernels<T: Element>(m: &BitMask, start: usize, len: usize, fill: [T; 3]) {
         let count = (start..start + len).filter(|&i| m.get(i)).count();
         assert_eq!(m.count_ones_in(start, len), count, "count {start}+{len}");
+        let mut flags = vec![start % 2 == 0; len];
+        assert_eq!(m.flags_into(start, &mut flags), count);
+        let bits: Vec<bool> = (start..start + len).map(|i| m.get(i)).collect();
+        assert_eq!(flags, bits, "flags {start}+{len}");
         let src: Vec<T> = (0..len).map(|i| fill[i % 3]).collect();
         let sentinel = T::from_f64(9.0);
         let mut cells = vec![sentinel; len];

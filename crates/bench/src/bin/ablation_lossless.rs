@@ -24,7 +24,7 @@ fn main() {
             ("no regression (SZ1.4-style)", full.without_regression()),
             ("neither", full.without_lossless().without_regression()),
         ] {
-            let bytes = compress(&data, dims, &cfg).unwrap();
+            let bytes = compress(&data, None, dims, &cfg).unwrap();
             println!(
                 "rel {rel:.0e} {label:<26} {:>12} {:>8.1}",
                 bytes.len(),

@@ -41,14 +41,14 @@ fn raw_stream(ds: &tac_amr::AmrDataset) -> (f64, f64) {
     let backend = codec_for(CodecId::PcoAns);
     let dims = tac_sz::Dims::D3(n, n, n);
     let cfg = CodecConfig::abs(1e-3);
-    let stream = backend.compress(&data, dims, &cfg).expect("compress");
+    let stream = backend.compress(&data, None, dims, &cfg).expect("compress");
     // Decode first: timing it before the encode loop keeps it clear of
     // the allocator state nine encodes leave behind.
     let decode = best_secs(9, || {
         backend.decompress(&stream).expect("decompress");
     });
     let encode = best_secs(9, || {
-        backend.compress(&data, dims, &cfg).expect("compress");
+        backend.compress(&data, None, dims, &cfg).expect("compress");
     });
     let mb = (data.len() * 8) as f64 / 1e6;
     (mb / encode, mb / decode)

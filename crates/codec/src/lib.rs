@@ -33,7 +33,7 @@
 //! for id in CodecId::all() {
 //!     let codec = codec_for(id);
 //!     let bytes = codec
-//!         .compress(&data, Dims::D3(8, 8, 8), &CodecConfig::abs(1e-4))
+//!         .compress(&data, None, Dims::D3(8, 8, 8), &CodecConfig::abs(1e-4))
 //!         .unwrap();
 //!     let (restored, dims) = codec.decompress(&bytes).unwrap();
 //!     assert_eq!(dims, Dims::D3(8, 8, 8));
@@ -58,8 +58,11 @@
 //! peeks at the header once and matches its magic and version.
 //!
 //! The error-bound contract every backend must uphold: for each finite
-//! input value `v` and its reconstruction `v'`, `|v - v'| <= abs_eb`;
-//! non-finite values round-trip bit-exactly.
+//! *care* value `v` and its reconstruction `v'`, `|v - v'| <= abs_eb`;
+//! non-finite care values round-trip bit-exactly. A caller may mark
+//! values don't-care (the `care` mask of [`ScalarCodec::compress`]):
+//! they cost (near) nothing and reconstruct to whatever the decoder
+//! produces anyway.
 
 #![warn(missing_docs)]
 
@@ -188,13 +191,35 @@ impl CodecConfig {
 /// Implementations must be deterministic (identical input and
 /// configuration produce identical bytes — the parallel engine's
 /// byte-identity guarantee depends on it) and must uphold the bound
-/// contract: finite values reconstruct within `cfg.abs_eb`, non-finite
-/// values bit-exactly.
+/// contract on the **care** values: a finite care value reconstructs
+/// within `cfg.abs_eb`, a non-finite one bit-exactly.
+///
+/// # The care mask
+///
+/// `care`, in stream order, says which values count: `care[i] == false`
+/// marks value `i` *don't-care* — TAC passes a level's occupancy, so the
+/// absent cells its decoder never reads are don't-care. A don't-care
+/// value may reconstruct to anything; the writer codes it at (near)
+/// zero cost, never as an exception or a raw value, and the stream's
+/// bytes do not depend on what it holds. `None` means every value is
+/// care, and gives exactly the bytes an all-true mask gives. Decoders
+/// do not see the mask: a stream decodes the same whichever was used.
 pub trait ScalarCodec<T: Element>: Send + Sync {
-    /// Compresses `data` of shape `dims` under `cfg`. Verbatim/exception
-    /// values are stored at `T`'s native width and the stream records
-    /// the element type.
-    fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError>;
+    /// Compresses `data` of shape `dims` under `cfg`, keeping the bound
+    /// on the values `care` marks (all of them when `None`).
+    /// Verbatim/exception values are stored at `T`'s native width and
+    /// the stream records the element type.
+    ///
+    /// # Errors
+    /// A `care` whose length is not `data.len()` is
+    /// [`CodecError::InvalidConfig`], as are a bad shape or bound.
+    fn compress(
+        &self,
+        data: &[T],
+        care: Option<&[bool]>,
+        dims: Dims,
+        cfg: &CodecConfig,
+    ) -> Result<Vec<u8>, CodecError>;
 
     /// Decompresses a stream produced by this backend, returning the
     /// values and their shape. Foreign or corrupt bytes must error, as
@@ -211,14 +236,14 @@ pub trait ScalarCodec<T: Element>: Send + Sync {
 /// stream** by the `dyn ScalarCodec<T>` it dispatches through, so decode
 /// hot loops carry no per-value dtype branches.
 pub trait CodecElement: Element {
-    /// [`ScalarCodec::compress`] on `codec`.
+    /// [`ScalarCodec::compress`] on `codec`, every value care.
     fn codec_compress(
         codec: &dyn ScalarCodec<Self>,
         data: &[Self],
         dims: Dims,
         cfg: &CodecConfig,
     ) -> Result<Vec<u8>, CodecError> {
-        codec.compress(data, dims, cfg)
+        codec.compress(data, None, dims, cfg)
     }
 
     /// [`ScalarCodec::decompress`] on `codec`.
@@ -231,6 +256,17 @@ pub trait CodecElement: Element {
 }
 
 impl<T: Element> CodecElement for T {}
+
+/// Checks a care mask against the stream it covers: one flag per value.
+pub(crate) fn check_care(care: Option<&[bool]>, len: usize) -> Result<(), CodecError> {
+    match care {
+        Some(care) if care.len() != len => Err(CodecError::InvalidConfig(format!(
+            "care mask holds {} flags for {len} values",
+            care.len()
+        ))),
+        _ => Ok(()),
+    }
+}
 
 /// The registered backend for a codec id.
 pub fn codec_for<T: Element>(id: CodecId) -> &'static dyn ScalarCodec<T> {
@@ -293,7 +329,7 @@ mod tests {
         // `codec_for` hands out the backend whose streams sniff as `id`.
         for id in CodecId::all() {
             let bytes = codec_for::<f64>(id)
-                .compress(&smooth(64), Dims::D1(64), &CodecConfig::abs(1e-3))
+                .compress(&smooth(64), None, Dims::D1(64), &CodecConfig::abs(1e-3))
                 .unwrap();
             assert_eq!(sniff_codec(&bytes), Ok(id));
         }
@@ -309,7 +345,7 @@ mod tests {
             let codec = codec_for(id);
             for dims in [Dims::D1(1000), Dims::D2(50, 20), Dims::D3(10, 10, 10)] {
                 let cfg = CodecConfig::abs(1e-3);
-                let bytes = codec.compress(&data, dims, &cfg).unwrap();
+                let bytes = codec.compress(&data, None, dims, &cfg).unwrap();
                 let (out, out_dims) = codec.decompress(&bytes).unwrap();
                 assert_eq!(out_dims, dims, "{id}");
                 for (i, (a, b)) in data.iter().zip(&out).enumerate() {
@@ -327,7 +363,9 @@ mod tests {
         let streams = CodecId::all().map(|id| {
             (
                 id,
-                codec_for(id).compress(&data, Dims::D1(256), &cfg).unwrap(),
+                codec_for(id)
+                    .compress(&data, None, Dims::D1(256), &cfg)
+                    .unwrap(),
             )
         });
         for (id, bytes) in streams.into_iter().chain([(CodecId::PcoLite, lite)]) {
@@ -378,7 +416,7 @@ mod tests {
         for id in CodecId::all() {
             let codec = codec_for(id);
             let cfg = CodecConfig::abs(1e-3);
-            let bytes = codec.compress(&data, Dims::D2(50, 20), &cfg).unwrap();
+            let bytes = codec.compress(&data, None, Dims::D2(50, 20), &cfg).unwrap();
             assert_eq!(stream_dtype(&bytes), Some(TacDtype::F32), "{id}");
             let (out, dims) = codec.decompress(&bytes).unwrap();
             assert_eq!(dims, Dims::D2(50, 20), "{id}");
@@ -398,8 +436,8 @@ mod tests {
         let cfg = CodecConfig::abs(1e-3);
         for id in CodecId::all() {
             let (codec64, codec32) = (codec_for::<f64>(id), codec_for::<f32>(id));
-            let b64 = codec64.compress(&data64, Dims::D1(64), &cfg).unwrap();
-            let b32 = codec32.compress(&data32, Dims::D1(64), &cfg).unwrap();
+            let b64 = codec64.compress(&data64, None, Dims::D1(64), &cfg).unwrap();
+            let b32 = codec32.compress(&data32, None, Dims::D1(64), &cfg).unwrap();
             assert_eq!(stream_dtype(&b64), Some(TacDtype::F64), "{id}");
             assert!(
                 matches!(codec32.decompress(&b64), Err(CodecError::WrongDtype { .. })),
@@ -423,18 +461,91 @@ mod tests {
         for id in CodecId::all() {
             let codec = codec_for(id);
             let via_t = f64::codec_compress(codec, &data64, Dims::D1(256), &cfg).unwrap();
-            let direct = codec.compress(&data64, Dims::D1(256), &cfg).unwrap();
+            let direct = codec.compress(&data64, None, Dims::D1(256), &cfg).unwrap();
             assert_eq!(via_t, direct, "{id} f64");
             let (out, _) = f64::codec_decompress(codec, &via_t).unwrap();
             assert_eq!(out.len(), data64.len());
 
             let codec = codec_for(id);
             let via_t = f32::codec_compress(codec, &data32, Dims::D1(256), &cfg).unwrap();
-            let direct = codec.compress(&data32, Dims::D1(256), &cfg).unwrap();
+            let direct = codec.compress(&data32, None, Dims::D1(256), &cfg).unwrap();
             assert_eq!(via_t, direct, "{id} f32");
             let (out, _) = f32::codec_decompress(codec, &via_t).unwrap();
             assert_eq!(out.len(), data32.len());
         }
+    }
+
+    /// Every third value don't-care, in runs and alone.
+    fn care_of(n: usize) -> Vec<bool> {
+        (0..n).map(|i| i % 3 != 1 && (i / 40) % 4 != 2).collect()
+    }
+
+    #[test]
+    fn no_mask_and_an_all_true_mask_write_the_same_bytes() {
+        let data = smooth(5000);
+        let all = vec![true; data.len()];
+        let cfg = CodecConfig::abs(1e-4);
+        for id in CodecId::all() {
+            for dims in [Dims::D1(5000), Dims::D3(10, 20, 25), Dims::D4(5, 10, 20, 5)] {
+                let codec = codec_for::<f64>(id);
+                let plain = codec.compress(&data, None, dims, &cfg).unwrap();
+                let masked = codec.compress(&data, Some(&all), dims, &cfg).unwrap();
+                assert!(plain == masked, "{id} {dims:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_care_mask_of_another_length_is_invalid_config() {
+        let data = smooth(64);
+        for id in CodecId::all() {
+            for len in [0, 63, 65] {
+                let care = vec![true; len];
+                let err = codec_for::<f64>(id)
+                    .compress(&data, Some(&care), Dims::D1(64), &CodecConfig::abs(1e-3))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, CodecError::InvalidConfig(_)),
+                    "{id} {len}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dont_care_values_add_no_exception_and_care_values_keep_the_bound() {
+        let data = smooth(6000);
+        let care = care_of(data.len());
+        let junk = [f64::NAN, f64::INFINITY, 1e300, -1e300, f64::NEG_INFINITY];
+        let dirty: Vec<f64> = (data.iter().zip(&care).enumerate())
+            .map(|(i, (&v, &c))| if c { v } else { junk[i % junk.len()] })
+            .collect();
+        let cfg = CodecConfig::abs(1e-3);
+        for id in CodecId::all() {
+            for dims in [
+                Dims::D1(6000),
+                Dims::D3(20, 15, 20),
+                Dims::D4(10, 10, 12, 5),
+            ] {
+                let codec = codec_for::<f64>(id);
+                let bytes = codec.compress(&dirty, Some(&care), dims, &cfg).unwrap();
+                let clean = codec.compress(&data, Some(&care), dims, &cfg).unwrap();
+                // The same bytes as over finite values: no exception, no
+                // raw value, nothing of the junk at all.
+                assert!(bytes == clean, "{id} {dims:?}: junk reached the stream");
+                let (out, _) = codec.decompress(&bytes).unwrap();
+                for (i, ((&a, &b), &c)) in data.iter().zip(&out).zip(&care).enumerate() {
+                    assert!(!c || (a - b).abs() <= 1e-3, "{id} {dims:?} point {i}");
+                }
+            }
+        }
+        // pco-ans keeps its exception count right behind the header.
+        let bytes = PcoAns
+            .compress(&dirty, Some(&care), Dims::D1(6000), &cfg)
+            .unwrap();
+        let at = Header::new::<f64>(pco_ans::MAGIC, pco_ans::VERSION, Dims::D1(6000), 1e-3)
+            .encoded_len();
+        assert_eq!(bytes[at..at + 8], [0; 8]);
     }
 
     #[test]
@@ -445,13 +556,13 @@ mod tests {
             for eb in [0.0, -1.0, f64::NAN, f64::INFINITY] {
                 let cfg = CodecConfig::abs(eb);
                 assert!(
-                    codec.compress(&data, Dims::D1(8), &cfg).is_err(),
+                    codec.compress(&data, None, Dims::D1(8), &cfg).is_err(),
                     "{id} accepted eb {eb}"
                 );
             }
             // Shape mismatch.
             assert!(codec
-                .compress(&data, Dims::D2(3, 3), &CodecConfig::abs(1.0))
+                .compress(&data, None, Dims::D2(3, 3), &CodecConfig::abs(1.0))
                 .is_err());
         }
     }

@@ -84,6 +84,27 @@ pub(crate) fn round_half_away(t: f64) -> i64 {
     (t + BELOW_HALF.copysign(t)) as i64
 }
 
+/// One value's code `q = round(v / 2eb)`, and whether it fits: its
+/// `T`-narrowed reconstruction `q * 2eb` lies within `eb` of `v` and `q`
+/// is clear of the `i64` edge (beyond 2^62 the f64 lattice is coarser
+/// than 1 anyway, so a round trip through the integer grid could not
+/// stay within bound). The bound check runs on the narrowed value, so
+/// `T`'s rounding can never silently break the bound; it is false for a
+/// NaN or infinite quotient, which is what every non-finite value
+/// yields (`2eb` is positive).
+#[inline(always)]
+fn quantize<T: Element>(value: T, two_eb: f64, abs_eb: f64) -> (i64, bool) {
+    let limit = (1i64 << 62) as f64;
+    let v = value.to_f64();
+    let t = v / two_eb;
+    let q = round_half_away(t);
+    let narrowed = T::from_f64(q as f64 * two_eb);
+    (
+        q,
+        (t.abs() < limit) & ((v - narrowed.to_f64()).abs() <= abs_eb),
+    )
+}
+
 /// The quantize → delta → zigzag front end of the pcodec-style wires,
 /// run by PcoAns's encoder (through [`encode_stream`]) one page at a
 /// time so no whole-stream intermediate exists:
@@ -92,7 +113,9 @@ pub(crate) fn round_half_away(t: f64) -> i64 {
 /// *latent*. A value whose `T`-narrowed reconstruction `q * 2eb` misses
 /// the bound — non-finite, beyond the `i64` lattice, or lost to `T`'s
 /// rounding — becomes a raw **exception**: latent 0, the delta chain
-/// passes over it.
+/// passes over it. A *don't-care* value (see [`crate::ScalarCodec`]'s
+/// care mask) is a forced non-hit that pushes no exception: latent 0,
+/// so it decodes as the previous code, and no care value's code moves.
 struct Quantizer<T> {
     two_eb: f64,
     abs_eb: f64,
@@ -116,37 +139,54 @@ impl<T: Element> Quantizer<T> {
     }
 
     /// Quantizes the next page: `z` receives the latents and `classes`
-    /// their bit lengths (both exactly `data.len()` long).
+    /// their bit lengths (all three exactly `data.len()` long, as is
+    /// `care` when given).
     ///
-    /// The loop is select-based: an exception costs the same as a hit
+    /// The loops are select-based: an exception costs the same as a hit
     /// apart from its (rare) push, and the only loop-carried dependency
     /// is the one-cycle `prev` select. `v / 2eb` stays a division — a
     /// reciprocal multiply rounds differently and would change codes.
+    /// Without a mask every value is care; with one, a don't-care value
+    /// is a forced non-hit.
     // tac-lint: allow(arith) -- encoder-only: `bit_len` is at most 64, so the class fits its byte; `seen + i` counts in-memory values.
-    fn page(&mut self, data: &[T], z: &mut [u64], classes: &mut [u8]) {
+    fn page(&mut self, data: &[T], care: Option<&[bool]>, z: &mut [u64], classes: &mut [u8]) {
         debug_assert!(z.len() == data.len() && classes.len() == data.len());
-        // Stay clear of the i64 edge: beyond 2^62 the f64 lattice is
-        // coarser than 1 anyway, so a round trip through the integer grid
-        // could not stay within bound. The comparison is false for a NaN
-        // or infinite quotient, which is what every non-finite value
-        // yields (`2eb` is positive).
-        let limit = (1i64 << 62) as f64;
         let (two_eb, abs_eb) = (self.two_eb, self.abs_eb);
         let mut prev = self.prev;
-        for (i, ((&value, z), class)) in data.iter().zip(z).zip(classes).enumerate() {
-            let v = value.to_f64();
-            let t = v / two_eb;
-            let q = round_half_away(t);
-            // The bound check runs on the narrowed value, so `T`'s
-            // rounding can never silently break the bound.
-            let narrowed = T::from_f64(q as f64 * two_eb);
-            let hit = (t.abs() < limit) & ((v - narrowed.to_f64()).abs() <= abs_eb);
-            let latent = if hit { zigzag(q.wrapping_sub(prev)) } else { 0 };
-            prev = if hit { q } else { prev };
-            *z = latent;
-            *class = bit_len(latent) as u8;
-            if !hit {
-                self.exceptions.push((self.seen + i as u64, value));
+        match care {
+            None => {
+                for (i, ((&value, z), class)) in data.iter().zip(z).zip(classes).enumerate() {
+                    let (q, fits) = quantize(value, two_eb, abs_eb);
+                    let latent = if fits {
+                        zigzag(q.wrapping_sub(prev))
+                    } else {
+                        0
+                    };
+                    prev = if fits { q } else { prev };
+                    *z = latent;
+                    *class = bit_len(latent) as u8;
+                    if !fits {
+                        self.exceptions.push((self.seen + i as u64, value));
+                    }
+                }
+            }
+            Some(care) => {
+                // The care flag masks the delta instead of steering a
+                // branch: care runs alternate at every present/absent
+                // boundary, where a branch on them would mispredict.
+                // Only a non-fit, which is rare, branches on it.
+                let values = data.iter().zip(care).zip(z).zip(classes).enumerate();
+                for (i, (((&value, &care), z), class)) in values {
+                    let (q, fits) = quantize(value, two_eb, abs_eb);
+                    let delta = q.wrapping_sub(prev) & i64::from(care).wrapping_neg();
+                    let latent = if fits { zigzag(delta) } else { 0 };
+                    prev = if fits { prev.wrapping_add(delta) } else { prev };
+                    *z = latent;
+                    *class = bit_len(latent) as u8;
+                    if !fits && care {
+                        self.exceptions.push((self.seen + i as u64, value));
+                    }
+                }
             }
         }
         self.prev = prev;
@@ -180,9 +220,10 @@ impl<T: Element> Quantizer<T> {
 /// which codes the page's tail. The scratch holds one page, or the
 /// whole stream when that is shorter: TAC feeds these codecs thousands
 /// of streams of a few dozen values, which must not each pay for a full
-/// page of it.
+/// page of it. `care`, when given, is one flag per value of `data`.
 pub(crate) fn encode_stream<T: Element>(
     data: &[T],
+    care: Option<&[bool]>,
     abs_eb: f64,
     page: usize,
     out: &mut Vec<u8>,
@@ -196,12 +237,14 @@ pub(crate) fn encode_stream<T: Element>(
     let mut quantizer = Quantizer::new(abs_eb);
     let mut z = vec![0u64; n.min(page)];
     let mut classes = vec![0u8; n.min(page)];
+    let mut care_pages = care.map(|care| care.chunks(page));
     for values in data.chunks(page) {
         let (z, _) = z.split_at_mut(values.len());
         let (classes, _) = classes.split_at_mut(values.len());
+        let care = care_pages.as_mut().and_then(Iterator::next);
         {
             let _quantize = tac_obs::span(tac_obs::Stage::Quantize);
-            quantizer.page(values, z, classes);
+            quantizer.page(values, care, z, classes);
         }
         let _pack = tac_obs::span(tac_obs::Stage::Pack);
         encode_page(z, classes, out);
@@ -467,7 +510,13 @@ fn decode_only() -> CodecError {
 }
 
 impl<T: Element> ScalarCodec<T> for PcoLite {
-    fn compress(&self, _: &[T], _: Dims, _: &CodecConfig) -> Result<Vec<u8>, CodecError> {
+    fn compress(
+        &self,
+        _: &[T],
+        _: Option<&[bool]>,
+        _: Dims,
+        _: &CodecConfig,
+    ) -> Result<Vec<u8>, CodecError> {
         Err(decode_only())
     }
 
@@ -511,16 +560,24 @@ pub(crate) mod reference {
     }
 
     /// The whole-stream front end: latents, the promised reconstruction
-    /// and the exceptions of `data`.
+    /// and the exceptions of `data`. A value `care` marks don't-care
+    /// codes delta 0 and reconstructs as the previous code (`+0.0`
+    /// before the first).
     #[allow(clippy::type_complexity)]
     pub(crate) fn front_end<T: Element>(
         data: &[T],
+        care: Option<&[bool]>,
         abs_eb: f64,
     ) -> (Vec<u64>, Vec<T>, Vec<(u64, T)>) {
         let two_eb = 2.0 * abs_eb;
         let (mut z, mut recon, mut exceptions) = (Vec::new(), Vec::new(), Vec::new());
         let mut prev = 0i64;
         for (i, &v) in data.iter().enumerate() {
+            if care.is_some_and(|care| !care[i]) {
+                recon.push(T::from_f64(prev as f64 * two_eb));
+                z.push(zigzag(0));
+                continue;
+            }
             match quantize(v, two_eb, abs_eb) {
                 Some((q, r)) => {
                     recon.push(r);
@@ -622,7 +679,7 @@ pub(crate) mod reference {
     /// A pco-lite body before the LZSS stage — the exception table, then
     /// the pages — with the reconstruction it decodes to.
     pub(crate) fn body<T: Element>(data: &[T], abs_eb: f64) -> (Vec<u8>, Vec<T>) {
-        let (z, recon, exceptions) = front_end(data, abs_eb);
+        let (z, recon, exceptions) = front_end(data, None, abs_eb);
         let mut body = Vec::new();
         body.extend((exceptions.len() as u64).to_le_bytes());
         for &(idx, v) in &exceptions {
@@ -831,7 +888,8 @@ mod tests {
 
     #[test]
     fn foreign_magic_is_wrong_codec() {
-        let sz = tac_sz::compress(&[1.0; 8], Dims::D1(8), &tac_sz::SzConfig::abs(1.0)).unwrap();
+        let sz =
+            tac_sz::compress(&[1.0; 8], None, Dims::D1(8), &tac_sz::SzConfig::abs(1.0)).unwrap();
         assert!(matches!(
             f64::codec_decompress(&PcoLite, &sz),
             Err(CodecError::WrongCodec { .. })
@@ -964,7 +1022,7 @@ mod tests {
     fn assert_matches_reference<T: CodecElement>(data: &[T], eb: f64, what: &str) {
         let (want_body, want_recon) = reference::body(data, eb);
         let mut body = Vec::new();
-        encode_stream::<T>(data, eb, PAGE, &mut body, |z, _, out| {
+        encode_stream::<T>(data, None, eb, PAGE, &mut body, |z, _, out| {
             reference::encode_page(z, out)
         });
         assert!(body == want_body, "{what}: body differs from the reference");

@@ -42,7 +42,7 @@ use crate::bins::{self, CLASSES};
 use crate::pco::{
     encode_stream, header_error, patch_exceptions, read_exceptions, unzigzag, BitSink,
 };
-use crate::{CodecConfig, CodecError, ScalarCodec};
+use crate::{check_care, CodecConfig, CodecError, ScalarCodec};
 use tac_dtype::Element;
 use tac_sz::wire::ByteReader;
 use tac_sz::{Dims, Header, FLAG_F32};
@@ -199,14 +199,17 @@ fn encode_page(scratch: &mut EncodeScratch, z: &[u64], classes: &[u8], out: &mut
 /// time through [`encode_stream`] (the shared pcodec-style front end),
 /// so the cost per value does not depend on the stream's
 /// length and nothing the size of the stream is held besides the
-/// output.
+/// output. A don't-care value codes delta 0 — the cheapest token of
+/// its page — and is never an exception.
 fn compress_impl<T: Element>(
     data: &[T],
+    care: Option<&[bool]>,
     dims: Dims,
     cfg: &CodecConfig,
 ) -> Result<Vec<u8>, CodecError> {
     dims.validate(data.len())?;
     cfg.validate()?;
+    check_care(care, data.len())?;
     let n = data.len();
 
     let header = Header::new::<T>(MAGIC, VERSION, dims, cfg.abs_eb);
@@ -214,7 +217,7 @@ fn compress_impl<T: Element>(
     let mut out = Vec::with_capacity(header.encoded_len() + 8 + n);
     header.encode(&mut out);
     let mut scratch = EncodeScratch::new(n.min(PAGE));
-    encode_stream(data, cfg.abs_eb, PAGE, &mut out, |z, classes, out| {
+    encode_stream(data, care, cfg.abs_eb, PAGE, &mut out, |z, classes, out| {
         encode_page(&mut scratch, z, classes, out)
     });
     Ok(out)
@@ -439,8 +442,14 @@ fn decompress_impl<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecErro
 }
 
 impl<T: Element> ScalarCodec<T> for PcoAns {
-    fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
-        compress_impl(data, dims, cfg)
+    fn compress(
+        &self,
+        data: &[T],
+        care: Option<&[bool]>,
+        dims: Dims,
+        cfg: &CodecConfig,
+    ) -> Result<Vec<u8>, CodecError> {
+        compress_impl(data, care, dims, cfg)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
@@ -459,7 +468,9 @@ mod tests {
     use tac_dtype::TacDtype;
 
     fn roundtrip(data: &[f64], dims: Dims, eb: f64) -> Vec<f64> {
-        let bytes = PcoAns.compress(data, dims, &CodecConfig::abs(eb)).unwrap();
+        let bytes = PcoAns
+            .compress(data, None, dims, &CodecConfig::abs(eb))
+            .unwrap();
         let (out, out_dims) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         assert_eq!(out_dims, dims);
         out
@@ -482,7 +493,9 @@ mod tests {
             .map(|i| (i as f64 * 0.003).sin() * 10.0 + (i as f64 * 0.0007).cos())
             .collect();
         let cfg = CodecConfig::abs(1e-3);
-        let bytes = PcoAns.compress(&data, Dims::D3(n, n, n), &cfg).unwrap();
+        let bytes = PcoAns
+            .compress(&data, None, Dims::D3(n, n, n), &cfg)
+            .unwrap();
         let (out, _) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         check_bound(&data, &out, 1e-3);
         assert!(
@@ -496,7 +509,7 @@ mod tests {
     fn constant_field_is_tiny() {
         let data = vec![42.5f64; 8192];
         let cfg = CodecConfig::abs(1e-6);
-        let bytes = PcoAns.compress(&data, Dims::D1(8192), &cfg).unwrap();
+        let bytes = PcoAns.compress(&data, None, Dims::D1(8192), &cfg).unwrap();
         let (out, _) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         check_bound(&data, &out, 1e-6);
         assert!(
@@ -564,7 +577,7 @@ mod tests {
             data[i] = 1e6;
         }
         let cfg = CodecConfig::abs(1e-3);
-        let bytes = PcoAns.compress(&data, Dims::D1(6000), &cfg).unwrap();
+        let bytes = PcoAns.compress(&data, None, Dims::D1(6000), &cfg).unwrap();
         let (out, _) = f64::codec_decompress(&PcoAns, &bytes).unwrap();
         check_bound(&data, &out, 1e-3);
         assert!(
@@ -578,7 +591,7 @@ mod tests {
     fn corrupt_streams_error_never_panic() {
         let data: Vec<f64> = (0..5000).map(|i| (i as f64 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);
-        let bytes = PcoAns.compress(&data, Dims::D1(5000), &cfg).unwrap();
+        let bytes = PcoAns.compress(&data, None, Dims::D1(5000), &cfg).unwrap();
         let mut mutated = bytes.clone();
         for i in 0..mutated.len() {
             mutated[i] ^= 0xFF;
@@ -603,7 +616,7 @@ mod tests {
         // contract must hold: `dims.len()` values, exactly.
         let data: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.02).cos() * 3.0).collect();
         let bytes = PcoAns
-            .compress(&data, Dims::D1(2000), &CodecConfig::abs(1e-3))
+            .compress(&data, None, Dims::D1(2000), &CodecConfig::abs(1e-3))
             .unwrap();
         let mut mutated = bytes.clone();
         for i in (0..mutated.len()).step_by(7) {
@@ -633,7 +646,7 @@ mod tests {
     fn unknown_flag_bits_are_rejected() {
         let data = vec![1.0f64; 64];
         let mut bytes = PcoAns
-            .compress(&data, Dims::D1(64), &CodecConfig::abs(1e-3))
+            .compress(&data, None, Dims::D1(64), &CodecConfig::abs(1e-3))
             .unwrap();
         bytes[5] |= 0b0000_0100;
         assert!(matches!(
@@ -644,7 +657,8 @@ mod tests {
 
     #[test]
     fn foreign_magic_is_wrong_codec() {
-        let sz = tac_sz::compress(&[1.0; 8], Dims::D1(8), &tac_sz::SzConfig::abs(1.0)).unwrap();
+        let sz =
+            tac_sz::compress(&[1.0; 8], None, Dims::D1(8), &tac_sz::SzConfig::abs(1.0)).unwrap();
         assert!(matches!(
             f64::codec_decompress(&PcoAns, &sz),
             Err(CodecError::WrongCodec { .. })
@@ -657,7 +671,7 @@ mod tests {
             .map(|i| (i as f32 * 0.01).sin() * 4.0 + (i as f32 * 0.002).cos())
             .collect();
         let cfg = CodecConfig::abs(1e-3);
-        let bytes = PcoAns.compress(&data, Dims::D1(5000), &cfg).unwrap();
+        let bytes = PcoAns.compress(&data, None, Dims::D1(5000), &cfg).unwrap();
         let (out, dims) = f32::codec_decompress(&PcoAns, &bytes).unwrap();
         assert_eq!(dims, Dims::D1(5000));
         for (i, (&a, &b)) in data.iter().zip(&out).enumerate() {
@@ -677,7 +691,7 @@ mod tests {
     fn f32_corrupt_streams_error_never_panic() {
         let data: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);
-        let bytes = PcoAns.compress(&data, Dims::D1(1000), &cfg).unwrap();
+        let bytes = PcoAns.compress(&data, None, Dims::D1(1000), &cfg).unwrap();
         let mut mutated = bytes.clone();
         for i in (0..mutated.len()).step_by(3) {
             mutated[i] ^= 0xFF;
@@ -797,9 +811,14 @@ mod tests {
     }
 
     /// The whole stream the previous encoder wrote, with the
-    /// reconstruction it promised.
-    fn reference_compress<T: Element>(data: &[T], dims: Dims, abs_eb: f64) -> (Vec<u8>, Vec<T>) {
-        let (z, recon, exceptions) = front_end(data, abs_eb);
+    /// reconstruction it promised, under the care mask `care`.
+    fn reference_compress<T: Element>(
+        data: &[T],
+        care: Option<&[bool]>,
+        dims: Dims,
+        abs_eb: f64,
+    ) -> (Vec<u8>, Vec<T>) {
+        let (z, recon, exceptions) = front_end(data, care, abs_eb);
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
@@ -832,9 +851,17 @@ mod tests {
 
     /// Holds the page kernel to the reference encoder's bytes on one
     /// stream, and the decoder to the reconstruction it promised.
-    fn assert_matches_reference<T: CodecElement>(data: &[T], dims: Dims, eb: f64, what: &str) {
-        let (want, want_recon) = reference_compress(data, dims, eb);
-        let got = PcoAns.compress(data, dims, &CodecConfig::abs(eb)).unwrap();
+    fn assert_matches_reference<T: CodecElement>(
+        data: &[T],
+        care: Option<&[bool]>,
+        dims: Dims,
+        eb: f64,
+        what: &str,
+    ) {
+        let (want, want_recon) = reference_compress(data, care, dims, eb);
+        let got = PcoAns
+            .compress(data, care, dims, &CodecConfig::abs(eb))
+            .unwrap();
         assert!(got == want, "{what}: stream differs from the reference");
         let (decoded, _) = T::codec_decompress(&PcoAns, &got).unwrap();
         assert_eq!(decoded.len(), data.len(), "{what}");
@@ -854,6 +881,7 @@ mod tests {
             .collect();
         let mut state = 0x7AC17u64;
         let mut streams = 0usize;
+        let mut masked = 0usize;
         let mut ranks = [0usize; 4];
         for seed in 0..3 {
             for family in Family::ALL {
@@ -868,15 +896,32 @@ mod tests {
                     };
                     ranks[rank] += 1;
                     let what = format!("{family:?} x {n} seed {seed}");
+                    // Every other stream is masked: don't-care runs and
+                    // single cells, seeded like the data.
+                    let care: Option<Vec<bool>> = (streams % 4 == 2).then(|| {
+                        let mut run = 0u64;
+                        (0..n)
+                            .map(|_| {
+                                if run == 0 {
+                                    run = 1 + splitmix64(&mut state) % 97;
+                                }
+                                run -= 1;
+                                (run / 13) % 2 == 0
+                            })
+                            .collect()
+                    });
+                    let care = care.as_deref();
                     let (d64, eb) = draw::<f64>(family, n, &mut state);
-                    assert_matches_reference(&d64, dims, eb, &format!("f64 {what}"));
+                    assert_matches_reference(&d64, care, dims, eb, &format!("f64 {what}"));
                     let (d32, eb) = draw::<f32>(family, n, &mut state);
-                    assert_matches_reference(&d32, dims, eb, &format!("f32 {what}"));
+                    assert_matches_reference(&d32, care, dims, eb, &format!("f32 {what}"));
+                    masked += usize::from(care.is_some_and(|c| c.contains(&false))) * 2;
                     streams += 2;
                 }
             }
         }
         assert!(streams >= 500, "only {streams} streams");
+        assert!(masked >= 100, "only {masked} masked streams");
         assert!(ranks.iter().all(|&r| r > 0), "ranks {ranks:?}");
     }
 
@@ -897,7 +942,7 @@ mod tests {
         }
 
         let (noise, eb) = draw::<f64>(Family::WideNoise, n, &mut state);
-        let (z, _, exceptions) = front_end(&noise, eb);
+        let (z, _, exceptions) = front_end(&noise, None, eb);
         assert!(exceptions.is_empty());
         let widths: Vec<u32> = page_plans(&z)
             .iter()
@@ -910,7 +955,7 @@ mod tests {
         );
 
         let (constant, eb) = draw::<f32>(Family::Constant, n, &mut state);
-        let (z, _, _) = front_end(&constant, eb);
+        let (z, _, _) = front_end(&constant, None, eb);
         let plans = page_plans(&z);
         assert_eq!(plans[1].len(), 1, "a constant page is one bin");
         assert_eq!(ans::normalize_weights(&[plans[1][0].count]), [2048]);
@@ -924,11 +969,15 @@ mod tests {
         assert!(ties.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
 
         let (tight, eb) = draw::<f32>(Family::AllExceptions, n, &mut state);
-        assert_eq!(front_end(&tight, eb).2.len(), n);
+        assert_eq!(front_end(&tight, None, eb).2.len(), n);
 
         for family in [Family::ExceptionsAtPageEdges, Family::ExceptionRuns] {
             let (data, eb) = draw::<f64>(family, n, &mut state);
-            let hit: Vec<u64> = front_end(&data, eb).2.iter().map(|&(i, _)| i).collect();
+            let hit: Vec<u64> = front_end(&data, None, eb)
+                .2
+                .iter()
+                .map(|&(i, _)| i)
+                .collect();
             assert!(hit.len() >= 8, "{family:?}: {} exceptions", hit.len());
             if matches!(family, Family::ExceptionsAtPageEdges) {
                 for edge in [0, PAGE - 1, PAGE, 2 * PAGE - 1, n - 1] {

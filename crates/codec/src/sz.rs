@@ -1,6 +1,6 @@
 //! The SZ backend: a thin [`ScalarCodec`] wrapper around `tac-sz`.
 
-use crate::{stream_head, CodecConfig, CodecError, CodecId, Element, ScalarCodec};
+use crate::{check_care, stream_head, CodecConfig, CodecError, CodecId, Element, ScalarCodec};
 use tac_sz::{Dims, SzConfig};
 
 /// The SZ-style predict–quantize–encode compressor, wrapped as a
@@ -10,9 +10,21 @@ use tac_sz::{Dims, SzConfig};
 pub struct SzCodec;
 
 impl<T: Element> ScalarCodec<T> for SzCodec {
-    fn compress(&self, data: &[T], dims: Dims, cfg: &CodecConfig) -> Result<Vec<u8>, CodecError> {
+    fn compress(
+        &self,
+        data: &[T],
+        care: Option<&[bool]>,
+        dims: Dims,
+        cfg: &CodecConfig,
+    ) -> Result<Vec<u8>, CodecError> {
         cfg.validate()?;
-        Ok(tac_sz::compress(data, dims, &SzConfig::abs(cfg.abs_eb))?)
+        check_care(care, data.len())?;
+        Ok(tac_sz::compress(
+            data,
+            care,
+            dims,
+            &SzConfig::abs(cfg.abs_eb),
+        )?)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
@@ -36,8 +48,11 @@ mod tests {
     fn wraps_tac_sz_bit_for_bit() {
         let data: Vec<f64> = (0..512).map(|i| (i as f64 * 0.01).sin()).collect();
         let cfg = CodecConfig::abs(1e-4);
-        let via_trait = SzCodec.compress(&data, Dims::D3(8, 8, 8), &cfg).unwrap();
-        let direct = tac_sz::compress(&data, Dims::D3(8, 8, 8), &SzConfig::abs(1e-4)).unwrap();
+        let via_trait = SzCodec
+            .compress(&data, None, Dims::D3(8, 8, 8), &cfg)
+            .unwrap();
+        let direct =
+            tac_sz::compress(&data, None, Dims::D3(8, 8, 8), &SzConfig::abs(1e-4)).unwrap();
         assert_eq!(via_trait, direct, "the wrapper must not change the bytes");
         assert_eq!(crate::sniff_codec(&via_trait), Ok(CodecId::Sz));
         let (out, dims): (Vec<f64>, _) = SzCodec.decompress(&via_trait).unwrap();

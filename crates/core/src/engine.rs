@@ -47,7 +47,8 @@ use crate::akdtree::plan_akdtree;
 use crate::config::{Strategy, TacConfig};
 use crate::error::TacError;
 use crate::extract::{
-    check_regions, compress_group, decode_group, paste_group, plan_groups, GroupPlan,
+    check_regions, compress_cells, compress_group, decode_group, paste_group, plan_groups,
+    GroupPlan,
 };
 use crate::grid::SlabGrid;
 use crate::gsp::pad_ghost_shell;
@@ -189,11 +190,14 @@ pub(crate) fn plan_level<T: Element>(
     })
 }
 
-/// One flattened compression task (borrowing the plan and level data).
+/// One flattened compression task (borrowing the plan, level data and
+/// level mask).
 struct CompressTask<'a, T: Element> {
     dim: usize,
     codec: CodecId,
     codec_cfg: CodecConfig,
+    /// The level's occupancy: its absent cells are don't-care.
+    mask: &'a BitMask,
     kind: CompressKind<'a, T>,
 }
 
@@ -221,35 +225,37 @@ enum TaskOut {
 /// Executes the planned levels on `workers` threads and assembles the
 /// per-level compressed payloads in plan order. `level_data[i]` is the
 /// flat array of the i-th planned level (read by ZeroFill tasks and
-/// region-group tasks).
+/// region-group tasks) and `masks[i]` its occupancy: every stream is
+/// coded with its absent cells don't-care (their values — zero fill,
+/// GSP ghosts — never reach the bytes), since decoding stores present
+/// cells only. GSP's padded grid shares the level's layout, so the
+/// level's mask is its mask too.
 // tac-lint: allow(panic) -- encoder-only: in-memory plans, one task result per planned task in plan order, so every `expect` and arm holds by construction.
 pub(crate) fn compress_plans<T: CodecElement>(
     plans: &[LevelPlan<T>],
     level_data: &[&[T]],
+    masks: &[&BitMask],
     workers: usize,
 ) -> Result<Vec<CompressedLevel>, TacError> {
     assert_eq!(plans.len(), level_data.len());
+    assert_eq!(plans.len(), masks.len());
     // Flatten: tasks are generated level-major, groups in plan order, so
     // task index order is deterministic.
     let mut tasks: Vec<CompressTask<'_, T>> = Vec::new();
-    for (plan, &data) in plans.iter().zip(level_data) {
-        let codec_cfg = CodecConfig::abs(plan.abs_eb);
+    for ((plan, &data), &mask) in plans.iter().zip(level_data).zip(masks) {
+        let task = |kind| CompressTask {
+            dim: plan.dim,
+            codec: plan.codec,
+            codec_cfg: CodecConfig::abs(plan.abs_eb),
+            mask,
+            kind,
+        };
         match &plan.work {
             LevelWork::Empty => {}
-            LevelWork::Whole(source) => tasks.push(CompressTask {
-                dim: plan.dim,
-                codec: plan.codec,
-                codec_cfg,
-                kind: CompressKind::Whole(source.resolve(data)),
-            }),
+            LevelWork::Whole(source) => tasks.push(task(CompressKind::Whole(source.resolve(data)))),
             LevelWork::Groups(source, groups) => {
                 for g in groups {
-                    tasks.push(CompressTask {
-                        dim: plan.dim,
-                        codec: plan.codec,
-                        codec_cfg,
-                        kind: CompressKind::Group(g, source.resolve(data)),
-                    });
+                    tasks.push(task(CompressKind::Group(g, source.resolve(data))));
                 }
             }
         }
@@ -266,17 +272,20 @@ pub(crate) fn compress_plans<T: CodecElement>(
                 .arg("codec", t.codec.tag());
             let out = match &t.kind {
                 CompressKind::Whole(data) => {
-                    let stream = T::codec_compress(
-                        codec_for(t.codec),
-                        data,
-                        Dims::D3(t.dim, t.dim, t.dim),
-                        &t.codec_cfg,
-                    )?;
+                    let mut care = vec![false; data.len()];
+                    let present = t.mask.flags_into(0, &mut care);
+                    let dims = Dims::D3(t.dim, t.dim, t.dim);
+                    let stream = compress_cells(data, &care, present, dims, t.codec, &t.codec_cfg)?;
                     TaskOut::Stream(stream)
                 }
-                CompressKind::Group(plan, data) => {
-                    TaskOut::Group(compress_group(data, t.dim, plan, t.codec, &t.codec_cfg)?)
-                }
+                CompressKind::Group(plan, data) => TaskOut::Group(compress_group(
+                    data,
+                    t.mask,
+                    t.dim,
+                    plan,
+                    t.codec,
+                    &t.codec_cfg,
+                )?),
             };
             if tac_obs::enabled() {
                 let bytes = match &out {
@@ -661,7 +670,7 @@ mod tests {
             abs_eb: 1e-3,
             ..plan_level(level, strategy, cfg).unwrap()
         }];
-        compress_plans(&plans, &[level.data()], 1)
+        compress_plans(&plans, &[level.data()], &[level.mask()], 1)
             .unwrap()
             .pop()
             .unwrap()
@@ -761,7 +770,7 @@ mod tests {
                     shape,
                     origins: origins.to_vec(),
                 };
-                compress_group(&data, dim, &plan, codec, &cfg).unwrap()
+                compress_group(&data, &mask, dim, &plan, codec, &cfg).unwrap()
             };
             let level = |groups| CompressedLevel {
                 strategy: Strategy::OpST,
@@ -897,7 +906,7 @@ mod tests {
                     shape,
                     origins: origins.to_vec(),
                 };
-                compress_group(&data, dim, &plan, codec, &cfg).unwrap()
+                compress_group(&data, &mask, dim, &plan, codec, &cfg).unwrap()
             };
             // Both regions hold present cells; the one cell they share,
             // (5, 5, 5), is absent.

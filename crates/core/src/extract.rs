@@ -96,14 +96,35 @@ pub(crate) fn plan_groups(regions: &[Region], tile: Option<usize>) -> Vec<GroupP
     plans
 }
 
+/// Compresses `values` as one stream of shape `dims` through `codec`.
+/// `care` flags the present cells (the ones the level's decoder keeps),
+/// `present` of them: an absent cell is don't-care, so its value costs
+/// (near) nothing and never shapes the stream. A stream whose cells are
+/// all present passes no mask, which writes the same bytes.
+pub(crate) fn compress_cells<T: CodecElement>(
+    values: &[T],
+    care: &[bool],
+    present: usize,
+    dims: Dims,
+    codec: CodecId,
+    cfg: &CodecConfig,
+) -> Result<Vec<u8>, TacError> {
+    let dont_care = care.len().saturating_sub(present);
+    tac_obs::add_bytes(tac_obs::Counter::DontCareValues, dont_care);
+    let care = (dont_care > 0).then_some(care);
+    Ok(codec_for::<T>(codec).compress(values, care, dims, cfg)?)
+}
+
 /// Runs one planned job: gathers the batched region data out of the
-/// level's flat array (or GSP's padded grid) and compresses it as one
-/// rank-4 stream through the given scalar codec. A lone region of whole
+/// level's flat array (or GSP's padded grid), with the care flags of
+/// its cells from the level's `mask`, and compresses it as one rank-4
+/// stream through the given scalar codec. A lone region of whole
 /// z-planes — a dense level's slab — is one contiguous range of `data`
 /// and is encoded in place, not copied. Generic over the element type;
 /// the width resolves once per stream through [`CodecElement`].
 pub(crate) fn compress_group<T: CodecElement>(
     data: &[T],
+    mask: &BitMask,
     dim: usize,
     plan: &GroupPlan,
     codec: CodecId,
@@ -112,14 +133,30 @@ pub(crate) fn compress_group<T: CodecElement>(
     let (w, h, d) = plan.shape;
     let plane = dim * dim;
     let slab = match plan.origins.as_slice() {
-        &[(0, 0, z)] if (w, h) == (dim, dim) => data.get(plane * z..plane * (z + d)),
+        &[(0, 0, z)] if (w, h) == (dim, dim) => {
+            let cells = plane * z..plane * (z + d);
+            data.get(cells.clone()).map(|values| (cells.start, values))
+        }
         _ => None,
     };
     let gathered;
+    let mut care = vec![false; plan.num_cells()];
+    let mut present = 0;
     let batch = match slab {
-        Some(values) => values,
+        Some((start, values)) => {
+            present = mask.flags_into(start, &mut care);
+            values
+        }
         None => {
             let mut batch = Vec::with_capacity(plan.num_cells());
+            // The batch's rows in gather order, each `w` cells of the
+            // level starting at `row`.
+            let rows = plan.origins.iter().flat_map(|&(x0, y0, z0)| {
+                (z0..z0 + d).flat_map(move |z| (y0..y0 + h).map(move |y| x0 + dim * (y + dim * z)))
+            });
+            for (flags, row) in care.chunks_mut(w).zip(rows) {
+                present += mask.flags_into(row, flags);
+            }
             for &origin in &plan.origins {
                 copy_region_into(&mut batch, data, dim, origin, plan.shape);
             }
@@ -127,12 +164,8 @@ pub(crate) fn compress_group<T: CodecElement>(
             gathered.as_slice()
         }
     };
-    let stream = T::codec_compress(
-        codec_for(codec),
-        batch,
-        Dims::D4(w, h, d, plan.origins.len()),
-        cfg,
-    )?;
+    let dims = Dims::D4(w, h, d, plan.origins.len());
+    let stream = compress_cells(batch, &care, present, dims, codec, cfg)?;
     let origins = (plan.origins.iter())
         .map(|&(x, y, z)| (x as u32, y as u32, z as u32))
         .collect();
@@ -344,9 +377,10 @@ mod tests {
         cfg: &CodecConfig,
         tile: Option<usize>,
     ) -> Vec<BlockGroup> {
+        let all = BitMask::ones(data.len());
         plan_groups(regions, tile)
             .iter()
-            .map(|p| compress_group(data, dim, p, codec, cfg).unwrap())
+            .map(|p| compress_group(data, &all, dim, p, codec, cfg).unwrap())
             .collect()
     }
 

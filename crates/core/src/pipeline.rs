@@ -119,7 +119,8 @@ pub fn compress_level_t<T: CodecElement>(
         abs_eb,
         ..engine::plan_level(level, strategy, cfg)?
     }];
-    let mut levels = engine::compress_plans(&plans, &[level.data()], cfg.parallelism.workers())?;
+    let workers = cfg.parallelism.workers();
+    let mut levels = engine::compress_plans(&plans, &[level.data()], &[level.mask()], workers)?;
     levels
         .pop()
         .ok_or_else(|| TacError::Corrupt("the engine returned no level".into()))
@@ -334,13 +335,14 @@ pub(crate) fn compress_with<T: CodecElement>(
     let _compress = tac_obs::span(tac_obs::Stage::Compress).arg("levels", ds.num_levels());
     let masks: Vec<BitMask> = ds.levels().iter().map(|l| l.mask().clone()).collect();
     let level_data: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
+    let level_masks: Vec<&BitMask> = masks.iter().collect();
     let workers = cfg.parallelism.workers();
     // Plans every level, then runs all per-level / per-region
     // compression tasks on the work-stealing scheduler in one flattened
     // batch.
     let tac_body = |ranges: Ranges<'_>, level_codecs: &[CodecId]| -> Result<MethodBody, TacError> {
         let plans = plan_tac_levels(ds, cfg, ranges, level_codecs)?;
-        engine::compress_plans(&plans, &level_data, workers).map(MethodBody::Tac)
+        engine::compress_plans(&plans, &level_data, &level_masks, workers).map(MethodBody::Tac)
     };
     let body = match method {
         Method::Tac => tac_body(ranges, &[])?,

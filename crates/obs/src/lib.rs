@@ -177,7 +177,8 @@ pub enum Counter {
     ExecSteals,
     /// Nanoseconds executor workers spent failing to find work.
     ExecIdleNs,
-    /// SZ quantizer predictions within the error bound.
+    /// SZ quantizer predictions within the error bound (care points
+    /// only: a don't-care point quantizes nothing).
     SzQuantHits,
     /// SZ quantizer misses (stored raw).
     SzQuantMisses,
@@ -217,6 +218,11 @@ pub enum Counter {
     /// Traversal pieces the zMesh / 1D gather and scatter move those
     /// values in: one per mask run, sibling pair or row segment.
     ReorderPieces,
+    /// Values TAC's writer coded as don't-care: the absent cells (zero
+    /// fill, GSP ghosts, sub-block padding) of its level and group
+    /// streams, which the decoder never reads. With the present cells
+    /// they sum to every value the TAC streams code.
+    DontCareValues,
 }
 
 impl Counter {
@@ -252,6 +258,7 @@ impl Counter {
         Counter::AssembleCellsWritten,
         Counter::ReorderValues,
         Counter::ReorderPieces,
+        Counter::DontCareValues,
     ];
 
     /// Index into a shard's counter array.
@@ -290,6 +297,7 @@ impl Counter {
             Counter::AssembleCellsWritten => "assemble_cells_written",
             Counter::ReorderValues => "reorder_values",
             Counter::ReorderPieces => "reorder_pieces",
+            Counter::DontCareValues => "dont_care_values",
         }
     }
 }

@@ -81,9 +81,13 @@ trait PointCodec<T: Element> {
     fn process(&mut self, idx: usize, pred: f64) -> Result<T, SzError>;
 }
 
-/// Encoder-side codec: quantizes the original data.
+/// Encoder-side codec: quantizes the original data. A point `care`
+/// marks don't-care codes the zero residual and reconstructs as its
+/// prediction — what the decoder computes from that symbol — without
+/// reading its value.
 struct Encoder<'a, T: Element> {
     data: &'a [T],
+    care: Option<&'a [bool]>,
     quantizer: Quantizer,
     symbols: Vec<u32>,
     raws: Vec<T>,
@@ -91,8 +95,13 @@ struct Encoder<'a, T: Element> {
 
 impl<T: Element> PointCodec<T> for Encoder<'_, T> {
     #[inline]
-    // tac-lint: allow(panic) -- encoder over in-memory data: the traversal only produces idx < dims.len() == data.len(), validated before entry.
+    // tac-lint: allow(panic) -- encoder over in-memory data: the traversal only produces idx < dims.len() == data.len() == care.len(), validated before entry.
     fn process(&mut self, idx: usize, pred: f64) -> Result<T, SzError> {
+        if self.care.is_some_and(|care| !care[idx]) {
+            let zero = self.quantizer.zero_symbol();
+            self.symbols.push(zero);
+            return Ok(self.quantizer.recover(zero, pred));
+        }
         let v = self.data[idx];
         let (q, recon) = self.quantizer.quantize(v, pred);
         match q {
@@ -212,10 +221,12 @@ fn traverse_3d<T: Element, C: PointCodec<T>>(
 }
 
 /// Builds encoder-side regression contexts (one per 3D slab) when the
-/// configuration enables them and the rank is 3 or 4.
-// tac-lint: allow(panic) -- encoder-only: slab slices cover exactly data.len() == nx*ny*nz*nw, validated before entry.
+/// configuration enables them and the rank is 3 or 4, each over its
+/// slab's part of `care`.
+// tac-lint: allow(panic) -- encoder-only: slab slices cover exactly data.len() == care.len() == nx*ny*nz*nw, validated before entry.
 fn build_contexts<T: Element>(
     data: &[T],
+    care: Option<&[bool]>,
     dims: Dims,
     abs_eb: f64,
     enabled: bool,
@@ -223,24 +234,26 @@ fn build_contexts<T: Element>(
     if !enabled {
         return Vec::new();
     }
-    match dims {
-        Dims::D3(nx, ny, nz) => vec![Some(RegressionContext::build(data, nx, ny, nz, abs_eb))],
-        Dims::D4(nx, ny, nz, nw) => {
-            let block = nx * ny * nz;
-            (0..nw)
-                .map(|w| {
-                    Some(RegressionContext::build(
-                        &data[w * block..(w + 1) * block],
-                        nx,
-                        ny,
-                        nz,
-                        abs_eb,
-                    ))
-                })
-                .collect()
-        }
-        _ => Vec::new(),
-    }
+    let (nx, ny, nz, nw) = match dims {
+        Dims::D3(nx, ny, nz) => (nx, ny, nz, 1),
+        Dims::D4(nx, ny, nz, nw) => (nx, ny, nz, nw),
+        _ => return Vec::new(),
+    };
+    let block = nx * ny * nz;
+    (0..nw)
+        .map(|w| {
+            let slab = w * block..(w + 1) * block;
+            let care = care.map(|care| &care[slab.clone()]);
+            Some(RegressionContext::build(
+                &data[slab],
+                care,
+                nx,
+                ny,
+                nz,
+                abs_eb,
+            ))
+        })
+        .collect()
 }
 
 /// Quantization bins every stream is written with: code 0 is reserved
@@ -254,11 +267,25 @@ const CAPACITY: u32 = 65536;
 /// `f32` streams set [`FLAG_F32`](crate::FLAG_F32) and store verbatim
 /// values at 4 bytes each.
 ///
+/// `care`, when given, marks with `false` the *don't-care* points: the
+/// bound holds on the others only. A don't-care point codes the zero
+/// residual (it reconstructs as its prediction) and is never stored
+/// verbatim, and a regression block is fitted only where the block and
+/// its one-cell causal halo (the cells at `x - 1`, `y - 1`, `z - 1`
+/// inside the slab) are all care, so the stream does not depend on any
+/// don't-care value. `None` and an all-true mask write the same bytes.
+///
 /// # Errors
-/// Fails on shape/config validation errors; never fails on data content
-/// (NaN/Inf values are stored verbatim).
-pub fn compress<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig) -> Result<Vec<u8>, SzError> {
-    compress_with::<T, Shipped>(data, dims, cfg, CAPACITY).map(|(bytes, _)| bytes)
+/// Fails on shape/config validation errors — a `care` of another length
+/// than `data` is [`SzError::DimensionMismatch`] — and never on data
+/// content (NaN/Inf values are stored verbatim).
+pub fn compress<T: Element>(
+    data: &[T],
+    care: Option<&[bool]>,
+    dims: Dims,
+    cfg: &SzConfig,
+) -> Result<Vec<u8>, SzError> {
+    compress_with::<T, Shipped>(data, care, dims, cfg, CAPACITY).map(|(bytes, _)| bytes)
 }
 
 /// The encoder over the back end `B`, writing `capacity` quantization
@@ -266,15 +293,22 @@ pub fn compress<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig) -> Result<Ve
 /// is what the decoder will produce.
 fn compress_with<T: Element, B: BackEnd>(
     data: &[T],
+    care: Option<&[bool]>,
     dims: Dims,
     cfg: &SzConfig,
     capacity: u32,
 ) -> Result<(Vec<u8>, Vec<T>), SzError> {
     dims.validate(data.len())?;
     cfg.validate()?;
+    if let Some(care) = care.filter(|care| care.len() != data.len()) {
+        return Err(SzError::DimensionMismatch {
+            data_len: care.len(),
+            dims_len: data.len(),
+        });
+    }
     let abs_eb = cfg.abs_eb;
     let quantizer = Quantizer::new(abs_eb, capacity as usize);
-    let contexts = build_contexts(data, dims, abs_eb, cfg.regression);
+    let contexts = build_contexts(data, care, dims, abs_eb, cfg.regression);
     if tac_obs::enabled() {
         // Predictor mix: regression vs. Lorenzo blocks, per slab.
         for ctx in contexts.iter().flatten() {
@@ -290,6 +324,7 @@ fn compress_with<T: Element, B: BackEnd>(
     let mut recon = vec![T::ZERO; data.len()];
     let mut enc = Encoder {
         data,
+        care,
         quantizer,
         symbols: Vec::with_capacity(data.len()),
         raws: Vec::new(),
@@ -299,11 +334,18 @@ fn compress_with<T: Element, B: BackEnd>(
         traverse(dims, &mut recon, &contexts, &mut enc)?;
     }
     let Encoder { symbols, raws, .. } = enc;
-    tac_obs::add_bytes(tac_obs::Counter::SzQuantMisses, raws.len());
-    tac_obs::add_bytes(
-        tac_obs::Counter::SzQuantHits,
-        symbols.len().saturating_sub(raws.len()),
-    );
+    if tac_obs::enabled() {
+        // Don't-care points code a symbol but quantize nothing.
+        let dont_care = care.map_or(0, |care| care.iter().filter(|&&c| !c).count());
+        tac_obs::add_bytes(tac_obs::Counter::SzQuantMisses, raws.len());
+        tac_obs::add_bytes(
+            tac_obs::Counter::SzQuantHits,
+            symbols
+                .len()
+                .saturating_sub(raws.len())
+                .saturating_sub(dont_care),
+        );
+    }
 
     // Predictor side-section: tag + per-slab serialized contexts.
     let mut pred_section = Vec::new();
@@ -638,9 +680,27 @@ mod tests {
     }
 
     fn same_streams<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig, capacity: u32) {
-        let (a, ra) = compress_with::<T, Shipped>(data, dims, cfg, capacity).unwrap();
-        let (b, rb) = compress_with::<T, Reference>(data, dims, cfg, capacity).unwrap();
+        same_masked_streams(data, None, dims, cfg, capacity);
+    }
+
+    /// [`same_streams`] under a care mask; the decode must also give
+    /// back exactly the reconstruction the encoder predicted from, the
+    /// don't-care points included.
+    fn same_masked_streams<T: Element>(
+        data: &[T],
+        care: Option<&[bool]>,
+        dims: Dims,
+        cfg: &SzConfig,
+        capacity: u32,
+    ) {
+        let (a, ra) = compress_with::<T, Shipped>(data, care, dims, cfg, capacity).unwrap();
+        let (b, rb) = compress_with::<T, Reference>(data, care, dims, cfg, capacity).unwrap();
         assert!(a == b, "{dims:?} {cfg:?}: stream differs");
+        let (decoded, _) = decompress::<T>(&a).unwrap();
+        assert!(decoded
+            .iter()
+            .zip(&ra)
+            .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits()));
         assert!(
             ra == rb
                 || ra
@@ -654,6 +714,134 @@ mod tests {
             .iter()
             .zip(&y)
             .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits()));
+    }
+
+    /// A care mask with don't-care runs of every length up to a few
+    /// regression blocks, and isolated don't-care points.
+    fn striped_care(n: usize) -> Vec<bool> {
+        (0..n)
+            .map(|i| {
+                let h = (i as u64 + 7).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+                (i / 50) % 3 != 1 && h != 0
+            })
+            .collect()
+    }
+
+    /// `data` with every don't-care point rewritten to junk that no
+    /// care point could code: NaN, infinities, 1e300 and noise.
+    fn junk_at<T: Element>(data: &[T], care: &[bool]) -> Vec<T> {
+        let junk = [f64::NAN, f64::INFINITY, -1e300, 1e300, f64::NEG_INFINITY];
+        (data.iter().zip(care).enumerate())
+            .map(|(i, (&v, &c))| if c { v } else { T::from_f64(junk[i % 5]) })
+            .collect()
+    }
+
+    /// The raw-value count of a stream written without its LZSS stage.
+    fn raw_count(bytes: &[u8]) -> u64 {
+        let (_, rest) = Header::read::<f64>(bytes, MAGIC, VERSION, u8::MAX).unwrap();
+        u64::from_le_bytes(rest[4..12].try_into().unwrap())
+    }
+
+    #[test]
+    fn masked_streams_match_reference_back_end() {
+        for (data, dims) in rank_inputs() {
+            let care = striped_care(data.len());
+            let junk = junk_at(&data, &care);
+            let data32: Vec<f32> = junk.iter().map(|&v| v as f32).collect();
+            for cfg in configs() {
+                same_masked_streams::<f64>(&junk, Some(&care), dims, &cfg, CAPACITY);
+                same_masked_streams::<f32>(&data32, Some(&care), dims, &cfg, CAPACITY);
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_true_mask_writes_the_unmasked_bytes() {
+        for (data, dims) in rank_inputs() {
+            let all = vec![true; data.len()];
+            for cfg in configs() {
+                let plain = compress(&data, None, dims, &cfg).unwrap();
+                assert!(compress(&data, Some(&all), dims, &cfg).unwrap() == plain);
+            }
+        }
+    }
+
+    #[test]
+    fn a_mask_of_another_length_is_rejected() {
+        let data = smooth_3d(4);
+        for len in [0, 63, 65] {
+            assert!(matches!(
+                compress(
+                    &data,
+                    Some(&vec![true; len]),
+                    Dims::D1(64),
+                    &SzConfig::abs(1e-3)
+                ),
+                Err(SzError::DimensionMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn dont_care_points_cost_no_raw_value_and_care_points_keep_the_bound() {
+        for (data, dims) in rank_inputs() {
+            let care = striped_care(data.len());
+            let junk = junk_at(&data, &care);
+            // At this bound the spikes code without a raw value, so
+            // every raw value would be the junk's.
+            let cfg = SzConfig::abs(1e-2).without_lossless();
+            let bytes = compress(&junk, Some(&care), dims, &cfg).unwrap();
+            let clean = compress(&data, Some(&care), dims, &cfg).unwrap();
+            assert!(
+                bytes == clean,
+                "{dims:?}: a don't-care value reached the stream"
+            );
+            assert_eq!(raw_count(&bytes), 0, "{dims:?}");
+            let plain = compress(&junk, None, dims, &cfg).unwrap();
+            assert!(
+                raw_count(&plain) > 0 && bytes.len() < plain.len(),
+                "{dims:?}"
+            );
+            let (out, _) = decompress::<f64>(&bytes).unwrap();
+            for (i, ((&a, &b), &c)) in data.iter().zip(&out).zip(&care).enumerate() {
+                assert!(
+                    !c || (a - b).abs() <= 1e-2,
+                    "{dims:?} point {i}: {a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn regression_blocks_read_no_dont_care_value() {
+        // One absent cell in the causal halo of a block, or inside it,
+        // must not move the bytes whatever it holds: such blocks keep
+        // Lorenzo. Cells at x, y or z = 5 are the halo of the blocks
+        // starting at 6, so every probe sits next to a block boundary.
+        let n = 18;
+        let data = smooth_3d(n);
+        let cfg = SzConfig::abs(1e-4);
+        for probe in [
+            (5, 7, 7),
+            (7, 5, 7),
+            (7, 7, 5),
+            (5, 5, 5),
+            (8, 8, 8),
+            (0, 0, 0),
+        ] {
+            let at = probe.0 + n * (probe.1 + n * probe.2);
+            let mut care = vec![true; data.len()];
+            care[at] = false;
+            let streams: Vec<Vec<u8>> = [0.0, 1e6, -3.5]
+                .iter()
+                .map(|&v| {
+                    let mut junk = data.clone();
+                    junk[at] = v;
+                    compress(&junk, Some(&care), Dims::D3(n, n, n), &cfg).unwrap()
+                })
+                .collect();
+            assert!(streams.windows(2).all(|w| w[0] == w[1]), "probe {probe:?}");
+        }
     }
 
     #[test]
@@ -725,12 +913,18 @@ mod tests {
     fn decode_errors_match_reference_back_end() {
         let d3 = smooth_3d(6);
         let mut streams = vec![
-            compress(&d3, Dims::D3(6, 6, 6), &SzConfig::abs(1e-3)).unwrap(),
-            compress(&d3, Dims::D1(216), &SzConfig::abs(1e-2).without_lossless()).unwrap(),
-            compress(&d3, Dims::D4(3, 4, 6, 3), &SzConfig::abs(1e-4)).unwrap(),
+            compress(&d3, None, Dims::D3(6, 6, 6), &SzConfig::abs(1e-3)).unwrap(),
+            compress(
+                &d3,
+                None,
+                Dims::D1(216),
+                &SzConfig::abs(1e-2).without_lossless(),
+            )
+            .unwrap(),
+            compress(&d3, None, Dims::D4(3, 4, 6, 3), &SzConfig::abs(1e-4)).unwrap(),
         ];
         let d32: Vec<f32> = d3.iter().map(|&v| v as f32).collect();
-        streams.push(compress(&d32, Dims::D2(12, 18), &SzConfig::abs(1e-3)).unwrap());
+        streams.push(compress(&d32, None, Dims::D2(12, 18), &SzConfig::abs(1e-3)).unwrap());
         assert!(streams.iter().any(|s| s[5] & FLAG_LOSSLESS != 0));
         fn check<T: Element>(s: &[u8]) {
             let a = decompress_with::<T, Shipped>(s);
@@ -789,7 +983,7 @@ mod tests {
         let n = 16;
         let data = smooth_3d(n);
         let cfg = SzConfig::abs(1e-3);
-        let bytes = compress(&data, Dims::D3(n, n, n), &cfg).unwrap();
+        let bytes = compress(&data, None, Dims::D3(n, n, n), &cfg).unwrap();
         let (out, dims) = decompress(&bytes).unwrap();
         assert_eq!(dims, Dims::D3(n, n, n));
         check_bound(&data, &out, 1e-3);
@@ -803,11 +997,11 @@ mod tests {
     fn roundtrip_1d_and_2d() {
         let data: Vec<f64> = (0..500).map(|i| (i as f64 * 0.01).sin()).collect();
         let cfg = SzConfig::abs(1e-4);
-        let bytes = compress(&data, Dims::D1(500), &cfg).unwrap();
+        let bytes = compress(&data, None, Dims::D1(500), &cfg).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         check_bound(&data, &out, 1e-4);
 
-        let bytes = compress(&data, Dims::D2(25, 20), &cfg).unwrap();
+        let bytes = compress(&data, None, Dims::D2(25, 20), &cfg).unwrap();
         let (out, dims) = decompress(&bytes).unwrap();
         assert_eq!(dims, Dims::D2(25, 20));
         check_bound(&data, &out, 1e-4);
@@ -824,7 +1018,7 @@ mod tests {
             }
         }
         let cfg = SzConfig::abs(1e-5);
-        let bytes = compress(&data, Dims::D4(n, n, n, blocks), &cfg).unwrap();
+        let bytes = compress(&data, None, Dims::D4(n, n, n, blocks), &cfg).unwrap();
         let (out, dims) = decompress(&bytes).unwrap();
         assert_eq!(dims, Dims::D4(n, n, n, blocks));
         check_bound(&data, &out, 1e-5);
@@ -835,7 +1029,7 @@ mod tests {
         let data: Vec<f64> = (0..1000).map(|i| i as f64).collect(); // range 999
         let cfg = rel(&data, 1e-3);
         assert!((cfg.abs_eb - 0.999).abs() < 1e-12);
-        let bytes = compress(&data, Dims::D1(1000), &cfg).unwrap();
+        let bytes = compress(&data, None, Dims::D1(1000), &cfg).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         check_bound(&data, &out, 0.999);
     }
@@ -846,7 +1040,7 @@ mod tests {
         let data = smooth_3d(n);
         let cfg = SzConfig::abs(1e-2);
         let (bytes, recon) =
-            compress_with::<f64, Shipped>(&data, Dims::D3(n, n, n), &cfg, CAPACITY).unwrap();
+            compress_with::<f64, Shipped>(&data, None, Dims::D3(n, n, n), &cfg, CAPACITY).unwrap();
         let (out, _) = decompress::<f64>(&bytes).unwrap();
         for (a, b) in recon.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -863,14 +1057,14 @@ mod tests {
         let n = 16;
         let constant = vec![7.25f32; n * n * n];
         let cfg = SzConfig::abs(f64::from(f32::MIN_POSITIVE));
-        let bytes = compress(&constant, Dims::D3(n, n, n), &cfg).unwrap();
+        let bytes = compress(&constant, None, Dims::D3(n, n, n), &cfg).unwrap();
         assert_eq!(decompress::<f32>(&bytes).unwrap().0, constant);
 
         let data: Vec<f64> = (0..n * n * n)
             .map(|i| 1e10 + (i as f64 * 0.01).sin() * 1e-3)
             .collect();
         let dims = Dims::D4(n, n, 4, 4);
-        let bytes = compress(&data, dims, &SzConfig::abs(1e-12)).unwrap();
+        let bytes = compress(&data, None, dims, &SzConfig::abs(1e-12)).unwrap();
         let (out, _) = decompress::<f64>(&bytes).unwrap();
         check_bound(&data, &out, 1e-12);
     }
@@ -882,7 +1076,7 @@ mod tests {
         data[100] = f64::INFINITY;
         data[200] = f64::NEG_INFINITY;
         let cfg = SzConfig::abs(1e-3);
-        let bytes = compress(&data, Dims::D3(8, 8, 8), &cfg).unwrap();
+        let bytes = compress(&data, None, Dims::D3(8, 8, 8), &cfg).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         check_bound(&data, &out, 1e-3);
         assert!(out[3].is_nan());
@@ -894,7 +1088,7 @@ mod tests {
     fn constant_field_compresses_tiny() {
         let data = vec![7.25f64; 32 * 32 * 32];
         let cfg = rel(&data, 1e-4);
-        let bytes = compress(&data, Dims::D3(32, 32, 32), &cfg).unwrap();
+        let bytes = compress(&data, None, Dims::D3(32, 32, 32), &cfg).unwrap();
         let (out, _) = decompress::<f64>(&bytes).unwrap();
         assert_eq!(out, data);
         assert!(
@@ -914,7 +1108,7 @@ mod tests {
             })
             .collect();
         let cfg = SzConfig::abs(0.5);
-        let bytes = compress(&data, Dims::D3(16, 16, 16), &cfg).unwrap();
+        let bytes = compress(&data, None, Dims::D3(16, 16, 16), &cfg).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         check_bound(&data, &out, 0.5);
     }
@@ -923,9 +1117,10 @@ mod tests {
     fn lossless_flag_reduces_or_preserves_size() {
         let n = 16;
         let data = smooth_3d(n);
-        let with = compress(&data, Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap();
+        let with = compress(&data, None, Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap();
         let without = compress(
             &data,
+            None,
             Dims::D3(n, n, n),
             &SzConfig::abs(1e-3).without_lossless(),
         )
@@ -942,7 +1137,7 @@ mod tests {
     fn dimension_mismatch_is_rejected() {
         let data = vec![0.0; 10];
         assert!(matches!(
-            compress(&data, Dims::D2(3, 4), &SzConfig::abs(1.0)),
+            compress(&data, None, Dims::D2(3, 4), &SzConfig::abs(1.0)),
             Err(SzError::DimensionMismatch { .. })
         ));
     }
@@ -950,7 +1145,7 @@ mod tests {
     #[test]
     fn corrupt_stream_is_rejected_not_panicking() {
         let data = smooth_3d(8);
-        let mut bytes = compress(&data, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();
+        let mut bytes = compress(&data, None, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();
         // Flip bytes throughout the stream; decompression must error or
         // produce output, never panic.
         for i in (0..bytes.len()).step_by(7) {
@@ -967,7 +1162,7 @@ mod tests {
     #[test]
     fn stream_sniffing() {
         let data = vec![1.0; 8];
-        let bytes = compress(&data, Dims::D1(8), &SzConfig::abs(1.0)).unwrap();
+        let bytes = compress(&data, None, Dims::D1(8), &SzConfig::abs(1.0)).unwrap();
         assert_eq!(Header::peek(&bytes), Some((MAGIC, VERSION, TacDtype::F64)));
         assert_ne!(Header::peek(b"not a stream").map(|(m, ..)| m), Some(MAGIC));
         assert_eq!(Header::peek(&bytes[..5]), None);
@@ -977,7 +1172,7 @@ mod tests {
     fn tiny_inputs() {
         for n in 1..=4usize {
             let data: Vec<f64> = (0..n).map(|i| i as f64 * 1.5).collect();
-            let bytes = compress(&data, Dims::D1(n), &SzConfig::abs(0.1)).unwrap();
+            let bytes = compress(&data, None, Dims::D1(n), &SzConfig::abs(0.1)).unwrap();
             let (out, _) = decompress(&bytes).unwrap();
             check_bound(&data, &out, 0.1);
         }
@@ -990,11 +1185,13 @@ mod tests {
         // length and FNV-1a digest pin the stream it wrote.
         let n = 12;
         let data = smooth_3d(n);
-        let a = compress(&data, Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap();
+        let a = compress(&data, None, Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap();
         let fnv = a.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!((a.len(), fnv), (725, 0xfb48_2190_c05b_3751));
+        let all = vec![true; data.len()];
+        assert!(compress(&data, Some(&all), Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap() == a);
         assert_eq!(stream_dtype(&a), Some(TacDtype::F64));
         assert_eq!(a[5] & crate::FLAG_F32, 0);
     }
@@ -1004,7 +1201,7 @@ mod tests {
         let n = 16;
         let data: Vec<f32> = smooth_3d(n).iter().map(|&v| v as f32).collect();
         let cfg = SzConfig::abs(1e-3);
-        let bytes = compress::<f32>(&data, Dims::D3(n, n, n), &cfg).unwrap();
+        let bytes = compress::<f32>(&data, None, Dims::D3(n, n, n), &cfg).unwrap();
         assert_eq!(stream_dtype(&bytes), Some(TacDtype::F32));
         let (out, dims) = decompress::<f32>(&bytes).unwrap();
         assert_eq!(dims, Dims::D3(n, n, n));
@@ -1025,7 +1222,7 @@ mod tests {
         let data: Vec<f32> = smooth_3d(n).iter().map(|&v| v as f32).collect();
         let cfg = rel(&data, 1e-4);
         let (bytes, recon) =
-            compress_with::<f32, Shipped>(&data, Dims::D3(n, n, n), &cfg, CAPACITY).unwrap();
+            compress_with::<f32, Shipped>(&data, None, Dims::D3(n, n, n), &cfg, CAPACITY).unwrap();
         let (out, _) = decompress::<f32>(&bytes).unwrap();
         for (a, b) in recon.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1039,7 +1236,7 @@ mod tests {
         data[100] = f32::INFINITY;
         data[200] = f32::NEG_INFINITY;
         data[301] = -0.0;
-        let bytes = compress::<f32>(&data, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();
+        let bytes = compress::<f32>(&data, None, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();
         let (out, _) = decompress::<f32>(&bytes).unwrap();
         assert!(out[3].is_nan());
         assert_eq!(out[100], f32::INFINITY);
@@ -1061,8 +1258,8 @@ mod tests {
         let data64 = vec![1.0f64; 32];
         let data32 = vec![1.0f32; 32];
         let cfg = SzConfig::abs(0.1);
-        let b64 = compress::<f64>(&data64, Dims::D1(32), &cfg).unwrap();
-        let b32 = compress::<f32>(&data32, Dims::D1(32), &cfg).unwrap();
+        let b64 = compress::<f64>(&data64, None, Dims::D1(32), &cfg).unwrap();
+        let b32 = compress::<f32>(&data32, None, Dims::D1(32), &cfg).unwrap();
         assert!(matches!(
             decompress::<f32>(&b64),
             Err(SzError::UnsupportedFormat(_))
@@ -1085,8 +1282,8 @@ mod tests {
             .collect();
         let noise32: Vec<f32> = noise64.iter().map(|&v| v as f32).collect();
         let cfg = SzConfig::abs(1e-9);
-        let b64 = compress::<f64>(&noise64, Dims::D3(16, 16, 16), &cfg).unwrap();
-        let b32 = compress::<f32>(&noise32, Dims::D3(16, 16, 16), &cfg).unwrap();
+        let b64 = compress::<f64>(&noise64, None, Dims::D3(16, 16, 16), &cfg).unwrap();
+        let b32 = compress::<f32>(&noise32, None, Dims::D3(16, 16, 16), &cfg).unwrap();
         assert!(
             (b32.len() as f64) < b64.len() as f64 * 0.75,
             "f32 {} vs f64 {}",

@@ -232,7 +232,7 @@ mod tests {
         // decoder refuses a stored value below 4 or odd, and reads any
         // other.
         let data: Vec<f64> = (0..64).map(|i| (i as f64 * 0.1).sin()).collect();
-        let bytes = crate::compress(&data, Dims::D1(64), &SzConfig::abs(1e-3)).unwrap();
+        let bytes = crate::compress(&data, None, Dims::D1(64), &SzConfig::abs(1e-3)).unwrap();
         let at = bytes.len()
             - crate::Header::read::<f64>(&bytes, crate::MAGIC, crate::VERSION, u8::MAX)
                 .unwrap()

@@ -27,7 +27,7 @@
 //! use tac_sz::{compress, decompress, Dims, SzConfig};
 //!
 //! let data: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.01).sin()).collect();
-//! let bytes = compress(&data, Dims::D3(16, 16, 16), &SzConfig::abs(1e-4)).unwrap();
+//! let bytes = compress(&data, None, Dims::D3(16, 16, 16), &SzConfig::abs(1e-4)).unwrap();
 //! let (restored, dims) = decompress::<f64>(&bytes).unwrap();
 //! assert_eq!(dims, Dims::D3(16, 16, 16));
 //! for (a, b) in data.iter().zip(&restored) {

@@ -76,6 +76,13 @@ impl Quantizer {
         (Quantized::Code((code + self.radius) as u32), recon)
     }
 
+    /// The symbol of a zero residual: the reconstruction is the
+    /// prediction itself. A don't-care point codes it.
+    #[inline]
+    pub fn zero_symbol(&self) -> u32 {
+        self.radius as u32
+    }
+
     /// Reconstructs a value from a non-zero symbol and its prediction:
     /// the inverse of [`Quantizer::quantize_t`], the same `f64` bin
     /// arithmetic narrowed to `T` exactly as the encoder did.

@@ -84,7 +84,19 @@ impl RegressionContext {
     /// data, and keeps regression where it wins. Coefficients are already
     /// quantized (encoder and decoder share exact values). Fitting widens
     /// elements to `f64`; the serialized coefficients are width-agnostic.
-    pub fn build<T: Element>(data: &[T], nx: usize, ny: usize, nz: usize, eb: f64) -> Self {
+    ///
+    /// Under a `care` mask only blocks whose cells and one-cell causal
+    /// halo are all care are candidates — the fit and the Lorenzo
+    /// estimate read exactly those cells — so the context never depends
+    /// on a don't-care value; every other block keeps Lorenzo.
+    pub fn build<T: Element>(
+        data: &[T],
+        care: Option<&[bool]>,
+        nx: usize,
+        ny: usize,
+        nz: usize,
+        eb: f64,
+    ) -> Self {
         let nb = Self::grid(nx, ny, nz);
         let nblocks = nb.0 * nb.1 * nb.2;
         let mut modes = vec![false; nblocks];
@@ -106,6 +118,9 @@ impl RegressionContext {
                     let w = REGRESSION_BLOCK.min(nx - x0);
                     let h = REGRESSION_BLOCK.min(ny - y0);
                     let d = REGRESSION_BLOCK.min(nz - z0);
+                    if care.is_some_and(|care| !all_care(care, nx, ny, (x0, y0, z0), (w, h, d))) {
+                        continue;
+                    }
                     let fit = fit_block(data, nx, ny, (x0, y0, z0), (w, h, d));
                     // Quantize the coefficients to the shared grid.
                     let fit = BlockCoeffs {
@@ -215,6 +230,25 @@ impl RegressionContext {
         }
         Ok((RegressionContext { nb, modes, coeffs }, pos))
     }
+}
+
+/// Whether every cell of the block at `(x0, y0, z0)` of extents
+/// `(w, h, d)`, and of its causal halo — one cell back along each axis,
+/// inside the slab — is care.
+fn all_care(
+    care: &[bool],
+    nx: usize,
+    ny: usize,
+    (x0, y0, z0): (usize, usize, usize),
+    (w, h, d): (usize, usize, usize),
+) -> bool {
+    let xs = x0.saturating_sub(1)..x0 + w;
+    (z0.saturating_sub(1)..z0 + d).all(|z| {
+        (y0.saturating_sub(1)..y0 + h).all(|y| {
+            let row = nx * (y + ny * z);
+            care[row + xs.start..row + xs.end].iter().all(|&c| c)
+        })
+    })
 }
 
 /// Coefficient quantization steps `(intercept, slope)`: total prediction
@@ -381,7 +415,7 @@ mod tests {
         let (nx, ny, nz) = (13, 9, 7); // ragged extents exercise edges
         let data = linear_field(nx, ny, nz);
         let eb = 1e-3;
-        let ctx = RegressionContext::build(&data, nx, ny, nz, eb);
+        let ctx = RegressionContext::build(&data, None, nx, ny, nz, eb);
         assert!(ctx.modes.iter().all(|&m| m), "linear data: all regression");
         for z in 0..nz {
             for y in 0..ny {
@@ -405,7 +439,7 @@ mod tests {
         let data: Vec<f64> = (0..n * n * n)
             .map(|i| if (i / 7) % 2 == 0 { 5.0 } else { -5.0 })
             .collect();
-        let ctx = RegressionContext::build(&data, n, n, n, 1e-3);
+        let ctx = RegressionContext::build(&data, None, n, n, n, 1e-3);
         assert!(
             ctx.modes.iter().filter(|&&m| m).count() < ctx.modes.len(),
             "noise should not be all-regression"
@@ -419,7 +453,7 @@ mod tests {
             .map(|i| (i as f64 * 0.01).sin() * 100.0 + i as f64 * 0.1)
             .collect();
         let eb = 1e-2;
-        let ctx = RegressionContext::build(&data, nx, ny, nz, eb);
+        let ctx = RegressionContext::build(&data, None, nx, ny, nz, eb);
         let mut buf = Vec::new();
         ctx.serialize(eb, &mut buf);
         let (back, consumed) = RegressionContext::deserialize(&buf, nx, ny, nz, eb).unwrap();
@@ -435,7 +469,7 @@ mod tests {
         let n = 12;
         let data = linear_field(n, n, n);
         let eb = 1e-3;
-        let ctx = RegressionContext::build(&data, n, n, n, eb);
+        let ctx = RegressionContext::build(&data, None, n, n, n, eb);
         let mut buf = Vec::new();
         ctx.serialize(eb, &mut buf);
         assert!(RegressionContext::deserialize(&buf[..buf.len() - 1], n, n, n, eb).is_err());

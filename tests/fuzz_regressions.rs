@@ -227,7 +227,7 @@ fn pco_ans_page_fixture() -> (Vec<u8>, usize, usize) {
     use tac_core::{codec_for, CodecConfig, CodecId};
     let data: Vec<f64> = (0..600).map(|i| (i as f64 * 0.01).sin() * 3.0).collect();
     let bytes = codec_for(CodecId::PcoAns)
-        .compress(&data, tac_sz::Dims::D1(600), &CodecConfig::abs(1e-3))
+        .compress(&data, None, tac_sz::Dims::D1(600), &CodecConfig::abs(1e-3))
         .unwrap();
     let bin_table_at = 23 + 8;
     let n_bins = usize::from(bytes[bin_table_at]);

@@ -85,6 +85,7 @@ fn counters_of_interest(snap: &Snapshot) -> Vec<(Counter, u64)> {
         Counter::AssembleCellsWritten,
         Counter::ReorderValues,
         Counter::ReorderPieces,
+        Counter::DontCareValues,
     ]
     .into_iter()
     .map(|c| (c, snap.counter(c)))
@@ -165,6 +166,7 @@ fn merged_counters_are_invariant_across_worker_counts() {
         );
     }
 
+    dont_care_and_present_cells_are_what_tac_codes(session);
     assembly_work_follows_the_occupied_volume(session);
     refined_rows_move_as_row_segments(session);
     segmented_round_trips_are_attributed_and_counted(session);
@@ -173,6 +175,68 @@ fn merged_counters_are_invariant_across_worker_counts() {
     // Leave the session clean for any later obs-enabled test binaries
     // sharing the process (none today, but take() is cheap insurance).
     let _ = session.take();
+}
+
+/// Values the TAC streams of `cd` code: `dim^3` per whole-level stream,
+/// the cells of every sub-block of every group.
+fn tac_coded_values(cd: &CompressedDataset) -> u64 {
+    let MethodBody::Tac(levels) = &cd.body else {
+        panic!("Method::Tac wrote a non-TAC body");
+    };
+    let coded: usize = (levels.iter())
+        .map(|l| match &l.payload {
+            LevelPayload::Empty => 0,
+            LevelPayload::Whole(_) => l.dim * l.dim * l.dim,
+            LevelPayload::Groups(groups) => (groups.iter())
+                .map(|g| g.shape.0 * g.shape.1 * g.shape.2 * g.origins.len())
+                .sum(),
+        })
+        .sum();
+    coded as u64
+}
+
+/// TAC's writer codes each present cell once and marks every other
+/// value it codes — zero fill, GSP ghosts, sub-block padding —
+/// don't-care: `dont_care_values` plus the present cells is exactly what
+/// the container's streams code, on the density-picked strategies
+/// (OpST + GSP here) and on forced ZeroFill, at every worker count; the
+/// other methods code present values only and count none. Called from
+/// the one `#[test]` above because the recorder session is
+/// process-global.
+fn dont_care_and_present_cells_are_what_tac_codes(session: &tac_obs::ObsSession) {
+    let ds = load_dataset("Run1_Z10", 16, 14);
+    let present = ds.total_present() as u64;
+    for forced_strategy in [None, Some(tac_core::Strategy::ZeroFill)] {
+        for workers in [1, 2] {
+            let cfg = TacConfig {
+                forced_strategy,
+                parallelism: Parallelism::Threads(workers),
+                ..TacConfig::default()
+            };
+            let _ = session.take();
+            let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+            let dont_care = session.take().counter(Counter::DontCareValues);
+            let coded = tac_coded_values(&cd);
+            assert!(
+                dont_care > 0,
+                "{forced_strategy:?}: no absent cell was coded"
+            );
+            assert_eq!(
+                dont_care + present,
+                coded,
+                "{forced_strategy:?} at {workers} workers: don't-care + present vs coded"
+            );
+        }
+    }
+    for method in [Method::Baseline1D, Method::ZMesh, Method::Baseline3D] {
+        let _ = session.take();
+        compress_dataset_t(&ds, &TacConfig::default(), method).unwrap();
+        assert_eq!(
+            session.take().counter(Counter::DontCareValues),
+            0,
+            "{method:?}"
+        );
+    }
 }
 
 /// Decode-side assembly must cost what the present cells cost, not what

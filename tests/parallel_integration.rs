@@ -249,12 +249,12 @@ fn pco_lite_is_decode_only() {
     let dims = tac_sz::Dims::D1(data.len());
     let codec_cfg = CodecConfig::abs(1e-3);
     assert!(matches!(
-        codec_for::<f64>(CodecId::PcoLite).compress(data, dims, &codec_cfg),
+        codec_for::<f64>(CodecId::PcoLite).compress(data, None, dims, &codec_cfg),
         Err(CodecError::InvalidConfig(_))
     ));
     let data32: Vec<f32> = data.iter().map(|&v| v as f32).collect();
     assert!(matches!(
-        codec_for::<f32>(CodecId::PcoLite).compress(&data32, dims, &codec_cfg),
+        codec_for::<f32>(CodecId::PcoLite).compress(&data32, None, dims, &codec_cfg),
         Err(CodecError::InvalidConfig(_))
     ));
     assert!(!CodecId::all().contains(&CodecId::PcoLite));

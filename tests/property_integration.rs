@@ -264,7 +264,7 @@ proptest! {
     ) {
         let eb = 10f64.powi(eb_exp) * 1e6;
         let n = values.len();
-        let bytes = compress(&values, Dims::D1(n), &SzConfig::abs(eb)).unwrap();
+        let bytes = compress(&values, None, Dims::D1(n), &SzConfig::abs(eb)).unwrap();
         let (out, dims) = decompress(&bytes).unwrap();
         prop_assert_eq!(dims, Dims::D1(n));
         for (a, b) in values.iter().zip(&out) {
@@ -284,7 +284,7 @@ proptest! {
             (state >> 33) as f64 / (1u64 << 31) as f64
         }).collect();
         let eb = 10f64.powi(eb_exp);
-        let bytes = compress(&values, Dims::D3(n, n, n), &SzConfig::abs(eb)).unwrap();
+        let bytes = compress(&values, None, Dims::D3(n, n, n), &SzConfig::abs(eb)).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         for (a, b) in values.iter().zip(&out) {
             prop_assert!((a - b).abs() <= eb * (1.0 + 1e-12));
