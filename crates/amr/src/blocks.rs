@@ -8,6 +8,7 @@
 
 use crate::aabb::Aabb;
 use crate::level::AmrLevel;
+use crate::mask::BitMask;
 use tac_dtype::Element;
 
 /// Per-unit-block occupancy summary of one AMR level.
@@ -162,26 +163,74 @@ pub fn copy_region<T: Copy>(
     out
 }
 
+/// Calls `row` with the flat index of the first cell of each `w`-cell
+/// row of the cuboid at `(x0, y0, z0)` with extents `(w, h, d)`, in the
+/// order its cells are gathered: y fastest, then z.
+///
+/// # Panics
+/// Panics if the region does not lie inside the `dim`^3 grid.
+fn for_each_row(
+    dim: usize,
+    (x0, y0, z0): (usize, usize, usize),
+    (w, h, d): (usize, usize, usize),
+    mut row: impl FnMut(usize),
+) {
+    assert!(
+        x0 + w <= dim && y0 + h <= dim && z0 + d <= dim,
+        "region out of bounds"
+    );
+    for z in z0..z0 + d {
+        for y in y0..y0 + h {
+            row(x0 + dim * (y + dim * z));
+        }
+    }
+}
+
 /// [`copy_region`] appending to `out`, so a caller batching several
 /// regions gathers their rows straight into the batch.
 pub fn copy_region_into<T: Copy>(
     out: &mut Vec<T>,
     data: &[T],
     dim: usize,
-    (x0, y0, z0): (usize, usize, usize),
-    (w, h, d): (usize, usize, usize),
+    origin: (usize, usize, usize),
+    shape @ (w, h, d): (usize, usize, usize),
 ) {
-    assert!(
-        x0 + w <= dim && y0 + h <= dim && z0 + d <= dim,
-        "region out of bounds"
-    );
     out.reserve(w * h * d);
-    for z in z0..z0 + d {
-        for y in y0..y0 + h {
-            let row = x0 + dim * (y + dim * z);
-            out.extend_from_slice(&data[row..row + w]);
+    for_each_row(dim, origin, shape, |row| {
+        out.extend_from_slice(&data[row..row + w]);
+    });
+}
+
+/// [`copy_region_into`] that also writes the region's occupancy under
+/// `mask` (the level's) to `flags`, one per gathered cell in the same
+/// order, and returns how many are set.
+///
+/// The flags and the values are two passes over the same rows: one
+/// pass that alternates a mask row and a data row per grid row ran the
+/// TAC writer's gather measurably slower.
+///
+/// # Panics
+/// Panics if the region does not lie inside the grid, or if `flags`
+/// does not hold one flag per cell of the region.
+pub fn copy_region_flags_into<T: Copy>(
+    out: &mut Vec<T>,
+    flags: &mut [bool],
+    data: &[T],
+    mask: &BitMask,
+    dim: usize,
+    origin: (usize, usize, usize),
+    shape @ (w, h, d): (usize, usize, usize),
+) -> usize {
+    assert_eq!(flags.len(), w * h * d, "one flag per region cell");
+    let mut rows = flags.chunks_mut(w.max(1));
+    let mut present = 0;
+    for_each_row(dim, origin, shape, |row| {
+        if let Some(flags) = rows.next() {
+            present += mask.flags_into(row, flags);
         }
-    }
+    });
+    copy_region_into(out, data, dim, origin, shape);
+    present
 }
 
 /// Writes a contiguous buffer produced by [`copy_region`] back at the same
@@ -212,7 +261,6 @@ pub fn paste_region<T: Copy>(
 mod tests {
     use super::*;
     use crate::level::AmrLevel;
-    use crate::mask::BitMask;
     use proptest::prelude::*;
 
     /// The per-cell scan `BlockGrid::build` replaced, kept as the
@@ -397,6 +445,26 @@ mod tests {
         assert_eq!(batch[0], -1.0);
         assert_eq!(batch[1..25], region[..]);
         assert_eq!(batch[25..], [data[0]]);
+    }
+
+    #[test]
+    fn region_flags_follow_the_gathered_cells() {
+        // 20 wide: rows of the region straddle mask words at odd offsets.
+        let dim = 20;
+        let data: Vec<f64> = (0..dim * dim * dim).map(|i| i as f64).collect();
+        let mask = seeded_mask(dim, 9, 4);
+        for (origin, shape) in [((3, 1, 2), (13, 5, 4)), ((0, 0, 0), (20, 2, 1))] {
+            let mut batch = vec![-1.0];
+            let mut flags = vec![false; shape.0 * shape.1 * shape.2];
+            let present =
+                copy_region_flags_into(&mut batch, &mut flags, &data, &mask, dim, origin, shape);
+            assert_eq!(batch[1..], copy_region(&data, dim, origin, shape)[..]);
+            // Each value is its own flat index, so it names the cell.
+            for (&v, &flag) in batch[1..].iter().zip(&flags) {
+                assert_eq!(flag, mask.get(v as usize));
+            }
+            assert_eq!(present, flags.iter().filter(|&&f| f).count());
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod mask;
 mod upsample;
 
 pub use aabb::Aabb;
-pub use blocks::{copy_region, copy_region_into, paste_region, BlockGrid};
+pub use blocks::{copy_region, copy_region_flags_into, copy_region_into, paste_region, BlockGrid};
 pub use dataset::{AmrDataset, AmrValidationError};
 pub use level::{min_max, AmrLevel};
 pub use mask::{BitMask, Runs};

@@ -140,53 +140,48 @@ impl<T: Element> Quantizer<T> {
 
     /// Quantizes the next page: `z` receives the latents and `classes`
     /// their bit lengths (all three exactly `data.len()` long, as is
-    /// `care` when given).
+    /// `care` when given). Without a mask every value is care.
+    fn page(&mut self, data: &[T], care: Option<&[bool]>, z: &mut [u64], classes: &mut [u8]) {
+        match care {
+            None => self.page_with(data, std::iter::repeat(true), z, classes),
+            Some(care) => self.page_with(data, care.iter().copied(), z, classes),
+        }
+    }
+
+    /// [`Self::page`] over one care flag per value; a don't-care value
+    /// is a forced non-hit. With the constant `true` of an unmasked
+    /// page the mask folds away.
     ///
-    /// The loops are select-based: an exception costs the same as a hit
+    /// The loop is select-based: an exception costs the same as a hit
     /// apart from its (rare) push, and the only loop-carried dependency
     /// is the one-cycle `prev` select. `v / 2eb` stays a division — a
     /// reciprocal multiply rounds differently and would change codes.
-    /// Without a mask every value is care; with one, a don't-care value
-    /// is a forced non-hit.
+    /// The care flag masks the delta instead of steering a branch: care
+    /// runs alternate at every present/absent boundary, where a branch
+    /// on them would mispredict. Only a non-fit, which is rare, branches
+    /// on it.
+    #[inline(always)]
     // tac-lint: allow(arith) -- encoder-only: `bit_len` is at most 64, so the class fits its byte; `seen + i` counts in-memory values.
-    fn page(&mut self, data: &[T], care: Option<&[bool]>, z: &mut [u64], classes: &mut [u8]) {
+    fn page_with(
+        &mut self,
+        data: &[T],
+        care: impl Iterator<Item = bool>,
+        z: &mut [u64],
+        classes: &mut [u8],
+    ) {
         debug_assert!(z.len() == data.len() && classes.len() == data.len());
         let (two_eb, abs_eb) = (self.two_eb, self.abs_eb);
         let mut prev = self.prev;
-        match care {
-            None => {
-                for (i, ((&value, z), class)) in data.iter().zip(z).zip(classes).enumerate() {
-                    let (q, fits) = quantize(value, two_eb, abs_eb);
-                    let latent = if fits {
-                        zigzag(q.wrapping_sub(prev))
-                    } else {
-                        0
-                    };
-                    prev = if fits { q } else { prev };
-                    *z = latent;
-                    *class = bit_len(latent) as u8;
-                    if !fits {
-                        self.exceptions.push((self.seen + i as u64, value));
-                    }
-                }
-            }
-            Some(care) => {
-                // The care flag masks the delta instead of steering a
-                // branch: care runs alternate at every present/absent
-                // boundary, where a branch on them would mispredict.
-                // Only a non-fit, which is rare, branches on it.
-                let values = data.iter().zip(care).zip(z).zip(classes).enumerate();
-                for (i, (((&value, &care), z), class)) in values {
-                    let (q, fits) = quantize(value, two_eb, abs_eb);
-                    let delta = q.wrapping_sub(prev) & i64::from(care).wrapping_neg();
-                    let latent = if fits { zigzag(delta) } else { 0 };
-                    prev = if fits { prev.wrapping_add(delta) } else { prev };
-                    *z = latent;
-                    *class = bit_len(latent) as u8;
-                    if !fits && care {
-                        self.exceptions.push((self.seen + i as u64, value));
-                    }
-                }
+        let values = data.iter().zip(care).zip(z).zip(classes).enumerate();
+        for (i, (((&value, care), z), class)) in values {
+            let (q, fits) = quantize(value, two_eb, abs_eb);
+            let delta = q.wrapping_sub(prev) & i64::from(care).wrapping_neg();
+            let latent = if fits { zigzag(delta) } else { 0 };
+            prev = if fits { prev.wrapping_add(delta) } else { prev };
+            *z = latent;
+            *class = bit_len(latent) as u8;
+            if !fits && care {
+                self.exceptions.push((self.seen + i as u64, value));
             }
         }
         self.prev = prev;

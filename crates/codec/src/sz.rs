@@ -18,6 +18,8 @@ impl<T: Element> ScalarCodec<T> for SzCodec {
         cfg: &CodecConfig,
     ) -> Result<Vec<u8>, CodecError> {
         cfg.validate()?;
+        // tac-sz takes the care length as a precondition: the rule's
+        // error lives here, as for every codec.
         check_care(care, data.len())?;
         Ok(tac_sz::compress(
             data,

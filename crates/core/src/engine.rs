@@ -8,12 +8,13 @@
 //!    of a fixed chunk of whole z-planes of a level — and one
 //!    *structure task* per level, which picks the strategy by density
 //!    and runs [`plan_level`]: the partition planner (OpST / AKDTree /
-//!    NaST region extraction grouped into compression jobs, GSP
-//!    padding, dense z-slabs), none of which needs a bound. The driver
-//!    then merges each level's chunk ranges and resolves the bounds in
-//!    level order, so the first error is the one a level-by-level plan
-//!    meets. This mirrors TAC+'s observation that the partitioning
-//!    stage can be pre-planned before any compression runs.
+//!    NaST region extraction grouped into compression jobs, dense
+//!    z-slabs for ZeroFill and GSP), none of which needs a bound. The
+//!    driver then merges each level's chunk ranges and resolves the
+//!    bounds in level order, so the first error is the one a
+//!    level-by-level plan meets. This mirrors TAC+'s observation that
+//!    the partitioning stage can be pre-planned before any compression
+//!    runs.
 //! 2. **Execute** (parallel): flatten every job across every level into
 //!    one task list and run it on `tac-par`'s work-stealing scheduler,
 //!    weighted by cell count. Each task is an independent scalar-codec
@@ -51,7 +52,6 @@ use crate::extract::{
     GroupPlan,
 };
 use crate::grid::SlabGrid;
-use crate::gsp::pad_ghost_shell;
 use crate::nast::plan_nast;
 use crate::opst::plan_opst;
 use crate::stream::{BlockGroup, CompressedLevel, LevelPayload};
@@ -75,34 +75,15 @@ pub(crate) fn unit_for(dim: usize, unit: usize) -> Result<usize, TacError> {
     Ok(effective)
 }
 
-/// Where a level's compression tasks read their input.
-#[derive(Debug)]
-pub(crate) enum Source<T: Element> {
-    /// The level's own flat array (ZeroFill and the sparse strategies).
-    Level,
-    /// An owned pre-processed buffer (GSP's padded grid).
-    Owned(Vec<T>),
-}
-
-impl<T: Element> Source<T> {
-    /// The buffer the tasks read, given the level's own flat array.
-    fn resolve<'a>(&'a self, level: &'a [T]) -> &'a [T] {
-        match self {
-            Source::Level => level,
-            Source::Owned(buf) => buf,
-        }
-    }
-}
-
 /// The planned work for one level.
 #[derive(Debug)]
-pub(crate) enum LevelWork<T: Element> {
+pub(crate) enum LevelWork {
     /// Nothing to compress.
     Empty,
     /// One whole-grid rank-3 stream.
-    Whole(Source<T>),
-    /// Region groups cut from the source, each an independent task.
-    Groups(Source<T>, Vec<GroupPlan>),
+    Whole,
+    /// Region groups cut from the level, each an independent task.
+    Groups(Vec<GroupPlan>),
 }
 
 /// A dense level's work. Under `roi_tile = Some(t)` with `t < dim`, one
@@ -110,20 +91,20 @@ pub(crate) enum LevelWork<T: Element> {
 /// `(0, 0, z)` — so a region read decodes only the slabs its box meets;
 /// otherwise one whole-grid stream, the bytes dense levels have always
 /// had.
-fn dense_work<T: Element>(source: Source<T>, dim: usize, tile: Option<usize>) -> LevelWork<T> {
+fn dense_work(dim: usize, tile: Option<usize>) -> LevelWork {
     let Some(tile) = tile.filter(|&t| 0 < t && t < dim) else {
-        return LevelWork::Whole(source);
+        return LevelWork::Whole;
     };
     let slab = |z: usize| GroupPlan {
         shape: (dim, dim, tile.min(dim - z)),
         origins: vec![(0, 0, z)],
     };
-    LevelWork::Groups(source, (0..dim).step_by(tile).map(slab).collect())
+    LevelWork::Groups((0..dim).step_by(tile).map(slab).collect())
 }
 
 /// A fully planned level, ready for the execute phase.
 #[derive(Debug)]
-pub(crate) struct LevelPlan<T: Element> {
+pub(crate) struct LevelPlan {
     pub strategy: Strategy,
     pub dim: usize,
     /// The level's resolved bound. [`plan_level`] leaves it 0: the
@@ -133,7 +114,7 @@ pub(crate) struct LevelPlan<T: Element> {
     /// [`plan_level`] seeds it from the config; the `Method::Auto`
     /// selection pass may overwrite it per level before execution.
     pub codec: CodecId,
-    pub work: LevelWork<T>,
+    pub work: LevelWork,
 }
 
 /// Plans one level's structure: partition planning and pre-processing,
@@ -146,7 +127,7 @@ pub(crate) fn plan_level<T: Element>(
     level: &AmrLevel<T>,
     strategy: Strategy,
     cfg: &TacConfig,
-) -> Result<LevelPlan<T>, TacError> {
+) -> Result<LevelPlan, TacError> {
     let dim = level.dim();
     let work = match strategy {
         Strategy::Empty => match level.num_present() {
@@ -157,28 +138,30 @@ pub(crate) fn plan_level<T: Element>(
                 )))
             }
         },
-        Strategy::ZeroFill => dense_work(Source::Level, dim, cfg.roi_tile),
+        Strategy::ZeroFill => dense_work(dim, cfg.roi_tile),
+        // GSP's ghost shell fills only absent cells, which the writer
+        // codes as don't-care: its stream is ZeroFill's, so it writes
+        // the level as it is. Its unit block must still resolve.
         Strategy::Gsp => {
-            let grid = BlockGrid::build(level, unit_for(dim, cfg.unit)?);
-            let (padded, _) = pad_ghost_shell(level, &grid);
-            dense_work(Source::Owned(padded), dim, cfg.roi_tile)
+            unit_for(dim, cfg.unit)?;
+            dense_work(dim, cfg.roi_tile)
         }
         Strategy::NaST => {
             let grid = BlockGrid::build(level, unit_for(dim, cfg.unit)?);
             let regions = plan_nast(&grid);
-            LevelWork::Groups(Source::Level, plan_groups(&regions, cfg.roi_tile))
+            LevelWork::Groups(plan_groups(&regions, cfg.roi_tile))
         }
         Strategy::OpST => {
             let unit = unit_for(dim, cfg.unit)?;
             let grid = BlockGrid::build(level, unit);
             let regions = plan_opst(&grid).regions(unit);
-            LevelWork::Groups(Source::Level, plan_groups(&regions, cfg.roi_tile))
+            LevelWork::Groups(plan_groups(&regions, cfg.roi_tile))
         }
         Strategy::AkdTree => {
             let unit = unit_for(dim, cfg.unit)?;
             let grid = BlockGrid::build(level, unit);
             let regions = plan_akdtree(&grid).regions(unit);
-            LevelWork::Groups(Source::Level, plan_groups(&regions, cfg.roi_tile))
+            LevelWork::Groups(plan_groups(&regions, cfg.roi_tile))
         }
     };
     Ok(LevelPlan {
@@ -196,23 +179,19 @@ struct CompressTask<'a, T: Element> {
     dim: usize,
     codec: CodecId,
     codec_cfg: CodecConfig,
+    /// The level's flat array.
+    data: &'a [T],
     /// The level's occupancy: its absent cells are don't-care.
     mask: &'a BitMask,
-    kind: CompressKind<'a, T>,
-}
-
-enum CompressKind<'a, T: Element> {
-    Whole(&'a [T]),
-    /// A region group plus the buffer it is cut from (the level's flat
-    /// array, or GSP's padded grid).
-    Group(&'a GroupPlan, &'a [T]),
+    /// The whole grid as one stream, or one region group.
+    group: Option<&'a GroupPlan>,
 }
 
 impl<T: Element> CompressTask<'_, T> {
     fn cost(&self) -> u64 {
-        match &self.kind {
-            CompressKind::Whole(_) => (self.dim * self.dim * self.dim) as u64,
-            CompressKind::Group(p, _) => p.num_cells() as u64,
+        match self.group {
+            None => (self.dim * self.dim * self.dim) as u64,
+            Some(p) => p.num_cells() as u64,
         }
     }
 }
@@ -224,15 +203,13 @@ enum TaskOut {
 
 /// Executes the planned levels on `workers` threads and assembles the
 /// per-level compressed payloads in plan order. `level_data[i]` is the
-/// flat array of the i-th planned level (read by ZeroFill tasks and
-/// region-group tasks) and `masks[i]` its occupancy: every stream is
-/// coded with its absent cells don't-care (their values — zero fill,
-/// GSP ghosts — never reach the bytes), since decoding stores present
-/// cells only. GSP's padded grid shares the level's layout, so the
-/// level's mask is its mask too.
+/// flat array of the i-th planned level, read by every task of it, and
+/// `masks[i]` its occupancy: every stream is coded with its absent
+/// cells don't-care (their values never reach the bytes), since
+/// decoding stores present cells only.
 // tac-lint: allow(panic) -- encoder-only: in-memory plans, one task result per planned task in plan order, so every `expect` and arm holds by construction.
 pub(crate) fn compress_plans<T: CodecElement>(
-    plans: &[LevelPlan<T>],
+    plans: &[LevelPlan],
     level_data: &[&[T]],
     masks: &[&BitMask],
     workers: usize,
@@ -243,21 +220,18 @@ pub(crate) fn compress_plans<T: CodecElement>(
     // task index order is deterministic.
     let mut tasks: Vec<CompressTask<'_, T>> = Vec::new();
     for ((plan, &data), &mask) in plans.iter().zip(level_data).zip(masks) {
-        let task = |kind| CompressTask {
+        let task = |group| CompressTask {
             dim: plan.dim,
             codec: plan.codec,
             codec_cfg: CodecConfig::abs(plan.abs_eb),
+            data,
             mask,
-            kind,
+            group,
         };
         match &plan.work {
             LevelWork::Empty => {}
-            LevelWork::Whole(source) => tasks.push(task(CompressKind::Whole(source.resolve(data)))),
-            LevelWork::Groups(source, groups) => {
-                for g in groups {
-                    tasks.push(task(CompressKind::Group(g, source.resolve(data))));
-                }
-            }
+            LevelWork::Whole => tasks.push(task(None)),
+            LevelWork::Groups(groups) => tasks.extend(groups.iter().map(|g| task(Some(g)))),
         }
     }
 
@@ -270,16 +244,17 @@ pub(crate) fn compress_plans<T: CodecElement>(
             let _encode = tac_obs::span(tac_obs::Stage::Encode)
                 .arg("dim", t.dim)
                 .arg("codec", t.codec.tag());
-            let out = match &t.kind {
-                CompressKind::Whole(data) => {
-                    let mut care = vec![false; data.len()];
+            let out = match t.group {
+                None => {
+                    let mut care = vec![false; t.data.len()];
                     let present = t.mask.flags_into(0, &mut care);
                     let dims = Dims::D3(t.dim, t.dim, t.dim);
-                    let stream = compress_cells(data, &care, present, dims, t.codec, &t.codec_cfg)?;
+                    let stream =
+                        compress_cells(t.data, &care, present, dims, t.codec, &t.codec_cfg)?;
                     TaskOut::Stream(stream)
                 }
-                CompressKind::Group(plan, data) => TaskOut::Group(compress_group(
-                    data,
+                Some(plan) => TaskOut::Group(compress_group(
+                    t.data,
                     t.mask,
                     t.dim,
                     plan,
@@ -307,11 +282,11 @@ pub(crate) fn compress_plans<T: CodecElement>(
     for plan in plans {
         let payload = match &plan.work {
             LevelWork::Empty => LevelPayload::Empty,
-            LevelWork::Whole(_) => match next.next().expect("missing whole-grid result")? {
+            LevelWork::Whole => match next.next().expect("missing whole-grid result")? {
                 TaskOut::Stream(stream) => LevelPayload::Whole(stream),
                 TaskOut::Group(_) => unreachable!("whole task produced a group"),
             },
-            LevelWork::Groups(_, groups) => {
+            LevelWork::Groups(groups) => {
                 let mut collected = Vec::with_capacity(groups.len());
                 for _ in groups {
                     match next.next().expect("missing group result")? {

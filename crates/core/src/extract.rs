@@ -11,7 +11,7 @@
 use crate::error::TacError;
 use crate::grid::SlabGrid;
 use crate::stream::BlockGroup;
-use tac_amr::{copy_region_into, Aabb, BitMask};
+use tac_amr::{copy_region_flags_into, Aabb, BitMask};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecId, Dims};
 use tac_dtype::Element;
 
@@ -116,8 +116,8 @@ pub(crate) fn compress_cells<T: CodecElement>(
 }
 
 /// Runs one planned job: gathers the batched region data out of the
-/// level's flat array (or GSP's padded grid), with the care flags of
-/// its cells from the level's `mask`, and compresses it as one rank-4
+/// level's flat array, with the care flags of its cells from the
+/// level's `mask`, and compresses it as one rank-4
 /// stream through the given scalar codec. A lone region of whole
 /// z-planes — a dense level's slab — is one contiguous range of `data`
 /// and is encoded in place, not copied. Generic over the element type;
@@ -149,16 +149,10 @@ pub(crate) fn compress_group<T: CodecElement>(
         }
         None => {
             let mut batch = Vec::with_capacity(plan.num_cells());
-            // The batch's rows in gather order, each `w` cells of the
-            // level starting at `row`.
-            let rows = plan.origins.iter().flat_map(|&(x0, y0, z0)| {
-                (z0..z0 + d).flat_map(move |z| (y0..y0 + h).map(move |y| x0 + dim * (y + dim * z)))
-            });
-            for (flags, row) in care.chunks_mut(w).zip(rows) {
-                present += mask.flags_into(row, flags);
-            }
-            for &origin in &plan.origins {
-                copy_region_into(&mut batch, data, dim, origin, plan.shape);
+            let cells = (w * h * d).max(1);
+            for (flags, &origin) in care.chunks_mut(cells).zip(&plan.origins) {
+                present +=
+                    copy_region_flags_into(&mut batch, flags, data, mask, dim, origin, plan.shape);
             }
             gathered = batch;
             gathered.as_slice()

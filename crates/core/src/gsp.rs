@@ -14,6 +14,12 @@
 //!
 //! Padding is removed on decompression simply by masking: padded cells
 //! are absent in the occupancy mask, so reconstruction discards them.
+//!
+//! The writer no longer pads: it codes absent cells as don't-care (see
+//! [`tac_codec::ScalarCodec`]'s care mask), so no fill value reaches the
+//! bytes and a GSP level is written as it is — the same stream as
+//! ZeroFill. [`pad_ghost_shell`] stays as the paper's pre-process, for
+//! the experiments that measure it.
 
 use tac_amr::{AmrLevel, BlockGrid};
 use tac_dtype::Element;

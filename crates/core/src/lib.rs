@@ -12,7 +12,8 @@
 //!   splits maximize child occupancy difference ([`plan_akdtree`]);
 //! * dense levels (>= 60%): **GSP** — ghost-shell padding that fills the
 //!   few empty blocks with neighbour boundary averages
-//!   ([`pad_ghost_shell`]).
+//!   ([`pad_ghost_shell`]); the writer codes those cells as don't-care,
+//!   so it writes a GSP level as it is, with no fill.
 //!
 //! Level-wise compression also unlocks **per-level error bounds**
 //! ([`TacConfig::level_eb_scale`]), the paper's Sec. 4.5 tuning for

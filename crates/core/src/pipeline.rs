@@ -202,11 +202,11 @@ enum PlanTask<'a, T: Element> {
 }
 
 /// A level's strategy, and its structure or the planner's error.
-type Structure<T> = (Strategy, Result<LevelPlan<T>, TacError>);
+type Structure = (Strategy, Result<LevelPlan, TacError>);
 
-enum PlanOut<T: Element> {
+enum PlanOut {
     Scan(usize, ValueRange),
-    Structure(Structure<T>),
+    Structure(Structure),
 }
 
 /// Runs a write's plan as one `tac_par` batch on `cfg`'s workers: under
@@ -220,7 +220,7 @@ fn plan_batch<'a, T: Element>(
     cfg: &TacConfig,
     ranges: Ranges<'a>,
     structure: bool,
-) -> (Cow<'a, LevelRanges>, Vec<Structure<T>>) {
+) -> (Cow<'a, LevelRanges>, Vec<Structure>) {
     let mut tasks = Vec::new();
     if let Ranges::Scan(chunk) = ranges {
         for (l, level) in ds.levels().iter().enumerate() {
@@ -287,7 +287,7 @@ fn plan_tac_levels<T: CodecElement>(
     cfg: &TacConfig,
     ranges: Ranges<'_>,
     level_codecs: &[CodecId],
-) -> Result<Vec<LevelPlan<T>>, TacError> {
+) -> Result<Vec<LevelPlan>, TacError> {
     let (ranges, structures) = plan_batch(ds, cfg, ranges, true);
     let _plan = tac_obs::span(tac_obs::Stage::Plan);
     let mut plans = Vec::with_capacity(structures.len());

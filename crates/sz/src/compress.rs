@@ -276,9 +276,13 @@ const CAPACITY: u32 = 65536;
 /// don't-care value. `None` and an all-true mask write the same bytes.
 ///
 /// # Errors
-/// Fails on shape/config validation errors — a `care` of another length
-/// than `data` is [`SzError::DimensionMismatch`] — and never on data
-/// content (NaN/Inf values are stored verbatim).
+/// Fails on shape/config validation errors, never on data content
+/// (NaN/Inf values are stored verbatim).
+///
+/// # Panics
+/// Panics if `care` is given with another length than `data`: the
+/// callers own that rule (`tac-codec`'s `SzCodec` checks it and reports
+/// `CodecError::InvalidConfig`).
 pub fn compress<T: Element>(
     data: &[T],
     care: Option<&[bool]>,
@@ -300,11 +304,8 @@ fn compress_with<T: Element, B: BackEnd>(
 ) -> Result<(Vec<u8>, Vec<T>), SzError> {
     dims.validate(data.len())?;
     cfg.validate()?;
-    if let Some(care) = care.filter(|care| care.len() != data.len()) {
-        return Err(SzError::DimensionMismatch {
-            data_len: care.len(),
-            dims_len: data.len(),
-        });
+    if let Some(care) = care {
+        assert_eq!(care.len(), data.len(), "one care flag per value");
     }
     let abs_eb = cfg.abs_eb;
     let quantizer = Quantizer::new(abs_eb, capacity as usize);
@@ -766,19 +767,21 @@ mod tests {
         }
     }
 
+    /// The length rule is the caller's (`tac-codec` reports it as an
+    /// error); here it is a precondition.
     #[test]
     fn a_mask_of_another_length_is_rejected() {
         let data = smooth_3d(4);
         for len in [0, 63, 65] {
-            assert!(matches!(
+            let short = std::panic::catch_unwind(|| {
                 compress(
                     &data,
                     Some(&vec![true; len]),
                     Dims::D1(64),
-                    &SzConfig::abs(1e-3)
-                ),
-                Err(SzError::DimensionMismatch { .. })
-            ));
+                    &SzConfig::abs(1e-3),
+                )
+            });
+            assert!(short.is_err(), "a {len}-flag mask over 64 values");
         }
     }
 

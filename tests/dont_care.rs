@@ -12,7 +12,7 @@ use tac_amr::{AmrDataset, AmrLevel};
 use tac_core::{
     compress_dataset_t, CodecElement, CodecId, Method, Parallelism, Strategy, TacConfig, TacDtype,
 };
-use tac_testkit::{scenarios, ScenarioSpec};
+use tac_testkit::{scenario, scenarios, ScenarioSpec};
 
 const STRATEGIES: [Strategy; 5] = [
     Strategy::ZeroFill,
@@ -133,5 +133,35 @@ fn gsp_and_zero_fill_write_the_same_payload() {
             let (gsp, zero_fill) = (write(Strategy::Gsp), write(Strategy::ZeroFill));
             assert_eq!(gsp, zero_fill, "{} {codec}", spec.name);
         }
+    }
+}
+
+/// SZ codes a cell-granular checkerboard about twice as large with its
+/// absent cells don't-care (3,613 -> 7,812 B at seed 7, f32 3,617 ->
+/// 7,671 B): every axis neighbour of a present cell is don't-care and
+/// reconstructs as its own prediction, so Lorenzo predicts present
+/// cells from predictions, and no regression block is eligible.
+/// `Method::Auto` picks zMesh there, so only a forced TAC·sz write shows
+/// it. This holds the forced write at its size until the SZ encoder
+/// picks better don't-care values (ROADMAP item 1).
+#[test]
+fn checkerboard_tac_sz_does_not_grow() {
+    for (name, limit) in [("checkerboard", 7_812), ("checkerboard-f32", 7_671)] {
+        let spec = scenario(name).expect("registered scenario");
+        let ds = spec.build(7);
+        let cfg = TacConfig {
+            codec: CodecId::Sz,
+            ..spec.config()
+        };
+        let cd = match spec.dtype {
+            TacDtype::F32 => compress_dataset_t(&ds.cast::<f32>(), &cfg, Method::Tac),
+            TacDtype::F64 => compress_dataset_t(&ds, &cfg, Method::Tac),
+        }
+        .expect("TAC·sz compresses the checkerboard");
+        let bytes = cd.to_bytes().len();
+        assert!(
+            bytes <= limit,
+            "{name}: TAC·sz wrote {bytes} B, more than {limit} B"
+        );
     }
 }
