@@ -6,7 +6,6 @@
 //! [`copy_region`]/[`paste_region`] move cell data between the level's
 //! flat array and contiguous extraction buffers.
 
-use crate::aabb::Aabb;
 use crate::level::AmrLevel;
 use crate::mask::BitMask;
 use tac_dtype::Element;
@@ -60,18 +59,6 @@ impl BlockGrid {
         self.nb
     }
 
-    /// Total number of unit blocks.
-    #[inline]
-    pub fn num_blocks(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Cells per unit block (`unit^3`).
-    #[inline]
-    pub fn cells_per_block(&self) -> usize {
-        self.unit * self.unit * self.unit
-    }
-
     /// Flat block index.
     #[inline]
     pub fn index(&self, bx: usize, by: usize, bz: usize) -> usize {
@@ -91,47 +78,9 @@ impl BlockGrid {
         self.count(bx, by, bz) == 0
     }
 
-    /// Whether every cell of the block is present.
-    #[inline]
-    pub fn is_full_block(&self, bx: usize, by: usize, bz: usize) -> bool {
-        self.count(bx, by, bz) as usize == self.cells_per_block()
-    }
-
     /// Number of blocks holding at least one present cell.
     pub fn num_nonempty(&self) -> usize {
         self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Fraction of non-empty blocks (block-granular density — the quantity
-    /// TAC's density filter consumes).
-    pub fn block_density(&self) -> f64 {
-        self.num_nonempty() as f64 / self.num_blocks().max(1) as f64
-    }
-
-    /// The cell-coordinate box of unit block `(bx, by, bz)`.
-    pub fn block_aabb(&self, bx: usize, by: usize, bz: usize) -> Aabb {
-        Aabb::of_region(
-            (bx * self.unit, by * self.unit, bz * self.unit),
-            (self.unit, self.unit, self.unit),
-        )
-    }
-
-    /// Tight cell-coordinate bounding box of all non-empty unit blocks,
-    /// or `None` when the level is empty. Chunked containers use this as
-    /// the whole-level extent for ROI chunk-table entries.
-    pub fn nonempty_aabb(&self) -> Option<Aabb> {
-        let mut acc: Option<Aabb> = None;
-        for bz in 0..self.nb {
-            for by in 0..self.nb {
-                for bx in 0..self.nb {
-                    if !self.is_empty_block(bx, by, bz) {
-                        let b = self.block_aabb(bx, by, bz);
-                        acc = Some(acc.map_or(b, |a| a.union(&b)));
-                    }
-                }
-            }
-        }
-        acc
     }
 
     /// Sum of counts over the cuboid of blocks `[b0, b1)` (exclusive upper
@@ -372,39 +321,16 @@ mod tests {
         let lvl = checkerboard_level(dim, unit);
         let grid = BlockGrid::build(&lvl, unit);
         assert_eq!(grid.blocks_per_side(), 4);
-        assert_eq!(grid.num_blocks(), 64);
         assert_eq!(grid.num_nonempty(), 32);
-        assert!((grid.block_density() - 0.5).abs() < 1e-12);
         for bz in 0..4 {
             for by in 0..4 {
                 for bx in 0..4 {
                     let expect = if (bx + by + bz) % 2 == 0 { 8 } else { 0 };
                     assert_eq!(grid.count(bx, by, bz), expect);
-                    assert_eq!(grid.is_full_block(bx, by, bz), expect == 8);
                     assert_eq!(grid.is_empty_block(bx, by, bz), expect == 0);
                 }
             }
         }
-    }
-
-    #[test]
-    fn nonempty_aabb_covers_checkerboard() {
-        let lvl = checkerboard_level(8, 2);
-        let grid = BlockGrid::build(&lvl, 2);
-        // Checkerboard touches every octant: bbox is the whole grid.
-        assert_eq!(grid.nonempty_aabb().unwrap(), Aabb::whole(8));
-        assert_eq!(grid.block_aabb(1, 2, 3), Aabb::new((2, 4, 6), (4, 6, 8)));
-        // A level with one occupied corner block gets a tight box.
-        let mut corner = AmrLevel::empty(8);
-        corner.set_value(7, 6, 7, 1.0);
-        let grid = BlockGrid::build(&corner, 2);
-        assert_eq!(
-            grid.nonempty_aabb().unwrap(),
-            Aabb::new((6, 6, 6), (8, 8, 8))
-        );
-        // Empty level: no box.
-        let grid = BlockGrid::build(&AmrLevel::<f64>::empty(8), 2);
-        assert!(grid.nonempty_aabb().is_none());
     }
 
     #[test]

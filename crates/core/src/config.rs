@@ -121,8 +121,8 @@ pub struct TacConfig {
     pub codec: CodecId,
     /// Worker budget for the block-sharded compression engine. The
     /// engine shards the dataset into per-level, per-region tasks and
-    /// runs them on this many work-stealing threads; output bytes are
-    /// identical for every setting.
+    /// runs them on this many threads, heaviest task first; output bytes
+    /// are identical for every setting.
     pub parallelism: Parallelism,
     /// Spatial tile side (in cells, per level) bounding how far apart
     /// regions may sit and still share one SZ batch. `None` merges by

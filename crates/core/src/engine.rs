@@ -16,11 +16,11 @@
 //!    the partitioning stage can be pre-planned before any compression
 //!    runs.
 //! 2. **Execute** (parallel): flatten every job across every level into
-//!    one task list and run it on `tac-par`'s work-stealing scheduler,
-//!    weighted by cell count. Each task is an independent scalar-codec
-//!    compression (or decompression) of one whole-grid buffer or one
-//!    region group, dispatched through the configured
-//!    [`tac_codec::ScalarCodec`] backend.
+//!    one task list and run it on `tac-par`, heaviest first by cell
+//!    count, each worker taking the next task. Each task is an
+//!    independent scalar-codec compression (or decompression) of one
+//!    whole-grid buffer or one region group, dispatched through the
+//!    configured [`tac_codec::ScalarCodec`] backend.
 //! 3. **Assemble** (serial, cheap): collect the compressed streams back
 //!    into per-level payloads in plan order. The decode side has no such
 //!    tail. Its level grids are allocated, cut and handed back by the
@@ -235,7 +235,6 @@ pub(crate) fn compress_plans<T: CodecElement>(
         }
     }
 
-    let exec_span = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
     let results = tac_par::execute(
         workers,
         &tasks,
@@ -273,7 +272,6 @@ pub(crate) fn compress_plans<T: CodecElement>(
             Ok(out)
         },
     );
-    drop(exec_span);
 
     // Assemble in plan order, consuming results sequentially.
     let _assemble = tac_obs::span(tac_obs::Stage::Assemble);
@@ -422,7 +420,6 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
         }
     }
 
-    let exec_span = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
     let results = tac_par::execute(
         workers,
         &tasks,
@@ -467,7 +464,6 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
             Ok(())
         },
     );
-    drop(exec_span);
     results.into_iter().collect()
 }
 

@@ -233,8 +233,6 @@ fn plan_batch<'a, T: Element>(
     if structure {
         tasks.extend(ds.levels().iter().map(PlanTask::Structure));
     }
-    // Worker-side task spans are accounted under `execute`.
-    let execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
     let outs = tac_par::execute(
         cfg.parallelism.workers(),
         &tasks,
@@ -255,7 +253,6 @@ fn plan_batch<'a, T: Element>(
             }
         },
     );
-    drop(execute);
     let mut scanned = vec![None; ds.num_levels()];
     let mut structures = Vec::new();
     for out in outs {
@@ -338,7 +335,7 @@ pub(crate) fn compress_with<T: CodecElement>(
     let level_masks: Vec<&BitMask> = masks.iter().collect();
     let workers = cfg.parallelism.workers();
     // Plans every level, then runs all per-level / per-region
-    // compression tasks on the work-stealing scheduler in one flattened
+    // compression tasks on the `tac-par` scheduler in one flattened
     // batch.
     let tac_body = |ranges: Ranges<'_>, level_codecs: &[CodecId]| -> Result<MethodBody, TacError> {
         let plans = plan_tac_levels(ds, cfg, ranges, level_codecs)?;
@@ -434,7 +431,7 @@ fn check_geometry(finest_dim: usize, masks: &[BitMask]) -> Result<(), TacError> 
 /// Decompresses a container back into an AMR dataset on the
 /// block-sharded engine: every level's streams and region groups — and
 /// every segment of a zMesh or 1D body — decode as independent
-/// work-stealing tasks ([`Parallelism::Serial`] runs them inline). The
+/// `tac-par` tasks ([`Parallelism::Serial`] runs them inline). The
 /// reconstruction is identical for every worker count. A container whose
 /// declared element type disagrees with `T` is rejected up front with
 /// [`CodecError::WrongDtype`].

@@ -164,8 +164,6 @@ fn encode_segments<T: CodecElement>(
     tasks: &[EncodeTask<'_, T>],
     cfg: &TacConfig,
 ) -> Result<Vec<Segment>, TacError> {
-    // Worker-side task spans are accounted under `execute`.
-    let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
     tac_par::execute(
         cfg.parallelism.workers(),
         tasks,
@@ -407,7 +405,6 @@ pub(crate) fn decompress_stacks<T: CodecElement>(
         }
     }
 
-    let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
     tac_par::execute(
         workers,
         &tasks,

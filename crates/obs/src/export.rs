@@ -71,15 +71,15 @@ pub struct StageRow {
 ///
 /// Accounting: every span's `self_ns` excludes its direct children, so
 /// within one thread self times telescope exactly. Across threads, the
-/// executor's [`Stage::Worker`] spans overlap the engine's
+/// executor's [`Stage::Worker`] spans overlap its own
 /// [`Stage::Execute`] span on the driver thread; to avoid double
 /// counting, worker lifetimes are excluded from the rows and the wall,
 /// and the duration of worker-side top-level task spans is re-parented
 /// under the `execute` row (subtracted from its self time). With that,
 /// the self times across all rows sum to [`StageReport::wall_ns`] — the
 /// end-to-end instrumented time — and fractions add up to 1, serial or
-/// parallel. Worker idle time is still visible via the `exec_idle_ns`
-/// counter and the worker timelines in the chrome trace.
+/// parallel. Worker idle time is still visible in the worker timelines
+/// of the chrome trace.
 #[derive(Debug, Clone)]
 pub struct StageReport {
     /// One row per stage that recorded at least one span, by descending

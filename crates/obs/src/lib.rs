@@ -52,7 +52,9 @@ pub enum Stage {
     /// `Method::Auto` selection pass (candidate trial encodes and
     /// rate estimates).
     Select,
-    /// Engine task execution (the parallel region).
+    /// One `tac-par` batch on the calling thread, opened by the
+    /// executor itself (arg `tasks`); its workers' task spans are
+    /// accounted under it.
     Execute,
     /// Engine result hand-over after the tasks: collecting compressed
     /// streams into per-level payloads, or checking the decode tasks'
@@ -171,12 +173,9 @@ pub enum Counter {
     RoiBytesRead,
     /// Payload bytes skipped by an ROI decode.
     RoiBytesSkipped,
-    /// Tasks executed by the work-stealing executor.
+    /// Tasks run by the `tac-par` executor, inline or on its workers:
+    /// one per task at every worker count.
     ExecTasks,
-    /// Tasks obtained by stealing from another worker's deque.
-    ExecSteals,
-    /// Nanoseconds executor workers spent failing to find work.
-    ExecIdleNs,
     /// SZ quantizer predictions within the error bound (care points
     /// only: a don't-care point quantizes nothing).
     SzQuantHits,
@@ -241,8 +240,6 @@ impl Counter {
         Counter::RoiBytesRead,
         Counter::RoiBytesSkipped,
         Counter::ExecTasks,
-        Counter::ExecSteals,
-        Counter::ExecIdleNs,
         Counter::SzQuantHits,
         Counter::SzQuantMisses,
         Counter::SzBlocksLorenzo,
@@ -280,8 +277,6 @@ impl Counter {
             Counter::RoiBytesRead => "roi_bytes_read",
             Counter::RoiBytesSkipped => "roi_bytes_skipped",
             Counter::ExecTasks => "exec_tasks",
-            Counter::ExecSteals => "exec_steals",
-            Counter::ExecIdleNs => "exec_idle_ns",
             Counter::SzQuantHits => "sz_quant_hits",
             Counter::SzQuantMisses => "sz_quant_misses",
             Counter::SzBlocksLorenzo => "sz_blocks_lorenzo",

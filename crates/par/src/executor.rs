@@ -1,37 +1,27 @@
-//! Work-stealing executor over [`std::thread::scope`].
+//! Shared-cursor executor over [`std::thread::scope`].
 //!
-//! Each worker owns a deque seeded by the LPT pre-plan
-//! ([`crate::shard::lpt_assign`]). Workers pop their own deque from the
-//! front (heaviest first); a worker whose deque runs dry steals the
-//! *back* half of the fullest victim's deque, so the cheap tail tasks —
-//! where cost estimates are least reliable — are the ones that migrate.
+//! The tasks are sorted heaviest first (ties by lower index) into one
+//! list, and every worker takes the next entry through one shared
+//! atomic cursor until the list runs out. That is longest-processing-
+//! time list scheduling: the heavy tasks start first, and a worker held
+//! up by a task that ran longer than its weight said simply takes fewer
+//! of the rest, so a bad estimate costs at most one task at the tail.
 //!
 //! Results land in per-task slots, making the output order independent
 //! of scheduling: callers that assemble byte streams from the results
 //! get bit-identical output for every worker count.
 
-use crate::shard::lpt_assign;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Counters describing one [`execute_with_stats`] run.
-#[derive(Debug, Clone, Default)]
-pub struct ExecStats {
-    /// Worker threads actually spawned (0 on the inline serial path).
-    pub workers: usize,
-    /// Successful steal operations (batches moved, not single tasks).
-    pub steals: usize,
-    /// Tasks completed by each worker.
-    pub tasks_per_worker: Vec<usize>,
-}
-
-/// Runs `f` over every task on `workers` threads and returns the results
-/// in task order. `weight` estimates relative task cost (any monotone
-/// proxy works; TAC uses cell counts) and drives the LPT pre-plan.
+/// Runs `f` over every task on up to `workers` threads and returns the
+/// results in task order. `weight` estimates relative task cost (any
+/// monotone proxy works; TAC uses cell counts) and decides the order in
+/// which tasks start: heaviest first.
 ///
-/// Falls back to a plain sequential loop when `workers <= 1` or there
-/// are fewer than two tasks.
+/// Runs a plain sequential loop on the calling thread when
+/// `workers <= 1` or there are fewer than two tasks. A panic in a task
+/// reaches the caller with its payload, after the other workers finish.
 pub fn execute<T, R, W, F>(workers: usize, tasks: &[T], weight: W, f: F) -> Vec<R>
 where
     T: Sync,
@@ -39,133 +29,74 @@ where
     W: Fn(&T) -> u64,
     F: Fn(&T) -> R + Sync,
 {
-    execute_with_stats(workers, tasks, weight, f).0
-}
-
-/// [`execute`] variant that also reports scheduling counters, for tests
-/// and benchmark harnesses that assert stealing actually happens.
-pub fn execute_with_stats<T, R, W, F>(
-    workers: usize,
-    tasks: &[T],
-    weight: W,
-    f: F,
-) -> (Vec<R>, ExecStats)
-where
-    T: Sync,
-    R: Send,
-    W: Fn(&T) -> u64,
-    F: Fn(&T) -> R + Sync,
-{
+    // Worker-side task spans are accounted under `execute`.
+    let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
+    let run = |t: &T| {
+        tac_obs::add(tac_obs::Counter::ExecTasks, 1);
+        f(t)
+    };
     if workers <= 1 || tasks.len() <= 1 {
-        return (tasks.iter().map(&f).collect(), ExecStats::default());
+        return tasks.iter().map(run).collect();
     }
-    let nw = workers.min(tasks.len());
-    let weights: Vec<u64> = tasks.iter().map(&weight).collect();
-    let deques: Vec<Mutex<VecDeque<usize>>> = lpt_assign(&weights, nw)
-        .into_iter()
-        .map(|shard| Mutex::new(shard.into()))
-        .collect();
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by_cached_key(|&i| (Reverse(weight(&tasks[i])), i));
+    let cursor = AtomicUsize::new(0);
 
-    let mut out: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
-    let slots = Mutex::new(&mut out);
-    let steals = AtomicUsize::new(0);
-    let done_counts: Vec<AtomicUsize> = (0..nw).map(|_| AtomicUsize::new(0)).collect();
-
-    std::thread::scope(|scope| {
-        for (me, done) in done_counts.iter().enumerate() {
-            let deques = &deques;
-            let slots = &slots;
-            let steals = &steals;
-            let f = &f;
-            scope.spawn(move || {
-                let _worker = tac_obs::span(tac_obs::Stage::Worker).arg("worker", me);
-                loop {
-                    // The own-deque pop is effectively instant, so the
-                    // time spent in `pop_or_steal` is scan/steal/idle
-                    // overhead. Timed only in obs builds (the branch
-                    // folds away on `enabled()`, a const).
-                    let next = if tac_obs::enabled() {
-                        let waiting = std::time::Instant::now();
-                        let next = pop_or_steal(deques, me, steals);
-                        tac_obs::add(
-                            tac_obs::Counter::ExecIdleNs,
-                            waiting.elapsed().as_nanos() as u64,
-                        );
-                        next
-                    } else {
-                        pop_or_steal(deques, me, steals)
-                    };
-                    match next {
-                        Some(i) => {
-                            tac_obs::add(tac_obs::Counter::ExecTasks, 1);
-                            let r = f(&tasks[i]);
-                            slots.lock().expect("result mutex poisoned")[i] = Some(r);
-                            done.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => break,
+    let done: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(tasks.len()))
+            .map(|me| {
+                let (order, cursor, run) = (&order, &cursor, &run);
+                scope.spawn(move || {
+                    let _worker = tac_obs::span(tac_obs::Stage::Worker).arg("worker", me);
+                    let mut done = Vec::new();
+                    while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        done.push((i, run(&tasks[i])));
                     }
-                }
-            });
-        }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
 
-    let stats = ExecStats {
-        workers: nw,
-        steals: steals.load(Ordering::Relaxed),
-        tasks_per_worker: done_counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect(),
-    };
-    let results = out
+    let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
+    for (i, r) in done.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
         .into_iter()
-        .map(|r| r.expect("scheduler dropped a task"))
-        .collect();
-    (results, stats)
-}
-
-/// Takes the next task index for worker `me`: front of its own deque,
-/// else the back half of the fullest other deque. `None` when every
-/// deque looks empty (a second pass guards against batches caught
-/// mid-migration).
-fn pop_or_steal(
-    deques: &[Mutex<VecDeque<usize>>],
-    me: usize,
-    steals: &AtomicUsize,
-) -> Option<usize> {
-    if let Some(i) = deques[me].lock().expect("deque poisoned").pop_front() {
-        return Some(i);
-    }
-    // Two scan passes: a batch being moved between deques is invisible
-    // to a single scan, and exiting early only costs parallelism at the
-    // very tail, but the second look is free.
-    for _pass in 0..2 {
-        // Pick the victim with the most queued work.
-        let victim = (0..deques.len())
-            .filter(|&v| v != me)
-            .max_by_key(|&v| deques[v].lock().expect("deque poisoned").len())?;
-        let mut stolen: VecDeque<usize> = {
-            let mut vq = deques[victim].lock().expect("deque poisoned");
-            let keep = vq.len().div_ceil(2);
-            vq.split_off(keep)
-        };
-        if let Some(first) = stolen.pop_front() {
-            if !stolen.is_empty() {
-                let mut mine = deques[me].lock().expect("deque poisoned");
-                mine.extend(stolen);
-            }
-            steals.fetch_add(1, Ordering::Relaxed);
-            tac_obs::add(tac_obs::Counter::ExecSteals, 1);
-            return Some(first);
-        }
-    }
-    None
+        .map(|r| r.expect("every task runs exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    /// Spins (yielding) until `ready` holds or 30 s pass; returns whether
+    /// it held. The deadline only keeps a broken scheduler from hanging
+    /// the test: on a working one the condition always comes first.
+    fn wait_until(ready: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !ready() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
 
     #[test]
     fn results_in_task_order() {
@@ -201,35 +132,98 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_bad_estimates() {
-        // Lie about weights: claim uniform cost but make worker 0's
-        // initial shard heavy. With stealing, everyone still finishes.
-        let tasks: Vec<u64> = (0..64).collect();
-        let (out, stats) = execute_with_stats(
-            4,
+    fn a_long_task_leaves_the_rest_to_the_other_worker() {
+        // Every weight is equal, so the estimate says nothing. Task 0
+        // starts first and holds its worker until every other task is
+        // done: the other worker must have taken them all.
+        let tasks: Vec<usize> = (0..64).collect();
+        let finished = AtomicUsize::new(0);
+        let ran_on: Vec<ThreadId> = execute(
+            2,
             &tasks,
             |_| 1,
             |&t| {
-                // Early (heavy-shard) tasks spin longer.
-                let spins = if t < 16 { 200_000 } else { 10 };
-                let mut acc = 0u64;
-                for i in 0..spins {
-                    acc = acc.wrapping_add(std::hint::black_box(i ^ t));
+                if t == 0 {
+                    assert!(
+                        wait_until(|| finished.load(Ordering::Acquire) == tasks.len() - 1),
+                        "the other worker did not drain the list"
+                    );
+                } else {
+                    finished.fetch_add(1, Ordering::Release);
                 }
-                acc
+                std::thread::current().id()
             },
         );
-        assert_eq!(out.len(), 64);
-        assert_eq!(stats.workers, 4);
-        assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 64);
+        let others: HashSet<ThreadId> = ran_on[1..].iter().copied().collect();
+        assert_eq!(others.len(), 1, "the other tasks ran on {others:?}");
+        assert!(!others.contains(&ran_on[0]));
+    }
+
+    #[test]
+    fn the_two_heaviest_tasks_start_first_on_two_workers() {
+        // The heavy tasks sit mid-list; each waits until both have
+        // started, so neither worker can take a third task before then.
+        let weights = [1u64, 3, 2, 1, 9, 1, 2, 8, 1, 1];
+        let started = Mutex::new(Vec::new());
+        let heavy_started = AtomicUsize::new(0);
+        execute(
+            2,
+            &(0..weights.len()).collect::<Vec<_>>(),
+            |&t| weights[t],
+            |&t| {
+                started.lock().unwrap().push(t);
+                if weights[t] >= 8 {
+                    heavy_started.fetch_add(1, Ordering::AcqRel);
+                    wait_until(|| heavy_started.load(Ordering::Acquire) == 2);
+                }
+            },
+        );
+        let started = started.into_inner().unwrap();
+        let mut first_two = started[..2].to_vec();
+        first_two.sort_unstable();
+        assert_eq!(first_two, vec![4, 7], "start order {started:?}");
     }
 
     #[test]
     fn workers_capped_by_task_count() {
-        let tasks = vec![1u64, 2];
-        let (out, stats) = execute_with_stats(16, &tasks, |&w| w, |&t| t + 1);
+        // Two tasks that wait for each other run on exactly two worker
+        // threads, neither the caller's, however many workers are offered.
+        let caller = std::thread::current().id();
+        let ids = Mutex::new(HashSet::new());
+        let running = AtomicUsize::new(0);
+        let out = execute(
+            16,
+            &[1u64, 2],
+            |&w| w,
+            |&t| {
+                ids.lock().unwrap().insert(std::thread::current().id());
+                running.fetch_add(1, Ordering::AcqRel);
+                wait_until(|| running.load(Ordering::Acquire) == 2);
+                t + 1
+            },
+        );
         assert_eq!(out, vec![2, 3]);
-        assert!(stats.workers <= 2);
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 2);
+        assert!(!ids.contains(&caller));
+    }
+
+    #[test]
+    fn a_panicking_task_reaches_the_caller() {
+        let tasks: Vec<usize> = (0..16).collect();
+        for workers in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                execute(
+                    workers,
+                    &tasks,
+                    |_| 1,
+                    |&t| assert!(t != 5, "task {t} failed"),
+                )
+            });
+            let panic = caught.expect_err("the panic was swallowed");
+            let msg = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("task 5 failed"), "at {workers} workers");
+        }
     }
 
     #[test]

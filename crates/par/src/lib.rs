@@ -2,26 +2,23 @@
 
 //! # tac-par
 //!
-//! Work-stealing block scheduler behind TAC's parallel compression
-//! engine. TAC's level-wise design is embarrassingly parallel — each
-//! refinement level, and within a level each extracted region group, is
-//! an independent compression unit — so the engine reduces to a generic
-//! problem: run `n` independent, unevenly-sized tasks on `w` workers and
-//! return the results in task order.
+//! Block scheduler behind TAC's parallel compression engine. TAC's
+//! level-wise design is embarrassingly parallel — each refinement level,
+//! and within a level each extracted region group, is an independent
+//! compression unit — so the engine reduces to a generic problem: run
+//! `n` independent, unevenly-sized tasks on `w` workers and return the
+//! results in task order.
 //!
 //! The crate is deliberately dataset-agnostic (it knows nothing about
 //! AMR levels or SZ streams; `tac-core` builds the task lists), has no
-//! dependencies beyond `std`, and uses [`std::thread::scope`] so tasks
-//! may borrow from the caller's stack.
+//! dependencies beyond `std` and `tac-obs`, and uses
+//! [`std::thread::scope`] so tasks may borrow from the caller's stack.
 //!
-//! Scheduling is two-phase:
-//! 1. [`shard::lpt_assign`] pre-plans the shards: tasks are placed
-//!    heaviest-first onto the least-loaded worker (longest-processing-
-//!    time heuristic), so the initial distribution is already balanced
-//!    when cost estimates are accurate;
-//! 2. [`executor::execute`] runs the shards with work stealing: a worker
-//!    that drains its own deque steals the back half of the fullest
-//!    victim's deque, absorbing estimate error without a central queue.
+//! [`executor::execute`] sorts the tasks heaviest first by their cost
+//! estimate and lets every worker take the next one from a shared
+//! cursor: longest-processing-time list scheduling, which absorbs
+//! estimate error by construction (a worker stuck on a long task just
+//! takes fewer of the rest).
 //!
 //! Results are written into per-task slots, so the output order — and
 //! therefore any byte stream assembled from it — is **identical for
@@ -43,10 +40,8 @@
 #![warn(missing_docs)]
 
 pub mod executor;
-pub mod shard;
 
-pub use executor::{execute, execute_with_stats, ExecStats};
-pub use shard::lpt_assign;
+pub use executor::execute;
 
 /// How much parallelism a pipeline stage may use.
 ///

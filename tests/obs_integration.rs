@@ -86,6 +86,7 @@ fn counters_of_interest(snap: &Snapshot) -> Vec<(Counter, u64)> {
         Counter::ReorderValues,
         Counter::ReorderPieces,
         Counter::DontCareValues,
+        Counter::ExecTasks,
     ]
     .into_iter()
     .map(|c| (c, snap.counter(c)))
