@@ -82,20 +82,6 @@ impl BlockGrid {
     pub fn num_nonempty(&self) -> usize {
         self.counts.iter().filter(|&&c| c > 0).count()
     }
-
-    /// Sum of counts over the cuboid of blocks `[b0, b1)` (exclusive upper
-    /// corner), used by AKDTree's split scoring.
-    pub fn count_region(&self, b0: (usize, usize, usize), b1: (usize, usize, usize)) -> u64 {
-        let mut acc = 0u64;
-        for bz in b0.2..b1.2 {
-            for by in b0.1..b1.1 {
-                for bx in b0.0..b1.0 {
-                    acc += self.count(bx, by, bz) as u64;
-                }
-            }
-        }
-        acc
-    }
 }
 
 /// Copies the cell cuboid with origin `(x0, y0, z0)` and extents
@@ -331,16 +317,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn count_region_sums_blocks() {
-        let lvl = checkerboard_level(8, 2);
-        let grid = BlockGrid::build(&lvl, 2);
-        let all = grid.count_region((0, 0, 0), (4, 4, 4));
-        assert_eq!(all, lvl.num_present() as u64);
-        let half = grid.count_region((0, 0, 0), (2, 4, 4));
-        assert_eq!(half * 2, all);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   refinement-ratio and exactly-one-coverage validation;
 //! * [`BlockGrid`] — unit-block occupancy summaries that TAC's
 //!   pre-process strategies (OpST / AKDTree / GSP) consume;
-//! * [`to_uniform`] / [`from_uniform`] — piecewise-constant prolongation
-//!   to a single uniform grid and back (the "3D baseline" substrate).
+//! * [`to_uniform`] — piecewise-constant prolongation to a single
+//!   uniform grid (the "3D baseline" substrate; its decode restricts the
+//!   grid back to the levels itself).
 //!
 //! ```
 //! use tac_amr::{AmrDataset, AmrLevel, to_uniform};
@@ -40,9 +41,7 @@ pub use blocks::{copy_region, copy_region_flags_into, copy_region_into, paste_re
 pub use dataset::{AmrDataset, AmrValidationError};
 pub use level::{min_max, AmrLevel};
 pub use mask::{BitMask, Runs};
-pub use upsample::{
-    from_uniform, from_uniform_averaged, level_to_uniform, redundant_points, to_uniform,
-};
+pub use upsample::to_uniform;
 
 // Re-exported so dataset-shaped code can name element types without a
 // direct `tac-dtype` dependency.

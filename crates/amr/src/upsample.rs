@@ -1,5 +1,5 @@
-//! Conversions between the AMR representation and uniform-resolution
-//! grids (the paper's Fig. 2: up-sample coarse levels and merge).
+//! Up-sampling an AMR dataset to one uniform-resolution grid (the
+//! paper's Fig. 2: up-sample coarse levels and merge).
 
 use crate::dataset::AmrDataset;
 use crate::level::AmrLevel;
@@ -18,15 +18,6 @@ pub fn to_uniform<T: Element>(ds: &AmrDataset<T>) -> Vec<T> {
         let scale = ds.upsample_rate(l);
         splat_level(level, scale, n, &mut out);
     }
-    out
-}
-
-/// Up-samples a single level into an `n^3` grid (positions not covered by
-/// this level stay zero). Used by per-level post-analysis.
-pub fn level_to_uniform<T: Element>(level: &AmrLevel<T>, scale: usize, n: usize) -> Vec<T> {
-    assert_eq!(level.dim() * scale, n, "scale must map level onto the grid");
-    let mut out = vec![T::ZERO; n * n * n];
-    splat_level(level, scale, n, &mut out);
     out
 }
 
@@ -50,87 +41,45 @@ fn splat_level<T: Element>(level: &AmrLevel<T>, scale: usize, n: usize, out: &mu
     }
 }
 
-/// Number of *redundant* points the 3D baseline materializes: the uniform
-/// grid size minus the true AMR storage. Each coarse cell at level `l`
-/// expands to `8^l` copies, `8^l - 1` of them redundant.
-pub fn redundant_points<T: Element>(ds: &AmrDataset<T>) -> usize {
-    let n = ds.finest_dim();
-    n * n * n - ds.total_present()
-}
-
-/// Scatters a uniform-resolution grid back into the AMR structure of
-/// `template`: each present cell of each level takes the value of its
-/// *first* (lowest-coordinate) covered fine position. With
-/// piecewise-constant up-sampling this inverts [`to_uniform`] exactly for
-/// data that came from an AMR dataset.
-pub fn from_uniform<T: Element>(template: &AmrDataset<T>, uniform: &[T]) -> AmrDataset<T> {
-    let n = template.finest_dim();
-    assert_eq!(uniform.len(), n * n * n, "uniform grid size mismatch");
-    let mut levels = Vec::with_capacity(template.num_levels());
-    for (l, level) in template.levels().iter().enumerate() {
-        let scale = template.upsample_rate(l);
-        let dim = level.dim();
-        let mut new_level = AmrLevel::empty(dim);
-        for z in 0..dim {
-            for y in 0..dim {
-                for x in 0..dim {
-                    if level.present(x, y, z) {
-                        let fx = x * scale;
-                        let fy = y * scale;
-                        let fz = z * scale;
-                        new_level.set_value(x, y, z, uniform[fx + n * (fy + n * fz)]);
-                    }
-                }
-            }
-        }
-        levels.push(new_level);
-    }
-    AmrDataset::new(template.name().to_string(), levels)
-}
-
-/// Averages (rather than samples) each covered block when scattering back
-/// — the restriction operator used when the uniform grid has been
-/// modified (e.g. decompressed) and block values may disagree. The mean
-/// accumulates in `f64` working precision and narrows once per cell.
-pub fn from_uniform_averaged<T: Element>(template: &AmrDataset<T>, uniform: &[T]) -> AmrDataset<T> {
-    let n = template.finest_dim();
-    assert_eq!(uniform.len(), n * n * n, "uniform grid size mismatch");
-    let mut levels = Vec::with_capacity(template.num_levels());
-    for (l, level) in template.levels().iter().enumerate() {
-        let scale = template.upsample_rate(l);
-        let dim = level.dim();
-        let mut new_level = AmrLevel::empty(dim);
-        let inv = 1.0 / (scale * scale * scale) as f64;
-        for z in 0..dim {
-            for y in 0..dim {
-                for x in 0..dim {
-                    if !level.present(x, y, z) {
-                        continue;
-                    }
-                    let mut acc = 0.0;
-                    for dz in 0..scale {
-                        for dy in 0..scale {
-                            for dx in 0..scale {
-                                let fx = x * scale + dx;
-                                let fy = y * scale + dy;
-                                let fz = z * scale + dz;
-                                acc += uniform[fx + n * (fy + n * fz)].to_f64();
-                            }
-                        }
-                    }
-                    new_level.set_value(x, y, z, T::from_f64(acc * inv));
-                }
-            }
-        }
-        levels.push(new_level);
-    }
-    AmrDataset::new(template.name().to_string(), levels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::half_refined;
+
+    /// Checks that every present cell of every level fills its whole
+    /// block of the uniform grid with its value, and that the blocks
+    /// tile the grid exactly once.
+    fn assert_cells_fill_their_blocks<T: Element>(ds: &AmrDataset<T>, uni: &[T]) {
+        let n = ds.finest_dim();
+        assert_eq!(uni.len(), n * n * n);
+        let mut covered = vec![false; uni.len()];
+        for (l, level) in ds.levels().iter().enumerate() {
+            let scale = ds.upsample_rate(l);
+            let dim = level.dim();
+            for z in 0..dim {
+                for y in 0..dim {
+                    for x in 0..dim {
+                        if !level.present(x, y, z) {
+                            continue;
+                        }
+                        for dz in 0..scale {
+                            for dy in 0..scale {
+                                for dx in 0..scale {
+                                    let (fx, fy, fz) =
+                                        (x * scale + dx, y * scale + dy, z * scale + dz);
+                                    let i = fx + n * (fy + n * fz);
+                                    assert!(!covered[i], "({fx},{fy},{fz}) covered twice");
+                                    covered[i] = true;
+                                    assert_eq!(uni[i], level.value(x, y, z), "({fx},{fy},{fz})");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(covered.iter().all(|&c| c), "a position no cell covers");
+    }
 
     #[test]
     fn uniform_roundtrip_on_tree_data() {
@@ -138,10 +87,7 @@ mod tests {
         ds.validate().unwrap();
         let uni = to_uniform(&ds);
         assert_eq!(uni.len(), 512);
-        let back = from_uniform(&ds, &uni);
-        for (a, b) in ds.levels().iter().zip(back.levels()) {
-            assert_eq!(a, b);
-        }
+        assert_cells_fill_their_blocks(&ds, &uni);
     }
 
     #[test]
@@ -161,38 +107,9 @@ mod tests {
     }
 
     #[test]
-    fn redundancy_counts_coarse_expansion() {
-        let ds = half_refined(8);
-        // 512 uniform points; present = 8*8*4 fine + 2*4*4 coarse = 288.
-        assert_eq!(redundant_points(&ds), 512 - 288);
-    }
-
-    #[test]
-    fn averaged_restriction_matches_exact_for_constant_blocks() {
-        let ds = half_refined(16);
-        let uni = to_uniform(&ds);
-        let a = from_uniform(&ds, &uni);
-        let b = from_uniform_averaged(&ds, &uni);
-        for (x, y) in a.levels().iter().zip(b.levels()) {
-            for (u, v) in x.data().iter().zip(y.data()) {
-                assert!((u - v).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn level_to_uniform_isolates_one_level() {
-        let ds = half_refined(8);
-        let coarse_only = level_to_uniform(&ds.levels()[1], 2, 8);
-        // Fine half of the domain is zero in the coarse-only expansion.
-        assert_eq!(coarse_only[7], 0.0);
-        assert_eq!(coarse_only[0], 1.0);
-    }
-
-    #[test]
     fn f32_uniform_roundtrip() {
-        // A small two-level f32 dataset round-trips through the uniform
-        // grid exactly, like its f64 counterpart.
+        // A small two-level f32 dataset up-samples exactly, like its
+        // f64 counterpart.
         let mut fine: AmrLevel<f32> = AmrLevel::empty(4);
         for z in 0..4 {
             for y in 0..4 {
@@ -209,14 +126,6 @@ mod tests {
         }
         let ds = AmrDataset::new("f32demo", vec![fine, coarse]);
         ds.validate().unwrap();
-        let uni = to_uniform(&ds);
-        let back = from_uniform(&ds, &uni);
-        for (a, b) in ds.levels().iter().zip(back.levels()) {
-            assert_eq!(a, b);
-        }
-        let avg = from_uniform_averaged(&ds, &uni);
-        for (a, b) in ds.levels().iter().zip(avg.levels()) {
-            assert_eq!(a, b, "constant blocks average back exactly");
-        }
+        assert_cells_fill_their_blocks(&ds, &to_uniform(&ds));
     }
 }

@@ -53,11 +53,6 @@ impl HaloCatalog {
     pub fn biggest(&self) -> Option<&Halo> {
         self.halos.first()
     }
-
-    /// Total mass across halos.
-    pub fn total_mass(&self) -> f64 {
-        self.halos.iter().map(|h| h.mass).sum()
-    }
 }
 
 /// Runs the halo finder over a uniform `n^3` density grid.

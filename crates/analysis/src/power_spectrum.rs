@@ -112,21 +112,6 @@ pub fn relative_error(reference: &PowerSpectrum, other: &PowerSpectrum) -> Vec<f
         .collect()
 }
 
-/// The paper's acceptance check: max relative error over bins with
-/// `k < k_limit` must be below `tolerance` (1% in the paper).
-pub fn spectrum_acceptable(
-    reference: &PowerSpectrum,
-    other: &PowerSpectrum,
-    k_limit: f64,
-    tolerance: f64,
-) -> bool {
-    relative_error(reference, other)
-        .iter()
-        .zip(&reference.k)
-        .filter(|(_, &k)| k < k_limit)
-        .all(|(&e, _)| e <= tolerance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,9 +179,17 @@ mod tests {
             b.power[i] *= if *k < lim { 1.005 } else { 1.05 };
         }
         let err = relative_error(&a, &b);
-        assert!(err.iter().any(|&e| e > 0.04));
-        assert!(spectrum_acceptable(&a, &b, lim, 0.01));
-        assert!(!spectrum_acceptable(&a, &b, lim + 2.0, 0.01));
+        assert_eq!(err.len(), a.len());
+        // In band every bin passes the paper's 1% acceptance check; out
+        // of band none does.
+        for ((&e, &k), &p) in err.iter().zip(&a.k).zip(&a.power) {
+            let want = match (p > 0.0, k < lim) {
+                (false, _) => 0.0,
+                (true, true) => 0.005,
+                (true, false) => 0.05,
+            };
+            assert!((e - want).abs() < 1e-9, "k {k}: {e}");
+        }
     }
 
     #[test]

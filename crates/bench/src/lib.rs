@@ -18,4 +18,4 @@ pub mod experiments;
 pub mod obs_support;
 pub mod support;
 
-pub use support::{calibrate_to_cr, default_scale, load_dataset, spectrum_error, Measured};
+pub use support::{calibrate_to_cr, default_scale, load_dataset, Measured};

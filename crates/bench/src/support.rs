@@ -1,9 +1,9 @@
 //! Shared plumbing for the experiment harnesses: dataset loading at the
-//! benchmark scale, CR-matched calibration, spectrum error, timing.
+//! benchmark scale, CR-matched calibration, timing.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use tac_amr::{to_uniform, AmrDataset};
-use tac_analysis::{amr_distortion, power_spectrum, relative_error};
+use tac_amr::AmrDataset;
+use tac_analysis::amr_distortion;
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, CodecElement, Method, Parallelism, TacConfig,
 };
@@ -166,20 +166,6 @@ pub fn calibrate_to_cr(
         }
     }
     best.expect("calibration ran")
-}
-
-/// Max relative power-spectrum error for `k < k_limit` between the
-/// original dataset and a reconstruction.
-pub fn spectrum_error(ds: &AmrDataset, recon: &AmrDataset, k_limit: f64) -> f64 {
-    let n = ds.finest_dim();
-    let a = power_spectrum(&to_uniform(ds), n);
-    let b = power_spectrum(&to_uniform(recon), n);
-    relative_error(&a, &b)
-        .into_iter()
-        .zip(&a.k)
-        .filter(|(_, &k)| k < k_limit)
-        .map(|(e, _)| e)
-        .fold(0.0f64, f64::max)
 }
 
 #[cfg(test)]

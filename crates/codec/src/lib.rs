@@ -84,13 +84,12 @@ pub use sz::SzCodec;
 pub use tac_dtype::{Element, TacDtype};
 pub use tac_sz::{Dims, ErrorBound};
 
-use serde::{Deserialize, Serialize};
 use tac_sz::Header;
 
 /// Stable one-byte identifier of a scalar-codec backend — the tag
 /// `tac-core` writes into level payloads and v3 chunk tables. Wire tags
 /// are append-only; renumbering breaks every shipped container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodecId {
     /// The SZ-style predict–quantize–encode compressor (`tac-sz`). Wire
     /// tag 0; the implicit codec of every pre-codec (v1/v2) container.

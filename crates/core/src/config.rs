@@ -2,14 +2,13 @@
 //! (including per-level adaptive bounds), and method selection.
 
 use crate::error::TacError;
-use serde::{Deserialize, Serialize};
 use tac_codec::CodecId;
 use tac_par::Parallelism;
 use tac_sz::ErrorBound;
 
 /// The pre-process strategy applied to one AMR level before 3D
 /// compression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Level has no present cells; nothing is stored.
     Empty,
@@ -55,37 +54,6 @@ impl Strategy {
     }
 }
 
-/// Tuning knobs of the adaptive `Method::Auto` selection pass (the
-/// TAC+-style per-level method+codec chooser behind
-/// [`select_auto`](crate::select_auto)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AutoParams {
-    /// Datasets with at most this many present values are selected by
-    /// **exhaustive trial compression**: every `(method, codec)`
-    /// candidate runs in full and the smallest payload wins, so the
-    /// choice is exact. Larger datasets fall back to subsampled
-    /// trial-encode estimates.
-    pub exhaustive_limit: usize,
-    /// Per-candidate value budget of the subsampled estimate regime:
-    /// each trial encode sees at most this many values (contiguous
-    /// windows of the candidate's own traversal order), which bounds
-    /// selection cost independently of dataset size.
-    pub sample_budget: usize,
-}
-
-impl Default for AutoParams {
-    fn default() -> Self {
-        AutoParams {
-            // Covers every testkit scenario (finest grids up to 32^3),
-            // so the dominance sweeps run on exact choices.
-            exhaustive_limit: 65_536,
-            // Small enough that the whole sampled selection pass stays
-            // well under 15% of the winner's own compression wall.
-            sample_budget: 2_048,
-        }
-    }
-}
-
 /// Density threshold T1 between OpST and AKDTree (Sec. 3.4; paper: 0.50).
 pub const T1: f64 = 0.50;
 /// Density threshold T2 between AKDTree and GSP (Sec. 3.4), and the
@@ -94,7 +62,7 @@ pub const T1: f64 = 0.50;
 pub const T2: f64 = 0.60;
 
 /// Full TAC configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TacConfig {
     /// Unit block side length (the paper uses 16 for 512^3 levels; scaled
     /// runs use 8). Must divide every level dimension.
@@ -133,9 +101,6 @@ pub struct TacConfig {
     /// planes (the last one shorter), one chunk each, in the value order
     /// of the one whole-grid stream a level of side `<= t` keeps.
     pub roi_tile: Option<usize>,
-    /// Tuning of the `Method::Auto` adaptive selection pass (ignored by
-    /// the fixed methods).
-    pub auto: AutoParams,
 }
 
 impl Default for TacConfig {
@@ -148,7 +113,6 @@ impl Default for TacConfig {
             codec: CodecId::Sz,
             parallelism: Parallelism::Auto,
             roi_tile: None,
-            auto: AutoParams::default(),
         }
     }
 }
@@ -160,12 +124,6 @@ impl TacConfig {
             error_bound: eb,
             ..Default::default()
         }
-    }
-
-    /// Sets per-level error-bound multipliers (fine to coarse).
-    pub fn with_level_scales(mut self, scales: Vec<f64>) -> Self {
-        self.level_eb_scale = scales;
-        self
     }
 
     /// Forces a single strategy for all levels.
@@ -196,13 +154,6 @@ impl TacConfig {
     /// container's region-of-interest decode).
     pub fn with_roi_tile(mut self, tile: usize) -> Self {
         self.roi_tile = Some(tile);
-        self
-    }
-
-    /// Sets the `Method::Auto` selection-pass tuning (exhaustive-trial
-    /// threshold and per-candidate sampling budget).
-    pub fn with_auto(mut self, auto: AutoParams) -> Self {
-        self.auto = auto;
         self
     }
 
@@ -245,11 +196,6 @@ impl TacConfig {
                 "roi tile must be positive when set".into(),
             ));
         }
-        if self.auto.sample_budget == 0 {
-            return Err(TacError::InvalidConfig(
-                "auto sample budget must be positive".into(),
-            ));
-        }
         if self.codec == CodecId::PcoLite {
             return Err(TacError::InvalidConfig(
                 "pco-lite is decode-only: configure pco-ans instead".into(),
@@ -287,7 +233,10 @@ mod tests {
 
     #[test]
     fn level_scale_defaults_to_one() {
-        let c = TacConfig::default().with_level_scales(vec![3.0]);
+        let c = TacConfig {
+            level_eb_scale: vec![3.0],
+            ..Default::default()
+        };
         assert_eq!(c.level_scale(0), 3.0);
         assert_eq!(c.level_scale(1), 1.0);
     }
@@ -314,14 +263,6 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-        let c = TacConfig {
-            auto: AutoParams {
-                sample_budget: 0,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -331,19 +272,6 @@ mod tests {
             .with_roi_tile(8);
         assert_eq!(c.parallelism, Parallelism::Threads(3));
         assert_eq!(c.roi_tile, Some(8));
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn auto_params_default_and_build() {
-        let d = AutoParams::default();
-        assert!(d.exhaustive_limit >= 32 * 32 * 32 + 16 * 16 * 16);
-        assert!(d.sample_budget > 0);
-        let c = TacConfig::default().with_auto(AutoParams {
-            exhaustive_limit: 0,
-            sample_budget: 128,
-        });
-        assert_eq!(c.auto.sample_budget, 128);
         assert!(c.validate().is_ok());
     }
 

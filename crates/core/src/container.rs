@@ -111,7 +111,6 @@ use crate::error::TacError;
 use crate::segment::{planes_of_rows, Segment};
 use crate::stream::{v1_level_tag, BlockGroup, CompressedLevel, LevelPayload, Reader, Writer};
 use crate::zmesh::{level_dim, refinement};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use tac_amr::{Aabb, BitMask};
 use tac_codec::{sniff_codec, CodecId};
@@ -163,7 +162,7 @@ pub const TABLE_FOOTER_BYTES: usize = 8;
 pub(crate) const MAX_FINEST_DIM: usize = 1 << 13;
 
 /// Which compressor produced a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Level-wise 3D compression with per-level pre-processing (the
     /// paper's contribution).

@@ -83,7 +83,7 @@ mod stream;
 mod zmesh;
 
 pub use akdtree::{plan_akdtree, AkdPlan};
-pub use config::{AutoParams, Strategy, TacConfig, T1, T2};
+pub use config::{Strategy, TacConfig, T1, T2};
 pub use container::{
     Baseline1DLevel, CompressedDataset, Method, MethodBody, CHUNK_COUNT_PREFIX_BYTES,
     CHUNK_ROW_BYTES_V4, TABLE_FOOTER_BYTES,

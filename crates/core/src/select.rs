@@ -5,17 +5,17 @@
 //! and, for the TAC method, every per-level codec independently, then
 //! hands the winning concrete choice back to the pipeline. Two regimes:
 //!
-//! * **Exhaustive** (datasets up to
-//!   [`AutoParams::exhaustive_limit`](crate::AutoParams) present
-//!   values): every candidate is compressed in full and the smallest
-//!   payload wins, so the choice is exact — the per-level TAC mix is by
-//!   construction at least as small as every fixed TAC candidate.
+//! * **Exhaustive** (datasets up to [`EXHAUSTIVE_LIMIT`], 65,536
+//!   present values): every candidate is compressed in full and the
+//!   smallest payload wins, so the choice is exact — the per-level TAC
+//!   mix is by construction at least as small as every fixed TAC
+//!   candidate.
 //! * **Sampled** (larger datasets): each candidate trial-encodes a
 //!   contiguous window of its own traversal order (present values per
 //!   level for TAC/1D, the zMesh gather for zMesh, bytes-per-value
 //!   scaled to the full uniform grid for the 3D baseline), bounded by
-//!   [`AutoParams::sample_budget`](crate::AutoParams) values per
-//!   candidate, and payload sizes are extrapolated from the trials.
+//!   [`SAMPLE_BUDGET`] (2,048) values per candidate, and payload sizes
+//!   are extrapolated from the trials.
 //!
 //! Candidates are scored by estimated bytes and nothing else; ties go
 //! to the earlier-considered candidate. The pass is serial and
@@ -36,6 +36,21 @@ use crate::stream::CompressedLevel;
 use crate::zmesh::{gather_walk, ALL_PLANES};
 use tac_amr::{AmrDataset, BitMask};
 use tac_codec::{codec_for, CodecConfig, CodecElement, CodecId, Dims};
+
+/// Datasets with at most this many present values are selected by
+/// exhaustive trial compression; larger ones by sampled estimates.
+const EXHAUSTIVE_LIMIT: usize = 65_536;
+
+// Every testkit scenario (finest grids up to 32^3 over a 16^3 coarse
+// level) must stay exhaustive, so the dominance sweeps run on exact
+// choices.
+const _: () = assert!(EXHAUSTIVE_LIMIT >= 32 * 32 * 32 + 16 * 16 * 16);
+
+/// Per-candidate value budget of the sampled regime: each trial encode
+/// sees at most this many values, which bounds selection cost
+/// independently of dataset size and keeps the whole sampled pass well
+/// under 15% of the winner's own compression wall.
+const SAMPLE_BUDGET: usize = 2_048;
 
 /// Smallest per-level sample window of the sampled regime: below this,
 /// per-stream header overhead dominates and extrapolation is noise.
@@ -117,7 +132,7 @@ pub(crate) fn select_ranged<T: CodecElement>(
     ranges: &LevelRanges,
 ) -> Result<AutoSelection, TacError> {
     let _select = tac_obs::span(tac_obs::Stage::Select).arg("levels", ds.num_levels());
-    if ds.total_present() <= cfg.auto.exhaustive_limit {
+    if ds.total_present() <= EXHAUSTIVE_LIMIT {
         select_exhaustive(ds, cfg, ranges)
     } else {
         select_sampled(ds, cfg, ranges)
@@ -293,7 +308,6 @@ fn select_sampled<T: CodecElement>(
     cfg: &TacConfig,
     level_ranges: &LevelRanges,
 ) -> Result<AutoSelection, TacError> {
-    let budget = cfg.auto.sample_budget;
     let present_total = ds.total_present();
     let mut fallback_err: Option<TacError> = None;
 
@@ -324,7 +338,8 @@ fn select_sampled<T: CodecElement>(
                 break;
             }
         };
-        let share = ((budget as f64) * (present as f64) / (present_total as f64)).ceil() as usize;
+        let share =
+            ((SAMPLE_BUDGET as f64) * (present as f64) / (present_total as f64)).ceil() as usize;
         let take = share.max(MIN_WINDOW).min(present);
         // One level's flat-index order is the zMesh walk of that level
         // alone, so the same windowed gather serves both prefixes.
@@ -438,7 +453,7 @@ fn select_sampled<T: CodecElement>(
             // budget, not the dataset.
             let mask_refs: Vec<&BitMask> = ds.levels().iter().map(|l| l.mask()).collect();
             let data_refs: Vec<&[T]> = ds.levels().iter().map(|l| l.data()).collect();
-            let take = budget.max(MIN_WINDOW);
+            let take = SAMPLE_BUDGET.max(MIN_WINDOW);
             let zwindow = sample_window(&mask_refs, ds.finest_dim(), &data_refs, take);
             if !zwindow.is_empty() {
                 // One trial per codec serves both single-stream
@@ -510,8 +525,9 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::compress_dataset_t;
+    use crate::pipeline::{compress_dataset_t, decompress_dataset_par_t};
     use tac_amr::AmrLevel;
+    use tac_par::Parallelism;
     use tac_sz::ErrorBound;
 
     /// Two-level dataset with a blobby fine region and smooth values
@@ -633,21 +649,33 @@ mod tests {
 
     #[test]
     fn sampled_regime_engages_above_the_limit() {
-        let ds = blobby(16);
-        let small = TacConfig {
-            auto: crate::config::AutoParams {
-                exhaustive_limit: 8,
-                sample_budget: 256,
-            },
-            ..cfg()
-        };
-        let sel = select_auto(&ds, &small).unwrap();
+        // Two levels, 64^3 over 32^3: just past the exhaustive limit, so
+        // the regime switch is tested at the real constants.
+        let ds = blobby(64);
+        assert!(
+            ds.total_present() > EXHAUSTIVE_LIMIT,
+            "{} present values",
+            ds.total_present()
+        );
+        let sel = select_auto(&ds, &cfg()).unwrap();
         assert!(!sel.exhaustive);
         assert_ne!(sel.method, Method::Auto);
         assert!(sel.candidates.iter().all(|c| !c.exact));
         // Still deterministic.
-        let again = select_auto(&ds, &small).unwrap();
-        assert_eq!(sel.method, again.method);
+        let again = select_auto(&ds, &cfg()).unwrap();
+        assert_eq!((sel.method, sel.codec), (again.method, again.codec));
         assert_eq!(sel.level_codecs, again.level_codecs);
+        // The container Auto writes holds its bound.
+        let cd = compress_dataset_t(&ds, &cfg(), Method::Auto).unwrap();
+        assert_eq!(cd.method(), sel.method);
+        let out = decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
+        for (a, b) in ds.levels().iter().zip(out.levels()) {
+            assert_eq!(a.mask(), b.mask());
+            for (i, (u, v)) in a.data().iter().zip(b.data()).enumerate() {
+                if a.mask().get(i) {
+                    assert!((u - v).abs() <= 1e-3, "cell {i}: {u} vs {v}");
+                }
+            }
+        }
     }
 }

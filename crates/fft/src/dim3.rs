@@ -193,14 +193,6 @@ pub fn fft3_real(field: &[f64], nx: usize, ny: usize, nz: usize) -> Vec<Complex>
     buf
 }
 
-/// Inverse 3D FFT returning only the real part (imaginary parts are
-/// discarded; for Hermitian spectra they are numerically ~0).
-pub fn ifft3_to_real(spectrum: &mut [Complex], nx: usize, ny: usize, nz: usize) -> Vec<f64> {
-    assert_eq!(spectrum.len(), nx * ny * nz);
-    Fft3Plan::new(nx, ny, nz).process(spectrum, Direction::Inverse);
-    spectrum.iter().map(|z| z.re).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,5 +33,5 @@ mod dim3;
 mod radix2;
 
 pub use complex::Complex;
-pub use dim3::{fft3_real, ifft3_to_real, Fft3Plan};
+pub use dim3::{fft3_real, Fft3Plan};
 pub use radix2::{fft, ifft, Direction, FftPlan};

@@ -2,11 +2,10 @@
 //! the two stage toggles, and array dimensionality.
 
 use crate::error::SzError;
-use serde::{Deserialize, Serialize};
 use tac_dtype::{Element, TacDtype};
 
 /// How the user bounds the point-wise reconstruction error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorBound {
     /// Point-wise absolute error bound: `|v - v'| <= eb` for every point.
     Abs(f64),
@@ -60,7 +59,7 @@ impl ErrorBound {
 /// Rank 4 (`D4`) is a batch of independent 3D blocks (the layout TAC's
 /// OpST strategy feeds to the compressor): prediction never crosses the
 /// outermost (`w`) axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dims {
     /// 1D array of the given length.
     D1(usize),
@@ -122,7 +121,7 @@ impl Dims {
 }
 
 /// Full compressor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SzConfig {
     /// Absolute point-wise error bound (`|v - v'| <= abs_eb`), already
     /// resolved: a relative bound is the caller's to turn into one, with

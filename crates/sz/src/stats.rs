@@ -1,10 +1,9 @@
 //! Compression accounting: ratio, bit-rate, and simple distortion summary.
 
-use serde::{Deserialize, Serialize};
 use tac_dtype::TacDtype;
 
 /// Size accounting for one compression run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionStats {
     /// Bytes of the original array (`8 * element count` for `f64`).
     pub original_bytes: usize,

@@ -10,7 +10,7 @@
 
 use tac_amr::AmrDataset;
 use tac_core::{
-    compress_dataset_t, decompress_dataset_par_t, select_auto, AutoParams, CodecElement, CodecId,
+    compress_dataset_t, decompress_dataset_par_t, select_auto, CodecElement, CodecId,
     CompressedDataset, Method, Parallelism, TacConfig, TacDtype,
 };
 use tac_testkit::{scenarios, ScenarioSpec};
@@ -158,7 +158,7 @@ fn degenerate_inputs_fall_back_cleanly() {
 fn selection_overhead_is_bounded_in_the_sampled_regime() {
     use tac_amr::{AmrDataset, AmrLevel};
 
-    // 96^3 dense values: well above the default exhaustive limit, so
+    // 96^3 dense values: well above the exhaustive limit, so
     // the selection runs bounded trial encodes rather than full
     // candidate compressions. (Trial cost is constant in dataset size;
     // right at the regime boundary the compress wall is at its
@@ -170,10 +170,6 @@ fn selection_overhead_is_bounded_in_the_sampled_regime() {
         .collect();
     let ds = AmrDataset::new("sampled-regime", vec![AmrLevel::dense(dim, data)]);
     let cfg = TacConfig::default();
-    assert!(
-        ds.total_present() > cfg.auto.exhaustive_limit,
-        "dataset too small to exercise the sampled regime"
-    );
     let sel = select_auto(&ds, &cfg).unwrap();
     assert!(!sel.exhaustive, "expected the sampled regime");
 
@@ -213,34 +209,4 @@ fn selection_overhead_is_bounded_in_the_sampled_regime() {
         100.0 * t_select / t_total,
         100.0 * OVERHEAD_BUDGET,
     );
-}
-
-#[test]
-fn sampling_budget_is_tunable_and_validated() {
-    let cfg = TacConfig::default().with_auto(AutoParams {
-        exhaustive_limit: 0,
-        sample_budget: 128,
-    });
-    cfg.validate().unwrap();
-    // A zero budget is rejected up front.
-    let bad = TacConfig::default().with_auto(AutoParams {
-        exhaustive_limit: 0,
-        sample_budget: 0,
-    });
-    assert!(bad.validate().is_err());
-    // With the limit forced to zero every dataset takes the sampled
-    // path, and it still produces a valid container.
-    let spec = tac_testkit::scenario("nyx-grf").unwrap();
-    let ds = spec.build(3);
-    let cfg = TacConfig {
-        auto: AutoParams {
-            exhaustive_limit: 0,
-            sample_budget: 128,
-        },
-        ..spec.config()
-    };
-    let sel = select_auto(&ds, &cfg).unwrap();
-    assert!(!sel.exhaustive);
-    let cd = compress_dataset_t(&ds, &cfg, Method::Auto).unwrap();
-    tac_core::decompress_dataset_par_t::<f64>(&cd, Parallelism::Serial).unwrap();
 }
