@@ -3,8 +3,8 @@
 //! (the paper fixes 16^3 on 512^3 grids; this shows the trade-off).
 
 use tac_bench::{default_scale, load_dataset};
+use tac_core::ErrorBound;
 use tac_core::{compress_level_t, decompress_level_t, resolve_level_eb_for, Strategy, TacConfig};
-use tac_sz::ErrorBound;
 
 fn main() {
     let ds = load_dataset("Run1_Z10", default_scale(), 10);

@@ -3,8 +3,9 @@
 //! one dense smooth field — quantifying what each stage buys.
 
 use tac_amr::min_max;
+use tac_codec::{CodecConfig, Dims, ScalarCodec, SzCodec, TacDtype};
+use tac_core::ErrorBound;
 use tac_nyx::{synthesize, FieldKind};
-use tac_sz::{compress, Dims, ErrorBound, SzConfig, TacDtype};
 
 fn main() {
     let n = 64;
@@ -17,14 +18,18 @@ fn main() {
         let abs_eb = ErrorBound::Rel(rel)
             .resolve_for(min, max, TacDtype::F64)
             .expect("a positive relative bound");
-        let full = SzConfig::abs(abs_eb);
-        for (label, cfg) in [
-            ("full (regression + LZSS)", full),
-            ("no LZSS", full.without_lossless()),
-            ("no regression (SZ1.4-style)", full.without_regression()),
-            ("neither", full.without_lossless().without_regression()),
+        let cfg = CodecConfig::abs(abs_eb);
+        for (label, lossless, regression) in [
+            ("full (regression + LZSS)", true, true),
+            ("no LZSS", false, true),
+            ("no regression (SZ1.4-style)", true, false),
+            ("neither", false, false),
         ] {
-            let bytes = compress(&data, None, dims, &cfg).unwrap();
+            let sz = SzCodec {
+                lossless,
+                regression,
+            };
+            let bytes = sz.compress(&data, None, dims, &cfg).unwrap();
             println!(
                 "rel {rel:.0e} {label:<26} {:>12} {:>8.1}",
                 bytes.len(),

@@ -39,7 +39,7 @@ fn raw_stream(ds: &tac_amr::AmrDataset) -> (f64, f64) {
     let n = coarse.dim();
     let data = coarse.data().to_vec();
     let backend = codec_for(CodecId::PcoAns);
-    let dims = tac_sz::Dims::D3(n, n, n);
+    let dims = tac_codec::Dims::D3(n, n, n);
     let cfg = CodecConfig::abs(1e-3);
     let stream = backend.compress(&data, None, dims, &cfg).expect("compress");
     // Decode first: timing it before the encode loop keeps it clear of

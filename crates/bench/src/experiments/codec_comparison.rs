@@ -19,8 +19,8 @@
 //! which is exactly what the pluggable backend layer makes actionable.
 
 use crate::support::{default_scale, default_unit, load_dataset, measure, quick_mode, Measured};
+use tac_core::ErrorBound;
 use tac_core::{compress_dataset_t, CodecElement, CodecId, Method, MethodBody, TacConfig};
-use tac_sz::ErrorBound;
 
 /// One method x codec measurement row.
 #[derive(Debug, Clone)]

@@ -5,8 +5,8 @@
 
 use crate::experiments::measure_level;
 use crate::support::{default_scale, load_dataset};
+use tac_core::ErrorBound;
 use tac_core::{resolve_level_eb_for, Strategy};
-use tac_sz::ErrorBound;
 
 /// Runs the experiment and renders the paper-style comparison.
 pub fn report() -> String {

@@ -7,8 +7,8 @@
 
 use crate::experiments::measure_level;
 use crate::support::{default_scale, default_unit, load_dataset};
+use tac_core::ErrorBound;
 use tac_core::{resolve_level_eb_for, Strategy};
-use tac_sz::ErrorBound;
 
 /// The six density cases: (label, dataset, level index). Densities match
 /// the paper's panels a-f.

@@ -8,8 +8,8 @@
 
 use crate::experiments::measure_level;
 use crate::support::{default_scale, default_unit, load_dataset};
+use tac_core::ErrorBound;
 use tac_core::{resolve_level_eb_for, Strategy};
-use tac_sz::ErrorBound;
 
 /// Runs the comparison.
 pub fn report() -> String {

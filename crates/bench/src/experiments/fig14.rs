@@ -8,8 +8,8 @@
 //! finest-level density climbs to 58/63/64%.
 
 use crate::support::{default_scale, default_unit, load_dataset, measure};
+use tac_core::ErrorBound;
 use tac_core::{Method, TacConfig};
-use tac_sz::ErrorBound;
 
 const DATASETS: &[&str] = &["Run1_Z10", "Run1_Z5", "Run1_Z3", "Run1_Z2"];
 const EBS: &[f64] = &[1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5];

@@ -10,8 +10,8 @@
 use crate::support::{calibrate_to_cr, default_scale, default_unit, load_dataset};
 use tac_amr::to_uniform;
 use tac_analysis::{power_spectrum, relative_error};
+use tac_core::ErrorBound;
 use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
-use tac_sz::ErrorBound;
 
 /// Matched compression ratio all methods are calibrated to.
 const TARGET_CR: f64 = 20.0;

@@ -23,12 +23,12 @@
 
 use crate::support::{default_scale, default_unit, load_dataset, quick_mode};
 use tac_amr::Aabb;
+use tac_core::ErrorBound;
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecId, CompressedDataset,
     Method, Parallelism, TacConfig,
 };
 use tac_nyx::FieldKind;
-use tac_sz::ErrorBound;
 
 /// Thread counts the speedup table sweeps.
 pub const THREAD_SWEEP: &[usize] = &[1, 2, 4, 8];

@@ -8,8 +8,8 @@
 //! (the paper measures up to 75x advantage for TAC on Run2_T4).
 
 use crate::support::{default_scale, default_unit, load_dataset, measure};
+use tac_core::ErrorBound;
 use tac_core::{Method, TacConfig};
-use tac_sz::ErrorBound;
 
 const DATASETS: &[&str] = &[
     "Run1_Z2", "Run1_Z3", "Run1_Z5", "Run1_Z10", "Run2_T2", "Run2_T3", "Run2_T4",

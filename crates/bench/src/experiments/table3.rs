@@ -10,8 +10,8 @@
 use crate::support::{calibrate_to_cr, default_scale, default_unit, load_dataset};
 use tac_amr::to_uniform;
 use tac_analysis::{compare_catalogs, find_halos, HaloFinderConfig};
+use tac_core::ErrorBound;
 use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
-use tac_sz::ErrorBound;
 
 /// Matched compression ratio (the paper's Table 3 sits at CR ~198.5 on
 /// 512^3 data; scaled data saturates earlier, so a smaller CR keeps all

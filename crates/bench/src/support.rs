@@ -4,11 +4,11 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use tac_amr::AmrDataset;
 use tac_analysis::amr_distortion;
+use tac_core::ErrorBound;
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, CodecElement, Method, Parallelism, TacConfig,
 };
 use tac_nyx::FieldKind;
-use tac_sz::ErrorBound;
 
 /// Programmatic overrides of the env knobs, for in-process tests:
 /// mutating the environment from the parallel test runner races with

@@ -1,7 +1,7 @@
-//! Compressor configuration: error-bound modes, the resolved bound and
-//! the two stage toggles, and array dimensionality.
+//! Per-stream parameters: error-bound modes, the resolved bound every
+//! backend takes, and array dimensionality.
 
-use crate::error::SzError;
+use crate::CodecError;
 use tac_dtype::{Element, TacDtype};
 
 /// How the user bounds the point-wise reconstruction error.
@@ -23,12 +23,12 @@ impl ErrorBound {
     /// representable at that precision (`f64::MIN_POSITIVE` would flush
     /// to zero in an `f32` pipeline); every point then predicts exactly
     /// or is stored verbatim.
-    pub fn resolve_for(self, min: f64, max: f64, dtype: TacDtype) -> Result<f64, SzError> {
+    pub fn resolve_for(self, min: f64, max: f64, dtype: TacDtype) -> Result<f64, CodecError> {
         let abs = match self {
             ErrorBound::Abs(eb) => eb,
             ErrorBound::Rel(rel) => {
                 if rel <= 0.0 || !rel.is_finite() {
-                    return Err(SzError::InvalidErrorBound(format!(
+                    return Err(CodecError::InvalidConfig(format!(
                         "relative bound must be positive and finite, got {rel}"
                     )));
                 }
@@ -43,11 +43,7 @@ impl ErrorBound {
                 }
             }
         };
-        if abs <= 0.0 || !abs.is_finite() {
-            return Err(SzError::InvalidErrorBound(format!(
-                "resolved absolute bound must be positive and finite, got {abs}"
-            )));
-        }
+        CodecConfig::abs(abs).validate()?;
         Ok(abs)
     }
 }
@@ -100,7 +96,7 @@ impl Dims {
     }
 
     /// Validates that no axis is zero and that `data_len` matches.
-    pub fn validate(&self, data_len: usize) -> Result<(), SzError> {
+    pub fn validate(&self, data_len: usize) -> Result<(), CodecError> {
         let any_zero = match *self {
             Dims::D1(a) => a == 0,
             Dims::D2(a, b) => a == 0 || b == 0,
@@ -108,60 +104,41 @@ impl Dims {
             Dims::D4(a, b, c, d) => a == 0 || b == 0 || c == 0 || d == 0,
         };
         if any_zero {
-            return Err(SzError::ZeroDimension);
+            return Err(CodecError::InvalidConfig(
+                "dimensions must all be non-zero".into(),
+            ));
         }
         if self.len() != data_len {
-            return Err(SzError::DimensionMismatch {
-                data_len,
-                dims_len: self.len(),
-            });
+            return Err(CodecError::InvalidConfig(format!(
+                "data length {data_len} does not match dimension product {}",
+                self.len()
+            )));
         }
         Ok(())
     }
 }
 
-/// Full compressor configuration.
+/// Backend-agnostic per-stream compression parameters.
+///
+/// The error bound arrives here already **resolved to an absolute
+/// epsilon** (TAC resolves relative bounds per level, against each
+/// level's own value range, with [`ErrorBound::resolve_for`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SzConfig {
-    /// Absolute point-wise error bound (`|v - v'| <= abs_eb`), already
-    /// resolved: a relative bound is the caller's to turn into one, with
-    /// [`ErrorBound::resolve_for`].
+pub struct CodecConfig {
+    /// Absolute point-wise error bound (`|v - v'| <= abs_eb`).
     pub abs_eb: f64,
-    /// Whether to run the LZSS lossless stage over the encoded payload.
-    pub lossless: bool,
-    /// Whether rank-3/4 inputs may use the SZ2-style per-block regression
-    /// predictor (Lorenzo remains the fallback per block). Disable for
-    /// SZ-1.4-style pure-Lorenzo behaviour / ablation studies.
-    pub regression: bool,
 }
 
-impl SzConfig {
-    /// Configuration with an absolute error bound, the lossless stage
-    /// and the regression predictor.
+impl CodecConfig {
+    /// Configuration with the given absolute bound.
     pub fn abs(abs_eb: f64) -> Self {
-        SzConfig {
-            abs_eb,
-            lossless: true,
-            regression: true,
-        }
+        CodecConfig { abs_eb }
     }
 
-    /// Disables the lossless backend (useful for ablation benchmarks).
-    pub fn without_lossless(mut self) -> Self {
-        self.lossless = false;
-        self
-    }
-
-    /// Disables the regression predictor (pure Lorenzo, SZ-1.4 style).
-    pub fn without_regression(mut self) -> Self {
-        self.regression = false;
-        self
-    }
-
-    /// Validates the bound: positive and finite.
-    pub fn validate(&self) -> Result<(), SzError> {
+    /// Validates the resolved bound: positive and finite.
+    pub fn validate(&self) -> Result<(), CodecError> {
         if self.abs_eb <= 0.0 || !self.abs_eb.is_finite() {
-            return Err(SzError::InvalidErrorBound(format!(
+            return Err(CodecError::InvalidConfig(format!(
                 "absolute error bound must be positive and finite, got {}",
                 self.abs_eb
             )));
@@ -173,6 +150,7 @@ impl SzConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScalarCodec;
 
     #[test]
     fn dims_len_and_rank() {
@@ -189,11 +167,11 @@ mod tests {
         assert!(Dims::D2(3, 4).validate(12).is_ok());
         assert!(matches!(
             Dims::D2(3, 4).validate(11),
-            Err(SzError::DimensionMismatch { .. })
+            Err(CodecError::InvalidConfig(_))
         ));
         assert!(matches!(
             Dims::D3(0, 4, 4).validate(0),
-            Err(SzError::ZeroDimension)
+            Err(CodecError::InvalidConfig(_))
         ));
     }
 
@@ -231,9 +209,13 @@ mod tests {
         // decoder refuses a stored value below 4 or odd, and reads any
         // other.
         let data: Vec<f64> = (0..64).map(|i| (i as f64 * 0.1).sin()).collect();
-        let bytes = crate::compress(&data, None, Dims::D1(64), &SzConfig::abs(1e-3)).unwrap();
+        let sz = crate::SzCodec::FULL;
+        let bytes = sz
+            .compress(&data, None, Dims::D1(64), &CodecConfig::abs(1e-3))
+            .unwrap();
+        let (magic, version) = (crate::compress::MAGIC, crate::compress::VERSION);
         let at = bytes.len()
-            - crate::Header::read::<f64>(&bytes, crate::MAGIC, crate::VERSION, u8::MAX)
+            - crate::container::Header::read::<f64>(&bytes, magic, version, u8::MAX)
                 .unwrap()
                 .1
                 .len();
@@ -241,11 +223,11 @@ mod tests {
         let with_capacity = |capacity: u32| {
             let mut b = bytes.clone();
             b[at..at + 4].copy_from_slice(&capacity.to_le_bytes());
-            crate::decompress::<f64>(&b)
+            ScalarCodec::<f64>::decompress(&sz, &b)
         };
         for bad in [0, 2, 3, 7, 65537] {
             assert!(
-                matches!(with_capacity(bad), Err(SzError::Corrupt(_))),
+                matches!(with_capacity(bad), Err(CodecError::Corrupt(_))),
                 "capacity {bad}"
             );
         }
@@ -253,9 +235,9 @@ mod tests {
             assert!(with_capacity(good).is_ok(), "capacity {good}");
         }
         // The configuration itself only carries the bound.
-        assert!(SzConfig::abs(1.0).validate().is_ok());
+        assert!(CodecConfig::abs(1.0).validate().is_ok());
         for eb in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(SzConfig::abs(eb).validate().is_err(), "eb {eb}");
+            assert!(CodecConfig::abs(eb).validate().is_err(), "eb {eb}");
         }
     }
 }

@@ -7,7 +7,7 @@
 //! Layout (little-endian):
 //!
 //! ```text
-//! magic   [u8; 4]   the backend's: "TSZ1" here, "TPL1" / "TPA1" in tac-codec
+//! magic   [u8; 4]   the backend's: "TSZ1", "TPL1" or "TPA1"
 //! version u8        the backend's format version
 //! flags   u8        bit 0: body is LZSS-compressed (SZ, pco-lite)
 //!                   bit 1: elements are f32 (absent: f64)
@@ -17,17 +17,13 @@
 //! ```
 //!
 //! An SZ stream follows it with `capacity u32` (quantizer bins), then
-//! its payload (see compress.rs).
+//! its payload (see `sz/compress.rs`).
 
 use crate::config::Dims;
 use crate::wire::{ByteReader, ByteWriter};
 use std::fmt;
 use tac_dtype::{Element, TacDtype};
 
-/// SZ stream magic number.
-pub const MAGIC: [u8; 4] = *b"TSZ1";
-/// SZ stream format version.
-pub const VERSION: u8 = 1;
 /// Flag bit: payload passed through the LZSS stage.
 pub const FLAG_LOSSLESS: u8 = 0b0000_0001;
 /// Flag bit: elements are `f32` (unset: `f64`, the historical default, so
@@ -49,8 +45,8 @@ pub struct Header {
     pub abs_eb: f64,
 }
 
-/// Why a stream's header was refused. Each backend maps it onto its own
-/// error type.
+/// Why a stream's header was refused. Every backend maps it onto a
+/// [`CodecError`](crate::CodecError) through one function.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeaderError {
     /// The stream opens with another backend's magic.
@@ -230,6 +226,7 @@ impl Header {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::{MAGIC, VERSION};
 
     fn sz_header(dims: Dims) -> Header {
         Header {

@@ -1,13 +1,12 @@
 //! Error type shared by every codec backend.
 
+use crate::container::HeaderError;
+use crate::wire::WireError;
 use std::fmt;
-use tac_sz::SzError;
 
 /// Errors surfaced by scalar-codec compression and decompression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CodecError {
-    /// The SZ substrate failed.
-    Sz(SzError),
     /// A compressed stream is malformed or truncated.
     Corrupt(String),
     /// The configuration is invalid for the backend.
@@ -41,7 +40,6 @@ pub enum CodecError {
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::Sz(e) => write!(f, "sz backend: {e}"),
             CodecError::Corrupt(msg) => write!(f, "corrupt codec stream: {msg}"),
             CodecError::InvalidConfig(msg) => write!(f, "invalid codec configuration: {msg}"),
             CodecError::UnknownCodec(tag) => write!(f, "unknown codec wire tag {tag}"),
@@ -61,18 +59,31 @@ impl fmt::Display for CodecError {
     }
 }
 
-impl std::error::Error for CodecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CodecError::Sz(e) => Some(e),
-            _ => None,
-        }
+impl std::error::Error for CodecError {}
+
+impl From<WireError> for CodecError {
+    /// A stream that ends early, or holds a malformed field, is corrupt.
+    fn from(e: WireError) -> Self {
+        CodecError::Corrupt(e.to_string())
     }
 }
 
-impl From<SzError> for CodecError {
-    fn from(e: SzError) -> Self {
-        CodecError::Sz(e)
+/// The one mapping of a refused stream header onto the codec error of
+/// the backend `label` names: another magic is another codec's stream,
+/// another element type is [`CodecError::WrongDtype`], and anything else
+/// is corrupt.
+pub(crate) fn header_error(label: &'static str, e: HeaderError) -> CodecError {
+    match e {
+        HeaderError::Magic(found) => CodecError::WrongCodec {
+            expected: label,
+            found: format!("magic {found:02x?}"),
+        },
+        HeaderError::Dtype { stream, requested } => CodecError::WrongDtype {
+            stream: stream.label(),
+            requested: requested.label(),
+        },
+        HeaderError::Version { .. } => CodecError::Corrupt(format!("{label} {e}")),
+        HeaderError::Corrupt(msg) => CodecError::Corrupt(msg),
     }
 }
 
@@ -82,9 +93,15 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = CodecError::from(SzError::ZeroDimension);
-        assert!(e.to_string().contains("sz backend"));
-        assert!(std::error::Error::source(&e).is_some());
+        let e = CodecError::from(WireError {
+            offset: 17,
+            reason: "need 8 bytes, 3 remain".into(),
+        });
+        assert_eq!(
+            e.to_string(),
+            "corrupt codec stream: need 8 bytes, 3 remain at byte 17"
+        );
+        assert!(std::error::Error::source(&e).is_none());
         let w = CodecError::WrongCodec {
             expected: "pco-lite",
             found: "sz magic".into(),
@@ -95,5 +112,16 @@ mod tests {
             prefix: b"XXXX".to_vec(),
         };
         assert!(u.to_string().contains("no registered codec"));
+    }
+
+    #[test]
+    fn display_messages_are_informative() {
+        let e = crate::Dims::D2(3, 4).validate(10).unwrap_err();
+        assert!(e.to_string().contains("10"), "{e}");
+        assert!(e.to_string().contains("12"), "{e}");
+        let e = crate::Dims::D1(0).validate(0).unwrap_err();
+        assert!(e.to_string().contains("non-zero"), "{e}");
+        let e = crate::CodecConfig::abs(-3.0).validate().unwrap_err();
+        assert!(e.to_string().contains("-3"), "{e}");
     }
 }

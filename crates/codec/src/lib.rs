@@ -18,13 +18,17 @@
 //!   `tac-core`'s level payloads and chunk tables so containers are
 //!   self-describing;
 //! * three decoders and two encoders: [`SzCodec`] (the SZ-style
-//!   predict-quantize-encode compressor from `tac-sz`) and [`PcoAns`]
+//!   predict-quantize-encode compressor, below) and [`PcoAns`]
 //!   (a pcodec-style quantize–delta front end with a tabled-ANS entropy
 //!   stage and branch-free batch decode kernels) write and read;
 //!   [`PcoLite`] (the same front end with per-page bit packing) only
 //!   reads, so the containers it wrote keep decoding;
 //! * [`codec_for`], [`sniff_codec`] and [`stream_dtype`], which
-//!   `tac-core` dispatches and sniffs through.
+//!   `tac-core` dispatches and sniffs through;
+//! * the shared wire layer: the little-endian reader and writer
+//!   ([`mod@wire`]) every hand-rolled format goes through, `tac-core`'s
+//!   containers included, and the LZSS stage ([`mod@lossless`]) that
+//!   packs SZ and pco-lite bodies and `tac-core`'s masks.
 //!
 //! ```
 //! use tac_codec::{codec_for, CodecConfig, CodecId, Dims};
@@ -51,11 +55,46 @@
 //! lists the two a writer may pick; compressing through [`PcoLite`] is
 //! [`CodecError::InvalidConfig`]. Every stream opens
 //! with one header — magic, version, flags, rank, dims, bound — which
-//! [`tac_sz::Header`] (`tac-sz`'s `container.rs`) alone writes and
-//! reads. A backend owns its 4-byte `MAGIC` and its `VERSION` (the
-//! magics are pairwise distinct, which `tac-lint`'s wirecheck
-//! enforces), its flag policy and the body after the header; sniffing
-//! peeks at the header once and matches its magic and version.
+//! the `container` module alone writes and reads. A backend owns its
+//! 4-byte `MAGIC` and its `VERSION` (the magics are pairwise distinct,
+//! which `tac-lint`'s wirecheck enforces), its flag policy and the body
+//! after the header; sniffing peeks at the header once and matches its
+//! magic and version.
+//!
+//! ## SZ
+//!
+//! [`SzCodec`] is a from-scratch, SZ-style error-bounded lossy
+//! compressor for floating-point scientific data — the substrate the
+//! TAC paper (HPDC'22) builds on. Its pipeline mirrors the three SZ
+//! stages the paper describes:
+//!
+//! 1. **Prediction** — Lorenzo predictors (1D/2D/3D, plus batched-3D for
+//!    rank-4 inputs) evaluated on *reconstructed* neighbours, or an
+//!    SZ2-style per-block regression plane;
+//! 2. **Error-controlled quantization** — linear-scaling bins of width
+//!    `2*eb` with verbatim fallback for unpredictable points;
+//! 3. **Entropy + dictionary coding** — canonical Huffman over the
+//!    quantization codes followed by the LZSS stage.
+//!
+//! The regression predictor and the LZSS stage are fields of
+//! [`SzCodec`], for ablations; [`codec_for`] hands out
+//! [`SzCodec::FULL`], with both on.
+//!
+//! ```
+//! use tac_codec::{CodecConfig, Dims, ScalarCodec, SzCodec};
+//!
+//! let data: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.01).sin()).collect();
+//! let pure_lorenzo = SzCodec { regression: false, ..SzCodec::FULL };
+//! let cfg = CodecConfig::abs(1e-4);
+//! for sz in [SzCodec::FULL, pure_lorenzo] {
+//!     let bytes = sz.compress(&data, None, Dims::D3(16, 16, 16), &cfg).unwrap();
+//!     let (restored, dims): (Vec<f64>, _) = sz.decompress(&bytes).unwrap();
+//!     assert_eq!(dims, Dims::D3(16, 16, 16));
+//!     for (a, b) in data.iter().zip(&restored) {
+//!         assert!((a - b).abs() <= 1e-4);
+//!     }
+//! }
+//! ```
 //!
 //! The error-bound contract every backend must uphold: for each finite
 //! *care* value `v` and its reconstruction `v'`, `|v - v'| <= abs_eb`;
@@ -68,30 +107,49 @@
 
 mod ans;
 mod bins;
+mod config;
+mod container;
 mod error;
 mod pco;
 mod pco_ans;
-mod sz;
 #[cfg(test)]
 mod testdata;
+pub mod wire;
 
+// SZ's stages live under `sz/` and sit at the crate root, as the
+// other backends' modules do.
+#[path = "sz/bitstream.rs"]
+mod bitstream;
+#[path = "sz/compress.rs"]
+mod compress;
+#[path = "sz/huffman.rs"]
+mod huffman;
+#[path = "sz/lossless.rs"]
+pub mod lossless;
+#[path = "sz/predictor.rs"]
+mod predictor;
+#[path = "sz/quantizer.rs"]
+mod quantizer;
+#[path = "sz/regression.rs"]
+mod regression;
+
+pub use compress::SzCodec;
+pub use config::{CodecConfig, Dims, ErrorBound};
+pub use container::FLAG_LOSSLESS;
 pub use error::CodecError;
 pub use pco::PcoLite;
 pub use pco_ans::PcoAns;
-pub use sz::SzCodec;
-// The array-shape and bound vocabulary is shared with the SZ substrate;
-// the element-type vocabulary with the dtype substrate.
+// The element-type vocabulary is shared with the dtype substrate.
 pub use tac_dtype::{Element, TacDtype};
-pub use tac_sz::{Dims, ErrorBound};
 
-use tac_sz::Header;
+use container::Header;
 
 /// Stable one-byte identifier of a scalar-codec backend — the tag
 /// `tac-core` writes into level payloads and v3 chunk tables. Wire tags
 /// are append-only; renumbering breaks every shipped container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodecId {
-    /// The SZ-style predict–quantize–encode compressor (`tac-sz`). Wire
+    /// The SZ-style predict–quantize–encode compressor ([`SzCodec`]). Wire
     /// tag 0; the implicit codec of every pre-codec (v1/v2) container.
     Sz,
     /// The pcodec-inspired delta + per-page bit-packing codec (wire tag
@@ -151,35 +209,6 @@ impl Default for CodecId {
 impl std::fmt::Display for CodecId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Backend-agnostic per-stream compression parameters.
-///
-/// The error bound arrives here already **resolved to an absolute
-/// epsilon** (TAC resolves relative bounds per level, against each
-/// level's own value range).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CodecConfig {
-    /// Absolute point-wise error bound (`|v - v'| <= abs_eb`).
-    pub abs_eb: f64,
-}
-
-impl CodecConfig {
-    /// Configuration with the given absolute bound.
-    pub fn abs(abs_eb: f64) -> Self {
-        CodecConfig { abs_eb }
-    }
-
-    /// Validates the resolved bound.
-    pub fn validate(&self) -> Result<(), CodecError> {
-        if self.abs_eb <= 0.0 || !self.abs_eb.is_finite() {
-            return Err(CodecError::InvalidConfig(format!(
-                "absolute error bound must be positive and finite, got {}",
-                self.abs_eb
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -270,7 +299,7 @@ pub(crate) fn check_care(care: Option<&[bool]>, len: usize) -> Result<(), CodecE
 /// The registered backend for a codec id.
 pub fn codec_for<T: Element>(id: CodecId) -> &'static dyn ScalarCodec<T> {
     match id {
-        CodecId::Sz => &SzCodec,
+        CodecId::Sz => &SzCodec::FULL,
         CodecId::PcoLite => &PcoLite,
         CodecId::PcoAns => &PcoAns,
     }
@@ -285,7 +314,7 @@ fn stream_head(bytes: &[u8]) -> Result<(CodecId, TacDtype), CodecError> {
     };
     let (magic, version, dtype) = Header::peek(bytes).ok_or_else(unknown)?;
     let id = match (magic, version) {
-        (tac_sz::MAGIC, tac_sz::VERSION) => CodecId::Sz,
+        (compress::MAGIC, compress::VERSION) => CodecId::Sz,
         (pco::MAGIC, pco::VERSION) => CodecId::PcoLite,
         (pco_ans::MAGIC, pco_ans::VERSION) => CodecId::PcoAns,
         _ => return Err(unknown()),
@@ -401,7 +430,7 @@ mod tests {
     fn magics_are_unique_and_prefix_free() {
         // Sniffing matches whole 4-byte magics, so pairwise distinct
         // magics are prefix-free too.
-        let magics = [tac_sz::MAGIC, pco::MAGIC, pco_ans::MAGIC];
+        let magics = [compress::MAGIC, pco::MAGIC, pco_ans::MAGIC];
         for (i, a) in magics.iter().enumerate() {
             for b in &magics[i + 1..] {
                 assert_ne!(a, b);

@@ -28,10 +28,11 @@
 //! decoder a single linear scan. The shape ([`Dims`]) is metadata only
 //! — rank does not change the encoding.
 
-use crate::{CodecConfig, CodecError, ScalarCodec};
+use crate::container::{Header, FLAG_LOSSLESS};
+use crate::error::header_error;
+use crate::wire::ByteReader;
+use crate::{lossless, CodecConfig, CodecError, Dims, ScalarCodec};
 use tac_dtype::Element;
-use tac_sz::wire::ByteReader;
-use tac_sz::{lossless, Dims, Header, HeaderError, FLAG_LOSSLESS};
 
 /// Stream magic number ("TAC Pco-Lite v1").
 pub(crate) const MAGIC: [u8; 4] = *b"TPL1";
@@ -346,25 +347,6 @@ fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
 }
 
-/// Maps a refused stream header onto the errors both pcodec-style
-/// decoders report: another magic is [`CodecError::WrongCodec`], another
-/// element type [`CodecError::WrongDtype`], anything else corrupt.
-/// `label` names the backend.
-pub(crate) fn header_error(label: &'static str, e: HeaderError) -> CodecError {
-    match e {
-        HeaderError::Magic(found) => CodecError::WrongCodec {
-            expected: label,
-            found: format!("magic {found:02x?}"),
-        },
-        HeaderError::Dtype { stream, requested } => CodecError::WrongDtype {
-            stream: stream.label(),
-            requested: requested.label(),
-        },
-        HeaderError::Version { .. } => corrupt(format!("{label} {e}")),
-        HeaderError::Corrupt(msg) => corrupt(msg),
-    }
-}
-
 /// Opens a body of `n` declared points. `min_body` is the least a body
 /// of that many points can occupy on the backend's wire: checked first,
 /// so a crafted header cannot demand terabytes of reconstruction from a
@@ -528,7 +510,8 @@ impl<T: Element> ScalarCodec<T> for PcoLite {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{bit_len, packed_bytes, zigzag, Element, MAGIC, PAGE, VERSION};
-    use tac_sz::{lossless, Dims, Header, FLAG_LOSSLESS};
+    use crate::container::{Header, FLAG_LOSSLESS};
+    use crate::{lossless, Dims};
 
     /// Serialized size of one page outlier (position u16 + zigzag u64).
     const OUTLIER_BYTES: usize = 10;
@@ -883,8 +866,9 @@ mod tests {
 
     #[test]
     fn foreign_magic_is_wrong_codec() {
-        let sz =
-            tac_sz::compress(&[1.0; 8], None, Dims::D1(8), &tac_sz::SzConfig::abs(1.0)).unwrap();
+        let sz = crate::codec_for(crate::CodecId::Sz)
+            .compress(&[1.0; 8], None, Dims::D1(8), &CodecConfig::abs(1.0))
+            .unwrap();
         assert!(matches!(
             f64::codec_decompress(&PcoLite, &sz),
             Err(CodecError::WrongCodec { .. })

@@ -39,13 +39,12 @@
 
 use crate::ans::{self, AnsDecoder, DecodeTable, EncSym, LANES, RANS_L, SYMBOL_SLOTS};
 use crate::bins::{self, CLASSES};
-use crate::pco::{
-    encode_stream, header_error, patch_exceptions, read_exceptions, unzigzag, BitSink,
-};
-use crate::{check_care, CodecConfig, CodecError, ScalarCodec};
+use crate::container::{Header, FLAG_F32};
+use crate::error::header_error;
+use crate::pco::{encode_stream, patch_exceptions, read_exceptions, unzigzag, BitSink};
+use crate::wire::ByteReader;
+use crate::{check_care, CodecConfig, CodecError, Dims, ScalarCodec};
 use tac_dtype::Element;
-use tac_sz::wire::ByteReader;
-use tac_sz::{Dims, Header, FLAG_F32};
 
 /// Stream magic number ("TAC Pco-ANS v1").
 pub(crate) const MAGIC: [u8; 4] = *b"TPA1";
@@ -657,8 +656,9 @@ mod tests {
 
     #[test]
     fn foreign_magic_is_wrong_codec() {
-        let sz =
-            tac_sz::compress(&[1.0; 8], None, Dims::D1(8), &tac_sz::SzConfig::abs(1.0)).unwrap();
+        let sz = crate::codec_for(crate::CodecId::Sz)
+            .compress(&[1.0; 8], None, Dims::D1(8), &CodecConfig::abs(1.0))
+            .unwrap();
         assert!(matches!(
             f64::codec_decompress(&PcoAns, &sz),
             Err(CodecError::WrongCodec { .. })

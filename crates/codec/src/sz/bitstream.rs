@@ -11,7 +11,7 @@
 //! the buffer read as zero; bits past the declared length may be peeked
 //! but never consumed, so every over-read is still an error.
 
-use crate::error::SzError;
+use crate::CodecError;
 
 /// Most bits [`BitReader::peek_bits`] returns: one 8-byte load shifted
 /// by the cursor's bit offset (at most 7) keeps 57 bits whole.
@@ -95,9 +95,9 @@ impl<'a> BitReader<'a> {
     ///
     /// # Errors
     /// Fails if `buf` is too short to hold `bit_len` bits.
-    pub fn new(buf: &'a [u8], bit_len: u64) -> Result<Self, SzError> {
+    pub fn new(buf: &'a [u8], bit_len: u64) -> Result<Self, CodecError> {
         if (buf.len() as u64) * 8 < bit_len {
-            return Err(SzError::Corrupt(format!(
+            return Err(CodecError::Corrupt(format!(
                 "bitstream declares {bit_len} bits but holds only {}",
                 buf.len() as u64 * 8
             )));
@@ -151,9 +151,9 @@ impl<'a> BitReader<'a> {
     /// # Errors
     /// Fails on over-read, leaving the cursor where it was.
     #[inline]
-    pub fn consume(&mut self, nbits: u64) -> Result<(), SzError> {
+    pub fn consume(&mut self, nbits: u64) -> Result<(), CodecError> {
         if self.remaining() < nbits {
-            return Err(SzError::Corrupt("bitstream over-read".into()));
+            return Err(CodecError::Corrupt("bitstream over-read".into()));
         }
         self.pos += nbits;
         Ok(())
@@ -164,9 +164,9 @@ impl<'a> BitReader<'a> {
     /// # Errors
     /// Fails on over-read.
     #[inline]
-    pub fn read_bits(&mut self, nbits: u8) -> Result<u64, SzError> {
+    pub fn read_bits(&mut self, nbits: u8) -> Result<u64, CodecError> {
         if self.remaining() < u64::from(nbits) {
-            return Err(SzError::Corrupt("bitstream over-read".into()));
+            return Err(CodecError::Corrupt("bitstream over-read".into()));
         }
         if nbits == 0 {
             return Ok(0);
@@ -184,7 +184,7 @@ impl<'a> BitReader<'a> {
 
     /// Reads one bit.
     #[inline]
-    pub fn read_bit(&mut self) -> Result<bool, SzError> {
+    pub fn read_bit(&mut self) -> Result<bool, CodecError> {
         Ok(self.read_bits(1)? == 1)
     }
 }
@@ -194,7 +194,7 @@ impl<'a> BitReader<'a> {
 /// [`BitWriter`] and [`BitReader`] to.
 #[cfg(test)]
 pub(crate) mod reference {
-    use crate::error::SzError;
+    use crate::CodecError;
 
     /// Accumulates bits MSB-first into a byte buffer.
     #[derive(Debug, Default)]
@@ -277,9 +277,9 @@ pub(crate) mod reference {
         ///
         /// # Errors
         /// Fails if `buf` is too short to hold `bit_len` bits.
-        pub fn new(buf: &'a [u8], bit_len: u64) -> Result<Self, SzError> {
+        pub fn new(buf: &'a [u8], bit_len: u64) -> Result<Self, CodecError> {
             if (buf.len() as u64) * 8 < bit_len {
-                return Err(SzError::Corrupt(format!(
+                return Err(CodecError::Corrupt(format!(
                     "bitstream declares {bit_len} bits but holds only {}",
                     buf.len() as u64 * 8
                 )));
@@ -301,9 +301,9 @@ pub(crate) mod reference {
         /// # Errors
         /// Fails on over-read.
         #[inline]
-        pub fn read_bits(&mut self, nbits: u8) -> Result<u64, SzError> {
+        pub fn read_bits(&mut self, nbits: u8) -> Result<u64, CodecError> {
             if self.remaining() < nbits as u64 {
-                return Err(SzError::Corrupt("bitstream over-read".into()));
+                return Err(CodecError::Corrupt("bitstream over-read".into()));
             }
             let mut out = 0u64;
             let mut remaining = nbits;
@@ -312,7 +312,7 @@ pub(crate) mod reference {
                     .buf
                     .get((self.pos / 8) as usize)
                     .copied()
-                    .ok_or_else(|| SzError::Corrupt("bitstream over-read".into()))?;
+                    .ok_or_else(|| CodecError::Corrupt("bitstream over-read".into()))?;
                 let offset = (self.pos % 8) as u8;
                 let avail = 8 - offset;
                 let take = remaining.min(avail);
@@ -326,7 +326,7 @@ pub(crate) mod reference {
 
         /// Reads one bit.
         #[inline]
-        pub fn read_bit(&mut self) -> Result<bool, SzError> {
+        pub fn read_bit(&mut self) -> Result<bool, CodecError> {
             Ok(self.read_bits(1)? == 1)
         }
     }

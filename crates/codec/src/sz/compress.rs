@@ -1,5 +1,5 @@
-//! The compression pipeline: prediction -> quantization -> Huffman ->
-//! lossless backend, and its exact inverse.
+//! The SZ backend: prediction -> quantization -> Huffman -> lossless
+//! backend, and its exact inverse.
 //!
 //! Compressor and decompressor share one traversal (`traverse`) that walks
 //! the array in row-major order, computes the Lorenzo prediction from the
@@ -8,16 +8,74 @@
 //! the identical reconstruction, which is what guarantees the error bound.
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::config::{Dims, SzConfig};
-use crate::container::{Header, HeaderError, FLAG_LOSSLESS, MAGIC, VERSION};
-use crate::error::SzError;
+use crate::container::{Header, FLAG_LOSSLESS};
+use crate::error::header_error;
 use crate::huffman::HuffmanCode;
 use crate::lossless;
 use crate::predictor::{lorenzo_1d, lorenzo_2d, lorenzo_3d};
 use crate::quantizer::{Quantized, Quantizer, UNPREDICTABLE};
 use crate::regression::RegressionContext;
 use crate::wire::ByteReader;
+use crate::{check_care, CodecConfig, CodecError, Dims, ScalarCodec};
 use tac_dtype::Element;
+
+/// Stream magic number ("TAC SZ v1").
+pub(crate) const MAGIC: [u8; 4] = *b"TSZ1";
+/// Current format version.
+pub(crate) const VERSION: u8 = 1;
+
+/// The SZ-style predict–quantize–encode compressor: the default codec
+/// and the implicit codec of every container written before the backend
+/// layer existed.
+///
+/// Its two fields switch the optional stages; [`SzCodec::FULL`], with
+/// both on, is what [`codec_for`](crate::codec_for) hands out and what
+/// every shipped stream was written with. The decoder reads the stream
+/// whichever were on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SzCodec {
+    /// Whether to offer the encoded payload to the LZSS lossless stage
+    /// (the pack is kept only when smaller).
+    pub lossless: bool,
+    /// Whether rank-3/4 inputs may use the SZ2-style per-block
+    /// regression predictor (Lorenzo remains the fallback per block).
+    /// Off gives SZ-1.4-style pure-Lorenzo streams.
+    pub regression: bool,
+}
+
+impl SzCodec {
+    /// Every stage on.
+    pub const FULL: SzCodec = SzCodec {
+        lossless: true,
+        regression: true,
+    };
+}
+
+impl<T: Element> ScalarCodec<T> for SzCodec {
+    /// Monomorphized per element width, with no per-value dtype
+    /// branches: `f32` streams set the header's `f32` flag and store
+    /// verbatim values at 4 bytes each. Never fails on data content
+    /// (NaN/Inf values are stored verbatim).
+    ///
+    /// A don't-care point codes the zero residual (it reconstructs as
+    /// its prediction) and is never stored verbatim, and a regression
+    /// block is fitted only where the block and its one-cell causal halo
+    /// (the cells at `x - 1`, `y - 1`, `z - 1` inside the slab) are all
+    /// care, so the stream does not depend on any don't-care value.
+    fn compress(
+        &self,
+        data: &[T],
+        care: Option<&[bool]>,
+        dims: Dims,
+        cfg: &CodecConfig,
+    ) -> Result<Vec<u8>, CodecError> {
+        compress_with::<T, Shipped>(self, data, care, dims, cfg, CAPACITY).map(|(bytes, _)| bytes)
+    }
+
+    fn decompress(&self, bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
+        decompress_with::<T, Shipped>(bytes)
+    }
+}
 
 /// The entropy and lossless stages of a stream, both ways. The
 /// pipeline is generic over them so the differential tests can run the
@@ -33,11 +91,11 @@ trait BackEnd {
         bits: &[u8],
         bit_len: u64,
         n: usize,
-    ) -> Result<Vec<u32>, SzError>;
+    ) -> Result<Vec<u32>, CodecError>;
     /// The LZSS pack of a payload.
     fn pack(payload: &[u8]) -> Vec<u8>;
     /// The payload of an LZSS-packed body.
-    fn unpack(body: &[u8]) -> Result<Vec<u8>, SzError>;
+    fn unpack(body: &[u8]) -> Result<Vec<u8>, CodecError>;
 }
 
 /// The back end every stream is written and read with.
@@ -57,7 +115,7 @@ impl BackEnd for Shipped {
         bits: &[u8],
         bit_len: u64,
         n: usize,
-    ) -> Result<Vec<u32>, SzError> {
+    ) -> Result<Vec<u32>, CodecError> {
         code.decode(&mut BitReader::new(bits, bit_len)?, n)
     }
 
@@ -65,7 +123,7 @@ impl BackEnd for Shipped {
         lossless::compress(payload)
     }
 
-    fn unpack(body: &[u8]) -> Result<Vec<u8>, SzError> {
+    fn unpack(body: &[u8]) -> Result<Vec<u8>, CodecError> {
         lossless::decompress(body)
     }
 }
@@ -78,7 +136,7 @@ impl BackEnd for Shipped {
 trait PointCodec<T: Element> {
     /// Processes the point at flat index `idx` with prediction `pred`,
     /// returning the reconstructed value to store.
-    fn process(&mut self, idx: usize, pred: f64) -> Result<T, SzError>;
+    fn process(&mut self, idx: usize, pred: f64) -> Result<T, CodecError>;
 }
 
 /// Encoder-side codec: quantizes the original data. A point `care`
@@ -96,7 +154,7 @@ struct Encoder<'a, T: Element> {
 impl<T: Element> PointCodec<T> for Encoder<'_, T> {
     #[inline]
     // tac-lint: allow(panic) -- encoder over in-memory data: the traversal only produces idx < dims.len() == data.len() == care.len(), validated before entry.
-    fn process(&mut self, idx: usize, pred: f64) -> Result<T, SzError> {
+    fn process(&mut self, idx: usize, pred: f64) -> Result<T, CodecError> {
         if self.care.is_some_and(|care| !care[idx]) {
             let zero = self.quantizer.zero_symbol();
             self.symbols.push(zero);
@@ -125,16 +183,16 @@ struct Decoder<'a, T: Element> {
 
 impl<T: Element> PointCodec<T> for Decoder<'_, T> {
     #[inline]
-    fn process(&mut self, idx: usize, pred: f64) -> Result<T, SzError> {
+    fn process(&mut self, idx: usize, pred: f64) -> Result<T, CodecError> {
         let sym = *self
             .symbols
             .get(idx)
-            .ok_or_else(|| SzError::Corrupt("symbol stream exhausted".into()))?;
+            .ok_or_else(|| CodecError::Corrupt("symbol stream exhausted".into()))?;
         if sym == UNPREDICTABLE {
             let v = *self
                 .raws
                 .get(self.next_raw)
-                .ok_or_else(|| SzError::Corrupt("raw value stream exhausted".into()))?;
+                .ok_or_else(|| CodecError::Corrupt("raw value stream exhausted".into()))?;
             self.next_raw += 1;
             Ok(v)
         } else {
@@ -154,7 +212,7 @@ fn traverse<T: Element, C: PointCodec<T>>(
     recon: &mut [T],
     contexts: &[Option<RegressionContext>],
     codec: &mut C,
-) -> Result<(), SzError> {
+) -> Result<(), CodecError> {
     match dims {
         Dims::D1(n) => {
             for i in 0..n {
@@ -203,7 +261,7 @@ fn traverse_3d<T: Element, C: PointCodec<T>>(
     recon: &mut [T],
     ctx: Option<&RegressionContext>,
     codec: &mut C,
-) -> Result<(), SzError> {
+) -> Result<(), CodecError> {
     let grid = &mut recon[base..base + nx * ny * nz];
     for z in 0..nz {
         for y in 0..ny {
@@ -262,54 +320,23 @@ fn build_contexts<T: Element>(
 /// The stream stores it, and the decoder reads whatever value it holds.
 const CAPACITY: u32 = 65536;
 
-/// Compresses `data` with the given shape under `cfg`'s absolute bound.
-/// Monomorphized per element width, with no per-value dtype branches:
-/// `f32` streams set [`FLAG_F32`](crate::FLAG_F32) and store verbatim
-/// values at 4 bytes each.
-///
-/// `care`, when given, marks with `false` the *don't-care* points: the
-/// bound holds on the others only. A don't-care point codes the zero
-/// residual (it reconstructs as its prediction) and is never stored
-/// verbatim, and a regression block is fitted only where the block and
-/// its one-cell causal halo (the cells at `x - 1`, `y - 1`, `z - 1`
-/// inside the slab) are all care, so the stream does not depend on any
-/// don't-care value. `None` and an all-true mask write the same bytes.
-///
-/// # Errors
-/// Fails on shape/config validation errors, never on data content
-/// (NaN/Inf values are stored verbatim).
-///
-/// # Panics
-/// Panics if `care` is given with another length than `data`: the
-/// callers own that rule (`tac-codec`'s `SzCodec` checks it and reports
-/// `CodecError::InvalidConfig`).
-pub fn compress<T: Element>(
-    data: &[T],
-    care: Option<&[bool]>,
-    dims: Dims,
-    cfg: &SzConfig,
-) -> Result<Vec<u8>, SzError> {
-    compress_with::<T, Shipped>(data, care, dims, cfg, CAPACITY).map(|(bytes, _)| bytes)
-}
-
 /// The encoder over the back end `B`, writing `capacity` quantization
 /// bins: the stream, and the reconstruction the predictor read, which
 /// is what the decoder will produce.
 fn compress_with<T: Element, B: BackEnd>(
+    sz: &SzCodec,
     data: &[T],
     care: Option<&[bool]>,
     dims: Dims,
-    cfg: &SzConfig,
+    cfg: &CodecConfig,
     capacity: u32,
-) -> Result<(Vec<u8>, Vec<T>), SzError> {
-    dims.validate(data.len())?;
+) -> Result<(Vec<u8>, Vec<T>), CodecError> {
     cfg.validate()?;
-    if let Some(care) = care {
-        assert_eq!(care.len(), data.len(), "one care flag per value");
-    }
+    check_care(care, data.len())?;
+    dims.validate(data.len())?;
     let abs_eb = cfg.abs_eb;
     let quantizer = Quantizer::new(abs_eb, capacity as usize);
-    let contexts = build_contexts(data, care, dims, abs_eb, cfg.regression);
+    let contexts = build_contexts(data, care, dims, abs_eb, sz.regression);
     if tac_obs::enabled() {
         // Predictor mix: regression vs. Lorenzo blocks, per slab.
         for ctx in contexts.iter().flatten() {
@@ -382,7 +409,7 @@ fn compress_with<T: Element, B: BackEnd>(
     payload.extend_from_slice(&bits);
 
     let mut header = Header::new::<T>(MAGIC, VERSION, dims, abs_eb);
-    let body = if cfg.lossless {
+    let body = if sz.lossless {
         let packed = {
             let _lossless = tac_obs::span(tac_obs::Stage::Lossless);
             B::pack(&payload)
@@ -409,34 +436,18 @@ fn compress_with<T: Element, B: BackEnd>(
     Ok((out, recon))
 }
 
-/// Decompresses a stream produced by [`compress`], returning the data and
-/// its shape. The stream's dtype flag must match `T`: another width is
-/// [`SzError::UnsupportedFormat`].
-pub fn decompress<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError> {
-    decompress_with::<T, Shipped>(bytes)
-}
-
-impl From<HeaderError> for SzError {
-    /// Another magic, version or element type is a format this decoder
-    /// does not read; anything else is a corrupt header.
-    fn from(e: HeaderError) -> Self {
-        match e {
-            HeaderError::Corrupt(msg) => SzError::Corrupt(msg),
-            other => SzError::UnsupportedFormat(other.to_string()),
-        }
-    }
-}
-
-/// [`decompress`] over the back end `B`.
-fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims), SzError> {
+/// The decoder over the back end `B`. The stream's dtype flag must match
+/// `T`: another width is [`CodecError::WrongDtype`].
+fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
     // Unknown flag bits have always been ignored on this wire.
-    let (header, rest) = Header::read::<T>(bytes, MAGIC, VERSION, u8::MAX)?;
+    let (header, rest) =
+        Header::read::<T>(bytes, MAGIC, VERSION, u8::MAX).map_err(|e| header_error("sz", e))?;
     let mut r = ByteReader::new(rest);
     let capacity = r
         .get_u32()
-        .map_err(|_| SzError::Corrupt("header truncated".into()))?;
+        .map_err(|_| CodecError::Corrupt("header truncated".into()))?;
     if capacity < 4 || capacity % 2 != 0 {
-        return Err(SzError::Corrupt(format!(
+        return Err(CodecError::Corrupt(format!(
             "invalid stored capacity {capacity}"
         )));
     }
@@ -460,7 +471,7 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
     // caps the up-front allocation (a crafted count must not reserve
     // gigabytes before the reads start failing).
     if n_raw > n || n_raw.saturating_mul(T::WIRE_BYTES) > r.remaining() {
-        return Err(SzError::Corrupt(format!(
+        return Err(CodecError::Corrupt(format!(
             "{n_raw} raw values for {n} points in a {}-byte payload",
             payload.len()
         )));
@@ -468,7 +479,8 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
     let mut raws = Vec::with_capacity(n_raw);
     for _ in 0..n_raw {
         let chunk = r.get_bytes(T::WIRE_BYTES)?;
-        let v = T::read_le(chunk).ok_or_else(|| SzError::Corrupt("raw value truncated".into()))?;
+        let v =
+            T::read_le(chunk).ok_or_else(|| CodecError::Corrupt("raw value truncated".into()))?;
         raws.push(v);
     }
 
@@ -477,7 +489,7 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
     let pred_section = r.get_bytes(pred_len)?;
     let pred_tag = pred_section.first().copied();
     let contexts: Vec<Option<RegressionContext>> = match pred_tag {
-        None => return Err(SzError::Corrupt("missing predictor section".into())),
+        None => return Err(CodecError::Corrupt("missing predictor section".into())),
         Some(0) => Vec::new(),
         Some(1) => {
             let slab_dims = match header.dims {
@@ -486,13 +498,13 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
                 _ => None,
             };
             let (nx, ny, nz, nw) = slab_dims
-                .ok_or_else(|| SzError::Corrupt("regression on rank < 3 stream".into()))?;
+                .ok_or_else(|| CodecError::Corrupt("regression on rank < 3 stream".into()))?;
             // Every serialized context occupies at least one byte, so a
             // crafted D4 header whose batch axis dwarfs the predictor
             // section must fail here — not in a `with_capacity(nw)` that
             // tries to reserve hundreds of gigabytes.
             if nw > pred_section.len() {
-                return Err(SzError::Corrupt(format!(
+                return Err(CodecError::Corrupt(format!(
                     "{nw} regression slabs cannot fit a {}-byte predictor section",
                     pred_section.len()
                 )));
@@ -502,23 +514,23 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
             for _ in 0..nw {
                 let section = pred_section
                     .get(off..)
-                    .ok_or_else(|| SzError::Corrupt("predictor section truncated".into()))?;
+                    .ok_or_else(|| CodecError::Corrupt("predictor section truncated".into()))?;
                 let (ctx, used) =
                     RegressionContext::deserialize(section, nx, ny, nz, header.abs_eb)?;
                 off = off
                     .checked_add(used)
-                    .ok_or_else(|| SzError::Corrupt("predictor cursor overflow".into()))?;
+                    .ok_or_else(|| CodecError::Corrupt("predictor cursor overflow".into()))?;
                 ctxs.push(Some(ctx));
             }
             if off != pred_section.len() {
-                return Err(SzError::Corrupt(
+                return Err(CodecError::Corrupt(
                     "predictor section has trailing bytes".into(),
                 ));
             }
             ctxs
         }
         Some(tag) => {
-            return Err(SzError::Corrupt(format!("unknown predictor tag {tag}")));
+            return Err(CodecError::Corrupt(format!("unknown predictor tag {tag}")));
         }
     };
 
@@ -531,7 +543,7 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
     // declared point count from driving a huge symbol-buffer allocation
     // backed by a tiny bit stream.
     if (n as u64) > bit_len {
-        return Err(SzError::Corrupt(format!(
+        return Err(CodecError::Corrupt(format!(
             "{n} points cannot decode from a {bit_len}-bit stream"
         )));
     }
@@ -551,7 +563,7 @@ fn decompress_with<T: Element, B: BackEnd>(bytes: &[u8]) -> Result<(Vec<T>, Dims
         traverse(header.dims, &mut recon, &contexts, &mut dec)?;
     }
     if dec.next_raw != raws.len() {
-        return Err(SzError::Corrupt(format!(
+        return Err(CodecError::Corrupt(format!(
             "{} raw values unused",
             raws.len() - dec.next_raw
         )));
@@ -564,6 +576,32 @@ mod tests {
     use super::*;
     use crate::ErrorBound;
     use tac_dtype::TacDtype;
+
+    /// No LZSS stage.
+    const NO_LZSS: SzCodec = SzCodec {
+        lossless: false,
+        ..SzCodec::FULL
+    };
+
+    /// No regression predictor.
+    const NO_REGRESSION: SzCodec = SzCodec {
+        regression: false,
+        ..SzCodec::FULL
+    };
+
+    /// The stream every stage writes.
+    fn compress<T: Element>(
+        data: &[T],
+        care: Option<&[bool]>,
+        dims: Dims,
+        cfg: &CodecConfig,
+    ) -> Result<Vec<u8>, CodecError> {
+        SzCodec::FULL.compress(data, care, dims, cfg)
+    }
+
+    fn decompress<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims), CodecError> {
+        decompress_with::<T, Shipped>(bytes)
+    }
 
     fn smooth_3d(n: usize) -> Vec<f64> {
         let mut v = Vec::with_capacity(n * n * n);
@@ -580,7 +618,7 @@ mod tests {
 
     /// A configuration whose bound is `rel` times the finite value range
     /// of `data`, resolved the way a caller resolves it.
-    fn rel<T: Element>(data: &[T], rel: f64) -> SzConfig {
+    fn rel<T: Element>(data: &[T], rel: f64) -> CodecConfig {
         let (min, max) = data
             .iter()
             .filter(|v| v.is_finite())
@@ -592,7 +630,7 @@ mod tests {
         } else {
             (0.0, 0.0)
         };
-        SzConfig::abs(
+        CodecConfig::abs(
             ErrorBound::Rel(rel)
                 .resolve_for(min, max, T::DTYPE)
                 .unwrap(),
@@ -635,7 +673,7 @@ mod tests {
             bits: &[u8],
             bit_len: u64,
             n: usize,
-        ) -> Result<Vec<u32>, SzError> {
+        ) -> Result<Vec<u32>, CodecError> {
             let mut reader = crate::bitstream::reference::BitReader::new(bits, bit_len)?;
             crate::huffman::reference::HuffmanCode::from_table(code).decode(&mut reader, n)
         }
@@ -644,7 +682,7 @@ mod tests {
             lossless::reference::compress(payload)
         }
 
-        fn unpack(body: &[u8]) -> Result<Vec<u8>, SzError> {
+        fn unpack(body: &[u8]) -> Result<Vec<u8>, CodecError> {
             lossless::reference::decompress(body)
         }
     }
@@ -670,18 +708,23 @@ mod tests {
 
     /// The last bound puts the spikes' codes far outside the default
     /// window, so those streams carry raw values.
-    fn configs() -> Vec<SzConfig> {
+    fn configs() -> Vec<(SzCodec, CodecConfig)> {
         vec![
-            SzConfig::abs(1e-3),
-            SzConfig::abs(1e-3).without_lossless(),
-            SzConfig::abs(1e-5),
-            SzConfig::abs(1e-2).without_regression(),
-            SzConfig::abs(1e-6),
+            (SzCodec::FULL, CodecConfig::abs(1e-3)),
+            (NO_LZSS, CodecConfig::abs(1e-3)),
+            (SzCodec::FULL, CodecConfig::abs(1e-5)),
+            (NO_REGRESSION, CodecConfig::abs(1e-2)),
+            (SzCodec::FULL, CodecConfig::abs(1e-6)),
         ]
     }
 
-    fn same_streams<T: Element>(data: &[T], dims: Dims, cfg: &SzConfig, capacity: u32) {
-        same_masked_streams(data, None, dims, cfg, capacity);
+    fn same_streams<T: Element>(
+        data: &[T],
+        dims: Dims,
+        (sz, cfg): (SzCodec, CodecConfig),
+        capacity: u32,
+    ) {
+        same_masked_streams(data, None, dims, (sz, cfg), capacity);
     }
 
     /// [`same_streams`] under a care mask; the decode must also give
@@ -691,12 +734,12 @@ mod tests {
         data: &[T],
         care: Option<&[bool]>,
         dims: Dims,
-        cfg: &SzConfig,
+        (sz, cfg): (SzCodec, CodecConfig),
         capacity: u32,
     ) {
-        let (a, ra) = compress_with::<T, Shipped>(data, care, dims, cfg, capacity).unwrap();
-        let (b, rb) = compress_with::<T, Reference>(data, care, dims, cfg, capacity).unwrap();
-        assert!(a == b, "{dims:?} {cfg:?}: stream differs");
+        let (a, ra) = compress_with::<T, Shipped>(&sz, data, care, dims, &cfg, capacity).unwrap();
+        let (b, rb) = compress_with::<T, Reference>(&sz, data, care, dims, &cfg, capacity).unwrap();
+        assert!(a == b, "{dims:?} {sz:?} {cfg:?}: stream differs");
         let (decoded, _) = decompress::<T>(&a).unwrap();
         assert!(decoded
             .iter()
@@ -749,9 +792,9 @@ mod tests {
             let care = striped_care(data.len());
             let junk = junk_at(&data, &care);
             let data32: Vec<f32> = junk.iter().map(|&v| v as f32).collect();
-            for cfg in configs() {
-                same_masked_streams::<f64>(&junk, Some(&care), dims, &cfg, CAPACITY);
-                same_masked_streams::<f32>(&data32, Some(&care), dims, &cfg, CAPACITY);
+            for setup in configs() {
+                same_masked_streams::<f64>(&junk, Some(&care), dims, setup, CAPACITY);
+                same_masked_streams::<f32>(&data32, Some(&care), dims, setup, CAPACITY);
             }
         }
     }
@@ -760,28 +803,27 @@ mod tests {
     fn an_all_true_mask_writes_the_unmasked_bytes() {
         for (data, dims) in rank_inputs() {
             let all = vec![true; data.len()];
-            for cfg in configs() {
-                let plain = compress(&data, None, dims, &cfg).unwrap();
-                assert!(compress(&data, Some(&all), dims, &cfg).unwrap() == plain);
+            for (sz, cfg) in configs() {
+                let plain = sz.compress(&data, None, dims, &cfg).unwrap();
+                assert!(sz.compress(&data, Some(&all), dims, &cfg).unwrap() == plain);
             }
         }
     }
 
-    /// The length rule is the caller's (`tac-codec` reports it as an
-    /// error); here it is a precondition.
     #[test]
     fn a_mask_of_another_length_is_rejected() {
         let data = smooth_3d(4);
         for len in [0, 63, 65] {
-            let short = std::panic::catch_unwind(|| {
-                compress(
-                    &data,
-                    Some(&vec![true; len]),
-                    Dims::D1(64),
-                    &SzConfig::abs(1e-3),
-                )
-            });
-            assert!(short.is_err(), "a {len}-flag mask over 64 values");
+            let short = compress(
+                &data,
+                Some(&vec![true; len]),
+                Dims::D1(64),
+                &CodecConfig::abs(1e-3),
+            );
+            assert!(
+                matches!(short, Err(CodecError::InvalidConfig(_))),
+                "a {len}-flag mask over 64 values"
+            );
         }
     }
 
@@ -792,15 +834,15 @@ mod tests {
             let junk = junk_at(&data, &care);
             // At this bound the spikes code without a raw value, so
             // every raw value would be the junk's.
-            let cfg = SzConfig::abs(1e-2).without_lossless();
-            let bytes = compress(&junk, Some(&care), dims, &cfg).unwrap();
-            let clean = compress(&data, Some(&care), dims, &cfg).unwrap();
+            let cfg = CodecConfig::abs(1e-2);
+            let bytes = NO_LZSS.compress(&junk, Some(&care), dims, &cfg).unwrap();
+            let clean = NO_LZSS.compress(&data, Some(&care), dims, &cfg).unwrap();
             assert!(
                 bytes == clean,
                 "{dims:?}: a don't-care value reached the stream"
             );
             assert_eq!(raw_count(&bytes), 0, "{dims:?}");
-            let plain = compress(&junk, None, dims, &cfg).unwrap();
+            let plain = NO_LZSS.compress(&junk, None, dims, &cfg).unwrap();
             assert!(
                 raw_count(&plain) > 0 && bytes.len() < plain.len(),
                 "{dims:?}"
@@ -823,7 +865,7 @@ mod tests {
         // starting at 6, so every probe sits next to a block boundary.
         let n = 18;
         let data = smooth_3d(n);
-        let cfg = SzConfig::abs(1e-4);
+        let cfg = CodecConfig::abs(1e-4);
         for probe in [
             (5, 7, 7),
             (7, 5, 7),
@@ -851,26 +893,26 @@ mod tests {
     fn streams_match_reference_back_end() {
         for (data, dims) in rank_inputs() {
             let data32: Vec<f32> = data.iter().map(|&v| v as f32).collect();
-            for cfg in configs() {
-                same_streams::<f64>(&data, dims, &cfg, CAPACITY);
-                same_streams::<f32>(&data32, dims, &cfg, CAPACITY);
+            for setup in configs() {
+                same_streams::<f64>(&data, dims, setup, CAPACITY);
+                same_streams::<f32>(&data32, dims, setup, CAPACITY);
             }
             // A stored capacity other than the writer's decodes too.
-            same_streams::<f64>(&data, dims, &SzConfig::abs(1e-4), 64);
+            same_streams::<f64>(&data, dims, (SzCodec::FULL, CodecConfig::abs(1e-4)), 64);
         }
         // A constant field (one-symbol alphabet) and white noise (wide).
         let constant = [7.25; 4096];
         same_streams::<f64>(
             &constant,
             Dims::D3(16, 16, 16),
-            &rel(&constant, 1e-4),
+            (SzCodec::FULL, rel(&constant, 1e-4)),
             CAPACITY,
         );
         let noise: Vec<f64> = (0..4096u64)
             .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) >> 11) as f64 / (1u64 << 53) as f64)
             .collect();
-        for cfg in [SzConfig::abs(1e-9), SzConfig::abs(1e-3)] {
-            same_streams::<f64>(&noise, Dims::D1(4096), &cfg, CAPACITY);
+        for cfg in [CodecConfig::abs(1e-9), CodecConfig::abs(1e-3)] {
+            same_streams::<f64>(&noise, Dims::D1(4096), (SzCodec::FULL, cfg), CAPACITY);
         }
     }
 
@@ -891,7 +933,7 @@ mod tests {
             })
             .collect();
         for r in [1e-5, 1e-3] {
-            same_streams::<f64>(&data, Dims::D1(n), &rel(&data, r), CAPACITY);
+            same_streams::<f64>(&data, Dims::D1(n), (SzCodec::FULL, rel(&data, r)), CAPACITY);
         }
         let side = if cfg!(debug_assertions) { 24 } else { 96 };
         let cube: Vec<f32> = data
@@ -902,7 +944,7 @@ mod tests {
         same_streams::<f32>(
             &cube,
             Dims::D3(side, side, side),
-            &rel(&cube, 1e-4),
+            (SzCodec::FULL, rel(&cube, 1e-4)),
             CAPACITY,
         );
     }
@@ -916,18 +958,14 @@ mod tests {
     fn decode_errors_match_reference_back_end() {
         let d3 = smooth_3d(6);
         let mut streams = vec![
-            compress(&d3, None, Dims::D3(6, 6, 6), &SzConfig::abs(1e-3)).unwrap(),
-            compress(
-                &d3,
-                None,
-                Dims::D1(216),
-                &SzConfig::abs(1e-2).without_lossless(),
-            )
-            .unwrap(),
-            compress(&d3, None, Dims::D4(3, 4, 6, 3), &SzConfig::abs(1e-4)).unwrap(),
+            compress(&d3, None, Dims::D3(6, 6, 6), &CodecConfig::abs(1e-3)).unwrap(),
+            NO_LZSS
+                .compress(&d3, None, Dims::D1(216), &CodecConfig::abs(1e-2))
+                .unwrap(),
+            compress(&d3, None, Dims::D4(3, 4, 6, 3), &CodecConfig::abs(1e-4)).unwrap(),
         ];
         let d32: Vec<f32> = d3.iter().map(|&v| v as f32).collect();
-        streams.push(compress(&d32, None, Dims::D2(12, 18), &SzConfig::abs(1e-3)).unwrap());
+        streams.push(compress(&d32, None, Dims::D2(12, 18), &CodecConfig::abs(1e-3)).unwrap());
         assert!(streams.iter().any(|s| s[5] & FLAG_LOSSLESS != 0));
         fn check<T: Element>(s: &[u8]) {
             let a = decompress_with::<T, Shipped>(s);
@@ -947,7 +985,7 @@ mod tests {
                         "{x} / {y}"
                     );
                 }
-                (Err(SzError::Corrupt(_)), Ok(_)) => {
+                (Err(CodecError::Corrupt(_)), Ok(_)) => {
                     // Only the LZSS layer may tell them apart.
                     let (_, rest) = Header::read::<T>(s, MAGIC, VERSION, u8::MAX).unwrap();
                     let body = &rest[4..];
@@ -985,7 +1023,7 @@ mod tests {
     fn roundtrip_3d_abs_bound() {
         let n = 16;
         let data = smooth_3d(n);
-        let cfg = SzConfig::abs(1e-3);
+        let cfg = CodecConfig::abs(1e-3);
         let bytes = compress(&data, None, Dims::D3(n, n, n), &cfg).unwrap();
         let (out, dims) = decompress(&bytes).unwrap();
         assert_eq!(dims, Dims::D3(n, n, n));
@@ -999,7 +1037,7 @@ mod tests {
     #[test]
     fn roundtrip_1d_and_2d() {
         let data: Vec<f64> = (0..500).map(|i| (i as f64 * 0.01).sin()).collect();
-        let cfg = SzConfig::abs(1e-4);
+        let cfg = CodecConfig::abs(1e-4);
         let bytes = compress(&data, None, Dims::D1(500), &cfg).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         check_bound(&data, &out, 1e-4);
@@ -1020,7 +1058,7 @@ mod tests {
                 data.push((i as f64 * 0.01 + w as f64).cos());
             }
         }
-        let cfg = SzConfig::abs(1e-5);
+        let cfg = CodecConfig::abs(1e-5);
         let bytes = compress(&data, None, Dims::D4(n, n, n, blocks), &cfg).unwrap();
         let (out, dims) = decompress(&bytes).unwrap();
         assert_eq!(dims, Dims::D4(n, n, n, blocks));
@@ -1041,9 +1079,16 @@ mod tests {
     fn recon_matches_decompressed_exactly() {
         let n = 12;
         let data = smooth_3d(n);
-        let cfg = SzConfig::abs(1e-2);
-        let (bytes, recon) =
-            compress_with::<f64, Shipped>(&data, None, Dims::D3(n, n, n), &cfg, CAPACITY).unwrap();
+        let cfg = CodecConfig::abs(1e-2);
+        let (bytes, recon) = compress_with::<f64, Shipped>(
+            &SzCodec::FULL,
+            &data,
+            None,
+            Dims::D3(n, n, n),
+            &cfg,
+            CAPACITY,
+        )
+        .unwrap();
         let (out, _) = decompress::<f64>(&bytes).unwrap();
         for (a, b) in recon.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1059,7 +1104,7 @@ mod tests {
         // decoder predicts from another plane than the encoder did.
         let n = 16;
         let constant = vec![7.25f32; n * n * n];
-        let cfg = SzConfig::abs(f64::from(f32::MIN_POSITIVE));
+        let cfg = CodecConfig::abs(f64::from(f32::MIN_POSITIVE));
         let bytes = compress(&constant, None, Dims::D3(n, n, n), &cfg).unwrap();
         assert_eq!(decompress::<f32>(&bytes).unwrap().0, constant);
 
@@ -1067,7 +1112,7 @@ mod tests {
             .map(|i| 1e10 + (i as f64 * 0.01).sin() * 1e-3)
             .collect();
         let dims = Dims::D4(n, n, 4, 4);
-        let bytes = compress(&data, None, dims, &SzConfig::abs(1e-12)).unwrap();
+        let bytes = compress(&data, None, dims, &CodecConfig::abs(1e-12)).unwrap();
         let (out, _) = decompress::<f64>(&bytes).unwrap();
         check_bound(&data, &out, 1e-12);
     }
@@ -1078,7 +1123,7 @@ mod tests {
         data[3] = f64::NAN;
         data[100] = f64::INFINITY;
         data[200] = f64::NEG_INFINITY;
-        let cfg = SzConfig::abs(1e-3);
+        let cfg = CodecConfig::abs(1e-3);
         let bytes = compress(&data, None, Dims::D3(8, 8, 8), &cfg).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         check_bound(&data, &out, 1e-3);
@@ -1110,7 +1155,7 @@ mod tests {
                 (h >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0
             })
             .collect();
-        let cfg = SzConfig::abs(0.5);
+        let cfg = CodecConfig::abs(0.5);
         let bytes = compress(&data, None, Dims::D3(16, 16, 16), &cfg).unwrap();
         let (out, _) = decompress(&bytes).unwrap();
         check_bound(&data, &out, 0.5);
@@ -1120,14 +1165,10 @@ mod tests {
     fn lossless_flag_reduces_or_preserves_size() {
         let n = 16;
         let data = smooth_3d(n);
-        let with = compress(&data, None, Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap();
-        let without = compress(
-            &data,
-            None,
-            Dims::D3(n, n, n),
-            &SzConfig::abs(1e-3).without_lossless(),
-        )
-        .unwrap();
+        let with = compress(&data, None, Dims::D3(n, n, n), &CodecConfig::abs(1e-3)).unwrap();
+        let without = NO_LZSS
+            .compress(&data, None, Dims::D3(n, n, n), &CodecConfig::abs(1e-3))
+            .unwrap();
         assert!(with.len() <= without.len() + 16);
         let (a, _) = decompress::<f64>(&with).unwrap();
         let (b, _) = decompress::<f64>(&without).unwrap();
@@ -1140,15 +1181,15 @@ mod tests {
     fn dimension_mismatch_is_rejected() {
         let data = vec![0.0; 10];
         assert!(matches!(
-            compress(&data, None, Dims::D2(3, 4), &SzConfig::abs(1.0)),
-            Err(SzError::DimensionMismatch { .. })
+            compress(&data, None, Dims::D2(3, 4), &CodecConfig::abs(1.0)),
+            Err(CodecError::InvalidConfig(_))
         ));
     }
 
     #[test]
     fn corrupt_stream_is_rejected_not_panicking() {
         let data = smooth_3d(8);
-        let mut bytes = compress(&data, None, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();
+        let mut bytes = compress(&data, None, Dims::D3(8, 8, 8), &CodecConfig::abs(1e-3)).unwrap();
         // Flip bytes throughout the stream; decompression must error or
         // produce output, never panic.
         for i in (0..bytes.len()).step_by(7) {
@@ -1165,7 +1206,7 @@ mod tests {
     #[test]
     fn stream_sniffing() {
         let data = vec![1.0; 8];
-        let bytes = compress(&data, None, Dims::D1(8), &SzConfig::abs(1.0)).unwrap();
+        let bytes = compress(&data, None, Dims::D1(8), &CodecConfig::abs(1.0)).unwrap();
         assert_eq!(Header::peek(&bytes), Some((MAGIC, VERSION, TacDtype::F64)));
         assert_ne!(Header::peek(b"not a stream").map(|(m, ..)| m), Some(MAGIC));
         assert_eq!(Header::peek(&bytes[..5]), None);
@@ -1175,7 +1216,7 @@ mod tests {
     fn tiny_inputs() {
         for n in 1..=4usize {
             let data: Vec<f64> = (0..n).map(|i| i as f64 * 1.5).collect();
-            let bytes = compress(&data, None, Dims::D1(n), &SzConfig::abs(0.1)).unwrap();
+            let bytes = compress(&data, None, Dims::D1(n), &CodecConfig::abs(0.1)).unwrap();
             let (out, _) = decompress(&bytes).unwrap();
             check_bound(&data, &out, 0.1);
         }
@@ -1188,22 +1229,31 @@ mod tests {
         // length and FNV-1a digest pin the stream it wrote.
         let n = 12;
         let data = smooth_3d(n);
-        let a = compress(&data, None, Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap();
+        let a = compress(&data, None, Dims::D3(n, n, n), &CodecConfig::abs(1e-3)).unwrap();
         let fnv = a.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!((a.len(), fnv), (725, 0xfb48_2190_c05b_3751));
         let all = vec![true; data.len()];
-        assert!(compress(&data, Some(&all), Dims::D3(n, n, n), &SzConfig::abs(1e-3)).unwrap() == a);
+        assert!(
+            compress(
+                &data,
+                Some(&all),
+                Dims::D3(n, n, n),
+                &CodecConfig::abs(1e-3)
+            )
+            .unwrap()
+                == a
+        );
         assert_eq!(stream_dtype(&a), Some(TacDtype::F64));
-        assert_eq!(a[5] & crate::FLAG_F32, 0);
+        assert_eq!(a[5] & crate::container::FLAG_F32, 0);
     }
 
     #[test]
     fn roundtrip_f32_3d_abs_bound() {
         let n = 16;
         let data: Vec<f32> = smooth_3d(n).iter().map(|&v| v as f32).collect();
-        let cfg = SzConfig::abs(1e-3);
+        let cfg = CodecConfig::abs(1e-3);
         let bytes = compress::<f32>(&data, None, Dims::D3(n, n, n), &cfg).unwrap();
         assert_eq!(stream_dtype(&bytes), Some(TacDtype::F32));
         let (out, dims) = decompress::<f32>(&bytes).unwrap();
@@ -1224,8 +1274,15 @@ mod tests {
         let n = 10;
         let data: Vec<f32> = smooth_3d(n).iter().map(|&v| v as f32).collect();
         let cfg = rel(&data, 1e-4);
-        let (bytes, recon) =
-            compress_with::<f32, Shipped>(&data, None, Dims::D3(n, n, n), &cfg, CAPACITY).unwrap();
+        let (bytes, recon) = compress_with::<f32, Shipped>(
+            &SzCodec::FULL,
+            &data,
+            None,
+            Dims::D3(n, n, n),
+            &cfg,
+            CAPACITY,
+        )
+        .unwrap();
         let (out, _) = decompress::<f32>(&bytes).unwrap();
         for (a, b) in recon.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1239,7 +1296,8 @@ mod tests {
         data[100] = f32::INFINITY;
         data[200] = f32::NEG_INFINITY;
         data[301] = -0.0;
-        let bytes = compress::<f32>(&data, None, Dims::D3(8, 8, 8), &SzConfig::abs(1e-3)).unwrap();
+        let bytes =
+            compress::<f32>(&data, None, Dims::D3(8, 8, 8), &CodecConfig::abs(1e-3)).unwrap();
         let (out, _) = decompress::<f32>(&bytes).unwrap();
         assert!(out[3].is_nan());
         assert_eq!(out[100], f32::INFINITY);
@@ -1260,16 +1318,22 @@ mod tests {
     fn dtype_mismatch_is_a_typed_error() {
         let data64 = vec![1.0f64; 32];
         let data32 = vec![1.0f32; 32];
-        let cfg = SzConfig::abs(0.1);
+        let cfg = CodecConfig::abs(0.1);
         let b64 = compress::<f64>(&data64, None, Dims::D1(32), &cfg).unwrap();
         let b32 = compress::<f32>(&data32, None, Dims::D1(32), &cfg).unwrap();
         assert!(matches!(
             decompress::<f32>(&b64),
-            Err(SzError::UnsupportedFormat(_))
+            Err(CodecError::WrongDtype {
+                stream: "f64",
+                requested: "f32"
+            })
         ));
         assert!(matches!(
             decompress::<f64>(&b32),
-            Err(SzError::UnsupportedFormat(_))
+            Err(CodecError::WrongDtype {
+                stream: "f32",
+                requested: "f64"
+            })
         ));
     }
 
@@ -1284,7 +1348,7 @@ mod tests {
             })
             .collect();
         let noise32: Vec<f32> = noise64.iter().map(|&v| v as f32).collect();
-        let cfg = SzConfig::abs(1e-9);
+        let cfg = CodecConfig::abs(1e-9);
         let b64 = compress::<f64>(&noise64, None, Dims::D3(16, 16, 16), &cfg).unwrap();
         let b32 = compress::<f32>(&noise32, None, Dims::D3(16, 16, 16), &cfg).unwrap();
         assert!(

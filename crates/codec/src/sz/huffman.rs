@@ -29,8 +29,8 @@
 //!   same symbols and fails on the same streams as before.
 
 use crate::bitstream::{BitReader, BitWriter, PEEK_MAX};
-use crate::error::SzError;
 use crate::wire::ByteReader;
+use crate::CodecError;
 
 /// Maximum accepted code length. With < 2^32 samples the Huffman depth is
 /// bounded well below this; the cap protects the decoder against crafted
@@ -175,19 +175,19 @@ impl HuffmanCode {
 
     /// Deserializes a table written by [`HuffmanCode::serialize_table`].
     /// Returns the code and the number of bytes consumed.
-    pub fn deserialize_table(bytes: &[u8]) -> Result<(Self, usize), SzError> {
+    pub fn deserialize_table(bytes: &[u8]) -> Result<(Self, usize), CodecError> {
         let mut r = ByteReader::new(bytes);
         let n = r
             .get_u32()
-            .map_err(|_| SzError::Corrupt("huffman table header truncated".into()))?
+            .map_err(|_| CodecError::Corrupt("huffman table header truncated".into()))?
             as usize;
         if n == 0 {
-            return Err(SzError::Corrupt("huffman table is empty".into()));
+            return Err(CodecError::Corrupt("huffman table is empty".into()));
         }
         // Five bytes per entry: the declared count is bounded by what the
         // buffer can actually hold before anything is allocated.
         if n > r.remaining() / 5 {
-            return Err(SzError::Corrupt(format!(
+            return Err(CodecError::Corrupt(format!(
                 "huffman table truncated: {n} entries declared, {} bytes remain",
                 r.remaining()
             )));
@@ -195,15 +195,15 @@ impl HuffmanCode {
         let mut symbols = Vec::with_capacity(n);
         let mut lengths = Vec::with_capacity(n);
         for _ in 0..n {
-            let truncated = |_| SzError::Corrupt("huffman table truncated".into());
+            let truncated = |_| CodecError::Corrupt("huffman table truncated".into());
             let s = r.get_u32().map_err(truncated)?;
             let l = r.get_u8().map_err(truncated)?;
             if l == 0 || l > MAX_CODE_LEN {
-                return Err(SzError::Corrupt(format!("invalid code length {l}")));
+                return Err(CodecError::Corrupt(format!("invalid code length {l}")));
             }
             if let Some(&prev) = symbols.last() {
                 if s <= prev {
-                    return Err(SzError::Corrupt("huffman symbols not sorted".into()));
+                    return Err(CodecError::Corrupt("huffman symbols not sorted".into()));
                 }
             }
             symbols.push(s);
@@ -216,7 +216,7 @@ impl HuffmanCode {
             kraft += 1u128 << (MAX_CODE_LEN - l);
         }
         if n > 1 && kraft > 1u128 << MAX_CODE_LEN {
-            return Err(SzError::Corrupt("huffman table violates Kraft".into()));
+            return Err(CodecError::Corrupt("huffman table violates Kraft".into()));
         }
         let codes = canonical_codes(&lengths);
         Ok((
@@ -231,7 +231,7 @@ impl HuffmanCode {
     }
 
     /// Decodes `count` symbols from `reader`.
-    pub fn decode(&self, reader: &mut BitReader<'_>, count: usize) -> Result<Vec<u32>, SzError> {
+    pub fn decode(&self, reader: &mut BitReader<'_>, count: usize) -> Result<Vec<u32>, CodecError> {
         if let [s] = *self.symbols.as_slice() {
             // Degenerate one-symbol alphabet: one bit was written per
             // symbol, whatever its value.
@@ -345,7 +345,7 @@ impl CanonicalDecoder {
 
     /// The canonical walk every code used to take: one bit per step,
     /// testing each length in turn.
-    fn walk(&self, reader: &mut BitReader<'_>) -> Result<u32, SzError> {
+    fn walk(&self, reader: &mut BitReader<'_>) -> Result<u32, CodecError> {
         let mut acc = 0u64;
         for &(first_code, first_index, count) in &self.levels {
             acc = (acc << 1) | u64::from(reader.read_bit()?);
@@ -353,17 +353,17 @@ impl CanonicalDecoder {
                 return self.symbol_at(first_index, acc - first_code);
             }
         }
-        Err(SzError::Corrupt("invalid huffman codeword".into()))
+        Err(CodecError::Corrupt("invalid huffman codeword".into()))
     }
 
     /// The symbol `offset` codes into the length that starts at
     /// canonical index `first_index`.
-    fn symbol_at(&self, first_index: u32, offset: u64) -> Result<u32, SzError> {
+    fn symbol_at(&self, first_index: u32, offset: u64) -> Result<u32, CodecError> {
         let idx = u64::from(first_index).saturating_add(offset);
         self.by_len_symbol
             .get(usize::try_from(idx).unwrap_or(usize::MAX))
             .copied()
-            .ok_or_else(|| SzError::Corrupt("invalid huffman codeword".into()))
+            .ok_or_else(|| CodecError::Corrupt("invalid huffman codeword".into()))
     }
 }
 
@@ -520,7 +520,7 @@ fn canonical_codes(lengths: &[u8]) -> Vec<u64> {
 pub(crate) mod reference {
     use super::canonical_codes;
     use crate::bitstream::reference::{BitReader, BitWriter};
-    use crate::error::SzError;
+    use crate::CodecError;
     use std::collections::BinaryHeap;
 
     /// Computes Huffman code lengths from frequencies (package-style heap
@@ -644,7 +644,7 @@ pub(crate) mod reference {
             &self,
             reader: &mut BitReader<'_>,
             count: usize,
-        ) -> Result<Vec<u32>, SzError> {
+        ) -> Result<Vec<u32>, CodecError> {
             let decoder = CanonicalDecoder::new(self);
             let mut out = Vec::with_capacity(count);
             for _ in 0..count {
@@ -712,7 +712,7 @@ pub(crate) mod reference {
         }
 
         #[inline]
-        fn decode_one(&self, reader: &mut BitReader<'_>) -> Result<u32, SzError> {
+        fn decode_one(&self, reader: &mut BitReader<'_>) -> Result<u32, CodecError> {
             if let Some(s) = self.single_symbol {
                 // Degenerate one-symbol alphabet: a 1-bit code was written.
                 reader.read_bit()?;
@@ -727,10 +727,10 @@ pub(crate) mod reference {
                         .by_len_symbol
                         .get(idx as usize)
                         .copied()
-                        .ok_or_else(|| SzError::Corrupt("invalid huffman codeword".into()));
+                        .ok_or_else(|| CodecError::Corrupt("invalid huffman codeword".into()));
                 }
             }
-            Err(SzError::Corrupt("invalid huffman codeword".into()))
+            Err(CodecError::Corrupt("invalid huffman codeword".into()))
         }
 
         #[allow(dead_code)]

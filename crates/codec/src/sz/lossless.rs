@@ -34,7 +34,7 @@
 //! `2·off`, …), so a run of `len` bytes costs `O(log(len / off))` slice
 //! copies instead of `len` pushes.
 
-use crate::error::SzError;
+use crate::CodecError;
 
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 258;
@@ -174,11 +174,11 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// `Corrupt` on a short stream, a back-reference before the start of the
 /// output, an output longer or shorter than declared, and bytes after
 /// the last token.
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
+pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
     let header = input
         .get(..HEADER_BYTES)
         .and_then(|h| <[u8; HEADER_BYTES]>::try_from(h).ok())
-        .ok_or_else(|| SzError::Corrupt("lzss stream shorter than header".into()))?;
+        .ok_or_else(|| CodecError::Corrupt("lzss stream shorter than header".into()))?;
     let n = u64::from_le_bytes(header) as usize;
     let tokens = input.get(HEADER_BYTES..).unwrap_or_default();
     // Bound the up-front allocation by what the token stream could ever
@@ -187,7 +187,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
     // terabyte output is corrupt, not a reservation request.
     let max_expansion = tokens.len().saturating_mul(MAX_MATCH);
     if n > max_expansion {
-        return Err(SzError::Corrupt(format!(
+        return Err(CodecError::Corrupt(format!(
             "lzss declares {n} output bytes from a {}-byte stream (max {max_expansion})",
             input.len()
         )));
@@ -197,7 +197,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
     while out.len() < n {
         let ctrl = *r
             .next()
-            .ok_or_else(|| SzError::Corrupt("lzss stream truncated (control)".into()))?;
+            .ok_or_else(|| CodecError::Corrupt("lzss stream truncated (control)".into()))?;
         for bit in 0..8 {
             if out.len() >= n {
                 break;
@@ -206,7 +206,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
                 let mut byte = || {
                     r.next()
                         .copied()
-                        .ok_or_else(|| SzError::Corrupt("lzss stream truncated (match)".into()))
+                        .ok_or_else(|| CodecError::Corrupt("lzss stream truncated (match)".into()))
                 };
                 let off = usize::from(u16::from_le_bytes([byte()?, byte()?]));
                 let len = MIN_MATCH.saturating_add(usize::from(byte()?));
@@ -214,19 +214,19 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
             } else {
                 let b = r
                     .next()
-                    .ok_or_else(|| SzError::Corrupt("lzss stream truncated (literal)".into()))?;
+                    .ok_or_else(|| CodecError::Corrupt("lzss stream truncated (literal)".into()))?;
                 out.push(*b);
             }
         }
     }
     if out.len() != n {
-        return Err(SzError::Corrupt(format!(
+        return Err(CodecError::Corrupt(format!(
             "lzss produced {} bytes, expected {n}",
             out.len()
         )));
     }
     if r.len() != 0 {
-        return Err(SzError::Corrupt(format!(
+        return Err(CodecError::Corrupt(format!(
             "lzss stream has {} trailing bytes",
             r.len()
         )));
@@ -239,9 +239,9 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
 /// everything between its source start and the current end, so the
 /// chunk doubles until the run is done.
 #[inline]
-fn copy_match(out: &mut Vec<u8>, off: usize, len: usize) -> Result<(), SzError> {
+fn copy_match(out: &mut Vec<u8>, off: usize, len: usize) -> Result<(), CodecError> {
     if off == 0 || off > out.len() {
-        return Err(SzError::Corrupt(format!(
+        return Err(CodecError::Corrupt(format!(
             "lzss back-reference {off} beyond {} decoded bytes",
             out.len()
         )));
@@ -263,8 +263,8 @@ fn copy_match(out: &mut Vec<u8>, off: usize, len: usize) -> Result<(), SzError> 
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{HASH_BITS, MAX_CHAIN, MAX_MATCH, MIN_MATCH, WINDOW};
-    use crate::error::SzError;
     use crate::wire::ByteReader;
+    use crate::CodecError;
 
     #[inline]
     fn hash4(data: &[u8], i: usize) -> usize {
@@ -365,11 +365,11 @@ pub(crate) mod reference {
     }
 
     /// Decompresses a stream produced by [`compress`].
-    pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzError> {
+    pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut r = ByteReader::new(input);
         let n = r
             .get_u64()
-            .map_err(|_| SzError::Corrupt("lzss stream shorter than header".into()))?
+            .map_err(|_| CodecError::Corrupt("lzss stream shorter than header".into()))?
             as usize;
         // Bound the up-front allocation by what the token stream could ever
         // produce: each token needs at least 3 bytes (plus control bits) and
@@ -377,7 +377,7 @@ pub(crate) mod reference {
         // terabyte output is corrupt, not a reservation request.
         let max_expansion = r.remaining().saturating_mul(MAX_MATCH);
         if n > max_expansion {
-            return Err(SzError::Corrupt(format!(
+            return Err(CodecError::Corrupt(format!(
                 "lzss declares {n} output bytes from a {}-byte stream (max {max_expansion})",
                 input.len()
             )));
@@ -386,17 +386,17 @@ pub(crate) mod reference {
         while out.len() < n {
             let ctrl = r
                 .get_u8()
-                .map_err(|_| SzError::Corrupt("lzss stream truncated (control)".into()))?;
+                .map_err(|_| CodecError::Corrupt("lzss stream truncated (control)".into()))?;
             for bit in 0..8 {
                 if out.len() >= n {
                     break;
                 }
                 if ctrl & (1 << bit) != 0 {
-                    let truncated = |_| SzError::Corrupt("lzss stream truncated (match)".into());
+                    let truncated = |_| CodecError::Corrupt("lzss stream truncated (match)".into());
                     let off = r.get_u16().map_err(truncated)? as usize;
                     let len = MIN_MATCH + r.get_u8().map_err(truncated)? as usize;
                     if off == 0 || off > out.len() {
-                        return Err(SzError::Corrupt(format!(
+                        return Err(CodecError::Corrupt(format!(
                             "lzss back-reference {off} beyond {} decoded bytes",
                             out.len()
                         )));
@@ -412,21 +412,21 @@ pub(crate) mod reference {
                         // source grows as the copy proceeds, so go byte-wise.
                         for k in 0..len {
                             let b = out.get(start.saturating_add(k)).copied().ok_or_else(|| {
-                                SzError::Corrupt("lzss back-reference escaped the buffer".into())
+                                CodecError::Corrupt("lzss back-reference escaped the buffer".into())
                             })?;
                             out.push(b);
                         }
                     }
                 } else {
-                    let b = r
-                        .get_u8()
-                        .map_err(|_| SzError::Corrupt("lzss stream truncated (literal)".into()))?;
+                    let b = r.get_u8().map_err(|_| {
+                        CodecError::Corrupt("lzss stream truncated (literal)".into())
+                    })?;
                     out.push(b);
                 }
             }
         }
         if out.len() != n {
-            return Err(SzError::Corrupt(format!(
+            return Err(CodecError::Corrupt(format!(
                 "lzss produced {} bytes, expected {n}",
                 out.len()
             )));
@@ -533,7 +533,7 @@ mod tests {
         for data in [Vec::new(), b"abcabcabcabc".repeat(9), noise(300, 3)] {
             let mut c = compress(&data);
             c.push(0);
-            assert!(matches!(decompress(&c), Err(SzError::Corrupt(_))));
+            assert!(matches!(decompress(&c), Err(CodecError::Corrupt(_))));
             assert_eq!(reference::decompress(&c).unwrap(), data);
         }
     }
@@ -557,7 +557,7 @@ mod tests {
                 (Err(a), Err(b)) => {
                     assert_eq!(std::mem::discriminant(&a), std::mem::discriminant(&b))
                 }
-                (Err(SzError::Corrupt(_)), Ok(b)) => assert!(
+                (Err(CodecError::Corrupt(_)), Ok(b)) => assert!(
                     (0..s.len()).any(|p| decompress(&s[..p]).is_ok_and(|a| a == b)),
                     "rejected a stream with no trailing bytes"
                 ),

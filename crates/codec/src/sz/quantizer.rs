@@ -34,7 +34,7 @@ impl Quantizer {
     ///
     /// # Panics
     /// Panics on non-positive/non-finite `eb` or an odd capacity < 4
-    /// (callers validate the bound via [`crate::SzConfig::validate`] and a
+    /// (callers validate the bound via [`crate::CodecConfig::validate`] and a
     /// stored capacity on decode).
     pub fn new(eb: f64, capacity: usize) -> Self {
         assert!(eb > 0.0 && eb.is_finite(), "invalid error bound {eb}");

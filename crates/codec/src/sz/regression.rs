@@ -17,7 +17,7 @@
 //! prediction drift stays below `eb/2`, leaving the point quantizer's
 //! `2*eb` bins plenty of headroom.
 
-use crate::error::SzError;
+use crate::CodecError;
 use tac_dtype::Element;
 
 /// Block edge length for regression (SZ2 uses 6).
@@ -193,12 +193,12 @@ impl RegressionContext {
         ny: usize,
         nz: usize,
         eb: f64,
-    ) -> Result<(Self, usize), SzError> {
+    ) -> Result<(Self, usize), CodecError> {
         let nb = Self::grid(nx, ny, nz);
         let nblocks = nb.0 * nb.1 * nb.2;
         let flag_bytes = nblocks.div_ceil(8);
         if bytes.len() < flag_bytes {
-            return Err(SzError::Corrupt("regression flags truncated".into()));
+            return Err(CodecError::Corrupt("regression flags truncated".into()));
         }
         let mut modes = Vec::with_capacity(nblocks);
         for i in 0..nblocks {
@@ -362,7 +362,7 @@ fn write_zigzag(out: &mut Vec<u8>, v: i64) {
     }
 }
 
-fn read_zigzag(bytes: &[u8]) -> Result<(i64, usize), SzError> {
+fn read_zigzag(bytes: &[u8]) -> Result<(i64, usize), CodecError> {
     let mut u = 0u64;
     let mut shift = 0u32;
     for (i, &b) in bytes.iter().enumerate() {
@@ -376,7 +376,7 @@ fn read_zigzag(bytes: &[u8]) -> Result<(i64, usize), SzError> {
         }
         shift += 7;
     }
-    Err(SzError::Corrupt("varint truncated".into()))
+    Err(CodecError::Corrupt("varint truncated".into()))
 }
 
 #[cfg(test)]

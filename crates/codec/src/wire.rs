@@ -1,12 +1,31 @@
 //! Shared little-endian wire primitives.
 //!
 //! One checked byte-level writer/reader pair used by every hand-rolled
-//! format in the workspace: the SZ stream header in this crate and the
-//! dataset containers (v1 and v2) in `tac-core`. Keeping a single
-//! implementation means one set of bounds checks and one place where
-//! endianness is decided.
+//! format in the workspace: the codec streams in this crate and the
+//! dataset containers in `tac-core`. Keeping a single implementation
+//! means one set of bounds checks and one place where endianness is
+//! decided. A failed read is a [`WireError`] naming its byte offset;
+//! each format turns it into its own corrupt-input error.
 
-use crate::error::SzError;
+use std::fmt;
+
+/// A read the buffer cannot satisfy: too few bytes left, or a string
+/// that is not UTF-8.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireError {
+    /// Byte offset of the failed read from the start of the buffer.
+    pub offset: usize,
+    /// What the read found wrong.
+    pub reason: String,
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.reason, self.offset)
+    }
+}
+
+impl std::error::Error for WireError {}
 
 /// Little-endian byte writer over a growable buffer.
 #[derive(Debug, Default)]
@@ -87,9 +106,8 @@ impl<'a> ByteReader<'a> {
 
     /// Consumes `n` bytes — the single bounds-checked cursor advance
     /// every typed read goes through. Failed reads consume nothing.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SzError> {
-        let remain = self.remaining();
-        let short = || SzError::Corrupt(format!("need {n} bytes, {remain} remain"));
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let short = || self.error(format!("need {n} bytes, {} remain", self.remaining()));
         let end = self.pos.checked_add(n).ok_or_else(short)?;
         let out = self.buf.get(self.pos..end).ok_or_else(short)?;
         self.pos = end;
@@ -97,63 +115,74 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Consumes exactly `N` bytes as a fixed-size array.
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SzError> {
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         let bytes = self.take(N)?;
-        <[u8; N]>::try_from(bytes).map_err(|_| SzError::Corrupt("short read".into()))
+        <[u8; N]>::try_from(bytes).map_err(|_| self.error("short read".into()))
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, SzError> {
+    pub fn get_u8(&mut self) -> Result<u8, WireError> {
         Ok(u8::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, SzError> {
+    pub fn get_u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, SzError> {
+    pub fn get_u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, SzError> {
+    pub fn get_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `f64`.
-    pub fn get_f64(&mut self) -> Result<f64, SzError> {
+    pub fn get_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads `n` raw bytes (borrowed).
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], SzError> {
+    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         self.take(n)
     }
 
     /// Reads a `u64`-length-prefixed blob (borrowed).
-    pub fn get_blob(&mut self) -> Result<&'a [u8], SzError> {
+    pub fn get_blob(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.get_u64()? as usize;
         self.get_bytes(len)
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, SzError> {
+    pub fn get_str(&mut self) -> Result<String, WireError> {
+        let at = self.pos;
         let blob = self.get_blob()?;
-        String::from_utf8(blob.to_vec())
-            .map_err(|_| SzError::Corrupt("invalid UTF-8 string".into()))
+        String::from_utf8(blob.to_vec()).map_err(|_| WireError {
+            offset: at,
+            reason: "invalid UTF-8 string".into(),
+        })
     }
 
     /// Advances past `n` bytes without inspecting them (a seek over an
     /// uninteresting payload region).
-    pub fn skip(&mut self, n: usize) -> Result<(), SzError> {
+    pub fn skip(&mut self, n: usize) -> Result<(), WireError> {
         self.take(n).map(|_| ())
     }
 
     /// The unread tail of the buffer, without consuming it.
     pub fn rest(&self) -> &'a [u8] {
         self.buf.get(self.pos..).unwrap_or_default()
+    }
+
+    /// A failure of the read at the current offset.
+    fn error(&self, reason: String) -> WireError {
+        WireError {
+            offset: self.pos,
+            reason,
+        }
     }
 
     /// Current byte offset from the start of the buffer.
@@ -223,6 +252,24 @@ mod tests {
         // Failed reads consume nothing.
         assert_eq!(r.remaining(), 3);
         assert_eq!(r.get_u8().unwrap(), 1);
+    }
+
+    #[test]
+    fn failed_reads_name_their_offset() {
+        let mut w = ByteWriter::new();
+        w.put_u8(1);
+        w.put_blob(&[0xFF, 0xFE]);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        r.get_u8().unwrap();
+        let mut probe = ByteReader::new(&bytes);
+        probe.skip(4).unwrap();
+        let short = probe.get_u64().unwrap_err();
+        assert_eq!(short.offset, 4);
+        assert_eq!(short.to_string(), "need 8 bytes, 7 remain at byte 4");
+        let utf8 = r.get_str().unwrap_err();
+        assert_eq!(utf8.offset, 1);
+        assert_eq!(utf8.to_string(), "invalid UTF-8 string at byte 1");
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! (including per-level adaptive bounds), and method selection.
 
 use crate::error::TacError;
-use tac_codec::CodecId;
+use tac_codec::{CodecId, ErrorBound};
 use tac_par::Parallelism;
-use tac_sz::ErrorBound;
 
 /// The pre-process strategy applied to one AMR level before 3D
 /// compression.

@@ -109,13 +109,13 @@
 use crate::config::Strategy;
 use crate::error::TacError;
 use crate::segment::{planes_of_rows, Segment};
+use crate::stats::CompressionStats;
 use crate::stream::{v1_level_tag, BlockGroup, CompressedLevel, LevelPayload, Reader, Writer};
 use crate::zmesh::{level_dim, refinement};
 use std::ops::Range;
 use tac_amr::{Aabb, BitMask};
 use tac_codec::{sniff_codec, CodecId};
 use tac_dtype::TacDtype;
-use tac_sz::CompressionStats;
 
 /// Container magic number.
 const MAGIC: &[u8; 4] = b"TACD";
@@ -384,7 +384,7 @@ impl CompressedDataset {
         // is serialization work.
         let _pack = tac_obs::span(tac_obs::Stage::Lossless);
         for m in self.masks.iter().skip(usize::from(implied)) {
-            w.put_blob(&tac_sz::lossless::compress(&m.to_bytes()));
+            w.put_blob(&tac_codec::lossless::compress(&m.to_bytes()));
         }
     }
 
@@ -709,7 +709,8 @@ fn parse_prelude(r: &mut Reader<'_>) -> Result<Prelude, TacError> {
     let mut masks = Vec::with_capacity(num_levels);
     for l in usize::from(implied)..num_levels {
         let packed = r.get_blob()?;
-        let raw = tac_sz::lossless::decompress(packed)?;
+        let raw = tac_codec::lossless::decompress(packed)
+            .map_err(|e| TacError::Corrupt(format!("level {l} mask: {e}")))?;
         let mask = BitMask::from_bytes(&raw)
             .ok_or_else(|| TacError::Corrupt(format!("level {l} mask malformed")))?;
         let dim = finest_dim >> l;
@@ -1853,7 +1854,7 @@ pub(crate) mod tests {
         w.put_u64(finest_dim as u64);
         w.put_u8(masks.len() as u8);
         for m in masks {
-            w.put_blob(&tac_sz::lossless::compress(&m.to_bytes()));
+            w.put_blob(&tac_codec::lossless::compress(&m.to_bytes()));
         }
         body(&mut w);
         w.into_bytes()
@@ -2034,15 +2035,20 @@ pub(crate) mod tests {
         );
     }
 
+    /// A container cut short is corrupt, wherever the cut falls.
+    fn assert_corrupt(bytes: &[u8], cut: usize) {
+        match CompressedDataset::from_bytes(bytes) {
+            Err(TacError::Corrupt(_)) => {}
+            other => panic!("cut {cut}: {:?}", other.err()),
+        }
+    }
+
     #[test]
     fn truncated_v2_is_rejected_at_every_cut() {
         let bytes = include_bytes!("../../../tests/data/legacy_tac_sz_v2.tacd");
         assert_eq!(bytes[4], VERSION_V2);
         for cut in 5..bytes.len() {
-            assert!(
-                CompressedDataset::from_bytes(&bytes[..cut]).is_err(),
-                "cut {cut} accepted"
-            );
+            assert_corrupt(&bytes[..cut], cut);
         }
     }
 
@@ -2111,10 +2117,7 @@ pub(crate) mod tests {
         let bytes = include_bytes!("../../../tests/data/legacy_tac_f32_v4.tacd");
         assert_eq!(bytes[4], VERSION_V4);
         for cut in 5..bytes.len() {
-            assert!(
-                CompressedDataset::from_bytes(&bytes[..cut]).is_err(),
-                "cut {cut} accepted"
-            );
+            assert_corrupt(&bytes[..cut], cut);
         }
     }
 
@@ -2127,10 +2130,7 @@ pub(crate) mod tests {
         ] {
             let bytes = cd.to_bytes();
             for cut in 5..bytes.len() {
-                assert!(
-                    CompressedDataset::from_bytes(&bytes[..cut]).is_err(),
-                    "cut {cut} accepted"
-                );
+                assert_corrupt(&bytes[..cut], cut);
             }
         }
     }
@@ -2293,6 +2293,10 @@ pub(crate) mod tests {
         // The coarser blob cut short, inside its bytes and its prefix.
         both_refuse(&honest[..at + 1 + 8 + 3], "");
         both_refuse(&honest[..at + 1 + 5], "");
+        // A blob LZSS rejects: it declares 2^60 unpacked bytes.
+        let mut bytes = honest.clone();
+        bytes[at + 9..at + 17].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        both_refuse(&bytes, "corrupt container: level 1 mask: ");
         // A finest dim that does not halve: drop the finest blob of a
         // stored 5^3-over-2^3 container and claim it implied.
         let odd = over_masks(5, vec![BitMask::ones(125), BitMask::zeros(8)]);

@@ -1,16 +1,14 @@
 //! Error type for TAC compression pipelines.
 
 use std::fmt;
+use tac_codec::wire::WireError;
 use tac_codec::CodecError;
-use tac_sz::SzError;
 
 /// Errors surfaced by dataset-level compression and decompression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TacError {
     /// A scalar-codec backend failed.
     Codec(CodecError),
-    /// The SZ wire layer failed (container headers, truncated reads).
-    Sz(SzError),
     /// The compressed container is malformed.
     Corrupt(String),
     /// Configuration is invalid (unit size, level scales, engine settings).
@@ -40,7 +38,6 @@ impl fmt::Display for TacError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TacError::Codec(e) => write!(f, "scalar codec: {e}"),
-            TacError::Sz(e) => write!(f, "sz codec: {e}"),
             TacError::Corrupt(msg) => write!(f, "corrupt container: {msg}"),
             TacError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             TacError::InvalidDataset(msg) => write!(f, "invalid dataset: {msg}"),
@@ -58,15 +55,16 @@ impl std::error::Error for TacError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TacError::Codec(e) => Some(e),
-            TacError::Sz(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<SzError> for TacError {
-    fn from(e: SzError) -> Self {
-        TacError::Sz(e)
+impl From<WireError> for TacError {
+    /// A container that ends early, or holds a malformed field, is
+    /// corrupt.
+    fn from(e: WireError) -> Self {
+        TacError::Corrupt(e.to_string())
     }
 }
 
@@ -82,9 +80,15 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = TacError::from(SzError::ZeroDimension);
-        assert!(e.to_string().contains("sz codec"));
-        assert!(std::error::Error::source(&e).is_some());
+        let e = TacError::from(WireError {
+            offset: 9,
+            reason: "need 8 bytes, 3 remain".into(),
+        });
+        assert_eq!(
+            e.to_string(),
+            "corrupt container: need 8 bytes, 3 remain at byte 9"
+        );
+        assert!(std::error::Error::source(&e).is_none());
         let c = TacError::Corrupt("bad".into());
         assert!(c.to_string().contains("bad"));
         assert!(std::error::Error::source(&c).is_none());

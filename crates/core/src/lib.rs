@@ -49,8 +49,9 @@
 //!
 //! ```
 //! use tac_amr::{AmrDataset, AmrLevel};
-//! use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
-//! use tac_sz::ErrorBound;
+//! use tac_core::{
+//!     compress_dataset_t, decompress_dataset_par_t, ErrorBound, Method, Parallelism, TacConfig,
+//! };
 //!
 //! let fine = AmrLevel::dense(8, (0..512).map(|i| i as f64).collect());
 //! let ds = AmrDataset::new("demo", vec![fine]);
@@ -79,6 +80,7 @@ mod pipeline;
 mod roi;
 mod segment;
 mod select;
+mod stats;
 mod stream;
 mod zmesh;
 
@@ -101,6 +103,7 @@ pub use pipeline::{
 pub use roi::{decompress_region_t, RoiStats};
 pub use segment::Segment;
 pub use select::{select_auto, AutoSelection, CandidateEstimate};
+pub use stats::CompressionStats;
 pub use stream::{BlockGroup, CompressedLevel, LevelPayload};
 pub use zmesh::{gather, scatter, zmesh_order, ZmeshEntry};
 
@@ -108,13 +111,13 @@ pub use zmesh::{gather, scatter, zmesh_order, ZmeshEntry};
 // direct `tac-par` dependency.
 pub use tac_par::Parallelism;
 
-// Re-exported so callers can set `TacConfig::codec` — and register or
-// inspect scalar-codec backends — without a direct `tac-codec`
-// dependency. Every payload stream tac-core reads or writes dispatches
-// through this backend layer.
+// Re-exported so callers can set `TacConfig::error_bound` and
+// `TacConfig::codec` — and register or inspect scalar-codec backends —
+// without a direct `tac-codec` dependency. Every payload stream tac-core
+// reads or writes dispatches through this backend layer.
 pub use tac_codec::{
     codec_for, sniff_codec, stream_dtype, CodecConfig, CodecElement, CodecError, CodecId,
-    ScalarCodec,
+    ErrorBound, ScalarCodec,
 };
 
 // Re-exported so dtype-generic callers (benchmarks, test harnesses) can

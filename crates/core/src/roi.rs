@@ -274,7 +274,7 @@ mod tests {
     use crate::pipeline::{compress_dataset_t, decompress_dataset_par_t};
     use crate::stream::LevelPayload;
     use tac_amr::{AmrDataset, AmrLevel, BitMask};
-    use tac_sz::ErrorBound;
+    use tac_codec::ErrorBound;
 
     /// Two-level dataset whose fine cells sit in two far-apart corner
     /// blobs, so corner ROIs have real selectivity.

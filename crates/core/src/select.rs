@@ -527,8 +527,8 @@ mod tests {
     use super::*;
     use crate::pipeline::{compress_dataset_t, decompress_dataset_par_t};
     use tac_amr::AmrLevel;
+    use tac_codec::ErrorBound;
     use tac_par::Parallelism;
-    use tac_sz::ErrorBound;
 
     /// Two-level dataset with a blobby fine region and smooth values
     /// (the same shape the pipeline tests use).

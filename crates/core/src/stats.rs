@@ -1,4 +1,6 @@
-//! Compression accounting: ratio, bit-rate, and simple distortion summary.
+//! Compression accounting: ratio and bit-rate of a container, as
+//! [`CompressedDataset::stats`](crate::CompressedDataset::stats) counts
+//! them.
 
 use tac_dtype::TacDtype;
 

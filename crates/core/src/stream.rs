@@ -6,10 +6,10 @@ use crate::error::TacError;
 use tac_codec::CodecId;
 use tac_dtype::TacDtype;
 
-// The little-endian wire primitives are shared with the SZ stream header
-// (one implementation, one set of bounds checks). `SzError`s raised on
-// truncated reads convert into `TacError::Sz` through `?`.
-pub(crate) use tac_sz::wire::{ByteReader as Reader, ByteWriter as Writer};
+// The little-endian wire primitives are shared with the codec streams
+// (one implementation, one set of bounds checks). A failed read converts
+// into `TacError::Corrupt`, naming its offset, through `?`.
+pub(crate) use tac_codec::wire::{ByteReader as Reader, ByteWriter as Writer};
 
 /// A group of same-shape extracted sub-blocks compressed as one rank-4
 /// scalar-codec stream (the paper's "merge sub-blocks with the same size

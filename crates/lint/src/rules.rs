@@ -41,16 +41,15 @@ pub const DECODE_PATH_MODULES: &[&str] = &[
     "crates/core/src/zmesh.rs",
     "crates/core/src/segment.rs",
     "crates/core/src/pipeline.rs",
-    "crates/sz/src/wire.rs",
-    "crates/sz/src/compress.rs",
-    "crates/sz/src/huffman.rs",
-    "crates/sz/src/bitstream.rs",
-    "crates/sz/src/lossless.rs",
+    "crates/codec/src/wire.rs",
+    "crates/codec/src/sz/compress.rs",
+    "crates/codec/src/sz/huffman.rs",
+    "crates/codec/src/sz/bitstream.rs",
+    "crates/codec/src/sz/lossless.rs",
     "crates/codec/src/pco.rs",
     "crates/codec/src/pco_ans.rs",
     "crates/codec/src/ans.rs",
     "crates/codec/src/bins.rs",
-    "crates/codec/src/sz.rs",
     "crates/obs/src/registry.rs",
     "crates/obs/src/export.rs",
 ];
@@ -66,11 +65,11 @@ pub const WIRE_ARITH_MODULES: &[&str] = &[
     "crates/core/src/grid.rs",
     "crates/core/src/zmesh.rs",
     "crates/core/src/segment.rs",
-    "crates/sz/src/wire.rs",
-    "crates/sz/src/container.rs",
-    "crates/sz/src/compress.rs",
-    "crates/sz/src/huffman.rs",
-    "crates/sz/src/lossless.rs",
+    "crates/codec/src/wire.rs",
+    "crates/codec/src/container.rs",
+    "crates/codec/src/sz/compress.rs",
+    "crates/codec/src/sz/huffman.rs",
+    "crates/codec/src/sz/lossless.rs",
     "crates/codec/src/pco.rs",
     "crates/codec/src/pco_ans.rs",
     "crates/codec/src/ans.rs",

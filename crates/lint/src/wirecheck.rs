@@ -29,7 +29,7 @@ use std::path::Path;
 
 const CORE_CONTAINER: &str = "crates/core/src/container.rs";
 const CORE_STREAM: &str = "crates/core/src/stream.rs";
-const SZ_CONTAINER: &str = "crates/sz/src/container.rs";
+const SZ: &str = "crates/codec/src/sz/compress.rs";
 const PCO: &str = "crates/codec/src/pco.rs";
 const PCO_ANS: &str = "crates/codec/src/pco_ans.rs";
 const ANS: &str = "crates/codec/src/ans.rs";
@@ -97,7 +97,7 @@ pub fn wire_checks(root: &Path, analyses: &[FileAnalysis]) -> Vec<Violation> {
         }
     };
     let core_magic = require_magic(&mut v, CORE_CONTAINER);
-    require_magic(&mut v, SZ_CONTAINER);
+    require_magic(&mut v, SZ);
     require_magic(&mut v, PCO);
     require_magic(&mut v, PCO_ANS);
     for i in 0..magics.len() {
@@ -138,7 +138,7 @@ pub fn wire_checks(root: &Path, analyses: &[FileAnalysis]) -> Vec<Violation> {
             }
         }
     }
-    for file in [SZ_CONTAINER, PCO, PCO_ANS] {
+    for file in [SZ, PCO, PCO_ANS] {
         if let Some(fa) = find(analyses, file) {
             if get_const(fa, "VERSION").and_then(|c| c.int).is_none() {
                 v.push(violation(

@@ -108,7 +108,7 @@ proptest! {
         // Decode-path, wire-arith, and unlisted paths exercise all
         // three rule sets plus the const/byte-string collectors.
         for path in [
-            "crates/sz/src/compress.rs",
+            "crates/codec/src/sz/compress.rs",
             "crates/core/src/container.rs",
             "crates/other/src/lib.rs",
         ] {
@@ -124,7 +124,7 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..200),
     ) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let _ = analyze_file("crates/sz/src/compress.rs", &src);
+        let _ = analyze_file("crates/codec/src/sz/compress.rs", &src);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use tac_lint::rules::{analyze_file, FileAnalysis};
 use tac_lint::wirecheck::wire_checks;
 
 /// A decode-path module path (R1 + R2 both apply).
-const DECODE: &str = "crates/sz/src/compress.rs";
+const DECODE: &str = "crates/codec/src/sz/compress.rs";
 /// A path outside every guarded list.
 const PLAIN: &str = "crates/bench/src/lib.rs";
 
@@ -74,7 +74,7 @@ mod tests {
     assert!(rules_fired(DECODE, src).is_empty());
     // An integration-test path is exempt wholesale.
     let bad = "fn f(v: &[u8]) -> u8 { v[0] }";
-    assert!(rules_fired("crates/sz/tests/compress.rs", bad).is_empty());
+    assert!(rules_fired("crates/codec/tests/compress.rs", bad).is_empty());
     assert!(!rules_fired(DECODE, bad).is_empty());
 }
 
@@ -329,7 +329,7 @@ pub const CHUNK_ROW_BYTES_V4: usize = 43;
                 .to_string(),
         ),
         (
-            "crates/sz/src/container.rs",
+            "crates/codec/src/sz/compress.rs",
             "pub const MAGIC: [u8; 4] = *b\"WSZ1\";\npub const VERSION: u8 = 1;\n".to_string(),
         ),
         (
@@ -589,6 +589,9 @@ fn duplicate_tag_values_are_reported() {
 fn deny_mode_fails_on_violations_and_passes_when_clean() {
     use std::process::Command;
     let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_ws");
+    // The tmpdir outlives the run: start from an empty workspace, so a
+    // file an earlier layout wrote cannot fire.
+    let _ = std::fs::remove_dir_all(&root);
     // A self-consistent miniature workspace: the wirecheck module files
     // with conformant constants, plus one valid chunked fixture —
     // otherwise R3 reports the modules as missing and `--deny` could
@@ -606,9 +609,10 @@ fn deny_mode_fails_on_violations_and_passes_when_clean() {
     .unwrap();
     let file = root
         .join("crates")
-        .join("sz")
+        .join("codec")
         .join("src")
-        .join("compress.rs");
+        .join("sz")
+        .join("huffman.rs");
     std::fs::create_dir_all(file.parent().unwrap()).unwrap();
     let json = root.join("LINT.json");
 

@@ -18,8 +18,8 @@
 
 use crate::rng::TestRng;
 use tac_amr::{AmrDataset, AmrLevel};
+use tac_core::ErrorBound;
 use tac_core::{TacConfig, TacDtype};
-use tac_sz::ErrorBound;
 
 /// One registered adversarial scenario: a named, seeded dataset
 /// generator plus the compression configuration it is meant to stress.

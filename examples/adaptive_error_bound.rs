@@ -10,9 +10,9 @@
 
 use tac_amr::to_uniform;
 use tac_analysis::{power_spectrum, relative_error};
+use tac_core::ErrorBound;
 use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_nyx::{entry, FieldKind};
-use tac_sz::ErrorBound;
 
 fn main() {
     let ds = entry("Run1_Z2")

@@ -12,9 +12,9 @@ use tac_amr::to_uniform;
 use tac_analysis::{
     compare_catalogs, find_halos, power_spectrum, relative_error, HaloFinderConfig,
 };
+use tac_core::ErrorBound;
 use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_nyx::{entry, FieldKind};
-use tac_sz::ErrorBound;
 
 fn main() {
     let catalog_entry = entry("Run1_Z2").expect("catalog entry");

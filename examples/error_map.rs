@@ -9,9 +9,9 @@
 //! ```
 
 use std::io::Write;
+use tac_core::ErrorBound;
 use tac_core::{compress_level_t, decompress_level_t, resolve_level_eb_for, Strategy, TacConfig};
 use tac_nyx::{entry, FieldKind};
-use tac_sz::ErrorBound;
 
 fn main() {
     let out_dir = std::path::Path::new("target/error_maps");

@@ -6,9 +6,9 @@
 //! ```
 
 use tac_analysis::amr_distortion;
+use tac_core::ErrorBound;
 use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_nyx::{entry, FieldKind};
-use tac_sz::ErrorBound;
 
 fn main() {
     // 1. Generate a stand-in for the paper's Run1_Z10 snapshot (two AMR

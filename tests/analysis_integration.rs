@@ -6,9 +6,9 @@ use tac_amr::to_uniform;
 use tac_analysis::{
     amr_distortion, compare_catalogs, find_halos, power_spectrum, relative_error, HaloFinderConfig,
 };
+use tac_core::ErrorBound;
 use tac_core::{compress_dataset_t, decompress_dataset_par_t, Method, Parallelism, TacConfig};
 use tac_nyx::{entry, FieldKind};
-use tac_sz::ErrorBound;
 
 fn z2(scale: usize, seed: u64) -> tac_amr::AmrDataset {
     entry("Run1_Z2")

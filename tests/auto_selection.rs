@@ -123,7 +123,7 @@ fn degenerate_inputs_fall_back_cleanly() {
     // All levels empty: zMesh cannot compress this; Auto must route
     // around it and still store (and restore) the empty structure.
     let void: AmrDataset = AmrDataset::new("void", vec![AmrLevel::empty(8), AmrLevel::empty(4)]);
-    let cfg = TacConfig::with_error_bound(tac_sz::ErrorBound::Abs(1e-3));
+    let cfg = TacConfig::with_error_bound(tac_core::ErrorBound::Abs(1e-3));
     let cd = compress_dataset_t(&void, &cfg, Method::Auto).unwrap();
     assert_ne!(cd.method(), Method::Auto);
     let out = decompress_dataset_par_t::<f64>(

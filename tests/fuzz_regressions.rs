@@ -11,6 +11,7 @@
 //! (`cargo run --release -p tac-testkit --example fuzz_long`), it lands
 //! here before the fix.
 
+use tac_core::{codec_for, CodecError, CodecId};
 use tac_testkit::{probe_container, ProbeResult};
 
 /// Little-endian byte builder (mirrors the wire layout under test).
@@ -69,7 +70,10 @@ fn sz_predictor_length_u64max_must_not_wrap_the_bounds_check() {
         .u64(0) // raw-value count
         .u64(u64::MAX) // predictor-section length: the overflow trigger
         .0;
-    assert!(tac_sz::decompress::<f64>(&bytes).is_err());
+    assert!(matches!(
+        codec_for::<f64>(CodecId::Sz).decompress(&bytes),
+        Err(CodecError::Corrupt(_))
+    ));
 }
 
 /// Fuzzer find #2 (seed 1, first campaign): a crafted `D4` header whose
@@ -83,7 +87,10 @@ fn sz_d4_slab_count_must_not_drive_the_context_allocation() {
         .u64(0) // raw-value count
         .blob(&[1]) // predictor section: tag 1 = per-slab contexts
         .0;
-    assert!(tac_sz::decompress::<f64>(&bytes).is_err());
+    assert!(matches!(
+        codec_for::<f64>(CodecId::Sz).decompress(&bytes),
+        Err(CodecError::Corrupt(_))
+    ));
 }
 
 /// Crafted raw-value counts must be bounded by the payload that would
@@ -94,7 +101,10 @@ fn sz_raw_count_must_not_drive_an_allocation() {
     let bytes = sz_header(0, &[1 << 30])
         .u64(1 << 30) // raw-value count: 8 GiB worth of f64s
         .0;
-    assert!(tac_sz::decompress::<f64>(&bytes).is_err());
+    assert!(matches!(
+        codec_for::<f64>(CodecId::Sz).decompress(&bytes),
+        Err(CodecError::Corrupt(_))
+    ));
 }
 
 /// A declared point count far beyond what the bit stream can encode
@@ -114,7 +124,10 @@ fn sz_point_count_must_fit_the_bit_stream() {
         .u64(8) // bit length: 8 bits for 2^30 declared points
         .u8(0xAA)
         .0;
-    assert!(tac_sz::decompress::<f64>(&bytes).is_err());
+    assert!(matches!(
+        codec_for::<f64>(CodecId::Sz).decompress(&bytes),
+        Err(CodecError::Corrupt(_))
+    ));
 }
 
 /// An LZSS stream declaring a huge uncompressed size must be rejected
@@ -123,11 +136,11 @@ fn sz_point_count_must_fit_the_bit_stream() {
 #[test]
 fn lzss_declared_length_is_bounded_by_possible_expansion() {
     let bytes = Bytes::default().u64(1 << 60).u8(0).0;
-    assert!(tac_sz::lossless::decompress(&bytes).is_err());
+    assert!(tac_codec::lossless::decompress(&bytes).is_err());
     // The legitimate maximum still round-trips.
     let data = vec![7u8; 4096];
-    let packed = tac_sz::lossless::compress(&data);
-    assert_eq!(tac_sz::lossless::decompress(&packed).unwrap(), data);
+    let packed = tac_codec::lossless::compress(&data);
+    assert_eq!(tac_codec::lossless::decompress(&packed).unwrap(), data);
 }
 
 /// A container header declaring an absurd finest dimension must fail
@@ -154,7 +167,7 @@ fn container_finest_dim_is_bounded() {
 #[test]
 fn container_level_dim_is_bounded() {
     let mask = tac_amr::BitMask::ones(4 * 4 * 4);
-    let packed = tac_sz::lossless::compress(&mask.to_bytes());
+    let packed = tac_codec::lossless::compress(&mask.to_bytes());
     let bytes = Bytes::default()
         .raw(b"TACD")
         .u8(1) // version
@@ -179,7 +192,7 @@ fn container_level_dim_is_bounded() {
 #[test]
 fn v1_whole_level_dim_that_disagrees_with_its_mask_is_rejected() {
     let mask = tac_amr::BitMask::ones(4 * 4 * 4);
-    let packed = tac_sz::lossless::compress(&mask.to_bytes());
+    let packed = tac_codec::lossless::compress(&mask.to_bytes());
     for dim in [3, 5, 8] {
         let bytes = Bytes::default()
             .raw(b"TACD")
@@ -227,7 +240,12 @@ fn pco_ans_page_fixture() -> (Vec<u8>, usize, usize) {
     use tac_core::{codec_for, CodecConfig, CodecId};
     let data: Vec<f64> = (0..600).map(|i| (i as f64 * 0.01).sin() * 3.0).collect();
     let bytes = codec_for(CodecId::PcoAns)
-        .compress(&data, None, tac_sz::Dims::D1(600), &CodecConfig::abs(1e-3))
+        .compress(
+            &data,
+            None,
+            tac_codec::Dims::D1(600),
+            &CodecConfig::abs(1e-3),
+        )
         .unwrap();
     let bin_table_at = 23 + 8;
     let n_bins = usize::from(bytes[bin_table_at]);
@@ -495,7 +513,7 @@ fn chunk_boxes_that_disagree_with_their_data_are_rejected() {
             unit: 4,
             codec,
             roi_tile: Some(8),
-            ..TacConfig::with_error_bound(tac_sz::ErrorBound::Abs(1e-3))
+            ..TacConfig::with_error_bound(tac_core::ErrorBound::Abs(1e-3))
         };
         compress_dataset_t(ds, &cfg, Method::Tac)
             .unwrap()
@@ -651,7 +669,7 @@ fn mask_mode_at(bytes: &[u8]) -> usize {
 fn with_stored_masks(bytes: &[u8], finest: &tac_amr::BitMask) -> Vec<u8> {
     let at = mask_mode_at(bytes);
     assert_eq!(bytes[at], 1);
-    let blob = tac_sz::lossless::compress(&finest.to_bytes());
+    let blob = tac_codec::lossless::compress(&finest.to_bytes());
     let mut out = Bytes(bytes[..at].to_vec())
         .u8(0)
         .blob(&blob)
@@ -693,7 +711,7 @@ fn an_implied_finest_mask_decodes_like_a_stored_one() {
                 assert_eq!(again, implied, "{name}/{method:?} at {workers} workers");
             }
             let stored = with_stored_masks(&implied, &cd.masks[0]);
-            let blob = tac_sz::lossless::compress(&cd.masks[0].to_bytes()).len();
+            let blob = tac_codec::lossless::compress(&cd.masks[0].to_bytes()).len();
             assert_eq!(stored.len(), implied.len() + 8 + blob);
 
             let parsed = CompressedDataset::from_bytes(&implied).unwrap();

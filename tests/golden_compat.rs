@@ -19,12 +19,13 @@
 
 use std::path::PathBuf;
 use tac_amr::{Aabb, AmrDataset, AmrLevel};
+use tac_codec::FLAG_LOSSLESS;
+use tac_core::ErrorBound;
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecElement, CodecId,
     CompressedDataset, LevelPayload, Method, MethodBody, Parallelism, Strategy, TacConfig,
     TacDtype,
 };
-use tac_sz::{ErrorBound, FLAG_LOSSLESS};
 
 fn data_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data")

@@ -17,11 +17,11 @@
 //!   smallest normal of its element type, which stays positive in `f32`.
 
 use tac_amr::{AmrDataset, AmrLevel};
+use tac_core::ErrorBound;
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, CodecId, CompressedDataset, Element, Method,
     Parallelism, TacConfig, TacError,
 };
-use tac_sz::ErrorBound;
 
 /// An 8^3 single-level dataset with NaN, +/-Inf, and -0.0 planted in an
 /// otherwise smooth field.

@@ -5,13 +5,13 @@
 //! codec-tag corruption handling.
 
 use tac_amr::{paste_region, Aabb, AmrDataset};
+use tac_core::ErrorBound;
 use tac_core::{
     codec_for, compress_dataset_t, decompress_dataset_par_t, decompress_region_t, CodecConfig,
     CodecElement, CodecError, CodecId, CompressedDataset, LevelPayload, Method, MethodBody,
     Parallelism, Strategy, TacConfig, TacError,
 };
 use tac_nyx::{entry, FieldKind};
-use tac_sz::ErrorBound;
 
 fn small_z10() -> AmrDataset {
     entry("Run1_Z10")
@@ -246,7 +246,7 @@ fn pco_lite_is_decode_only() {
         );
     }
     let data = ds.levels()[1].data();
-    let dims = tac_sz::Dims::D1(data.len());
+    let dims = tac_codec::Dims::D1(data.len());
     let codec_cfg = CodecConfig::abs(1e-3);
     assert!(matches!(
         codec_for::<f64>(CodecId::PcoLite).compress(data, None, dims, &codec_cfg),

@@ -1,12 +1,12 @@
 //! Integration tests for the hybrid strategy selection and the paper's
 //! Sec. 4.4 adaptive method switch, exercised on catalog-shaped data.
 
+use tac_core::ErrorBound;
 use tac_core::{
     choose_strategy, compress_dataset_t, decompress_dataset_par_t, select_method, Method,
     Parallelism, Strategy, TacConfig,
 };
 use tac_nyx::{entry, FieldKind};
-use tac_sz::ErrorBound;
 
 fn cfg(unit: usize) -> TacConfig {
     TacConfig {

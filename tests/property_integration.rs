@@ -3,12 +3,13 @@
 
 use proptest::prelude::*;
 use tac_amr::{Aabb, AmrDataset, AmrLevel};
+use tac_codec::{codec_for, CodecConfig, Dims};
+use tac_core::ErrorBound;
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, decompress_region_t, plan_opst_from_occupancy,
     zmesh_order, CodecElement, CodecId, CompressedDataset, CompressedLevel, LevelPayload, Method,
     MethodBody, Parallelism, Strategy, TacConfig, TacDtype, TacError,
 };
-use tac_sz::{compress, decompress, Dims, ErrorBound, SzConfig};
 
 /// Builds a valid two-level tree AMR dataset from a boolean refinement
 /// mask over the coarse grid and a value seed.
@@ -264,8 +265,9 @@ proptest! {
     ) {
         let eb = 10f64.powi(eb_exp) * 1e6;
         let n = values.len();
-        let bytes = compress(&values, None, Dims::D1(n), &SzConfig::abs(eb)).unwrap();
-        let (out, dims) = decompress(&bytes).unwrap();
+        let sz = codec_for::<f64>(CodecId::Sz);
+        let bytes = sz.compress(&values, None, Dims::D1(n), &CodecConfig::abs(eb)).unwrap();
+        let (out, dims) = sz.decompress(&bytes).unwrap();
         prop_assert_eq!(dims, Dims::D1(n));
         for (a, b) in values.iter().zip(&out) {
             prop_assert!((a - b).abs() <= eb * (1.0 + 1e-12));
@@ -284,8 +286,9 @@ proptest! {
             (state >> 33) as f64 / (1u64 << 31) as f64
         }).collect();
         let eb = 10f64.powi(eb_exp);
-        let bytes = compress(&values, None, Dims::D3(n, n, n), &SzConfig::abs(eb)).unwrap();
-        let (out, _) = decompress(&bytes).unwrap();
+        let sz = codec_for::<f64>(CodecId::Sz);
+        let bytes = sz.compress(&values, None, Dims::D3(n, n, n), &CodecConfig::abs(eb)).unwrap();
+        let (out, _) = sz.decompress(&bytes).unwrap();
         for (a, b) in values.iter().zip(&out) {
             prop_assert!((a - b).abs() <= eb * (1.0 + 1e-12));
         }
@@ -546,8 +549,8 @@ fn lzss_roundtrips_structured_buffers() {
                 }
             })
             .collect();
-        let c = tac_sz::lossless::compress(&data);
-        let d = tac_sz::lossless::decompress(&c).unwrap();
+        let c = tac_codec::lossless::compress(&data);
+        let d = tac_codec::lossless::decompress(&c).unwrap();
         assert_eq!(d, data, "seed {seed}");
     }
 }

@@ -3,11 +3,11 @@
 //! and structural integrity end to end.
 
 use tac_amr::AmrDataset;
+use tac_core::ErrorBound;
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, CompressedDataset, Method, Parallelism, TacConfig,
 };
 use tac_nyx::{entry, FieldKind};
-use tac_sz::ErrorBound;
 
 /// Per-level absolute bound check over present cells.
 fn assert_bounds(orig: &AmrDataset, recon: &AmrDataset, abs_eb_per_level: &[f64]) {
