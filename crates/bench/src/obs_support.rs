@@ -47,7 +47,7 @@ pub fn obs_install() -> bool {
 /// scoped to its own work.
 #[cfg(feature = "obs")]
 pub fn obs_take() -> Option<Snapshot> {
-    obs_active().then(|| tac_obs::session().take())
+    obs_active().then(|| tac_obs::install().take())
 }
 
 /// No-op flavour: the `obs` feature is compiled out.

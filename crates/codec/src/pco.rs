@@ -196,7 +196,7 @@ impl<T: Element> Quantizer<T> {
     /// nothing and moves nothing.
     // tac-lint: allow(panic, arith) -- encoder-only: `at` is where this stream's own writer put the placeholder, so `at + 8` is inside `body`.
     fn finish(self, body: &mut Vec<u8>, at: usize) {
-        tac_obs::add_bytes(tac_obs::Counter::PcoExceptions, self.exceptions.len());
+        tac_obs::add(tac_obs::Counter::PcoExceptions, self.exceptions.len());
         if self.exceptions.is_empty() {
             return;
         }

@@ -162,8 +162,8 @@ fn encode_page(scratch: &mut EncodeScratch, z: &[u64], classes: &[u8], out: &mut
         offset_bits += b.count as usize * spec.width as usize;
     }
     drop(table_span);
-    tac_obs::hist(tac_obs::HistKind::AnsPageBins, plan.len());
-    tac_obs::add(tac_obs::Counter::AnsPages, 1);
+    tac_obs::add(tac_obs::Counter::AnsBins, plan.len());
+    tac_obs::add(tac_obs::Counter::AnsPages, 1u64);
 
     let (seeds, words_at) = ans::encode(syms, classes, words);
     let words = &words[words_at..];
@@ -400,9 +400,9 @@ fn decode_page<T: Element>(
             "offset stream holds {offset_bytes} bytes but decode consumed {bitpos} bits"
         )));
     }
-    tac_obs::add(tac_obs::Counter::AnsPages, 1);
+    tac_obs::add(tac_obs::Counter::AnsPages, 1u64);
     tac_obs::add(tac_obs::Counter::AnsRenorms, dec.renorms());
-    tac_obs::hist(tac_obs::HistKind::AnsPageBins, n_bins);
+    tac_obs::add(tac_obs::Counter::AnsBins, n_bins);
     *prev = q;
     Ok(())
 }

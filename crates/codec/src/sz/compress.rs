@@ -341,8 +341,8 @@ fn compress_with<T: Element, B: BackEnd>(
         // Predictor mix: regression vs. Lorenzo blocks, per slab.
         for ctx in contexts.iter().flatten() {
             let regression_blocks = ctx.modes.iter().filter(|&&m| m).count();
-            tac_obs::add_bytes(tac_obs::Counter::SzBlocksRegression, regression_blocks);
-            tac_obs::add_bytes(
+            tac_obs::add(tac_obs::Counter::SzBlocksRegression, regression_blocks);
+            tac_obs::add(
                 tac_obs::Counter::SzBlocksLorenzo,
                 ctx.modes.len().saturating_sub(regression_blocks),
             );
@@ -365,8 +365,8 @@ fn compress_with<T: Element, B: BackEnd>(
     if tac_obs::enabled() {
         // Don't-care points code a symbol but quantize nothing.
         let dont_care = care.map_or(0, |care| care.iter().filter(|&&c| !c).count());
-        tac_obs::add_bytes(tac_obs::Counter::SzQuantMisses, raws.len());
-        tac_obs::add_bytes(
+        tac_obs::add(tac_obs::Counter::SzQuantMisses, raws.len());
+        tac_obs::add(
             tac_obs::Counter::SzQuantHits,
             symbols
                 .len()
@@ -416,9 +416,9 @@ fn compress_with<T: Element, B: BackEnd>(
         };
         // The pack is kept only when it is smaller: the two counters
         // show how much of the stage's input was worth packing.
-        tac_obs::add_bytes(tac_obs::Counter::SzLosslessBytesIn, payload.len());
+        tac_obs::add(tac_obs::Counter::SzLosslessBytesIn, payload.len());
         if packed.len() < payload.len() {
-            tac_obs::add_bytes(tac_obs::Counter::SzLosslessBytesKept, payload.len());
+            tac_obs::add(tac_obs::Counter::SzLosslessBytesKept, payload.len());
             header.flags |= FLAG_LOSSLESS;
             packed
         } else {

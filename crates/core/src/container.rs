@@ -412,7 +412,7 @@ impl CompressedDataset {
         w.put_u8(self.masks.len() as u8);
         let masks_at = w.len();
         self.write_masks(&mut w);
-        tac_obs::add_bytes(tac_obs::Counter::StructureBytesOut, w.len() - masks_at);
+        tac_obs::add(tac_obs::Counter::StructureBytesOut, w.len() - masks_at);
 
         // Method metadata (everything except the streams themselves).
         match &self.body {

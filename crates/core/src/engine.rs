@@ -266,8 +266,8 @@ pub(crate) fn compress_plans<T: CodecElement>(
                     TaskOut::Stream(stream) => stream.len(),
                     TaskOut::Group(group) => group.stream.len(),
                 };
-                tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
-                tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, bytes);
+                tac_obs::add(tac_obs::Counter::ChunksEncoded, 1u64);
+                tac_obs::add(tac_obs::Counter::PayloadBytesOut, bytes);
             }
             Ok(out)
         },
@@ -434,8 +434,8 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
                     DecompressKind::Whole(stream) => stream.len(),
                     DecompressKind::Group(g) => g.stream.len(),
                 };
-                tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
-                tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, bytes);
+                tac_obs::add(tac_obs::Counter::ChunksDecoded, 1u64);
+                tac_obs::add(tac_obs::Counter::PayloadBytesIn, bytes);
             }
             // A whole-level stream is one region covering the grid.
             let whole = [(0, 0, 0)];
@@ -460,7 +460,7 @@ pub(crate) fn decompress_tac_levels<T: CodecElement>(
             let _paste = (tac_obs::span(tac_obs::Stage::Paste).arg("level", t.level))
                 .arg("cells", values.len());
             let stored = paste_group(t.grid, shape, origins, &values, mask)?;
-            tac_obs::add_bytes(tac_obs::Counter::AssembleCellsWritten, stored);
+            tac_obs::add(tac_obs::Counter::AssembleCellsWritten, stored);
             Ok(())
         },
     );

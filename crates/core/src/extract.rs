@@ -110,7 +110,7 @@ pub(crate) fn compress_cells<T: CodecElement>(
     cfg: &CodecConfig,
 ) -> Result<Vec<u8>, TacError> {
     let dont_care = care.len().saturating_sub(present);
-    tac_obs::add_bytes(tac_obs::Counter::DontCareValues, dont_care);
+    tac_obs::add(tac_obs::Counter::DontCareValues, dont_care);
     let care = (dont_care > 0).then_some(care);
     Ok(codec_for::<T>(codec).compress(values, care, dims, cfg)?)
 }

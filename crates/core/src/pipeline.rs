@@ -131,6 +131,10 @@ pub fn compress_level_t<T: CodecElement>(
 /// alike), and only the cells the payload covers are ever written. A
 /// payload whose recorded element type disagrees with `T` is rejected up
 /// front with [`CodecError::WrongDtype`] instead of being misinterpreted.
+///
+/// Decodes on one worker: the signature carries no worker count, so the
+/// level's streams decode serially on the calling thread, unlike
+/// [`compress_level_t`], which honours `cfg.parallelism`.
 pub fn decompress_level_t<T: CodecElement>(
     cl: &CompressedLevel,
     mask: &BitMask,
@@ -374,7 +378,7 @@ pub(crate) fn compress_with<T: CodecElement>(
                 let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
                 to_uniform(ds)
             };
-            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, uniform.len());
+            tac_obs::add(tac_obs::Counter::ReorderValues, uniform.len());
             let abs_eb = {
                 let _plan = tac_obs::span(tac_obs::Stage::Plan);
                 resolve_level_eb_for(T::DTYPE, cfg.error_bound, 1.0, min_max(&uniform))?
@@ -388,8 +392,8 @@ pub(crate) fn compress_with<T: CodecElement>(
                     &CodecConfig::abs(abs_eb),
                 )?
             };
-            tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
-            tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
+            tac_obs::add(tac_obs::Counter::ChunksEncoded, 1u64);
+            tac_obs::add(tac_obs::Counter::PayloadBytesOut, stream.len());
             MethodBody::Baseline3D {
                 abs_eb,
                 codec: cfg.codec,
@@ -554,8 +558,8 @@ fn fill_uniform<T: CodecElement>(
     grids: &[SlabGrid<'_, T>],
 ) -> Result<(), TacError> {
     let n = finest_dim;
-    tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
-    tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, stream.len());
+    tac_obs::add(tac_obs::Counter::ChunksDecoded, 1u64);
+    tac_obs::add(tac_obs::Counter::PayloadBytesIn, stream.len());
     let (uniform, dims) = {
         let _decode = tac_obs::span(tac_obs::Stage::Decode).arg("codec", codec.tag());
         T::codec_decompress(codec_for(codec), stream)?
@@ -590,7 +594,7 @@ fn fill_uniform<T: CodecElement>(
             }
             filled += len;
         }
-        tac_obs::add_bytes(tac_obs::Counter::ReorderValues, filled);
+        tac_obs::add(tac_obs::Counter::ReorderValues, filled);
     }
     Ok(())
 }

@@ -118,10 +118,10 @@ fn record_roi_stats(stats: &RoiStats) {
     if !tac_obs::enabled() {
         return;
     }
-    tac_obs::add_bytes(tac_obs::Counter::RoiChunksTotal, stats.chunks_total);
-    tac_obs::add_bytes(tac_obs::Counter::RoiChunksRead, stats.chunks_read);
-    tac_obs::add_bytes(tac_obs::Counter::RoiBytesRead, stats.payload_bytes_read);
-    tac_obs::add_bytes(
+    tac_obs::add(tac_obs::Counter::RoiChunksTotal, stats.chunks_total);
+    tac_obs::add(tac_obs::Counter::RoiChunksRead, stats.chunks_read);
+    tac_obs::add(tac_obs::Counter::RoiBytesRead, stats.payload_bytes_read);
+    tac_obs::add(
         tac_obs::Counter::RoiBytesSkipped,
         stats
             .payload_bytes_total

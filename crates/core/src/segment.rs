@@ -173,7 +173,7 @@ fn encode_segments<T: CodecElement>(
                 let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
                 gather_walk(t.masks, t.finest_dim, t.planes.clone(), t.data, usize::MAX)
             };
-            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
+            tac_obs::add(tac_obs::Counter::ReorderValues, values.len());
             let _encode = tac_obs::span(tac_obs::Stage::Encode).arg("codec", cfg.codec.tag());
             let stream = T::codec_compress(
                 codec_for(cfg.codec),
@@ -181,8 +181,8 @@ fn encode_segments<T: CodecElement>(
                 Dims::D1(values.len()),
                 &CodecConfig::abs(t.abs_eb),
             )?;
-            tac_obs::add(tac_obs::Counter::ChunksEncoded, 1);
-            tac_obs::add_bytes(tac_obs::Counter::PayloadBytesOut, stream.len());
+            tac_obs::add(tac_obs::Counter::ChunksEncoded, 1u64);
+            tac_obs::add(tac_obs::Counter::PayloadBytesOut, stream.len());
             Ok(Segment {
                 plane_end: t.planes.end,
                 stream,
@@ -412,8 +412,8 @@ pub(crate) fn decompress_stacks<T: CodecElement>(
         |t| -> Result<(), TacError> {
             let (values, dims) = {
                 let _decode = tac_obs::span(tac_obs::Stage::Decode).arg("codec", t.codec.tag());
-                tac_obs::add(tac_obs::Counter::ChunksDecoded, 1);
-                tac_obs::add_bytes(tac_obs::Counter::PayloadBytesIn, t.segment.stream.len());
+                tac_obs::add(tac_obs::Counter::ChunksDecoded, 1u64);
+                tac_obs::add(tac_obs::Counter::PayloadBytesIn, t.segment.stream.len());
                 T::codec_decompress(codec_for(t.codec), t.segment.stream)?
             };
             if dims != Dims::D1(values.len()) {
@@ -423,7 +423,7 @@ pub(crate) fn decompress_stacks<T: CodecElement>(
                 )));
             }
             let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
-            tac_obs::add_bytes(tac_obs::Counter::ReorderValues, values.len());
+            tac_obs::add(tac_obs::Counter::ReorderValues, values.len());
             let mut slabs =
                 (t.grids.iter().map(|g| g.lock(t.slab))).collect::<Result<Vec<_>, _>>()?;
             let mut cells: Vec<(usize, &mut [T])> =

@@ -171,8 +171,8 @@ fn select_exhaustive<T: CodecElement>(
                     continue;
                 }
             };
-            tac_obs::add(tac_obs::Counter::SelectCandidates, 1);
-            tac_obs::add_bytes(tac_obs::Counter::SelectSampledValues, ds.total_present());
+            tac_obs::add(tac_obs::Counter::SelectCandidates, 1u64);
+            tac_obs::add(tac_obs::Counter::SelectSampledValues, ds.total_present());
             // Score what the dominance contract is stated over: the
             // serialized container, headers and chunk tables included.
             let est = cd.to_bytes().len();
@@ -289,7 +289,7 @@ fn sample_window<T: CodecElement>(
 ) -> Vec<T> {
     let _reorder = tac_obs::span(tac_obs::Stage::Reorder);
     let window = gather_walk(masks, finest_dim, ALL_PLANES, level_data, take);
-    tac_obs::add_bytes(tac_obs::Counter::ReorderValues, window.len());
+    tac_obs::add(tac_obs::Counter::ReorderValues, window.len());
     window
 }
 
@@ -297,7 +297,7 @@ fn sample_window<T: CodecElement>(
 fn trial<T: CodecElement>(codec: CodecId, window: &[T], abs_eb: f64) -> Option<usize> {
     let cc = CodecConfig::abs(abs_eb);
     let stream = T::codec_compress(codec_for(codec), window, Dims::D1(window.len()), &cc).ok()?;
-    tac_obs::add_bytes(tac_obs::Counter::SelectSampledValues, window.len());
+    tac_obs::add(tac_obs::Counter::SelectSampledValues, window.len());
     Some(stream.len())
 }
 
@@ -493,7 +493,7 @@ fn select_sampled<T: CodecElement>(
             }
         }
     }
-    tac_obs::add(tac_obs::Counter::SelectCandidates, candidates.len() as u64);
+    tac_obs::add(tac_obs::Counter::SelectCandidates, candidates.len());
     finish(winner, candidates, false, fallback_err)
 }
 

@@ -416,7 +416,7 @@ pub(crate) fn gather_walk<T: Element>(
     // the slabs' population.
     let present = population(masks, finest_dim, &planes);
     let mut out = vec![T::ZERO; present.min(limit)];
-    let (mut filled, mut pieces) = (0, 0);
+    let (mut filled, mut pieces) = (0, 0usize);
     let _ = walk(masks, finest_dim, planes, |l, piece| {
         pieces += 1;
         let src = level_data.get(l).copied().unwrap_or_default();
@@ -428,7 +428,7 @@ pub(crate) fn gather_walk<T: Element>(
             Break(())
         }
     });
-    tac_obs::add_bytes(tac_obs::Counter::ReorderPieces, pieces);
+    tac_obs::add(tac_obs::Counter::ReorderPieces, pieces);
     out.truncate(filled);
     out
 }
@@ -586,7 +586,7 @@ fn scatter_pieces<T: Element, const CLIPPED: bool>(
     slabs: &mut [(usize, &mut [T])],
     clips: &[Option<Clip>],
 ) -> Result<(), TacError> {
-    let (mut rest, mut pieces) = (values, 0);
+    let (mut rest, mut pieces) = (values, 0usize);
     let ran_short = walk(masks, finest_dim, planes, |l, piece| {
         pieces += 1;
         let clip = if CLIPPED {
@@ -607,7 +607,7 @@ fn scatter_pieces<T: Element, const CLIPPED: bool>(
         Continue(())
     })
     .is_break();
-    tac_obs::add_bytes(tac_obs::Counter::ReorderPieces, pieces);
+    tac_obs::add(tac_obs::Counter::ReorderPieces, pieces);
     if ran_short || !rest.is_empty() {
         return Err(TacError::Corrupt(format!(
             "stream holds {} values, the traversal of its planes has {}",

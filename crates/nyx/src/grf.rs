@@ -12,8 +12,7 @@
 //! the spectrum Hermitian, so the inverse transform is real by
 //! construction.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Xoshiro256pp;
 use tac_fft::{Complex, Direction, Fft3Plan};
 
 /// Isotropic power-spectrum model `P(k) ~ k^index * exp(-(k/cutoff)^2)`.
@@ -55,16 +54,16 @@ impl SpectrumModel {
 /// grid (n must be a power of two).
 pub fn gaussian_random_field(n: usize, model: &SpectrumModel, seed: u64) -> Vec<f64> {
     assert!(n.is_power_of_two(), "grid side must be a power of two");
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Box-Muller white noise (avoids needing rand_distr). The uniforms
-    // are drawn in stream order, each pair parked as (u1, u2) in the slot
-    // its cosine output takes; the pairs are then transformed in place on
-    // every core, with no second buffer.
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    // Box-Muller white noise. The uniforms are drawn in stream order,
+    // each pair parked as (u1, u2) in the slot its cosine output takes;
+    // the pairs are then transformed in place on every core, with no
+    // second buffer.
     let total = n * n * n;
     let mut buf = vec![Complex::ZERO; total];
     for pair in buf.chunks_mut(2) {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
+        let u1 = rng.f64_in(f64::MIN_POSITIVE, 1.0);
+        let u2 = rng.f64_in(0.0, 1.0);
         pair[0] = Complex::new(u1, u2);
     }
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());

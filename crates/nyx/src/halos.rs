@@ -6,8 +6,7 @@
 //! peaks, so the synthetic fields must contain them. Profiles follow a
 //! truncated NFW-like shape `A / ((r/rs)(1 + r/rs)^2)`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Xoshiro256pp;
 
 /// Parameters for a synthetic halo population.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +53,7 @@ pub fn inject_halos(
     seed: u64,
 ) -> Vec<InjectedHalo> {
     assert_eq!(field.len(), n * n * n);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x48_41_4c_4f);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x48_41_4c_4f);
     let sd = {
         let mean = field.iter().sum::<f64>() / field.len() as f64;
         (field.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / field.len() as f64).sqrt()
@@ -69,14 +68,14 @@ pub fn inject_halos(
     let mut attempts = 0usize;
     while placed < pop.count && attempts < pop.count * 64 {
         attempts += 1;
-        let cx = rng.gen_range(0..n);
-        let cy = rng.gen_range(0..n);
-        let cz = rng.gen_range(0..n);
+        let cx = rng.below(n);
+        let cy = rng.below(n);
+        let cz = rng.below(n);
         // Rejection sample toward over-dense sites: accept if the site is
         // above the running median-ish threshold or with small probability
         // anywhere (keeps progress on flat fields).
         let v = field[cx + n * (cy + n * cz)];
-        if v < 0.0 && rng.gen_range(0.0..1.0) > 0.15 {
+        if v < 0.0 && rng.f64_in(0.0, 1.0) > 0.15 {
             continue;
         }
         // NFW-like additive bump, periodic wrap (the simulation box is

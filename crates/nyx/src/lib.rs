@@ -30,6 +30,7 @@ mod field;
 mod grf;
 mod halos;
 mod refine;
+mod rng;
 
 pub use catalog::{entry, CatalogEntry, CATALOG};
 pub use field::{synthesize, synthesize_with, FieldKind};

@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use crate::snapshot::{HistSnapshot, Snapshot};
+use crate::snapshot::Snapshot;
 use crate::{Counter, Stage};
 
 fn ns_to_us(ns: u64) -> f64 {
@@ -67,7 +67,7 @@ pub struct StageRow {
     pub self_ns: u64,
 }
 
-/// Per-stage breakdown plus the non-zero counters and histograms.
+/// Per-stage breakdown plus the non-zero counters.
 ///
 /// Accounting: every span's `self_ns` excludes its direct children, so
 /// within one thread self times telescope exactly. Across threads, the
@@ -89,8 +89,6 @@ pub struct StageReport {
     pub wall_ns: u64,
     /// Non-zero counters, in [`Counter::ALL`] order.
     pub counters: Vec<(Counter, u64)>,
-    /// Histograms with at least one observation.
-    pub hists: Vec<HistSnapshot>,
 }
 
 impl StageReport {
@@ -142,17 +140,10 @@ impl StageReport {
             .map(|&c| (c, snap.counter(c)))
             .filter(|&(_, v)| v != 0)
             .collect();
-        let hists = snap
-            .hists
-            .iter()
-            .filter(|h| h.total() != 0)
-            .cloned()
-            .collect();
         StageReport {
             rows,
             wall_ns,
             counters,
-            hists,
         }
     }
 
@@ -166,8 +157,7 @@ impl StageReport {
         }
     }
 
-    /// `EXPERIMENTS.md`-style text table: stages, then counters, then
-    /// histograms.
+    /// `EXPERIMENTS.md`-style text table: stages, then counters.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -201,25 +191,6 @@ impl StageReport {
                 let _ = writeln!(out, "  {:<22} {v}", c.name());
             }
         }
-        for h in &self.hists {
-            let mean = h.mean().unwrap_or(0.0);
-            let hi = h
-                .counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c != 0)
-                .map(|(v, _)| v)
-                .next_back()
-                .unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "hist {}: {} observations, mean {:.2}, max {}",
-                h.kind.name(),
-                h.total(),
-                mean,
-                hi
-            );
-        }
         out
     }
 }
@@ -251,10 +222,8 @@ mod tests {
         if let Some(slot) = snap.counters.get_mut(Counter::ChunksEncoded.index()) {
             *slot = 9;
         }
-        if let Some(h) = snap.hists.get_mut(0) {
-            if let Some(slot) = h.counts.get_mut(12) {
-                *slot = 4;
-            }
+        if let Some(slot) = snap.counters.get_mut(Counter::AnsBins.index()) {
+            *slot = 4;
         }
         snap
     }
@@ -326,11 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_counters_and_hists() {
+    fn report_renders_counters() {
         let text = StageReport::from_snapshot(&sample()).render_text();
         assert!(text.contains("encode"), "{text}");
         assert!(text.contains("chunks_encoded"), "{text}");
-        assert!(text.contains("ans_page_bins"), "{text}");
+        assert!(text.contains("ans_bins"), "{text}");
     }
 
     #[test]

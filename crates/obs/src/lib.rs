@@ -1,16 +1,15 @@
 //! Structured observability for the TAC stack.
 //!
-//! Every other crate calls the free functions [`span`], [`add`] and
-//! [`hist`] unconditionally; with the `enabled` feature they record into
-//! the one global `ObsSession` once `install` has run, and do nothing
-//! before. Without the `enabled` cargo feature the whole
-//! API compiles to zero-sized inline
-//! no-ops — [`SpanGuard`] is a unit struct and every call body is empty,
-//! so the default build carries no recorder branches in hot loops (see
-//! the `disabled_guard_is_zero_sized` test). With `enabled`, spans keep
-//! a thread-local stack with monotonic timestamps, and counters and
-//! histograms land in per-thread shards that are merged only on collect,
-//! so hot loops never touch shared atomics.
+//! Every other crate calls the free functions [`span`] and [`add`]
+//! unconditionally; with the `enabled` feature they record into the one
+//! global `ObsSession` once `install` has run, and do nothing before.
+//! Without the `enabled` cargo feature the whole API compiles to
+//! zero-sized inline no-ops — [`SpanGuard`] is a unit struct and every
+//! call body is empty, so the default build carries no recorder branches
+//! in hot loops (see the `disabled_guard_is_zero_sized` test). With
+//! `enabled`, spans keep a thread-local stack with monotonic timestamps,
+//! and counters land in per-thread shards that are merged only on
+//! collect, so hot loops never touch shared atomics.
 //!
 //! Two exporters live in [`export`]: a chrome://tracing-compatible event
 //! stream and a compact per-stage text report. [`meta`] captures run
@@ -23,12 +22,12 @@ pub mod export;
 pub mod meta;
 mod snapshot;
 
-pub use snapshot::{HistSnapshot, Snapshot, SpanEvent};
+pub use snapshot::{Snapshot, SpanEvent};
 
 #[cfg(feature = "enabled")]
 mod registry;
 #[cfg(feature = "enabled")]
-pub use registry::{install, session, ObsSession, SpanGuard};
+pub use registry::{install, ObsSession, SpanGuard};
 
 /// Whether the recording machinery is compiled in. `const`, so
 /// `if tac_obs::enabled() { .. }` folds away entirely in default builds.
@@ -196,6 +195,9 @@ pub enum Counter {
     PcoExceptions,
     /// PcoAns pages emitted or decoded.
     AnsPages,
+    /// PcoAns bins planned per page, summed over the pages emitted or
+    /// decoded: `ans_bins / ans_pages` is the mean bins per page.
+    AnsBins,
     /// PcoAns decoder state renormalizations (16-bit word refills).
     AnsRenorms,
     /// `(method, codec)` candidates evaluated by a `Method::Auto`
@@ -248,6 +250,7 @@ impl Counter {
         Counter::SzLosslessBytesKept,
         Counter::PcoExceptions,
         Counter::AnsPages,
+        Counter::AnsBins,
         Counter::AnsRenorms,
         Counter::SelectCandidates,
         Counter::SelectSampledValues,
@@ -258,10 +261,11 @@ impl Counter {
         Counter::DontCareValues,
     ];
 
-    /// Index into a shard's counter array.
+    /// Index into a shard's counter array: the declaration order, which
+    /// [`Counter::ALL`] follows.
     #[inline(always)]
     pub fn index(self) -> usize {
-        Counter::ALL.iter().position(|&c| c == self).unwrap_or(0)
+        self as usize
     }
 
     /// Stable snake_case name used by both exporters.
@@ -285,6 +289,7 @@ impl Counter {
             Counter::SzLosslessBytesKept => "sz_lossless_bytes_kept",
             Counter::PcoExceptions => "pco_exceptions",
             Counter::AnsPages => "ans_pages",
+            Counter::AnsBins => "ans_bins",
             Counter::AnsRenorms => "ans_renorms",
             Counter::SelectCandidates => "select_candidates",
             Counter::SelectSampledValues => "select_sampled_values",
@@ -297,46 +302,11 @@ impl Counter {
     }
 }
 
-/// Typed histograms. Buckets are direct small-integer values, clamped to
-/// [`HIST_BUCKETS`]` - 1` — exactly right for bit widths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HistKind {
-    /// Bin count chosen per PcoAns page (1..=65, clamped to the bucket
-    /// range).
-    AnsPageBins,
-}
-
-/// Bucket count per histogram: values 0..=64 — right for bit widths,
-/// and PcoAns bin counts (1..=65) land in it with the top value
-/// clamped.
-pub const HIST_BUCKETS: usize = 65;
-
-impl HistKind {
-    /// Number of histogram kinds (shard array size).
-    pub const COUNT: usize = HistKind::ALL.len();
-
-    /// Every histogram kind.
-    pub const ALL: &'static [HistKind] = &[HistKind::AnsPageBins];
-
-    /// Index into a shard's histogram array.
-    #[inline(always)]
-    pub fn index(self) -> usize {
-        HistKind::ALL.iter().position(|&h| h == self).unwrap_or(0)
-    }
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            HistKind::AnsPageBins => "ans_page_bins",
-        }
-    }
-}
-
-/// Values accepted by [`SpanGuard::arg`] — the small unsigned integers
-/// instrumentation sites actually have on hand. Taking the conversion
-/// here keeps `as` casts out of wire-audited call sites.
+/// Values accepted by [`add`] and [`SpanGuard::arg`] — the small
+/// unsigned integers instrumentation sites actually have on hand. Taking
+/// the conversion here keeps `as` casts out of wire-audited call sites.
 pub trait ObsValue {
-    /// Widen into the u64 the span event stores.
+    /// Widen into the u64 a counter or span event stores.
     fn into_u64(self) -> u64;
 }
 
@@ -351,13 +321,6 @@ macro_rules! obs_value {
     )*};
 }
 obs_value!(u8, u16, u32, u64, usize);
-
-impl ObsValue for bool {
-    #[inline(always)]
-    fn into_u64(self) -> u64 {
-        u64::from(self)
-    }
-}
 
 // ---------------------------------------------------------------------
 // Disabled path: the entire API is zero-sized inline no-ops.
@@ -392,18 +355,7 @@ pub fn span(_stage: Stage) -> SpanGuard {
 /// Add `delta` to a counter (no-op flavour).
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
-pub fn add(_counter: Counter, _delta: u64) {}
-
-/// Add a `usize` quantity (typically a buffer length) to a counter
-/// (no-op flavour).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn add_bytes(_counter: Counter, _n: usize) {}
-
-/// Record one histogram observation (no-op flavour).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn hist(_kind: HistKind, _value: usize) {}
+pub fn add(_counter: Counter, _delta: impl ObsValue) {}
 
 // ---------------------------------------------------------------------
 // Enabled path: thin wrappers over the registry.
@@ -420,22 +372,8 @@ pub fn span(stage: Stage) -> SpanGuard {
 /// Add `delta` to a counter in the calling thread's shard.
 #[cfg(feature = "enabled")]
 #[inline]
-pub fn add(counter: Counter, delta: u64) {
-    registry::add(counter, delta)
-}
-
-/// Add a `usize` quantity (typically a buffer length) to a counter.
-#[cfg(feature = "enabled")]
-#[inline]
-pub fn add_bytes(counter: Counter, n: usize) {
-    registry::add(counter, n as u64)
-}
-
-/// Record one histogram observation in the calling thread's shard.
-#[cfg(feature = "enabled")]
-#[inline]
-pub fn hist(kind: HistKind, value: usize) {
-    registry::hist(kind, value)
+pub fn add(counter: Counter, delta: impl ObsValue) {
+    registry::add(counter, delta.into_u64())
 }
 
 #[cfg(test)]
@@ -457,10 +395,7 @@ mod tests {
     #[test]
     fn counter_indices_are_dense() {
         for (i, c) in Counter::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i);
-        }
-        for (i, h) in HistKind::ALL.iter().enumerate() {
-            assert_eq!(h.index(), i);
+            assert_eq!(c.index(), i, "{c:?}");
         }
     }
 
@@ -470,10 +405,9 @@ mod tests {
     #[test]
     fn disabled_guard_is_zero_sized() {
         assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
-        let g = span(Stage::Encode).arg("level", 3usize).arg("ok", true);
+        let g = span(Stage::Encode).arg("level", 3usize).arg("flag", 1u8);
         drop(g);
-        add(Counter::ChunksEncoded, 1);
-        add_bytes(Counter::PayloadBytesOut, 128);
-        hist(HistKind::AnsPageBins, 12);
+        add(Counter::ChunksEncoded, 1u64);
+        add(Counter::PayloadBytesOut, 128usize);
     }
 }

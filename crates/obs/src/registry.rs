@@ -4,7 +4,7 @@
 //!
 //! Hot-path discipline: a span open/close touches only thread-local
 //! state plus the calling thread's own shard (relaxed atomics nobody
-//! else writes); counters and histograms go straight to the shard.
+//! else writes); counters go straight to the shard.
 //! Shared state is touched only on first use per thread (shard
 //! registration) and on [`ObsSession::snapshot`]/[`ObsSession::reset`],
 //! which the caller runs after worker threads have been joined.
@@ -15,12 +15,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::snapshot::{Snapshot, SpanEvent};
-use crate::{Counter, HistKind, ObsValue, Stage, HIST_BUCKETS};
+use crate::{Counter, ObsValue, Stage};
 
-/// The session spans, counters and histograms record into; unset until
-/// [`install`].
-static INSTALLED: OnceLock<&'static ObsSession> = OnceLock::new();
 static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// The session spans and counters record into; unset until [`install`].
 static SESSION: OnceLock<ObsSession> = OnceLock::new();
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
@@ -40,23 +38,15 @@ fn current_tid() -> u32 {
     TID.with(|t| *t)
 }
 
-/// The global [`ObsSession`] (created on first use, recording nothing
-/// until [`install`]ed).
-pub fn session() -> &'static ObsSession {
-    SESSION.get_or_init(ObsSession::new)
-}
-
 /// Start recording into the global [`ObsSession`] and return it.
 /// Idempotent; also pins the timestamp epoch.
 pub fn install() -> &'static ObsSession {
-    let s = session();
     let _ = now_ns();
-    let _ = INSTALLED.set(s);
-    s
+    SESSION.get_or_init(ObsSession::new)
 }
 
 fn installed() -> Option<&'static ObsSession> {
-    INSTALLED.get().copied()
+    SESSION.get()
 }
 
 /// One open span on the thread-local stack.
@@ -145,31 +135,18 @@ pub(crate) fn add(counter: Counter, delta: u64) {
     }
 }
 
-/// Histogram observation (free-function flavour used by
-/// `tac_obs::hist`).
-pub(crate) fn hist(kind: HistKind, value: usize) {
-    if let Some(session) = installed() {
-        session.hist(kind, value);
-    }
-}
-
 /// Per-thread storage. Only the owning thread writes; collect reads the
 /// relaxed atomics after workers are joined.
 struct Shard {
     counters: Vec<AtomicU64>,
-    /// Flat `[kind][bucket]` histogram buckets.
-    hist_buckets: Vec<AtomicU64>,
     spans: Mutex<Vec<SpanEvent>>,
 }
 
 impl Shard {
     fn new() -> Self {
         let counters = (0..Counter::COUNT).map(|_| AtomicU64::new(0)).collect();
-        let flat_len = HistKind::COUNT.saturating_mul(HIST_BUCKETS);
-        let hist_buckets = (0..flat_len).map(|_| AtomicU64::new(0)).collect();
         Shard {
             counters,
-            hist_buckets,
             spans: Mutex::new(Vec::new()),
         }
     }
@@ -221,15 +198,6 @@ impl ObsSession {
             for (total, slot) in out.counters.iter_mut().zip(shard.counters.iter()) {
                 *total = total.saturating_add(slot.load(Ordering::Relaxed));
             }
-            for (kind_pos, merged) in out.hists.iter_mut().enumerate() {
-                let base = kind_pos.saturating_mul(HIST_BUCKETS);
-                for (bucket_pos, total) in merged.counts.iter_mut().enumerate() {
-                    let flat = base.saturating_add(bucket_pos);
-                    if let Some(slot) = shard.hist_buckets.get(flat) {
-                        *total = total.saturating_add(slot.load(Ordering::Relaxed));
-                    }
-                }
-            }
             if let Ok(spans) = shard.spans.lock() {
                 out.spans.extend(spans.iter().cloned());
             }
@@ -238,7 +206,7 @@ impl ObsSession {
         out
     }
 
-    /// Zero every counter and histogram bucket and drop recorded spans,
+    /// Zero every counter and drop recorded spans,
     /// in every shard, and drop the shards of threads that have exited:
     /// a shard only the session holds is one nothing records into again,
     /// so the list stays as long as the live recording threads, however
@@ -249,9 +217,6 @@ impl ObsSession {
         };
         all.retain(|shard| {
             for slot in shard.counters.iter() {
-                slot.store(0, Ordering::Relaxed);
-            }
-            for slot in shard.hist_buckets.iter() {
                 slot.store(0, Ordering::Relaxed);
             }
             if let Ok(mut spans) = shard.spans.lock() {
@@ -282,20 +247,6 @@ impl ObsSession {
         if let Some(shard) = self.shard() {
             if let Some(slot) = shard.counters.get(counter.index()) {
                 slot.fetch_add(delta, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Record one histogram observation in the calling thread's shard.
-    fn hist(&self, kind: HistKind, value: usize) {
-        if let Some(shard) = self.shard() {
-            let bucket = value.min(HIST_BUCKETS.saturating_sub(1));
-            let flat = kind
-                .index()
-                .saturating_mul(HIST_BUCKETS)
-                .saturating_add(bucket);
-            if let Some(slot) = shard.hist_buckets.get(flat) {
-                slot.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -366,29 +317,16 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..100 {
-                        crate::add(Counter::ChunksEncoded, 1);
-                        crate::add_bytes(Counter::PayloadBytesOut, 10);
+                        crate::add(Counter::ChunksEncoded, 1u64);
+                        crate::add(Counter::PayloadBytesOut, 10usize);
                     }
                 });
             }
         });
-        crate::add(Counter::ChunksEncoded, 1);
+        crate::add(Counter::ChunksEncoded, 1u64);
         let snap = s.take();
         assert_eq!(snap.counter(Counter::ChunksEncoded), 401);
         assert_eq!(snap.counter(Counter::PayloadBytesOut), 4000);
-    }
-
-    #[test]
-    fn histogram_observations_clamp_and_merge() {
-        let (_held, s) = setup();
-        crate::hist(HistKind::AnsPageBins, 12);
-        crate::hist(HistKind::AnsPageBins, 12);
-        crate::hist(HistKind::AnsPageBins, 1000); // clamps to last bucket
-        let snap = s.take();
-        let h = snap.histogram(HistKind::AnsPageBins).expect("histogram");
-        assert_eq!(h.counts.get(12), Some(&2));
-        assert_eq!(h.counts.get(HIST_BUCKETS - 1), Some(&1));
-        assert_eq!(h.total(), 3);
     }
 
     /// Threads that recorded and exited leave no shard behind once their
@@ -398,10 +336,10 @@ mod tests {
     fn take_drops_the_shards_of_exited_threads() {
         let (_held, s) = setup();
         // This thread's shard is live and stays.
-        crate::add(Counter::ExecTasks, 1);
+        crate::add(Counter::ExecTasks, 1u64);
         let before = s.all_shards().len();
         let threads: Vec<_> = (0..64)
-            .map(|_| std::thread::spawn(|| crate::add(Counter::ExecTasks, 1)))
+            .map(|_| std::thread::spawn(|| crate::add(Counter::ExecTasks, 1u64)))
             .collect();
         for t in threads {
             t.join().unwrap();
@@ -416,7 +354,7 @@ mod tests {
     #[test]
     fn reset_clears_all_shards() {
         let (_held, s) = setup();
-        crate::add(Counter::ExecTasks, 7);
+        crate::add(Counter::ExecTasks, 7u64);
         {
             let _g = crate::span(Stage::Plan);
         }

@@ -32,7 +32,7 @@ where
     // Worker-side task spans are accounted under `execute`.
     let _execute = tac_obs::span(tac_obs::Stage::Execute).arg("tasks", tasks.len());
     let run = |t: &T| {
-        tac_obs::add(tac_obs::Counter::ExecTasks, 1);
+        tac_obs::add(tac_obs::Counter::ExecTasks, 1u64);
         f(t)
     };
     if workers <= 1 || tasks.len() <= 1 {

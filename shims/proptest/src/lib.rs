@@ -48,12 +48,13 @@ impl Default for ProptestConfig {
 /// Deterministic RNG handed to strategies (fixed seed per test fn).
 pub mod test_runner {
     pub use super::ProptestConfig as Config;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    /// Fixed-seed generator so every run explores the same cases.
+    /// Fixed-seed generator so every run explores the same cases:
+    /// xoshiro256++ seeded through SplitMix64.
     #[derive(Debug)]
-    pub struct TestRng(pub StdRng);
+    pub struct TestRng {
+        s: [u64; 4],
+    }
 
     impl TestRng {
         /// Seeds from the test name so sibling tests draw different data.
@@ -62,7 +63,54 @@ pub mod test_runner {
             for b in salt.bytes() {
                 seed = seed.wrapping_mul(0x100_0000_01B3).wrapping_add(b as u64);
             }
-            TestRng(StdRng::seed_from_u64(seed))
+            Self::seed_from_u64(seed)
+        }
+
+        /// Expands `seed` into the four state words with SplitMix64.
+        pub(crate) fn seed_from_u64(seed: u64) -> Self {
+            let mut sm = seed;
+            let mut next = || {
+                sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = sm;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            TestRng {
+                s: [next(), next(), next(), next()],
+            }
+        }
+
+        /// Next 64 random bits.
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            let s = &mut self.s;
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+            result
+        }
+
+        /// Uniform `f64` in `range`: 53 random mantissa bits scaled onto it.
+        pub(crate) fn f64_in(&mut self, range: std::ops::Range<f64>) -> f64 {
+            let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            range.start + unit * (range.end - range.start)
+        }
+
+        /// Uniform `u64` in `range` (`start + next % span`).
+        pub(crate) fn u64_in(&mut self, range: std::ops::Range<u64>) -> u64 {
+            assert!(range.start < range.end, "cannot sample empty range");
+            range.start + self.next_u64() % (range.end - range.start)
+        }
+
+        /// Uniform `usize` in `range` (`start + next % span`).
+        pub(crate) fn usize_in(&mut self, range: std::ops::Range<usize>) -> usize {
+            let span = range.end.saturating_sub(range.start) as u64;
+            range.start + self.u64_in(0..span) as usize
         }
     }
 }
@@ -70,7 +118,6 @@ pub mod test_runner {
 /// Value-generation strategies.
 pub mod strategy {
     use super::test_runner::TestRng;
-    use rand::Rng;
     use std::marker::PhantomData;
     use std::ops::Range;
 
@@ -85,28 +132,29 @@ pub mod strategy {
     impl Strategy for Range<f64> {
         type Value = f64;
         fn new_value(&self, rng: &mut TestRng) -> f64 {
-            rng.0.gen_range(self.clone())
+            rng.f64_in(self.clone())
         }
     }
 
     impl Strategy for Range<usize> {
         type Value = usize;
         fn new_value(&self, rng: &mut TestRng) -> usize {
-            rng.0.gen_range(self.clone())
+            rng.usize_in(self.clone())
         }
     }
 
     impl Strategy for Range<u64> {
         type Value = u64;
         fn new_value(&self, rng: &mut TestRng) -> u64 {
-            rng.0.gen_range(self.clone())
+            rng.u64_in(self.clone())
         }
     }
 
     impl Strategy for Range<i32> {
         type Value = i32;
         fn new_value(&self, rng: &mut TestRng) -> i32 {
-            rng.0.gen_range(self.clone())
+            let span = (self.end as i64 - self.start as i64) as u64;
+            self.start + rng.u64_in(0..span) as i32
         }
     }
 
@@ -122,25 +170,25 @@ pub mod strategy {
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> bool {
-            rng.0.gen_range(0usize..2) == 1
+            rng.usize_in(0..2) == 1
         }
     }
 
     impl Arbitrary for u8 {
         fn arbitrary(rng: &mut TestRng) -> u8 {
-            rng.0.gen_range(0u64..256) as u8
+            rng.u64_in(0..256) as u8
         }
     }
 
     impl Arbitrary for u64 {
         fn arbitrary(rng: &mut TestRng) -> u64 {
-            rng.0.gen_range(0u64..u64::MAX)
+            rng.u64_in(0..u64::MAX)
         }
     }
 
     impl Arbitrary for f64 {
         fn arbitrary(rng: &mut TestRng) -> f64 {
-            rng.0.gen_range(-1e12f64..1e12)
+            rng.f64_in(-1e12..1e12)
         }
     }
 
@@ -163,7 +211,6 @@ pub mod prop {
     pub mod collection {
         use crate::strategy::Strategy;
         use crate::test_runner::TestRng;
-        use rand::Rng;
         use std::ops::Range;
 
         /// Acceptable `size` arguments for [`vec()`]: a fixed length or a
@@ -181,7 +228,7 @@ pub mod prop {
 
         impl IntoSizeRange for Range<usize> {
             fn pick_len(&self, rng: &mut TestRng) -> usize {
-                rng.0.gen_range(self.clone())
+                rng.usize_in(self.clone())
             }
         }
 
@@ -326,6 +373,36 @@ pub use prop::collection;
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use crate::test_runner::TestRng;
+
+    #[test]
+    fn deterministic_for_fixed_seed() {
+        let mut a = TestRng::seed_from_u64(42);
+        let mut b = TestRng::seed_from_u64(42);
+        for _ in 0..100 {
+            assert_eq!(a.u64_in(0..1 << 50), b.u64_in(0..1 << 50));
+        }
+    }
+
+    #[test]
+    fn ranges_are_respected() {
+        let mut rng = TestRng::seed_from_u64(7);
+        for _ in 0..10_000 {
+            let f = (-2.0f64..3.0).new_value(&mut rng);
+            assert!((-2.0..3.0).contains(&f));
+            let u = (5usize..17).new_value(&mut rng);
+            assert!((5..17).contains(&u));
+            let i = (-6i32..-1).new_value(&mut rng);
+            assert!((-6..-1).contains(&i));
+        }
+    }
+
+    #[test]
+    fn f64_samples_cover_the_range() {
+        let mut rng = TestRng::seed_from_u64(1);
+        let mean: f64 = (0..10_000).map(|_| rng.f64_in(0.0..1.0)).sum::<f64>() / 10_000.0;
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]

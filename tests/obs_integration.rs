@@ -82,6 +82,7 @@ fn counters_of_interest(snap: &Snapshot) -> Vec<(Counter, u64)> {
         Counter::SzQuantHits,
         Counter::SzQuantMisses,
         Counter::AnsPages,
+        Counter::AnsBins,
         Counter::AssembleCellsWritten,
         Counter::ReorderValues,
         Counter::ReorderPieces,
@@ -167,6 +168,7 @@ fn merged_counters_are_invariant_across_worker_counts() {
         );
     }
 
+    pco_ans_counts_the_same_bins_on_both_sides(session);
     dont_care_and_present_cells_are_what_tac_codes(session);
     assembly_work_follows_the_occupied_volume(session);
     refined_rows_move_as_row_segments(session);
@@ -176,6 +178,40 @@ fn merged_counters_are_invariant_across_worker_counts() {
     // Leave the session clean for any later obs-enabled test binaries
     // sharing the process (none today, but take() is cheap insurance).
     let _ = session.take();
+}
+
+/// A pco-ans page's decoder reads the bin plan its encoder wrote, so a
+/// round trip counts the same `ans_bins` on both sides, at every worker
+/// count; each page plans between 1 and 65 bins (one per bit-length
+/// class). Called from the one `#[test]` above because the recorder
+/// session is process-global.
+fn pco_ans_counts_the_same_bins_on_both_sides(session: &tac_obs::ObsSession) {
+    let ds = load_dataset("Run1_Z10", 16, 14);
+    let mut reference = None;
+    for workers in [1, 2, 4] {
+        let cfg = TacConfig {
+            codec: CodecId::PcoAns,
+            parallelism: Parallelism::Threads(workers),
+            ..TacConfig::default()
+        };
+        let _ = session.take();
+        let cd = compress_dataset_t(&ds, &cfg, Method::Tac).unwrap();
+        let encoded = session.take();
+        decompress_dataset_par_t::<f64>(&cd, cfg.parallelism).unwrap();
+        let decoded = session.take();
+        let (pages, bins) = (
+            encoded.counter(Counter::AnsPages),
+            encoded.counter(Counter::AnsBins),
+        );
+        assert!(pages > 0, "at {workers} workers: no pco-ans page was coded");
+        assert!(
+            pages <= bins && bins <= 65 * pages,
+            "at {workers} workers: {bins} bins over {pages} pages"
+        );
+        assert_eq!(decoded.counter(Counter::AnsPages), pages, "{workers}");
+        assert_eq!(decoded.counter(Counter::AnsBins), bins, "{workers}");
+        assert_eq!(*reference.get_or_insert(bins), bins, "{workers}");
+    }
 }
 
 /// Values the TAC streams of `cd` code: `dim^3` per whole-level stream,
