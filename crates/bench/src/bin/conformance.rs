@@ -15,7 +15,7 @@
 //!   --out <path>        report path (default <repo root>/CONFORMANCE.json)
 //! ```
 
-use tac_testkit::{fuzz_containers, run_conformance, FuzzConfig};
+use tac_bench::testkit::{fuzz_containers, run_conformance, FuzzConfig};
 
 fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     match args.iter().position(|a| a == name) {

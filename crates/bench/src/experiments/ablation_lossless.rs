@@ -2,19 +2,24 @@
 //! pure-Lorenzo (SZ 1.4-style) vs Lorenzo+regression (SZ 2-style), on
 //! one dense smooth field — quantifying what each stage buys.
 
+use crate::support::{default_scale, quick_mode};
 use tac_amr::min_max;
 use tac_codec::{CodecConfig, Dims, ScalarCodec, SzCodec, TacDtype};
 use tac_core::ErrorBound;
 use tac_nyx::{synthesize, FieldKind};
 
-fn main() {
-    let n = 64;
+/// Runs the sweep on a `(512 / scale)^3` field (quick mode keeps the
+/// 1e-3 bound).
+pub fn report() -> String {
+    let n = 512 / default_scale();
     let data = synthesize(FieldKind::BaryonDensity, n, 42);
     let dims = Dims::D3(n, n, n);
     let (min, max) = min_max(&data).expect("a non-empty field");
-    println!("Ablation: codec stages on a {n}^3 baryon-density field");
-    println!("{:<34} {:>12} {:>8}", "configuration", "bytes", "CR");
-    for rel in [1e-3, 1e-4, 1e-5] {
+    let rels: &[f64] = if quick_mode() { &[1e-3] } else { &[1e-3, 1e-4, 1e-5] };
+
+    let mut out = format!("Ablation: codec stages on a {n}^3 baryon-density field\n");
+    out.push_str(&format!("{:<34} {:>12} {:>8}\n", "configuration", "bytes", "CR"));
+    for &rel in rels {
         let abs_eb = ErrorBound::Rel(rel)
             .resolve_for(min, max, TacDtype::F64)
             .expect("a positive relative bound");
@@ -29,14 +34,15 @@ fn main() {
                 lossless,
                 regression,
             };
-            let bytes = sz.compress(&data, None, dims, &cfg).unwrap();
-            println!(
-                "rel {rel:.0e} {label:<26} {:>12} {:>8.1}",
+            let bytes = sz.compress(&data, None, dims, &cfg).expect("SZ compression");
+            out.push_str(&format!(
+                "rel {rel:.0e} {label:<26} {:>12} {:>8.1}\n",
                 bytes.len(),
                 (n * n * n * 8) as f64 / bytes.len() as f64
-            );
+            ));
         }
-        println!();
+        out.push('\n');
     }
-    println!("The regression stage is what lifts smooth-data CRs past the Lorenzo\nfeedback floor (~1.5 bits/value); LZSS then squeezes the skewed\nHuffman stream. Both are needed for paper-regime ratios.");
+    out.push_str("The regression stage is what lifts smooth-data CRs past the Lorenzo\nfeedback floor (~1.5 bits/value); LZSS then squeezes the skewed\nHuffman stream. Both are needed for paper-regime ratios.\n");
+    out
 }

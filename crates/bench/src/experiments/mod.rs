@@ -1,26 +1,67 @@
-//! One module per paper table/figure. Every module exposes
+//! One module per section of the reproduction: the paper's tables and
+//! figures, the codec comparison and two ablations. Every module exposes
 //! `report() -> String` printing the same rows/series the paper shows.
-
-pub mod codec_comparison;
-pub mod fig07;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
-pub mod fig16;
-pub mod fig18;
-pub mod fig19;
-pub mod par_speedup;
-pub mod table2;
-pub mod table3;
+//! [`SECTIONS`] is the one list of them: `repro_all` runs it, and every
+//! entry has a smoke test.
 
 use tac_amr::AmrLevel;
 use tac_core::{compress_level_t, decompress_level_t, Strategy, TacConfig};
 
-/// Per-level measurement used by the per-strategy figures (7, 11, 12):
-/// compression ratio and PSNR over present cells at a given absolute
-/// bound, plus the wall time of the pre-process+compress step.
+/// One section of the reproduction: its heading and its report.
+pub type Section = (&'static str, fn() -> String);
+
+/// Names every section once, as `module => "heading"` in the order
+/// `repro_all` runs them, and hands the list to the macro `$then`.
+macro_rules! sections {
+    ($then:ident) => {
+        $then! {
+            fig07 => "Fig. 7",
+            fig11 => "Fig. 11",
+            fig12 => "Fig. 12",
+            fig13 => "Fig. 13",
+            fig14 => "Fig. 14",
+            fig15 => "Fig. 15",
+            fig16 => "Fig. 16",
+            fig18 => "Fig. 18",
+            fig19 => "Fig. 19",
+            table2 => "Table 2",
+            table3 => "Table 3",
+            codec_comparison => "Codec comparison",
+            ablation_block_size => "Ablation: unit block size",
+            ablation_lossless => "Ablation: SZ stages",
+        }
+    };
+}
+
+macro_rules! declare_sections {
+    ($($module:ident => $name:literal,)+) => {
+        $(pub mod $module;)+
+
+        /// Every section, in the order `repro_all` runs them.
+        pub const SECTIONS: &[Section] = &[$(($name, $module::report)),+];
+    };
+}
+
+sections!(declare_sections);
+
+/// The sections `repro_all --only <pat>` runs, in list order: those
+/// whose heading contains `pat`, case-insensitively (`None`: all).
+pub fn selected(only: Option<&str>) -> Vec<Section> {
+    let pat = only.map(str::to_lowercase);
+    SECTIONS
+        .iter()
+        .copied()
+        .filter(|(name, _)| {
+            pat.as_ref()
+                .map_or(true, |p| name.to_lowercase().contains(p.as_str()))
+        })
+        .collect()
+}
+
+/// Per-level measurement used by the per-strategy sections (Figs. 7, 11,
+/// 12, 18 and the block-size ablation): compression ratio and PSNR over
+/// present cells at a given absolute bound, plus the wall time of the
+/// pre-process+compress step.
 pub(crate) fn measure_level(
     level: &AmrLevel,
     strategy: Strategy,
@@ -66,9 +107,7 @@ pub(crate) struct LevelMeasurement {
     pub ratio: f64,
     pub bit_rate: f64,
     pub psnr: f64,
-    /// Pre-process + compress wall time (read by tests; the figure
-    /// harnesses time the planners directly).
-    #[allow(dead_code)]
+    /// Pre-process + compress wall time.
     pub compress_s: f64,
 }
 
@@ -87,46 +126,68 @@ mod tests {
         assert!((m.ratio * m.bit_rate - 64.0).abs() < 1e-6);
     }
 
-    /// Smoke-runs one report at a tiny scale so the harness behind each
-    /// bench binary stays compiling AND running (guards against drift in
-    /// the library APIs). One test per module keeps slow harnesses
-    /// visible and lets the runner parallelize them. The scale/quick
-    /// knobs are set through the atomic overrides, not `set_var` — env
-    /// mutation races with `getenv` under the parallel test runner.
+    #[test]
+    fn section_names_are_unique_and_each_selects_only_itself() {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        for name in &names {
+            assert_eq!(names.iter().filter(|n| *n == name).count(), 1, "{name}");
+            let hit: Vec<&str> = selected(Some(&name.to_uppercase()))
+                .iter()
+                .map(|(name, _)| *name)
+                .collect();
+            assert_eq!(hit, [*name], "--only {name:?}");
+        }
+        assert_eq!(selected(None).len(), SECTIONS.len());
+        assert!(selected(Some("no such section")).is_empty());
+    }
+
+    /// A file under `src/experiments/` that the list leaves out is not
+    /// even compiled, so the list is checked against the directory.
+    #[test]
+    fn every_experiment_module_is_a_listed_section() {
+        macro_rules! module_names {
+            ($($module:ident => $name:literal,)+) => {
+                [$(stringify!($module)),+]
+            };
+        }
+        let mut listed = sections!(module_names).to_vec();
+        listed.sort_unstable();
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/experiments");
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .expect("the experiments directory")
+            .map(|e| e.expect("a directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .filter(|m| m != "mod")
+            .collect();
+        files.sort_unstable();
+        assert_eq!(files, listed);
+    }
+
+    /// Smoke-runs one report at a tiny scale so every section stays
+    /// compiling AND running (guards against drift in the library APIs).
+    /// One test per section keeps slow harnesses visible and lets the
+    /// runner parallelize them. The scale/quick knobs are set through the
+    /// atomic overrides, not `set_var` — env mutation races with `getenv`
+    /// under the parallel test runner.
     fn smoke(name: &str, report: fn() -> String) {
         crate::support::set_bench_overrides(32, true);
         let out = report();
         assert!(out.lines().count() > 3, "{name} report too short:\n{out}");
     }
 
-    macro_rules! smoke_tests {
-        ($($module:ident),+ $(,)?) => {
-            $(
-                #[test]
-                fn $module() {
-                    smoke(stringify!($module), super::$module::report);
-                }
-            )+
-        };
-    }
-
     mod smoke_reports {
-        use super::smoke;
+        macro_rules! smoke_tests {
+            ($($module:ident => $name:literal,)+) => {
+                $(
+                    #[test]
+                    fn $module() {
+                        super::smoke($name, crate::experiments::$module::report);
+                    }
+                )+
+            };
+        }
 
-        smoke_tests!(
-            codec_comparison,
-            fig07,
-            fig11,
-            fig12,
-            fig13,
-            fig14,
-            fig15,
-            fig16,
-            fig18,
-            fig19,
-            par_speedup,
-            table2,
-            table3,
-        );
+        sections!(smoke_tests);
     }
 }

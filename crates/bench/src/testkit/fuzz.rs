@@ -116,75 +116,75 @@ impl FuzzOutcome {
 /// v2 and codec-tagged v3 metadata and rows, the v4 prelude without a
 /// mask-mode byte).
 const LEGACY: [&[u8]; 46] = [
-    include_bytes!("../../../tests/data/golden_tac_v1.tacd"),
-    include_bytes!("../../../tests/data/golden_tac_v2.tacd"),
-    include_bytes!("../../../tests/data/golden_b1d_v1.tacd"),
-    include_bytes!("../../../tests/data/golden_b1d_v2.tacd"),
-    include_bytes!("../../../tests/data/golden_mix_v1.tacd"),
-    include_bytes!("../../../tests/data/golden_mix_v3.tacd"),
-    include_bytes!("../../../tests/data/golden_ans_v1.tacd"),
-    include_bytes!("../../../tests/data/golden_auto_v1.tacd"),
-    include_bytes!("../../../tests/data/golden_f32_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_sz_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_sz_v2.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_ans_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_ans_v3.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_sz_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_sz_v2.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_ans_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_ans_v3.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_sz_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_sz_v2.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_ans_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_ans_v3.tacd"),
-    include_bytes!("../../../tests/data/legacy_b3d_sz_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_b3d_sz_v2.tacd"),
-    include_bytes!("../../../tests/data/legacy_b3d_ans_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_b3d_ans_v3.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_f32_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_seg_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_seg_v2.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_seg_v1.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_seg_v2.tacd"),
-    include_bytes!("../../../tests/data/golden_ans_v4.tacd"),
-    include_bytes!("../../../tests/data/golden_auto_v4.tacd"),
-    include_bytes!("../../../tests/data/golden_b1d_v4.tacd"),
-    include_bytes!("../../../tests/data/golden_f32_v4.tacd"),
-    include_bytes!("../../../tests/data/golden_tac_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_ans_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_seg_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_sz_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_b3d_ans_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_b3d_sz_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_ans_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_f32_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_sz_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_ans_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_seg_v4.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_sz_v4.tacd"),
+    include_bytes!("../../../../tests/data/golden_tac_v1.tacd"),
+    include_bytes!("../../../../tests/data/golden_tac_v2.tacd"),
+    include_bytes!("../../../../tests/data/golden_b1d_v1.tacd"),
+    include_bytes!("../../../../tests/data/golden_b1d_v2.tacd"),
+    include_bytes!("../../../../tests/data/golden_mix_v1.tacd"),
+    include_bytes!("../../../../tests/data/golden_mix_v3.tacd"),
+    include_bytes!("../../../../tests/data/golden_ans_v1.tacd"),
+    include_bytes!("../../../../tests/data/golden_auto_v1.tacd"),
+    include_bytes!("../../../../tests/data/golden_f32_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_sz_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_sz_v2.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_ans_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_ans_v3.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_sz_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_sz_v2.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_ans_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_ans_v3.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_sz_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_sz_v2.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_ans_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_ans_v3.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b3d_sz_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b3d_sz_v2.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b3d_ans_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b3d_ans_v3.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_f32_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_seg_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_seg_v2.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_seg_v1.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_seg_v2.tacd"),
+    include_bytes!("../../../../tests/data/golden_ans_v4.tacd"),
+    include_bytes!("../../../../tests/data/golden_auto_v4.tacd"),
+    include_bytes!("../../../../tests/data/golden_b1d_v4.tacd"),
+    include_bytes!("../../../../tests/data/golden_f32_v4.tacd"),
+    include_bytes!("../../../../tests/data/golden_tac_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_ans_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_seg_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_sz_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b3d_ans_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b3d_sz_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_ans_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_f32_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_sz_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_ans_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_seg_v4.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_sz_v4.tacd"),
 ];
 
 /// The v5 siblings of the frozen files — what today's writer makes of
 /// them, implied finest masks included.
 const GOLDEN_V5: [&[u8]; 18] = [
-    include_bytes!("../../../tests/data/golden_ans_v5.tacd"),
-    include_bytes!("../../../tests/data/golden_auto_v5.tacd"),
-    include_bytes!("../../../tests/data/golden_b1d_v5.tacd"),
-    include_bytes!("../../../tests/data/golden_f32_v5.tacd"),
-    include_bytes!("../../../tests/data/golden_lite_tac_v5.tacd"),
-    include_bytes!("../../../tests/data/golden_lite_zmesh_v5.tacd"),
-    include_bytes!("../../../tests/data/golden_tac_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_ans_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_seg_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_b1d_sz_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_b3d_ans_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_b3d_sz_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_ans_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_f32_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_tac_sz_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_ans_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_seg_v5.tacd"),
-    include_bytes!("../../../tests/data/legacy_zmesh_sz_v5.tacd"),
+    include_bytes!("../../../../tests/data/golden_ans_v5.tacd"),
+    include_bytes!("../../../../tests/data/golden_auto_v5.tacd"),
+    include_bytes!("../../../../tests/data/golden_b1d_v5.tacd"),
+    include_bytes!("../../../../tests/data/golden_f32_v5.tacd"),
+    include_bytes!("../../../../tests/data/golden_lite_tac_v5.tacd"),
+    include_bytes!("../../../../tests/data/golden_lite_zmesh_v5.tacd"),
+    include_bytes!("../../../../tests/data/golden_tac_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_ans_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_seg_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b1d_sz_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b3d_ans_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_b3d_sz_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_ans_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_f32_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_tac_sz_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_ans_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_seg_v5.tacd"),
+    include_bytes!("../../../../tests/data/legacy_zmesh_sz_v5.tacd"),
 ];
 
 /// `golden_tac_v5.tacd` with one sub-block origin rewritten onto its
@@ -193,7 +193,7 @@ const GOLDEN_V5: [&[u8]; 18] = [
 /// intact, two regions of the fine level cover the same cells, and only
 /// the decode can tell — it must refuse, at every worker count.
 pub fn overlapping_groups() -> Vec<u8> {
-    let golden = include_bytes!("../../../tests/data/golden_tac_v5.tacd");
+    let golden = include_bytes!("../../../../tests/data/golden_tac_v5.tacd");
     let mut cd = CompressedDataset::from_bytes(golden).expect("golden container parses");
     let MethodBody::Tac(levels) = &mut cd.body else {
         panic!("golden_tac_v5 is a TAC container");

@@ -1,9 +1,5 @@
-#![forbid(unsafe_code)]
-
-//! # tac-testkit
-//!
 //! Systematic evidence that the TAC stack keeps its promises on
-//! structures far outside the paper's seven Nyx snapshots. The crate
+//! structures far outside the paper's seven Nyx snapshots. The module
 //! has three parts, all deterministic from a single `u64` seed and all
 //! free of external dependencies:
 //!
@@ -23,35 +19,28 @@
 //!   decode inside the box, `+0.0` outside); emits the
 //!   machine-readable `CONFORMANCE.json` CI artifact.
 //! * **Container fuzzer** ([`fuzz_containers`], [`probe_container`]) —
-//!   structure-aware mutation of valid containers — freshly written v4
-//!   ones and the frozen v1–v3 files of `tests/data/` — (bit flips,
+//!   structure-aware mutation of valid containers — freshly written v5
+//!   ones and the frozen v1–v4 files of `tests/data/` — (bit flips,
 //!   boundary-integer field overwrites, truncation, splicing) asserting
 //!   decode never panics, never over-allocates, and never accepts an
 //!   incoherent container. Findings get pinned as named tests in
 //!   `tests/fuzz_regressions.rs`.
 //!
 //! ```
-//! use tac_testkit::{run_scenarios, scenario};
+//! use tac_bench::testkit::{run_scenarios, scenario};
 //!
 //! let spec = scenario("tiny-extremes").unwrap();
 //! let report = run_scenarios(&[spec], 42);
 //! assert!(report.all_pass(), "{}", report.summary());
 //! ```
 
-#![warn(missing_docs)]
-
-mod conformance;
-mod fuzz;
-mod rng;
-mod scenario;
-
-pub use conformance::{
+pub use crate::conformance::{
     run_conformance, run_scenarios, ConformanceCell, ConformanceReport, ContainerFormat,
     WORKER_COUNTS,
 };
-pub use fuzz::{
+pub use crate::fuzz::{
     corpus, fuzz_containers, mask_mode_pos, overlapping_groups, probe_container, FuzzCase,
     FuzzConfig, FuzzOutcome, ProbeResult,
 };
-pub use rng::TestRng;
-pub use scenario::{dataset_from_assignment, scenario, scenarios, ScenarioSpec};
+pub use crate::rng::TestRng;
+pub use crate::scenario::{dataset_from_assignment, scenario, scenarios, ScenarioSpec};

@@ -70,7 +70,7 @@ pub fn synthesize(kind: FieldKind, n: usize, seed: u64) -> Vec<f64> {
 
 /// Like [`synthesize`] but colours the underlying Gaussian random field
 /// with a caller-supplied [`SpectrumModel`] — the hook external scenario
-/// generators (e.g. `tac-testkit`) use to produce rougher or smoother
+/// generators (e.g. `tac_bench::testkit`) use to produce rougher or smoother
 /// variants of each physical field while keeping the value-distribution
 /// transforms (lognormal scaling, halo injection) identical.
 pub fn synthesize_with(kind: FieldKind, n: usize, seed: u64, model: &SpectrumModel) -> Vec<f64> {

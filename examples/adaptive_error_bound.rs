@@ -5,7 +5,7 @@
 //! and shows the trade-off at (almost) constant compression ratio.
 //!
 //! ```sh
-//! cargo run --release -p tac-core --example adaptive_error_bound
+//! cargo run --release -p tac-bench --example adaptive_error_bound
 //! ```
 
 use tac_amr::to_uniform;

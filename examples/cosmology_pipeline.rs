@@ -5,7 +5,7 @@
 //! before committing to in-situ compression settings.
 //!
 //! ```sh
-//! cargo run --release -p tac-core --example cosmology_pipeline
+//! cargo run --release -p tac-bench --example cosmology_pipeline
 //! ```
 
 use tac_amr::to_uniform;

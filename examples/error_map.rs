@@ -4,7 +4,7 @@
 //! comparison of NaST vs OpST (sparse) and ZF vs GSP (dense).
 //!
 //! ```sh
-//! cargo run --release -p tac-core --example error_map
+//! cargo run --release -p tac-bench --example error_map
 //! # writes target/error_maps/*.pgm
 //! ```
 

@@ -4,7 +4,7 @@
 //! local campaigns against the container parsers:
 //!
 //! ```text
-//! cargo run --release -p tac-testkit --example fuzz_long 200000 3
+//! cargo run --release -p tac-bench --example fuzz_long 200000 3
 //! ```
 //!
 //! Arguments: iteration count (default 100000) and seed (default 1).
@@ -12,7 +12,7 @@
 //! incoherent decode is found — paste those bytes into
 //! `tests/fuzz_regressions.rs` as a named regression before fixing.
 
-use tac_testkit::{fuzz_containers, FuzzConfig};
+use tac_bench::testkit::{fuzz_containers, FuzzConfig};
 
 fn main() {
     let iterations: usize = std::env::args()

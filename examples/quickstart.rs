@@ -2,7 +2,7 @@
 //! compress it with TAC, and inspect the results.
 //!
 //! ```sh
-//! cargo run --release -p tac-core --example quickstart
+//! cargo run --release -p tac-bench --example quickstart
 //! ```
 
 use tac_analysis::amr_distortion;

@@ -9,11 +9,11 @@
 //! inputs, and the selection-overhead budget in the sampled regime.
 
 use tac_amr::AmrDataset;
+use tac_bench::testkit::{scenarios, ScenarioSpec};
 use tac_core::{
     compress_dataset_t, decompress_dataset_par_t, select_auto, CodecElement, CodecId,
     CompressedDataset, Method, Parallelism, TacConfig, TacDtype,
 };
-use tac_testkit::{scenarios, ScenarioSpec};
 
 /// Auto must reach at least this fraction of the best fixed pair's
 /// compression ratio on every scenario.
@@ -88,7 +88,7 @@ fn assert_auto_dominates<T: CodecElement>(spec: &ScenarioSpec, ds: &AmrDataset<T
 #[test]
 fn auto_is_deterministic_under_identical_seeds() {
     for name in ["nyx-grf", "shock-front", "spike-field"] {
-        let spec = tac_testkit::scenario(name).unwrap();
+        let spec = tac_bench::testkit::scenario(name).unwrap();
         let cfg = spec.config();
         let reference = compress_dataset_t(&spec.build(21), &cfg, Method::Auto)
             .unwrap()

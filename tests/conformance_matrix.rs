@@ -10,7 +10,7 @@
 //! decode agreeing with the full decode. The same sweep backs the
 //! `conformance` runner binary, which emits `CONFORMANCE.json` for CI.
 
-use tac_testkit::{run_conformance, scenarios, WORKER_COUNTS};
+use tac_bench::testkit::{run_conformance, scenarios, WORKER_COUNTS};
 
 #[test]
 fn full_matrix_passes_for_every_scenario() {
@@ -56,9 +56,9 @@ fn full_matrix_passes_for_every_scenario() {
 
 #[test]
 fn matrix_is_deterministic_per_seed() {
-    let spec = tac_testkit::scenario("degenerate-corner").unwrap();
-    let a = tac_testkit::run_scenarios(std::slice::from_ref(&spec), 5);
-    let b = tac_testkit::run_scenarios(std::slice::from_ref(&spec), 5);
+    let spec = tac_bench::testkit::scenario("degenerate-corner").unwrap();
+    let a = tac_bench::testkit::run_scenarios(std::slice::from_ref(&spec), 5);
+    let b = tac_bench::testkit::run_scenarios(std::slice::from_ref(&spec), 5);
     // Timing (`wall_ms`) and the captured run metadata timestamp vary
     // between runs; everything the matrix *measures* must not.
     assert_eq!(a.cells.len(), b.cells.len());

@@ -9,10 +9,10 @@
 //! dataset keeps its name, which the container stores.
 
 use tac_amr::{AmrDataset, AmrLevel};
+use tac_bench::testkit::{scenario, scenarios, ScenarioSpec};
 use tac_core::{
     compress_dataset_t, CodecElement, CodecId, Method, Parallelism, Strategy, TacConfig, TacDtype,
 };
-use tac_testkit::{scenario, scenarios, ScenarioSpec};
 
 const STRATEGIES: [Strategy; 5] = [
     Strategy::ZeroFill,

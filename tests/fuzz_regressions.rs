@@ -1,5 +1,5 @@
 //! Pinned regression tests for every crash class the structure-aware
-//! container fuzzer (`tac-testkit`) has found, plus the bounded fuzz
+//! container fuzzer (`tac_bench::testkit`) has found, plus the bounded fuzz
 //! smoke CI runs on every push and the single-byte flip sweeps over the
 //! frozen corpus under `tests/data` (the codec stream headers on every
 //! run; every byte of every file in the `#[ignore]`d release sweep).
@@ -8,11 +8,11 @@
 //! stream that reproduced the original panic/abort — and asserts the
 //! decoder now rejects it with a clean `Err`. Keep these minimal and
 //! named after the bug: when the fuzzer finds a new case
-//! (`cargo run --release -p tac-testkit --example fuzz_long`), it lands
+//! (`cargo run --release -p tac-bench --example fuzz_long`), it lands
 //! here before the fix.
 
+use tac_bench::testkit::{probe_container, ProbeResult};
 use tac_core::{codec_for, CodecError, CodecId};
-use tac_testkit::{probe_container, ProbeResult};
 
 /// Little-endian byte builder (mirrors the wire layout under test).
 #[derive(Default)]
@@ -577,7 +577,7 @@ fn overlapping_regions_are_rejected_at_every_worker_count() {
         Parallelism, TacError,
     };
     let golden = include_bytes!("data/golden_tac_v5.tacd");
-    let bytes = tac_testkit::overlapping_groups();
+    let bytes = tac_bench::testkit::overlapping_groups();
     assert_eq!(bytes.len(), golden.len());
     assert!(bytes != golden);
     let cd = CompressedDataset::from_bytes(&bytes).unwrap();
@@ -659,7 +659,7 @@ fn overlapping_regions_are_rejected_at_every_worker_count() {
 
 /// Where the mask-mode byte of a v5 container sits.
 fn mask_mode_at(bytes: &[u8]) -> usize {
-    tac_testkit::mask_mode_pos(bytes).expect("a v5 header")
+    tac_bench::testkit::mask_mode_pos(bytes).expect("a v5 header")
 }
 
 /// `bytes` (finest mask implied) rewritten with every mask stored: the
@@ -695,7 +695,7 @@ fn an_implied_finest_mask_decodes_like_a_stored_one() {
         Method, Parallelism, TacConfig,
     };
     for name in ["deep-column", "nyx-grf"] {
-        let spec = tac_testkit::scenario(name).unwrap();
+        let spec = tac_bench::testkit::scenario(name).unwrap();
         let ds = spec.build(3);
         ds.validate().unwrap();
         for method in Method::fixed() {
@@ -870,7 +870,7 @@ fn single_byte_flips_over_the_whole_corpus_are_clean() {
 /// as a coherent re-decodable container).
 #[test]
 fn fuzz_smoke_2k_iterations_is_clean() {
-    let outcome = tac_testkit::fuzz_containers(&tac_testkit::FuzzConfig::default());
+    let outcome = tac_bench::testkit::fuzz_containers(&tac_bench::testkit::FuzzConfig::default());
     assert_eq!(outcome.iterations, 2000);
     assert!(outcome.clean(), "{}", outcome.summary());
     // The corpus is structure-aware: a meaningful share of mutants must

@@ -716,7 +716,7 @@ fn frozen_corpus_parses_decodes_and_upgrades_identically() {
 /// to within the resolved bound of the scenario that was compressed.
 #[test]
 fn legacy_deep_column_files_decode_within_the_bound() {
-    let spec = tac_testkit::scenario("deep-column").unwrap();
+    let spec = tac_bench::testkit::scenario("deep-column").unwrap();
     let ds = spec.build(1);
     for &(stem, versions, ..) in CORPUS {
         if !stem.starts_with("legacy_") || stem.ends_with("_seg") {
